@@ -231,7 +231,12 @@ func (cm *CompactionManager) directCompact(core, node, order int) bool {
 	}
 	defer cm.compacting[node].Store(false)
 	cm.directRuns.Add(1)
-	return cm.m.Phys.CompactZone(core, node, cm.cfg.CompactPages) > 0
+	moved := cm.m.Phys.CompactZone(core, node, cm.cfg.CompactPages)
+	// The vacated frames sit in the RCU monitor; like the reclaim hook,
+	// drive this core's tick so they reach the buddy before the caller
+	// retries.
+	cm.m.Reap(core)
+	return moved > 0
 }
 
 // backgroundCompact is the kcompactd analogue: when the ticking core's

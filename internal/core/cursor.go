@@ -8,6 +8,7 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
 )
 
@@ -341,12 +342,12 @@ func (c *RCursor) releaseLeaf(pte uint64, level int, va arch.Vaddr) {
 // their own Put.
 func (c *RCursor) noteFreed(head arch.PFN) {
 	if n := len(c.freed); n > 0 {
-		if last := &c.freed[n-1]; last.head+arch.PFN(last.n) == head {
-			last.n++
+		if last := &c.freed[n-1]; last.Head+arch.PFN(last.N) == head {
+			last.N++
 			return
 		}
 	}
-	c.freed = append(c.freed, pfnRun{head: head, n: 1})
+	c.freed = append(c.freed, rcu.FrameRun{Head: head, N: 1})
 }
 
 // clearLeafTable tears down a fully covered level-1 table in one sweep:
@@ -424,6 +425,7 @@ func (c *RCursor) removeChild(parent arch.PFN, idx int, child arch.PFN) {
 	st.Mu.Unlock()
 	core := c.core
 	a.m.RCU.Defer(func() { a.tree.ReleasePTPage(core, child) })
+	a.reapBacklogged(core)
 }
 
 // dropMeta clears the metadata entry, releasing any swap block it holds.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
 )
 
@@ -33,10 +34,10 @@ type RCursor struct {
 	locked []arch.PFN
 
 	// Deferred side effects, applied at Close.
-	flush    []tlb.Range // coalesced VA ranges whose translations must die
-	flushAll bool        // flush the whole ASID instead
-	needSync bool        // permission tightening: must not be lazy
-	freed    []pfnRun    // frame-head runs to release after the shootdown
+	flush    []tlb.Range    // coalesced VA ranges whose translations must die
+	flushAll bool           // flush the whole ASID instead
+	needSync bool           // permission tightening: must not be lazy
+	freed    []rcu.FrameRun // frame-head runs to release after the shootdown
 
 	closed bool
 	cached bool // lives in the per-core cursor cache
@@ -46,16 +47,7 @@ type RCursor struct {
 	readPathArr [arch.Levels]arch.PFN
 	lockedArr   [8]arch.PFN
 	flushArr    [8]tlb.Range
-	freedArr    [8]pfnRun
-}
-
-// pfnRun is a run of physically contiguous frame heads queued for
-// release: head, head+1, …, head+n-1. Teardown of bulk-populated
-// regions coalesces thousands of frees into a handful of runs, which
-// keeps the copy handed to the RCU monitor off the unmap critical path.
-type pfnRun struct {
-	head arch.PFN
-	n    uint32
+	freedArr    [8]rcu.FrameRun
 }
 
 // reset prepares a (possibly recycled) cursor for a new transaction,
@@ -308,7 +300,7 @@ type deferredOps struct {
 	flush    []tlb.Range
 	flushAll bool
 	needSync bool
-	freed    []pfnRun
+	freed    []rcu.FrameRun
 	// txFlushed counts contributing transactions that carried at least
 	// one flush record — what one-op-per-call would have fanned out.
 	txFlushed int
@@ -358,18 +350,35 @@ func (a *AddrSpace) commitDeferred(core int, d *deferredOps) int {
 			a.m.TLB.ShootdownRanges(core, a.asid, d.flush)
 		}
 	}
-	if len(d.freed) == 0 {
-		return emitted
+	if len(d.freed) > 0 {
+		a.deferPut(core, d.freed)
 	}
-	freed := append([]pfnRun(nil), d.freed...)
-	a.m.RCU.Defer(func() {
-		for _, r := range freed {
-			for i := uint32(0); i < r.n; i++ {
-				a.m.Phys.Put(core, r.head+arch.PFN(i))
-			}
-		}
-	})
 	return emitted
+}
+
+// reapBacklog is the number of waiting RCU callbacks at which the
+// unmap path runs the core's deferred work itself instead of leaving it
+// to the next timer tick. A bulk teardown queues thousands of frames per
+// call; a core that ticks every 64 operations would otherwise let a
+// node's worth of frames sit in the monitor while its allocations spill
+// off-node.
+const reapBacklog = 32
+
+// deferPut hands runs of unmapped frames to the RCU monitor on behalf
+// of core. The caller has already issued the shootdown that covers them.
+func (a *AddrSpace) deferPut(core int, runs []rcu.FrameRun) {
+	if a.m.RCU.DeferPut(a.m.Phys, core, runs) >= reapBacklog {
+		a.m.Reap(core)
+	}
+}
+
+// reapBacklogged follows the other hand-off to the RCU monitor, a
+// removed PT page's closure (rare enough to ask Stats). Safe with
+// PT-page locks held: a sweep or a callback never takes one.
+func (a *AddrSpace) reapBacklogged(core int) {
+	if a.m.RCU.Stats().Pending >= reapBacklog {
+		a.m.Reap(core)
+	}
 }
 
 // freedSpillRuns caps the deferred-free run list. A giant sparse unmap
@@ -428,20 +437,11 @@ func (c *RCursor) shootAndFree() {
 			a.m.TLB.ShootdownRanges(c.core, a.asid, c.flush)
 		}
 	}
-	if len(c.freed) == 0 {
-		return
+	if len(c.freed) > 0 {
+		// The cursor may be recycled before the grace period ends;
+		// DeferPut takes its own copy of the run list.
+		a.deferPut(c.core, c.freed)
 	}
-	core := c.core
-	// The cursor may be recycled before the grace period ends, so the
-	// deferred free needs its own copy of the run list.
-	freed := append([]pfnRun(nil), c.freed...)
-	a.m.RCU.Defer(func() {
-		for _, r := range freed {
-			for i := uint32(0); i < r.n; i++ {
-				a.m.Phys.Put(core, r.head+arch.PFN(i))
-			}
-		}
-	})
 }
 
 // Range returns the locked range.

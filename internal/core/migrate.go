@@ -90,8 +90,8 @@ func migrateBatch(m *cpusim.Machine, core int, reqs []mem.MigrateReq) []bool {
 	schedHit("migrate:pre-barrier")
 	// One grace period covers every write-protect window in the batch.
 	// No PT locks are held here: lock acquisition runs inside an RCU
-	// read section, so a barrier under a lock could wait on itself.
-	m.RCU.Barrier()
+	// read section, so waiting under a lock could wait on itself.
+	m.RCU.Synchronize()
 	schedHit("migrate:post-barrier")
 	for _, p := range lives {
 		res[p.idx] = remapMigrated(p.a, core, reqs[p.idx], p.perm, p.key)

@@ -213,8 +213,7 @@ func (rm *ReclaimManager) hook(core, node, target int) int {
 	defer rm.direct.Unlock()
 	rm.directRounds.Add(1)
 	n := rm.doubleSweep(core, node, target)
-	rm.m.TLB.Tick(core)
-	rm.m.RCU.Poll()
+	rm.m.Reap(core)
 	if n == 0 && rm.cfg.OOMKill {
 		n = rm.oomKill(core)
 	}
@@ -253,8 +252,7 @@ func (rm *ReclaimManager) DirectReclaim(core, target int) int {
 	defer rm.direct.Unlock()
 	rm.directRounds.Add(1)
 	n := rm.doubleSweep(core, rm.m.NodeOf(core), target)
-	rm.m.TLB.Tick(core)
-	rm.m.RCU.Poll()
+	rm.m.Reap(core)
 	if n == 0 && rm.cfg.OOMKill {
 		n = rm.oomKill(core)
 	}
@@ -287,7 +285,7 @@ func (rm *ReclaimManager) tick(core int) {
 	}
 	rm.bgSweeps.Add(1)
 	rm.sweep(core, node, int(2*low-free))
-	rm.m.RCU.Poll()
+	rm.m.Reap(core)
 	// The kick stays set until the zone recovers to its high mark
 	// (2x low), so sweeping continues tick after tick under sustained
 	// pressure — a first pass may only clear accessed bits.
@@ -430,7 +428,7 @@ func (a *AddrSpace) oomTeardown(core int) int {
 			released += int(r.sz / arch.PageSize)
 		}
 	}
-	a.m.RCU.Poll()
+	a.m.Reap(core)
 	return released
 }
 

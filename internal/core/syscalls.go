@@ -320,11 +320,14 @@ func (a *AddrSpace) access(core int, va arch.Vaddr, acc pt.Access, fn func(page 
 		a.m.RCU.ReadLock(core)
 		tr, ok := a.m.TLB.Lookup(core, a.asid, page)
 		if !ok || !tr.Perm.Contains(acc.Needs()) {
+			// The fill opens before the walk: a shootdown that lands in
+			// between must invalidate what the walk is about to cache.
+			fill := a.m.TLB.FillBegin(core, a.asid)
 			if tr, ok = a.tree.WalkAccess(va, acc); ok {
 				// tr carries the leaf level from the walk; huge leaves land
 				// in the TLB's span-indexed array so every page of the span
 				// hits from this one fill.
-				a.m.TLB.Insert(core, a.asid, page, tr)
+				a.m.TLB.InsertAt(core, a.asid, page, tr, fill)
 				if tr.Level == 1 {
 					// A TLB fill is the NUMA balancer's access sample.
 					a.m.Phys.NoteAccess(core, tr.PFN)
@@ -355,8 +358,9 @@ func (a *AddrSpace) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Transl
 		if tr, ok := a.m.TLB.Lookup(core, a.asid, page); ok && tr.Perm.Contains(acc.Needs()) {
 			return tr, nil
 		}
+		fill := a.m.TLB.FillBegin(core, a.asid)
 		if tr, ok := a.tree.WalkAccess(va, acc); ok {
-			a.m.TLB.Insert(core, a.asid, page, tr)
+			a.m.TLB.InsertAt(core, a.asid, page, tr, fill)
 			if tr.Level == 1 {
 				a.m.Phys.NoteAccess(core, tr.PFN)
 			}

@@ -301,24 +301,47 @@ func (m *Machine) OpTick(core int) {
 	t := &m.ticks[core]
 	t.n++
 	if t.n%uint64(m.tickEvery) == 0 {
-		m.TLB.Tick(core)
-		m.RCU.Poll()
+		m.Reap(core)
 		if h := m.tickHook.Load(); h != nil {
 			(*h)(core)
 		}
 	}
 }
 
-// Quiesce drains all deferred work (RCU callbacks, pending TLB
-// invalidations) — used between benchmark phases and in tests before
-// checking invariants. After Quiesce returns, every queued
-// invalidation has been turned into epoch-cell generation bumps on all
-// cores, so no lookup anywhere can return a translation a completed
-// shootdown covered (the LATR staleness window is closed).
+// Reap is the deferred-work half of a timer tick on core: apply the
+// lazily queued TLB invalidations, then run the RCU callbacks that were
+// queued before the sweep began. The order and the epoch bound are what
+// keep a frame allocated for as long as some core can still translate
+// to it: an unmap queues its invalidations before its deferred free,
+// so a free old enough to run here had its invalidations in a buffer
+// this sweep (or one it waited for) has just applied. A free queued
+// while the sweep was running waits for the next tick.
+func (m *Machine) Reap(core int) {
+	e := m.RCU.Epoch()
+	m.TLB.Tick(core)
+	m.RCU.PollBefore(e)
+}
+
+// Quiesce drains all deferred work (pending TLB invalidations, RCU
+// callbacks) — used between benchmark phases and in tests before
+// checking invariants. After Quiesce returns, every invalidation queued
+// before the call has been turned into epoch-cell generation bumps on
+// all cores, so no lookup anywhere can return a translation a completed
+// shootdown covered (the LATR staleness window is closed), and every
+// callback queued before the call has run. That holds against
+// concurrent OpTick sweepers too: tlb.Machine.Tick waits for a sweep
+// another core has under way rather than passing its emptied buffer by.
 func (m *Machine) Quiesce() {
-	m.RCU.Barrier()
-	for c := 0; c < m.Cores; c++ {
-		m.TLB.Tick(c)
+	m.RCU.Synchronize()
+	for {
+		e := m.RCU.Epoch()
+		for c := 0; c < m.Cores; c++ {
+			m.TLB.Tick(c)
+		}
+		m.RCU.PollBefore(e)
+		if m.RCU.Stats().Pending == 0 {
+			return
+		}
 	}
 }
 

@@ -27,6 +27,9 @@ type AuditReport struct {
 	// NodeFree is each zone's own free count (zone buddy + the pcp
 	// caches of the zone's cores).
 	NodeFree []uint64
+	// KeptPayloads is the number of free frames holding a page buffer
+	// for their next owner; all of them sit in pcp caches.
+	KeptPayloads uint64
 }
 
 // Ok reports whether the audit found no violations.
@@ -59,7 +62,10 @@ func (r *AuditReport) addf(format string, args ...any) {
 // counts — per zone and in total (a mismatch is a leaked, double-freed
 // or zone-hopping frame) — every frame on a zone's free list has a free
 // descriptor inside that zone, and every pcp cache holds only its
-// core's home-node frames.
+// core's home-node frames. Payloads: a free frame publishes none; one
+// in a buddy free list keeps none either; a kept payload (pcp-cached
+// frames only) is exactly one page, to be cleared by whoever claims it;
+// a page-table frame has neither.
 //
 // Audit takes no global lock: callers must quiesce the system first
 // (no concurrent allocation/free, RCU drained) or the counts will be
@@ -103,6 +109,15 @@ func (m *PhysMem) Audit() AuditReport {
 			if mc != 0 {
 				r.addf("frame %#x: free with MapCount %d", pfn, mc)
 			}
+			if d.data.Load() != nil {
+				r.addf("frame %#x: free but still publishes a payload", pfn)
+			}
+			if p := d.spare.Load(); p != nil {
+				r.KeptPayloads++
+				if len(*p) != arch.PageSize {
+					r.addf("frame %#x: kept payload is %d bytes, not one page", pfn, len(*p))
+				}
+			}
 			r.FreeByDesc++
 			r.NodeFreeByDesc[m.zoneOf(arch.PFN(pfn))]++
 		default:
@@ -111,6 +126,9 @@ func (m *PhysMem) Audit() AuditReport {
 				continue
 			}
 			r.ByKind[d.Kind] += 1 << d.order.Load()
+			if d.Kind == KindPT && (d.data.Load() != nil || d.spare.Load() != nil) {
+				r.addf("frame %#x: page-table frame carries a data payload", pfn)
+			}
 			if mc < 0 {
 				r.addf("frame %#x: negative MapCount %d", pfn, mc)
 			}
@@ -146,6 +164,11 @@ func (m *PhysMem) Audit() AuditReport {
 				d := &m.frames[pfn+i]
 				if d.Ref.Load() != 0 || d.Kind != KindFree || d.tail.Load() != 0 {
 					r.addf("zone %d free list holds live frame %#x (block %#x order %d)",
+						zi, pfn+i, pfn, order)
+					return
+				}
+				if d.spare.Load() != nil {
+					r.addf("zone %d free list frame %#x (block %#x order %d) keeps a payload",
 						zi, pfn+i, pfn, order)
 					return
 				}

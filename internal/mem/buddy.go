@@ -324,19 +324,14 @@ func (c *pcpCache) fill(batch []arch.PFN) {
 	c.frames = append(c.frames, batch...)
 }
 
-// push caches a freed frame; when the cache exceeds its high-water mark
-// it returns a batch the caller must hand back to the buddy.
-func (c *pcpCache) push(pfn arch.PFN) []arch.PFN {
+// push caches a freed frame and reports whether the cache reached its
+// high-water mark, in which case the caller must spill a batch back to
+// the buddy.
+func (c *pcpCache) push(pfn arch.PFN) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.frames = append(c.frames, pfn)
-	if len(c.frames) < pcpHigh {
-		return nil
-	}
-	over := make([]arch.PFN, pcpBatch)
-	copy(over, c.frames[len(c.frames)-pcpBatch:])
-	c.frames = c.frames[:len(c.frames)-pcpBatch]
-	return over
+	return len(c.frames) >= pcpHigh
 }
 
 func (c *pcpCache) len() int {

@@ -259,13 +259,14 @@ func (m *PhysMem) ShatterBlock(head arch.PFN) bool {
 		c.words = nil
 		sub := buf[uint64(i)*arch.PageSize : uint64(i+1)*arch.PageSize : uint64(i+1)*arch.PageSize]
 		c.data.Store(&sub)
+		c.aliased = true
 		c.order.Store(0)
 		c.Ref.Store(1)
 		c.MapCount.Store(1)
 		c.tail.Store(0) // published last: the child is now independent
 	}
 	// The head keeps the full 2-MiB buffer; DataPage slices page 0 out
-	// of it, and the next reallocation clears it.
+	// of it, and freeing the head drops it.
 	return true
 }
 

@@ -85,11 +85,19 @@ type FrameDesc struct {
 
 	// words is the PT-page payload: 512 PTEs accessed atomically.
 	words *[arch.PTEntries]uint64
-	// data is the lazily allocated data payload for content-carrying
-	// tests and COW copies. Published by CAS: two cores may race the
-	// first touch of a shared frame, so the winner installs the buffer
-	// and losers adopt it.
+	// data is the data payload of the frame's current life, installed on
+	// first touch. Published by CAS: two cores may race the first touch
+	// of a shared frame, so the winner installs the buffer and losers
+	// adopt it.
 	data atomic.Pointer[[]byte]
+	// spare is the 4-KiB payload of an earlier life, contents stale, kept
+	// for the next first touch to claim, clear and publish. Only a frame
+	// that sits in a pcp cache, or was popped from one and not touched
+	// since, has one.
+	spare atomic.Pointer[[]byte]
+	// aliased marks a payload that is a sub-slice of another frame's
+	// buffer (ShatterBlock children); such a payload is never kept.
+	aliased bool
 	// tail is head-PFN+1 when this frame is a non-head member of a
 	// multi-frame (huge) block, 0 otherwise. Atomic because ShatterBlock
 	// clears it while the compaction scanner probes candidates lock-free.
@@ -305,11 +313,28 @@ func (m *PhysMem) DrainPCP() int {
 	total := 0
 	for i := range m.pcp {
 		if fs := m.pcp[i].drain(); len(fs) > 0 {
-			m.zones[m.coreNode(i)].buddy.freeBatch(fs)
+			m.toBuddy(m.coreNode(i), fs)
 			total += len(fs)
 		}
 	}
 	return total
+}
+
+// toBuddy returns order-0 frames that just left a pcp cache to zone z's
+// buddy. The caller took them off the cache's list and so owns them; a
+// payload kept for reuse goes no further than the cache.
+func (m *PhysMem) toBuddy(z int, pfns []arch.PFN) {
+	for _, pfn := range pfns {
+		m.frames[pfn].dropSpare()
+	}
+	m.zones[z].buddy.freeBatch(pfns)
+}
+
+// spill moves one batch from core's full cache back to its home zone.
+func (m *PhysMem) spill(core int) {
+	var over [pcpBatch]arch.PFN
+	n := m.pcp[core].popN(over[:])
+	m.toBuddy(m.coreNode(core), over[:n])
 }
 
 // allocSlow is the allocation slow path, entered on buddy exhaustion.
@@ -530,6 +555,7 @@ func (m *PhysMem) initFrame(pfn arch.PFN, kind Kind, order uint8) {
 	}
 	if kind == KindPT {
 		d.words = new([arch.PTEntries]uint64)
+		d.dropSpare() // a PT page reached through the pcp fallback
 	} else {
 		d.words = nil
 	}
@@ -537,6 +563,14 @@ func (m *PhysMem) initFrame(pfn arch.PFN, kind Kind, order uint8) {
 		m.frames[pfn+i].tail.Store(int64(pfn) + 1)
 	}
 	m.kinds[kind].Add(1 << order)
+}
+
+// dropSpare releases a kept payload to the Go collector. Load-guarded
+// so frames without one stay store-free.
+func (d *FrameDesc) dropSpare() {
+	if d.spare.Load() != nil {
+		d.spare.Store(nil)
+	}
 }
 
 // HeadOf resolves a frame inside a huge block to the block's head frame,
@@ -595,9 +629,6 @@ func (m *PhysMem) Put(core int, pfn arch.PFN) {
 	d.PT = nil
 	d.RMap = RMapRef{}
 	d.words = nil
-	if d.data.Load() != nil {
-		d.data.Store(nil) // only touched data frames pay the barrier
-	}
 	if d.anonVA.Load() != 0 {
 		d.anonVA.Store(0)
 	}
@@ -605,17 +636,29 @@ func (m *PhysMem) Put(core int, pfn arch.PFN) {
 		m.frames[pfn+i].tail.Store(0)
 	}
 	z := m.zoneOf(pfn)
-	if order == 0 {
-		// Only home-node frames enter the core's cache; off-node frames
-		// go straight back to their owning zone so every pcp cache (and
-		// the overflow batches it spills) stays node-pure.
-		if z == m.coreNode(core) {
-			if full := m.pcp[core].push(pfn); full != nil {
-				m.zones[z].buddy.freeBatch(full)
-			}
-			return
+	// Only home-node frames enter the core's cache; off-node frames go
+	// straight back to their owning zone so every pcp cache (and the
+	// batches it spills) stays node-pure.
+	cached := order == 0 && z == m.coreNode(core)
+	if p := d.data.Load(); p != nil { // only touched data frames pay
+		d.data.Store(nil)
+		// A self-owned 4-KiB buffer rides along into the cache for the
+		// next first touch to clear; the RCU-deferred free has put every
+		// reader of the old bytes behind us. Anything else — a huge
+		// block's buffer, a shattered block's 2-MiB head buffer or a
+		// child's window into it — would pin far more than a page.
+		if cached && !d.aliased && len(*p) == arch.PageSize {
+			d.spare.Store(p)
 		}
+		d.aliased = false
 	}
+	if cached {
+		if m.pcp[core].push(pfn) {
+			m.spill(core)
+		}
+		return
+	}
+	d.dropSpare()
 	m.zones[z].buddy.free(pfn, order)
 }
 
@@ -628,19 +671,32 @@ func (m *PhysMem) Words(pfn arch.PFN) *[arch.PTEntries]uint64 {
 	return w
 }
 
-// Data returns the (lazily allocated) byte payload of a data frame. The
-// caller must hold a reference and, for writes to the payload,
-// mapping-level exclusion. Initialization itself needs no exclusion:
-// concurrent first touches race to install the buffer with a CAS and
-// losers adopt the winner's, so all callers see the same payload.
+// Data returns the byte payload of a data frame, zero-filled on the
+// first touch of each life of the frame. The caller must hold a
+// reference and, for writes to the payload, mapping-level exclusion.
+// The first touch itself needs no exclusion: one racer claims the
+// buffer kept from an earlier life with an atomic swap and clears it
+// while it is still private (the simulator's clear_page), the others
+// make their own; all race to publish with a CAS and losers adopt the
+// winner's, so every caller sees the same payload and nobody ever
+// clears a buffer another core can see.
 func (m *PhysMem) Data(pfn arch.PFN) []byte {
 	d := &m.frames[pfn]
 	if p := d.data.Load(); p != nil {
 		return *p
 	}
-	buf := make([]byte, arch.PageSize<<d.order.Load())
-	if d.data.CompareAndSwap(nil, &buf) {
-		return buf
+	var p *[]byte
+	if d.spare.Load() != nil { // frames fresh from the buddy skip the swap
+		p = d.spare.Swap(nil)
+	}
+	if p != nil {
+		clear(*p)
+	} else {
+		buf := make([]byte, arch.PageSize<<d.order.Load())
+		p = &buf
+	}
+	if d.data.CompareAndSwap(nil, p) {
+		return *p
 	}
 	return *d.data.Load()
 }

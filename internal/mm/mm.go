@@ -75,6 +75,7 @@ type Snapshot struct {
 	Mmaps, Munmaps, Mprotects         uint64
 	PageFaults, SoftFaults, COWBreaks uint64
 	SwapIns, SwapOuts, Forks          uint64
+	Collapses, Demotions              uint64
 	KernelNanos                       uint64
 }
 
@@ -90,6 +91,8 @@ func (s *Stats) Snapshot() Snapshot {
 		SwapIns:     s.SwapIns.Load(),
 		SwapOuts:    s.SwapOuts.Load(),
 		Forks:       s.Forks.Load(),
+		Collapses:   s.Collapses.Load(),
+		Demotions:   s.Demotions.Load(),
 		KernelNanos: s.KernelNanos.Load(),
 	}
 }

@@ -299,8 +299,9 @@ func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translatio
 		if tr, ok := s.m.TLB.Lookup(core, s.asid, page); ok && tr.Perm.Contains(acc.Needs()) {
 			return tr, nil
 		}
+		fill := s.m.TLB.FillBegin(core, s.asid)
 		if tr, ok := r.tree.WalkAccess(va, acc); ok {
-			s.m.TLB.Insert(core, s.asid, page, tr)
+			s.m.TLB.InsertAt(core, s.asid, page, tr, fill)
 			return tr, nil
 		}
 		if err := s.pageFault(core, va, acc); err != nil {

@@ -9,6 +9,8 @@ package rcu
 import (
 	"sync"
 	"sync/atomic"
+
+	"cortenmm/internal/arch"
 )
 
 // slot is a cache-line-padded per-core reader state word: 0 when the core
@@ -19,11 +21,49 @@ type slot struct {
 	_     [48]byte
 }
 
-// callback is one deferred function with the epoch at which it was queued.
-type callback struct {
-	epoch uint64
-	fn    func()
+// FrameRun is a run of physically contiguous frame heads queued for
+// release: Head, Head+1, …, Head+N-1, one Put each.
+type FrameRun struct {
+	Head arch.PFN
+	N    uint32
 }
+
+// FramePutter is the frame allocator that deferred frame frees go back
+// to (*mem.PhysMem).
+type FramePutter interface {
+	Put(core int, pfn arch.PFN)
+}
+
+// callback is one deferred action with the epoch at which it was queued:
+// either a function, or (fn == nil) the frame runs to Put on behalf of
+// core — the common case, kept as data so that queueing it allocates
+// nothing.
+type callback struct {
+	epoch  uint64
+	fn     func()
+	frames FramePutter
+	core   int
+	runs   []FrameRun
+}
+
+// run performs the deferred action.
+func (cb *callback) run() {
+	if cb.fn != nil {
+		cb.fn()
+		return
+	}
+	for _, r := range cb.runs {
+		for i := uint32(0); i < r.N; i++ {
+			cb.frames.Put(cb.core, r.Head+arch.PFN(i))
+		}
+	}
+}
+
+// Bounds on the storage the domain recycles between deferred frees.
+const (
+	maxSpareRuns = 64   // run lists kept for reuse
+	maxRunsKept  = 1024 // a longer run list goes to the collector instead
+)
 
 // Domain is an independent RCU domain, the analog of a kernel's global
 // RCU state. All epochs are even; a reader's slot holds epoch|1.
@@ -31,11 +71,16 @@ type Domain struct {
 	epoch atomic.Uint64
 	slots []slot
 
-	mu       sync.Mutex
-	pending  []callback
-	deferred atomic.Uint64 // stats: callbacks queued
-	freed    atomic.Uint64 // stats: callbacks run
-	graces   atomic.Uint64 // stats: synchronize() grace periods
+	mu      sync.Mutex
+	pending []callback
+	// ready is Poll's scratch list and spareRuns the run lists of
+	// executed frame frees; both are handed out and taken back under mu
+	// so the steady state allocates nothing.
+	ready     []callback
+	spareRuns [][]FrameRun
+	deferred  atomic.Uint64 // stats: callbacks queued
+	freed     atomic.Uint64 // stats: callbacks run
+	graces    atomic.Uint64 // stats: synchronize() grace periods
 }
 
 // NewDomain creates an RCU domain for the given number of cores.
@@ -71,15 +116,34 @@ func (d *Domain) InReader(core int) bool { return d.slots[core].nest.Load() > 0 
 // to the protected object has left its critical section. This is the RCU
 // monitor: CortenMM_adv pushes removed PT pages here (rcu_delay_free).
 func (d *Domain) Defer(fn func()) {
-	e := d.epoch.Add(2)
+	d.enqueue(callback{fn: fn}, nil)
+}
+
+// DeferPut queues the frames of runs to be Put to frames on behalf of
+// core after a grace period — Defer for the unmap path, counted as one
+// callback like the closure it stands for. runs is copied; the caller
+// may reuse it at once. It returns how many callbacks are now waiting,
+// which saves the unmap path a second trip through the domain's lock to
+// learn whether it should run the deferred work itself.
+func (d *Domain) DeferPut(frames FramePutter, core int, runs []FrameRun) int {
+	return d.enqueue(callback{frames: frames, core: core}, runs)
+}
+
+func (d *Domain) enqueue(cb callback, runs []FrameRun) int {
+	cb.epoch = d.epoch.Add(2) - 2
 	d.deferred.Add(1)
 	d.mu.Lock()
-	d.pending = append(d.pending, callback{epoch: e - 2, fn: fn})
+	if cb.fn == nil {
+		if n := len(d.spareRuns); n > 0 {
+			cb.runs = d.spareRuns[n-1]
+			d.spareRuns = d.spareRuns[:n-1]
+		}
+		cb.runs = append(cb.runs[:0], runs...)
+	}
+	d.pending = append(d.pending, cb)
 	n := len(d.pending)
 	d.mu.Unlock()
-	if n >= 32 {
-		d.Poll()
-	}
+	return n
 }
 
 // minReaderEpoch returns the oldest epoch any active reader entered at,
@@ -99,11 +163,35 @@ func (d *Domain) minReaderEpoch() uint64 {
 }
 
 // Poll runs every deferred callback whose grace period has elapsed. The
-// simulated timer tick calls this, mirroring kernel RCU's softirq.
-func (d *Domain) Poll() {
-	min := d.minReaderEpoch()
-	var ready []callback
+// simulated timer tick polls through cpusim.Machine.Reap, mirroring
+// kernel RCU's softirq.
+func (d *Domain) Poll() { d.PollBefore(^uint64(0)) }
+
+// Epoch returns the domain's current epoch: every callback queued
+// before the call is older than it, every one queued after is not.
+func (d *Domain) Epoch() uint64 { return d.epoch.Load() }
+
+// PollBefore is Poll restricted to the callbacks queued before the
+// domain's epoch was epoch. The simulated timer tick takes the epoch,
+// sweeps the lazily applied TLB invalidations and then polls with it,
+// so no frame is freed whose unmap queued an invalidation the sweep
+// could have missed (cpusim.Machine.Reap).
+func (d *Domain) PollBefore(epoch uint64) {
 	d.mu.Lock()
+	if len(d.pending) == 0 {
+		d.mu.Unlock()
+		return
+	}
+	// The reader scan runs under mu so that every pending callback was
+	// queued before it. Scanned first, a callback queued in between could
+	// free what a reader that entered in between is using — the scan
+	// would have reported "no readers" for both.
+	min := d.minReaderEpoch()
+	if epoch < min {
+		min = epoch
+	}
+	// A concurrent Poll has the scratch list; this one grows its own.
+	ready := d.ready[:0]
 	keep := d.pending[:0]
 	for _, cb := range d.pending {
 		// A reader that entered at epoch <= cb.epoch may still see the
@@ -114,12 +202,27 @@ func (d *Domain) Poll() {
 			keep = append(keep, cb)
 		}
 	}
+	if len(ready) == 0 {
+		d.mu.Unlock()
+		return
+	}
+	clear(d.pending[len(keep):]) // the moved entries' closures and run lists
 	d.pending = keep
+	d.ready = nil
 	d.mu.Unlock()
-	for _, cb := range ready {
-		cb.fn()
+	for i := range ready {
+		ready[i].run()
 		d.freed.Add(1)
 	}
+	d.mu.Lock()
+	for i := range ready {
+		if r := ready[i].runs; r != nil && cap(r) <= maxRunsKept && len(d.spareRuns) < maxSpareRuns {
+			d.spareRuns = append(d.spareRuns, r)
+		}
+	}
+	clear(ready)
+	d.ready = ready
+	d.mu.Unlock()
 }
 
 // Synchronize blocks until a full grace period has elapsed: every reader
@@ -140,20 +243,19 @@ func (d *Domain) Synchronize() {
 		}
 	}
 	d.graces.Add(1)
-	d.Poll()
 }
 
 // Barrier waits for all currently queued callbacks to run.
 func (d *Domain) Barrier() {
 	d.Synchronize()
 	for {
+		d.Poll()
 		d.mu.Lock()
 		n := len(d.pending)
 		d.mu.Unlock()
 		if n == 0 {
 			return
 		}
-		d.Poll()
 	}
 }
 

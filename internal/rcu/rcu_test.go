@@ -1,9 +1,12 @@
 package rcu
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cortenmm/internal/arch"
 )
 
 func TestDeferRunsAfterReadersExit(t *testing.T) {
@@ -183,4 +186,149 @@ func BenchmarkReadSectionParallel(b *testing.B) {
 			d.ReadUnlock(c)
 		}
 	})
+}
+
+// putLog records Puts in order; it stands in for *mem.PhysMem.
+type putLog struct {
+	core []int
+	pfn  []arch.PFN
+}
+
+func (p *putLog) Put(core int, pfn arch.PFN) {
+	p.core = append(p.core, core)
+	p.pfn = append(p.pfn, pfn)
+}
+
+// TestDeferPutIsOneCallback: a typed frame free waits for the same
+// grace period as a closure, puts every frame of every run once, on
+// behalf of the core that queued it, and counts as exactly one callback
+// in Stats wherever a closure would — however many runs it carries.
+func TestDeferPutIsOneCallback(t *testing.T) {
+	d := NewDomain(2)
+	var log putLog
+	runs := []FrameRun{{Head: 10, N: 3}, {Head: 40, N: 1}}
+	d.ReadLock(1)
+	d.DeferPut(&log, 0, runs)
+	runs[0] = FrameRun{Head: 99, N: 9} // the caller's list is its own again
+	if st := d.Stats(); st.Deferred != 1 || st.Pending != 1 || st.Freed != 0 {
+		t.Fatalf("after DeferPut: %+v", st)
+	}
+	d.Poll()
+	if len(log.pfn) != 0 {
+		t.Fatal("frames put while a pre-existing reader was active")
+	}
+	d.ReadUnlock(1)
+	d.Poll()
+	want := []arch.PFN{10, 11, 12, 40}
+	if len(log.pfn) != len(want) {
+		t.Fatalf("put %v, want %v", log.pfn, want)
+	}
+	for i, pfn := range want {
+		if log.pfn[i] != pfn || log.core[i] != 0 {
+			t.Fatalf("put %v on cores %v, want %v on core 0", log.pfn, log.core, want)
+		}
+	}
+	if st := d.Stats(); st.Deferred != 1 || st.Pending != 0 || st.Freed != 1 {
+		t.Fatalf("after the grace period: %+v", st)
+	}
+}
+
+// TestPollBeforeLeavesNewerCallbacks: PollBefore(e) runs what was queued
+// before Epoch() returned e and nothing queued after — the bound a timer
+// tick takes before it sweeps the TLB.
+func TestPollBeforeLeavesNewerCallbacks(t *testing.T) {
+	d := NewDomain(1)
+	var older, newer atomic.Bool
+	d.Defer(func() { older.Store(true) })
+	e := d.Epoch()
+	d.Defer(func() { newer.Store(true) })
+	d.PollBefore(e)
+	if !older.Load() || newer.Load() {
+		t.Fatalf("PollBefore(e): older ran=%v, newer ran=%v; want true, false", older.Load(), newer.Load())
+	}
+	if st := d.Stats(); st.Pending != 1 {
+		t.Fatalf("pending = %d, want the newer callback", st.Pending)
+	}
+	d.Poll()
+	if !newer.Load() {
+		t.Fatal("Poll did not run the newer callback")
+	}
+}
+
+// TestDeferPutSteadyStateAllocatesNothing: once the domain has seen the
+// workload's shape, queueing a frame free and polling it out reuses the
+// pending list, the scratch list and the run lists.
+func TestDeferPutSteadyStateAllocatesNothing(t *testing.T) {
+	d := NewDomain(1)
+	var sink nopPutter
+	runs := []FrameRun{{Head: 1, N: 1}, {Head: 7, N: 1}, {Head: 3, N: 2}}
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			d.DeferPut(sink, 0, runs)
+		}
+		d.Poll()
+	}
+	cycle()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("DeferPut ×8 + Poll allocates %.2f objects per run, want 0", got)
+	}
+}
+
+type nopPutter struct{}
+
+func (nopPutter) Put(int, arch.PFN) {}
+
+// TestPollRacingDeferNoUseAfterFree: the poller is its own goroutine, so
+// a callback can be queued — and a reader can enter — between a Poll's
+// reader scan and its pass over the pending list. The scan runs under
+// the pending-list lock for exactly this schedule: with the scan first,
+// such a Poll saw "no readers", then found the new callback and freed
+// the object under the new reader.
+func TestPollRacingDeferNoUseAfterFree(t *testing.T) {
+	const readers = 3
+	d := NewDomain(readers)
+	type obj struct{ alive atomic.Bool }
+	var current atomic.Pointer[obj]
+	first := &obj{}
+	first.alive.Store(true)
+	current.Store(first)
+
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	var violations atomic.Int64
+	for c := 0; c < readers; c++ {
+		c := c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				d.ReadLock(c)
+				o := current.Load()
+				runtime.Gosched() // hold the object across a reschedule
+				if !o.alive.Load() {
+					violations.Add(1)
+				}
+				d.ReadUnlock(c)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			d.Poll()
+		}
+	}()
+	for i := 0; i < 20000; i++ {
+		next := &obj{}
+		next.alive.Store(true)
+		old := current.Swap(next)
+		d.Defer(func() { old.alive.Store(false) })
+	}
+	stop.Store(true)
+	wg.Wait()
+	d.Barrier()
+	if v := violations.Load(); v != 0 {
+		t.Fatalf("%d use-after-free observations", v)
+	}
 }

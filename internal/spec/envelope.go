@@ -45,6 +45,8 @@ func EnvelopeCases() []ModelCase {
 			[][]TLBOp{{fill0, lookup0, lookup0}, {fill1, lookup1}}), Bound: 2_000_000},
 		{Family: "tlb", Name: "latr", Model: tlbScenario(TLBLATR, []int8{0, 0, 1},
 			[][]TLBOp{{fill0, lookup0, lookup0, lookup1}}), Bound: 2_000_000},
+		{Family: "tlb", Name: "latr-quiesce", Model: &TLBModel{Mode: TLBLATR, Unmaps: []int8{0, 1},
+			Readers: [][]TLBOp{{fill0, lookup0, fill1, lookup1}}, Quiesces: 1}, Bound: 2_000_000},
 		{Family: "reclaim", Name: "interference", Model: &ReclaimModel{}, Bound: 5_000_000},
 		{Family: "bbm", Name: "migration", Model: &MigrateModel{Writes: 2}, Bound: 5_000_000},
 	}
@@ -71,6 +73,9 @@ func MutationCases() []ModelCase {
 		{Family: "tlb", Name: "sync-basic", Bug: "skip-validate",
 			Model: &TLBModel{Mode: TLBSync, Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0, lookup0}},
 				SkipValidate: true}, Bound: 2_000_000},
+		{Family: "tlb", Name: "sync-basic", Bug: "stamp-at-insert",
+			Model: &TLBModel{Mode: TLBSync, Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0}},
+				StampAtInsert: true}, Bound: 2_000_000},
 		{Family: "tlb", Name: "sync-ring-wrap", Bug: "drop-overflow",
 			Model: &TLBModel{Mode: TLBSync, Unmaps: []int8{1, 1, 1}, Readers: [][]TLBOp{{fill0, lookup0}},
 				DropOverflow: true}, Bound: 2_000_000},
@@ -80,6 +85,9 @@ func MutationCases() []ModelCase {
 		{Family: "tlb", Name: "latr", Bug: "latr-early-complete",
 			Model: &TLBModel{Mode: TLBLATR, Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0, lookup0}},
 				LATREarlyComplete: true}, Bound: 2_000_000},
+		{Family: "tlb", Name: "latr-quiesce", Bug: "quiesce-misses-sweep",
+			Model: &TLBModel{Mode: TLBLATR, Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0, lookup0}},
+				Quiesces: 1, QuiesceMissesSweep: true}, Bound: 2_000_000},
 		{Family: "reclaim", Name: "interference", Bug: "free-without-barrier",
 			Model: &ReclaimModel{FreeWithoutBarrier: true}, Bound: 5_000_000},
 		{Family: "reclaim", Name: "interference", Bug: "eager-free-on-swap",

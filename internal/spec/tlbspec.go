@@ -26,7 +26,13 @@ import "fmt"
 // discards ring evictions instead of spilling; SkipInboxGate lets
 // early-ack lookups run without draining the pending-invalidation
 // inbox; LATREarlyComplete acknowledges a LATR shootdown before the
-// remote tick applies it.
+// remote tick applies it; QuiesceMissesSweep lets a quiesce return
+// while a sweeper that already emptied the LATR buffer is still
+// applying it (the buffer count was zeroed when taken, not when
+// applied); StampAtInsert stamps a filled entry with the cell
+// generation read when it is inserted rather than before the walk that
+// found the translation, so an invalidation landing between the two is
+// never replayed against it.
 type TLBModel struct {
 	Mode TLBMode
 	// Unmaps is the mutator script: page indices to unmap+shoot, in
@@ -35,12 +41,18 @@ type TLBModel struct {
 	Unmaps []int8
 	// Readers holds one op script per reader core.
 	Readers [][]TLBOp
+	// Quiesces is how many times the environment may quiesce (LATR
+	// only): sweep the buffer itself, wait out a sweep under way, and
+	// then rely on every invalidation queued so far being complete.
+	Quiesces uint8
 
 	// Seeded bugs.
-	SkipValidate      bool
-	DropOverflow      bool
-	SkipInboxGate     bool
-	LATREarlyComplete bool
+	SkipValidate       bool
+	DropOverflow       bool
+	SkipInboxGate      bool
+	LATREarlyComplete  bool
+	QuiesceMissesSweep bool
+	StampAtInsert      bool
 }
 
 // TLBMode selects the shootdown variant being modelled.
@@ -64,8 +76,10 @@ func (m TLBMode) String() string {
 	return "?"
 }
 
-// TLBOp is one reader step: fill a translation for Page into the local
-// cache, or look it up (validating through the epoch cell).
+// TLBOp is one reader op: fill a translation for Page into the local
+// cache — two steps, the walk that reads the page's current version and
+// the insert that publishes it — or look it up (validating through the
+// epoch cell).
 type TLBOp struct {
 	Fill bool
 	Page int8
@@ -164,6 +178,9 @@ type tlbReader struct {
 	Op    uint8
 	Cache [tlbPages]tlbEntry
 	Cell  tlbCell
+	// Walk holds a fill between its two steps: the version the walk
+	// read and the cell generation sampled just before it.
+	Walk tlbEntry
 	// Early-ack inbox: pages whose invalidation was acked before the
 	// local cell was bumped; drained at the next lookup.
 	Inbox  [tlbMaxPend]int8
@@ -181,11 +198,34 @@ type tlbState struct {
 	MPh   uint8 // 0 = unmap pending, 1..R = delivering to reader MPh-1
 	Rd    [tlbMaxRd]tlbReader
 	// LATR: buffered (page, version) invalidations applied at the next
-	// remote tick.
-	Latr    [tlbMaxPend]int8
-	LatrVer [tlbMaxPend]uint8
-	LatrN   uint8
-	Bad     string
+	// remote tick. A sweeper first takes the buffer (Latr → Sweep), then
+	// applies it; QDone counts completed quiesces.
+	Latr     [tlbMaxPend]int8
+	LatrVer  [tlbMaxPend]uint8
+	LatrN    uint8
+	Sweep    [tlbMaxPend]int8
+	SweepVer [tlbMaxPend]uint8
+	SweepN   uint8
+	QDone    uint8
+	Bad      string
+}
+
+// applyLATR bumps every reader's cell for each buffered invalidation.
+func (m *TLBModel) applyLATR(n *tlbState, pages []int8) {
+	for i := 0; i < m.nreaders(); i++ {
+		for _, p := range pages {
+			n.Rd[i].Cell.bump(p, m.DropOverflow)
+		}
+	}
+}
+
+// completeLATR records the buffered invalidations as completed.
+func completeLATR(n *tlbState, pages []int8, vers []uint8) {
+	for j, p := range pages {
+		if vers[j] > n.Compl[p] {
+			n.Compl[p] = vers[j]
+		}
+	}
 }
 
 func (s tlbState) Key() string { return fmt.Sprint(s) }
@@ -251,23 +291,33 @@ func (m *TLBModel) Next(st State) []Step {
 		}
 	}
 
-	// LATR remote tick: apply every buffered invalidation to every
-	// reader's cell, then complete them.
-	if m.Mode == TLBLATR && s.LatrN > 0 {
+	// LATR remote tick, in the two steps the real sweeper takes: empty
+	// the buffer, then apply what it held to every reader's cell and
+	// complete it. One sweeper at a time owns the buffer.
+	if m.Mode == TLBLATR && s.LatrN > 0 && s.SweepN == 0 {
 		n := s
-		for i := 0; i < m.nreaders(); i++ {
-			for j := uint8(0); j < n.LatrN; j++ {
-				n.Rd[i].Cell.bump(n.Latr[j], m.DropOverflow)
-			}
-		}
-		for j := uint8(0); j < n.LatrN; j++ {
-			p := n.Latr[j]
-			if n.LatrVer[j] > n.Compl[p] {
-				n.Compl[p] = n.LatrVer[j]
-			}
-		}
-		n.LatrN = 0
-		steps = append(steps, Step{"env:tick", n})
+		n.Sweep, n.SweepVer, n.SweepN = s.Latr, s.LatrVer, s.LatrN
+		n.Latr, n.LatrVer, n.LatrN = [tlbMaxPend]int8{}, [tlbMaxPend]uint8{}, 0
+		steps = append(steps, Step{"sw:take", n})
+	}
+	if s.SweepN > 0 {
+		n := s
+		m.applyLATR(&n, s.Sweep[:s.SweepN])
+		completeLATR(&n, s.Sweep[:s.SweepN], s.SweepVer[:s.SweepN])
+		n.Sweep, n.SweepVer, n.SweepN = [tlbMaxPend]int8{}, [tlbMaxPend]uint8{}, 0
+		steps = append(steps, Step{"sw:apply", n})
+	}
+	// Quiesce: sweep whatever is buffered, and return only once no sweep
+	// is under way — so everything queued so far counts as complete. The
+	// seeded bug returns past a taken-but-unapplied sweep.
+	if m.Mode == TLBLATR && s.QDone < m.Quiesces && (s.SweepN == 0 || m.QuiesceMissesSweep) {
+		n := s
+		m.applyLATR(&n, s.Latr[:s.LatrN])
+		completeLATR(&n, s.Latr[:s.LatrN], s.LatrVer[:s.LatrN])
+		completeLATR(&n, s.Sweep[:s.SweepN], s.SweepVer[:s.SweepN])
+		n.Latr, n.LatrVer, n.LatrN = [tlbMaxPend]int8{}, [tlbMaxPend]uint8{}, 0
+		n.QDone++
+		steps = append(steps, Step{"q:quiesce", n})
 	}
 
 	// Readers.
@@ -280,7 +330,17 @@ func (m *TLBModel) Next(st State) []Step {
 		p := op.Page
 		if op.Fill {
 			n := s
-			n.Rd[i].Cache[p] = tlbEntry{true, n.Ver[p], n.Rd[i].Cell.Gen}
+			if !r.Walk.Valid {
+				n.Rd[i].Walk = tlbEntry{true, n.Ver[p], r.Cell.Gen}
+				steps = append(steps, Step{fmt.Sprintf("r%d:walk(%d)", i, p), n})
+				continue
+			}
+			e := r.Walk
+			if m.StampAtInsert {
+				e.Gen = r.Cell.Gen
+			}
+			n.Rd[i].Cache[p] = e
+			n.Rd[i].Walk = tlbEntry{}
 			n.Rd[i].Op++
 			steps = append(steps, Step{fmt.Sprintf("r%d:fill(%d)", i, p), n})
 			continue
@@ -341,7 +401,7 @@ func (m *TLBModel) Check(st State) error {
 
 func (m *TLBModel) Done(st State) bool {
 	s := st.(tlbState)
-	if int(s.MOp) < len(m.Unmaps) || s.LatrN > 0 {
+	if int(s.MOp) < len(m.Unmaps) || s.LatrN > 0 || s.SweepN > 0 {
 		return false
 	}
 	for i := 0; i < m.nreaders(); i++ {

@@ -110,3 +110,54 @@ func TestTLBLATREarlyCompleteCaught(t *testing.T) {
 		t.Errorf("unexpected violation: %v", res.Violation)
 	}
 }
+
+// A quiesce that returns while a sweeper has taken the LATR buffer but
+// not applied it claims a post-condition the cells do not yet hold —
+// the hole tlb.Machine.Tick had when it zeroed the buffer count at
+// take time. The counterexample must have exactly that shape.
+func TestTLBQuiesceMissesSweepCaught(t *testing.T) {
+	m := &TLBModel{
+		Mode:               TLBLATR,
+		Unmaps:             []int8{0},
+		Readers:            [][]TLBOp{{{Fill: true, Page: 0}, {Page: 0}, {Page: 0}}},
+		Quiesces:           1,
+		QuiesceMissesSweep: true,
+	}
+	res := Check(m, 2_000_000)
+	if res.Violation == nil {
+		t.Fatal("checker missed the quiesce-misses-sweep bug")
+	}
+	if !strings.Contains(res.Violation.Error(), "stale hit") {
+		t.Errorf("unexpected violation: %v", res.Violation)
+	}
+	trace := strings.Join(res.Trace, " ")
+	take, q := strings.Index(trace, "sw:take"), strings.Index(trace, "q:quiesce")
+	if take < 0 || q < take || strings.Contains(trace[take:q], "sw:apply") {
+		t.Errorf("quiesce did not overtake a taken, unapplied sweep: %s", trace)
+	}
+}
+
+// A fill that stamps its entry with the generation current at insert
+// time hides an invalidation that landed after its walk: the entry
+// looks as new as the bump that should have killed it. This is the race
+// tlb.Machine.FillBegin closes by sampling before the walk.
+func TestTLBStampAtInsertCaught(t *testing.T) {
+	m := &TLBModel{
+		Mode:          TLBSync,
+		Unmaps:        []int8{0},
+		Readers:       [][]TLBOp{{{Fill: true, Page: 0}, {Page: 0}}},
+		StampAtInsert: true,
+	}
+	res := Check(m, 2_000_000)
+	if res.Violation == nil {
+		t.Fatal("checker missed the stamp-at-insert bug")
+	}
+	if !strings.Contains(res.Violation.Error(), "stale hit") {
+		t.Errorf("unexpected violation: %v", res.Violation)
+	}
+	trace := strings.Join(res.Trace, " ")
+	walk, fill := strings.Index(trace, "r0:walk(0)"), strings.Index(trace, "r0:fill(0)")
+	if walk < 0 || fill < walk || !strings.Contains(trace[walk:fill], "m:deliver") {
+		t.Errorf("no delivery between the walk and the insert: %s", trace)
+	}
+}

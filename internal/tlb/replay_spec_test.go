@@ -15,10 +15,10 @@ import (
 // counterexample and replays its schedule against the real TLB. The
 // buggy model ends in r0:stale_hit — a lookup serving a translation
 // whose invalidation already completed. Driving the real Machine
-// through the same label sequence (fills as Insert, delivery as
-// ShootdownPageSync, lookups as Lookup) must never reproduce it: every
-// real hit carries a version at least as new as the completed
-// invalidation watermark.
+// through the same label sequence (fills as FillBegin + InsertAt,
+// delivery as ShootdownPageSync, lookups as Lookup) must never
+// reproduce it: every real hit carries a version at least as new as
+// the completed invalidation watermark.
 func TestReplayTLBStaleRead(t *testing.T) {
 	model := func() *spec.TLBModel {
 		return &spec.TLBModel{
@@ -77,9 +77,17 @@ func TestReplayTLBStaleRead(t *testing.T) {
 		completed[p] = ver[p]
 		return nil
 	})
+	// A fill is the model's two steps: the walk reads the page's version
+	// right after the real FillBegin, the insert publishes that.
+	var fillGen, walked uint64
+	r.Bind("r0:walk", "reader", func(label string) error {
+		fillGen = m.FillBegin(reader, asid)
+		walked = ver[pageArg(label)]
+		return nil
+	})
 	r.Bind("r0:fill", "reader", func(label string) error {
 		p := pageArg(label)
-		m.Insert(reader, asid, vaOf(p), pt.Translation{PFN: pfnOf(p, ver[p]), Perm: arch.PermRead, Level: 1})
+		m.InsertAt(reader, asid, vaOf(p), pt.Translation{PFN: pfnOf(p, walked), Perm: arch.PermRead, Level: 1}, fillGen)
 		return nil
 	})
 	r.Bind("r0:", "reader", func(label string) error {

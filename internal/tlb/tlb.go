@@ -133,10 +133,16 @@ type coreTLB struct {
 	inboxN     atomic.Int64
 
 	// latrBuf is this core's LATR buffer of invalidations it initiated.
+	// latrN counts its entries plus those a sweeper has taken and is
+	// still applying: it reaches zero only when none is outstanding.
 	latrMu    sync.Mutex
 	latrBuf   []Invalidation
 	latrSpare []Invalidation
 	latrN     atomic.Int64
+	// latrSweep is held by the one sweeper of this buffer from taking
+	// the entries until they are applied, so a second sweeper (a Tick
+	// on another core, Quiesce) waits for them instead of passing by.
+	latrSweep sync.Mutex
 
 	stats coreStats
 }
@@ -345,22 +351,43 @@ func (c *coreTLB) lookupHuge(cell *epochCell, asid ASID, va arch.Vaddr) (pt.Tran
 	return pt.Translation{}, false
 }
 
-// Insert caches a translation in core's TLB. Mutex-free: the victim
-// way is claimed by a per-slot CAS, and a lost race simply drops the
-// fill (the next access re-walks). Huge leaves (tr.Level >= 2) go to
-// the span-indexed huge array: callers pass the 4-KiB page they
-// translated with the page-adjusted PFN (pt.WalkAccess's contract), and
-// Insert normalizes both back to the span base so one fill makes every
-// offset in the leaf hit.
+// Insert caches a translation in core's TLB: FillBegin and InsertAt
+// back to back, for callers that install a translation they did not
+// just read out of a live page table. An access path that walks must
+// put FillBegin before its walk.
 func (m *Machine) Insert(core int, asid ASID, va arch.Vaddr, tr pt.Translation) {
-	c := &m.cores[core]
-	cell := c.cell(asid)
+	m.InsertAt(core, asid, va, tr, m.FillBegin(core, asid))
+}
+
+// FillBegin opens a TLB fill on core for asid and must be called
+// *before* the page-table walk whose result InsertAt will publish. It
+// publishes the core's presence in the epoch cell — so a shootdown that
+// starts afterwards cannot be presence-filtered away from this core
+// (see maybePresent) — and returns the cell generation the entry will
+// be stamped with. A shootdown that lands between the walk and InsertAt
+// bumps the cell past that generation, so the next Lookup replays it
+// against the entry instead of trusting a translation that was read
+// before the PTE died. One that checked presence before FillBegin had
+// already cleared its PTEs, so the walk cannot see them.
+func (m *Machine) FillBegin(core int, asid ASID) uint64 {
+	cell := m.cores[core].cell(asid)
 	g := cell.gen.Load()
-	// Publish presence before the entry: a shootdown that sees the
-	// entry must not have been filtered out (see maybePresent).
 	if l := cell.lastIns.Load(); g+1 > l {
 		cell.lastIns.Store(g + 1)
 	}
+	return g
+}
+
+// InsertAt publishes the translation a walk found, stamped with the
+// generation FillBegin returned before that walk. Mutex-free: the
+// victim way is claimed by a per-slot CAS, and a lost race simply drops
+// the fill (the next access re-walks). Huge leaves (tr.Level >= 2) go
+// to the span-indexed huge array: callers pass the 4-KiB page they
+// translated with the page-adjusted PFN (pt.WalkAccess's contract), and
+// InsertAt normalizes both back to the span base so one fill makes
+// every offset in the leaf hit.
+func (m *Machine) InsertAt(core int, asid ASID, va arch.Vaddr, tr pt.Translation, g uint64) {
+	c := &m.cores[core]
 	hdr := hdrValid | uint64(asid)
 	if tr.Level >= 2 {
 		span := arch.Vaddr(arch.SpanBytes(tr.Level))
@@ -846,7 +873,9 @@ func (m *Machine) drainInbox(c *coreTLB) {
 // buffer; the first sweeper applies each entry on behalf of everyone —
 // its own cache precisely, every other core via a generation bump on
 // that core's epoch cell — matching LATR's bounded staleness of one
-// tick period.
+// tick period. When Tick returns, every invalidation queued on any core
+// before the call has been applied, whether by this sweeper or by one
+// that was already under way.
 func (m *Machine) Tick(core int) {
 	c := &m.cores[core]
 	if m.mode != ModeLATR {
@@ -858,11 +887,17 @@ func (m *Machine) Tick(core int) {
 		if src.latrN.Load() == 0 {
 			continue
 		}
+		// Spin rather than park: a sweep lasts about a microsecond, a
+		// parked goroutine's wake-up several — blocking here cost the
+		// two-thread churn ~19 %.
+		for spin := 0; !src.latrSweep.TryLock(); spin++ {
+			if spin > 64 {
+				runtime.Gosched()
+			}
+		}
 		src.latrMu.Lock()
 		pending := src.latrBuf
 		src.latrBuf = src.latrSpare[:0]
-		src.latrSpare = nil
-		src.latrN.Store(0)
 		src.latrMu.Unlock()
 		for _, inv := range pending {
 			inv := inv
@@ -878,11 +913,9 @@ func (m *Machine) Tick(core int) {
 			})
 		}
 		c.stats.applied.Add(uint64(len(pending)))
-		src.latrMu.Lock()
-		if src.latrSpare == nil {
-			src.latrSpare = pending[:0]
-		}
-		src.latrMu.Unlock()
+		src.latrN.Add(-int64(len(pending)))
+		src.latrSpare = pending[:0]
+		src.latrSweep.Unlock()
 	}
 }
 

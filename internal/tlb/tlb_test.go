@@ -1,8 +1,10 @@
 package tlb
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/pt"
@@ -356,5 +358,95 @@ func TestSingleNodeDefault(t *testing.T) {
 	}
 	if ns[0].ClusterIPIs != 1 {
 		t.Errorf("node 0 = %+v, want 1 cluster IPI", ns[0])
+	}
+}
+
+// TestLATRTickWaitsForInflightSweep is the regression test for the
+// Quiesce hole: a sweeper that has taken a core's LATR buffer but not
+// yet applied it must stay visible to every other Tick. The sweeper on
+// core 1 is parked mid-application by holding core 2's epoch-cell
+// seqlock (bump spins on it); the Ticks cpusim.Machine.Quiesce makes —
+// one per core — must then not return before the parked sweep has
+// landed its generation bump on core 2.
+func TestLATRTickWaitsForInflightSweep(t *testing.T) {
+	const asid, va = ASID(1), arch.Vaddr(0x7000)
+	m := NewMachine(3, ModeLATR)
+	m.Insert(2, asid, va, tr(7))
+	m.Shootdown(0, asid, []arch.Vaddr{va})
+
+	cell := m.cores[2].cell(asid)
+	cell.seq.Add(1) // odd: a writer holds the cell, so bump spins
+
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		m.Tick(1)
+	}()
+	// Wait for the event "sweeper took the buffer", not a delay.
+	for taken := false; !taken; runtime.Gosched() {
+		src := &m.cores[0]
+		src.latrMu.Lock()
+		taken = len(src.latrBuf) == 0
+		src.latrMu.Unlock()
+	}
+
+	quiesced := make(chan struct{})
+	go func() {
+		defer close(quiesced)
+		for c := 0; c < 3; c++ {
+			m.Tick(c)
+		}
+	}()
+	select {
+	case <-quiesced:
+		t.Error("every core ticked while a sweep was still applying core 0's buffer")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if got := m.PendingInvalidations(); got != 1 {
+		t.Errorf("PendingInvalidations during the parked sweep = %d, want 1", got)
+	}
+
+	cell.seq.Add(1) // release the cell
+	<-swept
+	<-quiesced
+	if _, ok := m.Lookup(2, asid, va); ok {
+		t.Error("core 2 still translates after every core ticked")
+	}
+	if got := m.PendingInvalidations(); got != 0 {
+		t.Errorf("PendingInvalidations after the sweep = %d, want 0", got)
+	}
+}
+
+// TestFillBeginCoversShootdownDuringWalk: a shootdown that lands after a
+// core's walk read the PTE but before the fill is published must still
+// kill the filled entry, in every mode, even when the core held no entry
+// of the ASID before (so the presence filter would have skipped it).
+// FillBegin before the walk is what guarantees it; a fill stamped after
+// the shootdown (plain Insert) is the stale entry the old code cached.
+func TestFillBeginCoversShootdownDuringWalk(t *testing.T) {
+	const asid, va = ASID(1), arch.Vaddr(0x9000)
+	for _, mode := range []Mode{ModeSync, ModeEarlyAck, ModeLATR} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m := NewMachine(2, mode)
+			g := m.FillBegin(1, asid)
+			// ... core 1's walk reads the still-valid PTE here ...
+			m.ShootdownRange(0, asid, va, va+arch.PageSize) // core 0 unmapped it meanwhile
+			m.InsertAt(1, asid, va, tr(7), g)
+			m.Tick(1) // LATR applies at the tick; a no-op for the others' contract
+			if _, ok := m.Lookup(1, asid, va); ok {
+				t.Fatal("a fill whose walk predates the shootdown survived it")
+			}
+			if mode != ModeSync {
+				return
+			}
+			// The same interleaving with the generation sampled at insert
+			// time: presence-filtered, stamped current, never invalidated.
+			m = NewMachine(2, mode)
+			m.ShootdownRange(0, asid, va, va+arch.PageSize)
+			m.Insert(1, asid, va, tr(7))
+			if _, ok := m.Lookup(1, asid, va); !ok {
+				t.Fatal("expected the late-stamped fill to look valid (the hazard FillBegin removes)")
+			}
+		})
 	}
 }
