@@ -81,6 +81,9 @@ type BatchSQE struct {
 	ring bool
 	// checkExists makes the mmap fail on collision (MmapFixed).
 	checkExists bool
+	// cleared is how many allocated pages this op's own Unmap removed
+	// (the group cursor is shared, so Submit records the delta).
+	cleared uint64
 }
 
 // BatchCQE is one completion-queue entry: the op's identity and its
@@ -116,12 +119,13 @@ func (b *Batch) Mmap(size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, erro
 	if err := b.a.checkAlive(); err != nil {
 		return 0, err
 	}
-	size = alignSize(size, fl)
+	if size = alignSize(size, fl); size == 0 {
+		return 0, errZeroSize
+	}
 	va, err := b.a.valloc.Alloc(b.core, size)
 	if err != nil {
 		return 0, err
 	}
-	b.a.trackVA(va, size)
 	b.sq = append(b.sq, BatchSQE{Kind: BatchMmap, VA: va, Size: size, Perm: perm, Flags: fl, ring: true})
 	return va, nil
 }
@@ -232,15 +236,14 @@ func (b *Batch) Submit() []BatchCQE {
 
 	// Post-commit bookkeeping, after the translations are provably dead:
 	// successful unmaps retire their reverse-map records and recycle
-	// exactly-matching VA ranges; failed ring-allocated mmaps hand their
-	// range back.
+	// the ranges they found fully allocated; failed ring-allocated mmaps
+	// hand their range back.
 	for i := range cqes {
 		e := &b.sq[i]
 		switch {
 		case e.Kind == BatchMunmap && cqes[i].Err == nil:
-			a.munmapFinish(b.core, e.VA, e.Size)
+			a.munmapFinish(b.core, e.VA, e.Size, e.cleared)
 		case e.Kind == BatchMmap && e.ring && cqes[i].Err != nil:
-			a.untrackVA(e.VA)
 			a.valloc.Free(b.core, e.VA, e.Size)
 		}
 	}
@@ -296,7 +299,10 @@ func (b *Batch) apply(c *RCursor, e *BatchSQE) error {
 		return a.mmapBody(c, e.VA, e.Size, e.Perm, e.Flags, e.checkExists)
 	case BatchMunmap:
 		a.stats.Munmaps.Add(1)
-		return c.Unmap(e.VA, hi)
+		before := c.cleared
+		err := c.Unmap(e.VA, hi)
+		e.cleared = c.cleared - before
+		return err
 	case BatchMprotect:
 		a.stats.Mprotects.Add(1)
 		return c.Protect(e.VA, hi, e.Perm)

@@ -68,6 +68,55 @@ func TestBatchBasic(t *testing.T) {
 	}
 }
 
+// TestBatchMunmapRecyclesPerOp: the unmaps of one coalesced group share
+// a cursor, and each recycles its VA range iff its own Unmap found the
+// range fully allocated — not a repeated unmap, not one over a range
+// with a hole.
+func TestBatchMunmapRecyclesPerOp(t *testing.T) {
+	const size = 4 * arch.PageSize
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, _ := newSpace(t, p)
+			defer a.Destroy(0)
+			mmap := func(sz uint64) arch.Vaddr {
+				t.Helper()
+				va, err := a.Mmap(0, sz, arch.PermRW, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return va
+			}
+			// Three adjacent bump allocations; the third gets a hole.
+			full1, full2, holed := mmap(size), mmap(size), mmap(size)
+			if err := a.Munmap(0, holed+arch.PageSize, arch.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			b := a.NewBatch(0)
+			for _, va := range []arch.Vaddr{full1, full2, holed, full1} {
+				if err := b.Munmap(va, size); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, c := range b.Submit() {
+				if c.Err != nil {
+					t.Fatalf("cqe %d: %v", i, c.Err)
+				}
+			}
+			if st := a.BatchStats(); st.Groups != 1 {
+				t.Fatalf("unmaps ran as %d groups, want one coalesced cursor", st.Groups)
+			}
+			got := []arch.Vaddr{mmap(size), mmap(size), mmap(size)}
+			if !(got[0] == full2 && got[1] == full1 || got[0] == full1 && got[1] == full2) {
+				t.Errorf("fully allocated ranges %#x, %#x not recycled once each: got %#x", full1, full2, got)
+			}
+			if got[2] <= holed {
+				t.Errorf("third mmap = %#x: recycled the holed range %#x or a range twice", got[2], holed)
+			}
+			checkWF(t, a)
+		})
+	}
+}
+
 // TestBatchPartialFailurePrecision submits a batch where exactly one op
 // must fail (a fixed mmap over an existing mapping) and asserts the
 // error lands in that op's CQE alone, with every other op applied.

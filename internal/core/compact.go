@@ -108,9 +108,9 @@ type CompactionManager struct {
 
 	mu     sync.Mutex
 	spaces []*AddrSpace
-	hand   int                   // round-robin over spaces
-	cursor map[*AddrSpace]int    // per-space span-list position
-	spans  map[spanKey]*spanStat // scanner telemetry
+	hand   int                       // round-robin over spaces
+	cursor map[*AddrSpace]arch.Vaddr // per-space VA clock hand
+	spans  map[spanKey]*spanStat     // scanner telemetry
 
 	numaHand atomic.Int64
 
@@ -134,7 +134,7 @@ func AttachCompaction(m *cpusim.Machine, rm *ReclaimManager, cfg CompactConfig) 
 		m:          m,
 		cfg:        cfg,
 		compacting: make([]atomic.Bool, m.Phys.Nodes()),
-		cursor:     make(map[*AddrSpace]int),
+		cursor:     make(map[*AddrSpace]arch.Vaddr),
 		spans:      make(map[spanKey]*spanStat),
 	}
 	InstallMigrator(m)
@@ -283,7 +283,7 @@ func (cm *CompactionManager) numaBalance(core int) {
 }
 
 // scanQuantum is one khugepaged step: pick the next registered space
-// and scan the next ScanSpans 2-MiB spans of its tracked ranges.
+// and scan the next ScanSpans 2-MiB spans of its allocated chunks.
 func (cm *CompactionManager) scanQuantum(core int) {
 	if cm.cfg.ScanSpans < 0 {
 		return
@@ -298,22 +298,24 @@ func (cm *CompactionManager) scanQuantum(core int) {
 	if a.oomKilled.Load() || a.txDepth[core].n.Load() > 0 {
 		return
 	}
-	spans := spanList(a)
-	if len(spans) == 0 {
-		return
-	}
+	// Candidates are fully allocated level-1 tables: a partly allocated
+	// table cannot be fully resident, a huge leaf is already collapsed,
+	// and an upper-level metadata entry has nothing resident at all.
+	chunks := a.chunks(core)
 	cm.mu.Lock()
-	pos := cm.cursor[a] % len(spans)
+	start := chunkAt(chunks, cm.cursor[a])
 	cm.mu.Unlock()
-	n := cm.cfg.ScanSpans
-	if n > len(spans) {
-		n = len(spans)
-	}
-	for i := 0; i < n; i++ {
-		cm.scanSpan(core, a, spans[(pos+i)%len(spans)])
+	hand, scanned := arch.Vaddr(0), 0
+	for i := 0; i < len(chunks) && scanned < cm.cfg.ScanSpans; i++ {
+		ch := chunks[(start+i)%len(chunks)]
+		hand = ch.base + arch.Vaddr(ch.span)
+		if ch.table && ch.pages == arch.PTEntries {
+			cm.scanSpan(core, a, ch.base)
+			scanned++
+		}
 	}
 	cm.mu.Lock()
-	cm.cursor[a] = (pos + n) % len(spans)
+	cm.cursor[a] = hand
 	cm.mu.Unlock()
 }
 
@@ -326,20 +328,6 @@ func (cm *CompactionManager) nextSpace() *AddrSpace {
 	}
 	cm.hand = (cm.hand + 1) % len(cm.spaces)
 	return cm.spaces[cm.hand]
-}
-
-// spanList flattens a space's tracked VA ranges into the 2-MiB span
-// bases fully contained in them (only full spans are collapsible).
-func spanList(a *AddrSpace) []arch.Vaddr {
-	span := arch.Vaddr(arch.SpanBytes(2))
-	var out []arch.Vaddr
-	for _, r := range a.trackedRanges() {
-		end := r.va + arch.Vaddr(r.sz)
-		for sb := (r.va + span - 1) &^ (span - 1); sb+span <= end; sb += span {
-			out = append(out, sb)
-		}
-	}
-	return out
 }
 
 // scanSpan examines one span's residency and A bits under a
@@ -423,23 +411,15 @@ func (cm *CompactionManager) dropStat(key spanKey) {
 	cm.mu.Unlock()
 }
 
-// HugeBytes reports how many bytes of the space's tracked ranges are
-// currently mapped by huge (level >= 2) leaves — the sustained-coverage
-// metric of the THP benchmarks.
+// HugeBytes reports how many bytes of the space are currently mapped by
+// huge (level >= 2) leaves — the sustained-coverage metric of the THP
+// benchmarks.
 func (a *AddrSpace) HugeBytes(core int) uint64 {
 	var total uint64
-	for _, r := range a.trackedRanges() {
-		c, err := a.Lock(core, r.va, r.va+arch.Vaddr(r.sz))
-		if err != nil {
-			continue
+	for _, ch := range a.chunks(core) {
+		if ch.huge {
+			total += ch.span
 		}
-		_ = c.IterateMapped(r.va, r.va+arch.Vaddr(r.sz), func(run Run) error {
-			if run.Status.HugeLevel >= 2 {
-				total += run.Pages * arch.PageSize
-			}
-			return nil
-		})
-		c.Close()
 	}
 	return total
 }

@@ -2,7 +2,10 @@
 // management system (§3). There is no VMA layer — the page table plus
 // per-PTE metadata arrays are the only representation of the address
 // space, and the transactional RCursor interface (Figure 4) is the only
-// way to program the MMU.
+// way to program the MMU. Nothing else records which ranges exist: VA
+// recycling, reclaim and collapse sweeps and OOM sizing all read the
+// page table (DESIGN.md §9.1). Beside it live only the VA arena that
+// hands out fresh ranges and the file reverse-map hints.
 //
 // Two locking protocols are provided (§4.1): CortenMM_rw, which takes
 // reader locks down the tree and a writer lock on the covering PT page
@@ -80,15 +83,15 @@ type AddrSpace struct {
 	swapDev *mem.BlockDev
 	stats   mm.Stats
 
-	// fileMu guards the non-MMU bookkeeping ("rest of the code" state,
-	// §3.4: plain mutexes, no page-table access): file mappings used for
-	// reverse mapping and the VA-range tracking behind Munmap recycling.
-	fileMu   sync.Mutex
-	fileMaps []fileMapping
-	vaSizes  map[arch.Vaddr]uint64
-	// fixedVAs marks tracked ranges that came from MmapFixed: their VAs
-	// are not the allocator's, so Munmap must not recycle them into it.
-	fixedVAs map[arch.Vaddr]bool
+	// rmapHints answers file page -> VA for reverse mapping, the one
+	// question the page table cannot (a COW-broken private file page no
+	// longer names its file). It is "rest of the code" state (§3.4: a
+	// plain mutex, no page-table access) and the only VA-range record
+	// beside the page table; rmapLive mirrors len(rmapHints) so a space
+	// with no file mapping never takes rmapMu.
+	rmapMu    sync.Mutex
+	rmapHints []fileMapping
+	rmapLive  atomic.Int32
 
 	// cursors is the per-core transaction-cursor cache (see Lock).
 	cursors []cachedCursor
@@ -103,9 +106,10 @@ type AddrSpace struct {
 	// compaction is the CompactionManager this space is registered with,
 	// or nil (set by CompactionManager.Register).
 	compaction atomic.Pointer[CompactionManager]
-	// migrants counts migration-hook invocations currently operating on
-	// this space. Destroy spins it to zero after marking the space
-	// destroyed, so the hook never locks a page-table tree mid-teardown.
+	// migrants counts hook-driven operations (migration, a sweep's
+	// enumeration of the page table) currently operating on this space.
+	// Destroy spins it to zero after marking the space destroyed, so
+	// neither ever locks a page-table tree mid-teardown.
 	migrants atomic.Int32
 	// oomKilled marks a space torn down by the OOM killer: allocating
 	// syscalls fail fast with ErrOOMKilled, releases still work.
@@ -114,9 +118,9 @@ type AddrSpace struct {
 	// double) and lets the reclaim sweeps refuse a space whose tree has
 	// already been torn down.
 	destroyed atomic.Bool
-	// reclaimClock is the clock hand of the per-space reclaim scan
-	// (index into the sorted tracked ranges), guarded by fileMu.
-	reclaimClock int
+	// reclaimHand is the VA clock hand of the per-space reclaim scan:
+	// the next sweep resumes at the first allocated chunk at or above it.
+	reclaimHand atomic.Uint64
 
 	// batch holds the async-batch pipeline's cumulative counters
 	// (see batch.go).
@@ -166,19 +170,17 @@ func New(o Options) (*AddrSpace, error) {
 		va = cpusim.NewGlobalVA()
 	}
 	return &AddrSpace{
-		m:        o.Machine,
-		tree:     tree,
-		isa:      o.ISA,
-		asid:     o.Machine.AllocASID(),
-		proto:    o.Protocol,
-		valloc:   va,
-		perCore:  o.PerCoreVA,
-		coarse:   o.CoarseLocking,
-		swapDev:  o.SwapDev,
-		vaSizes:  make(map[arch.Vaddr]uint64),
-		fixedVAs: make(map[arch.Vaddr]bool),
-		cursors:  make([]cachedCursor, o.Machine.Cores),
-		txDepth:  make([]txCounter, o.Machine.Cores),
+		m:       o.Machine,
+		tree:    tree,
+		isa:     o.ISA,
+		asid:    o.Machine.AllocASID(),
+		proto:   o.Protocol,
+		valloc:  va,
+		perCore: o.PerCoreVA,
+		coarse:  o.CoarseLocking,
+		swapDev: o.SwapDev,
+		cursors: make([]cachedCursor, o.Machine.Cores),
+		txDepth: make([]txCounter, o.Machine.Cores),
 	}, nil
 }
 
@@ -231,22 +233,25 @@ func (a *AddrSpace) kernelExit(t0 time.Time) {
 // registers this space in the file's mapper tree.
 func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npages uint64, shared bool) {
 	f.AddMapper(a)
-	a.fileMu.Lock()
-	a.fileMaps = append(a.fileMaps, fileMapping{file: f, va: va, pgoff: pgoff, npages: npages, shared: shared})
-	a.fileMu.Unlock()
+	a.rmapMu.Lock()
+	a.rmapHints = append(a.rmapHints, fileMapping{file: f, va: va, pgoff: pgoff, npages: npages, shared: shared})
+	a.rmapLive.Add(1)
+	a.rmapMu.Unlock()
 }
 
 // pruneFileMappings drops reverse-mapping records whose range lies
 // entirely inside the unmapped range [lo, hi), unregistering each from
 // its file (AddMapper counts registrations, so the file's mapper entry
 // disappears exactly when this space's last mapping of it goes away).
-// Without this, Munmap leaked one fileMaps record — and one mapper
-// registration — per file mapping for the life of the space.
+// A space with no file mapping returns before touching the mutex.
 func (a *AddrSpace) pruneFileMappings(lo, hi arch.Vaddr) {
-	a.fileMu.Lock()
+	if a.rmapLive.Load() == 0 {
+		return
+	}
+	a.rmapMu.Lock()
 	var gone []*mem.File
-	kept := a.fileMaps[:0]
-	for _, fm := range a.fileMaps {
+	kept := a.rmapHints[:0]
+	for _, fm := range a.rmapHints {
 		end := fm.va + arch.Vaddr(fm.npages*arch.PageSize)
 		if fm.va >= lo && end <= hi {
 			gone = append(gone, fm.file)
@@ -254,31 +259,21 @@ func (a *AddrSpace) pruneFileMappings(lo, hi arch.Vaddr) {
 		}
 		kept = append(kept, fm)
 	}
-	a.fileMaps = kept
-	a.fileMu.Unlock()
+	a.rmapHints = kept
+	a.rmapLive.Store(int32(len(kept)))
+	a.rmapMu.Unlock()
 	for _, f := range gone {
 		f.RemoveMapper(a)
-	}
-}
-
-// dropFileMappings unregisters every file mapping (teardown).
-func (a *AddrSpace) dropFileMappings() {
-	a.fileMu.Lock()
-	maps := a.fileMaps
-	a.fileMaps = nil
-	a.fileMu.Unlock()
-	for _, fm := range maps {
-		fm.file.RemoveMapper(a)
 	}
 }
 
 // lookupFileVAs translates a file page index into candidate virtual
 // addresses under this space (reverse-mapping hints).
 func (a *AddrSpace) lookupFileVAs(f *mem.File, index uint64) []arch.Vaddr {
-	a.fileMu.Lock()
-	defer a.fileMu.Unlock()
+	a.rmapMu.Lock()
+	defer a.rmapMu.Unlock()
 	var vas []arch.Vaddr
-	for _, fm := range a.fileMaps {
+	for _, fm := range a.rmapHints {
 		if fm.file == f && index >= fm.pgoff && index < fm.pgoff+fm.npages {
 			vas = append(vas, fm.va+arch.Vaddr((index-fm.pgoff)*arch.PageSize))
 		}

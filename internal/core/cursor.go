@@ -326,6 +326,7 @@ func (c *RCursor) ensureChild(pfn arch.PFN, level, idx int, entryLo arch.Vaddr) 
 func (c *RCursor) releaseLeaf(pte uint64, level int, va arch.Vaddr) {
 	head := c.a.m.Phys.HeadOf(c.a.isa.PFNOf(pte))
 	c.a.m.Phys.Desc(head).MapCount.Add(-1)
+	c.cleared += arch.SpanBytes(level) / arch.PageSize
 	// Flush before queueing the free: spillDeferred may hand the queued
 	// frames to the RCU monitor mid-walk, and the shootdown it issues
 	// must already cover every translation to a queued frame.
@@ -372,10 +373,11 @@ func (c *RCursor) clearLeafTable(child arch.PFN, base arch.Vaddr) {
 	c.noteFlush(base, 2)
 	if st.MetaCnt > 0 {
 		for i := 0; i < arch.PTEntries; i++ {
-			c.dropMeta(child, i)
+			c.dropMeta(child, i, 1)
 		}
 	}
 	if st.Present > 0 {
+		c.cleared += uint64(st.Present)
 		words := t.Words(child)
 		for i := range words {
 			w := atomic.LoadUint64(&words[i])
@@ -428,12 +430,14 @@ func (c *RCursor) removeChild(parent arch.PFN, idx int, child arch.PFN) {
 	a.reapBacklogged(core)
 }
 
-// dropMeta clears the metadata entry, releasing any swap block it holds.
-func (c *RCursor) dropMeta(pfn arch.PFN, idx int) {
+// dropMeta clears the metadata entry of a level-`level` PT page,
+// releasing any swap block it holds.
+func (c *RCursor) dropMeta(pfn arch.PFN, idx, level int) {
 	s := c.a.tree.GetMeta(pfn, idx)
 	if s.Kind == pt.StatusInvalid {
 		return
 	}
+	c.cleared += arch.SpanBytes(level) / arch.PageSize
 	if s.Kind == pt.StatusSwapped && s.Dev != nil {
 		s.Dev.FreeBlock(s.Block)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // TestMunmapPrunesFileMappings: unmapping a file mapping must drop its
-// fileMaps record and release the space's registration in the file's
+// rmapHints record and release the space's registration in the file's
 // reverse map. Before the fix, Munmap left both behind, so a long-lived
 // space that mapped and unmapped files accumulated dead records and the
 // file kept shooting down pages in spaces that no longer mapped it.
@@ -31,8 +31,8 @@ func TestMunmapPrunesFileMappings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(a.fileMaps); got != 2 {
-		t.Fatalf("fileMaps after two MmapFiles = %d, want 2", got)
+	if got := len(a.rmapHints); got != 2 {
+		t.Fatalf("rmapHints after two MmapFiles = %d, want 2", got)
 	}
 	if got := countMappers(); got != 1 {
 		t.Fatalf("file mappers = %d, want 1 (one space, two registrations)", got)
@@ -42,8 +42,8 @@ func TestMunmapPrunesFileMappings(t *testing.T) {
 	if err := a.Munmap(0, va1, arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(a.fileMaps); got != 2 {
-		t.Fatalf("fileMaps after partial unmap = %d, want 2", got)
+	if got := len(a.rmapHints); got != 2 {
+		t.Fatalf("rmapHints after partial unmap = %d, want 2", got)
 	}
 
 	// Unmapping the first mapping in full prunes its record but keeps
@@ -51,11 +51,11 @@ func TestMunmapPrunesFileMappings(t *testing.T) {
 	if err := a.Munmap(0, va1, 4*arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(a.fileMaps); got != 1 {
-		t.Fatalf("fileMaps after full unmap = %d, want 1", got)
+	if got := len(a.rmapHints); got != 1 {
+		t.Fatalf("rmapHints after full unmap = %d, want 1", got)
 	}
-	if a.fileMaps[0].va != va2 {
-		t.Fatalf("wrong record pruned: kept va %#x, want %#x", a.fileMaps[0].va, va2)
+	if a.rmapHints[0].va != va2 {
+		t.Fatalf("wrong record pruned: kept va %#x, want %#x", a.rmapHints[0].va, va2)
 	}
 	if got := countMappers(); got != 1 {
 		t.Fatalf("file mappers after first unmap = %d, want 1", got)
@@ -65,11 +65,45 @@ func TestMunmapPrunesFileMappings(t *testing.T) {
 	if err := a.Munmap(0, va2, 4*arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(a.fileMaps); got != 0 {
-		t.Fatalf("fileMaps after last unmap = %d, want 0", got)
+	if got := len(a.rmapHints); got != 0 {
+		t.Fatalf("rmapHints after last unmap = %d, want 0", got)
 	}
 	if got := countMappers(); got != 0 {
 		t.Fatalf("file mappers after last unmap = %d, want 0", got)
 	}
 	checkWF(t, a)
+}
+
+// TestMremapGrowKeepsFileMapper: a growing Mremap moves a file mapping,
+// it does not unmap it — the old VAs go back to the allocator, but the
+// file must keep the space as a mapper while the pages live on at the
+// new address.
+func TestMremapGrowKeepsFileMapper(t *testing.T) {
+	const size = 4 * arch.PageSize
+	a, m := newSpace(t, ProtocolAdv)
+	defer a.Destroy(0)
+	f := mem.NewFile(m.Phys, "data", size)
+	va, err := a.MmapFile(0, f, 0, size, arch.PermRW, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Store(0, va, 7); err != nil {
+		t.Fatal(err)
+	}
+	nva, err := a.Mremap(0, va, size, 2*size)
+	if err != nil || nva == va {
+		t.Fatalf("grow = %#x, %v", nva, err)
+	}
+	mappers := 0
+	f.ForEachMapper(func(mem.RMapTarget) { mappers++ })
+	if mappers != 1 || a.rmapLive.Load() != 1 {
+		t.Fatalf("after the move: %d file mappers, %d rmap records, want 1 and 1", mappers, a.rmapLive.Load())
+	}
+	if b, err := a.Load(0, nva); err != nil || b != 7 {
+		t.Fatalf("moved page reads %d, %v", b, err)
+	}
+	if again, _ := a.Mmap(0, size, arch.PermRW, 0); again != va {
+		t.Fatalf("old range %#x not recycled: got %#x", va, again)
+	}
+	checkQuiet(t, a)
 }

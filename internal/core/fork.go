@@ -67,18 +67,15 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 	c.needSync = true
 	c.Close()
 
-	// Clone the non-MMU bookkeeping.
-	a.fileMu.Lock()
-	child.fileMaps = append(child.fileMaps, a.fileMaps...)
-	for va, sz := range a.vaSizes {
-		child.vaSizes[va] = sz
-	}
-	for va := range a.fixedVAs {
-		child.fixedVAs[va] = true
-	}
-	a.fileMu.Unlock()
-	for _, fm := range child.fileMaps {
-		fm.file.AddMapper(child)
+	// The child maps the same file pages at the same addresses.
+	if a.rmapLive.Load() != 0 {
+		a.rmapMu.Lock()
+		child.rmapHints = append(child.rmapHints, a.rmapHints...)
+		a.rmapMu.Unlock()
+		child.rmapLive.Store(int32(len(child.rmapHints)))
+		for _, fm := range child.rmapHints {
+			fm.file.AddMapper(child)
+		}
 	}
 	return child, nil
 }
@@ -178,7 +175,7 @@ func (a *AddrSpace) Destroy(core int) {
 	if !a.m.ASIDRecycling() {
 		a.m.TLB.ShootdownAllSync(core, a.asid)
 	}
-	a.dropFileMappings()
+	a.pruneFileMappings(0, arch.MaxVaddr)
 	a.tree.Destroy(core,
 		func(pte uint64, level int) {
 			head := a.m.Phys.HeadOf(a.isa.PFNOf(pte))
@@ -190,15 +187,11 @@ func (a *AddrSpace) Destroy(core int) {
 				s.Dev.FreeBlock(s.Block)
 			}
 		})
-	a.fileMu.Lock()
-	a.vaSizes = make(map[arch.Vaddr]uint64)
-	a.fixedVAs = make(map[arch.Vaddr]bool)
-	a.fileMu.Unlock()
 	a.m.FreeASID(a.asid)
 }
 
 // RMapUnmap implements mem.RMapTarget: unmap every mapping of the given
-// file page in this space. The fileMaps records are hints; each
+// file page in this space. The rmapHints records are hints; each
 // candidate address is re-checked inside a transaction, as §4.5 requires
 // ("access to the page table via reverse mapping always goes through the
 // transactional interface").

@@ -39,6 +39,12 @@ type RCursor struct {
 	needSync bool           // permission tightening: must not be lazy
 	freed    []rcu.FrameRun // frame-head runs to release after the shootdown
 
+	// cleared counts the allocated pages (mapped or marked) the teardown
+	// paths have removed in this transaction. An unmap that cleared as
+	// many pages as its range holds found the range fully allocated,
+	// which is what lets its VAs go back to the allocator.
+	cleared uint64
+
 	closed bool
 	cached bool // lives in the per-core cursor cache
 
@@ -66,7 +72,7 @@ func (c *RCursor) reset(a *AddrSpace, core int, lo, hi arch.Vaddr, cached bool) 
 		c.flush = c.flush[:0]
 		c.freed = c.freed[:0]
 	}
-	c.flushAll, c.needSync, c.closed, c.cached = false, false, false, cached
+	c.flushAll, c.needSync, c.closed, c.cached, c.cleared = false, false, false, cached, 0
 }
 
 // Lock begins a transaction over [lo, hi): it runs the configured

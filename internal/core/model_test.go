@@ -60,6 +60,36 @@ func checkIterateMatchesQuery(t *testing.T, c *RCursor, lo, hi arch.Vaddr) {
 	}
 }
 
+// checkChunksMatchModel verifies the enumeration every sweep reads
+// against the flat oracle: chunks arrive in address order without
+// overlap, each counts exactly the oracle's allocated pages inside its
+// span, and together they account for every allocated page — so no
+// allocated page lies outside a chunk.
+func checkChunksMatchModel(t *testing.T, a *AddrSpace, allocated func(arch.Vaddr) bool, total int) {
+	t.Helper()
+	var end arch.Vaddr
+	sum := 0
+	for _, ch := range a.chunks(0) {
+		if ch.base < end || ch.pages == 0 {
+			t.Fatalf("chunk %+v empty or out of order (previous ended at %#x)", ch, end)
+		}
+		end = ch.base + arch.Vaddr(ch.span)
+		n := 0
+		for va := ch.base; va < end; va += arch.PageSize {
+			if allocated(va) {
+				n++
+			}
+		}
+		if uint64(n) != ch.pages {
+			t.Fatalf("chunk %+v counts %d pages, model has %d there", ch, ch.pages, n)
+		}
+		sum += n
+	}
+	if sum != total {
+		t.Fatalf("chunks cover %d allocated pages, model has %d", sum, total)
+	}
+}
+
 // TestReferenceModelEquivalence drives identical random operation
 // sequences through CortenMM and the flat model and compares every
 // observable: query status, access outcomes, and data.
@@ -178,6 +208,10 @@ func TestReferenceModelEquivalence(t *testing.T) {
 					checkIterateMatchesQuery(t, c, pageAt(lo), pageAt(lo+n))
 					c.Close()
 				}
+				checkChunksMatchModel(t, a, func(va arch.Vaddr) bool {
+					_, ok := ref.perm[va]
+					return ok
+				}, len(ref.perm))
 			}
 			checkWF(t, a)
 		})
@@ -233,6 +267,9 @@ func TestModelEquivalenceWithHugeRegions(t *testing.T) {
 			}
 			checkIterateMatchesQuery(t, c, base, base+npages*arch.PageSize)
 			c.Close()
+			checkChunksMatchModel(t, a, func(va arch.Vaddr) bool {
+				return va >= base && alive[int((va-base)/arch.PageSize)]
+			}, len(alive))
 		}
 	}
 	checkWF(t, a)

@@ -28,21 +28,11 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	a.m.OpTick(core)
 
 	if newSize <= oldSize {
-		// Shrink in place.
+		// Shrink in place: the cut tail is an ordinary unmap.
 		if newSize < oldSize {
-			c, err := a.Lock(core, oldVA+arch.Vaddr(newSize), oldVA+arch.Vaddr(oldSize))
-			if err != nil {
+			if err := a.unmapRange(core, oldVA+arch.Vaddr(newSize), oldSize-newSize); err != nil {
 				return 0, err
 			}
-			err = c.Unmap(oldVA+arch.Vaddr(newSize), oldVA+arch.Vaddr(oldSize))
-			c.Close()
-			if err != nil {
-				return 0, err
-			}
-		}
-		if sz, ok := a.trackedVA(oldVA); ok && sz == oldSize {
-			a.untrackVA(oldVA)
-			a.trackVA(oldVA, newSize)
 		}
 		return oldVA, nil
 	}
@@ -56,7 +46,6 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 		a.valloc.Free(core, newVA, newSize)
 		return 0, fmt.Errorf("%w: allocator returned overlapping range", mm.ErrBadRange)
 	}
-	a.trackVA(newVA, newSize)
 
 	// One transaction spans both ranges: its covering page is their
 	// lowest common ancestor. Two separate cursors could self-deadlock
@@ -78,8 +67,10 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	// allocated run (Linux grows the mapping with the VMA's protection;
 	// our analog is the recorded or mapped permission).
 	var runs []Run
+	var allocated uint64
 	if err := c.Iterate(oldVA, oldVA+arch.Vaddr(oldSize), func(r Run) error {
 		runs = append(runs, r)
+		allocated += r.Pages
 		return nil
 	}); err != nil {
 		c.Close()
@@ -137,9 +128,12 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	}
 	c.Close()
 
-	// Retire the old range's address space.
-	if sz, ok := a.trackedVA(oldVA); ok && sz == oldSize {
-		a.untrackVA(oldVA)
+	// Retire the old range's address space under munmapFinish's rule:
+	// every page of it was allocated and has moved out. Only the VA half
+	// of that tail applies — a moved file mapping is still mapped, so
+	// its file keeps this space as a mapper and the reverse-map record
+	// stays (a stale hint; lookups re-check the page table).
+	if allocated == oldSize/arch.PageSize {
 		a.valloc.Free(core, oldVA, oldSize)
 	}
 	return newVA, nil

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -39,7 +38,7 @@ type ReclaimConfig struct {
 // sweeps driven by simulated timer ticks once a zone's free frames dip
 // below its low watermark), and the OOM killer of last resort. Reclaim
 // is a clock sweep: a per-node hand rotates over the registered address
-// spaces, and within each space over its tracked VA ranges, swapping
+// spaces, and within each space over its allocated chunks, swapping
 // cold private anonymous pages out through the space's swap device
 // (ReclaimRange). On a NUMA machine the manager is node-aware: each
 // node runs its own tick-driven kswapd against its own zone's
@@ -327,8 +326,8 @@ func (rm *ReclaimManager) sweep(core, node, target int) int {
 	return total
 }
 
-// oomKill tears down the registered space with the largest virtual
-// footprint, sparing killed spaces and spaces the calling core holds
+// oomKill tears down the registered space with the most allocated
+// pages, sparing killed spaces and spaces the calling core holds
 // locks in. Returns the number of virtual pages released (an upper
 // bound on frames freed — never-populated pages count too), so callers
 // treat it as a progress indicator.
@@ -339,7 +338,7 @@ func (rm *ReclaimManager) oomKill(core int) int {
 		if a.oomKilled.Load() || a.destroyed.Load() || a.txDepth[core].n.Load() > 0 {
 			continue
 		}
-		if sz := a.virtualSize(); sz > worst {
+		if sz := a.allocatedPages(core); sz > worst {
 			worst, victim = sz, a
 		}
 	}
@@ -350,70 +349,53 @@ func (rm *ReclaimManager) oomKill(core int) int {
 	return victim.oomTeardown(core)
 }
 
-// vaRange is one tracked VA allocation.
-type vaRange struct {
-	va arch.Vaddr
-	sz uint64
-}
-
-// trackedRanges snapshots the space's VA allocations in address order.
-func (a *AddrSpace) trackedRanges() []vaRange {
-	a.fileMu.Lock()
-	defer a.fileMu.Unlock()
-	out := make([]vaRange, 0, len(a.vaSizes))
-	for va, sz := range a.vaSizes {
-		out = append(out, vaRange{va, sz})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].va < out[j].va })
-	return out
-}
-
-// virtualSize is the space's tracked virtual footprint in bytes.
-func (a *AddrSpace) virtualSize() uint64 {
-	a.fileMu.Lock()
-	defer a.fileMu.Unlock()
+// allocatedPages is the space's footprint in allocated (mapped or
+// marked) pages, as the page table records it.
+func (a *AddrSpace) allocatedPages(core int) uint64 {
 	var n uint64
-	for _, sz := range a.vaSizes {
-		n += sz
+	for _, ch := range a.chunks(core) {
+		n += ch.pages
 	}
 	return n
 }
 
 // reclaimSome swaps out up to target cold pages from this space whose
-// frames live on node (-1 for any), resuming the per-space clock hand
-// where the previous sweep left off. Errors (e.g. an injected
-// swap-write failure) end the sweep early with whatever progress was
-// made; ReclaimRange's unwind keeps the page resident, so nothing is
-// lost.
+// frames live on node (-1 for any), one transaction per chunk, resuming
+// at the VA clock hand where the previous sweep left off. The core's
+// event clock advances with the pages swept (one event per reclaimBatch,
+// on top of the transaction's own), not with how many tables hold them,
+// so kswapd and kcompactd keep ticking through a long direct reclaim.
+// Errors (e.g. an injected swap-write failure) end the sweep early with
+// whatever progress was made; ReclaimRange's unwind keeps the page
+// resident, so nothing is lost.
 func (a *AddrSpace) reclaimSome(core, node, target int) int {
-	ranges := a.trackedRanges()
-	if len(ranges) == 0 {
-		return 0
-	}
-	a.fileMu.Lock()
-	start := a.reclaimClock % len(ranges)
-	a.fileMu.Unlock()
-	total, visited := 0, 0
-	for i := 0; i < len(ranges) && total < target; i++ {
-		r := ranges[(start+i)%len(ranges)]
-		visited++
-		n, err := a.reclaimRangeNode(core, r.va, r.sz, target-total, node)
+	chunks := a.chunks(core)
+	start := chunkAt(chunks, arch.Vaddr(a.reclaimHand.Load()))
+	total := 0
+	for i := 0; i < len(chunks) && total < target; i++ {
+		ch := chunks[(start+i)%len(chunks)]
+		a.reclaimHand.Store(uint64(ch.base) + ch.span)
+		n, err := a.reclaimRangeNode(core, ch.base, ch.span, target-total, node)
 		total += n
 		if err != nil {
 			break
 		}
+		for t := ch.pages / reclaimBatch; t > 0; t-- {
+			a.m.OpTick(core)
+		}
 	}
-	a.fileMu.Lock()
-	a.reclaimClock = start + visited
-	a.fileMu.Unlock()
 	return total
 }
+
+// reclaimBatch is the number of swept pages that count as one operation
+// on the simulated clock (Linux's SWAP_CLUSTER_MAX).
+const reclaimBatch = 32
 
 // oomTeardown is the last-resort unwind: mark the space killed (new
 // allocating syscalls fail with ErrOOMKilled), drop it from the reclaim
 // clock — sweeps must not keep walking a space that is mid-unwind, and
 // the killed space can contribute nothing further anyway — and unmap
-// every tracked range, releasing its frames and swap blocks. Returns
+// every allocated chunk, releasing its frames and swap blocks. Returns
 // the number of virtual pages released. Idempotent.
 func (a *AddrSpace) oomTeardown(core int) int {
 	if !a.oomKilled.CompareAndSwap(false, true) {
@@ -423,11 +405,12 @@ func (a *AddrSpace) oomTeardown(core int) int {
 		rm.Unregister(a)
 	}
 	released := 0
-	for _, r := range a.trackedRanges() {
-		if err := a.Munmap(core, r.va, r.sz); err == nil {
-			released += int(r.sz / arch.PageSize)
+	for _, ch := range a.chunks(core) {
+		if err := a.Munmap(core, ch.base, ch.span); err == nil {
+			released += int(ch.pages)
 		}
 	}
+	a.pruneFileMappings(0, arch.MaxVaddr) // records that straddled chunks
 	a.m.Reap(core)
 	return released
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/pt"
@@ -93,6 +94,75 @@ func (a *AddrSpace) Regions(core int) ([]Region, error) {
 	}
 	flush(&cur)
 	return out, nil
+}
+
+// chunk is one piece of the allocated address space as the upper levels
+// of the page table describe it: a level-1 table (span 2 MiB), or a
+// leaf or metadata entry at level 2 or above.
+type chunk struct {
+	base  arch.Vaddr
+	span  uint64 // bytes
+	pages uint64 // allocated (mapped or marked) pages inside
+	table bool   // a level-1 table (else one entry at level 2 or above)
+	huge  bool   // one huge leaf (else, if not a table, a metadata entry)
+}
+
+// chunks enumerates the allocated address space in address order — the
+// one list every sweep (reclaim, the collapse scanner, HugeBytes, OOM
+// sizing and teardown) derives its ranges from, in place of a VMA list.
+// It holds a whole-space transaction only for a walk of the upper
+// levels: a level-1 table contributes its Present+MetaCnt counters, not
+// its 512 words (an entry is mapped or marked, never both). Callers do
+// their per-chunk work afterwards in transactions of their own, so the
+// list is a hint like any unlocked snapshot. Nil once Destroy has begun.
+func (a *AddrSpace) chunks(core int) []chunk {
+	if !a.migrateEnter() {
+		return nil
+	}
+	defer a.migrateExit()
+	c, err := a.Lock(core, 0, arch.MaxVaddr)
+	if err != nil {
+		return nil
+	}
+	defer c.Close()
+	var out []chunk
+	entry := func(base arch.Vaddr, level int, huge bool) {
+		span := arch.SpanBytes(level)
+		out = append(out, chunk{base: base, span: span, pages: span / arch.PageSize, huge: huge})
+	}
+	v := walkOps{
+		readOnly: true,
+		onLeaf: func(_ arch.PFN, _, level int, entryLo, _, _ arch.Vaddr, _ uint64) error {
+			entry(entryLo, level, level > 1)
+			return nil
+		},
+		onLeafTable: func(table arch.PFN, base arch.Vaddr) error {
+			// A transaction cannot unlink its own covering page, so an
+			// emptied table may stay linked; it is not a chunk.
+			if st := a.state(table); st.Present+st.MetaCnt > 0 {
+				out = append(out, chunk{base: base, span: arch.SpanBytes(2), pages: uint64(st.Present + st.MetaCnt), table: true})
+			}
+			return nil
+		},
+		onMeta: func(pfn arch.PFN, idx, level int, entryLo, _, _ arch.Vaddr) error {
+			if a.tree.GetMeta(pfn, idx).Kind != pt.StatusInvalid {
+				entry(entryLo, level, false)
+			}
+			return nil
+		},
+	}
+	_ = c.walk(&v, 0, arch.MaxVaddr)
+	return out
+}
+
+// chunkAt returns the index of the first chunk at or above hand,
+// wrapping to 0 — where a VA clock hand resumes.
+func chunkAt(chunks []chunk, hand arch.Vaddr) int {
+	i := sort.Search(len(chunks), func(i int) bool { return chunks[i].base >= hand })
+	if i == len(chunks) {
+		return 0
+	}
+	return i
 }
 
 // regionKind folds residency states into the logical backing class for

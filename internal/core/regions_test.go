@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,6 +10,32 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/pt"
 )
+
+// checkChunksMatchRegions: the enumeration the sweeps read and the
+// /proc/maps view are two derivations from one page table; they must
+// agree on how many pages are allocated and on where they are.
+func checkChunksMatchRegions(t *testing.T, a *AddrSpace) {
+	t.Helper()
+	regions, err := a.Regions(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := a.chunks(0)
+	var want uint64
+	for _, r := range regions {
+		want += r.Size() / arch.PageSize
+		for va := r.Start; va < r.End; {
+			i := sort.Search(len(chunks), func(i int) bool { return chunks[i].base+arch.Vaddr(chunks[i].span) > va })
+			if i == len(chunks) || chunks[i].base > va {
+				t.Fatalf("region page %#x lies in no chunk", va)
+			}
+			va = chunks[i].base + arch.Vaddr(chunks[i].span)
+		}
+	}
+	if got := a.allocatedPages(0); got != want {
+		t.Fatalf("enumeration counts %d allocated pages, regions %d", got, want)
+	}
+}
 
 func TestRegionsCoalesce(t *testing.T) {
 	a, _ := newSpace(t, ProtocolAdv)
@@ -51,6 +78,7 @@ func TestRegionsCoalesce(t *testing.T) {
 	if r1.Start != ro || r1.Perm != arch.PermRead {
 		t.Errorf("region 1 = %+v", r1)
 	}
+	checkChunksMatchRegions(t, a)
 }
 
 func TestRegionsSplitByProtect(t *testing.T) {
@@ -70,6 +98,7 @@ func TestRegionsSplitByProtect(t *testing.T) {
 	if regions[1].Perm != arch.PermRead || regions[1].Size() != 8*arch.PageSize {
 		t.Errorf("middle region = %+v", regions[1])
 	}
+	checkChunksMatchRegions(t, a)
 }
 
 func TestRegionsSwappedStaysOneRegion(t *testing.T) {
@@ -91,6 +120,7 @@ func TestRegionsSwappedStaysOneRegion(t *testing.T) {
 	if regions[0].Resident != 6 {
 		t.Errorf("resident = %d, want 6", regions[0].Resident)
 	}
+	checkChunksMatchRegions(t, a)
 }
 
 func TestRegionsFileVsAnonSeparate(t *testing.T) {
@@ -106,6 +136,7 @@ func TestRegionsFileVsAnonSeparate(t *testing.T) {
 	if regions[0].Kind != pt.StatusPrivateFile {
 		t.Errorf("file region kind = %v", regions[0].Kind)
 	}
+	checkChunksMatchRegions(t, a)
 }
 
 func TestDumpLayout(t *testing.T) {

@@ -12,14 +12,14 @@ import (
 // Mmap implements mm.MM: allocate a virtual range and mark it virtually
 // allocated (on-demand paging; Figure 8 do_syscall_mmap).
 func (a *AddrSpace) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	size = alignSize(size, fl)
+	if size = alignSize(size, fl); size == 0 {
+		return 0, errZeroSize
+	}
 	va, err := a.valloc.Alloc(core, size)
 	if err != nil {
 		return 0, err
 	}
-	a.trackVA(va, size)
 	if err := a.mmapAt(core, va, size, perm, fl, false); err != nil {
-		a.untrackVA(va)
 		a.valloc.Free(core, va, size)
 		return 0, err
 	}
@@ -33,15 +33,12 @@ func (a *AddrSpace) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Pe
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
-	if err := a.mmapAt(core, va, size, perm, fl, true); err != nil {
-		return err
-	}
-	// Fixed mappings are tracked like allocator-handed ones, so reclaim
-	// sweeps, the collapse scanner and OOM victim sizing see them;
-	// munmapFinish knows not to recycle a VA the allocator never owned.
-	a.trackFixedVA(va, size)
-	return nil
+	return a.mmapAt(core, va, size, perm, fl, true)
 }
+
+// errZeroSize rejects an allocator-served mmap whose size aligns to
+// nothing, before a VA is spent on it.
+var errZeroSize = fmt.Errorf("%w: zero size", mm.ErrBadRange)
 
 func alignSize(size uint64, fl mm.Flags) uint64 {
 	align := uint64(arch.PageSize)
@@ -123,35 +120,34 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 	if err := a.checkAlive(); err != nil {
 		return 0, err
 	}
+	if size = alignSize(size, 0); size == 0 {
+		return 0, errZeroSize
+	}
 	t0 := a.kernelEnter()
-	size = alignSize(size, 0)
+	defer a.kernelExit(t0)
 	a.stats.Mmaps.Add(1)
 	a.m.OpTick(core)
 	va, err := a.valloc.Alloc(core, size)
 	if err != nil {
-		a.kernelExit(t0)
-		return 0, err
-	}
-	a.trackVA(va, size)
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		a.kernelExit(t0)
 		return 0, err
 	}
 	kind := pt.StatusPrivateFile
 	if shared {
 		kind = pt.StatusSharedFile
 	}
-	err = c.Mark(va, va+arch.Vaddr(size), pt.Status{Kind: kind, Perm: perm, File: f, Off: pgoff})
-	c.Close()
+	hi := va + arch.Vaddr(size)
+	c, err := a.Lock(core, va, hi)
+	if err == nil {
+		if err = c.Mark(va, hi, pt.Status{Kind: kind, Perm: perm, File: f, Off: pgoff}); err != nil {
+			_ = c.Unmap(va, hi) // a failed Mark may have marked a prefix
+		}
+		c.Close()
+	}
 	if err != nil {
-		a.untrackVA(va)
 		a.valloc.Free(core, va, size)
-		a.kernelExit(t0)
 		return 0, err
 	}
 	a.registerFileMapping(f, va, pgoff, size/arch.PageSize, shared)
-	a.kernelExit(t0)
 	return va, nil
 }
 
@@ -172,33 +168,39 @@ func (a *AddrSpace) Munmap(core int, va arch.Vaddr, size uint64) error {
 	}
 	a.stats.Munmaps.Add(1)
 	a.m.OpTick(core)
+	return a.unmapRange(core, va, size)
+}
+
+// unmapRange is one unmap transaction plus its bookkeeping tail; Mremap
+// cuts a shrunk mapping's tail with it.
+func (a *AddrSpace) unmapRange(core int, va arch.Vaddr, size uint64) error {
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {
 		return err
 	}
 	err = c.Unmap(va, va+arch.Vaddr(size))
+	cleared := c.cleared
 	c.Close()
 	if err != nil {
 		return err
 	}
-	a.munmapFinish(core, va, size)
+	a.munmapFinish(core, va, size, cleared)
 	return nil
 }
 
-// munmapFinish is the non-MMU bookkeeping tail of a successful unmap:
-// retire reverse-mapping records and recycle an exactly-matching
-// allocator-handed VA range. Shared with the batch layer, which runs it
-// after batch commit.
-func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size uint64) {
+// munmapFinish is the non-MMU tail of a successful unmap that cleared
+// `cleared` allocated pages, shared with the batch layer (which runs it
+// after batch commit): retire reverse-mapping records, and hand the VAs
+// back to the allocator iff the whole range was allocated. A repeated or
+// overlapping unmap clears fewer pages than its range holds and stops
+// here. Whose range it was the page table cannot say, so the allocator
+// has the last word: it ignores ranges it never handed out, and ranges
+// overlapping one it already holds free (a fixed mapping placed over
+// recycled addresses).
+func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size, cleared uint64) {
 	a.pruneFileMappings(va, va+arch.Vaddr(size))
-	if sz, ok := a.trackedVA(va); ok && sz == size {
-		// Fixed mappings are tracked (for reclaim and the collapse
-		// scanner) but their VAs were never the allocator's to hand
-		// out, so they must not be recycled into it — PerCoreVA routes
-		// frees by address and owns only its own arenas.
-		if fixed := a.untrackVA(va); !fixed {
-			a.valloc.Free(core, va, size)
-		}
+	if cleared == size/arch.PageSize {
+		a.valloc.Free(core, va, size)
 	}
 }
 
@@ -582,41 +584,4 @@ func logicalPerm(p arch.Perm) arch.Perm {
 		p |= arch.PermWrite
 	}
 	return p
-}
-
-// trackVA bookkeeping: remember allocator-handed ranges so Munmap can
-// recycle them (exact-match only; partial unmaps just retire the range).
-func (a *AddrSpace) trackVA(va arch.Vaddr, size uint64) {
-	a.fileMu.Lock()
-	if a.vaSizes == nil {
-		a.vaSizes = make(map[arch.Vaddr]uint64)
-	}
-	a.vaSizes[va] = size
-	a.fileMu.Unlock()
-}
-
-func (a *AddrSpace) trackedVA(va arch.Vaddr) (uint64, bool) {
-	a.fileMu.Lock()
-	defer a.fileMu.Unlock()
-	sz, ok := a.vaSizes[va]
-	return sz, ok
-}
-
-func (a *AddrSpace) untrackVA(va arch.Vaddr) (fixed bool) {
-	a.fileMu.Lock()
-	fixed = a.fixedVAs[va]
-	delete(a.vaSizes, va)
-	delete(a.fixedVAs, va)
-	a.fileMu.Unlock()
-	return fixed
-}
-
-// trackFixedVA records a MmapFixed range: visible to reclaim and the
-// collapse scanner like any tracked range, but never recycled into the
-// VA allocator on unmap.
-func (a *AddrSpace) trackFixedVA(va arch.Vaddr, size uint64) {
-	a.fileMu.Lock()
-	a.vaSizes[va] = size
-	a.fixedVAs[va] = true
-	a.fileMu.Unlock()
 }

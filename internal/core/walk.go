@@ -61,6 +61,10 @@ type walkOps struct {
 
 	// onLeaf visits a present leaf entry (level 1 or huge).
 	onLeaf func(pfn arch.PFN, idx, level int, entryLo, subLo, subHi arch.Vaddr, pte uint64) error
+	// onLeafTable, when set, visits a fully covered level-1 table in
+	// place of its 512 entries — for read-only visitors that only need
+	// the table's PageState counters.
+	onLeafTable func(table arch.PFN, base arch.Vaddr) error
 	// onMeta visits a non-present entry (which may hold metadata, or
 	// nothing). With clearFull set it runs after the teardown, i.e. on a
 	// now-empty entry — Mark's hook writes the new status there.
@@ -121,13 +125,19 @@ func (c *RCursor) walkRange(v *walkOps, pfn arch.PFN, level int, base, lo, hi ar
 					}
 					continue
 				}
+				if level == 2 && v.onLeafTable != nil {
+					if err := v.onLeafTable(isa.PFNOf(pte), entryLo); err != nil {
+						return err
+					}
+					continue
+				}
 				if err := c.walkRange(v, isa.PFNOf(pte), level-1, entryLo, subLo, subHi); err != nil {
 					return err
 				}
 				continue
 			}
 			if v.clearFull {
-				c.dropMeta(pfn, idx)
+				c.dropMeta(pfn, idx, level)
 			}
 			if v.onMeta == nil {
 				continue

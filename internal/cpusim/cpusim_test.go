@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -128,6 +129,140 @@ func TestPerCoreVAReuse(t *testing.T) {
 	va4, _ := p.Alloc(0, 8*arch.PageSize)
 	if va4 != va3 {
 		t.Errorf("cross-core freed range not reused by owner: %#x vs %#x", va3, va4)
+	}
+}
+
+// TestVAFreeIgnoresForeignRanges: Free is handed whatever range an
+// unmap found fully allocated, so ranges the allocator never issued —
+// below UserLo, beyond an arena's bump pointer, straddling it, or past
+// UserHi — must not reach a free list.
+func TestVAFreeIgnoresForeignRanges(t *testing.T) {
+	const sz = 4 * arch.PageSize
+	p := NewPerCoreVA(2)
+	g := NewGlobalVA()
+	first, _ := p.Alloc(0, sz)
+	g.Alloc(0, sz)
+	for _, va := range []arch.Vaddr{
+		UserLo - sz,                       // fixed-mapping territory
+		first + sz,                        // at the bump pointer
+		first + sz/2,                      // straddles it
+		p.arenas[1].base,                  // arena 1 has handed out nothing
+		UserHi - sz,                       // far end of the last arena
+		UserHi + 16*sz,                    // beyond every arena
+		arch.Vaddr(0),                     // page zero
+		first + arch.Vaddr(p.span) - sz/2, // straddles two arenas
+	} {
+		p.Free(0, va, sz)
+		g.Free(0, va, sz)
+	}
+	for i := range p.arenas {
+		if n := len(p.arenas[i].free[sz]); n != 0 {
+			t.Errorf("per-core arena %d recycled %d foreign ranges", i, n)
+		}
+	}
+	if n := len(g.a.free[sz]); n != 0 {
+		t.Errorf("global arena recycled %d foreign ranges", n)
+	}
+	// The clone keeps the same bounds.
+	c := p.Clone().(*PerCoreVA)
+	c.Free(0, UserLo-sz, sz)
+	c.Free(0, first, sz)
+	if got := c.arenas[0].free[sz]; len(got) != 1 || got[0] != first {
+		t.Errorf("clone free list = %#x, want just %#x", got, first)
+	}
+}
+
+// TestVAFreeRefusesOverlap: the free ranges stay pairwise disjoint, so a
+// range that is free already — wholly or in part, in any size class —
+// cannot be freed again, while one that was re-allocated can.
+func TestVAFreeRefusesOverlap(t *testing.T) {
+	const pg = arch.PageSize
+	for _, v := range []VAAlloc{NewPerCoreVA(2), NewGlobalVA()} {
+		va, _ := v.Alloc(0, 4*pg)
+		v.Free(0, va, 4*pg)
+		v.Free(0, va, 4*pg)      // exact repeat
+		v.Free(0, va+pg, 2*pg)   // inside
+		v.Free(0, va+2*pg, 2*pg) // tail overlap
+		c := v.Clone()
+		for _, x := range []VAAlloc{v, c} {
+			if got, _ := x.Alloc(0, 4*pg); got != va {
+				t.Fatalf("%T: recycled %#x, want %#x", x, got, va)
+			}
+			if got, _ := x.Alloc(0, 4*pg); got == va {
+				t.Fatalf("%T: %#x handed out twice", x, va)
+			}
+			if got, _ := x.Alloc(0, 2*pg); got >= va && got < va+4*pg {
+				t.Fatalf("%T: %#x handed out inside live [%#x, +4 pages)", x, got, va)
+			}
+			// Re-allocated, so no longer free: pieces recycle again.
+			x.Free(0, va, 2*pg)
+			x.Free(0, va+2*pg, 2*pg)
+			x.Free(0, va, 4*pg) // covers both free halves
+			a, _ := x.Alloc(0, 2*pg)
+			b, _ := x.Alloc(0, 2*pg)
+			if a != va+2*pg || b != va {
+				t.Fatalf("%T: halves came back as %#x, %#x", x, a, b)
+			}
+			if got, _ := x.Alloc(0, 4*pg); got == va {
+				t.Fatalf("%T: %#x handed out under its live halves", x, va)
+			}
+		}
+	}
+}
+
+// TestVAFreeMapMatchesModel drives one arena with random allocations and
+// frees — repeats, sub-ranges and spans crossing bitmap words included —
+// against a page-set model: a free is accepted iff none of its pages is
+// free already, and no page is ever held twice.
+func TestVAFreeMapMatchesModel(t *testing.T) {
+	const pg = arch.PageSize
+	g := NewGlobalVA()
+	rng := rand.New(rand.NewSource(1))
+	held := map[arch.Vaddr]bool{} // pages handed out and not freed since
+	free := map[arch.Vaddr]bool{}
+	type rg struct {
+		va arch.Vaddr
+		n  uint64
+	}
+	var live []rg
+	for step := 0; step < 20000; step++ {
+		if len(live) == 0 || rng.Intn(3) == 0 {
+			n := uint64(1 + rng.Intn(150))
+			va, err := g.Alloc(0, n*pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := va; p < va+arch.Vaddr(n*pg); p += pg {
+				if held[p] {
+					t.Fatalf("step %d: page %#x handed out twice", step, p)
+				}
+				held[p] = true
+				delete(free, p)
+			}
+			live = append(live, rg{va, n})
+			continue
+		}
+		// Free a random piece of a random range; stale entries of live
+		// make it a repeat or an overlap of something already free.
+		r := live[rng.Intn(len(live))]
+		off := uint64(rng.Intn(int(r.n)))
+		n := uint64(1 + rng.Intn(int(r.n-off)))
+		va := r.va + arch.Vaddr(off*pg)
+		accept := true
+		for p := va; p < va+arch.Vaddr(n*pg); p += pg {
+			accept = accept && !free[p]
+		}
+		before := len(g.a.free[n*pg])
+		g.Free(0, va, n*pg)
+		if got := len(g.a.free[n*pg]) > before; got != accept {
+			t.Fatalf("step %d: free of %d pages at %#x accepted=%v, model says %v", step, n, va, got, accept)
+		}
+		if accept {
+			for p := va; p < va+arch.Vaddr(n*pg); p += pg {
+				free[p] = true
+				delete(held, p)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cpusim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"cortenmm/internal/arch"
@@ -19,6 +20,10 @@ const (
 // are page-aligned byte counts.
 type VAAlloc interface {
 	Alloc(core int, size uint64) (arch.Vaddr, error)
+	// Free recycles a range. The allocator is the authority on what it
+	// owns: a range it never handed out (a fixed-address mapping), or
+	// one overlapping a range that is already free (a fixed mapping
+	// placed over recycled addresses and unmapped again), is ignored.
 	Free(core int, va arch.Vaddr, size uint64)
 	// Clone duplicates the allocator state; fork needs the child's
 	// allocator to consider every parent range in use.
@@ -28,12 +33,33 @@ type VAAlloc interface {
 // ErrVAExhausted is returned when an allocator's arena is full.
 var ErrVAExhausted = fmt.Errorf("cpusim: virtual address arena exhausted")
 
-// arena is a bump allocator with size-segregated free lists.
+// arena is a bump allocator with size-segregated free lists. It has
+// handed out exactly [base, next); base and limit never change. The
+// free ranges are pairwise disjoint: freeMap holds one bit per page from
+// base up, set while the page is in a free range, so freeRange can
+// refuse a range that overlaps another in a few word operations.
 type arena struct {
-	mu    sync.Mutex
-	next  arch.Vaddr
-	limit arch.Vaddr
-	free  map[uint64][]arch.Vaddr
+	mu      sync.Mutex
+	base    arch.Vaddr
+	next    arch.Vaddr
+	limit   arch.Vaddr
+	free    map[uint64][]arch.Vaddr
+	freeMap []uint64
+}
+
+// eachWord calls fn on every freeMap word that [va, va+size) touches,
+// with the mask of the range's pages in that word.
+func (a *arena) eachWord(va arch.Vaddr, size uint64, fn func(w *uint64, mask uint64)) {
+	lo := uint64(va-a.base) / arch.PageSize
+	last := lo + size/arch.PageSize - 1
+	for i := lo / 64; i <= last/64; i++ {
+		from, to := max(lo, i*64)%64, min(last, i*64+63)%64
+		fn(&a.freeMap[i], ^uint64(0)<<from&(^uint64(0)>>(63-to)))
+	}
+}
+
+func newArena(base, limit arch.Vaddr) arena {
+	return arena{base: base, next: base, limit: limit, free: make(map[uint64][]arch.Vaddr)}
 }
 
 func (a *arena) alloc(size uint64) (arch.Vaddr, error) {
@@ -42,6 +68,7 @@ func (a *arena) alloc(size uint64) (arch.Vaddr, error) {
 	if list := a.free[size]; len(list) > 0 {
 		va := list[len(list)-1]
 		a.free[size] = list[:len(list)-1]
+		a.eachWord(va, size, func(w *uint64, mask uint64) { *w &^= mask })
 		return va, nil
 	}
 	if uint64(a.next)+size > uint64(a.limit) {
@@ -52,21 +79,40 @@ func (a *arena) alloc(size uint64) (arch.Vaddr, error) {
 	return va, nil
 }
 
+// freeRange recycles [va, va+size) if it lies wholly inside what this
+// arena has handed out and touches no range that is already free, and
+// ignores it otherwise. Callers free whatever range they found fully
+// allocated in the page table, so these checks are what keep
+// fixed-address mappings out of the free lists: below UserLo or beyond
+// the bump pointer they fail the first, over recycled addresses (which
+// stay free while the fixed mapping lives there) the second. No address
+// is therefore ever in two free ranges, or handed to two holders.
 func (a *arena) freeRange(va arch.Vaddr, size uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.free[size] = append(a.free[size], va)
+	if va < a.base || size == 0 || va+arch.Vaddr(size) > a.next {
+		return
+	}
+	if words := int(uint64(a.next-a.base)/arch.PageSize+63) / 64; words > len(a.freeMap) {
+		a.freeMap = append(a.freeMap, make([]uint64, words-len(a.freeMap))...)
+	}
+	var taken uint64
+	a.eachWord(va, size, func(w *uint64, mask uint64) { taken |= *w & mask })
+	if taken == 0 {
+		a.eachWord(va, size, func(w *uint64, mask uint64) { *w |= mask })
+		a.free[size] = append(a.free[size], va)
+	}
 }
 
 func (a *arena) cloneInto(dst *arena) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	dst.next = a.next
-	dst.limit = a.limit
+	dst.base, dst.next, dst.limit = a.base, a.next, a.limit
 	dst.free = make(map[uint64][]arch.Vaddr, len(a.free))
 	for sz, list := range a.free {
 		dst.free[sz] = append([]arch.Vaddr(nil), list...)
 	}
+	dst.freeMap = slices.Clone(a.freeMap)
 }
 
 // PerCoreVA is CortenMM's per-core virtual address allocator (§4.5):
@@ -86,7 +132,7 @@ func NewPerCoreVA(cores int) *PerCoreVA {
 	p := &PerCoreVA{arenas: make([]arena, cores), lo: UserLo, span: span}
 	for i := range p.arenas {
 		base := UserLo + arch.Vaddr(uint64(i)*span)
-		p.arenas[i] = arena{next: base, limit: base + arch.Vaddr(span), free: make(map[uint64][]arch.Vaddr)}
+		p.arenas[i] = newArena(base, base+arch.Vaddr(span))
 	}
 	return p
 }
@@ -97,12 +143,13 @@ func (p *PerCoreVA) Alloc(core int, size uint64) (arch.Vaddr, error) {
 }
 
 // Free implements VAAlloc, returning the range to the arena that owns
-// the address (which may differ from the freeing core).
+// the address (which may differ from the freeing core). A range no arena
+// handed out is ignored.
 func (p *PerCoreVA) Free(core int, va arch.Vaddr, size uint64) {
-	owner := int(uint64(va-p.lo) / p.span)
-	if owner >= len(p.arenas) {
-		owner = len(p.arenas) - 1
+	if va < p.lo {
+		return
 	}
+	owner := min(int(uint64(va-p.lo)/p.span), len(p.arenas)-1)
 	p.arenas[owner].freeRange(va, size)
 }
 
@@ -124,7 +171,7 @@ type GlobalVA struct {
 
 // NewGlobalVA covers all of [UserLo, UserHi) with one arena.
 func NewGlobalVA() *GlobalVA {
-	return &GlobalVA{a: arena{next: UserLo, limit: UserHi, free: make(map[uint64][]arch.Vaddr)}}
+	return &GlobalVA{a: newArena(UserLo, UserHi)}
 }
 
 // Alloc implements VAAlloc.
