@@ -251,6 +251,8 @@ func run(sysName string, cores int, trace io.Reader, verbose bool, w io.Writer) 
 	if cs, ok := env.Sys.(interface{ SetSwapDev(*mem.BlockDev) }); ok {
 		cs.SetSwapDev(mem.NewBlockDev("swap0"))
 	}
+	// The summary line reports kernel time, so time the whole replay.
+	defer env.Sys.Stats().TimeKernel()()
 
 	r := &replayer{sys: env.Sys, verbose: verbose, w: w,
 		regions: map[string]struct {

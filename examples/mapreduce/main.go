@@ -25,6 +25,8 @@ const (
 func runJob(name string, machine *cortenmm.Machine, sys cortenmm.MM) {
 	var failed atomic.Int32
 	var hashSink atomic.Uint64
+	// Kernel time is only measured while someone asks for it.
+	stopKernelTimer := sys.Stats().TimeKernel()
 	start := time.Now()
 	machine.Run(workers, func(core int) {
 		for c := 0; c < chunksPerWorker; c++ {
@@ -45,6 +47,7 @@ func runJob(name string, machine *cortenmm.Machine, sys cortenmm.MM) {
 		}
 	})
 	elapsed := time.Since(start)
+	stopKernelTimer()
 	if failed.Load() != 0 {
 		log.Fatalf("%s: job failed", name)
 	}

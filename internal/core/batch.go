@@ -134,16 +134,16 @@ func (b *Batch) Mmap(size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, erro
 // collision at Submit.
 func (b *Batch) MmapFixed(va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
 	size = alignSize(size, fl)
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := b.a.checkRange(va, size); err != nil {
+		return err
 	}
 	b.sq = append(b.sq, BatchSQE{Kind: BatchMmap, VA: va, Size: size, Perm: perm, Flags: fl, checkExists: true})
 	return nil
 }
 
 func (b *Batch) enqueue(kind BatchKind, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := b.a.checkRange(va, size); err != nil {
+		return err
 	}
 	b.sq = append(b.sq, BatchSQE{Kind: kind, VA: va, Size: size, Perm: perm})
 	return nil
@@ -192,8 +192,7 @@ func (b *Batch) Submit() []BatchCQE {
 		return nil
 	}
 	a := b.a
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(b.core)
 	cnt := &a.batch
 	cnt.batches.Add(1)
@@ -213,14 +212,12 @@ func (b *Batch) Submit() []BatchCQE {
 		c, err := a.Lock(b.core, g.lo, g.hi)
 		if err != nil {
 			for _, i := range g.ops {
-				e := &b.sq[i]
-				cqes[i] = BatchCQE{Kind: e.Kind, VA: e.VA, Size: e.Size, Err: err}
+				cqes[i] = b.cqe(i, err)
 			}
 			continue
 		}
 		for _, i := range g.ops {
-			e := &b.sq[i]
-			cqes[i] = BatchCQE{Kind: e.Kind, VA: e.VA, Size: e.Size, Err: b.apply(c, e)}
+			cqes[i] = b.cqe(i, b.apply(c, &b.sq[i]))
 		}
 		c.closeInto(&d)
 	}
@@ -249,6 +246,12 @@ func (b *Batch) Submit() []BatchCQE {
 	}
 	b.sq = b.sq[:0]
 	return cqes
+}
+
+// cqe completes SQE i with err.
+func (b *Batch) cqe(i int, err error) BatchCQE {
+	e := &b.sq[i]
+	return BatchCQE{Kind: e.Kind, VA: e.VA, Size: e.Size, Err: err}
 }
 
 // coalesce sorts the SQEs by range start and merges overlapping or

@@ -22,8 +22,7 @@ func (a *AddrSpace) CollapseHuge(core int, va arch.Vaddr) error {
 	if err := a.checkAlive(); err != nil {
 		return err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
 
 	span := arch.SpanBytes(2)

@@ -18,7 +18,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -220,14 +219,6 @@ func (a *AddrSpace) Features() mm.Features {
 
 // state returns the PT-page state of pfn.
 func (a *AddrSpace) state(pfn arch.PFN) *pt.PageState { return a.tree.State(pfn) }
-
-// kernelEnter/kernelExit bracket "kernel" work for the user/kernel time
-// breakdowns of Figures 16 and 17.
-func (a *AddrSpace) kernelEnter() time.Time { return time.Now() }
-
-func (a *AddrSpace) kernelExit(t0 time.Time) {
-	a.stats.KernelNanos.Add(uint64(time.Since(t0)))
-}
 
 // registerFileMapping records a file mapping for reverse mapping and
 // registers this space in the file's mapper tree.

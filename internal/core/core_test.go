@@ -385,3 +385,67 @@ func TestOpOutsideCursorRange(t *testing.T) {
 		t.Errorf("mark beyond range: %v", err)
 	}
 }
+
+// TestUseAfterDestroy: every entry point of a destroyed space returns
+// ErrDestroyed — no panic walking the freed tree, no stale read through
+// a TLB entry that outlived it (with ASID recycling Destroy flushes
+// nothing), no counter moved. Destroy itself stays idempotent.
+func TestUseAfterDestroy(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			a.SetSwapDev(mem.NewBlockDev("swap0"))
+			const size = 4 * arch.PageSize
+			va, err := a.Mmap(0, size, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, va, 42); err != nil { // leaves a TLB entry on core 0
+				t.Fatal(err)
+			}
+			b := a.NewBatch(0)
+			if err := b.Munmap(va, size); err != nil {
+				t.Fatal(err)
+			}
+			a.Destroy(0)
+			before := a.Stats().Snapshot()
+
+			calls := map[string]func() error{
+				"Mmap":      func() error { _, err := a.Mmap(0, size, arch.PermRW, 0); return err },
+				"MmapFixed": func() error { return a.MmapFixed(0, 0x10000, size, arch.PermRW, 0) },
+				"MmapFile": func() error {
+					_, err := a.MmapFile(0, mem.NewFile(m.Phys, "f", size), 0, size, arch.PermRW, true)
+					return err
+				},
+				"MmapSharedAnon": func() error { _, err := a.MmapSharedAnon(0, size, arch.PermRW); return err },
+				"Munmap":         func() error { return a.Munmap(0, va, size) },
+				"Mprotect":       func() error { return a.Mprotect(0, va, size, arch.PermRead) },
+				"Msync":          func() error { return a.Msync(0, va, size) },
+				"PopulateRange":  func() error { return a.PopulateRange(0, va, size) },
+				"Touch":          func() error { return a.Touch(0, va, pt.AccessRead) },
+				"Load":           func() error { _, err := a.Load(0, va); return err },
+				"Store":          func() error { return a.Store(0, va, 1) },
+				"pageFault":      func() error { return a.pageFault(0, va, pt.AccessWrite) },
+				"Fork":           func() error { _, err := a.Fork(0); return err },
+				"SwapOut":        func() error { _, err := a.SwapOut(0, va, size); return err },
+				"ReclaimRange":   func() error { _, err := a.ReclaimRange(0, va, size, 1); return err },
+				"Madvise":        func() error { return a.MadviseDontNeed(0, va, size) },
+				"Mremap":         func() error { _, err := a.Mremap(0, va, size, 2*size); return err },
+				"CollapseHuge":   func() error { return a.CollapseHuge(0, va) },
+				"Batch.Mmap":     func() error { _, err := b.Mmap(size, arch.PermRW, 0); return err },
+				"Batch.Submit":   func() error { return b.Submit()[0].Err },
+				"Lock":           func() error { _, err := a.Lock(0, va, va+size); return err },
+			}
+			for name, call := range calls {
+				if err := call(); !errors.Is(err, ErrDestroyed) {
+					t.Errorf("%s after Destroy = %v, want ErrDestroyed", name, err)
+				}
+			}
+			if after := a.Stats().Snapshot(); after != before {
+				t.Errorf("counters moved on a destroyed space:\nbefore %+v\nafter  %+v", before, after)
+			}
+			a.Destroy(0) // still a no-op
+			checkClean(t, m)
+		})
+	}
+}

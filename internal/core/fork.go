@@ -18,8 +18,7 @@ func (a *AddrSpace) Fork(core int) (mm.MM, error) {
 	if err := a.checkAlive(); err != nil {
 		return nil, err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.stats.Forks.Add(1)
 	a.m.OpTick(core)
 	// forkOnce fully unwinds on failure (the half-built child is
@@ -228,14 +227,13 @@ func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
 // the block device and replaces their mappings with Swapped statuses.
 // Shared and COW pages are skipped. Returns the number of pages swapped.
 func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
+	if err := a.checkRange(va, size); err != nil {
+		return 0, err
+	}
 	if a.swapDev == nil {
 		return 0, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
 	}
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return 0, fmt.Errorf("%w: %v", mm.ErrBadRange, err)
-	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {

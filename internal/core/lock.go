@@ -91,6 +91,9 @@ func (a *AddrSpace) Lock(core int, lo, hi arch.Vaddr) (*RCursor, error) {
 // that entry locked, i.e. minLevel = L. A coarser covering page is
 // always safe — it only widens the exclusive region.
 func (a *AddrSpace) LockLevel(core int, lo, hi arch.Vaddr, minLevel int) (*RCursor, error) {
+	if a.destroyed.Load() {
+		return nil, ErrDestroyed // the tree is gone (see checkAlive)
+	}
 	if lo >= hi || !arch.IsPageAligned(lo) || !arch.IsPageAligned(hi) || hi > arch.MaxVaddr {
 		return nil, fmt.Errorf("%w: [%#x, %#x)", errBadRange, lo, hi)
 	}

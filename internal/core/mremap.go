@@ -16,15 +16,14 @@ import (
 // per range, acquired in address order so concurrent Mremaps cannot
 // deadlock against each other.
 func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error) {
-	if err := arch.CheckCanonical(oldVA, oldSize); err != nil {
-		return 0, fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := a.checkRange(oldVA, oldSize); err != nil {
+		return 0, err
 	}
 	newSize = (newSize + arch.PageSize - 1) &^ (arch.PageSize - 1)
 	if newSize == 0 {
 		return 0, fmt.Errorf("%w: zero new size", mm.ErrBadRange)
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
 
 	if newSize <= oldSize {

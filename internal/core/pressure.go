@@ -9,12 +9,18 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mem"
+	"cortenmm/internal/mm"
 )
 
 // ErrOOMKilled is returned by allocating syscalls on an address space
 // the OOM killer tore down. Releasing operations (Munmap, Destroy)
 // still work so the caller can clean up.
 var ErrOOMKilled = errors.New("core: address space torn down by OOM killer")
+
+// ErrDestroyed is returned by every call on an address space after
+// Destroy: its page table is gone, so there is nothing left to operate
+// on or read through. Destroy itself stays idempotent.
+var ErrDestroyed = errors.New("core: address space destroyed")
 
 // ReclaimConfig tunes a ReclaimManager.
 type ReclaimConfig struct {
@@ -418,10 +424,31 @@ func (a *AddrSpace) oomTeardown(core int) int {
 // OOMKilled reports whether this space was torn down by the OOM killer.
 func (a *AddrSpace) OOMKilled() bool { return a.oomKilled.Load() }
 
-// checkAlive gates allocating syscalls on killed spaces.
+// checkRange is the gate of entry points that take a caller-chosen
+// range: the space must not be destroyed (see checkAlive) and the range
+// must be canonical.
+func (a *AddrSpace) checkRange(va arch.Vaddr, size uint64) error {
+	if a.destroyed.Load() {
+		return ErrDestroyed
+	}
+	if err := arch.CheckCanonical(va, size); err != nil {
+		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	}
+	return nil
+}
+
+// checkAlive is the gate of allocating entry points. Every entry point
+// first refuses a destroyed space (one atomic load): its tree's frames
+// are freed, so a call that went on would walk recycled memory or answer
+// from a stale TLB entry. Destroy is exclusive by contract; this catches
+// use after it, not a race with it. Allocating entries also refuse a
+// space the OOM killer tore down.
 func (a *AddrSpace) checkAlive() error {
+	if a.destroyed.Load() {
+		return ErrDestroyed
+	}
 	if a.oomKilled.Load() {
-		return fmt.Errorf("%w", ErrOOMKilled)
+		return ErrOOMKilled
 	}
 	return nil
 }

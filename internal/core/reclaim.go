@@ -30,14 +30,13 @@ func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target in
 // clearing is not filtered; the second-chance policy stays global so a
 // later cross-node pass still finds honestly cold pages.
 func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, target, node int) (int, error) {
+	if err := a.checkRange(va, size); err != nil {
+		return 0, err
+	}
 	if a.swapDev == nil {
 		return 0, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
 	}
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return 0, fmt.Errorf("%w: %v", mm.ErrBadRange, err)
-	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
 
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
@@ -263,11 +262,10 @@ func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 // memory, the file status for file mappings), so a later access faults
 // in fresh content, exactly like Linux's MADV_DONTNEED.
 func (a *AddrSpace) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := a.checkRange(va, size); err != nil {
+		return err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
 
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))

@@ -30,8 +30,8 @@ func (a *AddrSpace) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (ar
 // collision.
 func (a *AddrSpace) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
 	size = alignSize(size, fl)
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := a.checkRange(va, size); err != nil {
+		return err
 	}
 	return a.mmapAt(core, va, size, perm, fl, true)
 }
@@ -55,8 +55,7 @@ func (a *AddrSpace) mmapAt(core int, va arch.Vaddr, size uint64, perm arch.Perm,
 	if err := a.checkAlive(); err != nil {
 		return err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.stats.Mmaps.Add(1)
 	a.m.OpTick(core)
 	// The attempt is a complete transaction that fully unwinds on
@@ -123,8 +122,7 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 	if size = alignSize(size, 0); size == 0 {
 		return 0, errZeroSize
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.stats.Mmaps.Add(1)
 	a.m.OpTick(core)
 	va, err := a.valloc.Alloc(core, size)
@@ -161,11 +159,10 @@ func (a *AddrSpace) MmapSharedAnon(core int, size uint64, perm arch.Perm) (arch.
 
 // Munmap implements mm.MM (Figure 8 do_syscall_munmap).
 func (a *AddrSpace) Munmap(core int, va arch.Vaddr, size uint64) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := a.checkRange(va, size); err != nil {
+		return err
 	}
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.stats.Munmaps.Add(1)
 	a.m.OpTick(core)
 	return a.unmapRange(core, va, size)
@@ -206,11 +203,10 @@ func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size, cleared uint64) 
 
 // Mprotect implements mm.MM.
 func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := a.checkRange(va, size); err != nil {
+		return err
 	}
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.stats.Mprotects.Add(1)
 	a.m.OpTick(core)
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
@@ -223,11 +219,10 @@ func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Per
 
 // Msync implements mm.MM: write back dirty shared file pages.
 func (a *AddrSpace) Msync(core int, va arch.Vaddr, size uint64) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := a.checkRange(va, size); err != nil {
+		return err
 	}
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
 	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {
@@ -266,11 +261,10 @@ func (a *AddrSpace) PopulateRange(core int, va arch.Vaddr, size uint64) error {
 	if err := a.checkAlive(); err != nil {
 		return err
 	}
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := a.checkRange(va, size); err != nil {
+		return err
 	}
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
 	return a.retryOOM(core, func() error {
 		c, err := a.Lock(core, va, va+arch.Vaddr(size))
@@ -317,6 +311,11 @@ func (a *AddrSpace) access(core int, va arch.Vaddr, acc pt.Access, fn func(page 
 	if va >= arch.MaxVaddr {
 		return errSegv
 	}
+	// Checked before the TLB lookup: a destroyed space's translations
+	// may still sit in a TLB (recycle-implies-flushed, see Destroy).
+	if a.destroyed.Load() {
+		return ErrDestroyed
+	}
 	page := arch.PageAlignDown(va)
 	for tries := 0; tries < 64; tries++ {
 		a.m.RCU.ReadLock(core)
@@ -355,6 +354,9 @@ func (a *AddrSpace) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Transl
 	if va >= arch.MaxVaddr {
 		return pt.Translation{}, errSegv
 	}
+	if a.destroyed.Load() {
+		return pt.Translation{}, ErrDestroyed
+	}
 	page := arch.PageAlignDown(va)
 	for tries := 0; tries < 64; tries++ {
 		if tr, ok := a.m.TLB.Lookup(core, a.asid, page); ok && tr.Perm.Contains(acc.Needs()) {
@@ -378,11 +380,14 @@ func (a *AddrSpace) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Transl
 // pageFault is the Figure-8 handler with the hardened OOM unwind: a
 // fault that fails for lack of frames closes its transaction, runs
 // direct reclaim from syscall context (no locks held) and re-faults,
-// bounded by the retry budget.
+// bounded by the retry budget. The kernel-time bracket spans the retry
+// loop, as mmapAt's and PopulateRange's do: direct reclaim on behalf of
+// a fault is kernel time.
 func (a *AddrSpace) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 	if err := a.checkAlive(); err != nil {
 		return err
 	}
+	defer a.stats.KernelExit(a.stats.KernelEnter())
 	return a.retryOOM(core, func() error {
 		return a.pageFaultOnce(core, va, acc)
 	})
@@ -390,8 +395,6 @@ func (a *AddrSpace) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 
 // pageFaultOnce runs one whole fault inside one transaction.
 func (a *AddrSpace) pageFaultOnce(core int, va arch.Vaddr, acc pt.Access) error {
-	t0 := a.kernelEnter()
-	defer a.kernelExit(t0)
 	a.stats.PageFaults.Add(1)
 	a.m.OpTick(core)
 	page := arch.PageAlignDown(va)
@@ -400,33 +403,28 @@ func (a *AddrSpace) pageFaultOnce(core int, va arch.Vaddr, acc pt.Access) error 
 		return err
 	}
 	st, err := c.Query(page)
-	if err != nil {
-		c.Close()
-		return err
-	}
-	if st.Kind == pt.StatusPrivateAnon && st.HugeLevel >= 2 {
-		// A huge mapping needs a transaction over the whole span:
-		// restart with a wider cursor (the state is re-queried inside).
+	if err == nil && st.Kind == pt.StatusPrivateAnon && st.HugeLevel >= 2 {
+		// A huge mapping needs a transaction over the whole span: restart
+		// with a wider cursor. The page was unlocked in between, so its
+		// state is queried again.
 		c.Close()
 		span := arch.SpanBytes(int(st.HugeLevel))
 		base := page &^ arch.Vaddr(span-1)
-		wide, err := a.Lock(core, base, base+arch.Vaddr(span))
-		if err != nil {
+		if c, err = a.Lock(core, base, base+arch.Vaddr(span)); err != nil {
 			return err
 		}
-		defer wide.Close()
-		return a.faultIn(core, wide, page, acc)
+		st, err = c.Query(page)
 	}
 	defer c.Close()
-	return a.faultIn(core, c, page, acc)
-}
-
-// faultIn services one page under an already-held cursor.
-func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access) error {
-	st, err := c.Query(page)
 	if err != nil {
 		return err
 	}
+	return a.faultIn(core, c, page, acc, st)
+}
+
+// faultIn services one page whose status st was queried under the
+// already-held cursor c.
+func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access, st pt.Status) error {
 	switch st.Kind {
 	case pt.StatusMapped:
 		return a.faultMapped(core, c, page, acc, st)

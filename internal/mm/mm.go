@@ -8,6 +8,7 @@ package mm
 import (
 	"errors"
 	"sync/atomic"
+	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
@@ -54,7 +55,8 @@ type Features struct {
 
 // Stats holds cumulative operation counters for one address space.
 // KernelNanos approximates time spent "in the kernel" (inside MM calls)
-// for the user/kernel breakdowns of Figures 16 and 17.
+// for the user/kernel breakdowns of Figures 16 and 17. It advances only
+// while a TimeKernel session is open; the op counts are unconditional.
 type Stats struct {
 	Mmaps       atomic.Uint64
 	Munmaps     atomic.Uint64
@@ -68,6 +70,45 @@ type Stats struct {
 	Collapses   atomic.Uint64 // huge-page promotions
 	Demotions   atomic.Uint64 // huge-page splits (cold spans demoted pre-reclaim)
 	KernelNanos atomic.Uint64
+
+	// timing counts the open TimeKernel sessions; it is not a counter and
+	// has no Snapshot twin.
+	timing atomic.Int32
+}
+
+// clockBase anchors the bracket's timestamps, so an armed edge costs one
+// monotonic read (no wall clock) and a timestamp is never 0.
+var clockBase = time.Now()
+
+// TimeKernel opens a kernel-time measurement session on s and returns
+// the function that closes it (call it once). Like pprof.StartCPUProfile
+// it is switched on by a reader around the interval it reports, not
+// configured into the address space: while no session is open the
+// KernelEnter/KernelExit bracket reads no clock and KernelNanos stands
+// still. Sessions are counted, so nested and concurrent readers compose.
+// A call in flight when the first session opens is not timed; one in
+// flight when the last closes is timed to its end.
+func (s *Stats) TimeKernel() (stop func()) {
+	s.timing.Add(1)
+	return func() { s.timing.Add(-1) }
+}
+
+// KernelEnter opens the kernel-time bracket every MM entry point wraps
+// its work in: defer st.KernelExit(st.KernelEnter()). With no session
+// open it costs one atomic load and returns 0.
+func (s *Stats) KernelEnter() int64 {
+	if s.timing.Load() == 0 {
+		return 0
+	}
+	return int64(time.Since(clockBase))
+}
+
+// KernelExit closes the bracket opened by KernelEnter, charging the
+// elapsed time to KernelNanos iff the entry was timed.
+func (s *Stats) KernelExit(t0 int64) {
+	if t0 != 0 {
+		s.KernelNanos.Add(uint64(int64(time.Since(clockBase)) - t0))
+	}
 }
 
 // Snapshot is a copyable view of Stats.

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -117,8 +116,6 @@ func (s *Space) Features() mm.Features {
 	return mm.Features{HugePage: false, NUMAPolicy: true}
 }
 
-func (s *Space) kernelExit(t0 time.Time) { s.stats.KernelNanos.Add(uint64(time.Since(t0))) }
-
 // mutate appends the op and replays the local replica up to it.
 func (s *Space) mutate(core int, o *op) error {
 	o.pending.Store(int32(len(s.replicas)))
@@ -183,8 +180,7 @@ func (s *Space) apply(core int, r *replica, o *op) ([]arch.PFN, error) {
 // Mmap implements mm.MM: eager backing — allocate frames, log the map
 // op, replay locally (NrOS's MapRange).
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
 	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
@@ -237,8 +233,7 @@ func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Pe
 
 // Munmap implements mm.MM.
 func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -253,8 +248,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 
 // Mprotect implements mm.MM.
 func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}

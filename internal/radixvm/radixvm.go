@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -104,13 +103,10 @@ func (s *Space) Features() mm.Features {
 	return mm.Features{OnDemandPaging: true, NUMAPolicy: true}
 }
 
-func (s *Space) kernelExit(t0 time.Time) { s.stats.KernelNanos.Add(uint64(time.Since(t0))) }
-
 // Mmap implements mm.MM: insert per-page entries into the radix shards.
 // The VA bump is a single atomic add, so allocation itself scales.
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
 	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
@@ -131,8 +127,7 @@ func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.V
 
 // MmapFixed implements mm.MM.
 func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -171,8 +166,7 @@ func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Pe
 // of exactly the replicas that materialized each page — RadixVM's
 // scalable unmap.
 func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -228,8 +222,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 
 // Mprotect implements mm.MM.
 func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -314,8 +307,7 @@ func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translatio
 // pageFault backs the page (first fault anywhere) and installs it into
 // the faulting core's replica only.
 func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.PageFaults.Add(1)
 	s.m.OpTick(core)
 	page := arch.PageAlignDown(va)

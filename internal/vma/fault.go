@@ -2,7 +2,6 @@ package vma
 
 import (
 	"fmt"
-	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
@@ -16,8 +15,7 @@ func (s *Space) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.m.OpTick(core)
 	s.mmapLock.RLock()
 	freed := s.clearRange(core, va, va+arch.Vaddr(size))
@@ -81,8 +79,7 @@ func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translatio
 // mmap_lock, then update the page table under the split page-table
 // locks.
 func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.PageFaults.Add(1)
 	s.m.OpTick(core)
 	page := arch.PageAlignDown(va)

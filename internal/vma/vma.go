@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -145,13 +144,10 @@ func (s *Space) Features() mm.Features {
 	}
 }
 
-func (s *Space) kernelExit(t0 time.Time) { s.stats.KernelNanos.Add(uint64(time.Since(t0))) }
-
 // Mmap implements mm.MM: take the mmap_lock writer, carve a range, and
 // insert a VMA. No page-table work happens (on-demand paging).
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
 	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
@@ -178,8 +174,7 @@ func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.V
 
 // MmapFixed implements mm.MM.
 func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -221,8 +216,7 @@ func (s *Space) insertMerged(v *VMA) {
 
 // MmapFile implements mm.MM.
 func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
 	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
@@ -241,8 +235,7 @@ func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Pe
 // writer, mark every overlapping VMA (write-locking each), split at the
 // boundaries, clear the page tables, flush TLBs, free pages.
 func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -292,8 +285,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 
 // Mprotect implements mm.MM: mmap_lock writer, VMA splits, PTE updates.
 func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
 	}
@@ -386,8 +378,7 @@ func (s *Space) Destroy(core int) {
 // Fork implements mm.MM: mmap_lock writer on the parent, VMA list copy,
 // page-table copy with COW write-protection.
 func (s *Space) Fork(core int) (mm.MM, error) {
-	t0 := time.Now()
-	defer s.kernelExit(t0)
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Forks.Add(1)
 	s.m.OpTick(core)
 	child, err := New(s.m, s.isa)

@@ -48,12 +48,22 @@ func userWork(n int) uint64 {
 
 var sinkU64 atomic.Uint64
 
-func kernelFrac(sys mm.MM, before uint64, elapsed time.Duration, threads int) float64 {
-	if elapsed <= 0 {
-		return 0
+// startSplit starts timing one workload run and returns the function
+// that ends it, reporting the wall time and the fraction of threads ×
+// wall spent inside sys (Figures 16 and 17). It holds a kernel-time
+// session on sys open for exactly that interval: outside one, MM calls
+// read no clock and KernelNanos stands still.
+func startSplit(sys mm.MM) (done func(threads int) (elapsed time.Duration, kernelFrac float64)) {
+	st := sys.Stats()
+	stop := st.TimeKernel()
+	k0 := st.KernelNanos.Load()
+	start := time.Now()
+	return func(threads int) (time.Duration, float64) {
+		elapsed := time.Since(start)
+		stop()
+		k := time.Duration(st.KernelNanos.Load() - k0)
+		return elapsed, float64(k) / float64(elapsed*time.Duration(threads))
 	}
-	k := time.Duration(sys.Stats().KernelNanos.Load() - before)
-	return float64(k) / float64(elapsed*time.Duration(threads))
 }
 
 // Metis runs the map-reduce allocation pattern of §6.4: every thread
@@ -61,9 +71,8 @@ func kernelFrac(sys mm.MM, before uint64, elapsed time.Duration, threads int) fl
 // it, and never returns memory to the kernel (the RadixVM-paper setup).
 func Metis(machine *cpusim.Machine, sys mm.MM, threads, chunksPerThread int) (AppResult, error) {
 	const chunkBytes = 8 << 20
-	k0 := sys.Stats().KernelNanos.Load()
 	var failed atomic.Int64
-	start := time.Now()
+	split := startSplit(sys)
 	machine.Run(threads, func(core int) {
 		for c := 0; c < chunksPerThread; c++ {
 			va, err := sys.Mmap(core, chunkBytes, arch.PermRW, 0)
@@ -80,7 +89,7 @@ func Metis(machine *cpusim.Machine, sys mm.MM, threads, chunksPerThread int) (Ap
 			}
 		}
 	})
-	elapsed := time.Since(start)
+	elapsed, kfrac := split(threads)
 	if failed.Load() != 0 {
 		return AppResult{}, fmt.Errorf("workload: metis failed")
 	}
@@ -89,7 +98,7 @@ func Metis(machine *cpusim.Machine, sys mm.MM, threads, chunksPerThread int) (Ap
 		Threads:    threads,
 		Work:       threads * chunksPerThread,
 		Elapsed:    elapsed,
-		KernelFrac: kernelFrac(sys, k0, elapsed, threads),
+		KernelFrac: kfrac,
 	}, nil
 }
 
@@ -100,9 +109,8 @@ func Dedup(machine *cpusim.Machine, sys mm.MM, alloc Allocator, threads, jobsPer
 	// Chunk-size mix modelled on dedup's stages: mostly ~256 KiB blocks
 	// (above the mmap threshold) with some small metadata.
 	sizes := []uint64{256 << 10, 320 << 10, 192 << 10, 8 << 10, 512 << 10}
-	k0 := sys.Stats().KernelNanos.Load()
 	var failed atomic.Int64
-	start := time.Now()
+	split := startSplit(sys)
 	machine.Run(threads, func(core int) {
 		var held []struct {
 			va arch.Vaddr
@@ -138,7 +146,7 @@ func Dedup(machine *cpusim.Machine, sys mm.MM, alloc Allocator, threads, jobsPer
 			alloc.Free(core, h.va, h.sz)
 		}
 	})
-	elapsed := time.Since(start)
+	elapsed, kfrac := split(threads)
 	if failed.Load() != 0 {
 		return AppResult{}, fmt.Errorf("workload: dedup failed")
 	}
@@ -147,7 +155,7 @@ func Dedup(machine *cpusim.Machine, sys mm.MM, alloc Allocator, threads, jobsPer
 		Threads:     threads,
 		Work:        threads * jobsPerThread,
 		Elapsed:     elapsed,
-		KernelFrac:  kernelFrac(sys, k0, elapsed, threads),
+		KernelFrac:  kfrac,
 		MappedBytes: alloc.MappedBytes(),
 	}, nil
 }
@@ -157,9 +165,8 @@ func Dedup(machine *cpusim.Machine, sys mm.MM, alloc Allocator, threads, jobsPer
 // freeing it (§6.4: ~2x over Linux at 64 threads with ptmalloc).
 func Psearchy(machine *cpusim.Machine, sys mm.MM, alloc Allocator, threads, filesPerThread int) (AppResult, error) {
 	fileSizes := []uint64{160 << 10, 96 << 10, 224 << 10, 128 << 10}
-	k0 := sys.Stats().KernelNanos.Load()
 	var failed atomic.Int64
-	start := time.Now()
+	split := startSplit(sys)
 	machine.Run(threads, func(core int) {
 		for f := 0; f < filesPerThread; f++ {
 			sz := fileSizes[(core+f)%len(fileSizes)]
@@ -178,7 +185,7 @@ func Psearchy(machine *cpusim.Machine, sys mm.MM, alloc Allocator, threads, file
 			alloc.Free(core, va, sz)
 		}
 	})
-	elapsed := time.Since(start)
+	elapsed, kfrac := split(threads)
 	if failed.Load() != 0 {
 		return AppResult{}, fmt.Errorf("workload: psearchy failed")
 	}
@@ -187,7 +194,7 @@ func Psearchy(machine *cpusim.Machine, sys mm.MM, alloc Allocator, threads, file
 		Threads:     threads,
 		Work:        threads * filesPerThread,
 		Elapsed:     elapsed,
-		KernelFrac:  kernelFrac(sys, k0, elapsed, threads),
+		KernelFrac:  kfrac,
 		MappedBytes: alloc.MappedBytes(),
 	}, nil
 }
@@ -202,9 +209,8 @@ func JVMThreadCreation(machine *cpusim.Machine, sys mm.MM, threads int) (AppResu
 		stackBytes = 512 << 10 // JVM default-ish thread stack
 		tlabBytes  = 256 << 10 // thread-local allocation buffer
 	)
-	k0 := sys.Stats().KernelNanos.Load()
 	var failed atomic.Int64
-	start := time.Now()
+	split := startSplit(sys)
 	machine.Run(threads, func(core int) {
 		stack, err := sys.Mmap(core, stackBytes, arch.PermRW, 0)
 		if err != nil {
@@ -231,7 +237,7 @@ func JVMThreadCreation(machine *cpusim.Machine, sys mm.MM, threads int) (AppResu
 			sinkU64.Store(userWork(20)) // class-init work
 		}
 	})
-	elapsed := time.Since(start)
+	elapsed, kfrac := split(threads)
 	if failed.Load() != 0 {
 		return AppResult{}, fmt.Errorf("workload: jvm thread creation failed")
 	}
@@ -240,7 +246,7 @@ func JVMThreadCreation(machine *cpusim.Machine, sys mm.MM, threads int) (AppResu
 		Threads:    threads,
 		Work:       threads,
 		Elapsed:    elapsed,
-		KernelFrac: kernelFrac(sys, k0, elapsed, threads),
+		KernelFrac: kfrac,
 	}, nil
 }
 
@@ -250,9 +256,8 @@ func JVMThreadCreation(machine *cpusim.Machine, sys mm.MM, threads int) (AppResu
 // on every system.
 func Parsec(machine *cpusim.Machine, sys mm.MM, name string, threads, workUnits int) (AppResult, error) {
 	const wsBytes = 4 << 20
-	k0 := sys.Stats().KernelNanos.Load()
 	var failed atomic.Int64
-	start := time.Now()
+	split := startSplit(sys)
 	machine.Run(threads, func(core int) {
 		va, err := sys.Mmap(core, wsBytes, arch.PermRW, 0)
 		if err != nil {
@@ -275,7 +280,7 @@ func Parsec(machine *cpusim.Machine, sys mm.MM, name string, threads, workUnits 
 			}
 		}
 	})
-	elapsed := time.Since(start)
+	elapsed, kfrac := split(threads)
 	if failed.Load() != 0 {
 		return AppResult{}, fmt.Errorf("workload: %s failed", name)
 	}
@@ -284,6 +289,6 @@ func Parsec(machine *cpusim.Machine, sys mm.MM, name string, threads, workUnits 
 		Threads:    threads,
 		Work:       threads * workUnits,
 		Elapsed:    elapsed,
-		KernelFrac: kernelFrac(sys, k0, elapsed, threads),
+		KernelFrac: kfrac,
 	}, nil
 }
