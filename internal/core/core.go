@@ -81,6 +81,9 @@ type AddrSpace struct {
 	coarse  bool
 	swapDev *mem.BlockDev
 	stats   mm.Stats
+	// anonOwner is what this space's anonymous pages name as their
+	// owner in the frames' migration reverse-map hints.
+	anonOwner mem.AnonOwner
 
 	// rmapHints answers file page -> VA for reverse mapping, the one
 	// question the page table cannot (a COW-broken private file page no
@@ -168,7 +171,7 @@ func New(o Options) (*AddrSpace, error) {
 	} else {
 		va = cpusim.NewGlobalVA()
 	}
-	return &AddrSpace{
+	a := &AddrSpace{
 		m:       o.Machine,
 		tree:    tree,
 		isa:     o.ISA,
@@ -180,7 +183,9 @@ func New(o Options) (*AddrSpace, error) {
 		swapDev: o.SwapDev,
 		cursors: make([]cachedCursor, o.Machine.Cores),
 		txDepth: make([]txCounter, o.Machine.Cores),
-	}, nil
+	}
+	a.anonOwner.Space = a
+	return a, nil
 }
 
 // Name implements mm.MM.
@@ -203,8 +208,10 @@ func (a *AddrSpace) SetSwapDev(dev *mem.BlockDev) { a.swapDev = dev }
 // Tree exposes the page table for invariant checks in tests.
 func (a *AddrSpace) Tree() *pt.Tree { return a.tree }
 
-// Features implements mm.MM: CortenMM's Table-2 row — everything except
-// NUMA policies (§4.5).
+// Features implements mm.MM: CortenMM's Table-2 row. The paper leaves
+// NUMA policies out (§4.5); this implementation has them — node-local
+// first touch over distance-ordered zonelists, mem.SetAllocPolicy, and
+// NUMA-balancing migration — so the row says so.
 func (a *AddrSpace) Features() mm.Features {
 	return mm.Features{
 		OnDemandPaging: true,
@@ -213,7 +220,7 @@ func (a *AddrSpace) Features() mm.Features {
 		ReverseMapping: true,
 		MmapedFile:     true,
 		HugePage:       true,
-		NUMAPolicy:     false,
+		NUMAPolicy:     true,
 	}
 }
 

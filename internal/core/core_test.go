@@ -335,10 +335,26 @@ func TestTable2FeatureMatrix(t *testing.T) {
 	want := mm.Features{
 		OnDemandPaging: true, COW: true, PageSwapping: true,
 		ReverseMapping: true, MmapedFile: true, HugePage: true,
-		NUMAPolicy: false,
+		NUMAPolicy: true, // beyond the paper's row: see the placement check below
 	}
 	if f != want {
 		t.Errorf("CortenMM feature row = %+v, want %+v (Table 2)", f, want)
+	}
+	// The claim, exercised: an installed placement policy decides which
+	// node a fault's frame comes from.
+	m := cpusim.New(cpusim.Config{Cores: 2, NUMANodes: 2, Frames: 1 << 12})
+	n, err := New(Options{Machine: m, Protocol: ProtocolAdv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Destroy(0)
+	m.Phys.SetAllocPolicy(func(int) int { return 1 })
+	va, err := n.Mmap(0, arch.PageSize, arch.PermRW, mm.FlagPopulate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, err := n.translate(0, va, pt.AccessRead); err != nil || m.Phys.FrameNode(x.PFN) != 1 {
+		t.Errorf("core 0's page under a node-1 policy: %+v, %v", x, err)
 	}
 }
 

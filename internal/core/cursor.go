@@ -149,7 +149,7 @@ func (c *RCursor) mapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.P
 	// hint is advisory — migration revalidates under the lock (§4.5).
 	if level == 1 && head == frame && d.Kind == mem.KindAnon &&
 		perm&(arch.PermShared|arch.PermCOW) == 0 {
-		d.SetAnonRMap(c.a, uint64(va))
+		d.SetAnonRMap(&c.a.anonOwner, uint64(va))
 	} else {
 		d.ClearAnonRMap()
 	}
@@ -337,13 +337,20 @@ func (c *RCursor) releaseLeaf(pte uint64, level int, va arch.Vaddr) {
 // noteFreed queues a frame head for release after the shootdown,
 // extending the previous run when the heads are physically contiguous —
 // bulk-populated regions tear down into a handful of runs instead of
-// one slice element per page. Extending by stride 1 is always sound:
-// run element i stands for exactly the head at head+i, so huge-block
-// heads (which are never adjacent to their own tail frames) still get
-// their own Put.
+// one slice element per page. A run grows at either end: populate
+// batches ascend with the VA, frames faulted in one by one descend (the
+// frame cache is a stack). Extending by stride 1 is always sound: a run
+// stands for exactly the heads Head … Head+N-1, one reference each, so
+// huge-block heads (which are never adjacent to their own tail frames)
+// still get their own Put.
 func (c *RCursor) noteFreed(head arch.PFN) {
 	if n := len(c.freed); n > 0 {
-		if last := &c.freed[n-1]; last.Head+arch.PFN(last.N) == head {
+		switch last := &c.freed[n-1]; head {
+		case last.Head + arch.PFN(last.N):
+			last.N++
+			return
+		case last.Head - 1:
+			last.Head--
 			last.N++
 			return
 		}

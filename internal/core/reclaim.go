@@ -251,7 +251,7 @@ func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 	// The children are ordinary exclusive anonymous pages now; hint
 	// each one so migration and compaction can find its mapping.
 	for i := 0; i < arch.PTEntries; i++ {
-		a.m.Phys.Desc(head+arch.PFN(i)).SetAnonRMap(a, uint64(base)+uint64(i)*arch.PageSize)
+		a.m.Phys.Desc(head+arch.PFN(i)).SetAnonRMap(&a.anonOwner, uint64(base)+uint64(i)*arch.PageSize)
 	}
 	return true
 }

@@ -408,7 +408,7 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 			d := a.m.Phys.Desc(frame)
 			d.MapCount.Add(1)
 			if s.Perm&(arch.PermShared|arch.PermCOW) == 0 {
-				d.SetAnonRMap(a, uint64(entryLo))
+				d.SetAnonRMap(&a.anonOwner, uint64(entryLo))
 			}
 			return nil
 		},
@@ -454,7 +454,7 @@ func (c *RCursor) bulkFillL2(pfn arch.PFN, idx int, entryLo arch.Vaddr, s pt.Sta
 		d := a.m.Phys.Desc(frames[i])
 		d.MapCount.Add(1)
 		if s.Perm&(arch.PermShared|arch.PermCOW) == 0 {
-			d.SetAnonRMap(a, uint64(entryLo)+uint64(i)*arch.PageSize)
+			d.SetAnonRMap(&a.anonOwner, uint64(entryLo)+uint64(i)*arch.PageSize)
 		}
 	}
 	t.State(child).Present = int32(n)

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -28,6 +29,10 @@ type buddy struct {
 	next   []int32
 	prev   []int32
 	heads  [MaxOrder + 1]int32
+	// top is an upper bound on the highest free block head: pushFree
+	// raises it, the top-down scans start at it and lower it to the first
+	// free head they meet.
+	top int32
 	// free counts free frames (not blocks); mutated only under mu with
 	// plain arithmetic. Each exported operation publishes it to nfree on
 	// unlock so watermark checks on allocation paths read it lock-free
@@ -93,6 +98,7 @@ func (b *buddy) pushFree(pfn int32, order int) {
 		b.prev[h] = pfn
 	}
 	b.heads[order] = pfn
+	b.top = max(b.top, pfn)
 	b.free_ += 1 << order
 	b.freeOrd[order]++
 }
@@ -155,7 +161,7 @@ func (b *buddy) allocHigh(order int) (arch.PFN, bool) {
 	defer b.publish()
 	// Blocks are disjoint, so the highest free head belongs to the block
 	// containing the highest free frame; scan down for it.
-	for pfn := int32(b.n - 1); pfn >= 0; pfn-- {
+	for pfn := b.highestFree(); pfn >= 0; pfn-- {
 		if !b.isFree[pfn] || int(b.order[pfn]) < order {
 			continue
 		}
@@ -171,6 +177,15 @@ func (b *buddy) allocHigh(order int) (arch.PFN, bool) {
 		return arch.PFN(pfn) + arch.PFN(b.base), true
 	}
 	return 0, false
+}
+
+// highestFree returns the highest free block head (-1 if none), where
+// every top-down scan starts, and tightens top to it.
+func (b *buddy) highestFree() int32 {
+	for b.top >= 0 && !b.isFree[b.top] {
+		b.top--
+	}
+	return b.top
 }
 
 // free returns a block (by absolute head PFN), coalescing with its
@@ -198,31 +213,66 @@ func (b *buddy) freeLocked(pfn int32, order int) {
 }
 
 // allocBatch fills buf with order-0 frames (absolute PFNs) under a
-// single lock acquisition (the refill path of the per-core caches).
-// Returns the number of frames obtained.
+// single lock acquisition (the refill path of the per-core caches),
+// peeling whole free blocks — smallest order first, ascending PFNs
+// within a block — and returning the unused tail of the last one. These
+// are the frames, and the free lists, that splitting frame by frame
+// arrives at: a split parks the upper halves on lists that were empty,
+// so the next frames come from them, in address order, before any other
+// block is touched. Returns the number of frames obtained.
 func (b *buddy) allocBatch(buf []arch.PFN) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	defer b.publish()
-	for i := range buf {
-		pfn, ok := b.allocLocked(0)
-		if !ok {
-			return i
+	got := 0
+	for got < len(buf) {
+		o := 0
+		for o <= MaxOrder && b.heads[o] == noBlock {
+			o++
 		}
-		buf[i] = pfn + arch.PFN(b.base)
+		if o > MaxOrder {
+			break
+		}
+		pfn := b.heads[o]
+		b.unlink(pfn, o)
+		take := min(1<<o, len(buf)-got)
+		for i := range take {
+			buf[got+i] = arch.PFN(pfn+b.base) + arch.PFN(i)
+		}
+		got += take
+		b.freeRun(pfn+int32(take), 1<<o-take)
 	}
-	return len(buf)
+	return got
 }
 
 // freeBatch returns order-0 frames (absolute PFNs) under a single lock
-// acquisition.
+// acquisition, each ascending stretch of consecutive PFNs as one run.
 func (b *buddy) freeBatch(pfns []arch.PFN) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, pfn := range pfns {
-		b.freeLocked(int32(pfn)-b.base, 0)
+	for i := 0; i < len(pfns); {
+		j := i + 1
+		for j < len(pfns) && pfns[j] == pfns[j-1]+1 {
+			j++
+		}
+		b.freeRun(int32(pfns[i])-b.base, j-i)
+		i = j
 	}
 	b.publish()
+}
+
+// freeRun frees the n frames from pfn on as the maximal naturally
+// aligned blocks that tile them: one coalescing chain per block, not one
+// per frame. Eager coalescing keeps the free lists in their normal form
+// — the maximal aligned blocks of the free set — which depends on the
+// set alone, so the lists end as if each frame had been freed by itself.
+func (b *buddy) freeRun(pfn int32, n int) {
+	for n > 0 {
+		o := min(bits.TrailingZeros32(uint32(pfn)), bits.Len(uint(n))-1, MaxOrder)
+		b.freeLocked(pfn, o)
+		pfn += 1 << o
+		n -= 1 << o
+	}
 }
 
 func (b *buddy) freeCount() uint64 { return uint64(b.nfree.Load()) }
@@ -245,7 +295,7 @@ func (b *buddy) allocHighFrames(out []arch.PFN, dontSplit int) int {
 	defer b.mu.Unlock()
 	defer b.publish()
 	got := 0
-	for pfn := b.n - 1; pfn >= 0 && got < len(out); pfn-- {
+	for pfn := int(b.highestFree()); pfn >= 0 && got < len(out); pfn-- {
 		if !b.isFree[pfn] || int(b.order[pfn]) >= dontSplit {
 			continue
 		}
@@ -324,14 +374,21 @@ func (c *pcpCache) fill(batch []arch.PFN) {
 	c.frames = append(c.frames, batch...)
 }
 
-// push caches a freed frame and reports whether the cache reached its
-// high-water mark, in which case the caller must spill a batch back to
-// the buddy.
-func (c *pcpCache) push(pfn arch.PFN) bool {
+// pushN caches the freed frames buf[:k]. If that takes the cache to its
+// high-water mark, the oldest batch leaves through buf for the caller to
+// return to the buddy (n = pcpBatch, else 0): the cache keeps the frames
+// freed last, whose payloads are the warm ones, and what it held longest
+// — the stragglers that keep their buddies from coalescing — goes first.
+func (c *pcpCache) pushN(buf *[pcpBatch]arch.PFN, k int) (n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.frames = append(c.frames, pfn)
-	return len(c.frames) >= pcpHigh
+	c.frames = append(c.frames, buf[:k]...)
+	if len(c.frames) < pcpHigh {
+		return 0
+	}
+	n = copy(buf[:], c.frames)
+	c.frames = c.frames[:copy(c.frames, c.frames[n:])]
+	return n
 }
 
 func (c *pcpCache) len() int {

@@ -72,7 +72,7 @@ var ErrNotMovable = fmt.Errorf("mem: frame not movable")
 // pinCandidate pins src if it looks like a movable page — an exclusive
 // (MapCount==1, Ref==1 before the pin) anonymous order-0 frame with a
 // reverse-map hint — and returns the hint. All pre-pin probes read only
-// atomics; Kind is read after the pin, whose CAS acquires initFrame's
+// atomics; Kind is read after the pin, whose CAS acquires initFrames'
 // Ref release, so the descriptor fields are stable. On any mismatch the
 // pin is dropped and ok is false.
 func (m *PhysMem) pinCandidate(core int, src arch.PFN) (owner any, va uint64, ok bool) {
@@ -195,7 +195,7 @@ func (m *PhysMem) CompactZone(core, node, maxPages int) int {
 		run := 0
 		for i, req := range reqs {
 			if i < got && targets[i] > req.Src {
-				m.initFrame(targets[i], KindAnon, 0)
+				m.initFrames(KindAnon, 0, targets[i])
 				reqs[i].Dst = targets[i]
 				run++
 			} else {

@@ -66,25 +66,17 @@ type FrameDesc struct {
 	// Atomic because the compaction scanner inspects candidate frames
 	// lock-free while ShatterBlock may rewrite it concurrently.
 	order atomic.Uint32
-
 	// Node is the NUMA node owning this frame — a static tag assigned
 	// at boot from the zone layout; Audit cross-checks it against the
 	// owning zone.
 	Node int32
-
-	// PT points to page-table-layer state (lock, level, stale flag,
-	// per-PTE metadata array) when Kind == KindPT. Declared as any to
-	// keep the dependency direction mem <- pt.
-	PT any
-
-	// RMap is the reverse-mapping record: for file pages the owning
-	// *File and page index; for anonymous pages the owning address
-	// space. Reverse mappings are hints (§4.5): consumers must re-check
-	// through the transactional interface.
-	RMap RMapRef
-
-	// words is the PT-page payload: 512 PTEs accessed atomically.
-	words *[arch.PTEntries]uint64
+	// aliased marks a payload that is a sub-slice of another frame's
+	// buffer (ShatterBlock children); such a payload is never kept.
+	aliased bool
+	// tail is head-PFN+1 when this frame is a non-head member of a
+	// multi-frame (huge) block, 0 otherwise. Atomic because ShatterBlock
+	// clears it while the compaction scanner probes candidates lock-free.
+	tail atomic.Int64
 	// data is the data payload of the frame's current life, installed on
 	// first touch. Published by CAS: two cores may race the first touch
 	// of a shared frame, so the winner installs the buffer and losers
@@ -95,13 +87,6 @@ type FrameDesc struct {
 	// that sits in a pcp cache, or was popped from one and not touched
 	// since, has one.
 	spare atomic.Pointer[[]byte]
-	// aliased marks a payload that is a sub-slice of another frame's
-	// buffer (ShatterBlock children); such a payload is never kept.
-	aliased bool
-	// tail is head-PFN+1 when this frame is a non-head member of a
-	// multi-frame (huge) block, 0 otherwise. Atomic because ShatterBlock
-	// clears it while the compaction scanner probes candidates lock-free.
-	tail atomic.Int64
 
 	// anonVA is the migration reverse-map hint: the VA (never 0 for a
 	// mapped page — VA 0 is unmapped by construction) at which an
@@ -110,14 +95,35 @@ type FrameDesc struct {
 	// revalidates through the lock protocol before trusting it.
 	anonVA atomic.Uint64
 	// anonOwner is the owning address space for the anonVA hint, stored
-	// before anonVA publishes (always a concrete *core.AddrSpace, held as
-	// any to keep the dependency direction mem <- core). Never cleared —
-	// a stale owner is harmless because validation rejects mismatches.
-	anonOwner atomic.Value
+	// before anonVA publishes. Never cleared — a stale owner is harmless
+	// because validation rejects mismatches.
+	anonOwner atomic.Pointer[AnonOwner]
 	// access packs the NUMA access-streak telemetry:
 	// (node+1)<<32 | streak. Lossy — concurrent updates may drop counts.
 	access atomic.Uint64
+
+	// words is the PT-page payload: 512 PTEs accessed atomically.
+	words *[arch.PTEntries]uint64
+	// PT points to page-table-layer state (lock, level, stale flag,
+	// per-PTE metadata array) when Kind == KindPT. Declared as any to
+	// keep the dependency direction mem <- pt.
+	PT any
+	// RMap is the reverse-mapping record of a named page: the owning
+	// *File and page index. Reverse mappings are hints (§4.5): consumers
+	// must re-check through the transactional interface.
+	RMap RMapRef
+
+	// Two cache lines exactly (TestFrameDescSize): the words the anonymous
+	// page lifecycle touches first, and no line shared with a neighbour.
+	_ [8]byte
 }
+
+// AnonOwner is the identity an address space records anonymous
+// reverse-map hints under. Frames point at it, so the hint's owner is
+// one word whatever the concrete type of Space (a *core.AddrSpace for
+// every space the migrator can move pages of; held as any to keep the
+// dependency direction mem <- core).
+type AnonOwner struct{ Space any }
 
 // Order returns the buddy order the frame was allocated with (head only).
 func (d *FrameDesc) Order() int { return int(d.order.Load()) }
@@ -125,21 +131,25 @@ func (d *FrameDesc) Order() int { return int(d.order.Load()) }
 // Tail reports whether this frame is a non-head member of a huge block.
 func (d *FrameDesc) Tail() bool { return d.tail.Load() != 0 }
 
-// SetAnonRMap records the migration reverse-map hint: owner (an address
-// space) maps this frame exclusively at va. Owner is stored first so a
-// reader that observes the VA also observes its owner.
-func (d *FrameDesc) SetAnonRMap(owner any, va uint64) {
-	d.anonOwner.Store(owner)
+// SetAnonRMap records the migration reverse-map hint: owner maps this
+// frame exclusively at va. Owner is stored first — and only when it
+// changed, which a recycled frame's rarely has — so a reader that
+// observes the VA also observes its owner.
+func (d *FrameDesc) SetAnonRMap(owner *AnonOwner, va uint64) {
+	if d.anonOwner.Load() != owner {
+		d.anonOwner.Store(owner)
+	}
 	d.anonVA.Store(va)
 }
 
-// AnonRMap returns the recorded hint (owner, va); va == 0 means no hint.
+// AnonRMap returns the recorded hint (owning space, va); va == 0 means
+// no hint.
 func (d *FrameDesc) AnonRMap() (any, uint64) {
 	va := d.anonVA.Load()
 	if va == 0 {
 		return nil, 0
 	}
-	return d.anonOwner.Load(), va
+	return d.anonOwner.Load().Space, va
 }
 
 // ClearAnonRMap drops the hint (unmap, COW sharing, huge collapse).
@@ -150,14 +160,13 @@ func (d *FrameDesc) ClearAnonRMap() {
 	}
 }
 
-// RMapRef identifies the logical owner of a frame for reverse mapping.
+// RMapRef identifies the logical owner of a named frame for reverse
+// mapping (private anonymous pages use the AnonRMap hint instead).
 type RMapRef struct {
 	// File is non-nil for named (file-backed or kernel-named shared
 	// anonymous) pages; Index is the page index within the file.
 	File  *File
 	Index uint64
-	// Anon is the owning address space for private anonymous pages.
-	Anon any
 }
 
 // ReclaimHook is the direct-reclaim callback the core layer registers:
@@ -330,13 +339,6 @@ func (m *PhysMem) toBuddy(z int, pfns []arch.PFN) {
 	m.zones[z].buddy.freeBatch(pfns)
 }
 
-// spill moves one batch from core's full cache back to its home zone.
-func (m *PhysMem) spill(core int) {
-	var over [pcpBatch]arch.PFN
-	n := m.pcp[core].popN(over[:])
-	m.toBuddy(m.coreNode(core), over[:n])
-}
-
 // allocSlow is the allocation slow path, entered on buddy exhaustion.
 // Rung one drains the pcp caches back to the buddy and retries. For
 // order > 0 requests it then tries direct compaction — fragmentation is
@@ -419,13 +421,9 @@ func (m *PhysMem) AllocFrameOn(core, node int, kind Kind) (arch.PFN, error) {
 		// high end so they never pin a block compaction could otherwise
 		// re-form. On exhaustion fall through to the ordinary path: a
 		// badly placed PT page beats a failed allocation.
-		if pfn, ok = m.zonelistAllocUnmovable(core, node); ok {
-			m.initFrame(pfn, kind, 0)
-			m.checkPressure(node)
-			return pfn, nil
-		}
+		pfn, ok = m.zonelistAllocUnmovable(core, node)
 	}
-	if node == m.coreNode(core) {
+	if !ok && node == m.coreNode(core) {
 		pfn, ok = m.pcp[core].pop()
 		if !ok {
 			pfn, ok = m.refill(core)
@@ -443,7 +441,7 @@ func (m *PhysMem) AllocFrameOn(core, node int, kind Kind) (arch.PFN, error) {
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
-	m.initFrame(pfn, kind, 0)
+	m.initFrames(kind, 0, pfn)
 	m.checkPressure(node)
 	return pfn, nil
 }
@@ -488,9 +486,7 @@ func (m *PhysMem) AllocFrameBatch(core int, kind Kind, out []arch.PFN) int {
 			return n == len(out)
 		})
 	}
-	for _, pfn := range out[:n] {
-		m.initFrame(pfn, kind, 0)
-	}
+	m.initFrames(kind, 0, out[:n]...)
 	m.checkPressure(node)
 	return n
 }
@@ -526,43 +522,50 @@ func (m *PhysMem) AllocFrames(core int, order int, kind Kind) (arch.PFN, error) 
 		}
 		return 0, ErrOutOfMemory
 	}
-	m.initFrame(pfn, kind, uint8(order))
+	m.initFrames(kind, uint32(order), pfn)
 	m.checkPressure(node)
 	return pfn, nil
 }
 
-func (m *PhysMem) initFrame(pfn arch.PFN, kind Kind, order uint8) {
-	d := &m.frames[pfn]
-	d.Kind = kind
-	d.order.Store(uint32(order))
-	d.Ref.Store(1)
-	d.MapCount.Store(0)
-	d.PT = nil
-	d.RMap = RMapRef{}
-	// Frames enter the allocator through Put (which clears data) or at
-	// init (zero value), so this store almost never runs; the load-guard
-	// keeps the write barrier off the allocation fast path.
-	if d.data.Load() != nil {
-		d.data.Store(nil)
+// initFrames starts a life of each block of 2^order frames headed at one
+// of pfns, with Ref == 1. A frame arrives as Put or boot left it — PT,
+// RMap and words nil, no MapCount, no payload published — so a word is
+// stored only when it has to change; the guards read a frame nobody else
+// holds yet. Ref is an unconditional atomic store, and the last one: the
+// compaction scanner TryGets lock-free, and its CAS acquires everything
+// written before.
+func (m *PhysMem) initFrames(kind Kind, order uint32, pfns ...arch.PFN) {
+	for _, pfn := range pfns {
+		d := &m.frames[pfn]
+		d.Kind = kind
+		if d.order.Load() != order {
+			d.order.Store(order)
+		}
+		if d.MapCount.Load() != 0 {
+			d.MapCount.Store(0)
+		}
+		// Payload and migration/NUMA hints of an earlier life must not leak
+		// into this one. Put dropped data and anonVA, so only access — lossy
+		// telemetry written all through a life — is ever dirty here.
+		if d.data.Load() != nil {
+			d.data.Store(nil)
+		}
+		if d.anonVA.Load() != 0 {
+			d.anonVA.Store(0)
+		}
+		if d.access.Load() != 0 {
+			d.access.Store(0)
+		}
+		if kind == KindPT {
+			d.words = new([arch.PTEntries]uint64)
+			d.dropSpare() // a PT page reached through the pcp fallback
+		}
+		for i := arch.PFN(1); i < 1<<order; i++ {
+			m.frames[pfn+i].tail.Store(int64(pfn) + 1)
+		}
+		d.Ref.Store(1)
 	}
-	// Migration/NUMA hints from the frame's previous life must not leak
-	// into the new one; load-guarded like data to keep the fast path dry.
-	if d.anonVA.Load() != 0 {
-		d.anonVA.Store(0)
-	}
-	if d.access.Load() != 0 {
-		d.access.Store(0)
-	}
-	if kind == KindPT {
-		d.words = new([arch.PTEntries]uint64)
-		d.dropSpare() // a PT page reached through the pcp fallback
-	} else {
-		d.words = nil
-	}
-	for i := arch.PFN(1); i < 1<<order; i++ {
-		m.frames[pfn+i].tail.Store(int64(pfn) + 1)
-	}
-	m.kinds[kind].Add(1 << order)
+	m.kinds[kind].Add(int64(len(pfns)) << order)
 }
 
 // dropSpare releases a kept payload to the Go collector. Load-guarded
@@ -614,7 +617,47 @@ func (m *PhysMem) GetN(pfn arch.PFN, n int64) {
 }
 
 // Put drops a reference on pfn; the frame is freed when the count hits 0.
-func (m *PhysMem) Put(core int, pfn arch.PFN) {
+func (m *PhysMem) Put(core int, pfn arch.PFN) { m.PutRun(core, pfn, 1) }
+
+// PutRun drops one reference on each of the n frames head, head+1, …,
+// head+n-1 — what n Puts do, but the kind counters move once per run,
+// the core's cache is locked once per pcpBatch freed frames and what
+// overflows it reaches the zone as runs. Every frame still gets its own
+// reference drop, so a shared frame inside the run survives.
+func (m *PhysMem) PutRun(core int, head arch.PFN, n int) {
+	b := putBatch{m: m, core: core, home: m.coreNode(core)}
+	for i := range arch.PFN(n) {
+		b.put(head + i)
+	}
+	b.flush()
+}
+
+// PutList is PutRun over the frames of pfns, in order.
+func (m *PhysMem) PutList(core int, pfns []arch.PFN) {
+	b := putBatch{m: m, core: core, home: m.coreNode(core)}
+	for _, pfn := range pfns {
+		b.put(pfn)
+	}
+	b.flush()
+}
+
+// putBatch is the state of one PutRun or PutList call.
+type putBatch struct {
+	m     *PhysMem
+	core  int
+	home  int             // core's node, whose frames its cache takes
+	kinds [numKinds]int64 // frames freed per kind, settled by flush
+	n     int
+	buf   [pcpBatch]arch.PFN // buf[:n]: freed frames bound for core's cache
+}
+
+// put drops one reference on pfn and, when it was the last, ends the
+// frame's life. Only the descriptor words that life dirtied are stored
+// to: the guards read a frame whose count just hit zero, which nobody
+// else may write, and a skipped store would have written the value
+// lock-free readers see anyway.
+func (b *putBatch) put(pfn arch.PFN) {
+	m := b.m
 	d := &m.frames[pfn]
 	n := d.Ref.Add(-1)
 	switch {
@@ -624,11 +667,17 @@ func (m *PhysMem) Put(core int, pfn arch.PFN) {
 		panic("mem: Put on free frame")
 	}
 	order := int(d.order.Load())
-	m.kinds[d.Kind].Add(-(1 << order))
+	b.kinds[d.Kind] += 1 << order
 	d.Kind = KindFree
-	d.PT = nil
-	d.RMap = RMapRef{}
-	d.words = nil
+	if d.PT != nil {
+		d.PT = nil
+	}
+	if d.RMap != (RMapRef{}) {
+		d.RMap = RMapRef{}
+	}
+	if d.words != nil {
+		d.words = nil
+	}
 	if d.anonVA.Load() != 0 {
 		d.anonVA.Store(0)
 	}
@@ -639,7 +688,7 @@ func (m *PhysMem) Put(core int, pfn arch.PFN) {
 	// Only home-node frames enter the core's cache; off-node frames go
 	// straight back to their owning zone so every pcp cache (and the
 	// batches it spills) stays node-pure.
-	cached := order == 0 && z == m.coreNode(core)
+	cached := order == 0 && z == b.home
 	if p := d.data.Load(); p != nil { // only touched data frames pay
 		d.data.Store(nil)
 		// A self-owned 4-KiB buffer rides along into the cache for the
@@ -652,14 +701,36 @@ func (m *PhysMem) Put(core int, pfn arch.PFN) {
 		}
 		d.aliased = false
 	}
-	if cached {
-		if m.pcp[core].push(pfn) {
-			m.spill(core)
-		}
+	if !cached {
+		d.dropSpare()
+		m.zones[z].buddy.free(pfn, order)
 		return
 	}
-	d.dropSpare()
-	m.zones[z].buddy.free(pfn, order)
+	if b.n == len(b.buf) {
+		b.cache()
+	}
+	b.buf[b.n] = pfn
+	b.n++
+}
+
+// cache hands buf[:n] to the core's cache and returns the batch the
+// cache gives up in exchange, if any, to the home zone.
+func (b *putBatch) cache() {
+	if over := b.m.pcp[b.core].pushN(&b.buf, b.n); over > 0 {
+		b.m.toBuddy(b.home, b.buf[:over])
+	}
+	b.n = 0
+}
+
+func (b *putBatch) flush() {
+	if b.n > 0 {
+		b.cache()
+	}
+	for k, n := range b.kinds {
+		if n != 0 {
+			b.m.kinds[k].Add(-n)
+		}
+	}
 }
 
 // Words returns the PTE array of a page-table frame.

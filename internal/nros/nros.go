@@ -143,9 +143,7 @@ func (s *Space) syncReplica(core int, r *replica, target int) error {
 		// Every replica computes an identical freed list (they all see
 		// the same mappings); the last applier releases its copy.
 		if o.pending.Add(-1) == 0 && o.kind == opUnmap {
-			for _, pfn := range freed {
-				s.m.Phys.Put(core, pfn)
-			}
+			s.m.Phys.PutList(core, freed)
 		}
 	}
 	return nil
@@ -192,9 +190,7 @@ func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.V
 	for off := uint64(0); off < size; off += arch.PageSize {
 		pfn, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
 		if err != nil {
-			for _, p := range frames {
-				s.m.Phys.Put(core, p)
-			}
+			s.m.Phys.PutList(core, frames)
 			return 0, err
 		}
 		frames = append(frames, pfn)
@@ -216,9 +212,7 @@ func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, 
 	for off := uint64(0); off < size; off += arch.PageSize {
 		pfn, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
 		if err != nil {
-			for _, p := range frames {
-				s.m.Phys.Put(core, p)
-			}
+			s.m.Phys.PutList(core, frames)
 			return err
 		}
 		frames = append(frames, pfn)
@@ -345,12 +339,13 @@ func (s *Space) Destroy(core int) {
 	for _, r := range s.replicas {
 		_ = s.syncReplica(core, r, -1)
 	}
+	var frames []arch.PFN
 	for i, r := range s.replicas {
 		first := i == 0
 		r.mu.Lock()
 		r.tree.Destroy(core, func(pte uint64, level int) {
 			if first {
-				s.m.Phys.Put(core, s.isa.PFNOf(pte))
+				frames = append(frames, s.isa.PFNOf(pte))
 			}
 		})
 		r.mu.Unlock()
@@ -359,6 +354,7 @@ func (s *Space) Destroy(core int) {
 	if !s.m.ASIDRecycling() {
 		s.m.TLB.ShootdownAllSync(core, s.asid)
 	}
+	s.m.Phys.PutList(core, frames)
 	s.m.FreeASID(s.asid)
 }
 

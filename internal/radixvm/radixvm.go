@@ -214,9 +214,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 		// full-ASID escape hatch for large batches anymore.
 		s.m.TLB.ShootdownRanges(core, s.asid, flush)
 	}
-	for _, pfn := range freed {
-		s.m.Phys.Put(core, pfn)
-	}
+	s.m.Phys.PutList(core, freed)
 	return nil
 }
 
@@ -400,12 +398,13 @@ func (s *Space) Destroy(core int) {
 	}
 	// Free mapped frames via the shards (each mapping holds the base
 	// reference; replica PTEs hold one more each).
+	var frames []arch.PFN
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, mp := range sh.pages {
 			if mp.frame != arch.NoPFN {
-				s.m.Phys.Put(core, mp.frame)
+				frames = append(frames, mp.frame)
 			}
 		}
 		sh.pages = make(map[arch.Vaddr]*mapping)
@@ -414,7 +413,7 @@ func (s *Space) Destroy(core int) {
 	for _, r := range s.replicas {
 		r.mu.Lock()
 		r.tree.Destroy(core, func(pte uint64, level int) {
-			s.m.Phys.Put(core, s.isa.PFNOf(pte))
+			frames = append(frames, s.isa.PFNOf(pte))
 		})
 		r.mu.Unlock()
 	}
@@ -422,6 +421,7 @@ func (s *Space) Destroy(core int) {
 	if !s.m.ASIDRecycling() {
 		s.m.TLB.ShootdownAllSync(core, s.asid)
 	}
+	s.m.Phys.PutList(core, frames)
 	s.m.FreeASID(s.asid)
 }
 

@@ -22,7 +22,7 @@ type slot struct {
 }
 
 // FrameRun is a run of physically contiguous frame heads queued for
-// release: Head, Head+1, …, Head+N-1, one Put each.
+// release: Head, Head+1, …, Head+N-1, one reference each.
 type FrameRun struct {
 	Head arch.PFN
 	N    uint32
@@ -31,7 +31,7 @@ type FrameRun struct {
 // FramePutter is the frame allocator that deferred frame frees go back
 // to (*mem.PhysMem).
 type FramePutter interface {
-	Put(core int, pfn arch.PFN)
+	PutRun(core int, head arch.PFN, n int)
 }
 
 // callback is one deferred action with the epoch at which it was queued:
@@ -53,9 +53,7 @@ func (cb *callback) run() {
 		return
 	}
 	for _, r := range cb.runs {
-		for i := uint32(0); i < r.N; i++ {
-			cb.frames.Put(cb.core, r.Head+arch.PFN(i))
-		}
+		cb.frames.PutRun(cb.core, r.Head, int(r.N))
 	}
 }
 

@@ -188,15 +188,20 @@ func BenchmarkReadSectionParallel(b *testing.B) {
 	})
 }
 
-// putLog records Puts in order; it stands in for *mem.PhysMem.
+// putLog records released frames in order, and how many calls carried
+// them; it stands in for *mem.PhysMem.
 type putLog struct {
-	core []int
-	pfn  []arch.PFN
+	core  []int
+	pfn   []arch.PFN
+	calls int
 }
 
-func (p *putLog) Put(core int, pfn arch.PFN) {
-	p.core = append(p.core, core)
-	p.pfn = append(p.pfn, pfn)
+func (p *putLog) PutRun(core int, head arch.PFN, n int) {
+	p.calls++
+	for i := 0; i < n; i++ {
+		p.core = append(p.core, core)
+		p.pfn = append(p.pfn, head+arch.PFN(i))
+	}
 }
 
 // TestDeferPutIsOneCallback: a typed frame free waits for the same
@@ -220,8 +225,8 @@ func TestDeferPutIsOneCallback(t *testing.T) {
 	d.ReadUnlock(1)
 	d.Poll()
 	want := []arch.PFN{10, 11, 12, 40}
-	if len(log.pfn) != len(want) {
-		t.Fatalf("put %v, want %v", log.pfn, want)
+	if len(log.pfn) != len(want) || log.calls != len(runs) {
+		t.Fatalf("put %v in %d calls, want %v in one call per run", log.pfn, log.calls, want)
 	}
 	for i, pfn := range want {
 		if log.pfn[i] != pfn || log.core[i] != 0 {
@@ -276,7 +281,7 @@ func TestDeferPutSteadyStateAllocatesNothing(t *testing.T) {
 
 type nopPutter struct{}
 
-func (nopPutter) Put(int, arch.PFN) {}
+func (nopPutter) PutRun(int, arch.PFN, int) {}
 
 // TestPollRacingDeferNoUseAfterFree: the poller is its own goroutine, so
 // a callback can be queued — and a reader can enter — between a Poll's

@@ -22,9 +22,7 @@ func (s *Space) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
 	s.mmapLock.RUnlock()
 	s.m.TLB.ShootdownAllSync(core, s.asid)
 	s.unchargePages(freed)
-	for _, pfn := range freed {
-		s.m.Phys.Put(core, pfn)
-	}
+	s.m.Phys.PutList(core, freed)
 	return nil
 }
 
@@ -157,7 +155,7 @@ func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 	s.tree.SetPTE(leafPT, idx, s.isa.EncodeLeaf(frame, hwPerm, 1))
 	head := s.m.Phys.HeadOf(frame)
 	s.m.Phys.Desc(head).MapCount.Add(1)
-	s.chargePage(core, frame)
+	s.chargePage(core, frame, page)
 	return nil
 }
 

@@ -53,6 +53,9 @@ type Space struct {
 	lruMu    sync.Mutex
 	lru      map[arch.PFN]struct{}
 	pagevecs []pagevec
+	// anonOwner is the anon reverse mapping's owner record; its Space
+	// stays nil, so no migrator takes a baseline's page for a candidate.
+	anonOwner mem.AnonOwner
 
 	stats mm.Stats
 }
@@ -66,11 +69,11 @@ type pagevec struct {
 
 // chargePage accounts a newly faulted page: cgroup charge, anon rmap,
 // and (batched) LRU insertion.
-func (s *Space) chargePage(core int, frame arch.PFN) {
+func (s *Space) chargePage(core int, frame arch.PFN, va arch.Vaddr) {
 	s.memcg.Add(1)
 	d := s.m.Phys.Desc(s.m.Phys.HeadOf(frame))
 	if d.RMap.File == nil {
-		d.RMap.Anon = s
+		d.SetAnonRMap(&s.anonOwner, uint64(va))
 	}
 	pv := &s.pagevecs[core]
 	pv.pages[pv.n] = frame
@@ -277,9 +280,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 
 	s.m.TLB.ShootdownRange(core, s.asid, lo, hi)
 	s.unchargePages(freed)
-	for _, pfn := range freed {
-		s.m.Phys.Put(core, pfn)
-	}
+	s.m.Phys.PutList(core, freed)
 	return nil
 }
 
@@ -369,9 +370,7 @@ func (s *Space) Destroy(core int) {
 	if !s.m.ASIDRecycling() {
 		s.m.TLB.ShootdownAllSync(core, s.asid)
 	}
-	for _, pfn := range frames {
-		s.m.Phys.Put(core, pfn)
-	}
+	s.m.Phys.PutList(core, frames)
 	s.m.FreeASID(s.asid)
 }
 
