@@ -70,13 +70,9 @@ func TestBulkRangeEventCounts(t *testing.T) {
 				}
 				deferred := m.RCU.Stats().Deferred - rcu0
 				m.Quiesce()
-				// Beside the frame-free callback, CortenMM_adv defers one
-				// closure per page-table page it unlinked; CortenMM_rw frees
-				// those on the spot.
-				want := uint64(1)
-				if p == ProtocolAdv {
-					want += uint64(ptPages - m.Phys.KindFrames(mem.KindPT))
-				}
+				// Beside the frame-free callback, both protocols defer one
+				// closure per page-table page they unlinked.
+				want := 1 + uint64(ptPages-m.Phys.KindFrames(mem.KindPT))
 				if deferred != want {
 					t.Errorf("unmap deferred %d callbacks, want %d", deferred, want)
 				}
@@ -175,9 +171,9 @@ func TestFaultedChunkFreesAsOneRun(t *testing.T) {
 		if err := a.Store(0, va+arch.Vaddr(i)*arch.PageSize, 1); err != nil {
 			t.Fatal(err)
 		}
-		x, err := a.translate(0, va+arch.Vaddr(i)*arch.PageSize, pt.AccessRead)
-		if err != nil {
-			t.Fatal(err)
+		x, ok := a.tree.WalkAccess(va+arch.Vaddr(i)*arch.PageSize, pt.AccessRead)
+		if !ok {
+			t.Fatalf("page %d not mapped after a store", i)
 		}
 		pfns[i] = x.PFN
 	}

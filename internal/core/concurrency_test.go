@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -319,6 +320,77 @@ func TestRWvsAdvEquivalence(t *testing.T) {
 	for va, b := range rw {
 		if adv[va] != b {
 			t.Errorf("divergence at %#x: rw=%d adv=%d", va, b, adv[va])
+		}
+	}
+}
+
+// TestWalkerVsPrune: the simulated MMU walker takes no PT-page lock
+// under either protocol, so a leaf table an unmap prunes must outlive
+// every access that may already be inside it. Core 1 maps 4 MiB at a
+// fixed address (two level-2 entries, so the level-2 page covers the
+// range and the unmap prunes the leaf tables below it), faults one page
+// and unmaps; core 0 accesses the range all the while. Every access
+// returns nil or ErrSegv; before removeChild and Touch went through the
+// RCU monitor and a read section, one walked a freed PT page and the
+// process died with "mem: frame … is not a PT page".
+func TestWalkerVsPrune(t *testing.T) {
+	const base = arch.Vaddr(1) << 30
+	const size = 4 << 20
+	rounds := 10000
+	if raceEnabled {
+		rounds = 1000
+	}
+	accesses := []struct {
+		name string
+		do   func(a *AddrSpace, va arch.Vaddr) error
+	}{
+		{"touch", func(a *AddrSpace, va arch.Vaddr) error { return a.Touch(0, va, pt.AccessRead) }},
+		{"load", func(a *AddrSpace, va arch.Vaddr) error { _, err := a.Load(0, va); return err }},
+		{"store", func(a *AddrSpace, va arch.Vaddr) error { return a.Store(0, va, 1) }},
+	}
+	for _, p := range protocols {
+		for _, acc := range accesses {
+			t.Run(p.String()+"/"+acc.name, func(t *testing.T) {
+				// A tick per operation, so deferred frees run as early as
+				// the grace period allows.
+				m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14, TickEvery: 1})
+				a, err := New(Options{Machine: m, Protocol: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var done atomic.Bool
+				m.Run(2, func(core int) {
+					if core == 0 {
+						for i := 0; !done.Load(); i++ {
+							// Byte 1 of a page is core 0's, byte 0 core 1's.
+							va := base + arch.Vaddr(i%16)*arch.PageSize + 1
+							if err := acc.do(a, va); err != nil && !errors.Is(err, errSegv) {
+								t.Errorf("access %#x: %v", va, err)
+								return
+							}
+						}
+						return
+					}
+					defer done.Store(true)
+					for i := 0; i < rounds; i++ {
+						if err := a.MmapFixed(1, base, size, arch.PermRW, 0); err != nil {
+							t.Errorf("round %d: mmap: %v", i, err)
+							return
+						}
+						if err := a.Store(1, base+9*arch.PageSize, 7); err != nil {
+							t.Errorf("round %d: store: %v", i, err)
+							return
+						}
+						if err := a.Munmap(1, base, size); err != nil {
+							t.Errorf("round %d: munmap: %v", i, err)
+							return
+						}
+					}
+				})
+				checkQuiet(t, a)
+				a.Destroy(0)
+				checkClean(t, m)
+			})
 		}
 	}
 }

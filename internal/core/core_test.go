@@ -353,8 +353,8 @@ func TestTable2FeatureMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x, err := n.translate(0, va, pt.AccessRead); err != nil || m.Phys.FrameNode(x.PFN) != 1 {
-		t.Errorf("core 0's page under a node-1 policy: %+v, %v", x, err)
+	if x, ok := n.tree.WalkAccess(va, pt.AccessRead); !ok || m.Phys.FrameNode(x.PFN) != 1 {
+		t.Errorf("core 0's page under a node-1 policy: %+v, mapped %v", x, ok)
 	}
 }
 

@@ -417,21 +417,19 @@ func (c *RCursor) noteFlush(va arch.Vaddr, level int) {
 	c.flush = append(c.flush, tlb.Range{Lo: va, Hi: hi})
 }
 
-// removeChild unlinks an (empty) child PT page from its parent and frees
-// it according to the protocol: immediately under CortenMM_rw (no
-// lockless readers exist), via stale-marking plus the RCU monitor under
-// CortenMM_adv (Figure 6, L29-L34).
+// removeChild unlinks an (empty) child PT page from its parent and
+// frees it via stale-marking plus the RCU monitor (Figure 6, L29-L34).
+// Both protocols need the grace period: CortenMM_adv for its lockless
+// traversal, and either for the simulated MMU walker (access), which
+// takes no PT-page lock and may already be inside the page.
 func (c *RCursor) removeChild(parent arch.PFN, idx int, child arch.PFN) {
 	a := c.a
 	a.tree.SetPTE(parent, idx, 0)
-	if a.proto != ProtocolAdv {
-		a.tree.ReleasePTPage(c.core, child)
-		return
-	}
 	st := a.state(child)
 	st.Stale.Store(true)
-	c.untrackLocked(child)
-	st.Mu.Unlock()
+	if c.untrackLocked(child) {
+		st.Mu.Unlock()
+	}
 	core := c.core
 	a.m.RCU.Defer(func() { a.tree.ReleasePTPage(core, child) })
 	a.reapBacklogged(core)

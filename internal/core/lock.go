@@ -236,16 +236,18 @@ func (c *RCursor) trackLocked(pfn arch.PFN) {
 }
 
 // untrackLocked removes a page from the locked set (it is about to be
-// unlocked mid-transaction because it is being freed). Transactions are
+// unlocked mid-transaction because it is being freed) and reports
+// whether it was there — under CortenMM_rw nothing is. Transactions are
 // small in the common case, so a backwards linear scan beats a map —
 // removals also tend to hit recently locked pages.
-func (c *RCursor) untrackLocked(pfn arch.PFN) {
+func (c *RCursor) untrackLocked(pfn arch.PFN) bool {
 	for i := len(c.locked) - 1; i >= 0; i-- {
 		if c.locked[i] == pfn {
 			c.locked[i] = arch.NoPFN
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // Close ends the transaction: locks are released in reverse acquisition

@@ -278,8 +278,7 @@ func (a *AddrSpace) PopulateRange(core int, va arch.Vaddr, size uint64) error {
 
 // Touch implements mm.MM: one simulated user access, faulting as needed.
 func (a *AddrSpace) Touch(core int, va arch.Vaddr, acc pt.Access) error {
-	_, err := a.translate(core, va, acc)
-	return err
+	return a.access(core, va, acc, nil)
 }
 
 // Load implements mm.MM.
@@ -297,12 +296,16 @@ func (a *AddrSpace) Store(core int, va arch.Vaddr, b byte) error {
 	})
 }
 
-// access performs one simulated user data access. Translation and the
-// byte access happen inside a single RCU read-side critical section:
-// on hardware, an access that has passed translation retires before
-// the unmapping core's shootdown IPI is acknowledged, so the frame
-// cannot be recycled underneath it. The read section models exactly
-// that window — shootAndFree routes data-frame frees through the RCU
+// access performs one simulated user access — TLB lookup, hardware
+// walk, page fault, retry — and hands the page's bytes to fn (nil for a
+// Touch, which moves none). Translation and the byte access happen
+// inside a single RCU read-side critical section, for two reasons. The
+// walker is a lockless reader of PT pages under both protocols, and a
+// pruning unmap hands those to the RCU monitor (removeChild). And on
+// hardware, an access that has passed translation retires before the
+// unmapping core's shootdown IPI is acknowledged, so the frame cannot
+// be recycled underneath it. The read section models exactly that
+// window — shootAndFree routes data-frame frees through the RCU
 // monitor, so a frame whose mapping this core could have observed
 // stays allocated until the access completes. The page-fault path runs
 // outside the section (it takes the address-space lock and must not
@@ -336,7 +339,9 @@ func (a *AddrSpace) access(core int, va arch.Vaddr, acc pt.Access, fn func(page 
 			}
 		}
 		if ok {
-			fn(a.m.Phys.DataPage(tr.PFN), uint64(va&(arch.PageSize-1)))
+			if fn != nil {
+				fn(a.m.Phys.DataPage(tr.PFN), uint64(va&(arch.PageSize-1)))
+			}
 			a.m.RCU.ReadUnlock(core)
 			return nil
 		}
@@ -346,35 +351,6 @@ func (a *AddrSpace) access(core int, va arch.Vaddr, acc pt.Access, fn func(page 
 		}
 	}
 	return fmt.Errorf("core: translation livelock at %#x", va)
-}
-
-// translate is the simulated access path: TLB lookup, hardware walk,
-// page fault, retry.
-func (a *AddrSpace) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translation, error) {
-	if va >= arch.MaxVaddr {
-		return pt.Translation{}, errSegv
-	}
-	if a.destroyed.Load() {
-		return pt.Translation{}, ErrDestroyed
-	}
-	page := arch.PageAlignDown(va)
-	for tries := 0; tries < 64; tries++ {
-		if tr, ok := a.m.TLB.Lookup(core, a.asid, page); ok && tr.Perm.Contains(acc.Needs()) {
-			return tr, nil
-		}
-		fill := a.m.TLB.FillBegin(core, a.asid)
-		if tr, ok := a.tree.WalkAccess(va, acc); ok {
-			a.m.TLB.InsertAt(core, a.asid, page, tr, fill)
-			if tr.Level == 1 {
-				a.m.Phys.NoteAccess(core, tr.PFN)
-			}
-			return tr, nil
-		}
-		if err := a.pageFault(core, va, acc); err != nil {
-			return pt.Translation{}, err
-		}
-	}
-	return pt.Translation{}, fmt.Errorf("core: translation livelock at %#x", va)
 }
 
 // pageFault is the Figure-8 handler with the hardened OOM unwind: a

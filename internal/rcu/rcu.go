@@ -13,12 +13,27 @@ import (
 	"cortenmm/internal/arch"
 )
 
-// slot is a cache-line-padded per-core reader state word: 0 when the core
-// is quiescent, otherwise the epoch observed at entry with bit 0 set.
+// slot is a cache-line-padded per-core reader word: the read-section
+// nesting depth in the low nestBits and, while that is nonzero, the
+// epoch observed by the entrant that raised it from zero above it. One
+// word, so that entering or leaving is one CAS and a second goroutine
+// on the same core id can never be inside a section the word does not
+// show: the first entrant's epoch stands until the last one leaves.
 type slot struct {
-	state atomic.Uint64
-	nest  atomic.Int32 // read-section nesting depth (one goroutine per core)
-	_     [48]byte
+	word atomic.Uint64
+	_    [56]byte
+}
+
+const (
+	nestBits = 16
+	nestMask = 1<<nestBits - 1
+)
+
+// readerEpoch returns the epoch the core's open read section was entered
+// at; ok is false when the core is quiescent.
+func (s *slot) readerEpoch() (epoch uint64, ok bool) {
+	w := s.word.Load()
+	return w >> nestBits, w&nestMask != 0
 }
 
 // FrameRun is a run of physically contiguous frame heads queued for
@@ -64,7 +79,7 @@ const (
 )
 
 // Domain is an independent RCU domain, the analog of a kernel's global
-// RCU state. All epochs are even; a reader's slot holds epoch|1.
+// RCU state.
 type Domain struct {
 	epoch atomic.Uint64
 	slots []slot
@@ -83,32 +98,47 @@ type Domain struct {
 
 // NewDomain creates an RCU domain for the given number of cores.
 func NewDomain(cores int) *Domain {
-	d := &Domain{slots: make([]slot, cores)}
-	d.epoch.Store(2)
-	return d
+	return &Domain{slots: make([]slot, cores)}
 }
 
 // ReadLock enters a read-side critical section on core. Sections nest.
 func (d *Domain) ReadLock(core int) {
-	s := &d.slots[core]
-	if s.nest.Add(1) == 1 {
-		s.state.Store(d.epoch.Load() | 1)
+	s := &d.slots[core].word
+	for {
+		w := s.Load()
+		nw := w + 1
+		if w&nestMask == 0 {
+			nw = d.epoch.Load()<<nestBits | 1
+		}
+		if s.CompareAndSwap(w, nw) {
+			return
+		}
 	}
 }
 
 // ReadUnlock leaves the read-side critical section on core.
 func (d *Domain) ReadUnlock(core int) {
-	s := &d.slots[core]
-	n := s.nest.Add(-1)
-	if n == 0 {
-		s.state.Store(0)
-	} else if n < 0 {
-		panic("rcu: unbalanced ReadUnlock")
+	s := &d.slots[core].word
+	for {
+		w := s.Load()
+		nw := w - 1
+		switch w & nestMask {
+		case 0:
+			panic("rcu: unbalanced ReadUnlock")
+		case 1:
+			nw = 0
+		}
+		if s.CompareAndSwap(w, nw) {
+			return
+		}
 	}
 }
 
 // InReader reports whether core is currently inside a read section.
-func (d *Domain) InReader(core int) bool { return d.slots[core].nest.Load() > 0 }
+func (d *Domain) InReader(core int) bool {
+	_, in := d.slots[core].readerEpoch()
+	return in
+}
 
 // Defer queues fn to run once every reader that might hold a reference
 // to the protected object has left its critical section. This is the RCU
@@ -128,7 +158,7 @@ func (d *Domain) DeferPut(frames FramePutter, core int, runs []FrameRun) int {
 }
 
 func (d *Domain) enqueue(cb callback, runs []FrameRun) int {
-	cb.epoch = d.epoch.Add(2) - 2
+	cb.epoch = d.epoch.Add(1) - 1
 	d.deferred.Add(1)
 	d.mu.Lock()
 	if cb.fn == nil {
@@ -149,11 +179,7 @@ func (d *Domain) enqueue(cb callback, runs []FrameRun) int {
 func (d *Domain) minReaderEpoch() uint64 {
 	min := ^uint64(0)
 	for i := range d.slots {
-		st := d.slots[i].state.Load()
-		if st == 0 {
-			continue
-		}
-		if e := st &^ 1; e < min {
+		if e, in := d.slots[i].readerEpoch(); in && e < min {
 			min = e
 		}
 	}
@@ -226,19 +252,8 @@ func (d *Domain) PollBefore(epoch uint64) {
 // Synchronize blocks until a full grace period has elapsed: every reader
 // active at the time of the call has exited its critical section.
 func (d *Domain) Synchronize() {
-	target := d.epoch.Add(2)
-	for {
-		ok := true
-		for i := range d.slots {
-			st := d.slots[i].state.Load()
-			if st != 0 && st&^1 < target {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
+	target := d.epoch.Add(1)
+	for d.minReaderEpoch() < target {
 	}
 	d.graces.Add(1)
 }

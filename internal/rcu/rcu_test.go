@@ -73,6 +73,91 @@ func TestUnbalancedUnlockPanics(t *testing.T) {
 	NewDomain(1).ReadUnlock(0)
 }
 
+// TestReaderWordNesting: the nesting depth and the entry epoch share one
+// word. The section stays open, at the first entrant's epoch, through
+// any depth of nesting and however far the domain's epoch moves
+// meanwhile, and an unlock too many panics without disturbing the word.
+func TestReaderWordNesting(t *testing.T) {
+	const depth = 1000
+	d := NewDomain(2)
+	var ran atomic.Bool
+	d.ReadLock(0)
+	d.Defer(func() { ran.Store(true) })
+	for i := 1; i < depth; i++ {
+		d.Defer(func() {}) // moves the epoch on between nested entries
+		d.ReadLock(0)
+	}
+	for i := depth; i > 0; i-- {
+		if !d.InReader(0) {
+			t.Fatalf("InReader false at depth %d", i)
+		}
+		d.Poll()
+		if ran.Load() {
+			t.Fatalf("callback queued inside the section ran at depth %d", i)
+		}
+		d.ReadUnlock(0)
+	}
+	if d.InReader(0) || d.InReader(1) {
+		t.Fatal("InReader true after the last exit")
+	}
+	d.Poll()
+	if !ran.Load() {
+		t.Fatal("callback did not run after the last exit")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("unbalanced ReadUnlock after a balanced section did not panic")
+			}
+		}()
+		d.ReadUnlock(0)
+	}()
+	d.ReadLock(0) // the word is still usable
+	if !d.InReader(0) {
+		t.Fatal("InReader false after re-entry")
+	}
+	d.ReadUnlock(0)
+}
+
+// TestSharedCoreIDKeepsSectionOpen: two goroutines on one core id (a
+// reverse-mapping walk beside the core's own access) share the reader
+// word. The first entrant's epoch stands until the last of them leaves,
+// so a callback queued after the first entered stays deferred while the
+// second — who may have seen the object through the first's eyes — is
+// still inside, also for a PollBefore at the current epoch.
+func TestSharedCoreIDKeepsSectionOpen(t *testing.T) {
+	d := NewDomain(1)
+	var ran atomic.Bool
+	entered, leave := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+
+	d.ReadLock(0) // first entrant
+	d.Defer(func() { ran.Store(true) })
+	go func() { // second entrant, at a newer epoch
+		defer wg.Done()
+		d.ReadLock(0)
+		close(entered)
+		<-leave
+		d.ReadUnlock(0)
+	}()
+	<-entered
+	d.ReadUnlock(0) // the first leaves; the second is still inside
+	if !d.InReader(0) {
+		t.Fatal("InReader false with the second goroutine inside")
+	}
+	d.PollBefore(d.Epoch())
+	if ran.Load() {
+		t.Fatal("callback ran while a goroutine sharing the section was inside")
+	}
+	close(leave)
+	wg.Wait()
+	d.PollBefore(d.Epoch())
+	if !ran.Load() || d.InReader(0) {
+		t.Fatalf("after the last exit: ran=%v, InReader=%v", ran.Load(), d.InReader(0))
+	}
+}
+
 func TestSynchronizeWaitsForReaders(t *testing.T) {
 	d := NewDomain(4)
 	d.ReadLock(2)
@@ -113,57 +198,70 @@ func TestBarrierDrainsAll(t *testing.T) {
 
 // The core safety property the RCU monitor gives CortenMM_adv: an object
 // freed via Defer is never reclaimed while a reader that could have seen
-// it is still inside its critical section.
+// it is still inside its critical section — with a core id per reader,
+// and with every reader on core id 0: entering is one CAS, so no
+// goroutine is ever inside a section the shared word does not show,
+// whichever of them raised the depth from zero.
 func TestConcurrentNoUseAfterFree(t *testing.T) {
 	const cores = 8
-	d := NewDomain(cores)
-	type obj struct{ alive atomic.Bool }
-
-	var current atomic.Pointer[obj]
-	first := &obj{}
-	first.alive.Store(true)
-	current.Store(first)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var violations atomic.Int64
-
-	for c := 0; c < cores-1; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				d.ReadLock(c)
-				o := current.Load()
-				if !o.alive.Load() {
-					violations.Add(1)
-				}
-				d.ReadUnlock(c)
-			}
-		}()
-	}
-
-	// Updater: swap the object and defer-free the old one.
-	for i := 0; i < 300; i++ {
-		next := &obj{}
-		next.alive.Store(true)
-		old := current.Swap(next)
-		d.Defer(func() { old.alive.Store(false) })
-		if i%16 == 0 {
-			d.Poll()
+	for _, shared := range []bool{false, true} {
+		name := "core-per-reader"
+		if shared {
+			name = "shared-core-id"
 		}
-	}
-	close(stop)
-	wg.Wait()
-	d.Barrier()
-	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d use-after-free observations", v)
+		t.Run(name, func(t *testing.T) {
+			d := NewDomain(cores)
+			type obj struct{ alive atomic.Bool }
+
+			var current atomic.Pointer[obj]
+			first := &obj{}
+			first.alive.Store(true)
+			current.Store(first)
+
+			var wg sync.WaitGroup
+			var stop atomic.Bool
+			var violations atomic.Int64
+
+			for c := 0; c < cores-1; c++ {
+				c := c
+				if shared {
+					c = 0
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						d.ReadLock(c)
+						o := current.Load()
+						runtime.Gosched()
+						if !o.alive.Load() {
+							violations.Add(1)
+						}
+						d.ReadUnlock(c)
+					}
+				}()
+			}
+
+			// Updater: swap the object and defer-free the old one.
+			for i := 0; i < 2000; i++ {
+				next := &obj{}
+				next.alive.Store(true)
+				old := current.Swap(next)
+				d.Defer(func() { old.alive.Store(false) })
+				d.Poll()
+			}
+			stop.Store(true)
+			wg.Wait()
+			d.Barrier()
+			if v := violations.Load(); v != 0 {
+				t.Fatalf("%d use-after-free observations", v)
+			}
+			for c := 0; c < cores; c++ {
+				if d.InReader(c) {
+					t.Fatalf("InReader(%d) true after every goroutine left", c)
+				}
+			}
+		})
 	}
 }
 

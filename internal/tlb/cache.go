@@ -19,7 +19,9 @@ import (
 // miss, which is always safe for a cache.
 
 // Geometry: nSets sets of nWays slots per core. 2048 entries models an
-// 8-MiB reach, in the range of a real L2 TLB.
+// 8-MiB reach, in the range of a real L2 TLB. A slot is four words, so
+// a set is two cache lines (the allocator aligns arrays this large) and
+// a probe that compares tags first touches nothing else.
 const (
 	setBits = 9
 	nSets   = 1 << setBits
@@ -42,8 +44,37 @@ const (
 // 3 = 1 GiB). Lookup probes both alignments on a base-array miss.
 var hugeLevels = [2]int{2, 3}
 
-// hdrValid tags an occupied slot; the low 32 bits of hdr carry the ASID.
-const hdrValid = uint64(1) << 63
+// Tag word layout: valid | referenced | ASID | VPN, 0 when the slot is
+// empty. A huge entry's VPN is its span base's, whose low bits are zero
+// and carry the leaf level instead, so a 2-MiB and a 1-GiB entry at one
+// base never match each other's probes.
+const (
+	tagValid = uint64(1) << 63
+	// tagRef is the not-recently-used bit: set by a hit, cleared when the
+	// set ages. It is the one bit written outside the seqlock (a CAS on
+	// the tag word alone), so every comparison of tags masks it.
+	tagRef   = uint64(1) << 62
+	vpnBits  = arch.VABits - arch.PageShift
+	asidBits = 62 - vpnBits
+	// noTag stands for a translation the tag cannot name. No slot's
+	// masked tag equals it, so probes for it miss and fills of it are
+	// dropped — which a cache may always do.
+	noTag = tagRef
+)
+
+// makeTag packs (asid, page) into a tag word with the referenced bit
+// clear; low is the level of a huge entry, 0 for a base page. An ASID
+// or address too wide for its field yields noTag, never a truncation
+// that could alias a narrower one.
+func makeTag(asid ASID, va arch.Vaddr, low int) uint64 {
+	if uint64(asid)>>asidBits != 0 || va >= arch.MaxVaddr {
+		return noTag
+	}
+	return tagValid | uint64(asid)<<vpnBits | uint64(va)>>arch.PageShift | uint64(low)
+}
+
+// tagASID extracts the ASID of an occupied slot's tag.
+func tagASID(tag uint64) ASID { return ASID(tag &^ (tagValid | tagRef) >> vpnBits) }
 
 // slot is one cache entry. seq is even when the slot is stable and odd
 // while a writer is mid-update; writers claim it by CAS so a lost race
@@ -51,36 +82,28 @@ const hdrValid = uint64(1) << 63
 // the generation mechanism still bounds staleness).
 type slot struct {
 	seq atomic.Uint64
-	hdr atomic.Uint64 // hdrValid | ASID, 0 when empty
-	va  atomic.Uint64
+	tag atomic.Uint64
 	gen atomic.Uint64 // owning epoch cell's generation at fill time
 	trw atomic.Uint64 // packed translation
 }
 
-// read snapshots the slot. ok=false means a writer was active or the
-// fields were torn; the caller treats the slot as non-matching.
-func (s *slot) read() (hdr, va, gen, trw, seq uint64, ok bool) {
+// read snapshots a slot whose tag word matched want. ok=false means a
+// writer was active, the fields were torn or the slot now holds another
+// entry; the caller treats the slot as non-matching.
+func (s *slot) read(want uint64) (tag, gen, trw, seq uint64, ok bool) {
 	seq = s.seq.Load()
-	if seq&1 != 0 {
-		return 0, 0, 0, 0, 0, false
-	}
-	hdr = s.hdr.Load()
-	va = s.va.Load()
+	tag = s.tag.Load()
 	gen = s.gen.Load()
 	trw = s.trw.Load()
-	if s.seq.Load() != seq {
-		return 0, 0, 0, 0, 0, false
-	}
-	return hdr, va, gen, trw, seq, true
+	return tag, gen, trw, seq, seq&1 == 0 && tag&^tagRef == want && s.seq.Load() == seq
 }
 
 // write publishes a new entry if the slot is still at version seq.
-func (s *slot) write(seq, hdr, va, gen, trw uint64) bool {
+func (s *slot) write(seq, tag, gen, trw uint64) bool {
 	if !s.seq.CompareAndSwap(seq, seq+1) {
 		return false
 	}
-	s.hdr.Store(hdr)
-	s.va.Store(va)
+	s.tag.Store(tag)
 	s.gen.Store(gen)
 	s.trw.Store(trw)
 	s.seq.Store(seq + 2)
@@ -92,7 +115,7 @@ func (s *slot) clear(seq uint64) {
 	if !s.seq.CompareAndSwap(seq, seq+1) {
 		return
 	}
-	s.hdr.Store(0)
+	s.tag.Store(0)
 	s.seq.Store(seq + 2)
 }
 
@@ -125,8 +148,8 @@ func setIndex(asid ASID, va arch.Vaddr) uint64 {
 
 // hugeSetIndex hashes (asid, span base, level) to a huge-array set.
 // Both huge levels share one array; the level participates in the hash
-// and is re-checked on probe, so a 2-MiB and a 1-GiB entry at the same
-// base never alias.
+// and in the tag, so a 2-MiB and a 1-GiB entry at the same base never
+// alias.
 func hugeSetIndex(asid ASID, base arch.Vaddr, level int) uint64 {
 	h := (uint64(base)>>arch.SpanShift(level-1))*0x9E3779B97F4A7C15 +
 		uint64(asid)*0xA24BAED4963EE407 + uint64(level)*0x94D049BB133111EB

@@ -90,8 +90,10 @@ type Invalidation struct {
 // coreStats are per-core counters, padded so cores never share a cache
 // line; Stats() aggregates them.
 type coreStats struct {
-	lookups    atomic.Uint64
-	hits       atomic.Uint64
+	// Every lookup bumps exactly one of hits, hugeHits and misses.
+	hits       atomic.Uint64 // lookups served by the base array
+	hugeHits   atomic.Uint64 // lookups served by the huge-entry array
+	misses     atomic.Uint64
 	shootdowns atomic.Uint64 // shootdown events this core initiated
 	ipis       atomic.Uint64 // remote cores this core's sync shootdowns signalled
 	filtered   atomic.Uint64 // remote cores skipped by presence filtering
@@ -101,18 +103,22 @@ type coreStats struct {
 	evictions  atomic.Uint64 // valid entries displaced by capacity replacement
 	staleDrops atomic.Uint64 // entries discarded by lazy generation checks
 	crossDrops atomic.Uint64 // stale drops caused by another ASID's full flush (cell aliasing)
-	hugeHits   atomic.Uint64 // lookups served by the huge-entry array
 	hugeEvicts atomic.Uint64 // huge entries displaced by capacity replacement
-	_          [40]byte
+	_          [24]byte
 }
 
 // coreTLB is one core's cache, epoch cells and shootdown mailboxes.
 // The slot array is written only via this core's own API calls; the
 // epoch cells take writes from any core.
 type coreTLB struct {
-	slots      []slot      // nSets × nWays 4-KiB cache entries
-	hugeSlots  []slot      // hugeSets × nWays huge-leaf entries (va = span base)
-	cells      []epochCell // asidCells generation cells
+	slots     []slot      // nSets × nWays 4-KiB cache entries
+	hugeSlots []slot      // hugeSets × nWays huge-leaf entries, tagged by span base
+	cells     []epochCell // asidCells generation cells
+	// hugeUsed is set by the core's first huge fill; until then nothing
+	// probes hugeSlots.
+	hugeUsed atomic.Bool
+	// victim and hugeVictim rotate the way evicted from a set whose ways
+	// are all referenced.
 	victim     atomic.Uint32
 	hugeVictim atomic.Uint32
 
@@ -273,82 +279,77 @@ func (m *Machine) Mode() Mode { return m.mode }
 
 // Lookup consults core's TLB for (asid, va). Early-ack mailboxes are
 // drained first, modelling the interrupt arriving before the access.
-// The fast path is mutex-free: a probe of one set plus one generation
-// load; entries whose generation lags are validated against the epoch
-// cell's ring and either re-stamped or discarded.
+// The fast path is mutex-free: four tag loads in one set, then for the
+// matching way a seqlock snapshot, one generation load and one counter;
+// entries whose generation lags are validated against the epoch cell's
+// ring and either re-stamped or discarded.
 func (m *Machine) Lookup(core int, asid ASID, va arch.Vaddr) (pt.Translation, bool) {
 	c := &m.cores[core]
 	if m.mode == ModeEarlyAck && c.inboxN.Load() > 0 {
 		m.drainInbox(c)
 	}
-	c.stats.lookups.Add(1)
-	hdr := hdrValid | uint64(asid)
 	cell := c.cell(asid)
-	set := c.set(asid, va)
-	for i := range set {
-		s := &set[i]
-		shdr, sva, sgen, trw, seq, ok := s.read()
-		if !ok || shdr != hdr || sva != uint64(va) {
-			continue
-		}
-		if cur := cell.gen.Load(); sgen != cur {
-			c.genChecks.Add(1)
-			cur, live, cross := cell.validate(asid, va, va+arch.PageSize, sgen)
-			if !live {
-				c.stats.staleDrops.Add(1)
-				if cross {
-					c.stats.crossDrops.Add(1)
-				}
-				s.clear(seq)
-				continue
-			}
-			s.refreshGen(seq, cur)
-		}
+	if trw, ok := c.probe(c.set(asid, va), cell, asid, makeTag(asid, va, 0), va, va+arch.PageSize); ok {
 		c.stats.hits.Add(1)
 		return unpackTr(trw), true
 	}
-	return c.lookupHuge(cell, asid, va)
-}
-
-// lookupHuge probes the huge-entry array at each huge level's natural
-// alignment after a base-array miss. A hit is rebased to the 4-KiB
-// page the caller asked about, so callers see ordinary page
-// translations; generation validation uses the whole span, so any
-// overlapping invalidation — even a single 4-KiB record — kills the
-// entry.
-func (c *coreTLB) lookupHuge(cell *epochCell, asid ASID, va arch.Vaddr) (pt.Translation, bool) {
-	hdr := hdrValid | uint64(asid)
-	for _, level := range hugeLevels {
-		span := arch.Vaddr(arch.SpanBytes(level))
-		base := va &^ (span - 1)
-		set := c.hugeSet(asid, base, level)
-		for i := range set {
-			s := &set[i]
-			shdr, sva, sgen, trw, seq, ok := s.read()
-			if !ok || shdr != hdr || sva != uint64(base) || int(trw&7) != level {
-				continue
+	if c.hugeUsed.Load() {
+		// A hit is rebased to the 4-KiB page the caller asked about, so
+		// callers see ordinary page translations.
+		for _, level := range hugeLevels {
+			span := arch.Vaddr(arch.SpanBytes(level))
+			base := va &^ (span - 1)
+			if trw, ok := c.probe(c.hugeSet(asid, base, level), cell, asid, makeTag(asid, base, level), base, base+span); ok {
+				c.stats.hugeHits.Add(1)
+				tr := unpackTr(trw)
+				tr.PFN += arch.PFN(uint64(va-base) / arch.PageSize)
+				return tr, true
 			}
-			if cur := cell.gen.Load(); sgen != cur {
-				c.genChecks.Add(1)
-				cur, live, cross := cell.validate(asid, base, base+span, sgen)
-				if !live {
-					c.stats.staleDrops.Add(1)
-					if cross {
-						c.stats.crossDrops.Add(1)
-					}
-					s.clear(seq)
-					continue
-				}
-				s.refreshGen(seq, cur)
-			}
-			c.stats.hits.Add(1)
-			c.stats.hugeHits.Add(1)
-			tr := unpackTr(trw)
-			tr.PFN += arch.PFN(uint64(va-base) / arch.PageSize)
-			return tr, true
 		}
 	}
+	c.stats.misses.Add(1)
 	return pt.Translation{}, false
+}
+
+// probe looks for the entry tagged want in one set and returns its
+// translation word. [lo, hi) is what the entry covers: generation
+// validation uses the whole span, so any overlapping invalidation —
+// even a single 4-KiB record inside a huge leaf — kills the entry. A hit
+// marks the way referenced, by a CAS only when the bit is clear.
+func (c *coreTLB) probe(set []slot, cell *epochCell, asid ASID, want uint64, lo, hi arch.Vaddr) (uint64, bool) {
+	for i := range set {
+		s := &set[i]
+		if s.tag.Load()&^tagRef != want {
+			continue
+		}
+		tag, gen, trw, seq, ok := s.read(want)
+		if !ok || gen != cell.gen.Load() && !c.revalidate(s, cell, asid, lo, hi, gen, seq) {
+			continue
+		}
+		if tag&tagRef == 0 {
+			s.tag.CompareAndSwap(tag, tag|tagRef)
+		}
+		return trw, true
+	}
+	return 0, false
+}
+
+// revalidate replays the invalidations cell recorded since generation
+// gen against the entry snapshotted from s at version seq: a live entry
+// is re-stamped, a dead one cleared.
+func (c *coreTLB) revalidate(s *slot, cell *epochCell, asid ASID, lo, hi arch.Vaddr, gen, seq uint64) bool {
+	c.genChecks.Add(1)
+	cur, live, cross := cell.validate(asid, lo, hi, gen)
+	if !live {
+		c.stats.staleDrops.Add(1)
+		if cross {
+			c.stats.crossDrops.Add(1)
+		}
+		s.clear(seq)
+		return false
+	}
+	s.refreshGen(seq, cur)
+	return true
 }
 
 // Insert caches a translation in core's TLB: FillBegin and InsertAt
@@ -388,61 +389,69 @@ func (m *Machine) FillBegin(core int, asid ASID) uint64 {
 // every offset in the leaf hit.
 func (m *Machine) InsertAt(core int, asid ASID, va arch.Vaddr, tr pt.Translation, g uint64) {
 	c := &m.cores[core]
-	hdr := hdrValid | uint64(asid)
 	if tr.Level >= 2 {
 		span := arch.Vaddr(arch.SpanBytes(tr.Level))
 		base := va &^ (span - 1)
 		tr.PFN -= arch.PFN(uint64(va-base) / arch.PageSize)
+		if !c.hugeUsed.Load() {
+			c.hugeUsed.Store(true)
+		}
 		set := c.hugeSet(asid, base, tr.Level)
-		if c.fillSet(set, &c.hugeVictim, hdr, uint64(base), g, packTr(tr)) {
+		if c.fillSet(set, &c.hugeVictim, makeTag(asid, base, tr.Level), g, packTr(tr)) {
 			c.stats.hugeEvicts.Add(1)
 		}
 		return
 	}
-	if c.fillSet(c.set(asid, va), &c.victim, hdr, uint64(va), g, packTr(tr)) {
+	if c.fillSet(c.set(asid, va), &c.victim, makeTag(asid, va, 0), g, packTr(tr)) {
 		c.stats.evictions.Add(1)
 	}
 }
 
-// fillSet publishes an entry into one set, preferring the entry itself
-// (re-fill), an empty way, a generation-stale way, then round-robin
-// capacity replacement. Reports whether a capacity eviction happened;
-// a fill dropped to a racing writer reports false.
-func (c *coreTLB) fillSet(set []slot, victimCtr *atomic.Uint32, hdr, va, g, trw uint64) bool {
-	var victim *slot
-	var victimSeq uint64
-	score := 0
+// fillSet publishes an entry into one set, replacing in order of
+// preference the entry itself (re-fill), an empty way, a
+// generation-stale way, then a way no hit has referenced since the set
+// last aged (not-recently-used). When every way is referenced the
+// rotation picks the victim and the other ways age. Reports whether a
+// capacity eviction happened; a fill dropped to a racing writer or for
+// want of a tag reports false. The choice reads tag and generation
+// words outside the seqlock: a torn view can only pick a worse victim,
+// and a TLB may drop any entry at any time.
+func (c *coreTLB) fillSet(set []slot, victimCtr *atomic.Uint32, tag, g, trw uint64) bool {
+	if tag == noTag {
+		return false
+	}
+	const same, empty, stale, unreferenced = 4, 3, 2, 1
+	victim, score := 0, 0
 	for i := range set {
 		s := &set[i]
-		shdr, sva, sgen, _, seq, ok := s.read()
-		if !ok {
-			continue
+		t := s.tag.Load()
+		switch {
+		case t&^tagRef == tag:
+			victim, score = i, same
+		case t == 0:
+			if score < empty {
+				victim, score = i, empty
+			}
+		case score < stale && s.gen.Load() != c.cell(tagASID(t)).gen.Load():
+			victim, score = i, stale
+		case score < unreferenced && t&tagRef == 0:
+			victim, score = i, unreferenced
 		}
-		if shdr == hdr && sva == va {
-			victim, victimSeq, score = s, seq, 3
+		if score == same {
 			break
 		}
-		switch {
-		case shdr&hdrValid == 0:
-			if score < 2 {
-				victim, victimSeq, score = s, seq, 2
+	}
+	if score == 0 {
+		victim = int(victimCtr.Add(1)) % len(set)
+		for i := range set {
+			if t := set[i].tag.Load(); i != victim && t&tagRef != 0 {
+				set[i].tag.CompareAndSwap(t, t&^tagRef)
 			}
-		case score < 1 && sgen != c.cell(ASID(shdr)).gen.Load():
-			victim, victimSeq, score = s, seq, 1
 		}
 	}
-	evicted := false
-	if victim == nil {
-		s := &set[int(victimCtr.Add(1))%len(set)]
-		seq := s.seq.Load()
-		if seq&1 != 0 {
-			return false // racing writer; drop the fill
-		}
-		victim, victimSeq = s, seq
-		evicted = true
-	}
-	victim.write(victimSeq, hdr, va, g, trw)
-	return evicted
+	s := &set[victim]
+	seq := s.seq.Load()
+	return seq&1 == 0 && s.write(seq, tag, g, trw) && score <= unreferenced
 }
 
 // FlushLocal removes (asid, va) from core's own TLB, including any
@@ -543,18 +552,23 @@ func (c *coreTLB) adaptTick() {
 	}
 }
 
-// clearSlot empties the slot caching (asid, va), if any.
-func (c *coreTLB) clearSlot(asid ASID, va arch.Vaddr) {
-	hdr := hdrValid | uint64(asid)
-	set := c.set(asid, va)
+// clearTagged empties the slot of set holding the entry tagged want, if
+// any.
+func clearTagged(set []slot, want uint64) {
 	for i := range set {
 		s := &set[i]
-		shdr, sva, _, _, seq, ok := s.read()
-		if ok && shdr == hdr && sva == uint64(va) {
+		if s.tag.Load()&^tagRef != want {
+			continue
+		}
+		if _, _, _, seq, ok := s.read(want); ok {
 			s.clear(seq)
-			return
 		}
 	}
+}
+
+// clearSlot empties the slot caching (asid, va), if any.
+func (c *coreTLB) clearSlot(asid ASID, va arch.Vaddr) {
+	clearTagged(c.set(asid, va), makeTag(asid, va, 0))
 }
 
 // clearHugeSpans empties every huge entry of asid whose span overlaps
@@ -564,18 +578,13 @@ func (c *coreTLB) clearSlot(asid ASID, va arch.Vaddr) {
 // span takes the precise path, and missing the huge slot would leave a
 // stale whole-span translation behind.
 func (c *coreTLB) clearHugeSpans(asid ASID, lo, hi arch.Vaddr) {
-	hdr := hdrValid | uint64(asid)
+	if !c.hugeUsed.Load() {
+		return
+	}
 	for _, level := range hugeLevels {
 		span := arch.Vaddr(arch.SpanBytes(level))
 		for base := lo &^ (span - 1); base < hi; base += span {
-			set := c.hugeSet(asid, base, level)
-			for i := range set {
-				s := &set[i]
-				shdr, sva, _, trw, seq, ok := s.read()
-				if ok && shdr == hdr && sva == uint64(base) && int(trw&7) == level {
-					s.clear(seq)
-				}
-			}
+			clearTagged(c.hugeSet(asid, base, level), makeTag(asid, base, level))
 		}
 	}
 }
@@ -983,8 +992,10 @@ func (m *Machine) Stats() Stats {
 	var limSum int64
 	for i := range m.cores {
 		st := &m.cores[i].stats
-		out.Lookups += st.lookups.Load()
-		out.Hits += st.hits.Load()
+		huge := st.hugeHits.Load()
+		hits := st.hits.Load() + huge
+		out.Hits += hits
+		out.Lookups += hits + st.misses.Load()
 		out.Shootdowns += st.shootdowns.Load()
 		out.IPIs += st.ipis.Load()
 		out.Filtered += st.filtered.Load()
@@ -994,7 +1005,7 @@ func (m *Machine) Stats() Stats {
 		out.Evictions += st.evictions.Load()
 		out.StaleDrops += st.staleDrops.Load()
 		out.CrossKills += st.crossDrops.Load()
-		out.HugeHits += st.hugeHits.Load()
+		out.HugeHits += huge
 		out.HugeEvicts += st.hugeEvicts.Load()
 		lim := m.cores[i].precLimit.Load()
 		if i == 0 || lim < out.PrecLimitMin {
