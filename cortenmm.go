@@ -172,6 +172,7 @@ var (
 	ErrSegv         = mm.ErrSegv
 	ErrExists       = mm.ErrExists
 	ErrBadRange     = mm.ErrBadRange
+	ErrBadCore      = mm.ErrBadCore
 	ErrNotSupported = mm.ErrNotSupported
 )
 

@@ -116,7 +116,7 @@ func (b *Batch) Pending() int { return len(b.sq) }
 // mapping itself is established at Submit. If the op then fails, the
 // range is handed back to the allocator and the CQE carries the error.
 func (b *Batch) Mmap(size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	if err := b.a.checkAlive(); err != nil {
+	if err := b.a.checkAlive(b.core); err != nil {
 		return 0, err
 	}
 	if size = alignSize(size, fl); size == 0 {
@@ -134,7 +134,7 @@ func (b *Batch) Mmap(size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, erro
 // collision at Submit.
 func (b *Batch) MmapFixed(va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
 	size = alignSize(size, fl)
-	if err := b.a.checkRange(va, size); err != nil {
+	if err := b.a.checkRange(b.core, va, size); err != nil {
 		return err
 	}
 	b.sq = append(b.sq, BatchSQE{Kind: BatchMmap, VA: va, Size: size, Perm: perm, Flags: fl, checkExists: true})
@@ -142,7 +142,7 @@ func (b *Batch) MmapFixed(va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flag
 }
 
 func (b *Batch) enqueue(kind BatchKind, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	if err := b.a.checkRange(va, size); err != nil {
+	if err := b.a.checkRange(b.core, va, size); err != nil {
 		return err
 	}
 	b.sq = append(b.sq, BatchSQE{Kind: kind, VA: va, Size: size, Perm: perm})
@@ -193,7 +193,12 @@ func (b *Batch) Submit() []BatchCQE {
 	}
 	a := b.a
 	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.m.OpTick(b.core)
+	// A ring on a destroyed space or a core the machine does not have
+	// advances no clock; each group's Lock below completes its ops with
+	// the gate's error.
+	if a.gate(b.core) == nil {
+		a.m.OpTick(b.core)
+	}
 	cnt := &a.batch
 	cnt.batches.Add(1)
 	cnt.ops.Add(uint64(n))
@@ -295,7 +300,7 @@ func (b *Batch) apply(c *RCursor, e *BatchSQE) error {
 	hi := e.VA + arch.Vaddr(e.Size)
 	switch e.Kind {
 	case BatchMmap:
-		if err := a.checkAlive(); err != nil {
+		if err := a.checkAlive(b.core); err != nil {
 			return err
 		}
 		a.stats.Mmaps.Add(1)
@@ -314,7 +319,7 @@ func (b *Batch) apply(c *RCursor, e *BatchSQE) error {
 	case BatchMsync:
 		return a.msyncBody(c, e.VA, hi)
 	case BatchPopulate:
-		if err := a.checkAlive(); err != nil {
+		if err := a.checkAlive(b.core); err != nil {
 			return err
 		}
 		return c.PopulateAnon(e.VA, hi)

@@ -19,7 +19,7 @@ func (a *AddrSpace) CollapseHuge(core int, va arch.Vaddr) error {
 	if !a.isa.SupportsHugeAt(2) {
 		return fmt.Errorf("%w: no 2MiB pages on %s", mm.ErrNotSupported, a.isa.Name())
 	}
-	if err := a.checkAlive(); err != nil {
+	if err := a.checkAlive(core); err != nil {
 		return err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())

@@ -295,7 +295,7 @@ func (cm *CompactionManager) scanQuantum(core int) {
 	defer a.migrateExit()
 	// Same skip rule as the reclaim sweep: never lock a space the
 	// calling core already holds transactions in.
-	if a.oomKilled.Load() || a.txDepth[core].n.Load() > 0 {
+	if a.oomKilled.Load() || a.holdsTx(core) {
 		return
 	}
 	// Candidates are fully allocated level-1 tables: a partly allocated

@@ -18,6 +18,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -95,14 +96,11 @@ type AddrSpace struct {
 	rmapHints []fileMapping
 	rmapLive  atomic.Int32
 
-	// cursors is the per-core transaction-cursor cache (see Lock).
+	// cursors is the per-core transaction-cursor cache (see Lock); its
+	// length is the machine's core count, which the entry gates check
+	// core IDs against.
 	cursors []cachedCursor
 
-	// txDepth counts this space's open transactions per core. Direct
-	// reclaim consults it to skip spaces the allocating goroutine
-	// already holds PT-page locks in (MCS locks are not reentrant, so
-	// re-locking from the same goroutine would self-deadlock).
-	txDepth []txCounter
 	// reclaim is the manager this space is registered with, or nil.
 	reclaim *ReclaimManager
 	// compaction is the CompactionManager this space is registered with,
@@ -129,17 +127,13 @@ type AddrSpace struct {
 	batch batchCounters
 }
 
-// txCounter is a cache-line padded per-core transaction counter.
-type txCounter struct {
-	n atomic.Int32
-	_ [60]byte
-}
-
-// cachedCursor is one per-core cursor slot.
+// cachedCursor is one per-core cursor slot, padded to whole cache lines
+// so core k's cursor tail and core k+1's cursor head never share one. It
+// belongs to whichever transaction raised the core's transaction word
+// from zero (see LockLevel), so it needs no flag of its own.
 type cachedCursor struct {
-	c    RCursor
-	busy atomic.Bool
-	_    [32]byte
+	c RCursor
+	_ [(64 - unsafe.Sizeof(RCursor{})%64) % 64]byte
 }
 
 // fileMapping records where a file range was mapped, so reverse mapping
@@ -182,7 +176,6 @@ func New(o Options) (*AddrSpace, error) {
 		coarse:  o.CoarseLocking,
 		swapDev: o.SwapDev,
 		cursors: make([]cachedCursor, o.Machine.Cores),
-		txDepth: make([]txCounter, o.Machine.Cores),
 	}
 	a.anonOwner.Space = a
 	return a, nil

@@ -402,6 +402,39 @@ func TestOpOutsideCursorRange(t *testing.T) {
 	}
 }
 
+// entryPoints is the table TestUseAfterDestroy and TestBadCore share:
+// every core.AddrSpace entry point that takes a core and can report an
+// error, called on core over the mapping [va, va+size). b is a ring of
+// that core with one op enqueued.
+func entryPoints(a *AddrSpace, b *Batch, core int, va arch.Vaddr, size uint64) map[string]func() error {
+	return map[string]func() error{
+		"Mmap":      func() error { _, err := a.Mmap(core, size, arch.PermRW, 0); return err },
+		"MmapFixed": func() error { return a.MmapFixed(core, 0x10000, size, arch.PermRW, 0) },
+		"MmapFile": func() error {
+			_, err := a.MmapFile(core, mem.NewFile(a.m.Phys, "f", size), 0, size, arch.PermRW, true)
+			return err
+		},
+		"MmapSharedAnon": func() error { _, err := a.MmapSharedAnon(core, size, arch.PermRW); return err },
+		"Munmap":         func() error { return a.Munmap(core, va, size) },
+		"Mprotect":       func() error { return a.Mprotect(core, va, size, arch.PermRead) },
+		"Msync":          func() error { return a.Msync(core, va, size) },
+		"PopulateRange":  func() error { return a.PopulateRange(core, va, size) },
+		"Touch":          func() error { return a.Touch(core, va, pt.AccessRead) },
+		"Load":           func() error { _, err := a.Load(core, va); return err },
+		"Store":          func() error { return a.Store(core, va, 1) },
+		"pageFault":      func() error { return a.pageFault(core, va, pt.AccessWrite) },
+		"Fork":           func() error { _, err := a.Fork(core); return err },
+		"SwapOut":        func() error { _, err := a.SwapOut(core, va, size); return err },
+		"ReclaimRange":   func() error { _, err := a.ReclaimRange(core, va, size, 1); return err },
+		"Madvise":        func() error { return a.MadviseDontNeed(core, va, size) },
+		"Mremap":         func() error { _, err := a.Mremap(core, va, size, 2*size); return err },
+		"CollapseHuge":   func() error { return a.CollapseHuge(core, va) },
+		"Batch.Mmap":     func() error { _, err := b.Mmap(size, arch.PermRW, 0); return err },
+		"Batch.Submit":   func() error { return b.Submit()[0].Err },
+		"Lock":           func() error { _, err := a.Lock(core, va, va+arch.Vaddr(size)); return err },
+	}
+}
+
 // TestUseAfterDestroy: every entry point of a destroyed space returns
 // ErrDestroyed — no panic walking the freed tree, no stale read through
 // a TLB entry that outlived it (with ASID recycling Destroy flushes
@@ -426,32 +459,7 @@ func TestUseAfterDestroy(t *testing.T) {
 			a.Destroy(0)
 			before := a.Stats().Snapshot()
 
-			calls := map[string]func() error{
-				"Mmap":      func() error { _, err := a.Mmap(0, size, arch.PermRW, 0); return err },
-				"MmapFixed": func() error { return a.MmapFixed(0, 0x10000, size, arch.PermRW, 0) },
-				"MmapFile": func() error {
-					_, err := a.MmapFile(0, mem.NewFile(m.Phys, "f", size), 0, size, arch.PermRW, true)
-					return err
-				},
-				"MmapSharedAnon": func() error { _, err := a.MmapSharedAnon(0, size, arch.PermRW); return err },
-				"Munmap":         func() error { return a.Munmap(0, va, size) },
-				"Mprotect":       func() error { return a.Mprotect(0, va, size, arch.PermRead) },
-				"Msync":          func() error { return a.Msync(0, va, size) },
-				"PopulateRange":  func() error { return a.PopulateRange(0, va, size) },
-				"Touch":          func() error { return a.Touch(0, va, pt.AccessRead) },
-				"Load":           func() error { _, err := a.Load(0, va); return err },
-				"Store":          func() error { return a.Store(0, va, 1) },
-				"pageFault":      func() error { return a.pageFault(0, va, pt.AccessWrite) },
-				"Fork":           func() error { _, err := a.Fork(0); return err },
-				"SwapOut":        func() error { _, err := a.SwapOut(0, va, size); return err },
-				"ReclaimRange":   func() error { _, err := a.ReclaimRange(0, va, size, 1); return err },
-				"Madvise":        func() error { return a.MadviseDontNeed(0, va, size) },
-				"Mremap":         func() error { _, err := a.Mremap(0, va, size, 2*size); return err },
-				"CollapseHuge":   func() error { return a.CollapseHuge(0, va) },
-				"Batch.Mmap":     func() error { _, err := b.Mmap(size, arch.PermRW, 0); return err },
-				"Batch.Submit":   func() error { return b.Submit()[0].Err },
-				"Lock":           func() error { _, err := a.Lock(0, va, va+size); return err },
-			}
+			calls := entryPoints(a, b, 0, va, size)
 			for name, call := range calls {
 				if err := call(); !errors.Is(err, ErrDestroyed) {
 					t.Errorf("%s after Destroy = %v, want ErrDestroyed", name, err)

@@ -15,7 +15,7 @@ import (
 // CortenMM's worst case (§6.2): with no VMA list, the walk is over the
 // page table itself.
 func (a *AddrSpace) Fork(core int) (mm.MM, error) {
-	if err := a.checkAlive(); err != nil {
+	if err := a.checkAlive(core); err != nil {
 		return nil, err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
@@ -227,7 +227,7 @@ func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
 // the block device and replaces their mappings with Swapped statuses.
 // Shared and COW pages are skipped. Returns the number of pages swapped.
 func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkRange(core, va, size); err != nil {
 		return 0, err
 	}
 	if a.swapDev == nil {

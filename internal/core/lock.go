@@ -46,7 +46,6 @@ type RCursor struct {
 	cleared uint64
 
 	closed bool
-	cached bool // lives in the per-core cursor cache
 
 	// Inline backing arrays keep the common small transactions (a page
 	// fault locks one PT page, unmaps touch a handful) allocation-free.
@@ -58,7 +57,7 @@ type RCursor struct {
 
 // reset prepares a (possibly recycled) cursor for a new transaction,
 // retaining any grown slice capacity from earlier use.
-func (c *RCursor) reset(a *AddrSpace, core int, lo, hi arch.Vaddr, cached bool) {
+func (c *RCursor) reset(a *AddrSpace, core int, lo, hi arch.Vaddr) {
 	c.a, c.core, c.lo, c.hi = a, core, lo, hi
 	c.root, c.rootLevel, c.rootBase = 0, 0, 0
 	if c.readPath == nil {
@@ -72,7 +71,7 @@ func (c *RCursor) reset(a *AddrSpace, core int, lo, hi arch.Vaddr, cached bool) 
 		c.flush = c.flush[:0]
 		c.freed = c.freed[:0]
 	}
-	c.flushAll, c.needSync, c.closed, c.cached, c.cleared = false, false, false, cached, 0
+	c.flushAll, c.needSync, c.closed, c.cleared = false, false, false, 0
 }
 
 // Lock begins a transaction over [lo, hi): it runs the configured
@@ -91,8 +90,8 @@ func (a *AddrSpace) Lock(core int, lo, hi arch.Vaddr) (*RCursor, error) {
 // that entry locked, i.e. minLevel = L. A coarser covering page is
 // always safe — it only widens the exclusive region.
 func (a *AddrSpace) LockLevel(core int, lo, hi arch.Vaddr, minLevel int) (*RCursor, error) {
-	if a.destroyed.Load() {
-		return nil, ErrDestroyed // the tree is gone (see checkAlive)
+	if err := a.gate(core); err != nil {
+		return nil, err
 	}
 	if lo >= hi || !arch.IsPageAligned(lo) || !arch.IsPageAligned(hi) || hi > arch.MaxVaddr {
 		return nil, fmt.Errorf("%w: [%#x, %#x)", errBadRange, lo, hi)
@@ -103,20 +102,18 @@ func (a *AddrSpace) LockLevel(core int, lo, hi arch.Vaddr, minLevel int) (*RCurs
 	// One transaction per core at a time is the common case (the
 	// simulated kernel disables preemption during MM operations), so a
 	// per-core cursor cache avoids an allocation per transaction. The
-	// rare concurrent user of the same core ID (e.g. a reverse-mapping
-	// walk) falls back to a fresh cursor.
+	// entrant that raises the core's transaction word from zero owns the
+	// cached cursor until its Close lowers the word again; a nested
+	// transaction, or the rare concurrent user of the same core ID (e.g.
+	// a reverse-mapping walk), gets a fresh one.
 	var c *RCursor
-	cached := false
-	if cc := &a.cursors[core]; cc.busy.CompareAndSwap(false, true) {
-		c = &cc.c
-		cached = true
+	if a.m.EnterTx(core, uint64(a.asid)) {
+		c = &a.cursors[core].c
 	} else {
 		c = new(RCursor)
 	}
-	c.reset(a, core, lo, hi, cached)
+	c.reset(a, core, lo, hi)
 	c.minLevel = minLevel
-	a.txDepth[core].n.Add(1)
-	a.m.EnterTx(core)
 	if a.proto == ProtocolRW {
 		a.lockRW(c)
 	} else {
@@ -260,15 +257,13 @@ func (c *RCursor) Close() {
 	c.closed = true
 	c.releaseLocks()
 	c.shootAndFree()
-	c.recycle()
+	c.exitTx()
 }
 
 // releaseLocks drops every lock the transaction holds, in reverse
 // acquisition order.
 func (c *RCursor) releaseLocks() {
 	a := c.a
-	a.txDepth[c.core].n.Add(-1)
-	a.m.ExitTx(c.core)
 	if a.proto == ProtocolRW {
 		a.state(c.root).RW.Unlock(c.core)
 		for i := len(c.readPath) - 1; i >= 0; i-- {
@@ -283,19 +278,19 @@ func (c *RCursor) releaseLocks() {
 	}
 }
 
-// recycle returns a cache-backed cursor to its per-core slot.
-func (c *RCursor) recycle() {
-	if !c.cached {
-		return
-	}
-	// Drop oversized scratch space before recycling the cursor.
+// exitTx lowers the core's transaction word — the last step of closing,
+// after the flush and freed lists have been read: once the word is back
+// at zero the next entrant on this core may claim the cached cursor, so
+// nothing touches c afterwards.
+func (c *RCursor) exitTx() {
+	// Drop oversized scratch space before the cursor can be reused.
 	if cap(c.locked) > 1024 {
 		c.locked = nil
 		c.readPath = nil
 		c.flush = nil
 		c.freed = nil
 	}
-	c.a.cursors[c.core].busy.Store(false)
+	c.a.m.ExitTx(c.core)
 }
 
 // deferredOps accumulates the deferred side effects of several
@@ -336,7 +331,7 @@ func (c *RCursor) closeInto(d *deferredOps) {
 	d.needSync = d.needSync || c.needSync
 	d.flush = append(d.flush, c.flush...)
 	d.freed = append(d.freed, c.freed...)
-	c.recycle()
+	c.exitTx()
 }
 
 // commitDeferred performs a batch's accumulated TLB invalidations as a

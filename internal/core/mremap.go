@@ -16,7 +16,7 @@ import (
 // per range, acquired in address order so concurrent Mremaps cannot
 // deadlock against each other.
 func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error) {
-	if err := a.checkRange(oldVA, oldSize); err != nil {
+	if err := a.checkRange(core, oldVA, oldSize); err != nil {
 		return 0, err
 	}
 	newSize = (newSize + arch.PageSize - 1) &^ (arch.PageSize - 1)

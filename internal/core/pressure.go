@@ -321,7 +321,7 @@ func (rm *ReclaimManager) sweep(core, node, target int) int {
 		if total >= target {
 			break
 		}
-		if a.swapDev == nil || a.oomKilled.Load() || a.destroyed.Load() || a.txDepth[core].n.Load() > 0 {
+		if a.swapDev == nil || a.oomKilled.Load() || a.destroyed.Load() || a.holdsTx(core) {
 			continue
 		}
 		total += a.reclaimSome(core, node, target-total)
@@ -341,7 +341,7 @@ func (rm *ReclaimManager) oomKill(core int) int {
 	var victim *AddrSpace
 	var worst uint64
 	for _, a := range rm.snapshot(rm.m.NodeOf(core)) {
-		if a.oomKilled.Load() || a.destroyed.Load() || a.txDepth[core].n.Load() > 0 {
+		if a.oomKilled.Load() || a.destroyed.Load() || a.holdsTx(core) {
 			continue
 		}
 		if sz := a.allocatedPages(core); sz > worst {
@@ -424,12 +424,29 @@ func (a *AddrSpace) oomTeardown(core int) int {
 // OOMKilled reports whether this space was torn down by the OOM killer.
 func (a *AddrSpace) OOMKilled() bool { return a.oomKilled.Load() }
 
-// checkRange is the gate of entry points that take a caller-chosen
-// range: the space must not be destroyed (see checkAlive) and the range
-// must be canonical.
-func (a *AddrSpace) checkRange(va arch.Vaddr, size uint64) error {
+// gate is the first check of every entry point, one atomic load and one
+// compare. A destroyed space's tree is freed, so a call that went on
+// would walk recycled memory or answer from a stale TLB entry (Destroy
+// is exclusive by contract; this catches use after it, not a race with
+// it). A core index outside the machine would index the per-core words
+// the bracket touches next — the event clock, the transaction word, the
+// cursor cache, the VA arena — so it is refused here, typed. Both
+// sentinels are returned bare, which keeps gate inlinable into access.
+func (a *AddrSpace) gate(core int) error {
 	if a.destroyed.Load() {
 		return ErrDestroyed
+	}
+	if uint(core) >= uint(len(a.cursors)) {
+		return mm.ErrBadCore
+	}
+	return nil
+}
+
+// checkRange is the gate of entry points that take a caller-chosen
+// range: gate, and the range must be canonical.
+func (a *AddrSpace) checkRange(core int, va arch.Vaddr, size uint64) error {
+	if err := a.gate(core); err != nil {
+		return err
 	}
 	if err := arch.CheckCanonical(va, size); err != nil {
 		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
@@ -437,21 +454,25 @@ func (a *AddrSpace) checkRange(va arch.Vaddr, size uint64) error {
 	return nil
 }
 
-// checkAlive is the gate of allocating entry points. Every entry point
-// first refuses a destroyed space (one atomic load): its tree's frames
-// are freed, so a call that went on would walk recycled memory or answer
-// from a stale TLB entry. Destroy is exclusive by contract; this catches
-// use after it, not a race with it. Allocating entries also refuse a
-// space the OOM killer tore down.
-func (a *AddrSpace) checkAlive() error {
-	if a.destroyed.Load() {
-		return ErrDestroyed
+// checkAlive is the gate of allocating entry points: gate, and they also
+// refuse a space the OOM killer tore down.
+func (a *AddrSpace) checkAlive(core int) error {
+	if err := a.gate(core); err != nil {
+		return err
 	}
 	if a.oomKilled.Load() {
 		return ErrOOMKilled
 	}
 	return nil
 }
+
+// holdsTx reports whether core's goroutine may hold PT-page locks in
+// this space — the rely condition of every sweep that locks on behalf of
+// a caller it did not start from (the in-allocator reclaim hook, the OOM
+// killer, the collapse scanner): the locks are not reentrant, so they
+// skip such a space. Spaces are told apart by ASID, unique among live
+// spaces of a machine.
+func (a *AddrSpace) holdsTx(core int) bool { return a.m.HoldsTx(core, uint64(a.asid)) }
 
 // Syscall-level retry tuning: a failed allocating syscall retries up to
 // oomRetries times, each preceded by a direct-reclaim round asking for

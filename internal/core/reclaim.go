@@ -30,7 +30,7 @@ func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target in
 // clearing is not filtered; the second-chance policy stays global so a
 // later cross-node pass still finds honestly cold pages.
 func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, target, node int) (int, error) {
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkRange(core, va, size); err != nil {
 		return 0, err
 	}
 	if a.swapDev == nil {
@@ -262,7 +262,7 @@ func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 // memory, the file status for file mappings), so a later access faults
 // in fresh content, exactly like Linux's MADV_DONTNEED.
 func (a *AddrSpace) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkRange(core, va, size); err != nil {
 		return err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())

@@ -12,6 +12,9 @@ import (
 // Mmap implements mm.MM: allocate a virtual range and mark it virtually
 // allocated (on-demand paging; Figure 8 do_syscall_mmap).
 func (a *AddrSpace) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
+	if err := a.checkAlive(core); err != nil {
+		return 0, err
+	}
 	if size = alignSize(size, fl); size == 0 {
 		return 0, errZeroSize
 	}
@@ -30,7 +33,10 @@ func (a *AddrSpace) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (ar
 // collision.
 func (a *AddrSpace) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
 	size = alignSize(size, fl)
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkAlive(core); err != nil {
+		return err
+	}
+	if err := a.checkRange(core, va, size); err != nil {
 		return err
 	}
 	return a.mmapAt(core, va, size, perm, fl, true)
@@ -51,10 +57,9 @@ func alignSize(size uint64, fl mm.Flags) uint64 {
 	return (size + align - 1) &^ (align - 1)
 }
 
+// mmapAt is the body Mmap and MmapFixed share; both have passed
+// checkAlive.
 func (a *AddrSpace) mmapAt(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags, checkExists bool) error {
-	if err := a.checkAlive(); err != nil {
-		return err
-	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.stats.Mmaps.Add(1)
 	a.m.OpTick(core)
@@ -116,7 +121,7 @@ func (a *AddrSpace) mmapBody(c *RCursor, va arch.Vaddr, size uint64, perm arch.P
 // MmapFile implements mm.MM: map size bytes of f from page offset pgoff,
 // shared or private (copy-on-write).
 func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
-	if err := a.checkAlive(); err != nil {
+	if err := a.checkAlive(core); err != nil {
 		return 0, err
 	}
 	if size = alignSize(size, 0); size == 0 {
@@ -159,7 +164,7 @@ func (a *AddrSpace) MmapSharedAnon(core int, size uint64, perm arch.Perm) (arch.
 
 // Munmap implements mm.MM (Figure 8 do_syscall_munmap).
 func (a *AddrSpace) Munmap(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkRange(core, va, size); err != nil {
 		return err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
@@ -203,7 +208,7 @@ func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size, cleared uint64) 
 
 // Mprotect implements mm.MM.
 func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkRange(core, va, size); err != nil {
 		return err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
@@ -219,7 +224,7 @@ func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Per
 
 // Msync implements mm.MM: write back dirty shared file pages.
 func (a *AddrSpace) Msync(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkRange(core, va, size); err != nil {
 		return err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
@@ -258,10 +263,10 @@ func (a *AddrSpace) msyncBody(c *RCursor, lo, hi arch.Vaddr) error {
 // sequential twin of the batch layer's populate op. Already-resident
 // pages are left alone.
 func (a *AddrSpace) PopulateRange(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkAlive(); err != nil {
+	if err := a.checkAlive(core); err != nil {
 		return err
 	}
-	if err := a.checkRange(va, size); err != nil {
+	if err := a.checkRange(core, va, size); err != nil {
 		return err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
@@ -311,13 +316,13 @@ func (a *AddrSpace) Store(core int, va arch.Vaddr, b byte) error {
 // outside the section (it takes the address-space lock and must not
 // stall grace periods).
 func (a *AddrSpace) access(core int, va arch.Vaddr, acc pt.Access, fn func(page []byte, off uint64)) error {
-	if va >= arch.MaxVaddr {
-		return errSegv
-	}
 	// Checked before the TLB lookup: a destroyed space's translations
 	// may still sit in a TLB (recycle-implies-flushed, see Destroy).
-	if a.destroyed.Load() {
-		return ErrDestroyed
+	if err := a.gate(core); err != nil {
+		return err
+	}
+	if va >= arch.MaxVaddr {
+		return errSegv
 	}
 	page := arch.PageAlignDown(va)
 	for tries := 0; tries < 64; tries++ {
@@ -360,7 +365,7 @@ func (a *AddrSpace) access(core int, va arch.Vaddr, acc pt.Access, fn func(page 
 // loop, as mmapAt's and PopulateRange's do: direct reclaim on behalf of
 // a fault is kernel time.
 func (a *AddrSpace) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
-	if err := a.checkAlive(); err != nil {
+	if err := a.checkAlive(core); err != nil {
 		return err
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())

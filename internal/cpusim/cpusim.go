@@ -66,24 +66,66 @@ type Machine struct {
 	tickHook atomic.Pointer[func(core int)]
 }
 
+// tickState is one core's line of machine state: the event clock OpTick
+// advances and the transaction word the bracket around every page-table
+// transaction writes next — one line, touched twice per operation, by
+// its own core.
 type tickState struct {
 	n uint64
-	// tx counts the page-table transactions the core's goroutine is
-	// currently inside (EnterTx/ExitTx). Direct compaction consults it:
-	// migrating from within a transaction would deadlock on the RCU
-	// barrier, so the compactor refuses on a core that is mid-transaction.
-	tx int64
+	// tx is the core's transaction word, space<<txDepthBits | depth: how
+	// many page-table transactions the core's goroutine is inside, and
+	// which address space the outermost one belongs to. It is written
+	// once on the way in (EnterTx) and once on the way out (ExitTx) and
+	// answers three rare readers: the entrant itself (depth rose from
+	// zero, so the space's cached cursor is free), the compactor (InTx)
+	// and the reclaim sweeps (HoldsTx).
+	tx atomic.Uint64
 	_  [48]byte
 }
 
-// EnterTx notes that core's goroutine entered a page-table transaction.
-func (m *Machine) EnterTx(core int) { atomic.AddInt64(&m.ticks[core].tx, 1) }
+const (
+	txDepthBits = 16
+	txDepthMask = 1<<txDepthBits - 1
+)
+
+// EnterTx notes that core's goroutine entered a page-table transaction
+// of the address space identified by space, and reports whether it is
+// the outermost one (the depth rose from zero). One CAS when nothing
+// else uses the core ID.
+func (m *Machine) EnterTx(core int, space uint64) (outermost bool) {
+	w := &m.ticks[core].tx
+	for {
+		old := w.Load()
+		next := old + 1
+		if old&txDepthMask == 0 {
+			next = space<<txDepthBits | 1
+		}
+		if w.CompareAndSwap(old, next) {
+			return old&txDepthMask == 0
+		}
+	}
+}
 
 // ExitTx notes that core's goroutine left a page-table transaction.
-func (m *Machine) ExitTx(core int) { atomic.AddInt64(&m.ticks[core].tx, -1) }
+func (m *Machine) ExitTx(core int) { m.ticks[core].tx.Add(^uint64(0)) }
 
-// InTx reports whether core's goroutine is inside a transaction.
-func (m *Machine) InTx(core int) bool { return atomic.LoadInt64(&m.ticks[core].tx) > 0 }
+// InTx reports whether core's goroutine is inside a transaction in any
+// address space of the machine. Direct compaction consults it: migrating
+// from within a transaction would deadlock on the RCU barrier, so the
+// compactor refuses on a core that is mid-transaction.
+func (m *Machine) InTx(core int) bool { return m.ticks[core].tx.Load()&txDepthMask != 0 }
+
+// HoldsTx reports whether core's goroutine may hold page-table locks in
+// the given space: it is inside that space's transaction, or inside
+// nested ones (fork), of which the word names only the outermost — those
+// are answered conservatively. Sweeps that lock PT pages consult it to
+// skip spaces the calling goroutine would self-deadlock in (the locks
+// are not reentrant).
+func (m *Machine) HoldsTx(core int, space uint64) bool {
+	w := m.ticks[core].tx.Load()
+	depth := w & txDepthMask
+	return depth > 0 && (w>>txDepthBits == space || depth > 1)
+}
 
 // New builds a machine. Zero config fields get sensible defaults
 // (4 cores, 1 node, 64 Ki frames = 256 MiB, sync TLB shootdown).

@@ -2,8 +2,10 @@ package cpusim
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/pt"
@@ -156,18 +158,18 @@ func TestVAFreeIgnoresForeignRanges(t *testing.T) {
 		g.Free(0, va, sz)
 	}
 	for i := range p.arenas {
-		if n := len(p.arenas[i].free[sz]); n != 0 {
+		if n := len(p.arenas[i].freeOf(sz)); n != 0 {
 			t.Errorf("per-core arena %d recycled %d foreign ranges", i, n)
 		}
 	}
-	if n := len(g.a.free[sz]); n != 0 {
+	if n := len(g.a.freeOf(sz)); n != 0 {
 		t.Errorf("global arena recycled %d foreign ranges", n)
 	}
 	// The clone keeps the same bounds.
 	c := p.Clone().(*PerCoreVA)
 	c.Free(0, UserLo-sz, sz)
 	c.Free(0, first, sz)
-	if got := c.arenas[0].free[sz]; len(got) != 1 || got[0] != first {
+	if got := c.arenas[0].freeOf(sz); len(got) != 1 || got[0] != first {
 		t.Errorf("clone free list = %#x, want just %#x", got, first)
 	}
 }
@@ -252,9 +254,9 @@ func TestVAFreeMapMatchesModel(t *testing.T) {
 		for p := va; p < va+arch.Vaddr(n*pg); p += pg {
 			accept = accept && !free[p]
 		}
-		before := len(g.a.free[n*pg])
+		before := len(g.a.freeOf(n * pg))
 		g.Free(0, va, n*pg)
-		if got := len(g.a.free[n*pg]) > before; got != accept {
+		if got := len(g.a.freeOf(n*pg)) > before; got != accept {
 			t.Fatalf("step %d: free of %d pages at %#x accepted=%v, model says %v", step, n, va, got, accept)
 		}
 		if accept {
@@ -308,5 +310,92 @@ func TestParallelVAAlloc(t *testing.T) {
 	})
 	if fail.Load() != 0 {
 		t.Error("parallel allocation failed")
+	}
+}
+
+// freeOf returns the arena's free list for one size.
+func (a *arena) freeOf(size uint64) []arch.Vaddr {
+	if list := a.free[size]; list != nil {
+		return *list
+	}
+	return nil
+}
+
+// TestPerCoreLayout pins one core's machine state — the event clock and
+// the transaction word — at whole cache lines, so neighbouring cores'
+// brackets never write the same line. (core's test of the same name
+// pins the cursor cache.)
+func TestPerCoreLayout(t *testing.T) {
+	if size := unsafe.Sizeof(tickState{}); size == 0 || size%64 != 0 {
+		t.Errorf("tickState is %d bytes, want a multiple of 64", size)
+	}
+}
+
+// TestTxWord: the word's three answers through nesting, and across
+// cores. Space 7 opens, space 9 nests inside it (fork's shape).
+func TestTxWord(t *testing.T) {
+	m := New(Config{Cores: 2})
+	type answers struct{ in, holds7, holds9 bool }
+	check := func(when string, want answers) {
+		t.Helper()
+		if got := (answers{m.InTx(0), m.HoldsTx(0, 7), m.HoldsTx(0, 9)}); got != want {
+			t.Errorf("%s: %+v, want %+v", when, got, want)
+		}
+		if m.InTx(1) || m.HoldsTx(1, 7) {
+			t.Errorf("%s: core 1 reads as inside a transaction", when)
+		}
+	}
+	check("idle", answers{})
+	if !m.EnterTx(0, 7) {
+		t.Error("the first entrant is not the outermost")
+	}
+	check("in 7", answers{in: true, holds7: true})
+	if m.EnterTx(0, 9) {
+		t.Error("a nested entrant is reported outermost")
+	}
+	// The word names only the outermost space: nested, every space is
+	// answered "held".
+	check("in 7, in 9", answers{in: true, holds7: true, holds9: true})
+	m.ExitTx(0)
+	check("9 closed", answers{in: true, holds7: true})
+	m.ExitTx(0)
+	check("7 closed", answers{})
+	if !m.EnterTx(0, 9) {
+		t.Error("the word did not return to zero")
+	}
+	check("in 9", answers{in: true, holds9: true}) // the stale 7 is gone
+	m.ExitTx(0)
+}
+
+// TestTxWordSharedCoreID: goroutines that share a core ID (a
+// reverse-mapping walk borrows core 0) enter and leave concurrently;
+// exactly one entrant at a time is the outermost, and the depth comes
+// back to zero.
+func TestTxWordSharedCoreID(t *testing.T) {
+	m := New(Config{Cores: 1})
+	var owners atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(space uint64) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				outermost := m.EnterTx(0, space)
+				if outermost && owners.Add(1) != 1 {
+					t.Error("two outermost entrants at once")
+				}
+				if !m.InTx(0) {
+					t.Error("inside a transaction and InTx is false")
+				}
+				if outermost {
+					owners.Add(-1)
+				}
+				m.ExitTx(0)
+			}
+		}(uint64(g + 1))
+	}
+	wg.Wait()
+	if m.InTx(0) {
+		t.Error("depth did not return to zero")
 	}
 }

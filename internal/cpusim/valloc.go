@@ -37,13 +37,15 @@ var ErrVAExhausted = fmt.Errorf("cpusim: virtual address arena exhausted")
 // handed out exactly [base, next); base and limit never change. The
 // free ranges are pairwise disjoint: freeMap holds one bit per page from
 // base up, set while the page is in a free range, so freeRange can
-// refuse a range that overlaps another in a few word operations.
+// refuse a range that overlaps another in a few word operations. Each
+// size's list is held by pointer, so a pop or a push writes through it
+// and the map is assigned only the first time a size is freed.
 type arena struct {
 	mu      sync.Mutex
 	base    arch.Vaddr
 	next    arch.Vaddr
 	limit   arch.Vaddr
-	free    map[uint64][]arch.Vaddr
+	free    map[uint64]*[]arch.Vaddr
 	freeMap []uint64
 }
 
@@ -59,23 +61,26 @@ func (a *arena) eachWord(va arch.Vaddr, size uint64, fn func(w *uint64, mask uin
 }
 
 func newArena(base, limit arch.Vaddr) arena {
-	return arena{base: base, next: base, limit: limit, free: make(map[uint64][]arch.Vaddr)}
+	return arena{base: base, next: base, limit: limit, free: make(map[uint64]*[]arch.Vaddr)}
 }
 
 func (a *arena) alloc(size uint64) (arch.Vaddr, error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if list := a.free[size]; len(list) > 0 {
-		va := list[len(list)-1]
-		a.free[size] = list[:len(list)-1]
+	if list := a.free[size]; list != nil && len(*list) > 0 {
+		n := len(*list) - 1
+		va := (*list)[n]
+		*list = (*list)[:n]
 		a.eachWord(va, size, func(w *uint64, mask uint64) { *w &^= mask })
+		a.mu.Unlock()
 		return va, nil
 	}
-	if uint64(a.next)+size > uint64(a.limit) {
+	va := a.next
+	if uint64(va)+size > uint64(a.limit) {
+		a.mu.Unlock()
 		return 0, ErrVAExhausted
 	}
-	va := a.next
 	a.next += arch.Vaddr(size)
+	a.mu.Unlock()
 	return va, nil
 }
 
@@ -89,28 +94,33 @@ func (a *arena) alloc(size uint64) (arch.Vaddr, error) {
 // is therefore ever in two free ranges, or handed to two holders.
 func (a *arena) freeRange(va arch.Vaddr, size uint64) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	if va < a.base || size == 0 || va+arch.Vaddr(size) > a.next {
-		return
+	if va >= a.base && size != 0 && va+arch.Vaddr(size) <= a.next {
+		if words := int(uint64(a.next-a.base)/arch.PageSize+63) / 64; words > len(a.freeMap) {
+			a.freeMap = append(a.freeMap, make([]uint64, words-len(a.freeMap))...)
+		}
+		var taken uint64
+		a.eachWord(va, size, func(w *uint64, mask uint64) { taken |= *w & mask })
+		if taken == 0 {
+			a.eachWord(va, size, func(w *uint64, mask uint64) { *w |= mask })
+			list := a.free[size]
+			if list == nil {
+				list = new([]arch.Vaddr)
+				a.free[size] = list
+			}
+			*list = append(*list, va)
+		}
 	}
-	if words := int(uint64(a.next-a.base)/arch.PageSize+63) / 64; words > len(a.freeMap) {
-		a.freeMap = append(a.freeMap, make([]uint64, words-len(a.freeMap))...)
-	}
-	var taken uint64
-	a.eachWord(va, size, func(w *uint64, mask uint64) { taken |= *w & mask })
-	if taken == 0 {
-		a.eachWord(va, size, func(w *uint64, mask uint64) { *w |= mask })
-		a.free[size] = append(a.free[size], va)
-	}
+	a.mu.Unlock()
 }
 
 func (a *arena) cloneInto(dst *arena) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	dst.base, dst.next, dst.limit = a.base, a.next, a.limit
-	dst.free = make(map[uint64][]arch.Vaddr, len(a.free))
+	dst.free = make(map[uint64]*[]arch.Vaddr, len(a.free))
 	for sz, list := range a.free {
-		dst.free[sz] = append([]arch.Vaddr(nil), list...)
+		cp := slices.Clone(*list)
+		dst.free[sz] = &cp
 	}
 	dst.freeMap = slices.Clone(a.freeMap)
 }

@@ -4,10 +4,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // hammerMutex checks mutual exclusion by having workers increment a
-// counter that is only consistent when protected.
+// counter that is only consistent when protected. Every other
+// acquisition tries TryLock first and queues only when that fails, so
+// the two entries are mixed on one lock.
 func hammerMutex(t *testing.T, l Mutex, workers, iters int) {
 	t.Helper()
 	var shared int64 // plain int: data race unless the lock works
@@ -18,7 +21,9 @@ func hammerMutex(t *testing.T, l Mutex, workers, iters int) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				l.Lock()
+				if i%2 == 0 || !l.TryLock() {
+					l.Lock()
+				}
 				if n := inCS.Add(1); n != 1 {
 					t.Errorf("mutual exclusion violated: %d in CS", n)
 				}
@@ -65,6 +70,102 @@ func TestTicketTryLock(t *testing.T) {
 		t.Fatal("TryLock after Unlock failed")
 	}
 	l.Unlock()
+}
+
+// atRest reports whether a queue node is as Unlock must leave it.
+func atRest(n *mcsNode) bool { return n.next.Load() == nil && !n.locked.Load() }
+
+// TestMCSHandoffWhileEnqueueing forces the branch of Unlock that finds
+// no successor linked and the tail already moved: a waiter has swapped
+// itself in and not yet written pred.next. The test plays the waiter
+// step by step. Unlock cannot return before the link whenever it runs;
+// the pause only makes it likely to be spinning by then.
+func TestMCSHandoffWhileEnqueueing(t *testing.T) {
+	l := new(MCS)
+	l.Lock() // uncontended: the embedded node
+	n := new(mcsNode)
+	pred := l.tail.Swap(n)
+	if pred != &l.own {
+		t.Fatal("the uncontended owner is not on the embedded node")
+	}
+	n.locked.Store(true)
+
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		close(started)
+		l.Unlock()
+		close(done)
+	}()
+	<-started
+	time.Sleep(10 * time.Millisecond)
+	select {
+	case <-done:
+		t.Fatal("Unlock returned before its successor had linked itself")
+	default:
+	}
+	pred.next.Store(n)
+	<-done
+	if n.locked.Load() {
+		t.Error("the lock was not handed to the linked successor")
+	}
+	if !atRest(&l.own) {
+		t.Error("the embedded node was handed over dirty")
+	}
+	if l.TryLock() {
+		t.Error("TryLock succeeded while the successor holds the lock")
+	}
+	l.holder = n // what lockSlow does once its spin ends
+	l.Unlock()
+	if !atRest(n) || l.tail.Load() != nil {
+		t.Error("the successor's release left its node or the tail dirty")
+	}
+	hammerMutex(t, l, 4, 500) // and the lock still works
+}
+
+// TestMCSNodeAtRestIsClean: the uncontended path writes no node field,
+// which is sound only if every node at rest — embedded in an idle lock,
+// or back in the pool — has next == nil and locked == false whatever
+// sequence of Lock, Unlock and failed TryLock came before.
+func TestMCSNodeAtRestIsClean(t *testing.T) {
+	lks := make([]MCS, 3)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				l := &lks[(w+i)%len(lks)]
+				switch i % 3 {
+				case 0:
+					l.Lock()
+					l.Unlock()
+				case 1:
+					if l.TryLock() {
+						l.Unlock()
+					}
+				default:
+					l.Lock()
+					if l.TryLock() { // always fails: a failed TryLock must touch no node
+						t.Error("TryLock on a held lock succeeded")
+					}
+					l.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range lks {
+		if l := &lks[i]; !atRest(&l.own) || l.tail.Load() != nil || l.holder != nil {
+			t.Errorf("lock %d is not clean when idle", i)
+		}
+	}
+	// Whatever the pool still holds (it may have dropped some, and hands
+	// out fresh nodes once empty — those are clean by construction).
+	for i := 0; i < 64; i++ {
+		if n := mcsPool.Get().(*mcsNode); !atRest(n) {
+			t.Fatalf("pooled node %d is dirty: next=%p locked=%v", i, n.next.Load(), n.locked.Load())
+		}
+	}
 }
 
 func TestMCSUnlockUnlocked(t *testing.T) {

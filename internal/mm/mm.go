@@ -37,6 +37,8 @@ var (
 	ErrExists = errors.New("mm: mapping already exists")
 	// ErrBadRange means a misaligned or out-of-bounds range.
 	ErrBadRange = errors.New("mm: bad address range")
+	// ErrBadCore means a core index outside the machine's cores.
+	ErrBadCore = errors.New("mm: bad core index")
 	// ErrNotSupported marks features a baseline does not implement
 	// (Table 2's ✗ cells).
 	ErrNotSupported = errors.New("mm: operation not supported")
