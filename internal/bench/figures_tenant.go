@@ -10,17 +10,13 @@ import (
 )
 
 // TenantCell is one point of the fig-tenant grid: tenant-farm churn
-// throughput of one system at one churn count, under monotonic or
-// recycled ASID allocation. The TLB columns attribute the difference:
-// a monotonic allocator walks the tag space with every teardown, so
-// each dead space's flush conservatively kills 1/64 of every live
-// space's fills (CrossKills) and pays an all-core fan-out
-// (Shootdowns); recycling replaces both with one machine flush per
-// generation rollover.
+// throughput of one system at one churn count. The TLB columns show
+// what generation recycling costs: teardown pays no fan-out
+// (Shootdowns) and aliasing kills (CrossKills) come only from the one
+// machine flush per generation rollover.
 type TenantCell struct {
-	System   System
-	Tenants  int
-	Recycled bool
+	System  System
+	Tenants int
 	// TenantsPerSec is the churn throughput (create→fault→serve→destroy).
 	TenantsPerSec float64
 	// ServeMopsPerSec is the serve-path access rate in millions/sec.
@@ -42,9 +38,6 @@ type TenantCell struct {
 	BoundsEscapes uint64
 	// PeakRSSPages is the farm-wide peak resident data-page count.
 	PeakRSSPages uint64
-	// VsMonotonic is TenantsPerSec over the matching monotonic row
-	// (recycled rows only; 1.0 for the baselines themselves).
-	VsMonotonic float64
 }
 
 // tenantCores fixes the farm at four worker cores: enough for
@@ -56,7 +49,7 @@ const tenantCores = 4
 // into cell: throughput fields keep the best run, correctness counters
 // (stale reads, bounds escapes) are summed — a violation in any run
 // must not be masked by taking the best.
-func runTenantOnce(sys System, tenants int, recycled bool, cell *TenantCell) (float64, error) {
+func runTenantOnce(sys System, tenants int, cell *TenantCell) error {
 	cfg := workload.TenantFarmConfig{Cores: tenantCores, Tenants: tenants}
 	// Warm set: ring × (data pages + page-table pages), with slack for
 	// allocator metadata. Retired tenants release frames, so demand is
@@ -68,13 +61,13 @@ func runTenantOnce(sys System, tenants int, recycled bool, cell *TenantCell) (fl
 	}
 	m := cpusim.New(cpusim.Config{
 		Cores: tenantCores, Frames: frames, NUMANodes: 2,
-		TLBMode: mode, MonotonicASID: !recycled,
+		TLBMode: mode,
 	})
 	factory := func() (mm.MM, error) { return NewSystem(sys, m, nil) }
 	res, err := workload.TenantFarm(m, factory, cfg)
 	if err != nil {
 		m.Quiesce()
-		return 0, err
+		return err
 	}
 	st := m.TLB.Stats()
 	as := m.ASIDStats()
@@ -92,20 +85,19 @@ func runTenantOnce(sys System, tenants int, recycled bool, cell *TenantCell) (fl
 		cell.Rollovers = as.Rollovers
 		cell.PeakRSSPages = res.PeakRSSPages
 	}
-	return res.TenantsPerSec(), nil
+	return nil
 }
 
-// FigTenant runs the tenant-farm churn grid: churn {64, 1k, 8k} ×
-// ASID allocation {monotonic, recycled} on the CortenMM systems and
-// the Linux baseline. Recycled rows report throughput relative to the
-// matching monotonic row (vs-mono); the smoke contract is stale-reads
-// and bounds-escapes identically zero everywhere, and vs-mono >= 1.0
-// once churn is large enough that teardown shootdowns dominate. With
-// o.Quick the grid shrinks to the 1k-tenant corten-adv pair, sized for
-// CI.
+// FigTenant runs the tenant-farm churn grid: churn {64, 1k, 8k} on the
+// CortenMM systems and the Linux baseline. The smoke contract is
+// stale-reads and bounds-escapes identically zero everywhere and no
+// teardown shootdowns. With o.Quick the grid shrinks to the 1k-tenant
+// corten-adv row, sized for CI. (The asids column is constant: the
+// monotonic allocator it was measured against is gone, see
+// EXPERIMENTS.md.)
 func FigTenant(o Options) ([]TenantCell, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# fig-tenant: sandbox churn under ASID recycling vs monotonic allocation")
+	fmt.Fprintln(o.W, "# fig-tenant: sandbox churn under ASID recycling")
 	systems := []System{CortenAdv, CortenRW, Linux}
 	churns := []int{64, 1024, 8192}
 	if o.Quick {
@@ -115,40 +107,17 @@ func FigTenant(o Options) ([]TenantCell, error) {
 	var out []TenantCell
 	for _, sys := range systems {
 		for _, tenants := range churns {
-			// Interleave the repeats — each round runs the monotonic
-			// and recycled farms back to back, so host slowdowns hit
-			// both sides of a round equally — and report vs-mono as
-			// the best matched-round ratio: wall-clock noise at these
-			// sub-second runs is larger than the effect, and a matched
-			// pair is the only comparison where the conditions cancel.
-			// A real regression (recycling slower across the board)
-			// still drags every round's ratio down.
-			mono := TenantCell{System: sys, Tenants: tenants, Recycled: false, VsMonotonic: 1}
-			rec := TenantCell{System: sys, Tenants: tenants, Recycled: true}
+			cell := TenantCell{System: sys, Tenants: tenants}
 			for r := 0; r < o.Repeat; r++ {
-				mtps, err := runTenantOnce(sys, tenants, false, &mono)
-				if err != nil {
-					return nil, fmt.Errorf("tenant %s/%d/monotonic: %w", sys, tenants, err)
-				}
-				rtps, err := runTenantOnce(sys, tenants, true, &rec)
-				if err != nil {
-					return nil, fmt.Errorf("tenant %s/%d/recycled: %w", sys, tenants, err)
-				}
-				if mtps > 0 && rtps/mtps > rec.VsMonotonic {
-					rec.VsMonotonic = rtps / mtps
+				if err := runTenantOnce(sys, tenants, &cell); err != nil {
+					return nil, fmt.Errorf("tenant %s/%d: %w", sys, tenants, err)
 				}
 			}
-			for _, cell := range []TenantCell{mono, rec} {
-				out = append(out, cell)
-				asids := "monotonic"
-				if cell.Recycled {
-					asids = "recycled"
-				}
-				fmt.Fprintf(o.W, "fig-tenant sys=%-10s tenants=%-4d asids=%-9s tenants/s=%-8.0f serve-Mops/s=%-6.2f hit=%.3f cross-kills=%-8d stale-drops=%-8d shootdowns=%-6d rollovers=%-3d full-flushes=%-3d stale-reads=%d bounds-escapes=%d peak-rss=%-5d vs-mono=%.2f\n",
-					cell.System, cell.Tenants, asids, cell.TenantsPerSec, cell.ServeMopsPerSec, cell.HitRate,
-					cell.CrossKills, cell.StaleDrops, cell.Shootdowns, cell.Rollovers, cell.FullFlushes,
-					cell.StaleReads, cell.BoundsEscapes, cell.PeakRSSPages, cell.VsMonotonic)
-			}
+			out = append(out, cell)
+			fmt.Fprintf(o.W, "fig-tenant sys=%-10s tenants=%-4d asids=recycled tenants/s=%-8.0f serve-Mops/s=%-6.2f hit=%.3f cross-kills=%-8d stale-drops=%-8d shootdowns=%-6d rollovers=%-3d full-flushes=%-3d stale-reads=%d bounds-escapes=%d peak-rss=%d\n",
+				cell.System, cell.Tenants, cell.TenantsPerSec, cell.ServeMopsPerSec, cell.HitRate,
+				cell.CrossKills, cell.StaleDrops, cell.Shootdowns, cell.Rollovers, cell.FullFlushes,
+				cell.StaleReads, cell.BoundsEscapes, cell.PeakRSSPages)
 		}
 	}
 	return out, nil

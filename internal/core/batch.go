@@ -212,6 +212,7 @@ func (b *Batch) Submit() []BatchCQE {
 	groups := b.coalesce()
 	cqes := make([]BatchCQE, n)
 	var d deferredOps
+	txFlushed := 0 // transactions that carried a flush: one-op-per-call's fan-outs
 	for gi := range groups {
 		g := &groups[gi]
 		c, err := a.Lock(b.core, g.lo, g.hi)
@@ -224,6 +225,9 @@ func (b *Batch) Submit() []BatchCQE {
 		for _, i := range g.ops {
 			cqes[i] = b.cqe(i, b.apply(c, &b.sq[i]))
 		}
+		if c.flushAll || len(c.flush) > 0 {
+			txFlushed++
+		}
 		c.closeInto(&d)
 	}
 	emitted := a.commitDeferred(b.core, &d)
@@ -232,8 +236,8 @@ func (b *Batch) Submit() []BatchCQE {
 	cnt.coalescedLocks.Add(uint64(n - len(groups)))
 	cnt.shootdowns.Add(uint64(emitted))
 	cnt.flushRanges.Add(uint64(len(d.flush)))
-	if d.txFlushed > emitted {
-		cnt.coalescedFlushes.Add(uint64(d.txFlushed - emitted))
+	if txFlushed > emitted {
+		cnt.coalescedFlushes.Add(uint64(txFlushed - emitted))
 	}
 
 	// Post-commit bookkeeping, after the translations are provably dead:

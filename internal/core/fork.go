@@ -148,15 +148,12 @@ func (a *AddrSpace) forkCopy(core int, c *RCursor, child *AddrSpace, src, dst ar
 // Idempotent. The space is unregistered from its reclaim manager first,
 // so no later sweep or OOM victim scan can walk the torn-down tree.
 //
-// With ASID recycling (the machine default), teardown issues no TLB
-// shootdown at all: the dead translations are unreachable (no lookup
+// Teardown issues no TLB shootdown at all: the dead translations are unreachable (no lookup
 // ever uses this ASID again) and the allocator's rollover flushes every
 // core before the slot is reissued — recycle-implies-flushed. That is
 // the whole point of the bounded allocator: thousands of short-lived
 // spaces stop paying an all-core fan-out each, and stop conservatively
-// killing 1/64 of every other space's TLB fills per teardown. In
-// monotonic compat mode the eager flush-all is still required, because
-// nothing else ever invalidates the dead entries' epoch cells.
+// killing 1/64 of every other space's TLB fills per teardown.
 func (a *AddrSpace) Destroy(core int) {
 	if !a.destroyed.CompareAndSwap(false, true) {
 		return
@@ -171,9 +168,6 @@ func (a *AddrSpace) Destroy(core int) {
 	// locking; wait them out so the tree teardown below never races a
 	// migration transaction (see migrateEnter/drainMigrants).
 	a.drainMigrants()
-	if !a.m.ASIDRecycling() {
-		a.m.TLB.ShootdownAllSync(core, a.asid)
-	}
 	a.pruneFileMappings(0, arch.MaxVaddr)
 	a.tree.Destroy(core,
 		func(pte uint64, level int) {

@@ -33,11 +33,8 @@ type RCursor struct {
 	// the NoPFN sentinel.
 	locked []arch.PFN
 
-	// Deferred side effects, applied at Close.
-	flush    []tlb.Range    // coalesced VA ranges whose translations must die
-	flushAll bool           // flush the whole ASID instead
-	needSync bool           // permission tightening: must not be lazy
-	freed    []rcu.FrameRun // frame-head runs to release after the shootdown
+	// Deferred side effects, committed at Close.
+	deferredOps
 
 	// cleared counts the allocated pages (mapped or marked) the teardown
 	// paths have removed in this transaction. An unmap that cleared as
@@ -256,7 +253,7 @@ func (c *RCursor) Close() {
 	}
 	c.closed = true
 	c.releaseLocks()
-	c.shootAndFree()
+	c.a.commitDeferred(c.core, &c.deferredOps)
 	c.exitTx()
 }
 
@@ -293,40 +290,35 @@ func (c *RCursor) exitTx() {
 	c.a.m.ExitTx(c.core)
 }
 
-// deferredOps accumulates the deferred side effects of several
-// transactions so a batch can commit them all at once: one TLB fan-out
-// for every flush record of the batch instead of one per transaction,
-// and one RCU hand-off for every freed frame. The ordering argument is
-// the same as for a single transaction (shootdown before free); only
-// the fan-out moves later, which widens the remote-staleness window the
-// lazy-shootdown contract already permits — unless some transaction
-// demanded synchrony (needSync), in which case the whole commit is
-// synchronous and still completes before the batch returns.
+// deferredOps is what a transaction owes the rest of the machine once
+// its locks are gone: TLB invalidations, then frame releases. A cursor
+// fills one as its operations run and Close commits it; a batch merges
+// the records of several transactions and commits them at once — one TLB
+// fan-out for every flush record of the batch instead of one per
+// transaction, and one RCU hand-off for every freed frame. The ordering
+// argument is the same either way (shootdown before free); batching
+// only moves the fan-out later, which widens the remote-staleness
+// window the lazy-shootdown contract already permits — unless some
+// transaction demanded synchrony (needSync), in which case the whole
+// commit is synchronous and still completes before the batch returns.
 type deferredOps struct {
-	flush    []tlb.Range
-	flushAll bool
-	needSync bool
-	freed    []rcu.FrameRun
-	// txFlushed counts contributing transactions that carried at least
-	// one flush record — what one-op-per-call would have fanned out.
-	txFlushed int
+	flush    []tlb.Range    // coalesced VA ranges whose translations must die
+	flushAll bool           // flush the whole ASID instead
+	needSync bool           // permission tightening: must not be lazy
+	freed    []rcu.FrameRun // frame-head runs to release after the shootdown
 }
 
-// closeInto ends the transaction like Close but transfers its deferred
-// shootdown ranges and frame releases to d instead of performing them;
-// the caller owns committing d (AddrSpace.commitDeferred). Mid-walk
-// spills (maybeSpill) may already have fanned out part of a huge
-// transaction's work — that only costs an extra fan-out, never misses
-// one.
+// closeInto ends the transaction like Close but merges its deferred
+// shootdown ranges and frame releases into d instead of committing
+// them; the caller owns committing d. Mid-walk spills (maybeSpill) may
+// already have fanned out part of a huge transaction's work — that only
+// costs an extra fan-out, never misses one.
 func (c *RCursor) closeInto(d *deferredOps) {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	c.releaseLocks()
-	if c.flushAll || len(c.flush) > 0 {
-		d.txFlushed++
-	}
 	d.flushAll = d.flushAll || c.flushAll
 	d.needSync = d.needSync || c.needSync
 	d.flush = append(d.flush, c.flush...)
@@ -334,29 +326,30 @@ func (c *RCursor) closeInto(d *deferredOps) {
 	c.exitTx()
 }
 
-// commitDeferred performs a batch's accumulated TLB invalidations as a
-// single fan-out and hands the freed frames to the RCU monitor — the
-// batch-commit half of closeInto. Returns the number of fan-out calls
-// emitted (0 or 1).
+// commitDeferred is the one way deferred work leaves a transaction: the
+// TLB invalidations as a single fan-out (none when nothing was flushed),
+// then the unmapped frames' references. Large disjoint batches need no
+// full-ASID escape hatch: a shootdown costs a bounded number of
+// generation records per core however many ranges it carries. All frames
+// go through the RCU monitor: under lazy shootdown a core might still
+// hold a stale translation, and even after a synchronous shootdown an
+// access that already passed translation is still retiring (hardware
+// acks the IPI only after in-flight accesses complete; the simulated
+// access path models that window as an RCU read section). Returns the
+// number of fan-outs emitted (0 or 1).
 func (a *AddrSpace) commitDeferred(core int, d *deferredOps) int {
-	emitted := 0
+	emitted := 1
 	switch {
 	case d.flushAll:
-		emitted = 1
-		if d.needSync {
-			a.m.TLB.ShootdownAllSync(core, a.asid)
-		} else {
-			a.m.TLB.ShootdownAll(core, a.asid)
-		}
+		a.m.TLB.ShootdownAll(core, a.asid, d.needSync)
 	case len(d.flush) > 0:
-		emitted = 1
-		if d.needSync {
-			a.m.TLB.ShootdownRangesSync(core, a.asid, d.flush)
-		} else {
-			a.m.TLB.ShootdownRanges(core, a.asid, d.flush)
-		}
+		a.m.TLB.Shootdown(core, a.asid, d.flush, d.needSync)
+	default:
+		emitted = 0
 	}
 	if len(d.freed) > 0 {
+		// The cursor may be recycled before the grace period ends;
+		// DeferPut takes its own copy of the run list.
 		a.deferPut(core, d.freed)
 	}
 	return emitted
@@ -404,50 +397,16 @@ func (c *RCursor) maybeSpill() {
 	}
 }
 
-// spillDeferred performs the shootdown + RCU frame hand-off accumulated
+// spillDeferred commits the shootdown + RCU frame hand-off accumulated
 // so far and resets the queues, keeping flushAll/needSync for the work
 // that follows. Running mid-transaction is sound: shootdowns only write
 // other cores' epoch cells (no lock interaction with the MCS chain we
 // hold), and the RCU grace period still orders each spilled free after
 // any reader that could have observed the dead translation.
 func (c *RCursor) spillDeferred() {
-	c.shootAndFree()
+	c.a.commitDeferred(c.core, &c.deferredOps)
 	c.flush = c.flush[:0]
 	c.freed = c.freed[:0]
-}
-
-// shootAndFree performs the deferred TLB invalidations and then drops
-// the references of unmapped frames. All frames go through the RCU
-// monitor: under lazy shootdown a core might still hold a stale
-// translation, and even after a synchronous shootdown an access that
-// already passed translation is still retiring (hardware acks the IPI
-// only after in-flight accesses complete; the simulated access path
-// models that window as an RCU read section).
-func (c *RCursor) shootAndFree() {
-	a := c.a
-	switch {
-	case c.flushAll:
-		if c.needSync {
-			a.m.TLB.ShootdownAllSync(c.core, a.asid)
-		} else {
-			a.m.TLB.ShootdownAll(c.core, a.asid)
-		}
-	case len(c.flush) > 0:
-		if c.needSync {
-			a.m.TLB.ShootdownRangesSync(c.core, a.asid, c.flush)
-		} else {
-			// Large disjoint batches no longer need Linux's full-ASID
-			// escape hatch: a shootdown costs a bounded number of
-			// generation records per core however many ranges it
-			// carries (dense batches collapse to their envelope).
-			a.m.TLB.ShootdownRanges(c.core, a.asid, c.flush)
-		}
-	}
-	if len(c.freed) > 0 {
-		// The cursor may be recycled before the grace period ends;
-		// DeferPut takes its own copy of the run list.
-		a.deferPut(c.core, c.freed)
-	}
 }
 
 // Range returns the locked range.

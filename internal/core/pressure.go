@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -17,10 +16,9 @@ import (
 // still work so the caller can clean up.
 var ErrOOMKilled = errors.New("core: address space torn down by OOM killer")
 
-// ErrDestroyed is returned by every call on an address space after
-// Destroy: its page table is gone, so there is nothing left to operate
-// on or read through. Destroy itself stays idempotent.
-var ErrDestroyed = errors.New("core: address space destroyed")
+// ErrDestroyed is mm.ErrDestroyed, returned by every call on an address
+// space after Destroy.
+var ErrDestroyed = mm.ErrDestroyed
 
 // ReclaimConfig tunes a ReclaimManager.
 type ReclaimConfig struct {
@@ -424,34 +422,21 @@ func (a *AddrSpace) oomTeardown(core int) int {
 // OOMKilled reports whether this space was torn down by the OOM killer.
 func (a *AddrSpace) OOMKilled() bool { return a.oomKilled.Load() }
 
-// gate is the first check of every entry point, one atomic load and one
-// compare. A destroyed space's tree is freed, so a call that went on
-// would walk recycled memory or answer from a stale TLB entry (Destroy
-// is exclusive by contract; this catches use after it, not a race with
-// it). A core index outside the machine would index the per-core words
-// the bracket touches next — the event clock, the transaction word, the
-// cursor cache, the VA arena — so it is refused here, typed. Both
-// sentinels are returned bare, which keeps gate inlinable into access.
+// gate is the first check of every entry point (mm.Gate): one atomic
+// load and one compare. A destroyed space's tree is freed, so a call
+// that went on would walk recycled memory or answer from a stale TLB
+// entry (Destroy is exclusive by contract; this catches use after it,
+// not a race with it), and a core index outside the machine would index
+// the per-core words the bracket touches next — the event clock, the
+// transaction word, the cursor cache, the VA arena. Inlined into access.
 func (a *AddrSpace) gate(core int) error {
-	if a.destroyed.Load() {
-		return ErrDestroyed
-	}
-	if uint(core) >= uint(len(a.cursors)) {
-		return mm.ErrBadCore
-	}
-	return nil
+	return mm.Gate(&a.destroyed, core, len(a.cursors))
 }
 
 // checkRange is the gate of entry points that take a caller-chosen
 // range: gate, and the range must be canonical.
 func (a *AddrSpace) checkRange(core int, va arch.Vaddr, size uint64) error {
-	if err := a.gate(core); err != nil {
-		return err
-	}
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
-	}
-	return nil
+	return mm.GateRange(&a.destroyed, core, len(a.cursors), va, size)
 }
 
 // checkAlive is the gate of allocating entry points: gate, and they also

@@ -310,7 +310,7 @@ func (a *AddrSpace) Store(core int, va arch.Vaddr, b byte) error {
 // hardware, an access that has passed translation retires before the
 // unmapping core's shootdown IPI is acknowledged, so the frame cannot
 // be recycled underneath it. The read section models exactly that
-// window — shootAndFree routes data-frame frees through the RCU
+// window — commitDeferred routes data-frame frees through the RCU
 // monitor, so a frame whose mapping this core could have observed
 // stays allocated until the access completes. The page-fault path runs
 // outside the section (it takes the address-space lock and must not

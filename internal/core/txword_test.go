@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -10,6 +11,8 @@ import (
 	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
+	"cortenmm/internal/rcu"
+	"cortenmm/internal/tlb"
 )
 
 // TestPerCoreLayout pins the per-core cursor slot at whole cache lines:
@@ -333,4 +336,24 @@ func TestCompactionRefusesInsideTx(t *testing.T) {
 	scanned.Destroy(0)
 	outsider.Destroy(0)
 	checkClean(t, m)
+}
+
+// TestCursorHasOneDeferredRecord fails when RCursor grows a second home
+// for deferred side effects beside its embedded deferredOps — a flush or
+// freed list of its own would need its own commit path, which is the
+// duplication Close/spillDeferred/closeInto sharing one record removed.
+func TestCursorHasOneDeferredRecord(t *testing.T) {
+	records := 0
+	ct := reflect.TypeOf(RCursor{})
+	for i := 0; i < ct.NumField(); i++ {
+		switch f := ct.Field(i); f.Type {
+		case reflect.TypeOf(deferredOps{}):
+			records++
+		case reflect.TypeOf([]tlb.Range(nil)), reflect.TypeOf([]rcu.FrameRun(nil)):
+			t.Errorf("RCursor.%s is a %v outside the deferred record", f.Name, f.Type)
+		}
+	}
+	if records != 1 {
+		t.Errorf("RCursor holds %d deferredOps, want exactly 1", records)
+	}
 }

@@ -16,9 +16,6 @@ import (
 // translations.
 func TestASIDRecycleRollover(t *testing.T) {
 	m := New(Config{Cores: 2})
-	if !m.ASIDRecycling() {
-		t.Fatal("recycling should be on by default")
-	}
 	asids := make([]tlb.ASID, 0, HWASIDs-1)
 	for i := 1; i < HWASIDs; i++ {
 		a := m.AllocASID()
@@ -99,31 +96,4 @@ func TestASIDExhaustionPanics(t *testing.T) {
 		}
 	}()
 	m.AllocASID()
-}
-
-// TestMonotonicASIDCompat: the compat knob restores the old unbounded
-// counter — no slot limit, FreeASID a no-op, never a rollover flush.
-func TestMonotonicASIDCompat(t *testing.T) {
-	m := New(Config{MonotonicASID: true})
-	if m.ASIDRecycling() {
-		t.Fatal("MonotonicASID did not disable recycling")
-	}
-	seen := map[tlb.ASID]bool{}
-	var last tlb.ASID
-	for i := 0; i < 2*HWASIDs; i++ {
-		a := m.AllocASID()
-		if a == 0 || seen[a] {
-			t.Fatalf("alloc %d: tag %d reused", i, a)
-		}
-		seen[a] = true
-		last = a
-		m.FreeASID(a) // no-op: the next alloc must still be distinct
-	}
-	if int(last) < 2*HWASIDs {
-		t.Fatalf("monotonic counter wrapped: last tag %d", last)
-	}
-	st := m.ASIDStats()
-	if st.Rollovers != 0 || m.TLB.Stats().FullFlushes != 0 {
-		t.Fatalf("monotonic mode rolled over: %+v", st)
-	}
 }

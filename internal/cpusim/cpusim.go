@@ -31,14 +31,6 @@ type Config struct {
 	// TickEvery fires the per-core timer every N OpTick events
 	// (default 64).
 	TickEvery int
-	// MonotonicASID restores the unbounded monotonically increasing
-	// ASID allocator: every space gets a fresh identifier, FreeASID is
-	// a no-op, and teardown must flush the whole machine itself. It
-	// exists as the compat/ablation knob for measuring what generation
-	// recycling buys — thousands of sequential ASIDs alias onto the
-	// TLB's 64 epoch cells and every teardown's flush-all conservatively
-	// kills ~1/64 of every other space's fills per core.
-	MonotonicASID bool
 }
 
 // Machine bundles the hardware substrates of one simulated system.
@@ -168,7 +160,6 @@ func New(cfg Config) *Machine {
 		tickEvery: cfg.TickEvery,
 		ticks:     make([]tickState, cfg.Cores),
 	}
-	m.asids.monotonic = cfg.MonotonicASID
 	m.asids.gen = 1
 	m.asids.fresh = 1 // slot 0 is reserved, like arm64's init_mm ASID
 	return m
@@ -183,8 +174,7 @@ func (m *Machine) NodeCores(node int) []int { return m.nodeCores[node] }
 
 // HWASIDs is the hardware address-space-identifier space: TLB tags carry
 // an 8-bit ASID, as on pre-ASID16 arm64 parts, so at most HWASIDs-1
-// spaces can be live at once (slot 0 is reserved). Identifiers above the
-// slot space exist only in MonotonicASID compat mode.
+// spaces can be live at once (slot 0 is reserved).
 const HWASIDs = 256
 
 // asidState is the generation-recycling ASID allocator (modelled on
@@ -196,13 +186,11 @@ const HWASIDs = 256
 // load-bearing invariant — recycle-implies-flushed: a recycled ASID can
 // never hit a dead space's translations, even if the dead space's
 // teardown issued no TLB invalidation at all. Teardown therefore skips
-// the all-core shootdown entirely when recycling is on (see the space
-// Destroy implementations), which is what keeps thousands of short-lived
+// the all-core shootdown entirely (see the space Destroy
+// implementations), which is what keeps thousands of short-lived
 // spaces from poisoning the shared epoch cells.
 type asidState struct {
 	mu        sync.Mutex
-	monotonic bool
-	next      uint32 // monotonic-mode counter
 	gen       uint32 // current generation, bumped at each rollover
 	fresh     uint32 // next never-handed-out slot
 	live      [HWASIDs]bool
@@ -228,10 +216,10 @@ func (s *asidState) take() (uint16, bool) {
 	return 0, false
 }
 
-// AllocASID hands out an address-space identifier. With recycling (the
-// default) it returns a hardware slot in [1, HWASIDs); on exhaustion it
-// rolls the generation: flush every core of every translation, then — and
-// only then — recirculate the slots freed since the previous rollover.
+// AllocASID hands out an address-space identifier: a hardware slot in
+// [1, HWASIDs). On exhaustion it rolls the generation: flush every core
+// of every translation, then — and only then — recirculate the slots
+// freed since the previous rollover.
 // Panics if more than HWASIDs-1 spaces are live at once (the simulated
 // hardware has nowhere to put them; real kernels block the allocating
 // task instead).
@@ -239,10 +227,6 @@ func (m *Machine) AllocASID() tlb.ASID {
 	s := &m.asids
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.monotonic {
-		s.next++
-		return tlb.ASID(s.next)
-	}
 	slot, ok := s.take()
 	if !ok {
 		if len(s.freed) == 0 {
@@ -267,15 +251,12 @@ func (m *Machine) AllocASID() tlb.ASID {
 
 // FreeASID returns an identifier after its space's teardown. The slot is
 // quarantined until the next generation rollover; it is never reissued
-// before a machine-wide flush. No-op in MonotonicASID mode. Panics on a
-// double free or an identifier this allocator never issued.
+// before a machine-wide flush. Panics on a double free or an identifier
+// this allocator never issued.
 func (m *Machine) FreeASID(asid tlb.ASID) {
 	s := &m.asids
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.monotonic {
-		return
-	}
 	slot := uint32(asid)
 	if slot == 0 || slot >= HWASIDs || !s.live[slot] {
 		panic(fmt.Sprintf("cpusim: FreeASID(%d): not a live ASID", asid))
@@ -284,13 +265,6 @@ func (m *Machine) FreeASID(asid tlb.ASID) {
 	s.nLive--
 	s.freed = append(s.freed, uint16(slot))
 }
-
-// ASIDRecycling reports whether the bounded recycling allocator is
-// active (false in MonotonicASID compat mode). Space teardowns consult
-// it: with recycling on they may skip the all-core teardown shootdown,
-// because recycle-implies-flushed makes the dead translations
-// unreachable until the rollover flush.
-func (m *Machine) ASIDRecycling() bool { return !m.asids.monotonic }
 
 // ASIDStats is a snapshot of allocator activity.
 type ASIDStats struct {

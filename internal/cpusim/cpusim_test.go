@@ -85,7 +85,7 @@ func TestASIDsUnique(t *testing.T) {
 func TestOpTickDrivesLATR(t *testing.T) {
 	m := New(Config{Cores: 2, TLBMode: tlb.ModeLATR, TickEvery: 4})
 	m.TLB.Insert(1, 1, 0x1000, pt.Translation{PFN: 1, Perm: arch.PermRW, Level: 1})
-	m.TLB.Shootdown(0, 1, []arch.Vaddr{0x1000})
+	m.TLB.ShootdownRange(0, 1, 0x1000, 0x2000)
 	if m.TLB.PendingInvalidations() == 0 {
 		t.Fatal("LATR should defer")
 	}

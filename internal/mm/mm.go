@@ -7,6 +7,7 @@ package mm
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -39,10 +40,41 @@ var (
 	ErrBadRange = errors.New("mm: bad address range")
 	// ErrBadCore means a core index outside the machine's cores.
 	ErrBadCore = errors.New("mm: bad core index")
+	// ErrDestroyed is returned by every call on an address space after
+	// Destroy: its page table is gone, so there is nothing left to
+	// operate on or read through. Destroy itself stays idempotent.
+	ErrDestroyed = errors.New("mm: address space destroyed")
 	// ErrNotSupported marks features a baseline does not implement
 	// (Table 2's ✗ cells).
 	ErrNotSupported = errors.New("mm: operation not supported")
 )
+
+// Gate is the first check of every entry point of every system: the
+// space is alive (dead is set by its Destroy) and core indexes one of
+// the machine's cores — the per-core words an entry touches next would
+// otherwise be indexed out of range. Nothing is counted, ticked or
+// timed for a refused call. Both sentinels are returned bare.
+func Gate(dead *atomic.Bool, core, cores int) error {
+	if dead.Load() {
+		return ErrDestroyed
+	}
+	if uint(core) >= uint(cores) {
+		return ErrBadCore
+	}
+	return nil
+}
+
+// GateRange is Gate for entry points that take a caller-chosen range,
+// which must also be canonical.
+func GateRange(dead *atomic.Bool, core, cores int, va arch.Vaddr, size uint64) error {
+	if err := Gate(dead, core, cores); err != nil {
+		return err
+	}
+	if err := arch.CheckCanonical(va, size); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRange, err)
+	}
+	return nil
+}
 
 // Features is the Table-2 feature matrix row of one system.
 type Features struct {

@@ -9,7 +9,6 @@
 package nros
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -178,6 +177,9 @@ func (s *Space) apply(core int, r *replica, o *op) ([]arch.PFN, error) {
 // Mmap implements mm.MM: eager backing — allocate frames, log the map
 // op, replay locally (NrOS's MapRange).
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return 0, err
+	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
@@ -203,8 +205,8 @@ func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.V
 
 // MmapFixed implements mm.MM.
 func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
@@ -222,15 +224,18 @@ func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, 
 
 // MmapFile is not carried by this baseline.
 func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return 0, err
+	}
 	return 0, mm.ErrNotSupported
 }
 
 // Munmap implements mm.MM.
 func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Munmaps.Add(1)
 	s.m.OpTick(core)
 	if err := s.mutate(core, &op{kind: opUnmap, lo: va, hi: va + arch.Vaddr(size)}); err != nil {
@@ -242,24 +247,31 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 
 // Mprotect implements mm.MM.
 func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mprotects.Add(1)
 	s.m.OpTick(core)
 	if err := s.mutate(core, &op{kind: opProtect, lo: va, hi: va + arch.Vaddr(size), perm: perm}); err != nil {
 		return err
 	}
-	s.m.TLB.ShootdownAllSync(core, s.asid)
+	s.m.TLB.ShootdownAll(core, s.asid, true)
 	return nil
 }
 
 // Msync implements mm.MM (no file mappings).
-func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error { return nil }
+func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
+	return mm.GateRange(&s.dead, core, s.m.Cores, va, size)
+}
 
 // Fork is not carried by this baseline.
-func (s *Space) Fork(core int) (mm.MM, error) { return nil, mm.ErrNotSupported }
+func (s *Space) Fork(core int) (mm.MM, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return nil, err
+	}
+	return nil, mm.ErrNotSupported
+}
 
 // Touch implements mm.MM against the local node's replica, syncing it
 // when the walk misses (replica lag).
@@ -288,6 +300,9 @@ func (s *Space) Store(core int, va arch.Vaddr, b byte) error {
 }
 
 func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translation, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return pt.Translation{}, err
+	}
 	if va >= arch.MaxVaddr {
 		return pt.Translation{}, mm.ErrSegv
 	}
@@ -325,10 +340,9 @@ func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translatio
 	}
 }
 
-// Destroy implements mm.MM. Idempotent; flushes eagerly only in
-// monotonic compat mode (with recycling the allocator's rollover flush
-// covers the dead translations before the slot is reissued) and returns
-// the ASID, which this baseline previously leaked on every teardown.
+// Destroy implements mm.MM. Idempotent; issues no TLB flush (the
+// allocator's rollover flush covers the dead translations before the
+// slot is reissued) and returns the ASID.
 func (s *Space) Destroy(core int) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
@@ -351,9 +365,6 @@ func (s *Space) Destroy(core int) {
 		r.mu.Unlock()
 	}
 	s.replicas = nil
-	if !s.m.ASIDRecycling() {
-		s.m.TLB.ShootdownAllSync(core, s.asid)
-	}
 	s.m.Phys.PutList(core, frames)
 	s.m.FreeASID(s.asid)
 }

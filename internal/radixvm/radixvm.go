@@ -106,6 +106,9 @@ func (s *Space) Features() mm.Features {
 // Mmap implements mm.MM: insert per-page entries into the radix shards.
 // The VA bump is a single atomic add, so allocation itself scales.
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return 0, err
+	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
@@ -127,10 +130,10 @@ func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.V
 
 // MmapFixed implements mm.MM.
 func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
 	for off := uint64(0); off < size; off += arch.PageSize {
@@ -159,6 +162,9 @@ func (s *Space) insertRange(va arch.Vaddr, size uint64, perm arch.Perm) {
 
 // MmapFile is not carried by this baseline (no experiment needs it).
 func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return 0, err
+	}
 	return 0, mm.ErrNotSupported
 }
 
@@ -166,10 +172,10 @@ func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Pe
 // of exactly the replicas that materialized each page — RadixVM's
 // scalable unmap.
 func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Munmaps.Add(1)
 	s.m.OpTick(core)
 	var freed []arch.PFN
@@ -212,7 +218,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 		// bounded number of generation records per core (the TLB layer
 		// collapses dense batches to their envelope), so there is no
 		// full-ASID escape hatch for large batches anymore.
-		s.m.TLB.ShootdownRanges(core, s.asid, flush)
+		s.m.TLB.Shootdown(core, s.asid, flush, false)
 	}
 	s.m.Phys.PutList(core, freed)
 	return nil
@@ -220,10 +226,10 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 
 // Mprotect implements mm.MM.
 func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mprotects.Add(1)
 	s.m.OpTick(core)
 	for off := uint64(0); off < size; off += arch.PageSize {
@@ -245,15 +251,22 @@ func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 		}
 		sh.mu.Unlock()
 	}
-	s.m.TLB.ShootdownAllSync(core, s.asid)
+	s.m.TLB.ShootdownAll(core, s.asid, true)
 	return nil
 }
 
 // Msync implements mm.MM (no file mappings: nothing to do).
-func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error { return nil }
+func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
+	return mm.GateRange(&s.dead, core, s.m.Cores, va, size)
+}
 
 // Fork is not carried by this baseline.
-func (s *Space) Fork(core int) (mm.MM, error) { return nil, mm.ErrNotSupported }
+func (s *Space) Fork(core int) (mm.MM, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return nil, err
+	}
+	return nil, mm.ErrNotSupported
+}
 
 // Touch implements mm.MM against the calling core's replica.
 func (s *Space) Touch(core int, va arch.Vaddr, acc pt.Access) error {
@@ -281,6 +294,9 @@ func (s *Space) Store(core int, va arch.Vaddr, b byte) error {
 }
 
 func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translation, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return pt.Translation{}, err
+	}
 	if va >= arch.MaxVaddr {
 		return pt.Translation{}, mm.ErrSegv
 	}
@@ -388,10 +404,9 @@ func (s *Space) clearLeaf(t *pt.Tree, va arch.Vaddr) {
 	}
 }
 
-// Destroy implements mm.MM. Idempotent; flushes eagerly only in
-// monotonic compat mode (with recycling the allocator's rollover flush
-// covers the dead translations before the slot is reissued) and returns
-// the ASID, which this baseline previously leaked on every teardown.
+// Destroy implements mm.MM. Idempotent; issues no TLB flush (the
+// allocator's rollover flush covers the dead translations before the
+// slot is reissued) and returns the ASID.
 func (s *Space) Destroy(core int) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
@@ -404,6 +419,7 @@ func (s *Space) Destroy(core int) {
 		sh.mu.Lock()
 		for _, mp := range sh.pages {
 			if mp.frame != arch.NoPFN {
+				s.m.Phys.Desc(mp.frame).MapCount.Store(0)
 				frames = append(frames, mp.frame)
 			}
 		}
@@ -418,9 +434,6 @@ func (s *Space) Destroy(core int) {
 		r.mu.Unlock()
 	}
 	s.replicas = nil
-	if !s.m.ASIDRecycling() {
-		s.m.TLB.ShootdownAllSync(core, s.asid)
-	}
 	s.m.Phys.PutList(core, frames)
 	s.m.FreeASID(s.asid)
 }

@@ -73,7 +73,7 @@ func TestReplayTLBStaleRead(t *testing.T) {
 	})
 	r.Bind("m:deliver", "mutator", func(label string) error {
 		p := pageArg(label)
-		m.ShootdownPageSync(initiator, asid, vaOf(p))
+		m.Shootdown(initiator, asid, []Range{{Lo: vaOf(p), Hi: vaOf(p) + arch.PageSize}}, true)
 		completed[p] = ver[p]
 		return nil
 	})

@@ -131,20 +131,11 @@ type coreTLB struct {
 	genChecks atomic.Uint64 // lookups that replayed the ring this window
 
 	// inbox holds early-ack invalidation requests posted by other
-	// cores; inboxN mirrors its length so the Lookup fast path can skip
-	// the mutex when nothing is pending.
-	inboxMu    sync.Mutex
-	inbox      []Invalidation
-	inboxSpare []Invalidation
-	inboxN     atomic.Int64
-
-	// latrBuf is this core's LATR buffer of invalidations it initiated.
-	// latrN counts its entries plus those a sweeper has taken and is
-	// still applying: it reaches zero only when none is outstanding.
-	latrMu    sync.Mutex
-	latrBuf   []Invalidation
-	latrSpare []Invalidation
-	latrN     atomic.Int64
+	// cores; the Lookup fast path skips it behind its count.
+	inbox mailbox
+	// latr is this core's LATR buffer of invalidations it initiated. Its
+	// count covers entries a sweeper has taken and is still applying.
+	latr mailbox
 	// latrSweep is held by the one sweeper of this buffer from taking
 	// the entries until they are applied, so a second sweeper (a Tick
 	// on another core, Quiesce) waits for them instead of passing by.
@@ -285,7 +276,7 @@ func (m *Machine) Mode() Mode { return m.mode }
 // ring and either re-stamped or discarded.
 func (m *Machine) Lookup(core int, asid ASID, va arch.Vaddr) (pt.Translation, bool) {
 	c := &m.cores[core]
-	if m.mode == ModeEarlyAck && c.inboxN.Load() > 0 {
+	if m.mode == ModeEarlyAck && c.inbox.n.Load() > 0 {
 		m.drainInbox(c)
 	}
 	cell := c.cell(asid)
@@ -594,33 +585,12 @@ func (c *coreTLB) clearHugeSpans(asid ASID, lo, hi arch.Vaddr) {
 // over-invalidation that preserves the ring's recent history).
 const maxFanRecs = 4
 
-// bumpRemote records page invalidations on one remote cell.
-func bumpRemote(cell *epochCell, asid ASID, vas []arch.Vaddr, st *coreStats) {
-	if len(vas) <= maxFanRecs {
-		for _, va := range vas {
-			cell.bump(asid, va, va+arch.PageSize, false)
-		}
-		st.genBumps.Add(uint64(len(vas)))
-		return
-	}
-	lo, hi := vas[0], vas[0]
-	for _, va := range vas[1:] {
-		if va < lo {
-			lo = va
-		}
-		if va > hi {
-			hi = va
-		}
-	}
-	cell.bump(asid, lo, hi+arch.PageSize, false)
-	st.genBumps.Add(1)
-}
-
-// bumpRemoteRanges records range invalidations on one remote cell.
-func bumpRemoteRanges(cell *epochCell, asid ASID, ranges []Range, st *coreStats) {
+// bumpRemote records the invalidation of ranges (of the whole ASID when
+// all is set) on one remote cell.
+func bumpRemote(cell *epochCell, asid ASID, ranges []Range, all bool, st *coreStats) {
 	if len(ranges) <= maxFanRecs {
 		for _, r := range ranges {
-			cell.bump(asid, r.Lo, r.Hi, false)
+			cell.bump(asid, r.Lo, r.Hi, all)
 		}
 		st.genBumps.Add(uint64(len(ranges)))
 		return
@@ -634,75 +604,100 @@ func bumpRemoteRanges(cell *epochCell, asid ASID, ranges []Range, st *coreStats)
 			hi = r.Hi
 		}
 	}
-	cell.bump(asid, lo, hi, false)
+	cell.bump(asid, lo, hi, all)
 	st.genBumps.Add(1)
 }
 
-// Shootdown invalidates the given pages of asid on every core, using
-// the configured protocol. initiator's own TLB is always flushed
-// immediately. No intermediate request slice is built: sync mode bumps
-// target cells directly and the queueing modes append straight into
-// the persistent mailbox buffers.
-func (m *Machine) Shootdown(initiator int, asid ASID, vas []arch.Vaddr) {
-	c := &m.cores[initiator]
-	c.stats.shootdowns.Add(1)
-	for _, va := range vas {
-		c.clearSlot(asid, va)
-		c.clearHugeSpans(asid, va, va+arch.PageSize)
-	}
-	maybeDelay()
-	switch m.mode {
-	case ModeSync:
-		m.visitRemoteByNode(initiator, func(j int) bool {
-			cell := m.cores[j].cell(asid)
-			if !cell.maybePresent() {
-				c.stats.filtered.Add(1)
-				return false
-			}
-			c.stats.ipis.Add(1)
-			bumpRemote(cell, asid, vas, &c.stats)
-			return true
-		})
-	case ModeEarlyAck:
-		m.visitRemoteByNode(initiator, func(j int) bool {
-			t := &m.cores[j]
-			if !t.cell(asid).maybePresent() {
-				c.stats.filtered.Add(1)
-				return false
-			}
-			t.inboxMu.Lock()
-			for _, va := range vas {
-				t.inbox = append(t.inbox, Invalidation{ASID: asid, Lo: va, Hi: va + arch.PageSize})
-			}
-			t.inboxN.Add(int64(len(vas)))
-			t.inboxMu.Unlock()
-			c.stats.deferred.Add(uint64(len(vas)))
-			return true
-		})
-	case ModeLATR:
-		c.latrMu.Lock()
-		for _, va := range vas {
-			c.latrBuf = append(c.latrBuf, Invalidation{ASID: asid, Lo: va, Hi: va + arch.PageSize})
-		}
-		c.latrN.Add(int64(len(vas)))
-		c.latrMu.Unlock()
-		c.stats.deferred.Add(uint64(len(vas)))
-	}
+// mailbox is a mutex-guarded queue of invalidations — an early-ack
+// inbox or a LATR buffer. The spare buffer makes steady-state posting
+// and draining allocation-free. n counts the entries queued plus those
+// taken and not yet reported done: it reaches zero only when none is
+// outstanding, so a reader that loads zero may skip the mutex.
+type mailbox struct {
+	mu    sync.Mutex
+	buf   []Invalidation
+	spare []Invalidation
+	n     atomic.Int64
 }
 
-// ShootdownRanges invalidates the given VA ranges of asid on every core
-// using the configured protocol — the coalesced counterpart of
-// Shootdown that range unmaps use.
-func (m *Machine) ShootdownRanges(initiator int, asid ASID, ranges []Range) {
+// post queues one invalidation per range.
+func (b *mailbox) post(asid ASID, ranges []Range, all bool) {
+	b.mu.Lock()
+	for _, r := range ranges {
+		b.buf = append(b.buf, Invalidation{ASID: asid, Lo: r.Lo, Hi: r.Hi, All: all})
+	}
+	b.n.Add(int64(len(ranges)))
+	b.mu.Unlock()
+}
+
+// take empties the queue into the caller's hands; the caller applies
+// the entries and then passes them to done.
+func (b *mailbox) take() []Invalidation {
+	b.mu.Lock()
+	pending := b.buf
+	b.buf, b.spare = b.spare[:0], nil
+	b.mu.Unlock()
+	return pending
+}
+
+// done marks entries returned by take as applied and recycles their
+// buffer.
+func (b *mailbox) done(pending []Invalidation) {
+	b.n.Add(-int64(len(pending)))
+	b.mu.Lock()
+	if b.spare == nil {
+		b.spare = pending[:0]
+	}
+	b.mu.Unlock()
+}
+
+// Shootdown invalidates the given VA ranges of asid on every core.
+// initiator's own TLB is always flushed before return; remote cores
+// follow the configured protocol unless sync is set, which delivers to
+// them before return whatever the mode. Permission tightenings (COW on
+// fork, mprotect) and frees whose frames are reused at once must not be
+// deferred — LATR's laziness applies only to unmap (§4.5) — so they
+// pass sync.
+func (m *Machine) Shootdown(initiator int, asid ASID, ranges []Range, sync bool) {
+	m.deliver(initiator, asid, ranges, false, sync)
+}
+
+// ShootdownRange is a lazy Shootdown of the single range [lo, hi) — the
+// common case of a contiguous unmap, without the slice literal.
+func (m *Machine) ShootdownRange(initiator int, asid ASID, lo, hi arch.Vaddr) {
+	r := [1]Range{{Lo: lo, Hi: hi}}
+	m.deliver(initiator, asid, r[:], false, false)
+}
+
+// ShootdownAll invalidates every entry of asid on every core (used for
+// fork and whole-space rewrites); sync as for Shootdown.
+func (m *Machine) ShootdownAll(initiator int, asid ASID, sync bool) {
+	r := [1]Range{{Hi: arch.MaxVaddr}}
+	m.deliver(initiator, asid, r[:], true, sync)
+}
+
+// deliver is the one way an invalidation leaves its initiator: the
+// ranges (with all set, the single full range standing for the whole
+// ASID) die in the initiator's own cache at once, and the mode decides
+// only how they reach the other cores. No intermediate request slice is
+// built: the sync arm bumps target cells directly and the queueing arms
+// append straight into the persistent mailbox buffers.
+func (m *Machine) deliver(initiator int, asid ASID, ranges []Range, all, sync bool) {
 	c := &m.cores[initiator]
 	c.stats.shootdowns.Add(1)
 	for _, r := range ranges {
-		c.invalidateLocal(Invalidation{ASID: asid, Lo: r.Lo, Hi: r.Hi})
+		c.invalidateLocal(Invalidation{ASID: asid, Lo: r.Lo, Hi: r.Hi, All: all})
 	}
 	maybeDelay()
-	switch m.mode {
+	mode := m.mode
+	if sync {
+		mode = ModeSync
+	}
+	switch mode {
 	case ModeSync:
-		m.fanRangesNow(c, initiator, asid, ranges)
+		ipis, filtered := m.fanNow(c, initiator, asid, ranges, all)
+		c.stats.ipis.Add(ipis)
+		c.stats.filtered.Add(filtered)
 	case ModeEarlyAck:
 		m.visitRemoteByNode(initiator, func(j int) bool {
 			t := &m.cores[j]
@@ -710,172 +705,41 @@ func (m *Machine) ShootdownRanges(initiator int, asid ASID, ranges []Range) {
 				c.stats.filtered.Add(1)
 				return false
 			}
-			t.inboxMu.Lock()
-			for _, r := range ranges {
-				t.inbox = append(t.inbox, Invalidation{ASID: asid, Lo: r.Lo, Hi: r.Hi})
-			}
-			t.inboxN.Add(int64(len(ranges)))
-			t.inboxMu.Unlock()
+			t.inbox.post(asid, ranges, all)
 			c.stats.deferred.Add(uint64(len(ranges)))
 			return true
 		})
 	case ModeLATR:
-		c.latrMu.Lock()
-		for _, r := range ranges {
-			c.latrBuf = append(c.latrBuf, Invalidation{ASID: asid, Lo: r.Lo, Hi: r.Hi})
-		}
-		c.latrN.Add(int64(len(ranges)))
-		c.latrMu.Unlock()
+		c.latr.post(asid, ranges, all)
 		c.stats.deferred.Add(uint64(len(ranges)))
 	}
 }
 
-// ShootdownRange is ShootdownRanges for a single [lo, hi) range — the
-// common case of a contiguous unmap, without the slice literal.
-func (m *Machine) ShootdownRange(initiator int, asid ASID, lo, hi arch.Vaddr) {
-	r := [1]Range{{Lo: lo, Hi: hi}}
-	m.ShootdownRanges(initiator, asid, r[:])
-}
-
-// ShootdownRangesSync invalidates the given VA ranges on every core
-// immediately regardless of the configured protocol (see ShootdownSync).
-func (m *Machine) ShootdownRangesSync(initiator int, asid ASID, ranges []Range) {
-	c := &m.cores[initiator]
-	c.stats.shootdowns.Add(1)
-	for _, r := range ranges {
-		c.invalidateLocal(Invalidation{ASID: asid, Lo: r.Lo, Hi: r.Hi})
-	}
-	maybeDelay()
-	m.fanRangesNow(c, initiator, asid, ranges)
-}
-
-// ShootdownRangeSync is ShootdownRangesSync for a single range.
-func (m *Machine) ShootdownRangeSync(initiator int, asid ASID, lo, hi arch.Vaddr) {
-	r := [1]Range{{Lo: lo, Hi: hi}}
-	m.ShootdownRangesSync(initiator, asid, r[:])
-}
-
-func (m *Machine) fanRangesNow(c *coreTLB, initiator int, asid ASID, ranges []Range) {
-	m.visitRemoteByNode(initiator, func(j int) bool {
+// fanNow bumps the epoch cell of every remote core that may hold asid,
+// on behalf of core from, and reports how many cores it reached and how
+// many presence filtering let it skip.
+func (m *Machine) fanNow(c *coreTLB, from int, asid ASID, ranges []Range, all bool) (reached, filtered uint64) {
+	m.visitRemoteByNode(from, func(j int) bool {
 		cell := m.cores[j].cell(asid)
 		if !cell.maybePresent() {
-			c.stats.filtered.Add(1)
+			filtered++
 			return false
 		}
-		c.stats.ipis.Add(1)
-		bumpRemoteRanges(cell, asid, ranges, &c.stats)
+		reached++
+		bumpRemote(cell, asid, ranges, all, &c.stats)
 		return true
 	})
-}
-
-// ShootdownAll invalidates every entry of asid on every core (used for
-// address-space teardown and fork).
-func (m *Machine) ShootdownAll(initiator int, asid ASID) {
-	c := &m.cores[initiator]
-	c.stats.shootdowns.Add(1)
-	c.invalidateLocal(Invalidation{ASID: asid, All: true})
-	maybeDelay()
-	switch m.mode {
-	case ModeSync:
-		m.fanAllNow(c, initiator, asid)
-	case ModeEarlyAck:
-		m.visitRemoteByNode(initiator, func(j int) bool {
-			t := &m.cores[j]
-			if !t.cell(asid).maybePresent() {
-				c.stats.filtered.Add(1)
-				return false
-			}
-			t.inboxMu.Lock()
-			t.inbox = append(t.inbox, Invalidation{ASID: asid, All: true})
-			t.inboxN.Add(1)
-			t.inboxMu.Unlock()
-			c.stats.deferred.Add(1)
-			return true
-		})
-	case ModeLATR:
-		c.latrMu.Lock()
-		c.latrBuf = append(c.latrBuf, Invalidation{ASID: asid, All: true})
-		c.latrN.Add(1)
-		c.latrMu.Unlock()
-		c.stats.deferred.Add(1)
-	}
-}
-
-// ShootdownSync invalidates pages on every core immediately regardless
-// of the configured protocol. Permission tightenings (COW on fork,
-// mprotect) must not be deferred — LATR's laziness applies only to
-// unmap (§4.5) — so they use this path.
-func (m *Machine) ShootdownSync(initiator int, asid ASID, vas []arch.Vaddr) {
-	c := &m.cores[initiator]
-	c.stats.shootdowns.Add(1)
-	for _, va := range vas {
-		c.clearSlot(asid, va)
-		c.clearHugeSpans(asid, va, va+arch.PageSize)
-	}
-	maybeDelay()
-	m.visitRemoteByNode(initiator, func(j int) bool {
-		cell := m.cores[j].cell(asid)
-		if !cell.maybePresent() {
-			c.stats.filtered.Add(1)
-			return false
-		}
-		c.stats.ipis.Add(1)
-		bumpRemote(cell, asid, vas, &c.stats)
-		return true
-	})
-}
-
-// ShootdownPageSync is ShootdownSync for a single page — the COW-break
-// and spurious-fault paths, without the slice literal.
-func (m *Machine) ShootdownPageSync(initiator int, asid ASID, va arch.Vaddr) {
-	v := [1]arch.Vaddr{va}
-	m.ShootdownSync(initiator, asid, v[:])
-}
-
-// ShootdownAllSync invalidates the whole ASID everywhere immediately.
-func (m *Machine) ShootdownAllSync(initiator int, asid ASID) {
-	c := &m.cores[initiator]
-	c.stats.shootdowns.Add(1)
-	c.invalidateLocal(Invalidation{ASID: asid, All: true})
-	maybeDelay()
-	m.fanAllNow(c, initiator, asid)
-}
-
-func (m *Machine) fanAllNow(c *coreTLB, initiator int, asid ASID) {
-	m.visitRemoteByNode(initiator, func(j int) bool {
-		cell := m.cores[j].cell(asid)
-		if !cell.maybePresent() {
-			c.stats.filtered.Add(1)
-			return false
-		}
-		c.stats.ipis.Add(1)
-		cell.bump(asid, 0, arch.MaxVaddr, true)
-		c.stats.genBumps.Add(1)
-		return true
-	})
+	return reached, filtered
 }
 
 // drainInbox applies this core's queued early-ack invalidations.
 func (m *Machine) drainInbox(c *coreTLB) {
-	c.inboxMu.Lock()
-	if len(c.inbox) == 0 {
-		c.inboxMu.Unlock()
-		return
-	}
-	pending := c.inbox
-	c.inbox = c.inboxSpare[:0]
-	c.inboxSpare = nil
-	c.inboxN.Store(0)
-	c.inboxMu.Unlock()
+	pending := c.inbox.take()
 	for _, inv := range pending {
 		c.invalidateLocal(inv)
 	}
 	c.stats.applied.Add(uint64(len(pending)))
-	c.inboxMu.Lock()
-	if c.inboxSpare == nil {
-		c.inboxSpare = pending[:0]
-	}
-	c.inboxMu.Unlock()
+	c.inbox.done(pending)
 }
 
 // Tick is the core's timer interrupt: under LATR it sweeps every core's
@@ -888,12 +752,14 @@ func (m *Machine) drainInbox(c *coreTLB) {
 func (m *Machine) Tick(core int) {
 	c := &m.cores[core]
 	if m.mode != ModeLATR {
-		m.drainInbox(c)
+		if c.inbox.n.Load() > 0 {
+			m.drainInbox(c)
+		}
 		return
 	}
 	for i := range m.cores {
 		src := &m.cores[i]
-		if src.latrN.Load() == 0 {
+		if src.latr.n.Load() == 0 {
 			continue
 		}
 		// Spin rather than park: a sweep lasts about a microsecond, a
@@ -904,26 +770,14 @@ func (m *Machine) Tick(core int) {
 				runtime.Gosched()
 			}
 		}
-		src.latrMu.Lock()
-		pending := src.latrBuf
-		src.latrBuf = src.latrSpare[:0]
-		src.latrMu.Unlock()
+		pending := src.latr.take()
 		for _, inv := range pending {
-			inv := inv
 			c.invalidateLocal(inv)
-			m.visitRemoteByNode(core, func(j int) bool {
-				cell := m.cores[j].cell(inv.ASID)
-				if !cell.maybePresent() {
-					return false
-				}
-				cell.bump(inv.ASID, inv.Lo, inv.Hi, inv.All)
-				c.stats.genBumps.Add(1)
-				return true
-			})
+			r := [1]Range{{Lo: inv.Lo, Hi: inv.Hi}}
+			m.fanNow(c, core, inv.ASID, r[:], inv.All)
 		}
 		c.stats.applied.Add(uint64(len(pending)))
-		src.latrN.Add(-int64(len(pending)))
-		src.latrSpare = pending[:0]
+		src.latr.done(pending)
 		src.latrSweep.Unlock()
 	}
 }
@@ -934,7 +788,7 @@ func (m *Machine) Tick(core int) {
 func (m *Machine) PendingInvalidations() int {
 	n := int64(0)
 	for i := range m.cores {
-		n += m.cores[i].inboxN.Load() + m.cores[i].latrN.Load()
+		n += m.cores[i].inbox.n.Load() + m.cores[i].latr.n.Load()
 	}
 	return int(n)
 }

@@ -33,7 +33,7 @@ func BenchmarkShootdownRangeSync(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ShootdownRangeSync(0, 1, 0, 1<<26)
+		m.Shootdown(0, 1, []Range{{Lo: 0, Hi: 1 << 26}}, true)
 	}
 }
 

@@ -126,7 +126,7 @@ func TestHugePreciseClear(t *testing.T) {
 	}
 
 	m.Insert(0, 1, base, trL(900, 2))
-	m.Shootdown(0, 1, []arch.Vaddr{base + 100*arch.PageSize})
+	m.ShootdownRange(0, 1, base+100*arch.PageSize, base+101*arch.PageSize)
 	if _, ok := m.Lookup(0, 1, base+arch.PageSize); ok {
 		t.Fatal("huge entry survived local single-page shootdown")
 	}
@@ -229,7 +229,7 @@ func TestHugeConcurrentShootdowns(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		m.Insert(3, 1, base, trL(1000, 2))
 		page := base + arch.Vaddr(iter%512)*arch.PageSize
-		m.Shootdown(0, 1, []arch.Vaddr{page})
+		m.ShootdownRange(0, 1, page, page+arch.PageSize)
 		for _, off := range offsets {
 			if _, ok := m.Lookup(3, 1, base+off); ok {
 				t.Fatalf("iter %d: offset %#x survived remote one-page shootdown", iter, off)

@@ -54,7 +54,7 @@ func TestQuickSyncMatchesReference(t *testing.T) {
 				m.FlushLocal(core, asid, va)
 				delete(ref[core], refKey{asid, va})
 			case 2:
-				m.Shootdown(core, asid, []arch.Vaddr{va})
+				m.ShootdownRange(core, asid, va, va+arch.PageSize)
 				for c := range ref {
 					delete(ref[c], refKey{asid, va})
 				}
@@ -108,7 +108,7 @@ func TestQuickLazyNeverResurrects(t *testing.T) {
 						m.Insert(rng.Intn(cores), 1, va, pt.Translation{PFN: 1, Perm: arch.PermRW, Level: 1})
 					}
 				case 1:
-					m.Shootdown(rng.Intn(cores), 1, []arch.Vaddr{va})
+					m.ShootdownRange(rng.Intn(cores), 1, va, va+arch.PageSize)
 					dead[va] = true // no one may see it after ticks
 				case 2:
 					for c := 0; c < cores; c++ {

@@ -57,7 +57,7 @@ func TestSyncShootdownImmediate(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		m.Insert(c, 1, 0x5000, tr(5))
 	}
-	m.Shootdown(0, 1, []arch.Vaddr{0x5000})
+	m.ShootdownRange(0, 1, 0x5000, 0x6000)
 	for c := 0; c < 4; c++ {
 		if _, ok := m.Lookup(c, 1, 0x5000); ok {
 			t.Errorf("core %d still holds translation after sync shootdown", c)
@@ -75,7 +75,7 @@ func TestSyncShootdownImmediate(t *testing.T) {
 func TestEarlyAckAppliesOnNextAccess(t *testing.T) {
 	m := NewMachine(2, ModeEarlyAck)
 	m.Insert(1, 1, 0x5000, tr(5))
-	m.Shootdown(0, 1, []arch.Vaddr{0x5000})
+	m.ShootdownRange(0, 1, 0x5000, 0x6000)
 	if m.PendingInvalidations() == 0 {
 		t.Fatal("early-ack queued nothing")
 	}
@@ -93,7 +93,7 @@ func TestLATRAppliedOnTick(t *testing.T) {
 	m := NewMachine(3, ModeLATR)
 	m.Insert(1, 1, 0x7000, tr(7))
 	m.Insert(2, 1, 0x7000, tr(7))
-	m.Shootdown(0, 1, []arch.Vaddr{0x7000})
+	m.ShootdownRange(0, 1, 0x7000, 0x8000)
 	// LATR defers: remote TLBs still hold the translation until a tick.
 	if _, ok := m.Lookup(1, 1, 0x7000); !ok {
 		t.Fatal("LATR applied eagerly; expected bounded staleness")
@@ -117,7 +117,7 @@ func TestShootdownAll(t *testing.T) {
 	m.Insert(0, 3, 0x1000, tr(1))
 	m.Insert(1, 3, 0x2000, tr(2))
 	m.Insert(1, 4, 0x2000, tr(9))
-	m.ShootdownAll(0, 3)
+	m.ShootdownAll(0, 3, false)
 	if _, ok := m.Lookup(1, 3, 0x2000); ok {
 		t.Error("asid 3 survived ShootdownAll")
 	}
@@ -214,13 +214,13 @@ func TestPresenceFiltering(t *testing.T) {
 	m.Insert(1, 1, 0x3000, tr(3))
 	// Only core 1 has ever cached asid 1: cores 2 and 3 must be
 	// filtered, not signalled.
-	m.ShootdownAll(0, 1)
+	m.ShootdownAll(0, 1, false)
 	st := m.Stats()
 	if st.IPIs != 1 || st.Filtered != 2 {
 		t.Fatalf("IPIs=%d Filtered=%d after first ShootdownAll, want 1/2", st.IPIs, st.Filtered)
 	}
 	// After the full-ASID flush core 1's cell is provably empty too.
-	m.ShootdownAll(0, 1)
+	m.ShootdownAll(0, 1, false)
 	st = m.Stats()
 	if st.IPIs != 1 || st.Filtered != 5 {
 		t.Fatalf("IPIs=%d Filtered=%d after second ShootdownAll, want 1/5", st.IPIs, st.Filtered)
@@ -230,7 +230,7 @@ func TestPresenceFiltering(t *testing.T) {
 	}
 	// A fresh insert re-arms the presence bit.
 	m.Insert(2, 1, 0x4000, tr(4))
-	m.ShootdownAll(0, 1)
+	m.ShootdownAll(0, 1, false)
 	st = m.Stats()
 	if st.IPIs != 2 {
 		t.Errorf("IPIs=%d after re-insert, want 2", st.IPIs)
@@ -253,7 +253,7 @@ func TestConcurrentShootdownsRace(t *testing.T) {
 				va := arch.Vaddr(i%32) * arch.PageSize
 				m.Insert(c, 1, va, tr(arch.PFN(i)))
 				if i%8 == 0 {
-					m.Shootdown(c, 1, []arch.Vaddr{va})
+					m.ShootdownRange(c, 1, va, va+arch.PageSize)
 				}
 				m.Lookup(c, 1, va)
 			}
@@ -284,7 +284,7 @@ func TestNodeBatchedFanout(t *testing.T) {
 		m.Insert(c, 1, 0x5000, tr(5))
 	}
 	// Core 0 shoots: core 1 (node 0) + cores 2,3 (node 1) all present.
-	m.Shootdown(0, 1, []arch.Vaddr{0x5000})
+	m.ShootdownRange(0, 1, 0x5000, 0x6000)
 	ns := m.NodeStats()
 	if len(ns) != 2 {
 		t.Fatalf("NodeStats returned %d nodes, want 2", len(ns))
@@ -303,7 +303,7 @@ func TestNodeBatchedFanout(t *testing.T) {
 	// pay a cluster IPI; node 1 filters core 2 but still broadcasts once
 	// for core 3.
 	m.Insert(3, 2, 0x6000, tr(6))
-	m.Shootdown(0, 2, []arch.Vaddr{0x6000})
+	m.ShootdownRange(0, 2, 0x6000, 0x7000)
 	ns = m.NodeStats()
 	if ns[0].Deliveries != 1 || ns[0].Filtered != 1 || ns[0].ClusterIPIs != 1 {
 		t.Errorf("node 0 after filtered round = %+v", ns[0])
@@ -324,7 +324,7 @@ func TestNodeBatchedFanoutLATR(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		m.Insert(c, 1, 0x7000, tr(7))
 	}
-	m.Shootdown(0, 1, []arch.Vaddr{0x7000})
+	m.ShootdownRange(0, 1, 0x7000, 0x8000)
 	// Deferred: no fan-out yet.
 	if st := m.Stats(); st.ClusterIPIs != 0 {
 		t.Fatalf("cluster IPIs before tick = %d", st.ClusterIPIs)
@@ -351,7 +351,7 @@ func TestNodeBatchedFanoutLATR(t *testing.T) {
 func TestSingleNodeDefault(t *testing.T) {
 	m := NewMachine(4, ModeSync)
 	m.Insert(1, 1, 0x1000, tr(1))
-	m.Shootdown(0, 1, []arch.Vaddr{0x1000})
+	m.ShootdownRange(0, 1, 0x1000, 0x2000)
 	ns := m.NodeStats()
 	if len(ns) != 1 {
 		t.Fatalf("default machine has %d nodes, want 1", len(ns))
@@ -372,7 +372,7 @@ func TestLATRTickWaitsForInflightSweep(t *testing.T) {
 	const asid, va = ASID(1), arch.Vaddr(0x7000)
 	m := NewMachine(3, ModeLATR)
 	m.Insert(2, asid, va, tr(7))
-	m.Shootdown(0, asid, []arch.Vaddr{va})
+	m.ShootdownRange(0, asid, va, va+arch.PageSize)
 
 	cell := m.cores[2].cell(asid)
 	cell.seq.Add(1) // odd: a writer holds the cell, so bump spins
@@ -385,9 +385,9 @@ func TestLATRTickWaitsForInflightSweep(t *testing.T) {
 	// Wait for the event "sweeper took the buffer", not a delay.
 	for taken := false; !taken; runtime.Gosched() {
 		src := &m.cores[0]
-		src.latrMu.Lock()
-		taken = len(src.latrBuf) == 0
-		src.latrMu.Unlock()
+		src.latr.mu.Lock()
+		taken = len(src.latr.buf) == 0
+		src.latr.mu.Unlock()
 	}
 
 	quiesced := make(chan struct{})

@@ -7,20 +7,21 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/tlb"
 )
 
 // MadviseDontNeed implements mm.Madviser: zap the resident pages of
 // [va, va+size) under the mmap_lock reader, keeping the VMAs intact.
 func (s *Space) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.m.OpTick(core)
 	s.mmapLock.RLock()
 	freed := s.clearRange(core, va, va+arch.Vaddr(size))
 	s.mmapLock.RUnlock()
-	s.m.TLB.ShootdownAllSync(core, s.asid)
+	s.m.TLB.ShootdownAll(core, s.asid, true)
 	s.unchargePages(freed)
 	s.m.Phys.PutList(core, freed)
 	return nil
@@ -52,6 +53,9 @@ func (s *Space) Store(core int, va arch.Vaddr, b byte) error {
 }
 
 func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translation, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return pt.Translation{}, err
+	}
 	if va >= arch.MaxVaddr {
 		return pt.Translation{}, mm.ErrSegv
 	}
@@ -179,7 +183,7 @@ func (s *Space) cowBreak(core int, v *VMA, leafPT arch.PFN, idx int, pte uint64,
 	s.tree.SetPTE(leafPT, idx, s.isa.EncodeLeaf(cp, newPerm, 1))
 	s.m.Phys.Desc(s.m.Phys.HeadOf(cp)).MapCount.Add(1)
 	d.MapCount.Add(-1)
-	s.m.TLB.ShootdownPageSync(core, s.asid, page)
+	s.m.TLB.Shootdown(core, s.asid, []tlb.Range{{Lo: page, Hi: page + arch.PageSize}}, true)
 	s.m.Phys.Put(core, head)
 	return nil
 }

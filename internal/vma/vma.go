@@ -12,7 +12,6 @@
 package vma
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -150,6 +149,9 @@ func (s *Space) Features() mm.Features {
 // Mmap implements mm.MM: take the mmap_lock writer, carve a range, and
 // insert a VMA. No page-table work happens (on-demand paging).
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return 0, err
+	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
@@ -177,10 +179,10 @@ func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.V
 
 // MmapFixed implements mm.MM.
 func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
 	s.mmapLock.Lock()
@@ -219,6 +221,9 @@ func (s *Space) insertMerged(v *VMA) {
 
 // MmapFile implements mm.MM.
 func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return 0, err
+	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
@@ -238,10 +243,10 @@ func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Pe
 // writer, mark every overlapping VMA (write-locking each), split at the
 // boundaries, clear the page tables, flush TLBs, free pages.
 func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Munmaps.Add(1)
 	s.m.OpTick(core)
 	lo, hi := va, va+arch.Vaddr(size)
@@ -286,10 +291,10 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 
 // Mprotect implements mm.MM: mmap_lock writer, VMA splits, PTE updates.
 func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	defer s.stats.KernelExit(s.stats.KernelEnter())
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mprotects.Add(1)
 	s.m.OpTick(core)
 	lo, hi := va, va+arch.Vaddr(size)
@@ -320,14 +325,14 @@ func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 	}
 	s.protectRange(core, lo, hi, perm)
 	s.mmapLock.Unlock()
-	s.m.TLB.ShootdownAllSync(core, s.asid)
+	s.m.TLB.ShootdownAll(core, s.asid, true)
 	return nil
 }
 
 // Msync implements mm.MM.
 func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
-	if err := arch.CheckCanonical(va, size); err != nil {
-		return fmt.Errorf("%w: %v", mm.ErrBadRange, err)
+	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
+		return err
 	}
 	s.m.OpTick(core)
 	s.mmapLock.RLock()
@@ -347,13 +352,10 @@ func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
 	return nil
 }
 
-// Destroy implements mm.MM. Idempotent; the ASID is flushed (monotonic
-// compat mode) or left to the allocator's rollover flush (recycling —
-// the freed slot cannot be reissued before every core is flushed), then
-// returned to the machine. Without the FreeASID the baseline leaked an
-// identifier per exited process, which under address-space churn walked
-// the monotonic counter across every epoch cell and conservatively
-// killed other spaces' TLB fills forever.
+// Destroy implements mm.MM. Idempotent; the ASID's translations are
+// left to the allocator's rollover flush (the freed slot cannot be
+// reissued before every core is flushed) and the ASID is returned to
+// the machine.
 func (s *Space) Destroy(core int) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
@@ -367,9 +369,6 @@ func (s *Space) Destroy(core int) {
 	})
 	s.vmas = tree{}
 	s.mmapLock.Unlock()
-	if !s.m.ASIDRecycling() {
-		s.m.TLB.ShootdownAllSync(core, s.asid)
-	}
 	s.m.Phys.PutList(core, frames)
 	s.m.FreeASID(s.asid)
 }
@@ -377,6 +376,9 @@ func (s *Space) Destroy(core int) {
 // Fork implements mm.MM: mmap_lock writer on the parent, VMA list copy,
 // page-table copy with COW write-protection.
 func (s *Space) Fork(core int) (mm.MM, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return nil, err
+	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Forks.Add(1)
 	s.m.OpTick(core)
@@ -395,7 +397,7 @@ func (s *Space) Fork(core int) (mm.MM, error) {
 		child.Destroy(core)
 		return nil, err
 	}
-	s.m.TLB.ShootdownAllSync(core, s.asid)
+	s.m.TLB.ShootdownAll(core, s.asid, true)
 	return child, nil
 }
 
