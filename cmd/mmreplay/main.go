@@ -9,7 +9,7 @@
 //
 // Trace format (one op per line, '#' comments):
 //
-//	mmap   <name> <bytes> [perm]   # perm: r, rw, rwx (default rw)
+//	mmap   <name> <bytes> [perm [populate]]   # perm: r, rw, rwx (default rw)
 //	munmap <name>
 //	touch  <name> <pageoff> [r|w|x]
 //	store  <name> <pageoff> <byte>
@@ -133,7 +133,15 @@ func (r *replayer) step(line string) error {
 				return err
 			}
 		}
-		va, err := r.sys.Mmap(r.core, size, perm, 0)
+		var fl mm.Flags
+		switch arg(4) {
+		case "":
+		case "populate":
+			fl = mm.FlagPopulate
+		default:
+			return fmt.Errorf("bad mmap flag %q", arg(4))
+		}
+		va, err := r.sys.Mmap(r.core, size, perm, fl)
 		if err != nil {
 			return err
 		}

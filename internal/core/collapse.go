@@ -80,7 +80,7 @@ func (a *AddrSpace) CollapseHuge(core int, va arch.Vaddr) error {
 		for i := uint64(0); i < r.Pages; i++ {
 			head := a.m.Phys.HeadOf(r.Status.Page + arch.PFN(i))
 			d := a.m.Phys.Desc(head)
-			if d.Kind != mem.KindAnon || d.MapCount.Load() != 1 {
+			if d.Kind != mem.KindAnon || d.MapCount() != 1 {
 				return fmt.Errorf("%w: page %#x shared or non-anon", mm.ErrNotSupported,
 					r.VA+arch.Vaddr(i*arch.PageSize))
 			}

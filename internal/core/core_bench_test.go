@@ -225,6 +225,37 @@ func BenchmarkMunmapFlushRange(b *testing.B) {
 	}
 }
 
+// BenchmarkSplitHugeLeaf measures splitting a 2-MiB leaf: an mprotect of
+// one page of it builds a leaf table of 512 entries over the same frames
+// and links it in the huge leaf's place. Mapping the leaves (two, so that
+// the level-2 page covers the range) and unmapping are outside the timer.
+func BenchmarkSplitHugeLeaf(b *testing.B) {
+	const span = 1 << 21
+	const va = arch.Vaddr(1) << 30
+	a, m := benchSpace(b, ProtocolAdv, 1)
+	defer a.Destroy(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := a.MmapFixed(0, va, 2*span, arch.PermRW, mm.FlagPopulate|mm.FlagHuge2M); err != nil {
+			b.Fatal(err)
+		}
+		if _, level, _ := a.tree.Walk(va); level != 2 {
+			b.Fatalf("populate left a level-%d leaf at %#x", level, va)
+		}
+		b.StartTimer()
+		if err := a.Mprotect(0, va+7*arch.PageSize, arch.PageSize, arch.PermRead); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := a.Munmap(0, va, 2*span); err != nil {
+			b.Fatal(err)
+		}
+		m.Quiesce()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkFork measures whole-address-space enumeration (the paper's
 // worst case) at two working-set sizes.
 func BenchmarkFork(b *testing.B) {

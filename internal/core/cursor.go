@@ -142,16 +142,15 @@ func (c *RCursor) mapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.P
 	t.SetMeta(pfn, idx, pt.Status{})
 	head := c.a.m.Phys.HeadOf(frame)
 	d := c.a.m.Phys.Desc(head)
-	d.MapCount.Add(1)
-	// Maintain the migration reverse-map hint: an exclusive anonymous
-	// 4-KiB mapping records (space, va) so the compaction/NUMA scanners
-	// can find the PTE; any other shape invalidates a stale hint. The
-	// hint is advisory — migration revalidates under the lock (§4.5).
+	// One write to the descriptor: an exclusive anonymous 4-KiB mapping
+	// records (space, va) with its count so the compaction/NUMA scanners
+	// can find the PTE; any other shape only counts. The hint is advisory
+	// — migration revalidates under the lock (§4.5).
 	if level == 1 && head == frame && d.Kind == mem.KindAnon &&
 		perm&(arch.PermShared|arch.PermCOW) == 0 {
-		d.SetAnonRMap(&c.a.anonOwner, uint64(va))
+		d.MapExclusive(&c.a.anonOwner, uint64(va))
 	} else {
-		d.ClearAnonRMap()
+		d.Map()
 	}
 	return nil
 }
@@ -237,7 +236,7 @@ func (c *RCursor) protectPTE(pte uint64, level int, perm arch.Perm) uint64 {
 	if perm&arch.PermWrite != 0 {
 		head := c.a.m.Phys.HeadOf(isa.PFNOf(pte))
 		d := c.a.m.Phys.Desc(head)
-		if d.MapCount.Load() > 1 || d.Kind == mem.KindFile {
+		if d.MapCount() > 1 || d.Kind == mem.KindFile {
 			p = p&^arch.PermWrite | arch.PermCOW
 		}
 	}
@@ -300,16 +299,17 @@ func (c *RCursor) ensureChild(pfn arch.PFN, level, idx int, entryLo arch.Vaddr) 
 		perm := isa.PermOf(pte)
 		key := isa.ProtKeyOf(pte)
 		basePFN := isa.PFNOf(pte)
-		for i := 0; i < arch.PTEntries; i++ {
-			leaf := isa.EncodeLeaf(basePFN+arch.PFN(uint64(i)*subPages), perm, level-1)
+		var leaves [arch.PTEntries]uint64
+		for i := range leaves {
+			leaves[i] = isa.EncodeLeaf(basePFN+arch.PFN(uint64(i)*subPages), perm, level-1)
 			if key != 0 {
-				leaf = isa.WithProtKey(leaf, key)
+				leaves[i] = isa.WithProtKey(leaves[i], key)
 			}
-			t.SetPTE(child, i, leaf)
 		}
+		t.FillUnlinked(child, leaves[:])
 		head := c.a.m.Phys.HeadOf(basePFN)
 		c.a.m.Phys.GetN(head, arch.PTEntries-1)
-		c.a.m.Phys.Desc(head).MapCount.Add(arch.PTEntries - 1)
+		c.a.m.Phys.Desc(head).MapN(arch.PTEntries - 1)
 	} else if s := t.GetMeta(pfn, idx); s.Kind != pt.StatusInvalid {
 		for i := 0; i < arch.PTEntries; i++ {
 			t.SetMeta(child, i, s.SlidBy(uint64(i)*subPages))
@@ -325,7 +325,7 @@ func (c *RCursor) ensureChild(pfn arch.PFN, level, idx int, entryLo arch.Vaddr) 
 // TLB shootdown) and the translation is queued for invalidation.
 func (c *RCursor) releaseLeaf(pte uint64, level int, va arch.Vaddr) {
 	head := c.a.m.Phys.HeadOf(c.a.isa.PFNOf(pte))
-	c.a.m.Phys.Desc(head).MapCount.Add(-1)
+	c.a.m.Phys.Desc(head).Unmap()
 	c.cleared += arch.SpanBytes(level) / arch.PageSize
 	// Flush before queueing the free: spillDeferred may hand the queued
 	// frames to the RCU monitor mid-walk, and the shootdown it issues
@@ -392,7 +392,7 @@ func (c *RCursor) clearLeafTable(child arch.PFN, base arch.Vaddr) {
 				continue
 			}
 			head := phys.HeadOf(isa.PFNOf(w))
-			phys.Desc(head).MapCount.Add(-1)
+			phys.Desc(head).Unmap()
 			c.noteFreed(head)
 		}
 		st.Present = 0

@@ -122,7 +122,7 @@ func (a *AddrSpace) forkCopy(core int, c *RCursor, child *AddrSpace, src, dst ar
 			ct.SetPTE(dst, idx, childPTE)
 			a.m.Phys.Get(head)
 			d := a.m.Phys.Desc(head)
-			d.MapCount.Add(1)
+			d.Map()
 			if d.RMap.File != nil {
 				files[d.RMap.File] = true
 			}
@@ -172,7 +172,7 @@ func (a *AddrSpace) Destroy(core int) {
 	a.tree.Destroy(core,
 		func(pte uint64, level int) {
 			head := a.m.Phys.HeadOf(a.isa.PFNOf(pte))
-			a.m.Phys.Desc(head).MapCount.Add(-1)
+			a.m.Phys.Desc(head).Unmap()
 			a.m.Phys.Put(core, head)
 		},
 		func(s pt.Status) {
@@ -256,7 +256,7 @@ func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
 			pfn := r.Status.Page + arch.PFN(i)
 			head := a.m.Phys.HeadOf(pfn)
 			d := a.m.Phys.Desc(head)
-			if d.Kind != mem.KindAnon || d.MapCount.Load() != 1 {
+			if d.Kind != mem.KindAnon || d.MapCount() != 1 {
 				continue // only exclusively owned anonymous pages
 			}
 			block := a.swapDev.AllocBlock()

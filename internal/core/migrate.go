@@ -113,7 +113,7 @@ func protectForMigration(a *AddrSpace, core int, req mem.MigrateReq, perm *arch.
 	d := a.m.Phys.Desc(req.Src)
 	if qerr != nil || st.Kind != pt.StatusMapped || st.Page != req.Src ||
 		st.Perm&(arch.PermShared|arch.PermCOW) != 0 ||
-		d.MapCount.Load() != 1 || d.Ref.Load() != 2 {
+		d.MapCount() != 1 || d.Ref.Load() != 2 {
 		c.Close()
 		return false
 	}
@@ -146,7 +146,7 @@ func remapMigrated(a *AddrSpace, core int, req mem.MigrateReq, perm arch.Perm, k
 	d := a.m.Phys.Desc(req.Src)
 	if qerr != nil || st.Kind != pt.StatusMapped || st.Page != req.Src ||
 		st.Perm != want || st.Key != key ||
-		d.MapCount.Load() != 1 || d.Ref.Load() != 2 {
+		d.MapCount() != 1 || d.Ref.Load() != 2 {
 		c.Close()
 		return false
 	}

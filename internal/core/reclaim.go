@@ -135,7 +135,7 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 			pfn := r.Status.Page + arch.PFN(i)
 			head := a.m.Phys.HeadOf(pfn)
 			d := a.m.Phys.Desc(head)
-			if d.Kind != mem.KindAnon || d.MapCount.Load() != 1 {
+			if d.Kind != mem.KindAnon || d.MapCount() != 1 {
 				continue
 			}
 			if node >= 0 && a.m.Phys.FrameNode(pfn) != node {
@@ -232,7 +232,7 @@ func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 	}
 	head := a.m.Phys.HeadOf(isa.PFNOf(pte))
 	d := a.m.Phys.Desc(head)
-	if d.Kind != mem.KindAnon || d.MapCount.Load() != 1 || d.Ref.Load() != 1 {
+	if d.Kind != mem.KindAnon || d.MapCount() != 1 || d.Ref.Load() != 1 {
 		return false
 	}
 	// Split the translation first: 512 level-1 leaves over the same
@@ -244,16 +244,10 @@ func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 	// no scanner pin can appear between the exclusivity check above and
 	// this swap — the shatter cannot fail and strand a half-demoted
 	// span (512 PTEs over an unshattered block would be permanently
-	// unreclaimable: the 4-KiB path requires MapCount == 1).
-	if !a.m.Phys.ShatterBlock(head) {
-		return false
-	}
-	// The children are ordinary exclusive anonymous pages now; hint
-	// each one so migration and compaction can find its mapping.
-	for i := 0; i < arch.PTEntries; i++ {
-		a.m.Phys.Desc(head+arch.PFN(i)).SetAnonRMap(&a.anonOwner, uint64(base)+uint64(i)*arch.PageSize)
-	}
-	return true
+	// unreclaimable: the 4-KiB path requires MapCount == 1). The children
+	// come out as ordinary exclusive anonymous pages, each hinted so
+	// migration and compaction can find its mapping.
+	return a.m.Phys.ShatterBlock(head, &a.anonOwner, uint64(base))
 }
 
 // MadviseDontNeed implements mm.Madviser: release the physical pages of

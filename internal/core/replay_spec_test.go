@@ -83,7 +83,7 @@ func TestReplayReclaimFreeWhileMapped(t *testing.T) {
 			return fmt.Errorf("%s: page unmapped", stage)
 		}
 		d := m.Phys.Desc(pfn)
-		if mc := d.MapCount.Load(); mc != 1 {
+		if mc := d.MapCount(); mc != 1 {
 			return fmt.Errorf("%s: frame mapcount %d, want 1", stage, mc)
 		}
 		if b := m.Phys.DataPage(pfn)[0]; b != 0xAB {

@@ -491,7 +491,7 @@ func (a *AddrSpace) faultMapped(core int, c *RCursor, page arch.Vaddr, acc pt.Ac
 		a.stats.COWBreaks.Add(1)
 		head := a.m.Phys.HeadOf(st.Page)
 		d := a.m.Phys.Desc(head)
-		if d.MapCount.Load() == 1 && d.Kind == mem.KindAnon {
+		if d.MapCount() == 1 && d.Kind == mem.KindAnon {
 			// Sole mapper of an anonymous page: no need to copy, just
 			// upgrade in place.
 			a.m.Phys.Get(head) // Map consumes one reference

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
@@ -385,7 +384,7 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 						}
 						t.SetPTE(pfn, idx, leaf)
 						t.SetMeta(pfn, idx, pt.Status{})
-						a.m.Phys.Desc(a.m.Phys.HeadOf(frame)).MapCount.Add(1)
+						a.m.Phys.Desc(a.m.Phys.HeadOf(frame)).Map()
 						return nil
 					}
 					// No contiguous block: fall through to 4-KiB pages.
@@ -405,15 +404,22 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 			}
 			t.SetPTE(pfn, idx, leaf)
 			t.SetMeta(pfn, idx, pt.Status{})
-			d := a.m.Phys.Desc(frame)
-			d.MapCount.Add(1)
-			if s.Perm&(arch.PermShared|arch.PermCOW) == 0 {
-				d.SetAnonRMap(&a.anonOwner, uint64(entryLo))
-			}
+			a.mapAnon(frame, s.Perm, entryLo)
 			return nil
 		},
 	}
 	return c.walk(&v, lo, hi)
+}
+
+// mapAnon counts the PTE just written at va for the order-0 anonymous
+// frame a populate allocated: exclusively, hint and all, unless the
+// span's permission says the page is shared or copy-on-write.
+func (a *AddrSpace) mapAnon(frame arch.PFN, perm arch.Perm, va arch.Vaddr) {
+	if d := a.m.Phys.Desc(frame); perm&(arch.PermShared|arch.PermCOW) == 0 {
+		d.MapExclusive(&a.anonOwner, uint64(va))
+	} else {
+		d.Map()
+	}
 }
 
 // bulkFillL2 is PopulateAnon's fast path for a fully covered, entirely
@@ -424,8 +430,9 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 // page clears its entry again — plus one allocator round trip per frame.
 // Here the fresh child table's metadata stays untouched (all Invalid,
 // exactly the final state of a fully mapped table), the 512 frames come
-// from one batch allocation, and the PTEs are plain stores with the
-// Present count fixed up once.
+// from one batch allocation, and the table is written while nothing
+// points to it (pt.Tree.FillUnlinked): its PTEs are plain stores, and
+// the SetPTE that links it is the store that publishes them.
 //
 // On frame exhaustion the pages that did get frames stay mapped and the
 // remainder of the span gets its PrivateAnon status restored into the
@@ -444,20 +451,15 @@ func (c *RCursor) bulkFillL2(pfn arch.PFN, idx int, entryLo arch.Vaddr, s pt.Sta
 	}
 	var frames [arch.PTEntries]arch.PFN
 	n := a.m.Phys.AllocFrameBatch(c.core, mem.KindAnon, frames[:])
-	words := t.Words(child)
+	var leaves [arch.PTEntries]uint64
 	for i := 0; i < n; i++ {
-		leaf := isa.EncodeLeaf(frames[i], s.Perm, 1)
+		leaves[i] = isa.EncodeLeaf(frames[i], s.Perm, 1)
 		if s.Key != 0 {
-			leaf = isa.WithProtKey(leaf, s.Key)
+			leaves[i] = isa.WithProtKey(leaves[i], s.Key)
 		}
-		atomic.StoreUint64(&words[i], leaf)
-		d := a.m.Phys.Desc(frames[i])
-		d.MapCount.Add(1)
-		if s.Perm&(arch.PermShared|arch.PermCOW) == 0 {
-			d.SetAnonRMap(&a.anonOwner, uint64(entryLo)+uint64(i)*arch.PageSize)
-		}
+		a.mapAnon(frames[i], s.Perm, entryLo+arch.Vaddr(i)*arch.PageSize)
 	}
-	t.State(child).Present = int32(n)
+	t.FillUnlinked(child, leaves[:n])
 	for i := n; i < arch.PTEntries; i++ {
 		t.SetMeta(child, i, s.SlidBy(uint64(i)))
 	}

@@ -98,7 +98,7 @@ func (m *PhysMem) Audit() AuditReport {
 			continue
 		}
 		ref := d.Ref.Load()
-		mc := d.MapCount.Load()
+		mc := d.MapCount()
 		switch {
 		case ref < 0:
 			r.addf("frame %#x: negative refcount %d", pfn, ref)
@@ -128,9 +128,6 @@ func (m *PhysMem) Audit() AuditReport {
 			r.ByKind[d.Kind] += 1 << d.order.Load()
 			if d.Kind == KindPT && (d.data.Load() != nil || d.spare.Load() != nil) {
 				r.addf("frame %#x: page-table frame carries a data payload", pfn)
-			}
-			if mc < 0 {
-				r.addf("frame %#x: negative MapCount %d", pfn, mc)
 			}
 			if (d.Kind == KindAnon || d.Kind == KindFile) && mc > ref {
 				r.addf("frame %#x (%s): MapCount %d exceeds Ref %d — refcount skew",

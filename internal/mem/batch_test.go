@@ -14,14 +14,22 @@ import (
 
 // TestFrameDescSize pins the per-page overhead: a descriptor is two
 // cache lines, the first holding what the anonymous page lifecycle
-// touches at alloc, map, unmap and free.
+// touches at alloc, map, unmap and free — Ref, the mapping word, the
+// hint's owner and the payload pointers.
 func TestFrameDescSize(t *testing.T) {
 	var d FrameDesc
 	if got := unsafe.Sizeof(d); got != 128 {
 		t.Errorf("FrameDesc is %d bytes, want 128", got)
 	}
-	if off := unsafe.Offsetof(d.anonVA) + unsafe.Sizeof(d.anonVA); off > 64 {
-		t.Errorf("anonVA ends at byte %d, outside the first cache line", off)
+	for name, end := range map[string]uintptr{
+		"Ref":       unsafe.Offsetof(d.Ref) + unsafe.Sizeof(d.Ref),
+		"mapping":   unsafe.Offsetof(d.mapping) + unsafe.Sizeof(d.mapping),
+		"anonOwner": unsafe.Offsetof(d.anonOwner) + unsafe.Sizeof(d.anonOwner),
+		"spare":     unsafe.Offsetof(d.spare) + unsafe.Sizeof(d.spare),
+	} {
+		if end > 64 {
+			t.Errorf("%s ends at byte %d, outside the first cache line", name, end)
+		}
 	}
 }
 
@@ -79,11 +87,12 @@ func putScene(t *testing.T, m *PhysMem, seed int64) (runs []frameRun, survivors 
 	// Shatter the first block the way a split huge mapping leaves it; the
 	// children's payloads alias the head's buffer.
 	m.GetN(a, 1<<hugeOrder-1)
-	if !m.ShatterBlock(a) {
+	m.Desc(a).MapN(1 << hugeOrder)
+	if !m.ShatterBlock(a, &AnonOwner{}, 1<<21) {
 		t.Fatal("ShatterBlock refused")
 	}
 	for i := arch.PFN(0); i < 1<<hugeOrder; i++ {
-		m.Desc(a + i).MapCount.Store(0)
+		m.Desc(a + i).Unmap()
 		if i > 0 {
 			heads = append(heads, a+i)
 		}
@@ -92,7 +101,8 @@ func putScene(t *testing.T, m *PhysMem, seed int64) (runs []frameRun, survivors 
 		d := m.Desc(pfn)
 		if d.Kind != KindPT && rng.Intn(2) == 0 {
 			m.Data(pfn)[7] = 0xA5
-			d.SetAnonRMap(&AnonOwner{}, 0x1000)
+			d.MapExclusive(&AnonOwner{}, 0x1000)
+			d.Unmap()
 		}
 		if rng.Intn(8) == 0 {
 			m.Get(pfn)
@@ -149,7 +159,8 @@ func settle(t *testing.T, m *PhysMem) physState {
 	}
 	for pfn := range m.frames {
 		d := &m.frames[pfn]
-		if d.Ref.Load() == 0 && (d.PT != nil || d.RMap != (RMapRef{}) || d.words != nil || d.anonVA.Load() != 0 || d.aliased) {
+		_, hint := d.AnonRMap()
+		if d.Ref.Load() == 0 && (d.PT != nil || d.RMap != (RMapRef{}) || d.words != nil || d.MapCount() != 0 || hint != 0 || d.aliased) {
 			t.Fatalf("free frame %#x keeps state of its last life: %+v", pfn, d)
 		}
 		s.refs = append(s.refs, d.Ref.Load())
@@ -351,6 +362,20 @@ func TestBuddyRunsMatchFrames(t *testing.T) {
 			}
 			if runs.freeOrd != frames.freeOrd || runs.free_ != frames.free_ {
 				t.Fatalf("seed %d step %d: counters differ: %v/%d vs %v/%d", seed, step, runs.freeOrd, runs.free_, frames.freeOrd, frames.free_)
+			}
+			// What the top-down scans go by: top at or above every free head,
+			// and the free heads of each 64 frames counted.
+			for _, b := range []*buddy{&runs, &frames} {
+				count := make([]uint8, len(b.heads64))
+				for _, blk := range freeSet(b) {
+					head := int32(blk.head) - b.base
+					if count[head>>6]++; head > b.top {
+						t.Fatalf("seed %d step %d: top %d below the free head %d", seed, step, b.top, head)
+					}
+				}
+				if !slices.Equal(count, b.heads64) {
+					t.Fatalf("seed %d step %d: free heads per 64 frames %v, counted %v", seed, step, b.heads64, count)
+				}
 			}
 		}
 	}

@@ -33,6 +33,11 @@ type buddy struct {
 	// raises it, the top-down scans start at it and lower it to the first
 	// free head they meet.
 	top int32
+	// heads64[i] counts the free block heads among frames 64i … 64i+63,
+	// so that a top-down scan crosses a populate batch's allocated frames,
+	// or the body of a block whose head coalescing moved down, 64 frames
+	// to a step.
+	heads64 []uint8
 	// free counts free frames (not blocks); mutated only under mu with
 	// plain arithmetic. Each exported operation publishes it to nfree on
 	// unlock so watermark checks on allocation paths read it lock-free
@@ -63,6 +68,7 @@ func (b *buddy) init(base, nframes int, reserveFirst bool) {
 	b.base = int32(base)
 	b.order = make([]uint8, nframes)
 	b.isFree = make([]bool, nframes)
+	b.heads64 = make([]uint8, nframes/64+1)
 	b.next = make([]int32, nframes)
 	b.prev = make([]int32, nframes)
 	for i := range b.heads {
@@ -99,6 +105,7 @@ func (b *buddy) pushFree(pfn int32, order int) {
 	}
 	b.heads[order] = pfn
 	b.top = max(b.top, pfn)
+	b.heads64[pfn>>6]++
 	b.free_ += 1 << order
 	b.freeOrd[order]++
 }
@@ -113,6 +120,7 @@ func (b *buddy) unlink(pfn int32, order int) {
 		b.prev[n] = b.prev[pfn]
 	}
 	b.isFree[pfn] = false
+	b.heads64[pfn>>6]--
 	b.free_ -= 1 << order
 	b.freeOrd[order]--
 }
@@ -183,7 +191,11 @@ func (b *buddy) allocHigh(order int) (arch.PFN, bool) {
 // every top-down scan starts, and tightens top to it.
 func (b *buddy) highestFree() int32 {
 	for b.top >= 0 && !b.isFree[b.top] {
-		b.top--
+		if b.heads64[b.top>>6] == 0 {
+			b.top = b.top&^63 - 1
+		} else {
+			b.top--
+		}
 	}
 	return b.top
 }

@@ -4,8 +4,8 @@ package mem
 // THP pipeline): the mem layer owns candidate discovery, pinning, and
 // target allocation; the core layer registers a MigrateHook that runs
 // the locked break-before-make remap + copy through the page-table
-// transaction protocol. Reverse-map hints (FrameDesc.anonVA/anonOwner)
-// are advisory — the hook revalidates everything under the lock before
+// transaction protocol. Reverse-map hints (FrameDesc.AnonRMap) are
+// advisory — the hook revalidates everything under the lock before
 // touching a PTE, exactly like the file reverse maps of §4.5.
 
 import (
@@ -70,26 +70,19 @@ func (m *PhysMem) SetCompactHook(h CompactHook) {
 var ErrNotMovable = fmt.Errorf("mem: frame not movable")
 
 // pinCandidate pins src if it looks like a movable page — an exclusive
-// (MapCount==1, Ref==1 before the pin) anonymous order-0 frame with a
-// reverse-map hint — and returns the hint. All pre-pin probes read only
-// atomics; Kind is read after the pin, whose CAS acquires initFrames'
-// Ref release, so the descriptor fields are stable. On any mismatch the
-// pin is dropped and ok is false.
+// (mapped once, Ref==1 before the pin) anonymous order-0 frame with a
+// reverse-map hint, which only a frame mapped once has — and returns the
+// hint. All pre-pin probes read only atomics; Kind is read after the
+// pin, whose CAS acquires initFrames' Ref release, so the descriptor
+// fields are stable. On any mismatch the pin is dropped and ok is false.
 func (m *PhysMem) pinCandidate(core int, src arch.PFN) (owner any, va uint64, ok bool) {
 	d := &m.frames[src]
-	if d.tail.Load() != 0 || d.anonVA.Load() == 0 {
-		return nil, 0, false
-	}
-	if !m.TryGet(src) {
-		return nil, 0, false
-	}
-	if d.Kind != KindAnon || d.order.Load() != 0 || d.tail.Load() != 0 ||
-		d.MapCount.Load() != 1 || d.Ref.Load() != 2 {
-		m.Put(core, src)
+	if _, va := d.AnonRMap(); va == 0 || d.tail.Load() != 0 || !m.TryGet(src) {
 		return nil, 0, false
 	}
 	owner, va = d.AnonRMap()
-	if owner == nil || va == 0 {
+	if owner == nil || va == 0 || d.Kind != KindAnon || d.order.Load() != 0 ||
+		d.tail.Load() != 0 || d.Ref.Load() != 2 {
 		m.Put(core, src)
 		return nil, 0, false
 	}
@@ -226,15 +219,16 @@ func (m *PhysMem) CompactZone(core, node, maxPages int) int {
 
 // ShatterBlock splits a 2-MiB anonymous block whose huge mapping has
 // already been split into 512 4-KiB PTEs (Ref == MapCount == 512 on the
-// head) into 512 independent order-0 descriptors, so each page can be
-// reclaimed, migrated or freed on its own — the demotion counterpart of
+// head) into 512 independent order-0 descriptors, each mapped exclusively
+// by owner at its page of the span at va, so each page can be reclaimed,
+// migrated or freed on its own — the demotion counterpart of
 // CollapseHuge. The children's data payloads alias sub-slices of the
 // head's 2-MiB buffer: storage identity is preserved, so a writer
 // racing through a not-yet-flushed stale translation still lands in the
 // same bytes. Returns false (and changes nothing) when the head is not
 // in the expected post-split state — e.g. a transient scanner pin holds
 // an extra reference; callers just retry on a later pass.
-func (m *PhysMem) ShatterBlock(head arch.PFN) bool {
+func (m *PhysMem) ShatterBlock(head arch.PFN, owner *AnonOwner, va uint64) bool {
 	d := &m.frames[head]
 	if d.tail.Load() != 0 || int(d.order.Load()) != hugeOrder || d.Kind != KindAnon {
 		return false
@@ -249,7 +243,8 @@ func (m *PhysMem) ShatterBlock(head arch.PFN) bool {
 	if !d.Ref.CompareAndSwap(nframes, 1) {
 		return false
 	}
-	d.MapCount.Store(1)
+	d.UnmapN(uint64(nframes))
+	d.MapExclusive(owner, va)
 	d.order.Store(0)
 	for i := int64(1); i < nframes; i++ {
 		c := &m.frames[head+arch.PFN(i)]
@@ -262,7 +257,7 @@ func (m *PhysMem) ShatterBlock(head arch.PFN) bool {
 		c.aliased = true
 		c.order.Store(0)
 		c.Ref.Store(1)
-		c.MapCount.Store(1)
+		c.MapExclusive(owner, va+uint64(i)*arch.PageSize)
 		c.tail.Store(0) // published last: the child is now independent
 	}
 	// The head keeps the full 2-MiB buffer; DataPage slices page 0 out
@@ -342,7 +337,7 @@ func (m *PhysMem) FragIndex(node, order int) float64 {
 // accessor node. Only frames with a live reverse-map hint qualify.
 func (m *PhysMem) NumaCandidate(pfn arch.PFN, minStreak uint64) (int, bool) {
 	d := &m.frames[pfn]
-	if d.anonVA.Load() == 0 || d.tail.Load() != 0 {
+	if _, va := d.AnonRMap(); va == 0 || d.tail.Load() != 0 {
 		return 0, false
 	}
 	node, streak := d.accessStreak()

@@ -154,15 +154,15 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 			// The post-split state ShatterBlock expects: one reference
 			// and one mapping per 4-KiB PTE.
 			m.GetN(head, n-1)
-			m.Desc(head).MapCount.Store(n)
-			if !m.ShatterBlock(head) {
+			m.Desc(head).MapN(n)
+			if !m.ShatterBlock(head, &AnonOwner{}, 1<<21) {
 				t.Fatal("ShatterBlock refused")
 			}
 			for i := arch.PFN(0); i < n; i++ {
 				if got := m.DataPage(head + i)[7]; got != 0xA5 {
 					t.Fatalf("child %d lost its bytes in the split: %#x", i, got)
 				}
-				m.Desc(head + i).MapCount.Store(0)
+				m.Desc(head + i).Unmap()
 				m.Put(0, head+i)
 			}
 			// Neither the head's 2-MiB buffer nor a child's window into

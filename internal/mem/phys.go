@@ -57,9 +57,20 @@ type FrameDesc struct {
 	// Ref counts owners of the frame (page-cache entries, PTE mappings,
 	// transient pins). The frame returns to the allocator when it hits 0.
 	Ref atomic.Int64
-	// MapCount counts PTEs mapping this frame across all address spaces;
-	// the COW fault handler uses it to detect exclusive ownership (Fig 8).
-	MapCount atomic.Int64
+	// mapping is what the page tables say about the frame, in one word so
+	// that a page's life writes it once per map and once per unmap: the
+	// number of PTEs mapping it across all address spaces in the low
+	// mapCountBits bits (the COW fault handler uses it to detect exclusive
+	// ownership, Fig 8) and, above, the migration reverse-map hint — the
+	// VPN at which an exclusive anonymous 4-KiB mapping was last installed
+	// (never 0 for a mapped page: VA 0 is unmapped by construction). The
+	// hint is valid iff the count is exactly 1, so sharing, unmapping and
+	// freeing a frame never write it: a second mapper outvotes it, and a
+	// first mapper that claims no exclusivity replaces it with none.
+	// Purely advisory even then (§4.5): what survives from a count that
+	// went up and came back down may name a mapping that is gone, and the
+	// migrator revalidates through the lock protocol before trusting it.
+	mapping atomic.Uint64
 	// Kind is the current use of the frame.
 	Kind Kind
 	// order is the buddy order the frame was allocated with (head only).
@@ -88,14 +99,8 @@ type FrameDesc struct {
 	// since, has one.
 	spare atomic.Pointer[[]byte]
 
-	// anonVA is the migration reverse-map hint: the VA (never 0 for a
-	// mapped page — VA 0 is unmapped by construction) at which an
-	// exclusive anonymous 4-KiB mapping of this frame was last installed,
-	// or 0 when no such hint exists. Purely advisory (§4.5): the migrator
-	// revalidates through the lock protocol before trusting it.
-	anonVA atomic.Uint64
-	// anonOwner is the owning address space for the anonVA hint, stored
-	// before anonVA publishes. Never cleared — a stale owner is harmless
+	// anonOwner is the owning address space for mapping's hint, stored
+	// before the hint publishes. Never cleared — a stale owner is harmless
 	// because validation rejects mismatches.
 	anonOwner atomic.Pointer[AnonOwner]
 	// access packs the NUMA access-streak telemetry:
@@ -115,7 +120,7 @@ type FrameDesc struct {
 
 	// Two cache lines exactly (TestFrameDescSize): the words the anonymous
 	// page lifecycle touches first, and no line shared with a neighbour.
-	_ [8]byte
+	_ [16]byte
 }
 
 // AnonOwner is the identity an address space records anonymous
@@ -131,33 +136,72 @@ func (d *FrameDesc) Order() int { return int(d.order.Load()) }
 // Tail reports whether this frame is a non-head member of a huge block.
 func (d *FrameDesc) Tail() bool { return d.tail.Load() != 0 }
 
-// SetAnonRMap records the migration reverse-map hint: owner maps this
-// frame exclusively at va. Owner is stored first — and only when it
-// changed, which a recycled frame's rarely has — so a reader that
-// observes the VA also observes its owner.
-func (d *FrameDesc) SetAnonRMap(owner *AnonOwner, va uint64) {
+// The mapping word's count field; the hint's VPN fills the bits above.
+const (
+	mapCountBits = 64 - (arch.VABits - arch.PageShift)
+	mapCountMask = 1<<mapCountBits - 1
+)
+
+// MapCount returns the number of PTEs mapping this frame.
+func (d *FrameDesc) MapCount() int64 { return int64(d.mapping.Load() & mapCountMask) }
+
+// Map counts one more PTE mapping this frame that claims no exclusivity.
+func (d *FrameDesc) Map() { d.mapMore(1, 0) }
+
+// MapN is n Maps at once (a huge leaf split into n+1).
+func (d *FrameDesc) MapN(n uint64) { d.mapMore(n, 0) }
+
+// MapExclusive counts one more PTE and records it as the migration
+// reverse-map hint: owner maps this anonymous 4-KiB frame privately at
+// va. Owner is stored first — and only when it changed, which a recycled
+// frame's rarely has — so a reader that observes the hint also observes
+// its owner.
+func (d *FrameDesc) MapExclusive(owner *AnonOwner, va uint64) {
 	if d.anonOwner.Load() != owner {
 		d.anonOwner.Store(owner)
 	}
-	d.anonVA.Store(va)
+	d.mapMore(1, va>>arch.PageShift)
 }
 
-// AnonRMap returns the recorded hint (owning space, va); va == 0 means
-// no hint.
+// mapMore adds n to the count in one atomic write. A non-zero vpn becomes
+// the hint; otherwise the hint stays — the count it needs is now at least
+// two — unless these are the first mappings of a life, which must not
+// inherit the last life's.
+func (d *FrameDesc) mapMore(n, vpn uint64) {
+	for {
+		old := d.mapping.Load()
+		count := old&mapCountMask + n
+		if count > mapCountMask {
+			panic("mem: map count overflow")
+		}
+		hint := old &^ mapCountMask
+		if vpn != 0 || count == n {
+			hint = vpn << mapCountBits
+		}
+		if d.mapping.CompareAndSwap(old, hint|count) {
+			return
+		}
+	}
+}
+
+// Unmap counts one PTE fewer.
+func (d *FrameDesc) Unmap() { d.UnmapN(1) }
+
+// UnmapN counts n PTEs fewer, leaving the hint alone.
+func (d *FrameDesc) UnmapN(n uint64) {
+	if d.mapping.Add(-n)&mapCountMask > mapCountMask-n {
+		panic("mem: Unmap of a frame not mapped that often")
+	}
+}
+
+// AnonRMap returns the migration reverse-map hint (owning space, va) of
+// a frame mapped exactly once; va == 0 means no hint.
 func (d *FrameDesc) AnonRMap() (any, uint64) {
-	va := d.anonVA.Load()
-	if va == 0 {
+	w := d.mapping.Load()
+	if w&mapCountMask != 1 || w>>mapCountBits == 0 {
 		return nil, 0
 	}
-	return d.anonOwner.Load().Space, va
-}
-
-// ClearAnonRMap drops the hint (unmap, COW sharing, huge collapse).
-// Load-guarded so hot paths that never set hints stay store-free.
-func (d *FrameDesc) ClearAnonRMap() {
-	if d.anonVA.Load() != 0 {
-		d.anonVA.Store(0)
-	}
+	return d.anonOwner.Load().Space, w >> mapCountBits << arch.PageShift
 }
 
 // RMapRef identifies the logical owner of a named frame for reverse
@@ -529,11 +573,12 @@ func (m *PhysMem) AllocFrames(core int, order int, kind Kind) (arch.PFN, error) 
 
 // initFrames starts a life of each block of 2^order frames headed at one
 // of pfns, with Ref == 1. A frame arrives as Put or boot left it — PT,
-// RMap and words nil, no MapCount, no payload published — so a word is
-// stored only when it has to change; the guards read a frame nobody else
-// holds yet. Ref is an unconditional atomic store, and the last one: the
-// compaction scanner TryGets lock-free, and its CAS acquires everything
-// written before.
+// RMap and words nil, mapped nowhere (the mapping word's stale hint dies
+// with the first Map), no payload published — so a word is stored only
+// when it has to change; the guards read a frame nobody else holds yet.
+// Ref is an unconditional atomic store, and the last one: the compaction
+// scanner TryGets lock-free, and its CAS acquires everything written
+// before.
 func (m *PhysMem) initFrames(kind Kind, order uint32, pfns ...arch.PFN) {
 	for _, pfn := range pfns {
 		d := &m.frames[pfn]
@@ -541,17 +586,11 @@ func (m *PhysMem) initFrames(kind Kind, order uint32, pfns ...arch.PFN) {
 		if d.order.Load() != order {
 			d.order.Store(order)
 		}
-		if d.MapCount.Load() != 0 {
-			d.MapCount.Store(0)
-		}
-		// Payload and migration/NUMA hints of an earlier life must not leak
-		// into this one. Put dropped data and anonVA, so only access — lossy
-		// telemetry written all through a life — is ever dirty here.
+		// Payload and NUMA telemetry of an earlier life must not leak into
+		// this one. Put dropped data, so only access — lossy telemetry
+		// written all through a life — is ever dirty here.
 		if d.data.Load() != nil {
 			d.data.Store(nil)
-		}
-		if d.anonVA.Load() != 0 {
-			d.anonVA.Store(0)
 		}
 		if d.access.Load() != 0 {
 			d.access.Store(0)
@@ -677,9 +716,6 @@ func (b *putBatch) put(pfn arch.PFN) {
 	}
 	if d.words != nil {
 		d.words = nil
-	}
-	if d.anonVA.Load() != 0 {
-		d.anonVA.Store(0)
 	}
 	for i := arch.PFN(1); i < 1<<order; i++ {
 		m.frames[pfn+i].tail.Store(0)

@@ -192,11 +192,11 @@ func TestAuditDetectsSkew(t *testing.T) {
 		t.Fatalf("clean state flagged: %s", rep.String())
 	}
 	// Simulate a leaked reference count: MapCount above Ref.
-	m.Desc(pfn).MapCount.Store(5)
+	m.Desc(pfn).MapN(5)
 	if rep := m.Audit(); rep.Ok() {
 		t.Fatal("audit missed MapCount > Ref skew")
 	}
-	m.Desc(pfn).MapCount.Store(0)
+	m.Desc(pfn).UnmapN(5)
 	// Simulate kind-counter drift.
 	m.kinds[KindAnon].Add(1)
 	if rep := m.Audit(); rep.Ok() {

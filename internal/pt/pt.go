@@ -156,6 +156,16 @@ func (t *Tree) SetPTE(pfn arch.PFN, idx int, pte uint64) uint64 {
 	return old
 }
 
+// FillUnlinked writes ptes, present entries all, into the first entries
+// of the empty PT page pfn, which no entry points to yet. Such a table is
+// ordinary memory: plain stores fill it, and the atomic SetPTE that links
+// it into its parent is the only store that needs ordering — whoever
+// loads that entry sees the table as written here.
+func (t *Tree) FillUnlinked(pfn arch.PFN, ptes []uint64) {
+	copy(t.Words(pfn)[:], ptes)
+	t.State(pfn).Present = int32(len(ptes))
+}
+
 // EnsureMeta returns the page's metadata array, allocating it on demand.
 // The caller must hold the page's lock.
 func (t *Tree) EnsureMeta(pfn arch.PFN) *MetaArray {

@@ -1,6 +1,9 @@
 package pt
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cortenmm/internal/arch"
@@ -284,5 +287,83 @@ func TestWellFormedCatchesCorruption(t *testing.T) {
 	tree.SetMeta(child, 7, Status{Kind: StatusMapped, Page: data})
 	if err := tree.CheckWellFormed(); err == nil {
 		t.Error("Mapped-in-meta not detected")
+	}
+}
+
+// TestUnlinkedTableFillRace is FillUnlinked's contract at this layer: a
+// leaf table filled with plain stores and then linked with SetPTE reads,
+// to a lock-free walker that finds it through that entry, as filled —
+// every entry present and of the generation that linked it — and equals
+// what 512 SetPTEs build. The tables stay allocated until the end, so
+// the only ordering at work is the linking store's. Run under -race.
+func TestUnlinkedTableFillRace(t *testing.T) {
+	tree := newTestTree(t)
+	base := arch.Vaddr(1) << 30
+	mapVA(t, tree, base+arch.Vaddr(arch.SpanBytes(2)), 1) // builds the levels above base's leaf table
+	l2 := tree.Root
+	for level := arch.Levels; level > 2; level-- {
+		l2 = tree.ISA.PFNOf(tree.LoadPTE(l2, arch.IndexAt(base, level)))
+	}
+	idx := arch.IndexAt(base, 2)
+	const gens = 400
+	var checked atomic.Int64 // linked tables the walker has read through
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			e := tree.LoadPTE(l2, idx)
+			if !tree.ISA.IsPresent(e) {
+				continue
+			}
+			table := tree.ISA.PFNOf(e)
+			first := tree.ISA.PFNOf(tree.LoadPTE(table, 0))
+			for i := 0; i < arch.PTEntries; i++ {
+				if w := tree.LoadPTE(table, i); !tree.ISA.IsPresent(w) || tree.ISA.PFNOf(w) != first+arch.PFN(i) {
+					t.Errorf("linked table %#x entry %d reads %#x, entry 0 maps frame %#x", table, i, w, first)
+					return
+				}
+			}
+			if pte, _, ok := tree.Walk(base + 5*arch.PageSize); ok && (tree.ISA.PFNOf(pte)-5)%arch.PTEntries != 0 {
+				t.Errorf("walk through a linked table found frame %#x", tree.ISA.PFNOf(pte))
+				return
+			}
+			checked.Add(1)
+		}
+	}()
+	var leaves [arch.PTEntries]uint64
+	for g := 1; g <= gens && !t.Failed(); g++ {
+		child, err := tree.AllocPTPage(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range leaves {
+			leaves[i] = tree.ISA.EncodeLeaf(arch.PFN(g*arch.PTEntries+i), arch.PermRW|arch.PermUser, 1)
+		}
+		tree.FillUnlinked(child, leaves[:])
+		tree.SetPTE(l2, idx, tree.ISA.EncodeTable(child))
+		// Unlink once the walker has been through this table, or one before.
+		for n := checked.Load(); checked.Load() == n && !t.Failed(); {
+			runtime.Gosched()
+		}
+		if g < gens {
+			tree.SetPTE(l2, idx, 0)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	// The last table, still linked, against one built entry by entry.
+	ref, err := tree.AllocPTPage(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range leaves {
+		tree.SetPTE(ref, i, e)
+	}
+	last := tree.ISA.PFNOf(tree.LoadPTE(l2, idx))
+	if *tree.Words(last) != *tree.Words(ref) || tree.State(last).Present != tree.State(ref).Present {
+		t.Errorf("FillUnlinked left Present %d and other words than %d SetPTEs (Present %d)",
+			tree.State(last).Present, len(leaves), tree.State(ref).Present)
 	}
 }

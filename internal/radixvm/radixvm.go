@@ -202,8 +202,6 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 			r.mu.Unlock()
 		}
 		if mp.frame != arch.NoPFN {
-			d := s.m.Phys.Desc(mp.frame)
-			d.MapCount.Store(0)
 			freed = append(freed, mp.frame)
 			// Coalesce adjacent pages into one invalidation range.
 			if n := len(flush); n > 0 && flush[n-1].Hi == page {
@@ -380,8 +378,7 @@ func (s *Space) setLeaf(core int, t *pt.Tree, va arch.Vaddr, frame arch.PFN, per
 	old := t.LoadPTE(cur, idx)
 	t.SetPTE(cur, idx, s.isa.EncodeLeaf(frame, perm, 1))
 	if !s.isa.IsPresent(old) {
-		d := s.m.Phys.Desc(frame)
-		d.MapCount.Add(1)
+		s.m.Phys.Desc(frame).Map()
 		s.m.Phys.Get(frame)
 	}
 	return nil
@@ -400,6 +397,7 @@ func (s *Space) clearLeaf(t *pt.Tree, va arch.Vaddr) {
 	old := t.LoadPTE(cur, idx)
 	if s.isa.IsPresent(old) {
 		t.SetPTE(cur, idx, 0)
+		s.m.Phys.Desc(s.isa.PFNOf(old)).Unmap()
 		s.m.Phys.Put(0, s.isa.PFNOf(old))
 	}
 }
@@ -419,7 +417,6 @@ func (s *Space) Destroy(core int) {
 		sh.mu.Lock()
 		for _, mp := range sh.pages {
 			if mp.frame != arch.NoPFN {
-				s.m.Phys.Desc(mp.frame).MapCount.Store(0)
 				frames = append(frames, mp.frame)
 			}
 		}
@@ -429,6 +426,7 @@ func (s *Space) Destroy(core int) {
 	for _, r := range s.replicas {
 		r.mu.Lock()
 		r.tree.Destroy(core, func(pte uint64, level int) {
+			s.m.Phys.Desc(s.isa.PFNOf(pte)).Unmap()
 			frames = append(frames, s.isa.PFNOf(pte))
 		})
 		r.mu.Unlock()

@@ -157,9 +157,12 @@ func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 		}
 	}
 	s.tree.SetPTE(leafPT, idx, s.isa.EncodeLeaf(frame, hwPerm, 1))
-	head := s.m.Phys.HeadOf(frame)
-	s.m.Phys.Desc(head).MapCount.Add(1)
-	s.chargePage(core, frame, page)
+	if d := s.m.Phys.Desc(s.m.Phys.HeadOf(frame)); d.RMap.File == nil {
+		d.MapExclusive(&s.anonOwner, uint64(page)) // the anon rmap
+	} else {
+		d.Map()
+	}
+	s.chargePage(core, frame)
 	return nil
 }
 
@@ -171,7 +174,7 @@ func (s *Space) cowBreak(core int, v *VMA, leafPT arch.PFN, idx int, pte uint64,
 	d := s.m.Phys.Desc(head)
 	perm := s.isa.PermOf(pte)
 	newPerm := perm&^arch.PermCOW | arch.PermWrite
-	if d.MapCount.Load() == 1 && d.Kind == mem.KindAnon {
+	if d.MapCount() == 1 && d.Kind == mem.KindAnon {
 		s.tree.SetPTE(leafPT, idx, s.isa.WithPerm(pte, newPerm, 1))
 		s.m.TLB.FlushLocal(core, s.asid, page)
 		return nil
@@ -181,8 +184,8 @@ func (s *Space) cowBreak(core int, v *VMA, leafPT arch.PFN, idx int, pte uint64,
 		return err
 	}
 	s.tree.SetPTE(leafPT, idx, s.isa.EncodeLeaf(cp, newPerm, 1))
-	s.m.Phys.Desc(s.m.Phys.HeadOf(cp)).MapCount.Add(1)
-	d.MapCount.Add(-1)
+	s.m.Phys.Desc(s.m.Phys.HeadOf(cp)).Map()
+	d.Unmap()
 	s.m.TLB.Shootdown(core, s.asid, []tlb.Range{{Lo: page, Hi: page + arch.PageSize}}, true)
 	s.m.Phys.Put(core, head)
 	return nil
@@ -256,7 +259,7 @@ func (s *Space) clearRange(core int, lo, hi arch.Vaddr) []arch.PFN {
 		pte := s.tree.LoadPTE(pfn, idx)
 		if s.isa.IsPresent(pte) {
 			head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
-			s.m.Phys.Desc(head).MapCount.Add(-1)
+			s.m.Phys.Desc(head).Unmap()
 			freed = append(freed, head)
 			s.tree.SetPTE(pfn, idx, 0)
 		}
@@ -287,7 +290,7 @@ func (s *Space) protectRange(core int, lo, hi arch.Vaddr, perm arch.Perm) {
 			} else if p&arch.PermWrite != 0 {
 				head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
 				d := s.m.Phys.Desc(head)
-				if d.MapCount.Load() > 1 || d.Kind == mem.KindFile {
+				if d.MapCount() > 1 || d.Kind == mem.KindFile {
 					p = p&^arch.PermWrite | arch.PermCOW
 				}
 			}

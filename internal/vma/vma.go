@@ -66,14 +66,10 @@ type pagevec struct {
 	_     [40]byte
 }
 
-// chargePage accounts a newly faulted page: cgroup charge, anon rmap,
-// and (batched) LRU insertion.
-func (s *Space) chargePage(core int, frame arch.PFN, va arch.Vaddr) {
+// chargePage accounts a newly faulted page: cgroup charge and (batched)
+// LRU insertion.
+func (s *Space) chargePage(core int, frame arch.PFN) {
 	s.memcg.Add(1)
-	d := s.m.Phys.Desc(s.m.Phys.HeadOf(frame))
-	if d.RMap.File == nil {
-		d.SetAnonRMap(&s.anonOwner, uint64(va))
-	}
 	pv := &s.pagevecs[core]
 	pv.pages[pv.n] = frame
 	pv.n++
@@ -364,7 +360,7 @@ func (s *Space) Destroy(core int) {
 	var frames []arch.PFN
 	s.tree.Destroy(core, func(pte uint64, level int) {
 		head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
-		s.m.Phys.Desc(head).MapCount.Add(-1)
+		s.m.Phys.Desc(head).Unmap()
 		frames = append(frames, head)
 	})
 	s.vmas = tree{}
@@ -418,7 +414,7 @@ func (s *Space) forkCopy(core int, child *Space, src, dst arch.PFN, level int) e
 			}
 			child.tree.SetPTE(dst, idx, isa.EncodeLeaf(frame, perm, level))
 			s.m.Phys.Get(head)
-			s.m.Phys.Desc(head).MapCount.Add(1)
+			s.m.Phys.Desc(head).Map()
 			continue
 		}
 		dstChild, err := child.tree.AllocPTPage(core, level-1)
