@@ -1,8 +1,8 @@
 // Benchmarks regenerating every figure and table of the CortenMM
 // evaluation (§6). Each sub-benchmark runs one complete workload
 // configuration per iteration and reports the figure's headline metric
-// (ops/s, jobs/s, µs/op, or MiB). cmd/cortenbench prints the same data
-// as labelled rows.
+// (ops/s, jobs/s, µs/op, or bytes) as the median of the measured
+// bench.Row. cmd/cortenbench writes the same rows as JSON lines.
 package cortenmm_test
 
 import (
@@ -18,24 +18,46 @@ import (
 // benchThreads is the thread sweep used by the multicore benchmarks.
 var benchThreads = []int{1, 4}
 
-func microBench(b *testing.B, sys bench.System, op workload.MicroOp, cont workload.Contention, threads int) {
+// report publishes the median of each named metric of a measured row.
+func report(b *testing.B, r bench.Row, metricUnit ...string) {
 	b.Helper()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		env, err := bench.NewEnv(sys, threads, 1<<17, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := workload.RunMicro(env.Machine, env.Sys, workload.MicroConfig{
-			Op: op, Contention: cont, Threads: threads, Iters: 300,
-		})
-		env.Close()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res.OpsPerSec()
+	for i := 0; i+1 < len(metricUnit); i += 2 {
+		b.ReportMetric(r.Metrics[metricUnit[i]].Median, metricUnit[i+1])
 	}
-	b.ReportMetric(last, "mmops/s")
+}
+
+// reportRows publishes one metric of every row of a figure run, under a
+// unit named by the row's distinguishing label values.
+func reportRows(b *testing.B, run func(bench.Options) ([]bench.Row, error), metric, unit string, by ...string) {
+	b.Helper()
+	var rows []bench.Row
+	for i := 0; i < b.N; i++ {
+		var err error
+		if rows, err = run(bench.Options{Threads: []int{4}, Scale: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, r := range rows {
+		name := ""
+		for _, l := range by {
+			if v := r.Labels[l]; v != "" {
+				name += v + "-"
+			}
+		}
+		b.ReportMetric(r.Metrics[metric].Median, name+unit)
+	}
+}
+
+func microBench(b *testing.B, sys bench.System, isa cortenmm.ISA, op workload.MicroOp, cont workload.Contention, threads int) {
+	b.Helper()
+	var last bench.Row
+	for i := 0; i < b.N; i++ {
+		var err error
+		if last, err = bench.Micro(sys, isa, op, cont, threads, 300); err != nil {
+			b.Fatal(err)
+		}
+	}
+	report(b, last, "ops_per_s", "mmops/s")
 }
 
 // BenchmarkFig1 is the teaser: mmap-PF and unmap scalability.
@@ -44,7 +66,7 @@ func BenchmarkFig1(b *testing.B) {
 		for _, threads := range benchThreads {
 			for _, sys := range []bench.System{bench.Linux, bench.RadixVM, bench.NrOS, bench.CortenAdv} {
 				b.Run(fmt.Sprintf("%s/t%d/%s", op, threads, sys), func(b *testing.B) {
-					microBench(b, sys, op, workload.Low, threads)
+					microBench(b, sys, nil, op, workload.Low, threads)
 				})
 			}
 		}
@@ -59,7 +81,7 @@ func BenchmarkFig13(b *testing.B) {
 				continue
 			}
 			b.Run(fmt.Sprintf("%s/%s", op, sys), func(b *testing.B) {
-				microBench(b, sys, op, workload.Low, 1)
+				microBench(b, sys, nil, op, workload.Low, 1)
 			})
 		}
 	}
@@ -71,26 +93,23 @@ func BenchmarkFig14(b *testing.B) {
 		for _, op := range workload.AllMicroOps {
 			for _, sys := range []bench.System{bench.Linux, bench.CortenRW, bench.CortenAdv} {
 				b.Run(fmt.Sprintf("%s/%s/%s/t4", op, cont, sys), func(b *testing.B) {
-					microBench(b, sys, op, cont, 4)
+					microBench(b, sys, nil, op, cont, 4)
 				})
 			}
 		}
 	}
 }
 
-func appBench(b *testing.B, sys bench.System, app, alloc string, threads int) {
+func appBench(b *testing.B, sys bench.System, app, alloc string, threads int, metricUnit ...string) {
 	b.Helper()
-	o := bench.Options{Threads: []int{threads}, Scale: 1}
-	var last bench.AppCell
+	var last bench.Row
 	for i := 0; i < b.N; i++ {
-		cell, err := bench.RunApp(sys, app, alloc, threads, o)
-		if err != nil {
+		var err error
+		if last, err = bench.App(sys, app, alloc, threads, bench.Options{Scale: 1}); err != nil {
 			b.Fatal(err)
 		}
-		last = cell
 	}
-	b.ReportMetric(last.Throughput, "jobs/s")
-	b.ReportMetric(last.KernelFrac*100, "kernel%")
+	report(b, last, metricUnit...)
 }
 
 // BenchmarkFig15 is the single-threaded real-world comparison.
@@ -98,7 +117,7 @@ func BenchmarkFig15(b *testing.B) {
 	for _, app := range []string{"dedup", "psearchy", "metis", "swaptions"} {
 		for _, sys := range []bench.System{bench.Linux, bench.CortenRW, bench.CortenAdv} {
 			b.Run(fmt.Sprintf("%s/%s", app, sys), func(b *testing.B) {
-				appBench(b, sys, app, "ptmalloc", 1)
+				appBench(b, sys, app, "ptmalloc", 1, "ops_per_s", "jobs/s", "kernel_frac", "kernel-frac")
 			})
 		}
 	}
@@ -111,7 +130,7 @@ func BenchmarkFig16(b *testing.B) {
 		for _, threads := range benchThreads {
 			for _, sys := range systems {
 				b.Run(fmt.Sprintf("%s/t%d/%s", app, threads, sys), func(b *testing.B) {
-					appBench(b, sys, app, "", threads)
+					appBench(b, sys, app, "", threads, "ops_per_s", "jobs/s", "kernel_frac", "kernel-frac")
 				})
 			}
 		}
@@ -124,7 +143,7 @@ func BenchmarkFig17(b *testing.B) {
 		for _, alloc := range []string{"ptmalloc", "tcmalloc"} {
 			for _, sys := range []bench.System{bench.Linux, bench.CortenAdv} {
 				b.Run(fmt.Sprintf("%s/%s/t4/%s", app, alloc, sys), func(b *testing.B) {
-					appBench(b, sys, app, alloc, 4)
+					appBench(b, sys, app, alloc, 4, "ops_per_s", "jobs/s", "kernel_frac", "kernel-frac")
 				})
 			}
 		}
@@ -136,16 +155,7 @@ func BenchmarkFig18(b *testing.B) {
 	for _, app := range []string{"dedup", "psearchy"} {
 		for _, alloc := range []string{"ptmalloc", "tcmalloc"} {
 			b.Run(fmt.Sprintf("%s/%s", app, alloc), func(b *testing.B) {
-				o := bench.Options{Threads: []int{4}, Scale: 1}
-				var last bench.AppCell
-				for i := 0; i < b.N; i++ {
-					cell, err := bench.RunApp(bench.Linux, app, alloc, 4, o)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = cell
-				}
-				b.ReportMetric(float64(last.MappedBytes)/(1<<20), "MiB")
+				appBench(b, bench.Linux, app, alloc, 4, "mapped_bytes", "B")
 			})
 		}
 	}
@@ -157,22 +167,7 @@ func BenchmarkFig19(b *testing.B) {
 	for _, op := range workload.AllMicroOps {
 		for _, sys := range []bench.System{bench.Linux, bench.CortenAdv} {
 			b.Run(fmt.Sprintf("riscv/%s/%s", op, sys), func(b *testing.B) {
-				var last float64
-				for i := 0; i < b.N; i++ {
-					env, err := bench.NewEnv(sys, 1, 1<<16, isa)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := workload.RunMicro(env.Machine, env.Sys, workload.MicroConfig{
-						Op: op, Contention: workload.Low, Threads: 1, Iters: 300,
-					})
-					env.Close()
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res.OpsPerSec()
-				}
-				b.ReportMetric(last, "mmops/s")
+				microBench(b, sys, isa, op, workload.Low, 1)
 			})
 		}
 	}
@@ -180,28 +175,7 @@ func BenchmarkFig19(b *testing.B) {
 
 // BenchmarkFig20 is the LMbench fork suite.
 func BenchmarkFig20(b *testing.B) {
-	for _, op := range workload.AllLMbenchOps {
-		for _, sys := range []bench.System{bench.Linux, bench.CortenAdv} {
-			b.Run(fmt.Sprintf("%s/%s", op, sys), func(b *testing.B) {
-				var last float64
-				for i := 0; i < b.N; i++ {
-					env, err := bench.NewEnv(sys, 2, 1<<16, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					res, err := workload.RunLMbench(env.Machine, env.Sys,
-						func() (cortenmm.MM, error) { return bench.NewSystem(sys, env.Machine, nil) },
-						op, 512, 5)
-					env.Close()
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = float64(res.PerOp.Microseconds())
-				}
-				b.ReportMetric(last, "us/op")
-			})
-		}
-	}
+	reportRows(b, bench.Fig20, "us_per_op", "us/op", "op", "sys")
 }
 
 // BenchmarkFig21 is the PARSEC-other normalized run.
@@ -209,7 +183,7 @@ func BenchmarkFig21(b *testing.B) {
 	for _, app := range []string{"blackscholes", "swaptions", "fluidanimate", "canneal"} {
 		for _, sys := range []bench.System{bench.Linux, bench.CortenAdv} {
 			b.Run(fmt.Sprintf("%s/%s", app, sys), func(b *testing.B) {
-				appBench(b, sys, app, "", 4)
+				appBench(b, sys, app, "", 4, "ops_per_s", "jobs/s", "kernel_frac", "kernel-frac")
 			})
 		}
 	}
@@ -217,17 +191,7 @@ func BenchmarkFig21(b *testing.B) {
 
 // BenchmarkFig22 reports the memory-overhead percentages under metis.
 func BenchmarkFig22(b *testing.B) {
-	var cells []bench.MemCell
-	for i := 0; i < b.N; i++ {
-		var err error
-		cells, err = bench.Fig22(bench.Options{Threads: []int{4}, Scale: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, c := range cells {
-		b.ReportMetric(c.OverheadPct(), string(c.System)+"-ovh%")
-	}
+	reportRows(b, bench.Fig22, "overhead_pct", "ovh%", "sys")
 }
 
 // BenchmarkTable4 measures the model checker (the verification-effort
@@ -252,42 +216,9 @@ func BenchmarkTable4(b *testing.B) {
 	b.ReportMetric(float64(transitions), "transitions")
 }
 
-// BenchmarkAblationTLB quantifies the shootdown protocols on an
-// unmap-heavy workload (design choice called out in DESIGN.md).
-func BenchmarkAblationTLB(b *testing.B) {
-	for _, mode := range []string{"sync", "early-ack", "latr"} {
-		b.Run(mode, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				res, err := bench.AblationTLB(mode, 4, 200)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last, "mmops/s")
-		})
-	}
-}
-
-// BenchmarkAblationCoarseLock contrasts covering-page locking with a
-// degenerate root lock.
-func BenchmarkAblationCoarseLock(b *testing.B) {
-	for _, coarse := range []bool{false, true} {
-		name := "covering"
-		if coarse {
-			name = "rootlock"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				res, err := bench.AblationCoarse(coarse, 4, 200)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last, "mmops/s")
-		})
-	}
+// BenchmarkAblations quantifies the design choices DESIGN.md calls out:
+// rw vs adv protocol, covering-page vs root locking, and the three
+// shootdown protocols.
+func BenchmarkAblations(b *testing.B) {
+	reportRows(b, bench.Ablations, "ops_per_s", "mmops/s", "protocol", "lock", "tlb")
 }

@@ -1,10 +1,12 @@
 // Command cortenbench regenerates the figures and tables of the
-// CortenMM evaluation (§6) on the simulated machine and prints each
-// series as labelled rows.
+// CortenMM evaluation (§6) on the simulated machine. Every measured
+// cell is one JSON object per line on stdout (a bench.Row: figure,
+// labels, repeats, median/min/max per metric), led by a "meta" row
+// naming the host and commit; titles go to stderr. Each figure's
+// contract is checked on the rows just produced, and a violation exits
+// 1 naming the row. BENCH_<pr>.json is this output checked in:
 //
-// Usage:
-//
-//	cortenbench [-fig all|1|2|13|14|...|22|pressure|batch|numa|ablate] [-threads 1,2,4,8] [-scale 1.0]
+//	go run ./cmd/cortenbench > BENCH_21.json
 //
 // Absolute numbers depend on the host; the comparisons between systems
 // are the reproduction target. See EXPERIMENTS.md for the side-by-side
@@ -12,23 +14,47 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 
 	"cortenmm/internal/bench"
 )
 
+// metaRow describes the run: the host, the toolchain, the scale and
+// the commit the binary was built from (when the build recorded one).
+func metaRow(scale float64) bench.Row {
+	host, _ := os.Hostname()
+	commit := "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				commit = s.Value
+			}
+		}
+	}
+	return bench.Row{Fig: "meta", Labels: map[string]string{
+		"host": host, "os_arch": runtime.GOOS + "/" + runtime.GOARCH, "cpus": strconv.Itoa(runtime.NumCPU()),
+		"go": runtime.Version(), "commit": commit, "scale": fmt.Sprint(scale),
+	}}
+}
+
 func main() {
-	fig := flag.String("fig", "all", "figure/table to regenerate (all, 1, 2, 13, 14, ...)")
+	var names []string
+	for _, f := range bench.Figures {
+		names = append(names, f.Name)
+	}
+	fig := flag.String("fig", "all", "figure/table to regenerate: all, "+strings.Join(names, ", "))
 	threads := flag.String("threads", "", "comma-separated thread sweep (default 1,2,...,GOMAXPROCS-based)")
 	scale := flag.Float64("scale", 1.0, "iteration-count multiplier (higher = slower, more stable)")
-	quick := flag.Bool("quick", false, "shrink grids to their CI smoke subset")
 	flag.Parse()
 
-	o := bench.Options{Scale: *scale, Quick: *quick, W: os.Stdout}
+	o := bench.Options{Scale: *scale, W: os.Stdout}
 	if *threads != "" {
 		for _, part := range strings.Split(*threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -40,52 +66,26 @@ func main() {
 		}
 	}
 
-	type gen struct {
-		name string
-		run  func(bench.Options) error
-	}
-	wrap := func(f func(bench.Options) ([]bench.MicroCell, error)) func(bench.Options) error {
-		return func(o bench.Options) error { _, err := f(o); return err }
-	}
-	wrapApp := func(f func(bench.Options) ([]bench.AppCell, error)) func(bench.Options) error {
-		return func(o bench.Options) error { _, err := f(o); return err }
-	}
-	gens := []gen{
-		{"1", wrap(bench.Fig1)},
-		{"2", bench.DefaultTable2},
-		{"13", wrap(bench.Fig13)},
-		{"14", wrap(bench.Fig14)},
-		{"15", wrapApp(bench.Fig15)},
-		{"16", wrapApp(bench.Fig16)},
-		{"17", wrapApp(bench.Fig17)},
-		{"18", wrapApp(bench.Fig18)},
-		{"19", wrap(bench.Fig19)},
-		{"20", func(o bench.Options) error { _, err := bench.Fig20(o); return err }},
-		{"21", wrapApp(bench.Fig21)},
-		{"22", func(o bench.Options) error { _, err := bench.Fig22(o); return err }},
-		{"pressure", func(o bench.Options) error { _, err := bench.FigPressure(o); return err }},
-		{"batch", func(o bench.Options) error { _, err := bench.FigBatch(o); return err }},
-		{"numa", func(o bench.Options) error { _, err := bench.FigNuma(o); return err }},
-		{"tenant", func(o bench.Options) error { _, err := bench.FigTenant(o); return err }},
-		{"thp", func(o bench.Options) error { _, err := bench.FigTHP(o); return err }},
-		{"spec", func(o bench.Options) error { _, err := bench.FigSpec(o); return err }},
-		{"ablate", bench.Ablations},
-	}
-
 	ran := false
-	for _, g := range gens {
-		if *fig != "all" && *fig != g.name {
+	for _, f := range bench.Figures {
+		if *fig != "all" && *fig != f.Name {
 			continue
 		}
+		if !ran {
+			if err := json.NewEncoder(os.Stdout).Encode(metaRow(*scale)); err != nil {
+				fmt.Fprintln(os.Stderr, "cortenbench:", err)
+				os.Exit(1)
+			}
+		}
 		ran = true
-		if err := g.run(o); err != nil {
-			fmt.Fprintf(os.Stderr, "cortenbench: figure %s: %v\n", g.name, err)
+		fmt.Fprintf(os.Stderr, "# %s\n", f.Title)
+		if err := f.Emit(o); err != nil {
+			fmt.Fprintf(os.Stderr, "cortenbench: figure %s: %v\n", f.Name, err)
 			os.Exit(1)
 		}
-		fmt.Fprintln(os.Stdout)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "cortenbench: unknown figure %q\n", *fig)
+		fmt.Fprintf(os.Stderr, "cortenbench: unknown figure %q (valid: all, %s)\n", *fig, strings.Join(names, ", "))
 		os.Exit(2)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 )
 
@@ -86,6 +87,31 @@ func countFeature(dir, token string) (int, error) {
 	return total, err
 }
 
+// countRepo counts the non-test Go of every package directory under
+// root except the benchmark/ module.
+func countRepo(root string) (map[string]int, error) {
+	perDir := map[string]int{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel == "benchmark" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		n, err := countLoC(path)
+		perDir[filepath.Dir(rel)] += n
+		return err
+	})
+	return perDir, err
+}
+
 func main() {
 	root := flag.String("root", ".", "repository root")
 	verbose := flag.Bool("v", false, "list counted files")
@@ -146,4 +172,21 @@ func main() {
 	fmt.Printf("ISA-independent:   %4d LoC (internal/arch/arch.go — shared geometry + trait)\n", common)
 	fmt.Println("# Everything outside internal/arch is ISA-independent: the memory")
 	fmt.Println("# manager itself needs zero changes per ISA (§6.7).")
+
+	perDir, err := countRepo(*root)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loccount:", err)
+		os.Exit(1)
+	}
+	dirs := make([]string, 0, len(perDir))
+	total := 0
+	for dir, n := range perDir {
+		dirs = append(dirs, dir)
+		total += n
+	}
+	sort.Strings(dirs)
+	fmt.Printf("Non-test Go outside benchmark/: %5d LoC\n", total)
+	for _, dir := range dirs {
+		fmt.Printf("  %-20s %5d\n", dir, perDir[dir])
+	}
 }

@@ -25,6 +25,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +35,7 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/bench"
+	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
@@ -249,12 +251,13 @@ func (r *replayer) step(line string) error {
 	return fmt.Errorf("unknown op %q", op)
 }
 
-func run(sysName string, cores int, trace io.Reader, verbose bool, w io.Writer) error {
-	env, err := bench.NewEnv(bench.System(sysName), cores, 1<<17, nil)
+func run(sysName string, cores int, trace io.Reader, verbose bool, w io.Writer) (err error) {
+	env, err := bench.NewEnv(bench.System(sysName), nil, cpusim.Config{Cores: cores, Frames: 1 << 17, NUMANodes: 2})
 	if err != nil {
 		return err
 	}
-	defer env.Close()
+	// A replay that leaves frames behind after teardown is a finding.
+	defer func() { err = errors.Join(err, env.Close()) }()
 	// CortenMM flavours get a swap device so swapout lines work.
 	if cs, ok := env.Sys.(interface{ SetSwapDev(*mem.BlockDev) }); ok {
 		cs.SetSwapDev(mem.NewBlockDev("swap0"))

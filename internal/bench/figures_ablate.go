@@ -1,67 +1,61 @@
 package bench
 
 import (
-	"fmt"
+	"errors"
 
 	"cortenmm/internal/core"
+	"cortenmm/internal/cpusim"
+	"cortenmm/internal/mm"
+	"cortenmm/internal/tlb"
+	"cortenmm/internal/workload"
 )
 
-// Ablations prints the design-choice ablation rows DESIGN.md calls out:
-// rw vs adv protocol, covering-page vs root locking, and the three TLB
-// shootdown protocols.
-func Ablations(o Options) error {
+// ablation is one design-choice variant of CortenMM: the space options
+// and shootdown protocol that differ from the default, and the
+// low-contention micro op that exposes the difference.
+type ablation struct {
+	Axis, Value string
+	Op          workload.MicroOp
+	Opts        core.Options
+	TLB         tlb.Mode
+}
+
+// ablations are the rows DESIGN.md calls out: rw vs adv protocol on
+// mmap-PF (the Figure 13/14 protocol comparison condensed into one
+// number pair), covering-page vs a degenerate root lock on page faults
+// (the value of locking at the lowest covering PT page), and the three
+// shootdown protocols of §4.5 on unmap.
+var ablations = []ablation{
+	{"protocol", "rw", workload.OpMmapPF, core.Options{Protocol: core.ProtocolRW}, tlb.ModeSync},
+	{"protocol", "adv", workload.OpMmapPF, core.Options{Protocol: core.ProtocolAdv}, tlb.ModeSync},
+	{"lock", "covering", workload.OpPF, core.Options{Protocol: core.ProtocolAdv}, tlb.ModeSync},
+	{"lock", "rootlock", workload.OpPF, core.Options{Protocol: core.ProtocolAdv, CoarseLocking: true}, tlb.ModeSync},
+	{"tlb", "sync", workload.OpUnmap, core.Options{Protocol: core.ProtocolAdv}, tlb.ModeSync},
+	{"tlb", "early-ack", workload.OpUnmap, core.Options{Protocol: core.ProtocolAdv}, tlb.ModeEarlyAck},
+	{"tlb", "latr", workload.OpUnmap, core.Options{Protocol: core.ProtocolAdv}, tlb.ModeLATR},
+}
+
+// Ablations measures every ablation at the top of the thread sweep.
+func Ablations(o Options) ([]Row, error) {
 	o = o.norm()
-	threads := maxThreads(o.Threads)
-	iters := o.iters(600)
-	w := o.W
-
-	fmt.Fprintln(w, "# Ablation: locking protocol (mmap-PF ops/sec)")
-	for _, p := range []core.Protocol{core.ProtocolRW, core.ProtocolAdv} {
-		best := 0.0
-		for r := 0; r < o.Repeat; r++ {
-			v, err := AblationLockGranularity(p, threads, iters)
+	threads, iters := maxThreads(o.Threads), o.iters(600)
+	var g grid
+	for _, ab := range ablations {
+		g.cell("ablate", labels(ab.Axis, ab.Value, "threads", threads), func() (map[string]float64, error) {
+			cfg := cpusim.Config{Cores: threads, Frames: framesFor(threads*iters*4 + 4096), TLBMode: ab.TLB}
+			env, err := newEnv(cfg, func(m *cpusim.Machine) (mm.MM, error) {
+				opts := ab.Opts
+				opts.Machine, opts.PerCoreVA = m, true
+				return core.New(opts)
+			})
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if v > best {
-				best = v
-			}
-		}
-		fmt.Fprintf(w, "ablate protocol=%-4s threads=%d ops=%.0f\n", p, threads, best)
+			res, err := workload.RunMicro(env.Machine, env.Sys, workload.MicroConfig{
+				Op: ab.Op, Contention: workload.Low, Threads: threads, Iters: iters,
+			})
+			return map[string]float64{"ops_per_s": res.OpsPerSec()}, errors.Join(err, env.Close())
+		})
 	}
-
-	fmt.Fprintln(w, "# Ablation: covering-page vs root locking (PF ops/sec)")
-	for _, coarse := range []bool{false, true} {
-		name := "covering"
-		if coarse {
-			name = "rootlock"
-		}
-		best := 0.0
-		for r := 0; r < o.Repeat; r++ {
-			v, err := AblationCoarse(coarse, threads, iters)
-			if err != nil {
-				return err
-			}
-			if v > best {
-				best = v
-			}
-		}
-		fmt.Fprintf(w, "ablate lock=%-9s threads=%d ops=%.0f\n", name, threads, best)
-	}
-
-	fmt.Fprintln(w, "# Ablation: TLB shootdown protocol (unmap ops/sec)")
-	for _, mode := range []string{"sync", "early-ack", "latr"} {
-		best := 0.0
-		for r := 0; r < o.Repeat; r++ {
-			v, err := AblationTLB(mode, threads, iters)
-			if err != nil {
-				return err
-			}
-			if v > best {
-				best = v
-			}
-		}
-		fmt.Fprintf(w, "ablate tlb=%-9s threads=%d ops=%.0f\n", mode, threads, best)
-	}
-	return nil
+	return g.rows, g.err
 }

@@ -1,23 +1,11 @@
 package bench
 
 import (
-	"fmt"
-	"time"
+	"errors"
 
 	"cortenmm/internal/mm"
 	"cortenmm/internal/workload"
 )
-
-// AppCell is one measured application point.
-type AppCell struct {
-	System      System
-	App         string
-	Threads     int
-	Throughput  float64
-	Elapsed     time.Duration
-	KernelFrac  float64
-	MappedBytes uint64
-}
 
 func newAlloc(which string, sys mm.MM, cores int) workload.Allocator {
 	if which == "tcmalloc" {
@@ -26,169 +14,93 @@ func newAlloc(which string, sys mm.MM, cores int) workload.Allocator {
 	return workload.NewPtMalloc(sys)
 }
 
-// Fig15 regenerates the single-threaded real-world comparison: app
-// performance normalized to Linux (≈1.0 means CortenMM adds no
-// overhead; >1 means faster).
-func Fig15(o Options) ([]AppCell, error) {
-	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 15: single-threaded apps, normalized to Linux (higher is better)")
-	apps := []string{"dedup", "psearchy", "metis", "swaptions", "blackscholes"}
-	var out []AppCell
-	for _, app := range apps {
-		var linuxTP float64
-		fmt.Fprintf(o.W, "fig15 app=%-12s", app)
-		for _, sys := range []System{Linux, CortenRW, CortenAdv} {
-			cell, err := RunApp(sys, app, "ptmalloc", 1, o)
-			if err != nil {
-				return nil, fmt.Errorf("fig15 %s/%s: %w", sys, app, err)
-			}
-			out = append(out, cell)
-			if sys == Linux {
-				linuxTP = cell.Throughput
-				fmt.Fprintf(o.W, " linux=1.00")
-			} else if linuxTP > 0 {
-				fmt.Fprintf(o.W, " %s=%.2f", sys, cell.Throughput/linuxTP)
-			}
-		}
-		fmt.Fprintln(o.W)
+// apps measures one application point of family fig on each system and
+// returns its rows.
+func (g *grid) apps(fig string, systems []System, app, allocName string, threads int, o Options) []Row {
+	var group []Row
+	for _, sys := range systems {
+		group = append(group, g.app(fig, sys, app, allocName, threads, o))
 	}
-	return out, nil
+	return group
+}
+
+// normalized is the Figure 15/21 shape: each app on Linux and both
+// CortenMM protocols, raw, plus the row normalised to Linux (≈1.0
+// means CortenMM adds no overhead; >1 means faster).
+func normalized(fig string, appNames []string, allocName string, threads int, o Options) ([]Row, error) {
+	var g grid
+	for _, app := range appNames {
+		g.vsLinux(g.apps(fig, []System{Linux, CortenRW, CortenAdv}, app, allocName, threads, o), "ops_per_s")
+	}
+	return g.rows, g.err
+}
+
+// Fig15 regenerates the single-threaded real-world comparison.
+func Fig15(o Options) ([]Row, error) {
+	return normalized("fig15", []string{"dedup", "psearchy", "metis", "swaptions", "blackscholes"}, "ptmalloc", 1, o.norm())
 }
 
 // Fig16 regenerates JVM thread creation (latency, lower is better) and
 // metis (throughput) with the §6.4 ablations adv_base and adv_+vpa.
-func Fig16(o Options) ([]AppCell, error) {
+func Fig16(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 16: JVM thread creation (ms, lower is better) and metis (chunks/sec)")
 	systems := []System{Linux, CortenRW, AdvBase, AdvVPA, CortenAdv}
-	var out []AppCell
+	var g grid
 	for _, threads := range o.Threads {
-		fmt.Fprintf(o.W, "fig16 app=jvm-threads threads=%-3d", threads)
-		for _, sys := range systems {
-			cell, err := RunApp(sys, "jvm", "", threads, o)
-			if err != nil {
-				return nil, fmt.Errorf("fig16 jvm %s: %w", sys, err)
-			}
-			out = append(out, cell)
-			fmt.Fprintf(o.W, " %s=%.1fms(k%.0f%%)", sys, float64(cell.Elapsed.Microseconds())/1000, cell.KernelFrac*100)
-		}
-		fmt.Fprintln(o.W)
+		g.apps("fig16", systems, "jvm", "", threads, o)
 	}
 	for _, threads := range o.Threads {
-		fmt.Fprintf(o.W, "fig16 app=metis       threads=%-3d", threads)
-		for _, sys := range append(systems, RadixVM) {
-			cell, err := RunApp(sys, "metis", "", threads, o)
-			if err != nil {
-				return nil, fmt.Errorf("fig16 metis %s: %w", sys, err)
-			}
-			out = append(out, cell)
-			fmt.Fprintf(o.W, " %s=%.1f(k%.0f%%)", sys, cell.Throughput, cell.KernelFrac*100)
-		}
-		fmt.Fprintln(o.W)
+		g.apps("fig16", append(systems, RadixVM), "metis", "", threads, o)
 	}
-	return out, nil
+	return g.rows, g.err
 }
 
 // Fig17 regenerates dedup and psearchy under both allocators across the
-// thread sweep; Fig18 reads the memory footprints off the same runs.
-func Fig17(o Options) ([]AppCell, error) {
+// thread sweep.
+func Fig17(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 17: dedup and psearchy, ptmalloc vs tcmalloc (jobs/sec)")
-	var out []AppCell
+	var g grid
 	for _, app := range []string{"dedup", "psearchy"} {
 		for _, allocName := range []string{"ptmalloc", "tcmalloc"} {
 			for _, threads := range o.Threads {
-				fmt.Fprintf(o.W, "fig17 app=%-9s alloc=%-8s threads=%-3d", app, allocName, threads)
-				for _, sys := range []System{Linux, CortenRW, CortenAdv} {
-					cell, err := RunApp(sys, app, allocName, threads, o)
-					if err != nil {
-						return nil, fmt.Errorf("fig17 %s/%s/%s: %w", sys, app, allocName, err)
-					}
-					out = append(out, cell)
-					fmt.Fprintf(o.W, " %s=%.1f(k%.0f%%)", sys, cell.Throughput, cell.KernelFrac*100)
-				}
-				fmt.Fprintln(o.W)
+				g.apps("fig17", []System{Linux, CortenRW, CortenAdv}, app, allocName, threads, o)
 			}
 		}
 	}
-	return out, nil
+	return g.rows, g.err
 }
 
-// Fig18 regenerates the allocator memory-usage comparison: peak mapped
-// bytes under dedup and psearchy for ptmalloc vs tcmalloc on Linux.
-func Fig18(o Options) ([]AppCell, error) {
+// Fig18 regenerates the allocator memory-usage comparison: mapped_bytes
+// under dedup and psearchy for ptmalloc vs tcmalloc on Linux.
+func Fig18(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 18: allocator memory usage (MiB mapped; tcmalloc trades memory for fewer unmaps)")
-	var out []AppCell
-	threads := maxThreads(o.Threads)
+	var g grid
 	for _, app := range []string{"dedup", "psearchy"} {
-		fmt.Fprintf(o.W, "fig18 app=%-9s threads=%d", app, threads)
 		for _, allocName := range []string{"ptmalloc", "tcmalloc"} {
-			cell, err := RunApp(Linux, app, allocName, threads, o)
-			if err != nil {
-				return nil, fmt.Errorf("fig18 %s/%s: %w", app, allocName, err)
-			}
-			out = append(out, cell)
-			fmt.Fprintf(o.W, " %s=%.1fMiB", allocName, float64(cell.MappedBytes)/(1<<20))
+			g.app("fig18", Linux, app, allocName, maxThreads(o.Threads), o)
 		}
-		fmt.Fprintln(o.W)
 	}
-	return out, nil
+	return g.rows, g.err
 }
 
 // Fig21 regenerates the PARSEC-other normalized comparison at 8
 // threads: compute-bound workloads must be unaffected by the MM (~1.0).
-func Fig21(o Options) ([]AppCell, error) {
+func Fig21(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 21: 8-thread PARSEC stand-ins, normalized to Linux")
-	apps := []string{"blackscholes", "swaptions", "fluidanimate", "canneal"}
-	threads := 8
-	if mt := maxThreads(o.Threads); mt < 8 {
-		threads = mt
-	}
-	var out []AppCell
-	for _, app := range apps {
-		var linuxTP float64
-		fmt.Fprintf(o.W, "fig21 app=%-13s threads=%d", app, threads)
-		for _, sys := range []System{Linux, CortenRW, CortenAdv} {
-			cell, err := RunApp(sys, app, "", threads, o)
-			if err != nil {
-				return nil, fmt.Errorf("fig21 %s/%s: %w", sys, app, err)
-			}
-			out = append(out, cell)
-			if sys == Linux {
-				linuxTP = cell.Throughput
-				fmt.Fprintf(o.W, " linux=1.00")
-			} else if linuxTP > 0 {
-				fmt.Fprintf(o.W, " %s=%.2f", sys, cell.Throughput/linuxTP)
-			}
-		}
-		fmt.Fprintln(o.W)
-	}
-	return out, nil
+	threads := min(8, maxThreads(o.Threads))
+	return normalized("fig21", []string{"blackscholes", "swaptions", "fluidanimate", "canneal"}, "", threads, o)
 }
 
-// RunApp dispatches one application measurement: best (highest
-// throughput, i.e. shortest run) of o.Repeat fresh environments.
-func RunApp(sys System, app, allocName string, threads int, o Options) (AppCell, error) {
-	repeat := o.Repeat
-	if repeat < 1 {
-		repeat = 1
-	}
-	var best AppCell
-	for r := 0; r < repeat; r++ {
-		cell, err := runAppOnce(sys, app, allocName, threads, o)
-		if err != nil {
-			return AppCell{}, err
-		}
-		if r == 0 || cell.Throughput > best.Throughput {
-			best = cell
-		}
-	}
-	return best, nil
+// App measures one application point outside any figure.
+func App(sys System, app, allocName string, threads int, o Options) (Row, error) {
+	var g grid
+	return g.app("app", sys, app, allocName, threads, o), g.err
 }
 
-func runAppOnce(sys System, app, allocName string, threads int, o Options) (AppCell, error) {
+// app measures one application point: throughput (work units per
+// second), wall time, the fraction of it inside MM calls, and the
+// allocator's resident footprint at the end.
+func (g *grid) app(fig string, sys System, app, allocName string, threads int, o Options) Row {
 	var frames int
 	switch app {
 	case "metis":
@@ -198,37 +110,31 @@ func runAppOnce(sys System, app, allocName string, threads int, o Options) (AppC
 	default:
 		frames = framesFor(threads*1024 + 8192)
 	}
-	env, err := NewEnv(sys, threads, frames, nil)
-	if err != nil {
-		return AppCell{}, err
-	}
-	defer env.Close()
-
-	var res workload.AppResult
-	switch app {
-	case "metis":
-		res, err = workload.Metis(env.Machine, env.Sys, threads, o.iters(2))
-	case "jvm":
-		res, err = workload.JVMThreadCreation(env.Machine, env.Sys, threads)
-	case "dedup":
-		alloc := newAlloc(allocName, env.Sys, env.Machine.Cores)
-		res, err = workload.Dedup(env.Machine, env.Sys, alloc, threads, o.iters(40))
-	case "psearchy":
-		alloc := newAlloc(allocName, env.Sys, env.Machine.Cores)
-		res, err = workload.Psearchy(env.Machine, env.Sys, alloc, threads, o.iters(20))
-	default: // PARSEC stand-ins
-		res, err = workload.Parsec(env.Machine, env.Sys, app, threads, o.iters(100))
-	}
-	if err != nil {
-		return AppCell{}, err
-	}
-	return AppCell{
-		System:      sys,
-		App:         res.Name,
-		Threads:     threads,
-		Throughput:  res.Throughput(),
-		Elapsed:     res.Elapsed,
-		KernelFrac:  res.KernelFrac,
-		MappedBytes: res.MappedBytes,
-	}, nil
+	return g.cell(fig, labels("app", app, "alloc", allocName, "threads", threads, "sys", sys), func() (map[string]float64, error) {
+		env, err := NewEnv(sys, nil, machine(threads, frames))
+		if err != nil {
+			return nil, err
+		}
+		var res workload.AppResult
+		switch app {
+		case "metis":
+			res, err = workload.Metis(env.Machine, env.Sys, threads, o.iters(2))
+		case "jvm":
+			res, err = workload.JVMThreadCreation(env.Machine, env.Sys, threads)
+		case "dedup":
+			alloc := newAlloc(allocName, env.Sys, env.Machine.Cores)
+			res, err = workload.Dedup(env.Machine, env.Sys, alloc, threads, o.iters(40))
+		case "psearchy":
+			alloc := newAlloc(allocName, env.Sys, env.Machine.Cores)
+			res, err = workload.Psearchy(env.Machine, env.Sys, alloc, threads, o.iters(20))
+		default: // PARSEC stand-ins
+			res, err = workload.Parsec(env.Machine, env.Sys, app, threads, o.iters(100))
+		}
+		return map[string]float64{
+			"ops_per_s":    res.Throughput(),
+			"elapsed_ms":   float64(res.Elapsed.Microseconds()) / 1000,
+			"kernel_frac":  res.KernelFrac,
+			"mapped_bytes": float64(res.MappedBytes),
+		}, errors.Join(err, env.Close())
+	})
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,26 +10,6 @@ import (
 	"cortenmm/internal/core"
 	"cortenmm/internal/mm"
 )
-
-// BatchCell is one point of the fig13-batch grid: the throughput of one
-// op mix at one batch size, against the same mix issued one op per call
-// (batch=1).
-type BatchCell struct {
-	System  System
-	Mix     string
-	Batch   int
-	Threads int
-	// PagesPerSec counts pages processed by the timed ops (mapped +
-	// unmapped for churn, unmapped for munmap-heavy, dropped for
-	// madvise).
-	PagesPerSec float64
-	// Speedup is PagesPerSec over the same (system, mix, threads) at
-	// batch=1; 1.0 for the baseline rows themselves.
-	Speedup float64
-	// Stats is the space's batch-pipeline counter snapshot (batched
-	// CortenMM rows only).
-	Stats core.BatchStats
-}
 
 // Batch-grid geometry: each thread owns a private region of 512 chunks
 // of 8 pages (4096 pages); one iteration processes the whole region.
@@ -183,18 +164,18 @@ func runBatchWorker(s mm.MM, mix string, thread, batch, iters int) (uint64, time
 	return pages, timed, nil
 }
 
-// runBatchCell measures one grid point, best of repeat environments.
-func runBatchCell(sys System, mix string, batch, threads, iters, repeat int) (BatchCell, error) {
-	best := BatchCell{System: sys, Mix: mix, Batch: batch, Threads: threads}
-	for r := 0; r < repeat; r++ {
-		frames := framesFor(threads*batchChunks*batchChunkPages + 4096)
-		env, err := NewEnv(sys, threads, frames, nil)
+// batch measures one grid point as a batch row: pages processed by
+// the timed ops per second (mapped + unmapped for churn, unmapped for
+// munmap-heavy, dropped for madvise) and, on CortenMM spaces, the batch
+// pipeline's counters.
+func (g *grid) batch(sys System, mix string, batch, threads, iters int) Row {
+	return g.cell("batch", labels("mix", mix, "sys", sys, "threads", threads, "batch", batch), func() (map[string]float64, error) {
+		env, err := NewEnv(sys, nil, machine(threads, framesFor(threads*batchChunks*batchChunkPages+4096)))
 		if err != nil {
-			return best, err
+			return nil, err
 		}
 		if !batchSupports(env.Sys, mix) {
-			env.Close()
-			return best, fmt.Errorf("bench: %s does not support mix %s", sys, mix)
+			return nil, errors.Join(fmt.Errorf("bench: %s does not support mix %s", sys, mix), env.Close())
 		}
 		var (
 			wg      sync.WaitGroup
@@ -204,7 +185,6 @@ func runBatchCell(sys System, mix string, batch, threads, iters, repeat int) (Ba
 			werr    error
 		)
 		for th := 0; th < threads; th++ {
-			th := th
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -221,44 +201,35 @@ func runBatchCell(sys System, mix string, batch, threads, iters, repeat int) (Ba
 			}()
 		}
 		wg.Wait()
-		var st core.BatchStats
+		m := map[string]float64{"pages_per_s": float64(total) / slowest.Seconds()}
 		if ca, ok := env.Sys.(*core.AddrSpace); ok {
-			st = ca.BatchStats()
+			st := ca.BatchStats()
+			m["groups"] = float64(st.Groups)
+			m["coalesced_locks"] = float64(st.CoalescedLocks)
+			m["shootdowns"] = float64(st.Shootdowns)
+			m["flush_ranges"] = float64(st.FlushRanges)
+			m["coalesced_flushes"] = float64(st.CoalescedFlushes)
+			m["max_ring_depth"] = float64(st.MaxRingDepth)
 		}
-		env.Close()
-		if werr != nil {
-			return best, werr
-		}
-		if pps := float64(total) / slowest.Seconds(); pps > best.PagesPerSec {
-			best.PagesPerSec = pps
-			best.Stats = st
-		}
-	}
-	return best, nil
+		return m, errors.Join(werr, env.Close())
+	})
 }
 
 // FigBatch runs the async-batch grid: batch size {1, 8, 64, 512} × op
 // mix {munmap-heavy, churn, madvise} × {1, 4} threads. batch=1 rows are
 // the one-op-per-call baseline and run on every modeled system (madvise
 // only where supported); batched rows run on the CortenMM systems,
-// whose submission ring coalesces the ops. The counter columns prove
-// the coalescing: at most one TLB fan-out per Submit, and the lock
-// protocol run once per merged range group instead of once per op.
-func FigBatch(o Options) ([]BatchCell, error) {
+// whose submission ring coalesces the ops, and carry speedup: their
+// pages_per_s over the same (system, mix, threads) at batch=1. The
+// counter metrics prove the coalescing: at most one TLB fan-out per
+// Submit, and the lock protocol run once per merged range group
+// instead of once per op.
+func FigBatch(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# fig13-batch: async batched submission vs one-op-per-call (pages/sec)")
-	mixes := []string{"munmap-heavy", "churn", "madvise"}
-	sizes := []int{1, 8, 64, 512}
-	threadSweep := []int{1, 4}
-	var out []BatchCell
-	baseline := map[string]float64{}
-	key := func(sys System, mix string, threads int) string {
-		return fmt.Sprintf("%s/%s/%d", sys, mix, threads)
-	}
-	for _, mix := range mixes {
-		iters := o.iters(3)
-		for _, threads := range threadSweep {
-			// One-op-per-call baselines across the modeled systems.
+	iters := o.iters(3)
+	var g grid
+	for _, mix := range []string{"munmap-heavy", "churn", "madvise"} {
+		for _, threads := range []int{1, 4} {
 			for _, sys := range AllSystems {
 				if mix == "madvise" && sys != Linux && sys != CortenRW && sys != CortenAdv {
 					continue
@@ -266,34 +237,36 @@ func FigBatch(o Options) ([]BatchCell, error) {
 				if sys == NrOS {
 					continue // NrOS replicates eagerly; subrange churn is not its model
 				}
-				cell, err := runBatchCell(sys, mix, 1, threads, iters, o.Repeat)
-				if err != nil {
-					return nil, fmt.Errorf("batch %s/%s/b1/t%d: %w", sys, mix, threads, err)
+				base := g.batch(sys, mix, 1, threads, iters)
+				if sys != CortenRW && sys != CortenAdv {
+					continue
 				}
-				cell.Speedup = 1
-				baseline[key(sys, mix, threads)] = cell.PagesPerSec
-				out = append(out, cell)
-				fmt.Fprintf(o.W, "batch mix=%-12s sys=%-10s threads=%d batch=%-4d pages/s=%-10.0f speedup=%.2f\n",
-					mix, sys, threads, 1, cell.PagesPerSec, 1.0)
-			}
-			// Batched submission on the CortenMM systems.
-			for _, sys := range []System{CortenRW, CortenAdv} {
-				for _, batch := range sizes[1:] {
-					cell, err := runBatchCell(sys, mix, batch, threads, iters, o.Repeat)
-					if err != nil {
-						return nil, fmt.Errorf("batch %s/%s/b%d/t%d: %w", sys, mix, batch, threads, err)
-					}
-					if b := baseline[key(sys, mix, threads)]; b > 0 {
-						cell.Speedup = cell.PagesPerSec / b
-					}
-					out = append(out, cell)
-					st := cell.Stats
-					fmt.Fprintf(o.W, "batch mix=%-12s sys=%-10s threads=%d batch=%-4d pages/s=%-10.0f speedup=%-5.2f groups=%-5d coalesced-locks=%-6d shootdowns=%-4d flushranges=%-5d coalesced-flushes=%-4d ringdepth=%d\n",
-						mix, sys, threads, batch, cell.PagesPerSec, cell.Speedup,
-						st.Groups, st.CoalescedLocks, st.Shootdowns, st.FlushRanges, st.CoalescedFlushes, st.MaxRingDepth)
+				for _, batch := range []int{8, 64, 512} {
+					r := g.batch(sys, mix, batch, threads, iters)
+					r.Metrics["speedup"] = over(r.Metrics["pages_per_s"], base.Metrics["pages_per_s"])
 				}
 			}
 		}
 	}
-	return out, nil
+	return g.rows, g.err
+}
+
+// checkBatch is the batch contract: on both CortenMM systems, one
+// thread unmapping in batches of 64 beats one-op-per-call by 1.3× and
+// pays at most one shootdown per merged group.
+func checkBatch(rows []Row) error {
+	gated := append(pick(rows, "batch", "mix", "munmap-heavy", "threads", 1, "batch", 64, "sys", CortenRW),
+		pick(rows, "batch", "mix", "munmap-heavy", "threads", 1, "batch", 64, "sys", CortenAdv)...)
+	if len(gated) != 2 {
+		return fmt.Errorf("batch: expected 2 CortenMM munmap-heavy threads=1 batch=64 rows, got %d", len(gated))
+	}
+	for _, r := range gated {
+		if s := r.Metrics["speedup"].Median; s < 1.3 {
+			return fmt.Errorf("%s: speedup %.2f < 1.3", r, s)
+		}
+		if sd, g := r.Metrics["shootdowns"].Max, r.Metrics["groups"].Min; sd > g {
+			return fmt.Errorf("%s: shootdowns %.0f > groups %.0f", r, sd, g)
+		}
+	}
+	return nil
 }

@@ -1,46 +1,32 @@
 package bench
 
 import (
-	"fmt"
-	"time"
+	"errors"
 
 	"cortenmm/internal/mm"
 	"cortenmm/internal/workload"
 )
-
-// ForkCell is one Figure-20 latency point (lower is better).
-type ForkCell struct {
-	System System
-	Op     workload.LMbenchOp
-	PerOp  time.Duration
-}
 
 // Fig20 regenerates the LMbench process benchmarks — the operations
 // that must enumerate the address space, CortenMM's worst case: fork
 // should favour Linux (the VMA list beats walking page tables), while
 // fork+exec flips to CortenMM because it handles the exec'd image's
 // faults faster (§6.2).
-func Fig20(o Options) ([]ForkCell, error) {
+func Fig20(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 20: LMbench fork/exec/shell latency (µs/op, lower is better)")
-	var out []ForkCell
+	var g grid
 	for _, op := range workload.AllLMbenchOps {
-		fmt.Fprintf(o.W, "fig20 op=%-10s", op)
 		for _, sys := range []System{Linux, CortenAdv} {
-			env, err := NewEnv(sys, 2, 1<<16, nil)
-			if err != nil {
-				return nil, err
-			}
-			newSpace := func() (mm.MM, error) { return NewSystem(sys, env.Machine, nil) }
-			res, err := workload.RunLMbench(env.Machine, env.Sys, newSpace, op, 512, o.iters(10))
-			env.Close()
-			if err != nil {
-				return nil, fmt.Errorf("fig20 %s/%s: %w", sys, op, err)
-			}
-			out = append(out, ForkCell{System: sys, Op: op, PerOp: res.PerOp})
-			fmt.Fprintf(o.W, " %s=%.1fus", sys, float64(res.PerOp.Nanoseconds())/1000)
+			g.cell("fig20", labels("op", op, "sys", sys), func() (map[string]float64, error) {
+				env, err := NewEnv(sys, nil, machine(2, 1<<16))
+				if err != nil {
+					return nil, err
+				}
+				newSpace := func() (mm.MM, error) { return NewSystem(sys, env.Machine, nil) }
+				res, err := workload.RunLMbench(env.Machine, env.Sys, newSpace, op, 512, o.iters(10))
+				return map[string]float64{"us_per_op": float64(res.PerOp.Nanoseconds()) / 1000}, errors.Join(err, env.Close())
+			})
 		}
-		fmt.Fprintln(o.W)
 	}
-	return out, nil
+	return g.rows, g.err
 }

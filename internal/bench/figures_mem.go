@@ -1,118 +1,97 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"unsafe"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/core"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
 	"cortenmm/internal/radixvm"
 	"cortenmm/internal/vma"
 	"cortenmm/internal/workload"
 )
 
-// MemCell is one Figure-22 bar: page-table bytes (filled) and other
-// metadata bytes (empty) after running metis, plus the anonymous-data
-// baseline the overhead is measured against.
-type MemCell struct {
-	System    System
-	PTBytes   uint64
-	MetaBytes uint64
-	AnonBytes uint64
-}
+// corten-ub is Figure 22's theoretical upper bound: corten-adv's run
+// with every PT page's metadata array fully populated (§6.5).
+const cortenUB System = "corten-ub"
 
-// OverheadPct returns (PT+meta)/data as a percentage.
-func (c MemCell) OverheadPct() float64 {
-	if c.AnonBytes == 0 {
-		return 0
-	}
-	return 100 * float64(c.PTBytes+c.MetaBytes) / float64(c.AnonBytes)
-}
-
-// Fig22 regenerates the memory-overhead comparison under metis:
-// CortenMM and Linux are close; the fully populated per-PTE metadata
-// array bounds CortenMM's worst case; RadixVM pays for replication.
-func Fig22(o Options) ([]MemCell, error) {
+// Fig22 regenerates the memory-overhead comparison under metis — page-
+// table bytes, other metadata bytes, the anonymous data they describe
+// and (PT+meta)/data as overhead_pct: CortenMM and Linux are close; the
+// fully populated per-PTE metadata array bounds CortenMM's worst case;
+// RadixVM pays for replication.
+func Fig22(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 22: memory overhead under metis (page tables + other metadata)")
 	threads := maxThreads(o.Threads)
 	chunks := o.iters(2)
-	frames := framesFor(threads*chunks*2048 + 8192)
-	var out []MemCell
-	for _, sys := range []System{Linux, CortenAdv, RadixVM} {
-		env, err := NewEnv(sys, threads, frames, nil)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := workload.Metis(env.Machine, env.Sys, threads, chunks); err != nil {
-			env.Close()
-			return nil, fmt.Errorf("fig22 %s: %w", sys, err)
-		}
-		cell := measureMem(sys, env)
-		out = append(out, cell)
-		fmt.Fprintf(o.W, "fig22 system=%-10s pt=%.2fMiB meta=%.2fMiB data=%.0fMiB overhead=%.2f%%\n",
-			sys, mib(cell.PTBytes), mib(cell.MetaBytes), mib(cell.AnonBytes), cell.OverheadPct())
-		if sys == CortenAdv {
-			// Theoretical upper bound: every PT page's metadata array
-			// fully populated (§6.5).
-			ub := cell
-			ub.System = "corten-ub"
-			ptPages := cell.PTBytes / arch.PageSize
-			ub.MetaBytes = ptPages * uint64(unsafe.Sizeof(pt.Status{})) * arch.PTEntries
-			out = append(out, ub)
-			fmt.Fprintf(o.W, "fig22 system=%-10s pt=%.2fMiB meta=%.2fMiB data=%.0fMiB overhead=%.2f%% (upper bound)\n",
-				ub.System, mib(ub.PTBytes), mib(ub.MetaBytes), mib(ub.AnonBytes), ub.OverheadPct())
-		}
-		env.Close()
+	var g grid
+	for _, sys := range []System{Linux, CortenAdv, cortenUB, RadixVM} {
+		g.cell("fig22", labels("sys", sys), func() (map[string]float64, error) {
+			run := sys
+			if sys == cortenUB {
+				run = CortenAdv
+			}
+			env, err := NewEnv(run, nil, machine(threads, framesFor(threads*chunks*2048+8192)))
+			if err != nil {
+				return nil, err
+			}
+			_, err = workload.Metis(env.Machine, env.Sys, threads, chunks)
+			st := env.Machine.Phys.Stats()
+			var meta uint64
+			switch s := env.Sys.(type) {
+			case *core.AddrSpace:
+				meta = uint64(s.Tree().MetaBytes.Load())
+				if sys == cortenUB {
+					meta = st.PageTableBytes / arch.PageSize * uint64(unsafe.Sizeof(pt.Status{})) * arch.PTEntries
+				}
+			case *vma.Space:
+				meta = uint64(s.VMACount()) * vmaStructBytes
+			case *radixvm.Space:
+				meta = s.MetaBytes()
+			}
+			m := map[string]float64{
+				"pt_bytes": float64(st.PageTableBytes), "meta_bytes": float64(meta), "anon_bytes": float64(st.AnonBytes),
+			}
+			if st.AnonBytes > 0 {
+				m["overhead_pct"] = 100 * float64(st.PageTableBytes+meta) / float64(st.AnonBytes)
+			}
+			return m, errors.Join(err, env.Close())
+		})
 	}
-	return out, nil
-}
-
-func mib(b uint64) float64 { return float64(b) / (1 << 20) }
-
-func measureMem(sys System, env *Env) MemCell {
-	st := env.Machine.Phys.Stats()
-	cell := MemCell{System: sys, PTBytes: st.PageTableBytes, AnonBytes: st.AnonBytes}
-	switch s := env.Sys.(type) {
-	case *core.AddrSpace:
-		cell.MetaBytes = uint64(s.Tree().MetaBytes.Load())
-	case *vma.Space:
-		cell.MetaBytes = uint64(s.VMACount()) * vmaStructBytes
-	case *radixvm.Space:
-		cell.MetaBytes = s.MetaBytes()
-	}
-	return cell
+	return g.rows, g.err
 }
 
 // vmaStructBytes approximates sizeof(vm_area_struct) plus tree node.
 const vmaStructBytes = 200
 
-// Table2 prints the feature matrix reproduced from our implementations
-// next to the paper's claims.
-func Table2(o Options, mk func(sys System) (mm.MM, error)) error {
-	o = o.norm()
-	fmt.Fprintln(o.W, "# Table 2: supported memory management features")
-	fmt.Fprintln(o.W, "system      ondemand cow  swap rmap file huge numa")
+// Table2 reports the feature matrix of our implementations, one row
+// per system, 1 for a supported feature.
+func Table2(Options) ([]Row, error) {
+	var rows []Row
 	for _, sys := range AllSystems {
-		s, err := mk(sys)
+		env, err := NewEnv(sys, nil, cpusim.Config{Cores: 2, Frames: 1 << 12})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		f := s.Features()
-		fmt.Fprintf(o.W, "%-11s %-8v %-4v %-4v %-4v %-4v %-4v %-4v\n",
-			sys, f.OnDemandPaging, f.COW, f.PageSwapping, f.ReverseMapping, f.MmapedFile, f.HugePage, f.NUMAPolicy)
-		s.Destroy(0)
+		f := env.Sys.Features()
+		r := Row{Fig: "table2", Labels: labels("sys", sys), N: 1, Metrics: map[string]Stat{}}
+		for name, has := range map[string]bool{
+			"ondemand": f.OnDemandPaging, "cow": f.COW, "swap": f.PageSwapping, "rmap": f.ReverseMapping,
+			"file": f.MmapedFile, "huge": f.HugePage, "numa": f.NUMAPolicy,
+		} {
+			v := 0.0
+			if has {
+				v = 1
+			}
+			r.Metrics[name] = Stat{v, v, v}
+		}
+		if err := env.Close(); err != nil {
+			return nil, fmt.Errorf("%s: %w", r, err)
+		}
+		rows = append(rows, r)
 	}
-	return nil
-}
-
-// DefaultTable2 runs Table2 on small fresh machines.
-func DefaultTable2(o Options) error {
-	return Table2(o, func(sys System) (mm.MM, error) {
-		m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
-		return NewSystem(sys, m, nil)
-	})
+	return rows, nil
 }

@@ -1,25 +1,12 @@
 package bench
 
 import (
-	"fmt"
+	"errors"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/tlb"
 	"cortenmm/internal/workload"
 )
-
-// MicroCell is one measured (system, op, contention, threads) point.
-type MicroCell struct {
-	System     System
-	Op         workload.MicroOp
-	Contention workload.Contention
-	Threads    int
-	OpsPerSec  float64
-	// TLB is the machine's TLB counter snapshot from the best repeat:
-	// hit rate, shootdown fan-out, presence filtering, deferred-queue
-	// activity (see EXPERIMENTS.md for the column meanings).
-	TLB tlb.Stats
-}
 
 // microSupports reports whether a system can run an op (NrOS lacks
 // on-demand paging, so only mmap-PF and unmap apply, §6.2; for NrOS
@@ -31,166 +18,137 @@ func microSupports(sys System, op workload.MicroOp) bool {
 	return true
 }
 
-// runMicroCell measures one point, best of repeat fresh environments.
-func runMicroCell(sys System, isa arch.ISA, op workload.MicroOp, cont workload.Contention, threads, iters, repeat int) (MicroCell, error) {
-	if repeat < 1 {
-		repeat = 1
+// tlbMetrics flattens a machine TLB counter snapshot under prefix (see
+// EXPERIMENTS.md for the column meanings).
+func tlbMetrics(m map[string]float64, prefix string, st tlb.Stats) {
+	for k, v := range map[string]float64{
+		"hit_rate": st.HitRate(), "lookups": float64(st.Lookups),
+		"shootdowns": float64(st.Shootdowns), "ipis": float64(st.IPIs), "cluster_ipis": float64(st.ClusterIPIs),
+		"filtered": float64(st.Filtered), "deferred": float64(st.Deferred), "applied": float64(st.Applied),
+		"genbumps": float64(st.GenBumps), "evictions": float64(st.Evictions), "staledrops": float64(st.StaleDrops),
+		"cross_kills": float64(st.CrossKills), "full_flushes": float64(st.FullFlushes),
+		"huge_hits": float64(st.HugeHits), "huge_evicts": float64(st.HugeEvicts),
+		"prec_limit_min": float64(st.PrecLimitMin), "prec_limit_avg": st.PrecLimitAvg, "prec_limit_max": float64(st.PrecLimitMax),
+	} {
+		m[prefix+k] = v
 	}
-	best := MicroCell{System: sys, Op: op, Contention: cont, Threads: threads}
-	for r := 0; r < repeat; r++ {
+}
+
+// Micro measures one (system, op, contention, threads) point outside
+// any figure: its ops_per_s row.
+func Micro(sys System, isa arch.ISA, op workload.MicroOp, cont workload.Contention, threads, iters int) (Row, error) {
+	var g grid
+	return g.micro("micro", sys, isa, op, cont, threads, iters, false), g.err
+}
+
+// micro measures one point of family fig as an ops_per_s row and, when
+// withTLB and sys is a CortenMM system, a companion fig-tlb row with
+// the machine's TLB counters over the same runs.
+func (g *grid) micro(fig string, sys System, isa arch.ISA, op workload.MicroOp, cont workload.Contention, threads, iters int, withTLB bool) Row {
+	wop := op
+	if sys == NrOS && op == workload.OpMmapPF {
+		wop = workload.OpMmap // NrOS mmap is eager: it *is* mmap-PF
+	}
+	r := g.cell(fig, labels("op", op, "contention", cont, "threads", threads, "sys", sys), func() (map[string]float64, error) {
 		// mmap-PF/PF back 4 pages per op; unmap pre-backs the same.
-		frames := framesFor(threads*iters*4 + 4096)
-		env, err := NewEnv(sys, threads, frames, isa)
+		env, err := NewEnv(sys, isa, machine(threads, framesFor(threads*iters*4+4096)))
 		if err != nil {
-			return MicroCell{}, err
-		}
-		wop := op
-		if sys == NrOS && op == workload.OpMmapPF {
-			wop = workload.OpMmap // NrOS mmap is eager: it *is* mmap-PF
+			return nil, err
 		}
 		res, err := workload.RunMicro(env.Machine, env.Sys, workload.MicroConfig{
 			Op: wop, Contention: cont, Threads: threads, Iters: iters,
 		})
-		st := env.Machine.TLBStats()
-		env.Close()
-		if err != nil {
-			return MicroCell{}, err
-		}
-		if v := res.OpsPerSec(); v > best.OpsPerSec {
-			best.OpsPerSec = v
-			best.TLB = st
-		}
+		m := map[string]float64{"ops_per_s": res.OpsPerSec()}
+		tlbMetrics(m, "tlb.", env.Machine.TLBStats())
+		return m, errors.Join(err, env.Close())
+	})
+	if tlbRow := r.split(fig+"-tlb", "tlb."); withTLB && (sys == CortenRW || sys == CortenAdv) {
+		g.rows = append(g.rows, tlbRow)
 	}
-	return best, nil
+	return r
 }
 
-// printTLBLine emits the companion TLB-counter row for a measured cell.
-func printTLBLine(o Options, fig string, cell MicroCell) {
-	st := cell.TLB
-	fmt.Fprintf(o.W,
-		"%s-tlb op=%-10s contention=%-4s threads=%-3d sys=%s hitrate=%.3f lookups=%d shootdowns=%d ipis=%d clusteripis=%d filtered=%d deferred=%d applied=%d genbumps=%d evictions=%d staledrops=%d hugehits=%d hugeevicts=%d preclimit=%d/%.0f/%d\n",
-		fig, cell.Op, cell.Contention, cell.Threads, cell.System,
-		st.HitRate(), st.Lookups, st.Shootdowns, st.IPIs, st.ClusterIPIs,
-		st.Filtered, st.Deferred, st.Applied, st.GenBumps, st.Evictions,
-		st.StaleDrops, st.HugeHits, st.HugeEvicts,
-		st.PrecLimitMin, st.PrecLimitAvg, st.PrecLimitMax)
+// micros measures one grid point on each system that supports the op
+// and returns the ops_per_s rows.
+func (g *grid) micros(fig string, systems []System, isa arch.ISA, op workload.MicroOp, cont workload.Contention, threads, iters int, withTLB bool) []Row {
+	var group []Row
+	for _, sys := range systems {
+		if microSupports(sys, op) {
+			group = append(group, g.micro(fig, sys, isa, op, cont, threads, iters, withTLB))
+		}
+	}
+	return group
+}
+
+// vsLinux appends the normalised row of one grid point's per-system
+// rows: each CortenMM system's metric over Linux's.
+func (g *grid) vsLinux(group []Row, metric string) {
+	if g.err != nil {
+		return
+	}
+	linux := pick(group, group[0].Fig, "sys", Linux)[0]
+	out := linux.sibling(linux.Fig, "sys", "vs-linux")
+	out.Metrics["rw_over_linux"] = over(pick(group, linux.Fig, "sys", CortenRW)[0].Metrics[metric], linux.Metrics[metric])
+	out.Metrics["adv_over_linux"] = over(pick(group, linux.Fig, "sys", CortenAdv)[0].Metrics[metric], linux.Metrics[metric])
+	g.rows = append(g.rows, out)
 }
 
 // Fig1 regenerates the teaser: multicore throughput of (a) mmap+access
 // and (b) munmap, comparing Linux, the two research baselines, and
 // CortenMM.
-func Fig1(o Options) ([]MicroCell, error) {
+func Fig1(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 1: multicore mmap-PF and unmap throughput (ops/sec)")
-	var out []MicroCell
+	var g grid
 	for _, op := range []workload.MicroOp{workload.OpMmapPF, workload.OpUnmap} {
 		for _, threads := range o.Threads {
-			fmt.Fprintf(o.W, "fig1 op=%s threads=%d", op, threads)
-			for _, sys := range []System{Linux, RadixVM, NrOS, CortenAdv} {
-				cell, err := runMicroCell(sys, nil, op, workload.Low, threads, o.iters(800), o.Repeat)
-				if err != nil {
-					return nil, fmt.Errorf("fig1 %s/%s/%d: %w", sys, op, threads, err)
-				}
-				out = append(out, cell)
-				fmt.Fprintf(o.W, " %s=%.0f", sys, cell.OpsPerSec)
-			}
-			fmt.Fprintln(o.W)
+			g.micros("fig1", []System{Linux, RadixVM, NrOS, CortenAdv}, nil, op, workload.Low, threads, o.iters(800), false)
 		}
 	}
-	return out, nil
+	return g.rows, g.err
 }
 
 // Fig13 regenerates the single-threaded microbenchmarks: throughput of
-// the five Table-3 operations on every system.
-func Fig13(o Options) ([]MicroCell, error) {
+// the five Table-3 operations on every system, and CortenMM over Linux.
+func Fig13(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 13: single-threaded microbenchmark throughput (ops/sec)")
-	var out []MicroCell
+	var g grid
 	for _, op := range workload.AllMicroOps {
-		fmt.Fprintf(o.W, "fig13 op=%-10s", op)
-		var linuxV float64
-		for _, sys := range AllSystems {
-			if !microSupports(sys, op) {
-				fmt.Fprintf(o.W, " %s=n/a", sys)
-				continue
-			}
-			cell, err := runMicroCell(sys, nil, op, workload.Low, 1, o.iters(1500), o.Repeat)
-			if err != nil {
-				return nil, fmt.Errorf("fig13 %s/%s: %w", sys, op, err)
-			}
-			out = append(out, cell)
-			if sys == Linux {
-				linuxV = cell.OpsPerSec
-			}
-			fmt.Fprintf(o.W, " %s=%.0f", sys, cell.OpsPerSec)
-		}
-		if linuxV > 0 {
-			fmt.Fprintf(o.W, "  (corten-adv/linux shown in EXPERIMENTS.md)")
-		}
-		fmt.Fprintln(o.W)
+		g.vsLinux(g.micros("fig13", AllSystems, nil, op, workload.Low, 1, o.iters(1500), false), "ops_per_s")
 	}
-	return out, nil
+	return g.rows, g.err
 }
 
 // Fig14 regenerates the multithreaded microbenchmarks: the five ops,
-// low- and high-contention variants, across the thread sweep.
-func Fig14(o Options) ([]MicroCell, error) {
+// low- and high-contention variants, across the thread sweep, with
+// companion TLB-counter rows for the systems under study.
+func Fig14(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Figure 14: multithreaded microbenchmark throughput (ops/sec)")
-	var out []MicroCell
+	var g grid
 	for _, cont := range []workload.Contention{workload.Low, workload.High} {
 		for _, op := range workload.AllMicroOps {
 			for _, threads := range o.Threads {
-				fmt.Fprintf(o.W, "fig14 op=%-10s contention=%-4s threads=%-3d", op, cont, threads)
-				var rowCorten []MicroCell
-				for _, sys := range AllSystems {
-					if !microSupports(sys, op) {
-						continue
-					}
-					cell, err := runMicroCell(sys, nil, op, cont, threads, o.iters(600), o.Repeat)
-					if err != nil {
-						return nil, fmt.Errorf("fig14 %s/%s/%s/%d: %w", sys, op, cont, threads, err)
-					}
-					out = append(out, cell)
-					if sys == CortenRW || sys == CortenAdv {
-						rowCorten = append(rowCorten, cell)
-					}
-					fmt.Fprintf(o.W, " %s=%.0f", sys, cell.OpsPerSec)
-				}
-				fmt.Fprintln(o.W)
-				// Companion TLB-counter rows for the systems under study.
-				for _, cell := range rowCorten {
-					printTLBLine(o, "fig14", cell)
-				}
+				g.micros("fig14", AllSystems, nil, op, cont, threads, o.iters(600), true)
 			}
 		}
 	}
-	return out, nil
+	return g.rows, g.err
 }
 
 // Fig19 regenerates the RISC-V portability check: the Table-3 ops under
 // the riscv64 page-table format, single-threaded and multithreaded,
-// Linux vs CortenMM_adv. The performance relationships should mirror
-// the x86-64 results (§6.7).
-func Fig19(o Options) ([]MicroCell, error) {
+// Linux vs CortenMM. The performance relationships should mirror the
+// x86-64 results (§6.7).
+func Fig19(o Options) ([]Row, error) {
 	o = o.norm()
-	isa := arch.RISCV{}
-	fmt.Fprintln(o.W, "# Figure 19: microbenchmarks on RISC-V Sv48 (ops/sec)")
-	var out []MicroCell
-	mt := maxThreads(o.Threads)
-	for _, threads := range []int{1, mt} {
+	var g grid
+	sweep := []int{1}
+	if mt := maxThreads(o.Threads); mt > 1 {
+		sweep = append(sweep, mt)
+	}
+	for _, threads := range sweep {
 		for _, op := range workload.AllMicroOps {
-			fmt.Fprintf(o.W, "fig19 threads=%-3d op=%-10s", threads, op)
-			for _, sys := range []System{Linux, CortenRW, CortenAdv} {
-				cell, err := runMicroCell(sys, isa, op, workload.Low, threads, o.iters(800), o.Repeat)
-				if err != nil {
-					return nil, fmt.Errorf("fig19 %s/%s: %w", sys, op, err)
-				}
-				out = append(out, cell)
-				fmt.Fprintf(o.W, " %s=%.0f", sys, cell.OpsPerSec)
-			}
-			fmt.Fprintln(o.W)
+			g.micros("fig19", []System{Linux, CortenRW, CortenAdv}, arch.RISCV{}, op, workload.Low, threads, o.iters(800), false)
 		}
 	}
-	return out, nil
+	return g.rows, g.err
 }

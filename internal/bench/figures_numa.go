@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -8,31 +9,8 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/core"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
-	"cortenmm/internal/tlb"
 )
-
-// NumaCell is one row of the NUMA figure: an mmap-populate-touch-munmap
-// loop on a machine with a given node count, under a given placement
-// policy, reporting allocation locality and shootdown fan-out.
-type NumaCell struct {
-	Nodes       int
-	Policy      string
-	Threads     int
-	PagesPerSec float64
-	// LocalFrac is the fraction of frames served from the requesting
-	// core's home zone; Spill is the absolute cross-node frame count.
-	LocalFrac float64
-	Spill     uint64
-	// ClusterIPIs counts node-granular shootdown broadcasts; IPIs the
-	// per-core deliveries behind them.
-	ClusterIPIs uint64
-	IPIs        uint64
-	Shootdowns  uint64
-	NodeAlloc   []mem.NodeAllocStats
-	NodeShoot   []tlb.NodeShootdownStats
-}
 
 // numaPolicies are the placement policies of the grid. local is
 // first-touch (the allocator default); interleave round-robins frames
@@ -42,67 +20,75 @@ type NumaCell struct {
 var numaPolicies = []string{"local", "interleave", "remote"}
 
 // FigNuma sweeps machines of 1, 2 and 4 NUMA nodes under each placement
-// policy. The local-first rows demonstrate node-local allocation (the
-// pcp caches and zonelists keep locality near 1.0); the interleave and
-// remote rows quantify the spill the policy hook can force. Every cell
-// ends with a full physical-memory audit — zone counter skew fails the
-// benchmark, not just a test.
-func FigNuma(o Options) ([]NumaCell, error) {
+// policy: one fig22-numa row per cell (throughput, the fraction of
+// frames served from the requesting core's home zone, the cross-node
+// spill, shootdown fan-out) and one fig22-numa-node row per node behind
+// it. The local-first rows demonstrate node-local allocation (the pcp
+// caches and zonelists keep locality near 1.0); the interleave and
+// remote rows quantify the spill the policy hook can force. A last
+// fig22-numa-balance row is the balancing-migration demonstration.
+func FigNuma(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# NUMA: allocation locality and node-batched shootdown fan-out (corten-adv)")
-	var out []NumaCell
+	var g grid
 	for _, nodes := range []int{1, 2, 4} {
 		for _, policy := range numaPolicies {
-			cell, err := numaPoint(o, nodes, policy)
-			if err != nil {
-				return nil, fmt.Errorf("numa nodes=%d policy=%s: %w", nodes, policy, err)
-			}
-			out = append(out, cell)
-			fmt.Fprintf(o.W,
-				"fig22-numa nodes=%d policy=%-10s threads=%-3d pages/s=%-10.0f local=%.3f spill=%-8d shootdowns=%-6d ipis=%-6d clusteripis=%d\n",
-				cell.Nodes, cell.Policy, cell.Threads, cell.PagesPerSec,
-				cell.LocalFrac, cell.Spill, cell.Shootdowns, cell.IPIs, cell.ClusterIPIs)
-			for _, ns := range cell.NodeAlloc {
-				sh := cell.NodeShoot[ns.Node]
-				fmt.Fprintf(o.W,
-					"fig22-numa-node nodes=%d policy=%-10s node=%d local=%-8d remote=%-8d free=%-8d deliveries=%-6d filtered=%-6d clusteripis=%d\n",
-					cell.Nodes, cell.Policy, ns.Node, ns.Local, ns.Remote, ns.Free,
-					sh.Deliveries, sh.Filtered, sh.ClusterIPIs)
+			r := g.numaPoint(o, nodes, policy)
+			for n := 0; n < nodes; n++ {
+				g.rows = append(g.rows, r.split("fig22-numa-node", fmt.Sprintf("node%d.", n), "node", n))
 			}
 		}
 	}
-	if err := numaBalancePoint(o); err != nil {
-		return nil, fmt.Errorf("numa balance: %w", err)
-	}
-	return out, nil
+	const pages = 4096 // > the 2048-entry TLB: every round misses
+	g.cell("fig22-numa-balance", labels("nodes", 2, "pages", pages), func() (map[string]float64, error) {
+		env, err := NewEnv(AdvBase, nil, cpusim.Config{Cores: 2, NUMANodes: 2, Frames: 1 << 15, TickEvery: 16})
+		if err != nil {
+			return nil, err
+		}
+		m, err := numaBalance(env.Machine, env.Sys.(*core.AddrSpace), pages)
+		return m, errors.Join(err, env.Close())
+	})
+	return g.rows, g.err
 }
 
-// numaBalancePoint demonstrates NUMA-balancing page migration: a region
+// checkNuma is the NUMA contract: the grid has its one-node rows,
+// first-touch placement on two nodes stays ≥ 0.9 local, and the
+// balancer migrated the misplaced working set towards its accessor.
+func checkNuma(rows []Row) error {
+	if len(pick(rows, "fig22-numa", "nodes", 1)) == 0 {
+		return errors.New("fig22-numa: no nodes=1 row")
+	}
+	local := pick(rows, "fig22-numa", "nodes", 2, "policy", "local")
+	if len(local) != 1 {
+		return fmt.Errorf("fig22-numa: expected one nodes=2 policy=local row, got %d", len(local))
+	}
+	if f := local[0].Metrics["local_fraction"].Min; f < 0.9 {
+		return fmt.Errorf("%s: local_fraction %.3f < 0.9", local[0], f)
+	}
+	for _, r := range pick(rows, "fig22-numa-balance") {
+		if r.Metrics["numa_migrations"].Min == 0 {
+			return fmt.Errorf("%s: balancer migrated nothing", r)
+		}
+		if before, after := r.Metrics["local_before"].Max, r.Metrics["local_after"].Min; after <= before {
+			return fmt.Errorf("%s: locality did not improve: %.3f -> %.3f", r, before, after)
+		}
+	}
+	return nil
+}
+
+// numaBalance demonstrates NUMA-balancing page migration: a region
 // deliberately misplaced on node 1 is touched round after round from a
 // node-0 core while the compaction manager's balancer watches the
 // access streaks (NoteAccess samples every TLB fill; the working set
-// exceeds the TLB so every round refills). The balancer must migrate
-// the hot frames to the accessor's node — the run fails, not just
-// under-reports, if locality does not improve.
-func numaBalancePoint(o Options) error {
-	const (
-		cores  = 2
-		frames = 1 << 15
-		pages  = 4096 // > the 2048-entry TLB: every round misses
-		rounds = 12
-	)
-	m := cpusim.New(cpusim.Config{Cores: cores, NUMANodes: 2, Frames: frames, TickEvery: 16})
-	a, err := core.New(core.Options{Machine: m, Protocol: core.ProtocolAdv})
-	if err != nil {
-		return err
-	}
-	defer func() { a.Destroy(0); m.Quiesce() }()
+// exceeds the TLB so every round refills). checkNuma requires that the
+// balancer migrated the hot frames to the accessor's node.
+func numaBalance(m *cpusim.Machine, a *core.AddrSpace, pages int) (map[string]float64, error) {
+	const rounds = 12
 	// Misplace the working set: every frame lands on node 1, while core 0
 	// (home: node 0) is the only accessor.
 	m.Phys.SetAllocPolicy(func(int) int { return 1 })
-	va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, mm.FlagPopulate)
+	va, err := a.Mmap(0, uint64(pages)*arch.PageSize, arch.PermRW, mm.FlagPopulate)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	m.Phys.SetAllocPolicy(nil)
 	cm := core.AttachCompaction(m, nil, core.CompactConfig{
@@ -120,13 +106,13 @@ func numaBalancePoint(o Options) error {
 				}
 			}
 		}
-		return float64(n) / pages
+		return float64(n) / float64(pages)
 	}
 	before := localFrac()
 	for r := 0; r < rounds; r++ {
 		for p := 0; p < pages; p++ {
 			if _, err := a.Load(0, va+arch.Vaddr(p)*arch.PageSize); err != nil {
-				return err
+				return nil, err
 			}
 			// User data accesses are not syscalls and issue no op ticks of
 			// their own; tick explicitly to model timer interrupts firing
@@ -134,38 +120,30 @@ func numaBalancePoint(o Options) error {
 			m.OpTick(0)
 		}
 	}
-	after := localFrac()
-	moved := m.Phys.MigrationStatsTotal().NumaMigrations
-	fmt.Fprintf(o.W, "fig22-numa-balance nodes=2 pages=%d local-before=%.3f local-after=%.3f migrations=%d\n",
-		pages, before, after, moved)
-	if moved == 0 {
-		return fmt.Errorf("balancer migrated nothing (local %.3f -> %.3f)", before, after)
-	}
-	if after <= before {
-		return fmt.Errorf("locality did not improve: %.3f -> %.3f (%d migrations)", before, after, moved)
-	}
-	return nil
+	return map[string]float64{
+		"local_before": before, "local_after": localFrac(),
+		"numa_migrations": float64(m.Phys.MigrationStatsTotal().NumaMigrations),
+	}, nil
 }
 
 // numaPoint runs one grid cell: 8 cores spread over the node count, an
 // mmap(populate) + touch + munmap loop per core.
-func numaPoint(o Options, nodes int, policy string) (NumaCell, error) {
+func (g *grid) numaPoint(o Options, nodes int, policy string) Row {
 	const (
 		cores      = 8
 		chunkPages = 32
 		frames     = 1 << 15
 	)
 	iters := o.iters(60)
-	best := NumaCell{Nodes: nodes, Policy: policy, Threads: cores}
-	for r := 0; r < o.Repeat; r++ {
+	return g.cell("fig22-numa", labels("nodes", nodes, "policy", policy, "threads", cores), func() (map[string]float64, error) {
 		// TickEvery 16: the loop issues few OpTicks per iteration, and
 		// the LATR sweeps (the node-batched fan-out under study) only
 		// run at ticks.
-		m := cpusim.New(cpusim.Config{Cores: cores, NUMANodes: nodes, Frames: frames, TLBMode: tlb.ModeLATR, TickEvery: 16})
-		a, err := core.New(core.Options{Machine: m, Protocol: core.ProtocolAdv, PerCoreVA: true})
+		env, err := NewEnv(CortenAdv, nil, cpusim.Config{Cores: cores, NUMANodes: nodes, Frames: frames, TickEvery: 16})
 		if err != nil {
-			return best, err
+			return nil, err
 		}
+		m, a := env.Machine, env.Sys
 		switch policy {
 		case "interleave":
 			var ctr atomic.Uint64
@@ -197,38 +175,31 @@ func numaPoint(o Options, nodes int, policy string) (NumaCell, error) {
 			}
 		})
 		elapsed := time.Since(start)
-		if err, ok := runErr.Load().(error); ok {
-			a.Destroy(0)
-			return best, err
+		err, _ = runErr.Load().(error)
+		if err = errors.Join(err, env.Close()); err != nil {
+			return nil, err
 		}
-		a.Destroy(0)
-		m.Quiesce()
-		// Stats after Quiesce so the deferred (LATR) invalidations the
-		// run queued are fanned out and counted.
-		allocStats := m.Phys.NodeStats()
-		shootStats := m.TLB.NodeStats()
-		tlbStats := m.TLBStats()
-		if rep := m.Phys.Audit(); !rep.Ok() {
-			return best, fmt.Errorf("post-run audit failed: %s", rep.String())
-		}
+		// Stats after Close so the deferred (LATR) invalidations the run
+		// queued are fanned out and counted.
+		out := map[string]float64{"pages_per_s": float64(cores*iters*chunkPages) / elapsed.Seconds()}
+		tlbMetrics(out, "", m.TLBStats())
+		shoot := m.TLB.NodeStats()
 		var local, remote uint64
-		for _, ns := range allocStats {
+		for _, ns := range m.Phys.NodeStats() {
 			local += ns.Local
 			remote += ns.Remote
-		}
-		pps := float64(cores*iters*chunkPages) / elapsed.Seconds()
-		if pps > best.PagesPerSec {
-			best.PagesPerSec = pps
-			if local+remote > 0 {
-				best.LocalFrac = float64(local) / float64(local+remote)
+			sh := shoot[ns.Node]
+			for k, v := range map[string]uint64{
+				"local": ns.Local, "remote": ns.Remote, "free": ns.Free,
+				"deliveries": sh.Deliveries, "filtered": sh.Filtered, "cluster_ipis": sh.ClusterIPIs,
+			} {
+				out[fmt.Sprintf("node%d.%s", ns.Node, k)] = float64(v)
 			}
-			best.Spill = remote
-			best.NodeAlloc = allocStats
-			best.NodeShoot = shootStats
-			best.Shootdowns = tlbStats.Shootdowns
-			best.IPIs = tlbStats.IPIs
-			best.ClusterIPIs = tlbStats.ClusterIPIs
 		}
-	}
-	return best, nil
+		out["spill"] = float64(remote)
+		if local+remote > 0 {
+			out["local_fraction"] = float64(local) / float64(local+remote)
+		}
+		return out, nil
+	})
 }

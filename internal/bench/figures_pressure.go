@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,117 +12,78 @@ import (
 	"cortenmm/internal/mm"
 )
 
-// PressureCell is one row of the memory-pressure figure: populate
-// throughput at a given ratio of working-set size to physical memory.
-// Below 1.0 the allocator runs from free memory; above it every chunk
-// rides the watermark-driven reclaim path (swap-out plus kswapd-style
-// background sweeps).
-type PressureCell struct {
-	System       System
-	Ratio        float64 // working set / physical memory
-	PagesPerSec  float64
-	SwapOuts     uint64
-	DirectRounds uint64
-	BgSweeps     uint64
-	// Async writeback-queue telemetry: writebacks submitted by reclaim
-	// sweeps, completions that succeeded, failures.
-	SwapQueued    uint64
-	SwapCompleted uint64
-	SwapFailed    uint64
-	// FragIndex is the post-run order-9 external-fragmentation index of
-	// node 0 (pressure shatters free memory; this is what compaction
-	// would have to undo), with the per-order free-block histogram
-	// behind it.
-	FragIndex   float64
-	FreeByOrder [mem.MaxOrder + 1]int64
+// protocolOf is the locking protocol of the two CortenMM systems.
+func protocolOf(sys System) core.Protocol {
+	if sys == CortenRW {
+		return core.ProtocolRW
+	}
+	return core.ProtocolAdv
 }
 
-// fmtByOrder renders the low orders of a free-block histogram compactly
-// (orders above 9 are rolled into the last bucket).
-func fmtByOrder(by [mem.MaxOrder + 1]int64) string {
-	s := "["
-	var high int64
-	for o, n := range by {
-		if o <= 9 {
-			if o > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%d", n)
-			continue
-		}
-		high += n
+// swapEnv is the two-core machine of the pressure and THP figures: one
+// CortenMM space with a swap device, registered with a reclaim manager.
+func swapEnv(sys System, physFrames int) (*Env, *core.AddrSpace, *core.ReclaimManager, error) {
+	env, err := newEnv(cpusim.Config{Cores: 2, Frames: physFrames}, func(m *cpusim.Machine) (mm.MM, error) {
+		return core.New(core.Options{Machine: m, Protocol: protocolOf(sys), SwapDev: mem.NewBlockDev("swap")})
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return s + fmt.Sprintf(" +%d]", high)
+	a := env.Sys.(*core.AddrSpace)
+	rm := core.AttachReclaim(env.Machine, core.ReclaimConfig{})
+	rm.Register(a)
+	return env, a, rm, nil
 }
 
 // FigPressure measures how populate throughput degrades as free-frame
 // headroom shrinks: the same chunked populate workload is run with the
-// working set at 0.5x, 0.9x, 1.5x and 3x physical memory. The
-// overcommitted points only complete because direct reclaim swaps cold
-// chunks out under the allocation; the printed reclaim counters show
-// which mechanism carried each cell.
-func FigPressure(o Options) ([]PressureCell, error) {
+// working set at 0.5x, 0.9x, 1.5x and 3x physical memory. Below 1.0 the
+// allocator runs from free memory; the overcommitted points only
+// complete because direct reclaim swaps cold chunks out under the
+// allocation, and the reclaim counters (swap-outs, direct rounds,
+// kswapd-style background sweeps, the async writeback queue's
+// submitted / completed / failed) show which mechanism carried each
+// cell. frag_index is node 0's post-run order-9 external-fragmentation
+// index — pressure shatters free memory; this is what compaction would
+// have to undo — with the free-block histogram behind it (orders above
+// 9 rolled into free_order_high).
+func FigPressure(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# Pressure: populate throughput vs free-frame headroom (watermark-driven reclaim)")
 	physFrames := max(256, int(2048*o.Scale))
-	ratios := []float64{0.5, 0.9, 1.5, 3.0}
-	var out []PressureCell
-	for _, sys := range []System{CortenRW, CortenAdv} {
-		for _, ratio := range ratios {
-			cell, err := pressurePoint(sys, physFrames, ratio, o.Repeat)
-			if err != nil {
-				return nil, fmt.Errorf("pressure %s ratio=%.2f: %w", sys, ratio, err)
-			}
-			out = append(out, cell)
-			fmt.Fprintf(o.W, "pressure system=%-10s ratio=%.2f pages/s=%-10.0f swapouts=%-6d direct=%-5d bg=%-4d swapq=%d/%d/%d frag=%.2f free-by-order=%s\n",
-				cell.System, cell.Ratio, cell.PagesPerSec, cell.SwapOuts, cell.DirectRounds, cell.BgSweeps,
-				cell.SwapQueued, cell.SwapCompleted, cell.SwapFailed,
-				cell.FragIndex, fmtByOrder(cell.FreeByOrder))
-		}
-	}
-	return out, nil
-}
-
-func pressurePoint(sys System, physFrames int, ratio float64, repeat int) (PressureCell, error) {
-	proto := core.ProtocolAdv
-	if sys == CortenRW {
-		proto = core.ProtocolRW
-	}
-	best := PressureCell{System: sys, Ratio: ratio}
-	pages := int(ratio * float64(physFrames))
 	const chunkPages = 16
-	for r := 0; r < repeat; r++ {
-		m := cpusim.New(cpusim.Config{Cores: 2, Frames: physFrames})
-		a, err := core.New(core.Options{Machine: m, Protocol: proto, SwapDev: mem.NewBlockDev("swap")})
-		if err != nil {
-			return best, err
+	var g grid
+	for _, sys := range []System{CortenRW, CortenAdv} {
+		for _, ratio := range []float64{0.5, 0.9, 1.5, 3.0} {
+			pages := int(ratio * float64(physFrames))
+			g.cell("pressure", labels("sys", sys, "ratio", fmt.Sprintf("%.2f", ratio)), func() (map[string]float64, error) {
+				env, a, rm, err := swapEnv(sys, physFrames)
+				if err != nil {
+					return nil, err
+				}
+				start := time.Now()
+				for done := 0; done < pages && err == nil; done += chunkPages {
+					n := min(chunkPages, pages-done)
+					_, err = a.Mmap(0, uint64(n)*arch.PageSize, arch.PermRW, mm.FlagPopulate)
+				}
+				elapsed := time.Since(start)
+				st := rm.Stats()
+				m := map[string]float64{
+					"pages_per_s":   float64(pages) / elapsed.Seconds(),
+					"swap_outs":     float64(a.Stats().SwapOuts.Load()),
+					"direct_rounds": float64(st.DirectRounds), "bg_sweeps": float64(st.BgSweeps),
+					"swap_queued": float64(st.SwapQueued), "swap_completed": float64(st.SwapCompleted), "swap_failed": float64(st.SwapFailed),
+					"frag_index": env.Machine.Phys.FragIndex(0, arch.IndexBits),
+				}
+				for order, n := range env.Machine.Phys.FreeByOrder(0) {
+					if order <= 9 {
+						m[fmt.Sprintf("free_order_%d", order)] = float64(n)
+					} else {
+						m["free_order_high"] += float64(n)
+					}
+				}
+				return m, errors.Join(err, env.Close())
+			})
 		}
-		rm := core.AttachReclaim(m, core.ReclaimConfig{})
-		rm.Register(a)
-		start := time.Now()
-		for done := 0; done < pages; done += chunkPages {
-			n := min(chunkPages, pages-done)
-			if _, err := a.Mmap(0, uint64(n)*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
-				a.Destroy(0)
-				return best, err
-			}
-		}
-		elapsed := time.Since(start)
-		pps := float64(pages) / elapsed.Seconds()
-		if pps > best.PagesPerSec {
-			best.PagesPerSec = pps
-			best.SwapOuts = a.Stats().SwapOuts.Load()
-			st := rm.Stats()
-			best.DirectRounds = st.DirectRounds
-			best.BgSweeps = st.BgSweeps
-			best.SwapQueued = st.SwapQueued
-			best.SwapCompleted = st.SwapCompleted
-			best.SwapFailed = st.SwapFailed
-			best.FragIndex = m.Phys.FragIndex(0, arch.IndexBits)
-			best.FreeByOrder = m.Phys.FreeByOrder(0)
-		}
-		a.Destroy(0)
-		m.Quiesce()
 	}
-	return best, nil
+	return g.rows, g.err
 }

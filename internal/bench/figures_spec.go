@@ -7,70 +7,56 @@ import (
 	"cortenmm/internal/spec"
 )
 
-// SpecCell is one row of the Table-4 analog: instead of proof lines and
-// verification time, explored states, checked transitions, and checker
-// wall time for one model configuration.
-type SpecCell struct {
-	Family      string
-	Name        string
-	Bug         string // "" for clean envelope rows
-	States      int
-	Transitions int
-	TraceSteps  int // counterexample length (mutation rows)
-	Millis      float64
-	Clean       bool
+// FigSpec is the Table-4 analog — instead of proof lines and
+// verification time, explored states, checked transitions and checker
+// wall time: one fig-spec row per model of the verified envelope at its
+// default bound (clean = 1 when it reports neither violation nor
+// deadlock) and one fig-spec-mut row per seeded bug (caught = 1 when
+// the checker produced a counterexample trace). The states metric is
+// exact for violation, deadlock and clean runs alike.
+func FigSpec(Options) ([]Row, error) {
+	var g grid
+	for _, c := range append(spec.EnvelopeCases(), spec.MutationCases()...) {
+		fig, l := "fig-spec", labels("family", c.Family, "model", c.Name)
+		if c.Bug != "" {
+			fig, l["bug"] = "fig-spec-mut", c.Bug
+		}
+		g.cell(fig, l, func() (map[string]float64, error) {
+			start := time.Now()
+			res := spec.Check(c.Model, c.Bound)
+			m := map[string]float64{
+				"states": float64(res.States), "transitions": float64(res.Transitions), "trace_steps": float64(len(res.Trace)),
+				"time_ms": float64(time.Since(start).Microseconds()) / 1000, "clean": 0, "caught": 0,
+			}
+			if res.Violation == nil && res.Deadlock == nil {
+				m["clean"] = 1
+			}
+			if res.Violation != nil && len(res.Trace) > 0 {
+				m["caught"] = 1
+			}
+			return m, nil
+		})
+	}
+	return g.rows, g.err
 }
 
-// FigSpec runs the verified-envelope grid (every model clean at its
-// default bound) and the seeded-bug mutation matrix (every model ×
-// every bug must violate), printing one row per run. It returns an
-// error if any clean model reports a violation or deadlock, or any
-// seeded bug goes uncaught — so the CI smoke step gates both
-// directions of the Table-4 claim. The states column is exact for
-// violation, deadlock, and clean runs alike (deadlock runs report the
-// full explored count, not a placeholder).
-func FigSpec(o Options) ([]SpecCell, error) {
-	o = o.norm()
-	fmt.Fprintln(o.W, "# spec: explored states / transitions / time per model (Table-4 analog)")
-	var out []SpecCell
-	var firstErr error
-	for _, c := range spec.EnvelopeCases() {
-		start := time.Now()
-		res := spec.Check(c.Model, c.Bound)
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		cell := SpecCell{
-			Family: c.Family, Name: c.Name,
-			States: res.States, Transitions: res.Transitions,
-			Millis: ms,
-			Clean:  res.Violation == nil && res.Deadlock == nil,
-		}
-		out = append(out, cell)
-		fmt.Fprintf(o.W, "fig-spec family=%-7s model=%-18s states=%-8d transitions=%-8d time-ms=%-8.2f clean=%v\n",
-			c.Family, c.Name, res.States, res.Transitions, ms, cell.Clean)
-		if firstErr == nil {
-			if res.Violation != nil {
-				firstErr = fmt.Errorf("spec model %s/%s: %v", c.Family, c.Name, res.Violation)
-			} else if res.Deadlock != nil {
-				firstErr = fmt.Errorf("spec model %s/%s deadlocked after %d states", c.Family, c.Name, res.States)
-			}
+// checkSpec gates both directions of the Table-4 claim: every model of
+// the envelope is clean, every seeded bug is caught, and neither list
+// has shrunk.
+func checkSpec(rows []Row) error {
+	clean, mut := pick(rows, "fig-spec"), pick(rows, "fig-spec-mut")
+	if len(clean) < 12 || len(mut) < 19 {
+		return fmt.Errorf("fig-spec: expected >= 12 clean and >= 19 mutation rows, got %d/%d", len(clean), len(mut))
+	}
+	for _, r := range clean {
+		if r.Metrics["clean"].Min != 1 {
+			return fmt.Errorf("%s: model violated or deadlocked (%.0f states)", r, r.Metrics["states"].Max)
 		}
 	}
-	for _, c := range spec.MutationCases() {
-		start := time.Now()
-		res := spec.Check(c.Model, c.Bound)
-		ms := float64(time.Since(start).Microseconds()) / 1000
-		caught := res.Violation != nil && len(res.Trace) > 0
-		cell := SpecCell{
-			Family: c.Family, Name: c.Name, Bug: c.Bug,
-			States: res.States, Transitions: res.Transitions,
-			TraceSteps: len(res.Trace), Millis: ms,
-		}
-		out = append(out, cell)
-		fmt.Fprintf(o.W, "fig-spec-mut family=%-7s model=%-18s bug=%-22s caught=%-5v trace-steps=%-3d states=%-8d time-ms=%.2f\n",
-			c.Family, c.Name, c.Bug, caught, len(res.Trace), res.States, ms)
-		if !caught && firstErr == nil {
-			firstErr = fmt.Errorf("seeded bug %s/%s/%s not caught (%d states explored)", c.Family, c.Name, c.Bug, res.States)
+	for _, r := range mut {
+		if r.Metrics["caught"].Min != 1 {
+			return fmt.Errorf("%s: seeded bug not caught (%.0f states explored)", r, r.Metrics["states"].Max)
 		}
 	}
-	return out, firstErr
+	return nil
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,84 +13,67 @@ import (
 	"cortenmm/internal/workload"
 )
 
-// THPCell is one row of the THP/compaction figure: a hot working set
-// touched on a deliberately fragmented machine, with the compaction +
-// collapse pipeline on or off.
-type THPCell struct {
-	System   System
-	Pipeline bool
-	// HugeCoverage is the fraction of the hot region mapped huge at the
-	// end of the run. The region starts 100% 4-KiB mapped on a
-	// fragmented zone; only the pipeline (compaction -> order-9 blocks,
-	// khugepaged scanner -> collapse) can raise it above zero.
-	HugeCoverage float64
-	// Order9Rate is the post-run success rate of order-9 allocation
-	// probes against the still-fragmented zone. Without compaction the
-	// free memory exists but cannot coalesce (ErrFragmented).
-	Order9Rate  float64
-	PagesPerSec float64 // hot-loop touch throughput
-	FragIndex   float64 // order-9 fragmentation index at end of run
-	Promotions  uint64  // scanner collapses
-	Demotions   uint64  // reclaim splits of cold huge spans
-	Migrated    uint64  // frames moved by compaction
-	DirectRuns  uint64  // direct-compaction passes from the slow path
-}
-
 // FigTHP measures what the compaction + THP pipeline buys (and costs)
 // under external fragmentation: the zone is shattered by interleaved
 // long/short-lived allocations, then a hot region is touched round
-// after round. Pipeline off, huge coverage stays at zero and order-9
-// probes fail with free memory on hand; pipeline on, background and
-// direct compaction re-coalesce blocks and the scanner promotes the hot
-// spans. The pipeline is not free — migration copies pages and
-// collapse double-copies the span — so touch throughput is reported
-// honestly alongside coverage.
-func FigTHP(o Options) ([]THPCell, error) {
+// after round. The region starts 100% 4-KiB mapped; coverage is the
+// fraction of it mapped huge at the end, order9_rate the success rate
+// of order-9 allocation probes against the still-fragmented zone.
+// Pipeline off, coverage stays at zero and the probes can fail with
+// free memory on hand (it cannot coalesce); pipeline on, background and
+// direct compaction re-coalesce blocks and the khugepaged scanner
+// promotes the hot spans. The pipeline is not free — migration copies
+// pages and collapse double-copies the span — so touch throughput is
+// reported honestly alongside coverage, with the scanner's promotions,
+// reclaim's demotions of cold huge spans, the frames compaction
+// migrated and the direct-compaction passes from the slow path.
+func FigTHP(o Options) ([]Row, error) {
 	o = o.norm()
-	fmt.Fprintln(o.W, "# THP: huge coverage / order-9 success on a fragmented zone, pipeline on vs off")
 	physFrames := max(4096, int(8192*o.Scale))
-	spans := 4
 	rounds := max(6, int(12*o.Scale))
-	systems := []System{CortenRW, CortenAdv}
-	if o.Quick {
-		physFrames = 4096
-		spans = 2
-		rounds = 8
-		systems = []System{CortenAdv}
-	}
-	var out []THPCell
-	for _, sys := range systems {
+	var g grid
+	for _, sys := range []System{CortenRW, CortenAdv} {
 		for _, pipeline := range []bool{false, true} {
-			cell, err := thpPoint(sys, physFrames, spans, rounds, pipeline)
-			if err != nil {
-				return nil, fmt.Errorf("thp %s pipeline=%v: %w", sys, pipeline, err)
-			}
-			out = append(out, cell)
-			fmt.Fprintf(o.W, "thp system=%-10s pipeline=%-5v coverage=%.2f order9=%.2f pages/s=%-10.0f frag=%.2f promotes=%-4d demotes=%-4d migrated=%-5d direct=%d\n",
-				cell.System, cell.Pipeline, cell.HugeCoverage, cell.Order9Rate, cell.PagesPerSec,
-				cell.FragIndex, cell.Promotions, cell.Demotions, cell.Migrated, cell.DirectRuns)
+			g.cell("thp", labels("sys", sys, "pipeline", pipeline), func() (map[string]float64, error) {
+				env, a, rm, err := swapEnv(sys, physFrames)
+				if err != nil {
+					return nil, err
+				}
+				m, err := thpPoint(env.Machine, a, rm, physFrames, rounds, pipeline)
+				return m, errors.Join(err, env.Close())
+			})
 		}
 	}
-	return out, nil
+	return g.rows, g.err
 }
 
-func thpPoint(sys System, physFrames, spans, rounds int, pipeline bool) (THPCell, error) {
-	proto := core.ProtocolAdv
-	if sys == CortenRW {
-		proto = core.ProtocolRW
+// checkTHP is the THP contract, per system: the pipeline lifts huge
+// coverage to at least half the hot region and at least twice the
+// pipeline-off row's, and order-9 probes then succeed.
+func checkTHP(rows []Row) error {
+	on := pick(rows, "thp", "pipeline", true)
+	if len(on) == 0 {
+		return errors.New("thp: no pipeline=true row")
 	}
-	cell := THPCell{System: sys, Pipeline: pipeline}
-	m := cpusim.New(cpusim.Config{Cores: 2, Frames: physFrames})
-	a, err := core.New(core.Options{Machine: m, Protocol: proto, SwapDev: mem.NewBlockDev("swap")})
-	if err != nil {
-		return cell, err
+	for _, r := range on {
+		cov := r.Metrics["coverage"].Min
+		for _, off := range pick(rows, "thp", "pipeline", false, "sys", r.Labels["sys"]) {
+			if c := off.Metrics["coverage"].Max; cov < 2*c {
+				return fmt.Errorf("%s: coverage %.2f < 2x pipeline-off %.2f", r, cov, c)
+			}
+		}
+		if cov < 0.5 {
+			return fmt.Errorf("%s: coverage %.2f < 0.5", r, cov)
+		}
+		if o9 := r.Metrics["order9_rate"].Min; o9 < 0.9 {
+			return fmt.Errorf("%s: order9_rate %.2f < 0.9", r, o9)
+		}
 	}
-	defer func() {
-		a.Destroy(0)
-		m.Quiesce()
-	}()
-	rm := core.AttachReclaim(m, core.ReclaimConfig{})
-	rm.Register(a)
+	return nil
+}
+
+func thpPoint(m *cpusim.Machine, a *core.AddrSpace, rm *core.ReclaimManager, physFrames, rounds int, pipeline bool) (map[string]float64, error) {
+	const spans = 4 // hot region size, in 2-MiB spans
 	var cm *core.CompactionManager
 	if pipeline {
 		cm = core.AttachCompaction(m, rm, core.CompactConfig{
@@ -105,7 +89,7 @@ func thpPoint(sys System, physFrames, spans, rounds int, pipeline bool) (THPCell
 	// no pristine order-9 block survives it.
 	frag, err := workload.Fragment(a, 0, physFrames*3/4, 8)
 	if err != nil {
-		return cell, err
+		return nil, err
 	}
 	defer frag.Release(a, 0)
 
@@ -115,7 +99,7 @@ func thpPoint(sys System, physFrames, spans, rounds int, pipeline bool) (THPCell
 	regionBytes := uint64(spans) * span
 	base := arch.Vaddr(span)
 	if err := a.MmapFixed(0, base, regionBytes, arch.PermRW, mm.FlagPopulate); err != nil {
-		return cell, err
+		return nil, err
 	}
 
 	// Hot loop: touch every page each round, with a little short-lived
@@ -126,7 +110,7 @@ func thpPoint(sys System, physFrames, spans, rounds int, pipeline bool) (THPCell
 	for r := 0; r < rounds; r++ {
 		for off := uint64(0); off < regionBytes; off += arch.PageSize {
 			if err := a.Store(0, base+arch.Vaddr(off), byte(r)); err != nil {
-				return cell, err
+				return nil, err
 			}
 			touched++
 		}
@@ -135,44 +119,45 @@ func thpPoint(sys System, physFrames, spans, rounds int, pipeline bool) (THPCell
 		// swapping them out; only migration can move them.
 		for _, kv := range frag.Kept {
 			if err := a.Store(0, kv, byte(r)); err != nil {
-				return cell, err
+				return nil, err
 			}
 		}
 		if err := workload.Churn(a, 0, 4, 16); err != nil {
-			return cell, err
+			return nil, err
 		}
 	}
 	elapsed := time.Since(start)
 
-	cell.PagesPerSec = float64(touched) / elapsed.Seconds()
-	cell.HugeCoverage = float64(a.HugeBytes(0)) / float64(regionBytes)
+	out := map[string]float64{
+		"pages_per_s": float64(touched) / elapsed.Seconds(),
+		"coverage":    float64(a.HugeBytes(0)) / float64(regionBytes),
+	}
 
 	// Order-9 probes: can the still-fragmented zone serve huge-page
 	// sized blocks now? Held until all probes ran, so one compacted
 	// block cannot be recycled into every probe.
 	probes := max(2, spans/2)
 	var got []arch.PFN
-	succ := 0
 	for i := 0; i < probes; i++ {
 		if pfn, err := m.Phys.AllocFrames(0, arch.IndexBits, mem.KindAnon); err == nil {
-			succ++
 			got = append(got, pfn)
 		}
 	}
 	for _, pfn := range got {
 		m.Phys.Put(0, pfn)
 	}
-	cell.Order9Rate = float64(succ) / float64(probes)
+	out["order9_rate"] = float64(len(got)) / float64(probes)
 
 	// Pipeline counters are read after the probes: the probes themselves
 	// trigger direct compaction, and those runs belong in the row.
-	cell.FragIndex = m.Phys.FragIndex(0, arch.IndexBits)
-	cell.Demotions = a.Stats().Demotions.Load()
-	cell.Migrated = m.Phys.MigrationStatsTotal().Migrated
+	out["frag_index"] = m.Phys.FragIndex(0, arch.IndexBits)
+	out["demotions"] = float64(a.Stats().Demotions.Load())
+	out["migrated"] = float64(m.Phys.MigrationStatsTotal().Migrated)
+	var cs core.CompactionStats
 	if cm != nil {
-		cs := cm.Stats()
-		cell.Promotions = cs.Promotions
-		cell.DirectRuns = cs.DirectRuns
+		cs = cm.Stats()
 	}
-	return cell, nil
+	out["promotions"] = float64(cs.Promotions)
+	out["direct_runs"] = float64(cs.DirectRuns)
+	return out, nil
 }

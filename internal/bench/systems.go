@@ -1,7 +1,7 @@
 // Package bench is the evaluation harness: it instantiates each memory
 // management system on a simulated machine, runs the paper's workloads
-// against them, and prints the rows/series of every figure and table in
-// §6. Absolute numbers differ from the paper (the substrate is a
+// against them, and returns every figure and table of §6 as []Row (see
+// Figures). Absolute numbers differ from the paper (the substrate is a
 // simulator, not a 384-core EPYC), but the comparisons — who wins,
 // roughly by how much, where scaling collapses — are the reproduction
 // target.
@@ -42,31 +42,64 @@ const (
 // AllSystems is the Figure 13/14 lineup.
 var AllSystems = []System{Linux, CortenRW, CortenAdv, RadixVM, NrOS}
 
-// Env is one benchmark environment: a fresh machine plus a fresh
-// address space of the requested flavour.
+// Env is one benchmark environment: a fresh machine and, unless the
+// workload makes its own spaces, a fresh address space on it.
 type Env struct {
 	Machine *cpusim.Machine
 	Sys     mm.MM
 }
 
-// NewEnv builds a machine sized for the workload and an address space
-// of the given system on it. isa may be nil for x86-64.
-func NewEnv(sys System, cores, frames int, isa arch.ISA) (*Env, error) {
-	mode := tlb.ModeSync
-	switch sys {
-	case CortenAdv, AdvVPA, CortenRW:
-		// Full CortenMM uses the advanced TLB protocols; adv+vpa keeps
-		// sync shootdown (only the VA-allocator optimization).
-		if sys == CortenAdv || sys == CortenRW {
-			mode = tlb.ModeLATR
+// tlbModeFor is the shootdown protocol a system runs under: full
+// CortenMM uses LATR; the baselines and the adv ablations (which isolate
+// the VA allocator) keep synchronous shootdown.
+func tlbModeFor(sys System) tlb.Mode {
+	if sys == CortenAdv || sys == CortenRW {
+		return tlb.ModeLATR
+	}
+	return tlb.ModeSync
+}
+
+// NewEnv builds the machine cfg describes, under sys's shootdown
+// protocol, and an address space of that system on it. isa may be nil
+// for x86-64.
+func NewEnv(sys System, isa arch.ISA, cfg cpusim.Config) (*Env, error) {
+	cfg.TLBMode = tlbModeFor(sys)
+	return newEnv(cfg, func(m *cpusim.Machine) (mm.MM, error) { return NewSystem(sys, m, isa) })
+}
+
+// newEnv builds the machine and opens the space on it; a nil open
+// leaves Sys nil for workloads that create and destroy their own.
+func newEnv(cfg cpusim.Config, open func(*cpusim.Machine) (mm.MM, error)) (*Env, error) {
+	e := &Env{Machine: cpusim.New(cfg)}
+	if open != nil {
+		var err error
+		if e.Sys, err = open(e.Machine); err != nil {
+			return nil, err
 		}
 	}
-	m := cpusim.New(cpusim.Config{Cores: cores, Frames: frames, NUMANodes: 2, TLBMode: mode})
-	s, err := NewSystem(sys, m, isa)
-	if err != nil {
-		return nil, err
+	return e, nil
+}
+
+// Close is the round epilogue: destroy the space, run every deferred
+// free, then require that physical memory audits clean and that no
+// page-table or anonymous frame outlived the teardown.
+func (e *Env) Close() error {
+	if e.Sys != nil {
+		e.Sys.Destroy(0)
 	}
-	return &Env{Machine: m, Sys: s}, nil
+	e.Machine.Quiesce()
+	if rep := e.Machine.Phys.Audit(); !rep.Ok() {
+		return fmt.Errorf("bench: after teardown, %s", rep.String())
+	}
+	if st := e.Machine.Phys.Stats(); st.PageTableBytes != 0 || st.AnonBytes != 0 {
+		return fmt.Errorf("bench: %d page-table and %d anonymous bytes left after teardown", st.PageTableBytes, st.AnonBytes)
+	}
+	return nil
+}
+
+// machine is the standard two-node machine of the figures.
+func machine(cores, frames int) cpusim.Config {
+	return cpusim.Config{Cores: cores, Frames: frames, NUMANodes: 2}
 }
 
 // NewSystem creates an address space of the given flavour on m.
@@ -90,12 +123,6 @@ func NewSystem(sys System, m *cpusim.Machine, isa arch.ISA) (mm.MM, error) {
 	return nil, fmt.Errorf("bench: unknown system %q", sys)
 }
 
-// Close tears the environment down.
-func (e *Env) Close() {
-	e.Sys.Destroy(0)
-	e.Machine.Quiesce()
-}
-
 // Options tunes a harness run.
 type Options struct {
 	// Threads is the core-count sweep (default 1,2,4,...,2×GOMAXPROCS
@@ -104,22 +131,13 @@ type Options struct {
 	// Scale multiplies iteration counts (1.0 = quick, higher = more
 	// stable numbers).
 	Scale float64
-	// Repeat runs each cell this many times and keeps the best —
-	// cheap insurance against scheduler noise (default 3).
-	Repeat int
-	// Quick shrinks grids to their CI smoke subset (currently only
-	// FigTenant honours it).
-	Quick bool
-	// W receives the printed rows.
+	// W receives the rows Figure.Emit writes, one JSON object per line.
 	W io.Writer
 }
 
 func (o Options) norm() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
-	}
-	if o.Repeat <= 0 {
-		o.Repeat = 3
 	}
 	if len(o.Threads) == 0 {
 		max := runtime.GOMAXPROCS(0)
