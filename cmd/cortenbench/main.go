@@ -6,7 +6,7 @@
 // contract is checked on the rows just produced, and a violation exits
 // 1 naming the row. BENCH_<pr>.json is this output checked in:
 //
-//	go run ./cmd/cortenbench > BENCH_21.json
+//	go run -buildvcs=true ./cmd/cortenbench > BENCH_22.json
 //
 // Absolute numbers depend on the host; the comparisons between systems
 // are the reproduction target. See EXPERIMENTS.md for the side-by-side

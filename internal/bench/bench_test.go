@@ -477,7 +477,7 @@ func TestChecksRejectDoctoredRows(t *testing.T) {
 // the way a later PR's diff will: every figure is present and every
 // contract holds on the recorded rows.
 func TestRecordedTrajectoryParses(t *testing.T) {
-	f, err := os.Open("../../BENCH_21.json")
+	f, err := os.Open("../../BENCH_22.json")
 	if err != nil {
 		t.Fatal(err)
 	}

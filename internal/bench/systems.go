@@ -80,21 +80,14 @@ func newEnv(cfg cpusim.Config, open func(*cpusim.Machine) (mm.MM, error)) (*Env,
 	return e, nil
 }
 
-// Close is the round epilogue: destroy the space, run every deferred
-// free, then require that physical memory audits clean and that no
-// page-table or anonymous frame outlived the teardown.
+// Close is the round epilogue: destroy the space, then the machine's
+// own teardown check (every deferred free run, physical memory audits
+// clean, no page-table or anonymous frame left).
 func (e *Env) Close() error {
 	if e.Sys != nil {
 		e.Sys.Destroy(0)
 	}
-	e.Machine.Quiesce()
-	if rep := e.Machine.Phys.Audit(); !rep.Ok() {
-		return fmt.Errorf("bench: after teardown, %s", rep.String())
-	}
-	if st := e.Machine.Phys.Stats(); st.PageTableBytes != 0 || st.AnonBytes != 0 {
-		return fmt.Errorf("bench: %d page-table and %d anonymous bytes left after teardown", st.PageTableBytes, st.AnonBytes)
-	}
-	return nil
+	return e.Machine.CheckClean()
 }
 
 // machine is the standard two-node machine of the figures.

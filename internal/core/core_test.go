@@ -27,12 +27,8 @@ func newSpace(t *testing.T, p Protocol) (*AddrSpace, *cpusim.Machine) {
 // checkClean verifies the no-leak invariant after teardown.
 func checkClean(t *testing.T, m *cpusim.Machine) {
 	t.Helper()
-	m.Quiesce()
-	if n := m.Phys.KindFrames(mem.KindAnon); n != 0 {
-		t.Errorf("leaked %d anon frames", n)
-	}
-	if n := m.Phys.KindFrames(mem.KindPT); n != 0 {
-		t.Errorf("leaked %d PT frames", n)
+	if err := m.CheckClean(); err != nil {
+		t.Error(err)
 	}
 }
 

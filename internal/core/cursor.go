@@ -431,8 +431,7 @@ func (c *RCursor) removeChild(parent arch.PFN, idx int, child arch.PFN) {
 		st.Mu.Unlock()
 	}
 	core := c.core
-	a.m.RCU.Defer(func() { a.tree.ReleasePTPage(core, child) })
-	a.reapBacklogged(core)
+	a.m.Defer(core, func() { a.tree.ReleasePTPage(core, child) })
 }
 
 // dropMeta clears the metadata entry of a level-`level` PT page,

@@ -350,34 +350,9 @@ func (a *AddrSpace) commitDeferred(core int, d *deferredOps) int {
 	if len(d.freed) > 0 {
 		// The cursor may be recycled before the grace period ends;
 		// DeferPut takes its own copy of the run list.
-		a.deferPut(core, d.freed)
+		a.m.DeferPut(core, d.freed)
 	}
 	return emitted
-}
-
-// reapBacklog is the number of waiting RCU callbacks at which the
-// unmap path runs the core's deferred work itself instead of leaving it
-// to the next timer tick. A bulk teardown queues thousands of frames per
-// call; a core that ticks every 64 operations would otherwise let a
-// node's worth of frames sit in the monitor while its allocations spill
-// off-node.
-const reapBacklog = 32
-
-// deferPut hands runs of unmapped frames to the RCU monitor on behalf
-// of core. The caller has already issued the shootdown that covers them.
-func (a *AddrSpace) deferPut(core int, runs []rcu.FrameRun) {
-	if a.m.RCU.DeferPut(a.m.Phys, core, runs) >= reapBacklog {
-		a.m.Reap(core)
-	}
-}
-
-// reapBacklogged follows the other hand-off to the RCU monitor, a
-// removed PT page's closure (rare enough to ask Stats). Safe with
-// PT-page locks held: a sweep or a callback never takes one.
-func (a *AddrSpace) reapBacklogged(core int) {
-	if a.m.RCU.Stats().Pending >= reapBacklog {
-		a.m.Reap(core)
-	}
 }
 
 // freedSpillRuns caps the deferred-free run list. A giant sparse unmap

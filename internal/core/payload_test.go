@@ -1,10 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"cortenmm/internal/arch"
@@ -78,97 +75,6 @@ func TestRemapReadsZero(t *testing.T) {
 				checkClean(t, m)
 			})
 		}
-	}
-}
-
-// TestNoForeignBytesThroughStaleTranslations: cores 0 and 1 churn
-// disjoint regions that interleave page by page — so they share every
-// leaf PT page and each other's freshly freed frames — each storing its
-// tag at its own byte offset and reading it back, while core 2 loads
-// from both regions through whatever translations its TLB still holds.
-// Core 2 reads a page of writer w at the offset only the *other* writer
-// ever stores to: on a frame w owns that byte is 0. Frames and buffers
-// are reused within microseconds, so anything that frees a frame before
-// every core that could translate to it has let go shows up as the
-// other region's tag (and, under -race, as a race between that load and
-// the new owner's store or clear). A load may return 0 or ErrSegv,
-// never a tag.
-func TestNoForeignBytesThroughStaleTranslations(t *testing.T) {
-	const (
-		slots  = 16
-		rounds = 400
-		base   = arch.Vaddr(7) << 30
-	)
-	tags := [2]byte{0x11, 0x22}
-	// Writer w owns the pages at base + (2i+w) pages and byte offsetOf(w).
-	page := func(w, i int) arch.Vaddr { return base + arch.Vaddr(2*i+w)*arch.PageSize }
-	offsetOf := func(w int) arch.Vaddr { return arch.Vaddr(64 + 128*w) }
-	for _, mode := range []tlb.Mode{tlb.ModeSync, tlb.ModeEarlyAck, tlb.ModeLATR} {
-		t.Run(mode.String(), func(t *testing.T) {
-			a, m := newSpaceTLB(t, mode)
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			errs := make(chan error, 3)
-			for w := 0; w < 2; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer stop.Store(true)
-					for r := 0; r < rounds && !stop.Load(); r++ {
-						va := page(w, r%slots)
-						if err := a.MmapFixed(w, va, arch.PageSize, arch.PermRW, 0); err != nil {
-							errs <- fmt.Errorf("writer %d map: %w", w, err)
-							return
-						}
-						if err := a.Store(w, va+offsetOf(w), tags[w]); err != nil {
-							errs <- fmt.Errorf("writer %d store: %w", w, err)
-							return
-						}
-						if b, err := a.Load(w, va+offsetOf(w)); err != nil || b != tags[w] {
-							errs <- fmt.Errorf("writer %d read back %#x, %v", w, b, err)
-							return
-						}
-						if b, err := a.Load(w, va+offsetOf(1-w)); err != nil || b != 0 {
-							errs <- fmt.Errorf("writer %d found %#x at the other writer's offset, %v", w, b, err)
-							return
-						}
-						if err := a.Munmap(w, va, arch.PageSize); err != nil {
-							errs <- fmt.Errorf("writer %d unmap: %w", w, err)
-							return
-						}
-					}
-				}()
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; !stop.Load(); i++ {
-					w := i & 1
-					va := page(w, (i>>1)%slots) + offsetOf(1-w)
-					b, err := a.Load(2, va)
-					switch {
-					case errors.Is(err, mm.ErrSegv):
-					case err != nil:
-						errs <- fmt.Errorf("reader: %w", err)
-						return
-					case b != 0:
-						errs <- fmt.Errorf("reader: load from writer %d's page %#x returned %#x", w, va, b)
-						return
-					}
-				}
-			}()
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Error(err)
-			}
-			a.Destroy(0)
-			checkClean(t, m)
-			if rep := m.Phys.Audit(); !rep.Ok() {
-				t.Error(rep.String())
-			}
-		})
 	}
 }
 

@@ -282,80 +282,31 @@ func (a *AddrSpace) PopulateRange(core int, va arch.Vaddr, size uint64) error {
 }
 
 // Touch implements mm.MM: one simulated user access, faulting as needed.
+// The access itself is the machine's (cpusim.Machine.Access); the space
+// supplies its gate — checked before the TLB is, because a destroyed
+// space's translations may still sit in one (recycle-implies-flushed,
+// see Destroy) — its tree and its fault handler.
 func (a *AddrSpace) Touch(core int, va arch.Vaddr, acc pt.Access) error {
-	return a.access(core, va, acc, nil)
+	if err := a.gate(core); err != nil {
+		return err
+	}
+	return a.m.Access(core, a.asid, a.tree, va, acc, a.pageFault, nil)
 }
 
 // Load implements mm.MM.
 func (a *AddrSpace) Load(core int, va arch.Vaddr) (b byte, err error) {
-	err = a.access(core, va, pt.AccessRead, func(page []byte, off uint64) {
-		b = page[off]
-	})
+	if err = a.gate(core); err == nil {
+		err = a.m.Access(core, a.asid, a.tree, va, pt.AccessRead, a.pageFault, func(page []byte, off uint64) { b = page[off] })
+	}
 	return b, err
 }
 
 // Store implements mm.MM.
 func (a *AddrSpace) Store(core int, va arch.Vaddr, b byte) error {
-	return a.access(core, va, pt.AccessWrite, func(page []byte, off uint64) {
-		page[off] = b
-	})
-}
-
-// access performs one simulated user access — TLB lookup, hardware
-// walk, page fault, retry — and hands the page's bytes to fn (nil for a
-// Touch, which moves none). Translation and the byte access happen
-// inside a single RCU read-side critical section, for two reasons. The
-// walker is a lockless reader of PT pages under both protocols, and a
-// pruning unmap hands those to the RCU monitor (removeChild). And on
-// hardware, an access that has passed translation retires before the
-// unmapping core's shootdown IPI is acknowledged, so the frame cannot
-// be recycled underneath it. The read section models exactly that
-// window — commitDeferred routes data-frame frees through the RCU
-// monitor, so a frame whose mapping this core could have observed
-// stays allocated until the access completes. The page-fault path runs
-// outside the section (it takes the address-space lock and must not
-// stall grace periods).
-func (a *AddrSpace) access(core int, va arch.Vaddr, acc pt.Access, fn func(page []byte, off uint64)) error {
-	// Checked before the TLB lookup: a destroyed space's translations
-	// may still sit in a TLB (recycle-implies-flushed, see Destroy).
 	if err := a.gate(core); err != nil {
 		return err
 	}
-	if va >= arch.MaxVaddr {
-		return errSegv
-	}
-	page := arch.PageAlignDown(va)
-	for tries := 0; tries < 64; tries++ {
-		a.m.RCU.ReadLock(core)
-		tr, ok := a.m.TLB.Lookup(core, a.asid, page)
-		if !ok || !tr.Perm.Contains(acc.Needs()) {
-			// The fill opens before the walk: a shootdown that lands in
-			// between must invalidate what the walk is about to cache.
-			fill := a.m.TLB.FillBegin(core, a.asid)
-			if tr, ok = a.tree.WalkAccess(va, acc); ok {
-				// tr carries the leaf level from the walk; huge leaves land
-				// in the TLB's span-indexed array so every page of the span
-				// hits from this one fill.
-				a.m.TLB.InsertAt(core, a.asid, page, tr, fill)
-				if tr.Level == 1 {
-					// A TLB fill is the NUMA balancer's access sample.
-					a.m.Phys.NoteAccess(core, tr.PFN)
-				}
-			}
-		}
-		if ok {
-			if fn != nil {
-				fn(a.m.Phys.DataPage(tr.PFN), uint64(va&(arch.PageSize-1)))
-			}
-			a.m.RCU.ReadUnlock(core)
-			return nil
-		}
-		a.m.RCU.ReadUnlock(core)
-		if err := a.pageFault(core, va, acc); err != nil {
-			return err
-		}
-	}
-	return fmt.Errorf("core: translation livelock at %#x", va)
+	return a.m.Access(core, a.asid, a.tree, va, pt.AccessWrite, a.pageFault, func(page []byte, off uint64) { page[off] = b })
 }
 
 // pageFault is the Figure-8 handler with the hardened OOM unwind: a
@@ -436,7 +387,7 @@ func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access
 		}
 		if acc == pt.AccessWrite {
 			// Write fault on a private file page: copy immediately.
-			copyPFN, err := a.copyPage(core, fpfn)
+			copyPFN, err := a.m.Phys.CopyPage(core, fpfn)
 			if err != nil {
 				a.m.Phys.Put(core, fpfn)
 				return err
@@ -500,7 +451,7 @@ func (a *AddrSpace) faultMapped(core int, c *RCursor, page arch.Vaddr, acc pt.Ac
 				return err
 			}
 		} else {
-			copyPFN, err := a.copyPage(core, st.Page)
+			copyPFN, err := a.m.Phys.CopyPage(core, st.Page)
 			if err != nil {
 				return err
 			}
@@ -543,17 +494,6 @@ func (a *AddrSpace) faultHuge(core int, c *RCursor, page arch.Vaddr, st pt.Statu
 		return err
 	}
 	return c.MapKeyed(base, frame, level, st.Perm, st.Key)
-}
-
-// copyPage allocates a fresh anonymous frame holding a copy of src's
-// contents.
-func (a *AddrSpace) copyPage(core int, src arch.PFN) (arch.PFN, error) {
-	dst, err := a.m.Phys.AllocFrame(core, mem.KindAnon)
-	if err != nil {
-		return 0, err
-	}
-	copy(a.m.Phys.Data(dst), a.m.Phys.DataPage(src))
-	return dst, nil
 }
 
 // logicalPerm converts stored permissions to the user-visible ones: a

@@ -159,7 +159,7 @@ func TestTxWordReturnsToZero(t *testing.T) {
 // TestDeferredWorkGetsFreshCursor: the cached cursor stays its owner's
 // until Close has finished reading it. A transaction opened on the same
 // core ID from inside Close's own deferred work — here an RCU callback
-// that Close's reapBacklog drive runs — must get a fresh cursor; handing
+// that Close's ReapBacklog drive runs — must get a fresh cursor; handing
 // it the cached one would reset the flush and freed lists Close is still
 // walking. That is why the word is lowered last.
 func TestDeferredWorkGetsFreshCursor(t *testing.T) {
@@ -187,7 +187,7 @@ func TestDeferredWorkGetsFreshCursor(t *testing.T) {
 				ran, gotCached = true, c == &a.cursors[0].c
 				c.Close()
 			})
-			for i := 1; i < reapBacklog; i++ {
+			for i := 1; i < cpusim.ReapBacklog; i++ {
 				m.RCU.Defer(func() {})
 			}
 
@@ -202,7 +202,7 @@ func TestDeferredWorkGetsFreshCursor(t *testing.T) {
 				t.Fatal(err)
 			}
 			freed := len(c.freed)
-			c.Close() // shootdown, DeferPut, backlog >= reapBacklog: Reap runs the callback
+			c.Close() // shootdown, DeferPut, backlog >= ReapBacklog: Reap runs the callback
 			if !ran {
 				t.Fatal("the deferred callback did not run inside Close")
 			}

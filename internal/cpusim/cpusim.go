@@ -11,7 +11,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
+	"cortenmm/internal/mm"
+	"cortenmm/internal/pt"
 	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
 )
@@ -359,6 +362,106 @@ func (m *Machine) Quiesce() {
 			return
 		}
 	}
+}
+
+// Access is the simulated MMU, the same for every kernel on the
+// machine: one user access by core to va in the address space tagged
+// asid, whose page table — the one this core walks, for a kernel that
+// replicates it — is t. It probes the TLB, walks t on a miss or a
+// permission miss and caches what the walk found, calls fault when the
+// walk cannot serve the access and tries again (64 times at most), and
+// hands the page's bytes to fn (nil for an access that moves none). The
+// caller has passed its own gate: the space is alive and core is one of
+// the machine's.
+//
+// Translation and the byte access sit inside one RCU read section, for
+// two reasons. The walker is a lockless reader of PT pages, and whoever
+// unlinks one hands it to the RCU monitor. And on hardware an access
+// that has passed translation retires before the unmapping core's
+// shootdown is acknowledged, so the frame cannot be recycled underneath
+// it. The read section is that window: every kernel issues the
+// shootdown covering a frame and only then hands the frame to the
+// monitor (DeferPut, Defer), so a frame whose mapping this core could
+// have observed stays allocated until fn returns. fault runs outside
+// the section — it takes the kernel's locks and must not stall grace
+// periods.
+func (m *Machine) Access(core int, asid tlb.ASID, t *pt.Tree, va arch.Vaddr, acc pt.Access,
+	fault func(core int, va arch.Vaddr, acc pt.Access) error, fn func(page []byte, off uint64)) error {
+	if va >= arch.MaxVaddr {
+		return mm.ErrSegv
+	}
+	page := arch.PageAlignDown(va)
+	for tries := 0; tries < 64; tries++ {
+		m.RCU.ReadLock(core)
+		tr, ok := m.TLB.Lookup(core, asid, page)
+		if !ok || !tr.Perm.Contains(acc.Needs()) {
+			// The fill opens before the walk: a shootdown that lands in
+			// between must invalidate what the walk is about to cache.
+			fill := m.TLB.FillBegin(core, asid)
+			if tr, ok = t.WalkAccess(va, acc); ok {
+				// tr carries the leaf level from the walk; huge leaves land
+				// in the TLB's span-indexed array so every page of the span
+				// hits from this one fill.
+				m.TLB.InsertAt(core, asid, page, tr, fill)
+				if tr.Level == 1 {
+					// A TLB fill is the NUMA balancer's access sample.
+					m.Phys.NoteAccess(core, tr.PFN)
+				}
+			}
+		}
+		if ok {
+			if fn != nil {
+				fn(m.Phys.DataPage(tr.PFN), uint64(va&(arch.PageSize-1)))
+			}
+			m.RCU.ReadUnlock(core)
+			return nil
+		}
+		m.RCU.ReadUnlock(core)
+		if err := fault(core, va, acc); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("cpusim: translation livelock at %#x", va)
+}
+
+// ReapBacklog is the number of waiting RCU callbacks at which a hand-off
+// to the monitor runs the core's deferred work itself instead of leaving
+// it to the next timer tick. A bulk teardown queues thousands of frames
+// per call; a core that ticks every 64 operations would otherwise let a
+// node's worth of frames sit in the monitor while its allocations spill
+// off-node.
+const ReapBacklog = 32
+
+// DeferPut hands runs of unmapped frames to the RCU monitor on behalf
+// of core. The caller has already issued the shootdown that covers them.
+func (m *Machine) DeferPut(core int, runs []rcu.FrameRun) {
+	if m.RCU.DeferPut(m.Phys, core, runs) >= ReapBacklog {
+		m.Reap(core)
+	}
+}
+
+// Defer is DeferPut for any other release — an unlinked PT page, a
+// baseline's frame list. Safe with PT-page locks held: a sweep or a
+// callback never takes one.
+func (m *Machine) Defer(core int, fn func()) {
+	if m.RCU.Defer(fn) >= ReapBacklog {
+		m.Reap(core)
+	}
+}
+
+// CheckClean is the epilogue of every harness, run after the last
+// address space was destroyed: drain the deferred work, then require
+// that physical memory audits clean and that no page-table or anonymous
+// frame outlived the teardown.
+func (m *Machine) CheckClean() error {
+	m.Quiesce()
+	if rep := m.Phys.Audit(); !rep.Ok() {
+		return fmt.Errorf("cpusim: after teardown, %s", rep.String())
+	}
+	if st := m.Phys.Stats(); st.PageTableBytes != 0 || st.AnonBytes != 0 {
+		return fmt.Errorf("cpusim: %d page-table and %d anonymous bytes left after teardown", st.PageTableBytes, st.AnonBytes)
+	}
+	return nil
 }
 
 // TLBStats snapshots the TLB counters — hit rate, shootdown fan-out,

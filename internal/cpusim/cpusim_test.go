@@ -1,7 +1,13 @@
 package cpusim
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -397,5 +403,69 @@ func TestTxWordSharedCoreID(t *testing.T) {
 	wg.Wait()
 	if m.InTx(0) {
 		t.Error("depth did not return to zero")
+	}
+}
+
+// TestOneAccessPath: the machine has one MMU. Outside the TLB and the
+// page-table packages themselves (and the benchmark module, which pins
+// their raw surface), non-test code probes the TLB, opens and closes a
+// fill and runs the hardware walk from exactly one function —
+// Machine.Access — and no kernel keeps a private copy of it.
+func TestOneAccessPath(t *testing.T) {
+	const root = "../.."
+	mmu := map[string]int{"Lookup": 0, "FillBegin": 0, "InsertAt": 0, "WalkAccess": 0}
+	retired := map[string]string{"core": "access", "vma": "translate", "radixvm": "translate", "nros": "translate"}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel := filepath.ToSlash(strings.TrimPrefix(path, root+"/"))
+		if d.IsDir() {
+			if rel == "benchmark" || rel == "internal/tlb" || rel == "internal/pt" || strings.HasPrefix(d.Name(), ".") && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if fn.Name.Name == retired[filepath.Base(filepath.Dir(path))] {
+				t.Errorf("%s: func %s is back", rel, fn.Name.Name)
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if _, ok := mmu[sel.Sel.Name]; ok {
+						mmu[sel.Sel.Name]++
+						if rel != "internal/cpusim/cpusim.go" || fn.Name.Name != "Access" {
+							t.Errorf("%s: %s calls %s; the access path is Machine.Access", fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range mmu {
+		if n != 1 {
+			t.Errorf("%d call sites of %s, want 1", n, name)
+		}
 	}
 }

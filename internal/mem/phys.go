@@ -817,6 +817,17 @@ func (m *PhysMem) DataPage(pfn arch.PFN) []byte {
 	return data[off : off+arch.PageSize]
 }
 
+// CopyPage allocates a fresh anonymous frame holding a copy of src's
+// 4-KiB page for core — the copy half of every copy-on-write break.
+func (m *PhysMem) CopyPage(core int, src arch.PFN) (arch.PFN, error) {
+	dst, err := m.AllocFrame(core, KindAnon)
+	if err != nil {
+		return 0, err
+	}
+	copy(m.Data(dst), m.DataPage(src))
+	return dst, nil
+}
+
 // zonelistFree sums the free frames across node's zonelist (buddy only,
 // lock-free) — the "was memory actually available" probe behind
 // ErrFragmented.

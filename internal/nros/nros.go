@@ -35,7 +35,7 @@ type op struct {
 	lo, hi  arch.Vaddr
 	perm    arch.Perm
 	frames  []arch.PFN
-	pending atomic.Int32 // replicas yet to apply; last one frees frames
+	pending atomic.Int32 // replicas yet to apply an unmap; the last one frees
 }
 
 // log is the shared operation log. tailN mirrors len(ops) so readers
@@ -46,12 +46,11 @@ type opLog struct {
 	tailN atomic.Int64
 }
 
-func (l *opLog) append(o *op) int {
+func (l *opLog) append(o *op) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ops = append(l.ops, o)
 	l.tailN.Store(int64(len(l.ops)))
-	return len(l.ops)
 }
 
 func (l *opLog) tail() int { return int(l.tailN.Load()) }
@@ -118,60 +117,66 @@ func (s *Space) Features() mm.Features {
 // mutate appends the op and replays the local replica up to it.
 func (s *Space) mutate(core int, o *op) error {
 	o.pending.Store(int32(len(s.replicas)))
-	idx := s.log.append(o)
-	return s.syncReplica(core, s.replicas[s.m.NodeOf(core)], idx)
+	s.log.append(o)
+	return s.syncReplica(core, s.replicas[s.m.NodeOf(core)])
 }
 
-// syncReplica replays the log up to at least target on r.
-func (s *Space) syncReplica(core int, r *replica, target int) error {
+// syncReplica replays the log on r up to its tail.
+func (s *Space) syncReplica(core int, r *replica) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if target < 0 {
-		target = s.log.tail()
-	}
-	applied := int(r.applied.Load())
-	if applied >= target {
-		return nil
-	}
-	for _, o := range s.log.slice(applied, target) {
-		freed, err := s.apply(core, r, o)
-		if err != nil {
+	for _, o := range s.log.slice(int(r.applied.Load()), s.log.tail()) {
+		if err := s.apply(core, r, o); err != nil {
 			return err
 		}
 		r.applied.Add(1)
-		// Every replica computes an identical freed list (they all see
-		// the same mappings); the last applier releases its copy.
-		if o.pending.Add(-1) == 0 && o.kind == opUnmap {
-			s.m.Phys.PutList(core, freed)
-		}
 	}
 	return nil
 }
 
-func (s *Space) apply(core int, r *replica, o *op) ([]arch.PFN, error) {
+// apply replays one op on r (its lock held). Whoever takes translations
+// away from a replica also shoots them down: cores of this node may have
+// cached them from r after the initiator's own shootdown, while r still
+// lagged. An unmapped frame goes to the RCU monitor once the last
+// replica has let go of it — no replica maps it any more, the shootdown
+// just issued covers every fill made from one that did, and an access
+// that translated before it is inside a read section.
+func (s *Space) apply(core int, r *replica, o *op) error {
 	switch o.kind {
 	case opMap:
-		i := 0
-		for page := o.lo; page < o.hi; page += arch.PageSize {
-			if err := s.setLeaf(core, r.tree, page, o.frames[i], o.perm); err != nil {
-				return nil, err
+		for i, page := 0, o.lo; page < o.hi; i, page = i+1, page+arch.PageSize {
+			leaf, idx, err := r.tree.EnsureSlot(core, page)
+			if err != nil {
+				return err
 			}
-			i++
+			r.tree.SetPTE(leaf, idx, s.isa.EncodeLeaf(o.frames[i], o.perm, 1))
 		}
 	case opUnmap:
 		var freed []arch.PFN
 		for page := o.lo; page < o.hi; page += arch.PageSize {
-			if pfn, ok := s.clearLeaf(r.tree, page); ok {
-				freed = append(freed, pfn)
+			if leaf, idx, ok := r.tree.Slot(page, 1); ok {
+				if old := r.tree.SetPTE(leaf, idx, 0); s.isa.IsPresent(old) {
+					freed = append(freed, s.isa.PFNOf(old))
+				}
 			}
 		}
-		return freed, nil
+		s.m.TLB.ShootdownRange(core, s.asid, o.lo, o.hi)
+		// Every replica computes an identical freed list (they all see
+		// the same mappings); the last applier releases its copy.
+		if o.pending.Add(-1) == 0 && len(freed) > 0 {
+			s.m.Defer(core, func() { s.m.Phys.PutList(core, freed) })
+		}
 	case opProtect:
 		for page := o.lo; page < o.hi; page += arch.PageSize {
-			s.protectLeaf(r.tree, page, o.perm)
+			if leaf, idx, ok := r.tree.Slot(page, 1); ok {
+				if old := r.tree.LoadPTE(leaf, idx); s.isa.IsPresent(old) {
+					r.tree.StorePTE(leaf, idx, s.isa.WithPerm(old, o.perm, 1))
+				}
+			}
 		}
+		s.m.TLB.ShootdownAll(core, s.asid, true)
 	}
-	return nil, nil
+	return nil
 }
 
 // Mmap implements mm.MM: eager backing — allocate frames, log the map
@@ -188,28 +193,35 @@ func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.V
 	if va+arch.Vaddr(size) > cpusim.UserHi {
 		return 0, cpusim.ErrVAExhausted
 	}
-	frames := make([]arch.PFN, 0, size/arch.PageSize)
-	for off := uint64(0); off < size; off += arch.PageSize {
-		pfn, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
-		if err != nil {
-			s.m.Phys.PutList(core, frames)
-			return 0, err
-		}
-		frames = append(frames, pfn)
-	}
-	if err := s.mutate(core, &op{kind: opMap, lo: va, hi: va + arch.Vaddr(size), perm: perm, frames: frames}); err != nil {
+	if err := s.mapRange(core, va, size, perm); err != nil {
 		return 0, err
 	}
 	return va, nil
 }
 
-// MmapFixed implements mm.MM.
+// MmapFixed implements mm.MM. The local replica, caught up, is the log
+// so far: a page it maps is a mapping that exists.
 func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
 	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
 		return err
 	}
+	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
+	r := s.replicas[s.m.NodeOf(core)]
+	if err := s.syncReplica(core, r); err != nil {
+		return err
+	}
+	for page := va; page < va+arch.Vaddr(size); page += arch.PageSize {
+		if _, _, ok := r.tree.Walk(page); ok {
+			return mm.ErrExists
+		}
+	}
+	return s.mapRange(core, va, size, perm)
+}
+
+// mapRange backs [va, va+size) with fresh frames and logs the map op.
+func (s *Space) mapRange(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
 	frames := make([]arch.PFN, 0, size/arch.PageSize)
 	for off := uint64(0); off < size; off += arch.PageSize {
 		pfn, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
@@ -238,11 +250,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Munmaps.Add(1)
 	s.m.OpTick(core)
-	if err := s.mutate(core, &op{kind: opUnmap, lo: va, hi: va + arch.Vaddr(size)}); err != nil {
-		return err
-	}
-	s.m.TLB.ShootdownRange(core, s.asid, va, va+arch.Vaddr(size))
-	return nil
+	return s.mutate(core, &op{kind: opUnmap, lo: va, hi: va + arch.Vaddr(size)})
 }
 
 // Mprotect implements mm.MM.
@@ -253,11 +261,7 @@ func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mprotects.Add(1)
 	s.m.OpTick(core)
-	if err := s.mutate(core, &op{kind: opProtect, lo: va, hi: va + arch.Vaddr(size), perm: perm}); err != nil {
-		return err
-	}
-	s.m.TLB.ShootdownAll(core, s.asid, true)
-	return nil
+	return s.mutate(core, &op{kind: opProtect, lo: va, hi: va + arch.Vaddr(size), perm: perm})
 }
 
 // Msync implements mm.MM (no file mappings).
@@ -273,76 +277,70 @@ func (s *Space) Fork(core int) (mm.MM, error) {
 	return nil, mm.ErrNotSupported
 }
 
-// Touch implements mm.MM against the local node's replica, syncing it
-// when the walk misses (replica lag).
+// local gates an access by core and returns the replica it reads
+// through, caught up first: node-replication read semantics — a reader
+// behind the log replays it before serving the read.
+func (s *Space) local(core int) (*replica, error) {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return nil, err
+	}
+	r := s.replicas[s.m.NodeOf(core)]
+	if int(r.applied.Load()) < s.log.tail() {
+		if err := s.syncReplica(core, r); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// Touch implements mm.MM: the machine's access path over the local
+// node's replica, "faulting" through pageFault.
 func (s *Space) Touch(core int, va arch.Vaddr, acc pt.Access) error {
-	_, err := s.translate(core, va, acc)
-	return err
+	r, err := s.local(core)
+	if err != nil {
+		return err
+	}
+	return s.m.Access(core, s.asid, r.tree, va, acc, s.pageFault, nil)
 }
 
 // Load implements mm.MM.
-func (s *Space) Load(core int, va arch.Vaddr) (byte, error) {
-	tr, err := s.translate(core, va, pt.AccessRead)
-	if err != nil {
-		return 0, err
+func (s *Space) Load(core int, va arch.Vaddr) (b byte, err error) {
+	r, err := s.local(core)
+	if err == nil {
+		err = s.m.Access(core, s.asid, r.tree, va, pt.AccessRead, s.pageFault, func(page []byte, off uint64) { b = page[off] })
 	}
-	return s.m.Phys.DataPage(tr.PFN)[va&(arch.PageSize-1)], nil
+	return b, err
 }
 
 // Store implements mm.MM.
 func (s *Space) Store(core int, va arch.Vaddr, b byte) error {
-	tr, err := s.translate(core, va, pt.AccessWrite)
+	r, err := s.local(core)
 	if err != nil {
 		return err
 	}
-	s.m.Phys.DataPage(tr.PFN)[va&(arch.PageSize-1)] = b
-	return nil
+	return s.m.Access(core, s.asid, r.tree, va, pt.AccessWrite, s.pageFault, func(page []byte, off uint64) { page[off] = b })
 }
 
-func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translation, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
-		return pt.Translation{}, err
-	}
-	if va >= arch.MaxVaddr {
-		return pt.Translation{}, mm.ErrSegv
-	}
-	page := arch.PageAlignDown(va)
+// pageFault is what a failed walk means without on-demand paging: the
+// replica lagged the log behind the walker's back, or the access is
+// illegal. Catch the replica up (waiting out whoever is replaying it);
+// the access is retried iff the replica now serves it.
+func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 	r := s.replicas[s.m.NodeOf(core)]
-	synced := false
-	for {
-		// Node-replication read semantics: a reader behind the log must
-		// catch its replica up before serving the read.
-		if int(r.applied.Load()) < s.log.tail() {
-			if err := s.syncReplica(core, r, -1); err != nil {
-				return pt.Translation{}, err
-			}
-			s.m.TLB.FlushLocal(core, s.asid, page)
-		}
-		if tr, ok := s.m.TLB.Lookup(core, s.asid, page); ok && tr.Perm.Contains(acc.Needs()) {
-			return tr, nil
-		}
-		fill := s.m.TLB.FillBegin(core, s.asid)
-		if tr, ok := r.tree.WalkAccess(va, acc); ok {
-			s.m.TLB.InsertAt(core, s.asid, page, tr, fill)
-			return tr, nil
-		}
-		if synced {
-			s.m.TLB.FlushLocal(core, s.asid, page)
-			s.stats.PageFaults.Add(1)
-			return pt.Translation{}, mm.ErrSegv
-		}
-		// Replica may be behind the log; catch up once and retry.
-		if err := s.syncReplica(core, r, -1); err != nil {
-			return pt.Translation{}, err
-		}
-		s.m.TLB.FlushLocal(core, s.asid, page)
-		synced = true
+	if err := s.syncReplica(core, r); err != nil {
+		return err
 	}
+	if pte, _, ok := r.tree.Walk(va); ok && s.isa.PermOf(pte).Contains(acc.Needs()) {
+		return nil
+	}
+	s.stats.PageFaults.Add(1)
+	return mm.ErrSegv
 }
 
 // Destroy implements mm.MM. Idempotent; issues no TLB flush (the
 // allocator's rollover flush covers the dead translations before the
-// slot is reissued) and returns the ASID.
+// slot is reissued) and returns the ASID. An access that passed the gate
+// may still be walking a replica, so the RCU monitor tears them down.
 func (s *Space) Destroy(core int) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
@@ -351,72 +349,19 @@ func (s *Space) Destroy(core int) {
 	// then free each replica; the first replica releases the shared
 	// data frames, the rest only their PT pages.
 	for _, r := range s.replicas {
-		_ = s.syncReplica(core, r, -1)
+		_ = s.syncReplica(core, r) // a replica that cannot catch up is torn down as it stands
 	}
-	var frames []arch.PFN
-	for i, r := range s.replicas {
-		first := i == 0
-		r.mu.Lock()
-		r.tree.Destroy(core, func(pte uint64, level int) {
-			if first {
-				frames = append(frames, s.isa.PFNOf(pte))
-			}
-		})
-		r.mu.Unlock()
-	}
-	s.replicas = nil
-	s.m.Phys.PutList(core, frames)
+	s.m.Defer(core, func() {
+		var frames []arch.PFN
+		for i, r := range s.replicas {
+			first := i == 0
+			r.tree.Destroy(core, func(pte uint64, level int) {
+				if first {
+					frames = append(frames, s.isa.PFNOf(pte))
+				}
+			})
+		}
+		s.m.Phys.PutList(core, frames)
+	})
 	s.m.FreeASID(s.asid)
-}
-
-func (s *Space) setLeaf(core int, t *pt.Tree, va arch.Vaddr, frame arch.PFN, perm arch.Perm) error {
-	cur := t.Root
-	for level := arch.Levels; level > 1; level-- {
-		idx := arch.IndexAt(va, level)
-		pte := t.LoadPTE(cur, idx)
-		if !s.isa.IsPresent(pte) {
-			child, err := t.AllocPTPage(core, level-1)
-			if err != nil {
-				return err
-			}
-			t.SetPTE(cur, idx, s.isa.EncodeTable(child))
-			pte = t.LoadPTE(cur, idx)
-		}
-		cur = s.isa.PFNOf(pte)
-	}
-	t.SetPTE(cur, arch.IndexAt(va, 1), s.isa.EncodeLeaf(frame, perm, 1))
-	return nil
-}
-
-func (s *Space) clearLeaf(t *pt.Tree, va arch.Vaddr) (arch.PFN, bool) {
-	cur := t.Root
-	for level := arch.Levels; level > 1; level-- {
-		pte := t.LoadPTE(cur, arch.IndexAt(va, level))
-		if !s.isa.IsPresent(pte) {
-			return 0, false
-		}
-		cur = s.isa.PFNOf(pte)
-	}
-	idx := arch.IndexAt(va, 1)
-	old := t.LoadPTE(cur, idx)
-	if !s.isa.IsPresent(old) {
-		return 0, false
-	}
-	t.SetPTE(cur, idx, 0)
-	return s.isa.PFNOf(old), true
-}
-
-func (s *Space) protectLeaf(t *pt.Tree, va arch.Vaddr, perm arch.Perm) {
-	cur := t.Root
-	for level := arch.Levels; level > 1; level-- {
-		pte := t.LoadPTE(cur, arch.IndexAt(va, level))
-		if !s.isa.IsPresent(pte) {
-			return
-		}
-		cur = s.isa.PFNOf(pte)
-	}
-	idx := arch.IndexAt(va, 1)
-	if old := t.LoadPTE(cur, idx); s.isa.IsPresent(old) {
-		t.StorePTE(cur, idx, s.isa.WithPerm(old, perm, 1))
-	}
 }

@@ -62,6 +62,45 @@ func (t *Tree) Walk(va arch.Vaddr) (pte uint64, level int, ok bool) {
 	return 0, 0, false
 }
 
+// Slot descends lock-free, as Walk does, to the level-`level` PT page
+// covering va and returns it with va's entry index there — level 1 for
+// the slot a 4-KiB mapping of va lives in, level 2 for the entry that
+// links its leaf table. ok is false when a table on the way is absent
+// or va is covered by a huge leaf above level.
+func (t *Tree) Slot(va arch.Vaddr, level int) (pfn arch.PFN, idx int, ok bool) {
+	pfn = t.Root
+	for l := arch.Levels; l > level; l-- {
+		e := t.LoadPTE(pfn, arch.IndexAt(va, l))
+		if !t.ISA.IsPresent(e) || t.ISA.IsLeaf(e, l) {
+			return 0, 0, false
+		}
+		pfn = t.ISA.PFNOf(e)
+	}
+	return pfn, arch.IndexAt(va, level), true
+}
+
+// EnsureSlot is Slot(va, 1) for a writer that excludes every other
+// writer of the tree (a replica's coarse lock): the tables missing on
+// the way down are allocated on behalf of core and linked. The tree
+// must hold no huge leaves.
+func (t *Tree) EnsureSlot(core int, va arch.Vaddr) (pfn arch.PFN, idx int, err error) {
+	pfn = t.Root
+	for l := arch.Levels; l > 1; l-- {
+		i := arch.IndexAt(va, l)
+		e := t.LoadPTE(pfn, i)
+		if !t.ISA.IsPresent(e) {
+			child, err := t.AllocPTPage(core, l-1)
+			if err != nil {
+				return 0, 0, err
+			}
+			e = t.ISA.EncodeTable(child)
+			t.SetPTE(pfn, i, e)
+		}
+		pfn = t.ISA.PFNOf(e)
+	}
+	return pfn, arch.IndexAt(va, 1), nil
+}
+
 // Translation is the result of a successful simulated MMU access.
 type Translation struct {
 	// PFN is the 4-KiB frame va falls in (offset applied for huge leaves).

@@ -8,7 +8,6 @@
 package radixvm
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -187,28 +186,18 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 		mp, ok := sh.pages[page]
 		if ok {
 			delete(sh.pages, page)
+			s.eachReplica(mp, func(t *pt.Tree) { s.clearLeaf(t, page) })
 		}
 		sh.mu.Unlock()
-		if !ok {
+		if !ok || mp.frame == arch.NoPFN {
 			continue
 		}
-		for c := 0; c < len(s.replicas); c++ {
-			if mp.cores&(1<<c) == 0 {
-				continue
-			}
-			r := s.replicas[c]
-			r.mu.Lock()
-			s.clearLeaf(r.tree, page)
-			r.mu.Unlock()
-		}
-		if mp.frame != arch.NoPFN {
-			freed = append(freed, mp.frame)
-			// Coalesce adjacent pages into one invalidation range.
-			if n := len(flush); n > 0 && flush[n-1].Hi == page {
-				flush[n-1].Hi = page + arch.PageSize
-			} else {
-				flush = append(flush, tlb.Range{Lo: page, Hi: page + arch.PageSize})
-			}
+		freed = append(freed, mp.frame)
+		// Coalesce adjacent pages into one invalidation range.
+		if n := len(flush); n > 0 && flush[n-1].Hi == page {
+			flush[n-1].Hi = page + arch.PageSize
+		} else {
+			flush = append(flush, tlb.Range{Lo: page, Hi: page + arch.PageSize})
 		}
 	}
 	if len(flush) > 0 {
@@ -217,8 +206,10 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 		// collapses dense batches to their envelope), so there is no
 		// full-ASID escape hatch for large batches anymore.
 		s.m.TLB.Shootdown(core, s.asid, flush, false)
+		// An access that translated before the shootdown may still be
+		// reading one of them: the RCU monitor frees.
+		s.m.Defer(core, func() { s.m.Phys.PutList(core, freed) })
 	}
-	s.m.Phys.PutList(core, freed)
 	return nil
 }
 
@@ -237,15 +228,7 @@ func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 		mp, ok := sh.pages[page]
 		if ok {
 			mp.perm = perm
-			for c := 0; c < len(s.replicas); c++ {
-				if mp.cores&(1<<c) == 0 {
-					continue
-				}
-				r := s.replicas[c]
-				r.mu.Lock()
-				s.setLeaf(core, r.tree, page, mp.frame, perm)
-				r.mu.Unlock()
-			}
+			s.eachReplica(mp, func(t *pt.Tree) { s.setLeaf(core, t, page, mp.frame, perm) })
 		}
 		sh.mu.Unlock()
 	}
@@ -266,58 +249,48 @@ func (s *Space) Fork(core int) (mm.MM, error) {
 	return nil, mm.ErrNotSupported
 }
 
-// Touch implements mm.MM against the calling core's replica.
+// eachReplica runs fn on the tree of every replica that materialized mp,
+// under that replica's lock. The caller holds mp's shard lock: shard
+// before replica, everywhere.
+func (s *Space) eachReplica(mp *mapping, fn func(t *pt.Tree)) {
+	for c, r := range s.replicas {
+		if mp.cores&(1<<c) != 0 {
+			r.mu.Lock()
+			fn(r.tree)
+			r.mu.Unlock()
+		}
+	}
+}
+
+// Touch implements mm.MM: the machine's access path over the calling
+// core's replica, faulting through pageFault.
 func (s *Space) Touch(core int, va arch.Vaddr, acc pt.Access) error {
-	_, err := s.translate(core, va, acc)
-	return err
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return err
+	}
+	return s.m.Access(core, s.asid, s.replicas[core].tree, va, acc, s.pageFault, nil)
 }
 
 // Load implements mm.MM.
-func (s *Space) Load(core int, va arch.Vaddr) (byte, error) {
-	tr, err := s.translate(core, va, pt.AccessRead)
-	if err != nil {
-		return 0, err
+func (s *Space) Load(core int, va arch.Vaddr) (b byte, err error) {
+	if err = mm.Gate(&s.dead, core, s.m.Cores); err == nil {
+		err = s.m.Access(core, s.asid, s.replicas[core].tree, va, pt.AccessRead, s.pageFault, func(page []byte, off uint64) { b = page[off] })
 	}
-	return s.m.Phys.DataPage(tr.PFN)[va&(arch.PageSize-1)], nil
+	return b, err
 }
 
 // Store implements mm.MM.
 func (s *Space) Store(core int, va arch.Vaddr, b byte) error {
-	tr, err := s.translate(core, va, pt.AccessWrite)
-	if err != nil {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
 		return err
 	}
-	s.m.Phys.DataPage(tr.PFN)[va&(arch.PageSize-1)] = b
-	return nil
-}
-
-func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translation, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
-		return pt.Translation{}, err
-	}
-	if va >= arch.MaxVaddr {
-		return pt.Translation{}, mm.ErrSegv
-	}
-	page := arch.PageAlignDown(va)
-	r := s.replicas[core]
-	for tries := 0; tries < 64; tries++ {
-		if tr, ok := s.m.TLB.Lookup(core, s.asid, page); ok && tr.Perm.Contains(acc.Needs()) {
-			return tr, nil
-		}
-		fill := s.m.TLB.FillBegin(core, s.asid)
-		if tr, ok := r.tree.WalkAccess(va, acc); ok {
-			s.m.TLB.InsertAt(core, s.asid, page, tr, fill)
-			return tr, nil
-		}
-		if err := s.pageFault(core, va, acc); err != nil {
-			return pt.Translation{}, err
-		}
-	}
-	return pt.Translation{}, fmt.Errorf("radixvm: translation livelock at %#x", va)
+	return s.m.Access(core, s.asid, s.replicas[core].tree, va, pt.AccessWrite, s.pageFault, func(page []byte, off uint64) { page[off] = b })
 }
 
 // pageFault backs the page (first fault anywhere) and installs it into
-// the faulting core's replica only.
+// the faulting core's replica only — with the shard lock still held, so
+// an unmap of the page either finds this core in mp.cores and clears the
+// replica, or has already removed the mapping this fault looked up.
 func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.PageFaults.Add(1)
@@ -325,78 +298,54 @@ func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 	page := arch.PageAlignDown(va)
 	sh := s.shardOf(page)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	mp, ok := sh.pages[page]
-	if !ok {
-		sh.mu.Unlock()
-		return mm.ErrSegv
-	}
-	if !mp.perm.Contains(acc.Needs()) {
-		sh.mu.Unlock()
+	if !ok || !mp.perm.Contains(acc.Needs()) {
 		return mm.ErrSegv
 	}
 	if mp.frame == arch.NoPFN {
 		frame, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
 		if err != nil {
-			sh.mu.Unlock()
 			return err
 		}
 		mp.frame = frame
 	}
-	frame, perm := mp.frame, mp.perm
-	mp.cores |= 1 << core
-	sh.mu.Unlock()
-
 	r := s.replicas[core]
 	r.mu.Lock()
-	err := s.setLeaf(core, r.tree, page, frame, perm)
+	err := s.setLeaf(core, r.tree, page, mp.frame, mp.perm)
 	r.mu.Unlock()
-	if err == nil {
-		s.m.TLB.FlushLocal(core, s.asid, page)
+	if err != nil {
+		return err
 	}
-	return err
+	mp.cores |= 1 << core
+	s.m.TLB.FlushLocal(core, s.asid, page)
+	return nil
 }
 
+// setLeaf maps va to frame in replica tree t (its lock held); a PTE that
+// was not present before takes a reference and a map count on the frame.
+// A replica only ever maps a page that has its frame (mp.cores != 0
+// implies mp.frame is set).
 func (s *Space) setLeaf(core int, t *pt.Tree, va arch.Vaddr, frame arch.PFN, perm arch.Perm) error {
-	if frame == arch.NoPFN {
-		return nil
+	leaf, idx, err := t.EnsureSlot(core, va)
+	if err != nil {
+		return err
 	}
-	cur := t.Root
-	for level := arch.Levels; level > 1; level-- {
-		idx := arch.IndexAt(va, level)
-		pte := t.LoadPTE(cur, idx)
-		if !s.isa.IsPresent(pte) {
-			child, err := t.AllocPTPage(core, level-1)
-			if err != nil {
-				return err
-			}
-			t.SetPTE(cur, idx, s.isa.EncodeTable(child))
-			pte = t.LoadPTE(cur, idx)
-		}
-		cur = s.isa.PFNOf(pte)
-	}
-	idx := arch.IndexAt(va, 1)
-	old := t.LoadPTE(cur, idx)
-	t.SetPTE(cur, idx, s.isa.EncodeLeaf(frame, perm, 1))
-	if !s.isa.IsPresent(old) {
+	if old := t.SetPTE(leaf, idx, s.isa.EncodeLeaf(frame, perm, 1)); !s.isa.IsPresent(old) {
 		s.m.Phys.Desc(frame).Map()
 		s.m.Phys.Get(frame)
 	}
 	return nil
 }
 
+// clearLeaf unmaps va from replica tree t (its lock held), dropping the
+// PTE's reference; the mapping's own reference keeps the frame alive.
 func (s *Space) clearLeaf(t *pt.Tree, va arch.Vaddr) {
-	cur := t.Root
-	for level := arch.Levels; level > 1; level-- {
-		pte := t.LoadPTE(cur, arch.IndexAt(va, level))
-		if !s.isa.IsPresent(pte) {
-			return
-		}
-		cur = s.isa.PFNOf(pte)
+	leaf, idx, ok := t.Slot(va, 1)
+	if !ok {
+		return
 	}
-	idx := arch.IndexAt(va, 1)
-	old := t.LoadPTE(cur, idx)
-	if s.isa.IsPresent(old) {
-		t.SetPTE(cur, idx, 0)
+	if old := t.SetPTE(leaf, idx, 0); s.isa.IsPresent(old) {
 		s.m.Phys.Desc(s.isa.PFNOf(old)).Unmap()
 		s.m.Phys.Put(0, s.isa.PFNOf(old))
 	}
@@ -404,7 +353,8 @@ func (s *Space) clearLeaf(t *pt.Tree, va arch.Vaddr) {
 
 // Destroy implements mm.MM. Idempotent; issues no TLB flush (the
 // allocator's rollover flush covers the dead translations before the
-// slot is reissued) and returns the ASID.
+// slot is reissued) and returns the ASID. An access that passed the gate
+// may still be walking a replica, so the RCU monitor tears them down.
 func (s *Space) Destroy(core int) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
@@ -423,16 +373,15 @@ func (s *Space) Destroy(core int) {
 		sh.pages = make(map[arch.Vaddr]*mapping)
 		sh.mu.Unlock()
 	}
-	for _, r := range s.replicas {
-		r.mu.Lock()
-		r.tree.Destroy(core, func(pte uint64, level int) {
-			s.m.Phys.Desc(s.isa.PFNOf(pte)).Unmap()
-			frames = append(frames, s.isa.PFNOf(pte))
-		})
-		r.mu.Unlock()
-	}
-	s.replicas = nil
-	s.m.Phys.PutList(core, frames)
+	s.m.Defer(core, func() {
+		for _, r := range s.replicas {
+			r.tree.Destroy(core, func(pte uint64, level int) {
+				s.m.Phys.Desc(s.isa.PFNOf(pte)).Unmap()
+				frames = append(frames, s.isa.PFNOf(pte))
+			})
+		}
+		s.m.Phys.PutList(core, frames)
+	})
 	s.m.FreeASID(s.asid)
 }
 

@@ -143,8 +143,9 @@ func (d *Domain) InReader(core int) bool {
 // Defer queues fn to run once every reader that might hold a reference
 // to the protected object has left its critical section. This is the RCU
 // monitor: CortenMM_adv pushes removed PT pages here (rcu_delay_free).
-func (d *Domain) Defer(fn func()) {
-	d.enqueue(callback{fn: fn}, nil)
+// Like DeferPut it returns how many callbacks are now waiting.
+func (d *Domain) Defer(fn func()) int {
+	return d.enqueue(callback{fn: fn}, nil)
 }
 
 // DeferPut queues the frames of runs to be Put to frames on behalf of

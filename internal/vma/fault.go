@@ -1,8 +1,6 @@
 package vma
 
 import (
-	"fmt"
-
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
@@ -22,58 +20,44 @@ func (s *Space) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
 	freed := s.clearRange(core, va, va+arch.Vaddr(size))
 	s.mmapLock.RUnlock()
 	s.m.TLB.ShootdownAll(core, s.asid, true)
-	s.unchargePages(freed)
-	s.m.Phys.PutList(core, freed)
+	s.release(core, freed)
 	return nil
 }
 
-// Touch implements mm.MM: the simulated access path.
+// Touch implements mm.MM: the machine's access path over this space's
+// one tree, faulting through pageFault.
 func (s *Space) Touch(core int, va arch.Vaddr, acc pt.Access) error {
-	_, err := s.translate(core, va, acc)
-	return err
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+		return err
+	}
+	return s.m.Access(core, s.asid, s.tree, va, acc, s.pageFault, nil)
 }
 
 // Load implements mm.MM.
-func (s *Space) Load(core int, va arch.Vaddr) (byte, error) {
-	tr, err := s.translate(core, va, pt.AccessRead)
-	if err != nil {
-		return 0, err
+func (s *Space) Load(core int, va arch.Vaddr) (b byte, err error) {
+	if err = mm.Gate(&s.dead, core, s.m.Cores); err == nil {
+		err = s.m.Access(core, s.asid, s.tree, va, pt.AccessRead, s.pageFault, func(page []byte, off uint64) { b = page[off] })
 	}
-	return s.m.Phys.DataPage(tr.PFN)[va&(arch.PageSize-1)], nil
+	return b, err
 }
 
 // Store implements mm.MM.
 func (s *Space) Store(core int, va arch.Vaddr, b byte) error {
-	tr, err := s.translate(core, va, pt.AccessWrite)
-	if err != nil {
+	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
 		return err
 	}
-	s.m.Phys.DataPage(tr.PFN)[va&(arch.PageSize-1)] = b
-	return nil
+	return s.m.Access(core, s.asid, s.tree, va, pt.AccessWrite, s.pageFault, func(page []byte, off uint64) { page[off] = b })
 }
 
-func (s *Space) translate(core int, va arch.Vaddr, acc pt.Access) (pt.Translation, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
-		return pt.Translation{}, err
+// release returns unmapped data frames after the shootdown that covers
+// them: off the LRU and the cgroup, then to the RCU monitor — an access
+// that translated before the shootdown may still be reading one.
+func (s *Space) release(core int, freed []arch.PFN) {
+	if len(freed) == 0 {
+		return
 	}
-	if va >= arch.MaxVaddr {
-		return pt.Translation{}, mm.ErrSegv
-	}
-	page := arch.PageAlignDown(va)
-	for tries := 0; tries < 64; tries++ {
-		if tr, ok := s.m.TLB.Lookup(core, s.asid, page); ok && tr.Perm.Contains(acc.Needs()) {
-			return tr, nil
-		}
-		fill := s.m.TLB.FillBegin(core, s.asid)
-		if tr, ok := s.tree.WalkAccess(va, acc); ok {
-			s.m.TLB.InsertAt(core, s.asid, page, tr, fill)
-			return tr, nil
-		}
-		if err := s.pageFault(core, va, acc); err != nil {
-			return pt.Translation{}, err
-		}
-	}
-	return pt.Translation{}, fmt.Errorf("vma: translation livelock at %#x", va)
+	s.unchargePages(freed)
+	s.m.Defer(core, func() { s.m.Phys.PutList(core, freed) })
 }
 
 // pageFault is Linux's fault path (left column of Figure 2): find the
@@ -145,7 +129,7 @@ func (s *Space) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 			return err
 		}
 		if acc == pt.AccessWrite {
-			cp, cerr := s.copyPage(core, frame)
+			cp, cerr := s.m.Phys.CopyPage(core, frame)
 			s.m.Phys.Put(core, frame)
 			if cerr != nil {
 				return cerr
@@ -179,7 +163,7 @@ func (s *Space) cowBreak(core int, v *VMA, leafPT arch.PFN, idx int, pte uint64,
 		s.m.TLB.FlushLocal(core, s.asid, page)
 		return nil
 	}
-	cp, err := s.copyPage(core, frame)
+	cp, err := s.m.Phys.CopyPage(core, frame)
 	if err != nil {
 		return err
 	}
@@ -187,17 +171,8 @@ func (s *Space) cowBreak(core int, v *VMA, leafPT arch.PFN, idx int, pte uint64,
 	s.m.Phys.Desc(s.m.Phys.HeadOf(cp)).Map()
 	d.Unmap()
 	s.m.TLB.Shootdown(core, s.asid, []tlb.Range{{Lo: page, Hi: page + arch.PageSize}}, true)
-	s.m.Phys.Put(core, head)
+	s.m.Defer(core, func() { s.m.Phys.Put(core, head) })
 	return nil
-}
-
-func (s *Space) copyPage(core int, src arch.PFN) (arch.PFN, error) {
-	dst, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
-	if err != nil {
-		return 0, err
-	}
-	copy(s.m.Phys.Data(dst), s.m.Phys.DataPage(src))
-	return dst, nil
 }
 
 // ensurePath walks to the leaf PT page of va, allocating intermediate
@@ -246,7 +221,7 @@ func (s *Space) ensurePath(core int, va arch.Vaddr) (arch.PFN, error) {
 func (s *Space) clearRange(core int, lo, hi arch.Vaddr) []arch.PFN {
 	var freed []arch.PFN
 	for page := lo; page < hi; page += arch.PageSize {
-		pfn, ok := s.leafPTOf(page)
+		pfn, idx, ok := s.tree.Slot(page, 1)
 		if !ok {
 			// Skip the rest of this leaf span: nothing mapped here.
 			span := arch.Vaddr(arch.SpanBytes(2))
@@ -255,7 +230,6 @@ func (s *Space) clearRange(core int, lo, hi arch.Vaddr) []arch.PFN {
 		}
 		st := s.tree.State(pfn)
 		st.Mu.Lock()
-		idx := arch.IndexAt(page, 1)
 		pte := s.tree.LoadPTE(pfn, idx)
 		if s.isa.IsPresent(pte) {
 			head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
@@ -272,7 +246,7 @@ func (s *Space) clearRange(core int, lo, hi arch.Vaddr) []arch.PFN {
 // rules applied.
 func (s *Space) protectRange(core int, lo, hi arch.Vaddr, perm arch.Perm) {
 	for page := lo; page < hi; page += arch.PageSize {
-		pfn, ok := s.leafPTOf(page)
+		pfn, idx, ok := s.tree.Slot(page, 1)
 		if !ok {
 			span := arch.Vaddr(arch.SpanBytes(2))
 			page = (page &^ (span - 1)) + span - arch.PageSize
@@ -280,7 +254,6 @@ func (s *Space) protectRange(core int, lo, hi arch.Vaddr, perm arch.Perm) {
 		}
 		st := s.tree.State(pfn)
 		st.Mu.Lock()
-		idx := arch.IndexAt(page, 1)
 		pte := s.tree.LoadPTE(pfn, idx)
 		if s.isa.IsPresent(pte) {
 			old := s.isa.PermOf(pte)
@@ -300,19 +273,6 @@ func (s *Space) protectRange(core int, lo, hi arch.Vaddr, perm arch.Perm) {
 	}
 }
 
-// leafPTOf returns the level-1 PT page covering va, if the path exists.
-func (s *Space) leafPTOf(va arch.Vaddr) (arch.PFN, bool) {
-	cur := s.tree.Root
-	for level := arch.Levels; level > 1; level-- {
-		pte := s.tree.LoadPTE(cur, arch.IndexAt(va, level))
-		if !s.isa.IsPresent(pte) || s.isa.IsLeaf(pte, level) {
-			return 0, false
-		}
-		cur = s.isa.PFNOf(pte)
-	}
-	return cur, true
-}
-
 // freePageTables releases leaf PT pages whose whole span fell inside the
 // unmapped range and no longer intersects any VMA (Linux's free_pgtables
 // with floor/ceiling bounds). Upper-level pages are retained until
@@ -324,7 +284,7 @@ func (s *Space) freePageTables(core int, lo, hi arch.Vaddr) {
 		if len(s.vmas.overlaps(base, base+span)) > 0 {
 			continue
 		}
-		leaf, ok := s.leafPTOf(base)
+		leaf, _, ok := s.tree.Slot(base, 1)
 		if !ok {
 			continue
 		}
@@ -335,20 +295,13 @@ func (s *Space) freePageTables(core int, lo, hi arch.Vaddr) {
 		if !empty {
 			continue
 		}
-		// Clear the parent entry (level-2 page, fine-grained lock).
-		parent := s.parentOf(base, 2)
+		// Clear the parent entry (level-2 page, fine-grained lock); the
+		// hardware walker may be inside the leaf, so the RCU monitor frees it.
+		parent, idx, _ := s.tree.Slot(base, 2)
 		pst := s.tree.State(parent)
 		pst.Mu.Lock()
-		s.tree.SetPTE(parent, arch.IndexAt(base, 2), 0)
+		s.tree.SetPTE(parent, idx, 0)
 		pst.Mu.Unlock()
-		s.tree.ReleasePTPage(core, leaf)
+		s.m.Defer(core, func() { s.tree.ReleasePTPage(core, leaf) })
 	}
-}
-
-func (s *Space) parentOf(va arch.Vaddr, level int) arch.PFN {
-	cur := s.tree.Root
-	for l := arch.Levels; l > level; l-- {
-		cur = s.isa.PFNOf(s.tree.LoadPTE(cur, arch.IndexAt(va, l)))
-	}
-	return cur
 }

@@ -73,6 +73,7 @@ func TestMergedVMAStillUnmapsCleanly(t *testing.T) {
 		t.Errorf("after unmap of merged region: %v", err)
 	}
 	s.Destroy(0)
+	m.Quiesce()
 	if got := m.Phys.KindFrames(1); got != 0 { // mem.KindAnon
 		t.Errorf("leaked %d frames", got)
 	}

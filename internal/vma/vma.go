@@ -280,8 +280,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 	s.mmapLock.Unlock()
 
 	s.m.TLB.ShootdownRange(core, s.asid, lo, hi)
-	s.unchargePages(freed)
-	s.m.Phys.PutList(core, freed)
+	s.release(core, freed)
 	return nil
 }
 
@@ -351,21 +350,24 @@ func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
 // Destroy implements mm.MM. Idempotent; the ASID's translations are
 // left to the allocator's rollover flush (the freed slot cannot be
 // reissued before every core is flushed) and the ASID is returned to
-// the machine.
+// the machine. An access that passed the gate may still be walking the
+// tree, so the RCU monitor tears it down.
 func (s *Space) Destroy(core int) {
 	if !s.dead.CompareAndSwap(false, true) {
 		return
 	}
 	s.mmapLock.Lock()
-	var frames []arch.PFN
-	s.tree.Destroy(core, func(pte uint64, level int) {
-		head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
-		s.m.Phys.Desc(head).Unmap()
-		frames = append(frames, head)
-	})
 	s.vmas = tree{}
 	s.mmapLock.Unlock()
-	s.m.Phys.PutList(core, frames)
+	s.m.Defer(core, func() {
+		var frames []arch.PFN
+		s.tree.Destroy(core, func(pte uint64, level int) {
+			head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
+			s.m.Phys.Desc(head).Unmap()
+			frames = append(frames, head)
+		})
+		s.m.Phys.PutList(core, frames)
+	})
 	s.m.FreeASID(s.asid)
 }
 

@@ -91,6 +91,7 @@ func TestMmapTouchMunmap(t *testing.T) {
 	if err := s.Munmap(0, va, 16*arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
+	m.Quiesce() // the unmapped frames are freed by the RCU monitor
 	if got := m.Phys.KindFrames(mem.KindAnon); got != 0 {
 		t.Errorf("frames after munmap = %d", got)
 	}
@@ -101,6 +102,7 @@ func TestMmapTouchMunmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Destroy(0)
+	m.Quiesce()
 	if got := m.Phys.KindFrames(mem.KindPT); got != 0 {
 		t.Errorf("leaked %d PT frames", got)
 	}
@@ -171,6 +173,7 @@ func TestForkCOW(t *testing.T) {
 	}
 	child.Destroy(1)
 	s.Destroy(0)
+	m.Quiesce()
 	if got := m.Phys.KindFrames(mem.KindAnon); got != 0 {
 		t.Errorf("leaked %d frames", got)
 	}
@@ -234,6 +237,7 @@ func TestParallelFaultsDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Destroy(0)
+	m.Quiesce()
 	if got := m.Phys.KindFrames(mem.KindAnon); got != 0 {
 		t.Errorf("leaked %d frames", got)
 	}
@@ -267,6 +271,7 @@ func TestConcurrentMmapMunmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Destroy(0)
+	m.Quiesce()
 	if got := m.Phys.KindFrames(mem.KindAnon); got != 0 {
 		t.Errorf("leaked %d frames", got)
 	}
