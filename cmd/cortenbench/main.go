@@ -4,9 +4,10 @@
 // labels, repeats, median/min/max per metric), led by a "meta" row
 // naming the host and commit; titles go to stderr. Each figure's
 // contract is checked on the rows just produced, and a violation exits
-// 1 naming the row. BENCH_<pr>.json is this output checked in:
+// 1 naming the row. BENCH_<pr>.json is this output checked in (the
+// highest-numbered one is the latest):
 //
-//	go run -buildvcs=true ./cmd/cortenbench > BENCH_22.json
+//	go run -buildvcs=true ./cmd/cortenbench > BENCH_<pr>.json
 //
 // Absolute numbers depend on the host; the comparisons between systems
 // are the reproduction target. See EXPERIMENTS.md for the side-by-side

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -473,41 +474,50 @@ func TestChecksRejectDoctoredRows(t *testing.T) {
 	}
 }
 
-// TestRecordedTrajectoryParses reads the checked-in trajectory point
+// TestRecordedTrajectoryParses reads every checked-in trajectory point
 // the way a later PR's diff will: every figure is present and every
-// contract holds on the recorded rows.
+// contract holds on the recorded rows. A PR records a point by adding a
+// BENCH_<pr>.json, not by editing this test.
 func TestRecordedTrajectoryParses(t *testing.T) {
-	f, err := os.Open("../../BENCH_22.json")
-	if err != nil {
-		t.Fatal(err)
+	points, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(points) == 0 {
+		t.Fatalf("no recorded trajectory points: %v", err)
 	}
-	defer f.Close()
-	byFig := map[string][]Row{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 1<<20)
-	for first := true; sc.Scan(); first = false {
-		var r Row
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("%v in %s", err, sc.Text())
-		}
-		if first && (r.Fig != "meta" || r.Labels["commit"] == "" || r.Labels["host"] == "") {
-			t.Errorf("first row %s is not a meta row with host and commit", r)
-		}
-		byFig[r.Fig] = append(byFig[r.Fig], r)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range Figures {
-		var rows []Row
-		for fig := range wantRows[f.Name] {
-			if len(byFig[fig]) == 0 {
-				t.Errorf("figure %s: no %s rows recorded", f.Name, fig)
+	for _, point := range points {
+		t.Run(filepath.Base(point), func(t *testing.T) {
+			f, err := os.Open(point)
+			if err != nil {
+				t.Fatal(err)
 			}
-			rows = append(rows, byFig[fig]...)
-		}
-		if err := f.Verify(rows); err != nil {
-			t.Errorf("recorded rows: %v", err)
-		}
+			defer f.Close()
+			byFig := map[string][]Row{}
+			sc := bufio.NewScanner(f)
+			sc.Buffer(nil, 1<<20)
+			for first := true; sc.Scan(); first = false {
+				var r Row
+				if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+					t.Fatalf("%v in %s", err, sc.Text())
+				}
+				if first && (r.Fig != "meta" || r.Labels["commit"] == "" || r.Labels["host"] == "") {
+					t.Errorf("first row %s is not a meta row with host and commit", r)
+				}
+				byFig[r.Fig] = append(byFig[r.Fig], r)
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range Figures {
+				var rows []Row
+				for fig := range wantRows[f.Name] {
+					if len(byFig[fig]) == 0 {
+						t.Errorf("figure %s: no %s rows recorded", f.Name, fig)
+					}
+					rows = append(rows, byFig[fig]...)
+				}
+				if err := f.Verify(rows); err != nil {
+					t.Errorf("recorded rows: %v", err)
+				}
+			}
+		})
 	}
 }

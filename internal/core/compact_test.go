@@ -101,6 +101,13 @@ func TestDirectCompactionServesOrder9(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// The survivors have all been moved by a growing Mremap: the
+		// compactor must find them at their new addresses.
+		for i, va := range kept {
+			if kept[i], err = a.Mremap(0, va, arch.PageSize, 2*arch.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
 		m.Quiesce()
 		m.Phys.DrainPCP()
 
@@ -119,7 +126,6 @@ func TestDirectCompactionServesOrder9(t *testing.T) {
 				t.Fatal("ErrFragmented must wrap ErrOutOfMemory")
 			}
 		}
-		_ = kept
 		a.Destroy(0)
 		m.Quiesce()
 		if rep := m.Phys.Audit(); !rep.Ok() {

@@ -22,34 +22,21 @@ var (
 // for a present PTE, the recorded metadata status for virtually
 // allocated pages, Invalid otherwise.
 func (c *RCursor) Query(va arch.Vaddr) (pt.Status, error) {
-	if err := c.checkRange(va, va+arch.PageSize); err != nil {
+	e, err := c.entry(va, 1, false)
+	if err != nil {
 		return pt.Status{}, err
 	}
-	t, isa := c.a.tree, c.a.isa
-	pfn, level, base := c.root, c.rootLevel, c.rootBase
-	for {
-		span := arch.SpanBytes(level)
-		idx := int(uint64(va-base) / span)
-		entryLo := base + arch.Vaddr(uint64(idx)*span)
-		pte := t.LoadPTE(pfn, idx)
-		if isa.IsPresent(pte) {
-			if isa.IsLeaf(pte, level) {
-				pageIn := uint64(va-entryLo) / arch.PageSize
-				return pt.Status{
-					Kind: pt.StatusMapped,
-					Perm: isa.PermOf(pte),
-					Page: isa.PFNOf(pte) + arch.PFN(pageIn),
-					Key:  isa.ProtKeyOf(pte),
-				}, nil
-			}
-			pfn, level, base = isa.PFNOf(pte), level-1, entryLo
-			continue
-		}
-		if s := t.GetMeta(pfn, idx); s.Kind != pt.StatusInvalid {
-			return s.SlidBy(uint64(va-entryLo) / arch.PageSize), nil
-		}
-		return pt.Status{}, nil
+	isa := c.a.isa
+	pageIn := uint64(va-e.lo(va)) / arch.PageSize
+	if isa.IsPresent(e.pte) {
+		return pt.Status{
+			Kind: pt.StatusMapped,
+			Perm: isa.PermOf(e.pte),
+			Page: isa.PFNOf(e.pte) + arch.PFN(pageIn),
+			Key:  isa.ProtKeyOf(e.pte),
+		}, nil
 	}
+	return c.a.tree.GetMeta(e.pfn, e.idx).SlidBy(pageIn), nil
 }
 
 // AnyAllocated reports whether anything (mapped or virtually allocated)
@@ -85,61 +72,63 @@ func (c *RCursor) AnyAllocated(lo, hi arch.Vaddr) (bool, error) {
 // caller's frame reference is transferred to the mapping. An existing
 // mapping at va is replaced (the COW-break path relies on this).
 func (c *RCursor) Map(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm) error {
-	return c.mapKeyed(va, frame, level, perm, 0)
+	return c.MapKeyed(va, frame, level, perm, 0)
 }
 
 // MapKeyed is Map with an MPK protection key tag.
 func (c *RCursor) MapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey) error {
-	return c.mapKeyed(va, frame, level, perm, key)
+	return c.install(va, frame, level, perm, key, false)
 }
 
-func (c *RCursor) mapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey) error {
+// install is the body of Map and PlacePage: it points va's level-`level`
+// entry at frame, materialising the path to it and releasing whatever
+// the entry held. The frame reference the caller holds becomes the
+// mapping's. counted says the frame's map count already includes this
+// mapping (a page TakePage detached): then only its hint moves to va.
+func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey, counted bool) error {
+	if level < 1 {
+		return fmt.Errorf("%w: map at level %d", errBadRange, level)
+	}
 	span := arch.SpanBytes(level)
 	if uint64(va)%span != 0 {
 		return fmt.Errorf("%w: map at %#x not aligned to level-%d span", errBadRange, va, level)
 	}
-	if err := c.checkRange(va, va+arch.Vaddr(span)); err != nil {
-		return err
-	}
-	if level > 1 && !c.a.isa.SupportsHugeAt(level) {
-		return fmt.Errorf("%w: level-%d leaves unsupported on %s", mm.ErrNotSupported, level, c.a.isa.Name())
-	}
-	if level > c.rootLevel {
-		// Writing a level-L entry requires the page containing it to be
-		// inside the locked subtree; the caller must use LockLevel.
-		return fmt.Errorf("%w: level-%d map needs a cursor locked at level >= %d (have %d)",
-			errBadRange, level, level, c.rootLevel)
-	}
-	t, isa := c.a.tree, c.a.isa
-	pfn, curLevel, base := c.root, c.rootLevel, c.rootBase
-	for curLevel > level {
-		spanHere := arch.SpanBytes(curLevel)
-		idx := int(uint64(va-base) / spanHere)
-		entryLo := base + arch.Vaddr(uint64(idx)*spanHere)
-		child, err := c.ensureChild(pfn, curLevel, idx, entryLo)
-		if err != nil {
+	if level > 1 {
+		// A huge leaf: its whole span must lie in the transaction (entry
+		// checks only va's page), and the page holding its entry inside
+		// the locked subtree — the caller must use LockLevel.
+		if err := c.checkRange(va, va+arch.Vaddr(span)); err != nil {
 			return err
 		}
-		pfn, curLevel, base = child, curLevel-1, entryLo
+		if !c.a.isa.SupportsHugeAt(level) {
+			return fmt.Errorf("%w: level-%d leaves unsupported on %s", mm.ErrNotSupported, level, c.a.isa.Name())
+		}
+		if level > c.rootLevel {
+			return fmt.Errorf("%w: level-%d map needs a cursor locked at level >= %d (have %d)",
+				errBadRange, level, level, c.rootLevel)
+		}
 	}
-	idx := int(uint64(va-base) / span)
-	old := t.LoadPTE(pfn, idx)
-	if isa.IsPresent(old) {
-		if !isa.IsLeaf(old, level) {
+	e, err := c.entry(va, level, true)
+	if err != nil {
+		return err
+	}
+	t, isa := c.a.tree, c.a.isa
+	if isa.IsPresent(e.pte) {
+		if !isa.IsLeaf(e.pte, level) {
 			// A finer-grained subtree sits here; clear it first. The
 			// range covers the entry exactly, so no split can be needed
 			// and the clear cannot fail.
-			_ = c.walkRange(&clearWalk, pfn, level, base, va, va+arch.Vaddr(span))
+			_ = c.walkRange(&clearWalk, e.pfn, level, baseOfSpan(va, level), va, va+arch.Vaddr(span))
 		} else {
-			c.releaseLeaf(old, level, va)
+			c.releaseLeaf(e.pte, level, va)
 		}
 	}
 	leaf := isa.EncodeLeaf(frame, perm, level)
 	if key != 0 {
 		leaf = isa.WithProtKey(leaf, key)
 	}
-	t.SetPTE(pfn, idx, leaf)
-	t.SetMeta(pfn, idx, pt.Status{})
+	t.SetPTE(e.pfn, e.idx, leaf)
+	t.SetMeta(e.pfn, e.idx, pt.Status{})
 	head := c.a.m.Phys.HeadOf(frame)
 	d := c.a.m.Phys.Desc(head)
 	// One write to the descriptor: an exclusive anonymous 4-KiB mapping
@@ -149,7 +138,10 @@ func (c *RCursor) mapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.P
 	if level == 1 && head == frame && d.Kind == mem.KindAnon &&
 		perm&(arch.PermShared|arch.PermCOW) == 0 {
 		d.MapExclusive(&c.a.anonOwner, uint64(va))
-	} else {
+		if counted {
+			d.Unmap()
+		}
+	} else if !counted {
 		d.Map()
 	}
 	return nil

@@ -53,9 +53,7 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 		child.Destroy(core)
 		return nil, err
 	}
-	files := make(map[*mem.File]bool)
-	err = a.forkCopy(core, c, child, a.tree.Root, child.tree.Root, arch.Levels, files)
-	if err != nil {
+	if err = a.forkCopy(core, child, a.tree.Root, child.tree.Root, arch.Levels); err != nil {
 		c.Close()
 		child.Destroy(core)
 		return nil, err
@@ -79,11 +77,13 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 	return child, nil
 }
 
-// forkCopy replicates the subtree at src (parent, locked by cursor c)
-// into dst (child, private to this call). Private mappings become COW in
-// both trees; shared mappings alias the same frames; metadata statuses
-// are copied with file references collected for rmap registration.
-func (a *AddrSpace) forkCopy(core int, c *RCursor, child *AddrSpace, src, dst arch.PFN, level int, files map[*mem.File]bool) error {
+// forkCopy replicates the subtree at src (parent, under the caller's
+// whole-space transaction) into dst (child, private to this call).
+// Private mappings become COW in both trees; shared mappings alias the
+// same frames; metadata statuses are copied. Like pt.Tree.Destroy it
+// recurses over a tree it owns outright, so it is not a walkRange
+// visitor: it writes a second tree in step with the first.
+func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, level int) error {
 	t, isa := a.tree, a.isa
 	ct := child.tree
 	for idx := 0; idx < arch.PTEntries; idx++ {
@@ -95,9 +95,6 @@ func (a *AddrSpace) forkCopy(core int, c *RCursor, child *AddrSpace, src, dst ar
 				return fmt.Errorf("core: fork over swapped page unsupported; swap in first")
 			}
 			ct.SetMeta(dst, idx, s)
-			if s.File != nil {
-				files[s.File] = true
-			}
 		}
 		pte := t.LoadPTE(src, idx)
 		if !isa.IsPresent(pte) {
@@ -121,11 +118,7 @@ func (a *AddrSpace) forkCopy(core int, c *RCursor, child *AddrSpace, src, dst ar
 			}
 			ct.SetPTE(dst, idx, childPTE)
 			a.m.Phys.Get(head)
-			d := a.m.Phys.Desc(head)
-			d.Map()
-			if d.RMap.File != nil {
-				files[d.RMap.File] = true
-			}
+			a.m.Phys.Desc(head).Map()
 			continue
 		}
 		srcChild := isa.PFNOf(pte)
@@ -134,7 +127,7 @@ func (a *AddrSpace) forkCopy(core int, c *RCursor, child *AddrSpace, src, dst ar
 			return err
 		}
 		ct.SetPTE(dst, idx, isa.EncodeTable(dstChild))
-		if err := a.forkCopy(core, c, child, srcChild, dstChild, level-1, files); err != nil {
+		if err := a.forkCopy(core, child, srcChild, dstChild, level-1); err != nil {
 			return err
 		}
 	}
@@ -200,84 +193,13 @@ func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
 			d := a.m.Phys.Desc(head)
 			if d.RMap.File == f && d.RMap.Index == index {
 				c.needSync = true // the page is about to be reclaimed
-				_ = c.Unmap(va, va+arch.PageSize)
-				// Restore the not-resident status so a later access
-				// faults the page back in instead of segfaulting.
-				kind := pt.StatusPrivateFile
-				if st.Perm&arch.PermShared != 0 {
-					kind = pt.StatusSharedFile
-				}
-				perm := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared)
-				_ = c.Mark(va, va+arch.PageSize, pt.Status{
-					Kind: kind, Perm: perm, File: f, Off: index, Key: st.Key,
-				})
+				// Mark releases the mapping and records the not-resident
+				// status, so a later access faults the page back in
+				// instead of segfaulting. One page under a leaf table:
+				// nothing to split, so it cannot fail.
+				_ = c.Mark(va, va+arch.PageSize, a.nonResident(st))
 			}
 		}
 		c.Close()
 	}
-}
-
-// SwapOut writes resident private anonymous pages in [va, va+size) to
-// the block device and replaces their mappings with Swapped statuses.
-// Shared and COW pages are skipped. Returns the number of pages swapped.
-func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
-	if err := a.checkRange(core, va, size); err != nil {
-		return 0, err
-	}
-	if a.swapDev == nil {
-		return 0, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
-	}
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.m.OpTick(core)
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	c.needSync = true // the frames are reused immediately after
-
-	// One pass collects candidate runs; the swap mutates the tree, so it
-	// happens after the iteration. Huge runs are skipped (the swap path
-	// works at 4-KiB granularity, like the reclaim clock).
-	var runs []Run
-	err = c.IterateMapped(va, va+arch.Vaddr(size), func(r Run) error {
-		if r.Status.Perm&(arch.PermShared|arch.PermCOW) == 0 && r.Status.HugeLevel < 2 {
-			runs = append(runs, r)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, r := range runs {
-		for i := uint64(0); i < r.Pages; i++ {
-			page := r.VA + arch.Vaddr(i*arch.PageSize)
-			pfn := r.Status.Page + arch.PFN(i)
-			head := a.m.Phys.HeadOf(pfn)
-			d := a.m.Phys.Desc(head)
-			if d.Kind != mem.KindAnon || d.MapCount() != 1 {
-				continue // only exclusively owned anonymous pages
-			}
-			block := a.swapDev.AllocBlock()
-			if err := a.swapDev.Write(block, a.m.Phys.DataPage(pfn)); err != nil {
-				a.swapDev.FreeBlock(block)
-				return n, err
-			}
-			if err := c.Unmap(page, page+arch.PageSize); err != nil {
-				a.swapDev.FreeBlock(block)
-				return n, err
-			}
-			err := c.Mark(page, page+arch.PageSize, pt.Status{
-				Kind: pt.StatusSwapped, Perm: r.Status.Perm, Dev: a.swapDev, Block: block, Key: r.Status.Key,
-			})
-			if err != nil {
-				a.swapDev.FreeBlock(block)
-				return n, err
-			}
-			a.stats.SwapOuts.Add(1)
-			n++
-		}
-	}
-	return n, nil
 }

@@ -164,33 +164,20 @@ func remapMigrated(a *AddrSpace, core int, req mem.MigrateReq, perm arch.Perm, k
 }
 
 // writeProtectCOW rewrites the present 4-KiB leaf at va to read-only +
-// COW, preserving everything else in the PTE. Protect cannot express
-// this (it strips COW from exclusive anonymous pages by design), so the
-// migration window is opened with direct PTE surgery under the cursor's
-// lock, the same pattern fork's COW conversion uses. Returns false if
-// va's leaf is absent or not level 1.
+// COW, preserving everything else in the PTE — the store that opens the
+// migration window. Protect cannot express it (it strips COW from
+// exclusive anonymous pages by design). Returns false if va's leaf is
+// absent or not level 1.
 func (c *RCursor) writeProtectCOW(va arch.Vaddr) bool {
-	t, isa := c.a.tree, c.a.isa
-	pfn, level, base := c.root, c.rootLevel, c.rootBase
-	for {
-		span := arch.SpanBytes(level)
-		idx := int(uint64(va-base) / span)
-		entryLo := base + arch.Vaddr(uint64(idx)*span)
-		pte := t.LoadPTE(pfn, idx)
-		if !isa.IsPresent(pte) {
-			return false
-		}
-		if isa.IsLeaf(pte, level) {
-			if level != 1 {
-				return false
-			}
-			newPerm := isa.PermOf(pte)&^arch.PermWrite | arch.PermCOW
-			t.StorePTE(pfn, idx, isa.WithPerm(pte, newPerm, 1))
-			c.noteFlush(entryLo, 1)
-			return true
-		}
-		pfn, level, base = isa.PFNOf(pte), level-1, entryLo
+	e, err := c.entry(va, 1, false)
+	isa := c.a.isa
+	if err != nil || e.level != 1 || !isa.IsPresent(e.pte) {
+		return false
 	}
+	newPerm := isa.PermOf(e.pte)&^arch.PermWrite | arch.PermCOW
+	c.a.tree.StorePTE(e.pfn, e.idx, isa.WithPerm(e.pte, newPerm, 1))
+	c.noteFlush(e.lo(va), 1)
+	return true
 }
 
 // migrateEnter gates a migration-hook operation on this space: it

@@ -101,9 +101,7 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 			// releasing the block — the destination keeps it. (Swap runs
 			// are single pages: every block is distinct.)
 			if err = c.Mark(dst, dst+arch.Vaddr(r.Pages*arch.PageSize), r.Status); err == nil {
-				for i := uint64(0); i < r.Pages && err == nil; i++ {
-					err = c.clearMetaAt(r.VA + arch.Vaddr(i*arch.PageSize))
-				}
+				err = c.clearMeta(r.VA, r.End())
 			}
 		default:
 			// Not-resident virtual/file state: one Mark per run at the
@@ -142,89 +140,43 @@ func overlap(aVA arch.Vaddr, aSz uint64, bVA arch.Vaddr, bSz uint64) bool {
 	return aVA < bVA+arch.Vaddr(bSz) && bVA < aVA+arch.Vaddr(aSz)
 }
 
-// TakePage detaches the mapped page at va, returning its frame with the
-// reference and mapcount still held — the caller must PlacePage it (or
-// release it manually). The translation is queued for invalidation.
+// TakePage detaches the mapped 4-KiB page at va, returning its frame
+// with the reference and mapcount still held — the caller must PlacePage
+// it (or release it manually). The translation is queued for
+// invalidation. ok is false, and nothing changes, when va is outside the
+// transaction or holds no 4-KiB leaf (huge leaves move via split paths).
 func (c *RCursor) TakePage(va arch.Vaddr) (frame arch.PFN, perm arch.Perm, key arch.ProtKey, ok bool) {
-	t, isa := c.a.tree, c.a.isa
-	pfn, level, base := c.root, c.rootLevel, c.rootBase
-	for {
-		span := arch.SpanBytes(level)
-		idx := int(uint64(va-base) / span)
-		pte := t.LoadPTE(pfn, idx)
-		if !isa.IsPresent(pte) {
-			return 0, 0, 0, false
-		}
-		if isa.IsLeaf(pte, level) {
-			if level != 1 {
-				return 0, 0, 0, false // huge leaves move via split paths
-			}
-			t.SetPTE(pfn, idx, 0)
-			c.noteFlush(va, 1)
-			return isa.PFNOf(pte), isa.PermOf(pte), isa.ProtKeyOf(pte), true
-		}
-		pfn, level, base = isa.PFNOf(pte), level-1, base+arch.Vaddr(uint64(idx)*span)
+	e, err := c.entry(va, 1, false)
+	isa := c.a.isa
+	if err != nil || e.level != 1 || !isa.IsPresent(e.pte) {
+		return 0, 0, 0, false
 	}
+	c.a.tree.SetPTE(e.pfn, e.idx, 0)
+	c.noteFlush(e.lo(va), 1)
+	return isa.PFNOf(e.pte), isa.PermOf(e.pte), isa.ProtKeyOf(e.pte), true
 }
 
-// PlacePage installs a frame detached by TakePage at va; reference and
-// mapcount were never dropped, so unlike Map it takes no new ones.
+// PlacePage installs a frame detached by TakePage at va: Map's install,
+// except that reference and mapcount were never dropped, so it takes no
+// new ones — an exclusive anonymous page only has its migration hint
+// moved to va.
 func (c *RCursor) PlacePage(va arch.Vaddr, frame arch.PFN, perm arch.Perm, key arch.ProtKey) error {
-	if err := c.checkRange(va, va+arch.PageSize); err != nil {
+	return c.install(va, frame, 1, perm, key, true)
+}
+
+// clearMeta wipes the metadata entries of every page in [lo, hi),
+// splitting upper-level spans as needed, WITHOUT releasing resources the
+// statuses reference (unlike dropMeta) — used when they moved elsewhere.
+func (c *RCursor) clearMeta(lo, hi arch.Vaddr) error {
+	if err := c.checkRange(lo, hi); err != nil {
 		return err
 	}
-	t, isa := c.a.tree, c.a.isa
-	pfn, level, base := c.root, c.rootLevel, c.rootBase
-	for level > 1 {
-		span := arch.SpanBytes(level)
-		idx := int(uint64(va-base) / span)
-		entryLo := base + arch.Vaddr(uint64(idx)*span)
-		child, err := c.ensureChild(pfn, level, idx, entryLo)
-		if err != nil {
-			return err
-		}
-		pfn, level, base = child, level-1, entryLo
-	}
-	idx := int(uint64(va-base) / arch.PageSize)
-	if old := t.LoadPTE(pfn, idx); isa.IsPresent(old) {
-		c.releaseLeaf(old, 1, va)
-	}
-	leaf := isa.EncodeLeaf(frame, perm, 1)
-	if key != 0 {
-		leaf = isa.WithProtKey(leaf, key)
-	}
-	t.SetPTE(pfn, idx, leaf)
-	t.SetMeta(pfn, idx, pt.Status{})
-	return nil
-}
-
-// clearMetaAt wipes the metadata entry for exactly one page, splitting
-// upper-level spans as needed, WITHOUT releasing resources the status
-// references (unlike dropMeta) — used when the status moved elsewhere.
-func (c *RCursor) clearMetaAt(va arch.Vaddr) error {
-	t, isa := c.a.tree, c.a.isa
-	pfn, level, base := c.root, c.rootLevel, c.rootBase
-	for {
-		span := arch.SpanBytes(level)
-		idx := int(uint64(va-base) / span)
-		entryLo := base + arch.Vaddr(uint64(idx)*span)
-		pte := t.LoadPTE(pfn, idx)
-		if isa.IsPresent(pte) && !isa.IsLeaf(pte, level) {
-			pfn, level, base = isa.PFNOf(pte), level-1, entryLo
-			continue
-		}
-		if t.GetMeta(pfn, idx).Kind == pt.StatusInvalid {
-			return nil
-		}
-		if level == 1 || (entryLo == va && span == arch.PageSize) {
+	t := c.a.tree
+	v := walkOps{
+		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
 			t.SetMeta(pfn, idx, pt.Status{})
 			return nil
-		}
-		// The status covers a span wider than one page: push it down.
-		child, err := c.ensureChild(pfn, level, idx, entryLo)
-		if err != nil {
-			return err
-		}
-		pfn, level, base = child, level-1, entryLo
+		},
 	}
+	return c.walk(&v, lo, hi)
 }

@@ -51,6 +51,52 @@ func TestMremapGrowMovesData(t *testing.T) {
 	}
 }
 
+// TestMremapKeepsPagesMovable: a page a growing Mremap moved is still
+// found by migration — its reverse-map hint follows it to the new VA.
+func TestMremapKeepsPagesMovable(t *testing.T) {
+	const pages = 4
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			InstallMigrator(m)
+			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, mm.FlagPopulate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < pages; i++ {
+				if err := a.Store(0, va+arch.Vaddr(i*arch.PageSize), byte(0x50+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			migrate := func(at arch.Vaddr) {
+				t.Helper()
+				pte, _, ok := a.tree.Walk(at)
+				if !ok {
+					t.Fatalf("%#x not mapped", at)
+				}
+				if err := m.Phys.MigrateFrame(0, a.isa.PFNOf(pte)); err != nil {
+					t.Fatalf("MigrateFrame of the page at %#x: %v", at, err)
+				}
+			}
+			migrate(va) // movable before the move
+			nva, err := a.Mremap(0, va, pages*arch.PageSize, 4*pages*arch.PageSize)
+			if err != nil || nva == va {
+				t.Fatalf("grow = %#x, %v", nva, err)
+			}
+			for i := 0; i < pages; i++ {
+				at := nva + arch.Vaddr(i*arch.PageSize)
+				migrate(at)
+				if b, err := a.Load(0, at); err != nil || b != byte(0x50+i) {
+					t.Fatalf("moved page %d after migration = %#x, %v", i, b, err)
+				}
+			}
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
 func TestMremapShrinkInPlace(t *testing.T) {
 	a, m := newSpace(t, ProtocolAdv)
 	defer a.Destroy(0)

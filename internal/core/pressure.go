@@ -84,7 +84,7 @@ type ReclaimManager struct {
 	oomKills     atomic.Uint64
 
 	// Writeback-queue telemetry, fed by the sweeps' per-sweep aio
-	// queues (see reclaimRangeNode).
+	// queues (see evict).
 	swapQueued    atomic.Uint64
 	swapCompleted atomic.Uint64
 	swapFailed    atomic.Uint64
@@ -203,16 +203,22 @@ func (rm *ReclaimManager) snapshot(node int) []*AddrSpace {
 // goroutine, which may be inside a page-table transaction. At most one
 // lock-holding reclaimer runs at a time (TryLock); sweep skips any
 // space the calling core has open transactions in, so the reclaimer
-// never re-locks a tree it already holds locks in. Each round ends by
-// driving the calling core's deferred machinery — a TLB tick and an
-// RCU poll, the "backoff via simulated ticks" — so frames freed by the
-// sweep actually reach the allocator before the caller retries.
+// never re-locks a tree it already holds locks in.
 // node is the allocation's starved placement node: the node-filtered
 // passes free frames where the allocator actually needs them.
 func (rm *ReclaimManager) hook(core, node, target int) int {
 	if !rm.direct.TryLock() {
 		return 0
 	}
+	return rm.directRound(core, node, target)
+}
+
+// directRound is one direct-reclaim round, entered holding rm.direct
+// and releasing it. It ends by driving the calling core's deferred
+// machinery — a TLB tick and an RCU poll, the "backoff via simulated
+// ticks" — so frames freed by the sweep actually reach the allocator
+// before the caller retries.
+func (rm *ReclaimManager) directRound(core, node, target int) int {
 	defer rm.direct.Unlock()
 	rm.directRounds.Add(1)
 	n := rm.doubleSweep(core, node, target)
@@ -252,14 +258,7 @@ func (rm *ReclaimManager) doubleSweep(core, node, target int) int {
 // round escalated to an OOM kill).
 func (rm *ReclaimManager) DirectReclaim(core, target int) int {
 	rm.direct.Lock()
-	defer rm.direct.Unlock()
-	rm.directRounds.Add(1)
-	n := rm.doubleSweep(core, rm.m.NodeOf(core), target)
-	rm.m.Reap(core)
-	if n == 0 && rm.cfg.OOMKill {
-		n = rm.oomKill(core)
-	}
-	return n
+	return rm.directRound(core, rm.m.NodeOf(core), target)
 }
 
 // tick is the machine's timer-tick hook: the per-node kswapd analogue.

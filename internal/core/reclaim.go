@@ -30,38 +30,68 @@ func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target in
 // clearing is not filtered; the second-chance policy stays global so a
 // later cross-node pass still finds honestly cold pages.
 func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, target, node int) (int, error) {
-	if err := a.checkRange(core, va, size); err != nil {
-		return 0, err
-	}
-	if a.swapDev == nil {
-		return 0, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
-	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.m.OpTick(core)
-
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
+	c, err := a.lockForEviction(core, va, size)
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	c.needSync = true // A-bit clears and unmaps must be seen before reuse
+	return a.evict(c, va, va+arch.Vaddr(size), target, node)
+}
 
-	// One pass enumerates candidate runs — private anonymous 4-KiB
-	// mappings, with the hardware A bit deciding hot vs cold per run
-	// (runs break where the bit changes). The swaps mutate the tree, so
-	// they happen after the iteration. Huge (2-MiB) runs are collected
-	// separately: eviction works at 4-KiB granularity, so a cold huge
-	// span must first be demoted.
-	var runs, hugeRuns []Run
-	err = c.IterateMapped(va, va+arch.Vaddr(size), func(r Run) error {
-		if r.Status.Perm&(arch.PermShared|arch.PermCOW) != 0 {
-			return nil
-		}
-		if r.Status.HugeLevel == 2 {
-			hugeRuns = append(hugeRuns, r)
-			return nil
-		}
-		if r.Status.HugeLevel < 2 {
+// SwapOut writes every resident private anonymous page in [va, va+size)
+// to the block device and replaces its mapping with a Swapped status:
+// the sweep's eviction with nothing given a second chance — the range's
+// accessed bits are cleared first — and no target short of the range.
+// Shared and COW pages are skipped. A 2-MiB huge span fully inside the
+// range is demoted, as the sweep does: the same frames stay mapped at
+// 4-KiB grain (translation-preserving), and the next SwapOut evicts
+// them. Returns the number of pages swapped.
+func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
+	defer a.stats.KernelExit(a.stats.KernelEnter())
+	c, err := a.lockForEviction(core, va, size)
+	if err != nil {
+		return 0, err
+	}
+	defer c.Close()
+	hi := va + arch.Vaddr(size)
+	if err := c.ClearAccessed(va, hi); err != nil {
+		return 0, err
+	}
+	return a.evict(c, va, hi, int(size/arch.PageSize), -1)
+}
+
+// lockForEviction opens the transaction an eviction of [va, va+size)
+// runs in.
+func (a *AddrSpace) lockForEviction(core int, va arch.Vaddr, size uint64) (*RCursor, error) {
+	if err := a.checkRange(core, va, size); err != nil {
+		return nil, err
+	}
+	if a.swapDev == nil {
+		return nil, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
+	}
+	a.m.OpTick(core)
+	c, err := a.Lock(core, va, va+arch.Vaddr(size))
+	if err != nil {
+		return nil, err
+	}
+	c.needSync = true // A-bit clears and unmaps must be seen before the frames are reused
+	return c, nil
+}
+
+// evict is the one eviction body, run under a cursor covering [lo, hi):
+// hot runs get their accessed bits cleared, cold 2-MiB spans are
+// demoted, and up to target cold 4-KiB pages — private, not COW,
+// anonymous, mapped exactly once, on node if node >= 0 — are written to
+// the swap device and re-marked Swapped.
+func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int, error) {
+	// One pass enumerates candidate runs — private anonymous mappings,
+	// with the hardware A bit deciding hot vs cold per run (runs break
+	// where the bit changes). The swaps mutate the tree, so they happen
+	// after the iteration.
+	var runs []Run
+	err := c.IterateMapped(lo, hi, func(r Run) error {
+		if r.Status.Perm&(arch.PermShared|arch.PermCOW) == 0 && r.Status.HugeLevel <= 2 {
 			runs = append(runs, r)
 		}
 		return nil
@@ -70,41 +100,11 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 		return 0, err
 	}
 	schedHit("reclaim:collected")
-	// Huge runs get the same second chance as small pages: a young span
-	// has its A bits cleared; a cold one is demoted — the translation
-	// split back into 512 4-KiB leaves and the block shattered into
-	// independent frames — so the *next* sweep can evict it page by
-	// page if it stays cold. Demotion changes no translation, so it
-	// costs no flush and counts toward no eviction target.
-	for _, r := range hugeRuns {
-		if r.Accessed {
-			if err := c.ClearAccessed(r.VA, r.End()); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		span := arch.Vaddr(arch.SpanBytes(2))
-		for sb := r.VA; sb+span <= r.End(); sb += span {
-			if sb < va || sb+span > va+arch.Vaddr(size) {
-				continue // only spans fully inside the locked range
-			}
-			if node >= 0 {
-				off := uint64(sb-r.VA) / arch.PageSize
-				if a.m.Phys.FrameNode(r.Status.Page+arch.PFN(off)) != node {
-					continue
-				}
-			}
-			if c.demoteHuge(sb) {
-				a.stats.Demotions.Add(1)
-			}
-		}
-	}
-	// Second pass selects cold candidates and submits their writebacks
-	// on a per-sweep async queue — all device I/O for the sweep is
-	// reaped in one batched completion pass instead of one synchronous
-	// round trip per page. The queue is sweep-local: two nodes' kswapd
-	// ticks may sweep the same space concurrently, and each must only
-	// reap its own completions.
+	// Cold candidates have their writebacks submitted on a per-sweep
+	// async queue — all device I/O for the sweep is reaped in one batched
+	// completion pass instead of one synchronous round trip per page. The
+	// queue is sweep-local: two nodes' kswapd ticks may sweep the same
+	// space concurrently, and each must only reap its own completions.
 	type swapReq struct {
 		page  arch.Vaddr
 		perm  arch.Perm
@@ -117,8 +117,9 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 	)
 	q := aio.NewQueue("swapq", mem.ErrOutOfMemory)
 	for _, r := range runs {
-		if len(reqs) >= target || firstErr != nil {
-			break
+		huge := r.Status.HugeLevel == 2
+		if !huge && (len(reqs) >= target || firstErr != nil) {
+			continue // the sweep is full: later small runs keep their bits for the next one
 		}
 		if r.Accessed {
 			// Recently used: clear the bits (second chance) in one range
@@ -130,24 +131,28 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 			}
 			continue
 		}
+		if huge {
+			// Eviction works at 4-KiB granularity, so a cold huge span is
+			// first demoted — the translation split back into 512 4-KiB
+			// leaves and the block shattered into independent frames — and
+			// the *next* sweep can evict it page by page if it stays cold.
+			// Demotion changes no translation, so it costs no flush and
+			// counts toward no eviction target.
+			a.demoteRun(c, r, node)
+			continue
+		}
 		for i := uint64(0); i < r.Pages && len(reqs) < target; i++ {
-			page := r.VA + arch.Vaddr(i*arch.PageSize)
 			pfn := r.Status.Page + arch.PFN(i)
-			head := a.m.Phys.HeadOf(pfn)
-			d := a.m.Phys.Desc(head)
-			if d.Kind != mem.KindAnon || d.MapCount() != 1 {
-				continue
-			}
-			if node >= 0 && a.m.Phys.FrameNode(pfn) != node {
+			d := a.m.Phys.Desc(a.m.Phys.HeadOf(pfn))
+			if d.Kind != mem.KindAnon || d.MapCount() != 1 || node >= 0 && a.m.Phys.FrameNode(pfn) != node {
 				continue
 			}
 			// Cold page: queue its writeback. The frame stays mapped
 			// until the completion is reaped, so the data read at reap
 			// time is stable (we hold the covering lock).
 			block := a.swapDev.AllocBlock()
-			wpfn := pfn
 			err := q.Submit(aio.SQE{Tag: uint64(len(reqs)), Do: func() error {
-				return a.swapDev.Write(block, a.m.Phys.DataPage(wpfn))
+				return a.swapDev.Write(block, a.m.Phys.DataPage(pfn))
 			}})
 			if err != nil {
 				// Refused submission: nothing was queued, the page simply
@@ -157,29 +162,24 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 				firstErr = err
 				break
 			}
-			reqs = append(reqs, swapReq{page: page, perm: r.Status.Perm, key: r.Status.Key, block: block})
+			reqs = append(reqs, swapReq{page: r.VA + arch.Vaddr(i*arch.PageSize), perm: r.Status.Perm, key: r.Status.Key, block: block})
 		}
 	}
 
 	schedHit("reclaim:submitted")
 	// One reap completes the whole batch; only pages whose write
-	// succeeded are unmapped and re-marked swapped. A failed completion
-	// frees its swap block and leaves its page resident — the frame is
-	// not reclaimed, nothing leaks, and the tree never names a block
-	// that was not written.
+	// succeeded are re-marked swapped (Mark releases the mapping it
+	// replaces). A failed completion frees its swap block and leaves its
+	// page resident — the frame is not reclaimed, nothing leaks, and the
+	// tree never names a block that was not written.
 	reclaimed := 0
 	for _, cqe := range q.Reap() {
 		req := reqs[cqe.Tag]
 		err := cqe.Err
 		if err == nil {
-			err = func() error {
-				if err := c.Unmap(req.page, req.page+arch.PageSize); err != nil {
-					return err
-				}
-				return c.Mark(req.page, req.page+arch.PageSize, pt.Status{
-					Kind: pt.StatusSwapped, Perm: req.perm, Dev: a.swapDev, Block: req.block, Key: req.key,
-				})
-			}()
+			err = c.Mark(req.page, req.page+arch.PageSize, pt.Status{
+				Kind: pt.StatusSwapped, Perm: req.perm, Dev: a.swapDev, Block: req.block, Key: req.key,
+			})
 		}
 		if err != nil {
 			a.swapDev.FreeBlock(req.block)
@@ -200,6 +200,21 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 	return reclaimed, firstErr
 }
 
+// demoteRun demotes every whole 2-MiB leaf of the cold huge run r (on
+// node, if node >= 0). Runs arrive clipped to the transaction, so a leaf
+// that straddles its edge is left alone.
+func (a *AddrSpace) demoteRun(c *RCursor, r Run, node int) {
+	span := arch.Vaddr(arch.SpanBytes(2))
+	for sb := (r.VA + span - 1) &^ (span - 1); sb+span <= r.End(); sb += span {
+		if node >= 0 && a.m.Phys.FrameNode(r.Status.Page+arch.PFN(uint64(sb-r.VA)/arch.PageSize)) != node {
+			continue
+		}
+		if c.demoteHuge(sb) {
+			a.stats.Demotions.Add(1)
+		}
+	}
+}
+
 // demoteHuge splits the huge leaf mapping the 2-MiB span at base back
 // into 512 4-KiB leaves and shatters the backing block into independent
 // order-0 frames — CollapseHuge's inverse, run under the same covering
@@ -210,34 +225,18 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 // the span is not an exclusively owned anonymous huge leaf.
 func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 	a := c.a
-	t, isa := a.tree, a.isa
-	pfn, level, vbase := c.root, c.rootLevel, c.rootBase
-	for level > 2 {
-		span := arch.SpanBytes(level)
-		idx := int(uint64(base-vbase) / span)
-		pte := t.LoadPTE(pfn, idx)
-		if !isa.IsPresent(pte) || isa.IsLeaf(pte, level) {
-			return false
-		}
-		pfn, level, vbase = isa.PFNOf(pte), level-1, vbase+arch.Vaddr(uint64(idx)*span)
-	}
-	if level != 2 {
+	e, err := c.entry(base, 2, false)
+	if err != nil || e.level != 2 || !a.isa.IsPresent(e.pte) || !a.isa.IsLeaf(e.pte, 2) {
 		return false
 	}
-	idx := int(uint64(base-vbase) / arch.SpanBytes(2))
-	entryLo := vbase + arch.Vaddr(uint64(idx)*arch.SpanBytes(2))
-	pte := t.LoadPTE(pfn, idx)
-	if !isa.IsPresent(pte) || !isa.IsLeaf(pte, 2) {
-		return false
-	}
-	head := a.m.Phys.HeadOf(isa.PFNOf(pte))
+	head := a.m.Phys.HeadOf(a.isa.PFNOf(e.pte))
 	d := a.m.Phys.Desc(head)
 	if d.Kind != mem.KindAnon || d.MapCount() != 1 || d.Ref.Load() != 1 {
 		return false
 	}
 	// Split the translation first: 512 level-1 leaves over the same
 	// frames, taking the block's refcounts to 512/512.
-	if _, err := c.ensureChild(pfn, 2, idx, entryLo); err != nil {
+	if _, err := c.ensureChild(e.pfn, 2, e.idx, e.lo(base)); err != nil {
 		return false
 	}
 	// Shatter the block. Huge heads never carry reverse-map hints, so
@@ -276,9 +275,10 @@ func (a *AddrSpace) madviseBody(c *RCursor, lo, hi arch.Vaddr) error {
 	c.needSync = true // dropped frames are reused immediately
 
 	// Collect resident runs first (the release mutates the tree), then
-	// drop each run with one Unmap + one Mark per span of pages whose
-	// restored statuses form one sliding sequence — a whole anonymous
-	// run costs two range operations instead of two per page.
+	// drop each run with one Mark — which releases what it replaces —
+	// per span of pages whose restored statuses form one sliding
+	// sequence: a whole anonymous run costs one range operation instead
+	// of one per page.
 	var runs []Run
 	err := c.IterateMapped(lo, hi, func(r Run) error {
 		runs = append(runs, r)
@@ -287,40 +287,36 @@ func (a *AddrSpace) madviseBody(c *RCursor, lo, hi arch.Vaddr) error {
 	if err != nil {
 		return err
 	}
-	restore := func(lo, hi arch.Vaddr, s pt.Status) error {
-		if err := c.Unmap(lo, hi); err != nil {
-			return err
-		}
-		return c.Mark(lo, hi, s)
-	}
 	for _, r := range runs {
-		restoredAt := func(i uint64) pt.Status {
-			st := r.Status.SlidBy(i)
-			perm := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared)
-			head := a.m.Phys.HeadOf(st.Page)
-			if d := a.m.Phys.Desc(head); d.RMap.File != nil {
-				kind := pt.StatusPrivateFile
-				if st.Perm&arch.PermShared != 0 {
-					kind = pt.StatusSharedFile
-				}
-				return pt.Status{Kind: kind, Perm: perm, File: d.RMap.File, Off: d.RMap.Index, Key: st.Key}
-			}
-			return pt.Status{Kind: pt.StatusPrivateAnon, Perm: perm, Key: st.Key}
-		}
 		spanStart := uint64(0)
-		spanStatus := restoredAt(0)
+		spanStatus := a.nonResident(r.Status)
 		for i := uint64(1); i < r.Pages; i++ {
-			if want := restoredAt(i); want != spanStatus.SlidBy(i-spanStart) {
+			if want := a.nonResident(r.Status.SlidBy(i)); want != spanStatus.SlidBy(i-spanStart) {
 				lo := r.VA + arch.Vaddr(spanStart*arch.PageSize)
-				if err := restore(lo, r.VA+arch.Vaddr(i*arch.PageSize), spanStatus); err != nil {
+				if err := c.Mark(lo, r.VA+arch.Vaddr(i*arch.PageSize), spanStatus); err != nil {
 					return err
 				}
 				spanStart, spanStatus = i, want
 			}
 		}
-		if err := restore(r.VA+arch.Vaddr(spanStart*arch.PageSize), r.End(), spanStatus); err != nil {
+		if err := c.Mark(r.VA+arch.Vaddr(spanStart*arch.PageSize), r.End(), spanStatus); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// nonResident returns the status the resident page st reverts to when
+// its frame is dropped but the allocation stays: the file status for a
+// page-cache frame, PrivateAnon otherwise.
+func (a *AddrSpace) nonResident(st pt.Status) pt.Status {
+	perm := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared)
+	if d := a.m.Phys.Desc(a.m.Phys.HeadOf(st.Page)); d.RMap.File != nil {
+		kind := pt.StatusPrivateFile
+		if st.Perm&arch.PermShared != 0 {
+			kind = pt.StatusSharedFile
+		}
+		return pt.Status{Kind: kind, Perm: perm, File: d.RMap.File, Off: d.RMap.Index, Key: st.Key}
+	}
+	return pt.Status{Kind: pt.StatusPrivateAnon, Perm: perm, Key: st.Key}
 }

@@ -6,6 +6,7 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mem"
+	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
 )
 
@@ -18,6 +19,57 @@ func newSwapSpace(t *testing.T) (*AddrSpace, *cpusim.Machine, *mem.BlockDev) {
 		t.Fatal(err)
 	}
 	return a, m, dev
+}
+
+// TestSwapOutIsTheSweepWithoutSecondChance: SwapOut runs the sweep's
+// eviction body with the A bits cleared first, so a hot huge span is
+// demoted by the first call (same frames, same bytes, nothing evicted)
+// and evicted whole by the second; a range that cuts through the huge
+// leaf leaves it alone.
+func TestSwapOutIsTheSweepWithoutSecondChance(t *testing.T) {
+	a, m, dev := newSwapSpace(t)
+	span := arch.SpanBytes(2)
+	base := arch.Vaddr(span)
+	if err := a.MmapFixed(0, base, span, arch.PermRW, mm.FlagPopulate); err != nil {
+		t.Fatal(err)
+	}
+	for off := uint64(0); off < span; off += arch.PageSize {
+		if err := a.Store(0, base+arch.Vaddr(off), byte(off/arch.PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.CollapseHuge(0, base); err != nil {
+		t.Fatal(err)
+	}
+	swapOut := func(va arch.Vaddr, size uint64, want int, demotions uint64, level int) {
+		t.Helper()
+		if _, err := a.Load(0, base); err != nil { // hot again before every call
+			t.Fatal(err)
+		}
+		if n, err := a.SwapOut(0, va, size); err != nil || n != want {
+			t.Fatalf("SwapOut = %d, %v; want %d", n, err, want)
+		}
+		if d := a.Stats().Demotions.Load(); d != demotions {
+			t.Fatalf("demotions = %d, want %d", d, demotions)
+		}
+		if _, l, ok := a.tree.Walk(base + arch.PageSize); ok && l != level || !ok && level != 0 {
+			t.Fatalf("page 1 mapped=%v at level %d, want level %d", ok, l, level)
+		}
+	}
+	swapOut(base+arch.PageSize, span-arch.PageSize, 0, 0, 2) // cuts the leaf: untouched
+	swapOut(base, span, 0, 1, 1)                             // demoted, resident
+	swapOut(base, span, arch.PTEntries, 1, 0)                // evicted
+	if dev.InUse() != arch.PTEntries {
+		t.Errorf("swap blocks in use = %d, want %d", dev.InUse(), arch.PTEntries)
+	}
+	for off := uint64(0); off < span; off += arch.PageSize {
+		if v, err := a.Load(0, base+arch.Vaddr(off)); err != nil || v != byte(off/arch.PageSize) {
+			t.Fatalf("page at +%#x: %d, %v", off, v, err)
+		}
+	}
+	checkQuiet(t, a)
+	a.Destroy(0)
+	checkClean(t, m)
 }
 
 // TestReclaimClockSecondChance: the first sweep only clears A bits (all

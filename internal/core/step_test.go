@@ -1,0 +1,202 @@
+package core
+
+import (
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"cortenmm/internal/arch"
+	"cortenmm/internal/mem"
+	"cortenmm/internal/mm"
+	"cortenmm/internal/pt"
+)
+
+// TestCursorMethodsAreTotal: every exported RCursor method that takes an
+// address answers one outside the transaction — just below it, just
+// above it (same leaf table, a neighbour's page), and beyond the
+// covering page's span — with ErrBadRange (TakePage: ok == false),
+// never a panic, and leaves the tree as it was.
+func TestCursorMethodsAreTotal(t *testing.T) {
+	var frame arch.PFN
+	nop := func(Run) error { return nil }
+	calls := map[string]func(c *RCursor, va arch.Vaddr) error{
+		"Query":        func(c *RCursor, va arch.Vaddr) error { _, err := c.Query(va); return err },
+		"AnyAllocated": func(c *RCursor, va arch.Vaddr) error { _, err := c.AnyAllocated(va, va+arch.PageSize); return err },
+		"Map":          func(c *RCursor, va arch.Vaddr) error { return c.Map(va, frame, 1, arch.PermRW) },
+		"MapKeyed":     func(c *RCursor, va arch.Vaddr) error { return c.MapKeyed(va, frame, 1, arch.PermRW, 3) },
+		"Mark": func(c *RCursor, va arch.Vaddr) error {
+			return c.Mark(va, va+arch.PageSize, pt.Status{Kind: pt.StatusPrivateAnon, Perm: arch.PermRW})
+		},
+		"Unmap":         func(c *RCursor, va arch.Vaddr) error { return c.Unmap(va, va+arch.PageSize) },
+		"Protect":       func(c *RCursor, va arch.Vaddr) error { return c.Protect(va, va+arch.PageSize, arch.PermRead) },
+		"SetProtKey":    func(c *RCursor, va arch.Vaddr) error { return c.SetProtKey(va, va+arch.PageSize, 3) },
+		"Iterate":       func(c *RCursor, va arch.Vaddr) error { return c.Iterate(va, va+arch.PageSize, nop) },
+		"IterateMapped": func(c *RCursor, va arch.Vaddr) error { return c.IterateMapped(va, va+arch.PageSize, nop) },
+		"PopulateAnon":  func(c *RCursor, va arch.Vaddr) error { return c.PopulateAnon(va, va+arch.PageSize) },
+		"ClearAccessed": func(c *RCursor, va arch.Vaddr) error { return c.ClearAccessed(va, va+arch.PageSize) },
+		"PlacePage":     func(c *RCursor, va arch.Vaddr) error { return c.PlacePage(va, frame, arch.PermRW, 0) },
+		"TakePage": func(c *RCursor, va arch.Vaddr) error {
+			if _, _, _, ok := c.TakePage(va); ok {
+				return nil
+			}
+			return mm.ErrBadRange
+		},
+	}
+	addressless := map[string]bool{"Close": true, "Range": true}
+	ct := reflect.TypeOf(&RCursor{})
+	for i := 0; i < ct.NumMethod(); i++ {
+		if name := ct.Method(i).Name; calls[name] == nil && !addressless[name] {
+			t.Errorf("exported method RCursor.%s has no row in this table", name)
+		}
+	}
+	names := make([]string, 0, len(calls))
+	for name := range calls {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	const va = arch.Vaddr(1<<32 + 16*arch.PageSize)
+	outside := []struct {
+		name string
+		va   arch.Vaddr
+	}{
+		{"below", va - arch.PageSize},
+		{"above", va + arch.PageSize},
+		{"beyond the covering page", va + 1<<30},
+	}
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			// Three one-page mappings side by side in one leaf table; the
+			// transaction covers only the middle one.
+			pages := []arch.Vaddr{va - arch.PageSize, va, va + arch.PageSize}
+			for i, page := range pages {
+				if err := a.MmapFixed(0, page, arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Store(0, page, byte(0x40+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if frame, err = m.Phys.AllocFrame(0, mem.KindAnon); err != nil {
+				t.Fatal(err)
+			}
+			c, err := a.Lock(0, va, va+arch.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range names {
+				for _, out := range outside {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Errorf("%s(%s) panicked: %v", name, out.name, r)
+							}
+						}()
+						if err := calls[name](c, out.va); !errors.Is(err, mm.ErrBadRange) {
+							t.Errorf("%s(%s) = %v, want ErrBadRange", name, out.name, err)
+						}
+					}()
+				}
+			}
+			// Inside the range, a level no PT page has is refused too.
+			for _, level := range []int{0, -1, arch.Levels + 1} {
+				if err := c.Map(va, frame, level, arch.PermRW); !errors.Is(err, mm.ErrBadRange) {
+					t.Errorf("Map at level %d = %v, want ErrBadRange", level, err)
+				}
+			}
+			c.Close()
+			m.Phys.Put(0, frame)
+			for i, page := range pages {
+				if b, err := a.Load(0, page); err != nil || b != byte(0x40+i) {
+					t.Errorf("page %d after the refused calls = %#x, %v", i, b, err)
+				}
+			}
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
+// TestOneCursorStep pins the shape of the single-address half of the
+// cursor: the covering page's base is read only by the lock protocols
+// that set it and by the two ways into the tree (walk → walkRange, and
+// entry); PTEs are loaded only there, in ensureChild and in forkCopy; the
+// single-address operations hold no loop of their own; and PlacePage
+// installs through the same function as Map.
+func TestOneCursorStep(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mayLoad := map[string]bool{
+		"lockRW": true, "lockAdv": true, "dfsLock": true,
+		"walkRange": true, "entry": true, "ensureChild": true, "forkCopy": true,
+	}
+	loopFree := map[string]bool{
+		"TakePage": false, "PlacePage": false, "clearMeta": false, "writeProtectCOW": false, "demoteHuge": false,
+	}
+	readsBase := map[string]bool{}
+	installs := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if _, ok := loopFree[name]; ok {
+				loopFree[name] = true
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ForStmt, *ast.RangeStmt:
+					if _, ok := loopFree[name]; ok {
+						t.Errorf("%s: %s loops; single-address operations descend through entry or a walkOps visitor", fset.Position(n.Pos()), name)
+					}
+				case *ast.SelectorExpr:
+					switch n.Sel.Name {
+					case "rootBase":
+						if path != "lock.go" {
+							readsBase[name] = true
+						}
+					case "LoadPTE":
+						if !mayLoad[name] {
+							t.Errorf("%s: %s loads a PTE; reach the tree through entry or walkRange", fset.Position(n.Pos()), name)
+						}
+					case "install":
+						installs[name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	if want := map[string]bool{"walk": true, "entry": true}; !reflect.DeepEqual(readsBase, want) {
+		t.Errorf("rootBase is read outside lock.go by %v, want exactly walk and entry", readsBase)
+	}
+	if want := map[string]bool{"MapKeyed": true, "PlacePage": true}; !reflect.DeepEqual(installs, want) {
+		t.Errorf("install is called by %v, want exactly MapKeyed and PlacePage", installs)
+	}
+	for name, seen := range loopFree {
+		if !seen {
+			t.Errorf("func %s not found; update this test with its new name", name)
+		}
+	}
+}

@@ -8,16 +8,18 @@ import (
 	"cortenmm/internal/pt"
 )
 
-// This file is the range-walk engine: the one recursive driver every
-// range operation of the cursor rides. It classifies each entry of the
-// locked subtree as {present leaf, present table, metadata/empty} ×
-// {fully covered, partially covered} and dispatches to a walkOps
-// visitor; all of the start/end index arithmetic, splitting
+// This file is the walk engine: the one recursive driver every range
+// operation of the cursor rides (walkRange) and the one descent every
+// single-address operation rides (entry). walkRange classifies each
+// entry of the locked subtree as {present leaf, present table,
+// metadata/empty} × {fully covered, partially covered} and dispatches to
+// a walkOps visitor; all of the start/end index arithmetic, splitting
 // (ensureChild), teardown (releaseLeaf/removeChild/dropMeta) and pruning
-// lives here, so a new range operation is a visitor struct, not a new
-// recursion. Everything runs under the cursor's covering lock; hooks
-// may therefore read and write PTEs and metadata freely but must not
-// lock, block, or touch the tree outside the cursor's range.
+// lives here, so a new operation is a visitor struct or a few lines
+// after entry, not a new descent. Everything runs under the cursor's
+// covering lock; hooks may therefore read and write PTEs and metadata
+// freely but must not lock, block, or touch the tree outside the
+// cursor's range.
 
 // Sentinel errors steering the engine; they never escape to callers.
 var (
@@ -76,7 +78,8 @@ var clearWalk = walkOps{clearFull: true, pruneEmpty: true, ignoreSplitErr: true}
 
 // walkRange drives a visitor over [lo, hi) under the subtree rooted at
 // the PT page pfn (entries at the given level, page base VA base). It is
-// the only recursive range walk in the cursor layer.
+// the only recursive walk under a cursor (forkCopy, like pt.Tree.Destroy,
+// recurses over a whole tree it owns exclusively).
 func (c *RCursor) walkRange(v *walkOps, pfn arch.PFN, level int, base, lo, hi arch.Vaddr) error {
 	t, isa := c.a.tree, c.a.isa
 	span := arch.SpanBytes(level)
@@ -231,6 +234,59 @@ func (c *RCursor) walk(v *walkOps, lo, hi arch.Vaddr) error {
 	return err
 }
 
+// slot is where the single-address step stopped: entry idx of the
+// level-`level` PT page pfn, and the PTE loaded from it. (Four words, so
+// it travels in registers.)
+type slot struct {
+	pfn   arch.PFN
+	idx   int
+	level int
+	pte   uint64
+}
+
+// lo returns the base VA of the slot's span, given an address inside it.
+func (s slot) lo(va arch.Vaddr) arch.Vaddr {
+	return va &^ arch.Vaddr(arch.SpanBytes(s.level)-1)
+}
+
+// entry is the single-address step: from the cursor's covering page down
+// to the entry that decides va — the first one that is not a table, or
+// the one at level stop, whichever comes first. With ensure set the path
+// is materialised all the way to stop (ensureChild: a huge leaf in the
+// way is split, an upper-level status pushed down), which is the only
+// way it can fail once va is inside the transaction. Besides walkRange
+// it is the only place that turns a VA into a PTE index under a cursor;
+// Query and Map call it on the fault path, so it takes no closure and
+// allocates nothing.
+func (c *RCursor) entry(va arch.Vaddr, stop int, ensure bool) (slot, error) {
+	if err := c.checkRange(va, va+arch.PageSize); err != nil {
+		return slot{}, err
+	}
+	t, isa := c.a.tree, c.a.isa
+	pfn, level, base := c.root, c.rootLevel, c.rootBase
+	for {
+		span := arch.SpanBytes(level)
+		idx := int(uint64(va-base) / span)
+		pte := t.LoadPTE(pfn, idx)
+		if level <= stop {
+			return slot{pfn, idx, level, pte}, nil
+		}
+		table := isa.IsPresent(pte) && !isa.IsLeaf(pte, level)
+		if !table && !ensure {
+			return slot{pfn, idx, level, pte}, nil
+		}
+		base += arch.Vaddr(uint64(idx) * span)
+		child := isa.PFNOf(pte)
+		if !table {
+			var err error
+			if child, err = c.ensureChild(pfn, level, idx, base); err != nil {
+				return slot{}, err
+			}
+		}
+		pfn, level = child, level-1
+	}
+}
+
 // Run is one maximal range of pages sharing a sliding status, as yielded
 // by Iterate: page i of the run has status Status.SlidBy(i). Mapped runs
 // are physically contiguous (the frame advances page by page); file runs
@@ -323,7 +379,7 @@ func (c *RCursor) Iterate(lo, hi arch.Vaddr, fn func(Run) error) error {
 				s.SlidBy(uint64(subLo-entryLo)/arch.PageSize), false, false)
 		},
 	}
-	if err := c.walkRange(&v, c.root, c.rootLevel, c.rootBase, lo, hi); err != nil {
+	if err := c.walk(&v, lo, hi); err != nil {
 		return err
 	}
 	return ra.flush()
@@ -344,7 +400,7 @@ func (c *RCursor) IterateMapped(lo, hi arch.Vaddr, fn func(Run) error) error {
 		readOnly: true,
 		onLeaf:   ra.leafRun(c.a.isa),
 	}
-	if err := c.walkRange(&v, c.root, c.rootLevel, c.rootBase, lo, hi); err != nil {
+	if err := c.walk(&v, lo, hi); err != nil {
 		return err
 	}
 	return ra.flush()
