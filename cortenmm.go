@@ -66,7 +66,12 @@ type (
 	ProtKey = arch.ProtKey
 	// ISA is a page-table entry codec (x86-64 or RISC-V Sv48).
 	ISA = arch.ISA
-	// Status is the state of one virtual page (Figure 4's Status enum).
+	// Status is the state of one virtual page (Figure 4's Status enum):
+	// Kind and Perm are plain fields — Status{Kind: StatusPrivateAnon,
+	// Perm: PermRW} is what Tx.Mark takes for on-demand memory — and the
+	// rest sits behind WithKey/WithHuge, FileStatus and the accessors
+	// Key, HugeLevel, Page, Off, Block, File. Tx.Mark refuses, with
+	// ErrBadRange, a status the page table's one-word entries cannot hold.
 	Status = pt.Status
 	// StatusKind enumerates Status variants.
 	StatusKind = pt.StatusKind
@@ -207,6 +212,11 @@ func New(o Options) (*AddrSpace, error) { return core.New(o) }
 func NewFile(m *Machine, name string, size uint64) *File {
 	return mem.NewFile(m.Phys, name, size)
 }
+
+// FileStatus is the status of not-resident pages of f — kind
+// StatusPrivateFile, StatusSharedFile or StatusSharedAnon — starting at
+// f's page off; Tx.Mark accepts it while some space maps f.
+var FileStatus = pt.FileStatus
 
 // NewBlockDev creates a simulated swap device.
 func NewBlockDev(name string) *BlockDev { return mem.NewBlockDev(name) }

@@ -45,14 +45,14 @@ func main() {
 	}
 	st, _ := tx.Query(secret)
 	tx.Close()
-	fmt.Printf("secret region tagged: key=%d kind=%v\n", st.Key, st.Kind)
+	fmt.Printf("secret region tagged: key=%d kind=%v\n", st.Key(), st.Kind)
 
 	// Faulting in a previously untouched page carries the key along.
 	as.Store(0, secret+2*cortenmm.PageSize, 0x43)
 	tx, _ = as.Lock(0, secret, secret+4*cortenmm.PageSize)
 	st2, _ := tx.Query(secret + 2*cortenmm.PageSize)
 	tx.Close()
-	fmt.Printf("late-faulted page: key=%d (inherited from metadata)\n", st2.Key)
+	fmt.Printf("late-faulted page: key=%d (inherited from metadata)\n", st2.Key())
 
 	// W^X: flip the scratch region to execute-only in ONE transaction —
 	// the query+protect pair is atomic, so no thread can observe the

@@ -165,13 +165,17 @@ var figAsserts = map[string]func(t *testing.T, rows []Row){
 			t.Fatal("missing PT accounting")
 		}
 		// The paper's claims: CortenMM ≈ Linux; RadixVM replicates page
-		// tables (strictly more PT bytes); the upper bound stays small
-		// relative to data (<2% in the paper; allow slack here).
+		// tables (strictly more PT bytes); a metadata array is one word
+		// beside each PTE, so fully populating them *doubles* the tables
+		// (§3.3) and stays within 2% of the data.
 		if med(radix, "pt_bytes") <= med(corten, "pt_bytes") {
 			t.Errorf("radixvm PT %v <= corten PT %v; replication overhead missing", med(radix, "pt_bytes"), med(corten, "pt_bytes"))
 		}
-		if med(ub, "overhead_pct") > 25 || med(ub, "meta_bytes") <= med(corten, "meta_bytes") {
-			t.Errorf("upper bound implausible: %v vs measured %v", ub.Metrics, corten.Metrics)
+		if med(ub, "meta_bytes") != med(ub, "pt_bytes") || med(ub, "overhead_pct") >= 2 {
+			t.Errorf("upper bound does not double the tables within 2%% of the data: %v", ub.Metrics)
+		}
+		if med(corten, "meta_bytes") > med(corten, "pt_bytes") || med(ub, "meta_bytes") <= med(corten, "meta_bytes") {
+			t.Errorf("measured metadata %v outside (0, upper bound %v]", corten.Metrics, ub.Metrics)
 		}
 		if med(corten, "overhead_pct") > 3*med(linux, "overhead_pct")+5 {
 			t.Errorf("corten overhead %.2f%% far above linux %.2f%%", med(corten, "overhead_pct"), med(linux, "overhead_pct"))

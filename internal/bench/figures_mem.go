@@ -45,7 +45,7 @@ func Fig22(o Options) ([]Row, error) {
 			case *core.AddrSpace:
 				meta = uint64(s.Tree().MetaBytes.Load())
 				if sys == cortenUB {
-					meta = st.PageTableBytes / arch.PageSize * uint64(unsafe.Sizeof(pt.Status{})) * arch.PTEntries
+					meta = st.PageTableBytes / arch.PageSize * uint64(unsafe.Sizeof(pt.MetaArray{}))
 				}
 			case *vma.Space:
 				meta = uint64(s.VMACount()) * vmaStructBytes

@@ -69,16 +69,16 @@ func (a *AddrSpace) CollapseHuge(core int, va arch.Vaddr) error {
 		if r.Status.Perm&(arch.PermShared|arch.PermCOW) != 0 {
 			return fmt.Errorf("%w: page %#x not collapsible (%v)", mm.ErrNotSupported, r.VA, r.Status.Kind)
 		}
-		if r.Status.HugeLevel >= 2 {
+		if r.Status.HugeLevel() >= 2 {
 			return nil // already huge: nothing to do
 		}
 		if ri == 0 {
-			perm, key = r.Status.Perm, r.Status.Key
-		} else if r.Status.Perm != perm || r.Status.Key != key {
+			perm, key = r.Status.Perm, r.Status.Key()
+		} else if r.Status.Perm != perm || r.Status.Key() != key {
 			return fmt.Errorf("%w: non-uniform permissions in span", mm.ErrNotSupported)
 		}
 		for i := uint64(0); i < r.Pages; i++ {
-			head := a.m.Phys.HeadOf(r.Status.Page + arch.PFN(i))
+			head := a.m.Phys.HeadOf(r.Status.Page() + arch.PFN(i))
 			d := a.m.Phys.Desc(head)
 			if d.Kind != mem.KindAnon || d.MapCount() != 1 {
 				return fmt.Errorf("%w: page %#x shared or non-anon", mm.ErrNotSupported,
@@ -98,7 +98,7 @@ func (a *AddrSpace) CollapseHuge(core int, va arch.Vaddr) error {
 		off := uint64(r.VA - base)
 		for i := uint64(0); i < r.Pages; i++ {
 			copy(dst[off+i*arch.PageSize:off+(i+1)*arch.PageSize],
-				a.m.Phys.DataPage(r.Status.Page+arch.PFN(i)))
+				a.m.Phys.DataPage(r.Status.Page()+arch.PFN(i)))
 		}
 	}
 

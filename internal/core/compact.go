@@ -345,7 +345,7 @@ func (cm *CompactionManager) scanSpan(core int, a *AddrSpace, base arch.Vaddr) {
 	var resident, young uint64
 	huge, eligible := false, true
 	_ = c.IterateMapped(base, base+span, func(r Run) error {
-		if r.Status.HugeLevel >= 2 {
+		if r.Status.HugeLevel() >= 2 {
 			huge = true
 			return nil
 		}

@@ -88,16 +88,14 @@ func TestTransactionAtomicity(t *testing.T) {
 					}
 					if core%2 == 0 {
 						// Writer transaction: mark every page with an
-						// identity encoded in the protection key... use
-						// the file-offset field as the identity tag.
-						tag := uint64(core + 1)
+						// identity encoded in the protection key.
+						tag := arch.ProtKey(core + 1)
 						for i := 0; i < pages; i++ {
 							va := lo + arch.Vaddr(i*arch.PageSize)
 							err := c.Mark(va, va+arch.PageSize, pt.Status{
 								Kind: pt.StatusPrivateAnon,
 								Perm: arch.PermRW,
-								Off:  tag,
-							})
+							}.WithKey(tag))
 							if err != nil {
 								torn.Add(1)
 							}
@@ -111,7 +109,7 @@ func TestTransactionAtomicity(t *testing.T) {
 						}
 						for i := 1; i < pages; i++ {
 							st, err := c.Query(lo + arch.Vaddr(i*arch.PageSize))
-							if err != nil || st.Kind != first.Kind || st.Off != first.Off {
+							if err != nil || st.Kind != first.Kind || st.Key() != first.Key() {
 								torn.Add(1)
 								break
 							}

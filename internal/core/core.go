@@ -80,8 +80,9 @@ type AddrSpace struct {
 	valloc  cpusim.VAAlloc
 	perCore bool
 	coarse  bool
-	swapDev *mem.BlockDev
-	stats   mm.Stats
+	// swapID is the swap device's object id on the machine (0: none).
+	swapID uint32
+	stats  mm.Stats
 	// anonOwner is what this space's anonymous pages name as their
 	// owner in the frames' migration reverse-map hints.
 	anonOwner mem.AnonOwner
@@ -144,7 +145,6 @@ type fileMapping struct {
 	va     arch.Vaddr
 	pgoff  uint64
 	npages uint64
-	shared bool
 }
 
 // New creates an empty address space.
@@ -174,9 +174,9 @@ func New(o Options) (*AddrSpace, error) {
 		valloc:  va,
 		perCore: o.PerCoreVA,
 		coarse:  o.CoarseLocking,
-		swapDev: o.SwapDev,
 		cursors: make([]cachedCursor, o.Machine.Cores),
 	}
+	a.SetSwapDev(o.SwapDev)
 	a.anonOwner.Space = a
 	return a, nil
 }
@@ -194,9 +194,9 @@ func (a *AddrSpace) Stats() *mm.Stats { return &a.stats }
 func (a *AddrSpace) Machine() *cpusim.Machine { return a.m }
 
 // SetSwapDev installs (or replaces) the swap device used by SwapOut and
-// ReclaimRange. Pages already swapped to a previous device keep their
-// recorded device reference.
-func (a *AddrSpace) SetSwapDev(dev *mem.BlockDev) { a.swapDev = dev }
+// ReclaimRange (none, if the machine's object table has no room for one
+// more). Pages already swapped to a previous device keep naming it.
+func (a *AddrSpace) SetSwapDev(dev *mem.BlockDev) { a.swapID = a.m.Phys.RegisterDev(dev) }
 
 // Tree exposes the page table for invariant checks in tests.
 func (a *AddrSpace) Tree() *pt.Tree { return a.tree }
@@ -222,12 +222,15 @@ func (a *AddrSpace) state(pfn arch.PFN) *pt.PageState { return a.tree.State(pfn)
 
 // registerFileMapping records a file mapping for reverse mapping and
 // registers this space in the file's mapper tree.
-func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npages uint64, shared bool) {
-	f.AddMapper(a)
+func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npages uint64) error {
+	if err := f.AddMapper(a); err != nil {
+		return err
+	}
 	a.rmapMu.Lock()
-	a.rmapHints = append(a.rmapHints, fileMapping{file: f, va: va, pgoff: pgoff, npages: npages, shared: shared})
+	a.rmapHints = append(a.rmapHints, fileMapping{file: f, va: va, pgoff: pgoff, npages: npages})
 	a.rmapLive.Add(1)
 	a.rmapMu.Unlock()
+	return nil
 }
 
 // pruneFileMappings drops reverse-mapping records whose range lies
@@ -256,6 +259,31 @@ func (a *AddrSpace) pruneFileMappings(lo, hi arch.Vaddr) {
 	for _, f := range gone {
 		f.RemoveMapper(a)
 	}
+}
+
+// fileMappings snapshots the reverse-mapping records (nil, without
+// touching the mutex, for a space with no file mapping).
+func (a *AddrSpace) fileMappings() []fileMapping {
+	if a.rmapLive.Load() == 0 {
+		return nil
+	}
+	a.rmapMu.Lock()
+	defer a.rmapMu.Unlock()
+	return append([]fileMapping(nil), a.rmapHints...)
+}
+
+// moveFileMappings follows a Mremap of [lo, hi) to `to`: the part of
+// every reverse-mapping record inside the moved range is registered at
+// its new address — first, so the file never loses its last mapper — and
+// the records the move emptied are retired as an unmap would.
+func (a *AddrSpace) moveFileMappings(lo, hi, to arch.Vaddr) {
+	for _, fm := range a.fileMappings() {
+		s, e := maxVA(fm.va, lo), minVA(fm.va+arch.Vaddr(fm.npages*arch.PageSize), hi)
+		if s < e { // already a mapper of fm.file: registering cannot fail
+			_ = a.registerFileMapping(fm.file, to+(s-lo), fm.pgoff+uint64(s-fm.va)/arch.PageSize, uint64(e-s)/arch.PageSize)
+		}
+	}
+	a.pruneFileMappings(lo, hi)
 }
 
 // lookupFileVAs translates a file page index into candidate virtual

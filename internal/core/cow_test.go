@@ -370,7 +370,7 @@ func TestMPKTagging(t *testing.T) {
 	}
 	st, _ := c.Query(va)
 	c.Close()
-	if st.Key != 7 {
-		t.Errorf("protection key = %d, want 7", st.Key)
+	if st.Key() != 7 {
+		t.Errorf("protection key = %d, want 7", st.Key())
 	}
 }

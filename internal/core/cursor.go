@@ -29,12 +29,7 @@ func (c *RCursor) Query(va arch.Vaddr) (pt.Status, error) {
 	isa := c.a.isa
 	pageIn := uint64(va-e.lo(va)) / arch.PageSize
 	if isa.IsPresent(e.pte) {
-		return pt.Status{
-			Kind: pt.StatusMapped,
-			Perm: isa.PermOf(e.pte),
-			Page: isa.PFNOf(e.pte) + arch.PFN(pageIn),
-			Key:  isa.ProtKeyOf(e.pte),
-		}, nil
+		return pt.MappedStatus(isa.PFNOf(e.pte)+arch.PFN(pageIn), isa.PermOf(e.pte), isa.ProtKeyOf(e.pte), 1), nil
 	}
 	return c.a.tree.GetMeta(e.pfn, e.idx).SlidBy(pageIn), nil
 }
@@ -53,7 +48,7 @@ func (c *RCursor) AnyAllocated(lo, hi arch.Vaddr) (bool, error) {
 			return errStopWalk
 		},
 		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
-			if c.a.tree.GetMeta(pfn, idx).Kind != pt.StatusInvalid {
+			if c.a.tree.Meta(pfn, idx) != 0 {
 				found = true
 				return errStopWalk
 			}
@@ -128,7 +123,7 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 		leaf = isa.WithProtKey(leaf, key)
 	}
 	t.SetPTE(e.pfn, e.idx, leaf)
-	t.SetMeta(e.pfn, e.idx, pt.Status{})
+	t.SetMetaWord(e.pfn, e.idx, 0)
 	head := c.a.m.Phys.HeadOf(frame)
 	d := c.a.m.Phys.Desc(head)
 	// One write to the descriptor: an exclusive anonymous 4-KiB mapping
@@ -155,19 +150,21 @@ func (c *RCursor) Mark(lo, hi arch.Vaddr, s pt.Status) error {
 	if err := c.checkRange(lo, hi); err != nil {
 		return err
 	}
-	if s.Kind == pt.StatusMapped {
-		return fmt.Errorf("%w: cannot Mark Mapped; use Map", errBadRange)
-	}
 	t := c.a.tree
+	// Packed once, out here; the visitor slides the word by an add.
+	w, err := t.Pack(s, uint64(hi-lo)/arch.PageSize)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errBadRange, err)
+	}
 	v := walkOps{
 		clearFull:  true,
 		pruneEmpty: true,
-		splitEmpty: s.Kind != pt.StatusInvalid,
+		splitEmpty: w != 0,
 		onMeta: func(pfn arch.PFN, idx, _ int, entryLo, _, _ arch.Vaddr) error {
 			// The engine already tore the entry down; record the new
 			// status, slid to this entry's offset within [lo, hi).
-			if s.Kind != pt.StatusInvalid {
-				t.SetMeta(pfn, idx, s.SlidBy(uint64(entryLo-lo)/arch.PageSize))
+			if w != 0 {
+				t.SetMetaWord(pfn, idx, pt.Slide(w, uint64(entryLo-lo)/arch.PageSize))
 			}
 			return nil
 		},
@@ -197,6 +194,7 @@ func (c *RCursor) Protect(lo, hi arch.Vaddr, perm arch.Perm) error {
 	}
 	c.needSync = true // tightening must be visible before return
 	t := c.a.tree
+	field, bits := pt.PermEdit(perm)
 	v := walkOps{
 		onLeaf: func(pfn arch.PFN, idx, level int, entryLo, _, _ arch.Vaddr, pte uint64) error {
 			t.StorePTE(pfn, idx, c.protectPTE(pte, level, perm))
@@ -204,10 +202,7 @@ func (c *RCursor) Protect(lo, hi arch.Vaddr, perm arch.Perm) error {
 			return nil
 		},
 		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
-			if s := t.GetMeta(pfn, idx); s.Kind != pt.StatusInvalid {
-				s.Perm = perm
-				t.SetMeta(pfn, idx, s)
-			}
+			t.EditMeta(pfn, idx, field, bits)
 			return nil
 		},
 	}
@@ -248,6 +243,7 @@ func (c *RCursor) SetProtKey(lo, hi arch.Vaddr, key arch.ProtKey) error {
 	}
 	c.needSync = true
 	t, isa := c.a.tree, c.a.isa
+	field, bits := pt.KeyEdit(key)
 	v := walkOps{
 		onLeaf: func(pfn arch.PFN, idx, level int, entryLo, _, _ arch.Vaddr, pte uint64) error {
 			t.StorePTE(pfn, idx, isa.WithProtKey(pte, key))
@@ -255,10 +251,7 @@ func (c *RCursor) SetProtKey(lo, hi arch.Vaddr, key arch.ProtKey) error {
 			return nil
 		},
 		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
-			if s := t.GetMeta(pfn, idx); s.Kind != pt.StatusInvalid {
-				s.Key = key
-				t.SetMeta(pfn, idx, s)
-			}
+			t.EditMeta(pfn, idx, field, bits)
 			return nil
 		},
 	}
@@ -302,11 +295,9 @@ func (c *RCursor) ensureChild(pfn arch.PFN, level, idx int, entryLo arch.Vaddr) 
 		head := c.a.m.Phys.HeadOf(basePFN)
 		c.a.m.Phys.GetN(head, arch.PTEntries-1)
 		c.a.m.Phys.Desc(head).MapN(arch.PTEntries - 1)
-	} else if s := t.GetMeta(pfn, idx); s.Kind != pt.StatusInvalid {
-		for i := 0; i < arch.PTEntries; i++ {
-			t.SetMeta(child, i, s.SlidBy(uint64(i)*subPages))
-		}
-		t.SetMeta(pfn, idx, pt.Status{})
+	} else if w := t.Meta(pfn, idx); w != 0 {
+		t.FillMeta(child, 0, w, subPages)
+		t.SetMetaWord(pfn, idx, 0)
 	}
 	t.SetPTE(pfn, idx, isa.EncodeTable(child))
 	return child, nil
@@ -429,15 +420,12 @@ func (c *RCursor) removeChild(parent arch.PFN, idx int, child arch.PFN) {
 // dropMeta clears the metadata entry of a level-`level` PT page,
 // releasing any swap block it holds.
 func (c *RCursor) dropMeta(pfn arch.PFN, idx, level int) {
-	s := c.a.tree.GetMeta(pfn, idx)
-	if s.Kind == pt.StatusInvalid {
+	w := c.a.tree.SetMetaWord(pfn, idx, 0)
+	if w == 0 {
 		return
 	}
 	c.cleared += arch.SpanBytes(level) / arch.PageSize
-	if s.Kind == pt.StatusSwapped && s.Dev != nil {
-		s.Dev.FreeBlock(s.Block)
-	}
-	c.a.tree.SetMeta(pfn, idx, pt.Status{})
+	c.a.tree.FreeSwap(w)
 }
 
 func maxVA(a, b arch.Vaddr) arch.Vaddr {

@@ -105,5 +105,51 @@ func TestMremapGrowKeepsFileMapper(t *testing.T) {
 	if again, _ := a.Mmap(0, size, arch.PermRW, 0); again != va {
 		t.Fatalf("old range %#x not recycled: got %#x", va, again)
 	}
+	// The record moved with the mapping, so the old range's next tenant
+	// leaving does not retire it — nor the object id the moved, not yet
+	// faulted pages name their file by.
+	if err := a.Munmap(0, va, size); err != nil {
+		t.Fatal(err)
+	}
+	if a.rmapLive.Load() != 1 || a.rmapHints[0].va != nva || f.ID() == 0 {
+		t.Fatalf("after the old range's next tenant left: %d records (first at %#x, mapping at %#x), file id %d",
+			a.rmapLive.Load(), a.rmapHints[0].va, nva, f.ID())
+	}
+	if err := a.Store(0, nva+arch.PageSize, 8); err != nil {
+		t.Fatalf("fault on a moved, never-touched file page: %v", err)
+	}
+
+	// A move of part of a mapping splits the record; unmapping where the
+	// whole mapping used to be leaves the moved part mapped, registered
+	// and reading its own file pages.
+	g := mem.NewFile(m.Phys, "split", 2*size)
+	gva, err := a.MmapFile(0, g, 0, 2*size, arch.PermRW, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Store(0, gva+size+arch.PageSize, 5); err != nil { // file page 5
+		t.Fatal(err)
+	}
+	mva, err := a.Mremap(0, gva+size, size, 2*size)
+	if err != nil || mva == gva+size {
+		t.Fatalf("grow of the second half = %#x, %v", mva, err)
+	}
+	if err := a.Munmap(0, gva, 2*size); err != nil {
+		t.Fatal(err)
+	}
+	if g.ID() == 0 {
+		t.Fatal("file lost its object id while its moved half is still mapped")
+	}
+	if b, err := a.Load(0, mva+arch.PageSize); err != nil || b != 5 {
+		t.Fatalf("moved half reads %d, %v at file page 5, want 5", b, err)
+	}
+	if err := a.Store(0, mva+2*arch.PageSize, 6); err != nil { // faults file page 6 in through the word
+		t.Fatal(err)
+	}
+	pfn, err := g.GetPage(0, 6)
+	if err != nil || m.Phys.Data(pfn)[0] != 6 {
+		t.Fatalf("the moved half's third page is not file page 6: %v", err)
+	}
+	m.Phys.Put(0, pfn)
 	checkQuiet(t, a)
 }

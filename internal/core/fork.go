@@ -41,7 +41,7 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 		ISA:       a.isa,
 		Protocol:  a.proto,
 		PerCoreVA: a.perCore,
-		SwapDev:   a.swapDev,
+		SwapDev:   a.m.Phys.DevByID(a.swapID),
 	})
 	if err != nil {
 		return nil, err
@@ -58,22 +58,18 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 		child.Destroy(core)
 		return nil, err
 	}
+	// The child maps the same file pages at the same addresses — and is
+	// their files' mapper before the parent's transaction ends, so no
+	// unmap in the parent can retire an object id the child's copied
+	// statuses name. (The files are mapped already: this cannot fail.)
+	for _, fm := range a.fileMappings() {
+		_ = child.registerFileMapping(fm.file, fm.va, fm.pgoff, fm.npages)
+	}
 	// Parent PTEs were write-protected for COW; every core must observe
 	// that before fork returns.
 	c.flushAll = true
 	c.needSync = true
 	c.Close()
-
-	// The child maps the same file pages at the same addresses.
-	if a.rmapLive.Load() != 0 {
-		a.rmapMu.Lock()
-		child.rmapHints = append(child.rmapHints, a.rmapHints...)
-		a.rmapMu.Unlock()
-		child.rmapLive.Store(int32(len(child.rmapHints)))
-		for _, fm := range child.rmapHints {
-			fm.file.AddMapper(child)
-		}
-	}
 	return child, nil
 }
 
@@ -86,16 +82,12 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, level int) error {
 	t, isa := a.tree, a.isa
 	ct := child.tree
+	if !t.CopyMeta(src, ct, dst) {
+		// Swap entries are not duplicated: swap-in on either side would
+		// race over one block. Bring the page back in the parent first.
+		return fmt.Errorf("core: fork over swapped page unsupported; swap in first")
+	}
 	for idx := 0; idx < arch.PTEntries; idx++ {
-		if s := t.GetMeta(src, idx); s.Kind != pt.StatusInvalid {
-			if s.Kind == pt.StatusSwapped {
-				// Swap entries are not duplicated: swap-in on either
-				// side would race over one block. Bring the page back
-				// in the parent first.
-				return fmt.Errorf("core: fork over swapped page unsupported; swap in first")
-			}
-			ct.SetMeta(dst, idx, s)
-		}
 		pte := t.LoadPTE(src, idx)
 		if !isa.IsPresent(pte) {
 			continue
@@ -162,17 +154,11 @@ func (a *AddrSpace) Destroy(core int) {
 	// migration transaction (see migrateEnter/drainMigrants).
 	a.drainMigrants()
 	a.pruneFileMappings(0, arch.MaxVaddr)
-	a.tree.Destroy(core,
-		func(pte uint64, level int) {
-			head := a.m.Phys.HeadOf(a.isa.PFNOf(pte))
-			a.m.Phys.Desc(head).Unmap()
-			a.m.Phys.Put(core, head)
-		},
-		func(s pt.Status) {
-			if s.Kind == pt.StatusSwapped && s.Dev != nil {
-				s.Dev.FreeBlock(s.Block)
-			}
-		})
+	a.tree.Destroy(core, func(pte uint64, level int) {
+		head := a.m.Phys.HeadOf(a.isa.PFNOf(pte))
+		a.m.Phys.Desc(head).Unmap()
+		a.m.Phys.Put(core, head)
+	})
 	a.m.FreeASID(a.asid)
 }
 
@@ -189,7 +175,7 @@ func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
 		}
 		st, err := c.Query(va)
 		if err == nil && st.Kind == pt.StatusMapped {
-			head := a.m.Phys.HeadOf(st.Page)
+			head := a.m.Phys.HeadOf(st.Page())
 			d := a.m.Phys.Desc(head)
 			if d.RMap.File == f && d.RMap.Index == index {
 				c.needSync = true // the page is about to be reclaimed

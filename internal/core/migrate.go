@@ -111,13 +111,13 @@ func protectForMigration(a *AddrSpace, core int, req mem.MigrateReq, perm *arch.
 	}
 	st, qerr := c.Query(va)
 	d := a.m.Phys.Desc(req.Src)
-	if qerr != nil || st.Kind != pt.StatusMapped || st.Page != req.Src ||
+	if qerr != nil || st.Kind != pt.StatusMapped || st.Page() != req.Src ||
 		st.Perm&(arch.PermShared|arch.PermCOW) != 0 ||
 		d.MapCount() != 1 || d.Ref.Load() != 2 {
 		c.Close()
 		return false
 	}
-	*perm, *key = st.Perm, st.Key
+	*perm, *key = st.Perm, st.Key()
 	if !c.writeProtectCOW(va) {
 		c.Close()
 		return false
@@ -144,8 +144,8 @@ func remapMigrated(a *AddrSpace, core int, req mem.MigrateReq, perm arch.Perm, k
 	}
 	st, qerr := c.Query(va)
 	d := a.m.Phys.Desc(req.Src)
-	if qerr != nil || st.Kind != pt.StatusMapped || st.Page != req.Src ||
-		st.Perm != want || st.Key != key ||
+	if qerr != nil || st.Kind != pt.StatusMapped || st.Page() != req.Src ||
+		st.Perm != want || st.Key() != key ||
 		d.MapCount() != 1 || d.Ref.Load() != 2 {
 		c.Close()
 		return false

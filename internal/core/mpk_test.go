@@ -42,8 +42,8 @@ func TestSetProtKeyOnMappedAndVirtual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Key != 9 {
-			t.Errorf("page %d key = %d (kind %v)", i, st.Key, st.Kind)
+		if st.Key() != 9 {
+			t.Errorf("page %d key = %d (kind %v)", i, st.Key(), st.Kind)
 		}
 	}
 	c.Close()
@@ -54,8 +54,8 @@ func TestSetProtKeyOnMappedAndVirtual(t *testing.T) {
 	c, _ = a.Lock(0, va, va+8*arch.PageSize)
 	st, _ := c.Query(va + 6*arch.PageSize)
 	c.Close()
-	if st.Kind != pt.StatusMapped || st.Key != 9 {
-		t.Errorf("faulted page: kind=%v key=%d", st.Kind, st.Key)
+	if st.Kind != pt.StatusMapped || st.Key() != 9 {
+		t.Errorf("faulted page: kind=%v key=%d", st.Kind, st.Key())
 	}
 	checkWF(t, a)
 }

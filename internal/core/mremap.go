@@ -83,7 +83,7 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 		dst := newVA + (r.VA - oldVA)
 		var err error
 		switch {
-		case r.Status.Kind == pt.StatusMapped && r.Status.HugeLevel >= 2:
+		case r.Status.Kind == pt.StatusMapped && r.Status.HugeLevel() >= 2:
 			// Huge leaves move via split paths, which TakePage refuses.
 			err = fmt.Errorf("core: page vanished during mremap")
 		case r.Status.Kind == pt.StatusMapped:
@@ -123,13 +123,16 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 		c.Close()
 		return 0, err
 	}
+	// A moved file mapping is still mapped, so its file keeps this space
+	// as a mapper and its reverse-map record moves with it, inside the
+	// transaction: left behind, the old range's next tenant would retire
+	// the record, and with it the object id the moved statuses name.
+	a.moveFileMappings(oldVA, oldVA+arch.Vaddr(oldSize), newVA)
 	c.Close()
 
 	// Retire the old range's address space under munmapFinish's rule:
 	// every page of it was allocated and has moved out. Only the VA half
-	// of that tail applies — a moved file mapping is still mapped, so
-	// its file keeps this space as a mapper and the reverse-map record
-	// stays (a stale hint; lookups re-check the page table).
+	// of that tail applies.
 	if allocated == oldSize/arch.PageSize {
 		a.valloc.Free(core, oldVA, oldSize)
 	}
@@ -174,7 +177,7 @@ func (c *RCursor) clearMeta(lo, hi arch.Vaddr) error {
 	t := c.a.tree
 	v := walkOps{
 		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
-			t.SetMeta(pfn, idx, pt.Status{})
+			t.SetMetaWord(pfn, idx, 0)
 			return nil
 		},
 	}

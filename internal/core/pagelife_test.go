@@ -151,7 +151,7 @@ func TestNonExclusivePopulateCarriesNoHint(t *testing.T) {
 				if err != nil || st.Kind != pt.StatusMapped {
 					t.Fatalf("page %#x: %+v, %v", va, st, err)
 				}
-				d := m.Phys.Desc(st.Page)
+				d := m.Phys.Desc(st.Page())
 				owner, hint := d.AnonRMap()
 				wantOwner, wantHint := any(a), uint64(va)
 				if perm&(arch.PermCOW|arch.PermShared) != 0 {
@@ -159,11 +159,11 @@ func TestNonExclusivePopulateCarriesNoHint(t *testing.T) {
 				}
 				if d.MapCount() != 1 || owner != wantOwner || hint != wantHint {
 					t.Fatalf("perm %v life %d page %#x frame %#x: mapped %d times, hint %v %#x; want once, %v %#x",
-						perm, life, va, st.Page, d.MapCount(), owner, hint, wantOwner, wantHint)
+						perm, life, va, st.Page(), d.MapCount(), owner, hint, wantOwner, wantHint)
 				}
 				if life == 0 {
-					first = append(first, st.Page)
-				} else if slices.Contains(first, st.Page) {
+					first = append(first, st.Page())
+				} else if slices.Contains(first, st.Page()) {
 					reused++
 				}
 			}

@@ -318,7 +318,7 @@ func (rm *ReclaimManager) sweep(core, node, target int) int {
 		if total >= target {
 			break
 		}
-		if a.swapDev == nil || a.oomKilled.Load() || a.destroyed.Load() || a.holdsTx(core) {
+		if a.swapID == 0 || a.oomKilled.Load() || a.destroyed.Load() || a.holdsTx(core) {
 			continue
 		}
 		total += a.reclaimSome(core, node, target-total)

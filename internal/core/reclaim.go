@@ -67,7 +67,7 @@ func (a *AddrSpace) lockForEviction(core int, va arch.Vaddr, size uint64) (*RCur
 	if err := a.checkRange(core, va, size); err != nil {
 		return nil, err
 	}
-	if a.swapDev == nil {
+	if a.swapID == 0 {
 		return nil, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
 	}
 	a.m.OpTick(core)
@@ -91,7 +91,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 	// after the iteration.
 	var runs []Run
 	err := c.IterateMapped(lo, hi, func(r Run) error {
-		if r.Status.Perm&(arch.PermShared|arch.PermCOW) == 0 && r.Status.HugeLevel <= 2 {
+		if r.Status.Perm&(arch.PermShared|arch.PermCOW) == 0 && r.Status.HugeLevel() <= 2 {
 			runs = append(runs, r)
 		}
 		return nil
@@ -115,9 +115,9 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		reqs     []swapReq
 		firstErr error
 	)
-	q := aio.NewQueue("swapq", mem.ErrOutOfMemory)
+	q, dev := aio.NewQueue("swapq", mem.ErrOutOfMemory), a.m.Phys.DevByID(a.swapID)
 	for _, r := range runs {
-		huge := r.Status.HugeLevel == 2
+		huge := r.Status.HugeLevel() == 2
 		if !huge && (len(reqs) >= target || firstErr != nil) {
 			continue // the sweep is full: later small runs keep their bits for the next one
 		}
@@ -142,7 +142,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 			continue
 		}
 		for i := uint64(0); i < r.Pages && len(reqs) < target; i++ {
-			pfn := r.Status.Page + arch.PFN(i)
+			pfn := r.Status.Page() + arch.PFN(i)
 			d := a.m.Phys.Desc(a.m.Phys.HeadOf(pfn))
 			if d.Kind != mem.KindAnon || d.MapCount() != 1 || node >= 0 && a.m.Phys.FrameNode(pfn) != node {
 				continue
@@ -150,19 +150,19 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 			// Cold page: queue its writeback. The frame stays mapped
 			// until the completion is reaped, so the data read at reap
 			// time is stable (we hold the covering lock).
-			block := a.swapDev.AllocBlock()
+			block := dev.AllocBlock()
 			err := q.Submit(aio.SQE{Tag: uint64(len(reqs)), Do: func() error {
-				return a.swapDev.Write(block, a.m.Phys.DataPage(pfn))
+				return dev.Write(block, a.m.Phys.DataPage(pfn))
 			}})
 			if err != nil {
 				// Refused submission: nothing was queued, the page simply
 				// stays resident. Stop growing the batch and report after
 				// reaping what was already submitted.
-				a.swapDev.FreeBlock(block)
+				dev.FreeBlock(block)
 				firstErr = err
 				break
 			}
-			reqs = append(reqs, swapReq{page: r.VA + arch.Vaddr(i*arch.PageSize), perm: r.Status.Perm, key: r.Status.Key, block: block})
+			reqs = append(reqs, swapReq{page: r.VA + arch.Vaddr(i*arch.PageSize), perm: r.Status.Perm, key: r.Status.Key(), block: block})
 		}
 	}
 
@@ -177,12 +177,10 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		req := reqs[cqe.Tag]
 		err := cqe.Err
 		if err == nil {
-			err = c.Mark(req.page, req.page+arch.PageSize, pt.Status{
-				Kind: pt.StatusSwapped, Perm: req.perm, Dev: a.swapDev, Block: req.block, Key: req.key,
-			})
+			err = c.Mark(req.page, req.page+arch.PageSize, pt.SwappedStatus(req.perm, a.swapID, req.block).WithKey(req.key))
 		}
 		if err != nil {
-			a.swapDev.FreeBlock(req.block)
+			dev.FreeBlock(req.block)
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -206,7 +204,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 func (a *AddrSpace) demoteRun(c *RCursor, r Run, node int) {
 	span := arch.Vaddr(arch.SpanBytes(2))
 	for sb := (r.VA + span - 1) &^ (span - 1); sb+span <= r.End(); sb += span {
-		if node >= 0 && a.m.Phys.FrameNode(r.Status.Page+arch.PFN(uint64(sb-r.VA)/arch.PageSize)) != node {
+		if node >= 0 && a.m.Phys.FrameNode(r.Status.Page()+arch.PFN(uint64(sb-r.VA)/arch.PageSize)) != node {
 			continue
 		}
 		if c.demoteHuge(sb) {
@@ -311,12 +309,12 @@ func (a *AddrSpace) madviseBody(c *RCursor, lo, hi arch.Vaddr) error {
 // page-cache frame, PrivateAnon otherwise.
 func (a *AddrSpace) nonResident(st pt.Status) pt.Status {
 	perm := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared)
-	if d := a.m.Phys.Desc(a.m.Phys.HeadOf(st.Page)); d.RMap.File != nil {
+	if d := a.m.Phys.Desc(a.m.Phys.HeadOf(st.Page())); d.RMap.File != nil {
 		kind := pt.StatusPrivateFile
 		if st.Perm&arch.PermShared != 0 {
 			kind = pt.StatusSharedFile
 		}
-		return pt.Status{Kind: kind, Perm: perm, File: d.RMap.File, Off: d.RMap.Index, Key: st.Key}
+		return pt.FileStatus(kind, perm, d.RMap.File, d.RMap.Index).WithKey(st.Key())
 	}
-	return pt.Status{Kind: pt.StatusPrivateAnon, Perm: perm, Key: st.Key}
+	return pt.Status{Kind: pt.StatusPrivateAnon, Perm: perm}.WithKey(st.Key())
 }

@@ -68,7 +68,7 @@ func (a *AddrSpace) Regions(core int) ([]Region, error) {
 		// region does not merge with anon neighbours, splitting the run
 		// where the backing class changes.
 		classify := func(i uint64) pt.StatusKind {
-			head := a.m.Phys.HeadOf(r.Status.Page + arch.PFN(i))
+			head := a.m.Phys.HeadOf(r.Status.Page() + arch.PFN(i))
 			if d := a.m.Phys.Desc(head); d.RMap.File != nil {
 				if r.Status.Perm&arch.PermShared != 0 {
 					return pt.StatusSharedFile
@@ -145,7 +145,7 @@ func (a *AddrSpace) chunks(core int) []chunk {
 			return nil
 		},
 		onMeta: func(pfn arch.PFN, idx, level int, entryLo, _, _ arch.Vaddr) error {
-			if a.tree.GetMeta(pfn, idx).Kind != pt.StatusInvalid {
+			if a.tree.Meta(pfn, idx) != 0 {
 				entry(entryLo, level, false)
 			}
 			return nil

@@ -95,9 +95,9 @@ func (a *AddrSpace) mmapBody(c *RCursor, va arch.Vaddr, size uint64, perm arch.P
 	s := pt.Status{Kind: pt.StatusPrivateAnon, Perm: perm}
 	switch {
 	case fl&mm.FlagHuge1G != 0:
-		s.HugeLevel = 3
+		s = s.WithHuge(3)
 	case fl&mm.FlagHuge2M != 0:
-		s.HugeLevel = 2
+		s = s.WithHuge(2)
 	}
 	if err := c.Mark(va, va+arch.Vaddr(size), s); err != nil {
 		// A failed Mark may have marked a prefix; do not leave it behind
@@ -139,18 +139,24 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 		kind = pt.StatusSharedFile
 	}
 	hi := va + arch.Vaddr(size)
-	c, err := a.Lock(core, va, hi)
+	// Registered first: the status Mark stores names f by the object id
+	// its first mapper gives it, and Mark rejects an unregistered file.
+	err = a.registerFileMapping(f, va, pgoff, size/arch.PageSize)
+	var c *RCursor
 	if err == nil {
-		if err = c.Mark(va, hi, pt.Status{Kind: kind, Perm: perm, File: f, Off: pgoff}); err != nil {
+		c, err = a.Lock(core, va, hi)
+	}
+	if err == nil {
+		if err = c.Mark(va, hi, pt.FileStatus(kind, perm, f, pgoff)); err != nil {
 			_ = c.Unmap(va, hi) // a failed Mark may have marked a prefix
 		}
 		c.Close()
 	}
 	if err != nil {
+		a.pruneFileMappings(va, hi)
 		a.valloc.Free(core, va, size)
 		return 0, err
 	}
-	a.registerFileMapping(f, va, pgoff, size/arch.PageSize, shared)
 	return va, nil
 }
 
@@ -248,7 +254,7 @@ func (a *AddrSpace) msyncBody(c *RCursor, lo, hi arch.Vaddr) error {
 			return nil
 		}
 		for i := uint64(0); i < r.Pages; i++ {
-			head := a.m.Phys.HeadOf(r.Status.Page + arch.PFN(i))
+			head := a.m.Phys.HeadOf(r.Status.Page() + arch.PFN(i))
 			d := a.m.Phys.Desc(head)
 			if d.RMap.File != nil {
 				d.RMap.File.Writeback(d.RMap.Index)
@@ -335,12 +341,12 @@ func (a *AddrSpace) pageFaultOnce(core int, va arch.Vaddr, acc pt.Access) error 
 		return err
 	}
 	st, err := c.Query(page)
-	if err == nil && st.Kind == pt.StatusPrivateAnon && st.HugeLevel >= 2 {
+	if err == nil && st.Kind == pt.StatusPrivateAnon && st.HugeLevel() >= 2 {
 		// A huge mapping needs a transaction over the whole span: restart
 		// with a wider cursor. The page was unlocked in between, so its
 		// state is queried again.
 		c.Close()
-		span := arch.SpanBytes(int(st.HugeLevel))
+		span := arch.SpanBytes(st.HugeLevel())
 		base := page &^ arch.Vaddr(span-1)
 		if c, err = a.Lock(core, base, base+arch.Vaddr(span)); err != nil {
 			return err
@@ -365,7 +371,7 @@ func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access
 		if !logicalPerm(st.Perm).Contains(acc.Needs()) {
 			return errSegv
 		}
-		if st.HugeLevel >= 2 {
+		if st.HugeLevel() >= 2 {
 			if err := a.faultHuge(core, c, page, st); err == nil {
 				return nil
 			}
@@ -375,13 +381,13 @@ func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access
 		if err != nil {
 			return err
 		}
-		return c.MapKeyed(page, frame, 1, st.Perm, st.Key)
+		return c.MapKeyed(page, frame, 1, st.Perm, st.Key())
 
 	case pt.StatusPrivateFile:
 		if !logicalPerm(st.Perm).Contains(acc.Needs()) {
 			return errSegv
 		}
-		fpfn, err := st.File.GetPage(core, st.Off)
+		fpfn, err := st.File(a.m.Phys).GetPage(core, st.Off())
 		if err != nil {
 			return err
 		}
@@ -394,23 +400,23 @@ func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access
 			}
 			a.m.Phys.Put(core, fpfn)
 			a.stats.COWBreaks.Add(1)
-			return c.MapKeyed(page, copyPFN, 1, st.Perm&^arch.PermShared, st.Key)
+			return c.MapKeyed(page, copyPFN, 1, st.Perm&^arch.PermShared, st.Key())
 		}
 		hw := st.Perm &^ arch.PermShared
 		if hw&arch.PermWrite != 0 {
 			hw = hw&^arch.PermWrite | arch.PermCOW
 		}
-		return c.MapKeyed(page, fpfn, 1, hw, st.Key)
+		return c.MapKeyed(page, fpfn, 1, hw, st.Key())
 
 	case pt.StatusSharedFile, pt.StatusSharedAnon:
 		if !logicalPerm(st.Perm).Contains(acc.Needs()) {
 			return errSegv
 		}
-		fpfn, err := st.File.GetPage(core, st.Off)
+		fpfn, err := st.File(a.m.Phys).GetPage(core, st.Off())
 		if err != nil {
 			return err
 		}
-		return c.MapKeyed(page, fpfn, 1, st.Perm|arch.PermShared, st.Key)
+		return c.MapKeyed(page, fpfn, 1, st.Perm|arch.PermShared, st.Key())
 
 	case pt.StatusSwapped:
 		if !logicalPerm(st.Perm).Contains(acc.Needs()) {
@@ -421,9 +427,10 @@ func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access
 		if err != nil {
 			return err
 		}
-		st.Dev.Read(st.Block, a.m.Phys.Data(frame))
-		st.Dev.FreeBlock(st.Block)
-		return c.MapKeyed(page, frame, 1, st.Perm, st.Key)
+		dev := st.Dev(a.m.Phys)
+		dev.Read(st.Block(), a.m.Phys.Data(frame))
+		dev.FreeBlock(st.Block())
+		return c.MapKeyed(page, frame, 1, st.Perm, st.Key())
 
 	default:
 		return errSegv
@@ -440,23 +447,23 @@ func (a *AddrSpace) faultMapped(core int, c *RCursor, page arch.Vaddr, acc pt.Ac
 		}
 		// Copy-on-write break (Figure 8).
 		a.stats.COWBreaks.Add(1)
-		head := a.m.Phys.HeadOf(st.Page)
+		head := a.m.Phys.HeadOf(st.Page())
 		d := a.m.Phys.Desc(head)
 		if d.MapCount() == 1 && d.Kind == mem.KindAnon {
 			// Sole mapper of an anonymous page: no need to copy, just
 			// upgrade in place.
 			a.m.Phys.Get(head) // Map consumes one reference
 			newPerm := perm&^arch.PermCOW | arch.PermWrite
-			if err := c.MapKeyed(page, st.Page, 1, newPerm, st.Key); err != nil {
+			if err := c.MapKeyed(page, st.Page(), 1, newPerm, st.Key()); err != nil {
 				return err
 			}
 		} else {
-			copyPFN, err := a.m.Phys.CopyPage(core, st.Page)
+			copyPFN, err := a.m.Phys.CopyPage(core, st.Page())
 			if err != nil {
 				return err
 			}
 			newPerm := perm&^(arch.PermCOW|arch.PermShared) | arch.PermWrite
-			if err := c.MapKeyed(page, copyPFN, 1, newPerm, st.Key); err != nil {
+			if err := c.MapKeyed(page, copyPFN, 1, newPerm, st.Key()); err != nil {
 				return err
 			}
 			// Readers elsewhere must switch to the copy... no: readers
@@ -480,7 +487,7 @@ func (a *AddrSpace) faultMapped(core int, c *RCursor, page arch.Vaddr, acc pt.Ac
 // faultHuge maps a whole huge span in one fault when the region was
 // mmap'd with a huge-page flag and a contiguous block is available.
 func (a *AddrSpace) faultHuge(core int, c *RCursor, page arch.Vaddr, st pt.Status) error {
-	level := int(st.HugeLevel)
+	level := st.HugeLevel()
 	span := arch.SpanBytes(level)
 	base := page &^ arch.Vaddr(span-1)
 	if base < c.lo || base+arch.Vaddr(span) > c.hi {
@@ -493,7 +500,7 @@ func (a *AddrSpace) faultHuge(core int, c *RCursor, page arch.Vaddr, st pt.Statu
 	if err != nil {
 		return err
 	}
-	return c.MapKeyed(base, frame, level, st.Perm, st.Key)
+	return c.MapKeyed(base, frame, level, st.Perm, st.Key())
 }
 
 // logicalPerm converts stored permissions to the user-visible ones: a

@@ -205,7 +205,7 @@ func (c *RCursor) walkRange(v *walkOps, pfn arch.PFN, level int, base, lo, hi ar
 		// it (huge leaves become 512 smaller ones; metadata is pushed
 		// down) and recurse. Entries with nothing in them are split only
 		// when the visitor writes into empty ranges (splitEmpty).
-		if !present && !v.splitEmpty && t.GetMeta(pfn, idx).Kind == pt.StatusInvalid {
+		if !present && !v.splitEmpty && t.Meta(pfn, idx) == 0 {
 			continue
 		}
 		child, err := c.ensureChild(pfn, level, idx, entryLo)
@@ -341,15 +341,7 @@ func (ra *runAccum) flush() error {
 // present leaf entry becomes one (possibly clipped) mapped-run delivery.
 func (ra *runAccum) leafRun(isa arch.ISA) func(arch.PFN, int, int, arch.Vaddr, arch.Vaddr, arch.Vaddr, uint64) error {
 	return func(pfn arch.PFN, idx, level int, entryLo, subLo, subHi arch.Vaddr, pte uint64) error {
-		st := pt.Status{
-			Kind: pt.StatusMapped,
-			Perm: isa.PermOf(pte),
-			Page: isa.PFNOf(pte) + arch.PFN(uint64(subLo-entryLo)/arch.PageSize),
-			Key:  isa.ProtKeyOf(pte),
-		}
-		if level > 1 {
-			st.HugeLevel = int8(level)
-		}
+		st := pt.MappedStatus(isa.PFNOf(pte)+arch.PFN(uint64(subLo-entryLo)/arch.PageSize), isa.PermOf(pte), isa.ProtKeyOf(pte), level)
 		return ra.add(subLo, uint64(subHi-subLo)/arch.PageSize, st, isa.Dirty(pte), isa.Accessed(pte))
 	}
 }
@@ -371,12 +363,12 @@ func (c *RCursor) Iterate(lo, hi arch.Vaddr, fn func(Run) error) error {
 		readOnly: true,
 		onLeaf:   ra.leafRun(c.a.isa),
 		onMeta: func(pfn arch.PFN, idx, level int, entryLo, subLo, subHi arch.Vaddr) error {
-			s := t.GetMeta(pfn, idx)
-			if s.Kind == pt.StatusInvalid {
+			w := t.Meta(pfn, idx)
+			if w == 0 {
 				return nil
 			}
 			return ra.add(subLo, uint64(subHi-subLo)/arch.PageSize,
-				s.SlidBy(uint64(subLo-entryLo)/arch.PageSize), false, false)
+				pt.Unpack(pt.Slide(w, uint64(subLo-entryLo)/arch.PageSize)), false, false)
 		},
 	}
 	if err := c.walk(&v, lo, hi); err != nil {
@@ -423,7 +415,8 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 	v := walkOps{
 		pruneEmpty: true,
 		onMeta: func(pfn arch.PFN, idx, level int, entryLo, subLo, subHi arch.Vaddr) error {
-			s := t.GetMeta(pfn, idx)
+			w := t.Meta(pfn, idx)
+			s := pt.Unpack(w)
 			if s.Kind != pt.StatusPrivateAnon {
 				return nil
 			}
@@ -431,22 +424,22 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 				return errSegv
 			}
 			if level > 1 {
-				if int(s.HugeLevel) == level && isa.SupportsHugeAt(level) {
+				if s.HugeLevel() == level && isa.SupportsHugeAt(level) {
 					order := (level - 1) * arch.IndexBits
 					if frame, err := a.m.Phys.AllocFrames(c.core, order, mem.KindAnon); err == nil {
 						leaf := isa.EncodeLeaf(frame, s.Perm, level)
-						if s.Key != 0 {
-							leaf = isa.WithProtKey(leaf, s.Key)
+						if s.Key() != 0 {
+							leaf = isa.WithProtKey(leaf, s.Key())
 						}
 						t.SetPTE(pfn, idx, leaf)
-						t.SetMeta(pfn, idx, pt.Status{})
+						t.SetMetaWord(pfn, idx, 0)
 						a.m.Phys.Desc(a.m.Phys.HeadOf(frame)).Map()
 						return nil
 					}
 					// No contiguous block: fall through to 4-KiB pages.
 				}
 				if level == 2 && subLo == entryLo && subHi == entryLo+arch.Vaddr(arch.SpanBytes(2)) {
-					return c.bulkFillL2(pfn, idx, entryLo, s)
+					return c.bulkFillL2(pfn, idx, entryLo, w)
 				}
 				return errWalkDescend
 			}
@@ -455,11 +448,11 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 				return err
 			}
 			leaf := isa.EncodeLeaf(frame, s.Perm, 1)
-			if s.Key != 0 {
-				leaf = isa.WithProtKey(leaf, s.Key)
+			if s.Key() != 0 {
+				leaf = isa.WithProtKey(leaf, s.Key())
 			}
 			t.SetPTE(pfn, idx, leaf)
-			t.SetMeta(pfn, idx, pt.Status{})
+			t.SetMetaWord(pfn, idx, 0)
 			a.mapAnon(frame, s.Perm, entryLo)
 			return nil
 		},
@@ -494,8 +487,8 @@ func (a *AddrSpace) mapAnon(frame arch.PFN, perm arch.Perm, va arch.Vaddr) {
 // remainder of the span gets its PrivateAnon status restored into the
 // child table, so — like the slow path — nothing is lost and the caller
 // owns cleanup of the partially populated range.
-func (c *RCursor) bulkFillL2(pfn arch.PFN, idx int, entryLo arch.Vaddr, s pt.Status) error {
-	a := c.a
+func (c *RCursor) bulkFillL2(pfn arch.PFN, idx int, entryLo arch.Vaddr, w uint64) error {
+	a, s := c.a, pt.Unpack(w)
 	t, isa := a.tree, a.isa
 	child, err := t.AllocPTPage(c.core, 1)
 	if err != nil {
@@ -510,18 +503,16 @@ func (c *RCursor) bulkFillL2(pfn arch.PFN, idx int, entryLo arch.Vaddr, s pt.Sta
 	var leaves [arch.PTEntries]uint64
 	for i := 0; i < n; i++ {
 		leaves[i] = isa.EncodeLeaf(frames[i], s.Perm, 1)
-		if s.Key != 0 {
-			leaves[i] = isa.WithProtKey(leaves[i], s.Key)
+		if s.Key() != 0 {
+			leaves[i] = isa.WithProtKey(leaves[i], s.Key())
 		}
 		a.mapAnon(frames[i], s.Perm, entryLo+arch.Vaddr(i)*arch.PageSize)
 	}
 	t.FillUnlinked(child, leaves[:n])
-	for i := n; i < arch.PTEntries; i++ {
-		t.SetMeta(child, i, s.SlidBy(uint64(i)))
-	}
 	t.SetPTE(pfn, idx, isa.EncodeTable(child))
-	t.SetMeta(pfn, idx, pt.Status{})
+	t.SetMetaWord(pfn, idx, 0)
 	if n < arch.PTEntries {
+		t.FillMeta(child, n, w, 1)
 		return mem.ErrOutOfMemory
 	}
 	return nil

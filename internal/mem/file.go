@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/fault"
@@ -25,9 +26,12 @@ type RMapTarget interface {
 type File struct {
 	Name string
 
-	mu         sync.Mutex
-	mem        *PhysMem
-	size       uint64
+	mu   sync.Mutex
+	mem  *PhysMem
+	size uint64
+	// id names the file in page-table status words while it has a
+	// mapper (see objTable); 0 otherwise. Written under mu.
+	id         atomic.Uint32
 	pages      map[uint64]arch.PFN   // page cache: file page index -> frame
 	mappers    map[RMapTarget]uint64 // rmap "tree": mapper -> mapping count
 	writebacks uint64
@@ -78,6 +82,9 @@ func (f *File) NPages() int {
 // allocating and zero-filling, our stand-in for disk I/O) on a miss. The
 // returned frame carries an extra reference owned by the caller.
 func (f *File) GetPage(core int, index uint64) (arch.PFN, error) {
+	if f == nil {
+		return 0, fmt.Errorf("mem: page %d of an unregistered file", index)
+	}
 	if index*arch.PageSize >= f.size {
 		return 0, fmt.Errorf("mem: file %q page %d beyond EOF", f.Name, index)
 	}
@@ -112,23 +119,89 @@ func (f *File) DropPage(core int, index uint64) {
 	}
 }
 
-// AddMapper registers an address space in the reverse-mapping tree.
-func (f *File) AddMapper(t RMapTarget) {
+// AddMapper registers an address space in the reverse-mapping tree. The
+// first mapper gives the file its object id; ErrObjTableFull, with
+// nothing registered, when the machine has none left.
+func (f *File) AddMapper(t RMapTarget) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if len(f.mappers) == 0 {
+		id := f.mem.objs.files.add(f)
+		if id == 0 {
+			return ErrObjTableFull
+		}
+		f.id.Store(id)
+	}
 	f.mappers[t]++
+	return nil
 }
 
-// RemoveMapper drops one registration of t.
+// RemoveMapper drops one registration of t; the last one gives the
+// file's object id back.
 func (f *File) RemoveMapper(t RMapTarget) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n := f.mappers[t]; n <= 1 {
-		delete(f.mappers, t)
-	} else {
+	if n := f.mappers[t]; n > 1 {
 		f.mappers[t] = n - 1
+		return
+	}
+	delete(f.mappers, t)
+	if len(f.mappers) == 0 && f.id.Load() != 0 {
+		f.mem.objs.files[f.id.Swap(0)].Store(nil)
 	}
 }
+
+// ID returns the file's object id, or 0 while no space maps it.
+func (f *File) ID() uint32 {
+	if f == nil {
+		return 0
+	}
+	return f.id.Load()
+}
+
+// MaxObjID is the largest object id a page-table status word can name.
+const MaxObjID = 1<<12 - 1
+
+// ErrObjTableFull means MaxObjID files are mapped on the machine already.
+var ErrObjTableFull = fmt.Errorf("mem: object table full (%d mapped files)", MaxObjID)
+
+// objTable is the machine's object table: what the small ids in
+// page-table status words (internal/pt) stand for. A file holds an id
+// from its first AddMapper to its last RemoveMapper, and a status naming
+// file F exists only under a registered mapping of F, so no reader can
+// meet a stale id; swap devices register when an address space is given
+// one and are never recycled (a swapped page may outlive the space's use
+// of the device). Neither registration nor the lookups on the fault path
+// take a lock.
+type objTable struct {
+	files objSlots[File]
+	devs  objSlots[BlockDev]
+}
+
+type objSlots[T any] [MaxObjID + 1]atomic.Pointer[T]
+
+// add returns the id x is registered under, taking the lowest free one
+// on first sight; 0 for nil or when none is free.
+func (s *objSlots[T]) add(x *T) uint32 {
+	for id := uint32(1); id <= MaxObjID && x != nil; id++ {
+		if p := s[id].Load(); (p == nil || p == x) && (s[id].CompareAndSwap(nil, x) || s[id].Load() == x) {
+			return id
+		}
+	}
+	return 0
+}
+
+// RegisterDev returns the object id of swap device d on this machine,
+// registering it on first sight; 0 for a nil device or a full table.
+func (m *PhysMem) RegisterDev(d *BlockDev) uint32 { return m.objs.devs.add(d) }
+
+// FileByID resolves a status word's object id to the mapped file holding
+// it, nil if none does.
+func (m *PhysMem) FileByID(id uint32) *File { return m.objs.files[id&MaxObjID].Load() }
+
+// DevByID resolves a status word's object id to a registered swap
+// device, nil if none has it.
+func (m *PhysMem) DevByID(id uint32) *BlockDev { return m.objs.devs[id&MaxObjID].Load() }
 
 // ForEachMapper calls fn for every registered address space. The file
 // lock is not held during fn, so fn may call back into the file.

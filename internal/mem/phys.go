@@ -277,6 +277,8 @@ type PhysMem struct {
 	// non-blocking) when a zone's free frames drop below its low
 	// watermark; the argument is the starved node.
 	kick atomic.Pointer[func(node int)]
+	// objs names the files and swap devices status words refer to.
+	objs objTable
 }
 
 // NewPhysMem creates a single-node physical memory of nframes 4-KiB

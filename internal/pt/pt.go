@@ -48,7 +48,7 @@ type PageState struct {
 }
 
 // metaArrayBytes is the allocation size charged per metadata array.
-const metaArrayBytes = int64(unsafe.Sizeof(Status{})) * arch.PTEntries
+const metaArrayBytes = int64(unsafe.Sizeof(MetaArray{}))
 
 // Tree is one page table: a root PT page plus the machinery to allocate,
 // address and account for PT pages and their metadata arrays.
@@ -166,10 +166,9 @@ func (t *Tree) FillUnlinked(pfn arch.PFN, ptes []uint64) {
 	t.State(pfn).Present = int32(len(ptes))
 }
 
-// EnsureMeta returns the page's metadata array, allocating it on demand.
+// ensureMeta returns the page's metadata array, allocating it on demand.
 // The caller must hold the page's lock.
-func (t *Tree) EnsureMeta(pfn arch.PFN) *MetaArray {
-	st := t.State(pfn)
+func (t *Tree) ensureMeta(st *PageState) *MetaArray {
 	if st.Meta == nil {
 		st.Meta = new(MetaArray)
 		t.MetaBytes.Add(metaArrayBytes)
@@ -177,32 +176,131 @@ func (t *Tree) EnsureMeta(pfn arch.PFN) *MetaArray {
 	return st.Meta
 }
 
-// SetMeta stores the status for entry idx, maintaining MetaCnt. The
-// caller must hold the page's lock.
-func (t *Tree) SetMeta(pfn arch.PFN, idx int, s Status) {
-	st := t.State(pfn)
-	if s.Kind == StatusInvalid && st.Meta == nil {
-		return
-	}
-	meta := t.EnsureMeta(pfn)
-	old := meta[idx].Kind
-	meta[idx] = s
-	switch {
-	case s.Kind != StatusInvalid && old == StatusInvalid:
-		st.MetaCnt++
-	case s.Kind == StatusInvalid && old != StatusInvalid:
-		st.MetaCnt--
-	}
-}
+// SetMeta stores the status for entry idx, unchecked (see Pack),
+// maintaining MetaCnt. The caller must hold the page's lock.
+func (t *Tree) SetMeta(pfn arch.PFN, idx int, s Status) { t.SetMetaWord(pfn, idx, s.word()) }
 
 // GetMeta reads the status of entry idx. The caller must hold the page's
 // lock (or otherwise exclude writers).
-func (t *Tree) GetMeta(pfn arch.PFN, idx int) Status {
-	st := t.State(pfn)
-	if st.Meta == nil {
-		return Status{}
+func (t *Tree) GetMeta(pfn arch.PFN, idx int) Status { return Unpack(t.Meta(pfn, idx)) }
+
+// Meta reads the status word of entry idx (zero: nothing allocated),
+// under the same rule as GetMeta. Walks test and edit the word; only
+// what must know the backing — Query, Iterate, the fault path — decodes.
+func (t *Tree) Meta(pfn arch.PFN, idx int) uint64 {
+	if st := t.State(pfn); st.Meta != nil {
+		return st.Meta[idx]
 	}
-	return st.Meta[idx]
+	return 0
+}
+
+// SetMetaWord stores the status word for entry idx, maintaining MetaCnt,
+// and returns the word it replaces. The caller must hold the page's lock.
+func (t *Tree) SetMetaWord(pfn arch.PFN, idx int, w uint64) (old uint64) {
+	st := t.State(pfn)
+	if w == 0 && st.Meta == nil {
+		return 0
+	}
+	meta := t.ensureMeta(st)
+	old, meta[idx] = meta[idx], w
+	switch {
+	case w&kindMask != 0 && old&kindMask == 0:
+		st.MetaCnt++
+	case w&kindMask == 0 && old&kindMask != 0:
+		st.MetaCnt--
+	}
+	return old
+}
+
+// EditMeta replaces one field of entry idx's word, if the entry is
+// allocated, with bits (see PermEdit/KeyEdit): mprotect of a virtual
+// page is this masked store. The caller must hold the page's lock.
+func (t *Tree) EditMeta(pfn arch.PFN, idx int, field, bits uint64) {
+	if st := t.State(pfn); st.Meta != nil && st.Meta[idx]&kindMask != 0 {
+		st.Meta[idx] = st.Meta[idx]&^field | bits&field
+	}
+}
+
+// FillMeta gives the empty entries [from, PTEntries) of pfn the span
+// status w, entry i slid by i*stride pages — an upper-level status
+// pushed down into a fresh child. The caller must hold the page's lock.
+func (t *Tree) FillMeta(pfn arch.PFN, from int, w, stride uint64) {
+	st, step := t.State(pfn), Slide(w, stride)-w
+	meta := t.ensureMeta(st)
+	for i := from; i < arch.PTEntries; i++ {
+		meta[i] = w + uint64(i)*step
+	}
+	st.MetaCnt += int32(arch.PTEntries - from)
+}
+
+// CopyMeta copies the metadata array of t's page src onto the (empty)
+// page dst of tree to, as fork does, and reports false — copying
+// nothing — if it holds a Swapped entry: two trees naming one block
+// would race to swap it in.
+func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) bool {
+	st := t.State(src)
+	if st.MetaCnt == 0 {
+		return true
+	}
+	for _, w := range st.Meta {
+		if StatusKind(w&kindMask) == StatusSwapped {
+			return false
+		}
+	}
+	dt := to.State(dst)
+	*to.ensureMeta(dt), dt.MetaCnt = *st.Meta, st.MetaCnt
+	return true
+}
+
+// FreeSwap releases the swap block a Swapped word holds; other words
+// hold nothing (and cost a test of the kind bits, inlined). Whoever
+// clears or abandons a metadata entry calls it.
+func (t *Tree) FreeSwap(w uint64) {
+	if StatusKind(w&kindMask) == StatusSwapped {
+		t.freeBlock(w)
+	}
+}
+
+func (t *Tree) freeBlock(w uint64) {
+	if s := Unpack(w); s.Dev(t.Phys) != nil {
+		s.Dev(t.Phys).FreeBlock(s.Block())
+	}
+}
+
+// Pack checks s — as the status of a span of pages pages — and encodes
+// it as the word Mark stores: every field inside its width (an unknown
+// kind, permission bits outside the six defined, a key above
+// arch.MaxProtKey, a huge level above 3, an object id above
+// mem.MaxObjID, a page index or block at or beyond 2^32 anywhere in the
+// span are rejected, not truncated), and the word well formed
+// (WordOK).
+func (t *Tree) Pack(s Status, pages uint64) (uint64, error) {
+	w := s.word()
+	if Unpack(w) != s || s.Kind.file() && pages > payloadLimit-s.val || !t.WordOK(w) {
+		return 0, fmt.Errorf("status %+v over %d pages has a field beyond its width or names nothing registered", s, pages)
+	}
+	return w, nil
+}
+
+// WordOK reports whether w is well formed as a metadata entry of this
+// tree: a storable kind (not Mapped, which lives in the PTE), reserved
+// bits zero, a huge level the ISA has, and an object the machine has
+// registered exactly where the kind names one.
+func (t *Tree) WordOK(w uint64) bool {
+	s := Unpack(w)
+	huge := s.HugeLevel()
+	ok := w&reservedMask == 0 && (huge == 0 || huge > 1 && t.ISA.SupportsHugeAt(huge))
+	switch {
+	case s.Kind == StatusPrivateAnon:
+		ok = ok && w>>objShift == 0
+	case s.Kind.file():
+		ok = ok && s.File(t.Phys) != nil
+	case s.Kind == StatusSwapped:
+		ok = ok && s.Dev(t.Phys) != nil
+	default: // nothing at all, or a kind no entry stores
+		ok = w == 0
+	}
+	return ok
 }
 
 // Empty reports whether the page has no present PTEs and no metadata.
@@ -213,26 +311,17 @@ func (t *Tree) Empty(pfn arch.PFN) bool {
 }
 
 // Destroy frees the entire tree, dropping references of mapped data
-// frames through release and surviving metadata entries through
-// releaseMeta (swap blocks, file spans). Exclusive access required
-// (address-space teardown); either callback may be nil.
-func (t *Tree) Destroy(core int, release func(pte uint64, level int), releaseMeta ...func(Status)) {
-	var rm func(Status)
-	if len(releaseMeta) > 0 {
-		rm = releaseMeta[0]
-	}
-	t.destroyPage(core, t.Root, arch.Levels, release, rm)
+// frames through release (may be nil) and the swap blocks of surviving
+// metadata entries. Exclusive access required (address-space teardown).
+func (t *Tree) Destroy(core int, release func(pte uint64, level int)) {
+	t.destroyPage(core, t.Root, arch.Levels, release)
 }
 
-func (t *Tree) destroyPage(core int, pfn arch.PFN, level int, release func(uint64, int), releaseMeta func(Status)) {
+func (t *Tree) destroyPage(core int, pfn arch.PFN, level int, release func(uint64, int)) {
 	words := t.Words(pfn)
-	if releaseMeta != nil {
-		if st := t.State(pfn); st.Meta != nil {
-			for i := range st.Meta {
-				if st.Meta[i].Kind != StatusInvalid {
-					releaseMeta(st.Meta[i])
-				}
-			}
+	if st := t.State(pfn); st.MetaCnt > 0 {
+		for _, w := range st.Meta {
+			t.FreeSwap(w)
 		}
 	}
 	for i := 0; i < arch.PTEntries; i++ {
@@ -246,7 +335,7 @@ func (t *Tree) destroyPage(core int, pfn arch.PFN, level int, release func(uint6
 			}
 			continue
 		}
-		t.destroyPage(core, t.ISA.PFNOf(pte), level-1, release, releaseMeta)
+		t.destroyPage(core, t.ISA.PFNOf(pte), level-1, release)
 	}
 	t.ReleasePTPage(core, pfn)
 }

@@ -1,10 +1,12 @@
 package pt
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
@@ -163,8 +165,8 @@ func TestMetaAccounting(t *testing.T) {
 		t.Fatal("fresh tree charges metadata")
 	}
 	tree.SetMeta(tree.Root, 0, Status{Kind: StatusPrivateAnon, Perm: arch.PermRW})
-	if tree.MetaBytes.Load() == 0 {
-		t.Fatal("metadata array not charged")
+	if got := tree.MetaBytes.Load(); got != arch.PageSize {
+		t.Fatalf("one metadata array charged %d bytes, want %d: one word beside each PTE", got, arch.PageSize)
 	}
 	st := tree.State(tree.Root)
 	if st.MetaCnt != 1 {
@@ -207,16 +209,166 @@ func TestReleaseUncharges(t *testing.T) {
 	}
 }
 
+// nopMapper registers test files in the machine's object table.
+type nopMapper struct{}
+
+func (nopMapper) RMapUnmap(*mem.File, uint64) {}
+
 func TestStatusSlidBy(t *testing.T) {
-	f := &mem.File{}
-	s := Status{Kind: StatusPrivateFile, File: f, Off: 10}
-	if got := s.SlidBy(5); got.Off != 15 {
+	tree := newTestTree(t)
+	f := mem.NewFile(tree.Phys, "f", 64*arch.PageSize)
+	if err := f.AddMapper(nopMapper{}); err != nil {
+		t.Fatal(err)
+	}
+	s := FileStatus(StatusPrivateFile, arch.PermRead, f, 10)
+	if got := s.SlidBy(5); got.Off() != 15 || got.File(tree.Phys) != f {
 		t.Errorf("SlidBy file = %+v", got)
 	}
 	a := Status{Kind: StatusPrivateAnon, Perm: arch.PermRW}
 	if got := a.SlidBy(5); got != a {
 		t.Errorf("SlidBy anon changed status: %+v", got)
 	}
+	if got := (Status{}).SlidBy(5); got != (Status{}) {
+		t.Errorf("SlidBy made an empty status %+v", got)
+	}
+	f.RemoveMapper(nopMapper{})
+	if f.ID() != 0 || s.File(tree.Phys) != nil {
+		t.Errorf("file keeps id %d after its last mapper left", f.ID())
+	}
+}
+
+// TestStatusShape pins what makes the metadata path cheap: Status is at
+// most four pointer-free fields in at most 32 bytes (a larger struct is
+// kept out of registers, DESIGN.md §3), a metadata array is one uint64
+// beside each PTE — exactly one page — and nothing a PT page's state
+// reaches is a decoded Status, a file or a block device.
+func TestStatusShape(t *testing.T) {
+	st := reflect.TypeOf(Status{})
+	if st.NumField() > 4 || st.Size() > 32 {
+		t.Errorf("Status has %d fields in %d bytes; want at most 4 in at most 32", st.NumField(), st.Size())
+	}
+	for i := 0; i < st.NumField(); i++ {
+		switch f := st.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		default:
+			t.Errorf("Status.%s is a %v; only fixed-size integers belong in it", f.Name, f.Type.Kind())
+		}
+	}
+	for _, name := range []string{"Kind", "Perm"} {
+		if f, ok := st.FieldByName(name); !ok || !f.IsExported() {
+			t.Errorf("Status.%s is no longer a plain field (benchmark/adapter.go writes and reads it)", name)
+		}
+	}
+	if el := reflect.TypeOf(MetaArray{}).Elem(); el != reflect.TypeOf(uint64(0)) {
+		t.Errorf("MetaArray element is %v, want uint64", el)
+	}
+	if got := unsafe.Sizeof(MetaArray{}); got != arch.PageSize {
+		t.Errorf("MetaArray is %d bytes, want one page", got)
+	}
+	banned := map[reflect.Type]bool{
+		st: true, reflect.TypeOf(mem.File{}): true, reflect.TypeOf(mem.BlockDev{}): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var visit func(reflect.Type, string)
+	visit = func(ty reflect.Type, path string) {
+		if banned[ty] {
+			t.Errorf("PageState reaches a %v through %s", ty, path)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Ptr, reflect.Array, reflect.Slice, reflect.Map, reflect.Chan:
+			visit(ty.Elem(), path+"[]")
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				visit(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	visit(reflect.TypeOf(PageState{}), "PageState")
+}
+
+// FuzzStatusWord is the encoding's contract: Pack accepts exactly the
+// statuses an independent reading of the bit layout allows; on those,
+// decoding the word gives the status back, never a Mapped one, and
+// sliding the word is sliding the status; and any word at all decodes to
+// something allocated iff its kind bits are set, and re-encodes to itself
+// less the reserved bits.
+func FuzzStatusWord(f *testing.F) {
+	phys := mem.NewPhysMem(1<<10, 1)
+	tree, err := NewTree(phys, arch.X8664{}, 1, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Every object id names a file, and id 1 a swap device too.
+	for i := 0; i < mem.MaxObjID; i++ {
+		if err := mem.NewFile(phys, "f", arch.PageSize).AddMapper(nopMapper{}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := mem.NewFile(phys, "one too many", arch.PageSize).AddMapper(nopMapper{}); err != mem.ErrObjTableFull {
+		f.Fatalf("file %d registered: %v, want ErrObjTableFull", mem.MaxObjID+1, err)
+	}
+	if id := phys.RegisterDev(mem.NewBlockDev("swap")); id != 1 {
+		f.Fatalf("first device got id %d", id)
+	}
+	const top = payloadLimit - 1
+	f.Add(uint8(StatusPrivateAnon), uint16(arch.PermRW), uint8(0), uint8(0), uint32(0), uint64(0), uint64(1), uint64(0))
+	f.Add(uint8(StatusPrivateAnon), uint16(permMax), uint8(arch.MaxProtKey), uint8(3), uint32(0), uint64(0), uint64(1)<<36, uint64(1)<<15)
+	f.Add(uint8(StatusSharedFile), uint16(arch.PermRW|arch.PermShared), uint8(7), uint8(2), uint32(mem.MaxObjID), uint64(top), uint64(1), ^uint64(0))
+	f.Add(uint8(StatusPrivateFile), uint16(arch.PermRead), uint8(0), uint8(0), uint32(1), uint64(top-511), uint64(512), uint64(StatusMapped))
+	f.Add(uint8(StatusSharedAnon), uint16(arch.PermRW), uint8(0), uint8(0), uint32(9), uint64(top), uint64(2), uint64(6))
+	f.Add(uint8(StatusSwapped), uint16(arch.PermRW), uint8(15), uint8(0), uint32(1), uint64(top), uint64(1), uint64(7))
+	f.Add(uint8(StatusSwapped), uint16(arch.PermRW), uint8(0), uint8(0), uint32(2), uint64(0), uint64(1), uint64(0))
+	f.Add(uint8(StatusMapped), uint16(arch.PermRW), uint8(0), uint8(0), uint32(0), uint64(77), uint64(1), uint64(0))
+	f.Add(uint8(9), uint16(0xffff), uint8(200), uint8(7), uint32(1<<12), uint64(1)<<32, uint64(0), uint64(1)<<63)
+	f.Fuzz(func(t *testing.T, kind uint8, perm uint16, key, huge uint8, id uint32, val, pages, raw uint64) {
+		s := Status{Kind: StatusKind(kind), Perm: arch.Perm(perm), attr: uint32(key) | uint32(huge)<<8 | id<<16, val: val}
+		pages = max(pages, 1) // Mark's range check leaves no empty span to pack for
+		fields := perm <= permMax && key <= uint8(arch.MaxProtKey) && (huge == 0 || huge == 2 || huge == 3) &&
+			id < 1<<16
+		var want bool
+		switch s.Kind {
+		case StatusInvalid:
+			want = s == Status{}
+		case StatusPrivateAnon:
+			want = fields && id == 0 && val == 0
+		case StatusPrivateFile, StatusSharedAnon, StatusSharedFile:
+			want = fields && id >= 1 && id <= mem.MaxObjID && val <= top && pages <= payloadLimit-val
+		case StatusSwapped:
+			want = fields && id == 1 && val <= top
+		}
+		w, err := tree.Pack(s, pages)
+		if want != (err == nil) {
+			t.Fatalf("Pack(%+v, %d pages) = %#x, %v; the layout says valid=%v", s, pages, w, err, want)
+		}
+		if err == nil {
+			got := Unpack(w)
+			if got != s || got.Kind == StatusMapped || got.Allocated() != (w&kindMask != 0) {
+				t.Fatalf("%+v packs to %#x, which decodes to %+v", s, w, got)
+			}
+			if !tree.WordOK(w) {
+				t.Fatalf("Pack produced %#x, which WordOK rejects", w)
+			}
+			for _, n := range []uint64{0, pages / 2, pages - 1} {
+				if Slide(w, n) != s.SlidBy(n).word() || Unpack(Slide(w, n)) != s.SlidBy(n) {
+					t.Fatalf("%+v slid by %d: word %#x, status %+v", s, n, Slide(w, n), s.SlidBy(n))
+				}
+			}
+		}
+		d := Unpack(raw)
+		if d.Allocated() != (raw&kindMask != 0) || d.word() != raw&^reservedMask {
+			t.Fatalf("word %#x decodes to %+v, which encodes to %#x", raw, d, d.word())
+		}
+		if tree.WordOK(raw) {
+			if w, err := tree.Pack(d, 1); err != nil || w != raw || d.Kind == StatusMapped {
+				t.Fatalf("WordOK accepts %#x = %+v, but Pack gives %#x, %v", raw, d, w, err)
+			}
+		}
+	})
 }
 
 func TestDestroyFreesEverything(t *testing.T) {
@@ -283,10 +435,28 @@ func TestWellFormedCatchesCorruption(t *testing.T) {
 	}
 	tree.SetPTE(lvl1, 1, old)
 
-	// Corrupt: Mapped status stored in metadata.
-	tree.SetMeta(child, 7, Status{Kind: StatusMapped, Page: data})
-	if err := tree.CheckWellFormed(); err == nil {
-		t.Error("Mapped-in-meta not detected")
+	// Corrupt metadata words: a Mapped status (it lives in the PTE), a
+	// reserved bit, an object id nothing registered, a payload on a kind
+	// that has none, garbage under an Invalid kind.
+	anon := Status{Kind: StatusPrivateAnon, Perm: arch.PermRW}.word()
+	for name, w := range map[string]uint64{
+		"Mapped-in-meta":   MappedStatus(data, arch.PermRW, 0, 1).word(),
+		"reserved bit":     anon | 1<<15,
+		"unregistered id":  Status{Kind: StatusSharedFile, Perm: arch.PermRW, attr: 77 << 16}.word(),
+		"no swap device":   SwappedStatus(arch.PermRW, 1, 3).word(),
+		"anon with an id":  anon | 5<<objShift,
+		"huge level 1":     anon | 1<<hugeShift,
+		"bits, no kind":    anon &^ kindMask,
+		"kind beyond enum": anon | kindMask,
+	} {
+		tree.SetMetaWord(child, 7, w)
+		if err := tree.CheckWellFormed(); err == nil {
+			t.Errorf("%s (%#x) not detected", name, w)
+		}
+	}
+	tree.SetMetaWord(child, 7, anon)
+	if err := tree.CheckWellFormed(); err != nil {
+		t.Errorf("a well-formed word is rejected: %v", err)
 	}
 }
 

@@ -184,12 +184,12 @@ func (t *Tree) checkPage(pfn arch.PFN, level int, seen map[arch.PFN]bool) error 
 	}
 	var present, metaCnt int32
 	if st.Meta != nil {
-		for i := range st.Meta {
-			if st.Meta[i].Kind != StatusInvalid {
+		for i, w := range st.Meta {
+			if !t.WordOK(w) {
+				return fmt.Errorf("pt: page %#x meta[%d] holds malformed status word %#x (%+v)", pfn, i, w, Unpack(w))
+			}
+			if w != 0 {
 				metaCnt++
-				if st.Meta[i].Kind == StatusMapped {
-					return fmt.Errorf("pt: page %#x meta[%d] stores Mapped (must live in the PTE)", pfn, i)
-				}
 			}
 		}
 	}
