@@ -77,7 +77,7 @@ func checkNuma(rows []Row) error {
 
 // numaBalance demonstrates NUMA-balancing page migration: a region
 // deliberately misplaced on node 1 is touched round after round from a
-// node-0 core while the compaction manager's balancer watches the
+// node-0 core while the daemon's NUMA balancer watches the
 // access streaks (NoteAccess samples every TLB fill; the working set
 // exceeds the TLB so every round refills). checkNuma requires that the
 // balancer migrated the hot frames to the accessor's node.
@@ -91,10 +91,9 @@ func numaBalance(m *cpusim.Machine, a *core.AddrSpace, pages int) (map[string]fl
 		return nil, err
 	}
 	m.Phys.SetAllocPolicy(nil)
-	cm := core.AttachCompaction(m, nil, core.CompactConfig{
+	core.AttachCompaction(m, core.CompactConfig{
 		ScanSpans: -1, FragThreshold: -1, NumaStreak: 4,
-	})
-	cm.Register(a)
+	}).Register(a)
 
 	isa := arch.X8664{}
 	localFrac := func() float64 {

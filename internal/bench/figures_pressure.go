@@ -21,8 +21,9 @@ func protocolOf(sys System) core.Protocol {
 }
 
 // swapEnv is the two-core machine of the pressure and THP figures: one
-// CortenMM space with a swap device, registered with a reclaim manager.
-func swapEnv(sys System, physFrames int) (*Env, *core.AddrSpace, *core.ReclaimManager, error) {
+// CortenMM space with a swap device, registered with the machine's
+// daemon, its reclaim half on.
+func swapEnv(sys System, physFrames int) (*Env, *core.AddrSpace, *core.Daemon, error) {
 	env, err := newEnv(cpusim.Config{Cores: 2, Frames: physFrames}, func(m *cpusim.Machine) (mm.MM, error) {
 		return core.New(core.Options{Machine: m, Protocol: protocolOf(sys), SwapDev: mem.NewBlockDev("swap")})
 	})
@@ -30,10 +31,14 @@ func swapEnv(sys System, physFrames int) (*Env, *core.AddrSpace, *core.ReclaimMa
 		return nil, nil, nil, err
 	}
 	a := env.Sys.(*core.AddrSpace)
-	rm := core.AttachReclaim(env.Machine, core.ReclaimConfig{})
-	rm.Register(a)
-	return env, a, rm, nil
+	d := core.AttachReclaim(env.Machine, core.ReclaimConfig{})
+	d.Register(a)
+	return env, a, d, nil
 }
+
+// pressureRatios are the pressure figure's working-set sizes, in units
+// of physical memory.
+var pressureRatios = []float64{0.5, 0.9, 1.5, 3.0}
 
 // FigPressure measures how populate throughput degrades as free-frame
 // headroom shrinks: the same chunked populate workload is run with the
@@ -53,10 +58,10 @@ func FigPressure(o Options) ([]Row, error) {
 	const chunkPages = 16
 	var g grid
 	for _, sys := range []System{CortenRW, CortenAdv} {
-		for _, ratio := range []float64{0.5, 0.9, 1.5, 3.0} {
+		for _, ratio := range pressureRatios {
 			pages := int(ratio * float64(physFrames))
 			g.cell("pressure", labels("sys", sys, "ratio", fmt.Sprintf("%.2f", ratio)), func() (map[string]float64, error) {
-				env, a, rm, err := swapEnv(sys, physFrames)
+				env, a, d, err := swapEnv(sys, physFrames)
 				if err != nil {
 					return nil, err
 				}
@@ -66,7 +71,7 @@ func FigPressure(o Options) ([]Row, error) {
 					_, err = a.Mmap(0, uint64(n)*arch.PageSize, arch.PermRW, mm.FlagPopulate)
 				}
 				elapsed := time.Since(start)
-				st := rm.Stats()
+				st := d.Stats()
 				m := map[string]float64{
 					"pages_per_s":   float64(pages) / elapsed.Seconds(),
 					"swap_outs":     float64(a.Stats().SwapOuts.Load()),
@@ -86,4 +91,29 @@ func FigPressure(o Options) ([]Row, error) {
 		}
 	}
 	return g.rows, g.err
+}
+
+// checkPressure is the pressure contract, per system: the points inside
+// physical memory run from free frames — no swap-out, no direct
+// reclaim — and the overcommitted ones complete only through direct
+// reclaim, whose swap writebacks all succeed.
+func checkPressure(rows []Row) error {
+	for _, sys := range []System{CortenRW, CortenAdv} {
+		for _, ratio := range pressureRatios {
+			rs := pick(rows, "pressure", "sys", sys, "ratio", fmt.Sprintf("%.2f", ratio))
+			if len(rs) != 1 {
+				return fmt.Errorf("pressure: expected one sys=%s ratio=%.2f row, got %d", sys, ratio, len(rs))
+			}
+			r, m := rs[0], rs[0].Metrics
+			switch {
+			case ratio < 1 && (m["swap_outs"].Max != 0 || m["direct_rounds"].Max != 0):
+				return fmt.Errorf("%s: reclaim inside physical memory: %g swap-outs, %g direct rounds", r, m["swap_outs"].Max, m["direct_rounds"].Max)
+			case ratio > 1 && (m["swap_outs"].Min == 0 || m["direct_rounds"].Min == 0):
+				return fmt.Errorf("%s: overcommit completed without reclaim: %g swap-outs, %g direct rounds", r, m["swap_outs"].Min, m["direct_rounds"].Min)
+			case ratio > 1 && m["swap_failed"].Max != 0:
+				return fmt.Errorf("%s: %g swap writebacks failed", r, m["swap_failed"].Max)
+			}
+		}
+	}
+	return nil
 }

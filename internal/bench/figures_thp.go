@@ -35,11 +35,11 @@ func FigTHP(o Options) ([]Row, error) {
 	for _, sys := range []System{CortenRW, CortenAdv} {
 		for _, pipeline := range []bool{false, true} {
 			g.cell("thp", labels("sys", sys, "pipeline", pipeline), func() (map[string]float64, error) {
-				env, a, rm, err := swapEnv(sys, physFrames)
+				env, a, d, err := swapEnv(sys, physFrames)
 				if err != nil {
 					return nil, err
 				}
-				m, err := thpPoint(env.Machine, a, rm, physFrames, rounds, pipeline)
+				m, err := thpPoint(env.Machine, a, d, physFrames, rounds, pipeline)
 				return m, errors.Join(err, env.Close())
 			})
 		}
@@ -72,16 +72,14 @@ func checkTHP(rows []Row) error {
 	return nil
 }
 
-func thpPoint(m *cpusim.Machine, a *core.AddrSpace, rm *core.ReclaimManager, physFrames, rounds int, pipeline bool) (map[string]float64, error) {
+func thpPoint(m *cpusim.Machine, a *core.AddrSpace, d *core.Daemon, physFrames, rounds int, pipeline bool) (map[string]float64, error) {
 	const spans = 4 // hot region size, in 2-MiB spans
-	var cm *core.CompactionManager
 	if pipeline {
-		cm = core.AttachCompaction(m, rm, core.CompactConfig{
+		core.AttachCompaction(m, core.CompactConfig{
 			ScanSpans:     32,
 			PromoteScans:  2,
 			FragThreshold: 0.5,
 		})
-		cm.Register(a)
 	}
 
 	// Shatter the zone: long-lived pages pin every block they touch.
@@ -153,10 +151,7 @@ func thpPoint(m *cpusim.Machine, a *core.AddrSpace, rm *core.ReclaimManager, phy
 	out["frag_index"] = m.Phys.FragIndex(0, arch.IndexBits)
 	out["demotions"] = float64(a.Stats().Demotions.Load())
 	out["migrated"] = float64(m.Phys.MigrationStatsTotal().Migrated)
-	var cs core.CompactionStats
-	if cm != nil {
-		cs = cm.Stats()
-	}
+	cs := d.Stats()
 	out["promotions"] = float64(cs.Promotions)
 	out["direct_runs"] = float64(cs.DirectRuns)
 	return out, nil

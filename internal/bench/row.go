@@ -178,7 +178,7 @@ var Figures = []Figure{
 	{"20", "Figure 20: LMbench fork/exec/shell latency (lower is better)", Fig20, nil},
 	{"21", "Figure 21: 8-thread PARSEC stand-ins, raw and normalized to Linux", Fig21, nil},
 	{"22", "Figure 22: memory overhead under metis (page tables + other metadata)", Fig22, nil},
-	{"pressure", "Pressure: populate throughput vs free-frame headroom (watermark-driven reclaim)", FigPressure, nil},
+	{"pressure", "Pressure: populate throughput vs free-frame headroom (watermark-driven reclaim)", FigPressure, checkPressure},
 	{"batch", "fig13-batch: async batched submission vs one-op-per-call", FigBatch, checkBatch},
 	{"numa", "NUMA: allocation locality, node-batched shootdown fan-out, balancing migration (corten-adv)", FigNuma, checkNuma},
 	{"tenant", "fig-tenant: sandbox churn under ASID recycling", FigTenant, checkTenant},

@@ -285,60 +285,64 @@ func TestASIDAliasingMeasured(t *testing.T) {
 // TestDestroyUnregistersReclaim is the destroyed-space reclaim leak
 // regression: Destroy on a registered space must pull it off the
 // reclaim clock, so later sweeps neither walk the torn-down tree nor
-// keep the space alive. The surviving space must still be sweepable.
+// keep the space alive — also when it was registered twice, which puts
+// it on the clock once. The surviving space must still be sweepable.
 func TestDestroyUnregistersReclaim(t *testing.T) {
-	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 512})
-	dev := mem.NewBlockDev("swap")
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := AttachReclaim(m, ReclaimConfig{})
-	rm.Register(a)
-	rm.Register(b)
+	for _, registrations := range []int{1, 2} {
+		t.Run(fmt.Sprintf("registered=%d", registrations), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 512})
+			dev := mem.NewBlockDev("swap")
+			a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := AttachReclaim(m, ReclaimConfig{})
+			for range registrations {
+				d.Register(a)
+			}
+			d.Register(b)
 
-	const chunk = 32 * arch.PageSize
-	if _, err := a.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate); err != nil {
-		t.Fatal(err)
-	}
-	vb, err := b.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		if err := b.Store(0, vb+arch.Vaddr(i*arch.PageSize), byte(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
+			const chunk = 32 * arch.PageSize
+			if _, err := a.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate); err != nil {
+				t.Fatal(err)
+			}
+			vb, err := b.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 32; i++ {
+				if err := b.Store(0, vb+arch.Vaddr(i*arch.PageSize), byte(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	a.Destroy(0)
-	if got := rm.Registered(); got != 1 {
-		t.Fatalf("after Destroy: %d spaces registered, want 1", got)
-	}
-	// Forcing a sweep after the destroy must not touch the dead tree —
-	// and must still find the survivor's pages.
-	if n := rm.DirectReclaim(0, 16); n == 0 {
-		t.Error("post-destroy sweep reclaimed nothing from the surviving space")
-	}
-	for i := 0; i < 32; i++ {
-		bb, err := b.Load(0, vb+arch.Vaddr(i*arch.PageSize))
-		if err != nil || bb != byte(i+1) {
-			t.Fatalf("survivor page %d = %d, %v after sweep", i, bb, err)
-		}
-	}
-	// Destroy is idempotent, including its unregistration.
-	a.Destroy(1)
-	b.Destroy(0)
-	if got := rm.Registered(); got != 0 {
-		t.Fatalf("after both destroys: %d spaces registered, want 0", got)
-	}
-	m.Quiesce()
-	if rep := m.Phys.Audit(); !rep.Ok() {
-		t.Fatalf("%s", rep.String())
+			a.Destroy(0)
+			if got := d.Registered(); got != 1 {
+				t.Errorf("after Destroy: %d spaces registered, want 1", got)
+			}
+			// Forcing a sweep after the destroy must not touch the dead tree —
+			// and must still find the survivor's pages.
+			if n := d.DirectReclaim(0, 16); n == 0 {
+				t.Error("post-destroy sweep reclaimed nothing from the surviving space")
+			}
+			for i := 0; i < 32; i++ {
+				bb, err := b.Load(0, vb+arch.Vaddr(i*arch.PageSize))
+				if err != nil || bb != byte(i+1) {
+					t.Fatalf("survivor page %d = %d, %v after sweep", i, bb, err)
+				}
+			}
+			// Destroy is idempotent, including its unregistration.
+			a.Destroy(1)
+			b.Destroy(0)
+			if got := d.Registered(); got != 0 {
+				t.Errorf("after both destroys: %d spaces registered, want 0", got)
+			}
+			checkClean(t, m)
+		})
 	}
 }
 
@@ -349,7 +353,7 @@ func TestDestroyUnregistersReclaim(t *testing.T) {
 func TestDestroyUnregisterConcurrent(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 11})
 	dev := mem.NewBlockDev("swap")
-	rm := AttachReclaim(m, ReclaimConfig{})
+	d := AttachReclaim(m, ReclaimConfig{})
 	const n = 8
 	spaces := make([]*AddrSpace, n)
 	for i := range spaces {
@@ -360,7 +364,7 @@ func TestDestroyUnregisterConcurrent(t *testing.T) {
 		if _, err := s.Mmap(0, 16*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
 			t.Fatal(err)
 		}
-		rm.Register(s)
+		d.Register(s)
 		spaces[i] = s
 	}
 	// Parallel teardown of the even-indexed half.
@@ -369,19 +373,19 @@ func TestDestroyUnregisterConcurrent(t *testing.T) {
 			spaces[i].Destroy(core)
 		}
 	})
-	if got := rm.Registered(); got != n/2 {
+	if got := d.Registered(); got != n/2 {
 		t.Fatalf("%d spaces registered after parallel destroys, want %d", got, n/2)
 	}
 	// Every core sweeps; only survivors may be walked.
 	m.Run(4, func(core int) {
 		for r := 0; r < 20; r++ {
-			rm.DirectReclaim(core, 4)
+			d.DirectReclaim(core, 4)
 		}
 	})
 	for i := 1; i < n; i += 2 {
 		spaces[i].Destroy(0)
 	}
-	if got := rm.Registered(); got != 0 {
+	if got := d.Registered(); got != 0 {
 		t.Fatalf("%d spaces registered at exit, want 0", got)
 	}
 	m.Quiesce()

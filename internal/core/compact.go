@@ -1,19 +1,17 @@
 package core
 
-// CompactionManager is the background memory-defragmentation and THP
-// pipeline: a khugepaged-style scanner that promotes hot, fully
-// resident 2-MiB spans to huge mappings, a kcompactd analogue that
-// compacts a zone when its order-9 fragmentation index crosses a
-// threshold, the direct-compaction hook the allocator's order>0 slow
-// path falls back to before declaring failure, and (optionally) a
-// NUMA-balancing pass that migrates pages toward their sustained remote
-// accessors. Like the ReclaimManager it has no thread of its own: all
-// work runs from the machine's timer-tick hook, on a core that holds no
-// PT-page locks at tick time.
+// The compaction half of the Daemon: the background memory-defragmentation
+// and THP pipeline. A khugepaged-style scanner promotes hot, fully
+// resident 2-MiB spans to huge mappings, a kcompactd analogue compacts a
+// zone when its order-9 fragmentation index crosses a threshold, direct
+// compaction serves the allocator's order>0 slow path before it declares
+// failure, and (optionally) a NUMA-balancing pass migrates pages toward
+// their sustained remote accessors. Like reclaim it has no thread of its
+// own: all background work runs from the daemon's Tick, on a core that
+// holds no PT-page locks.
 
 import (
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -50,6 +48,8 @@ func (c *CompactConfig) fill() {
 	if c.PromoteScans <= 0 {
 		c.PromoteScans = 2
 	}
+	// A leaf table counts young sightings in one byte.
+	c.PromoteScans = min(c.PromoteScans, math.MaxUint8)
 	if c.FragThreshold == 0 {
 		c.FragThreshold = 0.75
 	}
@@ -61,181 +61,65 @@ func (c *CompactConfig) fill() {
 	}
 }
 
-// spanKey identifies one 2-MiB span of one space in the scanner's
-// telemetry map.
-type spanKey struct {
-	a    *AddrSpace
-	base arch.Vaddr
-}
-
-// spanStat is the scanner's per-span memory. Scans can outpace the
-// workload (several quanta may fire between two touch phases), so a
-// cold scan does not reset the evidence of heat — young sightings
-// accumulate, and only a sustained run of cold scans clears them.
-type spanStat struct {
-	young int // scans that saw a young majority since the last decay
-	cold  int // consecutive cold scans
-}
-
 // coldResetScans is how many consecutive cold scans erase a span's
 // accumulated young sightings.
 const coldResetScans = 8
 
-// CompactionStats is a snapshot of the pipeline's counters.
-type CompactionStats struct {
-	SpansScanned  uint64 // khugepaged span scans
-	Promotions    uint64 // successful CollapseHuge calls
-	DirectRuns    uint64 // direct-compaction passes run for the allocator
-	DirectRefused uint64 // direct compaction refused (caller inside a txn)
-	BgRuns        uint64 // background compaction passes that moved pages
-	NumaMoves     uint64 // NUMA-balancing migrations attempted
-}
-
-// CompactionManager drives compaction, collapse scanning and NUMA
-// balancing for one machine. Create with AttachCompaction; register
-// each space that should be scanned with Register.
-type CompactionManager struct {
-	m   *cpusim.Machine
-	cfg CompactConfig
-
-	// busy single-flights the whole tick body: CollapseHuge and the
-	// compaction hook both re-enter OpTick, and concurrent cores need
-	// not stack scans.
-	busy atomic.Bool
-	// compacting[node] single-flights compaction per zone, shared by
-	// the direct and background paths.
-	compacting []atomic.Bool
-
-	mu     sync.Mutex
-	spaces []*AddrSpace
-	hand   int                       // round-robin over spaces
-	cursor map[*AddrSpace]arch.Vaddr // per-space VA clock hand
-	spans  map[spanKey]*spanStat     // scanner telemetry
-
-	numaHand atomic.Int64
-
-	spansScanned  atomic.Uint64
-	promotions    atomic.Uint64
-	directRuns    atomic.Uint64
-	directRefused atomic.Uint64
-	bgRuns        atomic.Uint64
-	numaMoves     atomic.Uint64
-}
-
-// AttachCompaction builds the pipeline on m: it installs the core-layer
-// migration hook, registers the direct-compaction callback with the
-// physical allocator, and wires the tick either into rm's tick chain
-// (when a ReclaimManager is already attached — the machine has a single
-// tick-hook slot) or directly as the machine's tick hook. Pass rm=nil
-// only when no reclaim manager is (or will be) attached.
-func AttachCompaction(m *cpusim.Machine, rm *ReclaimManager, cfg CompactConfig) *CompactionManager {
+// AttachCompaction switches on the compaction half of m's daemon,
+// creating the daemon on first use. Attaching again replaces the
+// configuration.
+func AttachCompaction(m *cpusim.Machine, cfg CompactConfig) *Daemon {
 	cfg.fill()
-	cm := &CompactionManager{
-		m:          m,
-		cfg:        cfg,
-		compacting: make([]atomic.Bool, m.Phys.Nodes()),
-		cursor:     make(map[*AddrSpace]arch.Vaddr),
-		spans:      make(map[spanKey]*spanStat),
-	}
-	InstallMigrator(m)
-	m.Phys.SetCompactHook(cm.directCompact)
+	d := daemonOf(m)
 	if cfg.NumaStreak > 0 {
 		m.Phys.SetNumaTracking(true)
 	}
-	if rm != nil {
-		rm.compact.Store(cm)
-	} else {
-		m.SetTickHook(cm.tick)
-	}
-	return cm
+	d.compactCfg.Store(&cfg)
+	return d
 }
 
-// Register adds a space to the collapse scanner's clock.
-func (cm *CompactionManager) Register(a *AddrSpace) {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	for _, e := range cm.spaces {
-		if e == a {
-			return
-		}
-	}
-	cm.spaces = append(cm.spaces, a)
-	a.compaction.Store(cm)
-}
-
-// Unregister removes a space; called by Destroy before teardown.
-func (cm *CompactionManager) Unregister(a *AddrSpace) {
-	cm.mu.Lock()
-	kept := cm.spaces[:0]
-	for _, e := range cm.spaces {
-		if e != a {
-			kept = append(kept, e)
-		}
-	}
-	for i := len(kept); i < len(cm.spaces); i++ {
-		cm.spaces[i] = nil
-	}
-	cm.spaces = kept
-	delete(cm.cursor, a)
-	for k := range cm.spans {
-		if k.a == a {
-			delete(cm.spans, k)
-		}
-	}
-	cm.mu.Unlock()
-	a.compaction.CompareAndSwap(cm, nil)
-}
-
-// Stats snapshots the pipeline counters.
-func (cm *CompactionManager) Stats() CompactionStats {
-	return CompactionStats{
-		SpansScanned:  cm.spansScanned.Load(),
-		Promotions:    cm.promotions.Load(),
-		DirectRuns:    cm.directRuns.Load(),
-		DirectRefused: cm.directRefused.Load(),
-		BgRuns:        cm.bgRuns.Load(),
-		NumaMoves:     cm.numaMoves.Load(),
-	}
-}
-
-// tick runs one pipeline quantum. Invoked from the machine tick hook
-// (or chained from the reclaim manager's). The InTx guard is defensive:
+// compactTick runs one pipeline quantum. The InTx guard is defensive:
 // ticks fire at operation entry, before any PT lock is taken, but a
 // tick arriving inside a transaction must not lock or barrier.
-func (cm *CompactionManager) tick(core int) {
-	if cm.m.InTx(core) {
+func (d *Daemon) compactTick(core int, cfg *CompactConfig) {
+	if d.m.InTx(core) {
 		return
 	}
-	if !cm.busy.CompareAndSwap(false, true) {
+	if !d.busy.CompareAndSwap(false, true) {
 		return
 	}
-	defer cm.busy.Store(false)
-	cm.scanQuantum(core)
-	cm.backgroundCompact(core)
-	cm.numaBalance(core)
+	defer d.busy.Store(false)
+	d.scanQuantum(core, cfg)
+	d.backgroundCompact(core, cfg)
+	d.numaBalance(core, cfg)
 }
 
-// directCompact is the allocator's order>0 slow-path hook: compact the
-// requesting node's zone so the failed high-order allocation can be
-// retried. Refused when the allocating goroutine is inside a
-// transaction — migration takes PT locks and an RCU barrier, and both
-// deadlock under a held PT lock (callers that need high-order memory,
-// like CollapseHuge, allocate before locking for exactly this reason).
-func (cm *CompactionManager) directCompact(core, node, order int) bool {
-	if cm.m.InTx(core) {
-		cm.directRefused.Add(1)
+// Compact is direct compaction for the allocator's order>0 slow path:
+// compact the requesting node's zone so the failed high-order
+// allocation can be retried. Refused when the allocating goroutine is
+// inside a transaction — migration takes PT locks and an RCU barrier,
+// and both deadlock under a held PT lock (callers that need high-order
+// memory, like CollapseHuge, allocate before locking for exactly this
+// reason) — and while the compaction half is off.
+func (d *Daemon) Compact(core, node, order int) bool {
+	cfg := d.compactCfg.Load()
+	if cfg == nil {
 		return false
 	}
-	if !cm.compacting[node].CompareAndSwap(false, true) {
+	if d.m.InTx(core) {
+		d.directRefused.Add(1)
 		return false
 	}
-	defer cm.compacting[node].Store(false)
-	cm.directRuns.Add(1)
-	moved := cm.m.Phys.CompactZone(core, node, cm.cfg.CompactPages)
-	// The vacated frames sit in the RCU monitor; like the reclaim hook,
+	if !d.compacting[node].CompareAndSwap(false, true) {
+		return false
+	}
+	defer d.compacting[node].Store(false)
+	d.directRuns.Add(1)
+	moved := d.m.Phys.CompactZone(core, node, cfg.CompactPages)
+	// The vacated frames sit in the RCU monitor; like direct reclaim,
 	// drive this core's tick so they reach the buddy before the caller
 	// retries.
-	cm.m.Reap(core)
+	d.m.Reap(core)
 	return moved > 0
 }
 
@@ -243,52 +127,53 @@ func (cm *CompactionManager) directCompact(core, node, order int) bool {
 // node is too fragmented to serve order-9 requests, move movable pages
 // out of the zone's low region so free blocks re-coalesce — before an
 // allocation has to pay for it.
-func (cm *CompactionManager) backgroundCompact(core int) {
-	if cm.cfg.FragThreshold < 0 {
+func (d *Daemon) backgroundCompact(core int, cfg *CompactConfig) {
+	if cfg.FragThreshold < 0 {
 		return
 	}
-	node := cm.m.NodeOf(core)
-	if cm.m.Phys.FragIndex(node, arch.IndexBits) < cm.cfg.FragThreshold {
+	node := d.m.NodeOf(core)
+	if d.m.Phys.FragIndex(node, arch.IndexBits) < cfg.FragThreshold {
 		return
 	}
-	if !cm.compacting[node].CompareAndSwap(false, true) {
+	if !d.compacting[node].CompareAndSwap(false, true) {
 		return
 	}
-	defer cm.compacting[node].Store(false)
-	if cm.m.Phys.CompactZone(core, node, cm.cfg.CompactPages) > 0 {
-		cm.bgRuns.Add(1)
+	defer d.compacting[node].Store(false)
+	if d.m.Phys.CompactZone(core, node, cfg.CompactPages) > 0 {
+		d.bgRuns.Add(1)
 	}
 }
 
 // numaBalance probes a window of the frame table for pages with a
 // sustained remote-access streak and migrates each to its accessor's
 // node (the NUMA-balancing satellite of §4.5's policy layer).
-func (cm *CompactionManager) numaBalance(core int) {
-	if cm.cfg.NumaStreak == 0 || cm.m.Phys.Nodes() < 2 {
+func (d *Daemon) numaBalance(core int, cfg *CompactConfig) {
+	if cfg.NumaStreak == 0 || d.m.Phys.Nodes() < 2 {
 		return
 	}
-	phys := cm.m.Phys
+	phys := d.m.Phys
 	n := phys.NFrames()
 	if n == 0 {
 		return
 	}
-	start := int(cm.numaHand.Add(int64(cm.cfg.NumaScan))) - cm.cfg.NumaScan
-	for i := 0; i < cm.cfg.NumaScan; i++ {
+	start := int(d.numaHand.Add(int64(cfg.NumaScan))) - cfg.NumaScan
+	for i := 0; i < cfg.NumaScan; i++ {
 		pfn := arch.PFN((start + i) % n)
-		if node, ok := phys.NumaCandidate(pfn, cm.cfg.NumaStreak); ok {
-			cm.numaMoves.Add(1)
+		if node, ok := phys.NumaCandidate(pfn, cfg.NumaStreak); ok {
+			d.numaMoves.Add(1)
 			_ = phys.MigrateFrameTo(core, pfn, node)
 		}
 	}
 }
 
 // scanQuantum is one khugepaged step: pick the next registered space
-// and scan the next ScanSpans 2-MiB spans of its allocated chunks.
-func (cm *CompactionManager) scanQuantum(core int) {
-	if cm.cfg.ScanSpans < 0 {
+// and scan the next ScanSpans 2-MiB spans of its allocated chunks,
+// resuming at the space's scanner hand.
+func (d *Daemon) scanQuantum(core int, cfg *CompactConfig) {
+	if cfg.ScanSpans < 0 {
 		return
 	}
-	a := cm.nextSpace()
+	a := d.nextSpace()
 	if a == nil || !a.migrateEnter() {
 		return
 	}
@@ -302,53 +187,50 @@ func (cm *CompactionManager) scanQuantum(core int) {
 	// table cannot be fully resident, a huge leaf is already collapsed,
 	// and an upper-level metadata entry has nothing resident at all.
 	chunks := a.chunks(core)
-	cm.mu.Lock()
-	start := chunkAt(chunks, cm.cursor[a])
-	cm.mu.Unlock()
+	start := chunkAt(chunks, arch.Vaddr(a.scanHand.Load()))
 	hand, scanned := arch.Vaddr(0), 0
-	for i := 0; i < len(chunks) && scanned < cm.cfg.ScanSpans; i++ {
+	for i := 0; i < len(chunks) && scanned < cfg.ScanSpans; i++ {
 		ch := chunks[(start+i)%len(chunks)]
 		hand = ch.base + arch.Vaddr(ch.span)
 		if ch.table && ch.pages == arch.PTEntries {
-			cm.scanSpan(core, a, ch.base)
+			d.scanSpan(core, a, ch.base, cfg)
 			scanned++
 		}
 	}
-	cm.mu.Lock()
-	cm.cursor[a] = hand
-	cm.mu.Unlock()
+	a.scanHand.Store(uint64(hand))
 }
 
-// nextSpace rotates the scanner's clock hand over registered spaces.
-func (cm *CompactionManager) nextSpace() *AddrSpace {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	if len(cm.spaces) == 0 {
+// nextSpace rotates the scanner's hand over registered spaces.
+func (d *Daemon) nextSpace() *AddrSpace {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.spaces) == 0 {
 		return nil
 	}
-	cm.hand = (cm.hand + 1) % len(cm.spaces)
-	return cm.spaces[cm.hand]
+	d.scan = (d.scan + 1) % len(d.spaces)
+	return d.spaces[d.scan]
 }
 
 // scanSpan examines one span's residency and A bits under a
 // transaction, clears the A bits so the next quantum measures fresh
-// access, and collapses the span once it has been fully resident and
-// young for PromoteScans consecutive quanta. Cold, partial, shared/COW
-// and already-huge spans only update (or drop) telemetry.
-func (cm *CompactionManager) scanSpan(core int, a *AddrSpace, base arch.Vaddr) {
+// access, and keeps what it saw in the heat of the leaf table mapping
+// the span (pt.PageState.Young/Cold), written under that table's lock:
+// the scanner remembers nothing beside the page table, and a span's
+// evidence dies with its table. Scans can outpace the workload (several
+// quanta may fire between two touch phases), so a cold scan does not
+// reset the evidence of heat — young sightings accumulate, and only
+// coldResetScans cold scans in a row clear them. A span seen young
+// PromoteScans times is collapsed; a partial or shared/COW span's heat
+// is cleared.
+func (d *Daemon) scanSpan(core int, a *AddrSpace, base arch.Vaddr, cfg *CompactConfig) {
 	span := arch.Vaddr(arch.SpanBytes(2))
-	key := spanKey{a: a, base: base}
 	c, err := a.Lock(core, base, base+span)
 	if err != nil {
 		return
 	}
 	var resident, young uint64
-	huge, eligible := false, true
+	eligible := true
 	_ = c.IterateMapped(base, base+span, func(r Run) error {
-		if r.Status.HugeLevel() >= 2 {
-			huge = true
-			return nil
-		}
 		if r.Status.Perm&(arch.PermShared|arch.PermCOW) != 0 {
 			eligible = false
 		}
@@ -364,51 +246,29 @@ func (cm *CompactionManager) scanSpan(core int, a *AddrSpace, base arch.Vaddr) {
 	// would look cold on the second scan.
 	_ = c.ClearAccessed(base, base+span)
 	c.needSync = true
-	c.Close()
-	cm.spansScanned.Add(1)
-
-	full := resident == uint64(arch.SpanBytes(2)/arch.PageSize)
-	if huge || !eligible || !full {
-		cm.dropStat(key)
-		return
-	}
-	st := cm.stat(key)
-	cm.mu.Lock()
-	if young*2 >= resident { // young majority: the span is hot
-		st.young++
-		st.cold = 0
-	} else {
-		st.cold++
-		if st.cold >= coldResetScans {
-			st.young, st.cold = 0, 0
+	promote := false
+	// Only a leaf table has heat: a huge leaf is collapsed already.
+	if e, err := c.entry(base, 1, false); err == nil && e.level == 1 {
+		st := a.state(e.pfn)
+		switch {
+		case !eligible || resident != arch.PTEntries:
+			st.Young, st.Cold = 0, 0
+		case young*2 >= resident: // young majority: the span is hot
+			st.Young, st.Cold = st.Young+1, 0
+		case st.Cold+1 >= coldResetScans:
+			st.Young, st.Cold = 0, 0
+		default:
+			st.Cold++
+		}
+		if promote = int(st.Young) >= cfg.PromoteScans; promote {
+			st.Young, st.Cold = 0, 0
 		}
 	}
-	promote := st.young >= cm.cfg.PromoteScans
-	cm.mu.Unlock()
-	if !promote {
-		return
+	c.Close()
+	d.spansScanned.Add(1)
+	if promote && a.CollapseHuge(core, base) == nil {
+		d.promotions.Add(1)
 	}
-	cm.dropStat(key)
-	if a.CollapseHuge(core, base) == nil {
-		cm.promotions.Add(1)
-	}
-}
-
-func (cm *CompactionManager) stat(key spanKey) *spanStat {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	st := cm.spans[key]
-	if st == nil {
-		st = &spanStat{}
-		cm.spans[key] = st
-	}
-	return st
-}
-
-func (cm *CompactionManager) dropStat(key spanKey) {
-	cm.mu.Lock()
-	delete(cm.spans, key)
-	cm.mu.Unlock()
 }
 
 // HugeBytes reports how many bytes of the space are currently mapped by

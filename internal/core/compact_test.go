@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"cortenmm/internal/arch"
@@ -27,10 +29,9 @@ func TestScannerPromotesOnlyHot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { a.Destroy(0); m.Quiesce() }()
-	rm := AttachReclaim(m, ReclaimConfig{})
-	rm.Register(a)
-	cm := AttachCompaction(m, rm, CompactConfig{ScanSpans: 8, PromoteScans: 2})
-	cm.Register(a)
+	AttachReclaim(m, ReclaimConfig{})
+	d := AttachCompaction(m, CompactConfig{ScanSpans: 8, PromoteScans: 2})
+	d.Register(a)
 
 	span := arch.SpanBytes(2)
 	hot := arch.Vaddr(span)
@@ -48,7 +49,7 @@ func TestScannerPromotesOnlyHot(t *testing.T) {
 		}
 		tickStorm(m, 4)
 	}
-	st := cm.Stats()
+	st := d.Stats()
 	if st.SpansScanned == 0 {
 		t.Fatal("scanner never ran")
 	}
@@ -68,6 +69,45 @@ func TestScannerPromotesOnlyHot(t *testing.T) {
 	}
 }
 
+// TestAttachOrderIndependent: whichever half of the daemon is attached
+// first, both run off the machine's one tick — the collapse scanner
+// scans, and kswapd sweeps the zone the populate kicked.
+func TestAttachOrderIndependent(t *testing.T) {
+	for _, reclaimFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reclaimFirst=%v", reclaimFirst), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
+			a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: mem.NewBlockDev("swap")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			halves := []func() *Daemon{
+				func() *Daemon { return AttachCompaction(m, CompactConfig{ScanSpans: 8}) },
+				func() *Daemon { return AttachReclaim(m, ReclaimConfig{LowWater: 3500}) },
+			}
+			if reclaimFirst {
+				slices.Reverse(halves)
+			}
+			d := halves[0]()
+			if halves[1]() != d {
+				t.Fatal("the second attach made a second daemon")
+			}
+			d.Register(a)
+			// Two fully resident spans: scanner candidates, and 1 024 frames
+			// taken drop the zone below its low watermark of 3 500.
+			span := arch.SpanBytes(2)
+			if err := a.MmapFixed(0, arch.Vaddr(span), 2*span, arch.PermRW, mm.FlagPopulate); err != nil {
+				t.Fatal(err)
+			}
+			tickStorm(m, 20)
+			if st := d.Stats(); st.SpansScanned == 0 || st.BgSweeps == 0 {
+				t.Errorf("%d spans scanned, %d background sweeps; want both > 0", st.SpansScanned, st.BgSweeps)
+			}
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
 // TestDirectCompactionServesOrder9: shatter the zone so no order-9
 // block exists, then allocate one. Without the pipeline the allocation
 // must fail with ErrFragmented (free memory exists, uncoalescable);
@@ -80,7 +120,7 @@ func TestDirectCompactionServesOrder9(t *testing.T) {
 			t.Fatal(err)
 		}
 		if pipeline {
-			AttachCompaction(m, nil, CompactConfig{ScanSpans: -1, FragThreshold: -1})
+			AttachCompaction(m, CompactConfig{ScanSpans: -1, FragThreshold: -1})
 		}
 		// Allocate 15/16 of memory as single pages, keep every 8th: every
 		// order-9 block is pinned by scattered survivors.

@@ -102,12 +102,9 @@ type AddrSpace struct {
 	// core IDs against.
 	cursors []cachedCursor
 
-	// reclaim is the manager this space is registered with, or nil.
-	reclaim *ReclaimManager
-	// compaction is the CompactionManager this space is registered with,
-	// or nil (set by CompactionManager.Register).
-	compaction atomic.Pointer[CompactionManager]
-	// migrants counts hook-driven operations (migration, a sweep's
+	// daemon is the machine daemon this space is registered with, or nil.
+	daemon atomic.Pointer[Daemon]
+	// migrants counts daemon operations (migration, a sweep's
 	// enumeration of the page table) currently operating on this space.
 	// Destroy spins it to zero after marking the space destroyed, so
 	// neither ever locks a page-table tree mid-teardown.
@@ -122,6 +119,8 @@ type AddrSpace struct {
 	// reclaimHand is the VA clock hand of the per-space reclaim scan:
 	// the next sweep resumes at the first allocated chunk at or above it.
 	reclaimHand atomic.Uint64
+	// scanHand is the collapse scanner's VA clock hand, likewise.
+	scanHand atomic.Uint64
 
 	// batch holds the async-batch pipeline's cumulative counters
 	// (see batch.go).
@@ -145,6 +144,14 @@ type fileMapping struct {
 	va     arch.Vaddr
 	pgoff  uint64
 	npages uint64
+}
+
+// end is the VA one past the record's range.
+func (fm fileMapping) end() arch.Vaddr { return fm.va + arch.Vaddr(fm.npages*arch.PageSize) }
+
+// clip is the record of the part [s, e) of fm's range.
+func (fm fileMapping) clip(s, e arch.Vaddr) fileMapping {
+	return fileMapping{fm.file, s, fm.pgoff + uint64(s-fm.va)/arch.PageSize, uint64(e-s) / arch.PageSize}
 }
 
 // New creates an empty address space.
@@ -233,25 +240,35 @@ func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npage
 	return nil
 }
 
-// pruneFileMappings drops reverse-mapping records whose range lies
-// entirely inside the unmapped range [lo, hi), unregistering each from
-// its file (AddMapper counts registrations, so the file's mapper entry
-// disappears exactly when this space's last mapping of it goes away).
-// A space with no file mapping returns before touching the mutex.
+// pruneFileMappings clips the reverse-mapping records to what remains of
+// them outside the unmapped range [lo, hi). A record cut in the middle
+// becomes two and takes one more registration with its file (which
+// cannot fail: the space is a mapper of it already); a record with
+// nothing left is dropped and unregistered (AddMapper counts
+// registrations, so the file's mapper entry and its object id go exactly
+// when this space's last mapping of it does). A space with no file
+// mapping returns before touching the mutex.
 func (a *AddrSpace) pruneFileMappings(lo, hi arch.Vaddr) {
 	if a.rmapLive.Load() == 0 {
 		return
 	}
 	a.rmapMu.Lock()
 	var gone []*mem.File
-	kept := a.rmapHints[:0]
+	var kept []fileMapping
 	for _, fm := range a.rmapHints {
-		end := fm.va + arch.Vaddr(fm.npages*arch.PageSize)
-		if fm.va >= lo && end <= hi {
-			gone = append(gone, fm.file)
-			continue
+		end, n := fm.end(), len(kept)
+		if fm.va < lo {
+			kept = append(kept, fm.clip(fm.va, minVA(end, lo)))
 		}
-		kept = append(kept, fm)
+		if end > hi {
+			kept = append(kept, fm.clip(maxVA(fm.va, hi), end))
+		}
+		switch len(kept) - n {
+		case 0:
+			gone = append(gone, fm.file)
+		case 2:
+			_ = fm.file.AddMapper(a)
+		}
 	}
 	a.rmapHints = kept
 	a.rmapLive.Store(int32(len(kept)))
@@ -278,9 +295,9 @@ func (a *AddrSpace) fileMappings() []fileMapping {
 // the records the move emptied are retired as an unmap would.
 func (a *AddrSpace) moveFileMappings(lo, hi, to arch.Vaddr) {
 	for _, fm := range a.fileMappings() {
-		s, e := maxVA(fm.va, lo), minVA(fm.va+arch.Vaddr(fm.npages*arch.PageSize), hi)
-		if s < e { // already a mapper of fm.file: registering cannot fail
-			_ = a.registerFileMapping(fm.file, to+(s-lo), fm.pgoff+uint64(s-fm.va)/arch.PageSize, uint64(e-s)/arch.PageSize)
+		if s, e := maxVA(fm.va, lo), minVA(fm.end(), hi); s < e { // already a mapper: cannot fail
+			p := fm.clip(s, e)
+			_ = a.registerFileMapping(p.file, to+(s-lo), p.pgoff, p.npages)
 		}
 	}
 	a.pruneFileMappings(lo, hi)

@@ -118,7 +118,7 @@ var faultOps = []faultOp{
 	{
 		name: "migrate",
 		setup: func(t *testing.T, a *AddrSpace) func() error {
-			InstallMigrator(a.m)
+			daemonOf(a.m)
 			va, err := a.Mmap(0, arch.PageSize, arch.PermRW, mm.FlagPopulate)
 			if err != nil {
 				t.Fatal(err)

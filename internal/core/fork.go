@@ -130,8 +130,8 @@ func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, leve
 // exclusive by contract (the "process" has exited), so it walks the
 // tree directly instead of paying for a whole-space transaction —
 // exactly what exit/exec does in the paper's evaluation (§6.2).
-// Idempotent. The space is unregistered from its reclaim manager first,
-// so no later sweep or OOM victim scan can walk the torn-down tree.
+// Idempotent. The space is unregistered from its daemon first, so no
+// later sweep, scan or OOM victim search can walk the torn-down tree.
 //
 // Teardown issues no TLB shootdown at all: the dead translations are unreachable (no lookup
 // ever uses this ASID again) and the allocator's rollover flushes every
@@ -143,13 +143,10 @@ func (a *AddrSpace) Destroy(core int) {
 	if !a.destroyed.CompareAndSwap(false, true) {
 		return
 	}
-	if rm := a.reclaim; rm != nil {
-		rm.Unregister(a)
+	if d := a.daemon.Load(); d != nil {
+		d.Unregister(a)
 	}
-	if cm := a.compaction.Load(); cm != nil {
-		cm.Unregister(a)
-	}
-	// In-flight migration-hook operations saw destroyed==false before
+	// In-flight daemon operations saw destroyed==false before
 	// locking; wait them out so the tree teardown below never races a
 	// migration transaction (see migrateEnter/drainMigrants).
 	a.drainMigrants()

@@ -1,7 +1,7 @@
 package core
 
-// Frame migration, core side: the MigrateHook registered with the
-// physical allocator. The mem layer discovers and pins candidates; this
+// Frame migration, core side: the Daemon's Migrate, which the physical
+// allocator calls. The mem layer discovers and pins candidates; this
 // file runs the locked remap for each one, in break-before-make order
 // (the Armv8-A BBM discipline for changing the output address of a live
 // translation):
@@ -46,24 +46,13 @@ import (
 	"runtime"
 
 	"cortenmm/internal/arch"
-	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/pt"
 )
 
-// InstallMigrator registers the core-layer migration hook on m's
-// physical allocator, enabling PhysMem.MigrateFrame/CompactZone.
-// CompactionManager does this automatically; tests exercising raw
-// migration call it directly.
-func InstallMigrator(m *cpusim.Machine) {
-	m.Phys.SetMigrator(func(core int, reqs []mem.MigrateReq) []bool {
-		return migrateBatch(m, core, reqs)
-	})
-}
-
-// migrateBatch performs the BBM remap+copy for a batch of pinned
-// candidates, sharing one RCU grace period across the whole batch.
-func migrateBatch(m *cpusim.Machine, core int, reqs []mem.MigrateReq) []bool {
+// Migrate implements mem.Pressure: the BBM remap+copy for a batch of
+// pinned candidates, sharing one RCU grace period across the whole batch.
+func (d *Daemon) Migrate(core int, reqs []mem.MigrateReq) []bool {
 	res := make([]bool, len(reqs))
 	type protected struct {
 		idx  int
@@ -91,7 +80,7 @@ func migrateBatch(m *cpusim.Machine, core int, reqs []mem.MigrateReq) []bool {
 	// One grace period covers every write-protect window in the batch.
 	// No PT locks are held here: lock acquisition runs inside an RCU
 	// read section, so waiting under a lock could wait on itself.
-	m.RCU.Synchronize()
+	d.m.RCU.Synchronize()
 	schedHit("migrate:post-barrier")
 	for _, p := range lives {
 		res[p.idx] = remapMigrated(p.a, core, reqs[p.idx], p.perm, p.key)
@@ -180,7 +169,7 @@ func (c *RCursor) writeProtectCOW(va arch.Vaddr) bool {
 	return true
 }
 
-// migrateEnter gates a migration-hook operation on this space: it
+// migrateEnter gates a daemon operation on this space: it
 // refuses once Destroy has begun, and Destroy waits for in-flight
 // operations to drain before tearing the tree down.
 func (a *AddrSpace) migrateEnter() bool {
@@ -194,9 +183,9 @@ func (a *AddrSpace) migrateEnter() bool {
 
 func (a *AddrSpace) migrateExit() { a.migrants.Add(-1) }
 
-// drainMigrants spins until no migration-hook operation references this
-// space; called by Destroy after the destroyed flag is set, so the pair
-// (flag, spin) guarantees the hook never touches a freed tree.
+// drainMigrants spins until no daemon operation references this space;
+// called by Destroy after the destroyed flag is set, so the pair (flag,
+// spin) guarantees the daemon never touches a freed tree.
 func (a *AddrSpace) drainMigrants() {
 	for a.migrants.Load() > 0 {
 		runtime.Gosched()

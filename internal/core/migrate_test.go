@@ -24,7 +24,7 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	InstallMigrator(m)
+	daemonOf(m)
 
 	const pages = 32
 	const rounds = 40

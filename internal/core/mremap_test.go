@@ -58,7 +58,7 @@ func TestMremapKeepsPagesMovable(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			InstallMigrator(m)
+			daemonOf(m)
 			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, mm.FlagPopulate)
 			if err != nil {
 				t.Fatal(err)

@@ -200,7 +200,7 @@ func TestHintStaleNeverTrusted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	InstallMigrator(m)
+	daemonOf(m)
 	frameAt := func(s *AddrSpace, want byte) arch.PFN {
 		t.Helper()
 		if v, err := s.Load(0, va); err != nil || v != want {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +21,7 @@ var ErrOOMKilled = errors.New("core: address space torn down by OOM killer")
 // space after Destroy.
 var ErrDestroyed = mm.ErrDestroyed
 
-// ReclaimConfig tunes a ReclaimManager.
+// ReclaimConfig tunes the reclaim half of a machine's Daemon.
 type ReclaimConfig struct {
 	// LowWater is the free-frame count below which background reclaim
 	// kicks in (default: 1/8 of physical frames). Background sweeps aim
@@ -36,26 +37,40 @@ type ReclaimConfig struct {
 	OOMKill bool
 }
 
-// ReclaimManager wires the core layer's reclaim machinery into a
-// machine's physical allocator: it is the mem.ReclaimHook (direct
-// reclaim on the allocating goroutine), the kswapd analogue (background
-// sweeps driven by simulated timer ticks once a zone's free frames dip
-// below its low watermark), and the OOM killer of last resort. Reclaim
-// is a clock sweep: a per-node hand rotates over the registered address
-// spaces, and within each space over its allocated chunks, swapping
-// cold private anonymous pages out through the space's swap device
-// (ReclaimRange). On a NUMA machine the manager is node-aware: each
-// node runs its own tick-driven kswapd against its own zone's
-// watermarks, and direct reclaim first sweeps only frames on the
-// starved placement node, stealing from other nodes' frames only when
-// the node-filtered pass comes up short.
-type ReclaimManager struct {
-	m   *cpusim.Machine
-	cfg ReclaimConfig
+// Daemon is a machine's one background memory daemon: the mem.Pressure
+// its physical allocator and its timer tick call into. The reclaim half
+// (AttachReclaim) is direct reclaim on the allocating goroutine, the
+// kswapd analogue once a zone's free frames dip below its low watermark,
+// and the OOM killer of last resort. The compaction half
+// (AttachCompaction, compact.go) is direct compaction, kcompactd, a
+// khugepaged-style collapse scanner and the NUMA balancer. Either way the
+// daemon is the locked break-before-make remap behind every frame
+// migration (migrate.go): migration is a capability of the core layer,
+// not a policy, so it is on as soon as the daemon exists. Address spaces
+// opt in with Register.
+//
+// Reclaim is a clock sweep: a per-node hand rotates over the registered
+// spaces, and within each space over its allocated chunks, swapping cold
+// private anonymous pages out through the space's swap device
+// (ReclaimRange). Each node runs its own kswapd against its own zone's
+// watermarks, and direct reclaim first sweeps only frames on the starved
+// placement node, stealing from other nodes' frames only when the
+// node-filtered pass comes up short.
+//
+// The daemon has no goroutine: core IDs are an identity here (BRAVO
+// reader slots, MCS queues), and a background thread sharing one with a
+// running workload would corrupt per-core lock state. Background work
+// runs from the timer tick of a core that holds no PT-page locks.
+type Daemon struct {
+	m *cpusim.Machine
+	// reclaimCfg and compactCfg are the two halves, nil while off.
+	reclaimCfg atomic.Pointer[ReclaimConfig]
+	compactCfg atomic.Pointer[CompactConfig]
 
-	mu     sync.Mutex // guards spaces and the per-node clock hands
+	mu     sync.Mutex // guards spaces and both hands
 	spaces []*AddrSpace
-	clock  []int // one hand per node (index -1 callers use their home hand)
+	clock  []int // the reclaim clock: one hand per node
+	scan   int   // the collapse scanner's hand
 
 	// direct serializes direct reclaimers. The allocation slow path may
 	// run while the allocating goroutine holds PT-page locks; keeping at
@@ -63,38 +78,48 @@ type ReclaimManager struct {
 	// of lock-holding reclaimers can form.
 	direct sync.Mutex
 	// sweeping guards against sweep reentry, one flag per node:
-	// ReclaimRange drives OpTick, whose tick hook must not start a
-	// nested sweep. Reentry is always same-goroutine (hence same core,
-	// hence same node), so a per-node flag suffices — and it doubles as
-	// the one-kswapd-per-node limit, letting different nodes' sweeps
-	// run concurrently like Linux's per-node kswapd threads.
+	// ReclaimRange drives OpTick, whose tick must not start a nested
+	// sweep. Reentry is always same-goroutine (hence same core, hence
+	// same node), so a per-node flag suffices — and it doubles as the
+	// one-kswapd-per-node limit, letting different nodes' sweeps run
+	// concurrently like Linux's per-node kswapd threads.
 	sweeping []atomic.Bool
-	// kicked[n] is set by the allocator when node n's zone drops below
-	// its low watermark and consumed by node n's next timer tick.
+	// kicked[n] is set by Kick when node n's zone drops below its low
+	// watermark and consumed by node n's next timer tick.
 	kicked []atomic.Bool
-	// compact chains a CompactionManager's tick off this manager's:
-	// the machine has one tick-hook slot, and reclaim owns it once
-	// attached (see AttachCompaction).
-	compact atomic.Pointer[CompactionManager]
+	// busy single-flights the compaction quantum: CollapseHuge and
+	// compaction both re-enter OpTick, and concurrent cores need not
+	// stack scans.
+	busy atomic.Bool
+	// compacting[node] single-flights compaction per zone, shared by the
+	// direct and background paths.
+	compacting []atomic.Bool
+	numaHand   atomic.Int64
 
 	directRounds atomic.Uint64
 	bgSweeps     atomic.Uint64
 	reclaimed    atomic.Uint64
 	stolen       atomic.Uint64
 	oomKills     atomic.Uint64
-
-	// Writeback-queue telemetry, fed by the sweeps' per-sweep aio
-	// queues (see evict).
+	// Writeback-queue telemetry, fed by the sweeps' per-sweep aio queues
+	// (see evict).
 	swapQueued    atomic.Uint64
 	swapCompleted atomic.Uint64
 	swapFailed    atomic.Uint64
+
+	spansScanned  atomic.Uint64
+	promotions    atomic.Uint64
+	directRuns    atomic.Uint64
+	directRefused atomic.Uint64
+	bgRuns        atomic.Uint64
+	numaMoves     atomic.Uint64
 }
 
-// ReclaimStats is a snapshot of manager activity.
-type ReclaimStats struct {
+// DaemonStats is a snapshot of the daemon's counters.
+type DaemonStats struct {
 	DirectRounds uint64 // direct-reclaim invocations from the slow path
 	BgSweeps     uint64 // background (tick-driven) sweeps
-	Reclaimed    uint64 // pages swapped out by the manager
+	Reclaimed    uint64 // pages swapped out by the daemon
 	// Stolen counts pages reclaimed in cross-node passes — direct
 	// reclaim that had to look beyond the starved node's own frames.
 	Stolen   uint64
@@ -105,28 +130,59 @@ type ReclaimStats struct {
 	SwapQueued    uint64
 	SwapCompleted uint64
 	SwapFailed    uint64
+
+	SpansScanned  uint64 // khugepaged span scans
+	Promotions    uint64 // successful CollapseHuge calls
+	DirectRuns    uint64 // direct-compaction passes run for the allocator
+	DirectRefused uint64 // direct compaction refused (caller inside a txn)
+	BgRuns        uint64 // background compaction passes that moved pages
+	NumaMoves     uint64 // NUMA-balancing migrations attempted
 }
 
-// Stats snapshots the manager's counters.
-func (rm *ReclaimManager) Stats() ReclaimStats {
-	return ReclaimStats{
-		DirectRounds: rm.directRounds.Load(),
-		BgSweeps:     rm.bgSweeps.Load(),
-		Reclaimed:    rm.reclaimed.Load(),
-		Stolen:       rm.stolen.Load(),
-		OOMKills:     rm.oomKills.Load(),
+// Stats snapshots the daemon's counters.
+func (d *Daemon) Stats() DaemonStats {
+	return DaemonStats{
+		DirectRounds: d.directRounds.Load(),
+		BgSweeps:     d.bgSweeps.Load(),
+		Reclaimed:    d.reclaimed.Load(),
+		Stolen:       d.stolen.Load(),
+		OOMKills:     d.oomKills.Load(),
 
-		SwapQueued:    rm.swapQueued.Load(),
-		SwapCompleted: rm.swapCompleted.Load(),
-		SwapFailed:    rm.swapFailed.Load(),
+		SwapQueued:    d.swapQueued.Load(),
+		SwapCompleted: d.swapCompleted.Load(),
+		SwapFailed:    d.swapFailed.Load(),
+
+		SpansScanned:  d.spansScanned.Load(),
+		Promotions:    d.promotions.Load(),
+		DirectRuns:    d.directRuns.Load(),
+		DirectRefused: d.directRefused.Load(),
+		BgRuns:        d.bgRuns.Load(),
+		NumaMoves:     d.numaMoves.Load(),
 	}
 }
 
-// AttachReclaim builds a ReclaimManager and installs it on the machine:
-// watermarks and the direct-reclaim hook on the physical allocator, the
-// pressure kick, and the background sweeper on the timer tick. Address
-// spaces opt in with Register.
-func AttachReclaim(m *cpusim.Machine, cfg ReclaimConfig) *ReclaimManager {
+// daemonOf returns m's daemon, installing one — migration on, both
+// policy halves off — on first use.
+func daemonOf(m *cpusim.Machine) *Daemon {
+	if d, ok := m.Phys.Pressure().(*Daemon); ok {
+		return d
+	}
+	n := m.Phys.Nodes()
+	d := &Daemon{
+		m:          m,
+		clock:      make([]int, n),
+		sweeping:   make([]atomic.Bool, n),
+		kicked:     make([]atomic.Bool, n),
+		compacting: make([]atomic.Bool, n),
+	}
+	m.Phys.SetPressure(d)
+	return d
+}
+
+// AttachReclaim switches on the reclaim half of m's daemon, creating the
+// daemon on first use, and sets the allocator's watermarks. Attaching
+// again replaces the configuration.
+func AttachReclaim(m *cpusim.Machine, cfg ReclaimConfig) *Daemon {
 	total := uint64(m.Phys.NFrames())
 	if cfg.LowWater == 0 {
 		cfg.LowWater = max(total/8, 1)
@@ -134,97 +190,106 @@ func AttachReclaim(m *cpusim.Machine, cfg ReclaimConfig) *ReclaimManager {
 	if cfg.MinWater == 0 {
 		cfg.MinWater = max(total/64, 1)
 	}
-	nodes := m.Phys.Nodes()
-	rm := &ReclaimManager{
-		m:        m,
-		cfg:      cfg,
-		clock:    make([]int, nodes),
-		sweeping: make([]atomic.Bool, nodes),
-		kicked:   make([]atomic.Bool, nodes),
-	}
+	d := daemonOf(m)
 	m.Phys.SetWatermarks(cfg.LowWater, cfg.MinWater)
-	m.Phys.SetReclaimHook(rm.hook)
-	m.Phys.SetPressureKick(func(node int) { rm.kicked[node].Store(true) })
-	m.SetTickHook(rm.tick)
-	return rm
+	d.reclaimCfg.Store(&cfg)
+	return d
 }
 
-// Register adds a to the reclaim clock and enables its syscall-level
-// OOM retry path. The space should have a swap device; without one it
-// is skipped by sweeps.
-func (rm *ReclaimManager) Register(a *AddrSpace) {
-	rm.mu.Lock()
-	rm.spaces = append(rm.spaces, a)
-	rm.mu.Unlock()
-	a.reclaim = rm
-}
-
-// Registered reports how many spaces are on the reclaim clock.
-func (rm *ReclaimManager) Registered() int {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return len(rm.spaces)
-}
-
-// Unregister removes a from the reclaim clock.
-func (rm *ReclaimManager) Unregister(a *AddrSpace) {
-	rm.mu.Lock()
-	for i, s := range rm.spaces {
-		if s == a {
-			rm.spaces = append(rm.spaces[:i], rm.spaces[i+1:]...)
-			break
-		}
+// Register puts a on the daemon's clocks, once however often it is
+// called, and enables its syscall-level OOM retry path. Reclaim sweeps
+// skip a space without a swap device.
+func (d *Daemon) Register(a *AddrSpace) {
+	d.mu.Lock()
+	if !slices.Contains(d.spaces, a) {
+		d.spaces = append(d.spaces, a)
 	}
-	rm.mu.Unlock()
-	a.reclaim = nil
+	d.mu.Unlock()
+	a.daemon.Store(d)
+}
+
+// Registered reports how many spaces are on the daemon's clocks.
+func (d *Daemon) Registered() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.spaces)
+}
+
+// Unregister takes a off the daemon's clocks; Destroy and the OOM killer
+// call it.
+func (d *Daemon) Unregister(a *AddrSpace) {
+	d.mu.Lock()
+	if i := slices.Index(d.spaces, a); i >= 0 {
+		d.spaces = slices.Delete(d.spaces, i, i+1)
+	}
+	d.mu.Unlock()
+	a.daemon.CompareAndSwap(d, nil)
 }
 
 // snapshot returns the registered spaces rotated so node's clock hand's
 // current position comes first, and advances that hand. Each node keeps
 // its own hand so concurrent per-node sweeps don't chase each other
 // onto the same space.
-func (rm *ReclaimManager) snapshot(node int) []*AddrSpace {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	n := len(rm.spaces)
+func (d *Daemon) snapshot(node int) []*AddrSpace {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.spaces)
 	if n == 0 {
 		return nil
 	}
 	out := make([]*AddrSpace, 0, n)
-	start := rm.clock[node] % n
+	start := d.clock[node] % n
 	for i := 0; i < n; i++ {
-		out = append(out, rm.spaces[(start+i)%n])
+		out = append(out, d.spaces[(start+i)%n])
 	}
-	rm.clock[node] = (start + 1) % n
+	d.clock[node] = (start + 1) % n
 	return out
 }
 
-// hook is the mem.ReclaimHook: direct reclaim on the allocating
-// goroutine, which may be inside a page-table transaction. At most one
-// lock-holding reclaimer runs at a time (TryLock); sweep skips any
-// space the calling core has open transactions in, so the reclaimer
-// never re-locks a tree it already holds locks in.
-// node is the allocation's starved placement node: the node-filtered
-// passes free frames where the allocator actually needs them.
-func (rm *ReclaimManager) hook(core, node, target int) int {
-	if !rm.direct.TryLock() {
-		return 0
+// Tick is the daemon's timer-tick work, on a core that holds no PT-page
+// locks: the compaction quantum first — its scanner and fragmentation
+// checks are not gated on reclaim pressure — then this node's kswapd.
+func (d *Daemon) Tick(core int) {
+	if cfg := d.compactCfg.Load(); cfg != nil {
+		d.compactTick(core, cfg)
 	}
-	return rm.directRound(core, node, target)
+	if d.reclaimCfg.Load() != nil {
+		d.kswapd(core)
+	}
 }
 
-// directRound is one direct-reclaim round, entered holding rm.direct
+// Kick latches node's kswapd for the node's next timer tick.
+func (d *Daemon) Kick(node int) { d.kicked[node].Store(true) }
+
+// Reclaim is direct reclaim on the allocating goroutine, which may be
+// inside a page-table transaction. At most one lock-holding reclaimer
+// runs at a time (TryLock); sweep skips any space the calling core has
+// open transactions in, so the reclaimer never re-locks a tree it
+// already holds locks in. node is the allocation's starved placement
+// node: the node-filtered passes free frames where the allocator
+// actually needs them. -1 while the reclaim half is off.
+func (d *Daemon) Reclaim(core, node, target int) int {
+	if d.reclaimCfg.Load() == nil {
+		return -1
+	}
+	if !d.direct.TryLock() {
+		return 0
+	}
+	return d.directRound(core, node, target)
+}
+
+// directRound is one direct-reclaim round, entered holding d.direct
 // and releasing it. It ends by driving the calling core's deferred
 // machinery — a TLB tick and an RCU poll, the "backoff via simulated
 // ticks" — so frames freed by the sweep actually reach the allocator
 // before the caller retries.
-func (rm *ReclaimManager) directRound(core, node, target int) int {
-	defer rm.direct.Unlock()
-	rm.directRounds.Add(1)
-	n := rm.doubleSweep(core, node, target)
-	rm.m.Reap(core)
-	if n == 0 && rm.cfg.OOMKill {
-		n = rm.oomKill(core)
+func (d *Daemon) directRound(core, node, target int) int {
+	defer d.direct.Unlock()
+	d.directRounds.Add(1)
+	n := d.doubleSweep(core, node, target)
+	d.m.Reap(core)
+	if n == 0 && d.reclaimCfg.Load().OOMKill {
+		n = d.oomKill(core)
 	}
 	return n
 }
@@ -237,84 +302,77 @@ func (rm *ReclaimManager) directRound(core, node, target int) int {
 // unfiltered pass steals from the other nodes — cross-node frames are
 // better than an allocation failure, matching zonelist fallback on the
 // alloc side.
-func (rm *ReclaimManager) doubleSweep(core, node, target int) int {
-	n := rm.sweep(core, node, target)
+func (d *Daemon) doubleSweep(core, node, target int) int {
+	n := d.sweep(core, node, target)
 	if n == 0 {
-		n = rm.sweep(core, node, target)
+		n = d.sweep(core, node, target)
 	}
-	if n < target && rm.m.Phys.Nodes() > 1 {
-		stolen := rm.sweep(core, -1, target-n)
-		rm.stolen.Add(uint64(stolen))
+	if n < target && d.m.Phys.Nodes() > 1 {
+		stolen := d.sweep(core, -1, target-n)
+		d.stolen.Add(uint64(stolen))
 		n += stolen
 	}
 	return n
 }
 
 // DirectReclaim runs one synchronous reclaim round on behalf of core.
-// Unlike the allocator hook it may block waiting for the current
-// reclaimer: callers must hold no PT-page locks (the syscall-level
-// retry path calls it after its failed transaction closed). Returns
-// the number of pages reclaimed (or virtual pages released, if the
-// round escalated to an OOM kill).
-func (rm *ReclaimManager) DirectReclaim(core, target int) int {
-	rm.direct.Lock()
-	return rm.directRound(core, rm.m.NodeOf(core), target)
+// Unlike Reclaim it may block waiting for the current reclaimer:
+// callers must hold no PT-page locks (the syscall-level retry path calls
+// it after its failed transaction closed). Returns the number of pages
+// reclaimed (or virtual pages released, if the round escalated to an
+// OOM kill); 0 while the reclaim half is off.
+func (d *Daemon) DirectReclaim(core, target int) int {
+	if d.reclaimCfg.Load() == nil {
+		return 0
+	}
+	d.direct.Lock()
+	return d.directRound(core, d.m.NodeOf(core), target)
 }
 
-// tick is the machine's timer-tick hook: the per-node kswapd analogue.
-// Each core services only its own node's kick — when an allocation has
-// flagged that zone's pressure, the ticking core (which holds no
-// PT-page locks at tick time) sweeps the node's frames until the zone
-// recovers to twice its low watermark. No dedicated goroutine exists
-// because core IDs are an identity here (BRAVO reader slots, MCS
-// queues): a background thread sharing a core ID with a running
-// workload would corrupt per-core lock state.
-func (rm *ReclaimManager) tick(core int) {
-	// The compaction pipeline ticks unconditionally: its scanner and
-	// fragmentation checks are not gated on reclaim pressure.
-	if cm := rm.compact.Load(); cm != nil {
-		cm.tick(core)
-	}
-	node := rm.m.NodeOf(core)
-	if !rm.kicked[node].Load() {
+// kswapd is the per-node background sweeper. Each core services only
+// its own node's kick — when an allocation has flagged that zone's
+// pressure, the ticking core sweeps the node's frames until the zone
+// recovers to twice its low watermark.
+func (d *Daemon) kswapd(core int) {
+	node := d.m.NodeOf(core)
+	if !d.kicked[node].Load() {
 		return
 	}
-	free := rm.m.Phys.NodeFreeFrames(node)
-	low, _ := rm.m.Phys.NodeWatermarks(node)
+	free := d.m.Phys.NodeFreeFrames(node)
+	low, _ := d.m.Phys.NodeWatermarks(node)
 	if free >= 2*low {
-		rm.kicked[node].Store(false)
+		d.kicked[node].Store(false)
 		return
 	}
-	rm.bgSweeps.Add(1)
-	rm.sweep(core, node, int(2*low-free))
-	rm.m.Reap(core)
+	d.bgSweeps.Add(1)
+	d.sweep(core, node, int(2*low-free))
+	d.m.Reap(core)
 	// The kick stays set until the zone recovers to its high mark
 	// (2x low), so sweeping continues tick after tick under sustained
 	// pressure — a first pass may only clear accessed bits.
-	if rm.m.Phys.NodeFreeFrames(node) >= 2*low {
-		rm.kicked[node].Store(false)
+	if d.m.Phys.NodeFreeFrames(node) >= 2*low {
+		d.kicked[node].Store(false)
 	}
 }
 
 // sweep reclaims up to target pages whose frames live on node (-1 for
 // any node), rotating the node's clock hand over the registered spaces.
-// Guarded against reentry (a sweep's own OpTicks re-enter the tick
-// hook) by the calling core's node flag — reentry is same-goroutine, so
-// the flag is always the one already held. Spaces without a swap
-// device, already killed, or with open transactions on the calling core
-// are skipped.
-func (rm *ReclaimManager) sweep(core, node, target int) int {
-	g := rm.m.NodeOf(core)
-	if !rm.sweeping[g].CompareAndSwap(false, true) {
+// Guarded against reentry (a sweep's own OpTicks re-enter the tick) by
+// the calling core's node flag — reentry is same-goroutine, so the flag
+// is always the one already held. Spaces without a swap device, already
+// killed, or with open transactions on the calling core are skipped.
+func (d *Daemon) sweep(core, node, target int) int {
+	g := d.m.NodeOf(core)
+	if !d.sweeping[g].CompareAndSwap(false, true) {
 		return 0
 	}
-	defer rm.sweeping[g].Store(false)
+	defer d.sweeping[g].Store(false)
 	hand := node
 	if hand < 0 {
 		hand = g
 	}
 	total := 0
-	for _, a := range rm.snapshot(hand) {
+	for _, a := range d.snapshot(hand) {
 		if total >= target {
 			break
 		}
@@ -324,7 +382,7 @@ func (rm *ReclaimManager) sweep(core, node, target int) int {
 		total += a.reclaimSome(core, node, target-total)
 	}
 	if total > 0 {
-		rm.reclaimed.Add(uint64(total))
+		d.reclaimed.Add(uint64(total))
 	}
 	return total
 }
@@ -334,10 +392,10 @@ func (rm *ReclaimManager) sweep(core, node, target int) int {
 // locks in. Returns the number of virtual pages released (an upper
 // bound on frames freed — never-populated pages count too), so callers
 // treat it as a progress indicator.
-func (rm *ReclaimManager) oomKill(core int) int {
+func (d *Daemon) oomKill(core int) int {
 	var victim *AddrSpace
 	var worst uint64
-	for _, a := range rm.snapshot(rm.m.NodeOf(core)) {
+	for _, a := range d.snapshot(d.m.NodeOf(core)) {
 		if a.oomKilled.Load() || a.destroyed.Load() || a.holdsTx(core) {
 			continue
 		}
@@ -348,7 +406,7 @@ func (rm *ReclaimManager) oomKill(core int) int {
 	if victim == nil {
 		return 0
 	}
-	rm.oomKills.Add(1)
+	d.oomKills.Add(1)
 	return victim.oomTeardown(core)
 }
 
@@ -395,8 +453,8 @@ func (a *AddrSpace) reclaimSome(core, node, target int) int {
 const reclaimBatch = 32
 
 // oomTeardown is the last-resort unwind: mark the space killed (new
-// allocating syscalls fail with ErrOOMKilled), drop it from the reclaim
-// clock — sweeps must not keep walking a space that is mid-unwind, and
+// allocating syscalls fail with ErrOOMKilled), take it off the daemon's
+// clocks — sweeps must not keep walking a space that is mid-unwind, and
 // the killed space can contribute nothing further anyway — and unmap
 // every allocated chunk, releasing its frames and swap blocks. Returns
 // the number of virtual pages released. Idempotent.
@@ -404,8 +462,8 @@ func (a *AddrSpace) oomTeardown(core int) int {
 	if !a.oomKilled.CompareAndSwap(false, true) {
 		return 0
 	}
-	if rm := a.reclaim; rm != nil {
-		rm.Unregister(a)
+	if d := a.daemon.Load(); d != nil {
+		d.Unregister(a)
 	}
 	released := 0
 	for _, ch := range a.chunks(core) {
@@ -452,7 +510,7 @@ func (a *AddrSpace) checkAlive(core int) error {
 
 // holdsTx reports whether core's goroutine may hold PT-page locks in
 // this space — the rely condition of every sweep that locks on behalf of
-// a caller it did not start from (the in-allocator reclaim hook, the OOM
+// a caller it did not start from (the in-allocator reclaim, the OOM
 // killer, the collapse scanner): the locks are not reentrant, so they
 // skip such a space. Spaces are told apart by ASID, unique among live
 // spaces of a machine.
@@ -467,18 +525,19 @@ const (
 )
 
 // retryOOM runs op; when it fails with an out-of-memory-class error and
-// the space is registered with a reclaim manager, it runs direct
-// reclaim — from syscall context, with no locks held, so this time the
-// sweep may target this very space — and retries, bounded. This is the
-// hardened unwind path: op must be a complete transaction (lock, work,
-// close, undo on failure) so re-running it from scratch is sound.
+// the space is registered with a daemon, it runs direct reclaim — from
+// syscall context, with no locks held, so this time the sweep may target
+// this very space — and retries, bounded. This is the hardened unwind
+// path: op must be a complete transaction (lock, work, close, undo on
+// failure) so re-running it from scratch is sound.
 func (a *AddrSpace) retryOOM(core int, op func() error) error {
 	err := op()
 	for attempt := 0; attempt < oomRetries; attempt++ {
-		if err == nil || !errors.Is(err, mem.ErrOutOfMemory) || a.reclaim == nil {
+		d := a.daemon.Load()
+		if err == nil || !errors.Is(err, mem.ErrOutOfMemory) || d == nil {
 			return err
 		}
-		if a.reclaim.DirectReclaim(core, oomRetryTarget) == 0 {
+		if d.DirectReclaim(core, oomRetryTarget) == 0 {
 			return err
 		}
 		err = op()

@@ -26,8 +26,8 @@ func TestPerNodeKswapd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Global low = 512 -> 256 per zone.
-	rm := AttachReclaim(m, ReclaimConfig{LowWater: 512, MinWater: 16})
-	rm.Register(a)
+	d := AttachReclaim(m, ReclaimConfig{LowWater: 512, MinWater: 16})
+	d.Register(a)
 	defer a.Destroy(0)
 
 	node1Free := m.Phys.NodeFreeFrames(1)
@@ -51,7 +51,7 @@ func TestPerNodeKswapd(t *testing.T) {
 		m.OpTick(2)
 		m.OpTick(3)
 	}
-	if got := rm.Stats().BgSweeps; got != 0 {
+	if got := d.Stats().BgSweeps; got != 0 {
 		t.Fatalf("node-1 ticks ran %d sweeps without node-1 pressure", got)
 	}
 
@@ -59,7 +59,7 @@ func TestPerNodeKswapd(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		m.OpTick(0)
 	}
-	if rm.Stats().BgSweeps == 0 {
+	if d.Stats().BgSweeps == 0 {
 		t.Fatal("no background sweeps despite node-0 pressure")
 	}
 	if a.Stats().SwapOuts.Load() == 0 {
@@ -70,7 +70,7 @@ func TestPerNodeKswapd(t *testing.T) {
 	if free := m.Phys.NodeFreeFrames(1); free != node1Free {
 		t.Errorf("node 1 free %d -> %d: background sweep crossed nodes", node1Free, free)
 	}
-	if got := rm.Stats().Stolen; got != 0 {
+	if got := d.Stats().Stolen; got != 0 {
 		t.Errorf("background sweeps stole %d cross-node pages", got)
 	}
 	if _, err := a.Load(0, va); err != nil {
@@ -100,8 +100,8 @@ func TestDirectReclaimStealsCrossNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := AttachReclaim(m, ReclaimConfig{})
-	rm.Register(victim)
+	d := AttachReclaim(m, ReclaimConfig{})
+	d.Register(victim)
 	defer hog.Destroy(0)
 	defer victim.Destroy(2)
 
@@ -129,7 +129,7 @@ func TestDirectReclaimStealsCrossNode(t *testing.T) {
 	if _, err := hog.Mmap(0, 450*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
 		t.Fatalf("allocation failed despite stealable cross-node memory: %v", err)
 	}
-	st := rm.Stats()
+	st := d.Stats()
 	if st.DirectRounds == 0 {
 		t.Fatal("no direct-reclaim rounds ran")
 	}

@@ -2,12 +2,22 @@ package core
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
+	"cortenmm/internal/pt"
 )
 
 // TestPressurePopulateOvercommit is the headline acceptance test: on a
@@ -29,8 +39,8 @@ func TestPressurePopulateOvercommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rm := AttachReclaim(m, ReclaimConfig{})
-			rm.Register(a)
+			d := AttachReclaim(m, ReclaimConfig{})
+			d.Register(a)
 			defer a.Destroy(0)
 
 			vas := make([]arch.Vaddr, 0, chunks)
@@ -50,7 +60,7 @@ func TestPressurePopulateOvercommit(t *testing.T) {
 			if dev.InUse() == 0 {
 				t.Fatal("overcommit completed without touching swap")
 			}
-			st := rm.Stats()
+			st := d.Stats()
 			if st.DirectRounds == 0 {
 				t.Error("no direct-reclaim rounds ran")
 			}
@@ -107,8 +117,8 @@ func TestKswapdBackgroundSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := AttachReclaim(m, ReclaimConfig{LowWater: 64, MinWater: 8})
-	rm.Register(a)
+	d := AttachReclaim(m, ReclaimConfig{LowWater: 64, MinWater: 8})
+	d.Register(a)
 	defer a.Destroy(0)
 
 	// Drop free frames below the low watermark (64): populate ~200.
@@ -128,7 +138,7 @@ func TestKswapdBackgroundSweep(t *testing.T) {
 	if _, err := a.Load(0, va); err != nil {
 		t.Fatal(err)
 	}
-	if rm.Stats().BgSweeps == 0 {
+	if d.Stats().BgSweeps == 0 {
 		t.Fatal("no background sweeps despite sustained pressure")
 	}
 	if a.Stats().SwapOuts.Load() == 0 {
@@ -155,9 +165,9 @@ func TestOOMKillTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := AttachReclaim(m, ReclaimConfig{OOMKill: true})
-	rm.Register(hog)
-	rm.Register(small)
+	d := AttachReclaim(m, ReclaimConfig{OOMKill: true})
+	d.Register(hog)
+	d.Register(small)
 
 	// The hog takes nearly everything.
 	if _, err := hog.Mmap(0, 200*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
@@ -172,7 +182,7 @@ func TestOOMKillTeardown(t *testing.T) {
 	if !hog.OOMKilled() {
 		t.Fatal("hog survived")
 	}
-	if got := rm.Stats().OOMKills; got != 1 {
+	if got := d.Stats().OOMKills; got != 1 {
 		t.Fatalf("OOMKills = %d, want 1", got)
 	}
 	// The killed space fails fast on allocating syscalls...
@@ -188,8 +198,8 @@ func TestOOMKillTeardown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rm.Unregister(hog)
-	rm.Unregister(small)
+	d.Unregister(hog)
+	d.Unregister(small)
 	hog.Destroy(0)
 	small.Destroy(1)
 	m.Quiesce()
@@ -198,5 +208,78 @@ func TestOOMKillTeardown(t *testing.T) {
 	}
 	if n := m.Phys.KindFrames(mem.KindAnon); n != 0 {
 		t.Errorf("%d anon frames leaked", n)
+	}
+}
+
+// TestOneDaemonOneSlot keeps a second hook slot from coming back. The
+// allocator reaches the daemon through one Pressure field and holds no
+// other interface and no function beside its placement policy; the
+// machine holds no function at all; neither package exports a hook
+// setter; the daemon keeps no table keyed by address space (a space's
+// state lives on the space or in its page table, where the scanner's
+// heat sits in PageState padding); and a space names one daemon.
+func TestOneDaemonOneSlot(t *testing.T) {
+	// held is what a field holds: the target of an atomic.Pointer, else
+	// its own type.
+	held := func(ty reflect.Type) reflect.Type {
+		if ty.PkgPath() == "sync/atomic" && strings.HasPrefix(ty.Name(), "Pointer[") {
+			load, _ := reflect.PointerTo(ty).MethodByName("Load")
+			return load.Type.Out(0).Elem()
+		}
+		return ty
+	}
+	pressure, slots := reflect.TypeOf((*mem.Pressure)(nil)).Elem(), 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(mem.PhysMem{})) {
+		switch ty := held(f.Type); {
+		case ty == pressure:
+			slots++
+		case ty.Kind() == reflect.Interface || ty.Kind() == reflect.Func && ty != reflect.TypeOf(mem.AllocPolicy(nil)):
+			t.Errorf("mem.PhysMem.%s holds a %v: the allocator reaches the daemon through its Pressure", f.Name, ty)
+		}
+	}
+	if slots != 1 {
+		t.Errorf("mem.PhysMem has %d Pressure fields, want 1", slots)
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(cpusim.Machine{})) {
+		if held(f.Type).Kind() == reflect.Func {
+			t.Errorf("cpusim.Machine.%s holds a function: the tick reaches the daemon through Phys.Pressure", f.Name)
+		}
+	}
+	setter := regexp.MustCompile(`^Set\w*Hook$|^SetMigrator$|^SetPressureKick$`)
+	for _, dir := range []string{"../mem", "../cpusim"} {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					if fn, ok := decl.(*ast.FuncDecl); ok && setter.MatchString(fn.Name.Name) {
+						t.Errorf("%s exports %s: install a mem.Pressure instead", dir, fn.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	space := reflect.TypeOf(&AddrSpace{})
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Daemon{})) {
+		if f.Type.Kind() != reflect.Map {
+			continue
+		}
+		if key := f.Type.Key(); key == space || key.Kind() == reflect.Struct && slices.ContainsFunc(reflect.VisibleFields(key), func(k reflect.StructField) bool { return k.Type == space }) {
+			t.Errorf("Daemon.%s is keyed by address space: keep per-space state on the space", f.Name)
+		}
+	}
+	if size := unsafe.Sizeof(pt.PageState{}); size != 72 {
+		t.Errorf("pt.PageState is %d bytes, want 72: the heat bytes belong in Level's padding", size)
+	}
+	daemons := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(AddrSpace{})) {
+		if held(f.Type) == reflect.TypeOf(Daemon{}) || f.Type == reflect.TypeOf(&Daemon{}) {
+			daemons++
+		}
+	}
+	if daemons != 1 {
+		t.Errorf("AddrSpace names %d daemons, want 1", daemons)
 	}
 }

@@ -17,8 +17,10 @@ import (
 // support enables (§4.3), and — like every MMU access — runs entirely
 // inside one transaction.
 //
-// Shared, COW and file-backed pages are skipped (reclaim for those goes
-// through the file reverse map instead; see mem.File.UnmapAll).
+// Shared, COW and file-backed pages are skipped, and nothing else
+// reclaims them: mem.File.UnmapAll can unmap a file page through the
+// reverse map, but no sweep calls it, so file-backed and shared pages
+// stay resident until unmapped.
 func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target int) (int, error) {
 	return a.reclaimRangeNode(core, va, size, target, -1)
 }
@@ -189,11 +191,11 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		a.stats.SwapOuts.Add(1)
 		reclaimed++
 	}
-	if rm := a.reclaim; rm != nil {
+	if d := a.daemon.Load(); d != nil {
 		st := q.Stats()
-		rm.swapQueued.Add(st.Submitted + st.Refused)
-		rm.swapCompleted.Add(st.Completed)
-		rm.swapFailed.Add(st.Failed + st.Refused)
+		d.swapQueued.Add(st.Submitted + st.Refused)
+		d.swapCompleted.Add(st.Completed)
+		d.swapFailed.Add(st.Failed + st.Refused)
 	}
 	return reclaimed, firstErr
 }

@@ -160,7 +160,7 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	InstallMigrator(m)
+	daemonOf(m)
 	va := arch.Vaddr(arch.SpanBytes(2))
 	if err := a.MmapFixed(0, va, arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
 		t.Fatal(err)

@@ -221,17 +221,17 @@ func TestDeferredWorkGetsFreshCursor(t *testing.T) {
 	}
 }
 
-// TestReclaimHookSkipsHeldSpace: the in-allocator reclaim hook, fired on
+// TestReclaimHookSkipsHeldSpace: the in-allocator reclaim, fired on
 // a core that is inside a transaction (a fault that ran out of frames),
 // must not sweep the space that transaction belongs to — the PT locks
 // are not reentrant — and must still reclaim from another registered
-// space. The hook runs on a helper goroutine carrying the same core ID
+// space. Reclaim runs on a helper goroutine carrying the same core ID
 // so that a broken guard shows as a timeout, not a hung test binary.
 func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
-			rm := AttachReclaim(m, ReclaimConfig{})
+			d := AttachReclaim(m, ReclaimConfig{})
 			const size = 16 * arch.PageSize
 			var spaces [2]*AddrSpace
 			var vas [2]arch.Vaddr
@@ -240,7 +240,7 @@ func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rm.Register(a)
+				d.Register(a)
 				if vas[i], err = a.Mmap(0, size, arch.PermRW, mm.FlagPopulate); err != nil {
 					t.Fatal(err)
 				}
@@ -256,25 +256,25 @@ func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 				t.Fatal("holdsTx does not tell the held space from the free one")
 			}
 			done := make(chan int, 1)
-			go func() { done <- rm.hook(0, m.NodeOf(0), 8) }()
+			go func() { done <- d.Reclaim(0, m.NodeOf(0), 8) }()
 			select {
 			case n := <-done:
 				if n == 0 {
-					t.Error("the hook reclaimed nothing from the space it could sweep")
+					t.Error("Reclaim reclaimed nothing from the space it could sweep")
 				}
 			case <-time.After(20 * time.Second):
-				t.Fatal("the hook is stuck: it swept the space its core holds locks in")
+				t.Fatal("Reclaim is stuck: it swept the space its core holds locks in")
 			}
 			c.Close()
 			if n := held.Stats().SwapOuts.Load(); n != 0 {
-				t.Errorf("the hook swapped %d pages out of the held space", n)
+				t.Errorf("Reclaim swapped %d pages out of the held space", n)
 			}
 			if free.Stats().SwapOuts.Load() == 0 {
-				t.Error("the hook swapped nothing out of the other space")
+				t.Error("Reclaim swapped nothing out of the other space")
 			}
 			// With the transaction closed the same space is fair game.
-			if rm.hook(0, m.NodeOf(0), 64) == 0 || held.Stats().SwapOuts.Load() == 0 {
-				t.Error("the hook still skips the space after its transaction closed")
+			if d.Reclaim(0, m.NodeOf(0), 64) == 0 || held.Stats().SwapOuts.Load() == 0 {
+				t.Error("Reclaim still skips the space after its transaction closed")
 			}
 			for _, a := range spaces {
 				a.Destroy(0)
@@ -291,12 +291,12 @@ func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 // can see.
 func TestCompactionRefusesInsideTx(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
-	cm := AttachCompaction(m, nil, CompactConfig{ScanSpans: 8})
+	d := AttachCompaction(m, CompactConfig{ScanSpans: 8})
 	scanned, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm.Register(scanned)
+	d.Register(scanned)
 	span := arch.SpanBytes(2)
 	if err := scanned.MmapFixed(0, arch.Vaddr(span), span, arch.PermRW, mm.FlagPopulate); err != nil {
 		t.Fatal(err)
@@ -314,23 +314,23 @@ func TestCompactionRefusesInsideTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm.tick(0)
-	if cm.directCompact(0, m.NodeOf(0), arch.IndexBits) {
+	d.Tick(0)
+	if d.Compact(0, m.NodeOf(0), arch.IndexBits) {
 		t.Error("direct compaction ran inside a transaction")
 	}
-	if st := cm.Stats(); st.SpansScanned != 0 || st.DirectRefused != 1 || st.DirectRuns != 0 {
+	if st := d.Stats(); st.SpansScanned != 0 || st.DirectRefused != 1 || st.DirectRuns != 0 {
 		t.Errorf("inside a transaction: %+v, want nothing scanned, one refusal, no run", st)
 	}
-	cm.tick(1) // another core is not inside anything
-	if cm.Stats().SpansScanned == 0 {
+	d.Tick(1) // another core is not inside anything
+	if d.Stats().SpansScanned == 0 {
 		t.Error("core 1's tick refused because of core 0's transaction")
 	}
 	c.Close()
 
-	scannedBefore := cm.Stats().SpansScanned
-	cm.tick(0)
-	cm.directCompact(0, m.NodeOf(0), arch.IndexBits)
-	if st := cm.Stats(); st.SpansScanned == scannedBefore || st.DirectRefused != 1 || st.DirectRuns != 1 {
+	scannedBefore := d.Stats().SpansScanned
+	d.Tick(0)
+	d.Compact(0, m.NodeOf(0), arch.IndexBits)
+	if st := d.Stats(); st.SpansScanned == scannedBefore || st.DirectRefused != 1 || st.DirectRuns != 1 {
 		t.Errorf("outside a transaction: %+v, want a scan and one run", st)
 	}
 	scanned.Destroy(0)

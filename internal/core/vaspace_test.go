@@ -308,8 +308,8 @@ func TestTxMappingsAreSwept(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer a.Destroy(0)
-			rm := AttachReclaim(m, ReclaimConfig{})
-			rm.Register(a)
+			d := AttachReclaim(m, ReclaimConfig{})
+			d.Register(a)
 
 			c, err := a.Lock(0, base, base+pages*arch.PageSize)
 			if err != nil {
@@ -330,7 +330,7 @@ func TestTxMappingsAreSwept(t *testing.T) {
 			if got := a.allocatedPages(0); got != pages {
 				t.Fatalf("enumeration counts %d pages, want %d", got, pages)
 			}
-			if n := rm.DirectReclaim(0, pages); n != pages/2 {
+			if n := d.DirectReclaim(0, pages); n != pages/2 {
 				t.Fatalf("reclaimed %d pages, want %d", n, pages/2)
 			}
 			if got := a.Stats().SwapOuts.Load(); got != pages/2 {

@@ -53,12 +53,6 @@ type Machine struct {
 	tickEvery int
 	ticks     []tickState
 	asids     asidState
-	// tickHook is an optional callback run at each timer tick after the
-	// LATR sweep and RCU poll — the core layer hangs kswapd-style
-	// background reclaim off it. It runs on the ticking core's
-	// goroutine, which at tick time holds no page-table locks (OpTick
-	// is always called before a transaction begins).
-	tickHook atomic.Pointer[func(core int)]
 }
 
 // tickState is one core's line of machine state: the event clock OpTick
@@ -302,27 +296,19 @@ func (m *Machine) Run(n int, fn func(core int)) {
 	wg.Wait()
 }
 
-// SetTickHook registers fn to run at every timer tick (nil unregisters).
-// fn must tolerate concurrent invocation from different cores and must
-// not assume any locks are held.
-func (m *Machine) SetTickHook(fn func(core int)) {
-	if fn == nil {
-		m.tickHook.Store(nil)
-		return
-	}
-	m.tickHook.Store(&fn)
-}
-
 // OpTick advances core's event clock; every TickEvery events the core
 // takes a "timer interrupt": it sweeps LATR buffers, polls RCU and runs
-// the tick hook. Workloads call this once per high-level operation.
+// the physical memory's Pressure tick (kswapd, kcompactd and khugepaged
+// analogues), on this core's goroutine, which holds no page-table locks:
+// OpTick is always called before a transaction begins. Workloads call
+// this once per high-level operation.
 func (m *Machine) OpTick(core int) {
 	t := &m.ticks[core]
 	t.n++
 	if t.n%uint64(m.tickEvery) == 0 {
 		m.Reap(core)
-		if h := m.tickHook.Load(); h != nil {
-			(*h)(core)
+		if p := m.Phys.Pressure(); p != nil {
+			p.Tick(core)
 		}
 	}
 }

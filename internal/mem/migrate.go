@@ -2,11 +2,11 @@ package mem
 
 // Frame migration and zone compaction (§4.5-adjacent machinery for the
 // THP pipeline): the mem layer owns candidate discovery, pinning, and
-// target allocation; the core layer registers a MigrateHook that runs
-// the locked break-before-make remap + copy through the page-table
-// transaction protocol. Reverse-map hints (FrameDesc.AnonRMap) are
-// advisory — the hook revalidates everything under the lock before
-// touching a PTE, exactly like the file reverse maps of §4.5.
+// target allocation; the installed Pressure's Migrate runs the locked
+// break-before-make remap + copy through the page-table transaction
+// protocol. Reverse-map hints (FrameDesc.AnonRMap) are advisory — Migrate
+// revalidates everything under the lock before touching a PTE, exactly
+// like the file reverse maps of §4.5.
 
 import (
 	"fmt"
@@ -18,12 +18,12 @@ import (
 // hugeOrder is the buddy order of a 2-MiB block (one L2 leaf).
 const hugeOrder = arch.IndexBits
 
-// MigrateReq describes one candidate migration handed to the core hook:
+// MigrateReq describes one candidate migration handed to Pressure.Migrate:
 // move the exclusive anonymous 4-KiB frame Src, believed mapped at VA in
 // Owner (an *AddrSpace, typed any to keep the dependency direction
 // mem <- core), to the freshly allocated frame Dst. Src carries a pin
 // taken by the scanner; Dst carries the allocation reference, which the
-// hook's remap consumes on success.
+// remap consumes on success.
 type MigrateReq struct {
 	Owner any
 	VA    uint64
@@ -31,41 +31,8 @@ type MigrateReq struct {
 	Dst   arch.PFN
 }
 
-// MigrateHook performs the locked remap+copy for a batch of requests,
-// returning a per-request success slice of the same length. It must not
-// free Src or Dst: on success the remap takes ownership of Dst's
-// reference and drops Src's mapping reference; the caller drops the
-// scanner pin afterwards and frees Dst on failure.
-type MigrateHook func(core int, reqs []MigrateReq) []bool
-
-// CompactHook is the direct-compaction callback the core layer
-// registers: compact so an order-sized block can form near node,
-// returning whether it made progress. It runs on the allocating
-// goroutine, so implementations must refuse when that goroutine is
-// inside a page-table transaction (the remap would deadlock).
-type CompactHook func(core, node, order int) bool
-
-// SetMigrator registers the frame-migration hook (nil unregisters).
-func (m *PhysMem) SetMigrator(h MigrateHook) {
-	if h == nil {
-		m.migrate.Store(nil)
-		return
-	}
-	m.migrate.Store(&h)
-}
-
-// SetCompactHook registers the direct-compaction callback invoked from
-// the order>0 allocation slow path (nil unregisters).
-func (m *PhysMem) SetCompactHook(h CompactHook) {
-	if h == nil {
-		m.compact.Store(nil)
-		return
-	}
-	m.compact.Store(&h)
-}
-
 // ErrNotMovable is returned when a frame cannot be migrated: no
-// migrator registered, the frame is not an exclusive anonymous 4-KiB
+// Pressure installed, the frame is not an exclusive anonymous 4-KiB
 // page with a reverse-map hint, or revalidation under the lock failed.
 var ErrNotMovable = fmt.Errorf("mem: frame not movable")
 
@@ -102,11 +69,10 @@ func (m *PhysMem) MigrateFrameTo(core int, src arch.PFN, node int) error {
 }
 
 func (m *PhysMem) migrateFrameTo(core int, src arch.PFN, node int, numa bool) error {
-	hp := m.migrate.Load()
-	if hp == nil {
+	p := m.Pressure()
+	if p == nil {
 		return ErrNotMovable
 	}
-	hook := *hp
 	owner, va, ok := m.pinCandidate(core, src)
 	if !ok {
 		return ErrNotMovable
@@ -124,7 +90,7 @@ func (m *PhysMem) migrateFrameTo(core int, src arch.PFN, node int, numa bool) er
 		z.migFailed.Add(1)
 		return err
 	}
-	res := hook(core, []MigrateReq{{Owner: owner, VA: va, Src: src, Dst: dst}})
+	res := p.Migrate(core, []MigrateReq{{Owner: owner, VA: va, Src: src, Dst: dst}})
 	m.Put(core, src) // drop the scanner pin
 	if len(res) == 1 && res[0] {
 		z.migMigrated.Add(1)
@@ -138,8 +104,8 @@ func (m *PhysMem) migrateFrameTo(core int, src arch.PFN, node int, numa bool) er
 	return ErrNotMovable
 }
 
-// compactChunk bounds how many migrations share one hook invocation
-// (and therefore one RCU barrier).
+// compactChunk bounds how many migrations share one Migrate call (and
+// therefore one RCU barrier).
 const compactChunk = 64
 
 // CompactZone runs one compaction pass over node's zone: it walks PFNs
@@ -150,11 +116,10 @@ const compactChunk = 64
 // into high-order blocks. maxPages bounds the work (<=0 means the whole
 // zone). Returns the number of pages migrated.
 func (m *PhysMem) CompactZone(core, node, maxPages int) int {
-	hp := m.migrate.Load()
-	if hp == nil {
+	p := m.Pressure()
+	if p == nil {
 		return 0
 	}
-	hook := *hp
 	z := &m.zones[node]
 	if maxPages <= 0 {
 		maxPages = int(z.frames())
@@ -202,7 +167,7 @@ func (m *PhysMem) CompactZone(core, node, maxPages int) int {
 			break // no usable high holes remain; further scanning is futile
 		}
 		reqs = reqs[:run]
-		res := hook(core, reqs)
+		res := p.Migrate(core, reqs)
 		for i, req := range reqs {
 			m.Put(core, req.Src) // drop the scanner pin
 			if i < len(res) && res[i] {

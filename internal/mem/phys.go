@@ -213,22 +213,48 @@ type RMapRef struct {
 	Index uint64
 }
 
-// ReclaimHook is the direct-reclaim callback the core layer registers:
-// try to free up to target frames on behalf of core, returning how many
-// pages it reclaimed. node is the starved placement node — the zone the
-// failing allocation wanted — so implementations can free that node's
-// frames first before stealing cross-node. It runs on the allocating
-// goroutine, which may be inside a page-table transaction —
-// implementations must skip address spaces that goroutine already holds
-// locks in (see core.ReclaimManager).
-type ReclaimHook func(core, node, target int) int
+// Pressure is the one boundary between the physical allocator and the
+// policy that relieves it: what allocations call when a zone runs short,
+// and what the machine's timer tick drives. A machine has at most one
+// (the core layer's Daemon), installed with SetPressure. Each method's
+// rely condition is the state its caller is in:
+//
+//   - Reclaim frees up to target frames for an allocation that found
+//     node's zonelist exhausted, preferring node's own frames, and returns
+//     how many pages it freed — or a negative count when it does no
+//     reclaim at all, after which the slow path fails without more rounds.
+//     It runs on the allocating goroutine, which may be inside a
+//     page-table transaction: it must skip every space that goroutine may
+//     hold locks in, and must not block on another reclaimer.
+//   - Kick reports that node's zone dipped below its low watermark. Every
+//     allocation that observes it calls it, so it only latches.
+//   - Compact compacts node's zone so a block of 2^order frames can form,
+//     reporting progress. Like Reclaim it may run inside a transaction,
+//     and there it must refuse: migration takes PT locks and an RCU
+//     barrier, both of which deadlock under a held PT lock.
+//   - Migrate runs the locked remap + copy for a batch of pinned
+//     candidates and returns one success flag per request. Its callers
+//     (MigrateFrame, CompactZone) hold no PT lock. It must not free Src or
+//     Dst: a successful remap takes Dst's allocation reference and drops
+//     Src's mapping reference; the caller drops its pin and frees Dst on
+//     failure.
+//   - Tick is the background work of a timer tick, run on the ticking core
+//     after its deferred work. OpTick fires before a transaction begins,
+//     so Tick never runs inside one.
+type Pressure interface {
+	Reclaim(core, node, target int) int
+	Kick(node int)
+	Compact(core, node, order int) bool
+	Migrate(core int, reqs []MigrateReq) []bool
+	Tick(core int)
+}
 
 // Allocation slow-path tuning: on buddy exhaustion the allocator drains
 // the per-core caches, then runs up to reclaimRounds direct-reclaim
 // rounds (each followed by another drain) before failing hard.
 const (
 	reclaimRounds = 4
-	reclaimTarget = 32 // frames requested from the hook per round
+	reclaimTarget = 32 // frames requested per Reclaim round
 )
 
 // PhysMem is the simulated physical memory: a frame table plus per-NUMA
@@ -262,21 +288,11 @@ type PhysMem struct {
 	// cannot lift global free frames above min.
 	lowWater atomic.Uint64
 	minWater atomic.Uint64
-	// reclaim is the registered direct-reclaim hook, if any.
-	reclaim atomic.Pointer[ReclaimHook]
-	// compact is the registered direct-compaction hook, if any; invoked
-	// from the order>0 allocation slow path.
-	compact atomic.Pointer[CompactHook]
-	// migrate is the registered frame-migration hook (the core layer's
-	// locked break-before-make remap), if any.
-	migrate atomic.Pointer[MigrateHook]
+	// pressure is the installed Pressure, if any (SetPressure).
+	pressure atomic.Pointer[Pressure]
 	// numaTrack gates NoteAccess streak accounting (off unless NUMA
 	// balancing is configured, keeping the hot translate path cheap).
 	numaTrack atomic.Bool
-	// kick is invoked (from allocation paths, so it must be cheap and
-	// non-blocking) when a zone's free frames drop below its low
-	// watermark; the argument is the starved node.
-	kick atomic.Pointer[func(node int)]
 	// objs names the files and swap devices status words refer to.
 	objs objTable
 }
@@ -324,26 +340,15 @@ func (m *PhysMem) Watermarks() (low, min uint64) {
 	return m.lowWater.Load(), m.minWater.Load()
 }
 
-// SetReclaimHook registers the direct-reclaim callback (nil unregisters).
-func (m *PhysMem) SetReclaimHook(h ReclaimHook) {
-	if h == nil {
-		m.reclaim.Store(nil)
-		return
-	}
-	m.reclaim.Store(&h)
-}
+// SetPressure installs p as the machine's Pressure (nil uninstalls).
+func (m *PhysMem) SetPressure(p Pressure) { m.pressure.Store(&p) }
 
-// SetPressureKick registers fn to be called when an allocation observes
-// a zone's free frames below its low watermark (nil unregisters). fn
-// receives the starved node and must be cheap and non-blocking —
-// typically it just sets a flag a background sweeper picks up at the
-// next timer tick.
-func (m *PhysMem) SetPressureKick(fn func(node int)) {
-	if fn == nil {
-		m.kick.Store(nil)
-		return
+// Pressure returns the installed Pressure, or nil.
+func (m *PhysMem) Pressure() Pressure {
+	if p := m.pressure.Load(); p != nil {
+		return *p
 	}
-	m.kick.Store(&fn)
+	return nil
 }
 
 // checkPressure kicks background reclaim when the placement zone's free
@@ -355,8 +360,8 @@ func (m *PhysMem) checkPressure(node int) {
 	if low == 0 || z.buddy.freeCount() >= low {
 		return
 	}
-	if k := m.kick.Load(); k != nil {
-		(*k)(node)
+	if p := m.Pressure(); p != nil {
+		p.Kick(node)
 	}
 }
 
@@ -390,7 +395,7 @@ func (m *PhysMem) toBuddy(z int, pfns []arch.PFN) {
 // order > 0 requests it then tries direct compaction — fragmentation is
 // not exhaustion, so reclaiming (evicting pages) before compacting would
 // throw data away needlessly. If that fails it runs bounded
-// direct-reclaim rounds through the registered hook — the hook performs
+// direct-reclaim rounds through the installed Pressure — which performs
 // its own backoff by driving simulated timer ticks (TLB sweeps + RCU
 // polls) so deferred frees reach the allocator — retrying after each,
 // and finally compacts once more (reclaim may have freed scattered
@@ -403,42 +408,40 @@ func (m *PhysMem) allocSlow(core, node, order int, retry func() bool) bool {
 	if retry() {
 		return true
 	}
-	if order > 0 && m.tryCompact(core, node, order) && retry() {
-		return true
-	}
-	hp := m.reclaim.Load()
-	if hp == nil {
+	p := m.Pressure()
+	if p == nil {
 		return false
 	}
-	hook := *hp
+	if order > 0 && m.tryCompact(p, core, node, order) && retry() {
+		return true
+	}
 	for round := 0; round < reclaimRounds; round++ {
-		got := hook(core, node, reclaimTarget)
+		got := p.Reclaim(core, node, reclaimTarget)
+		if got < 0 {
+			return false
+		}
 		m.DrainPCP()
 		if retry() {
 			return true
 		}
 		// A zero-progress round above the min watermark is not yet a
-		// hard failure — deferred frees may still land (the hook's tick
+		// hard failure — deferred frees may still land (Reclaim's tick
 		// backoff drains them); below min with no progress, stop early.
 		if got == 0 && m.FreeFrames() < m.minWater.Load() {
 			break
 		}
 	}
-	if order > 0 && m.tryCompact(core, node, order) && retry() {
+	if order > 0 && m.tryCompact(p, core, node, order) && retry() {
 		return true
 	}
 	return false
 }
 
-// tryCompact invokes the registered direct-compaction hook and drains
-// the pcp caches so any frames it freed can coalesce. Reports whether a
-// hook ran and claimed progress.
-func (m *PhysMem) tryCompact(core, node, order int) bool {
-	hp := m.compact.Load()
-	if hp == nil {
-		return false
-	}
-	ok := (*hp)(core, node, order)
+// tryCompact runs p's direct compaction and drains the pcp caches so any
+// frames it freed can coalesce. Reports whether compaction claimed
+// progress.
+func (m *PhysMem) tryCompact(p Pressure, core, node, order int) bool {
+	ok := p.Compact(core, node, order)
 	m.DrainPCP()
 	return ok
 }

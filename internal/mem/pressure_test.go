@@ -104,9 +104,28 @@ func TestAllocFramesDrainsPCP(t *testing.T) {
 	}
 }
 
-// TestAllocSlowPathReclaimHook: buddy exhaustion invokes the registered
-// hook for bounded rounds, and allocation succeeds once the hook frees
-// memory.
+// fakePressure is a Pressure whose Reclaim and Kick are the test's own
+// functions (a nil kick ignores kicks); it compacts and migrates nothing.
+type fakePressure struct {
+	reclaim func(core, node, target int) int
+	kick    func(node int)
+}
+
+func (f fakePressure) Reclaim(core, node, target int) int { return f.reclaim(core, node, target) }
+func (f fakePressure) Kick(node int) {
+	if f.kick != nil {
+		f.kick(node)
+	}
+}
+func (fakePressure) Compact(core, node, order int) bool { return false }
+func (fakePressure) Migrate(core int, reqs []MigrateReq) []bool {
+	return make([]bool, len(reqs))
+}
+func (fakePressure) Tick(core int) {}
+
+// TestAllocSlowPathReclaimHook: buddy exhaustion calls the installed
+// Pressure's Reclaim for bounded rounds, and allocation succeeds once it
+// frees memory.
 func TestAllocSlowPathReclaimHook(t *testing.T) {
 	const frames = 128
 	m := NewPhysMem(frames, 1)
@@ -119,7 +138,7 @@ func TestAllocSlowPathReclaimHook(t *testing.T) {
 		held = append(held, pfn)
 	}
 	rounds := 0
-	m.SetReclaimHook(func(core, node, target int) int {
+	m.SetPressure(fakePressure{reclaim: func(core, node, target int) int {
 		rounds++
 		if rounds < 2 {
 			return 0 // first round: no progress, slow path must retry
@@ -130,19 +149,19 @@ func TestAllocSlowPathReclaimHook(t *testing.T) {
 			held = held[:len(held)-1]
 		}
 		return n
-	})
+	}})
 	pfn, err := m.AllocFrame(0, KindAnon)
 	if err != nil {
 		t.Fatalf("slow path failed despite reclaimable memory: %v", err)
 	}
 	if rounds < 2 {
-		t.Fatalf("hook ran %d rounds, want >= 2", rounds)
+		t.Fatalf("Reclaim ran %d rounds, want >= 2", rounds)
 	}
 	held = append(held, pfn)
-	// With the hook drained dry and below min, allocation must fail
+	// With Reclaim drained dry and below min, allocation must fail
 	// after bounded rounds instead of looping forever.
 	m.SetWatermarks(16, frames) // min above anything reachable
-	m.SetReclaimHook(func(core, node, target int) int { return 0 })
+	m.SetPressure(fakePressure{reclaim: func(core, node, target int) int { return 0 }})
 	rounds = 0
 	for {
 		pfn, err := m.AllocFrame(0, KindAnon)
@@ -154,16 +173,23 @@ func TestAllocSlowPathReclaimHook(t *testing.T) {
 		}
 		held = append(held, pfn)
 	}
+	// A Pressure that does no reclaim says so once (a negative count),
+	// and the slow path fails without another round.
+	rounds = 0
+	m.SetPressure(fakePressure{reclaim: func(core, node, target int) int { rounds++; return -1 }})
+	if _, err := m.AllocFrame(0, KindAnon); !errors.Is(err, ErrOutOfMemory) || rounds != 1 {
+		t.Fatalf("no-reclaim Pressure: err %v after %d rounds, want ErrOutOfMemory after 1", err, rounds)
+	}
 }
 
-// TestPressureKick: allocations below the low watermark invoke the
-// registered kick exactly when free frames dip under the mark.
+// TestPressureKick: allocations below the low watermark call the
+// installed Pressure's Kick exactly when free frames dip under the mark.
 func TestPressureKick(t *testing.T) {
 	const frames = 128
 	m := NewPhysMem(frames, 1)
 	m.SetWatermarks(32, 4)
 	kicks := 0
-	m.SetPressureKick(func(node int) { kicks++ })
+	m.SetPressure(fakePressure{kick: func(node int) { kicks++ }})
 	var held []arch.PFN
 	for i := 0; i < frames-40; i++ {
 		pfn, err := m.AllocFrame(0, KindAnon)

@@ -27,6 +27,11 @@ import (
 type PageState struct {
 	// Level of this PT page: 1 = leaf table, arch.Levels = root.
 	Level int8
+	// Young and Cold are a leaf table's heat, the collapse scanner's
+	// evidence about the 2-MiB span it maps: scans that saw a young
+	// majority, and consecutive cold scans since. Written under the page's
+	// lock; a fresh table starts cold. (They sit in Level's padding.)
+	Young, Cold uint8
 	// Stale is set (under Mu) when the page has been unlinked from its
 	// parent; lockers observing it must retry from the root (Fig 6 L10).
 	Stale atomic.Bool
