@@ -195,20 +195,18 @@ func BenchmarkFig22(b *testing.B) {
 }
 
 // BenchmarkTable4 measures the model checker (the verification-effort
-// analog: states and transitions checked per second).
+// analog: states and transitions checked per second) on the spec table's
+// three-core Figure-7 row: an unmapper racing two lockers.
 func BenchmarkTable4(b *testing.B) {
-	topo := spec.NewTopology(3, 2)
-	m := &spec.AdvModel{
-		Topo:       topo,
-		Targets:    []int{1, 3, 4},
-		Roles:      []spec.Role{spec.RoleUnmapper, spec.RoleLocker, spec.RoleLocker},
-		UnmapChild: 3,
+	c, ok := spec.Find("adv", "three", "")
+	if !ok {
+		b.Fatal("no adv/three row in the spec table")
 	}
 	var states, transitions int
 	for i := 0; i < b.N; i++ {
-		res := spec.Check(m, 5_000_000)
-		if res.Violation != nil || res.Deadlock != nil {
-			b.Fatal("model check failed")
+		res, err := c.Verify()
+		if err != nil {
+			b.Fatal(err)
 		}
 		states, transitions = res.States, res.Transitions
 	}

@@ -20,7 +20,7 @@
 //     VMA-based manager, RadixVM-style per-core page-table replication,
 //     and NrOS-style node replication — behind one MM interface;
 //   - an executable verification analog of the paper's Verus proofs
-//     (see cmd/mmcheck) and a benchmark harness regenerating every
+//     (see internal/spec) and a benchmark harness regenerating every
 //     figure and table of the evaluation (see cmd/cortenbench).
 //
 // # Quick start

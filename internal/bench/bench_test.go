@@ -12,6 +12,7 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mm"
+	"cortenmm/internal/spec"
 )
 
 // quick are tiny options so the whole figure suite smoke-runs in CI.
@@ -20,8 +21,7 @@ func quick() Options {
 }
 
 // wantRows is every figure's row families and how many rows of each the
-// quick() grid produces (a negative count is a floor: the spec lists
-// may grow).
+// quick() grid produces (spec: one row per row of the spec table).
 var wantRows = map[string]map[string]int{
 	"1":        {"fig1": 2 * 2 * 4},
 	"2":        {"table2": 5},
@@ -40,7 +40,7 @@ var wantRows = map[string]map[string]int{
 	"numa":     {"fig22-numa": 9, "fig22-numa-node": 3 * (1 + 2 + 4), "fig22-numa-balance": 1},
 	"tenant":   {"fig-tenant": 9},
 	"thp":      {"thp": 4},
-	"spec":     {"fig-spec": -12, "fig-spec-mut": -19},
+	"spec":     {"fig-spec": len(spec.EnvelopeCases()), "fig-spec-mut": len(spec.MutationCases())},
 	"ablate":   {"ablate": 7},
 }
 
@@ -257,7 +257,7 @@ func testFigure(t *testing.T, name string) {
 		}
 	}
 	for fig, n := range wantRows[name] {
-		if got[fig] != n && (n > 0 || got[fig] < -n) {
+		if got[fig] != n {
 			t.Errorf("%s: %d rows, want %d", fig, got[fig], n)
 		}
 	}
@@ -417,6 +417,8 @@ func TestChecksRejectDoctoredRows(t *testing.T) {
 			flat("thp", labels("sys", CortenAdv, "pipeline", true), map[string]float64{"coverage": 1, "order9_rate": 1}),
 		}
 	}
+	// At checkSpec's floor, so dropping any one row is caught; the live
+	// table's exact size is pinned by TestEveryFigureEmitsRows.
 	specRows := func() []Row {
 		var rows []Row
 		for i := 0; i < 12; i++ {
@@ -466,7 +468,7 @@ func TestChecksRejectDoctoredRows(t *testing.T) {
 		{"order-9 probes fail", "thp", thp, func(r []Row) []Row { set(r[1], "order9_rate", Stat{0.5, 0.5, 0.5}); return r }, "thp pipeline=true sys=corten-adv"},
 		{"unclean model", "spec", specRows, func(r []Row) []Row { set(r[3], "clean", Stat{}); return r }, "fig-spec family=rw model=3"},
 		{"uncaught mutation", "spec", specRows, func(r []Row) []Row { set(r[20], "caught", Stat{}); return r }, "fig-spec-mut bug=b family=rw model=8"},
-		{"a mutation dropped", "spec", specRows, func(r []Row) []Row { return r[:30] }, "12/18"},
+		{"a mutation dropped", "spec", specRows, func(r []Row) []Row { return append(r[:20], r[21:]...) }, "12/18"},
 		{"band out of order", "13", func() []Row { return []Row{flat("fig13", labels("sys", Linux), map[string]float64{"ops_per_s": 5})} },
 			func(r []Row) []Row { set(r[0], "ops_per_s", Stat{Median: 5, Min: 6, Max: 7}); return r }, "fig13 sys=linux"},
 		{"no rows", "13", func() []Row { return nil }, func(r []Row) []Row { return r }, "figure 13"},

@@ -9,11 +9,11 @@ import (
 
 // FigSpec is the Table-4 analog — instead of proof lines and
 // verification time, explored states, checked transitions and checker
-// wall time: one fig-spec row per model of the verified envelope at its
-// default bound (clean = 1 when it reports neither violation nor
-// deadlock) and one fig-spec-mut row per seeded bug (caught = 1 when
-// the checker produced a counterexample trace). The states metric is
-// exact for violation, deadlock and clean runs alike.
+// wall time: one fig-spec row per clean scenario of the spec table
+// (clean = 1 when it reports neither violation nor deadlock) and one
+// fig-spec-mut row per seeded bug (caught = 1 when the checker produced
+// the violation the row names, with a counterexample trace). The states
+// metric is exact for violation, deadlock and clean runs alike.
 func FigSpec(Options) ([]Row, error) {
 	var g grid
 	for _, c := range append(spec.EnvelopeCases(), spec.MutationCases()...) {
@@ -23,15 +23,16 @@ func FigSpec(Options) ([]Row, error) {
 		}
 		g.cell(fig, l, func() (map[string]float64, error) {
 			start := time.Now()
-			res := spec.Check(c.Model, c.Bound)
+			res, err := c.Verify()
 			m := map[string]float64{
 				"states": float64(res.States), "transitions": float64(res.Transitions), "trace_steps": float64(len(res.Trace)),
 				"time_ms": float64(time.Since(start).Microseconds()) / 1000, "clean": 0, "caught": 0,
 			}
-			if res.Violation == nil && res.Deadlock == nil {
+			switch {
+			case err != nil:
+			case c.Bug == "":
 				m["clean"] = 1
-			}
-			if res.Violation != nil && len(res.Trace) > 0 {
+			default:
 				m["caught"] = 1
 			}
 			return m, nil
@@ -40,9 +41,10 @@ func FigSpec(Options) ([]Row, error) {
 	return g.rows, g.err
 }
 
-// checkSpec gates both directions of the Table-4 claim: every model of
-// the envelope is clean, every seeded bug is caught, and neither list
-// has shrunk.
+// checkSpec gates both directions of the Table-4 claim: every clean
+// scenario is clean, every seeded bug is caught, and neither list is
+// below the size the first recorded point had (the live run is pinned
+// to the table's exact size by TestEveryFigureEmitsRows).
 func checkSpec(rows []Row) error {
 	clean, mut := pick(rows, "fig-spec"), pick(rows, "fig-spec-mut")
 	if len(clean) < 12 || len(mut) < 19 {
@@ -55,7 +57,7 @@ func checkSpec(rows []Row) error {
 	}
 	for _, r := range mut {
 		if r.Metrics["caught"].Min != 1 {
-			return fmt.Errorf("%s: seeded bug not caught (%.0f states explored)", r, r.Metrics["states"].Max)
+			return fmt.Errorf("%s: seeded bug not caught as named (%.0f states explored)", r, r.Metrics["states"].Max)
 		}
 	}
 	return nil

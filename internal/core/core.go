@@ -54,9 +54,9 @@ type Options struct {
 	ISA arch.ISA
 	// Protocol selects CortenMM_rw or CortenMM_adv.
 	Protocol Protocol
-	// PerCoreVA enables the per-core virtual address allocator (§4.5).
-	// Disabled it falls back to a single global arena — the adv_base
-	// ablation of §6.4.
+	// PerCoreVA gives every core its own virtual-address arena (§4.5).
+	// Disabled, one arena serves all cores — the adv_base ablation of
+	// §6.4.
 	PerCoreVA bool
 	// CoarseLocking makes every transaction lock the root PT page,
 	// degenerating the protocol into one global lock. Only for the
@@ -77,9 +77,8 @@ type AddrSpace struct {
 	asid  tlb.ASID
 	proto Protocol
 
-	valloc  cpusim.VAAlloc
-	perCore bool
-	coarse  bool
+	valloc *cpusim.PerCoreVA
+	coarse bool
 	// swapID is the swap device's object id on the machine (0: none).
 	swapID uint32
 	stats  mm.Stats
@@ -166,11 +165,9 @@ func New(o Options) (*AddrSpace, error) {
 	if err != nil {
 		return nil, err
 	}
-	var va cpusim.VAAlloc
+	arenas := 1
 	if o.PerCoreVA {
-		va = cpusim.NewPerCoreVA(o.Machine.Cores)
-	} else {
-		va = cpusim.NewGlobalVA()
+		arenas = o.Machine.Cores
 	}
 	a := &AddrSpace{
 		m:       o.Machine,
@@ -178,8 +175,7 @@ func New(o Options) (*AddrSpace, error) {
 		isa:     o.ISA,
 		asid:    o.Machine.AllocASID(),
 		proto:   o.Protocol,
-		valloc:  va,
-		perCore: o.PerCoreVA,
+		valloc:  cpusim.NewPerCoreVA(arenas),
 		coarse:  o.CoarseLocking,
 		cursors: make([]cachedCursor, o.Machine.Cores),
 	}

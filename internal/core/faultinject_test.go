@@ -145,6 +145,35 @@ var faultOps = []faultOp{
 		},
 	},
 	{
+		name: "mremap",
+		setup: func(t *testing.T, a *AddrSpace) func() error {
+			const pages = 8
+			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < pages; i++ {
+				if err := a.Store(0, va+arch.Vaddr(i*arch.PageSize), byte(0x60+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Grown across 2-MiB boundaries, so the move needs PT pages.
+			return func() error {
+				nva, err := a.Mremap(0, va, pages*arch.PageSize, arch.SpanBytes(2)*2)
+				at := va // a failed grow leaves the mapping where it was
+				if err == nil {
+					at = nva
+				}
+				for i := 0; i < pages; i++ {
+					if b, lerr := a.Load(0, at+arch.Vaddr(i*arch.PageSize)); lerr != nil || b != byte(0x60+i) {
+						t.Fatalf("mremap (err %v): page %d at %#x reads %#x, %v", err, i, at, b, lerr)
+					}
+				}
+				return err
+			}
+		},
+	},
+	{
 		name: "reclaim",
 		swap: true,
 		setup: func(t *testing.T, a *AddrSpace) func() error {
@@ -167,9 +196,9 @@ var faultOps = []faultOp{
 
 // TestFaultInjectionSweep arms every fault site against every workload,
 // under both protocols, and demands three things of each combination:
-// a triggered fault surfaces as an ErrOutOfMemory-class error (delay
-// sites must be harmless), the unwind leaves the frame table audit
-// clean with no leaked frames, and a disarmed retry succeeds.
+// a triggered Fail site surfaces as an ErrOutOfMemory-class error (an
+// armed Delay point must be harmless), the unwind leaves the frame table
+// audit clean with no leaked frames, and a disarmed retry succeeds.
 func TestFaultInjectionSweep(t *testing.T) {
 	defer fault.DisarmAll()
 	seed := faultSeed()
@@ -201,16 +230,13 @@ func TestFaultInjectionSweep(t *testing.T) {
 					_, fired := site.Stats()
 					site.Disarm()
 
-					if fired > 0 && site != fault.TLBShootdownDelay {
-						if opErr == nil {
-							t.Fatalf("site fired %d times but %s succeeded", fired, op.name)
-						}
-						if !errors.Is(opErr, mem.ErrOutOfMemory) {
-							t.Fatalf("injected failure not OOM-class: %v", opErr)
-						}
-					}
-					if site == fault.TLBShootdownDelay && opErr != nil {
-						t.Fatalf("delay-only site failed %s: %v", op.name, opErr)
+					switch {
+					case site.Kind() == fault.Delay && opErr != nil:
+						t.Fatalf("delay point failed %s: %v", op.name, opErr)
+					case site.Kind() == fault.Fail && fired > 0 && opErr == nil:
+						t.Fatalf("site fired %d times but %s succeeded", fired, op.name)
+					case site.Kind() == fault.Fail && fired > 0 && !errors.Is(opErr, mem.ErrOutOfMemory):
+						t.Fatalf("injected failure not OOM-class: %v", opErr)
 					}
 					if opErr != nil {
 						if err := run(); err != nil {

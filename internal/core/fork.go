@@ -37,11 +37,10 @@ func (a *AddrSpace) Fork(core int) (mm.MM, error) {
 
 func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 	child, err := New(Options{
-		Machine:   a.m,
-		ISA:       a.isa,
-		Protocol:  a.proto,
-		PerCoreVA: a.perCore,
-		SwapDev:   a.m.Phys.DevByID(a.swapID),
+		Machine:  a.m,
+		ISA:      a.isa,
+		Protocol: a.proto,
+		SwapDev:  a.m.Phys.DevByID(a.swapID),
 	})
 	if err != nil {
 		return nil, err

@@ -46,6 +46,7 @@ import (
 	"runtime"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/pt"
 )
@@ -76,12 +77,12 @@ func (d *Daemon) Migrate(core int, reqs []mem.MigrateReq) []bool {
 	if len(lives) == 0 {
 		return res
 	}
-	schedHit("migrate:pre-barrier")
+	fault.MigratePreBarrier.Pause()
 	// One grace period covers every write-protect window in the batch.
 	// No PT locks are held here: lock acquisition runs inside an RCU
 	// read section, so waiting under a lock could wait on itself.
 	d.m.RCU.Synchronize()
-	schedHit("migrate:post-barrier")
+	fault.MigratePostBarrier.Pause()
 	for _, p := range lives {
 		res[p.idx] = remapMigrated(p.a, core, reqs[p.idx], p.perm, p.key)
 		p.a.migrateExit()

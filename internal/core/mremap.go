@@ -12,9 +12,9 @@ import (
 // shrinking unmaps the tail in place; growing allocates a fresh range
 // and *moves* every page there — PTEs, metadata (including swap
 // entries), frames and their reference counts travel without copying
-// data. The move runs under two simultaneously held transactions, one
-// per range, acquired in address order so concurrent Mremaps cannot
-// deadlock against each other.
+// data. The move runs under one transaction spanning both ranges. A grow
+// is all or nothing, and retried after direct reclaim like every other
+// allocating call; a space the OOM killer tore down can only shrink.
 func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error) {
 	if err := a.checkRange(core, oldVA, oldSize); err != nil {
 		return 0, err
@@ -22,6 +22,9 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	newSize = (newSize + arch.PageSize - 1) &^ (arch.PageSize - 1)
 	if newSize == 0 {
 		return 0, fmt.Errorf("%w: zero new size", mm.ErrBadRange)
+	}
+	if newSize > oldSize && a.oomKilled.Load() {
+		return 0, ErrOOMKilled
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
@@ -35,8 +38,25 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 		}
 		return oldVA, nil
 	}
+	var newVA arch.Vaddr
+	err := a.retryOOM(core, func() (err error) {
+		newVA, err = a.grow(core, oldVA, oldSize, newSize)
+		return err
+	})
+	return newVA, err
+}
 
-	// Grow: move to a fresh range.
+// splitEdges is a visitor that changes nothing but, being a mutating
+// walk, splits the partially covered entries at the ends of its range.
+var splitEdges = walkOps{onMeta: func(arch.PFN, int, int, arch.Vaddr, arch.Vaddr, arch.Vaddr) error { return nil }}
+
+// grow moves the mapping at oldVA to a fresh newSize-byte range. Every
+// step that can fail (a PT-page allocation) happens before the old range
+// loses anything it cannot get back: its edges are split first, then the
+// new range is built while the old one keeps its tables. On failure the
+// moved pages go back, nothing is left at the new range and its VA is
+// freed; on success the old range is cleared, which then cannot fail.
+func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error) {
 	newVA, err := a.valloc.Alloc(core, newSize)
 	if err != nil {
 		return 0, err
@@ -45,35 +65,74 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 		a.valloc.Free(core, newVA, newSize)
 		return 0, fmt.Errorf("%w: allocator returned overlapping range", mm.ErrBadRange)
 	}
-
+	oldEnd := oldVA + arch.Vaddr(oldSize)
 	// One transaction spans both ranges: its covering page is their
 	// lowest common ancestor. Two separate cursors could self-deadlock
 	// when one covering page contains the other; a single wider lock is
 	// also what Linux's mremap does (the mmap_lock writer).
-	lo := minVA(oldVA, newVA)
-	hi := maxVA(oldVA+arch.Vaddr(oldSize), newVA+arch.Vaddr(newSize))
-	c, err := a.Lock(core, lo, hi)
+	c, err := a.Lock(core, minVA(oldVA, newVA), maxVA(oldEnd, newVA+arch.Vaddr(newSize)))
 	if err != nil {
+		a.valloc.Free(core, newVA, newSize)
 		return 0, err
 	}
 	// The old range's VAs are recycled immediately after; their
 	// translations must die everywhere before the move returns.
 	c.needSync = true
+	runs, allocated, err := c.moveTo(oldVA, oldEnd, newVA, newSize)
+	if err != nil {
+		c.unmove(oldVA, newVA, newSize)
+		c.Close()
+		a.valloc.Free(core, newVA, newSize)
+		return 0, err
+	}
+	// Commit: clear what the old range still records. Its edges are
+	// split, so neither call needs a PT page.
+	for _, r := range runs {
+		switch r.Status.Kind {
+		case pt.StatusMapped: // taken already
+		case pt.StatusSwapped:
+			// The destination keeps the block: clear without releasing.
+			_ = c.clearMeta(r.VA, r.End())
+		default:
+			_ = c.Mark(r.VA, r.End(), pt.Status{})
+		}
+	}
+	// A moved file mapping is still mapped, so its file keeps this space
+	// as a mapper and its reverse-map record moves with it, inside the
+	// transaction: left behind, the old range's next tenant would retire
+	// the record, and with it the object id the moved statuses name.
+	a.moveFileMappings(oldVA, oldEnd, newVA)
+	c.Close()
 
+	// Retire the old range's address space under munmapFinish's rule:
+	// every page of it was allocated and has moved out. Only the VA half
+	// of that tail applies.
+	if allocated == oldSize/arch.PageSize {
+		a.valloc.Free(core, oldVA, oldSize)
+	}
+	return newVA, nil
+}
+
+// moveTo builds the new range of a grow: the old range's mapped pages
+// move there (a page whose placement fails goes straight back), its
+// swap and virtual statuses are copied, and the tail past the old size
+// becomes fresh on-demand memory. The old range keeps its tables and
+// statuses; the runs it held and their page count are returned.
+func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs []Run, allocated uint64, err error) {
+	if err := c.walk(&splitEdges, oldVA, oldEnd); err != nil {
+		return nil, 0, err
+	}
 	// One pass enumerates the old range as runs; the moves mutate both
 	// ranges, so they happen after the iteration. tailPerm — the
 	// permission for the newly grown pages — comes from the first
 	// allocated run (Linux grows the mapping with the VMA's protection;
 	// our analog is the recorded or mapped permission).
-	var runs []Run
-	var allocated uint64
-	if err := c.Iterate(oldVA, oldVA+arch.Vaddr(oldSize), func(r Run) error {
+	if err := c.Iterate(oldVA, oldEnd, func(r Run) error {
 		runs = append(runs, r)
 		allocated += r.Pages
 		return nil
 	}); err != nil {
-		c.Close()
-		return 0, err
+		return nil, 0, err
 	}
 	tailPerm := arch.PermRW
 	if len(runs) > 0 {
@@ -81,7 +140,6 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	}
 	for _, r := range runs {
 		dst := newVA + (r.VA - oldVA)
-		var err error
 		switch {
 		case r.Status.Kind == pt.StatusMapped && r.Status.HugeLevel() >= 2:
 			// Huge leaves move via split paths, which TakePage refuses.
@@ -92,51 +150,45 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 				frame, perm, key, ok := c.TakePage(src)
 				if !ok {
 					err = fmt.Errorf("core: page vanished during mremap")
-				} else {
-					err = c.PlacePage(dst+arch.Vaddr(i*arch.PageSize), frame, perm, key)
+				} else if err = c.PlacePage(dst+arch.Vaddr(i*arch.PageSize), frame, perm, key); err != nil {
+					_ = c.PlacePage(src, frame, perm, key) // its table is still there
 				}
 			}
-		case r.Status.Kind == pt.StatusSwapped:
-			// Swap entries move as metadata; clear the source without
-			// releasing the block — the destination keeps it. (Swap runs
-			// are single pages: every block is distinct.)
-			if err = c.Mark(dst, dst+arch.Vaddr(r.Pages*arch.PageSize), r.Status); err == nil {
-				err = c.clearMeta(r.VA, r.End())
-			}
 		default:
-			// Not-resident virtual/file state: one Mark per run at the
-			// destination, one wipe at the source. Mark with Invalid
-			// only drops metadata here — the run holds no mappings and
-			// no swap blocks.
-			if err = c.Mark(dst, dst+arch.Vaddr(r.Pages*arch.PageSize), r.Status); err == nil {
-				err = c.Mark(r.VA, r.End(), pt.Status{})
-			}
+			// Swap entries and not-resident virtual/file state: one Mark
+			// per run at the destination. (Swap runs are single pages:
+			// every block is distinct.)
+			err = c.Mark(dst, dst+arch.Vaddr(r.Pages*arch.PageSize), r.Status)
 		}
 		if err != nil {
-			c.Close()
-			return 0, err
+			return nil, 0, err
 		}
 	}
 	// The grown tail is fresh on-demand memory.
-	if err := c.Mark(newVA+arch.Vaddr(oldSize), newVA+arch.Vaddr(newSize),
-		pt.Status{Kind: pt.StatusPrivateAnon, Perm: tailPerm}); err != nil {
-		c.Close()
-		return 0, err
-	}
-	// A moved file mapping is still mapped, so its file keeps this space
-	// as a mapper and its reverse-map record moves with it, inside the
-	// transaction: left behind, the old range's next tenant would retire
-	// the record, and with it the object id the moved statuses name.
-	a.moveFileMappings(oldVA, oldVA+arch.Vaddr(oldSize), newVA)
-	c.Close()
+	oldSize := uint64(oldEnd - oldVA)
+	err = c.Mark(newVA+arch.Vaddr(oldSize), newVA+arch.Vaddr(newSize), pt.Status{Kind: pt.StatusPrivateAnon, Perm: tailPerm})
+	return runs, allocated, err
+}
 
-	// Retire the old range's address space under munmapFinish's rule:
-	// every page of it was allocated and has moved out. Only the VA half
-	// of that tail applies.
-	if allocated == oldSize/arch.PageSize {
-		a.valloc.Free(core, oldVA, oldSize)
+// unmove undoes a failed moveTo: every page at the new range goes back
+// to its old address, whose table is still there, and the new range's
+// statuses and tables go without releasing the swap blocks the old
+// range still names.
+func (c *RCursor) unmove(oldVA, newVA arch.Vaddr, newSize uint64) {
+	newEnd := newVA + arch.Vaddr(newSize)
+	var moved []Run
+	_ = c.IterateMapped(newVA, newEnd, func(r Run) error {
+		moved = append(moved, r)
+		return nil
+	})
+	for _, r := range moved {
+		for va := r.VA; va < r.End(); va += arch.PageSize {
+			frame, perm, key, _ := c.TakePage(va)
+			_ = c.PlacePage(oldVA+(va-newVA), frame, perm, key)
+		}
 	}
-	return newVA, nil
+	_ = c.clearMeta(newVA, newEnd)
+	_ = c.Unmap(newVA, newEnd)
 }
 
 func overlap(aVA arch.Vaddr, aSz uint64, bVA arch.Vaddr, bSz uint64) bool {

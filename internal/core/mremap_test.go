@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
@@ -181,5 +182,75 @@ func TestMremapBadArgs(t *testing.T) {
 	va, _ := a.Mmap(0, arch.PageSize, arch.PermRW, 0)
 	if _, err := a.Mremap(0, va, arch.PageSize, 0); !errors.Is(err, mm.ErrBadRange) {
 		t.Errorf("zero size: %v", err)
+	}
+}
+
+// TestMremapAfterOOMKill: growing allocates, so a space the OOM killer
+// tore down must refuse it; shrinking is a release and still works.
+func TestMremapAfterOOMKill(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			va, err := a.Mmap(0, 4*arch.PageSize, arch.PermRW, mm.FlagPopulate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.oomTeardown(0) == 0 {
+				t.Fatal("teardown released nothing")
+			}
+			if _, err := a.Mremap(0, va, 4*arch.PageSize, 64*arch.PageSize); !errors.Is(err, ErrOOMKilled) {
+				t.Fatalf("grow of a killed space = %v, want ErrOOMKilled", err)
+			}
+			if regs, _ := a.Regions(0); len(regs) != 0 {
+				t.Fatalf("killed space holds %v", regs)
+			}
+			if nva, err := a.Mremap(0, va, 4*arch.PageSize, arch.PageSize); err != nil || nva != va {
+				t.Fatalf("shrink of a killed space = %#x, %v", nva, err)
+			}
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
+// TestMremapFailedGrowLeavesOldMapping: a grow that runs out of memory
+// halfway — after some pages moved, when the grown tail needs a PT page
+// — puts everything back: the old mapping reads as before, the new range
+// holds nothing, and its VA is handed out again by the next grow.
+func TestMremapFailedGrowLeavesOldMapping(t *testing.T) {
+	const pages = 8
+	for _, p := range protocols {
+		for _, site := range []*fault.Site{fault.PTAllocPage, fault.MemAllocFrame} {
+			t.Run(p.String()+"/"+site.Name(), func(t *testing.T) {
+				defer fault.DisarmAll()
+				a, m := newSpace(t, p)
+				va, _ := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+				for i := 0; i < pages; i++ {
+					a.Store(0, va+arch.Vaddr(i*arch.PageSize), byte(0x40+i))
+				}
+				site.Arm(fault.Config{Seed: 1})
+				_, err := a.Mremap(0, va, pages*arch.PageSize, 2*arch.SpanBytes(2))
+				site.Disarm()
+				if !errors.Is(err, mem.ErrOutOfMemory) {
+					t.Fatalf("grow with %s armed = %v, want an OOM-class error", site.Name(), err)
+				}
+				for i := 0; i < pages; i++ {
+					if b, err := a.Load(0, va+arch.Vaddr(i*arch.PageSize)); err != nil || b != byte(0x40+i) {
+						t.Fatalf("old page %d after the failed grow = %#x, %v", i, b, err)
+					}
+				}
+				regs, _ := a.Regions(0)
+				if len(regs) != 1 || regs[0].Start != va || regs[0].Size() != pages*arch.PageSize || regs[0].Resident != pages {
+					t.Fatalf("regions after the failed grow = %v, want just the old mapping", regs)
+				}
+				checkQuiet(t, a)
+				nva, err := a.Mremap(0, va, pages*arch.PageSize, 2*arch.SpanBytes(2))
+				if err != nil || nva != va+pages*arch.PageSize {
+					t.Fatalf("retried grow = %#x, %v; want the freed VA %#x", nva, err, va+pages*arch.PageSize)
+				}
+				a.Destroy(0)
+				checkClean(t, m)
+			})
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"cortenmm/internal/aio"
 	"cortenmm/internal/arch"
+	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
@@ -101,7 +102,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 	if err != nil {
 		return 0, err
 	}
-	schedHit("reclaim:collected")
+	fault.ReclaimCollected.Pause()
 	// Cold candidates have their writebacks submitted on a per-sweep
 	// async queue — all device I/O for the sweep is reaped in one batched
 	// completion pass instead of one synchronous round trip per page. The
@@ -168,7 +169,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		}
 	}
 
-	schedHit("reclaim:submitted")
+	fault.ReclaimSubmitted.Pause()
 	// One reap completes the whole batch; only pages whose write
 	// succeeded are re-marked swapped (Mark releases the mapping it
 	// replaces). A failed completion frees its swap block and leaves its

@@ -7,10 +7,27 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
+	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/spec"
 )
+
+// counterexample checks the table row (family, name, bug) and returns
+// its counterexample trace.
+func counterexample(t *testing.T, family, name, bug string) []string {
+	t.Helper()
+	c, ok := spec.Find(family, name, bug)
+	if !ok {
+		t.Fatalf("no spec table row %s/%s/%s", family, name, bug)
+	}
+	res, err := c.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("replaying: %s", strings.Join(res.Trace, " "))
+	return res.Trace
+}
 
 func traceIndex(trace []string, prefix string) int {
 	for i, l := range trace {
@@ -25,24 +42,19 @@ func traceIndex(trace []string, prefix string) int {
 // eager-free-on-swap counterexample — the sweep frees the frame when
 // writeback completes, before the page is unmapped — and replays its
 // schedule against the real reclaimRangeNode, parked at the
-// reclaim:submitted schedule point (writeback queued, nothing reaped).
+// reclaim:submitted point (writeback queued, nothing reaped).
 // At the step where the buggy model has already freed the frame, the
 // real implementation must still have the page mapped, the frame
 // referenced, and the bytes intact; after release the sweep completes
 // and the page swaps out cleanly.
 func TestReplayReclaimFreeWhileMapped(t *testing.T) {
-	model := &spec.ReclaimModel{EagerFreeOnSwap: true}
-	res := spec.Check(model, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("model did not produce the seeded eager-free counterexample")
+	trace := counterexample(t, "reclaim", "interference", "eager-free-on-swap")
+	if traceIndex(trace, "R:submit") < 0 || traceIndex(trace, "R:freeq") < 0 {
+		t.Fatalf("trace missing the submit/free schedule: %v", trace)
 	}
-	if traceIndex(res.Trace, "R:submit") < 0 || traceIndex(res.Trace, "R:freeq") < 0 {
-		t.Fatalf("trace missing the submit/free schedule: %v", res.Trace)
+	if traceIndex(trace, "R:freeq") < traceIndex(trace, "R:submit") {
+		t.Fatalf("free precedes submit in trace: %v", trace)
 	}
-	if traceIndex(res.Trace, "R:freeq") < traceIndex(res.Trace, "R:submit") {
-		t.Fatalf("free precedes submit in trace: %v", res.Trace)
-	}
-	t.Logf("replaying: %s", strings.Join(res.Trace, " "))
 
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 13})
 	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: mem.NewBlockDev("swap")})
@@ -71,10 +83,8 @@ func TestReplayReclaimFreeWhileMapped(t *testing.T) {
 		t.Fatalf("second-chance sweep: n=%d err=%v", n, err)
 	}
 
-	g := spec.NewGate()
-	g.Arm("reclaim:submitted")
-	SetSchedPoint(g.Hit)
-	defer SetSchedPoint(nil)
+	parked := fault.ReclaimSubmitted.Park()
+	defer fault.ReclaimSubmitted.Disarm()
 
 	var reclaimed int
 	var sweepErr error
@@ -98,7 +108,7 @@ func TestReplayReclaimFreeWhileMapped(t *testing.T) {
 		return nil
 	})
 	r.Bind("R:submit", "main", func(string) error {
-		g.Await("reclaim:submitted")
+		parked.Await()
 		// Writeback is queued but not reaped: the sweep is parked with
 		// the covering lock held and the page untouched.
 		return assertLive("at reclaim:submitted")
@@ -110,10 +120,10 @@ func TestReplayReclaimFreeWhileMapped(t *testing.T) {
 		if err := assertLive("at the model's premature free"); err != nil {
 			return err
 		}
-		g.Release("reclaim:submitted")
+		parked.Release()
 		return nil
 	})
-	if err := r.Run(res.Trace); err != nil {
+	if err := r.Run(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Wait(); err != nil {
@@ -144,16 +154,11 @@ func TestReplayReclaimFreeWhileMapped(t *testing.T) {
 // see the upgraded PTE, and abort into the self-healing state: the
 // write survives in the source frame and no migration completes.
 func TestReplayMigrationTornCopy(t *testing.T) {
-	model := &spec.MigrateModel{Writes: 2, CopyBetweenTxns: true}
-	res := spec.Check(model, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("model did not produce the seeded torn-copy counterexample")
-	}
-	si, ci := traceIndex(res.Trace, "w:store_start"), traceIndex(res.Trace, "m:copy_start")
+	trace := counterexample(t, "bbm", "migration", "copy-between-txns")
+	si, ci := traceIndex(trace, "w:store_start"), traceIndex(trace, "m:copy_start")
 	if si < 0 || ci < 0 || ci < si {
-		t.Fatalf("trace is not a store/copy race: %v", res.Trace)
+		t.Fatalf("trace is not a store/copy race: %v", trace)
 	}
-	t.Logf("replaying: %s", strings.Join(res.Trace, " "))
 
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 13})
 	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
@@ -174,10 +179,8 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 	}
 	src := a.isa.PFNOf(pte)
 
-	g := spec.NewGate()
-	g.Arm("migrate:post-barrier")
-	SetSchedPoint(g.Hit)
-	defer SetSchedPoint(nil)
+	parked := fault.MigratePostBarrier.Park()
+	defer fault.MigratePostBarrier.Disarm()
 
 	var migErr error
 	r := spec.NewReplayer()
@@ -186,7 +189,7 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 		return nil
 	})
 	r.Bind("m:barrier", "main", func(string) error {
-		g.Await("migrate:post-barrier")
+		parked.Await()
 		// txn1 committed: the source must be write-protected + COW.
 		pte, _, ok := a.tree.Walk(va)
 		if !ok {
@@ -210,10 +213,10 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 		if b := m.Phys.DataPage(src)[0]; b != 0x77 {
 			return fmt.Errorf("source byte %#x before txn2, want 0x77", b)
 		}
-		g.Release("migrate:post-barrier")
+		parked.Release()
 		return nil
 	})
-	if err := r.Run(res.Trace); err != nil {
+	if err := r.Run(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Wait(); err != nil {

@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -147,7 +148,7 @@ func TestPerCoreVAReuse(t *testing.T) {
 func TestVAFreeIgnoresForeignRanges(t *testing.T) {
 	const sz = 4 * arch.PageSize
 	p := NewPerCoreVA(2)
-	g := NewGlobalVA()
+	g := NewPerCoreVA(1)
 	first, _ := p.Alloc(0, sz)
 	g.Alloc(0, sz)
 	for _, va := range []arch.Vaddr{
@@ -168,11 +169,11 @@ func TestVAFreeIgnoresForeignRanges(t *testing.T) {
 			t.Errorf("per-core arena %d recycled %d foreign ranges", i, n)
 		}
 	}
-	if n := len(g.a.freeOf(sz)); n != 0 {
+	if n := len(g.arenas[0].freeOf(sz)); n != 0 {
 		t.Errorf("global arena recycled %d foreign ranges", n)
 	}
 	// The clone keeps the same bounds.
-	c := p.Clone().(*PerCoreVA)
+	c := p.Clone()
 	c.Free(0, UserLo-sz, sz)
 	c.Free(0, first, sz)
 	if got := c.arenas[0].freeOf(sz); len(got) != 1 || got[0] != first {
@@ -185,22 +186,24 @@ func TestVAFreeIgnoresForeignRanges(t *testing.T) {
 // cannot be freed again, while one that was re-allocated can.
 func TestVAFreeRefusesOverlap(t *testing.T) {
 	const pg = arch.PageSize
-	for _, v := range []VAAlloc{NewPerCoreVA(2), NewGlobalVA()} {
+	for _, arenas := range []int{2, 1} {
+		v := NewPerCoreVA(arenas)
 		va, _ := v.Alloc(0, 4*pg)
 		v.Free(0, va, 4*pg)
 		v.Free(0, va, 4*pg)      // exact repeat
 		v.Free(0, va+pg, 2*pg)   // inside
 		v.Free(0, va+2*pg, 2*pg) // tail overlap
 		c := v.Clone()
-		for _, x := range []VAAlloc{v, c} {
+		for i, x := range []*PerCoreVA{v, c} {
+			name := fmt.Sprintf("%d arenas (clone %v)", arenas, i == 1)
 			if got, _ := x.Alloc(0, 4*pg); got != va {
-				t.Fatalf("%T: recycled %#x, want %#x", x, got, va)
+				t.Fatalf("%s: recycled %#x, want %#x", name, got, va)
 			}
 			if got, _ := x.Alloc(0, 4*pg); got == va {
-				t.Fatalf("%T: %#x handed out twice", x, va)
+				t.Fatalf("%s: %#x handed out twice", name, va)
 			}
 			if got, _ := x.Alloc(0, 2*pg); got >= va && got < va+4*pg {
-				t.Fatalf("%T: %#x handed out inside live [%#x, +4 pages)", x, got, va)
+				t.Fatalf("%s: %#x handed out inside live [%#x, +4 pages)", name, got, va)
 			}
 			// Re-allocated, so no longer free: pieces recycle again.
 			x.Free(0, va, 2*pg)
@@ -209,10 +212,10 @@ func TestVAFreeRefusesOverlap(t *testing.T) {
 			a, _ := x.Alloc(0, 2*pg)
 			b, _ := x.Alloc(0, 2*pg)
 			if a != va+2*pg || b != va {
-				t.Fatalf("%T: halves came back as %#x, %#x", x, a, b)
+				t.Fatalf("%s: halves came back as %#x, %#x", name, a, b)
 			}
 			if got, _ := x.Alloc(0, 4*pg); got == va {
-				t.Fatalf("%T: %#x handed out under its live halves", x, va)
+				t.Fatalf("%s: %#x handed out under its live halves", name, va)
 			}
 		}
 	}
@@ -224,7 +227,7 @@ func TestVAFreeRefusesOverlap(t *testing.T) {
 // free already, and no page is ever held twice.
 func TestVAFreeMapMatchesModel(t *testing.T) {
 	const pg = arch.PageSize
-	g := NewGlobalVA()
+	g := NewPerCoreVA(1)
 	rng := rand.New(rand.NewSource(1))
 	held := map[arch.Vaddr]bool{} // pages handed out and not freed since
 	free := map[arch.Vaddr]bool{}
@@ -260,9 +263,9 @@ func TestVAFreeMapMatchesModel(t *testing.T) {
 		for p := va; p < va+arch.Vaddr(n*pg); p += pg {
 			accept = accept && !free[p]
 		}
-		before := len(g.a.freeOf(n * pg))
+		before := len(g.arenas[0].freeOf(n * pg))
 		g.Free(0, va, n*pg)
-		if got := len(g.a.freeOf(n*pg)) > before; got != accept {
+		if got := len(g.arenas[0].freeOf(n*pg)) > before; got != accept {
 			t.Fatalf("step %d: free of %d pages at %#x accepted=%v, model says %v", step, n, va, got, accept)
 		}
 		if accept {
@@ -274,8 +277,10 @@ func TestVAFreeMapMatchesModel(t *testing.T) {
 	}
 }
 
+// TestGlobalVA: one arena is the global allocator — every core draws
+// from it and frees into it.
 func TestGlobalVA(t *testing.T) {
-	g := NewGlobalVA()
+	g := NewPerCoreVA(1)
 	va, err := g.Alloc(3, 4*arch.PageSize)
 	if err != nil || va != UserLo {
 		t.Fatalf("va=%#x err=%v", va, err)

@@ -8,27 +8,13 @@ import (
 	"cortenmm/internal/arch"
 )
 
-// User virtual-address range carved up by the allocators. The low 4 GiB
+// User virtual-address range carved up by the allocator. The low 4 GiB
 // are left for fixed-address mappings requested by applications; the top
 // half of the 48-bit space is the kernel's.
 const (
 	UserLo = arch.Vaddr(1) << 32
 	UserHi = arch.Vaddr(1) << 47
 )
-
-// VAAlloc hands out virtual-address ranges for anonymous mmaps. Sizes
-// are page-aligned byte counts.
-type VAAlloc interface {
-	Alloc(core int, size uint64) (arch.Vaddr, error)
-	// Free recycles a range. The allocator is the authority on what it
-	// owns: a range it never handed out (a fixed-address mapping), or
-	// one overlapping a range that is already free (a fixed mapping
-	// placed over recycled addresses and unmapped again), is ignored.
-	Free(core int, va arch.Vaddr, size uint64)
-	// Clone duplicates the allocator state; fork needs the child's
-	// allocator to consider every parent range in use.
-	Clone() VAAlloc
-}
 
 // ErrVAExhausted is returned when an allocator's arena is full.
 var ErrVAExhausted = fmt.Errorf("cpusim: virtual address arena exhausted")
@@ -125,21 +111,24 @@ func (a *arena) cloneInto(dst *arena) {
 	dst.freeMap = slices.Clone(a.freeMap)
 }
 
-// PerCoreVA is CortenMM's per-core virtual address allocator (§4.5):
-// each core owns a private share of the address space, so concurrent
-// allocation and freeing never contend. Frees route back to the owning
-// core's arena by address.
+// PerCoreVA hands out virtual-address ranges for anonymous mmaps (sizes
+// are page-aligned byte counts). It is CortenMM's per-core allocator
+// (§4.5): each core owns a private share of the address space, so
+// concurrent allocation and freeing never contend, and frees route back
+// to the owning arena by address. With one arena it is the single shared
+// allocator the adv_base ablation (§6.4) falls back to — roughly what a
+// naive kernel does.
 type PerCoreVA struct {
 	arenas []arena
 	lo     arch.Vaddr
 	span   uint64
 }
 
-// NewPerCoreVA splits [UserLo, UserHi) evenly among cores.
-func NewPerCoreVA(cores int) *PerCoreVA {
-	span := (uint64(UserHi) - uint64(UserLo)) / uint64(cores)
+// NewPerCoreVA splits [UserLo, UserHi) evenly into n arenas.
+func NewPerCoreVA(n int) *PerCoreVA {
+	span := (uint64(UserHi) - uint64(UserLo)) / uint64(n)
 	span &^= arch.PageSize - 1
-	p := &PerCoreVA{arenas: make([]arena, cores), lo: UserLo, span: span}
+	p := &PerCoreVA{arenas: make([]arena, n), lo: UserLo, span: span}
 	for i := range p.arenas {
 		base := UserLo + arch.Vaddr(uint64(i)*span)
 		p.arenas[i] = newArena(base, base+arch.Vaddr(span))
@@ -147,14 +136,18 @@ func NewPerCoreVA(cores int) *PerCoreVA {
 	return p
 }
 
-// Alloc implements VAAlloc from the calling core's private arena.
+// Alloc hands out a range from the calling core's arena — the last one
+// for cores beyond the arena count, so one arena serves every core.
 func (p *PerCoreVA) Alloc(core int, size uint64) (arch.Vaddr, error) {
-	return p.arenas[core].alloc(size)
+	return p.arenas[min(core, len(p.arenas)-1)].alloc(size)
 }
 
-// Free implements VAAlloc, returning the range to the arena that owns
-// the address (which may differ from the freeing core). A range no arena
-// handed out is ignored.
+// Free recycles a range, returning it to the arena that owns the address
+// (which may differ from the freeing core's). The allocator is the
+// authority on what it owns: a range it never handed out (a
+// fixed-address mapping), or one overlapping a range that is already
+// free (a fixed mapping placed over recycled addresses and unmapped
+// again), is ignored.
 func (p *PerCoreVA) Free(core int, va arch.Vaddr, size uint64) {
 	if va < p.lo {
 		return
@@ -163,36 +156,12 @@ func (p *PerCoreVA) Free(core int, va arch.Vaddr, size uint64) {
 	p.arenas[owner].freeRange(va, size)
 }
 
-// Clone implements VAAlloc.
-func (p *PerCoreVA) Clone() VAAlloc {
+// Clone duplicates the allocator state; fork needs the child's allocator
+// to consider every parent range in use.
+func (p *PerCoreVA) Clone() *PerCoreVA {
 	c := &PerCoreVA{arenas: make([]arena, len(p.arenas)), lo: p.lo, span: p.span}
 	for i := range p.arenas {
 		p.arenas[i].cloneInto(&c.arenas[i])
 	}
-	return c
-}
-
-// GlobalVA is a single shared arena guarded by one lock — the allocator
-// the adv_base ablation (§6.4) falls back to, and roughly what a naive
-// kernel does.
-type GlobalVA struct {
-	a arena
-}
-
-// NewGlobalVA covers all of [UserLo, UserHi) with one arena.
-func NewGlobalVA() *GlobalVA {
-	return &GlobalVA{a: newArena(UserLo, UserHi)}
-}
-
-// Alloc implements VAAlloc.
-func (g *GlobalVA) Alloc(core int, size uint64) (arch.Vaddr, error) { return g.a.alloc(size) }
-
-// Free implements VAAlloc.
-func (g *GlobalVA) Free(core int, va arch.Vaddr, size uint64) { g.a.freeRange(va, size) }
-
-// Clone implements VAAlloc.
-func (g *GlobalVA) Clone() VAAlloc {
-	c := &GlobalVA{}
-	g.a.cloneInto(&c.a)
 	return c
 }

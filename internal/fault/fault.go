@@ -1,13 +1,20 @@
-// Package fault is a process-wide deterministic fault-injection
-// registry. Subsystems declare named sites (e.g. "mem.alloc-frame") and
-// guard their failure paths with Site.Fire(); tests arm a site with a
-// seeded PRNG, a firing probability and an optional after-N trigger,
-// then exercise a workload and assert that the unwind left the system
-// consistent.
+// Package fault is the process-wide registry of named points in the
+// implementation. A point is one of two kinds. A Fail site guards a
+// failure path (e.g. "mem.alloc-frame"): the code asks Site.Fire()
+// whether to take it, and tests arm the site with a seeded PRNG, a firing
+// probability and an optional after-N trigger, then exercise a workload
+// and assert that the unwind left the system consistent. A Delay point
+// marks a window inside a multi-step protocol (a shootdown between local
+// and remote invalidation, a reclaim sweep with its writebacks queued, a
+// migration around its grace period): the code calls Site.Pause(), which
+// an armed point turns into a few yields — widening the window — or, for
+// a point a test has parked, into a stop until the test releases it,
+// which is how a model-checker counterexample is replayed against the
+// real code.
 //
-// The disabled fast path is a single atomic load of a package-global
-// armed-site counter, so instrumenting hot allocation paths costs
-// nothing measurable when no fault is armed (the pr5 rows of
+// The disabled fast path of both calls is a single atomic load of a
+// package-global armed-site counter, so instrumenting hot paths costs
+// nothing measurable when nothing is armed (the pr5 rows of
 // `git show ef2b810:bench_results.txt`).
 // Armed sites draw from a per-site splitmix64 stream, so a (seed, prob,
 // afterN) triple replays the exact same firing pattern on every run.
@@ -16,12 +23,14 @@ package fault
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// armed counts the sites currently armed process-wide. Fire() returns
-// immediately when it is zero — the zero-cost-when-disabled check.
+// armed counts the sites currently armed process-wide. Fire() and
+// Pause() return immediately when it is zero — the zero-cost-when-
+// disabled check.
 var armed atomic.Int64
 
 var (
@@ -29,9 +38,20 @@ var (
 	registry   []*Site
 )
 
-// Site is one named injection point.
+// Kind is what a site does to the code that reaches it while armed.
+type Kind uint8
+
+const (
+	// Fail sites make Fire report true: the caller takes its failure path.
+	Fail Kind = iota
+	// Delay points make Pause hold the caller up; it never fails.
+	Delay
+)
+
+// Site is one named point.
 type Site struct {
 	name string
+	kind Kind
 
 	on      atomic.Bool   // site is armed
 	prng    atomic.Uint64 // splitmix64 state
@@ -39,10 +59,12 @@ type Site struct {
 	after   atomic.Int64  // checks to skip before the site may fire
 	checked atomic.Uint64 // checks while armed
 	fired   atomic.Uint64 // checks that fired
+	park    atomic.Pointer[Parked]
 }
 
-// The canonical sites. Packages guard their failure paths with these;
-// tests arm them by identity (or look them up with Lookup).
+// The canonical sites and points. Packages guard their failure paths and
+// mark their windows with these; tests arm them by identity, or all of
+// them through Sites.
 var (
 	// MemAllocFrame fails PhysMem.AllocFrame with ErrOutOfMemory.
 	MemAllocFrame = New("mem.alloc-frame")
@@ -58,36 +80,44 @@ var (
 	SwapWrite = New("swap.write")
 	// PTAllocPage fails Tree.AllocPTPage, hit by every table split.
 	PTAllocPage = New("pt.alloc-ptpage")
-	// TLBShootdownDelay yields the delivering goroutine mid-shootdown,
-	// widening the remote-staleness window instead of failing.
-	TLBShootdownDelay = New("tlb.shootdown-delay")
 	// AIOSubmit refuses an aio.Queue submission — the SQE is never
 	// queued, so the op's side effects must not have happened yet.
 	AIOSubmit = New("aio.submit")
 	// AIOComplete fails a queued aio request at reap time, after the
 	// submission succeeded — the batched-completion unwind path.
 	AIOComplete = New("aio.complete")
+
+	// TLBShootdownDelay sits between a shootdown initiator's local
+	// invalidation and the remote fan-out, widening the window in which
+	// remote cores still hold the stale translation (§4.5's staleness
+	// tolerance).
+	TLBShootdownDelay = NewPoint("tlb.shootdown-delay")
+	// ReclaimCollected is a reclaim sweep with its candidates collected
+	// under the covering lock and nothing evicted yet.
+	ReclaimCollected = NewPoint("reclaim:collected")
+	// ReclaimSubmitted is a reclaim sweep with its writebacks queued and
+	// none reaped: every candidate is still mapped, its frame referenced.
+	ReclaimSubmitted = NewPoint("reclaim:submitted")
+	// MigratePreBarrier is a migration batch between its first
+	// transaction (source write-protected) and the RCU grace period.
+	MigratePreBarrier = NewPoint("migrate:pre-barrier")
+	// MigratePostBarrier is the same batch after the grace period, before
+	// the second transaction revalidates and remaps.
+	MigratePostBarrier = NewPoint("migrate:post-barrier")
 )
 
-// New registers a named site. Call once per site, at package init.
-func New(name string) *Site {
-	s := &Site{name: name}
+// New declares a Fail site. Call once per site, at package init.
+func New(name string) *Site { return declare(name, Fail) }
+
+// NewPoint declares a Delay point. Call once per point, at package init.
+func NewPoint(name string) *Site { return declare(name, Delay) }
+
+func declare(name string, kind Kind) *Site {
+	s := &Site{name: name, kind: kind}
 	registryMu.Lock()
 	registry = append(registry, s)
 	registryMu.Unlock()
 	return s
-}
-
-// Lookup finds a registered site by name, or nil.
-func Lookup(name string) *Site {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	for _, s := range registry {
-		if s.name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // Sites snapshots the registry.
@@ -112,6 +142,9 @@ type Config struct {
 // Name returns the site's registered name.
 func (s *Site) Name() string { return s.name }
 
+// Kind returns what the site does when it fires.
+func (s *Site) Kind() Kind { return s.kind }
+
 // String implements fmt.Stringer.
 func (s *Site) String() string { return s.name }
 
@@ -135,8 +168,10 @@ func (s *Site) Arm(cfg Config) {
 	}
 }
 
-// Disarm disables the site. Counters are preserved for inspection.
+// Disarm disables the site, and forgets a parking no goroutine has
+// reached yet. Counters are preserved for inspection.
 func (s *Site) Disarm() {
+	s.park.Store(nil)
 	if s.on.Swap(false) {
 		armed.Add(-1)
 	}
@@ -148,9 +183,6 @@ func DisarmAll() {
 		s.Disarm()
 	}
 }
-
-// AnyArmed reports whether any site is armed.
-func AnyArmed() bool { return armed.Load() > 0 }
 
 // Stats returns how many times the site was checked and fired since it
 // was last armed.
@@ -167,6 +199,47 @@ func (s *Site) Fire() bool {
 	}
 	return s.fire()
 }
+
+// Pause is a Delay point's call. Disarmed it costs what Fire costs; a
+// parked point stops the first goroutine to reach it until the test
+// releases it, an armed one yields the caller each time it fires.
+func (s *Site) Pause() {
+	if armed.Load() != 0 {
+		s.pause()
+	}
+}
+
+func (s *Site) pause() {
+	if p := s.park.Swap(nil); p != nil {
+		close(p.reached)
+		<-p.release
+		return
+	}
+	if s.fire() {
+		for i := 0; i < 4; i++ {
+			runtime.Gosched()
+		}
+	}
+}
+
+// Parked is a Delay point armed to stop one goroutine: the first to
+// reach the point waits there until Release.
+type Parked struct{ reached, release chan struct{} }
+
+// Park arms the point to stop the next goroutine that reaches it; later
+// ones only yield. Disarm the point when the test is done with it.
+func (s *Site) Park() *Parked {
+	p := &Parked{reached: make(chan struct{}), release: make(chan struct{})}
+	s.park.Store(p)
+	s.Arm(Config{})
+	return p
+}
+
+// Await blocks until a goroutine is stopped at the point.
+func (p *Parked) Await() { <-p.reached }
+
+// Release lets the stopped goroutine (or the one still to come) go on.
+func (p *Parked) Release() { close(p.release) }
 
 func (s *Site) fire() bool {
 	if !s.on.Load() {

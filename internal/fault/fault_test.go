@@ -2,14 +2,15 @@ package fault
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 )
 
 func TestDisabledNeverFires(t *testing.T) {
 	DisarmAll()
-	s := Lookup("mem.alloc-frame")
-	if s == nil {
+	s := MemAllocFrame
+	if !slices.Contains(Sites(), s) {
 		t.Fatal("canonical site not registered")
 	}
 	for i := 0; i < 1000; i++ {
@@ -112,6 +113,36 @@ func TestConcurrentChecks(t *testing.T) {
 	if f == 0 || f == c {
 		t.Fatalf("fired=%d of %d with Prob=0.5", f, c)
 	}
+}
+
+// TestParkedPoint: a parked Delay point stops exactly the first goroutine
+// that reaches it, until Release; later arrivals pass, and Disarm drops a
+// parking nobody reached.
+func TestParkedPoint(t *testing.T) {
+	s := NewPoint("test.park")
+	if s.Kind() != Delay || MemAllocFrame.Kind() != Fail || TLBShootdownDelay.Kind() != Delay {
+		t.Fatal("declared kinds not reported")
+	}
+	p := s.Park()
+	defer s.Disarm()
+	passed := make(chan struct{})
+	go func() {
+		s.Pause()
+		close(passed)
+	}()
+	p.Await()
+	s.Pause() // a second arrival only yields
+	select {
+	case <-passed:
+		t.Fatal("parked goroutine passed before Release")
+	default:
+	}
+	p.Release()
+	<-passed
+
+	s.Park()
+	s.Disarm()
+	s.Pause() // must not block: the parking was dropped
 }
 
 func TestErrorf(t *testing.T) {

@@ -42,36 +42,16 @@ func interpRW(m *RWModel, st rwState) AtomicState {
 	return a
 }
 
-// CheckRWRefinement explores every reachable transition of the rw model
-// and verifies that its interpretation is a legal Atomic Spec trace:
-// each concrete step maps to a stutter, a lock(core, page) whose
-// precondition holds, or an unlock(core). This is the forward simulation
-// of §5.1 made executable.
-func CheckRWRefinement(m *RWModel, maxStates int) (states, transitions int, err error) {
-	init := m.Init().(rwState)
-	seen := map[string]bool{init.Key(): true}
-	queue := []rwState{init}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		ai := interpRW(m, cur)
-		for _, step := range m.Next(cur) {
-			transitions++
-			nxt := step.To.(rwState)
-			an := interpRW(m, nxt)
-			if err := refineStep(m.Topo, ai, an); err != nil {
-				return len(seen), transitions, fmt.Errorf("%v (on %s)", err, step.Label)
-			}
-			if k := nxt.Key(); !seen[k] {
-				seen[k] = true
-				if len(seen) > maxStates {
-					return len(seen), transitions, fmt.Errorf("spec: refinement state bound exceeded")
-				}
-				queue = append(queue, nxt)
-			}
-		}
-	}
-	return len(seen), transitions, nil
+// RWRefinement is the rw model checked as a forward simulation of the
+// Atomic Spec (§5.1 made executable): besides P1 on every state, the
+// interpretation of every concrete step must be a legal Atomic Spec
+// step — a stutter, a lock(core, page) whose precondition holds, or an
+// unlock(core).
+type RWRefinement struct{ RWModel }
+
+// CheckStep implements StepChecker.
+func (m *RWRefinement) CheckStep(from, to State) error {
+	return refineStep(m.Topo, interpRW(&m.RWModel, from.(rwState)), interpRW(&m.RWModel, to.(rwState)))
 }
 
 // refineStep validates one abstract transition from a to b.

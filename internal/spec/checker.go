@@ -17,7 +17,8 @@
 // (migratespec.go). Each model carries seeded bugs the checker must
 // catch, and replay.go converts a counterexample trace into a
 // deterministic schedule against the real internal/tlb and internal/core
-// code.
+// code. Every scenario, clean or seeded, is one row of the table in
+// envelope.go, and Check is the only explorer.
 package spec
 
 import (
@@ -50,6 +51,13 @@ type Machine interface {
 	Done(s State) bool
 }
 
+// StepChecker is a Machine whose transitions, not only its states, carry
+// an obligation: Check calls CheckStep on every explored transition —
+// how a model proves it refines an abstract spec (atomic.go).
+type StepChecker interface {
+	CheckStep(from, to State) error
+}
+
 // Result summarizes one model-checking run (the Table-4 analog: instead
 // of proof lines, explored states and checked transitions).
 type Result struct {
@@ -64,8 +72,10 @@ type Result struct {
 }
 
 // Check exhaustively explores m's state space (bounded by maxStates)
-// and reports the first violation or deadlock, if any.
+// and reports the first violation — of a state invariant or, for a
+// StepChecker, of a transition — or deadlock, if any.
 func Check(m Machine, maxStates int) Result {
+	sc, _ := m.(StepChecker)
 	type visit struct {
 		state State
 		key   string
@@ -106,6 +116,12 @@ func Check(m Machine, maxStates int) Result {
 		}
 		for _, st := range steps {
 			res.Transitions++
+			if sc != nil {
+				if err := sc.CheckStep(cur.state, st.To); err != nil {
+					res.Violation, res.Trace, res.States = err, append(trace(cur.key), st.Label), len(seen)
+					return res
+				}
+			}
 			k := st.To.Key()
 			if seen[k] {
 				continue

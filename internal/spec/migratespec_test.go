@@ -1,33 +1,26 @@
 package spec
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The clean break-before-make protocol: two-transaction migration vs a
 // COW-upgrading writer vs a lockless reader, every interleaving. No
 // torn copy, no BBM violation, aborts self-heal, terminal states
 // coherent.
 func TestMigrateBBMClean(t *testing.T) {
-	res := Check(&MigrateModel{Writes: 2}, 5_000_000)
-	if res.Violation != nil {
-		t.Errorf("%v\ntrace: %s", res.Violation, strings.Join(res.Trace, " "))
-	}
-	if res.Deadlock != nil {
-		t.Errorf("deadlock: %s", strings.Join(res.Deadlock, " "))
-	}
-	if res.States < 100 {
+	if res := runCase(t, "bbm", "migration", ""); res.States < 100 {
 		t.Errorf("suspiciously small state space (%d)", res.States)
 	}
-	t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
 }
 
 // Both outcomes must be reachable in the clean model: a completed
 // migration and an abort healed by the COW fault path. A model where
 // aborts are unreachable would vacuously satisfy the abort invariants.
 func TestMigrateAbortReachable(t *testing.T) {
-	m := &MigrateModel{Writes: 2}
+	c, ok := Find("bbm", "migration", "")
+	if !ok {
+		t.Fatal("no clean bbm/migration row")
+	}
+	m := c.Model
 	sawDone, sawAbort := false, false
 	seen := map[string]bool{}
 	var walk func(s State)
@@ -61,58 +54,25 @@ func TestMigrateAbortReachable(t *testing.T) {
 // writer's COW-upgraded store — the torn-copy bug the two-transaction
 // design exists to prevent.
 func TestMigrateCopyBetweenTxnsCaught(t *testing.T) {
-	res := Check(&MigrateModel{Writes: 2, CopyBetweenTxns: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the copy-between-transactions bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "raced") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-	t.Logf("counterexample (%d steps): %s", len(res.Trace), strings.Join(res.Trace, " "))
+	runCase(t, "bbm", "migration", "copy-between-txns")
 }
 
 // Skipping the RCU barrier lets the copy overlap an in-flight lockless
 // store that started before the txn1 shootdown.
-func TestMigrateSkipBarrierCaught(t *testing.T) {
-	res := Check(&MigrateModel{Writes: 2, SkipBarrier: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the skipped-barrier bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "raced") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-}
+func TestMigrateSkipBarrierCaught(t *testing.T) { runCase(t, "bbm", "migration", "skip-barrier") }
 
 // Remapping without the txn1 shootdown violates Armv8-A break-before-
 // make: a core still holds a live writable translation of the source.
 func TestMigrateSkipBBMInvalidateCaught(t *testing.T) {
-	res := Check(&MigrateModel{Writes: 2, SkipBBMInvalidate: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the skipped-BBM-invalidate bug")
-	}
-	v := res.Violation.Error()
-	if !strings.Contains(v, "remap while") && !strings.Contains(v, "raced") {
-		t.Errorf("unexpected violation: %v", v)
-	}
+	runCase(t, "bbm", "migration", "skip-bbm-invalidate")
 }
 
 // Trusting the txn1 validation misses a COW fault that upgraded the
 // page in the window.
-func TestMigrateSkipRevalidateCaught(t *testing.T) {
-	res := Check(&MigrateModel{Writes: 2, SkipRevalidate: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the skipped-revalidate bug")
-	}
-}
+func TestMigrateSkipRevalidateCaught(t *testing.T) { runCase(t, "bbm", "migration", "skip-revalidate") }
 
 // Freeing the source before the txn2 shootdown leaves the reader's
 // cached translation pointing at a freed frame.
 func TestMigrateFreeBeforeShootdownCaught(t *testing.T) {
-	res := Check(&MigrateModel{Writes: 1, FreeBeforeShootdown: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the free-before-shootdown bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "freed frame") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
+	runCase(t, "bbm", "migration", "free-before-shootdown")
 }

@@ -1,76 +1,35 @@
 package spec
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // The clean interference model: populate transaction vs background
 // sweep vs RCU reader over every interleaving, with the OOM unwind and
 // direct reclaim in play. No violation, no deadlock.
 func TestReclaimInterferenceClean(t *testing.T) {
-	res := Check(&ReclaimModel{}, 5_000_000)
-	if res.Violation != nil {
-		t.Errorf("%v\ntrace: %s", res.Violation, strings.Join(res.Trace, " "))
-	}
-	if res.Deadlock != nil {
-		t.Errorf("deadlock: %s", strings.Join(res.Deadlock, " "))
-	}
-	if res.States < 100 {
+	if res := runCase(t, "reclaim", "interference", ""); res.States < 100 {
 		t.Errorf("suspiciously small state space (%d)", res.States)
 	}
-	t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
 }
 
 // Recycling a monitored frame without waiting for the reader snapshot
 // is a use-after-free visible to the in-section reader.
 func TestReclaimFreeWithoutBarrierCaught(t *testing.T) {
-	res := Check(&ReclaimModel{FreeWithoutBarrier: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the free-without-barrier bug")
-	}
-	v := res.Violation.Error()
-	if !strings.Contains(v, "recycled") {
-		t.Errorf("unexpected violation: %v", v)
-	}
-	t.Logf("counterexample (%d steps): %s", len(res.Trace), strings.Join(res.Trace, " "))
+	runCase(t, "reclaim", "interference", "free-without-barrier")
 }
 
 // Freeing the frame when writeback completes but before the page is
 // unmapped leaves a mapped VA pointing at a reclaimed frame.
 func TestReclaimEagerFreeOnSwapCaught(t *testing.T) {
-	res := Check(&ReclaimModel{EagerFreeOnSwap: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the eager-free-on-swap bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "freed while still mapped") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-	t.Logf("counterexample (%d steps): %s", len(res.Trace), strings.Join(res.Trace, " "))
+	runCase(t, "reclaim", "interference", "eager-free-on-swap")
 }
 
 // Without the transaction guard, the direct-reclaim candidate scan
 // re-enters a VA range the reclaiming core itself has locked — the
 // self-deadlock/corruption the rely condition forbids.
-func TestReclaimNoTxGuardCaught(t *testing.T) {
-	res := Check(&ReclaimModel{NoTxGuard: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the no-tx-guard bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "transaction-locked") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-}
+func TestReclaimNoTxGuardCaught(t *testing.T) { runCase(t, "reclaim", "interference", "no-tx-guard") }
 
 // An unwind that forgets to clear its undo record frees the same frame
 // twice across the retry loop.
 func TestReclaimDoubleFreeOnUnwindCaught(t *testing.T) {
-	res := Check(&ReclaimModel{DoubleFreeOnUnwind: true}, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the double-free-on-unwind bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "twice") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-	t.Logf("counterexample (%d steps): %s", len(res.Trace), strings.Join(res.Trace, " "))
+	runCase(t, "reclaim", "interference", "double-free-on-unwind")
 }

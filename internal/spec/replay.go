@@ -11,8 +11,8 @@ import (
 // label is matched by prefix to a binding; bindings run sequentially in
 // trace order, each on its actor's dedicated goroutine (so a long-
 // running operation — a shootdown, a reclaim sweep, a migration — can
-// block at a schedule point while later labels drive the other actors
-// around it). Unbound labels are skipped: a model step with no
+// stop at a parked internal/fault point while later labels drive the
+// other actors around it). Unbound labels are skipped: a model step with no
 // implementation counterpart (an env decision, a bookkeeping move)
 // needs no binding.
 //
@@ -50,7 +50,7 @@ func (r *Replayer) Bind(prefix, actor string, fn func(label string) error) {
 	r.binds = append(r.binds, replayBind{prefix, actor, false, fn})
 }
 
-// BindStart is Bind for operations that block at a schedule point: fn
+// BindStart is Bind for operations that stop at a parked point: fn
 // is dispatched to the actor's goroutine but the replay moves on to the
 // next label immediately. Errors surface at Wait.
 func (r *Replayer) BindStart(prefix, actor string, fn func(label string) error) {
@@ -138,72 +138,4 @@ func LabelArg(label string) string {
 		return ""
 	}
 	return label[i+1 : j]
-}
-
-// Gate is a rendezvous for instrumented schedule points in the real
-// implementation (core.SetSchedPoint and friends): the instrumented
-// goroutine calls Hit at each named point and blocks if the gate is
-// armed for it; the replay calls Await to know the point was reached
-// and Release to let the goroutine continue. Points the gate is not
-// armed for pass through untouched.
-type Gate struct {
-	mu      sync.Mutex
-	armed   map[string]chan struct{} // point -> release channel
-	reached map[string]chan struct{} // point -> closed when hit
-	hit     map[string]bool
-}
-
-// NewGate returns a Gate with no armed points.
-func NewGate() *Gate {
-	return &Gate{
-		armed:   map[string]chan struct{}{},
-		reached: map[string]chan struct{}{},
-		hit:     map[string]bool{},
-	}
-}
-
-// Arm makes the next Hit(point) block until Release(point).
-func (g *Gate) Arm(point string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.armed[point] = make(chan struct{})
-	g.reached[point] = make(chan struct{})
-	g.hit[point] = false
-}
-
-// Hit is called from the instrumented code path. It blocks while the
-// point is armed.
-func (g *Gate) Hit(point string) {
-	g.mu.Lock()
-	release := g.armed[point]
-	if reached, ok := g.reached[point]; ok && !g.hit[point] {
-		g.hit[point] = true
-		close(reached)
-	}
-	g.mu.Unlock()
-	if release != nil {
-		<-release
-	}
-}
-
-// Await blocks until the instrumented goroutine reaches the armed
-// point.
-func (g *Gate) Await(point string) {
-	g.mu.Lock()
-	reached := g.reached[point]
-	g.mu.Unlock()
-	if reached != nil {
-		<-reached
-	}
-}
-
-// Release unblocks the goroutine parked at the armed point (and any
-// future Hit of it).
-func (g *Gate) Release(point string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if ch, ok := g.armed[point]; ok {
-		close(ch)
-		delete(g.armed, point)
-	}
 }

@@ -1,77 +1,16 @@
 package spec
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestRWDynNoRCUNeeded verifies the §4.1 claim that CortenMM_rw can
 // free removed PT pages immediately, without RCU: over every
 // interleaving, a traverser never touches a freed page because it holds
 // the parent's reader lock while reading the child link.
-func TestRWDynNoRCUNeeded(t *testing.T) {
-	topo := NewTopology(3, 2)
-	scenarios := []struct {
-		name    string
-		targets []int
-		roles   []Role
-		unmap   int
-	}{
-		// Unmapper owns page 1 and frees its child 3 while a locker
-		// races toward 3 — the rw flavour of the Figure-7 race.
-		{"race-to-freed", []int{1, 3}, []Role{RoleUnmapper, RoleLocker}, 3},
-		// Locker aims at the unmapped page's sibling.
-		{"sibling", []int{1, 4}, []Role{RoleUnmapper, RoleLocker}, 3},
-		// Disjoint subtree.
-		{"disjoint", []int{1, 2}, []Role{RoleUnmapper, RoleLocker}, 3},
-		// Three cores.
-		{"three", []int{1, 3, 4}, []Role{RoleUnmapper, RoleLocker, RoleLocker}, 3},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			m := &RWDynModel{Topo: topo, Targets: sc.targets, Roles: sc.roles, UnmapChild: sc.unmap}
-			res := Check(m, 5_000_000)
-			if res.Violation != nil {
-				t.Errorf("%v\ntrace: %s", res.Violation, strings.Join(res.Trace, " "))
-			}
-			if res.Deadlock != nil {
-				t.Errorf("deadlock: %s", strings.Join(res.Deadlock, " "))
-			}
-			t.Logf("states=%d transitions=%d", res.States, res.Transitions)
-		})
-	}
-}
+func TestRWDynNoRCUNeeded(t *testing.T) { runFamily(t, "rwdyn") }
 
 // TestRWDynBugCaught: without the reader locks, the immediate free IS a
 // use-after-free, and the checker produces the interleaving.
-func TestRWDynBugCaught(t *testing.T) {
-	topo := NewTopology(3, 2)
-	m := &RWDynModel{
-		Topo: topo, Targets: []int{1, 3},
-		Roles: []Role{RoleUnmapper, RoleLocker}, UnmapChild: 3,
-		SkipReadLocks: true,
-	}
-	res := Check(m, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the lockless-traversal-without-RCU bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "use-after-free") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-	t.Logf("counterexample: %s", strings.Join(res.Trace, " "))
-}
+func TestRWDynBugCaught(t *testing.T) { runCase(t, "rwdyn", "race-to-freed", "lockless-no-rcu") }
 
 // TestRWDynDeeperTopology pushes the same checks through a 4-level tree.
-func TestRWDynDeeperTopology(t *testing.T) {
-	topo := NewTopology(4, 2) // 15 pages
-	leaf := topo.N - 1
-	mid := topo.Parent[leaf]
-	m := &RWDynModel{
-		Topo: topo, Targets: []int{mid, leaf},
-		Roles: []Role{RoleUnmapper, RoleLocker}, UnmapChild: leaf,
-	}
-	res := Check(m, 5_000_000)
-	if res.Violation != nil || res.Deadlock != nil {
-		t.Fatalf("violation=%v deadlock=%v", res.Violation, res.Deadlock)
-	}
-}
+func TestRWDynDeeperTopology(t *testing.T) { runCase(t, "rwdyn", "deep", "") }

@@ -25,30 +25,12 @@ func TestTopology(t *testing.T) {
 }
 
 // --- P1 for CortenMM_rw: every interleaving of up to 3 cores on every
-// interesting target combination maintains mutual exclusion and reaches
+// class of target combination maintains mutual exclusion and reaches
 // completion (no deadlock).
 func TestRWMutualExclusion(t *testing.T) {
-	topo := NewTopology(3, 2)
-	combos := [][]int{
-		{3, 3},    // same leaf
-		{3, 4},    // siblings under one parent
-		{1, 3},    // ancestor vs descendant
-		{0, 3},    // root vs leaf
-		{1, 2},    // disjoint subtrees
-		{3, 4, 1}, // three cores, mixed
-		{0, 1, 3}, // nested chain
-	}
-	for _, targets := range combos {
-		m := &RWModel{Topo: topo, Targets: targets}
-		res := Check(m, 2_000_000)
-		if res.Violation != nil {
-			t.Errorf("targets %v: %v\ntrace: %s", targets, res.Violation, strings.Join(res.Trace, " "))
-		}
-		if res.Deadlock != nil {
-			t.Errorf("targets %v: deadlock: %s", targets, strings.Join(res.Deadlock, " "))
-		}
+	for name, res := range runFamily(t, "rw") {
 		if res.States < 5 {
-			t.Errorf("targets %v: suspiciously small state space (%d)", targets, res.States)
+			t.Errorf("%s: suspiciously small state space (%d)", name, res.States)
 		}
 	}
 }
@@ -57,159 +39,41 @@ func TestRWMutualExclusion(t *testing.T) {
 // Figure 4) exposes mid-release interleavings; safety and refinement
 // must still hold, and the state space grows accordingly.
 func TestRWStepwiseUnlock(t *testing.T) {
-	topo := NewTopology(3, 2)
-	for _, targets := range [][]int{{3, 3}, {1, 3}, {3, 4, 1}} {
-		m := &RWModel{Topo: topo, Targets: targets, StepwiseUnlock: true}
-		res := Check(m, 2_000_000)
-		if res.Violation != nil {
-			t.Errorf("targets %v: %v\ntrace: %s", targets, res.Violation, strings.Join(res.Trace, " "))
-		}
-		if res.Deadlock != nil {
-			t.Errorf("targets %v: deadlock: %s", targets, strings.Join(res.Deadlock, " "))
-		}
-		coarse := Check(&RWModel{Topo: topo, Targets: targets}, 2_000_000)
-		if res.States <= coarse.States {
-			t.Errorf("targets %v: stepwise states %d not larger than atomic-unlock %d",
-				targets, res.States, coarse.States)
-		}
-		if _, _, err := CheckRWRefinement(&RWModel{Topo: topo, Targets: targets, StepwiseUnlock: true}, 2_000_000); err != nil {
-			t.Errorf("targets %v: stepwise refinement: %v", targets, err)
+	for name, res := range runFamily(t, "stepwise") {
+		if coarse := runCase(t, "rw", name, ""); res.States <= coarse.States {
+			t.Errorf("%s: stepwise states %d not larger than atomic-unlock %d", name, res.States, coarse.States)
 		}
 	}
 }
 
 // --- The seeded bug: dropping the ancestor read locks must be caught.
 // This shows the property is not vacuous.
-func TestRWSeededBugCaught(t *testing.T) {
-	topo := NewTopology(3, 2)
-	m := &RWModel{Topo: topo, Targets: []int{1, 3}, SkipReadLocks: true}
-	res := Check(m, 2_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the skipped-read-locks bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "overlapping") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-	if len(res.Trace) == 0 {
-		t.Error("no counterexample trace")
-	}
-}
+func TestRWSeededBugCaught(t *testing.T) { runCase(t, "rw", "nested", "skip-read-locks") }
 
 // --- Refinement: the Atomic Tree Spec (rw model) refines the Atomic
 // Spec via interp (§5.1's forward simulation).
-func TestRWRefinesAtomicSpec(t *testing.T) {
-	topo := NewTopology(3, 2)
-	for _, targets := range [][]int{{3, 4}, {1, 3}, {0, 3}, {3, 4, 1}} {
-		m := &RWModel{Topo: topo, Targets: targets}
-		states, transitions, err := CheckRWRefinement(m, 2_000_000)
-		if err != nil {
-			t.Errorf("targets %v: %v", targets, err)
-		}
-		if states == 0 || transitions == 0 {
-			t.Errorf("targets %v: empty exploration", targets)
-		}
-	}
-}
+func TestRWRefinesAtomicSpec(t *testing.T) { runFamily(t, "refine") }
 
 // Refinement must fail for the buggy protocol: the illegal concrete
 // step has no legal abstract counterpart.
-func TestRefinementCatchesBug(t *testing.T) {
-	topo := NewTopology(3, 2)
-	m := &RWModel{Topo: topo, Targets: []int{1, 3}, SkipReadLocks: true}
-	if _, _, err := CheckRWRefinement(m, 2_000_000); err == nil {
-		t.Fatal("refinement check accepted a non-refining protocol")
-	}
-}
+func TestRefinementCatchesBug(t *testing.T) { runCase(t, "refine", "nested", "skip-read-locks") }
 
 // --- P1 + Figure 7 safety for CortenMM_adv: lockers racing an unmapper
 // over every interleaving. Checks mutual exclusion, no use-after-free,
 // no lost update, and no deadlock.
-func TestAdvSafety(t *testing.T) {
-	topo := NewTopology(3, 2)
-	scenarios := []struct {
-		name    string
-		targets []int
-		roles   []Role
-		unmap   int
-	}{
-		// The exact Figure-7 race: T1 unmaps page 3 while T2 locks it.
-		{"fig7", []int{1, 3}, []Role{RoleUnmapper, RoleLocker}, 3},
-		// Unmapper vs locker on a disjoint subtree.
-		{"disjoint", []int{1, 2}, []Role{RoleUnmapper, RoleLocker}, 3},
-		// Unmapper vs root-locker.
-		{"root", []int{1, 0}, []Role{RoleUnmapper, RoleLocker}, 3},
-		// Two lockers plus the unmapper.
-		{"three", []int{1, 3, 4}, []Role{RoleUnmapper, RoleLocker, RoleLocker}, 3},
-		// Two unmappers of sibling subtrees.
-		{"twounmap", []int{1, 2}, []Role{RoleUnmapper, RoleUnmapper}, 3},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			m := &AdvModel{Topo: topo, Targets: sc.targets, Roles: sc.roles, UnmapChild: sc.unmap}
-			res := Check(m, 5_000_000)
-			if res.Violation != nil {
-				t.Errorf("%v\ntrace: %s", res.Violation, strings.Join(res.Trace, " "))
-			}
-			if res.Deadlock != nil {
-				t.Errorf("deadlock: %s", strings.Join(res.Deadlock, " "))
-			}
-			t.Logf("explored %d states, %d transitions", res.States, res.Transitions)
-		})
-	}
-}
+func TestAdvSafety(t *testing.T) { runFamily(t, "adv") }
 
 // --- Seeded bug: without the stale check, a locker transacts on a
 // removed PT page — the lost update of Figure 7.
-func TestAdvNoStaleCheckCaught(t *testing.T) {
-	topo := NewTopology(3, 2)
-	m := &AdvModel{
-		Topo: topo, Targets: []int{1, 3},
-		Roles: []Role{RoleUnmapper, RoleLocker}, UnmapChild: 3,
-		NoStaleCheck: true,
-	}
-	res := Check(m, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the missing-stale-check bug")
-	}
-	if !strings.Contains(res.Violation.Error(), "stale") && !strings.Contains(res.Violation.Error(), "reused") {
-		t.Errorf("unexpected violation: %v", res.Violation)
-	}
-}
+func TestAdvNoStaleCheckCaught(t *testing.T) { runCase(t, "adv", "fig7", "no-stale-check") }
 
 // --- Seeded bug: freeing without the RCU grace period lets a traverser
 // lock (or read) freed memory — the use-after-free of Figure 7.
-func TestAdvNoRCUCaught(t *testing.T) {
-	topo := NewTopology(3, 2)
-	m := &AdvModel{
-		Topo: topo, Targets: []int{1, 3},
-		Roles: []Role{RoleUnmapper, RoleLocker}, UnmapChild: 3,
-		NoRCU: true,
-	}
-	res := Check(m, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the missing-RCU bug")
-	}
-	v := res.Violation.Error()
-	if !strings.Contains(v, "UAF") && !strings.Contains(v, "use-after-free") && !strings.Contains(v, "reused") {
-		t.Errorf("unexpected violation: %v", v)
-	}
-	t.Logf("counterexample (%d steps): %s", len(res.Trace), strings.Join(res.Trace, " "))
-}
+func TestAdvNoRCUCaught(t *testing.T) { runCase(t, "adv", "fig7", "no-rcu") }
 
 // --- Seeded bug: removing a page without marking it stale is also a
 // lost update (the locker passes the stale check on the removed page).
-func TestAdvNoStaleMarkCaught(t *testing.T) {
-	topo := NewTopology(3, 2)
-	m := &AdvModel{
-		Topo: topo, Targets: []int{1, 3},
-		Roles: []Role{RoleUnmapper, RoleLocker}, UnmapChild: 3,
-		NoStaleMark: true, NoRCU: true,
-	}
-	res := Check(m, 5_000_000)
-	if res.Violation == nil {
-		t.Fatal("checker missed the missing-stale-mark bug")
-	}
-}
+func TestAdvNoStaleMarkCaught(t *testing.T) { runCase(t, "adv", "fig7", "no-stale-mark") }
 
 // The checker itself must report deadlocks: a trivial machine that
 // stops halfway.
@@ -239,5 +103,14 @@ func TestCheckerReportsDeadlock(t *testing.T) {
 	// stuck state was popped).
 	if res.States != 2 {
 		t.Errorf("deadlock States = %d, want 2", res.States)
+	}
+}
+
+// A broken refinement is reported like any other violation: with the
+// path to the offending step, which ends in that step.
+func TestRefinementTraceEndsInBadStep(t *testing.T) {
+	res := runCase(t, "refine", "nested", "skip-read-locks")
+	if last := res.Trace[len(res.Trace)-1]; !strings.Contains(last, ":wlock(") {
+		t.Errorf("trace does not end in the illegal lock step: %v", res.Trace)
 	}
 }

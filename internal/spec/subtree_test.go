@@ -1,59 +1,16 @@
 package spec
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestAdvSubtreeRemoval exercises the full Figure-6 rev_dfs path: the
 // unmapper removes a *mid-level* PT page whose children it also locked,
 // so the removal takes several interleaved steps (unlink, then
 // stale+unlock+enqueue per descendant, deepest first) while lockers
 // race toward the dying subtree.
-func TestAdvSubtreeRemoval(t *testing.T) {
-	topo := NewTopology(4, 2) // 15 pages; page 3 has children 7,8
-	uc := topo.Kids[1][0]     // page 3 (a mid page with children)
-	leafUnder := topo.Kids[uc][0]
-	scenarios := []struct {
-		name    string
-		targets []int
-		roles   []Role
-	}{
-		// Locker races into the subtree being dismantled.
-		{"locker-into-dying-subtree", []int{1, leafUnder}, []Role{RoleUnmapper, RoleLocker}},
-		// Locker targets the dying mid page itself.
-		{"locker-at-dying-page", []int{1, uc}, []Role{RoleUnmapper, RoleLocker}},
-		// Disjoint locker for the parallel case.
-		{"disjoint", []int{1, 2}, []Role{RoleUnmapper, RoleLocker}},
-	}
-	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			m := &AdvModel{Topo: topo, Targets: sc.targets, Roles: sc.roles, UnmapChild: uc}
-			res := Check(m, 10_000_000)
-			if res.Violation != nil {
-				t.Errorf("%v\ntrace: %s", res.Violation, strings.Join(res.Trace, " "))
-			}
-			if res.Deadlock != nil {
-				t.Errorf("deadlock: %s", strings.Join(res.Deadlock, " "))
-			}
-			t.Logf("states=%d transitions=%d", res.States, res.Transitions)
-		})
-	}
-}
+func TestAdvSubtreeRemoval(t *testing.T) { runFamily(t, "subtree") }
 
 // TestAdvSubtreeRemovalBugCaught: the multi-page removal without RCU is
 // caught just like the single-page one.
 func TestAdvSubtreeRemovalBugCaught(t *testing.T) {
-	topo := NewTopology(4, 2)
-	uc := topo.Kids[1][0]
-	leafUnder := topo.Kids[uc][0]
-	m := &AdvModel{
-		Topo: topo, Targets: []int{1, leafUnder},
-		Roles: []Role{RoleUnmapper, RoleLocker}, UnmapChild: uc,
-		NoRCU: true,
-	}
-	res := Check(m, 10_000_000)
-	if res.Violation == nil {
-		t.Fatal("multi-page removal bug not caught")
-	}
+	runCase(t, "subtree", "locker-into-dying-subtree", "no-rcu")
 }

@@ -28,19 +28,6 @@ import (
 	"cortenmm/internal/pt"
 )
 
-// maybeDelay sits between an initiator's local invalidation and the
-// remote fan-out. When the tlb.shootdown-delay fault site is armed it
-// yields the delivering goroutine, widening the window in which remote
-// cores still hold the stale translation — stress for the staleness
-// tolerance argued in §4.5.
-func maybeDelay() {
-	if fault.TLBShootdownDelay.Fire() {
-		for i := 0; i < 4; i++ {
-			runtime.Gosched()
-		}
-	}
-}
-
 // Mode selects the shootdown protocol.
 type Mode uint8
 
@@ -688,7 +675,7 @@ func (m *Machine) deliver(initiator int, asid ASID, ranges []Range, all, sync bo
 	for _, r := range ranges {
 		c.invalidateLocal(Invalidation{ASID: asid, Lo: r.Lo, Hi: r.Hi, All: all})
 	}
-	maybeDelay()
+	fault.TLBShootdownDelay.Pause()
 	mode := m.mode
 	if sync {
 		mode = ModeSync
