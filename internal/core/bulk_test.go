@@ -12,8 +12,12 @@ import (
 	"cortenmm/internal/pt"
 )
 
-// TestBulkRangeEventCounts: what populating and unmapping 8 MiB on one
-// core costs in events, not in time, round after round. The unmap is one
+// TestBulkRangeEventCounts: what populating, write-protecting and
+// unmapping 8 MiB on one core costs in events, not in time, round after
+// round. Every populated frame is mapped once, hinted at its own page.
+// The protect records one flush range and issues one shootdown; every
+// PTE is read-only after it, and a store through the writable
+// translation the other core cached before it faults. The unmap is one
 // range shootdown and one frame-free callback; its run list stays short —
 // each 512-frame populate batch is whole buddy blocks, at most two per
 // order (what the last batch and the last page-table page split off) —
@@ -46,10 +50,47 @@ func TestBulkRangeEventCounts(t *testing.T) {
 				if st := m.Phys.NodeStats()[0]; st.Remote != 0 || m.Phys.NodeFreeFrames(1) != far0 {
 					t.Fatalf("populate left its home node: %+v", st)
 				}
+				for page := va; page < va+size; page += arch.PageSize {
+					pte, _, _ := a.tree.Walk(page)
+					d := m.Phys.Desc(a.isa.PFNOf(pte))
+					if owner, hint := d.AnonRMap(); d.MapCount() != 1 || owner != any(a) || hint != uint64(page) {
+						t.Fatalf("page %#x: mapped %d times, hint %v %#x", page, d.MapCount(), owner, hint)
+					}
+				}
+
+				if err := a.Store(1, va, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := m.TLB.Lookup(1, a.ASID(), va); !ok {
+					t.Fatal("core 1 cached no translation of the page it wrote")
+				}
+				shoot0 := m.TLB.Stats().Shootdowns
+				c, err := a.Lock(0, va, va+size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Protect(va, va+size, arch.PermRead); err != nil {
+					t.Fatal(err)
+				}
+				if len(c.flush) != 1 || c.flush[0].Lo != va || c.flush[0].Hi != va+size {
+					t.Fatalf("protect recorded flush ranges %v, want [%#x, %#x)", c.flush, va, va+size)
+				}
+				c.Close()
+				if d := m.TLB.Stats().Shootdowns - shoot0; d != 1 {
+					t.Errorf("protect issued %d shootdowns, want 1", d)
+				}
+				for page := va; page < va+size; page += arch.PageSize {
+					if pte, _, _ := a.tree.Walk(page); a.isa.PermOf(pte) != arch.PermRead {
+						t.Fatalf("page %#x reads %v after the protect", page, a.isa.PermOf(pte))
+					}
+				}
+				if err := a.Store(1, va, 2); !errors.Is(err, mm.ErrSegv) {
+					t.Fatalf("store through core 1's cached translation after the protect: %v", err)
+				}
+
 				ptPages := m.Phys.KindFrames(mem.KindPT)
 				shoot0, rcu0 := m.TLB.Stats().Shootdowns, m.RCU.Stats().Deferred
-
-				c, err := a.Lock(0, va, va+size)
+				c, err = a.Lock(0, va, va+size)
 				if err != nil {
 					t.Fatal(err)
 				}

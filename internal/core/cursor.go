@@ -193,12 +193,42 @@ func (c *RCursor) Protect(lo, hi arch.Vaddr, perm arch.Perm) error {
 		return err
 	}
 	c.needSync = true // tightening must be visible before return
-	t := c.a.tree
 	field, bits := pt.PermEdit(perm)
+	return c.editRange(lo, hi, field, bits, func(pte uint64, level int) uint64 {
+		return c.protectPTE(pte, level, perm)
+	})
+}
+
+// editRange is the walk Protect and SetProtKey share: every allocated
+// status word in [lo, hi) has field replaced by bits, and every present
+// leaf is rewritten by edit and queued for a flush. A fully covered leaf
+// table is swept in one pass over its words and gets one flush record
+// for its whole span — more than its holes need, never less. The PTE
+// stores stay atomic: the walker reads the table.
+func (c *RCursor) editRange(lo, hi arch.Vaddr, field, bits uint64, edit func(pte uint64, level int) uint64) error {
+	t, isa := c.a.tree, c.a.isa
 	v := walkOps{
 		onLeaf: func(pfn arch.PFN, idx, level int, entryLo, _, _ arch.Vaddr, pte uint64) error {
-			t.StorePTE(pfn, idx, c.protectPTE(pte, level, perm))
+			t.StorePTE(pfn, idx, edit(pte, level))
 			c.noteFlush(entryLo, level)
+			return nil
+		},
+		onLeafTable: func(table arch.PFN, base arch.Vaddr) error {
+			st := t.State(table)
+			if st.MetaCnt > 0 {
+				for i := 0; i < arch.PTEntries; i++ {
+					t.EditMeta(table, i, field, bits)
+				}
+			}
+			if st.Present > 0 {
+				words := t.Words(table)
+				for i := range words {
+					if pte := atomic.LoadUint64(&words[i]); isa.IsPresent(pte) {
+						t.StorePTE(table, i, edit(pte, 1))
+					}
+				}
+				c.noteFlush(base, 2)
+			}
 			return nil
 		},
 		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
@@ -242,20 +272,11 @@ func (c *RCursor) SetProtKey(lo, hi arch.Vaddr, key arch.ProtKey) error {
 		return fmt.Errorf("%w: protection key %d", errBadRange, key)
 	}
 	c.needSync = true
-	t, isa := c.a.tree, c.a.isa
+	isa := c.a.isa
 	field, bits := pt.KeyEdit(key)
-	v := walkOps{
-		onLeaf: func(pfn arch.PFN, idx, level int, entryLo, _, _ arch.Vaddr, pte uint64) error {
-			t.StorePTE(pfn, idx, isa.WithProtKey(pte, key))
-			c.noteFlush(entryLo, level)
-			return nil
-		},
-		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
-			t.EditMeta(pfn, idx, field, bits)
-			return nil
-		},
-	}
-	return c.walk(&v, lo, hi)
+	return c.editRange(lo, hi, field, bits, func(pte uint64, _ int) uint64 {
+		return isa.WithProtKey(pte, key)
+	})
 }
 
 // ensureChild returns the child PT page under (pfn, idx), creating it if

@@ -62,9 +62,10 @@ type walkOps struct {
 
 	// onLeaf visits a present leaf entry (level 1 or huge).
 	onLeaf func(pfn arch.PFN, idx, level int, entryLo, subLo, subHi arch.Vaddr, pte uint64) error
-	// onLeafTable, when set, visits a fully covered level-1 table in
-	// place of its 512 entries — for read-only visitors that only need
-	// the table's PageState counters.
+	// onLeafTable, when set, visits a fully covered, present level-1
+	// table in place of its 512 entries: the engine's per-table hook, for
+	// a visitor that reads only the table's PageState counters or does
+	// its per-entry work in one pass over the table (Protect's sweep).
 	onLeafTable func(table arch.PFN, base arch.Vaddr) error
 	// onMeta visits a non-present entry (which may hold metadata, or
 	// nothing). With clearFull set it runs after the teardown, i.e. on a
@@ -461,14 +462,23 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 }
 
 // mapAnon counts the PTE just written at va for the order-0 anonymous
-// frame a populate allocated: exclusively, hint and all, unless the
-// span's permission says the page is shared or copy-on-write.
+// frame a populate allocated, as populateOwner says.
 func (a *AddrSpace) mapAnon(frame arch.PFN, perm arch.Perm, va arch.Vaddr) {
-	if d := a.m.Phys.Desc(frame); perm&(arch.PermShared|arch.PermCOW) == 0 {
-		d.MapExclusive(&a.anonOwner, uint64(va))
+	if owner := a.populateOwner(perm); owner != nil {
+		a.m.Phys.Desc(frame).MapExclusive(owner, uint64(va))
 	} else {
-		d.Map()
+		a.m.Phys.Desc(frame).Map()
 	}
+}
+
+// populateOwner is whom a populated anonymous page is mapped exclusively
+// by, hint and all: this space, unless the span's permission says the
+// page is shared or copy-on-write (nil: counted without a hint).
+func (a *AddrSpace) populateOwner(perm arch.Perm) *mem.AnonOwner {
+	if perm&(arch.PermShared|arch.PermCOW) != 0 {
+		return nil
+	}
+	return &a.anonOwner
 }
 
 // bulkFillL2 is PopulateAnon's fast path for a fully covered, entirely
@@ -479,7 +489,8 @@ func (a *AddrSpace) mapAnon(frame arch.PFN, perm arch.Perm, va arch.Vaddr) {
 // page clears its entry again — plus one allocator round trip per frame.
 // Here the fresh child table's metadata stays untouched (all Invalid,
 // exactly the final state of a fully mapped table), the 512 frames come
-// from one batch allocation, and the table is written while nothing
+// from one batch allocation that starts each one's life already mapped
+// here (populateOwner), and the table is written while nothing
 // points to it (pt.Tree.FillUnlinked): its PTEs are plain stores, and
 // the SetPTE that links it is the store that publishes them.
 //
@@ -499,14 +510,13 @@ func (c *RCursor) bulkFillL2(pfn arch.PFN, idx int, entryLo arch.Vaddr, w uint64
 		c.trackLocked(child)
 	}
 	var frames [arch.PTEntries]arch.PFN
-	n := a.m.Phys.AllocFrameBatch(c.core, mem.KindAnon, frames[:])
+	n := a.m.Phys.AllocAnonBatch(c.core, a.populateOwner(s.Perm), uint64(entryLo), frames[:])
 	var leaves [arch.PTEntries]uint64
 	for i := 0; i < n; i++ {
 		leaves[i] = isa.EncodeLeaf(frames[i], s.Perm, 1)
 		if s.Key() != 0 {
 			leaves[i] = isa.WithProtKey(leaves[i], s.Key())
 		}
-		a.mapAnon(frames[i], s.Perm, entryLo+arch.Vaddr(i)*arch.PageSize)
 	}
 	t.FillUnlinked(child, leaves[:n])
 	t.SetPTE(pfn, idx, isa.EncodeTable(child))

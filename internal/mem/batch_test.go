@@ -471,3 +471,118 @@ func TestAllocFrameBatchPartial(t *testing.T) {
 		t.Fatalf("after release: %d free of %d; %s", m.FreeFrames(), boot, rep.String())
 	}
 }
+
+// TestAnonBatchMatchesBatchThenMap: on twin machines driven alike,
+// AllocAnonBatch hands out the frames AllocFrameBatch does and leaves each
+// descriptor as AllocFrameBatch followed by MapExclusive(owner, va+i
+// pages) — or by Map, with no owner — would: the same Ref, kind, mapping
+// word and owner, over frames that just ended a hinted life under another
+// owner, and for batches cut short by exhaustion.
+func TestAnonBatchMatchesBatchThenMap(t *testing.T) {
+	owners := []*AnonOwner{{Space: "a"}, {Space: "b"}, nil}
+	rng := rand.New(rand.NewSource(1))
+	ref, batch := NewPhysMemNUMA(1500, 2, 2, nil), NewPhysMemNUMA(1500, 2, 2, nil)
+	var held []arch.PFN
+	short := 0
+	for round := 0; round < 60; round++ {
+		core, owner := rng.Intn(2), owners[rng.Intn(len(owners))]
+		va := uint64(1+rng.Intn(1<<20)) << arch.PageShift
+		want := make([]arch.PFN, 1+rng.Intn(900))
+		got := make([]arch.PFN, len(want))
+		n := ref.AllocFrameBatch(core, KindAnon, want)
+		for i, pfn := range want[:n] {
+			if owner != nil {
+				ref.Desc(pfn).MapExclusive(owner, va+uint64(i)*arch.PageSize)
+			} else {
+				ref.Desc(pfn).Map()
+			}
+		}
+		if k := batch.AllocAnonBatch(core, owner, va, got); k != n || !slices.Equal(got[:k], want[:n]) {
+			t.Fatalf("round %d: AllocAnonBatch gave %d frames %v, AllocFrameBatch %d %v", round, k, got[:min(k, 8)], n, want[:min(n, 8)])
+		}
+		if n < len(want) {
+			short++
+		}
+		for _, pfn := range want[:n] {
+			r, b := ref.Desc(pfn), batch.Desc(pfn)
+			if r.Ref.Load() != b.Ref.Load() || r.Kind != b.Kind || r.mapping.Load() != b.mapping.Load() || r.anonOwner.Load() != b.anonOwner.Load() {
+				t.Fatalf("round %d frame %#x: ref %d/%d, kind %s/%s, mapping %#x/%#x, owner %v/%v", round, pfn,
+					r.Ref.Load(), b.Ref.Load(), r.Kind, b.Kind, r.mapping.Load(), b.mapping.Load(), r.anonOwner.Load(), b.anonOwner.Load())
+			}
+		}
+		held = append(held, want[:n]...)
+		rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+		cut := rng.Intn(len(held) + 1)
+		for _, m := range []*PhysMem{ref, batch} {
+			for _, pfn := range held[cut:] {
+				m.Desc(pfn).Unmap()
+			}
+			m.PutList(core, held[cut:])
+			if rep := m.Audit(); !rep.Ok() {
+				t.Fatalf("round %d: %s", round, rep.String())
+			}
+		}
+		held = held[:cut]
+	}
+	if short == 0 {
+		t.Error("no batch was cut short by exhaustion")
+	}
+}
+
+// TestBuddyPublishMatchesLocked: publish stores only the mirrors that
+// changed, so after any mix of single frames, blocks from either end of
+// the zone, batches, runs, list frees and drains on a two-node machine,
+// every published counter equals its locked twin.
+func TestBuddyPublishMatchesLocked(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewPhysMemNUMA(1<<12, 2, 2, nil)
+		var frames, blocks []arch.PFN
+		for step := 0; step < 400; step++ {
+			core := rng.Intn(2)
+			switch rng.Intn(6) {
+			case 0: // a frame; page-table frames come from the top
+				kind := []Kind{KindAnon, KindPT}[rng.Intn(2)]
+				if pfn, err := m.AllocFrame(core, kind); err == nil {
+					frames = append(frames, pfn)
+				}
+			case 1:
+				out := make([]arch.PFN, 1+rng.Intn(600))
+				frames = append(frames, out[:m.AllocFrameBatch(core, KindAnon, out)]...)
+			case 2:
+				if pfn, err := m.AllocFrames(core, 1+rng.Intn(hugeOrder), KindAnon); err == nil {
+					blocks = append(blocks, pfn)
+				}
+			case 3: // a random share, sorted into runs or not
+				rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
+				cut := rng.Intn(len(frames) + 1)
+				if rng.Intn(2) == 0 {
+					slices.Sort(frames[cut:])
+				}
+				m.PutList(core, frames[cut:])
+				frames = frames[:cut]
+			case 4:
+				if len(blocks) > 0 {
+					i := rng.Intn(len(blocks))
+					m.Put(core, blocks[i])
+					blocks = slices.Delete(blocks, i, i+1)
+				}
+			case 5:
+				m.DrainPCP()
+			}
+			for z := range m.zones {
+				b := &m.zones[z].buddy
+				b.mu.Lock()
+				for o := range b.freeOrd {
+					if b.nfreeOrd[o].Load() != b.freeOrd[o] {
+						t.Fatalf("seed %d step %d zone %d: %d free order-%d blocks published, %d counted", seed, step, z, b.nfreeOrd[o].Load(), o, b.freeOrd[o])
+					}
+				}
+				if b.nfree.Load() != b.free_ {
+					t.Fatalf("seed %d step %d zone %d: %d free frames published, %d counted", seed, step, z, b.nfree.Load(), b.free_)
+				}
+				b.mu.Unlock()
+			}
+		}
+	}
+}

@@ -153,7 +153,7 @@ func (m *PhysMem) CompactZone(core, node, maxPages int) int {
 		run := 0
 		for i, req := range reqs {
 			if i < got && targets[i] > req.Src {
-				m.initFrames(KindAnon, 0, targets[i])
+				m.initFrames(KindAnon, 0, nil, targets[i])
 				reqs[i].Dst = targets[i]
 				run++
 			} else {

@@ -490,7 +490,7 @@ func (m *PhysMem) AllocFrameOn(core, node int, kind Kind) (arch.PFN, error) {
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
-	m.initFrames(kind, 0, pfn)
+	m.initFrames(kind, 0, nil, pfn)
 	m.checkPressure(node)
 	return pfn, nil
 }
@@ -512,12 +512,33 @@ func (m *PhysMem) refill(core int) (arch.PFN, bool) {
 
 // AllocFrameBatch allocates up to len(out) order-0 frames of the given
 // kind in one shot, draining the core's cache and the placement zones
-// under one lock acquisition each instead of one per frame — the
-// bulk-populate path. Returns the number of frames obtained; fewer than
-// requested (possibly zero) means physical memory is exhausted even
-// after direct reclaim. Each frame starts with Ref == 1, exactly as
-// from AllocFrame.
+// under one lock acquisition each instead of one per frame. Returns the
+// number of frames obtained; fewer than requested (possibly zero) means
+// physical memory is exhausted even after direct reclaim. Each frame
+// starts with Ref == 1, exactly as from AllocFrame.
 func (m *PhysMem) AllocFrameBatch(core int, kind Kind, out []arch.PFN) int {
+	return m.allocFrameBatch(core, kind, nil, out)
+}
+
+// AllocAnonBatch is AllocFrameBatch for the bulk-populate path:
+// anonymous frames that start their life already mapped once, frame i at
+// va + i pages — with owner, exclusively, hinted as MapExclusive(owner,
+// va+i*PageSize) would; with owner nil (a shared or copy-on-write span),
+// counted as Map would. The caller writes the PTEs that make the count
+// true.
+func (m *PhysMem) AllocAnonBatch(core int, owner *AnonOwner, va uint64, out []arch.PFN) int {
+	return m.allocFrameBatch(core, KindAnon, &firstMap{owner, va >> arch.PageShift}, out)
+}
+
+// firstMap is the mapping a batch's frames start their life with: once
+// each, hinted at consecutive VPNs from vpn when owner is set.
+type firstMap struct {
+	owner *AnonOwner
+	vpn   uint64
+}
+
+// allocFrameBatch is the body of both batch entries.
+func (m *PhysMem) allocFrameBatch(core int, kind Kind, mapped *firstMap, out []arch.PFN) int {
 	if fault.MemAllocBatch.Fire() {
 		return 0
 	}
@@ -535,7 +556,7 @@ func (m *PhysMem) AllocFrameBatch(core int, kind Kind, out []arch.PFN) int {
 			return n == len(out)
 		})
 	}
-	m.initFrames(kind, 0, out[:n]...)
+	m.initFrames(kind, 0, mapped, out[:n]...)
 	m.checkPressure(node)
 	return n
 }
@@ -571,7 +592,7 @@ func (m *PhysMem) AllocFrames(core int, order int, kind Kind) (arch.PFN, error) 
 		}
 		return 0, ErrOutOfMemory
 	}
-	m.initFrames(kind, uint32(order), pfn)
+	m.initFrames(kind, uint32(order), nil, pfn)
 	m.checkPressure(node)
 	return pfn, nil
 }
@@ -581,11 +602,13 @@ func (m *PhysMem) AllocFrames(core int, order int, kind Kind) (arch.PFN, error) 
 // RMap and words nil, mapped nowhere (the mapping word's stale hint dies
 // with the first Map), no payload published — so a word is stored only
 // when it has to change; the guards read a frame nobody else holds yet.
-// Ref is an unconditional atomic store, and the last one: the compaction
-// scanner TryGets lock-free, and its CAS acquires everything written
-// before.
-func (m *PhysMem) initFrames(kind Kind, order uint32, pfns ...arch.PFN) {
-	for _, pfn := range pfns {
+// With mapped set, frame i starts mapped once: its owner (only if it
+// changed) and then its mapping word are stored here, in the same pass,
+// instead of by a Map or MapExclusive CAS after it. Ref is an
+// unconditional atomic store, and the last one: the compaction scanner
+// TryGets lock-free, and its CAS acquires everything written before.
+func (m *PhysMem) initFrames(kind Kind, order uint32, mapped *firstMap, pfns ...arch.PFN) {
+	for j, pfn := range pfns {
 		d := &m.frames[pfn]
 		d.Kind = kind
 		if d.order.Load() != order {
@@ -606,6 +629,16 @@ func (m *PhysMem) initFrames(kind Kind, order uint32, pfns ...arch.PFN) {
 		}
 		for i := arch.PFN(1); i < 1<<order; i++ {
 			m.frames[pfn+i].tail.Store(int64(pfn) + 1)
+		}
+		if mapped != nil {
+			w := uint64(1)
+			if o := mapped.owner; o != nil {
+				if d.anonOwner.Load() != o {
+					d.anonOwner.Store(o)
+				}
+				w |= (mapped.vpn + uint64(j)) << mapCountBits
+			}
+			d.mapping.Store(w)
 		}
 		d.Ref.Store(1)
 	}
