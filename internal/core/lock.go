@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/pt"
 	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
 )
@@ -24,6 +25,11 @@ type RCursor struct {
 	rootLevel int        // its level
 	rootBase  arch.Vaddr // base VA of its span
 	minLevel  int        // do not descend below this level (default 1)
+
+	// hint is the covering page the last lockAdv through this cursor
+	// locked. reset keeps it, so only the per-core cached cursor ever
+	// starts a transaction with one.
+	hint coverHint
 
 	// readPath holds the read-locked ancestors (CortenMM_rw only),
 	// outermost first.
@@ -50,6 +56,18 @@ type RCursor struct {
 	lockedArr   [8]arch.PFN
 	flushArr    [8]tlb.Range
 	freedArr    [8]rcu.FrameRun
+}
+
+// coverHint names a covering PT page by its PageState. pt.AllocPTPage
+// makes a fresh state for every life of a PT page and removeChild
+// stale-marks it under its lock before the frame can be freed, so a
+// hinted page that has died since reads Stale forever — the hint is
+// never re-resolved through its frame number.
+type coverHint struct {
+	st    *pt.PageState
+	pfn   arch.PFN
+	level int
+	base  arch.Vaddr
 }
 
 // reset prepares a (possibly recycled) cursor for a new transaction,
@@ -172,7 +190,30 @@ func (a *AddrSpace) lockRW(c *RCursor) {
 // it is MCS-locked and re-checked for staleness (retrying if a
 // concurrent unmap removed it, Figure 7); then a preorder DFS locks all
 // its descendants.
+//
+// A cursor whose hint spans [lo, hi) first locks the hinted page
+// directly, with no RCU section and no descent: the stale check makes
+// that lock as safe as a traversal's, and an entry for [lo, hi) that is
+// not a present table proves the traversal would have stopped there too.
+// Otherwise the traversal runs as before and becomes the new hint.
 func (a *AddrSpace) lockAdv(c *RCursor) {
+	if h := c.hint; h.st != nil && !a.coarse && h.level >= c.minLevel &&
+		baseOfSpan(c.lo, h.level) == h.base && baseOfSpan(c.hi-1, h.level) == h.base {
+		h.st.Mu.Lock()
+		// Stale first: a pruned page's frame may already hold anything.
+		ok := !h.st.Stale.Load()
+		if ok && coversInOneChild(c.lo, c.hi, h.level, c.minLevel) {
+			pte := a.tree.LoadPTE(h.pfn, arch.IndexAt(c.lo, h.level))
+			ok = !a.isa.IsPresent(pte) || a.isa.IsLeaf(pte, h.level)
+		}
+		if ok {
+			c.trackLocked(h.pfn)
+			c.root, c.rootLevel, c.rootBase = h.pfn, h.level, h.base
+			a.dfsLock(c, c.root, c.rootLevel)
+			return
+		}
+		h.st.Mu.Unlock()
+	}
 	for {
 		a.m.RCU.ReadLock(c.core)
 		cur := a.tree.Root
@@ -199,6 +240,7 @@ func (a *AddrSpace) lockAdv(c *RCursor) {
 		c.root = cur
 		c.rootLevel = level
 		c.rootBase = baseOfSpan(c.lo, level)
+		c.hint = coverHint{st, cur, level, c.rootBase}
 		break
 	}
 	// Locking phase: preorder DFS over all descendant PT pages. The

@@ -33,6 +33,8 @@ type advCore struct {
 	InRCU    bool
 	Unmapped bool  // unmapper: child removal done
 	RevIdx   uint8 // unmapper: rev_dfs progress through the removed subtree
+	Hinted   bool  // this start locks the last covered page, outside RCU
+	Second   bool  // hinted locker: its second transaction has begun
 }
 
 // advState is one global state of the CortenMM_adv model.
@@ -73,6 +75,18 @@ type AdvModel struct {
 	NoStaleMark bool
 	// NoRCU frees monitor pages without waiting for readers.
 	NoRCU bool
+
+	// Hinted gives every locker a second transaction that starts at
+	// advLockCovering on the page its first one covered, without entering
+	// RCU — the per-core cursor's hint. The hint names the page's identity
+	// (page, Gen) observed earlier; a retired generation is a dead state
+	// object that reads stale forever, so locking it is legal and takes
+	// the stale retry. (No page is ever re-linked here, so the hint is
+	// never coarser than a traversal's answer.)
+	Hinted bool
+	// HintByFrame (seeded bug) re-resolves the hint by page number, so a
+	// reused page's fresh state passes the stale check.
+	HintByFrame bool
 }
 
 // Init implements Machine: a fully linked tree, all pages unlocked.
@@ -180,7 +194,15 @@ func (m *AdvModel) Next(st State) []Step {
 
 		case advLockCovering:
 			p := int(core.Covering)
-			if s.Freed[p] {
+			if core.Hinted && !m.HintByFrame && (s.Freed[p] || s.Gen[p] != core.ObsGen) {
+				// The hinted identity is retired: its dead state object is
+				// locked by no one and reads stale — retry from the root.
+				n := s
+				n.Cores[c] = advCore{PC: advStart, Cur: -1, Covering: -1, Second: true}
+				out = append(out, Step{fmt.Sprintf("c%d:hint_stale(%d)", c, p), n})
+				break
+			}
+			if s.Freed[p] && !core.Hinted {
 				n := s
 				n.Bad = fmt.Sprintf("core %d locks freed PT page %d (use-after-free)", c, p)
 				out = append(out, Step{fmt.Sprintf("c%d:uaf_lock(%d)", c, p), n})
@@ -197,10 +219,21 @@ func (m *AdvModel) Next(st State) []Step {
 			p := int(core.Covering)
 			n := s
 			nc := &n.Cores[c]
-			if !m.NoStaleCheck && s.Stale[p] {
-				// Figure 7: raced with an unmap — retry from the root.
-				n.Lock[p] = -1
+			stale := s.Stale[p]
+			if core.Hinted && !m.HintByFrame {
+				// Outside RCU the hinted page may be freed and reused while
+				// its lock is held; the check reads the hint's own state
+				// object, and a retired generation's reads stale forever.
+				stale = stale || s.Gen[p] != core.ObsGen
+			}
+			if !m.NoStaleCheck && stale {
+				// Figure 7: raced with an unmap — retry from the root. (A
+				// reuse already dropped the lock of the generation we held.)
+				if n.Lock[p] == int8(c) {
+					n.Lock[p] = -1
+				}
 				nc.InRCU = false
+				nc.Hinted = false
 				nc.PC = advStart
 				nc.Cur = -1
 				nc.Covering = -1
@@ -298,6 +331,13 @@ func (m *AdvModel) Next(st State) []Step {
 				}
 			}
 			n.Cores[c].PC = advDone
+			if m.Hinted && m.Roles[c] == RoleLocker && !core.Second {
+				// The second transaction starts at the hint: Covering and
+				// ObsGen still name the page the first one locked.
+				n.Cores[c].PC = advLockCovering
+				n.Cores[c].Hinted = true
+				n.Cores[c].Second = true
+			}
 			out = append(out, Step{fmt.Sprintf("c%d:unlock_all", c), n})
 		}
 	}

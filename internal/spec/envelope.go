@@ -137,12 +137,16 @@ func cases() []ModelCase {
 		{Family: "adv", Name: "root", Model: adv(t3, 3, ul, 1, 0)},
 		{Family: "adv", Name: "three", Model: adv(t3, 3, ull, 1, 3, 4)},
 		{Family: "adv", Name: "twounmap", Model: adv(t3, 3, []Role{RoleUnmapper, RoleUnmapper}, 1, 2)},
+		// The locker's second transaction starts at its cached cursor's hint.
+		{Family: "adv", Name: "hint", Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, Hinted: true}},
 		{Family: "adv", Name: "fig7", Bug: "no-stale-check", Want: "stale|reused",
 			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, NoStaleCheck: true}},
 		{Family: "adv", Name: "fig7", Bug: "no-rcu", Want: "UAF|use-after-free|reused",
 			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, NoRCU: true}},
 		{Family: "adv", Name: "fig7", Bug: "no-stale-mark", Want: "lost update|use-after-free",
 			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, NoStaleMark: true, NoRCU: true}},
+		{Family: "adv", Name: "hint", Bug: "hint-by-frame", Want: "transacts on reused PT page",
+			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, Hinted: true, HintByFrame: true}},
 		// Figure 6's rev_dfs: the unmapper removes mid page 3 with its children.
 		{Family: "subtree", Name: "locker-into-dying-subtree", Model: adv(t4, 3, ul, 1, 7)},
 		{Family: "subtree", Name: "locker-at-dying-page", Model: adv(t4, 3, ul, 1, 3)},
