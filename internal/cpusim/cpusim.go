@@ -371,6 +371,14 @@ func (m *Machine) Quiesce() {
 // have observed stays allocated until fn returns. fault runs outside
 // the section — it takes the kernel's locks and must not stall grace
 // periods.
+//
+// A 4-KiB fill that moves bytes caches the frame's page beside its
+// number, and a hit hands that page to fn without touching the frame's
+// descriptor. The page is exactly as valid as the number: a frame's
+// payload is fixed for its life, and that life ends only after the
+// covering shootdown and a grace period, so every hit the TLB serves
+// names a live frame and carries its current bytes. Touch fills cache
+// no page, and neither do huge leaves; their hits read through DataPage.
 func (m *Machine) Access(core int, asid tlb.ASID, t *pt.Tree, va arch.Vaddr, acc pt.Access,
 	fault func(core int, va arch.Vaddr, acc pt.Access) error, fn func(page []byte, off uint64)) error {
 	if va >= arch.MaxVaddr {
@@ -385,6 +393,9 @@ func (m *Machine) Access(core int, asid tlb.ASID, t *pt.Tree, va arch.Vaddr, acc
 			// between must invalidate what the walk is about to cache.
 			fill := m.TLB.FillBegin(core, asid)
 			if tr, ok = t.WalkAccess(va, acc); ok {
+				if fn != nil && tr.Level == 1 {
+					tr.Page = (*[arch.PageSize]byte)(m.Phys.DataPage(tr.PFN))
+				}
 				// tr carries the leaf level from the walk; huge leaves land
 				// in the TLB's span-indexed array so every page of the span
 				// hits from this one fill.
@@ -394,10 +405,17 @@ func (m *Machine) Access(core int, asid tlb.ASID, t *pt.Tree, va arch.Vaddr, acc
 					m.Phys.NoteAccess(core, tr.PFN)
 				}
 			}
+		} else if mmdebug {
+			m.checkHit(core, va, tr)
 		}
 		if ok {
 			if fn != nil {
-				fn(m.Phys.DataPage(tr.PFN), uint64(va&(arch.PageSize-1)))
+				off := uint64(va & (arch.PageSize - 1))
+				if tr.Page != nil {
+					fn(tr.Page[:], off)
+				} else {
+					fn(m.Phys.DataPage(tr.PFN), off)
+				}
 			}
 			m.RCU.ReadUnlock(core)
 			return nil
@@ -408,6 +426,20 @@ func (m *Machine) Access(core int, asid tlb.ASID, t *pt.Tree, va arch.Vaddr, acc
 		}
 	}
 	return fmt.Errorf("cpusim: translation livelock at %#x", va)
+}
+
+// checkHit is the -tags mmdebug assertion on a TLB hit: the frame it
+// names is allocated, and a cached page is that frame's payload. It
+// compares against the frame, not a fresh walk — between a PTE clear and
+// its shootdown, and under LATR until the sweep, a hit may legally
+// disagree with the page table, but never with the allocator.
+func (m *Machine) checkHit(core int, va arch.Vaddr, tr pt.Translation) {
+	if m.Phys.Desc(m.Phys.HeadOf(tr.PFN)).Ref.Load() <= 0 {
+		panic(fmt.Sprintf("cpusim: core %d hit %#x -> frame %#x, which is free", core, va, tr.PFN))
+	}
+	if tr.Page != nil && tr.Page != (*[arch.PageSize]byte)(m.Phys.DataPage(tr.PFN)) {
+		panic(fmt.Sprintf("cpusim: core %d hit %#x -> frame %#x with a cached page that is not the frame's payload", core, va, tr.PFN))
+	}
 }
 
 // ReapBacklog is the number of waiting RCU callbacks at which a hand-off

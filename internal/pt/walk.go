@@ -109,6 +109,11 @@ type Translation struct {
 	Perm arch.Perm
 	// Level is the leaf level (1, 2 or 3).
 	Level int
+	// Page is the frame's host bytes when whoever produced the
+	// translation had them at hand, nil otherwise (WalkAccess never
+	// does). A TLB hit on a 4-KiB entry returns the page its fill
+	// stored, so the access skips the descriptor chain.
+	Page *[arch.PageSize]byte
 }
 
 // WalkAccess simulates the MMU servicing an access: walk, permission

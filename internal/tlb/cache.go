@@ -19,9 +19,10 @@ import (
 // miss, which is always safe for a cache.
 
 // Geometry: nSets sets of nWays slots per core. 2048 entries models an
-// 8-MiB reach, in the range of a real L2 TLB. A slot is four words, so
-// a set is two cache lines (the allocator aligns arrays this large) and
-// a probe that compares tags first touches nothing else.
+// 8-MiB reach, in the range of a real L2 TLB. A slot is five words, so
+// a set is 160 bytes (both arrays start on a cache line, see
+// NewMachineNUMA) and a probe that compares tags first touches nothing
+// else.
 const (
 	setBits = 9
 	nSets   = 1 << setBits
@@ -85,32 +86,49 @@ type slot struct {
 	tag atomic.Uint64
 	gen atomic.Uint64 // owning epoch cell's generation at fill time
 	trw atomic.Uint64 // packed translation
+	// page is the 4-KiB entry's frame bytes, nil when the fill had none.
+	// It is as valid as trw's PFN: a frame's payload is fixed for its
+	// life, and the life outlasts every hit the generations allow. An
+	// emptied or generation-stale slot keeps it reachable until the next
+	// fill, but never serves it.
+	page atomic.Pointer[[arch.PageSize]byte]
 }
 
 // read snapshots a slot whose tag word matched want. ok=false means a
 // writer was active, the fields were torn or the slot now holds another
 // entry; the caller treats the slot as non-matching.
-func (s *slot) read(want uint64) (tag, gen, trw, seq uint64, ok bool) {
+func (s *slot) read(want uint64) (tag, gen, trw uint64, page *[arch.PageSize]byte, seq uint64, ok bool) {
 	seq = s.seq.Load()
 	tag = s.tag.Load()
 	gen = s.gen.Load()
 	trw = s.trw.Load()
-	return tag, gen, trw, seq, seq&1 == 0 && tag&^tagRef == want && s.seq.Load() == seq
+	page = s.page.Load()
+	return tag, gen, trw, page, seq, seq&1 == 0 && tag&^tagRef == want && s.seq.Load() == seq
 }
 
-// write publishes a new entry if the slot is still at version seq.
-func (s *slot) write(seq, tag, gen, trw uint64) bool {
+// write publishes a new entry if the slot is still at version seq. gen
+// and page are stored only when they change: a refill at the same
+// generation, or a page-less fill over a page-less slot, costs no
+// atomic store for them.
+func (s *slot) write(seq, tag, gen, trw uint64, page *[arch.PageSize]byte) bool {
 	if !s.seq.CompareAndSwap(seq, seq+1) {
 		return false
 	}
 	s.tag.Store(tag)
-	s.gen.Store(gen)
+	if s.gen.Load() != gen {
+		s.gen.Store(gen)
+	}
 	s.trw.Store(trw)
+	if s.page.Load() != page {
+		s.page.Store(page)
+	}
 	s.seq.Store(seq + 2)
 	return true
 }
 
-// clear empties the slot if it is still at version seq.
+// clear empties the slot if it is still at version seq. page is left
+// alone: an empty slot's page is never read, and the next fill replaces
+// it.
 func (s *slot) clear(seq uint64) {
 	if !s.seq.CompareAndSwap(seq, seq+1) {
 		return

@@ -10,24 +10,50 @@ import (
 )
 
 // TestTLBSetGeometry pins the layout the lookup cost rests on: a slot is
-// four words, so a 4-way set is two cache lines, and both arrays start
-// on a set boundary.
+// five words — seq, tag, gen, trw and the cached page — so a 4-way set
+// is 160 bytes, and both arrays start on a cache line. A parallel page
+// array beside 32-byte slots (sets of exactly two lines) measured the
+// same on resident_access as the in-slot word, which is less code.
 func TestTLBSetGeometry(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 32 {
-		t.Errorf("slot is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(slot{}); got != 40 {
+		t.Errorf("slot is %d bytes, want 40", got)
 	}
-	const setBytes = nWays * unsafe.Sizeof(slot{})
-	if setBytes != 128 {
-		t.Errorf("a set is %d bytes, want 128", setBytes)
+	if setBytes := nWays * unsafe.Sizeof(slot{}); setBytes != 160 {
+		t.Errorf("a set is %d bytes, want 160", setBytes)
 	}
 	m := NewMachine(3, ModeSync)
 	for i := range m.cores {
 		c := &m.cores[i]
 		for name, s := range map[string][]slot{"slots": c.slots, "hugeSlots": c.hugeSlots} {
-			if off := uintptr(unsafe.Pointer(&s[0])) % setBytes; off != 0 {
-				t.Errorf("core %d: %s starts %d bytes into a set-sized block", i, name, off)
+			if off := uintptr(unsafe.Pointer(&s[0])) % 64; off != 0 {
+				t.Errorf("core %d: %s starts %d bytes into a cache line", i, name, off)
 			}
 		}
+	}
+}
+
+// TestSlotCachesPage: a 4-KiB fill's page comes back from the lookup, a
+// refill of the same tag without one comes back without one, and a huge
+// fill never caches one.
+func TestSlotCachesPage(t *testing.T) {
+	m := NewMachine(1, ModeSync)
+	var a [arch.PageSize]byte
+	x := tr(7)
+	x.Page = &a
+	m.Insert(0, 1, 0x1000, x)
+	if got, ok := m.Lookup(0, 1, 0x1000); !ok || got.Page != &a || got.PFN != 7 {
+		t.Errorf("after a fill with page A: %+v, %v; want PFN 7 with A", got, ok)
+	}
+	m.Insert(0, 1, 0x1000, tr(8))
+	if got, ok := m.Lookup(0, 1, 0x1000); !ok || got.Page != nil || got.PFN != 8 {
+		t.Errorf("after a page-less refill: %+v, %v; want PFN 8 with no page", got, ok)
+	}
+	const huge = arch.Vaddr(1) << 30
+	h := trL(512, 2)
+	h.Page = &a
+	m.Insert(0, 1, huge, h)
+	if got, ok := m.Lookup(0, 1, huge+arch.PageSize); !ok || got.Page != nil || got.PFN != 513 {
+		t.Errorf("huge hit: %+v, %v; want PFN 513 with no page", got, ok)
 	}
 }
 

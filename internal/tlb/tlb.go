@@ -210,8 +210,13 @@ func NewMachineNUMA(cores int, mode Mode, nodeOf []int) *Machine {
 		m.nodeCores[nodeOf[c]] = append(m.nodeCores[nodeOf[c]], c)
 	}
 	for i := range m.cores {
-		m.cores[i].slots = make([]slot, nSets*nWays)
-		m.cores[i].hugeSlots = make([]slot, hugeSets*nWays)
+		// One allocation for both arrays: a large object starts on a page,
+		// and the base array's 80 KiB keep the huge one on a cache line.
+		// (A small array of slots, which hold a pointer, would start 8
+		// bytes into one, behind the allocator's type header.)
+		slots := make([]slot, (nSets+hugeSets)*nWays)
+		m.cores[i].slots = slots[:nSets*nWays : nSets*nWays]
+		m.cores[i].hugeSlots = slots[nSets*nWays:]
 		m.cores[i].cells = make([]epochCell, asidCells)
 		m.cores[i].precLimit.Store(preciseLimitInit)
 	}
@@ -260,16 +265,19 @@ func (m *Machine) Mode() Mode { return m.mode }
 // The fast path is mutex-free: four tag loads in one set, then for the
 // matching way a seqlock snapshot, one generation load and one counter;
 // entries whose generation lags are validated against the epoch cell's
-// ring and either re-stamped or discarded.
+// ring and either re-stamped or discarded. A base-array hit carries the
+// page its fill stored; a huge hit carries none.
 func (m *Machine) Lookup(core int, asid ASID, va arch.Vaddr) (pt.Translation, bool) {
 	c := &m.cores[core]
 	if m.mode == ModeEarlyAck && c.inbox.n.Load() > 0 {
 		m.drainInbox(c)
 	}
 	cell := c.cell(asid)
-	if trw, ok := c.probe(c.set(asid, va), cell, asid, makeTag(asid, va, 0), va, va+arch.PageSize); ok {
+	if trw, page, ok := c.probe(c.set(asid, va), cell, asid, makeTag(asid, va, 0), va, va+arch.PageSize); ok {
 		c.stats.hits.Add(1)
-		return unpackTr(trw), true
+		tr := unpackTr(trw)
+		tr.Page = page
+		return tr, true
 	}
 	if c.hugeUsed.Load() {
 		// A hit is rebased to the 4-KiB page the caller asked about, so
@@ -277,7 +285,7 @@ func (m *Machine) Lookup(core int, asid ASID, va arch.Vaddr) (pt.Translation, bo
 		for _, level := range hugeLevels {
 			span := arch.Vaddr(arch.SpanBytes(level))
 			base := va &^ (span - 1)
-			if trw, ok := c.probe(c.hugeSet(asid, base, level), cell, asid, makeTag(asid, base, level), base, base+span); ok {
+			if trw, _, ok := c.probe(c.hugeSet(asid, base, level), cell, asid, makeTag(asid, base, level), base, base+span); ok {
 				c.stats.hugeHits.Add(1)
 				tr := unpackTr(trw)
 				tr.PFN += arch.PFN(uint64(va-base) / arch.PageSize)
@@ -290,26 +298,27 @@ func (m *Machine) Lookup(core int, asid ASID, va arch.Vaddr) (pt.Translation, bo
 }
 
 // probe looks for the entry tagged want in one set and returns its
-// translation word. [lo, hi) is what the entry covers: generation
-// validation uses the whole span, so any overlapping invalidation —
-// even a single 4-KiB record inside a huge leaf — kills the entry. A hit
-// marks the way referenced, by a CAS only when the bit is clear.
-func (c *coreTLB) probe(set []slot, cell *epochCell, asid ASID, want uint64, lo, hi arch.Vaddr) (uint64, bool) {
+// translation word and page. [lo, hi) is what the entry covers:
+// generation validation uses the whole span, so any overlapping
+// invalidation — even a single 4-KiB record inside a huge leaf — kills
+// the entry. A hit marks the way referenced, by a CAS only when the bit
+// is clear.
+func (c *coreTLB) probe(set []slot, cell *epochCell, asid ASID, want uint64, lo, hi arch.Vaddr) (uint64, *[arch.PageSize]byte, bool) {
 	for i := range set {
 		s := &set[i]
 		if s.tag.Load()&^tagRef != want {
 			continue
 		}
-		tag, gen, trw, seq, ok := s.read(want)
+		tag, gen, trw, page, seq, ok := s.read(want)
 		if !ok || gen != cell.gen.Load() && !c.revalidate(s, cell, asid, lo, hi, gen, seq) {
 			continue
 		}
 		if tag&tagRef == 0 {
 			s.tag.CompareAndSwap(tag, tag|tagRef)
 		}
-		return trw, true
+		return trw, page, true
 	}
-	return 0, false
+	return 0, nil, false
 }
 
 // revalidate replays the invalidations cell recorded since generation
@@ -364,7 +373,8 @@ func (m *Machine) FillBegin(core int, asid ASID) uint64 {
 // to the span-indexed huge array: callers pass the 4-KiB page they
 // translated with the page-adjusted PFN (pt.WalkAccess's contract), and
 // InsertAt normalizes both back to the span base so one fill makes
-// every offset in the leaf hit.
+// every offset in the leaf hit. A 4-KiB entry keeps tr.Page; a huge one
+// drops it, since one page cannot stand for the whole span.
 func (m *Machine) InsertAt(core int, asid ASID, va arch.Vaddr, tr pt.Translation, g uint64) {
 	c := &m.cores[core]
 	if tr.Level >= 2 {
@@ -375,12 +385,12 @@ func (m *Machine) InsertAt(core int, asid ASID, va arch.Vaddr, tr pt.Translation
 			c.hugeUsed.Store(true)
 		}
 		set := c.hugeSet(asid, base, tr.Level)
-		if c.fillSet(set, &c.hugeVictim, makeTag(asid, base, tr.Level), g, packTr(tr)) {
+		if c.fillSet(set, &c.hugeVictim, makeTag(asid, base, tr.Level), g, packTr(tr), nil) {
 			c.stats.hugeEvicts.Add(1)
 		}
 		return
 	}
-	if c.fillSet(c.set(asid, va), &c.victim, makeTag(asid, va, 0), g, packTr(tr)) {
+	if c.fillSet(c.set(asid, va), &c.victim, makeTag(asid, va, 0), g, packTr(tr), tr.Page) {
 		c.stats.evictions.Add(1)
 	}
 }
@@ -394,7 +404,7 @@ func (m *Machine) InsertAt(core int, asid ASID, va arch.Vaddr, tr pt.Translation
 // want of a tag reports false. The choice reads tag and generation
 // words outside the seqlock: a torn view can only pick a worse victim,
 // and a TLB may drop any entry at any time.
-func (c *coreTLB) fillSet(set []slot, victimCtr *atomic.Uint32, tag, g, trw uint64) bool {
+func (c *coreTLB) fillSet(set []slot, victimCtr *atomic.Uint32, tag, g, trw uint64, page *[arch.PageSize]byte) bool {
 	if tag == noTag {
 		return false
 	}
@@ -429,7 +439,7 @@ func (c *coreTLB) fillSet(set []slot, victimCtr *atomic.Uint32, tag, g, trw uint
 	}
 	s := &set[victim]
 	seq := s.seq.Load()
-	return seq&1 == 0 && s.write(seq, tag, g, trw) && score <= unreferenced
+	return seq&1 == 0 && s.write(seq, tag, g, trw, page) && score <= unreferenced
 }
 
 // FlushLocal removes (asid, va) from core's own TLB, including any
@@ -538,7 +548,7 @@ func clearTagged(set []slot, want uint64) {
 		if s.tag.Load()&^tagRef != want {
 			continue
 		}
-		if _, _, _, seq, ok := s.read(want); ok {
+		if _, _, _, _, seq, ok := s.read(want); ok {
 			s.clear(seq)
 		}
 	}
