@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
+	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 )
@@ -199,4 +201,46 @@ func TestDemoteThenReclaim(t *testing.T) {
 	if rep := m.Phys.Audit(); !rep.Ok() {
 		t.Fatal(rep.String())
 	}
+}
+
+// TestMigrationKeepsReadOnlyPageReadOnly parks the migration of a
+// read-only page in its window and stores to the page there. A page
+// without write access has nothing to write-protect: marking it
+// copy-on-write would let the store's fault upgrade it to writable. The
+// store must fail with ErrSegv, and the page must still migrate, still
+// read-only.
+func TestMigrationKeepsReadOnlyPageReadOnly(t *testing.T) {
+	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 13})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemonOf(m)
+	va := arch.Vaddr(arch.SpanBytes(2))
+	if err := a.MmapFixed(0, va, arch.PageSize, arch.PermRead, mm.FlagPopulate); err != nil {
+		t.Fatal(err)
+	}
+	pte, _, ok := a.tree.Walk(va)
+	if !ok {
+		t.Fatal("page not mapped after populate")
+	}
+	src := a.isa.PFNOf(pte)
+	parked, done := parkAfterBarrier(t, func() error { return m.Phys.MigrateFrame(0, src) })
+	defer fault.MigratePostBarrier.Disarm()
+	if err := a.Store(1, va, 1); !errors.Is(err, mm.ErrSegv) {
+		t.Errorf("store to a read-only page in the migration window = %v, want ErrSegv", err)
+	}
+	parked.Release()
+	if err := <-done; err != nil {
+		t.Fatalf("migration: %v", err)
+	}
+	pte, _, ok = a.tree.Walk(va)
+	if !ok || a.isa.PFNOf(pte) == src || a.isa.PermOf(pte) != arch.PermRead {
+		t.Fatalf("after migration: mapped=%v frame %d (source %d) perm %v, want a new frame, read-only", ok, a.isa.PFNOf(pte), src, a.isa.PermOf(pte))
+	}
+	if b, err := a.Load(0, va); err != nil || b != 0 {
+		t.Fatalf("readback %d, %v", b, err)
+	}
+	a.Destroy(0)
+	checkClean(t, m)
 }

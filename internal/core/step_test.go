@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -133,61 +134,43 @@ func TestCursorMethodsAreTotal(t *testing.T) {
 // single-address operations hold no loop of their own; and PlacePage
 // installs through the same function as Map.
 func TestOneCursorStep(t *testing.T) {
-	fset := token.NewFileSet()
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	mayLoad := map[string]bool{
 		"lockRW": true, "lockAdv": true, "dfsLock": true,
 		"walkRange": true, "entry": true, "ensureChild": true, "forkCopy": true,
 	}
 	loopFree := map[string]bool{
-		"TakePage": false, "PlacePage": false, "clearMeta": false, "writeProtectCOW": false, "demoteHuge": false,
+		"TakePage": false, "PlacePage": false, "clearMeta": false, "demoteHuge": false,
 	}
 	readsBase := map[string]bool{}
 	installs := map[string]bool{}
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
+	eachFunc(t, func(fset *token.FileSet, path string, fn *ast.FuncDecl) {
+		name := fn.Name.Name
+		if _, ok := loopFree[name]; ok {
+			loopFree[name] = true
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			name := fn.Name.Name
-			if _, ok := loopFree[name]; ok {
-				loopFree[name] = true
-			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-					if _, ok := loopFree[name]; ok {
-						t.Errorf("%s: %s loops; single-address operations descend through entry or a walkOps visitor", fset.Position(n.Pos()), name)
-					}
-				case *ast.SelectorExpr:
-					switch n.Sel.Name {
-					case "rootBase":
-						if path != "lock.go" {
-							readsBase[name] = true
-						}
-					case "LoadPTE":
-						if !mayLoad[name] {
-							t.Errorf("%s: %s loads a PTE; reach the tree through entry or walkRange", fset.Position(n.Pos()), name)
-						}
-					case "install":
-						installs[name] = true
-					}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ForStmt, *ast.RangeStmt:
+				if _, ok := loopFree[name]; ok {
+					t.Errorf("%s: %s loops; single-address operations descend through entry or a walkOps visitor", fset.Position(n.Pos()), name)
 				}
-				return true
-			})
-		}
-	}
+			case *ast.SelectorExpr:
+				switch n.Sel.Name {
+				case "rootBase":
+					if path != "lock.go" {
+						readsBase[name] = true
+					}
+				case "LoadPTE":
+					if !mayLoad[name] {
+						t.Errorf("%s: %s loads a PTE; reach the tree through entry or walkRange", fset.Position(n.Pos()), name)
+					}
+				case "install":
+					installs[name] = true
+				}
+			}
+			return true
+		})
+	})
 	if want := map[string]bool{"walk": true, "entry": true}; !reflect.DeepEqual(readsBase, want) {
 		t.Errorf("rootBase is read outside lock.go by %v, want exactly walk and entry", readsBase)
 	}
@@ -197,6 +180,87 @@ func TestOneCursorStep(t *testing.T) {
 	for name, seen := range loopFree {
 		if !seen {
 			t.Errorf("func %s not found; update this test with its new name", name)
+		}
+	}
+}
+
+// TestOneMove pins that live pages change frames in one place: the only
+// grace period internal/core waits for is barrier's, and the only payload
+// copy is move.remap's — the copy that follows protect, barrier and the
+// recheck. A second copy is a second, unchecked way to move pages.
+func TestOneMove(t *testing.T) {
+	want := map[string]string{"Synchronize": "barrier", "copy": "move.remap"}
+	seen := map[string]bool{}
+	eachFunc(t, func(fset *token.FileSet, _ string, fn *ast.FuncDecl) {
+		name := fn.Name.Name
+		if fn.Recv != nil {
+			name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var callee string
+			switch f := call.Fun.(type) {
+			case *ast.Ident:
+				if f.Name == "copy" && readsPayload(call) {
+					callee = f.Name
+				}
+			case *ast.SelectorExpr:
+				callee = f.Sel.Name
+			}
+			if only, ok := want[callee]; ok {
+				seen[callee] = true
+				if name != only {
+					t.Errorf("%s: %s calls %s; only %s may", fset.Position(call.Pos()), name, callee, only)
+				}
+			}
+			return true
+		})
+	})
+	for callee, only := range want {
+		if !seen[callee] {
+			t.Errorf("no call of %s found; %s should hold one", callee, only)
+		}
+	}
+}
+
+// readsPayload reports whether a call's arguments reach a frame payload.
+func readsPayload(call *ast.CallExpr) bool {
+	found := false
+	for _, arg := range call.Args {
+		ast.Inspect(arg, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Data" || sel.Sel.Name == "DataPage") {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// eachFunc parses the package's non-test files and hands fn every
+// function declaration.
+func eachFunc(t *testing.T, fn func(fset *token.FileSet, path string, decl *ast.FuncDecl)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok {
+				fn(fset, path, d)
+			}
 		}
 	}
 }

@@ -183,6 +183,9 @@ func cases() []ModelCase {
 
 		{Family: "bbm", Name: "migration", Model: &MigrateModel{Writes: 2}},
 		{Family: "bbm", Name: "migration", Bug: "copy-between-txns", Want: "raced", Model: &MigrateModel{Writes: 2, CopyBetweenTxns: true}},
+		// No store is needed: the writer's live writable translation at the
+		// remap is the violation (with stores, the copy races one first).
+		{Family: "bbm", Name: "migration", Bug: "copy-before-break", Want: "remap while", Model: &MigrateModel{OneTxn: true}},
 		{Family: "bbm", Name: "migration", Bug: "skip-barrier", Want: "raced", Model: &MigrateModel{Writes: 2, SkipBarrier: true}},
 		{Family: "bbm", Name: "migration", Bug: "skip-bbm-invalidate", Want: "remap while|raced", Model: &MigrateModel{Writes: 2, SkipBBMInvalidate: true}},
 		{Family: "bbm", Name: "migration", Bug: "skip-revalidate", Want: "raced", Model: &MigrateModel{Writes: 2, SkipRevalidate: true}},

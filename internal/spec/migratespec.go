@@ -33,7 +33,8 @@ import "fmt"
 //
 // Seeded bugs: CopyBetweenTxns copies in the unlocked window between
 // the transactions (the exact bug the two-transaction design exists to
-// prevent); SkipBarrier starts txn2 without draining in-flight lockless
+// prevent); OneTxn copies and remaps in the first transaction, with no
+// protect and no barrier (collapse before it became a move); SkipBarrier starts txn2 without draining in-flight lockless
 // accesses; SkipBBMInvalidate remaps without the txn1 shootdown;
 // SkipRevalidate trusts the txn1 validation; FreeBeforeShootdown frees
 // the source before the txn2 shootdown.
@@ -42,6 +43,7 @@ type MigrateModel struct {
 	Writes uint8
 
 	CopyBetweenTxns     bool
+	OneTxn              bool
 	SkipBarrier         bool
 	SkipBBMInvalidate   bool
 	SkipRevalidate      bool
@@ -157,6 +159,9 @@ func (m *MigrateModel) migratorSteps(s mgState) []Step {
 		n := s
 		if n.PFrame == 0 && n.PW && !n.PCOW {
 			n.MPC = mProtect
+			if m.OneTxn {
+				n.MPC = mCopyStart
+			}
 			one("m:validate", n)
 		} else {
 			n.Lock = -1
@@ -222,6 +227,10 @@ func (m *MigrateModel) migratorSteps(s mgState) []Step {
 	case mRevalidate:
 		n := s
 		if !m.SkipRevalidate && !(n.PFrame == 0 && !n.PW && n.PCOW) {
+			if n.PFrame == 0 && n.PCOW {
+				// Still write-protected by txn1: give the write back.
+				n.PW, n.PCOW = true, false
+			}
 			n.Lock = -1
 			n.MPC = mAborted
 			one("m:abort2", n)
