@@ -4,8 +4,12 @@
 // space, and the transactional RCursor interface (Figure 4) is the only
 // way to program the MMU. Nothing else records which ranges exist: VA
 // recycling, reclaim and collapse sweeps and OOM sizing all read the
-// page table (DESIGN.md §9.1). Beside it live only the VA arena that
-// hands out fresh ranges and the file reverse-map hints.
+// page table (DESIGN.md §9.1), and so does which files it maps: every
+// status word naming a file and every PTE mapping one of its page-cache
+// frames is one registration of the space with the file, so the file's
+// object id lives exactly as long as something in a tree names it.
+// Beside the page table lives only the VA arena that hands out fresh
+// ranges.
 //
 // Two locking protocols are provided (§4.1): CortenMM_rw, which takes
 // reader locks down the tree and a writer lock on the covering PT page
@@ -16,7 +20,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -86,16 +89,6 @@ type AddrSpace struct {
 	// owner in the frames' migration reverse-map hints.
 	anonOwner mem.AnonOwner
 
-	// rmapHints answers file page -> VA for reverse mapping, the one
-	// question the page table cannot (a COW-broken private file page no
-	// longer names its file). It is "rest of the code" state (§3.4: a
-	// plain mutex, no page-table access) and the only VA-range record
-	// beside the page table; rmapLive mirrors len(rmapHints) so a space
-	// with no file mapping never takes rmapMu.
-	rmapMu    sync.Mutex
-	rmapHints []fileMapping
-	rmapLive  atomic.Int32
-
 	// cursors is the per-core transaction-cursor cache (see Lock); its
 	// length is the machine's core count, which the entry gates check
 	// core IDs against.
@@ -135,24 +128,6 @@ type cachedCursor struct {
 	_ [(64 - unsafe.Sizeof(RCursor{})%64) % 64]byte
 }
 
-// fileMapping records where a file range was mapped, so reverse mapping
-// can translate a file page index into a virtual address. Entries are
-// hints: consumers re-validate through the transactional interface.
-type fileMapping struct {
-	file   *mem.File
-	va     arch.Vaddr
-	pgoff  uint64
-	npages uint64
-}
-
-// end is the VA one past the record's range.
-func (fm fileMapping) end() arch.Vaddr { return fm.va + arch.Vaddr(fm.npages*arch.PageSize) }
-
-// clip is the record of the part [s, e) of fm's range.
-func (fm fileMapping) clip(s, e arch.Vaddr) fileMapping {
-	return fileMapping{fm.file, s, fm.pgoff + uint64(s-fm.va)/arch.PageSize, uint64(e-s) / arch.PageSize}
-}
-
 // New creates an empty address space.
 func New(o Options) (*AddrSpace, error) {
 	if o.ISA == nil {
@@ -181,6 +156,7 @@ func New(o Options) (*AddrSpace, error) {
 	}
 	a.SetSwapDev(o.SwapDev)
 	a.anonOwner.Space = a
+	tree.Owner = a
 	return a, nil
 }
 
@@ -222,93 +198,3 @@ func (a *AddrSpace) Features() mm.Features {
 
 // state returns the PT-page state of pfn.
 func (a *AddrSpace) state(pfn arch.PFN) *pt.PageState { return a.tree.State(pfn) }
-
-// registerFileMapping records a file mapping for reverse mapping and
-// registers this space in the file's mapper tree.
-func (a *AddrSpace) registerFileMapping(f *mem.File, va arch.Vaddr, pgoff, npages uint64) error {
-	if err := f.AddMapper(a); err != nil {
-		return err
-	}
-	a.rmapMu.Lock()
-	a.rmapHints = append(a.rmapHints, fileMapping{file: f, va: va, pgoff: pgoff, npages: npages})
-	a.rmapLive.Add(1)
-	a.rmapMu.Unlock()
-	return nil
-}
-
-// pruneFileMappings clips the reverse-mapping records to what remains of
-// them outside the unmapped range [lo, hi). A record cut in the middle
-// becomes two and takes one more registration with its file (which
-// cannot fail: the space is a mapper of it already); a record with
-// nothing left is dropped and unregistered (AddMapper counts
-// registrations, so the file's mapper entry and its object id go exactly
-// when this space's last mapping of it does). A space with no file
-// mapping returns before touching the mutex.
-func (a *AddrSpace) pruneFileMappings(lo, hi arch.Vaddr) {
-	if a.rmapLive.Load() == 0 {
-		return
-	}
-	a.rmapMu.Lock()
-	var gone []*mem.File
-	var kept []fileMapping
-	for _, fm := range a.rmapHints {
-		end, n := fm.end(), len(kept)
-		if fm.va < lo {
-			kept = append(kept, fm.clip(fm.va, minVA(end, lo)))
-		}
-		if end > hi {
-			kept = append(kept, fm.clip(maxVA(fm.va, hi), end))
-		}
-		switch len(kept) - n {
-		case 0:
-			gone = append(gone, fm.file)
-		case 2:
-			_ = fm.file.AddMapper(a)
-		}
-	}
-	a.rmapHints = kept
-	a.rmapLive.Store(int32(len(kept)))
-	a.rmapMu.Unlock()
-	for _, f := range gone {
-		f.RemoveMapper(a)
-	}
-}
-
-// fileMappings snapshots the reverse-mapping records (nil, without
-// touching the mutex, for a space with no file mapping).
-func (a *AddrSpace) fileMappings() []fileMapping {
-	if a.rmapLive.Load() == 0 {
-		return nil
-	}
-	a.rmapMu.Lock()
-	defer a.rmapMu.Unlock()
-	return append([]fileMapping(nil), a.rmapHints...)
-}
-
-// moveFileMappings follows a Mremap of [lo, hi) to `to`: the part of
-// every reverse-mapping record inside the moved range is registered at
-// its new address — first, so the file never loses its last mapper — and
-// the records the move emptied are retired as an unmap would.
-func (a *AddrSpace) moveFileMappings(lo, hi, to arch.Vaddr) {
-	for _, fm := range a.fileMappings() {
-		if s, e := maxVA(fm.va, lo), minVA(fm.end(), hi); s < e { // already a mapper: cannot fail
-			p := fm.clip(s, e)
-			_ = a.registerFileMapping(p.file, to+(s-lo), p.pgoff, p.npages)
-		}
-	}
-	a.pruneFileMappings(lo, hi)
-}
-
-// lookupFileVAs translates a file page index into candidate virtual
-// addresses under this space (reverse-mapping hints).
-func (a *AddrSpace) lookupFileVAs(f *mem.File, index uint64) []arch.Vaddr {
-	a.rmapMu.Lock()
-	defer a.rmapMu.Unlock()
-	var vas []arch.Vaddr
-	for _, fm := range a.rmapHints {
-		if fm.file == f && index >= fm.pgoff && index < fm.pgoff+fm.npages {
-			vas = append(vas, fm.va+arch.Vaddr((index-fm.pgoff)*arch.PageSize))
-		}
-	}
-	return vas
-}

@@ -241,8 +241,11 @@ func TestFileOffsetSliding(t *testing.T) {
 	}
 }
 
+// TestRMapUnmapReclaim: reverse mapping — the file asks every space
+// registered with it to give a page back, and each finds the page's
+// mappings in its own page table: in a forked child, and at the address
+// a growing Mremap moved a mapping to.
 func TestRMapUnmapReclaim(t *testing.T) {
-	// Reverse mapping: the file can ask every mapper to give a page back.
 	a, m := newSpace(t, ProtocolAdv)
 	defer a.Destroy(0)
 	f := mem.NewFile(m.Phys, "cache", 4*arch.PageSize)
@@ -253,18 +256,56 @@ func TestRMapUnmapReclaim(t *testing.T) {
 	if f.NPages() != 1 {
 		t.Fatalf("page cache pages = %d", f.NPages())
 	}
+	sva, _ := a.MmapFile(0, f, 0, 2*arch.PageSize, arch.PermRW, true)
+	if err := a.Store(0, sva, 9); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := a.Mremap(0, sva, 2*arch.PageSize, 4*arch.PageSize)
+	if err != nil || moved == sva {
+		t.Fatalf("grow = %#x, %v", moved, err)
+	}
+	forked, err := a.Fork(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := forked.(*AddrSpace)
+	defer child.Destroy(1)
+	mappings := []struct {
+		a  *AddrSpace
+		va arch.Vaddr
+	}{{a, va}, {a, moved}, {child, va}, {child, moved}}
+
 	f.UnmapAll(0, 0) // reclaim file page 0 everywhere
 	m.Quiesce()
 	if f.NPages() != 0 {
 		t.Error("page not evicted from cache")
 	}
-	// The access faults it back in transparently.
+	for _, mp := range mappings {
+		c, err := mp.a.Lock(0, mp.va, mp.va+arch.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Query(mp.va)
+		c.Close()
+		if err != nil || st.Kind == pt.StatusMapped || st.File(m.Phys) != f || st.Off() != 0 {
+			t.Errorf("%#x still holds %+v, %v after the page was reclaimed", mp.va, st, err)
+		}
+	}
+	checkRegistrations(t, m.Phys, []*mem.File{f}, a, child)
+	// Every access faults it back in transparently.
+	faults := a.stats.PageFaults.Load()
 	if err := a.Touch(0, va, pt.AccessRead); err != nil {
 		t.Errorf("re-fault after reclaim: %v", err)
 	}
-	if a.stats.PageFaults.Load() < 2 {
+	if a.stats.PageFaults.Load() == faults {
 		t.Error("reclaim did not force a second fault")
 	}
+	for _, mp := range mappings {
+		if err := mp.a.Touch(1, mp.va, pt.AccessRead); err != nil {
+			t.Errorf("%#x: re-fault after reclaim: %v", mp.va, err)
+		}
+	}
+	checkRegistrations(t, m.Phys, []*mem.File{f}, a, child)
 }
 
 func TestMsyncWriteback(t *testing.T) {

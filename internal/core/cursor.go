@@ -80,6 +80,11 @@ func (c *RCursor) MapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.P
 // the entry held. The frame reference the caller holds becomes the
 // mapping's. counted says the frame's map count already includes this
 // mapping (a page TakePage detached): then only its hint moves to va.
+// Mapping a page-cache frame registers this space with its file once
+// more, before the entry's old contents give theirs back. Once the path
+// exists that is the one step that can fail (the file's first
+// registration, with the object table full), and it fails before the
+// entry is written.
 func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey, counted bool) error {
 	if level < 1 {
 		return fmt.Errorf("%w: map at level %d", errBadRange, level)
@@ -107,6 +112,13 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 	if err != nil {
 		return err
 	}
+	head := c.a.m.Phys.HeadOf(frame)
+	d := c.a.m.Phys.Desc(head)
+	if d.Kind == mem.KindFile && !counted {
+		if err := d.RMap.File.AddMapper(c.a); err != nil {
+			return err
+		}
+	}
 	t, isa := c.a.tree, c.a.isa
 	if isa.IsPresent(e.pte) {
 		if !isa.IsLeaf(e.pte, level) {
@@ -124,8 +136,6 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 	}
 	t.SetPTE(e.pfn, e.idx, leaf)
 	t.SetMetaWord(e.pfn, e.idx, 0)
-	head := c.a.m.Phys.HeadOf(frame)
-	d := c.a.m.Phys.Desc(head)
 	// One write to the descriptor: an exclusive anonymous 4-KiB mapping
 	// records (space, va) with its count so the compaction/NUMA scanners
 	// can find the PTE; any other shape only counts. The hint is advisory
@@ -146,6 +156,9 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 // whatever was there — existing mappings are unmapped first. Large
 // aligned spans are stored at upper-level entries, so marking a 1-GiB
 // region costs O(1) entries, not 256 Ki of them (§3.3's optimization).
+// A file status holds its file for the whole walk: the teardown may give
+// back the file's last registration (a page of it re-marked not
+// resident), and the words stored after it must not name a recycled id.
 func (c *RCursor) Mark(lo, hi arch.Vaddr, s pt.Status) error {
 	if err := c.checkRange(lo, hi); err != nil {
 		return err
@@ -153,6 +166,9 @@ func (c *RCursor) Mark(lo, hi arch.Vaddr, s pt.Status) error {
 	t := c.a.tree
 	// Packed once, out here; the visitor slides the word by an add.
 	w, err := t.Pack(s, uint64(hi-lo)/arch.PageSize)
+	if err == nil && !t.Register(w, 1) {
+		err = fmt.Errorf("status %+v names a file that is no longer mapped", s)
+	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", errBadRange, err)
 	}
@@ -169,7 +185,9 @@ func (c *RCursor) Mark(lo, hi arch.Vaddr, s pt.Status) error {
 			return nil
 		},
 	}
-	return c.walk(&v, lo, hi)
+	err = c.walk(&v, lo, hi)
+	t.Unregister(w, 1)
+	return err
 }
 
 // Unmap removes every mapping and status in [lo, hi) (Figure 4),
@@ -329,13 +347,24 @@ func (c *RCursor) ensureChild(pfn arch.PFN, level, idx int, entryLo arch.Vaddr) 
 // TLB shootdown) and the translation is queued for invalidation.
 func (c *RCursor) releaseLeaf(pte uint64, level int, va arch.Vaddr) {
 	head := c.a.m.Phys.HeadOf(c.a.isa.PFNOf(pte))
-	c.a.m.Phys.Desc(head).Unmap()
+	d := c.a.m.Phys.Desc(head)
+	d.Unmap()
+	c.a.unregisterFrame(d)
 	c.cleared += arch.SpanBytes(level) / arch.PageSize
 	// Flush before queueing the free: spillDeferred may hand the queued
 	// frames to the RCU monitor mid-walk, and the shootdown it issues
 	// must already cover every translation to a queued frame.
 	c.noteFlush(va, level)
 	c.noteFreed(head)
+}
+
+// unregisterFrame gives back the registration with its file that a PTE
+// of this space mapping the page-cache frame d held, as the PTE goes; for
+// any other frame it is the kind test alone (and inlines as such).
+func (a *AddrSpace) unregisterFrame(d *mem.FrameDesc) {
+	if d.Kind == mem.KindFile {
+		d.RMap.File.RemoveMappers(a, 1)
+	}
 }
 
 // noteFreed queues a frame head for release after the shootdown,
@@ -396,7 +425,9 @@ func (c *RCursor) clearLeafTable(child arch.PFN, base arch.Vaddr) {
 				continue
 			}
 			head := phys.HeadOf(isa.PFNOf(w))
-			phys.Desc(head).Unmap()
+			d := phys.Desc(head)
+			d.Unmap()
+			c.a.unregisterFrame(d)
 			c.noteFreed(head)
 		}
 		st.Present = 0
@@ -439,7 +470,8 @@ func (c *RCursor) removeChild(parent arch.PFN, idx int, child arch.PFN) {
 }
 
 // dropMeta clears the metadata entry of a level-`level` PT page,
-// releasing any swap block it holds.
+// releasing any swap block it holds (SetMetaWord gives back a file
+// word's registration).
 func (c *RCursor) dropMeta(pfn arch.PFN, idx, level int) {
 	w := c.a.tree.SetMetaWord(pfn, idx, 0)
 	if w == 0 {

@@ -6,7 +6,6 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
-	"cortenmm/internal/pt"
 )
 
 // Fork implements mm.MM: clone the address space with copy-on-write
@@ -57,13 +56,6 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 		child.Destroy(core)
 		return nil, err
 	}
-	// The child maps the same file pages at the same addresses — and is
-	// their files' mapper before the parent's transaction ends, so no
-	// unmap in the parent can retire an object id the child's copied
-	// statuses name. (The files are mapped already: this cannot fail.)
-	for _, fm := range a.fileMappings() {
-		_ = child.registerFileMapping(fm.file, fm.va, fm.pgoff, fm.npages)
-	}
 	// Parent PTEs were write-protected for COW; every core must observe
 	// that before fork returns.
 	c.flushAll = true
@@ -75,7 +67,10 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 // forkCopy replicates the subtree at src (parent, under the caller's
 // whole-space transaction) into dst (child, private to this call).
 // Private mappings become COW in both trees; shared mappings alias the
-// same frames; metadata statuses are copied. Like pt.Tree.Destroy it
+// same frames; metadata statuses are copied. Every copied word and every
+// copied PTE to a page-cache frame registers the child with its file
+// before the parent's transaction ends, so no unmap in the parent can
+// retire an object id the child names. Like pt.Tree.Destroy it
 // recurses over a tree it owns outright, so it is not a walkRange
 // visitor: it writes a second tree in step with the first.
 func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, level int) error {
@@ -109,7 +104,11 @@ func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, leve
 			}
 			ct.SetPTE(dst, idx, childPTE)
 			a.m.Phys.Get(head)
-			a.m.Phys.Desc(head).Map()
+			d := a.m.Phys.Desc(head)
+			d.Map()
+			if d.Kind == mem.KindFile { // the parent maps it: it has an id
+				_ = d.RMap.File.AddMapper(child)
+			}
 			continue
 		}
 		srcChild := isa.PFNOf(pte)
@@ -149,39 +148,41 @@ func (a *AddrSpace) Destroy(core int) {
 	// locking; wait them out so the tree teardown below never races a
 	// migration transaction (see migrateEnter/drainMigrants).
 	a.drainMigrants()
-	a.pruneFileMappings(0, arch.MaxVaddr)
 	a.tree.Destroy(core, func(pte uint64, level int) {
 		head := a.m.Phys.HeadOf(a.isa.PFNOf(pte))
-		a.m.Phys.Desc(head).Unmap()
+		d := a.m.Phys.Desc(head)
+		d.Unmap()
+		a.unregisterFrame(d)
 		a.m.Phys.Put(core, head)
 	})
 	a.m.FreeASID(a.asid)
 }
 
 // RMapUnmap implements mem.RMapTarget: unmap every mapping of the given
-// file page in this space. The rmapHints records are hints; each
-// candidate address is re-checked inside a transaction, as §4.5 requires
-// ("access to the page table via reverse mapping always goes through the
-// transactional interface").
+// file page in this space. The page table is the record: one whole-space
+// transaction finds the PTEs that map the page, and each is re-marked
+// with its not-resident file status, so a later access faults the page
+// back in (§4.5: reverse mapping goes through the transactional
+// interface).
 func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
-	for _, va := range a.lookupFileVAs(f, index) {
-		c, err := a.Lock(0, va, va+arch.PageSize)
-		if err != nil {
-			continue
-		}
-		st, err := c.Query(va)
-		if err == nil && st.Kind == pt.StatusMapped {
-			head := a.m.Phys.HeadOf(st.Page())
-			d := a.m.Phys.Desc(head)
-			if d.RMap.File == f && d.RMap.Index == index {
-				c.needSync = true // the page is about to be reclaimed
-				// Mark releases the mapping and records the not-resident
-				// status, so a later access faults the page back in
-				// instead of segfaulting. One page under a leaf table:
-				// nothing to split, so it cannot fail.
-				_ = c.Mark(va, va+arch.PageSize, a.nonResident(st))
+	c, err := a.Lock(0, 0, arch.MaxVaddr)
+	if err != nil {
+		return
+	}
+	defer c.Close()
+	var hits []Run
+	_ = c.IterateMapped(0, arch.MaxVaddr, func(r Run) error {
+		for i := uint64(0); i < r.Pages; i++ {
+			st := r.Status.SlidBy(i)
+			if d := a.m.Phys.Desc(a.m.Phys.HeadOf(st.Page())); d.RMap.File == f && d.RMap.Index == index {
+				hits = append(hits, Run{VA: r.VA + arch.Vaddr(i*arch.PageSize), Pages: 1, Status: st})
 			}
 		}
-		c.Close()
+		return nil
+	})
+	c.needSync = len(hits) > 0 // the page is about to be reclaimed
+	for _, r := range hits {
+		// One page under a leaf table: nothing to split, so it cannot fail.
+		_ = c.Mark(r.VA, r.End(), a.nonResident(r.Status))
 	}
 }

@@ -86,7 +86,9 @@ func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (a
 		return 0, err
 	}
 	// Commit: clear what the old range still records. Its edges are
-	// split, so neither call needs a PT page.
+	// split, so neither call needs a PT page. A moved file mapping's
+	// words took their registrations at the new range before these give
+	// the old ones back, so its file keeps its object id throughout.
 	for _, r := range runs {
 		switch r.Status.Kind {
 		case pt.StatusMapped: // taken already
@@ -97,11 +99,6 @@ func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (a
 			_ = c.Mark(r.VA, r.End(), pt.Status{})
 		}
 	}
-	// A moved file mapping is still mapped, so its file keeps this space
-	// as a mapper and its reverse-map record moves with it, inside the
-	// transaction: left behind, the old range's next tenant would retire
-	// the record, and with it the object id the moved statuses name.
-	a.moveFileMappings(oldVA, oldEnd, newVA)
 	c.Close()
 
 	// Retire the old range's address space under munmapFinish's rule:
@@ -173,7 +170,8 @@ func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs 
 // unmove undoes a failed moveTo: every page at the new range goes back
 // to its old address, whose table is still there, and the new range's
 // statuses and tables go without releasing the swap blocks the old
-// range still names.
+// range still names (its file words give back the registrations moveTo's
+// Marks took).
 func (c *RCursor) unmove(oldVA, newVA arch.Vaddr, newSize uint64) {
 	newEnd := newVA + arch.Vaddr(newSize)
 	var moved []Run
@@ -220,8 +218,10 @@ func (c *RCursor) PlacePage(va arch.Vaddr, frame arch.PFN, perm arch.Perm, key a
 }
 
 // clearMeta wipes the metadata entries of every page in [lo, hi),
-// splitting upper-level spans as needed, WITHOUT releasing resources the
-// statuses reference (unlike dropMeta) — used when they moved elsewhere.
+// splitting upper-level spans as needed, WITHOUT releasing the swap
+// blocks the statuses name (unlike dropMeta) — used when they moved
+// elsewhere. A file word's registration is the word's own, so it goes
+// with it (SetMetaWord).
 func (c *RCursor) clearMeta(lo, hi arch.Vaddr) error {
 	if err := c.checkRange(lo, hi); err != nil {
 		return err

@@ -471,7 +471,6 @@ func (a *AddrSpace) oomTeardown(core int) int {
 			released += int(ch.pages)
 		}
 	}
-	a.pruneFileMappings(0, arch.MaxVaddr) // records that straddled chunks
 	a.m.Reap(core)
 	return released
 }

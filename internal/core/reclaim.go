@@ -19,9 +19,10 @@ import (
 // inside one transaction.
 //
 // Shared, COW and file-backed pages are skipped, and nothing else
-// reclaims them: mem.File.UnmapAll can unmap a file page through the
-// reverse map, but no sweep calls it, so file-backed and shared pages
-// stay resident until unmapped.
+// reclaims them: mem.File.UnmapAll can unmap a file page in every space
+// registered with the file (each finds the page's PTEs in its own page
+// table), but no sweep calls it, so file-backed and shared pages stay
+// resident until unmapped.
 func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target int) (int, error) {
 	return a.reclaimRangeNode(core, va, size, target, -1)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"cortenmm/internal/arch"
@@ -124,7 +123,7 @@ func TestMarkIsTotal(t *testing.T) {
 			}
 
 			// The syscalls refuse the same things before any tree write:
-			// no PT page, no rmap record and no object id is left behind.
+			// no PT page, no registration and no object id is left behind.
 			var held []arch.Vaddr
 			for n := liveFileIDs(m.Phys); n < mem.MaxObjID; n++ {
 				va, err := a.MmapSharedAnon(0, arch.PageSize, arch.PermRW)
@@ -133,7 +132,8 @@ func TestMarkIsTotal(t *testing.T) {
 				}
 				held = append(held, va)
 			}
-			ptPages, records := a.tree.PTPageCount.Load(), a.rmapLive.Load()
+			ptPages := a.tree.PTPageCount.Load()
+			_, records := registrations(mapped, a)
 			if _, err := a.MmapFile(0, mapped, top, 2*arch.PageSize, arch.PermRW, true); !errors.Is(err, mm.ErrBadRange) {
 				t.Errorf("MmapFile past the payload width = %v, want ErrBadRange", err)
 			}
@@ -143,18 +143,19 @@ func TestMarkIsTotal(t *testing.T) {
 			if _, err := a.MmapFile(0, unmapped, 0, arch.PageSize, arch.PermRW, false); !errors.Is(err, mem.ErrObjTableFull) {
 				t.Errorf("MmapFile with the object table full = %v, want ErrObjTableFull", err)
 			}
-			if got := a.tree.PTPageCount.Load(); got != ptPages || a.rmapLive.Load() != records || unmapped.ID() != 0 {
-				t.Errorf("refused mappings left %d PT pages (%d before), %d rmap records (%d before), file id %d",
-					got, ptPages, a.rmapLive.Load(), records, unmapped.ID())
+			if _, held := registrations(mapped, a); a.tree.PTPageCount.Load() != ptPages || held != records || unmapped.ID() != 0 {
+				t.Errorf("refused mappings left %d PT pages (%d before), %d registrations (%d before), file id %d",
+					a.tree.PTPageCount.Load(), ptPages, held, records, unmapped.ID())
 			}
 			for _, va := range held {
 				if err := a.Munmap(0, va, arch.PageSize); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if n := liveFileIDs(m.Phys); n != 1 || a.rmapLive.Load() != 1 {
-				t.Errorf("%d file ids and %d rmap records live with one file mapped", n, a.rmapLive.Load())
+			if n := liveFileIDs(m.Phys); n != 1 {
+				t.Errorf("%d file ids live with one file mapped", n)
 			}
+			checkRegistrations(t, m.Phys, []*mem.File{mapped, unmapped}, a)
 			checkQuiet(t, a)
 			a.Destroy(0)
 			if n := liveFileIDs(m.Phys); n != 0 {
@@ -227,74 +228,6 @@ func TestObjectTableChurn(t *testing.T) {
 	a.Destroy(0)
 	if n := liveFileIDs(m.Phys); n != 0 {
 		t.Errorf("%d file ids live after both spaces are gone", n)
-	}
-}
-
-// TestSplitUnmapReleasesFile: a file mapping unmapped in pieces keeps a
-// reverse-map record for exactly the pages still mapped — a cut in the
-// middle leaves two — and gives back its record, its mapper registration
-// and its object id with the last piece; so shared mappings unmapped a
-// page at a time never fill the machine's object table.
-func TestSplitUnmapReleasesFile(t *testing.T) {
-	const pg = arch.PageSize
-	for _, p := range protocols {
-		t.Run(p.String(), func(t *testing.T) {
-			a, m := newSpace(t, p)
-			defer a.Destroy(0)
-			munmap := func(va arch.Vaddr, pages uint64) {
-				t.Helper()
-				if err := a.Munmap(0, va, pages*pg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			f := mem.NewFile(m.Phys, "f", 4*pg)
-			left := func() string {
-				mappers := 0
-				f.ForEachMapper(func(mem.RMapTarget) { mappers++ })
-				return fmt.Sprintf("file id %d, %d mappers, %d records", f.ID(), mappers, len(a.fileMappings()))
-			}
-			t.Run("split unmap", func(t *testing.T) {
-				va, err := a.MmapFile(0, f, 0, 4*pg, arch.PermRW, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				munmap(va, 2)
-				munmap(va+2*pg, 2)
-				if got := left(); got != "file id 0, 0 mappers, 0 records" {
-					t.Errorf("halves unmapped: %s", got)
-				}
-				if va, err = a.MmapFile(0, f, 0, 4*pg, arch.PermRW, true); err != nil {
-					t.Fatal(err)
-				}
-				munmap(va+pg, 2)
-				if vas := a.lookupFileVAs(f, 3); len(a.fileMappings()) != 2 || len(a.lookupFileVAs(f, 1)) != 0 ||
-					len(vas) != 1 || vas[0] != va+3*pg {
-					t.Errorf("middle cut: records %+v", a.fileMappings())
-				}
-				munmap(va, 1)
-				if f.ID() == 0 {
-					t.Error("the file lost its id while page 3 is still mapped")
-				}
-				munmap(va+3*pg, 1)
-				if got := left(); got != "file id 0, 0 mappers, 0 records" {
-					t.Errorf("middle cut, then both ends: %s", got)
-				}
-			})
-			t.Run("churn", func(t *testing.T) {
-				for i := 0; i <= mem.MaxObjID; i++ {
-					va, err := a.MmapSharedAnon(0, 2*pg, arch.PermRW)
-					if err != nil {
-						t.Fatalf("cycle %d: %v", i, err)
-					}
-					munmap(va, 1)
-					munmap(va+pg, 1)
-				}
-				if n := liveFileIDs(m.Phys); n != 0 {
-					t.Errorf("%d file ids live after page-by-page unmaps", n)
-				}
-			})
-			checkQuiet(t, a)
-		})
 	}
 }
 

@@ -139,21 +139,21 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 		kind = pt.StatusSharedFile
 	}
 	hi := va + arch.Vaddr(size)
-	// Registered first: the status Mark stores names f by the object id
-	// its first mapper gives it, and Mark rejects an unregistered file.
-	err = a.registerFileMapping(f, va, pgoff, size/arch.PageSize)
-	var c *RCursor
+	// One registration is taken before the status is packed — it names f
+	// by the object id f's first registration gives it — and held until
+	// the marked words hold their own.
+	err = f.AddMapper(a)
 	if err == nil {
-		c, err = a.Lock(core, va, hi)
-	}
-	if err == nil {
-		if err = c.Mark(va, hi, pt.FileStatus(kind, perm, f, pgoff)); err != nil {
-			_ = c.Unmap(va, hi) // a failed Mark may have marked a prefix
+		defer f.RemoveMappers(a, 1)
+		var c *RCursor
+		if c, err = a.Lock(core, va, hi); err == nil {
+			if err = c.Mark(va, hi, pt.FileStatus(kind, perm, f, pgoff)); err != nil {
+				_ = c.Unmap(va, hi) // a failed Mark may have marked a prefix
+			}
+			c.Close()
 		}
-		c.Close()
 	}
 	if err != nil {
-		a.pruneFileMappings(va, hi)
 		a.valloc.Free(core, va, size)
 		return 0, err
 	}
@@ -198,15 +198,13 @@ func (a *AddrSpace) unmapRange(core int, va arch.Vaddr, size uint64) error {
 
 // munmapFinish is the non-MMU tail of a successful unmap that cleared
 // `cleared` allocated pages, shared with the batch layer (which runs it
-// after batch commit): retire reverse-mapping records, and hand the VAs
-// back to the allocator iff the whole range was allocated. A repeated or
-// overlapping unmap clears fewer pages than its range holds and stops
-// here. Whose range it was the page table cannot say, so the allocator
+// after batch commit): hand the VAs back to the allocator iff the whole
+// range was allocated. A repeated or overlapping unmap clears fewer pages
+// than its range holds and stops here. Whose range it was the page table cannot say, so the allocator
 // has the last word: it ignores ranges it never handed out, and ranges
 // overlapping one it already holds free (a fixed mapping placed over
 // recycled addresses).
 func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size, cleared uint64) {
-	a.pruneFileMappings(va, va+arch.Vaddr(size))
 	if cleared == size/arch.PageSize {
 		a.valloc.Free(core, va, size)
 	}

@@ -33,7 +33,8 @@ func checkQuiet(t *testing.T, a *AddrSpace) {
 }
 
 // TestAddrSpaceHasNoSideTables fails when AddrSpace grows a map (a VA
-// side table) or a second mutex (an op-path lock beside the rmap one).
+// side table) or a mutex (an op-path lock beside the locking protocol):
+// which files a space maps is recorded by its page table too.
 func TestAddrSpaceHasNoSideTables(t *testing.T) {
 	mutexes := 0
 	var walk func(path string, ty reflect.Type)
@@ -52,8 +53,8 @@ func TestAddrSpaceHasNoSideTables(t *testing.T) {
 		}
 	}
 	walk("", reflect.TypeOf(AddrSpace{}))
-	if mutexes != 1 {
-		t.Errorf("AddrSpace holds %d mutexes, want exactly 1 (rmapMu)", mutexes)
+	if mutexes != 0 {
+		t.Errorf("AddrSpace holds %d mutexes, want none", mutexes)
 	}
 }
 
@@ -277,10 +278,8 @@ func TestMmapZeroSize(t *testing.T) {
 				if err := call(a, f); !errors.Is(err, mm.ErrBadRange) {
 					t.Fatalf("err = %v, want ErrBadRange", err)
 				}
-				mappers := 0
-				f.ForEachMapper(func(mem.RMapTarget) { mappers++ })
-				if mappers != 0 || a.rmapLive.Load() != 0 {
-					t.Errorf("failed call left %d mapper(s), %d rmap hint(s)", mappers, a.rmapLive.Load())
+				if mappers, _ := registrations(f, a); mappers != 0 || f.ID() != 0 {
+					t.Errorf("failed call left %d mapper(s), file id %d", mappers, f.ID())
 				}
 				if va, err := a.Mmap(0, arch.PageSize, arch.PermRW, 0); err != nil || va != cpusim.UserLo {
 					t.Errorf("next mmap = %#x, %v; want the arena's first address", va, err)

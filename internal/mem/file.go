@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -10,8 +11,9 @@ import (
 )
 
 // RMapTarget is implemented by address spaces so reverse mapping can walk
-// from a file page to every mapping of it. Reverse mappings are hints
-// (§4.5): the callee must re-validate through its transactional interface.
+// from a file page to every space that maps it. The file knows only
+// which spaces those are; each finds the page's mappings in its own page
+// table, through its transactional interface (§4.5).
 type RMapTarget interface {
 	// RMapUnmap asks the target to unmap the given file page wherever it
 	// has it mapped. Used by writeback/reclaim paths.
@@ -31,9 +33,13 @@ type File struct {
 	size uint64
 	// id names the file in page-table status words while it has a
 	// mapper (see objTable); 0 otherwise. Written under mu.
-	id         atomic.Uint32
-	pages      map[uint64]arch.PFN   // page cache: file page index -> frame
-	mappers    map[RMapTarget]uint64 // rmap "tree": mapper -> mapping count
+	id    atomic.Uint32
+	pages map[uint64]arch.PFN // page cache: file page index -> frame
+	// mappers is the rmap "tree": each space that references the file
+	// from its page table, with its count of registrations — one per
+	// status word naming the file and one per PTE mapping one of its
+	// page-cache frames (internal/pt and internal/core keep it so).
+	mappers    map[RMapTarget]uint64
 	writebacks uint64
 }
 
@@ -89,19 +95,33 @@ func (f *File) GetPage(core int, index uint64) (arch.PFN, error) {
 		return 0, fmt.Errorf("mem: file %q page %d beyond EOF", f.Name, index)
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	pfn, ok := f.pages[index]
-	if !ok {
-		var err error
-		pfn, err = f.mem.AllocFrame(core, KindFile)
-		if err != nil {
-			return 0, err
-		}
-		d := f.mem.Desc(pfn)
-		d.RMap = RMapRef{File: f, Index: index}
+	if ok {
+		f.mem.Get(pfn) // caller's reference
+	}
+	f.mu.Unlock()
+	if ok {
+		return pfn, nil
+	}
+	// A miss allocates with f.mu released: the allocation may run direct
+	// reclaim, which waits on PT locks, and a PT-lock holder may be
+	// waiting on f.mu (see Pressure). Whoever inserts first wins; a loser
+	// gives its frame back.
+	fresh, err := f.mem.AllocFrame(core, KindFile)
+	if err != nil {
+		return 0, err
+	}
+	f.mem.Desc(fresh).RMap = RMapRef{File: f, Index: index}
+	f.mu.Lock()
+	if pfn, ok = f.pages[index]; !ok {
+		pfn = fresh
 		f.pages[index] = pfn // page cache holds the initial reference
 	}
 	f.mem.Get(pfn) // caller's reference
+	f.mu.Unlock()
+	if ok {
+		f.mem.Put(core, fresh)
+	}
 	return pfn, nil
 }
 
@@ -119,9 +139,10 @@ func (f *File) DropPage(core int, index uint64) {
 	}
 }
 
-// AddMapper registers an address space in the reverse-mapping tree. The
-// first mapper gives the file its object id; ErrObjTableFull, with
-// nothing registered, when the machine has none left.
+// AddMapper registers t once more in the reverse-mapping tree. The
+// file's first registration anywhere gives it its object id;
+// ErrObjTableFull, with nothing registered, when the machine has none
+// left. Every later one cannot fail.
 func (f *File) AddMapper(t RMapTarget) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -136,14 +157,35 @@ func (f *File) AddMapper(t RMapTarget) error {
 	return nil
 }
 
-// RemoveMapper drops one registration of t; the last one gives the
-// file's object id back.
-func (f *File) RemoveMapper(t RMapTarget) {
+// AddMappersByID registers t n more times with the file holding object
+// id, and reports false, registering nothing, if no file holds it: a
+// status word names its file by id, so this is how a word registers, and
+// it never gives a file an id.
+func (m *PhysMem) AddMappersByID(id uint32, t RMapTarget, n uint64) bool {
+	f := m.FileByID(id)
+	if f == nil {
+		return false
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n := f.mappers[t]; n > 1 {
-		f.mappers[t] = n - 1
+	if f.id.Load() != id {
+		return false
+	}
+	f.mappers[t] += n
+	return true
+}
+
+// RemoveMappers drops n registrations of t; the file's last one anywhere
+// gives its object id back.
+func (f *File) RemoveMappers(t RMapTarget, n uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch have := f.mappers[t]; {
+	case have > n:
+		f.mappers[t] = have - n
 		return
+	case have < n:
+		panic(fmt.Sprintf("mem: %d registrations of file %q dropped, %d held", n, f.Name, have))
 	}
 	delete(f.mappers, t)
 	if len(f.mappers) == 0 && f.id.Load() != 0 {
@@ -167,12 +209,12 @@ var ErrObjTableFull = fmt.Errorf("mem: object table full (%d mapped files)", Max
 
 // objTable is the machine's object table: what the small ids in
 // page-table status words (internal/pt) stand for. A file holds an id
-// from its first AddMapper to its last RemoveMapper, and a status naming
-// file F exists only under a registered mapping of F, so no reader can
-// meet a stale id; swap devices register when an address space is given
-// one and are never recycled (a swapped page may outlive the space's use
-// of the device). Neither registration nor the lookups on the fault path
-// take a lock.
+// from its first registration to its last, and every status word naming
+// file F is itself one registration of F, so no reader can meet a stale
+// id; swap devices register when an address space is given one and are
+// never recycled (a swapped page may outlive the space's use of the
+// device). Neither taking an id nor the lookups on the fault path take a
+// lock.
 type objTable struct {
 	files objSlots[File]
 	devs  objSlots[BlockDev]
@@ -203,24 +245,22 @@ func (m *PhysMem) FileByID(id uint32) *File { return m.objs.files[id&MaxObjID].L
 // device, nil if none has it.
 func (m *PhysMem) DevByID(id uint32) *BlockDev { return m.objs.devs[id&MaxObjID].Load() }
 
-// ForEachMapper calls fn for every registered address space. The file
-// lock is not held during fn, so fn may call back into the file.
-func (f *File) ForEachMapper(fn func(RMapTarget)) {
+// ForEachMapper calls fn for every registered address space with its
+// registration count. The file lock is not held during fn, so fn may
+// call back into the file.
+func (f *File) ForEachMapper(fn func(t RMapTarget, n uint64)) {
 	f.mu.Lock()
-	targets := make([]RMapTarget, 0, len(f.mappers))
-	for t := range f.mappers {
-		targets = append(targets, t)
-	}
+	mappers := maps.Clone(f.mappers)
 	f.mu.Unlock()
-	for _, t := range targets {
-		fn(t)
+	for t, n := range mappers {
+		fn(t, n)
 	}
 }
 
 // UnmapAll walks the reverse map asking every mapper to unmap page index,
 // then evicts it from the page cache — the reclaim path.
 func (f *File) UnmapAll(core int, index uint64) {
-	f.ForEachMapper(func(t RMapTarget) { t.RMapUnmap(f, index) })
+	f.ForEachMapper(func(t RMapTarget, _ uint64) { t.RMapUnmap(f, index) })
 	f.DropPage(core, index)
 }
 

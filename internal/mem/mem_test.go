@@ -286,16 +286,25 @@ func TestRMapWalk(t *testing.T) {
 	if len(b.calls) != 1 {
 		t.Errorf("mapper b calls = %v (rmap must visit each space once)", b.calls)
 	}
-	f.RemoveMapper(b)
+	f.RemoveMappers(b, 1)
 	f.UnmapAll(0, 1) // page already gone; must still visit mappers
 	if len(b.calls) != 2 {
 		t.Errorf("b still registered but not visited: %v", b.calls)
 	}
-	f.RemoveMapper(b)
-	f.RemoveMapper(a)
+	// A status word registers by the id it names, and only while the file
+	// still holds that id.
+	id := f.ID()
+	if !m.AddMappersByID(id, a, 2) {
+		t.Fatalf("registration by the file's own id %d refused", id)
+	}
+	f.RemoveMappers(b, 1)
+	f.RemoveMappers(a, 3)
 	f.UnmapAll(0, 1)
 	if len(a.calls) != 2 {
 		t.Errorf("removed mapper was visited: %v", a.calls)
+	}
+	if f.ID() != 0 || m.AddMappersByID(id, a, 1) {
+		t.Errorf("file keeps id %d, or its old id %d still registers, after its last mapper left", f.ID(), id)
 	}
 }
 

@@ -225,7 +225,10 @@ type RMapRef struct {
 //     reclaim at all, after which the slow path fails without more rounds.
 //     It runs on the allocating goroutine, which may be inside a
 //     page-table transaction: it must skip every space that goroutine may
-//     hold locks in, and must not block on another reclaimer.
+//     hold locks in, and must not block on another reclaimer. It can run
+//     from any allocation and waits on other spaces' PT locks, so no lock
+//     that a PT-lock holder can wait on may be held across an allocation
+//     (File.GetPage allocates with its file unlocked).
 //   - Kick reports that node's zone dipped below its low watermark. Every
 //     allocation that observes it calls it, so it only latches.
 //   - Compact compacts node's zone so a block of 2^order frames can form,

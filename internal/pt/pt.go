@@ -67,6 +67,12 @@ type Tree struct {
 	WithRW bool
 	// Root is the PFN of the root PT page (level arch.Levels).
 	Root arch.PFN
+	// Owner is the space the tree's status words register with the files
+	// they name: every stored word naming file F is one registration of
+	// Owner with F, taken as the word is stored and given back as it goes
+	// (SetMetaWord, FillMeta, CopyMeta, Destroy). Nil: words register
+	// nothing.
+	Owner mem.RMapTarget
 
 	// MetaBytes tracks bytes held by metadata arrays (Fig 22 accounting).
 	MetaBytes atomic.Int64
@@ -199,13 +205,16 @@ func (t *Tree) Meta(pfn arch.PFN, idx int) uint64 {
 	return 0
 }
 
-// SetMetaWord stores the status word for entry idx, maintaining MetaCnt,
-// and returns the word it replaces. The caller must hold the page's lock.
+// SetMetaWord stores the status word for entry idx, maintaining MetaCnt
+// and the words' file registrations (the new word's is taken before the
+// old word's is given back), and returns the word it replaces. The
+// caller must hold the page's lock.
 func (t *Tree) SetMetaWord(pfn arch.PFN, idx int, w uint64) (old uint64) {
 	st := t.State(pfn)
 	if w == 0 && st.Meta == nil {
 		return 0
 	}
+	t.Register(w, 1)
 	meta := t.ensureMeta(st)
 	old, meta[idx] = meta[idx], w
 	switch {
@@ -214,6 +223,7 @@ func (t *Tree) SetMetaWord(pfn arch.PFN, idx int, w uint64) (old uint64) {
 	case w&kindMask == 0 && old&kindMask != 0:
 		st.MetaCnt--
 	}
+	t.Unregister(old, 1)
 	return old
 }
 
@@ -228,9 +238,12 @@ func (t *Tree) EditMeta(pfn arch.PFN, idx int, field, bits uint64) {
 
 // FillMeta gives the empty entries [from, PTEntries) of pfn the span
 // status w, entry i slid by i*stride pages — an upper-level status
-// pushed down into a fresh child. The caller must hold the page's lock.
+// pushed down into a fresh child, each entry one more registration of a
+// file w names (taken before the caller clears the parent's word). The
+// caller must hold the page's lock.
 func (t *Tree) FillMeta(pfn arch.PFN, from int, w, stride uint64) {
 	st, step := t.State(pfn), Slide(w, stride)-w
+	t.Register(w, uint64(arch.PTEntries-from))
 	meta := t.ensureMeta(st)
 	for i := from; i < arch.PTEntries; i++ {
 		meta[i] = w + uint64(i)*step
@@ -239,9 +252,9 @@ func (t *Tree) FillMeta(pfn arch.PFN, from int, w, stride uint64) {
 }
 
 // CopyMeta copies the metadata array of t's page src onto the (empty)
-// page dst of tree to, as fork does, and reports false — copying
-// nothing — if it holds a Swapped entry: two trees naming one block
-// would race to swap it in.
+// page dst of tree to, as fork does, each copied file word registering
+// with to's owner, and reports false — copying nothing — if it holds a
+// Swapped entry: two trees naming one block would race to swap it in.
 func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) bool {
 	st := t.State(src)
 	if st.MetaCnt == 0 {
@@ -254,6 +267,9 @@ func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) bool {
 	}
 	dt := to.State(dst)
 	*to.ensureMeta(dt), dt.MetaCnt = *st.Meta, st.MetaCnt
+	for _, w := range st.Meta {
+		to.Register(w, 1)
+	}
 	return true
 }
 
@@ -263,6 +279,36 @@ func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) bool {
 func (t *Tree) FreeSwap(w uint64) {
 	if StatusKind(w&kindMask) == StatusSwapped {
 		t.freeBlock(w)
+	}
+}
+
+// Register takes n registrations of the owner with the file the file
+// word w names, and reports false, taking none, if no file holds w's id
+// any more. Other words, and every word of an ownerless tree, register
+// nothing (and cost a test of the kind bits). A word stored from one
+// already in a tree, or from a status Mark holds, cannot fail.
+func (t *Tree) Register(w, n uint64) bool {
+	return !StatusKind(w&kindMask).file() || t.register(w, n)
+}
+
+// Unregister gives back n registrations Register took for w.
+func (t *Tree) Unregister(w, n uint64) {
+	if StatusKind(w & kindMask).file() {
+		t.unregister(w, n)
+	}
+}
+
+// register and unregister are the file-word halves, kept out of line so
+// that Register and Unregister inline to the kind test.
+//
+//go:noinline
+func (t *Tree) register(w, n uint64) bool {
+	return t.Owner == nil || t.Phys.AddMappersByID(uint32(w>>objShift)&mem.MaxObjID, t.Owner, n)
+}
+
+func (t *Tree) unregister(w, n uint64) {
+	if t.Owner != nil {
+		t.Phys.FileByID(uint32(w>>objShift)).RemoveMappers(t.Owner, n)
 	}
 }
 
@@ -316,8 +362,9 @@ func (t *Tree) Empty(pfn arch.PFN) bool {
 }
 
 // Destroy frees the entire tree, dropping references of mapped data
-// frames through release (may be nil) and the swap blocks of surviving
-// metadata entries. Exclusive access required (address-space teardown).
+// frames through release (may be nil) and the swap blocks and file
+// registrations of surviving metadata entries. Exclusive access required
+// (address-space teardown).
 func (t *Tree) Destroy(core int, release func(pte uint64, level int)) {
 	t.destroyPage(core, t.Root, arch.Levels, release)
 }
@@ -327,6 +374,7 @@ func (t *Tree) destroyPage(core int, pfn arch.PFN, level int, release func(uint6
 	if st := t.State(pfn); st.MetaCnt > 0 {
 		for _, w := range st.Meta {
 			t.FreeSwap(w)
+			t.Unregister(w, 1)
 		}
 	}
 	for i := 0; i < arch.PTEntries; i++ {

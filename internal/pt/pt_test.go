@@ -231,7 +231,7 @@ func TestStatusSlidBy(t *testing.T) {
 	if got := (Status{}).SlidBy(5); got != (Status{}) {
 		t.Errorf("SlidBy made an empty status %+v", got)
 	}
-	f.RemoveMapper(nopMapper{})
+	f.RemoveMappers(nopMapper{}, 1)
 	if f.ID() != 0 || s.File(tree.Phys) != nil {
 		t.Errorf("file keeps id %d after its last mapper left", f.ID())
 	}
