@@ -77,7 +77,6 @@ func thpPoint(m *cpusim.Machine, a *core.AddrSpace, d *core.Daemon, physFrames, 
 	if pipeline {
 		core.AttachCompaction(m, core.CompactConfig{
 			ScanSpans:     32,
-			PromoteScans:  2,
 			FragThreshold: 0.5,
 		})
 	}

@@ -15,8 +15,9 @@ import (
 // permission. It is a level-2 move (move.go) into a fresh naturally
 // aligned block: the span is write-protected and shot down before a byte
 // is copied, so a store racing the collapse either lands before the
-// break and is copied, or faults and aborts it. Returns mm.ErrNotSupported
-// when the span is not collapsible, or stopped being so in the window.
+// break and is copied, or faults, waits for the move's lock and lands in
+// the huge page. Returns mm.ErrNotSupported when the span is not
+// collapsible.
 func (a *AddrSpace) CollapseHuge(core int, va arch.Vaddr) error {
 	if !a.isa.SupportsHugeAt(2) {
 		return fmt.Errorf("%w: no 2MiB pages on %s", mm.ErrNotSupported, a.isa.Name())
@@ -28,20 +29,16 @@ func (a *AddrSpace) CollapseHuge(core int, va arch.Vaddr) error {
 	a.m.OpTick(core)
 
 	// Allocate the order-9 target before any transaction: the order>0
-	// slow path may run direct compaction, whose migrations take PT locks
-	// and an RCU barrier — both forbidden from inside a transaction. Out
-	// here the allocating goroutine holds nothing, so a fragmented zone
-	// can be compacted on demand to serve the collapse.
+	// slow path may run direct compaction, which refuses inside one
+	// (Daemon.Compact). Out here the allocating goroutine holds nothing,
+	// so a fragmented zone can be compacted on demand to serve the
+	// collapse.
 	block, err := a.m.Phys.AllocFrames(core, arch.IndexBits, mem.KindAnon)
 	if err != nil {
 		return err // no contiguous memory: not an error of the span
 	}
 	mv := move{a: a, core: core, va: va &^ arch.Vaddr(arch.SpanBytes(2)-1), level: 2, dst: block, ref: 1}
-	if err = mv.protect(); err == nil {
-		barrier(a.m)
-		err = mv.remap()
-	}
-	if err != nil {
+	if err = mv.run(); err != nil {
 		a.m.Phys.Put(core, block)
 		if errors.Is(err, errHuge) {
 			return nil // already huge: nothing to do

@@ -115,8 +115,7 @@ func TestCollapseRejectsCOW(t *testing.T) {
 // copies while a core still holds a writable translation of a source page
 // loses the stores that land after the copy, so afterwards every owned
 // page must hold its owner's last acknowledged value and every other page
-// its initial byte. A collapse the stores aborted must leave its span
-// collapsible: once the writers stop, every span collapses.
+// its initial byte, and every span must end up collapsed.
 func TestCollapseThenTouchConcurrent(t *testing.T) {
 	const (
 		spans    = 8
@@ -188,10 +187,6 @@ func TestCollapseThenTouchConcurrent(t *testing.T) {
 				})
 				raced := a.stats.Collapses.Load()
 				t.Logf("%d of %d spans collapsed under the stores", raced, spans)
-				// A store that upgraded a write-protected page in place
-				// releases the old mapping's reference after a grace
-				// period; until then that page is not exclusively held.
-				m.Quiesce()
 				for s := 0; s < spans; s++ {
 					if err := a.CollapseHuge(0, pageVA(s, 0)); err != nil {
 						t.Errorf("span %d after the stores: %v", s, err)
@@ -217,14 +212,13 @@ func TestCollapseThenTouchConcurrent(t *testing.T) {
 	}
 }
 
-// TestCollapseAbortRestoresSpan parks a collapse between its barrier and
-// its second transaction and stores to one page of the span there: a
-// write fault that upgrades the write-protected page in place. Released,
-// the collapse must see the upgraded page and abort. The store survives,
-// the other 511 pages get their write permission back instead of staying
-// copy-on-write (which reclaim and the collapse scanner skip), and the
-// span collapses on the next try.
-func TestCollapseAbortRestoresSpan(t *testing.T) {
+// TestCollapseWindowStoreLandsInHugePage parks a collapse after its
+// barrier — span write-protected and shot down, the move's lock held —
+// and stores to one page of the span there. The store faults and must
+// wait for the lock with no RCU read section open: a reader waiting on a
+// lock would stall the grace period a transaction waits for. Released,
+// the collapse completes and the store lands in the huge page.
+func TestCollapseWindowStoreLandsInHugePage(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14})
 	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
@@ -245,39 +239,27 @@ func TestCollapseAbortRestoresSpan(t *testing.T) {
 
 	parked, done := parkAfterBarrier(t, func() error { return a.CollapseHuge(0, base) })
 	defer fault.MigratePostBarrier.Disarm()
-	perm := func(va arch.Vaddr) arch.Perm {
-		pte, level, ok := a.tree.Walk(va)
-		if !ok || level != 1 {
-			t.Fatalf("page %#x: mapped=%v level=%d, want a 4-KiB leaf", va, ok, level)
-		}
-		return a.isa.PermOf(pte)
+	if pte, level, ok := a.tree.Walk(hitVA); !ok || level != 1 ||
+		a.isa.PermOf(pte)&arch.PermWrite != 0 || a.isa.PermOf(pte)&arch.PermCOW == 0 {
+		t.Fatalf("window: mapped=%v level=%d perm %v, want a read-only + COW 4-KiB leaf", ok, level, a.isa.PermOf(pte))
 	}
-	if p := perm(hitVA); p&arch.PermWrite != 0 || p&arch.PermCOW == 0 {
-		t.Fatalf("window perm %v, want read-only + COW", p)
-	}
-	if err := a.Store(1, hitVA, 0xEE); err != nil {
+	stored := make(chan error, 1)
+	go func() { stored <- a.Store(1, hitVA, 0xEE) }()
+	if err := waitForLock(m, 1, stored); err != nil {
 		t.Fatal(err)
 	}
 	parked.Release()
-	if err := <-done; !errors.Is(err, mm.ErrNotSupported) {
-		t.Fatalf("collapse after a store in its window = %v, want ErrNotSupported", err)
+	if err := <-done; err != nil {
+		t.Fatalf("collapse: %v", err)
 	}
-	if a.stats.Collapses.Load() != 0 {
-		t.Fatal("aborted collapse counted")
+	if err := <-stored; err != nil {
+		t.Fatalf("store in the window: %v", err)
 	}
-	for i := 0; i < arch.PTEntries; i++ {
-		if p := perm(base + arch.Vaddr(i)*arch.PageSize); p&arch.PermWrite == 0 || p&arch.PermCOW != 0 {
-			t.Fatalf("page %d left %v after the abort, want writable and not COW", i, p)
-		}
-	}
-	// The upgrade released its old mapping's reference after a grace
-	// period; until then the page is not exclusively referenced.
-	m.Quiesce()
-	if err := a.CollapseHuge(0, base); err != nil {
-		t.Fatalf("collapse after the abort: %v", err)
+	if a.stats.Collapses.Load() != 1 {
+		t.Fatal("collapse not counted")
 	}
 	if _, level, ok := a.tree.Walk(base); !ok || level != 2 {
-		t.Fatalf("span not huge after the second collapse (level %d)", level)
+		t.Fatalf("span not huge after the collapse (level %d)", level)
 	}
 	for i := 0; i < arch.PTEntries; i++ {
 		want := byte(i)
@@ -315,4 +297,26 @@ func parkAfterBarrier(t *testing.T, op func() error) (*fault.Parked, <-chan erro
 		t.Fatalf("never reached %s", fault.MigratePostBarrier)
 	}
 	return nil, nil
+}
+
+// waitForLock returns nil once core's access, whose result arrives on
+// done, has faulted into a transaction and is waiting there for a lock a
+// parked operation holds: it has not finished, and it holds no RCU read
+// section open while it waits.
+func waitForLock(m *cpusim.Machine, core int, done <-chan error) error {
+	for deadline := time.Now().Add(10 * time.Second); !m.InTx(core); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("core %d never faulted into a transaction", core)
+		}
+	}
+	time.Sleep(10 * time.Millisecond) // let it reach the lock
+	select {
+	case err := <-done:
+		return fmt.Errorf("core %d's access finished (%v) while the lock was held", core, err)
+	default:
+	}
+	if m.RCU.InReader(core) {
+		return fmt.Errorf("core %d waits for a PT lock inside an RCU read section", core)
+	}
+	return nil
 }

@@ -11,8 +11,6 @@ package core
 // holds no PT-page locks.
 
 import (
-	"math"
-
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
 )
@@ -23,47 +21,36 @@ type CompactConfig struct {
 	// ScanSpans is the khugepaged quantum: 2-MiB spans examined per
 	// tick (default 8, <0 disables the scanner).
 	ScanSpans int
-	// PromoteScans is how many consecutive quanta a span must be seen
-	// fully resident and young before it is collapsed (default 2).
-	PromoteScans int
 	// FragThreshold triggers background compaction when the node's
 	// order-9 fragmentation index exceeds it (default 0.75, <0
 	// disables background compaction; direct compaction still runs).
 	FragThreshold float64
-	// CompactPages caps the frames migrated per compaction pass
-	// (default 256).
-	CompactPages int
 	// NumaStreak is the remote-access streak after which a page is
 	// migrated to its accessor's node (0 disables NUMA balancing).
 	NumaStreak uint64
-	// NumaScan is the number of frames probed per tick by the NUMA
-	// balancer (default 256).
-	NumaScan int
 }
 
 func (c *CompactConfig) fill() {
 	if c.ScanSpans == 0 {
 		c.ScanSpans = 8
 	}
-	if c.PromoteScans <= 0 {
-		c.PromoteScans = 2
-	}
-	// A leaf table counts young sightings in one byte.
-	c.PromoteScans = min(c.PromoteScans, math.MaxUint8)
 	if c.FragThreshold == 0 {
 		c.FragThreshold = 0.75
 	}
-	if c.CompactPages <= 0 {
-		c.CompactPages = 256
-	}
-	if c.NumaScan <= 0 {
-		c.NumaScan = 256
-	}
 }
 
-// coldResetScans is how many consecutive cold scans erase a span's
-// accumulated young sightings.
-const coldResetScans = 8
+const (
+	// promoteScans is how many quanta must see a span fully resident and
+	// young before it is collapsed.
+	promoteScans = 2
+	// coldResetScans is how many consecutive cold scans erase a span's
+	// accumulated young sightings.
+	coldResetScans = 8
+	// compactPages caps the frames migrated per compaction pass.
+	compactPages = 256
+	// numaScan is the number of frames the NUMA balancer probes per tick.
+	numaScan = 256
+)
 
 // AttachCompaction switches on the compaction half of m's daemon,
 // creating the daemon on first use. Attaching again replaces the
@@ -80,7 +67,7 @@ func AttachCompaction(m *cpusim.Machine, cfg CompactConfig) *Daemon {
 
 // compactTick runs one pipeline quantum. The InTx guard is defensive:
 // ticks fire at operation entry, before any PT lock is taken, but a
-// tick arriving inside a transaction must not lock or barrier.
+// tick arriving inside a transaction must not lock another space.
 func (d *Daemon) compactTick(core int, cfg *CompactConfig) {
 	if d.m.InTx(core) {
 		return
@@ -96,11 +83,14 @@ func (d *Daemon) compactTick(core int, cfg *CompactConfig) {
 
 // Compact is direct compaction for the allocator's order>0 slow path:
 // compact the requesting node's zone so the failed high-order
-// allocation can be retried. Refused when the allocating goroutine is
-// inside a transaction — migration takes PT locks and an RCU barrier,
-// and both deadlock under a held PT lock (callers that need high-order
-// memory, like CollapseHuge, allocate before locking for exactly this
-// reason) — and while the compaction half is off.
+// allocation can be retried. Refused while the compaction half is off,
+// and when the allocating goroutine is inside a transaction: a migration
+// locks whichever space maps its frame, which may be the one the caller
+// holds (the PT locks are not reentrant) or one whose holder waits on
+// the caller's — lock order between spaces, which direct reclaim settles
+// by skipping held spaces and admitting one lock-holding reclaimer at a
+// time. Callers that need high-order memory, like CollapseHuge, allocate
+// before locking for exactly this reason.
 func (d *Daemon) Compact(core, node, order int) bool {
 	cfg := d.compactCfg.Load()
 	if cfg == nil {
@@ -115,7 +105,7 @@ func (d *Daemon) Compact(core, node, order int) bool {
 	}
 	defer d.compacting[node].Store(false)
 	d.directRuns.Add(1)
-	moved := d.m.Phys.CompactZone(core, node, cfg.CompactPages)
+	moved := d.m.Phys.CompactZone(core, node, compactPages)
 	// The vacated frames sit in the RCU monitor; like direct reclaim,
 	// drive this core's tick so they reach the buddy before the caller
 	// retries.
@@ -139,7 +129,7 @@ func (d *Daemon) backgroundCompact(core int, cfg *CompactConfig) {
 		return
 	}
 	defer d.compacting[node].Store(false)
-	if d.m.Phys.CompactZone(core, node, cfg.CompactPages) > 0 {
+	if d.m.Phys.CompactZone(core, node, compactPages) > 0 {
 		d.bgRuns.Add(1)
 	}
 }
@@ -156,8 +146,8 @@ func (d *Daemon) numaBalance(core int, cfg *CompactConfig) {
 	if n == 0 {
 		return
 	}
-	start := int(d.numaHand.Add(int64(cfg.NumaScan))) - cfg.NumaScan
-	for i := 0; i < cfg.NumaScan; i++ {
+	start := int(d.numaHand.Add(int64(numaScan))) - numaScan
+	for i := 0; i < numaScan; i++ {
 		pfn := arch.PFN((start + i) % n)
 		if node, ok := phys.NumaCandidate(pfn, cfg.NumaStreak); ok {
 			d.numaMoves.Add(1)
@@ -193,7 +183,7 @@ func (d *Daemon) scanQuantum(core int, cfg *CompactConfig) {
 		ch := chunks[(start+i)%len(chunks)]
 		hand = ch.base + arch.Vaddr(ch.span)
 		if ch.table && ch.pages == arch.PTEntries {
-			d.scanSpan(core, a, ch.base, cfg)
+			d.scanSpan(core, a, ch.base)
 			scanned++
 		}
 	}
@@ -220,9 +210,9 @@ func (d *Daemon) nextSpace() *AddrSpace {
 // quanta may fire between two touch phases), so a cold scan does not
 // reset the evidence of heat — young sightings accumulate, and only
 // coldResetScans cold scans in a row clear them. A span seen young
-// PromoteScans times is collapsed; a partial or shared/COW span's heat
+// promoteScans times is collapsed; a partial or shared/COW span's heat
 // is cleared.
-func (d *Daemon) scanSpan(core int, a *AddrSpace, base arch.Vaddr, cfg *CompactConfig) {
+func (d *Daemon) scanSpan(core int, a *AddrSpace, base arch.Vaddr) {
 	span := arch.Vaddr(arch.SpanBytes(2))
 	c, err := a.Lock(core, base, base+span)
 	if err != nil {
@@ -260,7 +250,7 @@ func (d *Daemon) scanSpan(core int, a *AddrSpace, base arch.Vaddr, cfg *CompactC
 		default:
 			st.Cold++
 		}
-		if promote = int(st.Young) >= cfg.PromoteScans; promote {
+		if promote = st.Young >= promoteScans; promote {
 			st.Young, st.Cold = 0, 0
 		}
 	}

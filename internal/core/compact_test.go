@@ -30,7 +30,7 @@ func TestScannerPromotesOnlyHot(t *testing.T) {
 	}
 	defer func() { a.Destroy(0); m.Quiesce() }()
 	AttachReclaim(m, ReclaimConfig{})
-	d := AttachCompaction(m, CompactConfig{ScanSpans: 8, PromoteScans: 2})
+	d := AttachCompaction(m, CompactConfig{ScanSpans: 8})
 	d.Register(a)
 
 	span := arch.SpanBytes(2)

@@ -58,11 +58,9 @@ type RCursor struct {
 	freedArr    [8]rcu.FrameRun
 }
 
-// coverHint names a covering PT page by its PageState. pt.AllocPTPage
-// makes a fresh state for every life of a PT page and removeChild
-// stale-marks it under its lock before the frame can be freed, so a
-// hinted page that has died since reads Stale forever — the hint is
-// never re-resolved through its frame number.
+// coverHint names one life of a covering PT page by its PageState, noted
+// inside a traversal's read section; lockAdv says why locking it after
+// the section is sound.
 type coverHint struct {
 	st    *pt.PageState
 	pfn   arch.PFN
@@ -185,39 +183,29 @@ func (a *AddrSpace) lockRW(c *RCursor) {
 	c.rootBase = baseOfSpan(c.lo, level)
 }
 
-// lockAdv is the CortenMM_adv protocol (Figure 6): a lockless traversal
-// inside an RCU read-side critical section finds the covering PT page;
-// it is MCS-locked and re-checked for staleness (retrying if a
-// concurrent unmap removed it, Figure 7); then a preorder DFS locks all
-// its descendants.
+// lockAdv is the CortenMM_adv protocol (Figure 6) with the covering lock
+// taken after the RCU read section: a lockless traversal inside the
+// section finds the covering PT page and notes its PageState, the section
+// ends, lockCover MCS-locks that state and re-checks it (retrying from
+// the root if a concurrent unmap removed the page, Figure 7), and a
+// preorder DFS locks all its descendants.
 //
-// A cursor whose hint spans [lo, hi) first locks the hinted page
-// directly, with no RCU section and no descent: the stale check makes
-// that lock as safe as a traversal's, and an entry for [lo, hi) that is
-// not a present table proves the traversal would have stopped there too.
-// Otherwise the traversal runs as before and becomes the new hint.
+// Figure 6 waits for the lock inside the section because its lock lives
+// in the frame, which only the section keeps from being reused. Here the
+// lock and the stale flag belong to the page's life: pt.AllocPTPage makes
+// a fresh state for every life and removeChild stale-marks it under its
+// lock before the frame can be freed, and nothing is re-resolved through
+// the frame number once the section ends, so a life that ends between the
+// section and the lock reads stale forever. No RCU reader ever waits on a
+// lock, which is what lets a transaction wait for a grace period
+// (breakWrites).
+//
+// The cursor's hint is the state its last transaction locked; when it
+// spans [lo, hi) it is tried first, with no section and no descent.
 func (a *AddrSpace) lockAdv(c *RCursor) {
-	if h := c.hint; h.st != nil && !a.coarse && h.level >= c.minLevel &&
-		baseOfSpan(c.lo, h.level) == h.base && baseOfSpan(c.hi-1, h.level) == h.base {
-		h.st.Mu.Lock()
-		// Stale first: a pruned page's frame may already hold anything.
-		ok := !h.st.Stale.Load()
-		if ok && coversInOneChild(c.lo, c.hi, h.level, c.minLevel) {
-			pte := a.tree.LoadPTE(h.pfn, arch.IndexAt(c.lo, h.level))
-			ok = !a.isa.IsPresent(pte) || a.isa.IsLeaf(pte, h.level)
-		}
-		if ok {
-			c.trackLocked(h.pfn)
-			c.root, c.rootLevel, c.rootBase = h.pfn, h.level, h.base
-			a.dfsLock(c, c.root, c.rootLevel)
-			return
-		}
-		h.st.Mu.Unlock()
-	}
-	for {
+	for h := c.hint; h.st == nil || !a.lockCover(c, h); {
 		a.m.RCU.ReadLock(c.core)
-		cur := a.tree.Root
-		level := arch.Levels
+		cur, level := a.tree.Root, arch.Levels
 		for !a.coarse && coversInOneChild(c.lo, c.hi, level, c.minLevel) {
 			pte := a.tree.LoadPTE(cur, arch.IndexAt(c.lo, level))
 			if !a.isa.IsPresent(pte) || a.isa.IsLeaf(pte, level) {
@@ -226,28 +214,38 @@ func (a *AddrSpace) lockAdv(c *RCursor) {
 			cur = a.isa.PFNOf(pte)
 			level--
 		}
-		st := a.state(cur)
-		st.Mu.Lock()
-		if st.Stale.Load() {
-			// Raced with an unmap that removed this PT page: retry from
-			// the root (Figure 7).
-			st.Mu.Unlock()
-			a.m.RCU.ReadUnlock(c.core)
-			continue
-		}
+		h = coverHint{a.state(cur), cur, level, baseOfSpan(c.lo, level)}
 		a.m.RCU.ReadUnlock(c.core)
-		c.trackLocked(cur)
-		c.root = cur
-		c.rootLevel = level
-		c.rootBase = baseOfSpan(c.lo, level)
-		c.hint = coverHint{st, cur, level, c.rootBase}
-		break
 	}
 	// Locking phase: preorder DFS over all descendant PT pages. The
 	// covering page's lock already excludes writers, but a lockless
 	// traverser may have bypassed the covering page before we locked it,
 	// so every descendant must be locked too (§4.1).
 	a.dfsLock(c, c.root, c.rootLevel)
+}
+
+// lockCover locks the life h names and keeps it as the covering page if
+// it is not stale and still covers [lo, hi): its span holds the range,
+// and the range's entry is not a present table a deeper page would cover
+// it from. Otherwise it unlocks and reports false.
+func (a *AddrSpace) lockCover(c *RCursor, h coverHint) bool {
+	if h.level < c.minLevel || baseOfSpan(c.lo, h.level) != h.base || baseOfSpan(c.hi-1, h.level) != h.base {
+		return false
+	}
+	h.st.Mu.Lock()
+	// Stale first: a dead page's frame may already hold anything.
+	ok := !h.st.Stale.Load()
+	if ok && !a.coarse && coversInOneChild(c.lo, c.hi, h.level, c.minLevel) {
+		pte := a.tree.LoadPTE(h.pfn, arch.IndexAt(c.lo, h.level))
+		ok = !a.isa.IsPresent(pte) || a.isa.IsLeaf(pte, h.level)
+	}
+	if !ok {
+		h.st.Mu.Unlock()
+		return false
+	}
+	c.trackLocked(h.pfn)
+	c.root, c.rootLevel, c.rootBase, c.hint = h.pfn, h.level, h.base, h
+	return true
 }
 
 func (a *AddrSpace) dfsLock(c *RCursor, pfn arch.PFN, level int) {

@@ -2,45 +2,30 @@ package core
 
 // Frame migration, core side: the Daemon's Migrate, which the physical
 // allocator calls. The mem layer discovers and pins candidates; each one
-// is a one-page move (move.go) into the frame mem allocated for it, and
-// the batch shares one barrier.
+// is a one-page move (move.go) into the frame mem allocated for it.
 
 import (
 	"runtime"
-	"slices"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
 )
 
-// Migrate implements mem.Pressure: every pinned candidate is protected,
-// then one grace period covers the whole batch, then each is remapped.
+// Migrate implements mem.Pressure: one move per pinned candidate, each
+// with its own grace period.
 func (d *Daemon) Migrate(core int, reqs []mem.MigrateReq) []bool {
 	res := make([]bool, len(reqs))
-	moves := make([]*move, len(reqs))
 	for i, req := range reqs {
 		a, _ := req.Owner.(*AddrSpace)
 		if a == nil || !a.migrateEnter() {
 			continue
 		}
 		// The source's references are its mapping and the scanner's pin.
-		mv := &move{a: a, core: core, va: arch.Vaddr(req.VA), level: 1, dst: req.Dst, ref: 2, src: []arch.PFN{req.Src}}
-		if res[i] = mv.protect() == nil; !res[i] {
-			a.migrateExit()
-			continue
+		mv := move{a: a, core: core, va: arch.Vaddr(req.VA), level: 1, dst: req.Dst, ref: 2, src: []arch.PFN{req.Src}}
+		if res[i] = mv.run() == nil; res[i] {
+			a.m.TLB.NoteMigration()
 		}
-		a.m.TLB.NoteMigration()
-		moves[i] = mv
-	}
-	if !slices.Contains(res, true) {
-		return res
-	}
-	barrier(d.m)
-	for i, mv := range moves {
-		if mv != nil {
-			res[i] = mv.remap() == nil
-			mv.a.migrateExit()
-		}
+		a.migrateExit()
 	}
 	return res
 }

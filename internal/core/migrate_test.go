@@ -15,11 +15,11 @@ import (
 // TestMigrationUnderConcurrentAccess hammers a region from a writer and
 // a reader while a third goroutine migrates its frames nonstop. The
 // break-before-make protocol must guarantee: no write is ever lost (a
-// store that raced the copy either lands in the old frame before txn2
-// revalidates, aborting the migration, or faults and lands in the new
-// one), and no read ever travels backward (a stale TLB entry pointing
+// store that raced the move either retired before its barrier and was
+// copied, or faulted, waited for the move's lock and landed in the new
+// frame), and no read ever travels backward (a stale TLB entry pointing
 // at a freed source frame would do exactly that). Run under -race this
-// also checks the pin/copy/remap dance for data races.
+// also checks the pin/break/copy/remap dance for data races.
 func TestMigrationUnderConcurrentAccess(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 13})
 	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
@@ -90,7 +90,7 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 	}()
 	// Migrator, core 0: move whatever currently backs each page.
 	// ErrNotMovable is expected noise — a concurrent fault makes the
-	// frame transiently non-exclusive, and revalidation aborts cleanly.
+	// frame transiently non-exclusive, and the check refuses it.
 	for {
 		select {
 		case <-done:
@@ -204,11 +204,11 @@ func TestDemoteThenReclaim(t *testing.T) {
 }
 
 // TestMigrationKeepsReadOnlyPageReadOnly parks the migration of a
-// read-only page in its window and stores to the page there. A page
-// without write access has nothing to write-protect: marking it
-// copy-on-write would let the store's fault upgrade it to writable. The
-// store must fail with ErrSegv, and the page must still migrate, still
-// read-only.
+// read-only page after its barrier. A page without write access has
+// nothing to write-protect: marking it copy-on-write would let a later
+// store's fault upgrade it to writable. The break must leave it plain
+// read-only, the page must migrate, still read-only, and a store after
+// the move must fail with ErrSegv.
 func TestMigrationKeepsReadOnlyPageReadOnly(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 13})
 	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
@@ -227,8 +227,8 @@ func TestMigrationKeepsReadOnlyPageReadOnly(t *testing.T) {
 	src := a.isa.PFNOf(pte)
 	parked, done := parkAfterBarrier(t, func() error { return m.Phys.MigrateFrame(0, src) })
 	defer fault.MigratePostBarrier.Disarm()
-	if err := a.Store(1, va, 1); !errors.Is(err, mm.ErrSegv) {
-		t.Errorf("store to a read-only page in the migration window = %v, want ErrSegv", err)
+	if pte, _, ok := a.tree.Walk(va); !ok || a.isa.PermOf(pte) != arch.PermRead {
+		t.Errorf("window: mapped=%v perm %v, want read-only without COW", ok, a.isa.PermOf(pte))
 	}
 	parked.Release()
 	if err := <-done; err != nil {
@@ -237,6 +237,9 @@ func TestMigrationKeepsReadOnlyPageReadOnly(t *testing.T) {
 	pte, _, ok = a.tree.Walk(va)
 	if !ok || a.isa.PFNOf(pte) == src || a.isa.PermOf(pte) != arch.PermRead {
 		t.Fatalf("after migration: mapped=%v frame %d (source %d) perm %v, want a new frame, read-only", ok, a.isa.PFNOf(pte), src, a.isa.PermOf(pte))
+	}
+	if err := a.Store(1, va, 1); !errors.Is(err, mm.ErrSegv) {
+		t.Errorf("store to a migrated read-only page = %v, want ErrSegv", err)
 	}
 	if b, err := a.Load(0, va); err != nil || b != 0 {
 		t.Fatalf("readback %d, %v", b, err)

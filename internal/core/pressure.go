@@ -101,8 +101,7 @@ type Daemon struct {
 	reclaimed    atomic.Uint64
 	stolen       atomic.Uint64
 	oomKills     atomic.Uint64
-	// Writeback-queue telemetry, fed by the sweeps' per-sweep aio queues
-	// (see evict).
+	// Swap-write telemetry, counted by evict.
 	swapQueued    atomic.Uint64
 	swapCompleted atomic.Uint64
 	swapFailed    atomic.Uint64
@@ -124,9 +123,7 @@ type DaemonStats struct {
 	// reclaim that had to look beyond the starved node's own frames.
 	Stolen   uint64
 	OOMKills uint64 // address spaces torn down
-	// Swap-writeback queue activity: writebacks submitted to (or refused
-	// by) the async io queue, completions that succeeded, and failures
-	// (refused submissions plus failed completions).
+	// Swap writes: attempted, succeeded and failed.
 	SwapQueued    uint64
 	SwapCompleted uint64
 	SwapFailed    uint64

@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 
-	"cortenmm/internal/aio"
 	"cortenmm/internal/arch"
 	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/tlb"
 )
 
 // ReclaimRange runs one sweep of a clock-style reclaim scan over
@@ -86,8 +86,12 @@ func (a *AddrSpace) lockForEviction(core int, va arch.Vaddr, size uint64) (*RCur
 // evict is the one eviction body, run under a cursor covering [lo, hi):
 // hot runs get their accessed bits cleared, cold 2-MiB spans are
 // demoted, and up to target cold 4-KiB pages — private, not COW,
-// anonymous, mapped exactly once, on node if node >= 0 — are written to
-// the swap device and re-marked Swapped.
+// anonymous, mapped exactly once, on node if node >= 0 — are broken
+// (breakWrites: one grace period for the sweep), written to the swap
+// device and re-marked Swapped. A store to a candidate after the break
+// faults and waits for this lock, so the block holds the page's last
+// store; a page whose write fails gets its block freed and its
+// permission back.
 func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int, error) {
 	// One pass enumerates candidate runs — private anonymous mappings,
 	// with the hardware A bit deciding hot vs cold per run (runs break
@@ -104,25 +108,21 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		return 0, err
 	}
 	fault.ReclaimCollected.Pause()
-	// Cold candidates have their writebacks submitted on a per-sweep
-	// async queue — all device I/O for the sweep is reaped in one batched
-	// completion pass instead of one synchronous round trip per page. The
-	// queue is sweep-local: two nodes' kswapd ticks may sweep the same
-	// space concurrently, and each must only reap its own completions.
 	type swapReq struct {
 		page  arch.Vaddr
+		pfn   arch.PFN
 		perm  arch.Perm
 		key   arch.ProtKey
 		block uint64
+		err   error
 	}
 	var (
-		reqs     []swapReq
-		firstErr error
+		reqs  []swapReq
+		spans []tlb.Range // reqs' pages, coalesced
 	)
-	q, dev := aio.NewQueue("swapq", mem.ErrOutOfMemory), a.m.Phys.DevByID(a.swapID)
 	for _, r := range runs {
 		huge := r.Status.HugeLevel() == 2
-		if !huge && (len(reqs) >= target || firstErr != nil) {
+		if !huge && len(reqs) >= target {
 			continue // the sweep is full: later small runs keep their bits for the next one
 		}
 		if r.Accessed {
@@ -151,40 +151,55 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 			if d.Kind != mem.KindAnon || d.MapCount() != 1 || node >= 0 && a.m.Phys.FrameNode(pfn) != node {
 				continue
 			}
-			// Cold page: queue its writeback. The frame stays mapped
-			// until the completion is reaped, so the data read at reap
-			// time is stable (we hold the covering lock).
-			block := dev.AllocBlock()
-			err := q.Submit(aio.SQE{Tag: uint64(len(reqs)), Do: func() error {
-				return dev.Write(block, a.m.Phys.DataPage(pfn))
-			}})
-			if err != nil {
-				// Refused submission: nothing was queued, the page simply
-				// stays resident. Stop growing the batch and report after
-				// reaping what was already submitted.
-				dev.FreeBlock(block)
-				firstErr = err
-				break
+			page := r.VA + arch.Vaddr(i*arch.PageSize)
+			if n := len(spans); n > 0 && spans[n-1].Hi == page {
+				spans[n-1].Hi += arch.PageSize
+			} else {
+				spans = append(spans, tlb.Range{Lo: page, Hi: page + arch.PageSize})
 			}
-			reqs = append(reqs, swapReq{page: r.VA + arch.Vaddr(i*arch.PageSize), perm: r.Status.Perm, key: r.Status.Key(), block: block})
+			reqs = append(reqs, swapReq{page: page, pfn: pfn, perm: r.Status.Perm, key: r.Status.Key()})
 		}
+	}
+	if len(reqs) == 0 {
+		return 0, nil
+	}
+	if err := c.breakWrites(spans); err != nil {
+		return 0, err
+	}
+	dev := a.m.Phys.DevByID(a.swapID)
+	var written uint64
+	for i := range reqs {
+		req := &reqs[i]
+		req.block = dev.AllocBlock()
+		if req.err = dev.Write(req.block, a.m.Phys.DataPage(req.pfn)); req.err == nil {
+			written++
+		}
+	}
+	if d := a.daemon.Load(); d != nil {
+		d.swapQueued.Add(uint64(len(reqs)))
+		d.swapCompleted.Add(written)
+		d.swapFailed.Add(uint64(len(reqs)) - written)
 	}
 
 	fault.ReclaimSubmitted.Pause()
-	// One reap completes the whole batch; only pages whose write
-	// succeeded are re-marked swapped (Mark releases the mapping it
-	// replaces). A failed completion frees its swap block and leaves its
-	// page resident — the frame is not reclaimed, nothing leaks, and the
-	// tree never names a block that was not written.
-	reclaimed := 0
-	for _, cqe := range q.Reap() {
-		req := reqs[cqe.Tag]
-		err := cqe.Err
+	// Only pages whose write succeeded are re-marked swapped (Mark
+	// releases the mapping it replaces). A failed one frees its block and
+	// gets its permission back — left copy-on-write, it would be skipped
+	// by every later sweep — so nothing leaks and the tree never names a
+	// block that was not written.
+	reclaimed, isa := 0, a.isa
+	var firstErr error
+	for _, req := range reqs {
+		err := req.err
 		if err == nil {
 			err = c.Mark(req.page, req.page+arch.PageSize, pt.SwappedStatus(req.perm, a.swapID, req.block).WithKey(req.key))
 		}
 		if err != nil {
 			dev.FreeBlock(req.block)
+			// One present leaf inside the cursor: the walk cannot fail.
+			_ = c.editRange(req.page, req.page+arch.PageSize, 0, 0, func(pte uint64, level int) uint64 {
+				return isa.WithPerm(pte, req.perm, level)
+			})
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -192,12 +207,6 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		}
 		a.stats.SwapOuts.Add(1)
 		reclaimed++
-	}
-	if d := a.daemon.Load(); d != nil {
-		st := q.Stats()
-		d.swapQueued.Add(st.Submitted + st.Refused)
-		d.swapCompleted.Add(st.Completed)
-		d.swapFailed.Add(st.Failed + st.Refused)
 	}
 	return reclaimed, firstErr
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -147,17 +148,18 @@ func TestReplayReclaimFreeWhileMapped(t *testing.T) {
 }
 
 // TestReplayMigrationTornCopy pins the break-before-make model's
-// copy-between-transactions counterexample — the copy racing a writer
-// that COW-upgraded in the unlocked window — and replays it against the
-// real migration, parked at migrate:post-barrier (exactly the window
-// the buggy protocol copies in). The real code must instead revalidate,
-// see the upgraded PTE, and abort into the self-healing state: the
-// write survives in the source frame and no migration completes.
+// lock-in-read-section counterexample — a writer that faults on the
+// write-protected page and waits for the migrator's lock inside its read
+// section, while the migrator waits under that lock for the grace period
+// the section holds up — and replays it against the real migration,
+// parked under its lock at migrate:pre-barrier. At the model's stuck
+// state the real storer must be waiting for the lock with no read section
+// open; released, the barrier completes, the page moves, and the store
+// lands in the new frame.
 func TestReplayMigrationTornCopy(t *testing.T) {
-	trace := counterexample(t, "bbm", "migration", "copy-between-txns")
-	si, ci := traceIndex(trace, "w:store_start"), traceIndex(trace, "m:copy_start")
-	if si < 0 || ci < 0 || ci < si {
-		t.Fatalf("trace is not a store/copy race: %v", trace)
+	trace := counterexample(t, "bbm", "migration", "lock-in-read-section")
+	if bi, wi := traceIndex(trace, "m:shoot1"), traceIndex(trace, "w:walk_cow"); bi < 0 || wi < bi || trace[len(trace)-1] != "<stuck>" {
+		t.Fatalf("trace is not a fault stuck behind the break: %v", trace)
 	}
 
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 13})
@@ -179,39 +181,37 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 	}
 	src := a.isa.PFNOf(pte)
 
-	parked := fault.MigratePostBarrier.Park()
-	defer fault.MigratePostBarrier.Disarm()
+	parked := fault.MigratePreBarrier.Park()
+	defer fault.MigratePreBarrier.Disarm()
 
-	var migErr error
+	migrated, stored := make(chan error, 1), make(chan error, 1)
 	r := spec.NewReplayer()
-	r.BindStart("m:lock1", "migrator", func(string) error {
-		migErr = m.Phys.MigrateFrame(0, src)
+	r.BindStart("m:lock", "migrator", func(string) error {
+		migrated <- m.Phys.MigrateFrame(0, src)
 		return nil
 	})
-	r.Bind("m:barrier", "main", func(string) error {
+	r.Bind("m:shoot1", "main", func(string) error {
 		parked.Await()
-		// txn1 committed: the source must be write-protected + COW.
+		// The break is done: the page is write-protected and shot down,
+		// and the migrator holds its lock.
 		pte, _, ok := a.tree.Walk(va)
-		if !ok {
-			return fmt.Errorf("page unmapped in the migration window")
-		}
-		perm := a.isa.PermOf(pte)
-		if perm&arch.PermWrite != 0 || perm&arch.PermCOW == 0 {
-			return fmt.Errorf("window perm %v, want RO+COW", perm)
+		if perm := a.isa.PermOf(pte); !ok || perm&arch.PermWrite != 0 || perm&arch.PermCOW == 0 {
+			return fmt.Errorf("after the break: mapped=%v perm %v, want RO+COW", ok, perm)
 		}
 		return nil
 	})
-	r.Bind("w:store_start", "writer", func(string) error {
-		// The writer's store in the window: COW fault, upgrade in
-		// place, store — the self-healing path.
-		return a.Store(1, va, 0x77)
+	r.BindStart("w:walk_cow", "writer", func(string) error {
+		stored <- a.Store(1, va, 0x77)
+		return nil
 	})
-	r.Bind("m:copy_start", "main", func(string) error {
-		// The buggy model copies here, racing the store. The real
-		// migrator is still parked pre-txn2: the store must be wholly
-		// in the source frame, untorn.
-		if b := m.Phys.DataPage(src)[0]; b != 0x77 {
-			return fmt.Errorf("source byte %#x before txn2, want 0x77", b)
+	r.Bind("<stuck>", "main", func(string) error {
+		// The buggy model is stuck here. The real storer must be waiting
+		// for the lock outside any read section, its store not landed.
+		if err := waitForLock(m, 1, stored); err != nil {
+			return err
+		}
+		if b := m.Phys.DataPage(src)[0]; b != 0x11 {
+			return fmt.Errorf("source byte %#x while the store waits, want 0x11", b)
 		}
 		parked.Release()
 		return nil
@@ -219,29 +219,28 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 	if err := r.Run(trace); err != nil {
 		t.Fatal(err)
 	}
+	for _, ch := range []chan error{migrated, stored} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("stuck after release: the barrier waits on the storer's read section")
+		}
+	}
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	// The upgraded PTE fails txn2's revalidation: the migration aborts
-	// and the page self-heals in place.
-	if migErr == nil {
-		t.Fatal("migration succeeded despite the COW upgrade in its window")
-	}
-	if st := m.Phys.MigrationStatsTotal(); st.Migrated != 0 {
-		t.Fatalf("%d migrations completed, want 0 (aborted)", st.Migrated)
+	if st := m.Phys.MigrationStatsTotal(); st.Migrated != 1 {
+		t.Fatalf("%d migrations completed, want 1", st.Migrated)
 	}
 	pte, _, ok = a.tree.Walk(va)
-	if !ok {
-		t.Fatal("page unmapped after abort")
+	if !ok || a.isa.PFNOf(pte) == src || a.isa.PermOf(pte)&arch.PermWrite == 0 {
+		t.Fatalf("after the move: mapped=%v frame %d (source %d) perm %v, want a new writable frame", ok, a.isa.PFNOf(pte), src, a.isa.PermOf(pte))
 	}
-	if got := a.isa.PFNOf(pte); got != src {
-		t.Fatalf("page moved to %d despite abort, want %d", got, src)
-	}
-	if perm := a.isa.PermOf(pte); perm&arch.PermWrite == 0 {
-		t.Fatalf("abort did not leave the healed writable page: perm %v", perm)
-	}
-	if v, err := a.Load(2, va); err != nil || v != 0x77 {
-		t.Fatalf("readback after abort: %d, %v", v, err)
+	if b := m.Phys.DataPage(a.isa.PFNOf(pte))[0]; b != 0x77 {
+		t.Fatalf("new frame byte %#x, want the store's 0x77", b)
 	}
 	a.Destroy(0)
 	m.Quiesce()

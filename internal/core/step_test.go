@@ -135,7 +135,7 @@ func TestCursorMethodsAreTotal(t *testing.T) {
 // installs through the same function as Map.
 func TestOneCursorStep(t *testing.T) {
 	mayLoad := map[string]bool{
-		"lockRW": true, "lockAdv": true, "dfsLock": true,
+		"lockRW": true, "lockAdv": true, "lockCover": true, "dfsLock": true,
 		"walkRange": true, "entry": true, "ensureChild": true, "forkCopy": true,
 	}
 	loopFree := map[string]bool{
@@ -184,13 +184,17 @@ func TestOneCursorStep(t *testing.T) {
 	}
 }
 
-// TestOneMove pins that live pages change frames in one place: the only
-// grace period internal/core waits for is barrier's, and the only payload
-// copy is move.remap's — the copy that follows protect, barrier and the
-// recheck. A second copy is a second, unchecked way to move pages.
-func TestOneMove(t *testing.T) {
-	want := map[string]string{"Synchronize": "barrier", "copy": "move.remap"}
-	seen := map[string]bool{}
+// TestOneBreak pins that break-before-make is one step used three ways:
+// the only grace period internal/core waits for is barrier's, and only
+// the break helper waits for it; the only payload copy is move.run's, and
+// the only swap write is evict's, both after a break. A second copy or
+// write is a second, unbroken way to read pages other cores may write.
+func TestOneBreak(t *testing.T) {
+	want := map[string]string{
+		"Synchronize": "barrier", "barrier": "RCursor.breakWrites",
+		"copy": "move.run", "Write": "AddrSpace.evict",
+	}
+	seen := map[string]token.Pos{}
 	eachFunc(t, func(fset *token.FileSet, _ string, fn *ast.FuncDecl) {
 		name := fn.Name.Name
 		if fn.Recv != nil {
@@ -204,23 +208,30 @@ func TestOneMove(t *testing.T) {
 			var callee string
 			switch f := call.Fun.(type) {
 			case *ast.Ident:
-				if f.Name == "copy" && readsPayload(call) {
+				if f.Name != "copy" || readsPayload(call) {
 					callee = f.Name
 				}
 			case *ast.SelectorExpr:
 				callee = f.Sel.Name
 			}
+			if callee == "breakWrites" {
+				seen[name+".breakWrites"] = call.Pos()
+			}
 			if only, ok := want[callee]; ok {
-				seen[callee] = true
+				seen[callee] = call.Pos()
 				if name != only {
 					t.Errorf("%s: %s calls %s; only %s may", fset.Position(call.Pos()), name, callee, only)
+				} else if callee == "copy" || callee == "Write" {
+					if brk, ok := seen[name+".breakWrites"]; !ok || brk > call.Pos() {
+						t.Errorf("%s: %s calls %s before breakWrites", fset.Position(call.Pos()), name, callee)
+					}
 				}
 			}
 			return true
 		})
 	})
 	for callee, only := range want {
-		if !seen[callee] {
+		if _, ok := seen[callee]; !ok {
 			t.Errorf("no call of %s found; %s should hold one", callee, only)
 		}
 	}

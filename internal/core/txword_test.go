@@ -285,7 +285,7 @@ func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 }
 
 // TestCompactionRefusesInsideTx: direct compaction and the compaction
-// tick take PT locks and an RCU barrier, so both refuse on a core that
+// tick lock other spaces' PT pages, so both refuse on a core that
 // is inside a transaction in any space of the machine — here one that
 // is registered with no manager at all, which only a machine-wide word
 // can see.

@@ -99,9 +99,9 @@ func (m *Machine) EnterTx(core int, space uint64) (outermost bool) {
 func (m *Machine) ExitTx(core int) { m.ticks[core].tx.Add(^uint64(0)) }
 
 // InTx reports whether core's goroutine is inside a transaction in any
-// address space of the machine. Direct compaction consults it: migrating
-// from within a transaction would deadlock on the RCU barrier, so the
-// compactor refuses on a core that is mid-transaction.
+// address space of the machine. Direct compaction consults it: a
+// migration from within a transaction would lock other spaces out of
+// order, so the compactor refuses on a core that is mid-transaction.
 func (m *Machine) InTx(core int) bool { return m.ticks[core].tx.Load()&txDepthMask != 0 }
 
 // HoldsTx reports whether core's goroutine may hold page-table locks in

@@ -5,8 +5,8 @@
 // probability and an optional after-N trigger, then exercise a workload
 // and assert that the unwind left the system consistent. A Delay point
 // marks a window inside a multi-step protocol (a shootdown between local
-// and remote invalidation, a reclaim sweep with its writebacks queued, a
-// migration around its grace period): the code calls Site.Pause(), which
+// and remote invalidation, a reclaim sweep with its pages written, a
+// break around its grace period): the code calls Site.Pause(), which
 // an armed point turns into a few yields — widening the window — or, for
 // a point a test has parked, into a stop until the test releases it,
 // which is how a model-checker counterexample is replayed against the
@@ -80,12 +80,6 @@ var (
 	SwapWrite = New("swap.write")
 	// PTAllocPage fails Tree.AllocPTPage, hit by every table split.
 	PTAllocPage = New("pt.alloc-ptpage")
-	// AIOSubmit refuses an aio.Queue submission — the SQE is never
-	// queued, so the op's side effects must not have happened yet.
-	AIOSubmit = New("aio.submit")
-	// AIOComplete fails a queued aio request at reap time, after the
-	// submission succeeded — the batched-completion unwind path.
-	AIOComplete = New("aio.complete")
 
 	// TLBShootdownDelay sits between a shootdown initiator's local
 	// invalidation and the remote fan-out, widening the window in which
@@ -95,14 +89,16 @@ var (
 	// ReclaimCollected is a reclaim sweep with its candidates collected
 	// under the covering lock and nothing evicted yet.
 	ReclaimCollected = NewPoint("reclaim:collected")
-	// ReclaimSubmitted is a reclaim sweep with its writebacks queued and
-	// none reaped: every candidate is still mapped, its frame referenced.
+	// ReclaimSubmitted is a reclaim sweep with its candidates written to
+	// swap and none marked: every candidate is still mapped, write-
+	// protected, its frame referenced.
 	ReclaimSubmitted = NewPoint("reclaim:submitted")
-	// MigratePreBarrier is a migration batch between its first
-	// transaction (source write-protected) and the RCU grace period.
+	// MigratePreBarrier is a break (migration, collapse or eviction) with
+	// its pages write-protected and shot down, before the grace period;
+	// the transaction holds its locks.
 	MigratePreBarrier = NewPoint("migrate:pre-barrier")
-	// MigratePostBarrier is the same batch after the grace period, before
-	// the second transaction revalidates and remaps.
+	// MigratePostBarrier is the same break after the grace period, before
+	// the transaction copies or writes the pages.
 	MigratePostBarrier = NewPoint("migrate:post-barrier")
 )
 

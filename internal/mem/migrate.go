@@ -3,9 +3,9 @@ package mem
 // Frame migration and zone compaction (§4.5-adjacent machinery for the
 // THP pipeline): the mem layer owns candidate discovery, pinning, and
 // target allocation; the installed Pressure's Migrate runs the locked
-// break-before-make remap + copy through the page-table transaction
+// break-before-make copy + remap through the page-table transaction
 // protocol. Reverse-map hints (FrameDesc.AnonRMap) are advisory — Migrate
-// revalidates everything under the lock before touching a PTE, exactly
+// validates everything under the lock before touching a PTE, exactly
 // like the file reverse maps of §4.5.
 
 import (
@@ -104,8 +104,7 @@ func (m *PhysMem) migrateFrameTo(core int, src arch.PFN, node int, numa bool) er
 	return ErrNotMovable
 }
 
-// compactChunk bounds how many migrations share one Migrate call (and
-// therefore one RCU barrier).
+// compactChunk bounds how many migrations share one Migrate call.
 const compactChunk = 64
 
 // CompactZone runs one compaction pass over node's zone: it walks PFNs
@@ -233,9 +232,9 @@ func (m *PhysMem) ShatterBlock(head arch.PFN, owner *AnonOwner, va uint64) bool 
 // MigrationStats is a snapshot of frame-migration telemetry.
 type MigrationStats struct {
 	// Attempted counts candidate pages handed to the migrator (pinned
-	// and validated); Migrated of those completed the remap+copy; Failed
-	// lost the revalidation race, hit fault injection, or could not get
-	// a target frame.
+	// and validated); Migrated of those completed the copy+remap; Failed
+	// failed the check under the lock, hit fault injection, or could not
+	// get a target frame.
 	Attempted, Migrated, Failed uint64
 	// NumaMigrations is the subset of Migrated done to chase an
 	// accessor's node rather than to defragment.

@@ -233,9 +233,10 @@ type RMapRef struct {
 //     allocation that observes it calls it, so it only latches.
 //   - Compact compacts node's zone so a block of 2^order frames can form,
 //     reporting progress. Like Reclaim it may run inside a transaction,
-//     and there it must refuse: migration takes PT locks and an RCU
-//     barrier, both of which deadlock under a held PT lock.
-//   - Migrate runs the locked remap + copy for a batch of pinned
+//     and there it must refuse: a migration locks the space mapping its
+//     frame, which may be the caller's own or one whose lock holder waits
+//     on the caller — lock order between spaces.
+//   - Migrate runs the locked break + copy + remap for a batch of pinned
 //     candidates and returns one success flag per request. Its callers
 //     (MigrateFrame, CompactZone) hold no PT lock. It must not free Src or
 //     Dst: a successful remap takes Dst's allocation reference and drops

@@ -6,7 +6,8 @@ import "fmt"
 const (
 	advStart        = iota // enter the RCU read-side critical section
 	advTraverse            // lockless downward link reads
-	advLockCovering        // MCS-lock the covering candidate
+	advCover               // note the covering page's life, leave RCU
+	advLockCovering        // MCS-lock the noted life
 	advStaleCheck          // Figure 7 retry test
 	advDFS                 // preorder-lock all descendants
 	advBody                // transaction body (ops)
@@ -33,7 +34,7 @@ type advCore struct {
 	InRCU    bool
 	Unmapped bool  // unmapper: child removal done
 	RevIdx   uint8 // unmapper: rev_dfs progress through the removed subtree
-	Hinted   bool  // this start locks the last covered page, outside RCU
+	Hinted   bool  // this start locks the last covered page
 	Second   bool  // hinted locker: its second transaction has begun
 }
 
@@ -60,6 +61,13 @@ func (s advState) Key() string {
 // lockless RCU traversal, covering lock, stale retry, descendant DFS,
 // and the unmap path of Figures 6 and 7 — including the RCU monitor and
 // page reuse, so use-after-free and lost-update bugs are expressible.
+//
+// The covering lock is taken after the read section, as internal/core
+// does: the traversal notes the covering page's identity (page, Gen) —
+// its per-life state object — and leaves RCU at the cover step; the lock
+// is that life's. A life that has ended since is a dead state object that
+// no one holds and that reads stale forever, so locking it is legal and
+// takes the stale retry.
 type AdvModel struct {
 	Topo    *Topology
 	Targets []int
@@ -77,12 +85,9 @@ type AdvModel struct {
 	NoRCU bool
 
 	// Hinted gives every locker a second transaction that starts at
-	// advLockCovering on the page its first one covered, without entering
-	// RCU — the per-core cursor's hint. The hint names the page's identity
-	// (page, Gen) observed earlier; a retired generation is a dead state
-	// object that reads stale forever, so locking it is legal and takes
-	// the stale retry. (No page is ever re-linked here, so the hint is
-	// never coarser than a traversal's answer.)
+	// advLockCovering on the identity its first one covered, without a
+	// traversal — the per-core cursor's hint. (No page is ever re-linked
+	// here, so the hint is never coarser than a traversal's answer.)
 	Hinted bool
 	// HintByFrame (seeded bug) re-resolves the hint by page number, so a
 	// reused page's fresh state passes the stale check.
@@ -154,12 +159,9 @@ func (m *AdvModel) Next(st State) []Step {
 			nc := &n.Cores[c]
 			nc.InRCU = true
 			nc.Cur = 0
+			nc.PC = advTraverse
 			if target == 0 {
-				nc.Covering = 0
-				nc.ObsGen = n.Gen[0]
-				nc.PC = advLockCovering
-			} else {
-				nc.PC = advTraverse
+				nc.PC = advCover
 			}
 			out = append(out, Step{fmt.Sprintf("c%d:rcu_begin", c), n})
 
@@ -180,32 +182,41 @@ func (m *AdvModel) Next(st State) []Step {
 			if s.Linked[next] {
 				nc.Cur = int8(next)
 				if next == target {
-					nc.Covering = int8(next)
-					nc.ObsGen = n.Gen[next]
-					nc.PC = advLockCovering
+					nc.PC = advCover
 				}
 				out = append(out, Step{fmt.Sprintf("c%d:read(%d)", c, next), n})
 			} else {
-				nc.Covering = core.Cur
-				nc.ObsGen = n.Gen[cur]
-				nc.PC = advLockCovering
-				out = append(out, Step{fmt.Sprintf("c%d:cover(%d)", c, cur), n})
+				nc.PC = advCover
+				out = append(out, Step{fmt.Sprintf("c%d:stop(%d)", c, cur), n})
 			}
+
+		case advCover:
+			// Note the covering page's state object, still inside RCU, then
+			// leave the read section.
+			cur := int(core.Cur)
+			n := s
+			if s.Freed[cur] {
+				n.Bad = fmt.Sprintf("core %d resolves freed PT page %d (use-after-free)", c, cur)
+				out = append(out, Step{fmt.Sprintf("c%d:uaf_cover(%d)", c, cur), n})
+				break
+			}
+			nc := &n.Cores[c]
+			nc.Covering, nc.ObsGen, nc.InRCU = core.Cur, s.Gen[cur], false
+			nc.PC = advLockCovering
+			for q := range n.Snap {
+				n.Snap[q] &^= 1 << c
+			}
+			out = append(out, Step{fmt.Sprintf("c%d:cover(%d)", c, cur), n})
 
 		case advLockCovering:
 			p := int(core.Covering)
-			if core.Hinted && !m.HintByFrame && (s.Freed[p] || s.Gen[p] != core.ObsGen) {
-				// The hinted identity is retired: its dead state object is
-				// locked by no one and reads stale — retry from the root.
+			byFrame := core.Hinted && m.HintByFrame
+			if !byFrame && !m.NoStaleCheck && (s.Freed[p] || s.Gen[p] != core.ObsGen) {
+				// The noted life has ended: its dead state object is locked
+				// by no one and reads stale — retry from the root.
 				n := s
-				n.Cores[c] = advCore{PC: advStart, Cur: -1, Covering: -1, Second: true}
-				out = append(out, Step{fmt.Sprintf("c%d:hint_stale(%d)", c, p), n})
-				break
-			}
-			if s.Freed[p] && !core.Hinted {
-				n := s
-				n.Bad = fmt.Sprintf("core %d locks freed PT page %d (use-after-free)", c, p)
-				out = append(out, Step{fmt.Sprintf("c%d:uaf_lock(%d)", c, p), n})
+				n.Cores[c] = advCore{PC: advStart, Cur: -1, Covering: -1, Second: core.Second}
+				out = append(out, Step{fmt.Sprintf("c%d:dead(%d)", c, p), n})
 				break
 			}
 			if s.Lock[p] == -1 {
@@ -220,10 +231,10 @@ func (m *AdvModel) Next(st State) []Step {
 			n := s
 			nc := &n.Cores[c]
 			stale := s.Stale[p]
-			if core.Hinted && !m.HintByFrame {
-				// Outside RCU the hinted page may be freed and reused while
-				// its lock is held; the check reads the hint's own state
-				// object, and a retired generation's reads stale forever.
+			if !(core.Hinted && m.HintByFrame) {
+				// Outside RCU the page may be freed and reused while its lock
+				// is held; the check reads the noted life's own state object,
+				// and a retired generation's reads stale forever.
 				stale = stale || s.Gen[p] != core.ObsGen
 			}
 			if !m.NoStaleCheck && stale {
@@ -232,14 +243,10 @@ func (m *AdvModel) Next(st State) []Step {
 				if n.Lock[p] == int8(c) {
 					n.Lock[p] = -1
 				}
-				nc.InRCU = false
 				nc.Hinted = false
 				nc.PC = advStart
 				nc.Cur = -1
 				nc.Covering = -1
-				for q := range n.Snap {
-					n.Snap[q] &^= 1 << c
-				}
 				out = append(out, Step{fmt.Sprintf("c%d:stale_retry(%d)", c, p), n})
 				break
 			}
@@ -249,11 +256,7 @@ func (m *AdvModel) Next(st State) []Step {
 			case s.Gen[p] != core.ObsGen:
 				n.Bad = fmt.Sprintf("core %d transacts on reused PT page %d (lost update)", c, p)
 			default:
-				nc.InRCU = false
 				nc.PC = advDFS
-				for q := range n.Snap {
-					n.Snap[q] &^= 1 << c
-				}
 			}
 			out = append(out, Step{fmt.Sprintf("c%d:stale_ok(%d)", c, p), n})
 

@@ -13,7 +13,7 @@
 // Beyond the locking protocols, the package re-verifies the envelope of
 // the subsystems grown since: the lock-free TLB's staleness contract
 // (tlbspec.go), reclaim/transaction interference in rely-guarantee style
-// (reclaimspec.go), and the break-before-make migration window
+// (reclaimspec.go), and break-before-make migration
 // (migratespec.go). Each model carries seeded bugs the checker must
 // catch, and replay.go converts a counterexample trace into a
 // deterministic schedule against the real internal/tlb and internal/core

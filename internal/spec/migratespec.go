@@ -2,66 +2,60 @@ package spec
 
 import "fmt"
 
-// MigrateModel checks PR 9's break-before-make frame migration — two
-// locking transactions with one RCU grace period between them — at
-// byte-level precision on a single page with one concurrent writer and
-// one lockless reader:
+// MigrateModel checks break-before-make frame migration — one locking
+// transaction that breaks, waits one RCU grace period under its lock,
+// copies and remaps — at byte-level precision on a single page with one
+// concurrent writer and one lockless reader:
 //
-//	txn1: lock, validate (writable, not COW), protect to RO+COW,
-//	      shoot down, unlock
-//	grace: RCU barrier drains every in-flight lockless access
-//	txn2: lock, revalidate (still RO+COW — a COW fault in the window
-//	      means the copy would go stale), copy src→dst under the lock,
-//	      remap to dst, shoot down, unlock; free src after a second
-//	      grace period
+//	lock, validate (writable, not COW), protect to RO+COW, shoot down,
+//	grace: RCU barrier drains every in-flight lockless access,
+//	copy src→dst, remap to dst, shoot down, free src after a second
+//	grace period, unlock
 //
 // The writer models the real store path: use a cached writable
-// translation if one is live, otherwise walk, and on an RO+COW page
-// take the fault lock and upgrade in place (the self-healing path
-// aborts rely on). Stores and the migration copy are two-step
-// (start/end) so the checker sees real data races as overlapping
-// intervals — the same torn-read PR 9's -race tests chase.
+// translation if one is live, otherwise walk, and on an RO+COW page take
+// the fault lock — outside any read section, as cpusim.Machine.Access
+// runs its fault — and upgrade in place. Stores and the migration copy
+// are two-step (start/end) so the checker sees real data races as
+// overlapping intervals. The environment may fork the space before the
+// migrator locks while a store is still to come (the child gone, the page
+// is left RO+COW and exclusive): the check then refuses the page and the
+// writer's fault heals it, so both outcomes are reachable.
 //
 // Checked guarantees: no store or copy interval ever overlaps on the
 // source frame (no torn bytes), the Armv8-A break-before-make rule —
 // never install the new mapping while any core still holds a live
 // writable translation of the old one (encoded as a guard on m:remap),
-// aborts always leave the page RO+COW or healed (globally: a
-// non-writable PTE is always COW), the source frame is never freed
-// while mapped or mid-access, and every quiescent terminal state is
-// coherent (the mapped frame holds the last value written).
+// a non-writable PTE is always COW (healable), the source frame is never
+// freed while mapped or mid-access, every quiescent terminal state is
+// coherent (the mapped frame holds the last value written), and no
+// interleaving deadlocks.
 //
-// Seeded bugs: CopyBetweenTxns copies in the unlocked window between
-// the transactions (the exact bug the two-transaction design exists to
-// prevent); OneTxn copies and remaps in the first transaction, with no
-// protect and no barrier (collapse before it became a move); SkipBarrier starts txn2 without draining in-flight lockless
-// accesses; SkipBBMInvalidate remaps without the txn1 shootdown;
-// SkipRevalidate trusts the txn1 validation; FreeBeforeShootdown frees
-// the source before the txn2 shootdown.
+// Seeded bugs: OneTxn copies and remaps with no protect and no barrier
+// (copy before break); SkipBarrier copies without draining in-flight
+// lockless accesses; SkipBBMInvalidate skips the break's shootdown;
+// FreeBeforeShootdown frees the source before the remap's shootdown;
+// LockInReadSection has the writer wait for the fault lock inside its
+// read section (Figure 6's order), which deadlocks against a barrier
+// taken under that lock.
 type MigrateModel struct {
 	// Writes is the writer's script length (stores of 1..Writes).
 	Writes uint8
 
-	CopyBetweenTxns     bool
 	OneTxn              bool
 	SkipBarrier         bool
 	SkipBBMInvalidate   bool
-	SkipRevalidate      bool
 	FreeBeforeShootdown bool
+	LockInReadSection   bool
 }
 
 // Migrator program counter.
 const (
-	mLock1 uint8 = iota
+	mLock uint8 = iota
 	mValidate
 	mProtect
 	mShoot1
-	mUnlock1
 	mBarrier
-	mCopyStartEarly // CopyBetweenTxns only
-	mCopyEndEarly
-	mLock2
-	mRevalidate
 	mCopyStart
 	mCopyEnd
 	mRemap
@@ -110,9 +104,12 @@ type mgState struct {
 	WPC       uint8
 	WCount    uint8
 	WInflight int8 // frame a store interval is open on, -1 none
+	WInRCU    bool // the writer waits for the fault lock in a read section
 
 	RPC       uint8 // 0 walk, 1 read, 2 done
 	RInflight int8
+
+	Forked bool
 
 	Bad string
 }
@@ -141,6 +138,14 @@ func (m *MigrateModel) Next(st State) []Step {
 	steps = append(steps, m.migratorSteps(s)...)
 	steps = append(steps, m.writerSteps(s)...)
 	steps = append(steps, m.readerSteps(s)...)
+	if s.MPC == mLock && s.Lock == -1 && !s.Forked && s.WPC == wIdle && s.WCount < m.Writes {
+		// A fork whose child has exited: the page is write-protected and
+		// shot down, still mapped exclusively.
+		n := s
+		n.PW, n.PCOW, n.Forked = false, true, true
+		n.Cache = [2]mgTrans{}
+		steps = append(steps, Step{"e:fork", n})
+	}
 	return steps
 }
 
@@ -148,12 +153,12 @@ func (m *MigrateModel) migratorSteps(s mgState) []Step {
 	var steps []Step
 	one := func(label string, n mgState) { steps = append(steps, Step{label, n}) }
 	switch s.MPC {
-	case mLock1:
+	case mLock:
 		if s.Lock == -1 {
 			n := s
 			n.Lock = 0
 			n.MPC = mValidate
-			one("m:lock1", n)
+			one("m:lock", n)
 		}
 	case mValidate:
 		n := s
@@ -166,7 +171,7 @@ func (m *MigrateModel) migratorSteps(s mgState) []Step {
 		} else {
 			n.Lock = -1
 			n.MPC = mAborted
-			one("m:abort1", n)
+			one("m:abort", n)
 		}
 	case mProtect:
 		n := s
@@ -180,68 +185,17 @@ func (m *MigrateModel) migratorSteps(s mgState) []Step {
 			n.Cache[0] = mgTrans{}
 			n.Cache[1] = mgTrans{}
 		}
-		n.MPC = mUnlock1
-		one("m:shoot1", n)
-	case mUnlock1:
-		n := s
-		n.Lock = -1
 		n.MPC = mBarrier
-		one("m:unlock1", n)
+		one("m:shoot1", n)
 	case mBarrier:
-		// The RCU barrier returns only once every in-flight lockless
-		// access has drained.
-		if m.SkipBarrier || (s.WInflight == -1 && s.RInflight == -1) {
+		// The RCU barrier, under the lock, returns only once every
+		// in-flight lockless access has drained and no read section is
+		// open.
+		if m.SkipBarrier || (s.WInflight == -1 && s.RInflight == -1 && !s.WInRCU) {
 			n := s
-			if m.CopyBetweenTxns {
-				n.MPC = mCopyStartEarly
-			} else {
-				n.MPC = mLock2
-			}
+			n.MPC = mCopyStart
 			one("m:barrier", n)
 		}
-	case mCopyStartEarly:
-		n := s
-		if n.WInflight == 0 {
-			n.Bad = "copy raced an in-flight store on the source frame"
-		}
-		n.CopyActive = true
-		n.CopyVal = n.Phys[0]
-		n.MPC = mCopyEndEarly
-		one("m:copy_start", n)
-	case mCopyEndEarly:
-		n := s
-		if n.WInflight == 0 {
-			n.Bad = "copy raced an in-flight store on the source frame"
-		}
-		n.Phys[1] = n.CopyVal
-		n.CopyActive = false
-		n.MPC = mLock2
-		one("m:copy_end", n)
-	case mLock2:
-		if s.Lock == -1 {
-			n := s
-			n.Lock = 0
-			n.MPC = mRevalidate
-			one("m:lock2", n)
-		}
-	case mRevalidate:
-		n := s
-		if !m.SkipRevalidate && !(n.PFrame == 0 && !n.PW && n.PCOW) {
-			if n.PFrame == 0 && n.PCOW {
-				// Still write-protected by txn1: give the write back.
-				n.PW, n.PCOW = true, false
-			}
-			n.Lock = -1
-			n.MPC = mAborted
-			one("m:abort2", n)
-			break
-		}
-		if m.CopyBetweenTxns {
-			n.MPC = mRemap // copy already done in the window
-		} else {
-			n.MPC = mCopyStart
-		}
-		one("m:revalidate", n)
 	case mCopyStart:
 		n := s
 		if n.WInflight == 0 {
@@ -330,6 +284,7 @@ func (m *MigrateModel) writerSteps(s mgState) []Step {
 			one("w:walk_rw", n)
 		} else {
 			n.WPC = wLockWait
+			n.WInRCU = m.LockInReadSection
 			one("w:walk_cow", n)
 		}
 	case wStore:
@@ -355,14 +310,14 @@ func (m *MigrateModel) writerSteps(s mgState) []Step {
 		if s.Lock == -1 {
 			n := s
 			n.Lock = 1
+			n.WInRCU = false
 			n.WPC = wUpgrade
 			one("w:fault_lock", n)
 		}
 	case wUpgrade:
-		// The COW fault: the page is exclusive, so upgrade in place —
-		// the self-healing path a migration abort leaves behind. If a
-		// completed migration got here first the PTE is already
-		// writable again.
+		// The COW fault: the page is exclusive, so upgrade in place. If a
+		// completed migration got here first the PTE is already writable
+		// again.
 		n := s
 		if !n.PW {
 			n.PW = true

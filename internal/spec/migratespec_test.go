@@ -2,10 +2,10 @@ package spec
 
 import "testing"
 
-// The clean break-before-make protocol: two-transaction migration vs a
+// The clean break-before-make protocol: one-transaction migration vs a
 // COW-upgrading writer vs a lockless reader, every interleaving. No
-// torn copy, no BBM violation, aborts self-heal, terminal states
-// coherent.
+// torn copy, no BBM violation, no deadlock, refused pages self-heal,
+// terminal states coherent.
 func TestMigrateBBMClean(t *testing.T) {
 	if res := runCase(t, "bbm", "migration", ""); res.States < 100 {
 		t.Errorf("suspiciously small state space (%d)", res.States)
@@ -13,8 +13,9 @@ func TestMigrateBBMClean(t *testing.T) {
 }
 
 // Both outcomes must be reachable in the clean model: a completed
-// migration and an abort healed by the COW fault path. A model where
-// aborts are unreachable would vacuously satisfy the abort invariants.
+// migration and an abort (the check refusing a forked, copy-on-write
+// page) healed by the COW fault path. A model where aborts are
+// unreachable would vacuously satisfy the abort invariants.
 func TestMigrateAbortReachable(t *testing.T) {
 	c, ok := Find("bbm", "migration", "")
 	if !ok {
@@ -50,29 +51,25 @@ func TestMigrateAbortReachable(t *testing.T) {
 	}
 }
 
-// Copying in the unlocked window between the transactions races the
-// writer's COW-upgraded store — the torn-copy bug the two-transaction
-// design exists to prevent.
-func TestMigrateCopyBetweenTxnsCaught(t *testing.T) {
-	runCase(t, "bbm", "migration", "copy-between-txns")
-}
-
 // Skipping the RCU barrier lets the copy overlap an in-flight lockless
-// store that started before the txn1 shootdown.
+// store that started before the break's shootdown.
 func TestMigrateSkipBarrierCaught(t *testing.T) { runCase(t, "bbm", "migration", "skip-barrier") }
 
-// Remapping without the txn1 shootdown violates Armv8-A break-before-
+// Remapping without the break's shootdown violates Armv8-A break-before-
 // make: a core still holds a live writable translation of the source.
 func TestMigrateSkipBBMInvalidateCaught(t *testing.T) {
 	runCase(t, "bbm", "migration", "skip-bbm-invalidate")
 }
 
-// Trusting the txn1 validation misses a COW fault that upgraded the
-// page in the window.
-func TestMigrateSkipRevalidateCaught(t *testing.T) { runCase(t, "bbm", "migration", "skip-revalidate") }
-
-// Freeing the source before the txn2 shootdown leaves the reader's
+// Freeing the source before the remap's shootdown leaves the reader's
 // cached translation pointing at a freed frame.
 func TestMigrateFreeBeforeShootdownCaught(t *testing.T) {
 	runCase(t, "bbm", "migration", "free-before-shootdown")
+}
+
+// A writer that waits for the fault lock inside its read section stalls
+// the barrier the migrator waits for under that lock: the checker must
+// report the deadlock.
+func TestMigrateLockInReadSectionCaught(t *testing.T) {
+	runCase(t, "bbm", "migration", "lock-in-read-section")
 }

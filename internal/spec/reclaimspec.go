@@ -13,9 +13,9 @@ import "fmt"
 //     rounds) or unwind every undo record, retry once, then return
 //     ENOMEM — PR 5's self-unwinding retry loop.
 //   - R (core 1) is the background sweep: clock hand over all VAs,
-//     second-chance A-bit clear, swap writeback submitted to an async
-//     queue (env decides completion, like aio Reap), and only on a
-//     completed write unmap-then-free through the RCU monitor.
+//     second-chance A-bit clear, swap write submitted (env decides
+//     whether it succeeds), and only on a completed write
+//     unmap-then-free through the RCU monitor.
 //   - D (core 2) is a lockless RCU reader: enters a read section,
 //     loads a mapping, dereferences the frame, exits.
 //
