@@ -91,9 +91,10 @@ func numaBalance(m *cpusim.Machine, a *core.AddrSpace, pages int) (map[string]fl
 		return nil, err
 	}
 	m.Phys.SetAllocPolicy(nil)
-	core.AttachCompaction(m, core.CompactConfig{
+	d := core.AttachCompaction(m, core.CompactConfig{
 		ScanSpans: -1, FragThreshold: -1, NumaStreak: 4,
-	}).Register(a)
+	})
+	d.Register(a)
 
 	isa := arch.X8664{}
 	localFrac := func() float64 {
@@ -121,7 +122,7 @@ func numaBalance(m *cpusim.Machine, a *core.AddrSpace, pages int) (map[string]fl
 	}
 	return map[string]float64{
 		"local_before": before, "local_after": localFrac(),
-		"numa_migrations": float64(m.Phys.MigrationStatsTotal().NumaMigrations),
+		"numa_migrations": float64(d.Stats().NumaMoves),
 	}, nil
 }
 

@@ -149,7 +149,7 @@ func thpPoint(m *cpusim.Machine, a *core.AddrSpace, d *core.Daemon, physFrames, 
 	// trigger direct compaction, and those runs belong in the row.
 	out["frag_index"] = m.Phys.FragIndex(0, arch.IndexBits)
 	out["demotions"] = float64(a.Stats().Demotions.Load())
-	out["migrated"] = float64(m.Phys.MigrationStatsTotal().Migrated)
+	out["migrated"] = float64(m.Phys.MigrationStats().Migrated)
 	cs := d.Stats()
 	out["promotions"] = float64(cs.Promotions)
 	out["direct_runs"] = float64(cs.DirectRuns)

@@ -129,9 +129,7 @@ func (d *Daemon) backgroundCompact(core int, cfg *CompactConfig) {
 		return
 	}
 	defer d.compacting[node].Store(false)
-	if d.m.Phys.CompactZone(core, node, compactPages) > 0 {
-		d.bgRuns.Add(1)
-	}
+	d.m.Phys.CompactZone(core, node, compactPages)
 }
 
 // numaBalance probes a window of the frame table for pages with a
@@ -150,8 +148,9 @@ func (d *Daemon) numaBalance(core int, cfg *CompactConfig) {
 	for i := 0; i < numaScan; i++ {
 		pfn := arch.PFN((start + i) % n)
 		if node, ok := phys.NumaCandidate(pfn, cfg.NumaStreak); ok {
-			d.numaMoves.Add(1)
-			_ = phys.MigrateFrameTo(core, pfn, node)
+			if phys.MigrateFrame(core, pfn, node) == nil {
+				d.numaMoves.Add(1)
+			}
 		}
 	}
 }

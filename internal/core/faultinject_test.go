@@ -134,7 +134,7 @@ var faultOps = []faultOp{
 				if !ok {
 					t.Fatal("migrate target not mapped")
 				}
-				if err := a.m.Phys.MigrateFrame(0, a.isa.PFNOf(pte)); err != nil {
+				if err := a.m.Phys.MigrateFrame(0, a.isa.PFNOf(pte), 0); err != nil {
 					return err
 				}
 				if b, lerr := a.Load(0, va); lerr != nil || b != 42 {

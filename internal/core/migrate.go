@@ -1,8 +1,9 @@
 package core
 
 // Frame migration, core side: the Daemon's Migrate, which the physical
-// allocator calls. The mem layer discovers and pins candidates; each one
-// is a one-page move (move.go) into the frame mem allocated for it.
+// allocator's one migration path calls. The mem layer discovers and
+// pins a candidate; it is a one-page move (move.go) into the frame mem
+// allocated for it.
 
 import (
 	"runtime"
@@ -11,23 +12,17 @@ import (
 	"cortenmm/internal/mem"
 )
 
-// Migrate implements mem.Pressure: one move per pinned candidate, each
-// with its own grace period.
-func (d *Daemon) Migrate(core int, reqs []mem.MigrateReq) []bool {
-	res := make([]bool, len(reqs))
-	for i, req := range reqs {
-		a, _ := req.Owner.(*AddrSpace)
-		if a == nil || !a.migrateEnter() {
-			continue
-		}
-		// The source's references are its mapping and the scanner's pin.
-		mv := move{a: a, core: core, va: arch.Vaddr(req.VA), level: 1, dst: req.Dst, ref: 2, src: []arch.PFN{req.Src}}
-		if res[i] = mv.run() == nil; res[i] {
-			a.m.TLB.NoteMigration()
-		}
-		a.migrateExit()
+// Migrate implements mem.Pressure: one move of a pinned candidate into
+// the frame mem allocated for it, with its own grace period.
+func (d *Daemon) Migrate(core int, req mem.MigrateReq) bool {
+	a, _ := req.Owner.(*AddrSpace)
+	if a == nil || !a.migrateEnter() {
+		return false
 	}
-	return res
+	defer a.migrateExit()
+	// The source's references are its mapping and the scanner's pin.
+	mv := move{a: a, core: core, va: arch.Vaddr(req.VA), level: 1, dst: req.Dst, ref: 2, src: []arch.PFN{req.Src}}
+	return mv.run() == nil
 }
 
 // migrateEnter gates a daemon operation on this space: it

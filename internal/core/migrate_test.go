@@ -97,7 +97,7 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 		default:
 			for i := 0; i < pages; i++ {
 				if pte, _, ok := a.tree.Walk(pageVA(i)); ok {
-					_ = m.Phys.MigrateFrame(0, a.isa.PFNOf(pte))
+					_ = m.Phys.MigrateFrame(0, a.isa.PFNOf(pte), 0)
 				}
 			}
 			continue
@@ -116,7 +116,7 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 			t.Errorf("page %d final value %d, %v; want %d", i, v, err, rounds)
 		}
 	}
-	if st := m.Phys.MigrationStatsTotal(); st.Migrated == 0 {
+	if st := m.Phys.MigrationStats(); st.Migrated == 0 {
 		t.Errorf("no migration ever completed (attempted %d)", st.Attempted)
 	}
 	a.Destroy(0)
@@ -225,7 +225,7 @@ func TestMigrationKeepsReadOnlyPageReadOnly(t *testing.T) {
 		t.Fatal("page not mapped after populate")
 	}
 	src := a.isa.PFNOf(pte)
-	parked, done := parkAfterBarrier(t, func() error { return m.Phys.MigrateFrame(0, src) })
+	parked, done := parkAfterBarrier(t, func() error { return m.Phys.MigrateFrame(0, src, 0) })
 	defer fault.MigratePostBarrier.Disarm()
 	if pte, _, ok := a.tree.Walk(va); !ok || a.isa.PermOf(pte) != arch.PermRead {
 		t.Errorf("window: mapped=%v perm %v, want read-only without COW", ok, a.isa.PermOf(pte))

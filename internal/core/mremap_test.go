@@ -75,7 +75,7 @@ func TestMremapKeepsPagesMovable(t *testing.T) {
 				if !ok {
 					t.Fatalf("%#x not mapped", at)
 				}
-				if err := m.Phys.MigrateFrame(0, a.isa.PFNOf(pte)); err != nil {
+				if err := m.Phys.MigrateFrame(0, a.isa.PFNOf(pte), 0); err != nil {
 					t.Fatalf("MigrateFrame of the page at %#x: %v", at, err)
 				}
 			}

@@ -217,7 +217,7 @@ func TestHintStaleNeverTrusted(t *testing.T) {
 	// hint's or the revalidation's doing.
 	migrate := func(pfn arch.PFN) error {
 		m.Quiesce()
-		return m.Phys.MigrateFrame(0, pfn)
+		return m.Phys.MigrateFrame(0, pfn, 0)
 	}
 	mapOne := func(b byte) arch.PFN {
 		t.Helper()

@@ -110,7 +110,6 @@ type Daemon struct {
 	promotions    atomic.Uint64
 	directRuns    atomic.Uint64
 	directRefused atomic.Uint64
-	bgRuns        atomic.Uint64
 	numaMoves     atomic.Uint64
 }
 
@@ -132,8 +131,7 @@ type DaemonStats struct {
 	Promotions    uint64 // successful CollapseHuge calls
 	DirectRuns    uint64 // direct-compaction passes run for the allocator
 	DirectRefused uint64 // direct compaction refused (caller inside a txn)
-	BgRuns        uint64 // background compaction passes that moved pages
-	NumaMoves     uint64 // NUMA-balancing migrations attempted
+	NumaMoves     uint64 // pages the NUMA balancer moved
 }
 
 // Stats snapshots the daemon's counters.
@@ -153,7 +151,6 @@ func (d *Daemon) Stats() DaemonStats {
 		Promotions:    d.promotions.Load(),
 		DirectRuns:    d.directRuns.Load(),
 		DirectRefused: d.directRefused.Load(),
-		BgRuns:        d.bgRuns.Load(),
 		NumaMoves:     d.numaMoves.Load(),
 	}
 }

@@ -187,7 +187,7 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 	migrated, stored := make(chan error, 1), make(chan error, 1)
 	r := spec.NewReplayer()
 	r.BindStart("m:lock", "migrator", func(string) error {
-		migrated <- m.Phys.MigrateFrame(0, src)
+		migrated <- m.Phys.MigrateFrame(0, src, 0)
 		return nil
 	})
 	r.Bind("m:shoot1", "main", func(string) error {
@@ -232,7 +232,7 @@ func TestReplayMigrationTornCopy(t *testing.T) {
 	if err := r.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Phys.MigrationStatsTotal(); st.Migrated != 1 {
+	if st := m.Phys.MigrationStats(); st.Migrated != 1 {
 		t.Fatalf("%d migrations completed, want 1", st.Migrated)
 	}
 	pte, _, ok = a.tree.Walk(va)

@@ -69,7 +69,7 @@ func TestCachedPageFollowsFrame(t *testing.T) {
 
 			old := pfnOf(va)
 			load(1, va)
-			if err := m.Phys.MigrateFrame(0, old); err != nil {
+			if err := m.Phys.MigrateFrame(0, old, 0); err != nil {
 				t.Fatalf("migrate: %v", err)
 			}
 			if pfnOf(va) == old {

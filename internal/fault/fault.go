@@ -72,9 +72,10 @@ var (
 	MemAllocBatch = New("mem.alloc-batch")
 	// MemAllocHuge fails PhysMem.AllocFrames (order > 0).
 	MemAllocHuge = New("mem.alloc-huge")
-	// MemMigrateCopy fails a frame migration before the copy/remap runs:
-	// single migrations return an OOM-class error, compaction skips the
-	// candidate. Either way the source page stays mapped and intact.
+	// MemMigrateCopy fails a frame migration before the copy/remap runs.
+	// Its one site is mem's migration path, PhysMem.migrate: it returns an
+	// OOM-class error (compaction skips the candidate), and the source
+	// page stays mapped and intact.
 	MemMigrateCopy = New("mem.migrate-copy")
 	// SwapWrite fails BlockDev.Write, the swap-out I/O path.
 	SwapWrite = New("swap.write")

@@ -300,41 +300,34 @@ func (b *buddy) freeCount() uint64 { return uint64(b.nfree.Load()) }
 // the given order (lock-free).
 func (b *buddy) freeBlocksAt(order int) int64 { return b.nfreeOrd[order].Load() }
 
-// allocHighFrames harvests up to len(out) order-0 frames from the
-// high-PFN end of the zone: it scans downward for free blocks of order
-// below dontSplit, reinterprets each as independent order-0 frames and
-// keeps as many as still needed, freeing the surplus back (where they
-// re-coalesce). Compaction uses these as migration targets: pulling
-// targets from high PFNs while evacuating low PFNs is what lets low
-// blocks re-form. Blocks of order >= dontSplit are left intact — they
-// are the goal, not raw material. Returns the number of frames written
-// to out (absolute PFNs, zone-local by construction).
-func (b *buddy) allocHighFrames(out []arch.PFN, dontSplit int) int {
+// allocHighFrame takes the highest free frame strictly above the
+// absolute PFN above that lies in a free block of order below dontSplit,
+// freeing the rest of that block back (where it re-coalesces), and
+// reports false when no such frame exists. Compaction uses it for
+// migration targets: pulling targets from high PFNs while evacuating low
+// PFNs is what lets low blocks re-form. Blocks of order >= dontSplit are
+// left intact — they are the goal, not raw material.
+func (b *buddy) allocHighFrame(above arch.PFN, dontSplit int) (arch.PFN, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	defer b.publish()
-	got := 0
-	for pfn := int(b.highestFree()); pfn >= 0 && got < len(out); pfn-- {
+	// Blocks are disjoint, so the first eligible head met top-down heads
+	// the block holding the highest eligible frame.
+	for pfn := b.highestFree(); pfn >= 0; pfn-- {
 		if !b.isFree[pfn] || int(b.order[pfn]) >= dontSplit {
 			continue
 		}
 		o := int(b.order[pfn])
-		head := int32(pfn)
-		b.unlink(head, o)
-		// Reinterpret the block as 2^o independent order-0 frames, kept
-		// from the top down so targets stay as high as possible.
-		for i := 1<<o - 1; i >= 0; i-- {
-			f := head + int32(i)
-			b.order[f] = 0
-			if got < len(out) {
-				out[got] = arch.PFN(f) + arch.PFN(b.base)
-				got++
-			} else {
-				b.freeLocked(f, 0)
-			}
+		top := pfn + 1<<o - 1
+		if arch.PFN(top+b.base) <= above {
+			return 0, false
 		}
+		b.unlink(pfn, o)
+		b.freeRun(pfn, 1<<o-1)
+		b.order[top] = 0
+		return arch.PFN(top + b.base), true
 	}
-	return got
+	return 0, false
 }
 
 // forEachFree visits every free block (absolute head PFN + order) under

@@ -9,6 +9,7 @@ package mem
 // like the file reverse maps of §4.5.
 
 import (
+	"errors"
 	"fmt"
 
 	"cortenmm/internal/arch"
@@ -56,19 +57,11 @@ func (m *PhysMem) pinCandidate(core int, src arch.PFN) (owner any, va uint64, ok
 	return owner, va, true
 }
 
-// MigrateFrame moves one movable frame to the calling core's preferred
-// node — the generic single-frame entry point.
-func (m *PhysMem) MigrateFrame(core int, src arch.PFN) error {
-	return m.migrateFrameTo(core, src, m.preferredNode(core), false)
-}
-
-// MigrateFrameTo moves one movable frame to the given node (the
-// NUMA-balancing path: node is the sustained accessor's home).
-func (m *PhysMem) MigrateFrameTo(core int, src arch.PFN, node int) error {
-	return m.migrateFrameTo(core, src, node, true)
-}
-
-func (m *PhysMem) migrateFrameTo(core int, src arch.PFN, node int, numa bool) error {
+// migrate is the one migration path: it pins src, counts the attempt,
+// takes a target from target and hands the pair to the Pressure's
+// Migrate, then drops the pin and frees a target the move did not
+// consume. Every migration, single or compacting, runs through it.
+func (m *PhysMem) migrate(core int, src arch.PFN, target func() (arch.PFN, error)) error {
 	p := m.Pressure()
 	if p == nil {
 		return ErrNotMovable
@@ -77,46 +70,48 @@ func (m *PhysMem) migrateFrameTo(core int, src arch.PFN, node int, numa bool) er
 	if !ok {
 		return ErrNotMovable
 	}
-	z := &m.zones[m.zoneOf(src)]
-	z.migAttempted.Add(1)
+	defer m.Put(core, src) // drop the scanner pin
+	m.migAttempted.Add(1)
 	if fault.MemMigrateCopy.Fire() {
-		m.Put(core, src)
-		z.migFailed.Add(1)
+		m.migFailed.Add(1)
 		return fault.MemMigrateCopy.Errorf(ErrOutOfMemory)
 	}
-	dst, err := m.AllocFrameOn(core, node, KindAnon)
+	dst, err := target()
 	if err != nil {
-		m.Put(core, src)
-		z.migFailed.Add(1)
+		m.migFailed.Add(1)
 		return err
 	}
-	res := p.Migrate(core, []MigrateReq{{Owner: owner, VA: va, Src: src, Dst: dst}})
-	m.Put(core, src) // drop the scanner pin
-	if len(res) == 1 && res[0] {
-		z.migMigrated.Add(1)
-		if numa {
-			z.migNuma.Add(1)
-		}
-		return nil
+	if !p.Migrate(core, MigrateReq{Owner: owner, VA: va, Src: src, Dst: dst}) {
+		m.Put(core, dst)
+		m.migFailed.Add(1)
+		return ErrNotMovable
 	}
-	m.Put(core, dst)
-	z.migFailed.Add(1)
-	return ErrNotMovable
+	m.migMigrated.Add(1)
+	return nil
 }
 
-// compactChunk bounds how many migrations share one Migrate call.
-const compactChunk = 64
+// MigrateFrame moves one movable frame to node (the NUMA balancer passes
+// the sustained accessor's home).
+func (m *PhysMem) MigrateFrame(core int, src arch.PFN, node int) error {
+	return m.migrate(core, src, func() (arch.PFN, error) {
+		return m.AllocFrameOn(core, node, KindAnon)
+	})
+}
+
+// errNoTarget ends a compaction pass: no free frame lies above the
+// candidate.
+var errNoTarget = fmt.Errorf("mem: no compaction target above the candidate")
 
 // CompactZone runs one compaction pass over node's zone: it walks PFNs
-// from the low end pinning movable pages, pulls migration targets from
-// the high end of the same zone's buddy (allocHighFrames never splits a
-// block of hugeOrder or above — those are the goal), and migrates each
-// candidate strictly upward so the vacated low frames coalesce back
-// into high-order blocks. maxPages bounds the work (<=0 means the whole
-// zone). Returns the number of pages migrated.
+// from the low end, one movable candidate at a time, and migrates each
+// into the highest free frame strictly above it (allocHighFrame never
+// splits a block of hugeOrder or above — those are the goal), so the
+// vacated low frames coalesce back into high-order blocks. Sources
+// ascend and targets descend, so the pass ends at the first candidate
+// with nothing free above it. maxPages bounds the work (<=0 means the
+// whole zone). Returns the number of pages migrated.
 func (m *PhysMem) CompactZone(core, node, maxPages int) int {
-	p := m.Pressure()
-	if p == nil {
+	if m.Pressure() == nil {
 		return 0
 	}
 	z := &m.zones[node]
@@ -124,58 +119,19 @@ func (m *PhysMem) CompactZone(core, node, maxPages int) int {
 		maxPages = int(z.frames())
 	}
 	migrated := 0
-	var targets [compactChunk]arch.PFN
-	pfn := z.base
-	for pfn < z.limit && migrated < maxPages {
-		want := min(compactChunk, maxPages-migrated)
-		reqs := make([]MigrateReq, 0, want)
-		for ; pfn < z.limit && len(reqs) < want; pfn++ {
-			owner, va, ok := m.pinCandidate(core, pfn)
+	for pfn := z.base; pfn < z.limit && migrated < maxPages; pfn++ {
+		err := m.migrate(core, pfn, func() (arch.PFN, error) {
+			dst, ok := z.buddy.allocHighFrame(pfn, hugeOrder)
 			if !ok {
-				continue
+				return 0, errNoTarget
 			}
-			z.migAttempted.Add(1)
-			if fault.MemMigrateCopy.Fire() {
-				z.migFailed.Add(1)
-				m.Put(core, pfn)
-				continue
-			}
-			reqs = append(reqs, MigrateReq{Owner: owner, VA: va, Src: pfn})
-		}
-		if len(reqs) == 0 {
-			continue
-		}
-		got := z.buddy.allocHighFrames(targets[:len(reqs)], hugeOrder)
-		// Pair low sources with high targets; a candidate whose target
-		// would not sit strictly above it gains nothing — unpin it and
-		// hand the target back.
-		run := 0
-		for i, req := range reqs {
-			if i < got && targets[i] > req.Src {
-				m.initFrames(KindAnon, 0, nil, targets[i])
-				reqs[i].Dst = targets[i]
-				run++
-			} else {
-				m.Put(core, req.Src)
-				if i < got {
-					z.buddy.free(targets[i], 0)
-				}
-			}
-		}
-		if run == 0 {
-			break // no usable high holes remain; further scanning is futile
-		}
-		reqs = reqs[:run]
-		res := p.Migrate(core, reqs)
-		for i, req := range reqs {
-			m.Put(core, req.Src) // drop the scanner pin
-			if i < len(res) && res[i] {
-				z.migMigrated.Add(1)
-				migrated++
-			} else {
-				z.migFailed.Add(1)
-				m.Put(core, req.Dst)
-			}
+			m.initFrames(KindAnon, 0, nil, dst)
+			return dst, nil
+		})
+		if err == nil {
+			migrated++
+		} else if errors.Is(err, errNoTarget) {
+			break
 		}
 	}
 	return migrated
@@ -236,34 +192,15 @@ type MigrationStats struct {
 	// failed the check under the lock, hit fault injection, or could not
 	// get a target frame.
 	Attempted, Migrated, Failed uint64
-	// NumaMigrations is the subset of Migrated done to chase an
-	// accessor's node rather than to defragment.
-	NumaMigrations uint64
 }
 
-// NodeMigrationStats snapshots node's migration counters (attributed to
-// the source frame's zone).
-func (m *PhysMem) NodeMigrationStats(node int) MigrationStats {
-	z := &m.zones[node]
+// MigrationStats snapshots the machine's migration counters.
+func (m *PhysMem) MigrationStats() MigrationStats {
 	return MigrationStats{
-		Attempted:      z.migAttempted.Load(),
-		Migrated:       z.migMigrated.Load(),
-		Failed:         z.migFailed.Load(),
-		NumaMigrations: z.migNuma.Load(),
+		Attempted: m.migAttempted.Load(),
+		Migrated:  m.migMigrated.Load(),
+		Failed:    m.migFailed.Load(),
 	}
-}
-
-// MigrationStatsTotal sums migration telemetry across all zones.
-func (m *PhysMem) MigrationStatsTotal() MigrationStats {
-	var t MigrationStats
-	for n := range m.zones {
-		s := m.NodeMigrationStats(n)
-		t.Attempted += s.Attempted
-		t.Migrated += s.Migrated
-		t.Failed += s.Failed
-		t.NumaMigrations += s.NumaMigrations
-	}
-	return t
 }
 
 // FreeByOrder returns node's free-block count per buddy order

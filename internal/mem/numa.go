@@ -31,15 +31,6 @@ type zone struct {
 	// lowWater/minWater are this zone's share of the global watermarks.
 	lowWater atomic.Uint64
 	minWater atomic.Uint64
-	// localAllocs/remoteAllocs count frames this zone handed to cores
-	// whose home node is / is not this zone's node.
-	localAllocs  atomic.Uint64
-	remoteAllocs atomic.Uint64
-	// migration telemetry (per zone of the *source* frame).
-	migAttempted atomic.Uint64
-	migMigrated  atomic.Uint64
-	migFailed    atomic.Uint64
-	migNuma      atomic.Uint64 // subset of migMigrated done for NUMA locality
 }
 
 // frames returns the zone's total frame count.

@@ -236,12 +236,11 @@ type RMapRef struct {
 //     and there it must refuse: a migration locks the space mapping its
 //     frame, which may be the caller's own or one whose lock holder waits
 //     on the caller — lock order between spaces.
-//   - Migrate runs the locked break + copy + remap for a batch of pinned
-//     candidates and returns one success flag per request. Its callers
-//     (MigrateFrame, CompactZone) hold no PT lock. It must not free Src or
-//     Dst: a successful remap takes Dst's allocation reference and drops
-//     Src's mapping reference; the caller drops its pin and frees Dst on
-//     failure.
+//   - Migrate runs the locked break + copy + remap for one pinned
+//     candidate and reports whether it moved. Its one caller, migrate,
+//     holds no PT lock. It must not free Src or Dst: a successful remap
+//     takes Dst's allocation reference and drops Src's mapping reference;
+//     the caller drops its pin and frees Dst on failure.
 //   - Tick is the background work of a timer tick, run on the ticking core
 //     after its deferred work. OpTick fires before a transaction begins,
 //     so Tick never runs inside one.
@@ -249,7 +248,7 @@ type Pressure interface {
 	Reclaim(core, node, target int) int
 	Kick(node int)
 	Compact(core, node, order int) bool
-	Migrate(core int, reqs []MigrateReq) []bool
+	Migrate(core int, req MigrateReq) bool
 	Tick(core int)
 }
 
@@ -294,6 +293,10 @@ type PhysMem struct {
 	minWater atomic.Uint64
 	// pressure is the installed Pressure, if any (SetPressure).
 	pressure atomic.Pointer[Pressure]
+	// Migration telemetry (MigrationStats).
+	migAttempted atomic.Uint64
+	migMigrated  atomic.Uint64
+	migFailed    atomic.Uint64
 	// numaTrack gates NoteAccess streak accounting (off unless NUMA
 	// balancing is configured, keeping the hot translate path cheap).
 	numaTrack atomic.Bool

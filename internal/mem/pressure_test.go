@@ -104,11 +104,13 @@ func TestAllocFramesDrainsPCP(t *testing.T) {
 	}
 }
 
-// fakePressure is a Pressure whose Reclaim and Kick are the test's own
-// functions (a nil kick ignores kicks); it compacts and migrates nothing.
+// fakePressure is a Pressure whose Reclaim, Kick and Migrate are the
+// test's own functions (a nil kick ignores kicks, a nil migrate moves
+// nothing); it compacts nothing.
 type fakePressure struct {
 	reclaim func(core, node, target int) int
 	kick    func(node int)
+	migrate func(core int, req MigrateReq) bool
 }
 
 func (f fakePressure) Reclaim(core, node, target int) int { return f.reclaim(core, node, target) }
@@ -118,8 +120,8 @@ func (f fakePressure) Kick(node int) {
 	}
 }
 func (fakePressure) Compact(core, node, order int) bool { return false }
-func (fakePressure) Migrate(core int, reqs []MigrateReq) []bool {
-	return make([]bool, len(reqs))
+func (f fakePressure) Migrate(core int, req MigrateReq) bool {
+	return f.migrate != nil && f.migrate(core, req)
 }
 func (fakePressure) Tick(core int) {}
 

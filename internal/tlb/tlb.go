@@ -171,13 +171,7 @@ type Machine struct {
 	// fullFlushes counts machine-wide FlushAllASIDs events (ASID
 	// generation rollovers).
 	fullFlushes atomic.Uint64
-	// migShootdowns counts synchronous shootdowns issued on behalf of
-	// frame migration's break-before-make window (NoteMigration).
-	migShootdowns atomic.Uint64
 }
-
-// NoteMigration records one migration-driven synchronous shootdown.
-func (m *Machine) NoteMigration() { m.migShootdowns.Add(1) }
 
 // NewMachine creates TLBs for the given core count and protocol on a
 // single NUMA node.
@@ -811,11 +805,8 @@ type Stats struct {
 	// FullFlushes counts machine-wide FlushAllASIDs events (generation
 	// rollovers of the ASID allocator).
 	FullFlushes uint64
-	// MigrationShootdowns counts synchronous shootdowns issued for
-	// frame-migration break-before-make windows.
-	MigrationShootdowns uint64
-	HugeHits            uint64 // lookups served by the huge-entry array
-	HugeEvicts          uint64 // huge entries displaced by capacity replacement
+	HugeHits    uint64 // lookups served by the huge-entry array
+	HugeEvicts  uint64 // huge entries displaced by capacity replacement
 	// ClusterIPIs counts node-granular IPI broadcasts: one per target
 	// node with at least one non-filtered core per fan-out event. On a
 	// single node this equals the number of fan-out events that
@@ -874,7 +865,6 @@ func (m *Machine) Stats() Stats {
 		out.ClusterIPIs += m.nodeStats[n].clusterIPIs.Load()
 	}
 	out.FullFlushes = m.fullFlushes.Load()
-	out.MigrationShootdowns = m.migShootdowns.Load()
 	return out
 }
 
