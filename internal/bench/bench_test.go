@@ -116,8 +116,11 @@ var figAsserts = map[string]func(t *testing.T, rows []Row){
 			if s := r.Labels["sys"]; s != string(CortenRW) && s != string(CortenAdv) {
 				t.Errorf("%s: TLB row for a system not under study", r)
 			}
-			if _, ok := r.Metrics["hit_rate"]; !ok || len(r.Metrics) < 16 {
-				t.Errorf("%s: TLB counters missing: %v", r, r.Metrics)
+			for _, k := range []string{"hit_rate", "lookups", "shootdowns", "ipis", "cluster_ipis", "filtered", "deferred",
+				"applied", "genbumps", "evictions", "staledrops", "full_flushes", "huge_hits", "huge_evicts"} {
+				if _, ok := r.Metrics[k]; !ok {
+					t.Errorf("%s: TLB counter %s missing: %v", r, k, r.Metrics)
+				}
 			}
 		}
 	},

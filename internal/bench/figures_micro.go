@@ -26,9 +26,7 @@ func tlbMetrics(m map[string]float64, prefix string, st tlb.Stats) {
 		"shootdowns": float64(st.Shootdowns), "ipis": float64(st.IPIs), "cluster_ipis": float64(st.ClusterIPIs),
 		"filtered": float64(st.Filtered), "deferred": float64(st.Deferred), "applied": float64(st.Applied),
 		"genbumps": float64(st.GenBumps), "evictions": float64(st.Evictions), "staledrops": float64(st.StaleDrops),
-		"cross_kills": float64(st.CrossKills), "full_flushes": float64(st.FullFlushes),
-		"huge_hits": float64(st.HugeHits), "huge_evicts": float64(st.HugeEvicts),
-		"prec_limit_min": float64(st.PrecLimitMin), "prec_limit_avg": st.PrecLimitAvg, "prec_limit_max": float64(st.PrecLimitMax),
+		"full_flushes": float64(st.FullFlushes), "huge_hits": float64(st.HugeHits), "huge_evicts": float64(st.HugeEvicts),
 	} {
 		m[prefix+k] = v
 	}
@@ -59,7 +57,7 @@ func (g *grid) micro(fig string, sys System, isa arch.ISA, op workload.MicroOp, 
 			Op: wop, Contention: cont, Threads: threads, Iters: iters,
 		})
 		m := map[string]float64{"ops_per_s": res.OpsPerSec()}
-		tlbMetrics(m, "tlb.", env.Machine.TLBStats())
+		tlbMetrics(m, "tlb.", env.Machine.TLB.Stats())
 		return m, errors.Join(err, env.Close())
 	})
 	if tlbRow := r.split(fig+"-tlb", "tlb."); withTLB && (sys == CortenRW || sys == CortenAdv) {

@@ -182,7 +182,7 @@ func (g *grid) numaPoint(o Options, nodes int, policy string) Row {
 		// Stats after Close so the deferred (LATR) invalidations the run
 		// queued are fanned out and counted.
 		out := map[string]float64{"pages_per_s": float64(cores*iters*chunkPages) / elapsed.Seconds()}
-		tlbMetrics(out, "", m.TLBStats())
+		tlbMetrics(out, "", m.TLB.Stats())
 		shoot := m.TLB.NodeStats()
 		var local, remote uint64
 		for _, ns := range m.Phys.NodeStats() {

@@ -20,7 +20,7 @@ const tenantCores = 4
 // throughput, the farm-wide peak resident data pages, the allocator's
 // generation rollovers and the machine TLB counters, which show what
 // generation recycling costs: teardown pays no fan-out (shootdowns) and
-// aliasing kills (cross_kills) come only from the one machine flush per
+// the only full flushes (full_flushes) are the one machine flush per
 // rollover. stale_reads counts serves that observed another tenant's
 // bytes (a stale translation after an ASID recycle), bounds_escapes
 // sandbox-window probes that were not refused. (The asids label is
@@ -51,7 +51,7 @@ func FigTenant(o Options) ([]Row, error) {
 					"bounds_escapes":   float64(res.BoundsEscapes),
 					"peak_rss_pages":   float64(res.PeakRSSPages),
 				}
-				tlbMetrics(m, "", env.Machine.TLBStats())
+				tlbMetrics(m, "", env.Machine.TLB.Stats())
 				return m, errors.Join(err, env.Close())
 			})
 		}

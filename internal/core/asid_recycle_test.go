@@ -206,15 +206,14 @@ func TestASIDRolloverUnderConcurrentLookup(t *testing.T) {
 
 // TestASIDAliasingMeasured quantifies what the recycling allocator is
 // for. A long-lived victim keeps 256 pages hot on two cores while
-// short-lived spaces churn past. Teardown issues no flush at all, so
-// the conservative kills of the victim's fills that epoch-cell aliasing
-// causes (Stats.CrossKills) are bounded by the handful of generation
-// rollovers; below the rollover threshold they are identically zero.
-// The bound is absolute: the unbounded monotonic allocator this one
-// replaced (removed at PR 19; EXPERIMENTS.md keeps its rows) measured
-// 65 536 kills on the same 8k churn — every teardown's flush-all that
-// aliased the victim's cell — and recycling (24 322 over 32 rollovers
-// when the knob was retired) has to stay under half of that.
+// short-lived spaces churn past. Teardown issues no flush at all and
+// the scenario issues no other invalidation, so every stale drop
+// (Stats.StaleDrops) is a victim fill killed by a generation rollover;
+// below the rollover threshold there are none. The bound is absolute:
+// the unbounded monotonic allocator this one replaced (EXPERIMENTS.md
+// keeps its rows) measured 65 536 kills on the same 8k churn — every
+// teardown's flush-all that aliased the victim's cell — and recycling
+// (24 322 over 32 rollovers) has to stay under half of that.
 func TestASIDAliasingMeasured(t *testing.T) {
 	churn := func(n int) (kills uint64, rollovers uint64) {
 		m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14})
@@ -259,7 +258,7 @@ func TestASIDAliasingMeasured(t *testing.T) {
 				reread() // re-fill whatever the churn killed
 			}
 		}
-		kills = m.TLB.Stats().CrossKills
+		kills = m.TLB.Stats().StaleDrops
 		rollovers = m.ASIDStats().Rollovers
 		victim.Destroy(0)
 		m.Quiesce()
@@ -272,13 +271,13 @@ func TestASIDAliasingMeasured(t *testing.T) {
 	}
 	const monoKills = 65536
 	if recKills >= monoKills/2 {
-		t.Errorf("recycling did not bound aliasing: %d cross-ASID kills vs %d recorded for the monotonic allocator", recKills, monoKills)
+		t.Errorf("recycling did not bound aliasing: %d stale drops vs %d kills recorded for the monotonic allocator", recKills, monoKills)
 	}
 	// Below the rollover threshold recycling never flushes, so there is
-	// no mechanism left that can kill another ASID's fills.
+	// no mechanism left that can kill the victim's fills.
 	smallKills, smallRoll := churn(64)
 	if smallRoll != 0 || smallKills != 0 {
-		t.Errorf("small recycled churn: %d rollovers, %d cross kills; want 0, 0", smallRoll, smallKills)
+		t.Errorf("small recycled churn: %d rollovers, %d stale drops; want 0, 0", smallRoll, smallKills)
 	}
 }
 

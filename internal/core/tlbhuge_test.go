@@ -31,14 +31,14 @@ func TestHugeTLBSpanLookupMM(t *testing.T) {
 		t.Fatal(err)
 	}
 	asid := a.ASID()
-	st0 := m.TLBStats()
+	st0 := m.TLB.Stats()
 	pages := span / arch.PageSize
 	for p := uint64(0); p < pages; p++ {
 		if _, ok := m.TLB.Lookup(3, asid, va+arch.Vaddr(p)*arch.PageSize); !ok {
 			t.Fatalf("huge span missed at page %d", p)
 		}
 	}
-	st := m.TLBStats()
+	st := m.TLB.Stats()
 	if hh := st.HugeHits - st0.HugeHits; hh != pages {
 		t.Errorf("huge hits = %d, want %d", hh, pages)
 	}

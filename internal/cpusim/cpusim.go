@@ -481,7 +481,3 @@ func (m *Machine) CheckClean() error {
 	}
 	return nil
 }
-
-// TLBStats snapshots the TLB counters — hit rate, shootdown fan-out,
-// presence filtering, deferred-queue activity — for benchmark reports.
-func (m *Machine) TLBStats() tlb.Stats { return m.TLB.Stats() }

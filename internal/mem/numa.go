@@ -251,24 +251,17 @@ func (m *PhysMem) account(core, zoneIdx, n int) {
 	}
 }
 
-// zonelistAlloc walks node's zonelist for one order-0 frame.
-func (m *PhysMem) zonelistAlloc(core, node int) (arch.PFN, bool) {
-	for _, zi := range m.zonelists[node] {
-		if pfn, ok := m.zones[zi].buddy.alloc(0); ok {
-			m.account(core, zi, 1)
-			return pfn, true
-		}
+// zonelistAlloc walks node's zonelist for one block of 2^order frames,
+// taken from the high end of each zone when high is set — the placement
+// policy for unmovable kinds (see buddy.allocHigh).
+func (m *PhysMem) zonelistAlloc(core, node, order int, high bool) (arch.PFN, bool) {
+	alloc := (*buddy).alloc
+	if high {
+		alloc = (*buddy).allocHigh
 	}
-	return 0, false
-}
-
-// zonelistAllocUnmovable walks node's zonelist taking one order-0 frame
-// from the high end of each zone — the placement policy for unmovable
-// kinds (see buddy.allocHigh).
-func (m *PhysMem) zonelistAllocUnmovable(core, node int) (arch.PFN, bool) {
 	for _, zi := range m.zonelists[node] {
-		if pfn, ok := m.zones[zi].buddy.allocHigh(0); ok {
-			m.account(core, zi, 1)
+		if pfn, ok := alloc(&m.zones[zi].buddy, order); ok {
+			m.account(core, zi, 1<<order)
 			return pfn, true
 		}
 	}
@@ -290,18 +283,6 @@ func (m *PhysMem) zonelistAllocBatch(core, node int, out []arch.PFN) int {
 		}
 	}
 	return n
-}
-
-// zonelistAllocOrder walks node's zonelist for one block of 2^order
-// frames.
-func (m *PhysMem) zonelistAllocOrder(core, node, order int) (arch.PFN, bool) {
-	for _, zi := range m.zonelists[node] {
-		if pfn, ok := m.zones[zi].buddy.alloc(order); ok {
-			m.account(core, zi, 1<<order)
-			return pfn, true
-		}
-	}
-	return 0, false
 }
 
 // NodeFreeFrames reports the free frames on one node (zone buddy plus

@@ -477,7 +477,7 @@ func (m *PhysMem) AllocFrameOn(core, node int, kind Kind) (arch.PFN, error) {
 		// high end so they never pin a block compaction could otherwise
 		// re-form. On exhaustion fall through to the ordinary path: a
 		// badly placed PT page beats a failed allocation.
-		pfn, ok = m.zonelistAllocUnmovable(core, node)
+		pfn, ok = m.zonelistAlloc(core, node, 0, true)
 	}
 	if !ok && node == m.coreNode(core) {
 		pfn, ok = m.pcp[core].pop()
@@ -486,11 +486,11 @@ func (m *PhysMem) AllocFrameOn(core, node int, kind Kind) (arch.PFN, error) {
 		}
 	}
 	if !ok {
-		pfn, ok = m.zonelistAlloc(core, node)
+		pfn, ok = m.zonelistAlloc(core, node, 0, false)
 	}
 	if !ok {
 		ok = m.allocSlow(core, node, 0, func() bool {
-			pfn, ok = m.zonelistAlloc(core, node)
+			pfn, ok = m.zonelistAlloc(core, node, 0, false)
 			return ok
 		})
 	}
@@ -583,10 +583,10 @@ func (m *PhysMem) AllocFrames(core int, order int, kind Kind) (arch.PFN, error) 
 		return 0, fault.MemAllocHuge.Errorf(ErrOutOfMemory)
 	}
 	node := m.preferredNode(core)
-	pfn, ok := m.zonelistAllocOrder(core, node, order)
+	pfn, ok := m.zonelistAlloc(core, node, order, false)
 	if !ok {
 		ok = m.allocSlow(core, node, order, func() bool {
-			pfn, ok = m.zonelistAllocOrder(core, node, order)
+			pfn, ok = m.zonelistAlloc(core, node, order, false)
 			return ok
 		})
 	}

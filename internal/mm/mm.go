@@ -229,10 +229,3 @@ type Madviser interface {
 type Swapper interface {
 	SwapOut(core int, va arch.Vaddr, size uint64) (int, error)
 }
-
-// Factory builds a fresh address space of one system flavour on a
-// machine; the benchmark harness uses it to instantiate competitors.
-type Factory struct {
-	Name string
-	New  func() (MM, error)
-}

@@ -13,10 +13,14 @@ import (
 // five words — seq, tag, gen, trw and the cached page — so a 4-way set
 // is 160 bytes, and both arrays start on a cache line. A parallel page
 // array beside 32-byte slots (sets of exactly two lines) measured the
-// same on resident_access as the in-slot word, which is less code.
+// same on resident_access as the in-slot word, which is less code. A
+// core's counters fill exactly two lines, so cores never share one.
 func TestTLBSetGeometry(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 40 {
 		t.Errorf("slot is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(coreStats{}); got != 128 {
+		t.Errorf("coreStats is %d bytes, want 128", got)
 	}
 	if setBytes := nWays * unsafe.Sizeof(slot{}); setBytes != 160 {
 		t.Errorf("a set is %d bytes, want 160", setBytes)

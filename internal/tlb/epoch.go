@@ -71,13 +71,6 @@ type epochCell struct {
 	seq    atomic.Uint64
 	gen    atomic.Uint64 // current generation
 	allGen atomic.Uint64 // generation of the latest full-ASID record
-	// allTag is the tag (ASID) of the latest full-ASID record. Cells are
-	// shared by every ASID that collides mod asidCells, so a full-ASID
-	// bump for one space conservatively kills every other space's fills
-	// in the cell; allTag lets validate attribute such a kill to
-	// aliasing (the killing ASID differs from the entry's) and count it,
-	// which is how the cost of an unbounded ASID allocator is measured.
-	allTag atomic.Uint64
 	// lastIns is 1 + the cell generation observed by the owning core's
 	// most recent Insert, written before the entry is published. The
 	// cell provably holds no valid entries when lastIns <= allGen, which
@@ -121,7 +114,6 @@ func (c *epochCell) bump(asid ASID, lo, hi arch.Vaddr, all bool) {
 	r.lo.Store(uint64(lo))
 	r.hi.Store(uint64(hi))
 	if all {
-		c.allTag.Store(uint64(asid))
 		c.allGen.Store(g)
 	}
 	c.gen.Store(g)
@@ -155,14 +147,14 @@ func (c *epochCell) spill(gen, tag, lo, hi uint64) {
 }
 
 // overflowLive replays the spilled records of generations (g, upTo]
-// against an entry of asid covering [lo, hi). Returns live=false if any
-// record overlaps, or if the history was trimmed before g; cross marks a
-// kill by a full-ASID record of a *different* ASID (cell aliasing).
-func (c *epochCell) overflowLive(asid ASID, lo, hi arch.Vaddr, g, upTo uint64) (live, cross bool) {
+// against an entry of asid covering [lo, hi). Returns false if any
+// record overlaps, or if the history was trimmed before g. The list
+// never holds a full-ASID record: spilling one resets it.
+func (c *epochCell) overflowLive(asid ASID, lo, hi arch.Vaddr, g, upTo uint64) bool {
 	c.ovMu.Lock()
 	defer c.ovMu.Unlock()
 	if g+1 < c.ovBase {
-		return false, false // trimmed: the fill predates remembered history
+		return false // trimmed: the fill predates remembered history
 	}
 	for gg := g + 1; gg <= upTo; gg++ {
 		i := int(gg - c.ovBase)
@@ -170,17 +162,14 @@ func (c *epochCell) overflowLive(asid ASID, lo, hi arch.Vaddr, g, upTo uint64) (
 			break // not spilled yet — the ring scan covers it
 		}
 		r := &c.overflow[i]
-		if r.tag&recAll != 0 {
-			return false, ASID(r.tag) != asid
-		}
 		if ASID(r.tag) != asid {
 			continue
 		}
 		if r.lo < uint64(hi) && r.hi > uint64(lo) {
-			return false, false
+			return false
 		}
 	}
-	return true, false
+	return true
 }
 
 // validate decides whether a cache entry of asid covering [lo, hi)
@@ -192,11 +181,8 @@ func (c *epochCell) overflowLive(asid ASID, lo, hi arch.Vaddr, g, upTo uint64) (
 // falls inside, and a huge-span record must kill the 4-KiB entries it
 // covers. Overwritten or torn records, and histories trimmed off the
 // overflow list, invalidate conservatively. Returns the cell's current
-// generation so the caller can re-stamp a surviving entry, and — when
-// the entry dies — whether the killing record was a full-ASID record of
-// a different ASID, i.e. a conservative kill caused purely by epoch-cell
-// aliasing rather than an invalidation of this space.
-func (c *epochCell) validate(asid ASID, lo, hi arch.Vaddr, g uint64) (gen uint64, live, cross bool) {
+// generation so the caller can re-stamp a surviving entry.
+func (c *epochCell) validate(asid ASID, lo, hi arch.Vaddr, g uint64) (gen uint64, live bool) {
 	for attempt := 0; attempt < 4; attempt++ {
 		s := c.seq.Load()
 		if s&1 != 0 {
@@ -204,22 +190,18 @@ func (c *epochCell) validate(asid ASID, lo, hi arch.Vaddr, g uint64) (gen uint64
 		}
 		cur := c.gen.Load()
 		if cur == g {
-			return cur, true, false
+			return cur, true
 		}
 		if c.allGen.Load() > g {
-			// A full-ASID flush happened since the fill. allTag names
-			// the most recent such record — close enough to attribute
-			// the kill to aliasing when it belongs to another space.
-			return cur, false, ASID(c.allTag.Load()) != asid
+			return cur, false // a full-ASID flush happened since the fill
 		}
-		live, cross := true, false
-		start := g
+		live, start := true, g
 		if cur-g > ringLen {
 			// Long burst: the records in (g, cur-ringLen] have aged out
 			// of the ring — replay them from the overflow list, then
 			// the ring covers the rest.
 			start = cur - ringLen
-			live, cross = c.overflowLive(asid, lo, hi, g, start)
+			live = c.overflowLive(asid, lo, hi, g, start)
 		}
 		for gg := start + 1; live && gg <= cur; gg++ {
 			r := &c.ring[gg&(ringLen-1)]
@@ -229,7 +211,7 @@ func (c *epochCell) validate(asid ASID, lo, hi arch.Vaddr, g uint64) (gen uint64
 			}
 			tag := r.tag.Load()
 			if tag&recAll != 0 {
-				live, cross = false, ASID(tag) != asid
+				live = false
 				break
 			}
 			if ASID(tag) != asid {
@@ -243,9 +225,9 @@ func (c *epochCell) validate(asid ASID, lo, hi arch.Vaddr, g uint64) (gen uint64
 		if c.seq.Load() != s {
 			continue
 		}
-		return cur, live, cross
+		return cur, live
 	}
-	return c.gen.Load(), false, false
+	return c.gen.Load(), false
 }
 
 // maybePresent reports whether the cell can hold valid entries. False

@@ -89,9 +89,8 @@ type coreStats struct {
 	genBumps   atomic.Uint64 // epoch-cell generation bumps issued
 	evictions  atomic.Uint64 // valid entries displaced by capacity replacement
 	staleDrops atomic.Uint64 // entries discarded by lazy generation checks
-	crossDrops atomic.Uint64 // stale drops caused by another ASID's full flush (cell aliasing)
 	hugeEvicts atomic.Uint64 // huge entries displaced by capacity replacement
-	_          [24]byte
+	_          [32]byte
 }
 
 // coreTLB is one core's cache, epoch cells and shootdown mailboxes.
@@ -108,14 +107,6 @@ type coreTLB struct {
 	// are all referenced.
 	victim     atomic.Uint32
 	hugeVictim atomic.Uint32
-
-	// Adaptive precise-vs-bump cutover state (see invalidateLocal and
-	// adaptTick). precLimit is read on every local invalidation; the
-	// window counters are swapped out every adaptWindow invalidations.
-	precLimit atomic.Int64
-	invTick   atomic.Uint64 // local invalidations since machine start
-	precPages atomic.Uint64 // pages precisely cleared this window
-	genChecks atomic.Uint64 // lookups that replayed the ring this window
 
 	// inbox holds early-ack invalidation requests posted by other
 	// cores; the Lookup fast path skips it behind its count.
@@ -209,10 +200,9 @@ func NewMachineNUMA(cores int, mode Mode, nodeOf []int) *Machine {
 		// (A small array of slots, which hold a pointer, would start 8
 		// bytes into one, behind the allocator's type header.)
 		slots := make([]slot, (nSets+hugeSets)*nWays)
-		m.cores[i].slots = slots[:nSets*nWays : nSets*nWays]
+		m.cores[i].slots = slots[: nSets*nWays : nSets*nWays]
 		m.cores[i].hugeSlots = slots[nSets*nWays:]
 		m.cores[i].cells = make([]epochCell, asidCells)
-		m.cores[i].precLimit.Store(preciseLimitInit)
 	}
 	return m
 }
@@ -319,13 +309,9 @@ func (c *coreTLB) probe(set []slot, cell *epochCell, asid ASID, want uint64, lo,
 // gen against the entry snapshotted from s at version seq: a live entry
 // is re-stamped, a dead one cleared.
 func (c *coreTLB) revalidate(s *slot, cell *epochCell, asid ASID, lo, hi arch.Vaddr, gen, seq uint64) bool {
-	c.genChecks.Add(1)
-	cur, live, cross := cell.validate(asid, lo, hi, gen)
+	cur, live := cell.validate(asid, lo, hi, gen)
 	if !live {
 		c.stats.staleDrops.Add(1)
-		if cross {
-			c.stats.crossDrops.Add(1)
-		}
 		s.clear(seq)
 		return false
 	}
@@ -446,14 +432,12 @@ func (m *Machine) FlushLocal(core int, asid ASID, va arch.Vaddr) {
 
 // FlushLocalRange removes asid's entries in [lo, hi) from core's own TLB.
 func (m *Machine) FlushLocalRange(core int, asid ASID, lo, hi arch.Vaddr) {
-	c := &m.cores[core]
-	c.invalidateLocal(Invalidation{ASID: asid, Lo: lo, Hi: hi})
+	m.cores[core].invalidateLocal(Invalidation{ASID: asid, Lo: lo, Hi: hi})
 }
 
 // FlushLocalAll removes all of asid's entries from core's own TLB.
 func (m *Machine) FlushLocalAll(core int, asid ASID) {
-	c := &m.cores[core]
-	c.invalidateLocal(Invalidation{ASID: asid, All: true})
+	m.cores[core].invalidateLocal(Invalidation{ASID: asid, All: true})
 }
 
 // FlushAllASIDs invalidates every translation of every ASID on every
@@ -461,77 +445,46 @@ func (m *Machine) FlushLocalAll(core int, asid ASID) {
 // epoch cell suffices: validate's allGen early-out rejects every fill
 // published at or before the bump regardless of its ASID, and the
 // recAll record resets each cell's overflow history and presence
-// filter. Records tagged ASID 0 (the reserved slot) mark the kills as
-// allocator-driven; any core may issue the bumps, so the caller needs
-// no core identity. Invalidations still queued in early-ack inboxes or
+// filter. Any core may issue the bumps, so the caller needs no core
+// identity. Invalidations still queued in early-ack inboxes or
 // LATR buffers are left in place: applying one later only re-kills
 // entries conservatively, which is always legal.
 func (m *Machine) FlushAllASIDs() {
 	m.fullFlushes.Add(1)
 	for i := range m.cores {
-		c := &m.cores[i]
-		for j := range c.cells {
-			c.cells[j].bump(0, 0, arch.MaxVaddr, true)
+		for j := range m.cores[i].cells {
+			m.cores[i].cells[j].bump(0, 0, arch.MaxVaddr, true)
 		}
 	}
 }
 
-// Adaptive precise-vs-bump cutover. A local invalidation at or below
-// the core's current limit clears slots one by one; wider ranges become
-// a single generation bump. The limit starts at preciseLimitInit and
-// adapts per core from observed outcomes: generation bumps are cheap to
-// issue but tax later lookups (every entry filled before the bump pays
-// a ring replay, and histories that fall off the ring become
-// conservative misses), while precise clears pay a set probe per page
-// up front whether or not anything was cached.
-const (
-	preciseLimitInit = 16
-	preciseLimitMin  = 4
-	preciseLimitMax  = 256
-	// adaptWindow is how many local invalidations pass between limit
-	// adjustments.
-	adaptWindow = 64
-)
+// preciseLimit is the widest local invalidation, in pages, that clears
+// slots one by one; wider ranges become a single generation bump. Either
+// form is legal (a lookup may always miss), so the cutover is only a
+// cost choice: a precise clear probes one set per page whether or not
+// anything was cached, a bump taxes every later lookup of an entry
+// filled before it with a ring replay. Four covers the 2–4-page ranges
+// of fault-path churn; the other ranges the workloads send span
+// thousands of pages, which one bump serves at one record (DESIGN.md
+// §8 has the counts).
+const preciseLimit = 4
 
 // invalidateLocal applies one invalidation to this core's own cache:
-// precisely for ranges within the adaptive limit, or as a generation
-// bump on its own epoch cell for wider ranges and full-ASID flushes,
-// leaving dead entries for lookups to discard lazily. The precise path
-// also clears any huge entry overlapping the range; the bump path
-// covers huge entries through span-aware ring replay.
+// precisely for ranges within preciseLimit, or as a generation bump on
+// its own epoch cell for wider ranges and full-ASID flushes, leaving
+// dead entries for lookups to discard lazily. The precise path also
+// clears any huge entry overlapping the range; the bump path covers
+// huge entries through span-aware ring replay.
 func (c *coreTLB) invalidateLocal(inv Invalidation) {
-	if pages := uint64(inv.Hi-inv.Lo) / arch.PageSize; !inv.All && pages <= uint64(c.precLimit.Load()) {
+	if !inv.All && uint64(inv.Hi-inv.Lo)/arch.PageSize <= preciseLimit {
 		for va := inv.Lo; va < inv.Hi; va += arch.PageSize {
 			c.clearSlot(inv.ASID, va)
 		}
 		c.clearHugeSpans(inv.ASID, inv.Lo, inv.Hi)
-		c.precPages.Add(pages)
-		c.adaptTick()
 		return
 	}
 	c.cell(inv.ASID).bump(inv.ASID, inv.Lo, inv.Hi, inv.All)
 	c.stats.genBumps.Add(1)
-	c.adaptTick()
-}
-
-// adaptTick re-tunes the precise-vs-bump limit once per adaptWindow
-// local invalidations by comparing the two observed costs in slot-probe
-// units: each stale validation replays up to ringLen ring records,
-// each precisely cleared page probes one nWays-wide set. A 2× margin
-// gives hysteresis so mixed workloads don't oscillate.
-func (c *coreTLB) adaptTick() {
-	if c.invTick.Add(1)%adaptWindow != 0 {
-		return
-	}
-	lazyCost := c.genChecks.Swap(0) * ringLen
-	preciseCost := c.precPages.Swap(0) * nWays
-	limit := c.precLimit.Load()
-	switch {
-	case lazyCost > 2*preciseCost && limit < preciseLimitMax:
-		c.precLimit.Store(limit * 2)
-	case preciseCost > 2*lazyCost && limit > preciseLimitMin:
-		c.precLimit.Store(limit / 2)
-	}
 }
 
 // clearTagged empties the slot of set holding the entry tagged want, if
@@ -796,12 +749,6 @@ type Stats struct {
 	GenBumps   uint64 // epoch-cell generation bumps
 	Evictions  uint64 // capacity evictions of valid entries
 	StaleDrops uint64 // entries lazily discarded by generation checks
-	// CrossKills counts stale drops whose killing record was a full-ASID
-	// flush of a *different* ASID sharing the epoch cell — conservative
-	// kills caused purely by asid-mod-64 aliasing. An unbounded ASID
-	// allocator under address-space churn drives this up linearly with
-	// teardowns; generation recycling bounds it to the rollover flushes.
-	CrossKills uint64
 	// FullFlushes counts machine-wide FlushAllASIDs events (generation
 	// rollovers of the ASID allocator).
 	FullFlushes uint64
@@ -812,12 +759,6 @@ type Stats struct {
 	// single node this equals the number of fan-out events that
 	// signalled anyone.
 	ClusterIPIs uint64
-	// PrecLimitMin/Max/Avg snapshot the adaptive precise-vs-bump
-	// cutover across cores — where each workload's invalidation mix
-	// drove the per-core limits (between preciseLimitMin and Max).
-	PrecLimitMin int64
-	PrecLimitMax int64
-	PrecLimitAvg float64
 }
 
 // HitRate is Hits/Lookups, 0 when idle.
@@ -831,7 +772,6 @@ func (s Stats) HitRate() float64 {
 // Stats returns cumulative counters aggregated over all cores.
 func (m *Machine) Stats() Stats {
 	var out Stats
-	var limSum int64
 	for i := range m.cores {
 		st := &m.cores[i].stats
 		huge := st.hugeHits.Load()
@@ -846,20 +786,8 @@ func (m *Machine) Stats() Stats {
 		out.GenBumps += st.genBumps.Load()
 		out.Evictions += st.evictions.Load()
 		out.StaleDrops += st.staleDrops.Load()
-		out.CrossKills += st.crossDrops.Load()
 		out.HugeHits += huge
 		out.HugeEvicts += st.hugeEvicts.Load()
-		lim := m.cores[i].precLimit.Load()
-		if i == 0 || lim < out.PrecLimitMin {
-			out.PrecLimitMin = lim
-		}
-		if lim > out.PrecLimitMax {
-			out.PrecLimitMax = lim
-		}
-		limSum += lim
-	}
-	if len(m.cores) > 0 {
-		out.PrecLimitAvg = float64(limSum) / float64(len(m.cores))
 	}
 	for n := range m.nodeStats {
 		out.ClusterIPIs += m.nodeStats[n].clusterIPIs.Load()

@@ -148,7 +148,7 @@ func TestRingBurstNoStaleDrops(t *testing.T) {
 	m.Insert(1, 1, 0x1000, tr(1))
 	for i := 0; i < 16; i++ {
 		lo := arch.Vaddr(0x4000000 + i*64*0x1000)
-		m.ShootdownRange(0, 1, lo, lo+(preciseLimitInit+1)*arch.PageSize)
+		m.ShootdownRange(0, 1, lo, lo+(preciseLimit+1)*arch.PageSize)
 	}
 	if _, ok := m.Lookup(1, 1, 0x1000); !ok {
 		t.Fatal("entry lost: 16-range burst wrapped the invalidation ring")
@@ -158,39 +158,35 @@ func TestRingBurstNoStaleDrops(t *testing.T) {
 	}
 }
 
-// TestAdaptivePreciseLimit drives both regimes of the precise-vs-bump
-// cutover. When wide flushes keep invalidating lazily while live
-// entries of the same ASID are looked up (each paying a ring replay),
-// the limit must rise; when small precise flushes run with no lookups
-// to tax, the limit must fall back to the floor.
-func TestAdaptivePreciseLimit(t *testing.T) {
+// TestPreciseLimit pins the fixed precise-vs-bump rule: a local range of
+// preciseLimit pages clears its slots without a generation bump, one
+// page more is a single bump whose ring record spares disjoint entries.
+func TestPreciseLimit(t *testing.T) {
 	m := NewMachine(1, ModeSync)
-	c := &m.cores[0]
+	const inside, outside = arch.Vaddr(0x10000), arch.Vaddr(0x40000000)
+	m.Insert(0, 1, inside, tr(1))
+	m.Insert(0, 1, outside, tr(2))
 
-	// Regime 1: laziness is expensive. 512-page flushes always bump
-	// (above preciseLimitMax); the 8 live entries re-validate after
-	// every bump.
-	for p := 0; p < 8; p++ {
-		m.Insert(0, 1, arch.Vaddr(0x40000000+p*0x1000), tr(arch.PFN(p)))
+	bumps := m.Stats().GenBumps
+	m.FlushLocalRange(0, 1, inside, inside+4*arch.PageSize)
+	if d := m.Stats().GenBumps - bumps; d != 0 {
+		t.Fatalf("4-page range: %d generation bumps, want 0 (precise clear)", d)
 	}
-	for i := 0; i < 8*adaptWindow; i++ {
-		m.FlushLocalRange(0, 1, 0, 512*arch.PageSize)
-		for p := 0; p < 8; p++ {
-			if _, ok := m.Lookup(0, 1, arch.Vaddr(0x40000000+p*0x1000)); !ok {
-				t.Fatalf("iter %d: disjoint flush killed live entry %d", i, p)
-			}
-		}
-	}
-	if got := c.precLimit.Load(); got <= preciseLimitInit {
-		t.Fatalf("precLimit = %d after lazy-expensive regime, want > %d", got, preciseLimitInit)
+	if _, ok := m.Lookup(0, 1, inside); ok {
+		t.Fatal("4-page range: covered entry survived the precise clear")
 	}
 
-	// Regime 2: precision is wasted. Small flushes, no lookups between.
-	for i := 0; i < 16*adaptWindow; i++ {
-		m.FlushLocalRange(0, 1, 0, 4*arch.PageSize)
+	m.Insert(0, 1, inside, tr(1))
+	bumps = m.Stats().GenBumps
+	m.FlushLocalRange(0, 1, inside, inside+5*arch.PageSize)
+	if d := m.Stats().GenBumps - bumps; d != 1 {
+		t.Fatalf("5-page range: %d generation bumps, want 1", d)
 	}
-	if got := c.precLimit.Load(); got != preciseLimitMin {
-		t.Fatalf("precLimit = %d after precise-wasteful regime, want %d", got, preciseLimitMin)
+	if _, ok := m.Lookup(0, 1, inside); ok {
+		t.Fatal("5-page range: covered entry survived the bump")
+	}
+	if _, ok := m.Lookup(0, 1, outside); !ok {
+		t.Fatal("5-page range: disjoint entry lost to the bump")
 	}
 }
 

@@ -175,7 +175,7 @@ func TestRingWrapSpillsToOverflow(t *testing.T) {
 	// land on the overflow list, so the lazy check still replays them
 	// precisely: none covers 0x1000, the entry survives.
 	for i := 0; i < 2*ringLen; i++ {
-		m.ShootdownRange(0, 1, arch.Vaddr(0x100000+i*0x1000), arch.Vaddr(0x100000+(i+preciseLimitInit+1)*0x1000))
+		m.ShootdownRange(0, 1, arch.Vaddr(0x100000+i*0x1000), arch.Vaddr(0x100000+(i+preciseLimit+1)*0x1000))
 	}
 	if _, ok := m.Lookup(1, 1, 0x1000); !ok {
 		t.Error("entry lost: ring wrap must replay from the overflow list")
