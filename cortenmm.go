@@ -64,7 +64,8 @@ type (
 	Perm = arch.Perm
 	// ProtKey is an Intel MPK protection key.
 	ProtKey = arch.ProtKey
-	// ISA is a page-table entry codec (x86-64 or RISC-V Sv48).
+	// ISA is a page-table entry codec (x86-64, RISC-V Sv48 or AArch64);
+	// X8664, RISCV and ARM64 return one, and nil means x86-64.
 	ISA = arch.ISA
 	// Status is the state of one virtual page (Figure 4's Status enum):
 	// Kind and Perm are plain fields — Status{Kind: StatusPrivateAnon,
@@ -222,13 +223,13 @@ var FileStatus = pt.FileStatus
 func NewBlockDev(name string) *BlockDev { return mem.NewBlockDev(name) }
 
 // X8664 returns the x86-64 PTE codec; set mpk for protection keys.
-func X8664(mpk bool) ISA { return arch.X8664{EnableMPK: mpk} }
+func X8664(mpk bool) ISA { return arch.X8664(mpk) }
 
 // RISCV returns the RISC-V Sv48 PTE codec.
-func RISCV() ISA { return arch.RISCV{} }
+func RISCV() ISA { return arch.RISCV() }
 
 // ARM64 returns the AArch64 VMSAv8-64 PTE codec.
-func ARM64() ISA { return arch.ARM64{} }
+func ARM64() ISA { return arch.ARM64() }
 
 // NewLinuxBaseline creates a Linux-style two-level (VMA + page table)
 // address space on m — the paper's main comparison point.

@@ -1,13 +1,13 @@
 // Package arch abstracts the page-table formats of the ISAs CortenMM
-// targets (x86-64 and RISC-V Sv48), mirroring how the paper hides MMU
-// differences behind a Rust trait (Figure 9).
+// targets (x86-64, RISC-V Sv48 and AArch64), mirroring how the paper
+// hides MMU differences behind a Rust trait (Figure 9).
 //
 // All supported ISAs share the same radix-tree geometry — 4 levels,
 // 512 entries per level, 4 KiB base pages, 48-bit virtual addresses —
 // which is exactly the observation CortenMM builds on: the software-level
 // abstraction is unnecessary because mainstream MMUs are nearly identical.
-// The geometry therefore lives here as package-level constants while the
-// PTE bit layouts differ per ISA behind the ISA interface.
+// The geometry therefore lives here as package-level constants, and the
+// PTE bit layouts differ per ISA only as tables of masks (codec.go).
 package arch
 
 import "fmt"
@@ -98,66 +98,6 @@ type ProtKey uint8
 // MaxProtKey is the largest valid protection key.
 const MaxProtKey ProtKey = 15
 
-// ISA encodes and decodes page-table entries for one instruction-set
-// architecture. It is the Go analog of the paper's PageTableEntryTrait.
-//
-// All methods are pure functions over the 64-bit PTE word so that callers
-// can read PTEs with a single atomic load and interpret them without
-// holding any lock (required by the CortenMM_adv lockless traversal).
-type ISA interface {
-	// Name identifies the ISA, e.g. "x86_64" or "riscv64".
-	Name() string
-
-	// EncodeLeaf builds a present leaf entry mapping pfn at the given
-	// level (1 = 4 KiB, 2 = 2 MiB, 3 = 1 GiB) with permission p.
-	EncodeLeaf(pfn PFN, p Perm, level int) uint64
-	// EncodeTable builds a present non-leaf entry pointing at the PT page
-	// in pfn.
-	EncodeTable(pfn PFN) uint64
-
-	// IsPresent reports whether the entry points to something
-	// (pte_present in Linux terms).
-	IsPresent(pte uint64) bool
-	// IsLeaf reports whether a present entry at the given level maps a
-	// page rather than pointing to a lower-level PT page.
-	IsLeaf(pte uint64, level int) bool
-	// PFNOf extracts the physical frame number from a present entry.
-	PFNOf(pte uint64) PFN
-	// PermOf extracts the permission bits from a present leaf entry.
-	PermOf(pte uint64) Perm
-	// WithPerm returns pte with its permission bits replaced by p,
-	// keeping the frame number and level shape intact.
-	WithPerm(pte uint64, p Perm, level int) uint64
-
-	// Accessed and Dirty report the hardware A/D bits.
-	Accessed(pte uint64) bool
-	Dirty(pte uint64) bool
-	// SetAccessed and SetDirty return pte with the A/D bit set; the
-	// simulated hardware walker calls these on access.
-	SetAccessed(pte uint64) uint64
-	SetDirty(pte uint64) uint64
-
-	// SupportsHugeAt reports whether a leaf may live at the given level.
-	SupportsHugeAt(level int) bool
-
-	// Features describes optional MMU features (e.g. MPK).
-	Features() FeatureSet
-	// WithProtKey tags a leaf entry with an MPK protection key. ISAs
-	// without MPK return pte unchanged.
-	WithProtKey(pte uint64, key ProtKey) uint64
-	// ProtKeyOf extracts the protection key of a leaf entry (0 if the
-	// ISA has no MPK support).
-	ProtKeyOf(pte uint64) ProtKey
-}
-
-// FeatureSet lists optional MMU features an ISA implementation provides.
-type FeatureSet struct {
-	// MPK is true when the ISA encodes Intel memory-protection keys.
-	MPK bool
-	// HugeLevels holds the levels (beyond 1) at which leaves may appear.
-	HugeLevels []int
-}
-
 // IndexAt returns the PT-page index of va at the given level (1..Levels).
 func IndexAt(va Vaddr, level int) int {
 	return int(uint64(va) >> SpanShift(level-1) & (PTEntries - 1))
@@ -197,20 +137,4 @@ func CheckCanonical(va Vaddr, size uint64) error {
 		return fmt.Errorf("arch: range %#x+%#x exceeds %d-bit address space", va, size, VABits)
 	}
 	return nil
-}
-
-// ByName returns the ISA implementation registered under name.
-func ByName(name string) (ISA, error) {
-	switch name {
-	case "x86_64", "x86-64", "amd64":
-		return X8664{}, nil
-	case "x86_64+mpk", "mpk":
-		return X8664{EnableMPK: true}, nil
-	case "riscv64", "riscv", "rv64", "sv48":
-		return RISCV{}, nil
-	case "arm64", "aarch64", "armv8":
-		return ARM64{}, nil
-	default:
-		return nil, fmt.Errorf("arch: unknown ISA %q", name)
-	}
 }

@@ -36,125 +36,27 @@ const (
 	a64AddrMask = ((uint64(1) << 48) - 1) &^ (PageSize - 1)
 )
 
-// ARM64 implements the ISA interface for AArch64 VMSAv8-64 paging with
-// a 4 KiB granule. The paper lists ARM as a target ISA whose MMU meets
-// CortenMM's assumptions (§4.4); this codec is the port.
-type ARM64 struct{}
-
-var _ ISA = ARM64{}
-
-// Name implements ISA.
-func (ARM64) Name() string { return "arm64" }
-
-// EncodeLeaf implements ISA. Level-1 leaves are page descriptors
-// (type bit set); levels 2-3 are block descriptors (type bit clear).
-func (ARM64) EncodeLeaf(pfn PFN, p Perm, level int) uint64 {
-	pte := uint64(pfn)<<PageShift&a64AddrMask | a64Valid
-	if level == 1 {
-		pte |= a64Type
-	}
-	return a64ApplyPerm(pte, p)
-}
-
-// EncodeTable implements ISA.
-func (ARM64) EncodeTable(pfn PFN) uint64 {
-	return uint64(pfn)<<PageShift&a64AddrMask | a64Valid | a64Type
-}
-
-// IsPresent implements ISA.
-func (ARM64) IsPresent(pte uint64) bool { return pte&a64Valid != 0 }
-
-// IsLeaf implements ISA: at level 1 a valid descriptor is a page; at
-// upper levels the type bit distinguishes table from block.
-func (ARM64) IsLeaf(pte uint64, level int) bool {
-	if level == 1 {
-		return true
-	}
-	return pte&a64Type == 0
-}
-
-// PFNOf implements ISA.
-func (ARM64) PFNOf(pte uint64) PFN { return PFN(pte & a64AddrMask >> PageShift) }
-
-// PermOf implements ISA.
-func (ARM64) PermOf(pte uint64) Perm {
-	var p Perm
-	if pte&a64Valid != 0 {
-		p |= PermRead
-	}
-	if pte&a64SWWr != 0 {
-		p |= PermWrite
-	}
-	if pte&a64UXN == 0 {
-		p |= PermExec
-	}
-	if pte&a64User != 0 {
-		p |= PermUser
-	}
-	if pte&a64SWCOW != 0 {
-		p |= PermCOW
-	}
-	if pte&a64SWShrd != 0 {
-		p |= PermShared
-	}
-	return p
-}
-
-// WithPerm implements ISA.
-func (ARM64) WithPerm(pte uint64, p Perm, level int) uint64 {
-	pte &^= a64Valid | a64RO | a64User | a64UXN | a64PXN | a64SWCOW | a64SWShrd | a64SWWr
-	if level == 1 {
-		pte |= a64Type
-	} else {
-		pte &^= a64Type
-	}
-	return a64ApplyPerm(pte, p)
-}
-
-func a64ApplyPerm(pte uint64, p Perm) uint64 {
-	if p&PermRead != 0 {
-		pte |= a64Valid
-	}
-	if p&PermWrite != 0 {
-		pte |= a64SWWr | a64DBM
-	} else {
-		pte |= a64RO
-	}
-	if p&PermExec == 0 {
-		pte |= a64UXN | a64PXN
-	}
-	if p&PermUser != 0 {
-		pte |= a64User
-	}
-	if p&PermCOW != 0 {
-		pte |= a64SWCOW
-	}
-	if p&PermShared != 0 {
-		pte |= a64SWShrd
-	}
-	return pte
-}
-
-// Accessed implements ISA (hardware AF).
-func (ARM64) Accessed(pte uint64) bool { return pte&a64AF != 0 }
-
-// Dirty implements ISA (software dirty bit; see layout comment).
-func (ARM64) Dirty(pte uint64) bool { return pte&a64SWDirt != 0 }
-
-// SetAccessed implements ISA.
-func (ARM64) SetAccessed(pte uint64) uint64 { return pte | a64AF }
-
-// SetDirty implements ISA.
-func (ARM64) SetDirty(pte uint64) uint64 { return pte | a64SWDirt }
-
-// SupportsHugeAt implements ISA: 2 MiB and 1 GiB blocks.
-func (ARM64) SupportsHugeAt(level int) bool { return level == 2 || level == 3 }
-
-// Features implements ISA.
-func (ARM64) Features() FeatureSet { return FeatureSet{HugeLevels: []int{2, 3}} }
-
-// WithProtKey implements ISA; ARM has no MPK (POE is out of scope).
-func (ARM64) WithProtKey(pte uint64, key ProtKey) uint64 { return pte }
-
-// ProtKeyOf implements ISA.
-func (ARM64) ProtKeyOf(pte uint64) ProtKey { return 0 }
+// arm64 is the VMSAv8-64 table, the port of the paper's ARM target
+// (§4.4). At level 1 a valid descriptor is a page (type bit set); at
+// upper levels the type bit tells table (set) from block (clear), so a
+// leaf's shape is the type bit at level 1 and its absence above. A
+// logically writable leaf carries DBM; a read-only one carries neither
+// DBM nor the logical write bit, since with FEAT_HAFDBS a read-only
+// descriptor with DBM set is writable-clean and hardware may write it.
+var arm64 = newCodec(layout{
+	Codec: Codec{
+		name:     "arm64",
+		present:  a64Valid,
+		leafMask: a64Type, leafFlip: a64Type, l1Leaf: true,
+		pfnShift: PageShift, pfnMask: a64AddrMask,
+		accessed: a64AF, dirty: a64SWDirt,
+		table:     a64Valid | a64Type,
+		leafBase:  a64Valid,
+		shape:     [8]uint64{1: a64Type},
+		shapeMask: a64Type,
+		decFlip:   a64UXN,
+		huge:      1<<2 | 1<<3,
+	},
+	perm: [6]permBits{{on: a64Valid}, {on: a64SWWr | a64DBM, off: a64RO}, {off: a64UXN | a64PXN}, {on: a64User}, {on: a64SWCOW}, {on: a64SWShrd}},
+	dec:  [6]uint64{a64Valid, a64SWWr, a64UXN, a64User, a64SWCOW, a64SWShrd},
+})

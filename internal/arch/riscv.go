@@ -30,109 +30,19 @@ const (
 	rvPFNMask  = ((uint64(1) << 44) - 1) << rvPFNShift
 )
 
-// RISCV implements the ISA interface for RISC-V Sv48 paging.
-type RISCV struct{}
-
-var _ ISA = RISCV{}
-
-// Name implements ISA.
-func (RISCV) Name() string { return "riscv64" }
-
-// EncodeLeaf implements ISA.
-func (RISCV) EncodeLeaf(pfn PFN, p Perm, level int) uint64 {
-	pte := uint64(pfn)<<rvPFNShift&rvPFNMask | rvValid
-	return rvApplyPerm(pte, p)
-}
-
-// EncodeTable implements ISA: V set, R/W/X clear.
-func (RISCV) EncodeTable(pfn PFN) uint64 {
-	return uint64(pfn)<<rvPFNShift&rvPFNMask | rvValid
-}
-
-// IsPresent implements ISA.
-func (RISCV) IsPresent(pte uint64) bool { return pte&rvValid != 0 }
-
-// IsLeaf implements ISA: leaf iff R, W or X is set.
-func (RISCV) IsLeaf(pte uint64, level int) bool {
-	return pte&(rvRead|rvWrite|rvExec) != 0
-}
-
-// PFNOf implements ISA.
-func (RISCV) PFNOf(pte uint64) PFN { return PFN(pte & rvPFNMask >> rvPFNShift) }
-
-// PermOf implements ISA.
-func (RISCV) PermOf(pte uint64) Perm {
-	var p Perm
-	if pte&rvRead != 0 {
-		p |= PermRead
-	}
-	if pte&rvWrite != 0 {
-		p |= PermWrite
-	}
-	if pte&rvExec != 0 {
-		p |= PermExec
-	}
-	if pte&rvUser != 0 {
-		p |= PermUser
-	}
-	if pte&rvSWCOW != 0 {
-		p |= PermCOW
-	}
-	if pte&rvSWShared != 0 {
-		p |= PermShared
-	}
-	return p
-}
-
-// WithPerm implements ISA.
-func (RISCV) WithPerm(pte uint64, p Perm, level int) uint64 {
-	pte &^= rvRead | rvWrite | rvExec | rvUser | rvSWCOW | rvSWShared
-	return rvApplyPerm(pte, p)
-}
-
-func rvApplyPerm(pte uint64, p Perm) uint64 {
-	if p&PermRead != 0 {
-		pte |= rvRead
-	}
-	if p&PermWrite != 0 {
-		pte |= rvWrite
-	}
-	if p&PermExec != 0 {
-		pte |= rvExec
-	}
-	if p&PermUser != 0 {
-		pte |= rvUser
-	}
-	if p&PermCOW != 0 {
-		pte |= rvSWCOW
-	}
-	if p&PermShared != 0 {
-		pte |= rvSWShared
-	}
-	return pte
-}
-
-// Accessed implements ISA.
-func (RISCV) Accessed(pte uint64) bool { return pte&rvAccessed != 0 }
-
-// Dirty implements ISA.
-func (RISCV) Dirty(pte uint64) bool { return pte&rvDirty != 0 }
-
-// SetAccessed implements ISA.
-func (RISCV) SetAccessed(pte uint64) uint64 { return pte | rvAccessed }
-
-// SetDirty implements ISA.
-func (RISCV) SetDirty(pte uint64) uint64 { return pte | rvDirty }
-
-// SupportsHugeAt implements ISA: Sv48 allows leaves at levels 2-4; we cap
-// at level 3 (1 GiB) to match the page sizes CortenMM supports.
-func (RISCV) SupportsHugeAt(level int) bool { return level == 2 || level == 3 }
-
-// Features implements ISA.
-func (RISCV) Features() FeatureSet { return FeatureSet{HugeLevels: []int{2, 3}} }
-
-// WithProtKey implements ISA; RISC-V has no MPK so the entry is unchanged.
-func (RISCV) WithProtKey(pte uint64, key ProtKey) uint64 { return pte }
-
-// ProtKeyOf implements ISA.
-func (RISCV) ProtKeyOf(pte uint64) ProtKey { return 0 }
+// riscv is the Sv48 table. Sv48 allows leaves at levels 2-4; we cap at
+// level 3 (1 GiB) to match the page sizes CortenMM supports.
+var riscv = newCodec(layout{
+	Codec: Codec{
+		name:     "riscv64",
+		present:  rvValid,
+		leafMask: rvRead | rvWrite | rvExec,
+		pfnShift: rvPFNShift, pfnMask: rvPFNMask,
+		accessed: rvAccessed, dirty: rvDirty,
+		table:    rvValid,
+		leafBase: rvValid,
+		huge:     1<<2 | 1<<3,
+	},
+	perm: [6]permBits{{on: rvRead}, {on: rvWrite}, {on: rvExec}, {on: rvUser}, {on: rvSWCOW}, {on: rvSWShared}},
+	dec:  [6]uint64{rvRead, rvWrite, rvExec, rvUser, rvSWCOW, rvSWShared},
+})

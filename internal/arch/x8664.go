@@ -29,143 +29,30 @@ const (
 	x86PKeyMask  = uint64(0xf) << x86PKeyShift
 )
 
-// X8664 implements the ISA interface for x86-64 4-level paging. The zero
-// value is the plain ISA; set EnableMPK for protection-key support.
-type X8664 struct {
-	// EnableMPK turns on Intel memory-protection-key encoding in PTEs.
-	EnableMPK bool
-}
+// x8664 and x8664MPK are the x86-64 4-level paging tables. Non-leaf
+// entries are maximally permissive: x86 access control intersects
+// permissions along the walk, so real OSes (and CortenMM) keep upper
+// levels open and restrict at the leaf. PS counts as present, as in
+// Linux's pte_present, because PROT_NONE mappings clear P but keep PS.
+var x8664 = newCodec(layout{
+	Codec: Codec{
+		name:     "x86_64",
+		present:  x86Present | x86Huge,
+		leafMask: x86Huge, l1Leaf: true,
+		pfnShift: PageShift, pfnMask: x86AddrMask,
+		accessed: x86Accessed, dirty: x86Dirty,
+		table:    x86Present | x86Write | x86User,
+		leafBase: x86Present,
+		shape:    [8]uint64{2: x86Huge, 3: x86Huge, 4: x86Huge},
+		decFlip:  x86NX,
+		huge:     1<<2 | 1<<3, // 2 MiB and 1 GiB
+	},
+	perm: [6]permBits{{on: x86Present}, {on: x86Write}, {off: x86NX}, {on: x86User}, {on: x86SWCOW}, {on: x86SWShared}},
+	dec:  [6]uint64{x86Present, x86Write, x86NX, x86User, x86SWCOW, x86SWShared},
+})
 
-var _ ISA = X8664{}
-
-// Name implements ISA.
-func (x X8664) Name() string {
-	if x.EnableMPK {
-		return "x86_64+mpk"
-	}
-	return "x86_64"
-}
-
-// EncodeLeaf implements ISA.
-func (x X8664) EncodeLeaf(pfn PFN, p Perm, level int) uint64 {
-	pte := uint64(pfn)<<PageShift&x86AddrMask | x86Present
-	if level > 1 {
-		pte |= x86Huge
-	}
-	return x86ApplyPerm(pte, p)
-}
-
-// EncodeTable implements ISA. Non-leaf entries are maximally permissive;
-// x86 access control intersects permissions along the walk, so real OSes
-// (and CortenMM) keep upper levels open and restrict at the leaf.
-func (x X8664) EncodeTable(pfn PFN) uint64 {
-	return uint64(pfn)<<PageShift&x86AddrMask | x86Present | x86Write | x86User
-}
-
-// IsPresent implements ISA. Mirrors pte_present in Linux: the HUGE bit
-// also counts, because PROT_NONE mappings clear P but keep PS.
-func (x X8664) IsPresent(pte uint64) bool {
-	return pte&x86Present != 0 || pte&x86Huge != 0
-}
-
-// IsLeaf implements ISA.
-func (x X8664) IsLeaf(pte uint64, level int) bool {
-	if level == 1 {
-		return true
-	}
-	return pte&x86Huge != 0
-}
-
-// PFNOf implements ISA.
-func (x X8664) PFNOf(pte uint64) PFN { return PFN(pte & x86AddrMask >> PageShift) }
-
-// PermOf implements ISA.
-func (x X8664) PermOf(pte uint64) Perm {
-	var p Perm
-	if pte&x86Present != 0 {
-		p |= PermRead
-	}
-	if pte&x86Write != 0 {
-		p |= PermWrite
-	}
-	if pte&x86NX == 0 {
-		p |= PermExec
-	}
-	if pte&x86User != 0 {
-		p |= PermUser
-	}
-	if pte&x86SWCOW != 0 {
-		p |= PermCOW
-	}
-	if pte&x86SWShared != 0 {
-		p |= PermShared
-	}
-	return p
-}
-
-// WithPerm implements ISA.
-func (x X8664) WithPerm(pte uint64, p Perm, level int) uint64 {
-	pte &^= x86Present | x86Write | x86User | x86SWCOW | x86SWShared | x86NX
-	if level > 1 {
-		pte |= x86Huge
-	}
-	return x86ApplyPerm(pte, p)
-}
-
-func x86ApplyPerm(pte uint64, p Perm) uint64 {
-	if p&PermRead != 0 {
-		pte |= x86Present
-	}
-	if p&PermWrite != 0 {
-		pte |= x86Write
-	}
-	if p&PermExec == 0 {
-		pte |= x86NX
-	}
-	if p&PermUser != 0 {
-		pte |= x86User
-	}
-	if p&PermCOW != 0 {
-		pte |= x86SWCOW
-	}
-	if p&PermShared != 0 {
-		pte |= x86SWShared
-	}
-	return pte
-}
-
-// Accessed implements ISA.
-func (x X8664) Accessed(pte uint64) bool { return pte&x86Accessed != 0 }
-
-// Dirty implements ISA.
-func (x X8664) Dirty(pte uint64) bool { return pte&x86Dirty != 0 }
-
-// SetAccessed implements ISA.
-func (x X8664) SetAccessed(pte uint64) uint64 { return pte | x86Accessed }
-
-// SetDirty implements ISA.
-func (x X8664) SetDirty(pte uint64) uint64 { return pte | x86Dirty }
-
-// SupportsHugeAt implements ISA: 2 MiB leaves at level 2, 1 GiB at level 3.
-func (x X8664) SupportsHugeAt(level int) bool { return level == 2 || level == 3 }
-
-// Features implements ISA.
-func (x X8664) Features() FeatureSet {
-	return FeatureSet{MPK: x.EnableMPK, HugeLevels: []int{2, 3}}
-}
-
-// WithProtKey implements ISA.
-func (x X8664) WithProtKey(pte uint64, key ProtKey) uint64 {
-	if !x.EnableMPK {
-		return pte
-	}
-	return pte&^x86PKeyMask | uint64(key&0xf)<<x86PKeyShift
-}
-
-// ProtKeyOf implements ISA.
-func (x X8664) ProtKeyOf(pte uint64) ProtKey {
-	if !x.EnableMPK {
-		return 0
-	}
-	return ProtKey(pte & x86PKeyMask >> x86PKeyShift)
-}
+var x8664MPK = func() Codec {
+	c := x8664
+	c.name, c.keyShift, c.keyMask = "x86_64+mpk", x86PKeyShift, x86PKeyMask
+	return c
+}()

@@ -145,7 +145,7 @@ func Fig19(o Options) ([]Row, error) {
 	}
 	for _, threads := range sweep {
 		for _, op := range workload.AllMicroOps {
-			g.micros("fig19", []System{Linux, CortenRW, CortenAdv}, arch.RISCV{}, op, workload.Low, threads, o.iters(800), false)
+			g.micros("fig19", []System{Linux, CortenRW, CortenAdv}, arch.RISCV(), op, workload.Low, threads, o.iters(800), false)
 		}
 	}
 	return g.rows, g.err

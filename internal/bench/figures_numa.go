@@ -96,7 +96,7 @@ func numaBalance(m *cpusim.Machine, a *core.AddrSpace, pages int) (map[string]fl
 	})
 	d.Register(a)
 
-	isa := arch.X8664{}
+	isa := arch.X8664(false)
 	localFrac := func() float64 {
 		n := 0
 		for p := 0; p < pages; p++ {

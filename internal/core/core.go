@@ -131,7 +131,7 @@ type cachedCursor struct {
 // New creates an empty address space.
 func New(o Options) (*AddrSpace, error) {
 	if o.ISA == nil {
-		o.ISA = arch.X8664{}
+		o.ISA = arch.X8664(false)
 	}
 	if o.Machine == nil {
 		o.Machine = cpusim.New(cpusim.Config{})

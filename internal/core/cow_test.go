@@ -398,7 +398,7 @@ func TestSwapSkipsSharedAndCOW(t *testing.T) {
 func TestMPKTagging(t *testing.T) {
 	// MPK is a per-ISA feature: keys survive mapping and query (§6.7).
 	m := newMachine()
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.X8664{EnableMPK: true}})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.X8664(true)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,8 +263,7 @@ func (c *RCursor) editRange(lo, hi arch.Vaddr, field, bits uint64, edit func(pte
 // or file-backed.
 func (c *RCursor) protectPTE(pte uint64, level int, perm arch.Perm) uint64 {
 	isa := c.a.isa
-	old := isa.PermOf(pte)
-	if old&arch.PermShared != 0 {
+	if isa.Shared(pte) {
 		return isa.WithPerm(pte, perm|arch.PermShared, level)
 	}
 	p := perm &^ (arch.PermCOW | arch.PermShared)

@@ -12,7 +12,7 @@ import (
 func newMPKSpace(t *testing.T) *AddrSpace {
 	t.Helper()
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 14})
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.X8664{EnableMPK: true}})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.X8664(true)})
 	if err != nil {
 		t.Fatal(err)
 	}

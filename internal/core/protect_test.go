@@ -40,7 +40,7 @@ func TestProtectSweepMatchesPerPage(t *testing.T) {
 			// the last quarter of the tables and the huge leaf.
 			build := func() (a, shared *AddrSpace, m *cpusim.Machine) {
 				m = cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14})
-				a, err := New(Options{Machine: m, Protocol: p, ISA: arch.X8664{EnableMPK: true}, SwapDev: mem.NewBlockDev("swap")})
+				a, err := New(Options{Machine: m, Protocol: p, ISA: arch.X8664(true), SwapDev: mem.NewBlockDev("swap")})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,4 +184,78 @@ func pageState(t *testing.T, a *AddrSpace, va arch.Vaddr) protectedPage {
 		p.mapped, p.level, p.perm, p.key = true, level, a.isa.PermOf(pte), a.isa.ProtKeyOf(pte)
 	}
 	return p
+}
+
+// TestARM64ReadOnlyLeafHasNoDBM: an arm64 leaf that loses write
+// permission loses DBM (descriptor bit 51) with it and gains AP[2]
+// (bit 7). Under FEAT_HAFDBS a read-only descriptor with DBM set is
+// writable-clean, so hardware may write the page. The codec half takes
+// a level-1 and a level-2 RW leaf to read-only; the end-to-end half
+// populates a whole leaf table, a few pages beside it and a 2-MiB huge
+// leaf RW on both protocols, Mprotects them read-only — the table
+// through the sweep, the pages one by one, the huge leaf whole — and
+// finds no leaf with DBM.
+func TestARM64ReadOnlyLeafHasNoDBM(t *testing.T) {
+	const (
+		dbm = uint64(1) << 51
+		ap2 = uint64(1) << 7
+	)
+	isa := arch.ARM64()
+	for _, level := range []int{1, 2} {
+		rw := isa.EncodeLeaf(42, arch.PermRW|arch.PermUser, level)
+		if rw&dbm == 0 || rw&ap2 != 0 {
+			t.Fatalf("L%d RW leaf %#x: want DBM set and AP[2] clear", level, rw)
+		}
+		ro := isa.WithPerm(rw, arch.PermRead|arch.PermUser, level)
+		if ro&dbm != 0 || ro&ap2 == 0 {
+			t.Errorf("L%d read-only leaf %#x: want DBM clear and AP[2] set", level, ro)
+		}
+	}
+	const (
+		span  = arch.Vaddr(1) << 21
+		base  = arch.Vaddr(1) << 30
+		pages = 8
+	)
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14})
+			a, err := New(Options{Machine: m, Protocol: p, ISA: isa})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.MmapFixed(0, base, uint64(span)+pages*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.MmapFixed(0, base+2*span, uint64(span), arch.PermRW, mm.FlagPopulate|mm.FlagHuge2M); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Mprotect(0, base, uint64(span), arch.PermRead); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < pages; i++ {
+				if err := a.Mprotect(0, base+span+arch.Vaddr(i)*arch.PageSize, arch.PageSize, arch.PermRead); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Mprotect(0, base+2*span, uint64(span), arch.PermRead); err != nil {
+				t.Fatal(err)
+			}
+			check := func(va arch.Vaddr, wantLevel int) {
+				pte, level, ok := a.tree.Walk(va)
+				if !ok || level != wantLevel {
+					t.Fatalf("%#x: mapped %v at level %d, want level %d", va, ok, level, wantLevel)
+				}
+				if pte&dbm != 0 || pte&ap2 == 0 || isa.PermOf(pte).Contains(arch.PermWrite) {
+					t.Errorf("%#x: L%d leaf %#x after Mprotect(PermRead): want DBM clear, AP[2] set, no write", va, level, pte)
+				}
+			}
+			for va := base; va < base+span+pages*arch.PageSize; va += arch.PageSize {
+				check(va, 1)
+			}
+			check(base+2*span, 2)
+			checkWF(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
 }

@@ -174,7 +174,7 @@ func TestReclaimSkipsSharedAndCOW(t *testing.T) {
 func TestARM64EndToEnd(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 14})
 	dev := mem.NewBlockDev("swap")
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.ARM64{}, SwapDev: dev})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.ARM64(), SwapDev: dev})
 	if err != nil {
 		t.Fatal(err)
 	}

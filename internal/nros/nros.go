@@ -85,7 +85,7 @@ type Space struct {
 // New creates an empty NrOS-style space with one replica per NUMA node.
 func New(m *cpusim.Machine, isa arch.ISA) (*Space, error) {
 	if isa == nil {
-		isa = arch.X8664{}
+		isa = arch.X8664(false)
 	}
 	s := &Space{m: m, isa: isa, asid: m.AllocASID(), replicas: make([]*replica, m.NUMANodes)}
 	for i := range s.replicas {

@@ -15,7 +15,7 @@ import (
 func newTestTree(t *testing.T) *Tree {
 	t.Helper()
 	phys := mem.NewPhysMem(1<<14, 4)
-	tree, err := NewTree(phys, arch.X8664{}, 4, true)
+	tree, err := NewTree(phys, arch.X8664(false), 4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestStatusShape(t *testing.T) {
 // less the reserved bits.
 func FuzzStatusWord(f *testing.F) {
 	phys := mem.NewPhysMem(1<<10, 1)
-	tree, err := NewTree(phys, arch.X8664{}, 1, false)
+	tree, err := NewTree(phys, arch.X8664(false), 1, false)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func FuzzStatusWord(f *testing.F) {
 
 func TestDestroyFreesEverything(t *testing.T) {
 	phys := mem.NewPhysMem(1<<14, 1)
-	tree, err := NewTree(phys, arch.X8664{}, 1, false)
+	tree, err := NewTree(phys, arch.X8664(false), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

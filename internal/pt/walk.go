@@ -122,24 +122,25 @@ type Translation struct {
 // fault — either nothing is mapped or permissions are insufficient
 // (including a write to a COW page, which is mapped read-only).
 func (t *Tree) WalkAccess(va arch.Vaddr, acc Access) (Translation, bool) {
-	cur := t.Root
+	cur, isa := t.Root, t.ISA
 	for level := arch.Levels; level >= 1; {
 		idx := arch.IndexAt(va, level)
 		pte := t.LoadPTE(cur, idx)
-		if !t.ISA.IsPresent(pte) {
+		if !isa.IsPresent(pte) {
 			return Translation{}, false
 		}
-		if !t.ISA.IsLeaf(pte, level) {
-			cur = t.ISA.PFNOf(pte)
+		if !isa.IsLeaf(pte, level) {
+			cur = isa.PFNOf(pte)
 			level--
 			continue
 		}
-		if !t.ISA.PermOf(pte).Contains(acc.Needs()) {
+		perm := isa.PermOf(pte)
+		if !perm.Contains(acc.Needs()) {
 			return Translation{}, false
 		}
-		upd := t.ISA.SetAccessed(pte)
+		upd := isa.SetAccessed(pte)
 		if acc == AccessWrite {
-			upd = t.ISA.SetDirty(upd)
+			upd = isa.SetDirty(upd)
 		}
 		if upd != pte && !t.CASPTE(cur, idx, pte, upd) {
 			continue // raced with a concurrent update; re-read this level
@@ -147,8 +148,8 @@ func (t *Tree) WalkAccess(va arch.Vaddr, acc Access) (Translation, bool) {
 		// Huge leaves translate with the low VA bits as a frame offset.
 		pageInSpan := uint64(va) >> arch.PageShift & (arch.SpanBytes(level)/arch.PageSize - 1)
 		return Translation{
-			PFN:   t.ISA.PFNOf(pte) + arch.PFN(pageInSpan),
-			Perm:  t.ISA.PermOf(pte),
+			PFN:   isa.PFNOf(pte) + arch.PFN(pageInSpan),
+			Perm:  perm,
 			Level: level,
 		}, true
 	}

@@ -59,7 +59,7 @@ type Space struct {
 // per core.
 func New(m *cpusim.Machine, isa arch.ISA) (*Space, error) {
 	if isa == nil {
-		isa = arch.X8664{}
+		isa = arch.X8664(false)
 	}
 	s := &Space{
 		m:        m,

@@ -99,7 +99,7 @@ func (s *Space) unchargePages(frames []arch.PFN) {
 // New creates an empty Linux-style address space on machine m.
 func New(m *cpusim.Machine, isa arch.ISA) (*Space, error) {
 	if isa == nil {
-		isa = arch.X8664{}
+		isa = arch.X8664(false)
 	}
 	t, err := pt.NewTree(m.Phys, isa, m.Cores, false)
 	if err != nil {
