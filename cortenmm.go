@@ -7,7 +7,8 @@
 // Because the paper's system lives inside an OS kernel and Go cannot,
 // the library ships its own hardware substrate: simulated physical
 // memory with a buddy allocator and page descriptors, radix page tables
-// with x86-64 and RISC-V Sv48 entry formats, per-core TLBs with three
+// with x86-64 (optionally with MPK), RISC-V Sv48 and ARM64 entry formats
+// (one PTE codec over a bit table per ISA), per-core TLBs with three
 // shootdown protocols, epoch-based RCU, and a multicore machine
 // abstraction. On top of that substrate it provides:
 //

@@ -1,27 +1,28 @@
 // Async batched MM pipeline: an io_uring-style submission ring over the
 // transactional interface. Callers enqueue MM ops (mmap, munmap,
-// mprotect, madvise, msync, populate) as SQEs on a per-core Batch, then
-// Submit executes them all in one pass: the ops are sorted by virtual
-// address and coalesced — adjacent or overlapping ranges merge into one
-// transaction, so the locking protocol (BRAVO reader/writer or
-// RCU+MCS+DFS) runs once per merged subtree instead of once per op —
-// and every transaction's deferred flush records accumulate into a
-// single TLB fan-out at batch commit (riding the node-batched
-// ShootdownRanges). Completion is precise: each SQE gets a CQE carrying
-// its own error, so a partial-batch failure names exactly the ops to
-// retry.
+// mprotect, madvise, msync, populate) as SQEs — the op records the
+// syscalls build — on a per-core Batch, then Submit executes them all in
+// one pass through the syscalls' gate, counter and apply. The ops are
+// sorted by virtual address and coalesced — adjacent or overlapping
+// ranges merge into one transaction, so the locking protocol (BRAVO
+// reader/writer or RCU+MCS+DFS) runs once per merged subtree instead of
+// once per op — and every transaction's deferred flush records
+// accumulate into a single TLB fan-out at batch commit (riding the
+// node-batched ShootdownRanges). Completion is precise: each SQE gets a
+// CQE carrying its own error, so a partial-batch failure names exactly
+// the ops to retry.
 //
-// Unlike the one-op-per-call syscalls, Submit does not run the OOM
-// retry loop around individual ops: an op that fails with
-// ErrOutOfMemory unwinds itself (the bodies keep the single-op unwind
-// contract) and reports through its CQE; the caller decides whether to
-// resubmit. Ops within a coalesced group execute in enqueue order;
-// groups execute in ascending VA order, which is indistinguishable from
-// enqueue order because distinct groups touch disjoint ranges.
+// The ring differs from the one-op-per-call syscalls in coalescing, the
+// deferred commit and one more thing: Submit does not run the OOM retry
+// loop around individual ops. An op that fails with ErrOutOfMemory
+// unwinds itself (apply's bodies keep the single-op unwind contract) and
+// reports through its CQE; the caller decides whether to resubmit. Ops
+// within a coalesced group execute in enqueue order; groups execute in
+// ascending VA order, which is indistinguishable from enqueue order
+// because distinct groups touch disjoint ranges.
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -66,26 +67,6 @@ func (k BatchKind) String() string {
 	return "?"
 }
 
-// BatchSQE is one submission-queue entry. Entries are built by the
-// Batch's enqueue methods, which validate arguments up front so Submit
-// only sees well-formed ranges.
-type BatchSQE struct {
-	Kind  BatchKind
-	VA    arch.Vaddr
-	Size  uint64
-	Perm  arch.Perm
-	Flags mm.Flags
-
-	// ring marks a VA the batch allocated at enqueue time (Mmap); a
-	// failed op must hand it back to the allocator after commit.
-	ring bool
-	// checkExists makes the mmap fail on collision (MmapFixed).
-	checkExists bool
-	// cleared is how many allocated pages this op's own Unmap removed
-	// (the group cursor is shared, so Submit records the delta).
-	cleared uint64
-}
-
 // BatchCQE is one completion-queue entry: the op's identity and its
 // outcome. CQE i corresponds to the i-th enqueued SQE.
 type BatchCQE struct {
@@ -100,7 +81,7 @@ type BatchCQE struct {
 type Batch struct {
 	a    *AddrSpace
 	core int
-	sq   []BatchSQE
+	sq   []op
 }
 
 // NewBatch creates an empty submission ring for core.
@@ -116,18 +97,12 @@ func (b *Batch) Pending() int { return len(b.sq) }
 // mapping itself is established at Submit. If the op then fails, the
 // range is handed back to the allocator and the CQE carries the error.
 func (b *Batch) Mmap(size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	if err := b.a.checkAlive(b.core); err != nil {
+	o := op{kind: BatchMmap, size: size, perm: perm, fl: fl, ring: true}
+	if err := b.a.allocVA(b.core, &o); err != nil {
 		return 0, err
 	}
-	if size = alignSize(size, fl); size == 0 {
-		return 0, errZeroSize
-	}
-	va, err := b.a.valloc.Alloc(b.core, size)
-	if err != nil {
-		return 0, err
-	}
-	b.sq = append(b.sq, BatchSQE{Kind: BatchMmap, VA: va, Size: size, Perm: perm, Flags: fl, ring: true})
-	return va, nil
+	b.sq = append(b.sq, o)
+	return o.va, nil
 }
 
 // MmapFixed enqueues an anonymous mmap at an exact address, failing on
@@ -137,7 +112,7 @@ func (b *Batch) MmapFixed(va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flag
 	if err := b.a.checkRange(b.core, va, size); err != nil {
 		return err
 	}
-	b.sq = append(b.sq, BatchSQE{Kind: BatchMmap, VA: va, Size: size, Perm: perm, Flags: fl, checkExists: true})
+	b.sq = append(b.sq, op{kind: BatchMmap, va: va, size: size, perm: perm, fl: fl, checkExists: true})
 	return nil
 }
 
@@ -145,7 +120,7 @@ func (b *Batch) enqueue(kind BatchKind, va arch.Vaddr, size uint64, perm arch.Pe
 	if err := b.a.checkRange(b.core, va, size); err != nil {
 		return err
 	}
-	b.sq = append(b.sq, BatchSQE{Kind: kind, VA: va, Size: size, Perm: perm})
+	b.sq = append(b.sq, op{kind: kind, va: va, size: size, perm: perm})
 	return nil
 }
 
@@ -223,7 +198,13 @@ func (b *Batch) Submit() []BatchCQE {
 			continue
 		}
 		for _, i := range g.ops {
-			cqes[i] = b.cqe(i, b.apply(c, &b.sq[i]))
+			o := &b.sq[i]
+			err := a.admit(b.core, o)
+			if err == nil {
+				a.count(o)
+				err = a.apply(c, o)
+			}
+			cqes[i] = b.cqe(i, err)
 		}
 		if c.flushAll || len(c.flush) > 0 {
 			txFlushed++
@@ -233,7 +214,6 @@ func (b *Batch) Submit() []BatchCQE {
 	emitted := a.commitDeferred(b.core, &d)
 
 	cnt.groups.Add(uint64(len(groups)))
-	cnt.coalescedLocks.Add(uint64(n - len(groups)))
 	cnt.shootdowns.Add(uint64(emitted))
 	cnt.flushRanges.Add(uint64(len(d.flush)))
 	if txFlushed > emitted {
@@ -245,12 +225,12 @@ func (b *Batch) Submit() []BatchCQE {
 	// the ranges they found fully allocated; failed ring-allocated mmaps
 	// hand their range back.
 	for i := range cqes {
-		e := &b.sq[i]
+		o := &b.sq[i]
 		switch {
-		case e.Kind == BatchMunmap && cqes[i].Err == nil:
-			a.munmapFinish(b.core, e.VA, e.Size, e.cleared)
-		case e.Kind == BatchMmap && e.ring && cqes[i].Err != nil:
-			a.valloc.Free(b.core, e.VA, e.Size)
+		case o.kind == BatchMunmap && cqes[i].Err == nil:
+			a.munmapFinish(b.core, o.va, o.size, o.cleared)
+		case o.kind == BatchMmap && o.ring && cqes[i].Err != nil:
+			a.valloc.Free(b.core, o.va, o.size)
 		}
 	}
 	b.sq = b.sq[:0]
@@ -259,8 +239,8 @@ func (b *Batch) Submit() []BatchCQE {
 
 // cqe completes SQE i with err.
 func (b *Batch) cqe(i int, err error) BatchCQE {
-	e := &b.sq[i]
-	return BatchCQE{Kind: e.Kind, VA: e.VA, Size: e.Size, Err: err}
+	o := &b.sq[i]
+	return BatchCQE{Kind: o.kind, VA: o.va, Size: o.size, Err: err}
 }
 
 // coalesce sorts the SQEs by range start and merges overlapping or
@@ -272,16 +252,15 @@ func (b *Batch) coalesce() []batchGroup {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(x, y int) bool {
-		ex, ey := &b.sq[idx[x]], &b.sq[idx[y]]
-		if ex.VA != ey.VA {
-			return ex.VA < ey.VA
+		ox, oy := &b.sq[idx[x]], &b.sq[idx[y]]
+		if ox.va != oy.va {
+			return ox.va < oy.va
 		}
 		return idx[x] < idx[y]
 	})
 	var groups []batchGroup
 	for _, i := range idx {
-		e := &b.sq[i]
-		lo, hi := e.VA, e.VA+arch.Vaddr(e.Size)
+		lo, hi := b.sq[i].va, b.sq[i].end()
 		if len(groups) > 0 && lo <= groups[len(groups)-1].hi {
 			g := &groups[len(groups)-1]
 			if hi > g.hi {
@@ -298,45 +277,11 @@ func (b *Batch) coalesce() []batchGroup {
 	return groups
 }
 
-// apply runs one SQE's transactional body under the group cursor.
-func (b *Batch) apply(c *RCursor, e *BatchSQE) error {
-	a := b.a
-	hi := e.VA + arch.Vaddr(e.Size)
-	switch e.Kind {
-	case BatchMmap:
-		if err := a.checkAlive(b.core); err != nil {
-			return err
-		}
-		a.stats.Mmaps.Add(1)
-		return a.mmapBody(c, e.VA, e.Size, e.Perm, e.Flags, e.checkExists)
-	case BatchMunmap:
-		a.stats.Munmaps.Add(1)
-		before := c.cleared
-		err := c.Unmap(e.VA, hi)
-		e.cleared = c.cleared - before
-		return err
-	case BatchMprotect:
-		a.stats.Mprotects.Add(1)
-		return c.Protect(e.VA, hi, e.Perm)
-	case BatchMadvise:
-		return a.madviseBody(c, e.VA, hi)
-	case BatchMsync:
-		return a.msyncBody(c, e.VA, hi)
-	case BatchPopulate:
-		if err := a.checkAlive(b.core); err != nil {
-			return err
-		}
-		return c.PopulateAnon(e.VA, hi)
-	}
-	return fmt.Errorf("%w: batch kind %d", mm.ErrNotSupported, e.Kind)
-}
-
 // batchCounters is the space's cumulative batch-pipeline activity.
 type batchCounters struct {
 	batches          atomic.Uint64
 	ops              atomic.Uint64
 	groups           atomic.Uint64
-	coalescedLocks   atomic.Uint64
 	shootdowns       atomic.Uint64
 	flushRanges      atomic.Uint64
 	coalescedFlushes atomic.Uint64
@@ -365,11 +310,15 @@ type BatchStats struct {
 
 // BatchStats snapshots the space's batch-pipeline counters.
 func (a *AddrSpace) BatchStats() BatchStats {
+	// Groups is loaded first: a Submit adds its ops before its groups, so
+	// the difference cannot wrap.
+	groups := a.batch.groups.Load()
+	ops := a.batch.ops.Load()
 	return BatchStats{
 		Batches:          a.batch.batches.Load(),
-		Ops:              a.batch.ops.Load(),
-		Groups:           a.batch.groups.Load(),
-		CoalescedLocks:   a.batch.coalescedLocks.Load(),
+		Ops:              ops,
+		Groups:           groups,
+		CoalescedLocks:   ops - groups,
 		Shootdowns:       a.batch.shootdowns.Load(),
 		FlushRanges:      a.batch.flushRanges.Load(),
 		CoalescedFlushes: a.batch.coalescedFlushes.Load(),

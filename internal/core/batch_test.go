@@ -339,7 +339,8 @@ func comparePages(t *testing.T, ba, sa *AddrSpace, base arch.Vaddr, npages int) 
 
 // TestBatchSequentialEquivalence is the property test: for random op
 // sequences, batched Submit ends in a tree state identical to executing
-// the same ops one syscall at a time, and per-op outcomes agree.
+// the same ops one syscall at a time, per-op outcomes agree, and so do the
+// mmap, munmap and mprotect counts.
 func TestBatchSequentialEquivalence(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
@@ -370,6 +371,12 @@ func TestBatchSequentialEquivalence(t *testing.T) {
 					if bok[i] != sok[i] {
 						t.Fatalf("round %d op %d: batched ok=%v sequential ok=%v", round, i, bok[i], sok[i])
 					}
+				}
+				// The ring counts through the syscalls' counter: one per op.
+				bs, ss := ba.Stats().Snapshot(), sa.Stats().Snapshot()
+				if bs.Mmaps != ss.Mmaps || bs.Munmaps != ss.Munmaps || bs.Mprotects != ss.Mprotects {
+					t.Fatalf("round %d: batched mmaps/munmaps/mprotects %d/%d/%d, sequential %d/%d/%d",
+						round, bs.Mmaps, bs.Munmaps, bs.Mprotects, ss.Mmaps, ss.Munmaps, ss.Mprotects)
 				}
 				if round%20 == 19 {
 					comparePages(t, ba, sa, base, npages)

@@ -9,7 +9,8 @@ import (
 )
 
 // Mremap resizes the mapping at oldVA (MREMAP_MAYMOVE semantics):
-// shrinking unmaps the tail in place; growing allocates a fresh range
+// shrinking unmaps the tail in place through the syscalls' exec (the
+// munmap body and its VA-recycle tail); growing allocates a fresh range
 // and *moves* every page there — PTEs, metadata (including swap
 // entries), frames and their reference counts travel without copying
 // data. The move runs under one transaction spanning both ranges. A grow
@@ -30,9 +31,11 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	a.m.OpTick(core)
 
 	if newSize <= oldSize {
-		// Shrink in place: the cut tail is an ordinary unmap.
+		// The cut tail is an ordinary unmap, run inside this call's
+		// bracket, so it counts no Munmap.
 		if newSize < oldSize {
-			if err := a.unmapRange(core, oldVA+arch.Vaddr(newSize), oldSize-newSize); err != nil {
+			tail := op{kind: BatchMunmap, va: oldVA + arch.Vaddr(newSize), size: oldSize - newSize}
+			if err := a.exec(core, &tail); err != nil {
 				return 0, err
 			}
 		}

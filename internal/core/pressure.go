@@ -102,7 +102,6 @@ type Daemon struct {
 	stolen       atomic.Uint64
 	oomKills     atomic.Uint64
 	// Swap-write telemetry, counted by evict.
-	swapQueued    atomic.Uint64
 	swapCompleted atomic.Uint64
 	swapFailed    atomic.Uint64
 
@@ -122,7 +121,7 @@ type DaemonStats struct {
 	// reclaim that had to look beyond the starved node's own frames.
 	Stolen   uint64
 	OOMKills uint64 // address spaces torn down
-	// Swap writes: attempted, succeeded and failed.
+	// Swap writes: attempted (succeeded + failed), succeeded and failed.
 	SwapQueued    uint64
 	SwapCompleted uint64
 	SwapFailed    uint64
@@ -136,6 +135,7 @@ type DaemonStats struct {
 
 // Stats snapshots the daemon's counters.
 func (d *Daemon) Stats() DaemonStats {
+	completed, failed := d.swapCompleted.Load(), d.swapFailed.Load()
 	return DaemonStats{
 		DirectRounds: d.directRounds.Load(),
 		BgSweeps:     d.bgSweeps.Load(),
@@ -143,9 +143,9 @@ func (d *Daemon) Stats() DaemonStats {
 		Stolen:       d.stolen.Load(),
 		OOMKills:     d.oomKills.Load(),
 
-		SwapQueued:    d.swapQueued.Load(),
-		SwapCompleted: d.swapCompleted.Load(),
-		SwapFailed:    d.swapFailed.Load(),
+		SwapQueued:    completed + failed,
+		SwapCompleted: completed,
+		SwapFailed:    failed,
 
 		SpansScanned:  d.spansScanned.Load(),
 		Promotions:    d.promotions.Load(),
@@ -517,14 +517,14 @@ const (
 	oomRetryTarget = 64
 )
 
-// retryOOM runs op; when it fails with an out-of-memory-class error and
+// retryOOM runs try; when it fails with an out-of-memory-class error and
 // the space is registered with a daemon, it runs direct reclaim — from
 // syscall context, with no locks held, so this time the sweep may target
 // this very space — and retries, bounded. This is the hardened unwind
-// path: op must be a complete transaction (lock, work, close, undo on
+// path: try must be a complete transaction (lock, work, close, undo on
 // failure) so re-running it from scratch is sound.
-func (a *AddrSpace) retryOOM(core int, op func() error) error {
-	err := op()
+func (a *AddrSpace) retryOOM(core int, try func() error) error {
+	err := try()
 	for attempt := 0; attempt < oomRetries; attempt++ {
 		d := a.daemon.Load()
 		if err == nil || !errors.Is(err, mem.ErrOutOfMemory) || d == nil {
@@ -533,7 +533,7 @@ func (a *AddrSpace) retryOOM(core int, op func() error) error {
 		if d.DirectReclaim(core, oomRetryTarget) == 0 {
 			return err
 		}
-		err = op()
+		err = try()
 	}
 	return err
 }

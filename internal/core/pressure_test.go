@@ -20,6 +20,52 @@ import (
 	"cortenmm/internal/pt"
 )
 
+// TestMmapFileReclaimsBeforeOOM pins that MmapFile, like every other
+// allocating call, is retried after direct reclaim: with memory full of
+// swappable anonymous pages, 3-MiB file mappings (each costs page-table
+// frames) keep succeeding until nothing reclaimable is left, so at the
+// first failure no anonymous frame is resident.
+func TestMmapFileReclaimsBeforeOOM(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 128})
+			a, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			AttachReclaim(m, ReclaimConfig{}).Register(a)
+			for i := 0; i < 12; i++ {
+				if _, err := a.Mmap(0, 16*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
+					t.Fatalf("anon mmap %d: %v", i, err)
+				}
+			}
+			const size = 3 << 20
+			for i := 0; ; i++ {
+				if i == 1000 {
+					t.Fatal("1000 file mappings and no OOM")
+				}
+				f := mem.NewFile(m.Phys, "f", size)
+				if _, err = a.MmapFile(0, f, 0, size, arch.PermRW, i%2 == 0); err == nil {
+					continue
+				}
+				if !errors.Is(err, mem.ErrOutOfMemory) {
+					t.Fatalf("file mmap %d: %v", i, err)
+				}
+				if anon := m.Phys.KindFrames(mem.KindAnon); anon != 0 {
+					t.Fatalf("file mmap %d: %v with %d anonymous frames still resident (%d PT frames)",
+						i, err, anon, m.Phys.KindFrames(mem.KindPT))
+				}
+				t.Logf("first OOM at file mmap %d, %d PT frames", i, m.Phys.KindFrames(mem.KindPT))
+				break
+			}
+			a.Destroy(0)
+			if err := m.CheckClean(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestPressurePopulateOvercommit is the headline acceptance test: on a
 // 128-frame machine with a swap device, a populate workload 4x larger
 // than physical memory completes through direct reclaim instead of

@@ -176,7 +176,6 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		}
 	}
 	if d := a.daemon.Load(); d != nil {
-		d.swapQueued.Add(uint64(len(reqs)))
 		d.swapCompleted.Add(written)
 		d.swapFailed.Add(uint64(len(reqs)) - written)
 	}
@@ -266,22 +265,10 @@ func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 // memory, the file status for file mappings), so a later access faults
 // in fresh content, exactly like Linux's MADV_DONTNEED.
 func (a *AddrSpace) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkRange(core, va, size); err != nil {
-		return err
-	}
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.m.OpTick(core)
-
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return a.madviseBody(c, va, va+arch.Vaddr(size))
+	return a.call(core, op{kind: BatchMadvise, va: va, size: size})
 }
 
-// madviseBody is the transactional work of MadviseDontNeed under an
-// already-held cursor (shared with the batch layer).
+// madviseBody is the transactional work of MadviseDontNeed.
 func (a *AddrSpace) madviseBody(c *RCursor, lo, hi arch.Vaddr) error {
 	c.needSync = true // dropped frames are reused immediately
 

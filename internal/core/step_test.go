@@ -237,6 +237,50 @@ func TestOneBreak(t *testing.T) {
 	}
 }
 
+// TestOneOpBody pins one route from a range op to its body: only apply
+// calls the op bodies, and no exported entry of the syscall, batch and
+// reclaim files opens a transaction or a kernel-time bracket itself — the
+// syscalls reach both through run and exec. Submit (coalesced cursors)
+// and the eviction pair (one evict body of their own) are the exceptions.
+func TestOneOpBody(t *testing.T) {
+	bodies := map[string]bool{"mmapBody": false, "madviseBody": false, "msyncBody": false}
+	own := map[string]bool{"Batch.Submit": true, "AddrSpace.SwapOut": true, "AddrSpace.ReclaimRange": true}
+	eachFunc(t, func(fset *token.FileSet, path string, fn *ast.FuncDecl) {
+		name := fn.Name.Name
+		if fn.Recv != nil {
+			name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+		}
+		entry := fn.Name.IsExported() && !own[name] &&
+			(path == "syscalls.go" || path == "batch.go" || path == "reclaim.go")
+		ast.Inspect(fn, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			callee := sel.Sel.Name
+			if _, ok := bodies[callee]; ok {
+				bodies[callee] = true
+				if name != "AddrSpace.apply" {
+					t.Errorf("%s: %s calls %s; only AddrSpace.apply may", fset.Position(call.Pos()), name, callee)
+				}
+			}
+			if entry && (callee == "Lock" || callee == "KernelEnter") {
+				t.Errorf("%s: entry %s calls %s itself; it must go through run", fset.Position(call.Pos()), name, callee)
+			}
+			return true
+		})
+	})
+	for callee, seen := range bodies {
+		if !seen {
+			t.Errorf("no call of %s found; AddrSpace.apply should hold one", callee)
+		}
+	}
+}
+
 // readsPayload reports whether a call's arguments reach a frame payload.
 func readsPayload(call *ast.CallExpr) bool {
 	found := false

@@ -9,37 +9,178 @@ import (
 	"cortenmm/internal/pt"
 )
 
+// op is one range operation: the arguments of a syscall or one entry of
+// a batch ring. Every range syscall and every ring entry reaches its body
+// through apply.
+type op struct {
+	kind BatchKind
+	va   arch.Vaddr
+	size uint64
+	perm arch.Perm
+	fl   mm.Flags
+	// file, pgoff and shared name a file mapping's pages (nil file:
+	// anonymous).
+	file   *mem.File
+	pgoff  uint64
+	shared bool
+
+	// ring marks a VA the batch allocated at enqueue time (Mmap); a
+	// failed op must hand it back to the allocator after commit.
+	ring bool
+	// checkExists makes the mmap fail on collision (MmapFixed).
+	checkExists bool
+	// cleared is how many allocated pages this op's own Unmap removed
+	// (a ring's group cursor is shared, so apply records the delta).
+	cleared uint64
+}
+
+func (o *op) end() arch.Vaddr { return o.va + arch.Vaddr(o.size) }
+
+// allocates reports whether o's body takes frames: such an op refuses an
+// OOM-killed space and, as a syscall, is retried after direct reclaim.
+func (o *op) allocates() bool { return o.kind == BatchMmap || o.kind == BatchPopulate }
+
+// admit is the gate of an op on a caller-chosen range, shared by the
+// syscalls and Submit: an allocating op refuses an OOM-killed space, and
+// the range must be canonical.
+func (a *AddrSpace) admit(core int, o *op) error {
+	if o.allocates() {
+		if err := a.checkAlive(core); err != nil {
+			return err
+		}
+	}
+	return a.checkRange(core, o.va, o.size)
+}
+
+// count bumps the mm.Stats counter of o's kind, if it has one.
+func (a *AddrSpace) count(o *op) {
+	switch o.kind {
+	case BatchMmap:
+		a.stats.Mmaps.Add(1)
+	case BatchMunmap:
+		a.stats.Munmaps.Add(1)
+	case BatchMprotect:
+		a.stats.Mprotects.Add(1)
+	}
+}
+
+// call is a range syscall: gate, then run.
+func (a *AddrSpace) call(core int, o op) error {
+	if err := a.admit(core, &o); err != nil {
+		return err
+	}
+	return a.run(core, &o)
+}
+
+// run is a syscall's bracket around one admitted op (Figure 8): kernel
+// time, its counter, the event clock, then exec — retried after direct
+// reclaim when the op allocates. Direct reclaim on behalf of a syscall is
+// kernel time, so the bracket spans the retries.
+func (a *AddrSpace) run(core int, o *op) error {
+	defer a.stats.KernelExit(a.stats.KernelEnter())
+	a.count(o)
+	a.m.OpTick(core)
+	if o.allocates() {
+		return a.retryOOM(core, func() error { return a.exec(core, o) })
+	}
+	return a.exec(core, o)
+}
+
+// exec runs o as one transaction — each body fully unwinds on failure,
+// so the OOM retry can re-run it — and, for a munmap, the recycle tail
+// once its translations are dead. Mremap cuts a shrunk mapping's tail
+// with it.
+func (a *AddrSpace) exec(core int, o *op) error {
+	c, err := a.Lock(core, o.va, o.end())
+	if err != nil {
+		return err
+	}
+	err = a.apply(c, o)
+	c.Close()
+	if err == nil && o.kind == BatchMunmap {
+		a.munmapFinish(core, o.va, o.size, o.cleared)
+	}
+	return err
+}
+
+// apply runs o's body under c, which covers o's range (a ring's cursor
+// may cover a wider coalesced one). It is the only route from a range op
+// to its body, for the syscalls and the ring alike.
+func (a *AddrSpace) apply(c *RCursor, o *op) error {
+	lo, hi := o.va, o.end()
+	switch o.kind {
+	case BatchMmap:
+		return a.mmapBody(c, o)
+	case BatchMunmap:
+		before := c.cleared
+		err := c.Unmap(lo, hi)
+		o.cleared = c.cleared - before
+		return err
+	case BatchMprotect:
+		return c.Protect(lo, hi, o.perm)
+	case BatchMadvise:
+		return a.madviseBody(c, lo, hi)
+	case BatchMsync:
+		return a.msyncBody(c, lo, hi)
+	case BatchPopulate:
+		return c.PopulateAnon(lo, hi)
+	}
+	return fmt.Errorf("%w: op kind %d", mm.ErrNotSupported, o.kind)
+}
+
 // Mmap implements mm.MM: allocate a virtual range and mark it virtually
 // allocated (on-demand paging; Figure 8 do_syscall_mmap).
 func (a *AddrSpace) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	if err := a.checkAlive(core); err != nil {
-		return 0, err
-	}
-	if size = alignSize(size, fl); size == 0 {
-		return 0, errZeroSize
-	}
-	va, err := a.valloc.Alloc(core, size)
-	if err != nil {
-		return 0, err
-	}
-	if err := a.mmapAt(core, va, size, perm, fl, false); err != nil {
-		a.valloc.Free(core, va, size)
-		return 0, err
-	}
-	return va, nil
+	return a.mmap(core, op{kind: BatchMmap, size: size, perm: perm, fl: fl})
 }
 
 // MmapFixed implements mm.MM: map at an exact address, failing on
 // collision.
 func (a *AddrSpace) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	size = alignSize(size, fl)
-	if err := a.checkAlive(core); err != nil {
+	return a.call(core, op{kind: BatchMmap, va: va, size: alignSize(size, fl), perm: perm, fl: fl, checkExists: true})
+}
+
+// MmapFile implements mm.MM: map size bytes of f from page offset pgoff,
+// shared or private (copy-on-write).
+func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
+	return a.mmap(core, op{kind: BatchMmap, size: size, perm: perm, file: f, pgoff: pgoff, shared: shared})
+}
+
+// mmap is Mmap and MmapFile: a fresh range, the file's registration held
+// across the transaction if there is a file, run, and the range handed
+// back on failure.
+func (a *AddrSpace) mmap(core int, o op) (arch.Vaddr, error) {
+	if err := a.allocVA(core, &o); err != nil {
+		return 0, err
+	}
+	var err error
+	if o.file == nil {
+		err = a.run(core, &o)
+	} else if err = o.file.AddMapper(a); err == nil {
+		// This registration is taken before the status is packed — it
+		// names the file by the object id its first registration gives
+		// it — and held until the marked words hold their own.
+		err = a.run(core, &o)
+		o.file.RemoveMappers(a, 1)
+	}
+	if err != nil {
+		a.valloc.Free(core, o.va, o.size)
+		return 0, err
+	}
+	return o.va, nil
+}
+
+// allocVA is the front of an allocator-served mmap, the syscall's and the
+// ring's: the alive gate, the aligned size, and a fresh range of it.
+func (a *AddrSpace) allocVA(core int, o *op) (err error) {
+	if err = a.checkAlive(core); err != nil {
 		return err
 	}
-	if err := a.checkRange(core, va, size); err != nil {
-		return err
+	if o.size = alignSize(o.size, o.fl); o.size == 0 {
+		return errZeroSize
 	}
-	return a.mmapAt(core, va, size, perm, fl, true)
+	o.va, err = a.valloc.Alloc(core, o.size)
+	return err
 }
 
 // errZeroSize rejects an allocator-served mmap whose size aligns to
@@ -57,34 +198,12 @@ func alignSize(size uint64, fl mm.Flags) uint64 {
 	return (size + align - 1) &^ (align - 1)
 }
 
-// mmapAt is the body Mmap and MmapFixed share; both have passed
-// checkAlive.
-func (a *AddrSpace) mmapAt(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags, checkExists bool) error {
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.stats.Mmaps.Add(1)
-	a.m.OpTick(core)
-	// The attempt is a complete transaction that fully unwinds on
-	// failure, so the OOM retry path can re-run it after direct reclaim.
-	return a.retryOOM(core, func() error {
-		return a.mmapAttempt(core, va, size, perm, fl, checkExists)
-	})
-}
-
-func (a *AddrSpace) mmapAttempt(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags, checkExists bool) error {
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return a.mmapBody(c, va, size, perm, fl, checkExists)
-}
-
-// mmapBody is the transactional work of an anonymous mmap under an
-// already-held cursor (the batch layer shares it; the cursor may cover
-// a wider coalesced range). It fully unwinds on failure.
-func (a *AddrSpace) mmapBody(c *RCursor, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags, checkExists bool) error {
-	if checkExists {
-		used, err := c.AnyAllocated(va, va+arch.Vaddr(size))
+// mmapBody marks o's range with its anonymous or file status and, for an
+// anonymous FlagPopulate, fills it. It fully unwinds on failure.
+func (a *AddrSpace) mmapBody(c *RCursor, o *op) error {
+	lo, hi := o.va, o.end()
+	if o.checkExists {
+		used, err := c.AnyAllocated(lo, hi)
 		if err != nil {
 			return err
 		}
@@ -92,72 +211,36 @@ func (a *AddrSpace) mmapBody(c *RCursor, va arch.Vaddr, size uint64, perm arch.P
 			return mm.ErrExists
 		}
 	}
-	s := pt.Status{Kind: pt.StatusPrivateAnon, Perm: perm}
+	s := pt.Status{Kind: pt.StatusPrivateAnon, Perm: o.perm}
 	switch {
-	case fl&mm.FlagHuge1G != 0:
+	case o.file != nil:
+		kind := pt.StatusPrivateFile
+		if o.shared {
+			kind = pt.StatusSharedFile
+		}
+		s = pt.FileStatus(kind, o.perm, o.file, o.pgoff)
+	case o.fl&mm.FlagHuge1G != 0:
 		s = s.WithHuge(3)
-	case fl&mm.FlagHuge2M != 0:
+	case o.fl&mm.FlagHuge2M != 0:
 		s = s.WithHuge(2)
 	}
-	if err := c.Mark(va, va+arch.Vaddr(size), s); err != nil {
+	if err := c.Mark(lo, hi, s); err != nil {
 		// A failed Mark may have marked a prefix; do not leave it behind
 		// when the caller frees the VA range back to the allocator.
-		_ = c.Unmap(va, va+arch.Vaddr(size))
+		_ = c.Unmap(lo, hi)
 		return err
 	}
-	if fl&mm.FlagPopulate != 0 {
-		if err := c.PopulateAnon(va, va+arch.Vaddr(size)); err != nil {
+	if o.fl&mm.FlagPopulate != 0 {
+		if err := c.PopulateAnon(lo, hi); err != nil {
 			// Mid-population failure (OOM): the caller frees the VA range
 			// on error, so a half-populated, still-Marked range would leak
 			// frames and resurrect on the range's next tenant. Tear it
 			// all down before reporting.
-			_ = c.Unmap(va, va+arch.Vaddr(size))
+			_ = c.Unmap(lo, hi)
 			return err
 		}
 	}
 	return nil
-}
-
-// MmapFile implements mm.MM: map size bytes of f from page offset pgoff,
-// shared or private (copy-on-write).
-func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
-	if err := a.checkAlive(core); err != nil {
-		return 0, err
-	}
-	if size = alignSize(size, 0); size == 0 {
-		return 0, errZeroSize
-	}
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.stats.Mmaps.Add(1)
-	a.m.OpTick(core)
-	va, err := a.valloc.Alloc(core, size)
-	if err != nil {
-		return 0, err
-	}
-	kind := pt.StatusPrivateFile
-	if shared {
-		kind = pt.StatusSharedFile
-	}
-	hi := va + arch.Vaddr(size)
-	// One registration is taken before the status is packed — it names f
-	// by the object id f's first registration gives it — and held until
-	// the marked words hold their own.
-	err = f.AddMapper(a)
-	if err == nil {
-		defer f.RemoveMappers(a, 1)
-		var c *RCursor
-		if c, err = a.Lock(core, va, hi); err == nil {
-			if err = c.Mark(va, hi, pt.FileStatus(kind, perm, f, pgoff)); err != nil {
-				_ = c.Unmap(va, hi) // a failed Mark may have marked a prefix
-			}
-			c.Close()
-		}
-	}
-	if err != nil {
-		a.valloc.Free(core, va, size)
-		return 0, err
-	}
-	return va, nil
 }
 
 // MmapSharedAnon maps shared anonymous memory by naming its pages with a
@@ -170,40 +253,17 @@ func (a *AddrSpace) MmapSharedAnon(core int, size uint64, perm arch.Perm) (arch.
 
 // Munmap implements mm.MM (Figure 8 do_syscall_munmap).
 func (a *AddrSpace) Munmap(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkRange(core, va, size); err != nil {
-		return err
-	}
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.stats.Munmaps.Add(1)
-	a.m.OpTick(core)
-	return a.unmapRange(core, va, size)
-}
-
-// unmapRange is one unmap transaction plus its bookkeeping tail; Mremap
-// cuts a shrunk mapping's tail with it.
-func (a *AddrSpace) unmapRange(core int, va arch.Vaddr, size uint64) error {
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		return err
-	}
-	err = c.Unmap(va, va+arch.Vaddr(size))
-	cleared := c.cleared
-	c.Close()
-	if err != nil {
-		return err
-	}
-	a.munmapFinish(core, va, size, cleared)
-	return nil
+	return a.call(core, op{kind: BatchMunmap, va: va, size: size})
 }
 
 // munmapFinish is the non-MMU tail of a successful unmap that cleared
-// `cleared` allocated pages, shared with the batch layer (which runs it
-// after batch commit): hand the VAs back to the allocator iff the whole
-// range was allocated. A repeated or overlapping unmap clears fewer pages
-// than its range holds and stops here. Whose range it was the page table cannot say, so the allocator
-// has the last word: it ignores ranges it never handed out, and ranges
-// overlapping one it already holds free (a fixed mapping placed over
-// recycled addresses).
+// `cleared` allocated pages, run by exec and, after batch commit, by
+// Submit: hand the VAs back to the allocator iff the whole range was
+// allocated. A repeated or overlapping unmap clears fewer pages than its
+// range holds and stops here. Whose range it was the page table cannot
+// say, so the allocator has the last word: it ignores ranges it never
+// handed out, and ranges overlapping one it already holds free (a fixed
+// mapping placed over recycled addresses).
 func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size, cleared uint64) {
 	if cleared == size/arch.PageSize {
 		a.valloc.Free(core, va, size)
@@ -212,40 +272,18 @@ func (a *AddrSpace) munmapFinish(core int, va arch.Vaddr, size, cleared uint64) 
 
 // Mprotect implements mm.MM.
 func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
-	if err := a.checkRange(core, va, size); err != nil {
-		return err
-	}
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.stats.Mprotects.Add(1)
-	a.m.OpTick(core)
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.Protect(va, va+arch.Vaddr(size), perm)
+	return a.call(core, op{kind: BatchMprotect, va: va, size: size, perm: perm})
 }
 
 // Msync implements mm.MM: write back dirty shared file pages.
 func (a *AddrSpace) Msync(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkRange(core, va, size); err != nil {
-		return err
-	}
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.m.OpTick(core)
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return a.msyncBody(c, va, va+arch.Vaddr(size))
+	return a.call(core, op{kind: BatchMsync, va: va, size: size})
 }
 
-// msyncBody writes back dirty shared file pages of [lo, hi) under an
-// already-held cursor (shared with the batch layer). One pass over the
-// locked subtree, resident pages only (metadata entries have nothing to
-// write back); runs carry the hardware D bit, so only dirty shared runs
-// cost per-page descriptor work.
+// msyncBody writes back dirty shared file pages of [lo, hi). One pass
+// over the locked subtree, resident pages only (metadata entries have
+// nothing to write back); runs carry the hardware D bit, so only dirty
+// shared runs cost per-page descriptor work.
 func (a *AddrSpace) msyncBody(c *RCursor, lo, hi arch.Vaddr) error {
 	return c.IterateMapped(lo, hi, func(r Run) error {
 		if r.Status.Perm&arch.PermShared == 0 || !r.Dirty {
@@ -267,22 +305,7 @@ func (a *AddrSpace) msyncBody(c *RCursor, lo, hi arch.Vaddr) error {
 // sequential twin of the batch layer's populate op. Already-resident
 // pages are left alone.
 func (a *AddrSpace) PopulateRange(core int, va arch.Vaddr, size uint64) error {
-	if err := a.checkAlive(core); err != nil {
-		return err
-	}
-	if err := a.checkRange(core, va, size); err != nil {
-		return err
-	}
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	a.m.OpTick(core)
-	return a.retryOOM(core, func() error {
-		c, err := a.Lock(core, va, va+arch.Vaddr(size))
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		return c.PopulateAnon(va, va+arch.Vaddr(size))
-	})
+	return a.call(core, op{kind: BatchPopulate, va: va, size: size})
 }
 
 // Touch implements mm.MM: one simulated user access, faulting as needed.
@@ -317,8 +340,8 @@ func (a *AddrSpace) Store(core int, va arch.Vaddr, b byte) error {
 // fault that fails for lack of frames closes its transaction, runs
 // direct reclaim from syscall context (no locks held) and re-faults,
 // bounded by the retry budget. The kernel-time bracket spans the retry
-// loop, as mmapAt's and PopulateRange's do: direct reclaim on behalf of
-// a fault is kernel time.
+// loop, as run's does: direct reclaim on behalf of a fault is kernel
+// time.
 func (a *AddrSpace) pageFault(core int, va arch.Vaddr, acc pt.Access) error {
 	if err := a.checkAlive(core); err != nil {
 		return err
