@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cortenmm"
+	"cortenmm/internal/mem"
 )
 
 func TestPublicQuickstart(t *testing.T) {
@@ -143,5 +144,38 @@ func TestPublicFeatures(t *testing.T) {
 	f := as.Features()
 	if !f.OnDemandPaging || !f.COW || !f.PageSwapping || !f.HugePage {
 		t.Errorf("features = %+v", f)
+	}
+}
+
+// TestTinyMachineTopologyAgrees: a machine with too few frames for its
+// node count gets as many nodes as its memory can shard into zones, so
+// the machine and its physical memory agree on the node count, and an
+// allocation on any core is served or refused, never out of range.
+func TestTinyMachineTopologyAgrees(t *testing.T) {
+	for _, frames := range []int{6, 7, 16} {
+		m := cortenmm.NewMachine(cortenmm.MachineConfig{Cores: 4, NUMANodes: 4, Frames: frames})
+		if got := m.Phys.Nodes(); m.NUMANodes != got {
+			t.Errorf("frames=%d: machine has %d nodes, physical memory %d", frames, m.NUMANodes, got)
+		}
+		as, err := cortenmm.New(cortenmm.Options{Machine: m, Protocol: cortenmm.ProtocolAdv})
+		if err != nil {
+			t.Fatalf("frames=%d: %v", frames, err)
+		}
+		for core := 0; core < m.Cores; core++ {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("frames=%d: populated mmap on core %d panicked: %v", frames, core, r)
+					}
+				}()
+				if _, err := as.Mmap(core, cortenmm.PageSize, cortenmm.PermRW, cortenmm.FlagPopulate); err != nil && !errors.Is(err, mem.ErrOutOfMemory) {
+					t.Errorf("frames=%d: populated mmap on core %d: %v, want nil or out of memory", frames, core, err)
+				}
+			}()
+		}
+		as.Destroy(0)
+		if err := m.CheckClean(); err != nil {
+			t.Errorf("frames=%d: %v", frames, err)
+		}
 	}
 }

@@ -94,7 +94,6 @@ func numaBalance(m *cpusim.Machine, a *core.AddrSpace, pages int) (map[string]fl
 	d := core.AttachCompaction(m, core.CompactConfig{
 		ScanSpans: -1, FragThreshold: -1, NumaStreak: 4,
 	})
-	d.Register(a)
 
 	isa := arch.X8664(false)
 	localFrac := func() float64 {

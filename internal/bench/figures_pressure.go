@@ -21,8 +21,8 @@ func protocolOf(sys System) core.Protocol {
 }
 
 // swapEnv is the two-core machine of the pressure and THP figures: one
-// CortenMM space with a swap device, registered with the machine's
-// daemon, its reclaim half on.
+// CortenMM space with a swap device, and the reclaim half of the
+// machine's daemon on.
 func swapEnv(sys System, physFrames int) (*Env, *core.AddrSpace, *core.Daemon, error) {
 	env, err := newEnv(cpusim.Config{Cores: 2, Frames: physFrames}, func(m *cpusim.Machine) (mm.MM, error) {
 		return core.New(core.Options{Machine: m, Protocol: protocolOf(sys), SwapDev: mem.NewBlockDev("swap")})
@@ -31,9 +31,7 @@ func swapEnv(sys System, physFrames int) (*Env, *core.AddrSpace, *core.Daemon, e
 		return nil, nil, nil, err
 	}
 	a := env.Sys.(*core.AddrSpace)
-	d := core.AttachReclaim(env.Machine, core.ReclaimConfig{})
-	d.Register(a)
-	return env, a, d, nil
+	return env, a, core.AttachReclaim(env.Machine, core.ReclaimConfig{}), nil
 }
 
 // pressureRatios are the pressure figure's working-set sizes, in units

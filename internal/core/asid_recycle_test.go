@@ -282,71 +282,67 @@ func TestASIDAliasingMeasured(t *testing.T) {
 }
 
 // TestDestroyUnregistersReclaim is the destroyed-space reclaim leak
-// regression: Destroy on a registered space must pull it off the
-// reclaim clock, so later sweeps neither walk the torn-down tree nor
-// keep the space alive — also when it was registered twice, which puts
-// it on the clock once. The surviving space must still be sweepable.
+// regression: Destroy must take a space out of the machine's ASID table,
+// the daemon's one list of spaces, so later sweeps neither walk the
+// torn-down tree nor keep the space alive. The surviving space must
+// still be sweepable.
 func TestDestroyUnregistersReclaim(t *testing.T) {
-	for _, registrations := range []int{1, 2} {
-		t.Run(fmt.Sprintf("registered=%d", registrations), func(t *testing.T) {
-			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 512})
-			dev := mem.NewBlockDev("swap")
-			a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := AttachReclaim(m, ReclaimConfig{})
-			for range registrations {
-				d.Register(a)
-			}
-			d.Register(b)
+	// New puts every space in the ASID table exactly once, so one
+	// registration is the only case left to write.
+	t.Run("registered=1", func(t *testing.T) {
+		m := cpusim.New(cpusim.Config{Cores: 2, Frames: 512})
+		dev := mem.NewBlockDev("swap")
+		a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := AttachReclaim(m, ReclaimConfig{})
 
-			const chunk = 32 * arch.PageSize
-			if _, err := a.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate); err != nil {
+		const chunk = 32 * arch.PageSize
+		if _, err := a.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate); err != nil {
+			t.Fatal(err)
+		}
+		vb, err := b.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 32; i++ {
+			if err := b.Store(0, vb+arch.Vaddr(i*arch.PageSize), byte(i+1)); err != nil {
 				t.Fatal(err)
 			}
-			vb, err := b.Mmap(0, chunk, arch.PermRW, mm.FlagPopulate)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 32; i++ {
-				if err := b.Store(0, vb+arch.Vaddr(i*arch.PageSize), byte(i+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
+		}
 
-			a.Destroy(0)
-			if got := d.Registered(); got != 1 {
-				t.Errorf("after Destroy: %d spaces registered, want 1", got)
+		a.Destroy(0)
+		if got := m.ASIDStats().Live; got != 1 {
+			t.Errorf("after Destroy: %d spaces live, want 1", got)
+		}
+		// Forcing a sweep after the destroy must not touch the dead tree —
+		// and must still find the survivor's pages.
+		if n := d.DirectReclaim(0, 16); n == 0 {
+			t.Error("post-destroy sweep reclaimed nothing from the surviving space")
+		}
+		for i := 0; i < 32; i++ {
+			bb, err := b.Load(0, vb+arch.Vaddr(i*arch.PageSize))
+			if err != nil || bb != byte(i+1) {
+				t.Fatalf("survivor page %d = %d, %v after sweep", i, bb, err)
 			}
-			// Forcing a sweep after the destroy must not touch the dead tree —
-			// and must still find the survivor's pages.
-			if n := d.DirectReclaim(0, 16); n == 0 {
-				t.Error("post-destroy sweep reclaimed nothing from the surviving space")
-			}
-			for i := 0; i < 32; i++ {
-				bb, err := b.Load(0, vb+arch.Vaddr(i*arch.PageSize))
-				if err != nil || bb != byte(i+1) {
-					t.Fatalf("survivor page %d = %d, %v after sweep", i, bb, err)
-				}
-			}
-			// Destroy is idempotent, including its unregistration.
-			a.Destroy(1)
-			b.Destroy(0)
-			if got := d.Registered(); got != 0 {
-				t.Errorf("after both destroys: %d spaces registered, want 0", got)
-			}
-			checkClean(t, m)
-		})
-	}
+		}
+		// Destroy is idempotent, including its ASID free.
+		a.Destroy(1)
+		b.Destroy(0)
+		if got := m.ASIDStats().Live; got != 0 {
+			t.Errorf("after both destroys: %d spaces live, want 0", got)
+		}
+		checkClean(t, m)
+	})
 }
 
-// TestDestroyUnregisterConcurrent exercises the unregister path under
-// the race detector: half the registered spaces are torn down from two
+// TestDestroyUnregisterConcurrent exercises Destroy leaving the ASID table under
+// the race detector: half the live spaces are torn down from two
 // cores in parallel, then every core drives direct-reclaim rounds
 // against the survivors.
 func TestDestroyUnregisterConcurrent(t *testing.T) {
@@ -363,7 +359,6 @@ func TestDestroyUnregisterConcurrent(t *testing.T) {
 		if _, err := s.Mmap(0, 16*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
 			t.Fatal(err)
 		}
-		d.Register(s)
 		spaces[i] = s
 	}
 	// Parallel teardown of the even-indexed half.
@@ -372,8 +367,8 @@ func TestDestroyUnregisterConcurrent(t *testing.T) {
 			spaces[i].Destroy(core)
 		}
 	})
-	if got := d.Registered(); got != n/2 {
-		t.Fatalf("%d spaces registered after parallel destroys, want %d", got, n/2)
+	if got := m.ASIDStats().Live; got != n/2 {
+		t.Fatalf("%d spaces live after parallel destroys, want %d", got, n/2)
 	}
 	// Every core sweeps; only survivors may be walked.
 	m.Run(4, func(core int) {
@@ -384,8 +379,8 @@ func TestDestroyUnregisterConcurrent(t *testing.T) {
 	for i := 1; i < n; i += 2 {
 		spaces[i].Destroy(0)
 	}
-	if got := d.Registered(); got != 0 {
-		t.Fatalf("%d spaces registered at exit, want 0", got)
+	if got := m.ASIDStats().Live; got != 0 {
+		t.Fatalf("%d spaces live at exit, want 0", got)
 	}
 	m.Quiesce()
 	if rep := m.Phys.Audit(); !rep.Ok() {

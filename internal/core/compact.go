@@ -155,49 +155,32 @@ func (d *Daemon) numaBalance(core int, cfg *CompactConfig) {
 	}
 }
 
-// scanQuantum is one khugepaged step: pick the next registered space
-// and scan the next ScanSpans 2-MiB spans of its allocated chunks,
-// resuming at the space's scanner hand.
+// scanQuantum is one khugepaged step: visit the first eligible space
+// from the scanner's hand and scan the next ScanSpans 2-MiB spans of
+// its allocated chunks, resuming at the space's scanner hand.
 func (d *Daemon) scanQuantum(core int, cfg *CompactConfig) {
 	if cfg.ScanSpans < 0 {
 		return
 	}
-	a := d.nextSpace()
-	if a == nil || !a.migrateEnter() {
-		return
-	}
-	defer a.migrateExit()
-	// Same skip rule as the reclaim sweep: never lock a space the
-	// calling core already holds transactions in.
-	if a.oomKilled.Load() || a.holdsTx(core) {
-		return
-	}
-	// Candidates are fully allocated level-1 tables: a partly allocated
-	// table cannot be fully resident, a huge leaf is already collapsed,
-	// and an upper-level metadata entry has nothing resident at all.
-	chunks := a.chunks(core)
-	start := chunkAt(chunks, arch.Vaddr(a.scanHand.Load()))
-	hand, scanned := arch.Vaddr(0), 0
-	for i := 0; i < len(chunks) && scanned < cfg.ScanSpans; i++ {
-		ch := chunks[(start+i)%len(chunks)]
-		hand = ch.base + arch.Vaddr(ch.span)
-		if ch.table && ch.pages == arch.PTEntries {
-			d.scanSpan(core, a, ch.base)
-			scanned++
+	d.visit(core, &d.scan, func(a *AddrSpace) bool {
+		// Candidates are fully allocated level-1 tables: a partly
+		// allocated table cannot be fully resident, a huge leaf is
+		// already collapsed, and an upper-level metadata entry has
+		// nothing resident at all.
+		chunks := a.chunks(core)
+		start := chunkAt(chunks, arch.Vaddr(a.scanHand.Load()))
+		hand, scanned := arch.Vaddr(0), 0
+		for i := 0; i < len(chunks) && scanned < cfg.ScanSpans; i++ {
+			ch := chunks[(start+i)%len(chunks)]
+			hand = ch.base + arch.Vaddr(ch.span)
+			if ch.table && ch.pages == arch.PTEntries {
+				d.scanSpan(core, a, ch.base)
+				scanned++
+			}
 		}
-	}
-	a.scanHand.Store(uint64(hand))
-}
-
-// nextSpace rotates the scanner's hand over registered spaces.
-func (d *Daemon) nextSpace() *AddrSpace {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.spaces) == 0 {
-		return nil
-	}
-	d.scan = (d.scan + 1) % len(d.spaces)
-	return d.spaces[d.scan]
+		a.scanHand.Store(uint64(hand))
+		return false
+	})
 }
 
 // scanSpan examines one span's residency and A bits under a

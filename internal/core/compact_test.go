@@ -31,7 +31,6 @@ func TestScannerPromotesOnlyHot(t *testing.T) {
 	defer func() { a.Destroy(0); m.Quiesce() }()
 	AttachReclaim(m, ReclaimConfig{})
 	d := AttachCompaction(m, CompactConfig{ScanSpans: 8})
-	d.Register(a)
 
 	span := arch.SpanBytes(2)
 	hot := arch.Vaddr(span)
@@ -91,7 +90,6 @@ func TestAttachOrderIndependent(t *testing.T) {
 			if halves[1]() != d {
 				t.Fatal("the second attach made a second daemon")
 			}
-			d.Register(a)
 			// Two fully resident spans: scanner candidates, and 1 024 frames
 			// taken drop the zone below its low watermark of 3 500.
 			span := arch.SpanBytes(2)

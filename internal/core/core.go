@@ -94,13 +94,11 @@ type AddrSpace struct {
 	// core IDs against.
 	cursors []cachedCursor
 
-	// daemon is the machine daemon this space is registered with, or nil.
-	daemon atomic.Pointer[Daemon]
-	// migrants counts daemon operations (migration, a sweep's
-	// enumeration of the page table) currently operating on this space.
-	// Destroy spins it to zero after marking the space destroyed, so
-	// neither ever locks a page-table tree mid-teardown.
-	migrants atomic.Int32
+	// visits counts daemon operations (a migration, a sweep, a scan, an
+	// OOM teardown) currently operating on this space. Destroy spins it
+	// to zero after marking the space destroyed, so none ever locks a
+	// page-table tree mid-teardown.
+	visits atomic.Int32
 	// oomKilled marks a space torn down by the OOM killer: allocating
 	// syscalls fail fast with ErrOOMKilled, releases still work.
 	oomKilled atomic.Bool
@@ -128,8 +126,18 @@ type cachedCursor struct {
 	_ [(64 - unsafe.Sizeof(RCursor{})%64) % 64]byte
 }
 
-// New creates an empty address space.
+// New creates an empty address space and publishes it in the machine's
+// ASID table, its last step: from then on the daemon can visit it.
 func New(o Options) (*AddrSpace, error) {
+	a, err := newUnpublished(o)
+	if err == nil {
+		a.m.Publish(a.asid, a)
+	}
+	return a, err
+}
+
+// newUnpublished is New without the publication.
+func newUnpublished(o Options) (*AddrSpace, error) {
 	if o.ISA == nil {
 		o.ISA = arch.X8664(false)
 	}

@@ -558,7 +558,6 @@ func TestGetPageAllocatesUnlocked(t *testing.T) {
 				held = append(held, pfn)
 			}
 			d := AttachReclaim(m, ReclaimConfig{})
-			d.Register(b)
 
 			c, err := b.Lock(1, bva, bva+arch.PageSize) // core 1 inside a transaction of B
 			if err != nil {

@@ -34,8 +34,11 @@ func (a *AddrSpace) Fork(core int) (mm.MM, error) {
 	return child, nil
 }
 
+// forkOnce publishes the child only once its tree is copied: forkCopy
+// writes the child's tree without a transaction of its own, so no daemon
+// visit may lock it before.
 func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
-	child, err := New(Options{
+	child, err := newUnpublished(Options{
 		Machine:  a.m,
 		ISA:      a.isa,
 		Protocol: a.proto,
@@ -61,6 +64,7 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 	c.flushAll = true
 	c.needSync = true
 	c.Close()
+	a.m.Publish(child.asid, child)
 	return child, nil
 }
 
@@ -128,8 +132,9 @@ func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, leve
 // exclusive by contract (the "process" has exited), so it walks the
 // tree directly instead of paying for a whole-space transaction —
 // exactly what exit/exec does in the paper's evaluation (§6.2).
-// Idempotent. The space is unregistered from its daemon first, so no
-// later sweep, scan or OOM victim search can walk the torn-down tree.
+// Idempotent. It waits for every daemon visit in flight, and FreeASID
+// takes the space out of the machine's table, so no later sweep, scan or
+// OOM victim search can walk the torn-down tree.
 //
 // Teardown issues no TLB shootdown at all: the dead translations are unreachable (no lookup
 // ever uses this ASID again) and the allocator's rollover flushes every
@@ -141,13 +146,10 @@ func (a *AddrSpace) Destroy(core int) {
 	if !a.destroyed.CompareAndSwap(false, true) {
 		return
 	}
-	if d := a.daemon.Load(); d != nil {
-		d.Unregister(a)
-	}
 	// In-flight daemon operations saw destroyed==false before
-	// locking; wait them out so the tree teardown below never races a
-	// migration transaction (see migrateEnter/drainMigrants).
-	a.drainMigrants()
+	// locking; wait them out so the tree teardown below never races
+	// one (see enter/drainVisits).
+	a.drainVisits()
 	a.tree.Destroy(core, func(pte uint64, level int) {
 		head := a.m.Phys.HeadOf(a.isa.PFNOf(pte))
 		d := a.m.Phys.Desc(head)

@@ -6,8 +6,6 @@ package core
 // allocated for it.
 
 import (
-	"runtime"
-
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
 )
@@ -16,34 +14,11 @@ import (
 // the frame mem allocated for it, with its own grace period.
 func (d *Daemon) Migrate(core int, req mem.MigrateReq) bool {
 	a, _ := req.Owner.(*AddrSpace)
-	if a == nil || !a.migrateEnter() {
+	if a == nil || !a.enter() {
 		return false
 	}
-	defer a.migrateExit()
+	defer a.exit()
 	// The source's references are its mapping and the scanner's pin.
 	mv := move{a: a, core: core, va: arch.Vaddr(req.VA), level: 1, dst: req.Dst, ref: 2, src: []arch.PFN{req.Src}}
 	return mv.run() == nil
-}
-
-// migrateEnter gates a daemon operation on this space: it
-// refuses once Destroy has begun, and Destroy waits for in-flight
-// operations to drain before tearing the tree down.
-func (a *AddrSpace) migrateEnter() bool {
-	a.migrants.Add(1)
-	if a.destroyed.Load() {
-		a.migrants.Add(-1)
-		return false
-	}
-	return true
-}
-
-func (a *AddrSpace) migrateExit() { a.migrants.Add(-1) }
-
-// drainMigrants spins until no daemon operation references this space;
-// called by Destroy after the destroyed flag is set, so the pair (flag,
-// spin) guarantees the daemon never touches a freed tree.
-func (a *AddrSpace) drainMigrants() {
-	for a.migrants.Load() > 0 {
-		runtime.Gosched()
-	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"slices"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -46,10 +46,12 @@ type ReclaimConfig struct {
 // khugepaged-style collapse scanner and the NUMA balancer. Either way the
 // daemon is the locked break-before-make remap behind every frame
 // migration (migrate.go): migration is a capability of the core layer,
-// not a policy, so it is on as soon as the daemon exists. Address spaces
-// opt in with Register.
+// not a policy, so it is on as soon as the daemon exists. It keeps no
+// list of address spaces: it reaches them through the machine's ASID
+// table, which names every CortenMM space from New to Destroy, and each
+// visit to one is guarded against its teardown (visit).
 //
-// Reclaim is a clock sweep: a per-node hand rotates over the registered
+// Reclaim is a clock sweep: a per-node hand rotates over the live
 // spaces, and within each space over its allocated chunks, swapping cold
 // private anonymous pages out through the space's swap device
 // (ReclaimRange). Each node runs its own kswapd against its own zone's
@@ -67,10 +69,9 @@ type Daemon struct {
 	reclaimCfg atomic.Pointer[ReclaimConfig]
 	compactCfg atomic.Pointer[CompactConfig]
 
-	mu     sync.Mutex // guards spaces and both hands
-	spaces []*AddrSpace
-	clock  []int // the reclaim clock: one hand per node
-	scan   int   // the collapse scanner's hand
+	// The hands are ASID slots, where the next visit starts.
+	clock []atomic.Int64 // the reclaim clock: one hand per node
+	scan  atomic.Int64   // the collapse scanner's hand
 
 	// direct serializes direct reclaimers. The allocation slow path may
 	// run while the allocating goroutine holds PT-page locks; keeping at
@@ -164,7 +165,7 @@ func daemonOf(m *cpusim.Machine) *Daemon {
 	n := m.Phys.Nodes()
 	d := &Daemon{
 		m:          m,
-		clock:      make([]int, n),
+		clock:      make([]atomic.Int64, n),
 		sweeping:   make([]atomic.Bool, n),
 		kicked:     make([]atomic.Bool, n),
 		compacting: make([]atomic.Bool, n),
@@ -190,54 +191,51 @@ func AttachReclaim(m *cpusim.Machine, cfg ReclaimConfig) *Daemon {
 	return d
 }
 
-// Register puts a on the daemon's clocks, once however often it is
-// called, and enables its syscall-level OOM retry path. Reclaim sweeps
-// skip a space without a swap device.
-func (d *Daemon) Register(a *AddrSpace) {
-	d.mu.Lock()
-	if !slices.Contains(d.spaces, a) {
-		d.spaces = append(d.spaces, a)
+// visit runs fn on the live spaces in ASID-slot order from hand, until
+// fn returns false, and moves hand past the first of them. Each call of
+// fn holds the space's enter, so Destroy waits for it to return. Spaces
+// the OOM killer tore down are skipped, and so are spaces the calling
+// core holds a transaction in: the PT locks are not reentrant.
+func (d *Daemon) visit(core int, hand *atomic.Int64, fn func(a *AddrSpace) bool) {
+	owners := d.m.Owners(int(hand.Load()))
+	if len(owners) == 0 {
+		return
 	}
-	d.mu.Unlock()
-	a.daemon.Store(d)
+	hand.Store(int64(owners[0].(*AddrSpace).asid) + 1)
+	for _, o := range owners {
+		a := o.(*AddrSpace)
+		if a.oomKilled.Load() || a.holdsTx(core) || !a.enter() {
+			continue
+		}
+		more := fn(a)
+		a.exit()
+		if !more {
+			return
+		}
+	}
 }
 
-// Registered reports how many spaces are on the daemon's clocks.
-func (d *Daemon) Registered() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.spaces)
+// enter gates a daemon operation on this space: it refuses once Destroy
+// has begun, and Destroy waits for every operation that entered to exit
+// before tearing the tree down.
+func (a *AddrSpace) enter() bool {
+	a.visits.Add(1)
+	if a.destroyed.Load() {
+		a.visits.Add(-1)
+		return false
+	}
+	return true
 }
 
-// Unregister takes a off the daemon's clocks; Destroy and the OOM killer
-// call it.
-func (d *Daemon) Unregister(a *AddrSpace) {
-	d.mu.Lock()
-	if i := slices.Index(d.spaces, a); i >= 0 {
-		d.spaces = slices.Delete(d.spaces, i, i+1)
-	}
-	d.mu.Unlock()
-	a.daemon.CompareAndSwap(d, nil)
-}
+func (a *AddrSpace) exit() { a.visits.Add(-1) }
 
-// snapshot returns the registered spaces rotated so node's clock hand's
-// current position comes first, and advances that hand. Each node keeps
-// its own hand so concurrent per-node sweeps don't chase each other
-// onto the same space.
-func (d *Daemon) snapshot(node int) []*AddrSpace {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.spaces)
-	if n == 0 {
-		return nil
+// drainVisits spins until no daemon operation references this space;
+// called by Destroy after the destroyed flag is set, so the pair (flag,
+// spin) guarantees the daemon never touches a freed tree.
+func (a *AddrSpace) drainVisits() {
+	for a.visits.Load() > 0 {
+		runtime.Gosched()
 	}
-	out := make([]*AddrSpace, 0, n)
-	start := d.clock[node] % n
-	for i := 0; i < n; i++ {
-		out = append(out, d.spaces[(start+i)%n])
-	}
-	d.clock[node] = (start + 1) % n
-	return out
 }
 
 // Tick is the daemon's timer-tick work, on a core that holds no PT-page
@@ -350,11 +348,11 @@ func (d *Daemon) kswapd(core int) {
 }
 
 // sweep reclaims up to target pages whose frames live on node (-1 for
-// any node), rotating the node's clock hand over the registered spaces.
+// any node), rotating the node's clock hand over the live spaces.
 // Guarded against reentry (a sweep's own OpTicks re-enter the tick) by
 // the calling core's node flag — reentry is same-goroutine, so the flag
-// is always the one already held. Spaces without a swap device, already
-// killed, or with open transactions on the calling core are skipped.
+// is always the one already held. Spaces without a swap device are
+// skipped, beside those visit skips.
 func (d *Daemon) sweep(core, node, target int) int {
 	g := d.m.NodeOf(core)
 	if !d.sweeping[g].CompareAndSwap(false, true) {
@@ -366,40 +364,35 @@ func (d *Daemon) sweep(core, node, target int) int {
 		hand = g
 	}
 	total := 0
-	for _, a := range d.snapshot(hand) {
-		if total >= target {
-			break
+	d.visit(core, &d.clock[hand], func(a *AddrSpace) bool {
+		if a.swapID != 0 {
+			total += a.reclaimSome(core, node, target-total)
 		}
-		if a.swapID == 0 || a.oomKilled.Load() || a.destroyed.Load() || a.holdsTx(core) {
-			continue
-		}
-		total += a.reclaimSome(core, node, target-total)
-	}
+		return total < target
+	})
 	if total > 0 {
 		d.reclaimed.Add(uint64(total))
 	}
 	return total
 }
 
-// oomKill tears down the registered space with the most allocated
-// pages, sparing killed spaces and spaces the calling core holds
-// locks in. Returns the number of virtual pages released (an upper
-// bound on frames freed — never-populated pages count too), so callers
-// treat it as a progress indicator.
+// oomKill tears down the live space with the most allocated pages,
+// sparing those visit skips. Returns the number of virtual pages
+// released (an upper bound on frames freed — never-populated pages
+// count too), so callers treat it as a progress indicator.
 func (d *Daemon) oomKill(core int) int {
 	var victim *AddrSpace
 	var worst uint64
-	for _, a := range d.snapshot(d.m.NodeOf(core)) {
-		if a.oomKilled.Load() || a.destroyed.Load() || a.holdsTx(core) {
-			continue
-		}
+	d.visit(core, &d.clock[d.m.NodeOf(core)], func(a *AddrSpace) bool {
 		if sz := a.allocatedPages(core); sz > worst {
 			worst, victim = sz, a
 		}
-	}
-	if victim == nil {
+		return true
+	})
+	if victim == nil || !victim.enter() {
 		return 0
 	}
+	defer victim.exit()
 	d.oomKills.Add(1)
 	return victim.oomTeardown(core)
 }
@@ -447,17 +440,13 @@ func (a *AddrSpace) reclaimSome(core, node, target int) int {
 const reclaimBatch = 32
 
 // oomTeardown is the last-resort unwind: mark the space killed (new
-// allocating syscalls fail with ErrOOMKilled), take it off the daemon's
-// clocks — sweeps must not keep walking a space that is mid-unwind, and
-// the killed space can contribute nothing further anyway — and unmap
-// every allocated chunk, releasing its frames and swap blocks. Returns
-// the number of virtual pages released. Idempotent.
+// allocating syscalls fail with ErrOOMKilled, and visit skips it — the
+// killed space can contribute nothing further) and unmap every allocated
+// chunk, releasing its frames and swap blocks. Returns the number of
+// virtual pages released. Idempotent.
 func (a *AddrSpace) oomTeardown(core int) int {
 	if !a.oomKilled.CompareAndSwap(false, true) {
 		return 0
-	}
-	if d := a.daemon.Load(); d != nil {
-		d.Unregister(a)
 	}
 	released := 0
 	for _, ch := range a.chunks(core) {
@@ -518,19 +507,16 @@ const (
 )
 
 // retryOOM runs try; when it fails with an out-of-memory-class error and
-// the space is registered with a daemon, it runs direct reclaim — from
-// syscall context, with no locks held, so this time the sweep may target
-// this very space — and retries, bounded. This is the hardened unwind
-// path: try must be a complete transaction (lock, work, close, undo on
+// the machine has a daemon, it runs direct reclaim — from syscall
+// context, with no locks held, so this time the sweep may target this
+// very space — and retries, bounded. This is the hardened unwind path:
+// try must be a complete transaction (lock, work, close, undo on
 // failure) so re-running it from scratch is sound.
 func (a *AddrSpace) retryOOM(core int, try func() error) error {
 	err := try()
-	for attempt := 0; attempt < oomRetries; attempt++ {
-		d := a.daemon.Load()
-		if err == nil || !errors.Is(err, mem.ErrOutOfMemory) || d == nil {
-			return err
-		}
-		if d.DirectReclaim(core, oomRetryTarget) == 0 {
+	for attempt := 0; attempt < oomRetries && errors.Is(err, mem.ErrOutOfMemory); attempt++ {
+		d, ok := a.m.Phys.Pressure().(*Daemon)
+		if !ok || d.DirectReclaim(core, oomRetryTarget) == 0 {
 			return err
 		}
 		err = try()

@@ -27,7 +27,6 @@ func TestPerNodeKswapd(t *testing.T) {
 	}
 	// Global low = 512 -> 256 per zone.
 	d := AttachReclaim(m, ReclaimConfig{LowWater: 512, MinWater: 16})
-	d.Register(a)
 	defer a.Destroy(0)
 
 	node1Free := m.Phys.NodeFreeFrames(1)
@@ -90,7 +89,7 @@ func TestPerNodeKswapd(t *testing.T) {
 func TestDirectReclaimStealsCrossNode(t *testing.T) {
 	m := numaPressureMachine(64)
 	dev := mem.NewBlockDev("swap")
-	// The hog has no swap device and is never registered: its node-0
+	// The hog has no swap device, so sweeps skip it: its node-0
 	// frames are invisible to reclaim.
 	hog, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
@@ -101,7 +100,6 @@ func TestDirectReclaimStealsCrossNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := AttachReclaim(m, ReclaimConfig{})
-	d.Register(victim)
 	defer hog.Destroy(0)
 	defer victim.Destroy(2)
 

@@ -5,16 +5,19 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"reflect"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
+	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
@@ -33,7 +36,7 @@ func TestMmapFileReclaimsBeforeOOM(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			AttachReclaim(m, ReclaimConfig{}).Register(a)
+			AttachReclaim(m, ReclaimConfig{})
 			for i := 0; i < 12; i++ {
 				if _, err := a.Mmap(0, 16*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
 					t.Fatalf("anon mmap %d: %v", i, err)
@@ -86,7 +89,6 @@ func TestPressurePopulateOvercommit(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := AttachReclaim(m, ReclaimConfig{})
-			d.Register(a)
 			defer a.Destroy(0)
 
 			vas := make([]arch.Vaddr, 0, chunks)
@@ -164,7 +166,6 @@ func TestKswapdBackgroundSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := AttachReclaim(m, ReclaimConfig{LowWater: 64, MinWater: 8})
-	d.Register(a)
 	defer a.Destroy(0)
 
 	// Drop free frames below the low watermark (64): populate ~200.
@@ -212,8 +213,6 @@ func TestOOMKillTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := AttachReclaim(m, ReclaimConfig{OOMKill: true})
-	d.Register(hog)
-	d.Register(small)
 
 	// The hog takes nearly everything.
 	if _, err := hog.Mmap(0, 200*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
@@ -244,8 +243,6 @@ func TestOOMKillTeardown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d.Unregister(hog)
-	d.Unregister(small)
 	hog.Destroy(0)
 	small.Destroy(1)
 	m.Quiesce()
@@ -257,13 +254,85 @@ func TestOOMKillTeardown(t *testing.T) {
 	}
 }
 
+// TestForkChildIsReclaimed: a forked child is a live space like any
+// other, so the daemon sweeps it and its allocations get the OOM retry.
+// Memory is 128 frames; the child populates 512 pages in 32 mmaps, which
+// only succeeds if its own cold pages are swapped out as it goes.
+func TestForkChildIsReclaimed(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 128})
+			parent, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			AttachReclaim(m, ReclaimConfig{})
+			forked, err := parent.Fork(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := forked.(*AddrSpace)
+			for i := 0; i < 32; i++ {
+				if _, err := child.Mmap(0, 16*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
+					t.Fatalf("child mmap %d: %v (%d anonymous frames resident)", i, err, m.Phys.KindFrames(mem.KindAnon))
+				}
+			}
+			child.Destroy(0)
+			parent.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
+// TestDestroyWaitsForSweep: a sweep holds a visit on the space it
+// reclaims from, so Destroy, which waits for every visit, cannot free the
+// tree while the sweep is parked inside its eviction transaction.
+func TestDestroyWaitsForSweep(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1024})
+			a, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := AttachReclaim(m, ReclaimConfig{})
+			if _, err := a.Mmap(0, 32*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
+				t.Fatal(err)
+			}
+			parked := fault.ReclaimCollected.Park()
+			defer fault.ReclaimCollected.Disarm()
+			swept, destroyed := make(chan struct{}), make(chan struct{})
+			go func() { d.DirectReclaim(1, 16); close(swept) }()
+			parked.Await()
+			go func() { a.Destroy(0); close(destroyed) }()
+			select {
+			case <-destroyed:
+				t.Error("Destroy returned while a sweep was inside the space")
+			case <-time.After(200 * time.Millisecond):
+			}
+			parked.Release()
+			for _, done := range []chan struct{}{swept, destroyed} {
+				select {
+				case <-done:
+				case <-time.After(20 * time.Second):
+					t.Fatal("sweep or Destroy stuck after the sweep was released")
+				}
+			}
+			checkClean(t, m)
+		})
+	}
+}
+
 // TestOneDaemonOneSlot keeps a second hook slot from coming back. The
 // allocator reaches the daemon through one Pressure field and holds no
 // other interface and no function beside its placement policy; the
 // machine holds no function at all; neither package exports a hook
 // setter; the daemon keeps no table keyed by address space (a space's
 // state lives on the space or in its page table, where the scanner's
-// heat sits in PageState padding); and a space names one daemon.
+// heat sits in PageState padding). There is one list of spaces, the
+// machine's ASID table: the daemon holds no slice or map of spaces, a
+// space names no daemon, only Daemon.visit reads the table, and only
+// visit, Migrate and oomKill enter a space.
 func TestOneDaemonOneSlot(t *testing.T) {
 	// held is what a field holds: the target of an atomic.Pointer, else
 	// its own type.
@@ -309,11 +378,18 @@ func TestOneDaemonOneSlot(t *testing.T) {
 	}
 	space := reflect.TypeOf(&AddrSpace{})
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Daemon{})) {
-		if f.Type.Kind() != reflect.Map {
-			continue
-		}
-		if key := f.Type.Key(); key == space || key.Kind() == reflect.Struct && slices.ContainsFunc(reflect.VisibleFields(key), func(k reflect.StructField) bool { return k.Type == space }) {
-			t.Errorf("Daemon.%s is keyed by address space: keep per-space state on the space", f.Name)
+		switch f.Type.Kind() {
+		case reflect.Slice:
+			if f.Type.Elem() == space {
+				t.Errorf("Daemon.%s lists address spaces: the machine's ASID table is the one list", f.Name)
+			}
+		case reflect.Map:
+			if f.Type.Elem() == space {
+				t.Errorf("Daemon.%s maps to address spaces: the machine's ASID table is the one list", f.Name)
+			}
+			if key := f.Type.Key(); key == space || key.Kind() == reflect.Struct && slices.ContainsFunc(reflect.VisibleFields(key), func(k reflect.StructField) bool { return k.Type == space }) {
+				t.Errorf("Daemon.%s is keyed by address space: keep per-space state on the space", f.Name)
+			}
 		}
 	}
 	if size := unsafe.Sizeof(pt.PageState{}); size != 72 {
@@ -325,7 +401,41 @@ func TestOneDaemonOneSlot(t *testing.T) {
 			daemons++
 		}
 	}
-	if daemons != 1 {
-		t.Errorf("AddrSpace names %d daemons, want 1", daemons)
+	if daemons != 0 {
+		t.Errorf("AddrSpace names %d daemons, want none: a space reaches its machine's through Phys.Pressure", daemons)
+	}
+	// Callers of Owners and enter, by go/parser over the package.
+	callers := map[string][]string{}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range pkgs["core"].Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				name = strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*") + "." + name
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Owners" || sel.Sel.Name == "enter") {
+						callers[sel.Sel.Name] = append(callers[sel.Sel.Name], name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if got, want := callers["Owners"], []string{"Daemon.visit"}; !slices.Equal(got, want) {
+		t.Errorf("Machine.Owners is called by %v, want %v: every daemon visit goes through visit", got, want)
+	}
+	slices.Sort(callers["enter"])
+	if got, want := callers["enter"], []string{"Daemon.Migrate", "Daemon.oomKill", "Daemon.visit"}; !slices.Equal(got, want) {
+		t.Errorf("enter is called by %v, want %v", got, want)
 	}
 }

@@ -175,7 +175,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 			written++
 		}
 	}
-	if d := a.daemon.Load(); d != nil {
+	if d, ok := a.m.Phys.Pressure().(*Daemon); ok {
 		d.swapCompleted.Add(written)
 		d.swapFailed.Add(uint64(len(reqs)) - written)
 	}

@@ -114,12 +114,9 @@ type chunk struct {
 // levels: a level-1 table contributes its Present+MetaCnt counters, not
 // its 512 words (an entry is mapped or marked, never both). Callers do
 // their per-chunk work afterwards in transactions of their own, so the
-// list is a hint like any unlocked snapshot. Nil once Destroy has begun.
+// list is a hint like any unlocked snapshot. Nil once Destroy has begun;
+// a daemon caller holds a visit (enter), so Destroy waits for it.
 func (a *AddrSpace) chunks(core int) []chunk {
-	if !a.migrateEnter() {
-		return nil
-	}
-	defer a.migrateExit()
 	c, err := a.Lock(core, 0, arch.MaxVaddr)
 	if err != nil {
 		return nil

@@ -224,7 +224,7 @@ func TestDeferredWorkGetsFreshCursor(t *testing.T) {
 // TestReclaimHookSkipsHeldSpace: the in-allocator reclaim, fired on
 // a core that is inside a transaction (a fault that ran out of frames),
 // must not sweep the space that transaction belongs to — the PT locks
-// are not reentrant — and must still reclaim from another registered
+// are not reentrant — and must still reclaim from another live
 // space. Reclaim runs on a helper goroutine carrying the same core ID
 // so that a broken guard shows as a timeout, not a hung test binary.
 func TestReclaimHookSkipsHeldSpace(t *testing.T) {
@@ -240,7 +240,6 @@ func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d.Register(a)
 				if vas[i], err = a.Mmap(0, size, arch.PermRW, mm.FlagPopulate); err != nil {
 					t.Fatal(err)
 				}
@@ -287,8 +286,8 @@ func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 // TestCompactionRefusesInsideTx: direct compaction and the compaction
 // tick lock other spaces' PT pages, so both refuse on a core that
 // is inside a transaction in any space of the machine — here one that
-// is registered with no manager at all, which only a machine-wide word
-// can see.
+// has nothing for the scanner, so only the machine-wide word can
+// refuse for it.
 func TestCompactionRefusesInsideTx(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
 	d := AttachCompaction(m, CompactConfig{ScanSpans: 8})
@@ -296,7 +295,6 @@ func TestCompactionRefusesInsideTx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Register(scanned)
 	span := arch.SpanBytes(2)
 	if err := scanned.MmapFixed(0, arch.Vaddr(span), span, arch.PermRW, mm.FlagPopulate); err != nil {
 		t.Fatal(err)
@@ -328,6 +326,9 @@ func TestCompactionRefusesInsideTx(t *testing.T) {
 	c.Close()
 
 	scannedBefore := d.Stats().SpansScanned
+	// The scanner's hand moved past scanned on core 1's tick, so it
+	// returns there after two ticks, visiting outsider in between.
+	d.Tick(0)
 	d.Tick(0)
 	d.Compact(0, m.NodeOf(0), arch.IndexBits)
 	if st := d.Stats(); st.SpansScanned == scannedBefore || st.DirectRefused != 1 || st.DirectRuns != 1 {

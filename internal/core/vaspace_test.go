@@ -308,7 +308,6 @@ func TestTxMappingsAreSwept(t *testing.T) {
 			}
 			defer a.Destroy(0)
 			d := AttachReclaim(m, ReclaimConfig{})
-			d.Register(a)
 
 			c, err := a.Lock(0, base, base+pages*arch.PageSize)
 			if err != nil {

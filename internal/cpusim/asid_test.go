@@ -97,3 +97,24 @@ func TestASIDExhaustionPanics(t *testing.T) {
 	}()
 	m.AllocASID()
 }
+
+// TestOwnersFollowTheTable: Owners lists what was published on live
+// slots, in slot order from its start and wrapping, and FreeASID takes
+// a slot's owner out with it.
+func TestOwnersFollowTheTable(t *testing.T) {
+	m := New(Config{Cores: 1})
+	a, b, c := m.AllocASID(), m.AllocASID(), m.AllocASID()
+	m.Publish(a, "a")
+	m.Publish(c, "c")
+	if got := m.Owners(0); len(got) != 2 || got[0] != "a" || got[1] != "c" {
+		t.Fatalf("Owners(0) = %v, want [a c]: b was never published", got)
+	}
+	if got := m.Owners(int(b)); len(got) != 2 || got[0] != "c" || got[1] != "a" {
+		t.Fatalf("Owners(%d) = %v, want [c a]", b, got)
+	}
+	m.FreeASID(a)
+	m.FreeASID(b)
+	if got := m.Owners(0); len(got) != 1 || got[0] != "c" {
+		t.Fatalf("after FreeASID: Owners = %v, want [c]", got)
+	}
+}

@@ -25,7 +25,7 @@ type Config struct {
 	Cores int
 	// NUMANodes partitions cores into contiguous cluster blocks of
 	// nodes (NrOS replicas, physical-memory zones, cluster-IPI
-	// delivery groups). Clamped to Cores.
+	// delivery groups). Clamped to Cores and to Frames/2.
 	NUMANodes int
 	// Frames is the simulated physical memory size in 4-KiB frames.
 	Frames int
@@ -125,12 +125,11 @@ func New(cfg Config) *Machine {
 	if cfg.NUMANodes <= 0 {
 		cfg.NUMANodes = 1
 	}
-	if cfg.NUMANodes > cfg.Cores {
-		cfg.NUMANodes = cfg.Cores
-	}
 	if cfg.Frames <= 0 {
 		cfg.Frames = 1 << 16
 	}
+	// A node needs a core, and two frames: mem shards its zones so.
+	cfg.NUMANodes = max(min(cfg.NUMANodes, cfg.Cores, cfg.Frames/2), 1)
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 64
 	}
@@ -191,6 +190,7 @@ type asidState struct {
 	gen       uint32 // current generation, bumped at each rollover
 	fresh     uint32 // next never-handed-out slot
 	live      [HWASIDs]bool
+	owners    [HWASIDs]any // what each live slot names, once published
 	nLive     int
 	freed     []uint16 // freed this generation: reuse quarantined until rollover
 	avail     []uint16 // freed before the last rollover: flushed, reusable
@@ -259,8 +259,35 @@ func (m *Machine) FreeASID(asid tlb.ASID) {
 		panic(fmt.Sprintf("cpusim: FreeASID(%d): not a live ASID", asid))
 	}
 	s.live[slot] = false
+	s.owners[slot] = nil
 	s.nLive--
 	s.freed = append(s.freed, uint16(slot))
+}
+
+// Publish names owner as the holder of a live identifier, which makes
+// it visible to Owners until FreeASID. The table is the machine's one
+// list of live address spaces: whoever publishes must have written
+// every field an Owners reader uses.
+func (m *Machine) Publish(asid tlb.ASID, owner any) {
+	s := &m.asids
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.owners[asid] = owner
+}
+
+// Owners returns the published owners of live identifiers in slot order,
+// starting at slot from and wrapping.
+func (m *Machine) Owners(from int) []any {
+	s := &m.asids
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []any
+	for i := range HWASIDs {
+		if o := s.owners[(from+i)%HWASIDs]; o != nil {
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 // ASIDStats is a snapshot of allocator activity.

@@ -95,35 +95,23 @@ type TenantFarmConfig struct {
 	Cores int
 	// Tenants is the total number of tenants churned across all cores.
 	Tenants int
-	// Live is how many tenants the farm keeps warm at once in its
-	// shared ring. Any worker serves any warm tenant — like a
-	// serverless pool, a sandbox's translations end up cached on every
-	// core, so its teardown is visible machine-wide. The default of
-	// 24×Cores deliberately exceeds the TLB's 64 epoch cells: a warm
-	// set wider than the cell stride is what makes a monotonic
-	// allocator's tag walk alias live tenants. Default 24×Cores.
-	Live int
-	// PagesPerTenant is the sandbox window size in pages. Default 16.
-	PagesPerTenant int
-	// ServeOps is the number of serve accesses a worker issues across
-	// the warm ring after each tenant creation. Default 64.
-	ServeOps int
 }
 
-func (c *TenantFarmConfig) defaults(m *cpusim.Machine) {
-	if c.Cores <= 0 {
-		c.Cores = m.Cores
-	}
-	if c.Live <= 0 {
-		c.Live = 24 * c.Cores
-	}
-	if c.PagesPerTenant <= 0 {
-		c.PagesPerTenant = 16
-	}
-	if c.ServeOps <= 0 {
-		c.ServeOps = 64
-	}
-}
+// The farm's fixed shape.
+const (
+	// liveFactor×Cores tenants are kept warm at once in the shared ring.
+	// Any worker serves any warm tenant — like a serverless pool, a
+	// sandbox's translations end up cached on every core, so its
+	// teardown is visible machine-wide. 24×Cores deliberately exceeds
+	// the TLB's 64 epoch cells: a warm set wider than the cell stride is
+	// what makes a monotonic allocator's tag walk alias live tenants.
+	liveFactor = 24
+	// tenantPages is the sandbox window size in pages.
+	tenantPages = 16
+	// serveOps is the number of serve accesses a worker issues across
+	// the warm ring after each tenant creation.
+	serveOps = 64
+)
 
 // TenantFarmResult is the measured outcome of one farm run.
 type TenantFarmResult struct {
@@ -141,7 +129,7 @@ type TenantFarmResult struct {
 	BoundsProbes  uint64
 	BoundsEscapes uint64
 	// PeakRSSPages is the maximum simultaneously resident data-page
-	// count across the whole farm (per-tenant RSS is PagesPerTenant
+	// count across the whole farm (per-tenant RSS is tenantPages
 	// once faulted in; the peak tracks the warm ring).
 	PeakRSSPages uint64
 }
@@ -198,10 +186,10 @@ func (f *farmRing) popOldest(ifAtLeast int) *tenant {
 
 // TenantFarm churns cfg.Tenants short-lived address spaces built by
 // factory across cfg.Cores cores and reports throughput plus the
-// correctness counters. All workers share one warm ring of cfg.Live
-// tenants: every step retires the oldest tenant (verify, destroy) once
-// the ring is full, creates and faults in a new one, then serves reads
-// across the ring — including tenants faulted in on other cores —
+// correctness counters. All workers share one warm ring of
+// liveFactor×Cores tenants: every step retires the oldest tenant
+// (verify, destroy) once the ring is full, creates and faults in a new
+// one, then serves reads across the ring — including tenants faulted in on other cores —
 // verifying every byte against the owner's pattern. Cross-core serving
 // caches each sandbox's translations on every core, so a monotonic
 // allocator's teardown flush fans out machine-wide and its tag-space
@@ -209,11 +197,13 @@ func (f *farmRing) popOldest(ifAtLeast int) *tenant {
 // the teardown is free and any stale translation surviving a recycle
 // shows up as a StaleReads hit, not a silent wrong answer.
 func TenantFarm(m *cpusim.Machine, factory func() (mm.MM, error), cfg TenantFarmConfig) (TenantFarmResult, error) {
-	cfg.defaults(m)
+	if cfg.Cores <= 0 {
+		cfg.Cores = m.Cores
+	}
 	if cfg.Tenants <= 0 {
 		return TenantFarmResult{}, fmt.Errorf("workload: tenant farm needs Tenants > 0")
 	}
-	winBytes := uint64(cfg.PagesPerTenant) * arch.PageSize
+	winBytes := uint64(tenantPages * arch.PageSize)
 
 	var (
 		ring     farmRing
@@ -245,7 +235,7 @@ func TenantFarm(m *cpusim.Machine, factory func() (mm.MM, error), cfg TenantFarm
 	m.Run(cfg.Cores, func(core int) {
 		retire := func(t *tenant) {
 			// Exit audit: the tenant's bytes must still be its own.
-			for p := 0; p < cfg.PagesPerTenant; p++ {
+			for p := 0; p < tenantPages; p++ {
 				b, err := t.view.Get(core, uint64(p)*arch.PageSize)
 				if err != nil {
 					fail(err)
@@ -263,7 +253,7 @@ func TenantFarm(m *cpusim.Machine, factory func() (mm.MM, error), cfg TenantFarm
 			if firstErr.Load() != nil {
 				break
 			}
-			if t := ring.popOldest(cfg.Live); t != nil {
+			if t := ring.popOldest(liveFactor * cfg.Cores); t != nil {
 				retire(t)
 			}
 			// Create and fault in the new tenant on this core.
@@ -280,7 +270,7 @@ func TenantFarm(m *cpusim.Machine, factory func() (mm.MM, error), cfg TenantFarm
 				break
 			}
 			t := &tenant{s: s, view: NewTenantView(s, va, winBytes), pat: patByte(id)}
-			for p := 0; p < cfg.PagesPerTenant; p++ {
+			for p := 0; p < tenantPages; p++ {
 				if err := t.view.Set(core, uint64(p)*arch.PageSize, t.pat); err != nil {
 					fail(err)
 					break
@@ -306,10 +296,10 @@ func TenantFarm(m *cpusim.Machine, factory func() (mm.MM, error), cfg TenantFarm
 			// retirement waits for serves in flight.
 			ring.mu.RLock()
 			n := len(ring.live)
-			for op := 0; op < cfg.ServeOps && n > 0; op++ {
+			for op := 0; op < serveOps && n > 0; op++ {
 				pick := (op*2654435761 + int(id)*97) % n
 				t := ring.live[pick]
-				page := uint64(op*131+int(id)) % uint64(cfg.PagesPerTenant)
+				page := uint64(op*131+int(id)) % tenantPages
 				off := page * arch.PageSize
 				if op%16 == 15 {
 					buf, err := t.view.Range(core, off, 8)
@@ -341,7 +331,7 @@ func TenantFarm(m *cpusim.Machine, factory func() (mm.MM, error), cfg TenantFarm
 		if t == nil {
 			break
 		}
-		for p := 0; p < cfg.PagesPerTenant; p++ {
+		for p := 0; p < tenantPages; p++ {
 			b, err := t.view.Get(0, uint64(p)*arch.PageSize)
 			if err != nil {
 				fail(err)
