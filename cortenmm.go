@@ -187,11 +187,15 @@ var (
 type MachineConfig struct {
 	// Cores is the number of simulated CPUs (default 4).
 	Cores int
-	// NUMANodes partitions the cores (default 1).
+	// NUMANodes partitions the cores into contiguous blocks, core c on
+	// node c*NUMANodes/Cores (default 1; clamped to Cores and Frames/2,
+	// so every node has a core and two frames).
 	NUMANodes int
-	// Frames is physical memory in 4-KiB frames (default 64Ki = 256MiB).
+	// Frames is physical memory in 4-KiB frames (default 64Ki = 256MiB;
+	// at least 2).
 	Frames int
-	// TLB selects the shootdown protocol (default TLBSync).
+	// TLB selects the shootdown protocol (default TLBSync; an unknown
+	// mode runs as TLBSync).
 	TLB TLBMode
 }
 

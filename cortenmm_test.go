@@ -147,15 +147,48 @@ func TestPublicFeatures(t *testing.T) {
 	}
 }
 
+// TestUnknownTLBModeIsSync: a TLB mode outside the three protocols runs
+// as the default, sync, so a remote core never reads an unmapped page
+// through a stale translation.
+func TestUnknownTLBModeIsSync(t *testing.T) {
+	m := cortenmm.NewMachine(cortenmm.MachineConfig{Cores: 2, TLB: 3})
+	as, err := cortenmm.New(cortenmm.Options{Machine: m, Protocol: cortenmm.ProtocolAdv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, err := as.Mmap(0, cortenmm.PageSize, cortenmm.PermRW, cortenmm.FlagPopulate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Store(1, va, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Munmap(0, va, cortenmm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	m.Quiesce()
+	if b, err := as.Load(1, va); !errors.Is(err, cortenmm.ErrSegv) {
+		t.Errorf("load after munmap on core 1 = %d, %v; want %v", b, err, cortenmm.ErrSegv)
+	}
+	as.Destroy(0)
+	if err := m.CheckClean(); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestTinyMachineTopologyAgrees: a machine with too few frames for its
 // node count gets as many nodes as its memory can shard into zones, so
-// the machine and its physical memory agree on the node count, and an
-// allocation on any core is served or refused, never out of range.
+// the machine, its physical memory and its TLBs agree on the node
+// count, and an allocation on any core is served or refused, never out
+// of range.
 func TestTinyMachineTopologyAgrees(t *testing.T) {
-	for _, frames := range []int{6, 7, 16} {
+	for _, frames := range []int{1, 2, 6, 7, 16} {
 		m := cortenmm.NewMachine(cortenmm.MachineConfig{Cores: 4, NUMANodes: 4, Frames: frames})
 		if got := m.Phys.Nodes(); m.NUMANodes != got {
 			t.Errorf("frames=%d: machine has %d nodes, physical memory %d", frames, m.NUMANodes, got)
+		}
+		if got := len(m.TLB.NodeStats()); m.NUMANodes != got {
+			t.Errorf("frames=%d: machine has %d nodes, TLB %d", frames, m.NUMANodes, got)
 		}
 		as, err := cortenmm.New(cortenmm.Options{Machine: m, Protocol: cortenmm.ProtocolAdv})
 		if err != nil {

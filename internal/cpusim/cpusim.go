@@ -25,11 +25,15 @@ type Config struct {
 	Cores int
 	// NUMANodes partitions cores into contiguous cluster blocks of
 	// nodes (NrOS replicas, physical-memory zones, cluster-IPI
-	// delivery groups). Clamped to Cores and to Frames/2.
+	// delivery groups): core c lives on node c*NUMANodes/Cores.
+	// Clamped to Cores and to Frames/2, so every node has a core and
+	// two frames.
 	NUMANodes int
-	// Frames is the simulated physical memory size in 4-KiB frames.
+	// Frames is the simulated physical memory size in 4-KiB frames,
+	// at least 2 (frame 0 is reserved).
 	Frames int
-	// TLBMode selects the shootdown protocol.
+	// TLBMode selects the shootdown protocol; an unknown mode runs as
+	// tlb.ModeSync.
 	TLBMode tlb.Mode
 	// TickEvery fires the per-core timer every N OpTick events
 	// (default 64).
@@ -45,10 +49,8 @@ type Machine struct {
 	RCU       *rcu.Domain
 
 	// nodeOf maps each core to its NUMA node (contiguous cluster
-	// blocks); nodeCores is the inverse — each node's core list in
-	// ascending ID order, precomputed for cluster-batched fan-out.
-	nodeOf    []int
-	nodeCores [][]int
+	// blocks); Phys and TLB share this one slice.
+	nodeOf []int
 
 	tickEvery int
 	ticks     []tickState
@@ -116,8 +118,11 @@ func (m *Machine) HoldsTx(core int, space uint64) bool {
 	return depth > 0 && (w>>txDepthBits == space || depth > 1)
 }
 
-// New builds a machine. Zero config fields get sensible defaults
-// (4 cores, 1 node, 64 Ki frames = 256 MiB, sync TLB shootdown).
+// New builds a machine. It is the one place that decides the machine's
+// shape: zero config fields get sensible defaults (4 cores, 1 node,
+// 64 Ki frames = 256 MiB, sync TLB shootdown), out-of-range ones are
+// clamped, and the core→node map it builds is the only one mem and tlb
+// see.
 func New(cfg Config) *Machine {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 4
@@ -128,31 +133,29 @@ func New(cfg Config) *Machine {
 	if cfg.Frames <= 0 {
 		cfg.Frames = 1 << 16
 	}
+	cfg.Frames = max(cfg.Frames, 2) // frame 0 is reserved
 	// A node needs a core, and two frames: mem shards its zones so.
 	cfg.NUMANodes = max(min(cfg.NUMANodes, cfg.Cores, cfg.Frames/2), 1)
+	if cfg.TLBMode > tlb.ModeLATR {
+		cfg.TLBMode = tlb.ModeSync
+	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 64
 	}
-	// Contiguous cluster-block core→node assignment: cores [k·per,
-	// (k+1)·per) live on node k, like socket-ordered core enumeration
-	// on real multi-socket machines (and unlike the old round-robin,
-	// which made "neighbouring" cores alternate sockets).
+	// Contiguous cluster-block core→node assignment, like
+	// socket-ordered core enumeration on real multi-socket machines;
+	// the blocks differ by at most one core, so every node has one.
 	nodeOf := make([]int, cfg.Cores)
-	nodeCores := make([][]int, cfg.NUMANodes)
-	per := (cfg.Cores + cfg.NUMANodes - 1) / cfg.NUMANodes
-	for c := 0; c < cfg.Cores; c++ {
-		n := c / per
-		nodeOf[c] = n
-		nodeCores[n] = append(nodeCores[n], c)
+	for c := range nodeOf {
+		nodeOf[c] = c * cfg.NUMANodes / cfg.Cores
 	}
 	m := &Machine{
 		Cores:     cfg.Cores,
 		NUMANodes: cfg.NUMANodes,
-		Phys:      mem.NewPhysMemNUMA(cfg.Frames, cfg.Cores, cfg.NUMANodes, nodeOf),
-		TLB:       tlb.NewMachineNUMA(cfg.Cores, cfg.TLBMode, nodeOf),
+		Phys:      mem.NewPhysMemNUMA(cfg.Frames, nodeOf),
+		TLB:       tlb.NewMachineNUMA(cfg.TLBMode, nodeOf),
 		RCU:       rcu.NewDomain(cfg.Cores),
 		nodeOf:    nodeOf,
-		nodeCores: nodeCores,
 		tickEvery: cfg.TickEvery,
 		ticks:     make([]tickState, cfg.Cores),
 	}
@@ -163,10 +166,6 @@ func New(cfg Config) *Machine {
 
 // NodeOf returns the NUMA node of a core.
 func (m *Machine) NodeOf(core int) int { return m.nodeOf[core] }
-
-// NodeCores returns the cores of one NUMA node in ascending ID order.
-// The returned slice is shared; callers must not mutate it.
-func (m *Machine) NodeCores(node int) []int { return m.nodeCores[node] }
 
 // HWASIDs is the hardware address-space-identifier space: TLB tags carry
 // an 8-bit ASID, as on pre-ASID16 arm64 parts, so at most HWASIDs-1

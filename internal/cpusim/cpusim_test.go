@@ -38,20 +38,37 @@ func TestNodeOf(t *testing.T) {
 			t.Errorf("NodeOf(%d) = %d, want %d", c, got, want)
 		}
 	}
-	for n := 0; n < 2; n++ {
-		cores := m.NodeCores(n)
-		if len(cores) != 4 {
-			t.Fatalf("node %d has %d cores, want 4", n, len(cores))
-		}
-		for i, c := range cores {
-			if c != n*4+i {
-				t.Errorf("NodeCores(%d)[%d] = %d, want %d", n, i, c, n*4+i)
-			}
-		}
-	}
 	// The physical allocator sees the same topology.
 	if m.Phys.Nodes() != 2 {
 		t.Errorf("Phys.Nodes() = %d, want 2", m.Phys.Nodes())
+	}
+}
+
+// TestOneTopology: the machine, its physical memory and its TLBs agree
+// on the node count for every shape, including ones where the nodes do
+// not divide the cores or the frames cannot shard into that many zones,
+// and every node has a core.
+func TestOneTopology(t *testing.T) {
+	for cores := 1; cores <= 8; cores++ {
+		for nodes := 1; nodes <= cores+1; nodes++ {
+			for _, frames := range []int{1, 2, 6, 7, 16, 1 << 14} {
+				m := New(Config{Cores: cores, NUMANodes: nodes, Frames: frames})
+				phys, tlbs := m.Phys.Nodes(), len(m.TLB.NodeStats())
+				if m.NUMANodes != phys || phys != len(m.Phys.NodeStats()) || phys != tlbs {
+					t.Fatalf("cores=%d nodes=%d frames=%d: machine %d, phys %d, tlb %d nodes",
+						cores, nodes, frames, m.NUMANodes, phys, tlbs)
+				}
+				named := make([]bool, m.NUMANodes)
+				for c := 0; c < m.Cores; c++ {
+					named[m.NodeOf(c)] = true
+				}
+				for n, ok := range named {
+					if !ok {
+						t.Fatalf("cores=%d nodes=%d frames=%d: node %d has no core", cores, nodes, frames, n)
+					}
+				}
+			}
+		}
 	}
 }
 

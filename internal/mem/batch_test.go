@@ -209,7 +209,7 @@ func TestPutRunMatchesPuts(t *testing.T) {
 		}
 		var want physState
 		for mode, rel := range release {
-			m := NewPhysMemNUMA(1<<13, 2, 2, nil)
+			m := NewPhysMemNUMA(1<<13, clusterNodes(2, 2))
 			boot := m.FreeFrames()
 			runs, survivors, core := putScene(t, m, seed)
 			rel(m, core, runs)
@@ -386,7 +386,7 @@ func TestBuddyRunsMatchFrames(t *testing.T) {
 // TryGet, read the words the pin makes stable, Put — and a third keeps
 // draining the caches. Run under -race. Every frame is back afterwards.
 func TestPutRunRacesScannerAndDrain(t *testing.T) {
-	m := NewPhysMemNUMA(1<<12, 2, 2, nil)
+	m := NewPhysMemNUMA(1<<12, clusterNodes(2, 2))
 	boot := m.FreeFrames()
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -481,7 +481,7 @@ func TestAllocFrameBatchPartial(t *testing.T) {
 func TestAnonBatchMatchesBatchThenMap(t *testing.T) {
 	owners := []*AnonOwner{{Space: "a"}, {Space: "b"}, nil}
 	rng := rand.New(rand.NewSource(1))
-	ref, batch := NewPhysMemNUMA(1500, 2, 2, nil), NewPhysMemNUMA(1500, 2, 2, nil)
+	ref, batch := NewPhysMemNUMA(1500, clusterNodes(2, 2)), NewPhysMemNUMA(1500, clusterNodes(2, 2))
 	var held []arch.PFN
 	short := 0
 	for round := 0; round < 60; round++ {
@@ -536,7 +536,7 @@ func TestAnonBatchMatchesBatchThenMap(t *testing.T) {
 func TestBuddyPublishMatchesLocked(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewPhysMemNUMA(1<<12, 2, 2, nil)
+		m := NewPhysMemNUMA(1<<12, clusterNodes(2, 2))
 		var frames, blocks []arch.PFN
 		for step := 0; step < 400; step++ {
 			core := rng.Intn(2)

@@ -1,7 +1,7 @@
 package mem
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"cortenmm/internal/arch"
@@ -37,44 +37,29 @@ type zone struct {
 func (z *zone) frames() uint64 { return uint64(z.limit - z.base) }
 
 // NewPhysMemNUMA creates a physical memory of nframes 4-KiB frames
-// sharded into nodes zones, serving cores CPUs whose home nodes are
-// given by coreNode (coreNode[c] is core c's NUMA node; nil defaults to
-// contiguous cluster blocks). Frame 0 is reserved (a NULL frame), as on
-// real hardware. Nodes that cannot get at least two frames collapse the
-// machine to fewer zones.
-func NewPhysMemNUMA(nframes, cores, nodes int, coreNode []int) *PhysMem {
-	if nframes < 2 {
-		panic("mem: need at least 2 frames")
-	}
-	if nodes < 1 {
-		nodes = 1
-	}
+// serving len(coreNode) CPUs, where coreNode[c] is core c's NUMA node.
+// It has max(coreNode)+1 zones of equal size; fewer than two frames per
+// zone is a programming error. Frame 0 is reserved (a NULL frame), as
+// on real hardware.
+func NewPhysMemNUMA(nframes int, coreNode []int) *PhysMem {
+	nodes := slices.Max(coreNode) + 1
 	// Equal shards, aligned to huge-page blocks when the machine is big
-	// enough; degenerate splits collapse to fewer zones.
-	var size int
-	for {
-		size = nframes / nodes
-		if size >= 2*zoneAlign {
-			size &^= zoneAlign - 1
-		}
-		if size >= 2 || nodes == 1 {
-			break
-		}
-		nodes--
+	// enough.
+	size := nframes / nodes
+	if size < 2 {
+		panic("mem: need at least 2 frames per node")
 	}
-	if coreNode == nil {
-		coreNode = make([]int, cores)
-		per := (cores + nodes - 1) / nodes
-		for c := range coreNode {
-			coreNode[c] = c / per
-		}
+	if size >= 2*zoneAlign {
+		size &^= zoneAlign - 1
 	}
 	m := &PhysMem{
-		frames:    make([]FrameDesc, nframes),
-		pcp:       make([]pcpCache, cores),
-		zones:     make([]zone, nodes),
-		zoneSize:  size,
-		coreNodes: append([]int(nil), coreNode...),
+		frames:     make([]FrameDesc, nframes),
+		pcp:        make([]pcpCache, len(coreNode)),
+		zones:      make([]zone, nodes),
+		zoneSize:   size,
+		coreNodes:  coreNode,
+		zonelists:  make([][]int, nodes),
+		allocStats: make([]nodeAllocCounters, nodes),
 	}
 	for n := range m.zones {
 		z := &m.zones[n]
@@ -85,100 +70,31 @@ func NewPhysMemNUMA(nframes, cores, nodes int, coreNode []int) *PhysMem {
 			z.limit = arch.PFN(nframes) // last zone absorbs the remainder
 		}
 		z.buddy.init(int(z.base), int(z.limit-z.base), n == 0)
+		// The fallback walk order: the home zone, then the others one
+		// hop at a time along a linear interconnect, the lower ID first
+		// on a tie — as Linux orders zonelists by node distance.
+		list := []int{n}
+		for hop := 1; len(list) < nodes; hop++ {
+			for _, o := range [2]int{n - hop, n + hop} {
+				if o >= 0 && o < nodes {
+					list = append(list, o)
+				}
+			}
+		}
+		m.zonelists[n] = list
 	}
 	// Static node tags on every descriptor; Audit cross-checks them
 	// against the owning zone.
 	for pfn := range m.frames {
 		m.frames[pfn].Node = int32(m.zoneOf(arch.PFN(pfn)))
 	}
-	// Zonelists are derived from the node-distance table: local zone
-	// first, then the others by increasing distance (ties toward lower
-	// node IDs) — the fallback walk order. The default table models a
-	// flat linear interconnect, which reproduces the classic ID-order
-	// fallback; SetDistanceTable installs measured topologies.
-	m.distance = DefaultDistanceTable(nodes)
-	m.rebuildZonelists()
-	m.allocStats = make([]nodeAllocCounters, nodes)
 	return m
 }
-
-// DefaultDistanceTable is the ACPI SLIT-style table for a flat linear
-// interconnect: 10 on the diagonal (intra-node), 20 for neighbours and
-// 10 more per additional hop.
-func DefaultDistanceTable(nodes int) [][]int {
-	d := make([][]int, nodes)
-	for a := range d {
-		d[a] = make([]int, nodes)
-		for b := range d[a] {
-			hops := a - b
-			if hops < 0 {
-				hops = -hops
-			}
-			d[a][b] = 10 + 10*hops
-		}
-	}
-	return d
-}
-
-// SetDistanceTable installs a node-distance table (dimensions must be
-// Nodes()×Nodes(), diagonal entries the minimum of their row) and
-// rebuilds every node's zonelist to walk zones in increasing-distance
-// order. Setup-time only: it must not race with allocations.
-func (m *PhysMem) SetDistanceTable(d [][]int) {
-	nodes := len(m.zones)
-	if len(d) != nodes {
-		panic("mem: distance table dimension mismatch")
-	}
-	cp := make([][]int, nodes)
-	for a := range d {
-		if len(d[a]) != nodes {
-			panic("mem: distance table dimension mismatch")
-		}
-		for _, dist := range d[a] {
-			if dist < d[a][a] {
-				panic("mem: remote distance below intra-node distance")
-			}
-		}
-		cp[a] = append([]int(nil), d[a]...)
-	}
-	m.distance = cp
-	m.rebuildZonelists()
-}
-
-// NodeDistance reports the table distance from node a to node b's
-// memory.
-func (m *PhysMem) NodeDistance(a, b int) int { return m.distance[a][b] }
 
 // Zonelist returns a copy of node's fallback walk order (the node
 // itself first).
 func (m *PhysMem) Zonelist(node int) []int {
 	return append([]int(nil), m.zonelists[node]...)
-}
-
-// rebuildZonelists recomputes every node's fallback order from the
-// distance table: increasing distance, ties toward lower node IDs, the
-// home node always first (its diagonal entry is the row minimum).
-func (m *PhysMem) rebuildZonelists() {
-	nodes := len(m.zones)
-	m.zonelists = make([][]int, nodes)
-	for n := range m.zonelists {
-		list := make([]int, nodes)
-		for i := range list {
-			list[i] = i
-		}
-		row := m.distance[n]
-		sort.SliceStable(list, func(x, y int) bool {
-			a, b := list[x], list[y]
-			if a == n || b == n {
-				return a == n && b != n
-			}
-			if row[a] != row[b] {
-				return row[a] < row[b]
-			}
-			return a < b
-		})
-		m.zonelists[n] = list
-	}
 }
 
 // nodeAllocCounters track allocation locality per requesting node,

@@ -9,12 +9,11 @@ import (
 )
 
 // clusterNodes builds the cluster-block core→node map the simulator
-// uses (cores 0..per-1 on node 0, and so on).
+// uses (core c on node c*nodes/cores).
 func clusterNodes(cores, nodes int) []int {
 	out := make([]int, cores)
-	per := (cores + nodes - 1) / nodes
 	for c := range out {
-		out[c] = c / per
+		out[c] = c * nodes / cores
 	}
 	return out
 }
@@ -24,7 +23,7 @@ func clusterNodes(cores, nodes int) []int {
 // descriptor tagged with its owning zone.
 func TestZoneLayout(t *testing.T) {
 	const frames = 3000 // not a multiple of 2*zoneAlign
-	m := NewPhysMemNUMA(frames, 4, 2, clusterNodes(4, 2))
+	m := NewPhysMemNUMA(frames, clusterNodes(4, 2))
 	if m.Nodes() != 2 {
 		t.Fatalf("Nodes() = %d, want 2", m.Nodes())
 	}
@@ -47,19 +46,6 @@ func TestZoneLayout(t *testing.T) {
 	}
 }
 
-// TestDegenerateSplitCollapses: a machine too small for the requested
-// node count collapses to fewer zones instead of creating empty ones.
-func TestDegenerateSplitCollapses(t *testing.T) {
-	m := NewPhysMemNUMA(4, 2, 8, nil)
-	if m.Nodes() != 2 {
-		t.Errorf("4 frames over 8 nodes: got %d zones, want 2", m.Nodes())
-	}
-	m = NewPhysMemNUMA(2, 1, 4, nil)
-	if m.Nodes() != 1 {
-		t.Errorf("2 frames over 4 nodes: got %d zones, want 1", m.Nodes())
-	}
-}
-
 // TestNodeLocalAllocation is the locality property test: with plenty of
 // headroom on every node, concurrent allocations from all cores must be
 // served >= 90% node-locally (first-touch default policy). In practice
@@ -72,7 +58,7 @@ func TestNodeLocalAllocation(t *testing.T) {
 		nodes  = 2
 		perGo  = 500 // ~4000 frames of 16384: ample headroom
 	)
-	m := NewPhysMemNUMA(frames, cores, nodes, clusterNodes(cores, nodes))
+	m := NewPhysMemNUMA(frames, clusterNodes(cores, nodes))
 	var wg sync.WaitGroup
 	held := make([][]arch.PFN, cores)
 	for c := 0; c < cores; c++ {
@@ -131,7 +117,7 @@ func TestCrossNodeFallback(t *testing.T) {
 		cores  = 4
 		nodes  = 2
 	)
-	m := NewPhysMemNUMA(frames, cores, nodes, clusterNodes(cores, nodes))
+	m := NewPhysMemNUMA(frames, clusterNodes(cores, nodes))
 	node0 := m.NodeFreeFrames(0)
 	var held []arch.PFN
 	// Core 0 (node 0) allocates past its zone's capacity.
@@ -172,7 +158,7 @@ func TestCrossNodeFallback(t *testing.T) {
 // TestAllocFrameOnPlacement: explicit node targeting serves from the
 // requested zone when it has memory, regardless of the caller's home.
 func TestAllocFrameOnPlacement(t *testing.T) {
-	m := NewPhysMemNUMA(4096, 4, 2, clusterNodes(4, 2))
+	m := NewPhysMemNUMA(4096, clusterNodes(4, 2))
 	pfn, err := m.AllocFrameOn(0, 1, KindAnon)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +180,7 @@ func TestAllocFrameOnPlacement(t *testing.T) {
 // TestAllocPolicyInterleave: the policy hook steers placement; clearing
 // it restores first-touch.
 func TestAllocPolicyInterleave(t *testing.T) {
-	m := NewPhysMemNUMA(4096, 4, 2, clusterNodes(4, 2))
+	m := NewPhysMemNUMA(4096, clusterNodes(4, 2))
 	next := 0
 	m.SetAllocPolicy(func(core int) int {
 		n := next
@@ -231,7 +217,7 @@ func TestAllocPolicyInterleave(t *testing.T) {
 // TestHugeOrderStaysInZone: order-9 blocks never straddle a zone
 // boundary (zone bases are zoneAlign-aligned).
 func TestHugeOrderStaysInZone(t *testing.T) {
-	m := NewPhysMemNUMA(1<<13, 4, 2, clusterNodes(4, 2))
+	m := NewPhysMemNUMA(1<<13, clusterNodes(4, 2))
 	var held []arch.PFN
 	for {
 		pfn, err := m.AllocFrames(0, 9, KindAnon)
@@ -259,7 +245,7 @@ func TestHugeOrderStaysInZone(t *testing.T) {
 // mistagged descriptor and a zone whose descriptor-derived free count
 // diverges from its allocator's.
 func TestAuditCatchesZoneSkew(t *testing.T) {
-	m := NewPhysMemNUMA(4096, 4, 2, clusterNodes(4, 2))
+	m := NewPhysMemNUMA(4096, clusterNodes(4, 2))
 	pfn, err := m.AllocFrameOn(0, 0, KindAnon)
 	if err != nil {
 		t.Fatal(err)
@@ -293,11 +279,10 @@ func TestAuditCatchesZoneSkew(t *testing.T) {
 }
 
 // TestDefaultZonelistDistanceOrder pins the derived fallback order on
-// the default (flat linear) distance table: home node first, then
-// increasing distance with ties toward lower IDs — the same order the
-// pre-distance-table ID walk produced.
+// the linear interconnect: home node first, then one hop at a time with
+// ties toward lower IDs.
 func TestDefaultZonelistDistanceOrder(t *testing.T) {
-	m := NewPhysMemNUMA(1<<14, 8, 4, clusterNodes(8, 4))
+	m := NewPhysMemNUMA(1<<14, clusterNodes(8, 4))
 	want := map[int][]int{
 		0: {0, 1, 2, 3},
 		1: {1, 0, 2, 3},
@@ -311,71 +296,5 @@ func TestDefaultZonelistDistanceOrder(t *testing.T) {
 				t.Fatalf("node %d zonelist = %v, want %v", n, got, want[n])
 			}
 		}
-	}
-	if d := m.NodeDistance(0, 0); d != 10 {
-		t.Errorf("intra-node distance = %d, want 10", d)
-	}
-	if d := m.NodeDistance(0, 2); d != 30 {
-		t.Errorf("two-hop distance = %d, want 30", d)
-	}
-}
-
-// TestDistanceWeightedFallback installs a measured topology where node 3
-// is node 0's nearest neighbour (e.g. the adjacent socket on a ring) and
-// checks that exhausting node 0 spills onto node 3 — not the ID-order
-// pick, node 1.
-func TestDistanceWeightedFallback(t *testing.T) {
-	const (
-		frames = 1 << 13
-		cores  = 4
-		nodes  = 4
-	)
-	m := NewPhysMemNUMA(frames, cores, nodes, clusterNodes(cores, nodes))
-	m.SetDistanceTable([][]int{
-		{10, 32, 40, 12},
-		{32, 10, 12, 40},
-		{40, 12, 10, 32},
-		{12, 40, 32, 10},
-	})
-	if got := m.Zonelist(0); got[0] != 0 || got[1] != 3 || got[2] != 1 || got[3] != 2 {
-		t.Fatalf("node 0 zonelist = %v, want [0 3 1 2]", got)
-	}
-
-	// Exhaust node 0's zone from a node-0 core, then keep allocating:
-	// every spilled frame must come from the nearest node, 3.
-	var held []arch.PFN
-	node0 := int(m.NodeFreeFrames(0))
-	for i := 0; i < node0; i++ {
-		pfn, err := m.AllocFrame(0, KindAnon)
-		if err != nil {
-			t.Fatalf("draining node 0: %v", err)
-		}
-		held = append(held, pfn)
-	}
-	for i := 0; i < 128; i++ {
-		pfn, err := m.AllocFrame(0, KindAnon)
-		if err != nil {
-			t.Fatalf("fallback alloc %d: %v", i, err)
-		}
-		if n := m.FrameNode(pfn); n != 3 && n != 0 {
-			t.Fatalf("fallback frame %#x came from node %d, want nearest node 3", pfn, n)
-		}
-		held = append(held, pfn)
-	}
-	spilled := 0
-	for _, pfn := range held {
-		if m.FrameNode(pfn) == 3 {
-			spilled++
-		}
-	}
-	if spilled == 0 {
-		t.Fatal("no frames spilled to the nearest node")
-	}
-	for _, pfn := range held {
-		m.Put(0, pfn)
-	}
-	m.DrainPCP()
-	if rep := m.Audit(); !rep.Ok() {
-		t.Fatalf("%s", rep.String())
 	}
 }

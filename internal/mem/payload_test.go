@@ -73,7 +73,7 @@ func expectZeroEverywhere(t *testing.T, m *PhysMem, core int) {
 // back to an owner.
 func TestPayloadZeroAfterReuse(t *testing.T) {
 	const nframes = 2048
-	twoNode := func() *PhysMem { return NewPhysMemNUMA(nframes, 2, 2, clusterNodes(2, 2)) }
+	twoNode := func() *PhysMem { return NewPhysMemNUMA(nframes, clusterNodes(2, 2)) }
 	for _, tc := range []struct {
 		name string
 		mk   func() *PhysMem

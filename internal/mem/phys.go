@@ -273,12 +273,8 @@ type PhysMem struct {
 	// coreNodes maps each core to its home node.
 	coreNodes []int
 	// zonelists[n] is node n's fallback walk order (local first, then
-	// by increasing node distance).
-	zonelists [][]int
-	// distance is the SLIT-style node-distance table driving zonelist
-	// order; distance[a][b] is the cost of node a reaching node b's
-	// memory (10 intra-node, 20+ across the interconnect).
-	distance   [][]int
+	// by increasing hop count).
+	zonelists  [][]int
 	allocStats []nodeAllocCounters
 	policy     atomic.Pointer[AllocPolicy]
 	pcp        []pcpCache
@@ -308,7 +304,7 @@ type PhysMem struct {
 // frames serving the given number of cores. Frame 0 is reserved (a NULL
 // frame), as on real hardware. NUMA machines use NewPhysMemNUMA.
 func NewPhysMem(nframes, cores int) *PhysMem {
-	return NewPhysMemNUMA(nframes, cores, 1, nil)
+	return NewPhysMemNUMA(nframes, make([]int, cores))
 }
 
 // NFrames returns the number of physical frames.

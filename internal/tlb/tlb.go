@@ -20,6 +20,7 @@ package tlb
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -167,32 +168,24 @@ type Machine struct {
 // NewMachine creates TLBs for the given core count and protocol on a
 // single NUMA node.
 func NewMachine(cores int, mode Mode) *Machine {
-	return NewMachineNUMA(cores, mode, nil)
+	return NewMachineNUMA(mode, make([]int, cores))
 }
 
-// NewMachineNUMA creates TLBs for cores whose NUMA nodes are given by
-// nodeOf (nodeOf[c] is core c's node; nil means one node). The node map
-// only shapes shootdown fan-out order and per-node accounting — cache
+// NewMachineNUMA creates TLBs for len(nodeOf) cores, where nodeOf[c] is
+// core c's NUMA node; the machine keeps the slice. The node map only
+// shapes shootdown fan-out order and per-node accounting — cache
 // contents and the staleness contract are identical on any topology.
-func NewMachineNUMA(cores int, mode Mode, nodeOf []int) *Machine {
-	if nodeOf == nil {
-		nodeOf = make([]int, cores)
-	}
-	nodes := 1
-	for _, n := range nodeOf {
-		if n+1 > nodes {
-			nodes = n + 1
-		}
-	}
+func NewMachineNUMA(mode Mode, nodeOf []int) *Machine {
+	nodes := slices.Max(nodeOf) + 1
 	m := &Machine{
 		mode:      mode,
-		cores:     make([]coreTLB, cores),
-		nodeOf:    append([]int(nil), nodeOf...),
+		cores:     make([]coreTLB, len(nodeOf)),
+		nodeOf:    nodeOf,
 		nodeCores: make([][]int, nodes),
 		nodeStats: make([]nodeShootStats, nodes),
 	}
-	for c := 0; c < cores; c++ {
-		m.nodeCores[nodeOf[c]] = append(m.nodeCores[nodeOf[c]], c)
+	for c, n := range nodeOf {
+		m.nodeCores[n] = append(m.nodeCores[n], c)
 	}
 	for i := range m.cores {
 		// One allocation for both arrays: a large object starts on a page,

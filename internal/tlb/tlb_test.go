@@ -279,7 +279,7 @@ func TestHitRateStats(t *testing.T) {
 // charged to their node without triggering a broadcast.
 func TestNodeBatchedFanout(t *testing.T) {
 	nodeOf := []int{0, 0, 1, 1}
-	m := NewMachineNUMA(4, ModeSync, nodeOf)
+	m := NewMachineNUMA(ModeSync, nodeOf)
 	for c := 1; c < 4; c++ {
 		m.Insert(c, 1, 0x5000, tr(5))
 	}
@@ -320,7 +320,7 @@ func TestNodeBatchedFanout(t *testing.T) {
 // time go through the same node batching.
 func TestNodeBatchedFanoutLATR(t *testing.T) {
 	nodeOf := []int{0, 0, 1, 1}
-	m := NewMachineNUMA(4, ModeLATR, nodeOf)
+	m := NewMachineNUMA(ModeLATR, nodeOf)
 	for c := 0; c < 4; c++ {
 		m.Insert(c, 1, 0x7000, tr(7))
 	}
