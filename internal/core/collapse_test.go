@@ -320,3 +320,68 @@ func waitForLock(m *cpusim.Machine, core int, done <-chan error) error {
 	}
 	return nil
 }
+
+// TestCollapseRefusesCOWBrokenFileSpan: one huge leaf cannot keep the
+// 512 origin words of a 2-MiB span of private file copies, so neither
+// CollapseHuge nor the scanner collapses it: CollapseHuge returns
+// ErrNotSupported and leaves the span as it was, and the scanner counts
+// it ineligible however hot it is. CollapseHuge used to collapse it, and
+// a later MADV_DONTNEED dropped every page to zero instead of its file
+// page.
+func TestCollapseRefusesCOWBrokenFileSpan(t *testing.T) {
+	const span = 2 << 20
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			d := AttachCompaction(m, CompactConfig{ScanSpans: -1, FragThreshold: -1})
+			f := mem.NewFile(m.Phys, "f", 2*span)
+			sh, err := a.MmapFile(0, f, 0, 2*span, arch.PermRW, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			va, err := a.MmapFile(0, f, 0, 2*span, arch.PermRW, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := (va + span - 1) &^ (span - 1)
+			page := func(i int) arch.Vaddr { return base + arch.Vaddr(i*arch.PageSize) }
+			for i := 0; i < arch.PTEntries; i++ {
+				if err := a.Store(0, sh+(page(i)-va), 200); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Store(0, page(i), byte(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.CollapseHuge(0, base); !errors.Is(err, mm.ErrNotSupported) {
+				t.Errorf("CollapseHuge over COW-broken file pages = %v, want ErrNotSupported", err)
+			}
+			for scan := 0; scan < 2*promoteScans; scan++ {
+				for i := 0; i < arch.PTEntries; i++ {
+					if _, err := a.Load(0, page(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				d.scanSpan(0, a, base)
+			}
+			if n := a.stats.Collapses.Load(); n != 0 {
+				t.Errorf("%d collapses of a span of file copies", n)
+			}
+			if _, level, _ := a.tree.Walk(base); level != 1 {
+				t.Errorf("span mapped at level %d, want 4-KiB leaves", level)
+			}
+			if err := a.MadviseDontNeed(0, base, span); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < arch.PTEntries; i += 37 {
+				if b, err := a.Load(0, page(i)); err != nil || b != 200 {
+					t.Fatalf("page %d after DONTNEED reads %d, %v; want its file page's 200", i, b, err)
+				}
+			}
+			checkRegistrations(t, m.Phys, []*mem.File{f}, a)
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}

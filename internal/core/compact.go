@@ -192,8 +192,8 @@ func (d *Daemon) scanQuantum(core int, cfg *CompactConfig) {
 // quanta may fire between two touch phases), so a cold scan does not
 // reset the evidence of heat — young sightings accumulate, and only
 // coldResetScans cold scans in a row clear them. A span seen young
-// promoteScans times is collapsed; a partial or shared/COW span's heat
-// is cleared.
+// promoteScans times is collapsed; a partial, shared/COW or file-backed
+// span's heat is cleared.
 func (d *Daemon) scanSpan(core int, a *AddrSpace, base arch.Vaddr) {
 	span := arch.Vaddr(arch.SpanBytes(2))
 	c, err := a.Lock(core, base, base+span)
@@ -203,7 +203,7 @@ func (d *Daemon) scanSpan(core int, a *AddrSpace, base arch.Vaddr) {
 	var resident, young uint64
 	eligible := true
 	_ = c.IterateMapped(base, base+span, func(r Run) error {
-		if r.Status.Perm&(arch.PermShared|arch.PermCOW) != 0 {
+		if r.Status.Perm&(arch.PermShared|arch.PermCOW) != 0 || r.Origin.Allocated() {
 			eligible = false
 		}
 		resident += r.Pages

@@ -5,9 +5,10 @@
 // way to program the MMU. Nothing else records which ranges exist: VA
 // recycling, reclaim and collapse sweeps and OOM sizing all read the
 // page table (DESIGN.md §9.1), and so does which files it maps: every
-// status word naming a file and every PTE mapping one of its page-cache
-// frames is one registration of the space with the file, so the file's
-// object id lives exactly as long as something in a tree names it.
+// status word naming a file — a not-resident page's, or a resident
+// page's origin, kept beside its PTE — is one registration of the space
+// with the file, so the file's object id lives exactly as long as
+// something in a tree names it.
 // Beside the page table lives only the VA arena that hands out fresh
 // ranges.
 //

@@ -72,20 +72,22 @@ func (c *RCursor) Map(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm) 
 
 // MapKeyed is Map with an MPK protection key tag.
 func (c *RCursor) MapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey) error {
-	return c.install(va, frame, level, perm, key, false)
+	return c.install(va, frame, level, perm, key, 0, false)
 }
 
 // install is the body of Map and PlacePage: it points va's level-`level`
 // entry at frame, materialising the path to it and releasing whatever
-// the entry held. The frame reference the caller holds becomes the
-// mapping's. counted says the frame's map count already includes this
-// mapping (a page TakePage detached): then only its hint moves to va.
-// Mapping a page-cache frame registers this space with its file once
-// more, before the entry's old contents give theirs back. Once the path
-// exists that is the one step that can fail (the file's first
+// the entry held, and keeps beside the leaf the word naming the page's
+// origin (pt.Tree.MapLeaf). The frame reference the caller holds becomes
+// the mapping's. counted says the frame's map count already includes this
+// mapping (a page TakePage detached, whose origin word it carries): then
+// only its hint moves to va. Otherwise a page-cache frame's origin is its
+// own file page, and its file is held across the store, as MmapFile
+// holds it across its Mark: the entry may name no file yet. Once the
+// path exists that hold is the one step that can fail (the file's first
 // registration, with the object table full), and it fails before the
 // entry is written.
-func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey, counted bool) error {
+func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey, origin uint64, counted bool) error {
 	if level < 1 {
 		return fmt.Errorf("%w: map at level %d", errBadRange, level)
 	}
@@ -114,12 +116,18 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 	}
 	head := c.a.m.Phys.HeadOf(frame)
 	d := c.a.m.Phys.Desc(head)
-	if d.Kind == mem.KindFile && !counted {
-		if err := d.RMap.File.AddMapper(c.a); err != nil {
+	t, isa := c.a.tree, c.a.isa
+	if f := d.RMap.File; f != nil && !counted {
+		if err := f.AddMapper(c.a); err != nil {
 			return err
 		}
+		defer f.RemoveMappers(c.a, 1)
+		kind := pt.StatusPrivateFile
+		if perm&arch.PermShared != 0 {
+			kind = pt.StatusSharedFile
+		}
+		origin, _ = t.Pack(pt.FileStatus(kind, 0, f, d.RMap.Index), 1) // f is held: it has an id
 	}
-	t, isa := c.a.tree, c.a.isa
 	if isa.IsPresent(e.pte) {
 		if !isa.IsLeaf(e.pte, level) {
 			// A finer-grained subtree sits here; clear it first. The
@@ -134,8 +142,7 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 	if key != 0 {
 		leaf = isa.WithProtKey(leaf, key)
 	}
-	t.SetPTE(e.pfn, e.idx, leaf)
-	t.SetMetaWord(e.pfn, e.idx, 0)
+	t.MapLeaf(e.pfn, e.idx, leaf, origin)
 	// One write to the descriptor: an exclusive anonymous 4-KiB mapping
 	// records (space, va) with its count so the compaction/NUMA scanners
 	// can find the PTE; any other shape only counts. The hint is advisory
@@ -348,22 +355,12 @@ func (c *RCursor) releaseLeaf(pte uint64, level int, va arch.Vaddr) {
 	head := c.a.m.Phys.HeadOf(c.a.isa.PFNOf(pte))
 	d := c.a.m.Phys.Desc(head)
 	d.Unmap()
-	c.a.unregisterFrame(d)
 	c.cleared += arch.SpanBytes(level) / arch.PageSize
 	// Flush before queueing the free: spillDeferred may hand the queued
 	// frames to the RCU monitor mid-walk, and the shootdown it issues
 	// must already cover every translation to a queued frame.
 	c.noteFlush(va, level)
 	c.noteFreed(head)
-}
-
-// unregisterFrame gives back the registration with its file that a PTE
-// of this space mapping the page-cache frame d held, as the PTE goes; for
-// any other frame it is the kind test alone (and inlines as such).
-func (a *AddrSpace) unregisterFrame(d *mem.FrameDesc) {
-	if d.Kind == mem.KindFile {
-		d.RMap.File.RemoveMappers(a, 1)
-	}
 }
 
 // noteFreed queues a frame head for release after the shootdown,
@@ -391,15 +388,16 @@ func (c *RCursor) noteFreed(head arch.PFN) {
 }
 
 // clearLeafTable tears down a fully covered level-1 table in one sweep:
-// one atomic load plus one mapcount drop per present page, one
-// coalesced flush for the whole 2-MiB span. The generic walk's
-// per-entry work — SetPTE(0) with Present bookkeeping, a metadata probe
-// per entry — is skipped: the table is about to be unlinked wholesale
-// (the caller follows with removeChild), and a fresh PT page's word
-// array is zero-allocated, so the dying PTEs need no scrubbing. Until
-// the parent entry is cleared, lockless traversers may still read the
-// live leaves; that window existed with per-entry clearing too and is
-// covered by the RCU-deferred frame release.
+// one atomic load plus one mapcount drop per present page, one pass over
+// its words if it has any, one coalesced flush for the whole 2-MiB span.
+// The generic walk's per-entry work — SetPTE(0) with Present
+// bookkeeping, a metadata probe per entry — is skipped: the table is
+// about to be unlinked wholesale (the caller follows with removeChild),
+// and a fresh PT page's word array is zero-allocated, so the dying PTEs
+// need no scrubbing. Until the parent entry is cleared, lockless
+// traversers may still read the live leaves; that window existed with
+// per-entry clearing too and is covered by the RCU-deferred frame
+// release.
 func (c *RCursor) clearLeafTable(child arch.PFN, base arch.Vaddr) {
 	t, isa := c.a.tree, c.a.isa
 	phys := c.a.m.Phys
@@ -410,13 +408,9 @@ func (c *RCursor) clearLeafTable(child arch.PFN, base arch.Vaddr) {
 	// single 2-MiB record kill cached huge entries too, not just their
 	// base page.
 	c.noteFlush(base, 2)
-	if st.MetaCnt > 0 {
-		for i := 0; i < arch.PTEntries; i++ {
-			c.dropMeta(child, i, 1)
-		}
-	}
+	c.cleared += uint64(st.Present + st.MetaCnt)
+	t.DropMeta(child)
 	if st.Present > 0 {
-		c.cleared += uint64(st.Present)
 		words := t.Words(child)
 		for i := range words {
 			w := atomic.LoadUint64(&words[i])
@@ -426,7 +420,6 @@ func (c *RCursor) clearLeafTable(child arch.PFN, base arch.Vaddr) {
 			head := phys.HeadOf(isa.PFNOf(w))
 			d := phys.Desc(head)
 			d.Unmap()
-			c.a.unregisterFrame(d)
 			c.noteFreed(head)
 		}
 		st.Present = 0

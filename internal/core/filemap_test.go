@@ -16,31 +16,38 @@ import (
 )
 
 // treeRegistrations recounts, from a's page table, the registrations a
-// must hold with each file: one per status word that names the file and
-// one per present PTE that maps one of its page-cache frames. The tree
-// must be quiescent.
-func treeRegistrations(a *AddrSpace) map[*mem.File]uint64 {
-	t, isa, phys := a.tree, a.isa, a.m.Phys
+// must hold with each file: one per status word that names the file,
+// marked or beside a PTE. It also fails t unless every present leaf that
+// maps a page-cache frame has a word beside it naming that frame's file
+// page, and a leaf of an anonymous frame has none unless it is a private
+// copy of a file page (a PrivateFile word). The tree must be quiescent.
+func treeRegistrations(t *testing.T, a *AddrSpace) map[*mem.File]uint64 {
+	t.Helper()
+	tree, isa, phys := a.tree, a.isa, a.m.Phys
 	n := map[*mem.File]uint64{}
 	var visit func(pfn arch.PFN, level int)
 	visit = func(pfn arch.PFN, level int) {
 		for i := 0; i < arch.PTEntries; i++ {
-			if s := t.GetMeta(pfn, i); s.Kind >= pt.StatusPrivateFile && s.Kind <= pt.StatusSharedFile {
+			s := tree.GetMeta(pfn, i)
+			if s.Kind >= pt.StatusPrivateFile && s.Kind <= pt.StatusSharedFile {
 				n[s.File(phys)]++
 			}
-			pte := t.LoadPTE(pfn, i)
+			pte := tree.LoadPTE(pfn, i)
 			switch {
 			case !isa.IsPresent(pte):
 			case !isa.IsLeaf(pte, level):
 				visit(isa.PFNOf(pte), level-1)
 			default:
-				if d := phys.Desc(phys.HeadOf(isa.PFNOf(pte))); d.Kind == mem.KindFile {
-					n[d.RMap.File]++
+				switch d := phys.Desc(phys.HeadOf(isa.PFNOf(pte))); {
+				case d.Kind == mem.KindFile && (s.File(phys) != d.RMap.File || s.Off() != d.RMap.Index || s.Kind == pt.StatusSwapped):
+					t.Errorf("leaf %#x[%d] maps page %d of file %q beside word %+v", pfn, i, d.RMap.Index, d.RMap.File.Name, s)
+				case d.Kind != mem.KindFile && s.Allocated() && s.Kind != pt.StatusPrivateFile:
+					t.Errorf("leaf %#x[%d] of an anonymous frame has word %+v", pfn, i, s)
 				}
 			}
 		}
 	}
-	visit(t.Root, arch.Levels)
+	visit(tree.Root, arch.Levels)
 	return n
 }
 
@@ -58,8 +65,9 @@ func registrations(f *mem.File, a *AddrSpace) (spaces int, held uint64) {
 
 // checkRegistrations fails unless every file that holds an object id,
 // every file in files and every file the spaces' trees name is registered
-// with exactly the spaces whose trees name it, as often as they do, and
-// holds an id iff something registers it.
+// with exactly the spaces whose trees name it, as often as their words
+// do, and holds an id iff something registers it; and unless every leaf
+// carries the origin word treeRegistrations asks for.
 func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spaces ...*AddrSpace) {
 	t.Helper()
 	check := slices.Clone(files)
@@ -70,7 +78,7 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 	}
 	want := make([]map[*mem.File]uint64, len(spaces))
 	for i, a := range spaces {
-		want[i] = treeRegistrations(a)
+		want[i] = treeRegistrations(t, a)
 		for f := range want[i] {
 			check = append(check, f)
 		}
@@ -233,10 +241,11 @@ func TestMremapGrowKeepsFileMapper(t *testing.T) {
 }
 
 // TestMarkedWordHoldsItsFile: a status word that names a file is one
-// registration of it, and so is a PTE that maps one of its page-cache
-// frames. Either alone keeps the file's object id after the mapping that
+// registration of it, and a mapped page holds its file through its word:
+// a raw Tx.Map of a page-cache frame stores the frame's file word beside
+// the PTE. Either alone keeps the file's object id after the mapping that
 // gave it one is unmapped, so the next file cannot take the id, and the
-// word — or the page, once dropped back to a word — still reaches the
+// word — or the page, once dropped back to its word — still reaches the
 // first file's bytes.
 func TestMarkedWordHoldsItsFile(t *testing.T) {
 	const pg = arch.PageSize
@@ -312,27 +321,30 @@ func TestMarkedWordHoldsItsFile(t *testing.T) {
 // TestFileRegistrationsFollowPageTable runs a seeded random stream of
 // file, shared-anonymous and anonymous mappings, partial and middle
 // unmaps, Mremap grows and shrinks, forks and child teardowns,
-// MADV_DONTNEED, loads, copy-on-write-breaking stores, and Tx.Mark and
-// Tx.Map of file pages, on both protocols. After every op it recounts
-// each (file, space) pair from the trees, which must equal the
-// registration count, and a file must hold an id iff something registers
-// it. The 1 024-page mappings put file words at level 2, so faults and
-// partial unmaps push them down, and whole-mapping unmaps sweep leaf
-// tables of page-cache frames.
+// MADV_DONTNEED, loads, copy-on-write-breaking stores (to any page, and
+// to a private file page), SwapOut in the forked child (the space has a
+// swap device; the parent keeps none swapped, so it can fork), and
+// Tx.Mark and Tx.Map of file pages, on both protocols. After every op it
+// recounts each (file, space) pair from the trees' words, which must
+// equal the registration count, checks every leaf's origin word, and a
+// file must hold an id iff something registers it. The 1 024-page
+// mappings put file words at level 2, so faults and partial unmaps push
+// them down, and whole-mapping unmaps sweep leaf tables of page-cache
+// frames and of their private copies.
 func TestFileRegistrationsFollowPageTable(t *testing.T) {
 	const pg = arch.PageSize
 	const filePages = 1024 + 64
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
+			a.SetSwapDev(mem.NewBlockDev("swap"))
 			files := make([]*mem.File, 3)
 			for i := range files {
 				files[i] = mem.NewFile(m.Phys, fmt.Sprintf("f%d", i), filePages*pg)
 			}
 
-			// The one behaviour change: a private mapping whose every page
-			// has been COW-broken names its file nowhere, so it no longer
-			// holds it.
+			// A private mapping whose every page has been COW-broken still
+			// holds its file: each page's word names its file page.
 			va, err := a.MmapFile(0, files[0], 0, 2*pg, arch.PermRW, false)
 			if err != nil {
 				t.Fatal(err)
@@ -342,9 +354,11 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if spaces, _ := registrations(files[0], a); spaces != 0 || files[0].ID() != 0 {
-				t.Errorf("a fully COW-broken private mapping keeps its file: %d mappers, id %d", spaces, files[0].ID())
+			if spaces, held := registrations(files[0], a); spaces != 1 || held != 2 || files[0].ID() == 0 {
+				t.Errorf("a fully COW-broken private mapping: %d mappers, %d registrations, id %d; want 1, 2 and an id",
+					spaces, held, files[0].ID())
 			}
+			checkRegistrations(t, m.Phys, files, a)
 			if err := a.Munmap(0, va, 2*pg); err != nil {
 				t.Fatal(err)
 			}
@@ -353,6 +367,8 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 				a     *AddrSpace
 				va    arch.Vaddr
 				pages uint64
+				// private marks a private file mapping.
+				private bool
 			}
 			rng := rand.New(rand.NewSource(32))
 			var regions []region
@@ -380,7 +396,7 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 				return s, e
 			}
 			for step := 0; step < 300; step++ {
-				op := rng.Intn(13)
+				op := rng.Intn(16)
 				switch {
 				case len(regions) == 0:
 					op %= 3 // map something
@@ -399,24 +415,24 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 				switch op {
 				case 0:
 					name = "MmapFile"
-					n, f, sp := size(), file(), spaces[rng.Intn(len(spaces))]
+					n, f, sp, shared := size(), file(), spaces[rng.Intn(len(spaces))], rng.Intn(2) == 0
 					var va arch.Vaddr
-					if va, err = sp.MmapFile(0, f, rng.Uint64()%(filePages-n+1), n*pg, arch.PermRW, rng.Intn(2) == 0); err == nil {
-						regions = append(regions, region{sp, va, n})
+					if va, err = sp.MmapFile(0, f, rng.Uint64()%(filePages-n+1), n*pg, arch.PermRW, shared); err == nil {
+						regions = append(regions, region{sp, va, n, !shared})
 					}
 				case 1:
 					name = "MmapSharedAnon"
 					n, sp := size(), spaces[rng.Intn(len(spaces))]
 					var va arch.Vaddr
 					if va, err = sp.MmapSharedAnon(0, n*pg, arch.PermRW); err == nil {
-						regions = append(regions, region{sp, va, n})
+						regions = append(regions, region{sp, va, n, false})
 					}
 				case 2:
 					name = "Mmap"
 					n, sp := size(), spaces[rng.Intn(len(spaces))]
 					var va arch.Vaddr
 					if va, err = sp.Mmap(0, n*pg, arch.PermRW, 0); err == nil {
-						regions = append(regions, region{sp, va, n})
+						regions = append(regions, region{sp, va, n, false})
 					}
 				case 3:
 					name = "Munmap"
@@ -424,10 +440,10 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 					if err = r.a.Munmap(0, at(s), (e-s)*pg); err == nil {
 						regions = slices.Delete(regions, i, i+1)
 						if s > 0 {
-							regions = append(regions, region{r.a, r.va, s})
+							regions = append(regions, region{r.a, r.va, s, r.private})
 						}
 						if e < r.pages {
-							regions = append(regions, region{r.a, at(e), r.pages - e})
+							regions = append(regions, region{r.a, at(e), r.pages - e, r.private})
 						}
 					}
 				case 4:
@@ -438,7 +454,7 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 					}
 					var va arch.Vaddr
 					if va, err = r.a.Mremap(0, r.va, r.pages*pg, n*pg); err == nil {
-						regions[i] = region{r.a, va, n}
+						regions[i] = region{r.a, va, n, r.private && n <= r.pages}
 					}
 				case 5:
 					name = "Fork"
@@ -447,7 +463,7 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 						if child, err = a.Fork(0); err == nil {
 							spaces = append(spaces, child.(*AddrSpace))
 							for _, r := range regions {
-								regions = append(regions, region{spaces[1], r.va, r.pages})
+								regions = append(regions, region{spaces[1], r.va, r.pages, r.private})
 							}
 						}
 						break
@@ -482,6 +498,23 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 						if f.ID() == 0 && errors.Is(err, mm.ErrBadRange) {
 							err = nil // a status naming an unmapped file is refused
 						}
+					}
+				case 13:
+					name = "Store (private file)"
+					for _, j := range rng.Perm(len(regions)) {
+						if r := regions[j]; r.private {
+							err = r.a.Store(0, r.va+arch.Vaddr(rng.Uint64()%r.pages*pg), byte(step))
+							break
+						}
+					}
+				case 14:
+					name = "MadviseDontNeed (whole)"
+					err = r.a.MadviseDontNeed(0, r.va, r.pages*pg)
+				case 15:
+					name = "SwapOut"
+					if r.a != a {
+						s, e := sub(r.pages)
+						_, err = r.a.SwapOut(0, at(s), (e-s)*pg)
 					}
 				case 12:
 					name = "Tx.Map"

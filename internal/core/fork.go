@@ -71,20 +71,15 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 // forkCopy replicates the subtree at src (parent, under the caller's
 // whole-space transaction) into dst (child, private to this call).
 // Private mappings become COW in both trees; shared mappings alias the
-// same frames; metadata statuses are copied. Every copied word and every
-// copied PTE to a page-cache frame registers the child with its file
-// before the parent's transaction ends, so no unmap in the parent can
-// retire an object id the child names. Like pt.Tree.Destroy it
-// recurses over a tree it owns outright, so it is not a walkRange
+// same frames; status words — marks and the origins beside PTEs — are
+// copied once the PTEs are. Every copied word registers the child with
+// its file before the parent's transaction ends, so no unmap in the
+// parent can retire an object id the child names. Like pt.Tree.Destroy
+// it recurses over a tree it owns outright, so it is not a walkRange
 // visitor: it writes a second tree in step with the first.
 func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, level int) error {
 	t, isa := a.tree, a.isa
 	ct := child.tree
-	if !t.CopyMeta(src, ct, dst) {
-		// Swap entries are not duplicated: swap-in on either side would
-		// race over one block. Bring the page back in the parent first.
-		return fmt.Errorf("core: fork over swapped page unsupported; swap in first")
-	}
 	for idx := 0; idx < arch.PTEntries; idx++ {
 		pte := t.LoadPTE(src, idx)
 		if !isa.IsPresent(pte) {
@@ -108,11 +103,7 @@ func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, leve
 			}
 			ct.SetPTE(dst, idx, childPTE)
 			a.m.Phys.Get(head)
-			d := a.m.Phys.Desc(head)
-			d.Map()
-			if d.Kind == mem.KindFile { // the parent maps it: it has an id
-				_ = d.RMap.File.AddMapper(child)
-			}
+			a.m.Phys.Desc(head).Map()
 			continue
 		}
 		srcChild := isa.PFNOf(pte)
@@ -124,6 +115,11 @@ func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, leve
 		if err := a.forkCopy(core, child, srcChild, dstChild, level-1); err != nil {
 			return err
 		}
+	}
+	if !t.CopyMeta(src, ct, dst) {
+		// Swap entries are not duplicated: swap-in on either side would
+		// race over one block. Bring the page back in the parent first.
+		return fmt.Errorf("core: fork over swapped page unsupported; swap in first")
 	}
 	return nil
 }
@@ -152,9 +148,7 @@ func (a *AddrSpace) Destroy(core int) {
 	a.drainVisits()
 	a.tree.Destroy(core, func(pte uint64, level int) {
 		head := a.m.Phys.HeadOf(a.isa.PFNOf(pte))
-		d := a.m.Phys.Desc(head)
-		d.Unmap()
-		a.unregisterFrame(d)
+		a.m.Phys.Desc(head).Unmap()
 		a.m.Phys.Put(core, head)
 	})
 	a.m.FreeASID(a.asid)
@@ -177,7 +171,7 @@ func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
 		for i := uint64(0); i < r.Pages; i++ {
 			st := r.Status.SlidBy(i)
 			if d := a.m.Phys.Desc(a.m.Phys.HeadOf(st.Page())); d.RMap.File == f && d.RMap.Index == index {
-				hits = append(hits, Run{VA: r.VA + arch.Vaddr(i*arch.PageSize), Pages: 1, Status: st})
+				hits = append(hits, Run{VA: r.VA + arch.Vaddr(i*arch.PageSize), Pages: 1, Status: st, Origin: r.Origin.SlidBy(i)})
 			}
 		}
 		return nil
@@ -185,6 +179,6 @@ func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
 	c.needSync = len(hits) > 0 // the page is about to be reclaimed
 	for _, r := range hits {
 		// One page under a leaf table: nothing to split, so it cannot fail.
-		_ = c.Mark(r.VA, r.End(), a.nonResident(r.Status))
+		_ = c.Mark(r.VA, r.End(), nonResident(r))
 	}
 }

@@ -42,10 +42,11 @@ type RCursor struct {
 	// Deferred side effects, committed at Close.
 	deferredOps
 
-	// cleared counts the allocated pages (mapped or marked) the teardown
-	// paths have removed in this transaction. An unmap that cleared as
-	// many pages as its range holds found the range fully allocated,
-	// which is what lets its VAs go back to the allocator.
+	// cleared counts the allocated pages (mapped or marked; a mapped page
+	// with an origin word counts once) the teardown paths have removed in
+	// this transaction. An unmap that cleared as many pages as its range
+	// holds found the range fully allocated, which is what lets its VAs
+	// go back to the allocator.
 	cleared uint64
 
 	closed bool

@@ -247,3 +247,56 @@ func TestMigrationKeepsReadOnlyPageReadOnly(t *testing.T) {
 	a.Destroy(0)
 	checkClean(t, m)
 }
+
+// TestMigrationKeepsFileOrigin: a 4-KiB migration of a private copy of a
+// file page moves the frame and keeps the origin word beside the new
+// PTE, so MADV_DONTNEED afterwards still drops the page back to the
+// file's byte.
+func TestMigrationKeepsFileOrigin(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 13})
+			a, err := New(Options{Machine: m, Protocol: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			daemonOf(m)
+			f := mem.NewFile(m.Phys, "f", arch.PageSize)
+			sh, err := a.MmapFile(0, f, 0, arch.PageSize, arch.PermRW, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := a.MmapFile(0, f, 0, arch.PageSize, arch.PermRW, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, sh, 55); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, pr, 9); err != nil {
+				t.Fatal(err)
+			}
+			pte, _, _ := a.tree.Walk(pr)
+			src := a.isa.PFNOf(pte)
+			if err := m.Phys.MigrateFrame(0, src, 0); err != nil {
+				t.Fatalf("migration of the private copy: %v", err)
+			}
+			if pte, _, ok := a.tree.Walk(pr); !ok || a.isa.PFNOf(pte) == src {
+				t.Fatalf("after migration: mapped=%v on frame %d (source %d)", ok, a.isa.PFNOf(pte), src)
+			}
+			if b, err := a.Load(0, pr); err != nil || b != 9 {
+				t.Errorf("migrated copy reads %d, %v; want 9", b, err)
+			}
+			checkRegistrations(t, m.Phys, []*mem.File{f}, a)
+			if err := a.MadviseDontNeed(0, pr, arch.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := a.Load(0, pr); err != nil || b != 55 {
+				t.Errorf("after DONTNEED the page reads %d, %v; want the file's 55", b, err)
+			}
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}

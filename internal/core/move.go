@@ -123,14 +123,16 @@ func (mv *move) run() error {
 // check validates the span under c: every page resident as a 4-KiB leaf
 // of an exclusively mapped anonymous frame whose reference count is ref,
 // all with one permission without Shared or COW and one key, each on the
-// source frame preset for it. Failures wrap mm.ErrNotSupported and name
-// the first page that cannot move.
+// source frame preset for it. A move into a huge leaf also needs every
+// page anonymous in origin: one huge leaf keeps no origin words. (A
+// 4-KiB move keeps its page's word: install.) Failures wrap
+// mm.ErrNotSupported and name the first page that cannot move.
 func (mv *move) check(c *RCursor) error {
-	isa, phys := mv.a.isa, mv.a.m.Phys
+	t, isa, phys := mv.a.tree, mv.a.isa, mv.a.m.Phys
 	n := 0
 	v := walkOps{
 		readOnly: true,
-		onLeaf: func(_ arch.PFN, _, level int, _, va, _ arch.Vaddr, pte uint64) error {
+		onLeaf: func(table arch.PFN, idx, level int, _, va, _ arch.Vaddr, pte uint64) error {
 			if level > 1 {
 				return errHuge
 			}
@@ -144,7 +146,8 @@ func (mv *move) check(c *RCursor) error {
 			d := phys.Desc(phys.HeadOf(pfn))
 			if va != mv.va+arch.Vaddr(n)*arch.PageSize || perm != mv.perm || isa.ProtKeyOf(pte) != mv.key ||
 				perm&(arch.PermShared|arch.PermCOW) != 0 || pfn != mv.src[n] ||
-				d.Kind != mem.KindAnon || d.MapCount() != 1 || d.Ref.Load() != mv.ref {
+				d.Kind != mem.KindAnon || d.MapCount() != 1 || d.Ref.Load() != mv.ref ||
+				mv.level > 1 && t.Meta(table, idx) != 0 {
 				return errStopWalk // page n cannot move
 			}
 			n++

@@ -88,17 +88,16 @@ func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (a
 		a.valloc.Free(core, newVA, newSize)
 		return 0, err
 	}
-	// Commit: clear what the old range still records. Its edges are
-	// split, so neither call needs a PT page. A moved file mapping's
-	// words took their registrations at the new range before these give
-	// the old ones back, so its file keeps its object id throughout.
+	// Commit: clear what the old range still records — its marks, and
+	// the origin words its moved pages left behind. Its edges are split,
+	// so neither call needs a PT page. A moved file mapping's words took
+	// their registrations at the new range before these give the old ones
+	// back, so its file keeps its object id throughout.
 	for _, r := range runs {
-		switch r.Status.Kind {
-		case pt.StatusMapped: // taken already
-		case pt.StatusSwapped:
+		if r.Status.Kind == pt.StatusSwapped {
 			// The destination keeps the block: clear without releasing.
 			_ = c.clearMeta(r.VA, r.End())
-		default:
+		} else {
 			_ = c.Mark(r.VA, r.End(), pt.Status{})
 		}
 	}
@@ -147,11 +146,11 @@ func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs 
 		case r.Status.Kind == pt.StatusMapped:
 			for i := uint64(0); i < r.Pages && err == nil; i++ {
 				src := r.VA + arch.Vaddr(i*arch.PageSize)
-				frame, perm, key, ok := c.TakePage(src)
+				frame, perm, key, origin, ok := c.TakePage(src)
 				if !ok {
 					err = fmt.Errorf("core: page vanished during mremap")
-				} else if err = c.PlacePage(dst+arch.Vaddr(i*arch.PageSize), frame, perm, key); err != nil {
-					_ = c.PlacePage(src, frame, perm, key) // its table is still there
+				} else if err = c.PlacePage(dst+arch.Vaddr(i*arch.PageSize), frame, perm, key, origin); err != nil {
+					_ = c.PlacePage(src, frame, perm, key, origin) // its table is still there
 				}
 			}
 		default:
@@ -171,10 +170,10 @@ func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs 
 }
 
 // unmove undoes a failed moveTo: every page at the new range goes back
-// to its old address, whose table is still there, and the new range's
-// statuses and tables go without releasing the swap blocks the old
-// range still names (its file words give back the registrations moveTo's
-// Marks took).
+// to its old address, whose table — and origin word — is still there,
+// and the new range's statuses and tables go without releasing the swap
+// blocks the old range still names (its file words give back the
+// registrations moveTo's Marks and PlacePages took).
 func (c *RCursor) unmove(oldVA, newVA arch.Vaddr, newSize uint64) {
 	newEnd := newVA + arch.Vaddr(newSize)
 	var moved []Run
@@ -184,8 +183,8 @@ func (c *RCursor) unmove(oldVA, newVA arch.Vaddr, newSize uint64) {
 	})
 	for _, r := range moved {
 		for va := r.VA; va < r.End(); va += arch.PageSize {
-			frame, perm, key, _ := c.TakePage(va)
-			_ = c.PlacePage(oldVA+(va-newVA), frame, perm, key)
+			frame, perm, key, origin, _ := c.TakePage(va)
+			_ = c.PlacePage(oldVA+(va-newVA), frame, perm, key, origin)
 		}
 	}
 	_ = c.clearMeta(newVA, newEnd)
@@ -198,26 +197,28 @@ func overlap(aVA arch.Vaddr, aSz uint64, bVA arch.Vaddr, bSz uint64) bool {
 
 // TakePage detaches the mapped 4-KiB page at va, returning its frame
 // with the reference and mapcount still held — the caller must PlacePage
-// it (or release it manually). The translation is queued for
+// it (or release it manually) — and its origin word (0: anonymous),
+// which stays behind as va's mark. The translation is queued for
 // invalidation. ok is false, and nothing changes, when va is outside the
 // transaction or holds no 4-KiB leaf (huge leaves move via split paths).
-func (c *RCursor) TakePage(va arch.Vaddr) (frame arch.PFN, perm arch.Perm, key arch.ProtKey, ok bool) {
+func (c *RCursor) TakePage(va arch.Vaddr) (frame arch.PFN, perm arch.Perm, key arch.ProtKey, origin uint64, ok bool) {
 	e, err := c.entry(va, 1, false)
-	isa := c.a.isa
+	t, isa := c.a.tree, c.a.isa
 	if err != nil || e.level != 1 || !isa.IsPresent(e.pte) {
-		return 0, 0, 0, false
+		return 0, 0, 0, 0, false
 	}
-	c.a.tree.SetPTE(e.pfn, e.idx, 0)
+	t.SetPTE(e.pfn, e.idx, 0)
 	c.noteFlush(e.lo(va), 1)
-	return isa.PFNOf(e.pte), isa.PermOf(e.pte), isa.ProtKeyOf(e.pte), true
+	return isa.PFNOf(e.pte), isa.PermOf(e.pte), isa.ProtKeyOf(e.pte), t.Meta(e.pfn, e.idx), true
 }
 
-// PlacePage installs a frame detached by TakePage at va: Map's install,
-// except that reference and mapcount were never dropped, so it takes no
-// new ones — an exclusive anonymous page only has its migration hint
-// moved to va.
-func (c *RCursor) PlacePage(va arch.Vaddr, frame arch.PFN, perm arch.Perm, key arch.ProtKey) error {
-	return c.install(va, frame, 1, perm, key, true)
+// PlacePage installs a frame detached by TakePage at va, with the origin
+// word TakePage returned: Map's install, except that reference and
+// mapcount were never dropped, so it takes no new ones — an exclusive
+// anonymous page only has its migration hint moved to va. The origin's
+// file stays held by the mark TakePage left until the caller clears it.
+func (c *RCursor) PlacePage(va arch.Vaddr, frame arch.PFN, perm arch.Perm, key arch.ProtKey, origin uint64) error {
+	return c.install(va, frame, 1, perm, key, origin, true)
 }
 
 // clearMeta wipes the metadata entries of every page in [lo, hi),

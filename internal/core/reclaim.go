@@ -18,11 +18,13 @@ import (
 // support enables (§4.3), and — like every MMU access — runs entirely
 // inside one transaction.
 //
-// Shared, COW and file-backed pages are skipped, and nothing else
-// reclaims them: mem.File.UnmapAll can unmap a file page in every space
-// registered with the file (each finds the page's PTEs in its own page
-// table), but no sweep calls it, so file-backed and shared pages stay
-// resident until unmapped.
+// Shared, COW and file-backed pages are skipped — file-backed meaning
+// every page whose entry names a file, a COW-broken private file page
+// too: a Swapped word would take the place of its origin — and nothing
+// else reclaims them: mem.File.UnmapAll can unmap a file page in every
+// space registered with the file (each finds the page's PTEs in its own
+// page table), but no sweep calls it, so file-backed and shared pages
+// stay resident until unmapped.
 func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target int) (int, error) {
 	return a.reclaimRangeNode(core, va, size, target, -1)
 }
@@ -47,10 +49,11 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 // to the block device and replaces its mapping with a Swapped status:
 // the sweep's eviction with nothing given a second chance — the range's
 // accessed bits are cleared first — and no target short of the range.
-// Shared and COW pages are skipped. A 2-MiB huge span fully inside the
-// range is demoted, as the sweep does: the same frames stay mapped at
-// 4-KiB grain (translation-preserving), and the next SwapOut evicts
-// them. Returns the number of pages swapped.
+// Shared, COW and file-backed pages are skipped, as ReclaimRange says.
+// A 2-MiB huge span fully inside the range is demoted, as the sweep
+// does: the same frames stay mapped at 4-KiB grain
+// (translation-preserving), and the next SwapOut evicts them. Returns
+// the number of pages swapped.
 func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
 	defer a.stats.KernelExit(a.stats.KernelEnter())
 	c, err := a.lockForEviction(core, va, size)
@@ -86,9 +89,9 @@ func (a *AddrSpace) lockForEviction(core int, va arch.Vaddr, size uint64) (*RCur
 // evict is the one eviction body, run under a cursor covering [lo, hi):
 // hot runs get their accessed bits cleared, cold 2-MiB spans are
 // demoted, and up to target cold 4-KiB pages — private, not COW,
-// anonymous, mapped exactly once, on node if node >= 0 — are broken
-// (breakWrites: one grace period for the sweep), written to the swap
-// device and re-marked Swapped. A store to a candidate after the break
+// anonymous in frame and origin, mapped exactly once, on node if
+// node >= 0 — are broken (breakWrites: one grace period for the sweep),
+// written to the swap device and re-marked Swapped. A store to a candidate after the break
 // faults and waits for this lock, so the block holds the page's last
 // store; a page whose write fails gets its block freed and its
 // permission back.
@@ -99,7 +102,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 	// after the iteration.
 	var runs []Run
 	err := c.IterateMapped(lo, hi, func(r Run) error {
-		if r.Status.Perm&(arch.PermShared|arch.PermCOW) == 0 && r.Status.HugeLevel() <= 2 {
+		if r.Status.Perm&(arch.PermShared|arch.PermCOW) == 0 && r.Status.HugeLevel() <= 2 && !r.Origin.Allocated() {
 			runs = append(runs, r)
 		}
 		return nil
@@ -259,62 +262,48 @@ func (c *RCursor) demoteHuge(base arch.Vaddr) bool {
 	return a.m.Phys.ShatterBlock(head, &a.anonOwner, uint64(base))
 }
 
-// MadviseDontNeed implements mm.Madviser: release the physical pages of
-// [va, va+size) while keeping the virtual allocation. Mapped pages
-// revert to their logical not-present status (PrivateAnon for anonymous
-// memory, the file status for file mappings), so a later access faults
-// in fresh content, exactly like Linux's MADV_DONTNEED.
+// MadviseDontNeed implements mm.Madviser: release the physical pages
+// and swap blocks of [va, va+size) while keeping the virtual allocation.
+// Mapped and swapped pages revert to their allocation status — the file
+// page they came from, PrivateAnon for anonymous memory — so a later
+// access faults in fresh content, exactly like Linux's MADV_DONTNEED.
 func (a *AddrSpace) MadviseDontNeed(core int, va arch.Vaddr, size uint64) error {
 	return a.call(core, op{kind: BatchMadvise, va: va, size: size})
 }
 
-// madviseBody is the transactional work of MadviseDontNeed.
+// madviseBody is the transactional work of MadviseDontNeed: collect the
+// resident and swapped runs first (the release mutates the tree), then
+// drop each with one Mark, which releases the frame or block it
+// replaces.
 func (a *AddrSpace) madviseBody(c *RCursor, lo, hi arch.Vaddr) error {
 	c.needSync = true // dropped frames are reused immediately
-
-	// Collect resident runs first (the release mutates the tree), then
-	// drop each run with one Mark — which releases what it replaces —
-	// per span of pages whose restored statuses form one sliding
-	// sequence: a whole anonymous run costs one range operation instead
-	// of one per page.
 	var runs []Run
-	err := c.IterateMapped(lo, hi, func(r Run) error {
-		runs = append(runs, r)
+	err := c.Iterate(lo, hi, func(r Run) error {
+		if r.Status.Kind == pt.StatusMapped || r.Status.Kind == pt.StatusSwapped {
+			runs = append(runs, r)
+		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	for _, r := range runs {
-		spanStart := uint64(0)
-		spanStatus := a.nonResident(r.Status)
-		for i := uint64(1); i < r.Pages; i++ {
-			if want := a.nonResident(r.Status.SlidBy(i)); want != spanStatus.SlidBy(i-spanStart) {
-				lo := r.VA + arch.Vaddr(spanStart*arch.PageSize)
-				if err := c.Mark(lo, r.VA+arch.Vaddr(i*arch.PageSize), spanStatus); err != nil {
-					return err
-				}
-				spanStart, spanStatus = i, want
-			}
-		}
-		if err := c.Mark(r.VA+arch.Vaddr(spanStart*arch.PageSize), r.End(), spanStatus); err != nil {
+		if err := c.Mark(r.VA, r.End(), nonResident(r)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// nonResident returns the status the resident page st reverts to when
-// its frame is dropped but the allocation stays: the file status for a
-// page-cache frame, PrivateAnon otherwise.
-func (a *AddrSpace) nonResident(st pt.Status) pt.Status {
-	perm := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared)
-	if d := a.m.Phys.Desc(a.m.Phys.HeadOf(st.Page())); d.RMap.File != nil {
-		kind := pt.StatusPrivateFile
-		if st.Perm&arch.PermShared != 0 {
-			kind = pt.StatusSharedFile
-		}
-		return pt.FileStatus(kind, perm, d.RMap.File, d.RMap.Index).WithKey(st.Key())
+// nonResident returns the status the mapped or swapped run r reverts to
+// when its frame or block is dropped but the allocation stays: its
+// origin, or PrivateAnon when it has none, with the permission and key
+// its PTE (or Swapped word) holds.
+func nonResident(r Run) pt.Status {
+	s := r.Origin
+	if !s.Allocated() {
+		s = pt.Status{Kind: pt.StatusPrivateAnon}
 	}
-	return pt.Status{Kind: pt.StatusPrivateAnon, Perm: perm}.WithKey(st.Key())
+	s.Perm = logicalPerm(r.Status.Perm) &^ (arch.PermCOW | arch.PermShared)
+	return s.WithKey(r.Status.Key())
 }

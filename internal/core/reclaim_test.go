@@ -212,3 +212,50 @@ func TestARM64EndToEnd(t *testing.T) {
 	a.Destroy(0)
 	checkClean(t, m)
 }
+
+// TestSwapOutSkipsCOWBrokenFilePage: a private copy of a file page keeps
+// the file page as its origin beside its PTE, and a Swapped word has no
+// room for it, so eviction leaves the page resident — it counts as
+// file-backed — and MADV_DONTNEED still drops it back to the file's
+// byte. It used to be swapped out like any anonymous page, losing its
+// file for good.
+func TestSwapOutSkipsCOWBrokenFilePage(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			dev := mem.NewBlockDev("swap")
+			a.SetSwapDev(dev)
+			f := mem.NewFile(m.Phys, "f", arch.PageSize)
+			sh, err := a.MmapFile(0, f, 0, arch.PageSize, arch.PermRW, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := a.MmapFile(0, f, 0, arch.PageSize, arch.PermRW, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, sh, 55); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, pr, 9); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := a.SwapOut(0, pr, arch.PageSize); err != nil || n != 0 {
+				t.Errorf("SwapOut of a COW-broken private file page = %d, %v; want 0", n, err)
+			}
+			if b, err := a.Load(0, pr); err != nil || b != 9 || dev.InUse() != 0 {
+				t.Errorf("after SwapOut the copy reads %d, %v with %d blocks in use; want 9 and none", b, err, dev.InUse())
+			}
+			if err := a.MadviseDontNeed(0, pr, arch.PageSize); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := a.Load(0, pr); err != nil || b != 55 {
+				t.Errorf("after DONTNEED the page reads %d, %v; want the file's 55", b, err)
+			}
+			checkRegistrations(t, m.Phys, []*mem.File{f}, a)
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}

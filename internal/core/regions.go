@@ -60,33 +60,11 @@ func (a *AddrSpace) Regions(core int) ([]Region, error) {
 		cur = Region{Start: lo, End: hi, Kind: regionKind(kind), Perm: normPerm, Resident: resident}
 	}
 	err = c.Iterate(0, arch.MaxVaddr, func(r Run) error {
-		if r.Status.Kind != pt.StatusMapped {
-			visit(r.VA, r.End(), r.Status.Kind, r.Status.Perm, 0)
-			return nil
+		kind, resident := r.Status.Kind, 0
+		if kind == pt.StatusMapped { // its region is its origin's
+			kind, resident = r.Origin.Kind, int(r.Pages)
 		}
-		// Classify mapped pages through the frame descriptor so a file
-		// region does not merge with anon neighbours, splitting the run
-		// where the backing class changes.
-		classify := func(i uint64) pt.StatusKind {
-			head := a.m.Phys.HeadOf(r.Status.Page() + arch.PFN(i))
-			if d := a.m.Phys.Desc(head); d.RMap.File != nil {
-				if r.Status.Perm&arch.PermShared != 0 {
-					return pt.StatusSharedFile
-				}
-				return pt.StatusPrivateFile
-			}
-			return pt.StatusMapped
-		}
-		start := uint64(0)
-		kind := classify(0)
-		for i := uint64(1); i < r.Pages; i++ {
-			if k := classify(i); k != kind {
-				visit(r.VA+arch.Vaddr(start*arch.PageSize), r.VA+arch.Vaddr(i*arch.PageSize),
-					kind, r.Status.Perm, int(i-start))
-				start, kind = i, k
-			}
-		}
-		visit(r.VA+arch.Vaddr(start*arch.PageSize), r.End(), kind, r.Status.Perm, int(r.Pages-start))
+		visit(r.VA, r.End(), kind, r.Status.Perm, resident)
 		return nil
 	})
 	if err != nil {
@@ -102,7 +80,7 @@ func (a *AddrSpace) Regions(core int) ([]Region, error) {
 type chunk struct {
 	base  arch.Vaddr
 	span  uint64 // bytes
-	pages uint64 // allocated (mapped or marked) pages inside
+	pages uint64 // allocated (mapped or marked) pages inside, each once
 	table bool   // a level-1 table (else one entry at level 2 or above)
 	huge  bool   // one huge leaf (else, if not a table, a metadata entry)
 }
@@ -112,7 +90,8 @@ type chunk struct {
 // sizing and teardown) derives its ranges from, in place of a VMA list.
 // It holds a whole-space transaction only for a walk of the upper
 // levels: a level-1 table contributes its Present+MetaCnt counters, not
-// its 512 words (an entry is mapped or marked, never both). Callers do
+// its 512 words (MetaCnt counts marked entries only, so a mapped page
+// with an origin word beside its PTE counts once). Callers do
 // their per-chunk work afterwards in transactions of their own, so the
 // list is a hint like any unlocked snapshot. Nil once Destroy has begun;
 // a daemon caller holds a visit (enter), so Destroy waits for it.
@@ -164,9 +143,10 @@ func chunkAt(chunks []chunk, hand arch.Vaddr) int {
 
 // regionKind folds residency states into the logical backing class for
 // coalescing: an on-demand anonymous region stays one region whether
-// its pages are unfaulted, resident, or swapped.
+// its pages are unfaulted, resident (a mapped page with no origin), or
+// swapped.
 func regionKind(k pt.StatusKind) pt.StatusKind {
-	if k == pt.StatusMapped || k == pt.StatusSwapped {
+	if k == pt.StatusInvalid || k == pt.StatusSwapped {
 		return pt.StatusPrivateAnon
 	}
 	return k

@@ -162,3 +162,120 @@ func TestCheckInvariantsPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRegionsKeepCOWBrokenFilePage: a private file mapping stays one
+// region after a copy-on-write break, as /proc/maps shows one VMA: the
+// copy's origin word names the file, so its page is classified by the
+// page table, not by its (anonymous) frame. Regions used to split the
+// mapping into three.
+func TestRegionsKeepCOWBrokenFilePage(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			f := mem.NewFile(m.Phys, "f", 3*arch.PageSize)
+			va, err := a.MmapFile(0, f, 0, 3*arch.PageSize, arch.PermRW, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Load(0, va); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, va+arch.PageSize, 9); err != nil {
+				t.Fatal(err)
+			}
+			regions, err := a.Regions(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := Region{Start: va, End: va + 3*arch.PageSize, Kind: pt.StatusPrivateFile, Perm: arch.PermRW, Resident: 2}
+			if len(regions) != 1 || regions[0] != want {
+				t.Errorf("regions = %v, want [%v]", regions, want)
+			}
+			checkChunksMatchRegions(t, a)
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
+// TestFilePagesCountOnce: a resident file page has a PTE and an origin
+// word beside it, and is one allocated page, not two — to a munmap
+// deciding whether its range was fully allocated (so its VAs go back to
+// the allocator), to OOM sizing (allocatedPages) and to the chunk list
+// the sweeps read.
+func TestFilePagesCountOnce(t *testing.T) {
+	const pg = arch.PageSize
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			f := mem.NewFile(m.Phys, "f", 4<<20)
+
+			// A fully resident mapping: page-cache leaves and private
+			// copies, all with words. Its munmap clears 4 pages and
+			// recycles the range.
+			va, err := a.MmapFile(0, f, 0, 4*pg, arch.PermRW, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := arch.Vaddr(0); i < 4; i++ {
+				if i%2 == 0 {
+					_, err = a.Load(0, va+i*pg)
+				} else {
+					err = a.Store(0, va+i*pg, 1)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkChunksMatchRegions(t, a)
+			if err := a.Munmap(0, va, 4*pg); err != nil {
+				t.Fatal(err)
+			}
+			if again, err := a.Mmap(0, 4*pg, arch.PermRW, 0); err != nil || again != va {
+				t.Errorf("the unmapped range %#x was not recycled: Mmap = %#x, %v", va, again, err)
+			} else if err := a.Munmap(0, again, 4*pg); err != nil {
+				t.Fatal(err)
+			}
+
+			// 3 resident and 5 marked pages are 8 allocated pages.
+			va, err = a.MmapFile(0, f, 0, 8*pg, arch.PermRW, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := arch.Vaddr(0); i < 3; i++ {
+				if err := a.Store(0, va+i*pg, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := a.allocatedPages(0); n != 8 {
+				t.Errorf("3 resident and 5 marked file pages count as %d allocated pages", n)
+			}
+			checkChunksMatchRegions(t, a)
+			if err := a.Munmap(0, va, 8*pg); err != nil {
+				t.Fatal(err)
+			}
+
+			// A leaf table of 512 private copies is a 512-page chunk.
+			span := arch.Vaddr(arch.SpanBytes(2))
+			va, err = a.MmapFile(0, f, 0, 4<<20, arch.PermRW, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := (va + span - 1) &^ (span - 1)
+			for i := arch.Vaddr(0); i < span; i += pg {
+				if err := a.Store(0, base+i, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i := chunkAt(a.chunks(0), base); a.chunks(0)[i] != (chunk{base: base, span: uint64(span), pages: arch.PTEntries, table: true}) {
+				t.Errorf("the leaf table of 512 private copies is chunk %+v, want a table of 512 pages", a.chunks(0)[i])
+			}
+			checkChunksMatchRegions(t, a)
+			checkRegistrations(t, m.Phys, []*mem.File{f}, a)
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}

@@ -41,9 +41,9 @@ func TestCursorMethodsAreTotal(t *testing.T) {
 		"IterateMapped": func(c *RCursor, va arch.Vaddr) error { return c.IterateMapped(va, va+arch.PageSize, nop) },
 		"PopulateAnon":  func(c *RCursor, va arch.Vaddr) error { return c.PopulateAnon(va, va+arch.PageSize) },
 		"ClearAccessed": func(c *RCursor, va arch.Vaddr) error { return c.ClearAccessed(va, va+arch.PageSize) },
-		"PlacePage":     func(c *RCursor, va arch.Vaddr) error { return c.PlacePage(va, frame, arch.PermRW, 0) },
+		"PlacePage":     func(c *RCursor, va arch.Vaddr) error { return c.PlacePage(va, frame, arch.PermRW, 0, 0) },
 		"TakePage": func(c *RCursor, va arch.Vaddr) error {
-			if _, _, _, ok := c.TakePage(va); ok {
+			if _, _, _, _, ok := c.TakePage(va); ok {
 				return nil
 			}
 			return mm.ErrBadRange

@@ -282,18 +282,13 @@ func (a *AddrSpace) Msync(core int, va arch.Vaddr, size uint64) error {
 
 // msyncBody writes back dirty shared file pages of [lo, hi). One pass
 // over the locked subtree, resident pages only (metadata entries have
-// nothing to write back); runs carry the hardware D bit, so only dirty
-// shared runs cost per-page descriptor work.
+// nothing to write back); runs carry the hardware D bit and their origin
+// file page, so only dirty shared file runs cost per-page work.
 func (a *AddrSpace) msyncBody(c *RCursor, lo, hi arch.Vaddr) error {
 	return c.IterateMapped(lo, hi, func(r Run) error {
-		if r.Status.Perm&arch.PermShared == 0 || !r.Dirty {
-			return nil
-		}
-		for i := uint64(0); i < r.Pages; i++ {
-			head := a.m.Phys.HeadOf(r.Status.Page() + arch.PFN(i))
-			d := a.m.Phys.Desc(head)
-			if d.RMap.File != nil {
-				d.RMap.File.Writeback(d.RMap.Index)
+		if r.Status.Perm&arch.PermShared != 0 && r.Dirty && r.Origin.Allocated() {
+			for i := uint64(0); i < r.Pages; i++ {
+				r.Origin.File(a.m.Phys).Writeback(r.Origin.Off() + i)
 			}
 		}
 		return nil

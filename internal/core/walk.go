@@ -98,7 +98,7 @@ func (c *RCursor) walkRange(v *walkOps, pfn arch.PFN, level int, base, lo, hi ar
 			if present && v.clearFull {
 				if isa.IsLeaf(pte, level) {
 					c.releaseLeaf(pte, level, entryLo)
-					t.SetPTE(pfn, idx, 0)
+					t.ClearLeaf(pfn, idx)
 				} else {
 					child := isa.PFNOf(pte)
 					if level == 2 {
@@ -289,10 +289,10 @@ func (c *RCursor) entry(va arch.Vaddr, stop int, ensure bool) (slot, error) {
 }
 
 // Run is one maximal range of pages sharing a sliding status, as yielded
-// by Iterate: page i of the run has status Status.SlidBy(i). Mapped runs
-// are physically contiguous (the frame advances page by page); file runs
-// advance their file offset; Swapped never coalesces (every block is
-// distinct).
+// by Iterate: page i of the run has status Status.SlidBy(i) and origin
+// Origin.SlidBy(i). Mapped runs are physically contiguous (the frame
+// advances page by page); file runs advance their file offset; Swapped
+// never coalesces (every block is distinct).
 type Run struct {
 	VA    arch.Vaddr
 	Pages uint64
@@ -300,6 +300,10 @@ type Run struct {
 	// level of the backing leaves (0 for 4-KiB pages, 2 or 3 for huge),
 	// letting consumers skip or special-case huge mappings.
 	Status pt.Status
+	// Origin is the file page a Mapped run's first page came from — the
+	// word beside its PTE (pt.Tree.MapLeaf) — and Kind Invalid for an
+	// anonymous page; the status itself says it for the other runs.
+	Origin pt.Status
 	// Dirty and Accessed are the hardware D/A bits, uniform across the
 	// run (runs break where the bits change). Mapped runs only.
 	Dirty, Accessed bool
@@ -308,24 +312,24 @@ type Run struct {
 // End returns the VA one past the run.
 func (r Run) End() arch.Vaddr { return r.VA + arch.Vaddr(r.Pages*arch.PageSize) }
 
-// runAccum coalesces (va, pages, status) deliveries into maximal runs:
-// a delivery extends the current run iff it is VA-adjacent, its D/A bits
-// agree, and its status continues the run's sliding sequence.
+// runAccum coalesces single-entry runs into maximal runs: a delivery
+// extends the current run iff it is VA-adjacent, its D/A bits agree, and
+// its status and origin continue the run's sliding sequences.
 type runAccum struct {
 	cur Run
 	fn  func(Run) error
 }
 
-func (ra *runAccum) add(va arch.Vaddr, pages uint64, st pt.Status, dirty, accessed bool) error {
-	if ra.cur.Pages > 0 && ra.cur.End() == va && ra.cur.Dirty == dirty && ra.cur.Accessed == accessed &&
-		ra.cur.Status.SlidBy(ra.cur.Pages) == st {
-		ra.cur.Pages += pages
+func (ra *runAccum) add(r Run) error {
+	if cur := &ra.cur; cur.Pages > 0 && cur.End() == r.VA && cur.Dirty == r.Dirty && cur.Accessed == r.Accessed &&
+		cur.Status.SlidBy(cur.Pages) == r.Status && cur.Origin.SlidBy(cur.Pages) == r.Origin {
+		cur.Pages += r.Pages
 		return nil
 	}
 	if err := ra.flush(); err != nil {
 		return err
 	}
-	ra.cur = Run{VA: va, Pages: pages, Status: st, Dirty: dirty, Accessed: accessed}
+	ra.cur = r
 	return nil
 }
 
@@ -339,11 +343,15 @@ func (ra *runAccum) flush() error {
 }
 
 // leafRun is the shared onLeaf hook of Iterate and IterateMapped: one
-// present leaf entry becomes one (possibly clipped) mapped-run delivery.
-func (ra *runAccum) leafRun(isa arch.ISA) func(arch.PFN, int, int, arch.Vaddr, arch.Vaddr, arch.Vaddr, uint64) error {
+// present leaf entry, with the origin word beside it, becomes one
+// (possibly clipped) mapped-run delivery.
+func (ra *runAccum) leafRun(t *pt.Tree) func(arch.PFN, int, int, arch.Vaddr, arch.Vaddr, arch.Vaddr, uint64) error {
+	isa := t.ISA
 	return func(pfn arch.PFN, idx, level int, entryLo, subLo, subHi arch.Vaddr, pte uint64) error {
-		st := pt.MappedStatus(isa.PFNOf(pte)+arch.PFN(uint64(subLo-entryLo)/arch.PageSize), isa.PermOf(pte), isa.ProtKeyOf(pte), level)
-		return ra.add(subLo, uint64(subHi-subLo)/arch.PageSize, st, isa.Dirty(pte), isa.Accessed(pte))
+		off := uint64(subLo-entryLo) / arch.PageSize
+		return ra.add(Run{VA: subLo, Pages: uint64(subHi-subLo) / arch.PageSize,
+			Status: pt.MappedStatus(isa.PFNOf(pte)+arch.PFN(off), isa.PermOf(pte), isa.ProtKeyOf(pte), level),
+			Origin: t.GetMeta(pfn, idx).SlidBy(off), Dirty: isa.Dirty(pte), Accessed: isa.Accessed(pte)})
 	}
 }
 
@@ -362,14 +370,14 @@ func (c *RCursor) Iterate(lo, hi arch.Vaddr, fn func(Run) error) error {
 	ra := runAccum{fn: fn}
 	v := walkOps{
 		readOnly: true,
-		onLeaf:   ra.leafRun(c.a.isa),
+		onLeaf:   ra.leafRun(t),
 		onMeta: func(pfn arch.PFN, idx, level int, entryLo, subLo, subHi arch.Vaddr) error {
 			w := t.Meta(pfn, idx)
 			if w == 0 {
 				return nil
 			}
-			return ra.add(subLo, uint64(subHi-subLo)/arch.PageSize,
-				pt.Unpack(pt.Slide(w, uint64(subLo-entryLo)/arch.PageSize)), false, false)
+			return ra.add(Run{VA: subLo, Pages: uint64(subHi-subLo) / arch.PageSize,
+				Status: pt.Unpack(pt.Slide(w, uint64(subLo-entryLo)/arch.PageSize))})
 		},
 	}
 	if err := c.walk(&v, lo, hi); err != nil {
@@ -382,8 +390,9 @@ func (c *RCursor) Iterate(lo, hi arch.Vaddr, fn func(Run) error) error {
 // leaves are delivered, and — because the visitor has no metadata hook —
 // the walk skips every non-present entry without so much as a metadata
 // read. Operations that only act on resident pages (msync, swap-out,
-// reclaim, madvise) scan sparse mappings at one PTE load per entry
-// instead of one status construction + run comparison per entry.
+// reclaim, the collapse scanner) scan sparse mappings at one PTE load
+// (and one origin read) per present entry instead of one status
+// construction + run comparison per entry.
 func (c *RCursor) IterateMapped(lo, hi arch.Vaddr, fn func(Run) error) error {
 	if err := c.checkRange(lo, hi); err != nil {
 		return err
@@ -391,7 +400,7 @@ func (c *RCursor) IterateMapped(lo, hi arch.Vaddr, fn func(Run) error) error {
 	ra := runAccum{fn: fn}
 	v := walkOps{
 		readOnly: true,
-		onLeaf:   ra.leafRun(c.a.isa),
+		onLeaf:   ra.leafRun(c.a.tree),
 	}
 	if err := c.walk(&v, lo, hi); err != nil {
 		return err
@@ -432,8 +441,7 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 						if s.Key() != 0 {
 							leaf = isa.WithProtKey(leaf, s.Key())
 						}
-						t.SetPTE(pfn, idx, leaf)
-						t.SetMetaWord(pfn, idx, 0)
+						t.MapLeaf(pfn, idx, leaf, 0)
 						a.m.Phys.Desc(a.m.Phys.HeadOf(frame)).Map()
 						return nil
 					}
@@ -452,8 +460,7 @@ func (c *RCursor) PopulateAnon(lo, hi arch.Vaddr) error {
 			if s.Key() != 0 {
 				leaf = isa.WithProtKey(leaf, s.Key())
 			}
-			t.SetPTE(pfn, idx, leaf)
-			t.SetMetaWord(pfn, idx, 0)
+			t.MapLeaf(pfn, idx, leaf, 0)
 			a.mapAnon(frame, s.Perm, entryLo)
 			return nil
 		},
@@ -519,8 +526,8 @@ func (c *RCursor) bulkFillL2(pfn arch.PFN, idx int, entryLo arch.Vaddr, w uint64
 		}
 	}
 	t.FillUnlinked(child, leaves[:n])
-	t.SetPTE(pfn, idx, isa.EncodeTable(child))
 	t.SetMetaWord(pfn, idx, 0)
+	t.SetPTE(pfn, idx, isa.EncodeTable(child))
 	if n < arch.PTEntries {
 		t.FillMeta(child, n, w, 1)
 		return mem.ErrOutOfMemory

@@ -37,8 +37,9 @@ type File struct {
 	pages map[uint64]arch.PFN // page cache: file page index -> frame
 	// mappers is the rmap "tree": each space that references the file
 	// from its page table, with its count of registrations — one per
-	// status word naming the file and one per PTE mapping one of its
-	// page-cache frames (internal/pt and internal/core keep it so).
+	// status word naming the file, marked or beside the PTE of a page it
+	// is the origin of (internal/pt keeps it so), plus a caller's hold
+	// across a store (AddMapper).
 	mappers    map[RMapTarget]uint64
 	writebacks uint64
 }

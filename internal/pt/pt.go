@@ -46,9 +46,11 @@ type PageState struct {
 	// Meta is the per-PTE metadata array, allocated on demand and freed
 	// with the PT page.
 	Meta *MetaArray
-	// Present counts present PTEs in this page.
+	// Present counts present PTEs in this page: its mapped entries.
 	Present int32
-	// MetaCnt counts non-invalid metadata entries.
+	// MetaCnt counts its marked entries: a status word and no PTE. A
+	// word beside a present PTE is that page's origin (MapLeaf) and is
+	// not counted, so Present+MetaCnt is the page's allocated entries.
 	MetaCnt int32
 }
 
@@ -68,10 +70,11 @@ type Tree struct {
 	// Root is the PFN of the root PT page (level arch.Levels).
 	Root arch.PFN
 	// Owner is the space the tree's status words register with the files
-	// they name: every stored word naming file F is one registration of
-	// Owner with F, taken as the word is stored and given back as it goes
-	// (SetMetaWord, FillMeta, CopyMeta, Destroy). Nil: words register
-	// nothing.
+	// they name: every stored word naming file F — marked, or a mapped
+	// page's origin — is one registration of Owner with F, taken as the
+	// word is stored and given back as it goes (SetMetaWord, MapLeaf,
+	// ClearLeaf, FillMeta, CopyMeta, DropMeta, Destroy). Nil: words
+	// register nothing.
 	Owner mem.RMapTarget
 
 	// MetaBytes tracks bytes held by metadata arrays (Fig 22 accounting).
@@ -150,8 +153,10 @@ func (t *Tree) CASPTE(pfn arch.PFN, idx int, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&t.Words(pfn)[idx], old, new)
 }
 
-// SetPTE writes entry idx while maintaining the page's Present count.
-// The caller must hold the page's lock. Returns the previous entry.
+// SetPTE writes entry idx while maintaining the page's Present and
+// MetaCnt counts: the entry's word stays, so an entry that gains or loses
+// its PTE turns from marked to mapped or back. The caller must hold the
+// page's lock. Returns the previous entry.
 func (t *Tree) SetPTE(pfn arch.PFN, idx int, pte uint64) uint64 {
 	st := t.State(pfn)
 	old := atomic.LoadUint64(&t.Words(pfn)[idx])
@@ -161,10 +166,65 @@ func (t *Tree) SetPTE(pfn arch.PFN, idx int, pte uint64) uint64 {
 	switch {
 	case isPresent && !wasPresent:
 		st.Present++
+		if t.Meta(pfn, idx) != 0 {
+			st.MetaCnt--
+		}
 	case !isPresent && wasPresent:
 		st.Present--
+		if t.Meta(pfn, idx) != 0 {
+			st.MetaCnt++
+		}
 	}
 	return old
+}
+
+// MapLeaf writes the present leaf pte at entry idx and settles the word
+// beside it in the same metadata access: the word stays only if it is
+// the page's origin. A nonzero origin is the word the caller knows names
+// it — a page-cache frame's own file page, or what a moved page carries
+// — and replaces the entry's word unless that names the same file page.
+// With origin 0 the frame is anonymous: a 4-KiB leaf keeps a PrivateFile
+// word — the page is a private copy of that file page — and any other
+// word goes. The caller holds the page's lock and a registration of
+// origin's file, and releases any leaf the entry held; what the entry
+// held stops being marked.
+func (t *Tree) MapLeaf(pfn arch.PFN, idx int, pte, origin uint64) {
+	st := t.State(pfn)
+	wasPresent := t.ISA.IsPresent(t.LoadPTE(pfn, idx))
+	t.StorePTE(pfn, idx, pte)
+	if !wasPresent {
+		st.Present++
+	}
+	if st.Meta == nil && origin == 0 {
+		return
+	}
+	meta := t.ensureMeta(st)
+	w, keep := meta[idx], origin
+	if w != 0 && !wasPresent {
+		st.MetaCnt--
+	}
+	if k := StatusKind(w & kindMask); origin != 0 && k.file() && (w^origin)>>objShift == 0 ||
+		origin == 0 && k == StatusPrivateFile && st.Level == 1 {
+		keep = w // the same file page (under the kind it was mapped as), or the one copied
+	}
+	if keep != w {
+		t.Register(keep, 1)
+		meta[idx] = keep
+		t.Unregister(w, 1)
+	}
+}
+
+// ClearLeaf empties the present leaf entry idx — its PTE and the origin
+// word beside it, giving back the word's registration. The caller holds
+// the page's lock and releases the frame.
+func (t *Tree) ClearLeaf(pfn arch.PFN, idx int) {
+	st := t.State(pfn)
+	t.StorePTE(pfn, idx, 0)
+	st.Present--
+	if st.Meta != nil && st.Meta[idx] != 0 {
+		t.Unregister(st.Meta[idx], 1)
+		st.Meta[idx] = 0
+	}
 }
 
 // FillUnlinked writes ptes, present entries all, into the first entries
@@ -205,10 +265,10 @@ func (t *Tree) Meta(pfn arch.PFN, idx int) uint64 {
 	return 0
 }
 
-// SetMetaWord stores the status word for entry idx, maintaining MetaCnt
-// and the words' file registrations (the new word's is taken before the
-// old word's is given back), and returns the word it replaces. The
-// caller must hold the page's lock.
+// SetMetaWord stores the status word for entry idx, which has no PTE,
+// maintaining MetaCnt and the words' file registrations (the new word's
+// is taken before the old word's is given back), and returns the word it
+// replaces. The caller must hold the page's lock.
 func (t *Tree) SetMetaWord(pfn arch.PFN, idx int, w uint64) (old uint64) {
 	st := t.State(pfn)
 	if w == 0 && st.Meta == nil {
@@ -251,13 +311,14 @@ func (t *Tree) FillMeta(pfn arch.PFN, from int, w, stride uint64) {
 	st.MetaCnt += int32(arch.PTEntries - from)
 }
 
-// CopyMeta copies the metadata array of t's page src onto the (empty)
-// page dst of tree to, as fork does, each copied file word registering
-// with to's owner, and reports false — copying nothing — if it holds a
-// Swapped entry: two trees naming one block would race to swap it in.
+// CopyMeta copies the metadata array of t's page src onto the page dst
+// of tree to, which has src's PTEs and no words yet, as fork does, each
+// copied file word registering with to's owner, and reports false —
+// copying nothing — if it holds a Swapped entry: two trees naming one
+// block would race to swap it in.
 func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) bool {
 	st := t.State(src)
-	if st.MetaCnt == 0 {
+	if st.Meta == nil || *st.Meta == (MetaArray{}) {
 		return true
 	}
 	for _, w := range st.Meta {
@@ -271,6 +332,20 @@ func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) bool {
 		to.Register(w, 1)
 	}
 	return true
+}
+
+// DropMeta empties the metadata array of pfn — marked entries and the
+// origin words beside PTEs alike — freeing the swap blocks and giving
+// back the file registrations its words hold. The caller must hold the
+// page's lock, or own the tree outright.
+func (t *Tree) DropMeta(pfn arch.PFN) {
+	if st := t.State(pfn); st.Meta != nil {
+		for _, w := range st.Meta {
+			t.FreeSwap(w)
+			t.Unregister(w, 1)
+		}
+		*st.Meta, st.MetaCnt = MetaArray{}, 0
+	}
 }
 
 // FreeSwap releases the swap block a Swapped word holds; other words
@@ -371,12 +446,7 @@ func (t *Tree) Destroy(core int, release func(pte uint64, level int)) {
 
 func (t *Tree) destroyPage(core int, pfn arch.PFN, level int, release func(uint64, int)) {
 	words := t.Words(pfn)
-	if st := t.State(pfn); st.MetaCnt > 0 {
-		for _, w := range st.Meta {
-			t.FreeSwap(w)
-			t.Unregister(w, 1)
-		}
-	}
+	t.DropMeta(pfn)
 	for i := 0; i < arch.PTEntries; i++ {
 		pte := atomic.LoadUint64(&words[i])
 		if !t.ISA.IsPresent(pte) {

@@ -159,8 +159,9 @@ func (t *Tree) WalkAccess(va arch.Vaddr, acc Access) (Translation, bool) {
 // CheckWellFormed verifies the Figure-12 invariant over the whole tree:
 // every present non-leaf entry points to a live PT page of exactly one
 // level lower, leaves appear only at levels the ISA allows, no PT page is
-// reachable twice, no reachable page is stale, and the Present/MetaCnt
-// counters match the actual contents. The tree must be quiescent.
+// reachable twice, no reachable page is stale, a word beside a present
+// entry is a 4-KiB leaf's file origin, and the Present/MetaCnt counters
+// match the actual contents. The tree must be quiescent.
 func (t *Tree) CheckWellFormed() error {
 	seen := make(map[arch.PFN]bool)
 	return t.checkPage(t.Root, arch.Levels, seen)
@@ -189,22 +190,22 @@ func (t *Tree) checkPage(pfn arch.PFN, level int, seen map[arch.PFN]bool) error 
 		return fmt.Errorf("pt: reachable PT page %#x is stale", pfn)
 	}
 	var present, metaCnt int32
-	if st.Meta != nil {
-		for i, w := range st.Meta {
-			if !t.WordOK(w) {
-				return fmt.Errorf("pt: page %#x meta[%d] holds malformed status word %#x (%+v)", pfn, i, w, Unpack(w))
-			}
+	for i := 0; i < arch.PTEntries; i++ {
+		pte, w := t.LoadPTE(pfn, i), t.Meta(pfn, i)
+		if !t.WordOK(w) {
+			return fmt.Errorf("pt: page %#x meta[%d] holds malformed status word %#x (%+v)", pfn, i, w, Unpack(w))
+		}
+		if !t.ISA.IsPresent(pte) {
 			if w != 0 {
 				metaCnt++
 			}
-		}
-	}
-	for i := 0; i < arch.PTEntries; i++ {
-		pte := t.LoadPTE(pfn, i)
-		if !t.ISA.IsPresent(pte) {
 			continue
 		}
 		present++
+		if w != 0 && (level != 1 || !t.ISA.IsLeaf(pte, level) || !Unpack(w).Kind.file()) {
+			return fmt.Errorf("pt: present entry %#x[%d] at level %d has word %+v; only a 4-KiB leaf keeps one, naming its file page",
+				pfn, i, level, Unpack(w))
+		}
 		if t.ISA.IsLeaf(pte, level) {
 			if level != 1 && !t.ISA.SupportsHugeAt(level) {
 				return fmt.Errorf("pt: leaf at unsupported level %d (page %#x[%d])", level, pfn, i)
