@@ -209,7 +209,7 @@ func (r *replayer) step(line string) error {
 		}
 		adv, ok := r.sys.(mm.Madviser)
 		if !ok {
-			return fmt.Errorf("%s does not support madvise", r.sys.Name())
+			return fmt.Errorf("madvise: %w", mm.ErrNotSupported)
 		}
 		return adv.MadviseDontNeed(r.core, va, size)
 	case "swapout":
@@ -219,7 +219,7 @@ func (r *replayer) step(line string) error {
 		}
 		sw, ok := r.sys.(mm.Swapper)
 		if !ok {
-			return fmt.Errorf("%s does not support swapping", r.sys.Name())
+			return fmt.Errorf("swapout: %w", mm.ErrNotSupported)
 		}
 		_, err = sw.SwapOut(r.core, va, size)
 		return err
@@ -232,11 +232,9 @@ func (r *replayer) step(line string) error {
 		if err != nil {
 			return err
 		}
-		rm, ok := r.sys.(interface {
-			Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error)
-		})
+		rm, ok := r.sys.(mm.Remapper)
 		if !ok {
-			return fmt.Errorf("%s does not support mremap", r.sys.Name())
+			return fmt.Errorf("mremap: %w", mm.ErrNotSupported)
 		}
 		nva, err := rm.Mremap(r.core, va, size, newSize)
 		if err != nil {
@@ -283,7 +281,7 @@ func run(sysName string, cores int, trace io.Reader, verbose bool, w io.Writer) 
 	}
 	st := env.Sys.Stats().Snapshot()
 	fmt.Fprintf(w, "%s: mmap=%d munmap=%d mprotect=%d faults=%d (soft=%d cow=%d) swap(in=%d out=%d) kernel=%.2fms\n",
-		env.Sys.Name(), st.Mmaps, st.Munmaps, st.Mprotects, st.PageFaults, st.SoftFaults,
+		sysName, st.Mmaps, st.Munmaps, st.Mprotects, st.PageFaults, st.SoftFaults,
 		st.COWBreaks, st.SwapIns, st.SwapOuts, float64(st.KernelNanos)/1e6)
 	return nil
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"cortenmm/internal/mm"
 )
 
 func TestDemoTraceAllSystems(t *testing.T) {
@@ -40,14 +43,19 @@ func TestTraceErrors(t *testing.T) {
 		{"bad mmap flag", "mmap a 4096 rw prefault\n"},
 		{"offset out of range", "mmap a 4096\ntouch a 99\n"},
 		{"swap unsupported", "mmap a 4096\nswapout a\n"},
+		{"mremap unsupported", "mmap a 4096\nmremap a 8192\n"},
 	}
 	for _, tc := range cases {
 		sys := "corten-adv"
-		if tc.name == "swap unsupported" {
+		if strings.HasSuffix(tc.name, "unsupported") {
 			sys = "linux"
 		}
-		if err := run(sys, 1, strings.NewReader(tc.trace), false, &bytes.Buffer{}); err == nil {
+		err := run(sys, 1, strings.NewReader(tc.trace), false, &bytes.Buffer{})
+		switch {
+		case err == nil:
 			t.Errorf("%s: no error", tc.name)
+		case strings.HasSuffix(tc.name, "unsupported") && !errors.Is(err, mm.ErrNotSupported):
+			t.Errorf("%s: %v, want mm.ErrNotSupported", tc.name, err)
 		}
 	}
 }

@@ -96,10 +96,11 @@ type (
 	Protocol = core.Protocol
 	// Options configures an AddrSpace.
 	Options = core.Options
-	// MM is the interface every memory manager in this module
-	// implements (CortenMM and the three baselines).
+	// MM is the surface every memory manager in this module implements
+	// (CortenMM and the three baselines); the optional ops are the
+	// interfaces below, which a system lacking the op does not satisfy.
 	MM = mm.MM
-	// Features is the Table-2 feature row of a system.
+	// Features is the part of a system's Table-2 row no method answers.
 	Features = mm.Features
 	// Flags modifies Mmap behaviour.
 	Flags = mm.Flags
@@ -107,6 +108,12 @@ type (
 	Stats = mm.Stats
 	// TLBMode selects the shootdown protocol.
 	TLBMode = tlb.Mode
+	// Forker is the optional COW fork surface.
+	Forker = mm.Forker
+	// FileMapper is the optional file mmap/msync surface.
+	FileMapper = mm.FileMapper
+	// Remapper is the optional mremap surface.
+	Remapper = mm.Remapper
 	// Madviser is the optional madvise(MADV_DONTNEED) surface.
 	Madviser = mm.Madviser
 	// Swapper is the optional swap-out surface.

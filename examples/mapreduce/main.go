@@ -68,7 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runJob("cortenmm-adv", m1, corten)
+	runJob("corten-adv", m1, corten)
 	corten.Destroy(0)
 
 	m2 := cortenmm.NewMachine(cortenmm.MachineConfig{Cores: workers, Frames: 1 << 16})
@@ -76,7 +76,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runJob("linux-vma", m2, linux)
+	runJob("linux", m2, linux)
 	linux.Destroy(0)
 
 	fmt.Println("\nCortenMM's page-fault transactions on disjoint chunks never contend;")

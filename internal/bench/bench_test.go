@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -183,20 +185,7 @@ var figAsserts = map[string]func(t *testing.T, rows []Row){
 			t.Errorf("corten overhead %.2f%% far above linux %.2f%%", med(corten, "overhead_pct"), med(linux, "overhead_pct"))
 		}
 	},
-	"2": func(t *testing.T, rows []Row) {
-		for _, sys := range AllSystems {
-			r := one(t, rows, "table2", "sys", sys)
-			if len(r.Metrics) != 7 {
-				t.Errorf("%s: %d feature columns, want 7", r, len(r.Metrics))
-			}
-		}
-		if r := one(t, rows, "table2", "sys", CortenAdv); med(r, "numa") != 1 || med(r, "swap") != 1 {
-			t.Errorf("%s: CortenMM must report numa and swap: %v", r, r.Metrics)
-		}
-		if r := one(t, rows, "table2", "sys", NrOS); med(r, "ondemand") != 0 {
-			t.Errorf("%s: NrOS has no on-demand paging", r)
-		}
-	},
+	"2": checkTable2Matrix,
 	"batch": func(t *testing.T, rows []Row) {
 		gated := pick(rows, "batch", "mix", "munmap-heavy", "threads", 1, "batch", 64)
 		if len(gated) != 2 {
@@ -303,14 +292,42 @@ func TestFig21(t *testing.T)       { testFigure(t, "21") }
 func TestFig22(t *testing.T)       { testFigure(t, "22") }
 func TestFigPressure(t *testing.T) { testFigure(t, "pressure") }
 
+// table2Matrix is every cell of Table 2 as the five systems answer it:
+// cow, file and swap by their method sets (mm.Forker, mm.FileMapper,
+// mm.Swapper), the other four columns by Features.
+var table2Matrix = map[System]string{
+	Linux:     "cow=1 file=1 huge=0 numa=0 ondemand=1 rmap=0 swap=0",
+	CortenRW:  "cow=1 file=1 huge=1 numa=1 ondemand=1 rmap=1 swap=1",
+	CortenAdv: "cow=1 file=1 huge=1 numa=1 ondemand=1 rmap=1 swap=1",
+	RadixVM:   "cow=0 file=0 huge=0 numa=1 ondemand=1 rmap=0 swap=0",
+	NrOS:      "cow=0 file=0 huge=0 numa=1 ondemand=0 rmap=0 swap=0",
+}
+
+// checkTable2Matrix compares each system's table2 row, cell for cell,
+// with table2Matrix.
+func checkTable2Matrix(t *testing.T, rows []Row) {
+	t.Helper()
+	for _, sys := range AllSystems {
+		r := one(t, rows, "table2", "sys", sys)
+		var cells []string
+		for name, st := range r.Metrics {
+			cells = append(cells, fmt.Sprintf("%s=%g", name, st.Median))
+		}
+		sort.Strings(cells)
+		if got := strings.Join(cells, " "); got != table2Matrix[sys] {
+			t.Errorf("%s: %s, want %s", sys, got, table2Matrix[sys])
+		}
+	}
+}
+
+// TestTable2Matrix pins all 35 cells of Table 2.
+func TestTable2Matrix(t *testing.T) { checkTable2Matrix(t, rowsOf(t, "2")) }
+
 func TestNewSystemAll(t *testing.T) {
 	for _, sys := range append(AllSystems, AdvBase, AdvVPA) {
 		env, err := NewEnv(sys, nil, machine(2, 1<<13))
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
-		}
-		if env.Sys.Name() == "" {
-			t.Errorf("%s: empty name", sys)
 		}
 		if err := env.Close(); err != nil {
 			t.Errorf("%s: %v", sys, err)

@@ -8,6 +8,7 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/core"
 	"cortenmm/internal/cpusim"
+	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
 	"cortenmm/internal/radixvm"
 	"cortenmm/internal/vma"
@@ -68,7 +69,9 @@ func Fig22(o Options) ([]Row, error) {
 const vmaStructBytes = 200
 
 // Table2 reports the feature matrix of our implementations, one row
-// per system, 1 for a supported feature.
+// per system, 1 for a supported feature. The cow, file and swap cells
+// are the system's method set: membership in mm.Forker, mm.FileMapper
+// and mm.Swapper; Features declares the rest.
 func Table2(Options) ([]Row, error) {
 	var rows []Row
 	for _, sys := range AllSystems {
@@ -77,10 +80,13 @@ func Table2(Options) ([]Row, error) {
 			return nil, err
 		}
 		f := env.Sys.Features()
+		_, cow := env.Sys.(mm.Forker)
+		_, file := env.Sys.(mm.FileMapper)
+		_, swap := env.Sys.(mm.Swapper)
 		r := Row{Fig: "table2", Labels: labels("sys", sys), N: 1, Metrics: map[string]Stat{}}
 		for name, has := range map[string]bool{
-			"ondemand": f.OnDemandPaging, "cow": f.COW, "swap": f.PageSwapping, "rmap": f.ReverseMapping,
-			"file": f.MmapedFile, "huge": f.HugePage, "numa": f.NUMAPolicy,
+			"ondemand": f.OnDemandPaging, "cow": cow, "swap": swap, "rmap": f.ReverseMapping,
+			"file": file, "huge": f.HugePage, "numa": f.NUMAPolicy,
 		} {
 			v := 0.0
 			if has {

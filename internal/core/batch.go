@@ -167,11 +167,11 @@ func (b *Batch) Submit() []BatchCQE {
 		return nil
 	}
 	a := b.a
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	// A ring on a destroyed space or a core the machine does not have
-	// advances no clock; each group's Lock below completes its ops with
-	// the gate's error.
+	// A ring on a destroyed space or a core the machine does not have is
+	// neither timed nor ticked; each group's Lock below completes its
+	// ops with the gate's error.
 	if a.gate(b.core) == nil {
+		defer a.stats.KernelExit(a.stats.KernelEnter())
 		a.m.OpTick(b.core)
 	}
 	cnt := &a.batch

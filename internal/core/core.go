@@ -169,9 +169,6 @@ func newUnpublished(o Options) (*AddrSpace, error) {
 	return a, nil
 }
 
-// Name implements mm.MM.
-func (a *AddrSpace) Name() string { return "cortenmm-" + a.proto.String() }
-
 // ASID implements mm.MM.
 func (a *AddrSpace) ASID() tlb.ASID { return a.asid }
 
@@ -196,10 +193,7 @@ func (a *AddrSpace) Tree() *pt.Tree { return a.tree }
 func (a *AddrSpace) Features() mm.Features {
 	return mm.Features{
 		OnDemandPaging: true,
-		COW:            true,
-		PageSwapping:   true,
 		ReverseMapping: true,
-		MmapedFile:     true,
 		HugePage:       true,
 		NUMAPolicy:     true,
 	}

@@ -324,20 +324,11 @@ func TestHugeDataIntegrity(t *testing.T) {
 	}
 }
 
+// TestTable2FeatureMatrix exercises the numa cell of CortenMM's Table-2
+// row (beyond the paper's row; bench.TestTable2Matrix pins the cells):
+// an installed placement policy decides which node a fault's frame
+// comes from.
 func TestTable2FeatureMatrix(t *testing.T) {
-	a, _ := newSpace(t, ProtocolAdv)
-	defer a.Destroy(0)
-	f := a.Features()
-	want := mm.Features{
-		OnDemandPaging: true, COW: true, PageSwapping: true,
-		ReverseMapping: true, MmapedFile: true, HugePage: true,
-		NUMAPolicy: true, // beyond the paper's row: see the placement check below
-	}
-	if f != want {
-		t.Errorf("CortenMM feature row = %+v, want %+v (Table 2)", f, want)
-	}
-	// The claim, exercised: an installed placement policy decides which
-	// node a fault's frame comes from.
 	m := cpusim.New(cpusim.Config{Cores: 2, NUMANodes: 2, Frames: 1 << 12})
 	n, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
@@ -431,10 +422,27 @@ func entryPoints(a *AddrSpace, b *Batch, core int, va arch.Vaddr, size uint64) m
 	}
 }
 
+// checkRefused runs every call, each of which must fail with want and,
+// inside the TimeKernel session the caller holds, add nothing to
+// KernelNanos: a refused call is not timed (DESIGN §15).
+func checkRefused(t *testing.T, a *AddrSpace, calls map[string]func() error, want error, on string) {
+	t.Helper()
+	for name, call := range calls {
+		k := a.Stats().KernelNanos.Load()
+		if err := call(); !errors.Is(err, want) {
+			t.Errorf("%s %s = %v, want %v", name, on, err, want)
+		}
+		if d := a.Stats().KernelNanos.Load() - k; d != 0 {
+			t.Errorf("%s %s was timed: KernelNanos +%d ns", name, on, d)
+		}
+	}
+}
+
 // TestUseAfterDestroy: every entry point of a destroyed space returns
 // ErrDestroyed — no panic walking the freed tree, no stale read through
 // a TLB entry that outlived it (with ASID recycling Destroy flushes
-// nothing), no counter moved. Destroy itself stays idempotent.
+// nothing), no counter moved, no kernel time charged. Destroy itself
+// stays idempotent.
 func TestUseAfterDestroy(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
@@ -453,14 +461,10 @@ func TestUseAfterDestroy(t *testing.T) {
 				t.Fatal(err)
 			}
 			a.Destroy(0)
+			defer a.Stats().TimeKernel()()
 			before := a.Stats().Snapshot()
 
-			calls := entryPoints(a, b, 0, va, size)
-			for name, call := range calls {
-				if err := call(); !errors.Is(err, ErrDestroyed) {
-					t.Errorf("%s after Destroy = %v, want ErrDestroyed", name, err)
-				}
-			}
+			checkRefused(t, a, entryPoints(a, b, 0, va, size), ErrDestroyed, "after Destroy")
 			if after := a.Stats().Snapshot(); after != before {
 				t.Errorf("counters moved on a destroyed space:\nbefore %+v\nafter  %+v", before, after)
 			}

@@ -8,7 +8,7 @@ import (
 	"cortenmm/internal/mm"
 )
 
-// Fork implements mm.MM: clone the address space with copy-on-write
+// Fork implements mm.Forker: clone the address space with copy-on-write
 // (§4.3). The whole parent space is locked in one transaction — this is
 // the "operation that must enumerate the address space" the paper calls
 // CortenMM's worst case (§6.2): with no VMA list, the walk is over the

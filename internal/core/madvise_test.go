@@ -135,21 +135,23 @@ func TestDontNeedDropsSwappedPage(t *testing.T) {
 // COW-break a private mapping of the same page with 9, optionally fork
 // and mprotect the private mapping read-only, then MADV_DONTNEED it. It
 // returns what the loads read and the stores answered, in order; the
-// child of a fork is destroyed before it returns.
+// child of a fork is destroyed before it returns. s must be a
+// FileMapper, a Forker and a Madviser.
 func dontNeedTrace(t *testing.T, m *cpusim.Machine, s mm.MM, fork, readOnly bool) string {
 	t.Helper()
 	const pg = arch.PageSize
+	files, forker, adv := s.(mm.FileMapper), s.(mm.Forker), s.(mm.Madviser)
 	var log []string
 	load := func(s mm.MM, va arch.Vaddr) {
 		b, err := s.Load(0, va)
 		log = append(log, fmt.Sprintf("load %d %v", b, err))
 	}
 	f := mem.NewFile(m.Phys, "f", pg)
-	sh, err := s.MmapFile(0, f, 0, pg, arch.PermRW, true)
+	sh, err := files.MmapFile(0, f, 0, pg, arch.PermRW, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := s.MmapFile(0, f, 0, pg, arch.PermRW, false)
+	pr, err := files.MmapFile(0, f, 0, pg, arch.PermRW, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func dontNeedTrace(t *testing.T, m *cpusim.Machine, s mm.MM, fork, readOnly bool
 	}
 	var child mm.MM
 	if fork {
-		if child, err = s.Fork(0); err != nil {
+		if child, err = forker.Fork(0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +172,7 @@ func dontNeedTrace(t *testing.T, m *cpusim.Machine, s mm.MM, fork, readOnly bool
 			t.Fatal(err)
 		}
 	}
-	if err := s.(mm.Madviser).MadviseDontNeed(0, pr, pg); err != nil {
+	if err := adv.MadviseDontNeed(0, pr, pg); err != nil {
 		t.Fatal(err)
 	}
 	load(s, pr)

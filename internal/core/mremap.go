@@ -8,12 +8,12 @@ import (
 	"cortenmm/internal/pt"
 )
 
-// Mremap resizes the mapping at oldVA (MREMAP_MAYMOVE semantics):
-// shrinking unmaps the tail in place through the syscalls' exec (the
-// munmap body and its VA-recycle tail); growing allocates a fresh range
-// and *moves* every page there — PTEs, metadata (including swap
-// entries), frames and their reference counts travel without copying
-// data. The move runs under one transaction spanning both ranges. A grow
+// Mremap implements mm.Remapper: resize the mapping at oldVA
+// (MREMAP_MAYMOVE semantics). Shrinking unmaps the tail in place through
+// the syscalls' exec (the munmap body and its VA-recycle tail); growing
+// allocates a fresh range and *moves* every page there — PTEs, metadata
+// (including swap entries), frames and their reference counts travel
+// without copying data. The move runs under one transaction spanning both ranges. A grow
 // is all or nothing, and retried after direct reclaim like every other
 // allocating call; a space the OOM killer tore down can only shrink.
 func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error) {

@@ -36,13 +36,9 @@ func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target in
 // clearing is not filtered; the second-chance policy stays global so a
 // later cross-node pass still finds honestly cold pages.
 func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, target, node int) (int, error) {
-	defer a.stats.KernelExit(a.stats.KernelEnter())
-	c, err := a.lockForEviction(core, va, size)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	return a.evict(c, va, va+arch.Vaddr(size), target, node)
+	return a.evictRange(core, va, size, func(c *RCursor) (int, error) {
+		return a.evict(c, va, va+arch.Vaddr(size), target, node)
+	})
 }
 
 // SwapOut writes every resident private anonymous page in [va, va+size)
@@ -55,35 +51,35 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 // (translation-preserving), and the next SwapOut evicts them. Returns
 // the number of pages swapped.
 func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
+	return a.evictRange(core, va, size, func(c *RCursor) (int, error) {
+		hi := va + arch.Vaddr(size)
+		if err := c.ClearAccessed(va, hi); err != nil {
+			return 0, err
+		}
+		return a.evict(c, va, hi, int(size/arch.PageSize), -1)
+	})
+}
+
+// evictRange is the entry of both evictions of [va, va+size): the gate
+// (the range, and a swap device to write to), then the kernel-time
+// bracket and the tick, and body under the transaction it runs in. A
+// refused call is neither timed nor ticked.
+func (a *AddrSpace) evictRange(core int, va arch.Vaddr, size uint64, body func(c *RCursor) (int, error)) (int, error) {
+	if err := a.checkRange(core, va, size); err != nil {
+		return 0, err
+	}
+	if a.swapID == 0 {
+		return 0, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
+	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
-	c, err := a.lockForEviction(core, va, size)
+	a.m.OpTick(core)
+	c, err := a.Lock(core, va, va+arch.Vaddr(size))
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	hi := va + arch.Vaddr(size)
-	if err := c.ClearAccessed(va, hi); err != nil {
-		return 0, err
-	}
-	return a.evict(c, va, hi, int(size/arch.PageSize), -1)
-}
-
-// lockForEviction opens the transaction an eviction of [va, va+size)
-// runs in.
-func (a *AddrSpace) lockForEviction(core int, va arch.Vaddr, size uint64) (*RCursor, error) {
-	if err := a.checkRange(core, va, size); err != nil {
-		return nil, err
-	}
-	if a.swapID == 0 {
-		return nil, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
-	}
-	a.m.OpTick(core)
-	c, err := a.Lock(core, va, va+arch.Vaddr(size))
-	if err != nil {
-		return nil, err
-	}
 	c.needSync = true // A-bit clears and unmaps must be seen before the frames are reused
-	return c, nil
+	return body(c)
 }
 
 // evict is the one eviction body, run under a cursor covering [lo, hi):

@@ -140,7 +140,7 @@ func (a *AddrSpace) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Pe
 	return a.call(core, op{kind: BatchMmap, va: va, size: alignSize(size, fl), perm: perm, fl: fl, checkExists: true})
 }
 
-// MmapFile implements mm.MM: map size bytes of f from page offset pgoff,
+// MmapFile implements mm.FileMapper: map size bytes of f from page offset pgoff,
 // shared or private (copy-on-write).
 func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
 	return a.mmap(core, op{kind: BatchMmap, size: size, perm: perm, file: f, pgoff: pgoff, shared: shared})
@@ -275,7 +275,7 @@ func (a *AddrSpace) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Per
 	return a.call(core, op{kind: BatchMprotect, va: va, size: size, perm: perm})
 }
 
-// Msync implements mm.MM: write back dirty shared file pages.
+// Msync implements mm.FileMapper: write back dirty shared file pages.
 func (a *AddrSpace) Msync(core int, va arch.Vaddr, size uint64) error {
 	return a.call(core, op{kind: BatchMsync, va: va, size: size})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -38,8 +39,8 @@ func inTxAnywhere(m *cpusim.Machine) bool {
 
 // TestBadCore: a core index outside the machine returns mm.ErrBadCore
 // from every entry point — never an index-out-of-range panic in the VA
-// arena, the event clock or the per-core words of the bracket — and
-// leaves the space as it was.
+// arena, the event clock or the per-core words of the bracket — is not
+// timed, and leaves the space as it was.
 func TestBadCore(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
@@ -53,6 +54,7 @@ func TestBadCore(t *testing.T) {
 			if err := a.Store(0, va, 42); err != nil {
 				t.Fatal(err)
 			}
+			stop := a.Stats().TimeKernel()
 			before := a.Stats().Snapshot()
 			for _, core := range []int{-1, m.Cores} {
 				b := a.NewBatch(0)
@@ -60,12 +62,9 @@ func TestBadCore(t *testing.T) {
 					t.Fatal(err)
 				}
 				b.core = core
-				for name, call := range entryPoints(a, b, core, va, size) {
-					if err := call(); !errors.Is(err, mm.ErrBadCore) {
-						t.Errorf("%s on core %d = %v, want ErrBadCore", name, core, err)
-					}
-				}
+				checkRefused(t, a, entryPoints(a, b, core, va, size), mm.ErrBadCore, fmt.Sprintf("on core %d", core))
 			}
+			stop()
 			if after := a.Stats().Snapshot(); after != before {
 				t.Errorf("counters moved:\nbefore %+v\nafter  %+v", before, after)
 			}

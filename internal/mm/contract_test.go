@@ -36,28 +36,54 @@ var systems = []struct {
 	{"nros", func(m *cpusim.Machine) (mm.MM, error) { return nros.New(m, nil) }},
 }
 
-// entryPoints is every mm.MM (and mm.Madviser) entry point that takes a
-// core and can report an error, called on core over [va, va+size).
+// entryPoints is every entry point of s — mm.MM's and those of the
+// optional interfaces s implements — that takes a core and can report
+// an error, called on core over [va, va+size).
 func entryPoints(m *cpusim.Machine, s mm.MM, core int, va arch.Vaddr, size uint64) map[string]func() error {
 	calls := map[string]func() error{
 		"Mmap":      func() error { _, err := s.Mmap(core, size, arch.PermRW, 0); return err },
 		"MmapFixed": func() error { return s.MmapFixed(core, va, size, arch.PermRW, 0) },
-		"MmapFile": func() error {
-			_, err := s.MmapFile(core, mem.NewFile(m.Phys, "f", size), 0, size, arch.PermRW, true)
+		"Munmap":    func() error { return s.Munmap(core, va, size) },
+		"Mprotect":  func() error { return s.Mprotect(core, va, size, arch.PermRead) },
+		"Touch":     func() error { return s.Touch(core, va, pt.AccessRead) },
+		"Load":      func() error { _, err := s.Load(core, va); return err },
+		"Store":     func() error { return s.Store(core, va, 1) },
+	}
+	if fm, ok := s.(mm.FileMapper); ok {
+		calls["MmapFile"] = func() error {
+			_, err := fm.MmapFile(core, mem.NewFile(m.Phys, "f", size), 0, size, arch.PermRW, true)
 			return err
-		},
-		"Munmap":   func() error { return s.Munmap(core, va, size) },
-		"Mprotect": func() error { return s.Mprotect(core, va, size, arch.PermRead) },
-		"Msync":    func() error { return s.Msync(core, va, size) },
-		"Touch":    func() error { return s.Touch(core, va, pt.AccessRead) },
-		"Load":     func() error { _, err := s.Load(core, va); return err },
-		"Store":    func() error { return s.Store(core, va, 1) },
-		"Fork":     func() error { _, err := s.Fork(core); return err },
+		}
+		calls["Msync"] = func() error { return fm.Msync(core, va, size) }
+	}
+	if fk, ok := s.(mm.Forker); ok {
+		calls["Fork"] = func() error { _, err := fk.Fork(core); return err }
+	}
+	if rm, ok := s.(mm.Remapper); ok {
+		calls["Mremap"] = func() error { _, err := rm.Mremap(core, va, size, 2*size); return err }
 	}
 	if adv, ok := s.(mm.Madviser); ok {
 		calls["MadviseDontNeed"] = func() error { return adv.MadviseDontNeed(core, va, size) }
 	}
+	if sw, ok := s.(mm.Swapper); ok {
+		calls["SwapOut"] = func() error { _, err := sw.SwapOut(core, va, size); return err }
+	}
 	return calls
+}
+
+// refuse runs every call, each of which must fail with want and, inside
+// the TimeKernel session the caller holds, add nothing to KernelNanos.
+func refuse(t *testing.T, s mm.MM, calls map[string]func() error, want error, on string) {
+	t.Helper()
+	for name, call := range calls {
+		k := s.Stats().KernelNanos.Load()
+		if err := call(); !errors.Is(err, want) {
+			t.Errorf("%s %s = %v, want %v", name, on, err, want)
+		}
+		if d := s.Stats().KernelNanos.Load() - k; d != 0 {
+			t.Errorf("%s %s was timed: KernelNanos +%d ns", name, on, d)
+		}
+	}
 }
 
 // TestGateContract is the DESIGN §15 gate as one table against all five
@@ -65,7 +91,7 @@ func entryPoints(m *cpusim.Machine, s mm.MM, core int, va arch.Vaddr, size uint6
 // outside the machine mm.ErrBadCore and a non-canonical range
 // mm.ErrBadRange — typed errors from every entry point, never a panic
 // indexing per-core state or walking a freed tree — and a refused call
-// moves no counter.
+// moves no counter and, inside a TimeKernel session, is not timed.
 func TestGateContract(t *testing.T) {
 	const size = 4 * arch.PageSize
 	for _, sys := range systems {
@@ -75,6 +101,9 @@ func TestGateContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if sd, ok := s.(interface{ SetSwapDev(*mem.BlockDev) }); ok {
+				sd.SetSwapDev(mem.NewBlockDev("swap0")) // SwapOut passes its configuration check
+			}
 			va, err := s.Mmap(0, size, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -82,14 +111,11 @@ func TestGateContract(t *testing.T) {
 			if err := s.Store(0, va, 42); err != nil {
 				t.Fatal(err)
 			}
+			defer s.Stats().TimeKernel()()
 			before := s.Stats().Snapshot()
 
 			for _, c := range []int{-1, m.Cores} {
-				for name, call := range entryPoints(m, s, c, va, size) {
-					if err := call(); !errors.Is(err, mm.ErrBadCore) {
-						t.Errorf("%s on core %d = %v, want ErrBadCore", name, c, err)
-					}
-				}
+				refuse(t, s, entryPoints(m, s, c, va, size), mm.ErrBadCore, fmt.Sprintf("on core %d", c))
 			}
 			badRanges := []struct {
 				name string
@@ -102,15 +128,13 @@ func TestGateContract(t *testing.T) {
 			}
 			for _, r := range badRanges {
 				calls := entryPoints(m, s, 0, r.va, r.size)
-				for _, name := range []string{"MmapFixed", "Munmap", "Mprotect", "Msync", "MadviseDontNeed"} {
-					call, ok := calls[name]
-					if !ok {
-						continue
-					}
-					if err := call(); !errors.Is(err, mm.ErrBadRange) {
-						t.Errorf("%s of the %s range = %v, want ErrBadRange", name, r.name, err)
+				ranged := map[string]func() error{}
+				for _, name := range []string{"MmapFixed", "Munmap", "Mprotect", "Msync", "MadviseDontNeed", "SwapOut", "Mremap"} {
+					if call, ok := calls[name]; ok {
+						ranged[name] = call
 					}
 				}
+				refuse(t, s, ranged, mm.ErrBadRange, "of the "+r.name+" range")
 			}
 			if after := s.Stats().Snapshot(); after != before {
 				t.Errorf("refused calls moved counters:\nbefore %+v\nafter  %+v", before, after)
@@ -121,11 +145,7 @@ func TestGateContract(t *testing.T) {
 
 			s.Destroy(0)
 			before = s.Stats().Snapshot()
-			for name, call := range entryPoints(m, s, 0, va, size) {
-				if err := call(); !errors.Is(err, mm.ErrDestroyed) {
-					t.Errorf("%s after Destroy = %v, want ErrDestroyed", name, err)
-				}
-			}
+			refuse(t, s, entryPoints(m, s, 0, va, size), mm.ErrDestroyed, "after Destroy")
 			if after := s.Stats().Snapshot(); after != before {
 				t.Errorf("counters moved on a destroyed space:\nbefore %+v\nafter  %+v", before, after)
 			}

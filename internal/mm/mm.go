@@ -1,8 +1,12 @@
 // Package mm defines the memory-manager interface shared by CortenMM and
-// the baseline systems (Linux-style VMA, RadixVM, NrOS), the Linux-like
-// syscall surface the paper's evaluation drives (§6.1), and the feature
-// matrix of Table 2. Having one interface lets the benchmark harness run
-// identical workloads against every system.
+// the baseline systems (Linux-style VMA, RadixVM, NrOS) and the
+// Linux-like syscall surface the paper's evaluation drives (§6.1).
+// MM is the surface all five systems implement, so the benchmark
+// harness runs identical workloads against every system. The optional
+// ops are named interfaces (Forker, FileMapper, Remapper, Madviser,
+// Swapper): a system lacks an op by not having its method, and Table 2's
+// cow, file and swap cells are membership in Forker, FileMapper and
+// Swapper. Features declares the columns no method answers.
 package mm
 
 import (
@@ -44,8 +48,10 @@ var (
 	// Destroy: its page table is gone, so there is nothing left to
 	// operate on or read through. Destroy itself stays idempotent.
 	ErrDestroyed = errors.New("mm: address space destroyed")
-	// ErrNotSupported marks features a baseline does not implement
-	// (Table 2's ✗ cells).
+	// ErrNotSupported means this space's configuration refuses the
+	// request: no swap device, a huge leaf that cannot split, an ISA
+	// without level-N leaves, a span that cannot collapse. An op a
+	// system does not implement is a missing method, not this error.
 	ErrNotSupported = errors.New("mm: operation not supported")
 )
 
@@ -76,13 +82,12 @@ func GateRange(dead *atomic.Bool, core, cores int, va arch.Vaddr, size uint64) e
 	return nil
 }
 
-// Features is the Table-2 feature matrix row of one system.
+// Features is the part of one system's Table-2 row that no method
+// answers. The cow, file and swap cells are membership in Forker,
+// FileMapper and Swapper.
 type Features struct {
 	OnDemandPaging bool
-	COW            bool
-	PageSwapping   bool
 	ReverseMapping bool
-	MmapedFile     bool
 	HugePage       bool
 	NUMAPolicy     bool
 }
@@ -172,13 +177,12 @@ func (s *Stats) Snapshot() Snapshot {
 	}
 }
 
-// MM is the memory-management system interface: the Linux-compatible
-// syscall surface (§3.1 "full featured") plus the simulated user-level
-// access path (Touch/Load/Store drive TLB lookups, hardware walks, and
-// page faults).
+// MM is the memory-management surface all five systems implement: the
+// Linux-compatible syscalls every experiment drives plus the simulated
+// user-level access path (Touch/Load/Store drive TLB lookups, hardware
+// walks, and page faults). The rest of §3.1's "full featured" surface
+// is the optional interfaces below.
 type MM interface {
-	// Name identifies the system ("cortenmm-adv", "linux-vma", ...).
-	Name() string
 	// ASID is the address-space tag used in TLBs.
 	ASID() tlb.ASID
 
@@ -186,14 +190,10 @@ type MM interface {
 	Mmap(core int, size uint64, perm arch.Perm, fl Flags) (arch.Vaddr, error)
 	// MmapFixed maps private anonymous memory at an exact address.
 	MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl Flags) error
-	// MmapFile maps size bytes of f starting at page pgoff.
-	MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error)
 	// Munmap removes any mappings in [va, va+size).
 	Munmap(core int, va arch.Vaddr, size uint64) error
 	// Mprotect changes permissions of [va, va+size).
 	Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) error
-	// Msync writes back dirty shared file pages in the range.
-	Msync(core int, va arch.Vaddr, size uint64) error
 
 	// Touch simulates a user access of the given type at va, faulting
 	// pages in as needed. Returns ErrSegv for illegal accesses.
@@ -203,15 +203,34 @@ type MM interface {
 	// Store writes one byte through the MMU (breaking COW as needed).
 	Store(core int, va arch.Vaddr, b byte) error
 
-	// Fork clones the address space with copy-on-write semantics.
-	Fork(core int) (MM, error)
 	// Destroy tears down the address space, releasing all resources.
 	Destroy(core int)
 
-	// Features reports the Table-2 feature row.
+	// Features reports the Table-2 columns no method answers.
 	Features() Features
 	// Stats exposes the cumulative counters.
 	Stats() *Stats
+}
+
+// Forker is the optional fork surface (Table 2's COW column): clone
+// the address space with copy-on-write semantics.
+type Forker interface {
+	Fork(core int) (MM, error)
+}
+
+// FileMapper is the optional file-mapping surface (Table 2's
+// mmaped-file column).
+type FileMapper interface {
+	// MmapFile maps size bytes of f starting at page pgoff.
+	MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error)
+	// Msync writes back dirty shared file pages in the range.
+	Msync(core int, va arch.Vaddr, size uint64) error
+}
+
+// Remapper is the optional mremap(MREMAP_MAYMOVE) surface: resize the
+// mapping at oldVA, moving it if it cannot grow in place.
+type Remapper interface {
+	Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error)
 }
 
 // Madviser is the optional madvise(MADV_DONTNEED) surface: drop the

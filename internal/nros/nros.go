@@ -99,19 +99,16 @@ func New(m *cpusim.Machine, isa arch.ISA) (*Space, error) {
 	return s, nil
 }
 
-// Name implements mm.MM.
-func (s *Space) Name() string { return "nros" }
-
 // ASID implements mm.MM.
 func (s *Space) ASID() tlb.ASID { return s.asid }
 
 // Stats implements mm.MM.
 func (s *Space) Stats() *mm.Stats { return &s.stats }
 
-// Features implements mm.MM: no on-demand paging, no COW (§6.2: "NrOS
-// does not support on-demand paging").
+// Features implements mm.MM: no on-demand paging (§6.2: "NrOS does not
+// support on-demand paging"). There is no Fork, MmapFile or Msync.
 func (s *Space) Features() mm.Features {
-	return mm.Features{HugePage: false, NUMAPolicy: true}
+	return mm.Features{NUMAPolicy: true}
 }
 
 // mutate appends the op and replays the local replica up to it.
@@ -234,14 +231,6 @@ func (s *Space) mapRange(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 	return s.mutate(core, &op{kind: opMap, lo: va, hi: va + arch.Vaddr(size), perm: perm, frames: frames})
 }
 
-// MmapFile is not carried by this baseline.
-func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
-		return 0, err
-	}
-	return 0, mm.ErrNotSupported
-}
-
 // Munmap implements mm.MM.
 func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
@@ -262,19 +251,6 @@ func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 	s.stats.Mprotects.Add(1)
 	s.m.OpTick(core)
 	return s.mutate(core, &op{kind: opProtect, lo: va, hi: va + arch.Vaddr(size), perm: perm})
-}
-
-// Msync implements mm.MM (no file mappings).
-func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
-	return mm.GateRange(&s.dead, core, s.m.Cores, va, size)
-}
-
-// Fork is not carried by this baseline.
-func (s *Space) Fork(core int) (mm.MM, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
-		return nil, err
-	}
-	return nil, mm.ErrNotSupported
 }
 
 // local gates an access by core and returns the replica it reads

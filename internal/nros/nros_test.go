@@ -103,17 +103,6 @@ func TestProtectViaLog(t *testing.T) {
 	}
 }
 
-func TestUnsupported(t *testing.T) {
-	s, _ := newSpace(t)
-	defer s.Destroy(0)
-	if _, err := s.Fork(0); !errors.Is(err, mm.ErrNotSupported) {
-		t.Error("fork should be unsupported")
-	}
-	if f := s.Features(); f.OnDemandPaging || f.COW {
-		t.Errorf("features = %+v; NrOS has no on-demand paging", f)
-	}
-}
-
 func TestConcurrentMutators(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 8, NUMANodes: 2, Frames: 1 << 16})
 	s, _ := New(m, nil)

@@ -86,18 +86,15 @@ func (s *Space) shardOf(va arch.Vaddr) *shard {
 	return &s.shards[uint64(va)>>21%nShards]
 }
 
-// Name implements mm.MM.
-func (s *Space) Name() string { return "radixvm" }
-
 // ASID implements mm.MM.
 func (s *Space) ASID() tlb.ASID { return s.asid }
 
 // Stats implements mm.MM.
 func (s *Space) Stats() *mm.Stats { return &s.stats }
 
-// Features implements mm.MM: the subset our simulation carries (the real
-// RadixVM also supports COW and file mappings; they are not needed by
-// any experiment this baseline appears in).
+// Features implements mm.MM. The simulation carries no Fork, MmapFile
+// or Msync: the real RadixVM supports COW and file mappings, but no
+// experiment this baseline appears in needs them.
 func (s *Space) Features() mm.Features {
 	return mm.Features{OnDemandPaging: true, NUMAPolicy: true}
 }
@@ -157,14 +154,6 @@ func (s *Space) insertRange(va arch.Vaddr, size uint64, perm arch.Perm) {
 		sh.pages[page] = &mapping{perm: perm, frame: arch.NoPFN}
 		sh.mu.Unlock()
 	}
-}
-
-// MmapFile is not carried by this baseline (no experiment needs it).
-func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
-		return 0, err
-	}
-	return 0, mm.ErrNotSupported
 }
 
 // Munmap implements mm.MM: per-page shard removal plus targeted clearing
@@ -234,19 +223,6 @@ func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 	}
 	s.m.TLB.ShootdownAll(core, s.asid, true)
 	return nil
-}
-
-// Msync implements mm.MM (no file mappings: nothing to do).
-func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
-	return mm.GateRange(&s.dead, core, s.m.Cores, va, size)
-}
-
-// Fork is not carried by this baseline.
-func (s *Space) Fork(core int) (mm.MM, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
-		return nil, err
-	}
-	return nil, mm.ErrNotSupported
 }
 
 // eachReplica runs fn on the tree of every replica that materialized mp,

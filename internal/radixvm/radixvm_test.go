@@ -124,17 +124,6 @@ func TestMprotect(t *testing.T) {
 	}
 }
 
-func TestUnsupportedOps(t *testing.T) {
-	s, _ := newSpace(t)
-	defer s.Destroy(0)
-	if _, err := s.Fork(0); !errors.Is(err, mm.ErrNotSupported) {
-		t.Error("fork should be unsupported")
-	}
-	if _, err := s.MmapFile(0, nil, 0, arch.PageSize, arch.PermRead, false); !errors.Is(err, mm.ErrNotSupported) {
-		t.Error("file mapping should be unsupported")
-	}
-}
-
 func TestParallelDisjoint(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 8, Frames: 1 << 16})
 	s, _ := New(m, nil)

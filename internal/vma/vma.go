@@ -112,9 +112,6 @@ func New(m *cpusim.Machine, isa arch.ISA) (*Space, error) {
 	}, nil
 }
 
-// Name implements mm.MM.
-func (s *Space) Name() string { return "linux-vma" }
-
 // ASID implements mm.MM.
 func (s *Space) ASID() tlb.ASID { return s.asid }
 
@@ -133,13 +130,10 @@ func (s *Space) VMACount() int {
 
 // Features implements mm.MM: the subset of Table 2 this baseline
 // implements (swap, rmap and NUMA policy are not needed by any
-// benchmark and are omitted from the simulation).
+// benchmark and are omitted from the simulation; Fork and MmapFile are
+// its cow and file cells).
 func (s *Space) Features() mm.Features {
-	return mm.Features{
-		OnDemandPaging: true,
-		COW:            true,
-		MmapedFile:     true,
-	}
+	return mm.Features{OnDemandPaging: true}
 }
 
 // Mmap implements mm.MM: take the mmap_lock writer, carve a range, and
@@ -215,7 +209,7 @@ func (s *Space) insertMerged(v *VMA) {
 	s.vmas.insert(v)
 }
 
-// MmapFile implements mm.MM.
+// MmapFile implements mm.FileMapper.
 func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
 	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
 		return 0, err
@@ -324,7 +318,7 @@ func (s *Space) Mprotect(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 	return nil
 }
 
-// Msync implements mm.MM.
+// Msync implements mm.FileMapper.
 func (s *Space) Msync(core int, va arch.Vaddr, size uint64) error {
 	if err := mm.GateRange(&s.dead, core, s.m.Cores, va, size); err != nil {
 		return err
@@ -371,7 +365,7 @@ func (s *Space) Destroy(core int) {
 	s.m.FreeASID(s.asid)
 }
 
-// Fork implements mm.MM: mmap_lock writer on the parent, VMA list copy,
+// Fork implements mm.Forker: mmap_lock writer on the parent, VMA list copy,
 // page-table copy with COW write-protection.
 func (s *Space) Fork(core int) (mm.MM, error) {
 	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {

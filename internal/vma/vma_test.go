@@ -276,12 +276,3 @@ func TestConcurrentMmapMunmap(t *testing.T) {
 		t.Errorf("leaked %d frames", got)
 	}
 }
-
-func TestFeatureRow(t *testing.T) {
-	s, _ := newSpace(t)
-	defer s.Destroy(0)
-	f := s.Features()
-	if !f.OnDemandPaging || !f.COW || !f.MmapedFile {
-		t.Errorf("features = %+v", f)
-	}
-}

@@ -93,12 +93,16 @@ func execImage(sys mm.MM, pages int) error {
 func RunLMbench(machine *cpusim.Machine, sys mm.MM, newSpace func() (mm.MM, error),
 	op LMbenchOp, residentPages, iters int) (LMbenchResult, error) {
 
+	forker, ok := sys.(mm.Forker)
+	if !ok {
+		return LMbenchResult{}, fmt.Errorf("fork: %w", mm.ErrNotSupported)
+	}
 	if err := populateParent(sys, residentPages); err != nil {
 		return LMbenchResult{}, err
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		child, err := sys.Fork(0)
+		child, err := forker.Fork(0)
 		if err != nil {
 			return LMbenchResult{}, err
 		}
