@@ -138,6 +138,25 @@ func TestPublicMachineRun(t *testing.T) {
 	}
 }
 
+// TestPublicFeatures: CortenMM pages on demand, maps huge pages, and
+// implements every optional surface.
+func TestPublicFeatures(t *testing.T) {
+	as, _ := cortenmm.New(cortenmm.Options{})
+	defer as.Destroy(0)
+	if f := as.Features(); !f.OnDemandPaging || !f.HugePage {
+		t.Errorf("features = %+v", f)
+	}
+	if _, ok := any(as).(cortenmm.Forker); !ok {
+		t.Error("CortenMM should implement Forker")
+	}
+	if _, ok := any(as).(cortenmm.FileMapper); !ok {
+		t.Error("CortenMM should implement FileMapper")
+	}
+	if _, ok := any(as).(cortenmm.Swapper); !ok {
+		t.Error("CortenMM should implement Swapper")
+	}
+}
+
 // TestUnknownTLBModeIsSync: a TLB mode outside the three protocols runs
 // as the default, sync, so a remote core never reads an unmapped page
 // through a stale translation.

@@ -103,6 +103,22 @@ func TestProtectViaLog(t *testing.T) {
 	}
 }
 
+// TestUnsupported: NrOS has no fork, file mapping or on-demand paging;
+// it lacks those ops by lacking their methods.
+func TestUnsupported(t *testing.T) {
+	s, _ := newSpace(t)
+	defer s.Destroy(0)
+	if _, ok := any(s).(mm.Forker); ok {
+		t.Error("NrOS should not implement mm.Forker")
+	}
+	if _, ok := any(s).(mm.FileMapper); ok {
+		t.Error("NrOS should not implement mm.FileMapper")
+	}
+	if f := s.Features(); f.OnDemandPaging {
+		t.Errorf("features = %+v; NrOS has no on-demand paging", f)
+	}
+}
+
 func TestConcurrentMutators(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 8, NUMANodes: 2, Frames: 1 << 16})
 	s, _ := New(m, nil)

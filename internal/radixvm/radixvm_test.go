@@ -124,6 +124,19 @@ func TestMprotect(t *testing.T) {
 	}
 }
 
+// TestUnsupportedOps: RadixVM has no fork or file mapping; it lacks
+// those ops by lacking their methods.
+func TestUnsupportedOps(t *testing.T) {
+	s, _ := newSpace(t)
+	defer s.Destroy(0)
+	if _, ok := any(s).(mm.Forker); ok {
+		t.Error("RadixVM should not implement mm.Forker")
+	}
+	if _, ok := any(s).(mm.FileMapper); ok {
+		t.Error("RadixVM should not implement mm.FileMapper")
+	}
+}
+
 func TestParallelDisjoint(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 8, Frames: 1 << 16})
 	s, _ := New(m, nil)

@@ -276,3 +276,19 @@ func TestConcurrentMmapMunmap(t *testing.T) {
 		t.Errorf("leaked %d frames", got)
 	}
 }
+
+// TestFeatureRow: the Linux baseline pages on demand, forks with COW and
+// maps files.
+func TestFeatureRow(t *testing.T) {
+	s, _ := newSpace(t)
+	defer s.Destroy(0)
+	if f := s.Features(); !f.OnDemandPaging {
+		t.Errorf("features = %+v", f)
+	}
+	if _, ok := any(s).(mm.Forker); !ok {
+		t.Error("the Linux baseline should implement mm.Forker")
+	}
+	if _, ok := any(s).(mm.FileMapper); !ok {
+		t.Error("the Linux baseline should implement mm.FileMapper")
+	}
+}
