@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/core"
+	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/spec"
 )
@@ -397,6 +399,22 @@ func TestCloseAuditsAndReportsLeak(t *testing.T) {
 	env.Sys = real
 	if err := env.Close(); err != nil {
 		t.Errorf("Close after the real Destroy: %v", err)
+	}
+
+	// A swap block nothing gave back is a leak too.
+	env, err = NewEnv(CortenAdv, nil, machine(2, 1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := mem.NewBlockDev("swap")
+	env.Sys.(*core.AddrSpace).SetSwapDev(dev)
+	block := dev.AllocBlock()
+	if err := env.Close(); err == nil || !strings.Contains(err.Error(), "swap blocks left after teardown") {
+		t.Errorf("Close over a held swap block = %v, want the leak reported", err)
+	}
+	dev.FreeBlock(block)
+	if err := env.Close(); err != nil {
+		t.Errorf("Close after the block was freed: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"cortenmm/internal/arch"
@@ -393,6 +394,123 @@ func TestSwapSkipsSharedAndCOW(t *testing.T) {
 	childMM.Destroy(1)
 	a.Destroy(0)
 	checkClean(t, m)
+}
+
+// TestForkCopiesSwappedPages: a fork shares each swapped page's block —
+// the child's copied word takes its own reference — and each side swaps
+// in its own private copy; the last word to go frees the block. Before,
+// Fork refused a space with a page swapped out.
+func TestForkCopiesSwappedPages(t *testing.T) {
+	const pages = 4
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			dev := mem.NewBlockDev("swap")
+			a.SetSwapDev(dev)
+			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := func(i int) arch.Vaddr { return va + arch.Vaddr(i*arch.PageSize) }
+			for i := 0; i < pages; i++ {
+				if err := a.Store(0, at(i), byte(10+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, err := a.SwapOut(0, va, pages*arch.PageSize); err != nil || n != pages {
+				t.Fatalf("SwapOut = %d, %v; want %d", n, err, pages)
+			}
+			forked, err := a.Fork(0)
+			if err != nil {
+				t.Fatalf("Fork over %d swapped pages: %v", pages, err)
+			}
+			child := forked.(*AddrSpace)
+			inUse := func(when string, want int) {
+				t.Helper()
+				if n := dev.InUse(); n != want {
+					t.Errorf("%s: %d swap blocks in use, want %d", when, n, want)
+				}
+			}
+			load := func(who string, s *AddrSpace, i int, want byte) {
+				t.Helper()
+				if b, err := s.Load(0, at(i)); err != nil || b != want {
+					t.Errorf("%s page %d reads %d, %v; want %d", who, i, b, err, want)
+				}
+			}
+			inUse("after the fork", pages)
+			// The child's store swaps page 0 in as its own copy; the
+			// parent still names every block.
+			if err := child.Store(0, at(0), 99); err != nil {
+				t.Fatal(err)
+			}
+			inUse("after the child's store", pages)
+			for i := 0; i < 3; i++ {
+				load("parent", a, i, byte(10+i))
+			}
+			inUse("after the parent's swap-ins", pages-1) // block 0 had no other word
+			load("child", child, 0, 99)
+			load("child", child, 1, 11)
+			load("child", child, 3, 13)
+			inUse("after the child's swap-ins", 2) // block 2 the child's, block 3 the parent's
+			checkQuiet(t, child)
+			checkQuiet(t, a)
+			child.Destroy(0)
+			inUse("after the child's teardown", 1)
+			a.Destroy(0)
+			inUse("after both teardowns", 0)
+			checkClean(t, m)
+		})
+	}
+}
+
+// TestForkedSwapInsRace: a parent and its fork child swap in the blocks
+// they share on two cores at once; each reads its own bytes, and the
+// last reference to go frees each block.
+func TestForkedSwapInsRace(t *testing.T) {
+	const pages = 16
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			dev := mem.NewBlockDev("swap")
+			a.SetSwapDev(dev)
+			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < pages; i++ {
+				if err := a.Store(0, va+arch.Vaddr(i*arch.PageSize), byte(i+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, err := a.SwapOut(0, va, pages*arch.PageSize); err != nil || n != pages {
+				t.Fatalf("SwapOut = %d, %v; want %d", n, err, pages)
+			}
+			forked, err := a.Fork(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := forked.(*AddrSpace)
+			var wg sync.WaitGroup
+			for core, s := range []*AddrSpace{a, child} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < pages; i++ {
+						if b, err := s.Load(core, va+arch.Vaddr(i*arch.PageSize)); err != nil || b != byte(i+1) {
+							t.Errorf("core %d: page %d reads %d, %v; want %d", core, i, b, err, i+1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if n := dev.InUse(); n != 0 {
+				t.Errorf("%d swap blocks in use after both sides swapped in", n)
+			}
+			child.Destroy(0)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
 }
 
 func TestMPKTagging(t *testing.T) {

@@ -166,6 +166,8 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 // A file status holds its file for the whole walk: the teardown may give
 // back the file's last registration (a page of it re-marked not
 // resident), and the words stored after it must not name a recycled id.
+// A Swapped status likewise holds a reference on its block, and one
+// naming a block that is not allocated is refused.
 func (c *RCursor) Mark(lo, hi arch.Vaddr, s pt.Status) error {
 	if err := c.checkRange(lo, hi); err != nil {
 		return err
@@ -174,7 +176,7 @@ func (c *RCursor) Mark(lo, hi arch.Vaddr, s pt.Status) error {
 	// Packed once, out here; the visitor slides the word by an add.
 	w, err := t.Pack(s, uint64(hi-lo)/arch.PageSize)
 	if err == nil && !t.Register(w, 1) {
-		err = fmt.Errorf("status %+v names a file that is no longer mapped", s)
+		err = fmt.Errorf("status %+v names a file no longer mapped or a block not allocated", s)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", errBadRange, err)
@@ -461,16 +463,12 @@ func (c *RCursor) removeChild(parent arch.PFN, idx int, child arch.PFN) {
 	a.m.Defer(core, func() { a.tree.ReleasePTPage(core, child) })
 }
 
-// dropMeta clears the metadata entry of a level-`level` PT page,
-// releasing any swap block it holds (SetMetaWord gives back a file
-// word's registration).
+// dropMeta clears the metadata entry of a level-`level` PT page
+// (SetMetaWord gives back what the word holds).
 func (c *RCursor) dropMeta(pfn arch.PFN, idx, level int) {
-	w := c.a.tree.SetMetaWord(pfn, idx, 0)
-	if w == 0 {
-		return
+	if c.a.tree.SetMetaWord(pfn, idx, 0) != 0 {
+		c.cleared += arch.SpanBytes(level) / arch.PageSize
 	}
-	c.cleared += arch.SpanBytes(level) / arch.PageSize
-	c.a.tree.FreeSwap(w)
 }
 
 func maxVA(a, b arch.Vaddr) arch.Vaddr {

@@ -17,11 +17,12 @@ import (
 
 // treeRegistrations recounts, from a's page table, the registrations a
 // must hold with each file: one per status word that names the file,
-// marked or beside a PTE. It also fails t unless every present leaf that
-// maps a page-cache frame has a word beside it naming that frame's file
-// page, and a leaf of an anonymous frame has none unless it is a private
-// copy of a file page (a PrivateFile word). The tree must be quiescent.
-func treeRegistrations(t *testing.T, a *AddrSpace) map[*mem.File]uint64 {
+// marked or beside a PTE. Each block a Swapped word names goes into
+// blocks. It also fails t unless every present leaf that maps a
+// page-cache frame has a word beside it naming that frame's file page,
+// and a leaf of an anonymous frame has none unless it is a private copy
+// of a file page (a PrivateFile word). The tree must be quiescent.
+func treeRegistrations(t *testing.T, a *AddrSpace, blocks map[*mem.BlockDev]map[uint64]bool) map[*mem.File]uint64 {
 	t.Helper()
 	tree, isa, phys := a.tree, a.isa, a.m.Phys
 	n := map[*mem.File]uint64{}
@@ -29,8 +30,14 @@ func treeRegistrations(t *testing.T, a *AddrSpace) map[*mem.File]uint64 {
 	visit = func(pfn arch.PFN, level int) {
 		for i := 0; i < arch.PTEntries; i++ {
 			s := tree.GetMeta(pfn, i)
-			if s.Kind >= pt.StatusPrivateFile && s.Kind <= pt.StatusSharedFile {
+			switch {
+			case s.Kind >= pt.StatusPrivateFile && s.Kind <= pt.StatusSharedFile:
 				n[s.File(phys)]++
+			case s.Kind == pt.StatusSwapped:
+				if blocks[s.Dev(phys)] == nil {
+					blocks[s.Dev(phys)] = map[uint64]bool{}
+				}
+				blocks[s.Dev(phys)][s.Block()] = true
 			}
 			pte := tree.LoadPTE(pfn, i)
 			switch {
@@ -66,8 +73,9 @@ func registrations(f *mem.File, a *AddrSpace) (spaces int, held uint64) {
 // checkRegistrations fails unless every file that holds an object id,
 // every file in files and every file the spaces' trees name is registered
 // with exactly the spaces whose trees name it, as often as their words
-// do, and holds an id iff something registers it; and unless every leaf
-// carries the origin word treeRegistrations asks for.
+// do, and holds an id iff something registers it; unless every swap
+// device on phys holds exactly the blocks the trees' words name; and
+// unless every leaf carries the origin word treeRegistrations asks for.
 func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spaces ...*AddrSpace) {
 	t.Helper()
 	check := slices.Clone(files)
@@ -77,8 +85,9 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 		}
 	}
 	want := make([]map[*mem.File]uint64, len(spaces))
+	blocks := map[*mem.BlockDev]map[uint64]bool{}
 	for i, a := range spaces {
-		want[i] = treeRegistrations(t, a)
+		want[i] = treeRegistrations(t, a, blocks)
 		for f := range want[i] {
 			check = append(check, f)
 		}
@@ -96,6 +105,11 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 		}
 		if registered, _ := registrations(f, nil); registered != naming || (f.ID() != 0) != (registered > 0) {
 			t.Errorf("file %q: id %d, %d spaces registered, %d page tables name it", f.Name, f.ID(), registered, naming)
+		}
+	}
+	for id := uint32(1); id <= mem.MaxObjID; id++ {
+		if d := phys.DevByID(id); d != nil && d.InUse() != len(blocks[d]) {
+			t.Errorf("swap device %q holds %d blocks, the page tables name %d", d.Name, d.InUse(), len(blocks[d]))
 		}
 	}
 }
@@ -322,15 +336,16 @@ func TestMarkedWordHoldsItsFile(t *testing.T) {
 // file, shared-anonymous and anonymous mappings, partial and middle
 // unmaps, Mremap grows and shrinks, forks and child teardowns,
 // MADV_DONTNEED, loads, copy-on-write-breaking stores (to any page, and
-// to a private file page), SwapOut in the forked child (the space has a
-// swap device; the parent keeps none swapped, so it can fork), and
-// Tx.Mark and Tx.Map of file pages, on both protocols. After every op it
-// recounts each (file, space) pair from the trees' words, which must
-// equal the registration count, checks every leaf's origin word, and a
-// file must hold an id iff something registers it. The 1 024-page
-// mappings put file words at level 2, so faults and partial unmaps push
-// them down, and whole-mapping unmaps sweep leaf tables of page-cache
-// frames and of their private copies.
+// to a private file page), SwapOut in either space (a fork shares the
+// blocks of swapped pages), and Tx.Mark and Tx.Map of file pages, on
+// both protocols. After every op it recounts each (file, space) pair
+// from the trees' words, which must equal the registration count, and
+// the swap device's blocks in use, which must be the distinct blocks the
+// words name; it checks every leaf's origin word, and a file must hold
+// an id iff something registers it. The 1 024-page mappings put file
+// words at level 2, so faults and partial unmaps push them down, and
+// whole-mapping unmaps sweep leaf tables of page-cache frames and of
+// their private copies.
 func TestFileRegistrationsFollowPageTable(t *testing.T) {
 	const pg = arch.PageSize
 	const filePages = 1024 + 64
@@ -361,6 +376,19 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 			checkRegistrations(t, m.Phys, files, a)
 			if err := a.Munmap(0, va, 2*pg); err != nil {
 				t.Fatal(err)
+			}
+
+			// A swapped page the stream leaves alone: every fork shares
+			// its block, and the child's teardown gives its reference back.
+			swapped, err := a.Mmap(0, pg, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, swapped, 1); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := a.SwapOut(0, swapped, pg); err != nil || n != 1 {
+				t.Fatalf("SwapOut = %d, %v", n, err)
 			}
 
 			type region struct {
@@ -487,6 +515,7 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 				case 11:
 					name = "Tx.Mark"
 					s, e := sub(r.pages)
+					e = min(e, s+filePages) // a grown region can outsize the files
 					f, kind := file(), pt.StatusSharedFile
 					if rng.Intn(2) == 0 {
 						kind = pt.StatusPrivateFile
@@ -512,8 +541,8 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 					err = r.a.MadviseDontNeed(0, r.va, r.pages*pg)
 				case 15:
 					name = "SwapOut"
-					if r.a != a {
-						s, e := sub(r.pages)
+					s, e := sub(r.pages)
+					if err = r.a.Store(0, at(s), byte(step)); err == nil { // an anonymous page to swap
 						_, err = r.a.SwapOut(0, at(s), (e-s)*pg)
 					}
 				case 12:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
@@ -72,9 +70,11 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 // whole-space transaction) into dst (child, private to this call).
 // Private mappings become COW in both trees; shared mappings alias the
 // same frames; status words — marks and the origins beside PTEs — are
-// copied once the PTEs are. Every copied word registers the child with
-// its file before the parent's transaction ends, so no unmap in the
-// parent can retire an object id the child names. Like pt.Tree.Destroy
+// copied once the PTEs are. Every copied word takes its hold before the
+// parent's transaction ends: a file word registers the child with its
+// file, so no unmap in the parent can retire an object id the child
+// names, and a swapped page's word shares its block, so each side swaps
+// in its own private copy. Like pt.Tree.Destroy
 // it recurses over a tree it owns outright, so it is not a walkRange
 // visitor: it writes a second tree in step with the first.
 func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, level int) error {
@@ -116,11 +116,7 @@ func (a *AddrSpace) forkCopy(core int, child *AddrSpace, src, dst arch.PFN, leve
 			return err
 		}
 	}
-	if !t.CopyMeta(src, ct, dst) {
-		// Swap entries are not duplicated: swap-in on either side would
-		// race over one block. Bring the page back in the parent first.
-		return fmt.Errorf("core: fork over swapped page unsupported; swap in first")
-	}
+	t.CopyMeta(src, ct, dst)
 	return nil
 }
 

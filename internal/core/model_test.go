@@ -431,24 +431,11 @@ func TestReferenceModelEquivalence(t *testing.T) {
 				}
 				checkChunksMatchModel(t, a, ref.allocated, len(ref.pages))
 				if step%300 == 299 {
-					// Fork wants nothing swapped; everything else not
-					// resident stays so, and the child inherits it as
+					// Whatever is not resident stays so — a swapped page
+					// shares its block — and the child inherits it as
 					// copied status words. The parent is compared in full
 					// now, the child one period of parent mutations later.
 					retireChild()
-					for va := range ref.pages {
-						c, err := a.Lock(0, va, va+arch.PageSize)
-						if err != nil {
-							t.Fatal(err)
-						}
-						st, _ := c.Query(va)
-						c.Close()
-						if st.Kind == pt.StatusSwapped {
-							if err := a.Touch(0, va, pt.AccessRead); err != nil {
-								t.Fatalf("step %d: swap-in of %#x: %v", step, va, err)
-							}
-						}
-					}
 					forked, err := a.Fork(0)
 					if err != nil {
 						t.Fatalf("step %d: fork: %v", step, err)

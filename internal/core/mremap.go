@@ -13,9 +13,11 @@ import (
 // the syscalls' exec (the munmap body and its VA-recycle tail); growing
 // allocates a fresh range and *moves* every page there — PTEs, metadata
 // (including swap entries), frames and their reference counts travel
-// without copying data. The move runs under one transaction spanning both ranges. A grow
-// is all or nothing, and retried after direct reclaim like every other
-// allocating call; a space the OOM killer tore down can only shrink.
+// without copying data, and a huge leaf is split into 4-KiB leaves over
+// the same block as it goes. The move runs under one transaction
+// spanning both ranges. A grow is all or nothing, and retried after
+// direct reclaim like every other allocating call; a space the OOM
+// killer tore down can only shrink.
 func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error) {
 	if err := a.checkRange(core, oldVA, oldSize); err != nil {
 		return 0, err
@@ -90,16 +92,11 @@ func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (a
 	}
 	// Commit: clear what the old range still records — its marks, and
 	// the origin words its moved pages left behind. Its edges are split,
-	// so neither call needs a PT page. A moved file mapping's words took
-	// their registrations at the new range before these give the old ones
-	// back, so its file keeps its object id throughout.
+	// so no Mark needs a PT page. The words at the new range took their
+	// holds before these give the old ones back, so a moved file keeps
+	// its object id and a moved swap block its contents throughout.
 	for _, r := range runs {
-		if r.Status.Kind == pt.StatusSwapped {
-			// The destination keeps the block: clear without releasing.
-			_ = c.clearMeta(r.VA, r.End())
-		} else {
-			_ = c.Mark(r.VA, r.End(), pt.Status{})
-		}
+		_ = c.Mark(r.VA, r.End(), pt.Status{})
 	}
 	c.Close()
 
@@ -140,12 +137,16 @@ func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs 
 	for _, r := range runs {
 		dst := newVA + (r.VA - oldVA)
 		switch {
-		case r.Status.Kind == pt.StatusMapped && r.Status.HugeLevel() >= 2:
-			// Huge leaves move via split paths, which TakePage refuses.
-			err = fmt.Errorf("core: page vanished during mremap")
 		case r.Status.Kind == pt.StatusMapped:
 			for i := uint64(0); i < r.Pages && err == nil; i++ {
 				src := r.VA + arch.Vaddr(i*arch.PageSize)
+				if r.Status.HugeLevel() >= 2 {
+					// TakePage moves 4-KiB leaves: split the huge one
+					// over src into leaves over the same block.
+					if _, err = c.entry(src, 1, true); err != nil {
+						break
+					}
+				}
 				frame, perm, key, origin, ok := c.TakePage(src)
 				if !ok {
 					err = fmt.Errorf("core: page vanished during mremap")
@@ -155,8 +156,8 @@ func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs 
 			}
 		default:
 			// Swap entries and not-resident virtual/file state: one Mark
-			// per run at the destination. (Swap runs are single pages:
-			// every block is distinct.)
+			// per run at the destination, its words sharing what the old
+			// range's words hold until the commit clears those.
 			err = c.Mark(dst, dst+arch.Vaddr(r.Pages*arch.PageSize), r.Status)
 		}
 		if err != nil {
@@ -171,9 +172,8 @@ func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs 
 
 // unmove undoes a failed moveTo: every page at the new range goes back
 // to its old address, whose table — and origin word — is still there,
-// and the new range's statuses and tables go without releasing the swap
-// blocks the old range still names (its file words give back the
-// registrations moveTo's Marks and PlacePages took).
+// and the new range's statuses and tables go, its words giving back the
+// holds moveTo's Marks and PlacePages took.
 func (c *RCursor) unmove(oldVA, newVA arch.Vaddr, newSize uint64) {
 	newEnd := newVA + arch.Vaddr(newSize)
 	var moved []Run
@@ -187,7 +187,6 @@ func (c *RCursor) unmove(oldVA, newVA arch.Vaddr, newSize uint64) {
 			_ = c.PlacePage(oldVA+(va-newVA), frame, perm, key, origin)
 		}
 	}
-	_ = c.clearMeta(newVA, newEnd)
 	_ = c.Unmap(newVA, newEnd)
 }
 
@@ -219,23 +218,4 @@ func (c *RCursor) TakePage(va arch.Vaddr) (frame arch.PFN, perm arch.Perm, key a
 // file stays held by the mark TakePage left until the caller clears it.
 func (c *RCursor) PlacePage(va arch.Vaddr, frame arch.PFN, perm arch.Perm, key arch.ProtKey, origin uint64) error {
 	return c.install(va, frame, 1, perm, key, origin, true)
-}
-
-// clearMeta wipes the metadata entries of every page in [lo, hi),
-// splitting upper-level spans as needed, WITHOUT releasing the swap
-// blocks the statuses name (unlike dropMeta) — used when they moved
-// elsewhere. A file word's registration is the word's own, so it goes
-// with it (SetMetaWord).
-func (c *RCursor) clearMeta(lo, hi arch.Vaddr) error {
-	if err := c.checkRange(lo, hi); err != nil {
-		return err
-	}
-	t := c.a.tree
-	v := walkOps{
-		onMeta: func(pfn arch.PFN, idx, _ int, _, _, _ arch.Vaddr) error {
-			t.SetMetaWord(pfn, idx, 0)
-			return nil
-		},
-	}
-	return c.walk(&v, lo, hi)
 }

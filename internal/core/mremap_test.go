@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/cpusim"
 	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
@@ -147,6 +149,77 @@ func TestMremapMovesVirtualAndSwapped(t *testing.T) {
 		t.Errorf("swap block leaked after swap-in: %d", dev.InUse())
 	}
 	checkWF(t, a)
+}
+
+// TestMremapGrowSplitsHugeLeaf: a growing Mremap moves a huge mapping
+// page by page, splitting each huge leaf into 4-KiB leaves over the same
+// block, also while a fork child still maps the block. Before, the grow
+// failed with "page vanished during mremap".
+func TestMremapGrowSplitsHugeLeaf(t *testing.T) {
+	const size = 4 << 20
+	offs := []arch.Vaddr{0, 3*arch.PageSize + 5, 2<<20 + 77, size - 1}
+	for _, p := range protocols {
+		for _, fork := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/fork=%v", p, fork), func(t *testing.T) {
+				m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 16})
+				a, err := New(Options{Machine: m, Protocol: p}) // one VA pool: 2-MiB aligned
+				if err != nil {
+					t.Fatal(err)
+				}
+				va, err := a.Mmap(0, size, arch.PermRW, mm.FlagHuge2M)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, off := range offs {
+					if err := a.Store(0, va+off, byte(i+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c, err := a.Lock(0, va, va+size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var runs []Run
+				_ = c.Iterate(va, va+size, func(r Run) error { runs = append(runs, r); return nil })
+				c.Close()
+				if len(runs) == 0 || runs[0].Status.HugeLevel() != 2 {
+					t.Fatalf("before the move the mapping is %+v, want 2-MiB leaves", runs)
+				}
+				var child *AddrSpace
+				if fork {
+					forked, err := a.Fork(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					child = forked.(*AddrSpace)
+				}
+				nva, err := a.Mremap(0, va, size, 2*size)
+				if err != nil {
+					t.Fatalf("Mremap grow of a huge mapping: %v", err)
+				}
+				for i, off := range offs {
+					if b, err := a.Load(0, nva+off); err != nil || b != byte(i+1) {
+						t.Errorf("moved byte %d reads %d, %v; want %d", i, b, err, i+1)
+					}
+				}
+				if err := a.Touch(0, va, pt.AccessRead); !errors.Is(err, mm.ErrSegv) {
+					t.Errorf("old range after the move: %v, want ErrSegv", err)
+				}
+				if child != nil {
+					for i, off := range offs {
+						if b, err := child.Load(0, va+off); err != nil || b != byte(i+1) {
+							t.Errorf("child byte %d reads %d, %v; want %d", i, b, err, i+1)
+						}
+					}
+					checkQuiet(t, child)
+					child.Destroy(0)
+				}
+				checkQuiet(t, a)
+				a.Destroy(0)
+				checkClean(t, m)
+			})
+		}
+	}
 }
 
 func TestMremapPreservesCOW(t *testing.T) {

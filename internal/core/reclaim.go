@@ -181,10 +181,12 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 
 	fault.ReclaimSubmitted.Pause()
 	// Only pages whose write succeeded are re-marked swapped (Mark
-	// releases the mapping it replaces). A failed one frees its block and
-	// gets its permission back — left copy-on-write, it would be skipped
-	// by every later sweep — so nothing leaks and the tree never names a
-	// block that was not written.
+	// releases the mapping it replaces, and the stored word takes its own
+	// reference on the block). The allocation's reference goes right
+	// after, so a block no word names is freed. A failed page gets its
+	// permission back — left copy-on-write, it would be skipped by every
+	// later sweep — so nothing leaks and the tree never names a block
+	// that was not written.
 	reclaimed, isa := 0, a.isa
 	var firstErr error
 	for _, req := range reqs {
@@ -192,8 +194,8 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 		if err == nil {
 			err = c.Mark(req.page, req.page+arch.PageSize, pt.SwappedStatus(req.perm, a.swapID, req.block).WithKey(req.key))
 		}
+		dev.FreeBlock(req.block)
 		if err != nil {
-			dev.FreeBlock(req.block)
 			// One present leaf inside the cursor: the walk cannot fail.
 			_ = c.editRange(req.page, req.page+arch.PageSize, 0, 0, func(pte uint64, level int) uint64 {
 				return isa.WithPerm(pte, req.perm, level)

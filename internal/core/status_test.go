@@ -20,6 +20,79 @@ func liveFileIDs(phys *mem.PhysMem) (n int) {
 	return n
 }
 
+// TestMarkSwappedHoldsBlock: a Tx.Mark of a swapped status takes a
+// reference on the block it names, as a file status registers its file.
+// Naming a block that was never allocated is refused before the tree
+// changes; naming a live one shares it, so clearing the sharer's word
+// leaves the owner's block alone. Before, that clear freed the block:
+// the next swap-out reused it, the owner read another page's byte, and
+// InUse ended at -1.
+func TestMarkSwappedHoldsBlock(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			a, m := newSpace(t, p)
+			dev := mem.NewBlockDev("swap")
+			a.SetSwapDev(dev)
+			va, err := a.Mmap(0, 3*arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owner, other, sharer := va, va+arch.PageSize, va+2*arch.PageSize
+			for _, s := range []struct {
+				va arch.Vaddr
+				b  byte
+			}{{owner, 11}, {other, 22}} {
+				if err := a.Store(0, s.va, s.b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, err := a.SwapOut(0, owner, arch.PageSize); err != nil || n != 1 {
+				t.Fatalf("SwapOut = %d, %v", n, err)
+			}
+			c, err := a.Lock(0, va, va+3*arch.PageSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _ := c.Query(owner)
+			anon, _ := c.Query(sharer)
+			ptPages := a.tree.PTPageCount.Load()
+			if err := c.Mark(sharer, sharer+arch.PageSize, pt.SwappedStatus(arch.PermRW, a.swapID, 1<<20)); !errors.Is(err, mm.ErrBadRange) {
+				t.Errorf("Mark naming a block never allocated = %v, want ErrBadRange", err)
+			}
+			if got, _ := c.Query(sharer); got != anon || a.tree.PTPageCount.Load() != ptPages || dev.InUse() != 1 {
+				t.Errorf("the refused Mark left %+v (was %+v), %d PT pages (%d before), %d blocks in use (1 before)",
+					got, anon, a.tree.PTPageCount.Load(), ptPages, dev.InUse())
+			}
+			if err := c.Mark(sharer, sharer+arch.PageSize, st); err != nil {
+				t.Fatalf("Mark sharing the owner's block: %v", err)
+			}
+			if err := c.Mark(sharer, sharer+arch.PageSize, pt.Status{}); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			if n := dev.InUse(); n != 1 {
+				t.Errorf("%d swap blocks in use after the sharer's word went, want the owner's 1", n)
+			}
+			// A freed block would be the next swap-out's.
+			if n, err := a.SwapOut(0, other, arch.PageSize); err != nil || n != 1 {
+				t.Fatalf("SwapOut = %d, %v", n, err)
+			}
+			if b, err := a.Load(0, owner); err != nil || b != 11 {
+				t.Errorf("owner reads %d, %v; want 11", b, err)
+			}
+			if b, err := a.Load(0, other); err != nil || b != 22 {
+				t.Errorf("other page reads %d, %v; want 22", b, err)
+			}
+			if n := dev.InUse(); n != 0 {
+				t.Errorf("%d swap blocks in use after both swap-ins", n)
+			}
+			checkQuiet(t, a)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
 // TestMarkIsTotal: Tx.Mark stores a status word, so it must refuse — with
 // ErrBadRange and the tree untouched — every status the word cannot hold
 // or the machine cannot resolve, instead of truncating a field into its
@@ -66,6 +139,7 @@ func TestMarkIsTotal(t *testing.T) {
 				"swapped, no device":      pt.SwappedStatus(arch.PermRW, 0, 1),
 				"swapped, unknown device": pt.SwappedStatus(arch.PermRW, a.swapID+1, 1),
 				"block beyond the word":   pt.SwappedStatus(arch.PermRW, a.swapID, top+1),
+				"block never allocated":   pt.SwappedStatus(arch.PermRW, a.swapID, top),
 			}
 			for name, s := range bad {
 				c, err := a.Lock(0, lo, hi)
@@ -84,11 +158,12 @@ func TestMarkIsTotal(t *testing.T) {
 				checkQuiet(t, a)
 			}
 			// The widest of everything that does fit is stored and read back.
+			block := swap.AllocBlock()
 			good := map[string]pt.Status{
 				"anon, widest attributes": pt.Status{Kind: pt.StatusPrivateAnon, Perm: 1<<6 - 1}.WithKey(arch.MaxProtKey).WithHuge(3),
 				"last page at the top":    pt.FileStatus(pt.StatusSharedFile, arch.PermRW, mapped, top-pages+1),
 				"private file":            pt.FileStatus(pt.StatusPrivateFile, arch.PermRead, mapped, 1),
-				"top block":               pt.SwappedStatus(arch.PermRW, a.swapID, top),
+				"allocated block":         pt.SwappedStatus(arch.PermRW, a.swapID, block),
 				"nothing":                 {},
 			}
 			for name, s := range good {
@@ -104,20 +179,14 @@ func TestMarkIsTotal(t *testing.T) {
 						t.Errorf("%s: page %d reads %+v, %v, want %+v", name, i, st, err, s.SlidBy(i))
 					}
 				}
-				if s.Kind == pt.StatusSwapped {
-					// Four pages naming one block: take three back before
-					// the teardown frees it once per entry.
-					if err := c.clearMeta(lo+arch.PageSize, hi); err != nil {
-						t.Fatal(err)
-					}
-					swap.AllocBlock()
-				}
 				if err := c.Mark(lo, hi, pt.Status{}); err != nil {
 					t.Fatal(err)
 				}
 				c.Close()
 				checkQuiet(t, a)
 			}
+			// Each page's word held the block and gave it back.
+			swap.FreeBlock(block)
 			if swap.InUse() != 0 {
 				t.Errorf("%d swap blocks in use after the table", swap.InUse())
 			}

@@ -139,7 +139,7 @@ func TestOneCursorStep(t *testing.T) {
 		"walkRange": true, "entry": true, "ensureChild": true, "forkCopy": true,
 	}
 	loopFree := map[string]bool{
-		"TakePage": false, "PlacePage": false, "clearMeta": false, "demoteHuge": false,
+		"TakePage": false, "PlacePage": false, "demoteHuge": false,
 	}
 	readsBase := map[string]bool{}
 	installs := map[string]bool{}

@@ -443,9 +443,8 @@ func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access
 		if err != nil {
 			return err
 		}
-		dev := st.Dev(a.m.Phys)
-		dev.Read(st.Block(), a.m.Phys.Data(frame))
-		dev.FreeBlock(st.Block())
+		// The map replaces the word, which gives back its block reference.
+		st.Dev(a.m.Phys).Read(st.Block(), a.m.Phys.Data(frame))
 		return c.MapKeyed(page, frame, 1, st.Perm, st.Key())
 
 	default:

@@ -46,7 +46,7 @@ type walkOps struct {
 	readOnly bool
 	// clearFull tears fully covered entries down before onMeta runs:
 	// leaves are released, whole subtrees unlinked and freed, metadata
-	// dropped (releasing swap blocks). The Mark/Unmap family.
+	// dropped (giving back what the words hold). The Mark/Unmap family.
 	clearFull bool
 	// splitEmpty also splits partially covered entries that are empty
 	// (no PTE, no metadata) — needed when the visitor writes new state
@@ -292,7 +292,7 @@ func (c *RCursor) entry(va arch.Vaddr, stop int, ensure bool) (slot, error) {
 // by Iterate: page i of the run has status Status.SlidBy(i) and origin
 // Origin.SlidBy(i). Mapped runs are physically contiguous (the frame
 // advances page by page); file runs advance their file offset; Swapped
-// never coalesces (every block is distinct).
+// runs are pages naming one block.
 type Run struct {
 	VA    arch.Vaddr
 	Pages uint64

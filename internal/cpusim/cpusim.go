@@ -496,7 +496,7 @@ func (m *Machine) Defer(core int, fn func()) {
 // CheckClean is the epilogue of every harness, run after the last
 // address space was destroyed: drain the deferred work, then require
 // that physical memory audits clean and that no page-table or anonymous
-// frame outlived the teardown.
+// frame, and no swap block, outlived the teardown.
 func (m *Machine) CheckClean() error {
 	m.Quiesce()
 	if rep := m.Phys.Audit(); !rep.Ok() {
@@ -504,6 +504,9 @@ func (m *Machine) CheckClean() error {
 	}
 	if st := m.Phys.Stats(); st.PageTableBytes != 0 || st.AnonBytes != 0 {
 		return fmt.Errorf("cpusim: %d page-table and %d anonymous bytes left after teardown", st.PageTableBytes, st.AnonBytes)
+	}
+	if n := m.Phys.SwapInUse(); n != 0 {
+		return fmt.Errorf("cpusim: %d swap blocks left after teardown", n)
 	}
 	return nil
 }

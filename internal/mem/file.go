@@ -238,6 +238,17 @@ func (s *objSlots[T]) add(x *T) uint32 {
 // registering it on first sight; 0 for a nil device or a full table.
 func (m *PhysMem) RegisterDev(d *BlockDev) uint32 { return m.objs.devs.add(d) }
 
+// SwapInUse sums InUse over the swap devices registered on this machine:
+// the blocks some status word or evictor still holds.
+func (m *PhysMem) SwapInUse() (n int) {
+	for id := range m.objs.devs {
+		if d := m.objs.devs[id].Load(); d != nil {
+			n += d.InUse()
+		}
+	}
+	return n
+}
+
 // FileByID resolves a status word's object id to the mapped file holding
 // it, nil if none does.
 func (m *PhysMem) FileByID(id uint32) *File { return m.objs.files[id&MaxObjID].Load() }
@@ -265,50 +276,74 @@ func (f *File) UnmapAll(core int, index uint64) {
 	f.DropPage(core, index)
 }
 
-// BlockDev is a simulated swap block device: 4-KiB blocks with explicit
-// allocation, holding page contents for swapped-out pages.
+// BlockDev is a simulated swap block device: 4-KiB blocks holding the
+// contents of swapped-out pages, each block counted by its references
+// as Linux counts swap entries (swap_duplicate / swap_free). Every
+// page-table status word naming a block holds one (internal/pt), so a
+// fork's two copies of a swapped page share the block, and the last
+// word to go frees it.
 type BlockDev struct {
 	Name string
 
 	mu     sync.Mutex
+	refs   map[uint64]uint64 // held block → its references
 	blocks map[uint64][]byte
 	free   []uint64
 	next   uint64
-	nalloc int
 }
 
 // NewBlockDev creates an empty block device.
 func NewBlockDev(name string) *BlockDev {
-	return &BlockDev{Name: name, blocks: make(map[uint64][]byte)}
+	return &BlockDev{Name: name, refs: make(map[uint64]uint64), blocks: make(map[uint64][]byte)}
 }
 
-// AllocBlock reserves a block number for a swapped-out page.
+// AllocBlock reserves a block for a swapped-out page, holding one
+// reference: the caller's, given back with FreeBlock.
 func (d *BlockDev) AllocBlock() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.nalloc++
+	b := d.next
 	if n := len(d.free); n > 0 {
-		b := d.free[n-1]
-		d.free = d.free[:n-1]
-		return b
+		b, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		d.next++
 	}
-	d.next++
-	return d.next - 1
+	d.refs[b] = 1
+	return b
 }
 
-// FreeBlock releases a block number and its contents.
+// Hold takes n more references on block b, and reports false, taking
+// none, if b is not allocated.
+func (d *BlockDev) Hold(b, n uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.refs[b] == 0 {
+		return false
+	}
+	d.refs[b] += n
+	return true
+}
+
+// FreeBlock drops one reference on block b; the last one frees the
+// block and its contents. A block not held is left alone.
 func (d *BlockDev) FreeBlock(b uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.blocks, b)
-	d.free = append(d.free, b)
-	d.nalloc--
+	switch d.refs[b] {
+	case 0:
+	case 1:
+		delete(d.refs, b)
+		delete(d.blocks, b)
+		d.free = append(d.free, b)
+	default:
+		d.refs[b]--
+	}
 }
 
 // Write stores a page-sized buffer into block b (swap-out I/O). A
 // failed write (only the swap.write fault site fails in simulation)
-// leaves the block unmodified; callers must free the block and keep the
-// page resident. The error wraps ErrOutOfMemory because a failed
+// leaves the block unmodified; callers must drop their reference and keep
+// the page resident. The error wraps ErrOutOfMemory because a failed
 // swap-out means the frame could not be reclaimed.
 func (d *BlockDev) Write(b uint64, data []byte) error {
 	if fault.SwapWrite.Fire() {
@@ -337,9 +372,9 @@ func (d *BlockDev) Read(b uint64, buf []byte) {
 	copy(buf, data)
 }
 
-// InUse returns the number of allocated blocks.
+// InUse returns the number of held blocks.
 func (d *BlockDev) InUse() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.nalloc
+	return len(d.refs)
 }

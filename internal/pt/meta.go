@@ -89,7 +89,9 @@ func FileStatus(kind StatusKind, perm arch.Perm, f *mem.File, off uint64) Status
 }
 
 // SwappedStatus is the status of a page whose content is block of the
-// swap device registered as dev (mem.PhysMem.RegisterDev).
+// swap device registered as dev (mem.PhysMem.RegisterDev). The block must
+// be allocated for Mark to accept it; each word storing it holds a
+// reference on the block.
 func SwappedStatus(perm arch.Perm, dev uint32, block uint64) Status {
 	return Status{Kind: StatusSwapped, Perm: perm, attr: dev << 16, val: block}
 }
@@ -149,6 +151,10 @@ func (s Status) SlidBy(pages uint64) Status {
 
 // file reports whether k names its pages by (file, page index).
 func (k StatusKind) file() bool { return k >= StatusPrivateFile && k <= StatusSharedFile }
+
+// holds reports whether a word of kind k holds what it names: a file's
+// registration, or a reference on a swap block.
+func (k StatusKind) holds() bool { return k >= StatusPrivateFile }
 
 // The status word: what one entry of a metadata array stores. An
 // all-zero word is an empty entry; the payload is the top field, so

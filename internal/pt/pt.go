@@ -69,12 +69,13 @@ type Tree struct {
 	WithRW bool
 	// Root is the PFN of the root PT page (level arch.Levels).
 	Root arch.PFN
-	// Owner is the space the tree's status words register with the files
-	// they name: every stored word naming file F — marked, or a mapped
-	// page's origin — is one registration of Owner with F, taken as the
-	// word is stored and given back as it goes (SetMetaWord, MapLeaf,
-	// ClearLeaf, FillMeta, CopyMeta, DropMeta, Destroy). Nil: words
-	// register nothing.
+	// Owner is the space the tree's file words register with. A stored
+	// status word — marked, or a mapped page's origin — holds what it
+	// names, taken as the word is stored and given back as it goes
+	// (SetMetaWord, MapLeaf, ClearLeaf, FillMeta, CopyMeta, DropMeta,
+	// Destroy): a word naming file F is one registration of Owner with F,
+	// a Swapped word one reference on its block. Nil: file words register
+	// nothing.
 	Owner mem.RMapTarget
 
 	// MetaBytes tracks bytes held by metadata arrays (Fig 22 accounting).
@@ -266,8 +267,8 @@ func (t *Tree) Meta(pfn arch.PFN, idx int) uint64 {
 }
 
 // SetMetaWord stores the status word for entry idx, which has no PTE,
-// maintaining MetaCnt and the words' file registrations (the new word's
-// is taken before the old word's is given back), and returns the word it
+// maintaining MetaCnt and the words' holds (the new word's is taken
+// before the old word's is given back), and returns the word it
 // replaces. The caller must hold the page's lock.
 func (t *Tree) SetMetaWord(pfn arch.PFN, idx int, w uint64) (old uint64) {
 	st := t.State(pfn)
@@ -298,9 +299,9 @@ func (t *Tree) EditMeta(pfn arch.PFN, idx int, field, bits uint64) {
 
 // FillMeta gives the empty entries [from, PTEntries) of pfn the span
 // status w, entry i slid by i*stride pages — an upper-level status
-// pushed down into a fresh child, each entry one more registration of a
-// file w names (taken before the caller clears the parent's word). The
-// caller must hold the page's lock.
+// pushed down into a fresh child, each entry one more hold on what w
+// names (taken before the caller clears the parent's word). The caller
+// must hold the page's lock.
 func (t *Tree) FillMeta(pfn arch.PFN, from int, w, stride uint64) {
 	st, step := t.State(pfn), Slide(w, stride)-w
 	t.Register(w, uint64(arch.PTEntries-from))
@@ -312,84 +313,72 @@ func (t *Tree) FillMeta(pfn arch.PFN, from int, w, stride uint64) {
 }
 
 // CopyMeta copies the metadata array of t's page src onto the page dst
-// of tree to, which has src's PTEs and no words yet, as fork does, each
-// copied file word registering with to's owner, and reports false —
-// copying nothing — if it holds a Swapped entry: two trees naming one
-// block would race to swap it in.
-func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) bool {
+// of tree to, which has src's PTEs and no words yet, as fork does: each
+// copied word takes its own hold, a file word registering with to's
+// owner and a Swapped word sharing its block.
+func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) {
 	st := t.State(src)
 	if st.Meta == nil || *st.Meta == (MetaArray{}) {
-		return true
-	}
-	for _, w := range st.Meta {
-		if StatusKind(w&kindMask) == StatusSwapped {
-			return false
-		}
+		return
 	}
 	dt := to.State(dst)
 	*to.ensureMeta(dt), dt.MetaCnt = *st.Meta, st.MetaCnt
 	for _, w := range st.Meta {
 		to.Register(w, 1)
 	}
-	return true
 }
 
 // DropMeta empties the metadata array of pfn — marked entries and the
-// origin words beside PTEs alike — freeing the swap blocks and giving
-// back the file registrations its words hold. The caller must hold the
-// page's lock, or own the tree outright.
+// origin words beside PTEs alike — giving back what its words hold. The
+// caller must hold the page's lock, or own the tree outright.
 func (t *Tree) DropMeta(pfn arch.PFN) {
 	if st := t.State(pfn); st.Meta != nil {
 		for _, w := range st.Meta {
-			t.FreeSwap(w)
 			t.Unregister(w, 1)
 		}
 		*st.Meta, st.MetaCnt = MetaArray{}, 0
 	}
 }
 
-// FreeSwap releases the swap block a Swapped word holds; other words
-// hold nothing (and cost a test of the kind bits, inlined). Whoever
-// clears or abandons a metadata entry calls it.
-func (t *Tree) FreeSwap(w uint64) {
-	if StatusKind(w&kindMask) == StatusSwapped {
-		t.freeBlock(w)
-	}
-}
-
-// Register takes n registrations of the owner with the file the file
-// word w names, and reports false, taking none, if no file holds w's id
-// any more. Other words, and every word of an ownerless tree, register
-// nothing (and cost a test of the kind bits). A word stored from one
-// already in a tree, or from a status Mark holds, cannot fail.
+// Register takes n holds on what the word w names — registrations of the
+// owner with the file of a file word, references on the block of a
+// Swapped word — and reports false, taking none, if that is gone: no
+// file holds the word's id any more, or the block is not allocated.
+// Other words, and the file words of an ownerless tree, hold nothing
+// (and cost a test of the kind bits). A word stored from one already in
+// a tree, or from a status Mark holds, cannot fail.
 func (t *Tree) Register(w, n uint64) bool {
-	return !StatusKind(w&kindMask).file() || t.register(w, n)
+	return !StatusKind(w&kindMask).holds() || t.register(w, n)
 }
 
-// Unregister gives back n registrations Register took for w.
+// Unregister gives back n holds Register took for w.
 func (t *Tree) Unregister(w, n uint64) {
-	if StatusKind(w & kindMask).file() {
+	if StatusKind(w & kindMask).holds() {
 		t.unregister(w, n)
 	}
 }
 
-// register and unregister are the file-word halves, kept out of line so
-// that Register and Unregister inline to the kind test.
+// register and unregister are the halves past the kind test, kept out of
+// line so that Register and Unregister inline to it.
 //
 //go:noinline
 func (t *Tree) register(w, n uint64) bool {
-	return t.Owner == nil || t.Phys.AddMappersByID(uint32(w>>objShift)&mem.MaxObjID, t.Owner, n)
+	id := uint32(w>>objShift) & mem.MaxObjID
+	if StatusKind(w&kindMask) == StatusSwapped {
+		d := t.Phys.DevByID(id)
+		return d != nil && d.Hold(w>>payloadShift, n)
+	}
+	return t.Owner == nil || t.Phys.AddMappersByID(id, t.Owner, n)
 }
 
 func (t *Tree) unregister(w, n uint64) {
-	if t.Owner != nil {
-		t.Phys.FileByID(uint32(w>>objShift)).RemoveMappers(t.Owner, n)
-	}
-}
-
-func (t *Tree) freeBlock(w uint64) {
-	if s := Unpack(w); s.Dev(t.Phys) != nil {
-		s.Dev(t.Phys).FreeBlock(s.Block())
+	id := uint32(w>>objShift) & mem.MaxObjID
+	if StatusKind(w&kindMask) == StatusSwapped {
+		for d := t.Phys.DevByID(id); d != nil && n > 0; n-- {
+			d.FreeBlock(w >> payloadShift)
+		}
+	} else if t.Owner != nil {
+		t.Phys.FileByID(id).RemoveMappers(t.Owner, n)
 	}
 }
 
@@ -437,9 +426,8 @@ func (t *Tree) Empty(pfn arch.PFN) bool {
 }
 
 // Destroy frees the entire tree, dropping references of mapped data
-// frames through release (may be nil) and the swap blocks and file
-// registrations of surviving metadata entries. Exclusive access required
-// (address-space teardown).
+// frames through release (may be nil) and the holds of surviving
+// metadata entries. Exclusive access required (address-space teardown).
 func (t *Tree) Destroy(core int, release func(pte uint64, level int)) {
 	t.destroyPage(core, t.Root, arch.Levels, release)
 }

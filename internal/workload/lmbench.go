@@ -48,12 +48,6 @@ type LMbenchResult struct {
 	ParentSize int // resident pages in the forking parent
 }
 
-// Forker is the subset of mm.MM LMbench needs; both CortenMM and the
-// Linux baseline implement it.
-type Forker interface {
-	mm.MM
-}
-
 // populateParent builds a "dummy process" image: residentPages mapped
 // and touched across several regions, as a real process would have.
 func populateParent(sys mm.MM, residentPages int) error {
