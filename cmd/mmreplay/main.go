@@ -36,7 +36,6 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/bench"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
 )
@@ -256,10 +255,6 @@ func run(sysName string, cores int, trace io.Reader, verbose bool, w io.Writer) 
 	}
 	// A replay that leaves frames behind after teardown is a finding.
 	defer func() { err = errors.Join(err, env.Close()) }()
-	// CortenMM flavours get a swap device so swapout lines work.
-	if cs, ok := env.Sys.(interface{ SetSwapDev(*mem.BlockDev) }); ok {
-		cs.SetSwapDev(mem.NewBlockDev("swap0"))
-	}
 	// The summary line reports kernel time, so time the whole replay.
 	defer env.Sys.Stats().TimeKernel()()
 

@@ -85,7 +85,7 @@ type (
 	Machine = cpusim.Machine
 	// File is a simulated file with a page cache and reverse mapping.
 	File = mem.File
-	// BlockDev is a simulated swap device.
+	// BlockDev is a simulated swap device (Machine.Phys.Swap).
 	BlockDev = mem.BlockDev
 	// AddrSpace is a CortenMM address space.
 	AddrSpace = core.AddrSpace
@@ -230,9 +230,6 @@ func NewFile(m *Machine, name string, size uint64) *File {
 // StatusPrivateFile, StatusSharedFile or StatusSharedAnon — starting at
 // f's page off; Tx.Mark accepts it while some space maps f.
 var FileStatus = pt.FileStatus
-
-// NewBlockDev creates a simulated swap device.
-func NewBlockDev(name string) *BlockDev { return mem.NewBlockDev(name) }
 
 // X8664 returns the x86-64 PTE codec; set mpk for protection keys.
 func X8664(mpk bool) ISA { return arch.X8664(mpk) }

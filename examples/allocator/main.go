@@ -41,11 +41,9 @@ func (b *bumpCache) release(va cortenmm.Vaddr, size uint64) {
 
 func main() {
 	machine := cortenmm.NewMachine(cortenmm.MachineConfig{Cores: 2, Frames: 1 << 15})
-	swap := cortenmm.NewBlockDev("swap0")
 	as, err := cortenmm.New(cortenmm.Options{
 		Machine:  machine,
 		Protocol: cortenmm.ProtocolAdv,
-		SwapDev:  swap,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -91,11 +89,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("swapped out %d cold pages (blocks in use: %d)\n", n, swap.InUse())
+	fmt.Printf("swapped out %d cold pages (blocks in use: %d)\n", n, machine.Phys.Swap.InUse())
 	b, err := as.Load(0, last) // transparent swap-in
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after swap-in: data intact (%d), swap-ins: %d, blocks left: %d\n",
-		b, as.Stats().SwapIns.Load(), swap.InUse())
+		b, as.Stats().SwapIns.Load(), machine.Phys.Swap.InUse())
 }

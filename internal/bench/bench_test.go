@@ -13,8 +13,6 @@ import (
 	"testing"
 
 	"cortenmm/internal/arch"
-	"cortenmm/internal/core"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/spec"
 )
@@ -406,8 +404,7 @@ func TestCloseAuditsAndReportsLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := mem.NewBlockDev("swap")
-	env.Sys.(*core.AddrSpace).SetSwapDev(dev)
+	dev := env.Machine.Phys.Swap
 	block := dev.AllocBlock()
 	if err := env.Close(); err == nil || !strings.Contains(err.Error(), "swap blocks left after teardown") {
 		t.Errorf("Close over a held swap block = %v, want the leak reported", err)

@@ -8,7 +8,6 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/core"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 )
 
@@ -21,11 +20,11 @@ func protocolOf(sys System) core.Protocol {
 }
 
 // swapEnv is the two-core machine of the pressure and THP figures: one
-// CortenMM space with a swap device, and the reclaim half of the
-// machine's daemon on.
+// CortenMM space, swapping to the machine's device, and the reclaim half
+// of the machine's daemon on.
 func swapEnv(sys System, physFrames int) (*Env, *core.AddrSpace, *core.Daemon, error) {
 	env, err := newEnv(cpusim.Config{Cores: 2, Frames: physFrames}, func(m *cpusim.Machine) (mm.MM, error) {
-		return core.New(core.Options{Machine: m, Protocol: protocolOf(sys), SwapDev: mem.NewBlockDev("swap")})
+		return core.New(core.Options{Machine: m, Protocol: protocolOf(sys)})
 	})
 	if err != nil {
 		return nil, nil, nil, err

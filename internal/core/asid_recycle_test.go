@@ -8,7 +8,6 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
 	"cortenmm/internal/tlb"
@@ -291,12 +290,11 @@ func TestDestroyUnregistersReclaim(t *testing.T) {
 	// registration is the only case left to write.
 	t.Run("registered=1", func(t *testing.T) {
 		m := cpusim.New(cpusim.Config{Cores: 2, Frames: 512})
-		dev := mem.NewBlockDev("swap")
-		a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+		a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+		b, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,12 +345,11 @@ func TestDestroyUnregistersReclaim(t *testing.T) {
 // against the survivors.
 func TestDestroyUnregisterConcurrent(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 11})
-	dev := mem.NewBlockDev("swap")
 	d := AttachReclaim(m, ReclaimConfig{})
 	const n = 8
 	spaces := make([]*AddrSpace, n)
 	for i := range spaces {
-		s, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+		s, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/tlb"
 )
@@ -32,7 +31,7 @@ func TestSwapOutThenTouchConcurrent(t *testing.T) {
 		for _, mode := range []tlb.Mode{tlb.ModeSync, tlb.ModeEarlyAck, tlb.ModeLATR} {
 			t.Run(fmt.Sprintf("%v/%v", p, mode), func(t *testing.T) {
 				m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 13, TLBMode: mode, TickEvery: 8})
-				a, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+				a, err := New(Options{Machine: m, Protocol: p})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,7 +99,7 @@ func TestGracePeriodUnderLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swapped, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: mem.NewBlockDev("swap")})
+	swapped, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func tickStorm(m *cpusim.Machine, n int) {
 // collapse the hot one and leave the cold one at 4-KiB.
 func TestScannerPromotesOnlyHot(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 13})
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: mem.NewBlockDev("swap")})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestAttachOrderIndependent(t *testing.T) {
 	for _, reclaimFirst := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reclaimFirst=%v", reclaimFirst), func(t *testing.T) {
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
-			a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: mem.NewBlockDev("swap")})
+			a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,8 +67,6 @@ type Options struct {
 	// ablation benchmarks that quantify the value of covering-page
 	// granularity.
 	CoarseLocking bool
-	// SwapDev is the block device used by SwapOut (optional).
-	SwapDev *mem.BlockDev
 }
 
 // AddrSpace is one CortenMM address space. It implements mm.MM, the
@@ -83,8 +81,6 @@ type AddrSpace struct {
 
 	valloc *cpusim.PerCoreVA
 	coarse bool
-	// swapID is the swap device's object id on the machine (0: none).
-	swapID uint32
 	stats  mm.Stats
 	// anonOwner is what this space's anonymous pages name as their
 	// owner in the frames' migration reverse-map hints.
@@ -163,7 +159,6 @@ func newUnpublished(o Options) (*AddrSpace, error) {
 		coarse:  o.CoarseLocking,
 		cursors: make([]cachedCursor, o.Machine.Cores),
 	}
-	a.SetSwapDev(o.SwapDev)
 	a.anonOwner.Space = a
 	tree.Owner = a
 	return a, nil
@@ -177,11 +172,6 @@ func (a *AddrSpace) Stats() *mm.Stats { return &a.stats }
 
 // Machine returns the simulated hardware this space runs on.
 func (a *AddrSpace) Machine() *cpusim.Machine { return a.m }
-
-// SetSwapDev installs (or replaces) the swap device used by SwapOut and
-// ReclaimRange (none, if the machine's object table has no room for one
-// more). Pages already swapped to a previous device keep naming it.
-func (a *AddrSpace) SetSwapDev(dev *mem.BlockDev) { a.swapID = a.m.Phys.RegisterDev(dev) }
 
 // Tree exposes the page table for invariant checks in tests.
 func (a *AddrSpace) Tree() *pt.Tree { return a.tree }

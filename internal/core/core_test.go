@@ -447,7 +447,6 @@ func TestUseAfterDestroy(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			a.SetSwapDev(mem.NewBlockDev("swap0"))
 			const size = 4 * arch.PageSize
 			va, err := a.Mmap(0, size, arch.PermRW, 0)
 			if err != nil {

@@ -334,8 +334,8 @@ func TestSwapOutIn(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			m := newMachine()
-			dev := mem.NewBlockDev("swap0")
-			a, err := New(Options{Machine: m, Protocol: p, SwapDev: dev})
+			dev := m.Phys.Swap
+			a, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,8 +382,7 @@ func TestSwapOutIn(t *testing.T) {
 
 func TestSwapSkipsSharedAndCOW(t *testing.T) {
 	m := newMachine()
-	dev := mem.NewBlockDev("swap0")
-	a, _ := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	a, _ := New(Options{Machine: m, Protocol: ProtocolAdv})
 	va, _ := a.Mmap(0, arch.PageSize, arch.PermRW, 0)
 	a.Store(0, va, 1)
 	childMM, _ := a.Fork(0) // page is now COW-shared
@@ -405,8 +404,7 @@ func TestForkCopiesSwappedPages(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := mem.NewBlockDev("swap")
-			a.SetSwapDev(dev)
+			dev := m.Phys.Swap
 			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -471,8 +469,7 @@ func TestForkedSwapInsRace(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := mem.NewBlockDev("swap")
-			a.SetSwapDev(dev)
+			dev := m.Phys.Swap
 			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -505,6 +502,125 @@ func TestForkedSwapInsRace(t *testing.T) {
 			wg.Wait()
 			if n := dev.InUse(); n != 0 {
 				t.Errorf("%d swap blocks in use after both sides swapped in", n)
+			}
+			child.Destroy(0)
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
+// TestOneSwapDevicePerMachine: every space swaps to its machine's one
+// device with no setup of its own. Two spaces and a fork child each swap
+// a range out and back in; the device holds exactly the blocks their
+// words name, and teardown leaves it empty. Before, a space without a
+// device of its own had SwapOut refused.
+func TestOneSwapDevicePerMachine(t *testing.T) {
+	const pages = 4
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := newMachine()
+			a, err := New(Options{Machine: m, Protocol: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := New(Options{Machine: m, Protocol: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forked, err := a.Fork(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := forked.(*AddrSpace)
+			vb, err := b.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spaces := []*AddrSpace{a, b, child}
+			bases := []arch.Vaddr{va, vb, va}
+			// Each space writes its own bytes — a private page, so not
+			// skipped as COW — and swaps them out.
+			for k, s := range spaces {
+				for i := 0; i < pages; i++ {
+					if err := s.Store(0, bases[k]+arch.Vaddr(i*arch.PageSize), byte(16*k+i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n, err := s.SwapOut(0, bases[k], pages*arch.PageSize); err != nil || n != pages {
+					t.Fatalf("space %d: SwapOut = %d, %v; want %d", k, n, err, pages)
+				}
+			}
+			if n := m.Phys.Swap.InUse(); n != len(spaces)*pages {
+				t.Errorf("%d swap blocks in use, want %d", n, len(spaces)*pages)
+			}
+			checkRegistrations(t, m.Phys, nil, spaces...)
+			for k, s := range spaces {
+				for i := 0; i < pages; i++ {
+					if got, err := s.Load(0, bases[k]+arch.Vaddr(i*arch.PageSize)); err != nil || got != byte(16*k+i) {
+						t.Errorf("space %d page %d reads %d, %v; want %d", k, i, got, err, 16*k+i)
+					}
+				}
+			}
+			if n := m.Phys.Swap.InUse(); n != 0 {
+				t.Errorf("%d swap blocks in use after every page swapped in", n)
+			}
+			checkRegistrations(t, m.Phys, nil, spaces...)
+			// Teardown gives back the blocks of pages still swapped out.
+			for k, s := range spaces {
+				if _, err := s.SwapOut(0, bases[k], pages*arch.PageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, s := range spaces {
+				s.Destroy(0)
+			}
+			if n := m.Phys.Swap.InUse(); n != 0 {
+				t.Errorf("%d swap blocks in use after teardown", n)
+			}
+			checkClean(t, m)
+		})
+	}
+}
+
+// TestForkKeepsCoarseLocking: a fork child locks as its parent does, so
+// under CoarseLocking a one-page transaction covers at the root in both.
+// Before, the child was built without the option and locked
+// fine-grained.
+func TestForkKeepsCoarseLocking(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := newMachine()
+			a, err := New(Options{Machine: m, Protocol: p, CoarseLocking: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			va, err := a.Mmap(0, arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Store(0, va, 1); err != nil {
+				t.Fatal(err)
+			}
+			forked, err := a.Fork(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			child := forked.(*AddrSpace)
+			for who, s := range map[string]*AddrSpace{"parent": a, "child": child} {
+				c, err := s.Lock(0, va, va+arch.PageSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				level := c.rootLevel
+				c.Close()
+				if level != arch.Levels {
+					t.Errorf("%s: a one-page Lock covers at level %d, want the root's %d", who, level, arch.Levels)
+				}
 			}
 			child.Destroy(0)
 			a.Destroy(0)

@@ -29,7 +29,6 @@ func faultSeed() uint64 {
 // retried once disarmed and must then succeed.
 type faultOp struct {
 	name  string
-	swap  bool // needs a swap device
 	setup func(t *testing.T, a *AddrSpace) func() error
 }
 
@@ -175,7 +174,6 @@ var faultOps = []faultOp{
 	},
 	{
 		name: "reclaim",
-		swap: true,
 		setup: func(t *testing.T, a *AddrSpace) func() error {
 			va, err := a.Mmap(0, 32*arch.PageSize, arch.PermRW, mm.FlagPopulate)
 			if err != nil {
@@ -208,11 +206,7 @@ func TestFaultInjectionSweep(t *testing.T) {
 				t.Run(p.String()+"/"+site.Name()+"/"+op.name, func(t *testing.T) {
 					defer fault.DisarmAll()
 					m := cpusim.New(cpusim.Config{Cores: 2, Frames: 4096})
-					opts := Options{Machine: m, Protocol: p}
-					if op.swap {
-						opts.SwapDev = mem.NewBlockDev("swap")
-					}
-					a, err := New(opts)
+					a, err := New(Options{Machine: m, Protocol: p})
 					if err != nil {
 						t.Fatal(err)
 					}

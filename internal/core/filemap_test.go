@@ -17,12 +17,12 @@ import (
 
 // treeRegistrations recounts, from a's page table, the registrations a
 // must hold with each file: one per status word that names the file,
-// marked or beside a PTE. Each block a Swapped word names goes into
+// marked or beside a PTE. Each block a Swapped word names is set in
 // blocks. It also fails t unless every present leaf that maps a
 // page-cache frame has a word beside it naming that frame's file page,
 // and a leaf of an anonymous frame has none unless it is a private copy
 // of a file page (a PrivateFile word). The tree must be quiescent.
-func treeRegistrations(t *testing.T, a *AddrSpace, blocks map[*mem.BlockDev]map[uint64]bool) map[*mem.File]uint64 {
+func treeRegistrations(t *testing.T, a *AddrSpace, blocks map[uint64]bool) map[*mem.File]uint64 {
 	t.Helper()
 	tree, isa, phys := a.tree, a.isa, a.m.Phys
 	n := map[*mem.File]uint64{}
@@ -34,10 +34,7 @@ func treeRegistrations(t *testing.T, a *AddrSpace, blocks map[*mem.BlockDev]map[
 			case s.Kind >= pt.StatusPrivateFile && s.Kind <= pt.StatusSharedFile:
 				n[s.File(phys)]++
 			case s.Kind == pt.StatusSwapped:
-				if blocks[s.Dev(phys)] == nil {
-					blocks[s.Dev(phys)] = map[uint64]bool{}
-				}
-				blocks[s.Dev(phys)][s.Block()] = true
+				blocks[s.Block()] = true
 			}
 			pte := tree.LoadPTE(pfn, i)
 			switch {
@@ -73,8 +70,8 @@ func registrations(f *mem.File, a *AddrSpace) (spaces int, held uint64) {
 // checkRegistrations fails unless every file that holds an object id,
 // every file in files and every file the spaces' trees name is registered
 // with exactly the spaces whose trees name it, as often as their words
-// do, and holds an id iff something registers it; unless every swap
-// device on phys holds exactly the blocks the trees' words name; and
+// do, and holds an id iff something registers it; unless the machine's
+// swap device holds exactly the blocks the trees' words name; and
 // unless every leaf carries the origin word treeRegistrations asks for.
 func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spaces ...*AddrSpace) {
 	t.Helper()
@@ -85,7 +82,7 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 		}
 	}
 	want := make([]map[*mem.File]uint64, len(spaces))
-	blocks := map[*mem.BlockDev]map[uint64]bool{}
+	blocks := map[uint64]bool{}
 	for i, a := range spaces {
 		want[i] = treeRegistrations(t, a, blocks)
 		for f := range want[i] {
@@ -107,10 +104,8 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 			t.Errorf("file %q: id %d, %d spaces registered, %d page tables name it", f.Name, f.ID(), registered, naming)
 		}
 	}
-	for id := uint32(1); id <= mem.MaxObjID; id++ {
-		if d := phys.DevByID(id); d != nil && d.InUse() != len(blocks[d]) {
-			t.Errorf("swap device %q holds %d blocks, the page tables name %d", d.Name, d.InUse(), len(blocks[d]))
-		}
+	if n := phys.Swap.InUse(); n != len(blocks) {
+		t.Errorf("the swap device holds %d blocks, the page tables name %d", n, len(blocks))
 	}
 }
 
@@ -352,7 +347,6 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			a.SetSwapDev(mem.NewBlockDev("swap"))
 			files := make([]*mem.File, 3)
 			for i := range files {
 				files[i] = mem.NewFile(m.Phys, fmt.Sprintf("f%d", i), filePages*pg)
@@ -596,7 +590,7 @@ func TestGetPageAllocatesUnlocked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+			b, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -37,10 +37,10 @@ func (a *AddrSpace) Fork(core int) (mm.MM, error) {
 // visit may lock it before.
 func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 	child, err := newUnpublished(Options{
-		Machine:  a.m,
-		ISA:      a.isa,
-		Protocol: a.proto,
-		SwapDev:  a.m.Phys.DevByID(a.swapID),
+		Machine:       a.m,
+		ISA:           a.isa,
+		Protocol:      a.proto,
+		CoarseLocking: a.coarse,
 	})
 	if err != nil {
 		return nil, err

@@ -133,7 +133,7 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 // chance).
 func TestDemoteThenReclaim(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 13})
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: mem.NewBlockDev("swap")})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}

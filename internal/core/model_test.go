@@ -223,8 +223,7 @@ func TestReferenceModelEquivalence(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xC027E4))
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 15})
-			a, err := New(Options{Machine: m, Protocol: p, ISA: arch.X8664(true),
-				SwapDev: mem.NewBlockDev("swap")})
+			a, err := New(Options{Machine: m, Protocol: p, ISA: arch.X8664(true)})
 			if err != nil {
 				t.Fatal(err)
 			}

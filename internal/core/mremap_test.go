@@ -122,8 +122,8 @@ func TestMremapShrinkInPlace(t *testing.T) {
 
 func TestMremapMovesVirtualAndSwapped(t *testing.T) {
 	m := newMachine()
-	dev := mem.NewBlockDev("swap")
-	a, _ := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	dev := m.Phys.Swap
+	a, _ := New(Options{Machine: m, Protocol: ProtocolAdv})
 	defer a.Destroy(0)
 	va, _ := a.Mmap(0, 4*arch.PageSize, arch.PermRW, 0)
 	// Page 0: resident with data; page 1: swapped; pages 2-3: unfaulted.

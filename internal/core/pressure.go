@@ -53,7 +53,7 @@ type ReclaimConfig struct {
 //
 // Reclaim is a clock sweep: a per-node hand rotates over the live
 // spaces, and within each space over its allocated chunks, swapping cold
-// private anonymous pages out through the space's swap device
+// private anonymous pages out to the machine's swap device
 // (ReclaimRange). Each node runs its own kswapd against its own zone's
 // watermarks, and direct reclaim first sweeps only frames on the starved
 // placement node, stealing from other nodes' frames only when the
@@ -351,8 +351,7 @@ func (d *Daemon) kswapd(core int) {
 // any node), rotating the node's clock hand over the live spaces.
 // Guarded against reentry (a sweep's own OpTicks re-enter the tick) by
 // the calling core's node flag — reentry is same-goroutine, so the flag
-// is always the one already held. Spaces without a swap device are
-// skipped, beside those visit skips.
+// is always the one already held.
 func (d *Daemon) sweep(core, node, target int) int {
 	g := d.m.NodeOf(core)
 	if !d.sweeping[g].CompareAndSwap(false, true) {
@@ -365,9 +364,7 @@ func (d *Daemon) sweep(core, node, target int) int {
 	}
 	total := 0
 	d.visit(core, &d.clock[hand], func(a *AddrSpace) bool {
-		if a.swapID != 0 {
-			total += a.reclaimSome(core, node, target-total)
-		}
+		total += a.reclaimSome(core, node, target-total)
 		return total < target
 	})
 	if total > 0 {

@@ -5,7 +5,6 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 )
 
@@ -20,8 +19,7 @@ func numaPressureMachine(tickEvery int) *cpusim.Machine {
 // node-0 core swap node-0 pages out, and node 1's zone is untouched.
 func TestPerNodeKswapd(t *testing.T) {
 	m := numaPressureMachine(8)
-	dev := mem.NewBlockDev("swap")
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +86,14 @@ func TestPerNodeKswapd(t *testing.T) {
 // forced swap round trip.
 func TestDirectReclaimStealsCrossNode(t *testing.T) {
 	m := numaPressureMachine(64)
-	dev := mem.NewBlockDev("swap")
-	// The hog has no swap device, so sweeps skip it: its node-0
-	// frames are invisible to reclaim.
+	// Every reclaim round runs inside the hog's own populate
+	// transaction, and visit skips a space whose transaction is held, so
+	// the hog's node-0 frames are invisible to reclaim.
 	hog, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	victim, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +137,9 @@ func TestDirectReclaimStealsCrossNode(t *testing.T) {
 	}
 	if victim.Stats().SwapOuts.Load() == 0 {
 		t.Error("victim has no swap-outs despite being the only reclaim source")
+	}
+	if n := hog.Stats().SwapOuts.Load(); n != 0 {
+		t.Errorf("hog swapped %d pages out from inside its own transaction", n)
 	}
 	// Victim data survives the forced eviction (swap-ins under pressure).
 	for i := 0; i < victimPages; i += 16 {

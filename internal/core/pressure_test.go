@@ -32,7 +32,7 @@ func TestMmapFileReclaimsBeforeOOM(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 128})
-			a, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+			a, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,8 +83,8 @@ func TestPressurePopulateOvercommit(t *testing.T) {
 				chunks     = 32 // 512 pages = 4x physical memory
 			)
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: physFrames})
-			dev := mem.NewBlockDev("swap")
-			a, err := New(Options{Machine: m, Protocol: p, SwapDev: dev})
+			dev := m.Phys.Swap
+			a, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,8 +160,7 @@ func TestPressurePopulateOvercommit(t *testing.T) {
 func TestKswapdBackgroundSweep(t *testing.T) {
 	const frames = 256
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: frames, TickEvery: 8})
-	dev := mem.NewBlockDev("swap")
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +196,13 @@ func TestKswapdBackgroundSweep(t *testing.T) {
 	}
 }
 
-// TestOOMKillTeardown: with reclaim impossible (no swap device), a hog
-// exhausting physical memory is torn down by the OOM killer so another
-// space's allocation can complete; the killed space fails fast
-// afterwards but can still be cleaned up.
+// TestOOMKillTeardown: with reclaim impossible (every swap write fails,
+// so a sweep frees nothing), a hog exhausting physical memory is torn
+// down by the OOM killer so another space's allocation can complete; the
+// killed space fails fast afterwards but can still be cleaned up.
 func TestOOMKillTeardown(t *testing.T) {
+	defer fault.DisarmAll()
+	fault.SwapWrite.Arm(fault.Config{Seed: 1})
 	const frames = 256
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: frames})
 	hog, err := New(Options{Machine: m, Protocol: ProtocolAdv})
@@ -219,7 +220,7 @@ func TestOOMKillTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The small space needs more than what's left; without the OOM
-	// killer this would fail (no swap device to reclaim through).
+	// killer this would fail (no swap write succeeds).
 	va, err := small.Mmap(1, 64*arch.PageSize, arch.PermRW, mm.FlagPopulate)
 	if err != nil {
 		t.Fatalf("small space wedged by the hog: %v", err)
@@ -262,7 +263,7 @@ func TestForkChildIsReclaimed(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 128})
-			parent, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+			parent, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +292,7 @@ func TestDestroyWaitsForSweep(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1024})
-			a, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+			a, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
 			}

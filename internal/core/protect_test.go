@@ -40,7 +40,7 @@ func TestProtectSweepMatchesPerPage(t *testing.T) {
 			// the last quarter of the tables and the huge leaf.
 			build := func() (a, shared *AddrSpace, m *cpusim.Machine) {
 				m = cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14})
-				a, err := New(Options{Machine: m, Protocol: p, ISA: arch.X8664(true), SwapDev: mem.NewBlockDev("swap")})
+				a, err := New(Options{Machine: m, Protocol: p, ISA: arch.X8664(true)})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"cortenmm/internal/arch"
 	"cortenmm/internal/fault"
 	"cortenmm/internal/mem"
-	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
 	"cortenmm/internal/tlb"
 )
@@ -42,7 +39,7 @@ func (a *AddrSpace) reclaimRangeNode(core int, va arch.Vaddr, size uint64, targe
 }
 
 // SwapOut writes every resident private anonymous page in [va, va+size)
-// to the block device and replaces its mapping with a Swapped status:
+// to the machine's swap device and replaces its mapping with a Swapped status:
 // the sweep's eviction with nothing given a second chance — the range's
 // accessed bits are cleared first — and no target short of the range.
 // Shared, COW and file-backed pages are skipped, as ReclaimRange says.
@@ -60,16 +57,12 @@ func (a *AddrSpace) SwapOut(core int, va arch.Vaddr, size uint64) (int, error) {
 	})
 }
 
-// evictRange is the entry of both evictions of [va, va+size): the gate
-// (the range, and a swap device to write to), then the kernel-time
-// bracket and the tick, and body under the transaction it runs in. A
-// refused call is neither timed nor ticked.
+// evictRange is the entry of both evictions of [va, va+size): the range
+// gate, then the kernel-time bracket and the tick, and body under the
+// transaction it runs in. A refused call is neither timed nor ticked.
 func (a *AddrSpace) evictRange(core int, va arch.Vaddr, size uint64, body func(c *RCursor) (int, error)) (int, error) {
 	if err := a.checkRange(core, va, size); err != nil {
 		return 0, err
-	}
-	if a.swapID == 0 {
-		return 0, fmt.Errorf("%w: no swap device configured", mm.ErrNotSupported)
 	}
 	defer a.stats.KernelExit(a.stats.KernelEnter())
 	a.m.OpTick(core)
@@ -165,7 +158,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 	if err := c.breakWrites(spans); err != nil {
 		return 0, err
 	}
-	dev := a.m.Phys.DevByID(a.swapID)
+	dev := a.m.Phys.Swap
 	var written uint64
 	for i := range reqs {
 		req := &reqs[i]
@@ -192,7 +185,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 	for _, req := range reqs {
 		err := req.err
 		if err == nil {
-			err = c.Mark(req.page, req.page+arch.PageSize, pt.SwappedStatus(req.perm, a.swapID, req.block).WithKey(req.key))
+			err = c.Mark(req.page, req.page+arch.PageSize, pt.SwappedStatus(req.perm, req.block).WithKey(req.key))
 		}
 		dev.FreeBlock(req.block)
 		if err != nil {

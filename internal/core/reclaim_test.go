@@ -13,8 +13,8 @@ import (
 func newSwapSpace(t *testing.T) (*AddrSpace, *cpusim.Machine, *mem.BlockDev) {
 	t.Helper()
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 14})
-	dev := mem.NewBlockDev("swap")
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	dev := m.Phys.Swap
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,7 @@ func TestReclaimSkipsSharedAndCOW(t *testing.T) {
 // the ARM port needs nothing beyond the PTE codec.
 func TestARM64EndToEnd(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 14})
-	dev := mem.NewBlockDev("swap")
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.ARM64(), SwapDev: dev})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, ISA: arch.ARM64()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +222,7 @@ func TestSwapOutSkipsCOWBrokenFilePage(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := mem.NewBlockDev("swap")
-			a.SetSwapDev(dev)
+			dev := m.Phys.Swap
 			f := mem.NewFile(m.Phys, "f", arch.PageSize)
 			sh, err := a.MmapFile(0, f, 0, arch.PageSize, arch.PermRW, true)
 			if err != nil {

@@ -103,8 +103,7 @@ func TestRegionsSplitByProtect(t *testing.T) {
 
 func TestRegionsSwappedStaysOneRegion(t *testing.T) {
 	m := newMachine()
-	dev := mem.NewBlockDev("swap")
-	a, _ := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	a, _ := New(Options{Machine: m, Protocol: ProtocolAdv})
 	defer a.Destroy(0)
 	va, _ := a.Mmap(0, 8*arch.PageSize, arch.PermRW, 0)
 	for i := 0; i < 8; i++ {

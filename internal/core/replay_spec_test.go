@@ -9,7 +9,6 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
 	"cortenmm/internal/fault"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/spec"
 )
@@ -58,7 +57,7 @@ func TestReplayReclaimFreeWhileMapped(t *testing.T) {
 	}
 
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 13})
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: mem.NewBlockDev("swap")})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,7 @@ func TestMarkSwappedHoldsBlock(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := mem.NewBlockDev("swap")
-			a.SetSwapDev(dev)
+			dev := m.Phys.Swap
 			va, err := a.Mmap(0, 3*arch.PageSize, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -56,7 +55,7 @@ func TestMarkSwappedHoldsBlock(t *testing.T) {
 			st, _ := c.Query(owner)
 			anon, _ := c.Query(sharer)
 			ptPages := a.tree.PTPageCount.Load()
-			if err := c.Mark(sharer, sharer+arch.PageSize, pt.SwappedStatus(arch.PermRW, a.swapID, 1<<20)); !errors.Is(err, mm.ErrBadRange) {
+			if err := c.Mark(sharer, sharer+arch.PageSize, pt.SwappedStatus(arch.PermRW, 1<<20)); !errors.Is(err, mm.ErrBadRange) {
 				t.Errorf("Mark naming a block never allocated = %v, want ErrBadRange", err)
 			}
 			if got, _ := c.Query(sharer); got != anon || a.tree.PTPageCount.Load() != ptPages || dev.InUse() != 1 {
@@ -104,8 +103,7 @@ func TestMarkIsTotal(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			swap := mem.NewBlockDev("swap")
-			a.SetSwapDev(swap)
+			swap := m.Phys.Swap
 			mapped := mem.NewFile(m.Phys, "mapped", 1<<20)
 			if _, err := a.MmapFile(0, mapped, 0, arch.PageSize, arch.PermRead, true); err != nil {
 				t.Fatal(err)
@@ -119,27 +117,26 @@ func TestMarkIsTotal(t *testing.T) {
 			}
 			anon := pt.Status{Kind: pt.StatusPrivateAnon, Perm: arch.PermRW}
 			bad := map[string]pt.Status{
-				"garbage in every field":  pt.Status{Kind: 9, Perm: 0xffff}.WithKey(200).WithHuge(7),
-				"unknown kind":            {Kind: 7, Perm: arch.PermRW},
-				"Mapped":                  pt.MappedStatus(5, arch.PermRW, 0, 1),
-				"Mapped made anonymous":   func() pt.Status { s := pt.MappedStatus(5, arch.PermRW, 0, 1); s.Kind = pt.StatusPrivateAnon; return s }(),
-				"a seventh permission":    {Kind: pt.StatusPrivateAnon, Perm: arch.PermRW | 1<<6},
-				"key beyond MaxProtKey":   anon.WithKey(arch.MaxProtKey + 1),
-				"huge level 1":            anon.WithHuge(1),
-				"huge level 4":            anon.WithHuge(4),
-				"huge level -1":           anon.WithHuge(-1),
-				"Invalid with a perm":     {Perm: arch.PermRW},
-				"shared file, nil file":   pt.FileStatus(pt.StatusSharedFile, arch.PermRW, nil, 0),
-				"private file, nil file":  pt.FileStatus(pt.StatusPrivateFile, arch.PermRW, nil, 0),
-				"shared anon, nil file":   pt.FileStatus(pt.StatusSharedAnon, arch.PermRW, nil, 0),
-				"file nobody maps":        pt.FileStatus(pt.StatusSharedFile, arch.PermRW, unmapped, 0),
-				"file kind, no file":      {Kind: pt.StatusPrivateFile, Perm: arch.PermRW},
-				"offset beyond the word":  pt.FileStatus(pt.StatusSharedFile, arch.PermRW, mapped, top+1),
-				"last page beyond it":     pt.FileStatus(pt.StatusSharedFile, arch.PermRW, mapped, top-pages+2),
-				"swapped, no device":      pt.SwappedStatus(arch.PermRW, 0, 1),
-				"swapped, unknown device": pt.SwappedStatus(arch.PermRW, a.swapID+1, 1),
-				"block beyond the word":   pt.SwappedStatus(arch.PermRW, a.swapID, top+1),
-				"block never allocated":   pt.SwappedStatus(arch.PermRW, a.swapID, top),
+				"garbage in every field": pt.Status{Kind: 9, Perm: 0xffff}.WithKey(200).WithHuge(7),
+				"unknown kind":           {Kind: 7, Perm: arch.PermRW},
+				"Mapped":                 pt.MappedStatus(5, arch.PermRW, 0, 1),
+				"Mapped made anonymous":  func() pt.Status { s := pt.MappedStatus(5, arch.PermRW, 0, 1); s.Kind = pt.StatusPrivateAnon; return s }(),
+				"a seventh permission":   {Kind: pt.StatusPrivateAnon, Perm: arch.PermRW | 1<<6},
+				"key beyond MaxProtKey":  anon.WithKey(arch.MaxProtKey + 1),
+				"huge level 1":           anon.WithHuge(1),
+				"huge level 4":           anon.WithHuge(4),
+				"huge level -1":          anon.WithHuge(-1),
+				"Invalid with a perm":    {Perm: arch.PermRW},
+				"shared file, nil file":  pt.FileStatus(pt.StatusSharedFile, arch.PermRW, nil, 0),
+				"private file, nil file": pt.FileStatus(pt.StatusPrivateFile, arch.PermRW, nil, 0),
+				"shared anon, nil file":  pt.FileStatus(pt.StatusSharedAnon, arch.PermRW, nil, 0),
+				"file nobody maps":       pt.FileStatus(pt.StatusSharedFile, arch.PermRW, unmapped, 0),
+				"file kind, no file":     {Kind: pt.StatusPrivateFile, Perm: arch.PermRW},
+				"offset beyond the word": pt.FileStatus(pt.StatusSharedFile, arch.PermRW, mapped, top+1),
+				"last page beyond it":    pt.FileStatus(pt.StatusSharedFile, arch.PermRW, mapped, top-pages+2),
+				"swapped, naming a file": pt.FileStatus(pt.StatusSwapped, arch.PermRW, mapped, 1),
+				"block beyond the word":  pt.SwappedStatus(arch.PermRW, top+1),
+				"block never allocated":  pt.SwappedStatus(arch.PermRW, top),
 			}
 			for name, s := range bad {
 				c, err := a.Lock(0, lo, hi)
@@ -163,7 +160,7 @@ func TestMarkIsTotal(t *testing.T) {
 				"anon, widest attributes": pt.Status{Kind: pt.StatusPrivateAnon, Perm: 1<<6 - 1}.WithKey(arch.MaxProtKey).WithHuge(3),
 				"last page at the top":    pt.FileStatus(pt.StatusSharedFile, arch.PermRW, mapped, top-pages+1),
 				"private file":            pt.FileStatus(pt.StatusPrivateFile, arch.PermRead, mapped, 1),
-				"allocated block":         pt.SwappedStatus(arch.PermRW, a.swapID, block),
+				"allocated block":         pt.SwappedStatus(arch.PermRW, block),
 				"nothing":                 {},
 			}
 			for name, s := range good {

@@ -6,7 +6,6 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/pt"
 )
 
@@ -71,8 +70,8 @@ func TestConcurrentMremap(t *testing.T) {
 // clock reclaimer and writers on neighbouring spans.
 func TestConcurrentCollapseAndReclaim(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 16})
-	dev := mem.NewBlockDev("swap")
-	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, SwapDev: dev})
+	dev := m.Phys.Swap
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
@@ -45,7 +44,6 @@ func TestBadCore(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			a.SetSwapDev(mem.NewBlockDev("swap0"))
 			const size = 4 * arch.PageSize
 			va, err := a.Mmap(0, size, arch.PermRW, 0)
 			if err != nil {
@@ -235,7 +233,7 @@ func TestReclaimHookSkipsHeldSpace(t *testing.T) {
 			var spaces [2]*AddrSpace
 			var vas [2]arch.Vaddr
 			for i := range spaces {
-				a, err := New(Options{Machine: m, Protocol: p, SwapDev: mem.NewBlockDev("swap")})
+				a, err := New(Options{Machine: m, Protocol: p})
 				if err != nil {
 					t.Fatal(err)
 				}

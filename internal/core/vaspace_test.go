@@ -301,8 +301,7 @@ func TestTxMappingsAreSwept(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 10})
-			dev := mem.NewBlockDev("swap")
-			a, err := New(Options{Machine: m, Protocol: p, SwapDev: dev})
+			a, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -32,7 +32,7 @@ type File struct {
 	mem  *PhysMem
 	size uint64
 	// id names the file in page-table status words while it has a
-	// mapper (see objTable); 0 otherwise. Written under mu.
+	// mapper (see fileTable); 0 otherwise. Written under mu.
 	id    atomic.Uint32
 	pages map[uint64]arch.PFN // page cache: file page index -> frame
 	// mappers is the rmap "tree": each space that references the file
@@ -148,7 +148,7 @@ func (f *File) AddMapper(t RMapTarget) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.mappers) == 0 {
-		id := f.mem.objs.files.add(f)
+		id := f.mem.files.add(f)
 		if id == 0 {
 			return ErrObjTableFull
 		}
@@ -190,7 +190,7 @@ func (f *File) RemoveMappers(t RMapTarget, n uint64) {
 	}
 	delete(f.mappers, t)
 	if len(f.mappers) == 0 && f.id.Load() != 0 {
-		f.mem.objs.files[f.id.Swap(0)].Store(nil)
+		f.mem.files[f.id.Swap(0)].Store(nil)
 	}
 }
 
@@ -208,54 +208,28 @@ const MaxObjID = 1<<12 - 1
 // ErrObjTableFull means MaxObjID files are mapped on the machine already.
 var ErrObjTableFull = fmt.Errorf("mem: object table full (%d mapped files)", MaxObjID)
 
-// objTable is the machine's object table: what the small ids in
-// page-table status words (internal/pt) stand for. A file holds an id
+// fileTable is the machine's object table: which file each small id in
+// page-table status words (internal/pt) stands for. A file holds an id
 // from its first registration to its last, and every status word naming
 // file F is itself one registration of F, so no reader can meet a stale
-// id; swap devices register when an address space is given one and are
-// never recycled (a swapped page may outlive the space's use of the
-// device). Neither taking an id nor the lookups on the fault path take a
+// id. Neither taking an id nor the lookups on the fault path take a
 // lock.
-type objTable struct {
-	files objSlots[File]
-	devs  objSlots[BlockDev]
-}
+type fileTable [MaxObjID + 1]atomic.Pointer[File]
 
-type objSlots[T any] [MaxObjID + 1]atomic.Pointer[T]
-
-// add returns the id x is registered under, taking the lowest free one
-// on first sight; 0 for nil or when none is free.
-func (s *objSlots[T]) add(x *T) uint32 {
-	for id := uint32(1); id <= MaxObjID && x != nil; id++ {
-		if p := s[id].Load(); (p == nil || p == x) && (s[id].CompareAndSwap(nil, x) || s[id].Load() == x) {
+// add gives f, which holds no id, the lowest free one; 0 when none is
+// free.
+func (s *fileTable) add(f *File) uint32 {
+	for id := uint32(1); id <= MaxObjID; id++ {
+		if s[id].Load() == nil && s[id].CompareAndSwap(nil, f) {
 			return id
 		}
 	}
 	return 0
 }
 
-// RegisterDev returns the object id of swap device d on this machine,
-// registering it on first sight; 0 for a nil device or a full table.
-func (m *PhysMem) RegisterDev(d *BlockDev) uint32 { return m.objs.devs.add(d) }
-
-// SwapInUse sums InUse over the swap devices registered on this machine:
-// the blocks some status word or evictor still holds.
-func (m *PhysMem) SwapInUse() (n int) {
-	for id := range m.objs.devs {
-		if d := m.objs.devs[id].Load(); d != nil {
-			n += d.InUse()
-		}
-	}
-	return n
-}
-
 // FileByID resolves a status word's object id to the mapped file holding
 // it, nil if none does.
-func (m *PhysMem) FileByID(id uint32) *File { return m.objs.files[id&MaxObjID].Load() }
-
-// DevByID resolves a status word's object id to a registered swap
-// device, nil if none has it.
-func (m *PhysMem) DevByID(id uint32) *BlockDev { return m.objs.devs[id&MaxObjID].Load() }
+func (m *PhysMem) FileByID(id uint32) *File { return m.files[id&MaxObjID].Load() }
 
 // ForEachMapper calls fn for every registered address space with its
 // registration count. The file lock is not held during fn, so fn may
@@ -283,8 +257,6 @@ func (f *File) UnmapAll(core int, index uint64) {
 // fork's two copies of a swapped page share the block, and the last
 // word to go frees it.
 type BlockDev struct {
-	Name string
-
 	mu     sync.Mutex
 	refs   map[uint64]uint64 // held block → its references
 	blocks map[uint64][]byte
@@ -292,9 +264,9 @@ type BlockDev struct {
 	next   uint64
 }
 
-// NewBlockDev creates an empty block device.
-func NewBlockDev(name string) *BlockDev {
-	return &BlockDev{Name: name, refs: make(map[uint64]uint64), blocks: make(map[uint64][]byte)}
+// newBlockDev creates an empty block device.
+func newBlockDev() *BlockDev {
+	return &BlockDev{refs: make(map[uint64]uint64), blocks: make(map[uint64][]byte)}
 }
 
 // AllocBlock reserves a block for a swapped-out page, holding one

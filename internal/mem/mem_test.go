@@ -309,7 +309,7 @@ func TestRMapWalk(t *testing.T) {
 }
 
 func TestBlockDev(t *testing.T) {
-	d := NewBlockDev("swap0")
+	d := newBlockDev()
 	b1 := d.AllocBlock()
 	b2 := d.AllocBlock()
 	if b1 == b2 {

@@ -2,7 +2,7 @@
 // a frame allocator (buddy system with per-core caches, following Linux as
 // §4.5 describes), a frame table of page descriptors indexed by physical
 // frame number (the paper's contiguous descriptor region allocated at
-// boot), a simulated block device for swap, and file objects with a page
+// boot), the machine's one simulated swap device, and file objects with a page
 // cache and the reverse-mapping registry of §4.5.
 package mem
 
@@ -296,8 +296,10 @@ type PhysMem struct {
 	// numaTrack gates NoteAccess streak accounting (off unless NUMA
 	// balancing is configured, keeping the hot translate path cheap).
 	numaTrack atomic.Bool
-	// objs names the files and swap devices status words refer to.
-	objs objTable
+	// files names the files status words refer to.
+	files fileTable
+	// Swap is the machine's one swap device: every space swaps to it.
+	Swap *BlockDev
 }
 
 // NewPhysMem creates a single-node physical memory of nframes 4-KiB

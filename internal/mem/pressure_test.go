@@ -241,7 +241,7 @@ func TestAuditDetectsSkew(t *testing.T) {
 // with an ErrOutOfMemory-class error and leaves the block unwritten.
 func TestSwapWriteFault(t *testing.T) {
 	defer fault.DisarmAll()
-	dev := NewBlockDev("testdev")
+	dev := newBlockDev()
 	b := dev.AllocBlock()
 	payload := bytes.Repeat([]byte{0xAB}, arch.PageSize)
 	fault.SwapWrite.Arm(fault.Config{Seed: 1})

@@ -101,9 +101,6 @@ func TestGateContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sd, ok := s.(interface{ SetSwapDev(*mem.BlockDev) }); ok {
-				sd.SetSwapDev(mem.NewBlockDev("swap0")) // SwapOut passes its configuration check
-			}
 			va, err := s.Mmap(0, size, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -49,8 +49,8 @@ var (
 	// operate on or read through. Destroy itself stays idempotent.
 	ErrDestroyed = errors.New("mm: address space destroyed")
 	// ErrNotSupported means this space's configuration refuses the
-	// request: no swap device, a huge leaf that cannot split, an ISA
-	// without level-N leaves, a span that cannot collapse. An op a
+	// request: a huge leaf that cannot split, an ISA without level-N
+	// leaves, a span that cannot collapse. An op a
 	// system does not implement is a missing method, not this error.
 	ErrNotSupported = errors.New("mm: operation not supported")
 )
@@ -243,8 +243,8 @@ type Madviser interface {
 }
 
 // Swapper is the optional swapping surface (Table 2's page-swapping
-// column): write resident pages to a block device and mark them
-// Swapped.
+// column): write resident pages to the machine's swap device and mark
+// them Swapped.
 type Swapper interface {
 	SwapOut(core int, va arch.Vaddr, size uint64) (int, error)
 }

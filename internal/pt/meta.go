@@ -56,7 +56,7 @@ func (k StatusKind) String() string {
 // stored at an upper level): the paper's Status enum, as callers build
 // and read it. For Mapped it carries the frame; for file kinds the file
 // and the page index the *start* of the entry's span maps to; for Swapped
-// the device and block. It is a value of four pointer-free fields on
+// the block. It is a value of four pointer-free fields on
 // purpose: Go keeps a struct of more than four fields out of registers
 // (cmd/compile/internal/ssa.MaxStruct), and a nine-field record cost
 // 15.6 ns per get-and-use round trip against 2.8 ns for this one.
@@ -89,11 +89,11 @@ func FileStatus(kind StatusKind, perm arch.Perm, f *mem.File, off uint64) Status
 }
 
 // SwappedStatus is the status of a page whose content is block of the
-// swap device registered as dev (mem.PhysMem.RegisterDev). The block must
-// be allocated for Mark to accept it; each word storing it holds a
-// reference on the block.
-func SwappedStatus(perm arch.Perm, dev uint32, block uint64) Status {
-	return Status{Kind: StatusSwapped, Perm: perm, attr: dev << 16, val: block}
+// machine's swap device (mem.PhysMem.Swap). The block must be allocated
+// for Mark to accept it; each word storing it holds a reference on the
+// block.
+func SwappedStatus(perm arch.Perm, block uint64) Status {
+	return Status{Kind: StatusSwapped, Perm: perm, val: block}
 }
 
 // WithKey returns s tagged with an MPK protection key.
@@ -127,9 +127,6 @@ func (s Status) Block() uint64 { return s.val }
 
 // File resolves the file a file-kind status names on machine m.
 func (s Status) File(m *mem.PhysMem) *mem.File { return m.FileByID(s.attr >> 16) }
-
-// Dev resolves the swap device a Swapped status names on machine m.
-func (s Status) Dev(m *mem.PhysMem) *mem.BlockDev { return m.DevByID(s.attr >> 16) }
 
 // Allocated reports whether the page is backed by *something* (not
 // Invalid), i.e. an access should not segfault outright.
@@ -165,7 +162,7 @@ func (k StatusKind) holds() bool { return k >= StatusPrivateFile }
 //	bits  9-12  key       (0..arch.MaxProtKey)
 //	bits 13-14  huge      (0, 2 or 3)
 //	bits 15-19  reserved  (zero)
-//	bits 20-31  object    (1..mem.MaxObjID; 0 for anonymous kinds)
+//	bits 20-31  object    (the file, 1..mem.MaxObjID; 0 for other kinds)
 //	bits 32-63  payload   (file page index or swap block)
 const (
 	kindMask                   = 7

@@ -363,22 +363,19 @@ func (t *Tree) Unregister(w, n uint64) {
 //
 //go:noinline
 func (t *Tree) register(w, n uint64) bool {
-	id := uint32(w>>objShift) & mem.MaxObjID
 	if StatusKind(w&kindMask) == StatusSwapped {
-		d := t.Phys.DevByID(id)
-		return d != nil && d.Hold(w>>payloadShift, n)
+		return t.Phys.Swap.Hold(w>>payloadShift, n)
 	}
-	return t.Owner == nil || t.Phys.AddMappersByID(id, t.Owner, n)
+	return t.Owner == nil || t.Phys.AddMappersByID(uint32(w>>objShift)&mem.MaxObjID, t.Owner, n)
 }
 
 func (t *Tree) unregister(w, n uint64) {
-	id := uint32(w>>objShift) & mem.MaxObjID
 	if StatusKind(w&kindMask) == StatusSwapped {
-		for d := t.Phys.DevByID(id); d != nil && n > 0; n-- {
-			d.FreeBlock(w >> payloadShift)
+		for ; n > 0; n-- {
+			t.Phys.Swap.FreeBlock(w >> payloadShift)
 		}
 	} else if t.Owner != nil {
-		t.Phys.FileByID(id).RemoveMappers(t.Owner, n)
+		t.Phys.FileByID(uint32(w>>objShift)&mem.MaxObjID).RemoveMappers(t.Owner, n)
 	}
 }
 
@@ -411,7 +408,7 @@ func (t *Tree) WordOK(w uint64) bool {
 	case s.Kind.file():
 		ok = ok && s.File(t.Phys) != nil
 	case s.Kind == StatusSwapped:
-		ok = ok && s.Dev(t.Phys) != nil
+		ok = ok && w>>objShift&mem.MaxObjID == 0
 	default: // nothing at all, or a kind no entry stores
 		ok = w == 0
 	}

@@ -303,7 +303,7 @@ func FuzzStatusWord(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Every object id names a file, and id 1 a swap device too.
+	// Every object id names a file.
 	for i := 0; i < mem.MaxObjID; i++ {
 		if err := mem.NewFile(phys, "f", arch.PageSize).AddMapper(nopMapper{}); err != nil {
 			f.Fatal(err)
@@ -312,16 +312,13 @@ func FuzzStatusWord(f *testing.F) {
 	if err := mem.NewFile(phys, "one too many", arch.PageSize).AddMapper(nopMapper{}); err != mem.ErrObjTableFull {
 		f.Fatalf("file %d registered: %v, want ErrObjTableFull", mem.MaxObjID+1, err)
 	}
-	if id := phys.RegisterDev(mem.NewBlockDev("swap")); id != 1 {
-		f.Fatalf("first device got id %d", id)
-	}
 	const top = payloadLimit - 1
 	f.Add(uint8(StatusPrivateAnon), uint16(arch.PermRW), uint8(0), uint8(0), uint32(0), uint64(0), uint64(1), uint64(0))
 	f.Add(uint8(StatusPrivateAnon), uint16(permMax), uint8(arch.MaxProtKey), uint8(3), uint32(0), uint64(0), uint64(1)<<36, uint64(1)<<15)
 	f.Add(uint8(StatusSharedFile), uint16(arch.PermRW|arch.PermShared), uint8(7), uint8(2), uint32(mem.MaxObjID), uint64(top), uint64(1), ^uint64(0))
 	f.Add(uint8(StatusPrivateFile), uint16(arch.PermRead), uint8(0), uint8(0), uint32(1), uint64(top-511), uint64(512), uint64(StatusMapped))
 	f.Add(uint8(StatusSharedAnon), uint16(arch.PermRW), uint8(0), uint8(0), uint32(9), uint64(top), uint64(2), uint64(6))
-	f.Add(uint8(StatusSwapped), uint16(arch.PermRW), uint8(15), uint8(0), uint32(1), uint64(top), uint64(1), uint64(7))
+	f.Add(uint8(StatusSwapped), uint16(arch.PermRW), uint8(15), uint8(0), uint32(0), uint64(top), uint64(1), uint64(7))
 	f.Add(uint8(StatusSwapped), uint16(arch.PermRW), uint8(0), uint8(0), uint32(2), uint64(0), uint64(1), uint64(0))
 	f.Add(uint8(StatusMapped), uint16(arch.PermRW), uint8(0), uint8(0), uint32(0), uint64(77), uint64(1), uint64(0))
 	f.Add(uint8(9), uint16(0xffff), uint8(200), uint8(7), uint32(1<<12), uint64(1)<<32, uint64(0), uint64(1)<<63)
@@ -339,7 +336,7 @@ func FuzzStatusWord(f *testing.F) {
 		case StatusPrivateFile, StatusSharedAnon, StatusSharedFile:
 			want = fields && id >= 1 && id <= mem.MaxObjID && val <= top && pages <= payloadLimit-val
 		case StatusSwapped:
-			want = fields && id == 1 && val <= top
+			want = fields && id == 0 && val <= top
 		}
 		w, err := tree.Pack(s, pages)
 		if want != (err == nil) {
@@ -436,18 +433,19 @@ func TestWellFormedCatchesCorruption(t *testing.T) {
 	tree.SetPTE(lvl1, 1, old)
 
 	// Corrupt metadata words: a Mapped status (it lives in the PTE), a
-	// reserved bit, an object id nothing registered, a payload on a kind
-	// that has none, garbage under an Invalid kind.
+	// reserved bit, an object id nothing registered, an object id on a
+	// Swapped word, a payload on a kind that has none, garbage under an
+	// Invalid kind.
 	anon := Status{Kind: StatusPrivateAnon, Perm: arch.PermRW}.word()
 	for name, w := range map[string]uint64{
-		"Mapped-in-meta":   MappedStatus(data, arch.PermRW, 0, 1).word(),
-		"reserved bit":     anon | 1<<15,
-		"unregistered id":  Status{Kind: StatusSharedFile, Perm: arch.PermRW, attr: 77 << 16}.word(),
-		"no swap device":   SwappedStatus(arch.PermRW, 1, 3).word(),
-		"anon with an id":  anon | 5<<objShift,
-		"huge level 1":     anon | 1<<hugeShift,
-		"bits, no kind":    anon &^ kindMask,
-		"kind beyond enum": anon | kindMask,
+		"Mapped-in-meta":                 MappedStatus(data, arch.PermRW, 0, 1).word(),
+		"reserved bit":                   anon | 1<<15,
+		"unregistered id":                Status{Kind: StatusSharedFile, Perm: arch.PermRW, attr: 77 << 16}.word(),
+		"swapped word with an object id": SwappedStatus(arch.PermRW, 3).word() | 1<<objShift,
+		"anon with an id":                anon | 5<<objShift,
+		"huge level 1":                   anon | 1<<hugeShift,
+		"bits, no kind":                  anon &^ kindMask,
+		"kind beyond enum":               anon | kindMask,
 	} {
 		tree.SetMetaWord(child, 7, w)
 		if err := tree.CheckWellFormed(); err == nil {
