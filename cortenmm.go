@@ -85,7 +85,7 @@ type (
 	Machine = cpusim.Machine
 	// File is a simulated file with a page cache and reverse mapping.
 	File = mem.File
-	// BlockDev is a simulated swap device (Machine.Phys.Swap).
+	// BlockDev is a simulated swap device (Machine.Phys.Swap()).
 	BlockDev = mem.BlockDev
 	// AddrSpace is a CortenMM address space.
 	AddrSpace = core.AddrSpace

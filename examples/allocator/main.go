@@ -89,11 +89,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("swapped out %d cold pages (blocks in use: %d)\n", n, machine.Phys.Swap.InUse())
+	fmt.Printf("swapped out %d cold pages (blocks in use: %d)\n", n, machine.Phys.Swap().InUse())
 	b, err := as.Load(0, last) // transparent swap-in
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after swap-in: data intact (%d), swap-ins: %d, blocks left: %d\n",
-		b, as.Stats().SwapIns.Load(), machine.Phys.Swap.InUse())
+		b, as.Stats().SwapIns.Load(), machine.Phys.Swap().InUse())
 }

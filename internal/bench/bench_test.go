@@ -404,7 +404,7 @@ func TestCloseAuditsAndReportsLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := env.Machine.Phys.Swap
+	dev := env.Machine.Phys.Swap()
 	block := dev.AllocBlock()
 	if err := env.Close(); err == nil || !strings.Contains(err.Error(), "swap blocks left after teardown") {
 		t.Errorf("Close over a held swap block = %v, want the leak reported", err)

@@ -334,7 +334,7 @@ func TestSwapOutIn(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			m := newMachine()
-			dev := m.Phys.Swap
+			dev := m.Phys.Swap()
 			a, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)
@@ -404,7 +404,7 @@ func TestForkCopiesSwappedPages(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := m.Phys.Swap
+			dev := m.Phys.Swap()
 			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -469,7 +469,7 @@ func TestForkedSwapInsRace(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := m.Phys.Swap
+			dev := m.Phys.Swap()
 			va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -513,8 +513,7 @@ func TestForkedSwapInsRace(t *testing.T) {
 // TestOneSwapDevicePerMachine: every space swaps to its machine's one
 // device with no setup of its own. Two spaces and a fork child each swap
 // a range out and back in; the device holds exactly the blocks their
-// words name, and teardown leaves it empty. Before, a space without a
-// device of its own had SwapOut refused.
+// words name, and teardown leaves it empty.
 func TestOneSwapDevicePerMachine(t *testing.T) {
 	const pages = 4
 	for _, p := range protocols {
@@ -555,7 +554,7 @@ func TestOneSwapDevicePerMachine(t *testing.T) {
 					t.Fatalf("space %d: SwapOut = %d, %v; want %d", k, n, err, pages)
 				}
 			}
-			if n := m.Phys.Swap.InUse(); n != len(spaces)*pages {
+			if n := m.Phys.Swap().InUse(); n != len(spaces)*pages {
 				t.Errorf("%d swap blocks in use, want %d", n, len(spaces)*pages)
 			}
 			checkRegistrations(t, m.Phys, nil, spaces...)
@@ -566,7 +565,7 @@ func TestOneSwapDevicePerMachine(t *testing.T) {
 					}
 				}
 			}
-			if n := m.Phys.Swap.InUse(); n != 0 {
+			if n := m.Phys.Swap().InUse(); n != 0 {
 				t.Errorf("%d swap blocks in use after every page swapped in", n)
 			}
 			checkRegistrations(t, m.Phys, nil, spaces...)
@@ -579,7 +578,7 @@ func TestOneSwapDevicePerMachine(t *testing.T) {
 			for _, s := range spaces {
 				s.Destroy(0)
 			}
-			if n := m.Phys.Swap.InUse(); n != 0 {
+			if n := m.Phys.Swap().InUse(); n != 0 {
 				t.Errorf("%d swap blocks in use after teardown", n)
 			}
 			checkClean(t, m)
@@ -589,8 +588,6 @@ func TestOneSwapDevicePerMachine(t *testing.T) {
 
 // TestForkKeepsCoarseLocking: a fork child locks as its parent does, so
 // under CoarseLocking a one-page transaction covers at the root in both.
-// Before, the child was built without the option and locked
-// fine-grained.
 func TestForkKeepsCoarseLocking(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {

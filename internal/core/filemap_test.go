@@ -104,7 +104,7 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 			t.Errorf("file %q: id %d, %d spaces registered, %d page tables name it", f.Name, f.ID(), registered, naming)
 		}
 	}
-	if n := phys.Swap.InUse(); n != len(blocks) {
+	if n := phys.Swap().InUse(); n != len(blocks) {
 		t.Errorf("the swap device holds %d blocks, the page tables name %d", n, len(blocks))
 	}
 }

@@ -98,7 +98,7 @@ func TestDontNeedDropsSwappedPage(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := m.Phys.Swap
+			dev := m.Phys.Swap()
 			va, err := a.Mmap(0, 2*arch.PageSize, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)

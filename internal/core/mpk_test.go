@@ -73,7 +73,7 @@ func TestSetProtKeyBounds(t *testing.T) {
 
 func TestDestroyReleasesSwapBlocks(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 14})
-	dev := m.Phys.Swap
+	dev := m.Phys.Swap()
 	a, err := New(Options{Machine: m, Protocol: ProtocolRW})
 	if err != nil {
 		t.Fatal(err)

@@ -122,7 +122,7 @@ func TestMremapShrinkInPlace(t *testing.T) {
 
 func TestMremapMovesVirtualAndSwapped(t *testing.T) {
 	m := newMachine()
-	dev := m.Phys.Swap
+	dev := m.Phys.Swap()
 	a, _ := New(Options{Machine: m, Protocol: ProtocolAdv})
 	defer a.Destroy(0)
 	va, _ := a.Mmap(0, 4*arch.PageSize, arch.PermRW, 0)

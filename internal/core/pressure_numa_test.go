@@ -86,9 +86,14 @@ func TestPerNodeKswapd(t *testing.T) {
 // forced swap round trip.
 func TestDirectReclaimStealsCrossNode(t *testing.T) {
 	m := numaPressureMachine(64)
-	// Every reclaim round runs inside the hog's own populate
-	// transaction, and visit skips a space whose transaction is held, so
-	// the hog's node-0 frames are invisible to reclaim.
+	// The hog's node-0 frames must stay unreclaimable. Reclaim running
+	// inside the hog's own populate transaction cannot reach them, since
+	// visit skips a space whose transaction is held. That covers every
+	// round only while two conditions hold: no core-0 tick that runs
+	// kswapd (every TickEvery-th) falls outside that transaction, and the
+	// populate's in-transaction reclaim frees enough that retryOOM never
+	// runs its out-of-transaction DirectReclaim, whose node-0 pass would
+	// evict the hog first. The hog's SwapOuts check below catches a break.
 	hog, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +144,7 @@ func TestDirectReclaimStealsCrossNode(t *testing.T) {
 		t.Error("victim has no swap-outs despite being the only reclaim source")
 	}
 	if n := hog.Stats().SwapOuts.Load(); n != 0 {
-		t.Errorf("hog swapped %d pages out from inside its own transaction", n)
+		t.Errorf("hog swapped %d pages out: reclaim reached it outside its populate transaction", n)
 	}
 	// Victim data survives the forced eviction (swap-ins under pressure).
 	for i := 0; i < victimPages; i += 16 {

@@ -83,7 +83,7 @@ func TestPressurePopulateOvercommit(t *testing.T) {
 				chunks     = 32 // 512 pages = 4x physical memory
 			)
 			m := cpusim.New(cpusim.Config{Cores: 2, Frames: physFrames})
-			dev := m.Phys.Swap
+			dev := m.Phys.Swap()
 			a, err := New(Options{Machine: m, Protocol: p})
 			if err != nil {
 				t.Fatal(err)

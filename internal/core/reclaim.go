@@ -158,7 +158,7 @@ func (a *AddrSpace) evict(c *RCursor, lo, hi arch.Vaddr, target, node int) (int,
 	if err := c.breakWrites(spans); err != nil {
 		return 0, err
 	}
-	dev := a.m.Phys.Swap
+	dev := a.m.Phys.Swap()
 	var written uint64
 	for i := range reqs {
 		req := &reqs[i]

@@ -13,7 +13,7 @@ import (
 func newSwapSpace(t *testing.T) (*AddrSpace, *cpusim.Machine, *mem.BlockDev) {
 	t.Helper()
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 14})
-	dev := m.Phys.Swap
+	dev := m.Phys.Swap()
 	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestSwapOutSkipsCOWBrokenFilePage(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := m.Phys.Swap
+			dev := m.Phys.Swap()
 			f := mem.NewFile(m.Phys, "f", arch.PageSize)
 			sh, err := a.MmapFile(0, f, 0, arch.PageSize, arch.PermRW, true)
 			if err != nil {

@@ -31,7 +31,7 @@ func TestMarkSwappedHoldsBlock(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			dev := m.Phys.Swap
+			dev := m.Phys.Swap()
 			va, err := a.Mmap(0, 3*arch.PageSize, arch.PermRW, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +103,7 @@ func TestMarkIsTotal(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.String(), func(t *testing.T) {
 			a, m := newSpace(t, p)
-			swap := m.Phys.Swap
+			swap := m.Phys.Swap()
 			mapped := mem.NewFile(m.Phys, "mapped", 1<<20)
 			if _, err := a.MmapFile(0, mapped, 0, arch.PageSize, arch.PermRead, true); err != nil {
 				t.Fatal(err)

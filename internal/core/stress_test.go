@@ -70,7 +70,7 @@ func TestConcurrentMremap(t *testing.T) {
 // clock reclaimer and writers on neighbouring spans.
 func TestConcurrentCollapseAndReclaim(t *testing.T) {
 	m := cpusim.New(cpusim.Config{Cores: 4, Frames: 1 << 16})
-	dev := m.Phys.Swap
+	dev := m.Phys.Swap()
 	a, err := New(Options{Machine: m, Protocol: ProtocolAdv})
 	if err != nil {
 		t.Fatal(err)

@@ -444,7 +444,7 @@ func (a *AddrSpace) faultIn(core int, c *RCursor, page arch.Vaddr, acc pt.Access
 			return err
 		}
 		// The map replaces the word, which gives back its block reference.
-		a.m.Phys.Swap.Read(st.Block(), a.m.Phys.Data(frame))
+		a.m.Phys.Swap().Read(st.Block(), a.m.Phys.Data(frame))
 		return c.MapKeyed(page, frame, 1, st.Perm, st.Key())
 
 	default:

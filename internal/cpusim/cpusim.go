@@ -505,7 +505,7 @@ func (m *Machine) CheckClean() error {
 	if st := m.Phys.Stats(); st.PageTableBytes != 0 || st.AnonBytes != 0 {
 		return fmt.Errorf("cpusim: %d page-table and %d anonymous bytes left after teardown", st.PageTableBytes, st.AnonBytes)
 	}
-	if n := m.Phys.Swap.InUse(); n != 0 {
+	if n := m.Phys.Swap().InUse(); n != 0 {
 		return fmt.Errorf("cpusim: %d swap blocks left after teardown", n)
 	}
 	return nil

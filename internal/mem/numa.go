@@ -60,7 +60,7 @@ func NewPhysMemNUMA(nframes int, coreNode []int) *PhysMem {
 		coreNodes:  coreNode,
 		zonelists:  make([][]int, nodes),
 		allocStats: make([]nodeAllocCounters, nodes),
-		Swap:       newBlockDev(),
+		swap:       newBlockDev(),
 	}
 	for n := range m.zones {
 		z := &m.zones[n]

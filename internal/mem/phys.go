@@ -298,8 +298,8 @@ type PhysMem struct {
 	numaTrack atomic.Bool
 	// files names the files status words refer to.
 	files fileTable
-	// Swap is the machine's one swap device: every space swaps to it.
-	Swap *BlockDev
+	// swap is the machine's one swap device: every space swaps to it.
+	swap *BlockDev
 }
 
 // NewPhysMem creates a single-node physical memory of nframes 4-KiB
@@ -347,6 +347,10 @@ func (m *PhysMem) Watermarks() (low, min uint64) {
 
 // SetPressure installs p as the machine's Pressure (nil uninstalls).
 func (m *PhysMem) SetPressure(p Pressure) { m.pressure.Store(&p) }
+
+// Swap returns the machine's one swap device. Every space swaps to it,
+// and a Swapped status word names a block on it by number alone.
+func (m *PhysMem) Swap() *BlockDev { return m.swap }
 
 // Pressure returns the installed Pressure, or nil.
 func (m *PhysMem) Pressure() Pressure {

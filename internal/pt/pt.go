@@ -364,7 +364,7 @@ func (t *Tree) Unregister(w, n uint64) {
 //go:noinline
 func (t *Tree) register(w, n uint64) bool {
 	if StatusKind(w&kindMask) == StatusSwapped {
-		return t.Phys.Swap.Hold(w>>payloadShift, n)
+		return t.Phys.Swap().Hold(w>>payloadShift, n)
 	}
 	return t.Owner == nil || t.Phys.AddMappersByID(uint32(w>>objShift)&mem.MaxObjID, t.Owner, n)
 }
@@ -372,7 +372,7 @@ func (t *Tree) register(w, n uint64) bool {
 func (t *Tree) unregister(w, n uint64) {
 	if StatusKind(w&kindMask) == StatusSwapped {
 		for ; n > 0; n-- {
-			t.Phys.Swap.FreeBlock(w >> payloadShift)
+			t.Phys.Swap().FreeBlock(w >> payloadShift)
 		}
 	} else if t.Owner != nil {
 		t.Phys.FileByID(uint32(w>>objShift)&mem.MaxObjID).RemoveMappers(t.Owner, n)
