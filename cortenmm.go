@@ -83,7 +83,8 @@ type (
 	Translation = pt.Translation
 	// Machine is the simulated multicore machine.
 	Machine = cpusim.Machine
-	// File is a simulated file with a page cache and reverse mapping.
+	// File is a simulated file with a page cache, counted by the page-table
+	// words that name it.
 	File = mem.File
 	// BlockDev is a simulated swap device (Machine.Phys.Swap()).
 	BlockDev = mem.BlockDev

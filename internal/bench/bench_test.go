@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/spec"
 )
@@ -412,6 +413,23 @@ func TestCloseAuditsAndReportsLeak(t *testing.T) {
 	dev.FreeBlock(block)
 	if err := env.Close(); err != nil {
 		t.Errorf("Close after the block was freed: %v", err)
+	}
+
+	// So is a file still holding an object id.
+	env, err = NewEnv(CortenAdv, nil, machine(2, 1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := mem.NewFile(env.Machine.Phys, "f", arch.PageSize)
+	if err := f.Hold(); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Close(); err == nil || !strings.Contains(err.Error(), "object id after teardown") {
+		t.Errorf("Close over a held file = %v, want the leak reported", err)
+	}
+	f.Release(1)
+	if err := env.Close(); err != nil {
+		t.Errorf("Close after the file was released: %v", err)
 	}
 }
 

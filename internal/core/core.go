@@ -6,9 +6,9 @@
 // recycling, reclaim and collapse sweeps and OOM sizing all read the
 // page table (DESIGN.md §9.1), and so does which files it maps: every
 // status word naming a file — a not-resident page's, or a resident
-// page's origin, kept beside its PTE — is one registration of the space
-// with the file, so the file's object id lives exactly as long as
-// something in a tree names it.
+// page's origin, kept beside its PTE — holds one reference on the file,
+// so the file's object id lives exactly as long as something in a tree
+// names it.
 // Beside the page table lives only the VA arena that hands out fresh
 // ranges.
 //
@@ -69,9 +69,8 @@ type Options struct {
 	CoarseLocking bool
 }
 
-// AddrSpace is one CortenMM address space. It implements mm.MM, the
-// transactional interface via Lock, and mem.RMapTarget for reverse
-// mapping.
+// AddrSpace is one CortenMM address space. It implements mm.MM and the
+// transactional interface via Lock.
 type AddrSpace struct {
 	m     *cpusim.Machine
 	tree  *pt.Tree
@@ -160,7 +159,6 @@ func newUnpublished(o Options) (*AddrSpace, error) {
 		cursors: make([]cachedCursor, o.Machine.Cores),
 	}
 	a.anonOwner.Space = a
-	tree.Owner = a
 	return a, nil
 }
 
@@ -176,10 +174,14 @@ func (a *AddrSpace) Machine() *cpusim.Machine { return a.m }
 // Tree exposes the page table for invariant checks in tests.
 func (a *AddrSpace) Tree() *pt.Tree { return a.tree }
 
-// Features implements mm.MM: CortenMM's Table-2 row. The paper leaves
-// NUMA policies out (§4.5); this implementation has them — node-local
-// first touch over distance-ordered zonelists, mem.SetAllocPolicy, and
-// NUMA-balancing migration — so the row says so.
+// Features implements mm.MM: CortenMM's Table-2 row. Its reverse
+// mapping is the anonymous reverse-map hint beside each frame
+// (mem.FrameDesc.AnonRMap), which migration, compaction and NUMA
+// balancing read; a file page's mappings are found by each space in its
+// own tree. The paper leaves NUMA policies out (§4.5); this
+// implementation has them — node-local first touch over
+// distance-ordered zonelists, mem.SetAllocPolicy, and NUMA-balancing
+// migration — so the row says so.
 func (a *AddrSpace) Features() mm.Features {
 	return mm.Features{
 		OnDemandPaging: true,

@@ -242,10 +242,12 @@ func TestFileOffsetSliding(t *testing.T) {
 	}
 }
 
-// TestRMapUnmapReclaim: reverse mapping — the file asks every space
-// registered with it to give a page back, and each finds the page's
-// mappings in its own page table: in a forked child, and at the address
-// a growing Mremap moved a mapping to.
+// TestRMapUnmapReclaim: reverse mapping of a file page needs no record
+// beside the page tables — each space finds the page's mappings in its
+// own tree: in a forked child, and at the address a growing Mremap moved
+// a mapping to. MADV_DONTNEED there re-marks each mapping with its file
+// origin, the page then leaves the page cache, and every mapping faults
+// the file page back in and reads its bytes.
 func TestRMapUnmapReclaim(t *testing.T) {
 	a, m := newSpace(t, ProtocolAdv)
 	defer a.Destroy(0)
@@ -276,7 +278,14 @@ func TestRMapUnmapReclaim(t *testing.T) {
 		va arch.Vaddr
 	}{{a, va}, {a, moved}, {child, va}, {child, moved}}
 
-	f.UnmapAll(0, 0) // reclaim file page 0 everywhere
+	// Reclaim file page 0 everywhere: each space unmaps it in its own
+	// tree, then the page cache lets it go.
+	for _, mp := range mappings {
+		if err := mp.a.MadviseDontNeed(0, mp.va, arch.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.DropPage(0, 0)
 	m.Quiesce()
 	if f.NPages() != 0 {
 		t.Error("page not evicted from cache")
@@ -293,17 +302,18 @@ func TestRMapUnmapReclaim(t *testing.T) {
 		}
 	}
 	checkRegistrations(t, m.Phys, []*mem.File{f}, a, child)
-	// Every access faults it back in transparently.
+	// Every access faults it back in transparently: a store through the
+	// shared mapping reads back through all four.
 	faults := a.stats.PageFaults.Load()
-	if err := a.Touch(0, va, pt.AccessRead); err != nil {
+	if err := a.Store(0, moved, 5); err != nil {
 		t.Errorf("re-fault after reclaim: %v", err)
 	}
 	if a.stats.PageFaults.Load() == faults {
 		t.Error("reclaim did not force a second fault")
 	}
 	for _, mp := range mappings {
-		if err := mp.a.Touch(1, mp.va, pt.AccessRead); err != nil {
-			t.Errorf("%#x: re-fault after reclaim: %v", mp.va, err)
+		if b, err := mp.a.Load(1, mp.va); err != nil || b != 5 {
+			t.Errorf("%#x: re-fault after reclaim reads %d, %v; want the file page's 5", mp.va, b, err)
 		}
 	}
 	checkRegistrations(t, m.Phys, []*mem.File{f}, a, child)

@@ -85,7 +85,7 @@ func (c *RCursor) MapKeyed(va arch.Vaddr, frame arch.PFN, level int, perm arch.P
 // own file page, and its file is held across the store, as MmapFile
 // holds it across its Mark: the entry may name no file yet. Once the
 // path exists that hold is the one step that can fail (the file's first
-// registration, with the object table full), and it fails before the
+// reference, with the object table full), and it fails before the
 // entry is written.
 func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Perm, key arch.ProtKey, origin uint64, counted bool) error {
 	if level < 1 {
@@ -118,10 +118,10 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 	d := c.a.m.Phys.Desc(head)
 	t, isa := c.a.tree, c.a.isa
 	if f := d.RMap.File; f != nil && !counted {
-		if err := f.AddMapper(c.a); err != nil {
+		if err := f.Hold(); err != nil {
 			return err
 		}
-		defer f.RemoveMappers(c.a, 1)
+		defer f.Release(1)
 		kind := pt.StatusPrivateFile
 		if perm&arch.PermShared != 0 {
 			kind = pt.StatusSharedFile
@@ -164,7 +164,7 @@ func (c *RCursor) install(va arch.Vaddr, frame arch.PFN, level int, perm arch.Pe
 // aligned spans are stored at upper-level entries, so marking a 1-GiB
 // region costs O(1) entries, not 256 Ki of them (§3.3's optimization).
 // A file status holds its file for the whole walk: the teardown may give
-// back the file's last registration (a page of it re-marked not
+// back the file's last reference (a page of it re-marked not
 // resident), and the words stored after it must not name a recycled id.
 // A Swapped status likewise holds a reference on its block, and one
 // naming a block that is not allocated is refused.

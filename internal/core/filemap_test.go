@@ -15,8 +15,8 @@ import (
 	"cortenmm/internal/pt"
 )
 
-// treeRegistrations recounts, from a's page table, the registrations a
-// must hold with each file: one per status word that names the file,
+// treeRegistrations recounts, from a's page table, the references a's
+// words hold on each file: one per status word that names the file,
 // marked or beside a PTE. Each block a Swapped word names is set in
 // blocks. It also fails t unless every present leaf that maps a
 // page-cache frame has a word beside it naming that frame's file page,
@@ -55,24 +55,12 @@ func treeRegistrations(t *testing.T, a *AddrSpace, blocks map[uint64]bool) map[*
 	return n
 }
 
-// registrations returns how many spaces f has registered and how many
-// registrations space a holds with it.
-func registrations(f *mem.File, a *AddrSpace) (spaces int, held uint64) {
-	f.ForEachMapper(func(t mem.RMapTarget, n uint64) {
-		spaces++
-		if t == a {
-			held = n
-		}
-	})
-	return spaces, held
-}
-
 // checkRegistrations fails unless every file that holds an object id,
-// every file in files and every file the spaces' trees name is registered
-// with exactly the spaces whose trees name it, as often as their words
-// do, and holds an id iff something registers it; unless the machine's
-// swap device holds exactly the blocks the trees' words name; and
-// unless every leaf carries the origin word treeRegistrations asks for.
+// every file in files and every file the spaces' trees name holds as
+// many references as the spaces' words name it, and holds an id iff it
+// holds a reference; unless the machine's swap device holds exactly the
+// blocks the trees' words name; and unless every leaf carries the origin
+// word treeRegistrations asks for.
 func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spaces ...*AddrSpace) {
 	t.Helper()
 	check := slices.Clone(files)
@@ -81,27 +69,17 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 			check = append(check, f)
 		}
 	}
-	want := make([]map[*mem.File]uint64, len(spaces))
+	want := map[*mem.File]uint64{}
 	blocks := map[uint64]bool{}
-	for i, a := range spaces {
-		want[i] = treeRegistrations(t, a, blocks)
-		for f := range want[i] {
+	for _, a := range spaces {
+		for f, n := range treeRegistrations(t, a, blocks) {
+			want[f] += n
 			check = append(check, f)
 		}
 	}
 	for _, f := range check {
-		naming := 0
-		for i, a := range spaces {
-			if _, held := registrations(f, a); held != want[i][f] {
-				t.Errorf("file %q (id %d): space %d holds %d registrations, its page table names the file %d times",
-					f.Name, f.ID(), i, held, want[i][f])
-			}
-			if want[i][f] > 0 {
-				naming++
-			}
-		}
-		if registered, _ := registrations(f, nil); registered != naming || (f.ID() != 0) != (registered > 0) {
-			t.Errorf("file %q: id %d, %d spaces registered, %d page tables name it", f.Name, f.ID(), registered, naming)
+		if refs := f.Refs(); refs != want[f] || (f.ID() != 0) != (refs > 0) {
+			t.Errorf("file %q: id %d, %d references, the page tables name it %d times", f.Name, f.ID(), refs, want[f])
 		}
 	}
 	if n := phys.Swap().InUse(); n != len(blocks) {
@@ -110,19 +88,17 @@ func checkRegistrations(t *testing.T, phys *mem.PhysMem, files []*mem.File, spac
 }
 
 // TestMunmapPrunesFileMappings: unmapping a file mapping gives back the
-// space's registrations with the file — a partial unmap keeps the rest,
-// a second mapping keeps the space registered, and the last unmap ends
-// the registration and the file's object id. Before this was enforced,
-// Munmap left the registration behind, so a long-lived space that mapped
-// and unmapped files kept shooting down pages it no longer mapped.
+// references its words held on the file — a partial unmap keeps the
+// rest, a second mapping keeps the file held, and the last unmap ends
+// the references and the file's object id.
 func TestMunmapPrunesFileMappings(t *testing.T) {
 	a, m := newSpace(t, ProtocolAdv)
 	defer a.Destroy(0)
 	f := mem.NewFile(m.Phys, "data", 8*arch.PageSize)
-	step := func(what string, wantSpaces int) {
+	step := func(what string, wantRefs uint64) {
 		t.Helper()
-		if spaces, _ := registrations(f, a); spaces != wantSpaces {
-			t.Fatalf("%s: %d spaces registered with the file, want %d", what, spaces, wantSpaces)
+		if refs := f.Refs(); refs != wantRefs {
+			t.Fatalf("%s: the file holds %d references, want %d", what, refs, wantRefs)
 		}
 		checkRegistrations(t, m.Phys, []*mem.File{f}, a)
 	}
@@ -138,28 +114,22 @@ func TestMunmapPrunesFileMappings(t *testing.T) {
 	if err := a.Store(0, va1, 1); err != nil {
 		t.Fatal(err)
 	}
-	step("two MmapFiles", 1)
-	if _, held := registrations(f, a); held != 8 {
-		t.Fatalf("two 4-page mappings hold %d registrations, want 8", held)
-	}
+	step("two 4-page MmapFiles", 8)
 
-	// A partial unmap keeps the registrations of what stays mapped.
+	// A partial unmap keeps the references of what stays mapped.
 	if err := a.Munmap(0, va1, arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	step("partial unmap", 1)
-	if _, held := registrations(f, a); held != 7 {
-		t.Fatalf("after a one-page unmap, %d registrations, want 7", held)
-	}
+	step("partial unmap", 7)
 
-	// Unmapping the first mapping in full keeps the space registered for
-	// the surviving second mapping.
+	// Unmapping the first mapping in full keeps the file held by the
+	// surviving second mapping.
 	if err := a.Munmap(0, va1, 4*arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	step("first mapping unmapped", 1)
+	step("first mapping unmapped", 4)
 
-	// Unmapping the last mapping ends the registration and the id.
+	// Unmapping the last mapping ends the references and the id.
 	if err := a.Munmap(0, va2, 4*arch.PageSize); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +142,8 @@ func TestMunmapPrunesFileMappings(t *testing.T) {
 
 // TestMremapGrowKeepsFileMapper: a growing Mremap moves a file mapping,
 // it does not unmap it — the old VAs go back to the allocator, but the
-// file must keep the space as a mapper while the pages live on at the
-// new address.
+// moved words keep the file held while the pages live on at the new
+// address.
 func TestMremapGrowKeepsFileMapper(t *testing.T) {
 	const size = 4 * arch.PageSize
 	a, m := newSpace(t, ProtocolAdv)
@@ -190,8 +160,8 @@ func TestMremapGrowKeepsFileMapper(t *testing.T) {
 	if err != nil || nva == va {
 		t.Fatalf("grow = %#x, %v", nva, err)
 	}
-	if spaces, held := registrations(f, a); spaces != 1 || held != 4 {
-		t.Fatalf("after the move: %d file mappers, %d registrations, want 1 and 4", spaces, held)
+	if refs := f.Refs(); refs != 4 {
+		t.Fatalf("after the move: %d file references, want 4", refs)
 	}
 	checkRegistrations(t, m.Phys, []*mem.File{f}, a)
 	if b, err := a.Load(0, nva); err != nil || b != 7 {
@@ -200,22 +170,22 @@ func TestMremapGrowKeepsFileMapper(t *testing.T) {
 	if again, _ := a.Mmap(0, size, arch.PermRW, 0); again != va {
 		t.Fatalf("old range %#x not recycled: got %#x", va, again)
 	}
-	// The registrations moved with the words and the page, so the old
+	// The references moved with the words and the page, so the old
 	// range's next tenant leaving does not end them — nor the object id
 	// the moved, not yet faulted pages name their file by.
 	if err := a.Munmap(0, va, size); err != nil {
 		t.Fatal(err)
 	}
-	if spaces, _ := registrations(f, a); spaces != 1 || f.ID() == 0 {
-		t.Fatalf("after the old range's next tenant left: %d file mappers, file id %d", spaces, f.ID())
+	if refs := f.Refs(); refs != 4 || f.ID() == 0 {
+		t.Fatalf("after the old range's next tenant left: %d file references, file id %d", refs, f.ID())
 	}
 	if err := a.Store(0, nva+arch.PageSize, 8); err != nil {
 		t.Fatalf("fault on a moved, never-touched file page: %v", err)
 	}
 
-	// A move of part of a mapping takes its part of the registrations;
+	// A move of part of a mapping takes its part of the references;
 	// unmapping where the whole mapping used to be leaves the moved part
-	// mapped, registered and reading its own file pages.
+	// mapped, holding its file and reading its own file pages.
 	g := mem.NewFile(m.Phys, "split", 2*size)
 	gva, err := a.MmapFile(0, g, 0, 2*size, arch.PermRW, true)
 	if err != nil {
@@ -249,8 +219,8 @@ func TestMremapGrowKeepsFileMapper(t *testing.T) {
 	checkQuiet(t, a)
 }
 
-// TestMarkedWordHoldsItsFile: a status word that names a file is one
-// registration of it, and a mapped page holds its file through its word:
+// TestMarkedWordHoldsItsFile: a status word that names a file holds one
+// reference on it, and a mapped page holds its file through its word:
 // a raw Tx.Map of a page-cache frame stores the frame's file word beside
 // the PTE. Either alone keeps the file's object id after the mapping that
 // gave it one is unmapped, so the next file cannot take the id, and the
@@ -318,7 +288,7 @@ func TestMarkedWordHoldsItsFile(t *testing.T) {
 				checkRegistrations(t, m.Phys, []*mem.File{f}, a)
 				checkQuiet(t, a)
 				a.Destroy(0)
-				if n := liveFileIDs(m.Phys); n != 0 {
+				if n := m.Phys.FilesInUse(); n != 0 {
 					t.Errorf("%d file ids live after Destroy", n)
 				}
 				checkClean(t, m)
@@ -333,11 +303,11 @@ func TestMarkedWordHoldsItsFile(t *testing.T) {
 // MADV_DONTNEED, loads, copy-on-write-breaking stores (to any page, and
 // to a private file page), SwapOut in either space (a fork shares the
 // blocks of swapped pages), and Tx.Mark and Tx.Map of file pages, on
-// both protocols. After every op it recounts each (file, space) pair
-// from the trees' words, which must equal the registration count, and
-// the swap device's blocks in use, which must be the distinct blocks the
-// words name; it checks every leaf's origin word, and a file must hold
-// an id iff something registers it. The 1 024-page mappings put file
+// both protocols. After every op it recounts each file's words across
+// the trees, which must equal the file's reference count, and the swap
+// device's blocks in use, which must be the distinct blocks the words
+// name; it checks every leaf's origin word, and a file must hold an id
+// iff it holds a reference. The 1 024-page mappings put file
 // words at level 2, so faults and partial unmaps push them down, and
 // whole-mapping unmaps sweep leaf tables of page-cache frames and of
 // their private copies.
@@ -363,9 +333,8 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if spaces, held := registrations(files[0], a); spaces != 1 || held != 2 || files[0].ID() == 0 {
-				t.Errorf("a fully COW-broken private mapping: %d mappers, %d registrations, id %d; want 1, 2 and an id",
-					spaces, held, files[0].ID())
+			if refs := files[0].Refs(); refs != 2 || files[0].ID() == 0 {
+				t.Errorf("a fully COW-broken private mapping: %d references, id %d; want 2 and an id", refs, files[0].ID())
 			}
 			checkRegistrations(t, m.Phys, files, a)
 			if err := a.Munmap(0, va, 2*pg); err != nil {
@@ -556,7 +525,7 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 				}
 				checkRegistrations(t, m.Phys, files, spaces...)
 				if t.Failed() {
-					t.Fatalf("step %d: %s broke the registrations", step, name)
+					t.Fatalf("step %d: %s broke the references", step, name)
 				}
 			}
 			for _, sp := range spaces {
@@ -565,7 +534,7 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 			for i := len(spaces) - 1; i >= 0; i-- {
 				spaces[i].Destroy(0)
 			}
-			if n := liveFileIDs(m.Phys); n != 0 {
+			if n := m.Phys.FilesInUse(); n != 0 {
 				t.Errorf("%d file ids live after every space is gone", n)
 			}
 			checkClean(t, m)
@@ -662,9 +631,9 @@ func TestGetPageAllocatesUnlocked(t *testing.T) {
 }
 
 // TestSplitUnmapReleasesFile: a file mapping unmapped in pieces keeps a
-// registration for exactly the words and pages still mapped — a cut in
-// the middle leaves both ends — and gives back its last registration and
-// its object id with the last piece; so shared mappings unmapped a page
+// reference for exactly the words and pages still mapped — a cut in the
+// middle leaves both ends — and gives back its last reference and its
+// object id with the last piece; so shared mappings unmapped a page
 // at a time never fill the machine's object table.
 func TestSplitUnmapReleasesFile(t *testing.T) {
 	const pg = arch.PageSize
@@ -680,8 +649,7 @@ func TestSplitUnmapReleasesFile(t *testing.T) {
 			}
 			f := mem.NewFile(m.Phys, "f", 4*pg)
 			left := func() string {
-				spaces, held := registrations(f, a)
-				return fmt.Sprintf("file id %d, %d mappers, %d registrations", f.ID(), spaces, held)
+				return fmt.Sprintf("file id %d, %d references", f.ID(), f.Refs())
 			}
 			t.Run("split unmap", func(t *testing.T) {
 				va, err := a.MmapFile(0, f, 0, 4*pg, arch.PermRW, true)
@@ -690,7 +658,7 @@ func TestSplitUnmapReleasesFile(t *testing.T) {
 				}
 				munmap(va, 2)
 				munmap(va+2*pg, 2)
-				if got := left(); got != "file id 0, 0 mappers, 0 registrations" {
+				if got := left(); got != "file id 0, 0 references" {
 					t.Errorf("halves unmapped: %s", got)
 				}
 				if va, err = a.MmapFile(0, f, 0, 4*pg, arch.PermRW, true); err != nil {
@@ -700,7 +668,7 @@ func TestSplitUnmapReleasesFile(t *testing.T) {
 					t.Fatal(err)
 				}
 				munmap(va+pg, 2)
-				if got := left(); got != fmt.Sprintf("file id %d, 1 mappers, 2 registrations", f.ID()) || f.ID() == 0 {
+				if got := left(); got != fmt.Sprintf("file id %d, 2 references", f.ID()) || f.ID() == 0 {
 					t.Errorf("middle cut: %s", got)
 				}
 				checkRegistrations(t, m.Phys, []*mem.File{f}, a)
@@ -709,7 +677,7 @@ func TestSplitUnmapReleasesFile(t *testing.T) {
 					t.Error("the file lost its id while page 3 is still mapped")
 				}
 				munmap(va+3*pg, 1)
-				if got := left(); got != "file id 0, 0 mappers, 0 registrations" {
+				if got := left(); got != "file id 0, 0 references" {
 					t.Errorf("middle cut, then both ends: %s", got)
 				}
 			})
@@ -722,7 +690,7 @@ func TestSplitUnmapReleasesFile(t *testing.T) {
 					munmap(va, 1)
 					munmap(va+pg, 1)
 				}
-				if n := liveFileIDs(m.Phys); n != 0 {
+				if n := m.Phys.FilesInUse(); n != 0 {
 					t.Errorf("%d file ids live after page-by-page unmaps", n)
 				}
 			})

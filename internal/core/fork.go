@@ -2,7 +2,6 @@ package core
 
 import (
 	"cortenmm/internal/arch"
-	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 )
 
@@ -71,9 +70,8 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 // Private mappings become COW in both trees; shared mappings alias the
 // same frames; status words — marks and the origins beside PTEs — are
 // copied once the PTEs are. Every copied word takes its hold before the
-// parent's transaction ends: a file word registers the child with its
-// file, so no unmap in the parent can retire an object id the child
-// names, and a swapped page's word shares its block, so each side swaps
+// parent's transaction ends: a file word holds its file, so no unmap
+// in the parent can retire an object id the child names, and a swapped page's word shares its block, so each side swaps
 // in its own private copy. Like pt.Tree.Destroy
 // it recurses over a tree it owns outright, so it is not a walkRange
 // visitor: it writes a second tree in step with the first.
@@ -148,33 +146,4 @@ func (a *AddrSpace) Destroy(core int) {
 		a.m.Phys.Put(core, head)
 	})
 	a.m.FreeASID(a.asid)
-}
-
-// RMapUnmap implements mem.RMapTarget: unmap every mapping of the given
-// file page in this space. The page table is the record: one whole-space
-// transaction finds the PTEs that map the page, and each is re-marked
-// with its not-resident file status, so a later access faults the page
-// back in (§4.5: reverse mapping goes through the transactional
-// interface).
-func (a *AddrSpace) RMapUnmap(f *mem.File, index uint64) {
-	c, err := a.Lock(0, 0, arch.MaxVaddr)
-	if err != nil {
-		return
-	}
-	defer c.Close()
-	var hits []Run
-	_ = c.IterateMapped(0, arch.MaxVaddr, func(r Run) error {
-		for i := uint64(0); i < r.Pages; i++ {
-			st := r.Status.SlidBy(i)
-			if d := a.m.Phys.Desc(a.m.Phys.HeadOf(st.Page())); d.RMap.File == f && d.RMap.Index == index {
-				hits = append(hits, Run{VA: r.VA + arch.Vaddr(i*arch.PageSize), Pages: 1, Status: st, Origin: r.Origin.SlidBy(i)})
-			}
-		}
-		return nil
-	})
-	c.needSync = len(hits) > 0 // the page is about to be reclaimed
-	for _, r := range hits {
-		// One page under a leaf table: nothing to split, so it cannot fail.
-		_ = c.Mark(r.VA, r.End(), nonResident(r))
-	}
 }

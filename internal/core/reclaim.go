@@ -18,10 +18,8 @@ import (
 // Shared, COW and file-backed pages are skipped — file-backed meaning
 // every page whose entry names a file, a COW-broken private file page
 // too: a Swapped word would take the place of its origin — and nothing
-// else reclaims them: mem.File.UnmapAll can unmap a file page in every
-// space registered with the file (each finds the page's PTEs in its own
-// page table), but no sweep calls it, so file-backed and shared pages
-// stay resident until unmapped.
+// else reclaims them, so file-backed and shared pages stay resident
+// until unmapped.
 func (a *AddrSpace) ReclaimRange(core int, va arch.Vaddr, size uint64, target int) (int, error) {
 	return a.reclaimRangeNode(core, va, size, target, -1)
 }

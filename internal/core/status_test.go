@@ -10,18 +10,8 @@ import (
 	"cortenmm/internal/pt"
 )
 
-// liveFileIDs counts the object ids the machine's files hold.
-func liveFileIDs(phys *mem.PhysMem) (n int) {
-	for id := uint32(1); id <= mem.MaxObjID; id++ {
-		if phys.FileByID(id) != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // TestMarkSwappedHoldsBlock: a Tx.Mark of a swapped status takes a
-// reference on the block it names, as a file status registers its file.
+// reference on the block it names, as a file status holds its file.
 // Naming a block that was never allocated is refused before the tree
 // changes; naming a live one shares it, so clearing the sharer's word
 // leaves the owner's block alone. Before, that clear freed the block:
@@ -189,9 +179,9 @@ func TestMarkIsTotal(t *testing.T) {
 			}
 
 			// The syscalls refuse the same things before any tree write:
-			// no PT page, no registration and no object id is left behind.
+			// no PT page, no file reference and no object id is left behind.
 			var held []arch.Vaddr
-			for n := liveFileIDs(m.Phys); n < mem.MaxObjID; n++ {
+			for n := m.Phys.FilesInUse(); n < mem.MaxObjID; n++ {
 				va, err := a.MmapSharedAnon(0, arch.PageSize, arch.PermRW)
 				if err != nil {
 					t.Fatalf("MmapSharedAnon with %d ids live: %v", n, err)
@@ -199,7 +189,7 @@ func TestMarkIsTotal(t *testing.T) {
 				held = append(held, va)
 			}
 			ptPages := a.tree.PTPageCount.Load()
-			_, records := registrations(mapped, a)
+			refs := mapped.Refs()
 			if _, err := a.MmapFile(0, mapped, top, 2*arch.PageSize, arch.PermRW, true); !errors.Is(err, mm.ErrBadRange) {
 				t.Errorf("MmapFile past the payload width = %v, want ErrBadRange", err)
 			}
@@ -209,22 +199,22 @@ func TestMarkIsTotal(t *testing.T) {
 			if _, err := a.MmapFile(0, unmapped, 0, arch.PageSize, arch.PermRW, false); !errors.Is(err, mem.ErrObjTableFull) {
 				t.Errorf("MmapFile with the object table full = %v, want ErrObjTableFull", err)
 			}
-			if _, held := registrations(mapped, a); a.tree.PTPageCount.Load() != ptPages || held != records || unmapped.ID() != 0 {
-				t.Errorf("refused mappings left %d PT pages (%d before), %d registrations (%d before), file id %d",
-					a.tree.PTPageCount.Load(), ptPages, held, records, unmapped.ID())
+			if a.tree.PTPageCount.Load() != ptPages || mapped.Refs() != refs || unmapped.ID() != 0 {
+				t.Errorf("refused mappings left %d PT pages (%d before), %d file references (%d before), file id %d",
+					a.tree.PTPageCount.Load(), ptPages, mapped.Refs(), refs, unmapped.ID())
 			}
 			for _, va := range held {
 				if err := a.Munmap(0, va, arch.PageSize); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if n := liveFileIDs(m.Phys); n != 1 {
+			if n := m.Phys.FilesInUse(); n != 1 {
 				t.Errorf("%d file ids live with one file mapped", n)
 			}
 			checkRegistrations(t, m.Phys, []*mem.File{mapped, unmapped}, a)
 			checkQuiet(t, a)
 			a.Destroy(0)
-			if n := liveFileIDs(m.Phys); n != 0 {
+			if n := m.Phys.FilesInUse(); n != 0 {
 				t.Errorf("%d file ids live after Destroy", n)
 			}
 			checkClean(t, m)
@@ -234,24 +224,36 @@ func TestMarkIsTotal(t *testing.T) {
 
 // TestObjectTableChurn: MmapSharedAnon makes one kernel-internal file
 // per call, so the object table must recycle — 20 000 map/unmap cycles
-// on one machine never exhaust its 4 095 ids and leave it empty — and an
-// id must outlive the mapping that took it for as long as any space
-// still names it: a forked child keeps its parent's file registered
-// after the parent unmaps.
+// on one machine never exhaust its 4 095 ids and leave it empty — and
+// the memory must go with the file: the last unmap frees the pages the
+// file cached. An id must outlive the mapping that took it for as long
+// as any space still names it: a forked child keeps its parent's file
+// held after the parent unmaps.
 func TestObjectTableChurn(t *testing.T) {
 	a, m := newSpace(t, ProtocolAdv)
+	pageCache := func(what string) {
+		t.Helper()
+		m.Quiesce()
+		if n := m.Phys.Stats().FileBytes; n != 0 {
+			t.Fatalf("%d page-cache bytes left after %s", n, what)
+		}
+	}
 	for i := 0; i < 20000; i++ {
 		va, err := a.MmapSharedAnon(0, 4*arch.PageSize, arch.PermRW)
 		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if err := a.Store(0, va+arch.PageSize, 1); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 		if err := a.Munmap(0, va, 4*arch.PageSize); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := liveFileIDs(m.Phys); n != 0 {
-		t.Fatalf("%d file ids live after 20000 map/unmap cycles", n)
+	if n := m.Phys.FilesInUse(); n != 0 {
+		t.Fatalf("%d file ids live after 20000 map/store/unmap cycles", n)
 	}
+	pageCache("20000 map/store/unmap cycles")
 
 	va, err := a.MmapSharedAnon(0, 2*arch.PageSize, arch.PermRW)
 	if err != nil {
@@ -278,7 +280,7 @@ func TestObjectTableChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := liveFileIDs(m.Phys); n != 1 {
+	if n := m.Phys.FilesInUse(); n != 1 {
 		t.Fatalf("%d file ids live while the child maps the file, want 1", n)
 	}
 	// The second page was never faulted: the child reaches the file
@@ -292,9 +294,10 @@ func TestObjectTableChurn(t *testing.T) {
 	checkQuiet(t, child)
 	child.Destroy(1)
 	a.Destroy(0)
-	if n := liveFileIDs(m.Phys); n != 0 {
+	if n := m.Phys.FilesInUse(); n != 0 {
 		t.Errorf("%d file ids live after both spaces are gone", n)
 	}
+	pageCache("both spaces are gone")
 }
 
 // TestVirtCycleAllocatesNothing: a warmed Mmap → Mprotect → Munmap of an

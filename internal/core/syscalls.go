@@ -146,9 +146,9 @@ func (a *AddrSpace) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arc
 	return a.mmap(core, op{kind: BatchMmap, size: size, perm: perm, file: f, pgoff: pgoff, shared: shared})
 }
 
-// mmap is Mmap and MmapFile: a fresh range, the file's registration held
-// across the transaction if there is a file, run, and the range handed
-// back on failure.
+// mmap is Mmap and MmapFile: a fresh range, the file held across the
+// transaction if there is a file, run, and the range handed back on
+// failure.
 func (a *AddrSpace) mmap(core int, o op) (arch.Vaddr, error) {
 	if err := a.allocVA(core, &o); err != nil {
 		return 0, err
@@ -156,12 +156,12 @@ func (a *AddrSpace) mmap(core int, o op) (arch.Vaddr, error) {
 	var err error
 	if o.file == nil {
 		err = a.run(core, &o)
-	} else if err = o.file.AddMapper(a); err == nil {
-		// This registration is taken before the status is packed — it
-		// names the file by the object id its first registration gives
+	} else if err = o.file.Hold(); err == nil {
+		// This reference is taken before the status is packed — it
+		// names the file by the object id its first reference gives
 		// it — and held until the marked words hold their own.
 		err = a.run(core, &o)
-		o.file.RemoveMappers(a, 1)
+		o.file.Release(1)
 	}
 	if err != nil {
 		a.valloc.Free(core, o.va, o.size)
@@ -244,10 +244,11 @@ func (a *AddrSpace) mmapBody(c *RCursor, o *op) error {
 }
 
 // MmapSharedAnon maps shared anonymous memory by naming its pages with a
-// kernel-internal file (§4.5), so fork'd children share writes.
+// kernel-internal file (§4.5), so fork'd children share writes. The
+// memory is freed with the last word naming the file.
 func (a *AddrSpace) MmapSharedAnon(core int, size uint64, perm arch.Perm) (arch.Vaddr, error) {
 	size = alignSize(size, 0)
-	f := mem.NewFile(a.m.Phys, "[shm]", size)
+	f := mem.NewAnonFile(a.m.Phys, size)
 	return a.MmapFile(core, f, 0, size, perm, true)
 }
 

@@ -241,7 +241,7 @@ func TestFixedOverRecycledVANotFreedTwice(t *testing.T) {
 }
 
 // TestMmapZeroSize: a size that aligns to zero is rejected with
-// ErrBadRange before a VA, a file registration or a ring slot is spent.
+// ErrBadRange before a VA, a file reference or a ring slot is spent.
 func TestMmapZeroSize(t *testing.T) {
 	calls := map[string]func(a *AddrSpace, f *mem.File) error{
 		"Mmap": func(a *AddrSpace, _ *mem.File) error {
@@ -278,8 +278,8 @@ func TestMmapZeroSize(t *testing.T) {
 				if err := call(a, f); !errors.Is(err, mm.ErrBadRange) {
 					t.Fatalf("err = %v, want ErrBadRange", err)
 				}
-				if mappers, _ := registrations(f, a); mappers != 0 || f.ID() != 0 {
-					t.Errorf("failed call left %d mapper(s), file id %d", mappers, f.ID())
+				if f.Refs() != 0 || f.ID() != 0 {
+					t.Errorf("failed call left %d file reference(s), file id %d", f.Refs(), f.ID())
 				}
 				if va, err := a.Mmap(0, arch.PageSize, arch.PermRW, 0); err != nil || va != cpusim.UserLo {
 					t.Errorf("next mmap = %#x, %v; want the arena's first address", va, err)

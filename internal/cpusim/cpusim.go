@@ -496,7 +496,7 @@ func (m *Machine) Defer(core int, fn func()) {
 // CheckClean is the epilogue of every harness, run after the last
 // address space was destroyed: drain the deferred work, then require
 // that physical memory audits clean and that no page-table or anonymous
-// frame, and no swap block, outlived the teardown.
+// frame, no swap block and no file's object id outlived the teardown.
 func (m *Machine) CheckClean() error {
 	m.Quiesce()
 	if rep := m.Phys.Audit(); !rep.Ok() {
@@ -507,6 +507,9 @@ func (m *Machine) CheckClean() error {
 	}
 	if n := m.Phys.Swap().InUse(); n != 0 {
 		return fmt.Errorf("cpusim: %d swap blocks left after teardown", n)
+	}
+	if n := m.Phys.FilesInUse(); n != 0 {
+		return fmt.Errorf("cpusim: %d files still holding an object id after teardown", n)
 	}
 	return nil
 }

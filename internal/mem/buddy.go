@@ -350,9 +350,9 @@ const (
 )
 
 // pcpCache is a per-core cache of order-0 frames. The owning core is by
-// far the dominant user, but deferred frees (RCU callbacks, reverse-map
-// walks) may run on other goroutines, so a mutex — virtually always
-// uncontended — guards the list.
+// far the dominant user, but deferred frees (RCU callbacks, a shared
+// anonymous file's last release) may run on other goroutines, so a
+// mutex — virtually always uncontended — guards the list.
 type pcpCache struct {
 	mu     sync.Mutex
 	frames []arch.PFN

@@ -1,8 +1,8 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -10,37 +10,29 @@ import (
 	"cortenmm/internal/fault"
 )
 
-// RMapTarget is implemented by address spaces so reverse mapping can walk
-// from a file page to every space that maps it. The file knows only
-// which spaces those are; each finds the page's mappings in its own page
-// table, through its transactional interface (§4.5).
-type RMapTarget interface {
-	// RMapUnmap asks the target to unmap the given file page wherever it
-	// has it mapped. Used by writeback/reclaim paths.
-	RMapUnmap(file *File, index uint64)
-}
-
 // File is a simulated named file: a sparse array of pages backed by the
-// page cache, plus the tree of address spaces that map it (the paper's
-// reverse-mapping structure for named pages). Shared anonymous mappings
-// are supported by naming their pages with an anonymous File inside the
-// kernel, exactly as §4.5 describes.
+// page cache, counted by the references that name it. Who maps a file is
+// recorded only in the page tables: each space finds the file's pages in
+// its own tree (§4.5). Shared anonymous mappings name their pages with
+// an anonymous File inside the kernel (NewAnonFile), exactly as §4.5
+// describes.
 type File struct {
 	Name string
 
 	mu   sync.Mutex
 	mem  *PhysMem
 	size uint64
-	// id names the file in page-table status words while it has a
-	// mapper (see fileTable); 0 otherwise. Written under mu.
+	// id names the file in page-table status words while it is held
+	// (see fileTable); 0 otherwise. Written under mu.
 	id    atomic.Uint32
 	pages map[uint64]arch.PFN // page cache: file page index -> frame
-	// mappers is the rmap "tree": each space that references the file
-	// from its page table, with its count of registrations — one per
-	// status word naming the file, marked or beside the PTE of a page it
-	// is the origin of (internal/pt keeps it so), plus a caller's hold
-	// across a store (AddMapper).
-	mappers    map[RMapTarget]uint64
+	// refs counts the file's references: one per status word naming it,
+	// marked or beside the PTE of a page it is the origin of
+	// (internal/pt keeps it so), plus a caller's hold across a store.
+	refs uint64
+	// anon marks a kernel-internal file (NewAnonFile): nothing can reach
+	// it once its last reference goes, so that drops its page cache.
+	anon       bool
 	writebacks uint64
 }
 
@@ -62,13 +54,17 @@ func (f *File) WritebackCount() uint64 {
 
 // NewFile creates a file of the given byte size backed by m's page cache.
 func NewFile(m *PhysMem, name string, size uint64) *File {
-	return &File{
-		Name:    name,
-		mem:     m,
-		size:    size,
-		pages:   make(map[uint64]arch.PFN),
-		mappers: make(map[RMapTarget]uint64),
-	}
+	return &File{Name: name, mem: m, size: size, pages: make(map[uint64]arch.PFN)}
+}
+
+// NewAnonFile creates the kernel-internal file that names the pages of
+// a shared anonymous mapping (Linux's shmem inode). Unlike a named
+// file, whose page cache is its content, it frees its cached pages with
+// its last reference.
+func NewAnonFile(m *PhysMem, size uint64) *File {
+	f := NewFile(m, "[shm]", size)
+	f.anon = true
+	return f
 }
 
 // Size returns the file length in bytes.
@@ -93,7 +89,7 @@ func (f *File) GetPage(core int, index uint64) (arch.PFN, error) {
 		return 0, fmt.Errorf("mem: page %d of an unregistered file", index)
 	}
 	if index*arch.PageSize >= f.size {
-		return 0, fmt.Errorf("mem: file %q page %d beyond EOF", f.Name, index)
+		return 0, fmt.Errorf("%w: file %q page %d", ErrBeyondEOF, f.Name, index)
 	}
 	f.mu.Lock()
 	pfn, ok := f.pages[index]
@@ -140,29 +136,28 @@ func (f *File) DropPage(core int, index uint64) {
 	}
 }
 
-// AddMapper registers t once more in the reverse-mapping tree. The
-// file's first registration anywhere gives it its object id;
-// ErrObjTableFull, with nothing registered, when the machine has none
-// left. Every later one cannot fail.
-func (f *File) AddMapper(t RMapTarget) error {
+// Hold takes one more reference on the file. Its first reference gives
+// it its object id; ErrObjTableFull, taking none, when the machine has
+// none left. Every later one cannot fail.
+func (f *File) Hold() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.mappers) == 0 {
+	if f.refs == 0 {
 		id := f.mem.files.add(f)
 		if id == 0 {
 			return ErrObjTableFull
 		}
 		f.id.Store(id)
 	}
-	f.mappers[t]++
+	f.refs++
 	return nil
 }
 
-// AddMappersByID registers t n more times with the file holding object
-// id, and reports false, registering nothing, if no file holds it: a
-// status word names its file by id, so this is how a word registers, and
-// it never gives a file an id.
-func (m *PhysMem) AddMappersByID(id uint32, t RMapTarget, n uint64) bool {
+// HoldFile takes n more references on the file holding object id, and
+// reports false, taking none, if no file holds it: a status word names
+// its file by id, so this is how a word takes its reference, and it
+// never gives a file an id.
+func (m *PhysMem) HoldFile(id uint32, n uint64) bool {
 	f := m.FileByID(id)
 	if f == nil {
 		return false
@@ -172,29 +167,44 @@ func (m *PhysMem) AddMappersByID(id uint32, t RMapTarget, n uint64) bool {
 	if f.id.Load() != id {
 		return false
 	}
-	f.mappers[t] += n
+	f.refs += n
 	return true
 }
 
-// RemoveMappers drops n registrations of t; the file's last one anywhere
-// gives its object id back.
-func (f *File) RemoveMappers(t RMapTarget, n uint64) {
+// Release gives back n references; the last one gives the object id
+// back and, on an anonymous file, drops its page cache. It may run under
+// page-table locks: freeing a frame takes only the allocator's locks.
+func (f *File) Release(n uint64) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	switch have := f.mappers[t]; {
-	case have > n:
-		f.mappers[t] = have - n
-		return
-	case have < n:
-		panic(fmt.Sprintf("mem: %d registrations of file %q dropped, %d held", n, f.Name, have))
+	if f.refs < n {
+		f.mu.Unlock()
+		panic(fmt.Sprintf("mem: %d references to file %q released, %d held", n, f.Name, f.refs))
 	}
-	delete(f.mappers, t)
-	if len(f.mappers) == 0 && f.id.Load() != 0 {
+	f.refs -= n
+	var drop []arch.PFN
+	if f.refs == 0 {
 		f.mem.files[f.id.Swap(0)].Store(nil)
+		if f.anon {
+			for _, pfn := range f.pages {
+				drop = append(drop, pfn)
+			}
+			clear(f.pages)
+		}
+	}
+	f.mu.Unlock()
+	if drop != nil {
+		f.mem.PutList(0, drop)
 	}
 }
 
-// ID returns the file's object id, or 0 while no space maps it.
+// Refs returns the number of references the file holds.
+func (f *File) Refs() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.refs
+}
+
+// ID returns the file's object id, or 0 while it is not held.
 func (f *File) ID() uint32 {
 	if f == nil {
 		return 0
@@ -208,10 +218,14 @@ const MaxObjID = 1<<12 - 1
 // ErrObjTableFull means MaxObjID files are mapped on the machine already.
 var ErrObjTableFull = fmt.Errorf("mem: object table full (%d mapped files)", MaxObjID)
 
+// ErrBeyondEOF is an access to a mapped file page past the file's end
+// (Linux's SIGBUS).
+var ErrBeyondEOF = errors.New("mem: access beyond EOF")
+
 // fileTable is the machine's object table: which file each small id in
 // page-table status words (internal/pt) stands for. A file holds an id
-// from its first registration to its last, and every status word naming
-// file F is itself one registration of F, so no reader can meet a stale
+// from its first reference to its last, and every status word naming
+// file F is itself one reference on F, so no reader can meet a stale
 // id. Neither taking an id nor the lookups on the fault path take a
 // lock.
 type fileTable [MaxObjID + 1]atomic.Pointer[File]
@@ -231,23 +245,15 @@ func (s *fileTable) add(f *File) uint32 {
 // it, nil if none does.
 func (m *PhysMem) FileByID(id uint32) *File { return m.files[id&MaxObjID].Load() }
 
-// ForEachMapper calls fn for every registered address space with its
-// registration count. The file lock is not held during fn, so fn may
-// call back into the file.
-func (f *File) ForEachMapper(fn func(t RMapTarget, n uint64)) {
-	f.mu.Lock()
-	mappers := maps.Clone(f.mappers)
-	f.mu.Unlock()
-	for t, n := range mappers {
-		fn(t, n)
+// FilesInUse returns the number of object ids files hold: the file
+// twin of BlockDev.InUse.
+func (m *PhysMem) FilesInUse() (n int) {
+	for id := uint32(1); id <= MaxObjID; id++ {
+		if m.FileByID(id) != nil {
+			n++
+		}
 	}
-}
-
-// UnmapAll walks the reverse map asking every mapper to unmap page index,
-// then evicts it from the page cache — the reclaim path.
-func (f *File) UnmapAll(core int, index uint64) {
-	f.ForEachMapper(func(t RMapTarget, _ uint64) { t.RMapUnmap(f, index) })
-	f.DropPage(core, index)
+	return n
 }
 
 // BlockDev is a simulated swap block device: 4-KiB blocks holding the

@@ -258,53 +258,61 @@ func TestFilePageCache(t *testing.T) {
 	}
 }
 
-type fakeMapper struct {
-	mu    sync.Mutex
-	calls []uint64
-}
-
-func (f *fakeMapper) RMapUnmap(file *File, index uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.calls = append(f.calls, index)
-}
-
+// TestRMapWalk: a file is counted by its references, and nothing else
+// records who maps it. Hold gives the file its object id, a status word
+// takes its references by that id only while the file holds it, Refs
+// counts them, and the last Release gives the id back.
 func TestRMapWalk(t *testing.T) {
 	m := NewPhysMem(256, 1)
 	f := NewFile(m, "lib.so", 8*arch.PageSize)
-	a, b := &fakeMapper{}, &fakeMapper{}
-	f.AddMapper(a)
-	f.AddMapper(b)
-	f.AddMapper(b) // second mapping from the same space
+	if f.ID() != 0 || m.HoldFile(1, 1) {
+		t.Fatalf("a file nothing holds has id %d, or an unused id takes references", f.ID())
+	}
+	for range 3 {
+		if err := f.Hold(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := f.ID()
+	if id == 0 || m.FileByID(id) != f || m.FilesInUse() != 1 {
+		t.Fatalf("held file has id %d, table entry %v, %d files in use", id, m.FileByID(id), m.FilesInUse())
+	}
 	pfn, _ := f.GetPage(0, 1)
 	m.Put(0, pfn)
+	if !m.HoldFile(id, 2) || f.Refs() != 5 {
+		t.Fatalf("a reference by the file's own id %d refused, or %d references, want 5", id, f.Refs())
+	}
+	f.Release(4)
+	if f.Refs() != 1 || f.ID() != id {
+		t.Errorf("after releasing 4 of 5: %d references, id %d; want 1 and %d", f.Refs(), f.ID(), id)
+	}
+	f.Release(1)
+	if f.ID() != 0 || m.HoldFile(id, 1) || m.FilesInUse() != 0 {
+		t.Errorf("file keeps id %d, or its old id %d still takes references, after its last one went", f.ID(), id)
+	}
+	if f.NPages() != 1 {
+		t.Errorf("a named file kept %d cached pages after its last reference, want its 1", f.NPages())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("releasing a reference nothing took did not panic")
+			}
+		}()
+		f.Release(1)
+	}()
+	f.DropPage(0, 1)
 
-	f.UnmapAll(0, 1)
-	if len(a.calls) != 1 || a.calls[0] != 1 {
-		t.Errorf("mapper a calls = %v", a.calls)
+	// An anonymous file frees its page cache with its last reference.
+	shm := NewAnonFile(m, 2*arch.PageSize)
+	if err := shm.Hold(); err != nil {
+		t.Fatal(err)
 	}
-	if len(b.calls) != 1 {
-		t.Errorf("mapper b calls = %v (rmap must visit each space once)", b.calls)
-	}
-	f.RemoveMappers(b, 1)
-	f.UnmapAll(0, 1) // page already gone; must still visit mappers
-	if len(b.calls) != 2 {
-		t.Errorf("b still registered but not visited: %v", b.calls)
-	}
-	// A status word registers by the id it names, and only while the file
-	// still holds that id.
-	id := f.ID()
-	if !m.AddMappersByID(id, a, 2) {
-		t.Fatalf("registration by the file's own id %d refused", id)
-	}
-	f.RemoveMappers(b, 1)
-	f.RemoveMappers(a, 3)
-	f.UnmapAll(0, 1)
-	if len(a.calls) != 2 {
-		t.Errorf("removed mapper was visited: %v", a.calls)
-	}
-	if f.ID() != 0 || m.AddMappersByID(id, a, 1) {
-		t.Errorf("file keeps id %d, or its old id %d still registers, after its last mapper left", f.ID(), id)
+	pfn, _ = shm.GetPage(0, 0)
+	m.Put(0, pfn)
+	shm.Release(1)
+	if shm.NPages() != 0 || m.Desc(pfn).Kind != KindFree {
+		t.Errorf("an anonymous file kept %d cached pages after its last reference", shm.NPages())
 	}
 }
 

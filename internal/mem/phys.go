@@ -280,12 +280,11 @@ type PhysMem struct {
 	pcp        []pcpCache
 	kinds      [numKinds]atomic.Int64 // frames allocated per kind
 
-	// lowWater/minWater are the global reclaim watermarks in frames
-	// (0 = disabled); each zone carries its proportional share.
-	// Dropping a zone below its low share kicks background reclaim for
-	// that node; the allocator only fails hard once direct reclaim
-	// cannot lift global free frames above min.
-	lowWater atomic.Uint64
+	// minWater is the global min watermark in frames (0 = disabled);
+	// each zone carries its proportional share of it and of the low
+	// watermark (SetWatermarks). Dropping a zone below its low share
+	// kicks background reclaim for that node; the allocator only fails
+	// hard once direct reclaim cannot lift global free frames above min.
 	minWater atomic.Uint64
 	// pressure is the installed Pressure, if any (SetPressure).
 	pressure atomic.Pointer[Pressure]
@@ -330,7 +329,6 @@ var ErrFragmented = fmt.Errorf("mem: physical memory fragmented (free but uncoal
 // distributing each zone's share proportional to its size. Zero
 // disables the corresponding behavior.
 func (m *PhysMem) SetWatermarks(low, min uint64) {
-	m.lowWater.Store(low)
 	m.minWater.Store(min)
 	total := uint64(len(m.frames))
 	for i := range m.zones {
@@ -338,11 +336,6 @@ func (m *PhysMem) SetWatermarks(low, min uint64) {
 		z.lowWater.Store(low * z.frames() / total)
 		z.minWater.Store(min * z.frames() / total)
 	}
-}
-
-// Watermarks returns the configured (low, min) watermarks in frames.
-func (m *PhysMem) Watermarks() (low, min uint64) {
-	return m.lowWater.Load(), m.minWater.Load()
 }
 
 // SetPressure installs p as the machine's Pressure (nil uninstalls).

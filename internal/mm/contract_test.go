@@ -192,6 +192,49 @@ func TestMmapFixedTwice(t *testing.T) {
 	}
 }
 
+// TestFileAccessBeyondEOF: on every system that maps files, a load,
+// store or touch of a mapped page past the file's end — private or
+// shared — fails with mem.ErrBeyondEOF (Linux's SIGBUS), a sentinel a
+// caller can test for, and the space tears down clean.
+func TestFileAccessBeyondEOF(t *testing.T) {
+	const pg = arch.PageSize
+	for _, sys := range systems {
+		for _, shared := range []bool{false, true} {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
+			s, err := sys.new(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fm, ok := s.(mm.FileMapper); ok {
+				t.Run(fmt.Sprintf("%s/shared=%v", sys.name, shared), func(t *testing.T) {
+					f := mem.NewFile(m.Phys, "f", 2*pg)
+					va, err := fm.MmapFile(0, f, 0, 4*pg, arch.PermRW, shared)
+					if err != nil {
+						t.Fatal(err)
+					}
+					past := va + 2*pg
+					for name, access := range map[string]func() error{
+						"Load":  func() error { _, err := s.Load(0, past); return err },
+						"Store": func() error { return s.Store(0, past, 1) },
+						"Touch": func() error { return s.Touch(0, past, pt.AccessRead) },
+					} {
+						if err := access(); !errors.Is(err, mem.ErrBeyondEOF) {
+							t.Errorf("%s past EOF = %v, want ErrBeyondEOF", name, err)
+						}
+					}
+					if err := s.Store(0, va+pg, 1); err != nil {
+						t.Errorf("Store inside the file: %v", err)
+					}
+				})
+			}
+			s.Destroy(0)
+			if err := m.CheckClean(); err != nil {
+				t.Errorf("%s: %v", sys.name, err)
+			}
+		}
+	}
+}
+
 // TestWarmedLoadAllocatesNothing: on all five a Load of a resident page
 // — TLB hit or miss — stays off the Go heap; the closure that carries
 // the byte out and the fault handler handed to the machine's access path

@@ -83,7 +83,7 @@ func MappedStatus(frame arch.PFN, perm arch.Perm, key arch.ProtKey, level int) S
 
 // FileStatus is the status of a not-resident page of f — kind
 // PrivateFile, SharedFile or SharedAnon — whose first page is f's page
-// off. The file must be mapped (registered) for Mark to accept it.
+// off. The file must be held (have an object id) for Mark to accept it.
 func FileStatus(kind StatusKind, perm arch.Perm, f *mem.File, off uint64) Status {
 	return Status{Kind: kind, Perm: perm, attr: f.ID() << 16, val: off}
 }
@@ -149,8 +149,8 @@ func (s Status) SlidBy(pages uint64) Status {
 // file reports whether k names its pages by (file, page index).
 func (k StatusKind) file() bool { return k >= StatusPrivateFile && k <= StatusSharedFile }
 
-// holds reports whether a word of kind k holds what it names: a file's
-// registration, or a reference on a swap block.
+// holds reports whether a word of kind k holds a reference on what it
+// names: its file, or its swap block.
 func (k StatusKind) holds() bool { return k >= StatusPrivateFile }
 
 // The status word: what one entry of a metadata array stores. An

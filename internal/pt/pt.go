@@ -58,7 +58,11 @@ type PageState struct {
 const metaArrayBytes = int64(unsafe.Sizeof(MetaArray{}))
 
 // Tree is one page table: a root PT page plus the machinery to allocate,
-// address and account for PT pages and their metadata arrays.
+// address and account for PT pages and their metadata arrays. A stored
+// status word — marked, or a mapped page's origin — holds one reference
+// on what it names, its file or its block, taken as the word is stored
+// and given back as it goes (SetMetaWord, MapLeaf, ClearLeaf, FillMeta,
+// CopyMeta, DropMeta, Destroy).
 type Tree struct {
 	Phys *mem.PhysMem
 	ISA  arch.ISA
@@ -69,14 +73,6 @@ type Tree struct {
 	WithRW bool
 	// Root is the PFN of the root PT page (level arch.Levels).
 	Root arch.PFN
-	// Owner is the space the tree's file words register with. A stored
-	// status word — marked, or a mapped page's origin — holds what it
-	// names, taken as the word is stored and given back as it goes
-	// (SetMetaWord, MapLeaf, ClearLeaf, FillMeta, CopyMeta, DropMeta,
-	// Destroy): a word naming file F is one registration of Owner with F,
-	// a Swapped word one reference on its block. Nil: file words register
-	// nothing.
-	Owner mem.RMapTarget
 
 	// MetaBytes tracks bytes held by metadata arrays (Fig 22 accounting).
 	MetaBytes atomic.Int64
@@ -186,7 +182,7 @@ func (t *Tree) SetPTE(pfn arch.PFN, idx int, pte uint64) uint64 {
 // — and replaces the entry's word unless that names the same file page.
 // With origin 0 the frame is anonymous: a 4-KiB leaf keeps a PrivateFile
 // word — the page is a private copy of that file page — and any other
-// word goes. The caller holds the page's lock and a registration of
+// word goes. The caller holds the page's lock and a reference on
 // origin's file, and releases any leaf the entry held; what the entry
 // held stops being marked.
 func (t *Tree) MapLeaf(pfn arch.PFN, idx int, pte, origin uint64) {
@@ -216,7 +212,7 @@ func (t *Tree) MapLeaf(pfn arch.PFN, idx int, pte, origin uint64) {
 }
 
 // ClearLeaf empties the present leaf entry idx — its PTE and the origin
-// word beside it, giving back the word's registration. The caller holds
+// word beside it, giving back the word's reference. The caller holds
 // the page's lock and releases the frame.
 func (t *Tree) ClearLeaf(pfn arch.PFN, idx int) {
 	st := t.State(pfn)
@@ -314,8 +310,7 @@ func (t *Tree) FillMeta(pfn arch.PFN, from int, w, stride uint64) {
 
 // CopyMeta copies the metadata array of t's page src onto the page dst
 // of tree to, which has src's PTEs and no words yet, as fork does: each
-// copied word takes its own hold, a file word registering with to's
-// owner and a Swapped word sharing its block.
+// copied word takes its own reference, sharing its file or its block.
 func (t *Tree) CopyMeta(src arch.PFN, to *Tree, dst arch.PFN) {
 	st := t.State(src)
 	if st.Meta == nil || *st.Meta == (MetaArray{}) {
@@ -340,18 +335,17 @@ func (t *Tree) DropMeta(pfn arch.PFN) {
 	}
 }
 
-// Register takes n holds on what the word w names — registrations of the
-// owner with the file of a file word, references on the block of a
-// Swapped word — and reports false, taking none, if that is gone: no
-// file holds the word's id any more, or the block is not allocated.
-// Other words, and the file words of an ownerless tree, hold nothing
-// (and cost a test of the kind bits). A word stored from one already in
-// a tree, or from a status Mark holds, cannot fail.
+// Register takes n references on what the word w names — the file of a
+// file word, the block of a Swapped word — and reports false, taking
+// none, if that is gone: no file holds the word's id any more, or the
+// block is not allocated. Other words hold nothing (and cost a test of
+// the kind bits). A word stored from one already in a tree, or from a
+// status Mark holds, cannot fail.
 func (t *Tree) Register(w, n uint64) bool {
 	return !StatusKind(w&kindMask).holds() || t.register(w, n)
 }
 
-// Unregister gives back n holds Register took for w.
+// Unregister gives back n references Register took for w.
 func (t *Tree) Unregister(w, n uint64) {
 	if StatusKind(w & kindMask).holds() {
 		t.unregister(w, n)
@@ -366,7 +360,7 @@ func (t *Tree) register(w, n uint64) bool {
 	if StatusKind(w&kindMask) == StatusSwapped {
 		return t.Phys.Swap().Hold(w>>payloadShift, n)
 	}
-	return t.Owner == nil || t.Phys.AddMappersByID(uint32(w>>objShift)&mem.MaxObjID, t.Owner, n)
+	return t.Phys.HoldFile(uint32(w>>objShift)&mem.MaxObjID, n)
 }
 
 func (t *Tree) unregister(w, n uint64) {
@@ -374,8 +368,8 @@ func (t *Tree) unregister(w, n uint64) {
 		for ; n > 0; n-- {
 			t.Phys.Swap().FreeBlock(w >> payloadShift)
 		}
-	} else if t.Owner != nil {
-		t.Phys.FileByID(uint32(w>>objShift)&mem.MaxObjID).RemoveMappers(t.Owner, n)
+	} else {
+		t.Phys.FileByID(uint32(w>>objShift) & mem.MaxObjID).Release(n)
 	}
 }
 

@@ -209,15 +209,10 @@ func TestReleaseUncharges(t *testing.T) {
 	}
 }
 
-// nopMapper registers test files in the machine's object table.
-type nopMapper struct{}
-
-func (nopMapper) RMapUnmap(*mem.File, uint64) {}
-
 func TestStatusSlidBy(t *testing.T) {
 	tree := newTestTree(t)
 	f := mem.NewFile(tree.Phys, "f", 64*arch.PageSize)
-	if err := f.AddMapper(nopMapper{}); err != nil {
+	if err := f.Hold(); err != nil {
 		t.Fatal(err)
 	}
 	s := FileStatus(StatusPrivateFile, arch.PermRead, f, 10)
@@ -231,9 +226,9 @@ func TestStatusSlidBy(t *testing.T) {
 	if got := (Status{}).SlidBy(5); got != (Status{}) {
 		t.Errorf("SlidBy made an empty status %+v", got)
 	}
-	f.RemoveMappers(nopMapper{}, 1)
+	f.Release(1)
 	if f.ID() != 0 || s.File(tree.Phys) != nil {
-		t.Errorf("file keeps id %d after its last mapper left", f.ID())
+		t.Errorf("file keeps id %d after its last reference went", f.ID())
 	}
 }
 
@@ -305,12 +300,12 @@ func FuzzStatusWord(f *testing.F) {
 	}
 	// Every object id names a file.
 	for i := 0; i < mem.MaxObjID; i++ {
-		if err := mem.NewFile(phys, "f", arch.PageSize).AddMapper(nopMapper{}); err != nil {
+		if err := mem.NewFile(phys, "f", arch.PageSize).Hold(); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := mem.NewFile(phys, "one too many", arch.PageSize).AddMapper(nopMapper{}); err != mem.ErrObjTableFull {
-		f.Fatalf("file %d registered: %v, want ErrObjTableFull", mem.MaxObjID+1, err)
+	if err := mem.NewFile(phys, "one too many", arch.PageSize).Hold(); err != mem.ErrObjTableFull {
+		f.Fatalf("file %d held: %v, want ErrObjTableFull", mem.MaxObjID+1, err)
 	}
 	const top = payloadLimit - 1
 	f.Add(uint8(StatusPrivateAnon), uint16(arch.PermRW), uint8(0), uint8(0), uint32(0), uint64(0), uint64(1), uint64(0))
@@ -435,8 +430,11 @@ func TestWellFormedCatchesCorruption(t *testing.T) {
 	// Corrupt metadata words: a Mapped status (it lives in the PTE), a
 	// reserved bit, an object id nothing registered, an object id on a
 	// Swapped word, a payload on a kind that has none, garbage under an
-	// Invalid kind.
+	// Invalid kind. A corrupt word is not stored through SetMetaWord, so
+	// each is written straight into the array, past the references.
 	anon := Status{Kind: StatusPrivateAnon, Perm: arch.PermRW}.word()
+	tree.SetMetaWord(child, 7, anon)
+	meta := tree.State(child).Meta
 	for name, w := range map[string]uint64{
 		"Mapped-in-meta":                 MappedStatus(data, arch.PermRW, 0, 1).word(),
 		"reserved bit":                   anon | 1<<15,
@@ -447,12 +445,12 @@ func TestWellFormedCatchesCorruption(t *testing.T) {
 		"bits, no kind":                  anon &^ kindMask,
 		"kind beyond enum":               anon | kindMask,
 	} {
-		tree.SetMetaWord(child, 7, w)
+		meta[7] = w
 		if err := tree.CheckWellFormed(); err == nil {
 			t.Errorf("%s (%#x) not detected", name, w)
 		}
 	}
-	tree.SetMetaWord(child, 7, anon)
+	meta[7] = anon
 	if err := tree.CheckWellFormed(); err != nil {
 		t.Errorf("a well-formed word is rejected: %v", err)
 	}
