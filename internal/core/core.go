@@ -168,9 +168,6 @@ func (a *AddrSpace) ASID() tlb.ASID { return a.asid }
 // Stats implements mm.MM.
 func (a *AddrSpace) Stats() *mm.Stats { return &a.stats }
 
-// Machine returns the simulated hardware this space runs on.
-func (a *AddrSpace) Machine() *cpusim.Machine { return a.m }
-
 // Tree exposes the page table for invariant checks in tests.
 func (a *AddrSpace) Tree() *pt.Tree { return a.tree }
 

@@ -425,9 +425,6 @@ func (c *RCursor) spillDeferred() {
 	c.freed = c.freed[:0]
 }
 
-// Range returns the locked range.
-func (c *RCursor) Range() (lo, hi arch.Vaddr) { return c.lo, c.hi }
-
 // checkRange validates that [lo,hi) lies inside the transaction.
 func (c *RCursor) checkRange(lo, hi arch.Vaddr) error {
 	if lo < c.lo || hi > c.hi || lo >= hi {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/cpusim"
@@ -29,6 +30,9 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 	daemonOf(m)
 
 	const pages = 32
+	// The writer runs at least rounds rounds, then on until a migration
+	// has completed (for at most 5 s), so a migrator that is scheduled
+	// late still races it.
 	const rounds = 40
 	base := arch.Vaddr(arch.SpanBytes(2))
 	if err := a.MmapFixed(0, base, pages*arch.PageSize, arch.PermRW, mm.FlagPopulate); err != nil {
@@ -39,6 +43,7 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	errs := make(chan error, 2)
+	last := 0 // the writer's last full round, read after wg.Wait
 	wg.Add(2)
 	go func() { // writer, core 1: every store is read back immediately.
 		// A lost write (store landed in a frame the migration had already
@@ -46,7 +51,8 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 		// source) both surface as a readback mismatch.
 		defer wg.Done()
 		defer close(done)
-		for r := 1; r <= rounds; r++ {
+		deadline := time.Now().Add(5 * time.Second)
+		for r := 1; r <= rounds || m.Phys.MigrationStats().Migrated == 0 && time.Now().Before(deadline); r++ {
 			for i := 0; i < pages; i++ {
 				if err := a.Store(1, pageVA(i), byte(r)); err != nil {
 					errs <- err
@@ -62,6 +68,7 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 					return
 				}
 			}
+			last = r
 		}
 	}()
 	go func() { // prober, core 2: fault/TLB pressure on the same pages.
@@ -112,8 +119,8 @@ func TestMigrationUnderConcurrentAccess(t *testing.T) {
 	}
 
 	for i := 0; i < pages; i++ {
-		if v, err := a.Load(0, pageVA(i)); err != nil || v != rounds {
-			t.Errorf("page %d final value %d, %v; want %d", i, v, err, rounds)
+		if v, err := a.Load(0, pageVA(i)); err != nil || v != byte(last) {
+			t.Errorf("page %d final value %d, %v; want %d", i, v, err, byte(last))
 		}
 	}
 	if st := m.Phys.MigrationStats(); st.Migrated == 0 {

@@ -67,13 +67,6 @@ func NewAnonFile(m *PhysMem, size uint64) *File {
 	return f
 }
 
-// Size returns the file length in bytes.
-func (f *File) Size() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.size
-}
-
 // NPages returns the number of resident page-cache pages.
 func (f *File) NPages() int {
 	f.mu.Lock()

@@ -1,12 +1,13 @@
 // Package spec is the executable counterpart of CortenMM's Verus proofs
-// (§5): the Atomic Spec and Atomic Tree Spec state machines, an interp-
-// based refinement check between them, and an exhaustive model checker
-// that explores every interleaving of the locking protocols on a small
-// page-table topology. Within its bounds it machine-checks the paper's
-// two key properties — P1 (mutual exclusion of overlapping transactions,
-// Figure 11) and the safety of the CortenMM_adv unmap path (Figure 7:
-// no use-after-free, no lost update) — and, run with a seeded bug
-// (skipped read locks, missing stale check, missing RCU), it finds the
+// (§5): the Atomic Spec (atomic.go), one model per locking protocol
+// (rwspec.go, advspec.go), and an exhaustive model checker that explores
+// every interleaving of them on a small page-table topology. Within its
+// bounds it machine-checks the paper's two key properties — P1 (mutual
+// exclusion of overlapping transactions, Figure 11), stated once as the
+// Atomic Spec's lock precondition and checked on every transition of a
+// model with an Interp, and the safety of the unmap paths (Figure 7: no
+// use-after-free, no lost update) — and, run with a seeded bug (skipped
+// read locks or DFS, missing stale check, missing RCU), it finds the
 // corresponding violation, demonstrating that the properties are not
 // vacuous.
 //
@@ -51,13 +52,6 @@ type Machine interface {
 	Done(s State) bool
 }
 
-// StepChecker is a Machine whose transitions, not only its states, carry
-// an obligation: Check calls CheckStep on every explored transition —
-// how a model proves it refines an abstract spec (atomic.go).
-type StepChecker interface {
-	CheckStep(from, to State) error
-}
-
 // Result summarizes one model-checking run (the Table-4 analog: instead
 // of proof lines, explored states and checked transitions).
 type Result struct {
@@ -72,10 +66,11 @@ type Result struct {
 }
 
 // Check exhaustively explores m's state space (bounded by maxStates)
-// and reports the first violation — of a state invariant or, for a
-// StepChecker, of a transition — or deadlock, if any.
+// and reports the first violation — of a state invariant or, for a model
+// with an Interp, of the Atomic Spec refinement by a transition — or
+// deadlock, if any.
 func Check(m Machine, maxStates int) Result {
-	sc, _ := m.(StepChecker)
+	in, _ := m.(Interp)
 	type visit struct {
 		state State
 		key   string
@@ -105,6 +100,10 @@ func Check(m Machine, maxStates int) Result {
 		res.Violation = err
 		return res
 	}
+	if in != nil && in.Interp(init).Hold != nullAtomic(nil).Hold {
+		res.Violation = fmt.Errorf("spec: refinement broken: a core holds a page initially")
+		return res
+	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
@@ -114,10 +113,14 @@ func Check(m Machine, maxStates int) Result {
 			res.States = len(seen)
 			return res
 		}
+		var held AtomicState
+		if in != nil {
+			held = in.Interp(cur.state)
+		}
 		for _, st := range steps {
 			res.Transitions++
-			if sc != nil {
-				if err := sc.CheckStep(cur.state, st.To); err != nil {
+			if in != nil {
+				if err := refineStep(held, in.Interp(st.To)); err != nil {
 					res.Violation, res.Trace, res.States = err, append(trace(cur.key), st.Label), len(seen)
 					return res
 				}

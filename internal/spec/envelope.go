@@ -12,10 +12,12 @@ import (
 // counterexample replays in internal/tlb and internal/core, and
 // cortenbench -fig spec (the Table-4 analog) all read it.
 type ModelCase struct {
-	// Family is the protocol under check: "rw" (P1, Figure 5),
-	// "refine" and "stepwise" (the Atomic Tree Spec refining the Atomic
-	// Spec, §5.1), "rwdyn" (rw frees PT pages without RCU, §4.1), "adv"
-	// and "subtree" (Figures 6 and 7), "tlb", "reclaim", "bbm".
+	// Family is the protocol under check: "rw" and "stepwise" (Figure
+	// 5; "stepwise" releases one lock per step), "rwdyn" (rw frees PT
+	// pages without RCU, §4.1), "adv" and "subtree" (Figures 6 and 7),
+	// "tlb", "reclaim", "bbm". The first five families' rows, of
+	// RWModel and AdvModel, check P1 as the Atomic Spec refinement
+	// (§5.1).
 	Family string
 	Name   string
 	Bug    string // "" for clean cases
@@ -96,11 +98,9 @@ func cases() []ModelCase {
 	ul := []Role{RoleUnmapper, RoleLocker}
 	ull := []Role{RoleUnmapper, RoleLocker, RoleLocker}
 	rw := func(targets ...int) *RWModel { return &RWModel{Topo: t3, Targets: targets} }
-	refine := func(stepwise bool, targets ...int) *RWRefinement {
-		return &RWRefinement{RWModel{Topo: t3, Targets: targets, StepwiseUnlock: stepwise}}
-	}
-	dyn := func(t *Topology, unmap int, roles []Role, targets ...int) *RWDynModel {
-		return &RWDynModel{Topo: t, Targets: targets, Roles: roles, UnmapChild: unmap}
+	stepwise := func(targets ...int) *RWModel { return &RWModel{Topo: t3, Targets: targets, StepwiseUnlock: true} }
+	dyn := func(t *Topology, unmap int, roles []Role, targets ...int) *RWModel {
+		return &RWModel{Topo: t, Targets: targets, Roles: roles, UnmapChild: unmap}
 	}
 	adv := func(t *Topology, unmap int, roles []Role, targets ...int) *AdvModel {
 		return &AdvModel{Topo: t, Targets: targets, Roles: roles, UnmapChild: unmap}
@@ -116,19 +116,12 @@ func cases() []ModelCase {
 		{Family: "rw", Name: "root-leaf", Model: rw(0, 3)},
 		{Family: "rw", Name: "disjoint", Model: rw(1, 2)},
 		{Family: "rw", Name: "chain", Model: rw(0, 1, 3)},
-		{Family: "rw", Name: "nested", Bug: "skip-read-locks", Want: "overlapping",
+		{Family: "rw", Name: "nested", Bug: "skip-read-locks", Want: "refinement broken",
 			Model: &RWModel{Topo: t3, Targets: []int{1, 3}, SkipReadLocks: true}},
-
-		{Family: "refine", Name: "siblings", Model: refine(false, 3, 4)},
-		{Family: "refine", Name: "nested", Model: refine(false, 1, 3)},
-		{Family: "refine", Name: "root-leaf", Model: refine(false, 0, 3)},
-		{Family: "refine", Name: "three-cores", Model: refine(false, 3, 4, 1)},
-		{Family: "refine", Name: "nested", Bug: "skip-read-locks", Want: "refinement broken",
-			Model: &RWRefinement{RWModel{Topo: t3, Targets: []int{1, 3}, SkipReadLocks: true}}},
 		// Locks released one per step, in Figure 4's Drop order.
-		{Family: "stepwise", Name: "same-leaf", Model: refine(true, 3, 3)},
-		{Family: "stepwise", Name: "nested", Model: refine(true, 1, 3)},
-		{Family: "stepwise", Name: "three-cores", Model: refine(true, 3, 4, 1)},
+		{Family: "stepwise", Name: "same-leaf", Model: stepwise(3, 3)},
+		{Family: "stepwise", Name: "nested", Model: stepwise(1, 3)},
+		{Family: "stepwise", Name: "three-cores", Model: stepwise(3, 4, 1)},
 
 		{Family: "rwdyn", Name: "race-to-freed", Model: dyn(t3, 3, ul, 1, 3)},
 		{Family: "rwdyn", Name: "sibling", Model: dyn(t3, 3, ul, 1, 4)},
@@ -136,7 +129,7 @@ func cases() []ModelCase {
 		{Family: "rwdyn", Name: "three", Model: dyn(t3, 3, ull, 1, 3, 4)},
 		{Family: "rwdyn", Name: "deep", Model: dyn(t4, 14, ul, 6, 14)},
 		{Family: "rwdyn", Name: "race-to-freed", Bug: "lockless-no-rcu", Want: "use-after-free",
-			Model: &RWDynModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, SkipReadLocks: true}},
+			Model: &RWModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, SkipReadLocks: true}},
 
 		{Family: "adv", Name: "fig7", Model: adv(t3, 3, ul, 1, 3)},
 		{Family: "adv", Name: "disjoint", Model: adv(t3, 3, ul, 1, 2)},
@@ -151,6 +144,8 @@ func cases() []ModelCase {
 			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, NoRCU: true}},
 		{Family: "adv", Name: "fig7", Bug: "no-stale-mark", Want: "lost update|use-after-free",
 			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, NoStaleMark: true, NoRCU: true}},
+		{Family: "adv", Name: "fig7", Bug: "skip-dfs", Want: "refinement broken",
+			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, SkipDFS: true}},
 		{Family: "adv", Name: "hint", Bug: "hint-by-frame", Want: "transacts on reused PT page",
 			Model: &AdvModel{Topo: t3, Targets: []int{1, 3}, Roles: ul, UnmapChild: 3, Hinted: true, HintByFrame: true}},
 		// Figure 6's rev_dfs: the unmapper removes mid page 3 with its children.

@@ -16,7 +16,7 @@ import (
 // implementation counterpart (an env decision, a bookkeeping move)
 // needs no binding.
 //
-// This closes the model↔implementation gap the way rwdyn.go does for
+// This closes the model↔implementation gap the way rwspec.go does for
 // the locking protocol: the checker finds the interleaving, the
 // Replayer forces the real code through it.
 type Replayer struct {

@@ -1,71 +1,85 @@
 package spec
 
-import (
-	"fmt"
-)
+import "fmt"
 
-// Model-size bounds: 3 cores on a 3-level binary tree (7 pages) already
-// exercises every interesting interleaving class.
-const (
-	maxCores = 3
-	maxPages = 15
-)
+// This file models CortenMM_rw (Figure 5) as it runs: cores discover
+// their covering page by reading child links while holding reader locks,
+// then write-lock it; an unmapper core removes and immediately frees a PT
+// page — no RCU, no stale marks. The paper argues this is safe for the rw
+// protocol because a traverser holds the reader lock on the parent while
+// reading the child link, which blocks the (writer-locked) removal. The
+// checker verifies exactly that: with the protocol intact there is no
+// use-after-free; with the reader locks skipped (the seeded bug) there
+// is. P1 is the refinement of the Atomic Spec through Interp.
 
-// rwCore phases.
+// Core phases of the rw model.
 const (
-	rwLocking = iota // acquiring read locks down the path, then the write lock
-	rwCS             // write lock held: transaction body
+	rwStart = iota
+	rwDescend
+	rwUpgrade
+	rwCS
+	rwRelease
 	rwDone
 )
 
+// rwCore: the core holds reader locks on every path page strictly above
+// Cur, plus Cur itself when CurLocked (None of this applies when the
+// SkipReadLocks bug is enabled.)
 type rwCore struct {
-	PC   uint8
-	Step uint8 // locks acquired so far along the path
-	Rel  uint8 // locks released so far (stepwise unlock mode)
+	PC        uint8
+	Cur       int8
+	CurLocked bool
 }
 
-// rwState is one global state of the CortenMM_rw model: per-page lock
+// rwState is one global state of the rw model: per-page links and lock
 // state (the Atomic Tree Spec's Unlocked/ReadLocked/WriteLocked) plus
-// per-core protocol state (Void/ReadLocking/WriteLocked with its path).
+// per-core protocol state.
 type rwState struct {
+	Linked  [maxPages]bool
+	Freed   [maxPages]bool
 	Readers [maxPages]uint8
 	Writer  [maxPages]int8 // holding core, or -1
 	Cores   [maxCores]rwCore
+	Bad     string
 }
 
 // Key implements State.
-func (s rwState) Key() string { return fmt.Sprintf("%v%v%v", s.Readers, s.Writer, s.Cores) }
+func (s rwState) Key() string {
+	return fmt.Sprintf("%v%v%v%v%v%s", s.Linked, s.Freed, s.Readers, s.Writer, s.Cores, s.Bad)
+}
 
-// RWModel is the CortenMM_rw locking protocol (Figure 5) on a small
-// topology: each core read-locks the PT pages from the root down to its
-// covering page's parent, then write-locks the covering page.
+// RWModel is the CortenMM_rw locking protocol with PT-page removal and
+// immediate (non-RCU) free.
 type RWModel struct {
 	Topo *Topology
 	// Targets[c] is core c's covering PT page (its locked range).
 	Targets []int
-	// SkipReadLocks seeds the protocol bug the checker must catch: the
-	// ancestor read locks are omitted, so a writer on an ancestor no
-	// longer conflicts with a writer below it.
+	// Roles[c] is core c's role; nil means every core is a locker.
+	Roles []Role
+	// UnmapChild is the page the unmapper removes and frees at once; it
+	// must be a child of the unmapper's target.
+	UnmapChild int
+	// SkipReadLocks seeds the bug: traversal reads links without
+	// holding reader locks, so a writer on an ancestor no longer
+	// conflicts with a writer below it and the immediate free is unsound.
 	SkipReadLocks bool
-	// StepwiseUnlock releases one lock per transition (in the reverse
-	// order of acquisition, as the paper's Drop does) instead of all at
-	// once, exposing the mid-release interleavings to the checker.
+	// StepwiseUnlock releases one lock per transition, in the reverse
+	// order of acquisition as the paper's Drop does: the write lock
+	// first, then the read locks deepest first.
 	StepwiseUnlock bool
-}
-
-func (m *RWModel) path(c int) []int {
-	p := m.Topo.PathTo(m.Targets[c])
-	if m.SkipReadLocks {
-		return []int{m.Targets[c]}
-	}
-	return p
 }
 
 // Init implements Machine.
 func (m *RWModel) Init() State {
 	var s rwState
-	for i := range s.Writer {
-		s.Writer[i] = -1
+	for p := 0; p < m.Topo.N; p++ {
+		s.Linked[p] = true
+	}
+	for p := range s.Writer {
+		s.Writer[p] = -1
+	}
+	for c := range s.Cores {
+		s.Cores[c].Cur = -1
 	}
 	return s
 }
@@ -73,90 +87,165 @@ func (m *RWModel) Init() State {
 // Next implements Machine.
 func (m *RWModel) Next(st State) []Step {
 	s := st.(rwState)
+	if s.Bad != "" {
+		return nil
+	}
 	var out []Step
 	for c := range m.Targets {
 		core := s.Cores[c]
+		path := m.Topo.PathTo(m.Targets[c])
 		switch core.PC {
-		case rwLocking:
-			path := m.path(c)
-			k := int(core.Step)
-			if k < len(path)-1 {
-				// Reader-lock the next page down (Fig 5 L4): enabled
-				// while no writer holds it.
-				p := path[k]
-				if s.Writer[p] == -1 {
-					n := s
-					n.Readers[p]++
-					n.Cores[c].Step++
-					out = append(out, Step{fmt.Sprintf("c%d:rlock(%d)", c, p), n})
-				}
-			} else {
-				// Writer-lock the covering page (Fig 5 L8).
-				p := path[k]
-				if s.Writer[p] == -1 && s.Readers[p] == 0 {
-					n := s
-					n.Writer[p] = int8(c)
-					n.Cores[c].PC = rwCS
-					out = append(out, Step{fmt.Sprintf("c%d:wlock(%d)", c, p), n})
-				}
-			}
-		case rwCS:
-			path := m.path(c)
-			if !m.StepwiseUnlock {
-				// Release everything in one step (release order cannot
-				// affect safety, which the stepwise mode demonstrates).
-				n := s
-				for _, p := range path[:len(path)-1] {
-					n.Readers[p]--
-				}
-				n.Writer[m.Targets[c]] = -1
-				n.Cores[c].PC = rwDone
-				out = append(out, Step{fmt.Sprintf("c%d:unlock", c), n})
-				break
-			}
-			// Reverse acquisition order: the write lock first, then the
-			// read locks from deepest ancestor to the root.
+		case rwStart:
 			n := s
-			rel := int(core.Rel)
-			if rel == 0 {
-				n.Writer[m.Targets[c]] = -1
-				n.Cores[c].Rel++
-				out = append(out, Step{fmt.Sprintf("c%d:wunlock", c), n})
+			n.Cores[c].Cur = 0
+			n.Cores[c].CurLocked = false
+			n.Cores[c].PC = rwDescend
+			out = append(out, Step{fmt.Sprintf("c%d:start", c), n})
+
+		case rwDescend:
+			cur := int(core.Cur)
+			if s.Freed[cur] {
+				n := s
+				n.Bad = fmt.Sprintf("core %d touches freed PT page %d during descent (use-after-free)", c, cur)
+				out = append(out, Step{fmt.Sprintf("c%d:uaf(%d)", c, cur), n})
 				break
 			}
-			if idx := len(path) - 1 - rel; idx >= 0 {
-				n.Readers[path[idx]]--
-				n.Cores[c].Rel++
-				out = append(out, Step{fmt.Sprintf("c%d:runlock(%d)", c, path[idx]), n})
+			if !core.CurLocked {
+				// Acquire the reader lock on cur (Fig 5 L4); blocked
+				// while a writer holds it. The buggy variant skips the
+				// lock but still takes the step.
+				if m.SkipReadLocks {
+					n := s
+					n.Cores[c].CurLocked = true
+					out = append(out, Step{fmt.Sprintf("c%d:noLock(%d)", c, cur), n})
+				} else if s.Writer[cur] == -1 {
+					n := s
+					n.Readers[cur]++
+					n.Cores[c].CurLocked = true
+					out = append(out, Step{fmt.Sprintf("c%d:rlock(%d)", c, cur), n})
+				}
 				break
 			}
-			n.Cores[c].PC = rwDone
-			out = append(out, Step{fmt.Sprintf("c%d:done", c), n})
+			if cur == m.Targets[c] {
+				n := s
+				n.Cores[c].PC = rwUpgrade
+				out = append(out, Step{fmt.Sprintf("c%d:stop(%d)", c, cur), n})
+				break
+			}
+			next := path[m.Topo.Depth[cur]+1]
+			n := s
+			if s.Linked[next] {
+				// Holding cur's reader lock, read the link and move on;
+				// cur's lock stays held (it is now an ancestor).
+				n.Cores[c].Cur = int8(next)
+				n.Cores[c].CurLocked = false
+				out = append(out, Step{fmt.Sprintf("c%d:read(%d)", c, next), n})
+			} else {
+				// Child gone: cur is the covering page.
+				n.Cores[c].PC = rwUpgrade
+				out = append(out, Step{fmt.Sprintf("c%d:cover(%d)", c, cur), n})
+			}
+
+		case rwUpgrade:
+			cur := int(core.Cur)
+			if s.Freed[cur] {
+				n := s
+				n.Bad = fmt.Sprintf("core %d write-locks freed PT page %d (use-after-free)", c, cur)
+				out = append(out, Step{fmt.Sprintf("c%d:uaf_wlock(%d)", c, cur), n})
+				break
+			}
+			if core.CurLocked {
+				// Fig 5 L7: drop the reader lock before upgrading — the
+				// benign gap discussed in §4.1.
+				n := s
+				if !m.SkipReadLocks {
+					n.Readers[cur]--
+				}
+				n.Cores[c].CurLocked = false
+				out = append(out, Step{fmt.Sprintf("c%d:runlock(%d)", c, cur), n})
+				break
+			}
+			if s.Writer[cur] == -1 && s.Readers[cur] == 0 {
+				n := s
+				n.Writer[cur] = int8(c)
+				n.Cores[c].PC = rwCS
+				out = append(out, Step{fmt.Sprintf("c%d:wlock(%d)", c, cur), n})
+			}
+
+		case rwCS:
+			cur := int(core.Cur)
+			n := s
+			if m.Roles != nil && m.Roles[c] == RoleUnmapper && s.Linked[m.UnmapChild] &&
+				m.Topo.Parent[m.UnmapChild] == cur {
+				// Remove the child and free it IMMEDIATELY — no grace
+				// period. Sound only because link readers hold the
+				// parent's reader lock, which our writer lock excludes.
+				n.Linked[m.UnmapChild] = false
+				n.Freed[m.UnmapChild] = true
+				n.Cores[c].PC = rwRelease
+				out = append(out, Step{fmt.Sprintf("c%d:unmap_free(%d)", c, m.UnmapChild), n})
+				break
+			}
+			n.Cores[c].PC = rwRelease
+			out = append(out, Step{fmt.Sprintf("c%d:body", c), n})
+
+		case rwRelease:
+			cur := int(core.Cur)
+			n := s
+			if !m.StepwiseUnlock {
+				n.Writer[cur] = -1
+				if !m.SkipReadLocks {
+					for _, p := range path {
+						if p == cur {
+							break
+						}
+						n.Readers[p]--
+					}
+				}
+				n.Cores[c].PC = rwDone
+				out = append(out, Step{fmt.Sprintf("c%d:unlock_all", c), n})
+				break
+			}
+			// Cur walks back up the path: each step drops the deepest
+			// lock still held, the write lock on Cur first.
+			switch up := m.Topo.Parent[cur]; {
+			case s.Writer[cur] == int8(c):
+				n.Writer[cur] = -1
+				out = append(out, Step{fmt.Sprintf("c%d:wunlock(%d)", c, cur), n})
+			case up >= 0:
+				if !m.SkipReadLocks {
+					n.Readers[up]--
+				}
+				n.Cores[c].Cur = int8(up)
+				out = append(out, Step{fmt.Sprintf("c%d:runlock(%d)", c, up), n})
+			default:
+				n.Cores[c].PC = rwDone
+				out = append(out, Step{fmt.Sprintf("c%d:done", c), n})
+			}
 		}
 	}
 	return out
 }
 
-// Check implements Machine: the Atomic Tree Spec's non-overlapping
-// property — write-locked covering pages of two cores never stand in an
-// ancestor-descendant (or equal) relationship.
+// Check implements Machine: the use-after-free a transition raised. P1
+// is not stated here: Check refines every step through Interp.
 func (m *RWModel) Check(st State) error {
-	s := st.(rwState)
-	for a := 0; a < maxPages; a++ {
-		if s.Writer[a] == -1 {
-			continue
-		}
-		for b := a + 1; b < maxPages; b++ {
-			if s.Writer[b] == -1 || s.Writer[a] == s.Writer[b] {
-				continue
-			}
-			if m.Topo.Overlapping(a, b) {
-				return fmt.Errorf("spec: cores %d and %d write-lock overlapping pages %d and %d",
-					s.Writer[a], s.Writer[b], a, b)
-			}
-		}
+	if s := st.(rwState); s.Bad != "" {
+		return fmt.Errorf("spec: %s", s.Bad)
 	}
 	return nil
+}
+
+// Interp implements Interp: a core holds the page it write-locks.
+func (m *RWModel) Interp(st State) AtomicState {
+	s := st.(rwState)
+	a := nullAtomic(m.Topo)
+	for p, c := range s.Writer {
+		if c >= 0 {
+			a.Hold[c] = int8(p)
+		}
+	}
+	return a
 }
 
 // Done implements Machine.

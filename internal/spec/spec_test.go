@@ -51,12 +51,13 @@ func TestRWStepwiseUnlock(t *testing.T) {
 func TestRWSeededBugCaught(t *testing.T) { runCase(t, "rw", "nested", "skip-read-locks") }
 
 // --- Refinement: the Atomic Tree Spec (rw model) refines the Atomic
-// Spec via interp (§5.1's forward simulation).
-func TestRWRefinesAtomicSpec(t *testing.T) { runFamily(t, "refine") }
+// Spec via interp (§5.1's forward simulation). Check refines every row
+// of a model with an Interp, so these are the rw rows.
+func TestRWRefinesAtomicSpec(t *testing.T) { runFamily(t, "rw") }
 
 // Refinement must fail for the buggy protocol: the illegal concrete
 // step has no legal abstract counterpart.
-func TestRefinementCatchesBug(t *testing.T) { runCase(t, "refine", "nested", "skip-read-locks") }
+func TestRefinementCatchesBug(t *testing.T) { runCase(t, "rw", "nested", "skip-read-locks") }
 
 // --- P1 + Figure 7 safety for CortenMM_adv: lockers racing an unmapper
 // over every interleaving. Checks mutual exclusion, no use-after-free,
@@ -109,7 +110,7 @@ func TestCheckerReportsDeadlock(t *testing.T) {
 // A broken refinement is reported like any other violation: with the
 // path to the offending step, which ends in that step.
 func TestRefinementTraceEndsInBadStep(t *testing.T) {
-	res := runCase(t, "refine", "nested", "skip-read-locks")
+	res := runCase(t, "rw", "nested", "skip-read-locks")
 	if last := res.Trace[len(res.Trace)-1]; !strings.Contains(last, ":wlock(") {
 		t.Errorf("trace does not end in the illegal lock step: %v", res.Trace)
 	}

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,8 +17,10 @@ import (
 // whole repository:
 //   - outside the table file (envelope.go), no non-test code builds a
 //     model literal — a scenario is written once, as a table row;
+//   - the model types are exactly one per protocol;
 //   - the second explorer, the schedule-point hook, the replay gate, the
-//     TLB's private delay helper and the second VA allocator are gone;
+//     TLB's private delay helper, the second VA allocator, the second rw
+//     model and the per-model refinement hook are gone;
 //   - every fault site and delay point is declared in internal/fault.
 func TestOneVerificationSurface(t *testing.T) {
 	root := filepath.Join("..", "..")
@@ -27,6 +30,7 @@ func TestOneVerificationSurface(t *testing.T) {
 	gone := map[string]bool{
 		"CheckRWRefinement": true, "SetSchedPoint": true, "schedHit": true, "NewGate": true,
 		"maybeDelay": true, "NewGlobalVA": true, "GlobalVA": true, "VAAlloc": true,
+		"RWRefinement": true, "RWDynModel": true, "StepChecker": true, "CheckStep": true, "interpRW": true,
 	}
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{}
@@ -52,23 +56,24 @@ func TestOneVerificationSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The model types: whatever in this package explores (Next) or
-	// checks transitions (CheckStep).
+	// The model types: whatever in this package explores (Next). One
+	// type per protocol.
 	models := map[string]bool{}
 	for rel, f := range files {
 		if !strings.HasPrefix(rel, "internal/spec/") || strings.HasSuffix(rel, "_test.go") {
 			continue
 		}
 		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && (fn.Name.Name == "Next" || fn.Name.Name == "CheckStep") {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "Next" {
 				if star, ok := fn.Recv.List[0].Type.(*ast.StarExpr); ok {
 					models[star.X.(*ast.Ident).Name] = true
 				}
 			}
 		}
 	}
-	if len(models) < 6 {
-		t.Fatalf("found only %d model types: %v", len(models), models)
+	want := map[string]bool{"RWModel": true, "AdvModel": true, "TLBModel": true, "ReclaimModel": true, "MigrateModel": true}
+	if !maps.Equal(models, want) {
+		t.Fatalf("model types %v, want exactly %v", models, want)
 	}
 
 	for rel, f := range files {

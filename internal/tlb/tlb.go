@@ -234,9 +234,6 @@ func (m *Machine) visitRemoteByNode(initiator int, visit func(j int) bool) {
 	}
 }
 
-// Mode returns the configured shootdown protocol.
-func (m *Machine) Mode() Mode { return m.mode }
-
 // Lookup consults core's TLB for (asid, va). Early-ack mailboxes are
 // drained first, modelling the interrupt arriving before the access.
 // The fast path is mutex-free: four tag loads in one set, then for the

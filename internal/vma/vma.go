@@ -118,9 +118,6 @@ func (s *Space) ASID() tlb.ASID { return s.asid }
 // Stats implements mm.MM.
 func (s *Space) Stats() *mm.Stats { return &s.stats }
 
-// Tree exposes the page table for invariant checks in tests.
-func (s *Space) Tree() *pt.Tree { return s.tree }
-
 // VMACount reports the number of VMAs (the Figure-22 metadata bars).
 func (s *Space) VMACount() int {
 	s.mmapLock.RLock()
