@@ -16,9 +16,8 @@ import (
 // implementation counterpart (an env decision, a bookkeeping move)
 // needs no binding.
 //
-// This closes the model↔implementation gap the way rwspec.go does for
-// the locking protocol: the checker finds the interleaving, the
-// Replayer forces the real code through it.
+// This closes the model↔implementation gap: the checker finds the
+// interleaving, the Replayer forces the real code through it.
 type Replayer struct {
 	binds  []replayBind
 	actors map[string]*replayActor
