@@ -12,12 +12,12 @@ import (
 // counterexample replays in internal/tlb and internal/core, and
 // cortenbench -fig spec (the Table-4 analog) all read it.
 type ModelCase struct {
-	// Family is the protocol under check: "rw" and "stepwise" (Figure
-	// 5; "stepwise" releases one lock per step), "rwdyn" (rw frees PT
-	// pages without RCU, §4.1), "adv" and "subtree" (Figures 6 and 7),
-	// "tlb", "reclaim", "bbm". The first five families' rows, of
-	// RWModel and AdvModel, check P1 as the Atomic Spec refinement
-	// (§5.1).
+	// Family is the protocol under check: "rw", "refine" (rw on the
+	// deeper tree) and "stepwise" (Figure 5; "stepwise" releases one
+	// lock per step), "rwdyn" (rw frees PT pages without RCU, §4.1),
+	// "adv" and "subtree" (Figures 6 and 7), "tlb", "reclaim", "bbm".
+	// The first six families' rows, of RWModel and AdvModel, check P1
+	// as the Atomic Spec refinement (§5.1).
 	Family string
 	Name   string
 	Bug    string // "" for clean cases
@@ -98,6 +98,7 @@ func cases() []ModelCase {
 	ul := []Role{RoleUnmapper, RoleLocker}
 	ull := []Role{RoleUnmapper, RoleLocker, RoleLocker}
 	rw := func(targets ...int) *RWModel { return &RWModel{Topo: t3, Targets: targets} }
+	deep := func(targets ...int) *RWModel { return &RWModel{Topo: t4, Targets: targets} }
 	stepwise := func(targets ...int) *RWModel { return &RWModel{Topo: t3, Targets: targets, StepwiseUnlock: true} }
 	dyn := func(t *Topology, unmap int, roles []Role, targets ...int) *RWModel {
 		return &RWModel{Topo: t, Targets: targets, Roles: roles, UnmapChild: unmap}
@@ -118,6 +119,14 @@ func cases() []ModelCase {
 		{Family: "rw", Name: "chain", Model: rw(0, 1, 3)},
 		{Family: "rw", Name: "nested", Bug: "skip-read-locks", Want: "refinement broken",
 			Model: &RWModel{Topo: t3, Targets: []int{1, 3}, SkipReadLocks: true}},
+		// The refinement on the 4×2 tree: a nested core's path read-locks
+		// a page (3) between the two targets that neither core holds.
+		{Family: "refine", Name: "siblings", Model: deep(7, 8)},
+		{Family: "refine", Name: "nested", Model: deep(1, 7)},
+		{Family: "refine", Name: "root-leaf", Model: deep(0, 7)},
+		{Family: "refine", Name: "three-cores", Model: deep(7, 8, 3)},
+		{Family: "refine", Name: "nested", Bug: "skip-read-locks", Want: "refinement broken",
+			Model: &RWModel{Topo: t4, Targets: []int{1, 7}, SkipReadLocks: true}},
 		// Locks released one per step, in Figure 4's Drop order.
 		{Family: "stepwise", Name: "same-leaf", Model: stepwise(3, 3)},
 		{Family: "stepwise", Name: "nested", Model: stepwise(1, 3)},
