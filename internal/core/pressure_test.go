@@ -393,8 +393,8 @@ func TestOneDaemonOneSlot(t *testing.T) {
 			}
 		}
 	}
-	if size := unsafe.Sizeof(pt.PageState{}); size != 72 {
-		t.Errorf("pt.PageState is %d bytes, want 72: the heat bytes belong in Level's padding", size)
+	if size := unsafe.Sizeof(pt.PageState{}); size != 64 {
+		t.Errorf("pt.PageState is %d bytes, want 64: the heat bytes belong in Level's padding", size)
 	}
 	daemons := 0
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(AddrSpace{})) {

@@ -11,7 +11,7 @@ type bravoSlot struct {
 	_    [56]byte
 }
 
-// BRAVO wraps an RWLock with the BRAVO biased-locking technique (Dice &
+// BRAVO wraps a PhaseFair lock with the BRAVO biased-locking technique (Dice &
 // Kogan, ATC'19): while the lock is read-biased, readers publish
 // themselves in a per-core visible-readers slot and skip the underlying
 // lock entirely, so read acquisitions on different cores touch disjoint
@@ -24,14 +24,14 @@ type bravoSlot struct {
 // ("BRAVO-pfqlock", §4.5). Unlike the original, slots are indexed by the
 // simulated core ID, so there are no hash collisions.
 type BRAVO struct {
-	under   RWLock
+	under   *PhaseFair
 	rbias   atomic.Bool
 	inhibit atomic.Int64 // unix-nanos until which bias stays off
 	slots   []bravoSlot
 }
 
 // NewBRAVO wraps under with reader bias for the given core count.
-func NewBRAVO(under RWLock, cores int) *BRAVO {
+func NewBRAVO(under *PhaseFair, cores int) *BRAVO {
 	b := &BRAVO{under: under, slots: make([]bravoSlot, cores)}
 	b.rbias.Store(true)
 	return b
@@ -84,5 +84,3 @@ func (b *BRAVO) Lock(core int) {
 func (b *BRAVO) Unlock(core int) {
 	b.under.Unlock(core)
 }
-
-var _ RWLock = (*BRAVO)(nil)

@@ -12,24 +12,6 @@ package locks
 
 import "runtime"
 
-// Mutex is a mutual-exclusion lock. Implementations are spinlocks.
-type Mutex interface {
-	Lock()
-	Unlock()
-	// TryLock acquires the lock without blocking and reports success.
-	TryLock() bool
-}
-
-// RWLock is a readers-writer lock whose acquisitions are tagged with the
-// simulated core ID. The core tag lets BRAVO use a per-core visible-reader
-// slot instead of hashing, eliminating false conflicts.
-type RWLock interface {
-	RLock(core int)
-	RUnlock(core int)
-	Lock(core int)
-	Unlock(core int)
-}
-
 // spinWait spins with progressive backoff. i is the caller-maintained
 // iteration counter; call as: for i := 0; cond(); i++ { spinWait(i) }.
 func spinWait(i int) {

@@ -7,6 +7,23 @@ import (
 	"time"
 )
 
+// Mutex is a mutual-exclusion lock, the surface hammerMutex drives.
+type Mutex interface {
+	Lock()
+	Unlock()
+	// TryLock acquires the lock without blocking and reports success.
+	TryLock() bool
+}
+
+// RWLock is a readers-writer lock whose acquisitions are tagged with the
+// simulated core ID, the surface hammerRW drives.
+type RWLock interface {
+	RLock(core int)
+	RUnlock(core int)
+	Lock(core int)
+	Unlock(core int)
+}
+
 // hammerMutex checks mutual exclusion by having workers increment a
 // counter that is only consistent when protected. Every other
 // acquisition tries TryLock first and queues only when that fails, so

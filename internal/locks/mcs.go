@@ -105,5 +105,3 @@ func (l *MCS) rest(n *mcsNode) {
 		mcsPool.Put(n)
 	}
 }
-
-var _ Mutex = (*MCS)(nil)

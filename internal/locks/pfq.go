@@ -61,5 +61,3 @@ func (l *PhaseFair) Unlock(core int) {
 	l.rin.And(^uint32(pfWBits))
 	l.wout.Add(1)
 }
-
-var _ RWLock = (*PhaseFair)(nil)

@@ -30,5 +30,3 @@ func (l *Ticket) TryLock() bool {
 func (l *Ticket) Unlock() {
 	l.serving.Add(1)
 }
-
-var _ Mutex = (*Ticket)(nil)

@@ -39,7 +39,7 @@ type PageState struct {
 	Mu locks.MCS
 	// RW is the readers-writer PT-page lock used by CortenMM_rw
 	// (BRAVO-pfqlock); nil when the tree was built without it.
-	RW locks.RWLock
+	RW *locks.BRAVO
 
 	// The fields below are protected by the page's lock.
 

@@ -176,8 +176,8 @@ func cases() []ModelCase {
 			Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0, lookup0}}, SkipValidate: true}},
 		{Family: "tlb", Name: "sync-basic", Bug: "stamp-at-insert", Want: "stale hit", Model: &TLBModel{Mode: TLBSync,
 			Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0}}, StampAtInsert: true}},
-		{Family: "tlb", Name: "sync-ring-wrap", Bug: "drop-overflow", Want: "dropped a live entry", Model: &TLBModel{Mode: TLBSync,
-			Unmaps: []int8{1, 1, 1}, Readers: [][]TLBOp{{fill0, lookup0}}, DropOverflow: true}},
+		{Family: "tlb", Name: "sync-ring-wrap", Bug: "drop-overflow", Want: "stale hit", Model: &TLBModel{Mode: TLBSync,
+			Unmaps: []int8{0, 1, 1}, Readers: [][]TLBOp{{fill0, lookup0}}, DropOverflow: true}},
 		{Family: "tlb", Name: "earlyack", Bug: "skip-inbox-gate", Want: "stale hit", Model: &TLBModel{Mode: TLBEarlyAck,
 			Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0, lookup0}}, SkipInboxGate: true}},
 		{Family: "tlb", Name: "latr", Bug: "latr-early-complete", Want: "stale hit", Model: &TLBModel{Mode: TLBLATR,

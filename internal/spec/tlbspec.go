@@ -4,26 +4,22 @@ import "fmt"
 
 // TLBModel is the small-scope staleness model of internal/tlb's
 // lock-free design: seqlock-published cache slots, a per-(core,asid)
-// epoch cell with a generation counter, a bounded invalidation ring
-// whose evictions spill to a capped overflow list (trimmed by halves
-// when full, forcing conservative misses), and the three shootdown
-// variants (sync IPI, early-ack inbox, LATR tick-applied buffers).
+// epoch cell with a generation counter and a bounded invalidation ring
+// that is the cell's only history (an entry whose history has left the
+// ring misses conservatively), and the three shootdown variants (sync
+// IPI, early-ack inbox, LATR tick-applied buffers).
 //
-// The checked contract is the one the real Lookup relies on:
-//
-//   - Staleness: a lookup hit never returns a translation whose
-//     invalidation *completed* (the initiator observed the shootdown
-//     acknowledged) before the hit's epoch validate. Translations
-//     invalidated but not yet completed may still be served — that is
-//     the TLB-coherence window every real MMU has.
-//   - Ring-wrap no-stale-drop: a validate may only miss a still-live
-//     entry when the history it needed was legally trimmed from the
-//     overflow list; losing a record any other way (the pre-PR6
-//     wrap bug) is a precision violation.
+// The checked contract is the one the real Lookup relies on: a lookup
+// hit never returns a translation whose invalidation *completed* (the
+// initiator observed the shootdown acknowledged) before the hit's epoch
+// validate. Translations invalidated but not yet completed may still be
+// served — that is the TLB-coherence window every real MMU has. A miss
+// is always legal.
 //
 // Seeded bugs (each must be caught — see mutation_test.go):
 // SkipValidate serves hits without replaying the ring; DropOverflow
-// discards ring evictions instead of spilling; SkipInboxGate lets
+// replays only the records still in the ring when the entry's history
+// has left it, instead of missing; SkipInboxGate lets
 // early-ack lookups run without draining the pending-invalidation
 // inbox; LATREarlyComplete acknowledges a LATR shootdown before the
 // remote tick applies it; QuiesceMissesSweep lets a quiesce return
@@ -88,81 +84,40 @@ type TLBOp struct {
 const (
 	tlbPages   = 2
 	tlbRingLen = 2 // model-scale ring (real: 16)
-	tlbOvCap   = 2 // model-scale overflow cap (real: 512)
 	tlbMaxRd   = 2
 	tlbMaxPend = 8
 )
 
-// tlbRec is one invalidation record: the cell generation it was
-// published at and the page it killed. Gen 0 means empty.
-type tlbRec struct {
-	Gen  uint8
-	Page int8
-}
-
-// tlbCell is one per-(core,asid) epoch cell: a generation counter, the
-// bounded ring indexed by gen, and the overflow spill list.
+// tlbCell is one per-(core,asid) epoch cell: a generation counter and
+// the bounded ring, indexed by generation, of the pages the last
+// tlbRingLen invalidations killed.
 type tlbCell struct {
-	Gen    uint8
-	Ring   [tlbRingLen]tlbRec
-	Ov     [tlbOvCap]int8
-	OvBase uint8 // generation of Ov[0]
-	OvLen  uint8
-	Trim   bool // a trim has discarded history
+	Gen  uint8
+	Ring [tlbRingLen]int8
 }
 
-// bump publishes one invalidation record, spilling the evicted ring
-// slot to the overflow list (unless the DropOverflow bug is seeded).
-func (c *tlbCell) bump(page int8, drop bool) {
-	g := c.Gen + 1
-	slot := &c.Ring[g%tlbRingLen]
-	if slot.Gen != 0 && !drop {
-		c.spill(slot.Page)
-	}
-	slot.Gen, slot.Page = g, page
-	c.Gen = g
+// bump publishes one invalidation record over the ring's oldest slot.
+func (c *tlbCell) bump(page int8) {
+	c.Gen++
+	c.Ring[c.Gen%tlbRingLen] = page
 }
 
-func (c *tlbCell) spill(page int8) {
-	if c.OvLen == 0 {
-		// The overflow list always holds the records immediately below
-		// the ring window; its base is the oldest spilled generation.
-		c.OvBase = c.Gen + 1 - uint8(tlbRingLen)
-	}
-	if c.OvLen == tlbOvCap {
-		const half = tlbOvCap / 2
-		copy(c.Ov[:], c.Ov[half:c.OvLen])
-		c.OvLen -= half
-		c.OvBase += half
-		c.Trim = true
-	}
-	c.Ov[c.OvLen] = page
-	c.OvLen++
-}
-
-// validate replays the records in (g, Gen]. It returns whether the
-// entry filled at generation g is still live, and whether a needed
-// record was unavailable without a legal trim (the precision bug).
-func (c *tlbCell) validate(page int8, g uint8) (live, lost bool) {
-	for gg := g + 1; gg != 0 && gg <= c.Gen; gg++ {
-		var rp int8
-		found := false
-		if r := c.Ring[gg%tlbRingLen]; r.Gen == gg {
-			rp, found = r.Page, true
-		} else if c.OvLen > 0 && gg >= c.OvBase && gg < c.OvBase+c.OvLen {
-			rp, found = c.Ov[gg-c.OvBase], true
+// validate replays the records in (g, Gen] and returns whether the
+// entry of page filled at generation g is still live. A record that has
+// left the ring kills the entry; the DropOverflow bug skips it instead.
+func (c *tlbCell) validate(page int8, g uint8, drop bool) bool {
+	if c.Gen-g > tlbRingLen {
+		if !drop {
+			return false
 		}
-		if !found {
-			if c.Trim && gg < c.OvBase {
-				return false, false // trimmed history: conservative miss
-			}
-			return false, true // record lost with no trim to blame
-		}
-		if rp == page || rp == -1 {
-			return false, false
+		g = c.Gen - tlbRingLen
+	}
+	for gg := g + 1; gg <= c.Gen; gg++ {
+		if c.Ring[gg%tlbRingLen] == page {
+			return false
 		}
 	}
-	return true, false
+	return true
 }
 
 // tlbEntry is one cached translation: the page version it was filled
@@ -214,7 +169,7 @@ type tlbState struct {
 func (m *TLBModel) applyLATR(n *tlbState, pages []int8) {
 	for i := 0; i < m.nreaders(); i++ {
 		for _, p := range pages {
-			n.Rd[i].Cell.bump(p, m.DropOverflow)
+			n.Rd[i].Cell.bump(p)
 		}
 	}
 }
@@ -256,7 +211,7 @@ func (m *TLBModel) Next(st State) []Step {
 			// Deliver to reader MPh-1; the last delivery completes the op.
 			i := int(s.MPh) - 1
 			n := s
-			n.Rd[i].Cell.bump(p, m.DropOverflow)
+			n.Rd[i].Cell.bump(p)
 			if i == m.nreaders()-1 {
 				n.Compl[p] = n.Ver[p]
 				n.MPh, n.MOp = 0, n.MOp+1
@@ -350,7 +305,7 @@ func (m *TLBModel) Next(st State) []Step {
 		n := s
 		if m.Mode == TLBEarlyAck && !m.SkipInboxGate {
 			for j := uint8(0); j < n.Rd[i].InboxN; j++ {
-				n.Rd[i].Cell.bump(n.Rd[i].Inbox[j], m.DropOverflow)
+				n.Rd[i].Cell.bump(n.Rd[i].Inbox[j])
 			}
 			n.Rd[i].InboxN = 0
 		}
@@ -366,22 +321,17 @@ func (m *TLBModel) Next(st State) []Step {
 			// checked for staleness below.
 			label = fmt.Sprintf("r%d:hit(%d)", i, p)
 		default:
-			live, lost := cell.validate(p, e.Gen)
-			switch {
-			case lost && e.Ver == n.Ver[p]:
-				n.Bad = fmt.Sprintf("ring wrap dropped a live entry (reader %d page %d)", i, p)
-				label = fmt.Sprintf("r%d:drop_live(%d)", i, p)
-			case !live:
-				n.Rd[i].Cache[p].Valid = false
-				label = fmt.Sprintf("r%d:inv_miss(%d)", i, p)
-			default:
+			if cell.validate(p, e.Gen, m.DropOverflow) {
 				n.Rd[i].Cache[p].Gen = cell.Gen
 				label = fmt.Sprintf("r%d:hit(%d)", i, p)
+			} else {
+				n.Rd[i].Cache[p].Valid = false
+				label = fmt.Sprintf("r%d:inv_miss(%d)", i, p)
 			}
 		}
 		// Staleness check on any served hit: a completed invalidation
 		// must never be visible through the cache.
-		if n.Bad == "" && e.Valid && n.Rd[i].Cache[p].Valid && n.Compl[p] > e.Ver {
+		if e.Valid && n.Rd[i].Cache[p].Valid && n.Compl[p] > e.Ver {
 			n.Bad = fmt.Sprintf("stale hit: reader %d page %d v%d, invalidation of v<=%d completed", i, p, e.Ver, n.Compl[p])
 			label = fmt.Sprintf("r%d:stale_hit(%d)", i, p)
 		}

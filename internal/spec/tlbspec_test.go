@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Every clean TLB scenario in the table must pass: no stale hit, no
-// precision drop, no deadlock, across all three shootdown modes.
+// Every clean TLB scenario in the table must pass: no stale hit and no
+// deadlock, across all three shootdown modes.
 func TestTLBStalenessClean(t *testing.T) {
 	for name, res := range runFamily(t, "tlb") {
 		if res.States < 10 {
@@ -28,9 +28,8 @@ func TestTLBSkipValidateCaught(t *testing.T) {
 	}
 }
 
-// Ring wrap with the overflow spill disabled loses an invalidation
-// record and drops a still-live entry — the pre-PR6 conservative-miss
-// precision bug.
+// Ring wrap where validate skips the records that have left the ring,
+// instead of missing, serves an entry whose unmap record it skipped.
 func TestTLBDropOverflowCaught(t *testing.T) { runCase(t, "tlb", "sync-ring-wrap", "drop-overflow") }
 
 // Early-ack without the inbox drain serves a hit whose invalidation the

@@ -204,7 +204,7 @@ func TestQuickNRUMatchesReference(t *testing.T) {
 			}
 			switch op := rng.Intn(400); {
 			case op == 0:
-				m.FlushLocalAll(0, k.asid)
+				m.cores[0].invalidateLocal(Invalidation{ASID: k.asid, All: true})
 				ref.gen[k.asid]++
 			case op < 8:
 				m.FlushLocal(0, k.asid, k.va)

@@ -2,7 +2,6 @@ package tlb
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"cortenmm/internal/arch"
@@ -20,28 +19,20 @@ import (
 // The staleness contract (after "Relaxed virtual memory in Armv8-A"):
 // a lookup may conservatively miss at any time, but must never return a
 // translation that an already-completed invalidation covered. The ring
-// makes recent bumps precise; records aging out of the ring spill to a
-// per-cell overflow list so deep bursts still replay precisely, and
-// only histories trimmed off the overflow list invalidate
-// conservatively — which is always legal for a cache.
+// is a cell's only invalidation history: it makes the last ringLen
+// bumps precise, and an entry filled before the oldest record still in
+// the ring misses conservatively — which is always legal for a cache.
 const (
 	// asidCells is the number of epoch cells per core; ASIDs that
 	// collide mod asidCells share invalidation generations (safe: the
 	// collision only ever causes extra misses).
 	asidCells = 64
-	// ringLen bounds how many recent invalidation records a cell keeps
-	// in its lock-free ring for precise lazy validation. Records that
-	// age out of the ring are no longer lost: the writer spills them to
-	// the cell's mutex-guarded overflow list, so even an unmap storm
-	// far deeper than the ring replays precisely (staledrops in the
-	// fig14-tlb rows quantified the old wrap-to-conservative-miss
-	// behaviour under exactly that pattern).
+	// ringLen is how many recent invalidation records a cell keeps for
+	// precise lazy validation. An entry more than ringLen generations
+	// old has lost part of its history and validates as a miss; 16
+	// keeps a burst of 16 range shootdowns between two lookups of one
+	// entry precise (TestRingBurstNoStaleDrops).
 	ringLen = 16
-	// overflowCap bounds the overflow list; at capacity the oldest half
-	// is discarded and entries filled before the cut validate
-	// conservatively — bursts beyond ~overflowCap invalidations between
-	// two lookups of one entry are no longer worth remembering.
-	overflowCap = 512
 )
 
 // recAll in a record tag marks a full-ASID invalidation. All records
@@ -57,13 +48,6 @@ type invRec struct {
 	hi  atomic.Uint64
 }
 
-// ovRec is one overflow record — an invRec whose generation is implied
-// by its position (ovBase + index). Plain fields: ovMu guards them.
-type ovRec struct {
-	tag    uint64
-	lo, hi uint64
-}
-
 // epochCell is the per-(core, asid-class) invalidation clock.
 type epochCell struct {
 	// seq is the writer seqlock: odd while a bump is in flight. Readers
@@ -77,16 +61,6 @@ type epochCell struct {
 	// is what lets shootdown initiators skip this core entirely.
 	lastIns atomic.Uint64
 	ring    [ringLen]invRec
-
-	// The overflow list holds records evicted from the ring, off the
-	// lookup fast path: only validations of entries more than ringLen
-	// generations old read it, and only bumps that overwrite a live
-	// ring slot write it. Generations are contiguous (one record per
-	// bump, evicted in bump order), so overflow[i] is the record of
-	// generation ovBase+i and replay is a direct index, not a search.
-	ovMu     sync.Mutex
-	overflow []ovRec
-	ovBase   uint64
 }
 
 // bump advances the cell's generation with a record of what died.
@@ -102,9 +76,6 @@ func (c *epochCell) bump(asid ASID, lo, hi arch.Vaddr, all bool) {
 	}
 	g := c.gen.Load() + 1
 	r := &c.ring[g&(ringLen-1)]
-	if old := r.gen.Load(); old != 0 && old == g-ringLen {
-		c.spill(old, r.tag.Load(), r.lo.Load(), r.hi.Load())
-	}
 	tag := uint64(asid)
 	if all {
 		tag |= recAll
@@ -120,68 +91,16 @@ func (c *epochCell) bump(asid ASID, lo, hi arch.Vaddr, all bool) {
 	c.seq.Add(1)
 }
 
-// spill moves a record aging out of the ring onto the overflow list.
-// Called only inside bump's seqlock write section, so spills arrive in
-// strict generation order and the list stays contiguous.
-func (c *epochCell) spill(gen, tag, lo, hi uint64) {
-	c.ovMu.Lock()
-	switch {
-	case tag&recAll != 0:
-		// A full-ASID record kills every fill at or before its
-		// generation, and validate's allGen early-out already rejects
-		// those — nothing older than this record can ever be consulted
-		// again, so the whole list resets.
-		c.overflow = c.overflow[:0]
-		c.ovBase = gen + 1
-	default:
-		if len(c.overflow) == 0 {
-			c.ovBase = gen
-		} else if len(c.overflow) == overflowCap {
-			n := copy(c.overflow, c.overflow[overflowCap/2:])
-			c.overflow = c.overflow[:n]
-			c.ovBase += overflowCap / 2
-		}
-		c.overflow = append(c.overflow, ovRec{tag: tag, lo: lo, hi: hi})
-	}
-	c.ovMu.Unlock()
-}
-
-// overflowLive replays the spilled records of generations (g, upTo]
-// against an entry of asid covering [lo, hi). Returns false if any
-// record overlaps, or if the history was trimmed before g. The list
-// never holds a full-ASID record: spilling one resets it.
-func (c *epochCell) overflowLive(asid ASID, lo, hi arch.Vaddr, g, upTo uint64) bool {
-	c.ovMu.Lock()
-	defer c.ovMu.Unlock()
-	if g+1 < c.ovBase {
-		return false // trimmed: the fill predates remembered history
-	}
-	for gg := g + 1; gg <= upTo; gg++ {
-		i := int(gg - c.ovBase)
-		if i >= len(c.overflow) {
-			break // not spilled yet — the ring scan covers it
-		}
-		r := &c.overflow[i]
-		if ASID(r.tag) != asid {
-			continue
-		}
-		if r.lo < uint64(hi) && r.hi > uint64(lo) {
-			return false
-		}
-	}
-	return true
-}
-
 // validate decides whether a cache entry of asid covering [lo, hi)
 // filled at generation g is still usable. It replays every record in
-// (g, cur] — from the overflow list for the part older than the ring,
-// from the ring for the recent part; the entry survives only if none of
-// them overlaps the span. The overlap test is a range intersection, not
+// (g, cur] from the ring; the entry survives only if none of them
+// overlaps the span. The overlap test is a range intersection, not
 // point membership: a 4-KiB record must kill a 2-MiB huge entry it
 // falls inside, and a huge-span record must kill the 4-KiB entries it
-// covers. Overwritten or torn records, and histories trimmed off the
-// overflow list, invalidate conservatively. Returns the cell's current
-// generation so the caller can re-stamp a surviving entry.
+// covers. A history that has left the ring (cur-g > ringLen), an
+// overwritten or torn record, or a full-ASID record in the gap
+// invalidates conservatively. Returns the cell's current generation so
+// the caller can re-stamp a surviving entry.
 func (c *epochCell) validate(asid ASID, lo, hi arch.Vaddr, g uint64) (gen uint64, live bool) {
 	for attempt := 0; attempt < 4; attempt++ {
 		s := c.seq.Load()
@@ -192,18 +111,11 @@ func (c *epochCell) validate(asid ASID, lo, hi arch.Vaddr, g uint64) (gen uint64
 		if cur == g {
 			return cur, true
 		}
-		if c.allGen.Load() > g {
-			return cur, false // a full-ASID flush happened since the fill
+		if cur-g > ringLen || c.allGen.Load() > g {
+			return cur, false // history left the ring, or a full-ASID flush since the fill
 		}
-		live, start := true, g
-		if cur-g > ringLen {
-			// Long burst: the records in (g, cur-ringLen] have aged out
-			// of the ring — replay them from the overflow list, then
-			// the ring covers the rest.
-			start = cur - ringLen
-			live = c.overflowLive(asid, lo, hi, g, start)
-		}
-		for gg := start + 1; live && gg <= cur; gg++ {
+		live := true
+		for gg := g + 1; gg <= cur; gg++ {
 			r := &c.ring[gg&(ringLen-1)]
 			if r.gen.Load() != gg {
 				live = false // record overwritten mid-read

@@ -9,12 +9,13 @@
 // Lookup and Insert are plain atomic loads/stores with no mutex and no
 // cross-core writes. Remote invalidation is a generation bump on the
 // target's per-(core, asid) epoch cell (epoch.go); cache entries are
-// validated lazily against their cell on lookup. Shootdown initiators
-// skip cores whose cells provably hold nothing for the ASID (presence
-// filtering, the mm_cpumask analogue). The early-ack and LATR queues
-// still use mutexes — they model interrupt mailboxes, not the access
-// fast path — but their entries are applied through the same
-// generation mechanism.
+// validated lazily against their cell on lookup by replaying the cell's
+// 16-deep ring of invalidation records. The ring is the only history:
+// an entry older than it misses. Shootdown initiators skip cores whose
+// cells provably hold nothing for the ASID (presence filtering, the
+// mm_cpumask analogue). The early-ack and LATR queues still use
+// mutexes — they model interrupt mailboxes, not the access fast path —
+// but their entries are applied through the same generation mechanism.
 package tlb
 
 import (
@@ -420,25 +421,15 @@ func (m *Machine) FlushLocal(core int, asid ASID, va arch.Vaddr) {
 	c.clearHugeSpans(asid, va, va+arch.PageSize)
 }
 
-// FlushLocalRange removes asid's entries in [lo, hi) from core's own TLB.
-func (m *Machine) FlushLocalRange(core int, asid ASID, lo, hi arch.Vaddr) {
-	m.cores[core].invalidateLocal(Invalidation{ASID: asid, Lo: lo, Hi: hi})
-}
-
-// FlushLocalAll removes all of asid's entries from core's own TLB.
-func (m *Machine) FlushLocalAll(core int, asid ASID) {
-	m.cores[core].invalidateLocal(Invalidation{ASID: asid, All: true})
-}
-
 // FlushAllASIDs invalidates every translation of every ASID on every
 // core — the ASID generation-rollover flush. One full-ASID bump per
 // epoch cell suffices: validate's allGen early-out rejects every fill
 // published at or before the bump regardless of its ASID, and the
-// recAll record resets each cell's overflow history and presence
-// filter. Any core may issue the bumps, so the caller needs no core
-// identity. Invalidations still queued in early-ack inboxes or
-// LATR buffers are left in place: applying one later only re-kills
-// entries conservatively, which is always legal.
+// recAll record resets each cell's presence filter. Any core may issue
+// the bumps, so the caller needs no core identity. Invalidations still
+// queued in early-ack inboxes or LATR buffers are left in place:
+// applying one later only re-kills entries conservatively, which is
+// always legal.
 func (m *Machine) FlushAllASIDs() {
 	m.fullFlushes.Add(1)
 	for i := range m.cores {

@@ -53,7 +53,7 @@ func TestHugeLookup1G(t *testing.T) {
 		}
 	}
 	// A 2-MiB probe at the same base must not alias the 1-GiB entry...
-	m.FlushLocalAll(0, 1)
+	m.cores[0].invalidateLocal(Invalidation{ASID: 1, All: true})
 	if _, ok := m.Lookup(0, 1, base); ok {
 		t.Fatal("entry survived full-ASID flush")
 	}
@@ -133,7 +133,7 @@ func TestHugePreciseClear(t *testing.T) {
 
 	// Precise range path (within preciseLimit) on the initiator.
 	m.Insert(0, 1, base, trL(900, 2))
-	m.FlushLocalRange(0, 1, base+8*arch.PageSize, base+12*arch.PageSize)
+	m.cores[0].invalidateLocal(Invalidation{ASID: 1, Lo: base + 8*arch.PageSize, Hi: base + 12*arch.PageSize})
 	if _, ok := m.Lookup(0, 1, base+span-arch.PageSize); ok {
 		t.Fatal("huge entry survived precise local range flush")
 	}
@@ -168,7 +168,7 @@ func TestPreciseLimit(t *testing.T) {
 	m.Insert(0, 1, outside, tr(2))
 
 	bumps := m.Stats().GenBumps
-	m.FlushLocalRange(0, 1, inside, inside+4*arch.PageSize)
+	m.cores[0].invalidateLocal(Invalidation{ASID: 1, Lo: inside, Hi: inside + 4*arch.PageSize})
 	if d := m.Stats().GenBumps - bumps; d != 0 {
 		t.Fatalf("4-page range: %d generation bumps, want 0 (precise clear)", d)
 	}
@@ -178,7 +178,7 @@ func TestPreciseLimit(t *testing.T) {
 
 	m.Insert(0, 1, inside, tr(1))
 	bumps = m.Stats().GenBumps
-	m.FlushLocalRange(0, 1, inside, inside+5*arch.PageSize)
+	m.cores[0].invalidateLocal(Invalidation{ASID: 1, Lo: inside, Hi: inside + 5*arch.PageSize})
 	if d := m.Stats().GenBumps - bumps; d != 1 {
 		t.Fatalf("5-page range: %d generation bumps, want 1", d)
 	}

@@ -43,9 +43,9 @@ func TestFlushLocalAll(t *testing.T) {
 	m.Insert(0, 1, 0x1000, tr(1))
 	m.Insert(0, 1, 0x2000, tr(2))
 	m.Insert(0, 2, 0x1000, tr(3))
-	m.FlushLocalAll(0, 1)
+	m.cores[0].invalidateLocal(Invalidation{ASID: 1, All: true})
 	if _, ok := m.Lookup(0, 1, 0x1000); ok {
-		t.Error("asid 1 entry survived FlushLocalAll")
+		t.Error("asid 1 entry survived a full-ASID local invalidation")
 	}
 	if _, ok := m.Lookup(0, 2, 0x1000); !ok {
 		t.Error("asid 2 entry wrongly flushed")
@@ -167,21 +167,36 @@ func TestRangeShootdownPrecision(t *testing.T) {
 	}
 }
 
+// TestRingWrapSpillsToOverflow keeps its name from the overflow list
+// that once caught records evicted from the ring. That list is gone:
+// the ring is a cell's only history, so an entry survives as long as
+// its history fits in the ring and misses once it has left it.
 func TestRingWrapSpillsToOverflow(t *testing.T) {
 	m := NewMachine(2, ModeSync)
 	m.Insert(1, 1, 0x1000, tr(1))
-	// Push more records through core 1's cell than its ring holds. The
-	// 0x1000 entry's history falls off the ring, but the evicted records
-	// land on the overflow list, so the lazy check still replays them
-	// precisely: none covers 0x1000, the entry survives.
-	for i := 0; i < 2*ringLen; i++ {
-		m.ShootdownRange(0, 1, arch.Vaddr(0x100000+i*0x1000), arch.Vaddr(0x100000+(i+preciseLimit+1)*0x1000))
+	shoot := func(n, base int) {
+		for i := 0; i < n; i++ {
+			lo := arch.Vaddr(base + i*0x1000)
+			m.ShootdownRange(0, 1, lo, lo+(preciseLimit+1)*arch.PageSize)
+		}
 	}
+	// ringLen-1 disjoint records: the history is all in the ring, so
+	// the replay is precise and the entry keeps hitting.
+	shoot(ringLen-1, 0x100000)
 	if _, ok := m.Lookup(1, 1, 0x1000); !ok {
-		t.Error("entry lost: ring wrap must replay from the overflow list")
+		t.Error("entry lost with its whole history in the ring")
 	}
 	if sd := m.Stats().StaleDrops; sd != 0 {
-		t.Errorf("staledrops = %d after deep disjoint burst, want 0", sd)
+		t.Errorf("staledrops = %d after a burst the ring holds, want 0", sd)
+	}
+	// More disjoint records than the ring holds: the entry's history
+	// has left the ring, so it misses conservatively, once.
+	shoot(ringLen+1, 0x200000)
+	if _, ok := m.Lookup(1, 1, 0x1000); ok {
+		t.Error("entry whose history left the ring still hit")
+	}
+	if sd := m.Stats().StaleDrops; sd != 1 {
+		t.Errorf("staledrops = %d after the ring wrapped, want 1", sd)
 	}
 	// A covered entry two rings deep in history must still die.
 	m.Insert(1, 1, 0x2000, tr(2))
@@ -190,22 +205,22 @@ func TestRingWrapSpillsToOverflow(t *testing.T) {
 		m.ShootdownRange(0, 1, arch.Vaddr(0x200000+i*0x1000), arch.Vaddr(0x200000+(i+1)*0x1000))
 	}
 	if _, ok := m.Lookup(1, 1, 0x2000); ok {
-		t.Error("covered entry survived overflow replay")
+		t.Error("covered entry survived a wrapped ring")
 	}
 }
 
 func TestOverflowTrimConservativeMiss(t *testing.T) {
 	m := NewMachine(2, ModeSync)
 	m.Insert(1, 1, 0x1000, tr(1))
-	// Push enough disjoint records to overflow the overflow list itself;
-	// once the entry's history is trimmed, the lazy check must discard
-	// it conservatively rather than guess.
-	for i := 0; i < overflowCap+2*ringLen; i++ {
+	// Push twice as many disjoint records as the ring holds; once the
+	// entry's history has left the ring, the lazy check must discard it
+	// conservatively rather than guess.
+	for i := 0; i < 2*ringLen; i++ {
 		lo := arch.Vaddr(0x1000000 + i*0x1000)
 		m.ShootdownRange(0, 1, lo, lo+0x1000)
 	}
 	if _, ok := m.Lookup(1, 1, 0x1000); ok {
-		t.Error("entry older than trimmed overflow history survived; must miss conservatively")
+		t.Error("entry older than the ring survived; must miss conservatively")
 	}
 }
 

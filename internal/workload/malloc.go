@@ -8,6 +8,7 @@ package workload
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/mm"
@@ -38,7 +39,7 @@ type PtMalloc struct {
 	sys    mm.MM
 	mu     sync.Mutex
 	arenas map[int]*arena // per-core small-object arenas
-	mapped atomicBytes
+	mapped atomic.Uint64
 }
 
 type arena struct {
@@ -61,7 +62,7 @@ func (p *PtMalloc) Alloc(core int, size uint64) (arch.Vaddr, error) {
 	if size >= mmapThreshold {
 		va, err := p.sys.Mmap(core, size, arch.PermRW, 0)
 		if err == nil {
-			p.mapped.add(pageCeil(size))
+			p.mapped.Add(pageCeil(size))
 		}
 		return va, err
 	}
@@ -83,7 +84,7 @@ func (p *PtMalloc) Alloc(core int, size uint64) (arch.Vaddr, error) {
 		if err != nil {
 			return 0, err
 		}
-		p.mapped.add(arenaChunk)
+		p.mapped.Add(arenaChunk)
 		p.mu.Lock()
 		a.cur, a.left = va, arenaChunk
 	}
@@ -100,7 +101,7 @@ func (p *PtMalloc) Free(core int, va arch.Vaddr, size uint64) {
 	size = (size + 63) &^ 63
 	if size >= mmapThreshold {
 		_ = p.sys.Munmap(core, va, pageCeil(size))
-		p.mapped.sub(pageCeil(size))
+		p.mapped.Add(-pageCeil(size))
 		return
 	}
 	p.mu.Lock()
@@ -111,7 +112,7 @@ func (p *PtMalloc) Free(core int, va arch.Vaddr, size uint64) {
 }
 
 // MappedBytes implements Allocator.
-func (p *PtMalloc) MappedBytes() uint64 { return p.mapped.load() }
+func (p *PtMalloc) MappedBytes() uint64 { return p.mapped.Load() }
 
 // TcMalloc models tcmalloc: per-core caches hold freed spans of every
 // size and nothing is returned to the OS, "working around the deficient
@@ -122,7 +123,7 @@ func (p *PtMalloc) MappedBytes() uint64 { return p.mapped.load() }
 type TcMalloc struct {
 	sys    mm.MM
 	caches []tcCache
-	mapped atomicBytes
+	mapped atomic.Uint64
 	// Decommit releases physical pages of cached spans via madvise.
 	Decommit bool
 }
@@ -159,7 +160,7 @@ func (t *TcMalloc) Alloc(core int, size uint64) (arch.Vaddr, error) {
 	c.mu.Unlock()
 	va, err := t.sys.Mmap(core, size, arch.PermRW, 0)
 	if err == nil {
-		t.mapped.add(size)
+		t.mapped.Add(size)
 	}
 	return va, err
 }
@@ -180,15 +181,6 @@ func (t *TcMalloc) Free(core int, va arch.Vaddr, size uint64) {
 }
 
 // MappedBytes implements Allocator.
-func (t *TcMalloc) MappedBytes() uint64 { return t.mapped.load() }
+func (t *TcMalloc) MappedBytes() uint64 { return t.mapped.Load() }
 
 func pageCeil(n uint64) uint64 { return (n + arch.PageSize - 1) &^ (arch.PageSize - 1) }
-
-type atomicBytes struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-func (a *atomicBytes) add(n uint64) { a.mu.Lock(); a.n += n; a.mu.Unlock() }
-func (a *atomicBytes) sub(n uint64) { a.mu.Lock(); a.n -= n; a.mu.Unlock() }
-func (a *atomicBytes) load() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
