@@ -377,17 +377,23 @@ func TestReferenceModelEquivalence(t *testing.T) {
 					}
 				case 8: // grow: everything in the range moves out of the window
 					grown := size + uint64(1+rng.Intn(4))*arch.PageSize
-					tail := refPage{perm: arch.PermRW}
+					whole := true
 					for i := lo; i < lo+n; i++ {
-						if p, ok := ref.pages[pageAt(i)]; ok {
-							tail.perm = p.perm // the grown tail takes the first page's permission
-							break
-						}
+						whole = whole && ref.allocated(pageAt(i))
 					}
 					nva, err := a.Mremap(0, va, size, grown)
+					if !whole {
+						// A range with a page nothing allocated is refused
+						// and stays as it was (Linux: EFAULT).
+						if !errors.Is(err, mm.ErrSegv) {
+							t.Fatalf("step %d: mremap of a range not wholly mapped = %#x, %v; want mm.ErrSegv", step, nva, err)
+						}
+						break
+					}
 					if err != nil {
 						t.Fatalf("step %d: mremap: %v", step, err)
 					}
+					tail := refPage{perm: ref.pages[va].perm} // the grown tail takes the first page's permission
 					moved := newRefModel()
 					for off := uint64(0); off < grown; off += arch.PageSize {
 						if p, ok := ref.pages[va+arch.Vaddr(off)]; ok && off < size {

@@ -16,8 +16,9 @@ import (
 // without copying data, and a huge leaf is split into 4-KiB leaves over
 // the same block as it goes. The move runs under one transaction
 // spanning both ranges. A grow is all or nothing, and retried after
-// direct reclaim like every other allocating call; a space the OOM
-// killer tore down can only shrink.
+// direct reclaim like every other allocating call; a grow of a range
+// with a page nothing allocated fails with mm.ErrSegv, Linux's EFAULT;
+// a space the OOM killer tore down can only shrink.
 func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (arch.Vaddr, error) {
 	if err := a.checkRange(core, oldVA, oldSize); err != nil {
 		return 0, err
@@ -83,7 +84,7 @@ func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (a
 	// The old range's VAs are recycled immediately after; their
 	// translations must die everywhere before the move returns.
 	c.needSync = true
-	runs, allocated, err := c.moveTo(oldVA, oldEnd, newVA, newSize)
+	runs, err := c.moveTo(oldVA, oldEnd, newVA, newSize)
 	if err != nil {
 		c.unmove(oldVA, newVA, newSize)
 		c.Close()
@@ -101,11 +102,9 @@ func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (a
 	c.Close()
 
 	// Retire the old range's address space under munmapFinish's rule:
-	// every page of it was allocated and has moved out. Only the VA half
-	// of that tail applies.
-	if allocated == oldSize/arch.PageSize {
-		a.valloc.Free(core, oldVA, oldSize)
-	}
+	// every page of it was allocated (moveTo refuses a range that was
+	// not) and has moved out. Only the VA half of that tail applies.
+	a.valloc.Free(core, oldVA, oldSize)
 	return newVA, nil
 }
 
@@ -113,27 +112,30 @@ func (a *AddrSpace) grow(core int, oldVA arch.Vaddr, oldSize, newSize uint64) (a
 // move there (a page whose placement fails goes straight back), its
 // swap and virtual statuses are copied, and the tail past the old size
 // becomes fresh on-demand memory. The old range keeps its tables and
-// statuses; the runs it held and their page count are returned.
-func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs []Run, allocated uint64, err error) {
+// statuses; the runs it held are returned. An old range with a page
+// nothing allocated moves nothing and fails with mm.ErrSegv, Linux's
+// EFAULT for an mremap of what is not wholly one mapping.
+func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs []Run, err error) {
 	if err := c.walk(&splitEdges, oldVA, oldEnd); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// One pass enumerates the old range as runs; the moves mutate both
 	// ranges, so they happen after the iteration. tailPerm — the
-	// permission for the newly grown pages — comes from the first
-	// allocated run (Linux grows the mapping with the VMA's protection;
+	// permission for the newly grown pages — comes from the first run
+	// (Linux grows the mapping with the VMA's protection;
 	// our analog is the recorded or mapped permission).
+	var allocated uint64
 	if err := c.Iterate(oldVA, oldEnd, func(r Run) error {
 		runs = append(runs, r)
 		allocated += r.Pages
 		return nil
 	}); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	tailPerm := arch.PermRW
-	if len(runs) > 0 {
-		tailPerm = logicalPerm(runs[0].Status.Perm) &^ (arch.PermCOW | arch.PermShared)
+	if allocated < uint64(oldEnd-oldVA)/arch.PageSize {
+		return nil, fmt.Errorf("%w: mremap of [%#x, %#x), which is not wholly mapped", mm.ErrSegv, oldVA, oldEnd)
 	}
+	tailPerm := logicalPerm(runs[0].Status.Perm) &^ (arch.PermCOW | arch.PermShared)
 	for _, r := range runs {
 		dst := newVA + (r.VA - oldVA)
 		switch {
@@ -161,13 +163,13 @@ func (c *RCursor) moveTo(oldVA, oldEnd, newVA arch.Vaddr, newSize uint64) (runs 
 			err = c.Mark(dst, dst+arch.Vaddr(r.Pages*arch.PageSize), r.Status)
 		}
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	// The grown tail is fresh on-demand memory.
 	oldSize := uint64(oldEnd - oldVA)
 	err = c.Mark(newVA+arch.Vaddr(oldSize), newVA+arch.Vaddr(newSize), pt.Status{Kind: pt.StatusPrivateAnon, Perm: tailPerm})
-	return runs, allocated, err
+	return runs, err
 }
 
 // unmove undoes a failed moveTo: every page at the new range goes back

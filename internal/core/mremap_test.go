@@ -327,3 +327,75 @@ func TestMremapFailedGrowLeavesOldMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestMremapNotWhollyMapped: growing a range with a page that nothing
+// allocated fails with mm.ErrSegv (Linux's EFAULT) and changes nothing:
+// no page moves, nothing is mapped at a new range and its VA is handed
+// out again. Each hole is smaller than the grown range and has a mapped
+// page above it, so the grow's new range cannot take the hole's own VA
+// (which would be refused first, as an overlap).
+func TestMremapNotWhollyMapped(t *testing.T) {
+	const pg = arch.PageSize
+	cases := []struct {
+		name          string
+		mapped, hole  int // pages mmapped, then [hole, hole+holeN) unmapped
+		holeN         int
+		oldPage, oldN int // the range grown, in pages of the mapping
+		newN          int
+	}{
+		{"unmapped-page", 3, 1, 1, 1, 1, 2},
+		{"half-mapped", 4, 0, 2, 0, 4, 8},
+	}
+	for _, p := range protocols {
+		for _, tc := range cases {
+			t.Run(p.String()+"/"+tc.name, func(t *testing.T) {
+				a, m := newSpace(t, p)
+				va, err := a.Mmap(0, uint64(tc.mapped)*pg, arch.PermRW, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < tc.mapped; i++ {
+					if err := a.Store(0, va+arch.Vaddr(i)*pg, byte(0x30+i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := a.Munmap(0, va+arch.Vaddr(tc.hole)*pg, uint64(tc.holeN)*pg); err != nil {
+					t.Fatal(err)
+				}
+				newSize := uint64(tc.newN) * pg
+				probe, err := a.Mmap(0, newSize, arch.PermRW, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := a.Munmap(0, probe, newSize); err != nil {
+					t.Fatal(err)
+				}
+				before, _ := a.Regions(0)
+
+				old := va + arch.Vaddr(tc.oldPage)*pg
+				if nva, err := a.Mremap(0, old, uint64(tc.oldN)*pg, newSize); !errors.Is(err, mm.ErrSegv) {
+					t.Fatalf("grow of a range not wholly mapped = %#x, %v; want mm.ErrSegv", nva, err)
+				}
+				if after, _ := a.Regions(0); fmt.Sprint(after) != fmt.Sprint(before) {
+					t.Fatalf("regions after the refused grow = %v, want %v", after, before)
+				}
+				for i := 0; i < tc.mapped; i++ {
+					b, err := a.Load(0, va+arch.Vaddr(i)*pg)
+					if inHole := i >= tc.hole && i < tc.hole+tc.holeN; inHole {
+						if !errors.Is(err, mm.ErrSegv) {
+							t.Errorf("unmapped page %d reads %#x, %v; want mm.ErrSegv", i, b, err)
+						}
+					} else if err != nil || b != byte(0x30+i) {
+						t.Errorf("page %d after the refused grow = %#x, %v; want %#x", i, b, err, 0x30+i)
+					}
+				}
+				if again, err := a.Mmap(0, newSize, arch.PermRW, 0); err != nil || again != probe {
+					t.Errorf("mmap after the refused grow = %#x, %v; want its freed VA %#x", again, err, probe)
+				}
+				checkQuiet(t, a)
+				a.Destroy(0)
+				checkClean(t, m)
+			})
+		}
+	}
+}

@@ -130,13 +130,13 @@ func TestCursorMethodsAreTotal(t *testing.T) {
 // TestOneCursorStep pins the shape of the single-address half of the
 // cursor: the covering page's base is read only by the lock protocols
 // that set it and by the two ways into the tree (walk → walkRange, and
-// entry); PTEs are loaded only there, in ensureChild and in forkCopy; the
+// entry); PTEs are loaded only there and in ensureChild; the
 // single-address operations hold no loop of their own; and PlacePage
 // installs through the same function as Map.
 func TestOneCursorStep(t *testing.T) {
 	mayLoad := map[string]bool{
 		"lockRW": true, "lockAdv": true, "lockCover": true, "dfsLock": true,
-		"walkRange": true, "entry": true, "ensureChild": true, "forkCopy": true,
+		"walkRange": true, "entry": true, "ensureChild": true,
 	}
 	loopFree := map[string]bool{
 		"TakePage": false, "PlacePage": false, "demoteHuge": false,

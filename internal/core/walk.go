@@ -79,8 +79,8 @@ var clearWalk = walkOps{clearFull: true, pruneEmpty: true, ignoreSplitErr: true}
 
 // walkRange drives a visitor over [lo, hi) under the subtree rooted at
 // the PT page pfn (entries at the given level, page base VA base). It is
-// the only recursive walk under a cursor (forkCopy, like pt.Tree.Destroy,
-// recurses over a whole tree it owns exclusively).
+// the only recursive walk under a cursor (fork's pt.Tree.ForkInto, like
+// pt.Tree.Destroy, recurses over whole trees the caller holds outright).
 func (c *RCursor) walkRange(v *walkOps, pfn arch.PFN, level int, base, lo, hi arch.Vaddr) error {
 	t, isa := c.a.tree, c.a.isa
 	span := arch.SpanBytes(level)

@@ -493,6 +493,28 @@ func (m *Machine) Defer(core int, fn func()) {
 	}
 }
 
+// DeferTeardown is the one teardown of a dead address space's page
+// tables. Its caller has closed the space's gate, so no new access
+// starts; one that passed the gate may still be walking trees inside
+// Access, so the monitor runs the teardown after a grace period: each
+// tree is destroyed, the head frame of every leaf it maps is unmapped,
+// and those frames, with frames (references the space held beside its
+// PTEs), go back in one PutList. No shootdown covers them: the caller
+// frees the space's ASID, and a freed slot is flushed on every core
+// before it is reissued.
+func (m *Machine) DeferTeardown(core int, frames []arch.PFN, trees ...*pt.Tree) {
+	m.Defer(core, func() {
+		for _, t := range trees {
+			t.Destroy(core, func(pte uint64, level int) {
+				head := m.Phys.HeadOf(t.ISA.PFNOf(pte))
+				m.Phys.Desc(head).Unmap()
+				frames = append(frames, head)
+			})
+		}
+		m.Phys.PutList(core, frames)
+	})
+}
+
 // CheckClean is the epilogue of every harness, run after the last
 // address space was destroyed: drain the deferred work, then require
 // that physical memory audits clean and that no page-table or anonymous

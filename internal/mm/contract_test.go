@@ -154,6 +154,49 @@ func TestGateContract(t *testing.T) {
 	}
 }
 
+// TestTeardownThroughMonitor: every system tears a dead space down at the
+// same time, from the RCU monitor — an access that passed the gate may
+// still be walking the tree inside Machine.Access. Right after Destroy
+// the monitor holds more work and every data and page-table frame of the
+// space is still allocated; after Quiesce nothing of it is left.
+func TestTeardownThroughMonitor(t *testing.T) {
+	const pages = 8
+	for _, sys := range systems {
+		t.Run(sys.name, func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 12})
+			s, err := sys.new(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			va, err := s.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < pages; i++ {
+				if err := s.Store(0, va+arch.Vaddr(i)*arch.PageSize, byte(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m.Quiesce()
+			pending := m.RCU.Stats().Pending
+			anon, ptPages := m.Phys.KindFrames(mem.KindAnon), m.Phys.KindFrames(mem.KindPT)
+			if anon < pages || ptPages == 0 {
+				t.Fatalf("live space holds %d anonymous and %d PT frames", anon, ptPages)
+			}
+			s.Destroy(0)
+			if got := m.RCU.Stats().Pending; got <= pending {
+				t.Errorf("RCU pending %d after Destroy, %d before: the teardown did not go through the monitor", got, pending)
+			}
+			if a, p := m.Phys.KindFrames(mem.KindAnon), m.Phys.KindFrames(mem.KindPT); a != anon || p != ptPages {
+				t.Errorf("after Destroy, before Quiesce: %d anonymous and %d PT frames allocated, want all %d and %d", a, p, anon, ptPages)
+			}
+			if err := m.CheckClean(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // TestMmapFixedTwice: a fixed mapping over an existing one is refused
 // with mm.ErrExists on all five — the first mapping, its frame and its
 // bytes stay as they were, and nothing is left behind at teardown.

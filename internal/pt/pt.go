@@ -416,6 +416,64 @@ func (t *Tree) Empty(pfn arch.PFN) bool {
 	return st.Present == 0 && st.MetaCnt == 0
 }
 
+// ForkInto copies t into child, a fresh tree no core can reach yet, as
+// fork does (§4.3). The caller holds t whole — a whole-space transaction
+// or the mmap lock — so t's words and counts stand still. Private
+// writable leaves become COW in both trees (write-protected in t with
+// one atomic store, since t is live); every leaf takes a reference and a
+// map count on its head frame and keeps its protection key; the status
+// words — marks and the origins beside PTEs — are copied once the PTEs
+// are, each taking its own hold before t's holder lets go, so no unmap in
+// t can retire a file id or a swap block the child names. The child is
+// ordinary memory until it is
+// published, so its pages are filled as FillUnlinked fills one: plain
+// stores, and each page's Present count set once. On an allocation
+// failure the copy stops where it is, every child page already counting
+// what it holds, and the caller destroys child.
+func (t *Tree) ForkInto(core int, child *Tree) error {
+	return t.forkPage(core, child, t.Root, child.Root, arch.Levels)
+}
+
+func (t *Tree) forkPage(core int, child *Tree, src, dst arch.PFN, level int) error {
+	isa, words := t.ISA, child.Words(dst)
+	var present int32
+	var err error
+	for idx := 0; idx < arch.PTEntries && err == nil; idx++ {
+		pte := t.LoadPTE(src, idx)
+		if !isa.IsPresent(pte) {
+			continue
+		}
+		if !isa.IsLeaf(pte, level) {
+			var next arch.PFN
+			if next, err = child.AllocPTPage(core, level-1); err == nil {
+				words[idx] = isa.EncodeTable(next)
+				present++
+				err = t.forkPage(core, child, isa.PFNOf(pte), next, level-1)
+			}
+			continue
+		}
+		perm, frame := isa.PermOf(pte), isa.PFNOf(pte)
+		if perm&arch.PermShared == 0 && perm&arch.PermWrite != 0 {
+			perm = perm&^arch.PermWrite | arch.PermCOW
+			t.StorePTE(src, idx, isa.WithPerm(pte, perm, level))
+		}
+		leaf := isa.EncodeLeaf(frame, perm, level)
+		if key := isa.ProtKeyOf(pte); key != 0 {
+			leaf = isa.WithProtKey(leaf, key)
+		}
+		words[idx] = leaf
+		present++
+		head := t.Phys.HeadOf(frame)
+		t.Phys.Get(head)
+		t.Phys.Desc(head).Map()
+	}
+	child.State(dst).Present = present
+	if err == nil {
+		t.CopyMeta(src, child, dst)
+	}
+	return err
+}
+
 // Destroy frees the entire tree, dropping references of mapped data
 // frames through release (may be nil) and the holds of surviving
 // metadata entries. Exclusive access required (address-space teardown).

@@ -349,15 +349,11 @@ func (s *Space) Destroy(core int) {
 		sh.pages = make(map[arch.Vaddr]*mapping)
 		sh.mu.Unlock()
 	}
-	s.m.Defer(core, func() {
-		for _, r := range s.replicas {
-			r.tree.Destroy(core, func(pte uint64, level int) {
-				s.m.Phys.Desc(s.isa.PFNOf(pte)).Unmap()
-				frames = append(frames, s.isa.PFNOf(pte))
-			})
-		}
-		s.m.Phys.PutList(core, frames)
-	})
+	trees := make([]*pt.Tree, len(s.replicas))
+	for i, r := range s.replicas {
+		trees[i] = r.tree
+	}
+	s.m.DeferTeardown(core, frames, trees...)
 	s.m.FreeASID(s.asid)
 }
 

@@ -350,20 +350,13 @@ func (s *Space) Destroy(core int) {
 	s.mmapLock.Lock()
 	s.vmas = tree{}
 	s.mmapLock.Unlock()
-	s.m.Defer(core, func() {
-		var frames []arch.PFN
-		s.tree.Destroy(core, func(pte uint64, level int) {
-			head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
-			s.m.Phys.Desc(head).Unmap()
-			frames = append(frames, head)
-		})
-		s.m.Phys.PutList(core, frames)
-	})
+	s.m.DeferTeardown(core, nil, s.tree)
 	s.m.FreeASID(s.asid)
 }
 
 // Fork implements mm.Forker: mmap_lock writer on the parent, VMA list copy,
-// page-table copy with COW write-protection.
+// page-table copy with COW write-protection by the one copier CortenMM
+// uses too, pt.Tree.ForkInto.
 func (s *Space) Fork(core int) (mm.MM, error) {
 	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
 		return nil, err
@@ -380,7 +373,7 @@ func (s *Space) Fork(core int) (mm.MM, error) {
 	s.vmas.forEach(func(v *VMA) {
 		child.vmas.insert(&VMA{Start: v.Start, End: v.End, Perm: v.Perm, File: v.File, Pgoff: v.Pgoff, Shared: v.Shared})
 	})
-	err = s.forkCopy(core, child, s.tree.Root, child.tree.Root, arch.Levels)
+	err = s.tree.ForkInto(core, child.tree)
 	s.mmapLock.Unlock()
 	if err != nil {
 		child.Destroy(core)
@@ -388,36 +381,4 @@ func (s *Space) Fork(core int) (mm.MM, error) {
 	}
 	s.m.TLB.ShootdownAll(core, s.asid, true)
 	return child, nil
-}
-
-func (s *Space) forkCopy(core int, child *Space, src, dst arch.PFN, level int) error {
-	t, isa := s.tree, s.isa
-	for idx := 0; idx < arch.PTEntries; idx++ {
-		pte := t.LoadPTE(src, idx)
-		if !isa.IsPresent(pte) {
-			continue
-		}
-		if isa.IsLeaf(pte, level) {
-			perm := isa.PermOf(pte)
-			frame := isa.PFNOf(pte)
-			head := s.m.Phys.HeadOf(frame)
-			if perm&arch.PermShared == 0 && perm&arch.PermWrite != 0 {
-				perm = perm&^arch.PermWrite | arch.PermCOW
-				t.StorePTE(src, idx, isa.WithPerm(pte, perm, level))
-			}
-			child.tree.SetPTE(dst, idx, isa.EncodeLeaf(frame, perm, level))
-			s.m.Phys.Get(head)
-			s.m.Phys.Desc(head).Map()
-			continue
-		}
-		dstChild, err := child.tree.AllocPTPage(core, level-1)
-		if err != nil {
-			return err
-		}
-		child.tree.SetPTE(dst, idx, isa.EncodeTable(dstChild))
-		if err := s.forkCopy(core, child, isa.PFNOf(pte), dstChild, level-1); err != nil {
-			return err
-		}
-	}
-	return nil
 }
