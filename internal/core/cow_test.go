@@ -463,10 +463,8 @@ func TestForkCopiesSwappedPages(t *testing.T) {
 			checkQuiet(t, child)
 			checkQuiet(t, a)
 			child.Destroy(0)
-			m.Quiesce()
 			inUse("after the child's teardown", 1)
 			a.Destroy(0)
-			m.Quiesce()
 			inUse("after both teardowns", 0)
 			checkClean(t, m)
 		})
@@ -590,7 +588,6 @@ func TestOneSwapDevicePerMachine(t *testing.T) {
 			for _, s := range spaces {
 				s.Destroy(0)
 			}
-			m.Quiesce()
 			if n := m.Phys.Swap().InUse(); n != 0 {
 				t.Errorf("%d swap blocks in use after teardown", n)
 			}

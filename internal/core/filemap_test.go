@@ -288,7 +288,6 @@ func TestMarkedWordHoldsItsFile(t *testing.T) {
 				checkRegistrations(t, m.Phys, []*mem.File{f}, a)
 				checkQuiet(t, a)
 				a.Destroy(0)
-				m.Quiesce()
 				if n := m.Phys.FilesInUse(); n != 0 {
 					t.Errorf("%d file ids live after Destroy", n)
 				}
@@ -462,7 +461,6 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 					}
 					name = "Destroy"
 					spaces[1].Destroy(0)
-					m.Quiesce()
 					regions = slices.DeleteFunc(regions, func(r region) bool { return r.a == spaces[1] })
 					spaces = spaces[:1]
 				case 6:
@@ -536,7 +534,6 @@ func TestFileRegistrationsFollowPageTable(t *testing.T) {
 			for i := len(spaces) - 1; i >= 0; i-- {
 				spaces[i].Destroy(0)
 			}
-			m.Quiesce()
 			if n := m.Phys.FilesInUse(); n != 0 {
 				t.Errorf("%d file ids live after every space is gone", n)
 			}

@@ -74,12 +74,13 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 // exclusive by contract (the "process" has exited), so it takes no
 // whole-space transaction — exactly what exit/exec does in the paper's
 // evaluation (§6.2). Idempotent. It waits for every daemon visit in
-// flight, hands the tree to the RCU monitor — a Touch that passed the
-// gate may still be walking it inside Machine.Access — which frees it
-// and its data frames with one PutList (cpusim.Machine.DeferTeardown,
-// the baselines' teardown too), and last FreeASID takes the space out
-// of the machine's table, so no later sweep, scan or OOM victim search
-// can reach the dead tree.
+// flight, then tears down through cpusim.Machine.DeferTeardown, the
+// baselines' teardown too: the space's mappings and status-word holds
+// end at once, as an unmap's do, and the tree and its data frames — a
+// Touch that passed the gate may still be reading them inside
+// Machine.Access — go to the RCU monitor, which frees the frames with one
+// PutList. Last, FreeASID takes the space out of the machine's table, so
+// no later sweep, scan or OOM victim search can reach the dead tree.
 //
 // Teardown issues no TLB shootdown at all: the dead translations are unreachable (no lookup
 // ever uses this ASID again) and the allocator's rollover flushes every

@@ -181,7 +181,6 @@ func dontNeedTrace(t *testing.T, m *cpusim.Machine, s mm.MM, fork, readOnly bool
 	if child != nil {
 		load(child, pr)
 		child.Destroy(0)
-		m.Quiesce()
 	}
 	return strings.Join(log, "; ")
 }

@@ -214,7 +214,6 @@ func TestMarkIsTotal(t *testing.T) {
 			checkRegistrations(t, m.Phys, []*mem.File{mapped, unmapped}, a)
 			checkQuiet(t, a)
 			a.Destroy(0)
-			m.Quiesce()
 			if n := m.Phys.FilesInUse(); n != 0 {
 				t.Errorf("%d file ids live after Destroy", n)
 			}
@@ -295,7 +294,6 @@ func TestObjectTableChurn(t *testing.T) {
 	checkQuiet(t, child)
 	child.Destroy(1)
 	a.Destroy(0)
-	m.Quiesce()
 	if n := m.Phys.FilesInUse(); n != 0 {
 		t.Errorf("%d file ids live after both spaces are gone", n)
 	}

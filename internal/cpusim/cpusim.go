@@ -494,22 +494,28 @@ func (m *Machine) Defer(core int, fn func()) {
 }
 
 // DeferTeardown is the one teardown of a dead address space's page
-// tables. Its caller has closed the space's gate, so no new access
-// starts; one that passed the gate may still be walking trees inside
-// Access, so the monitor runs the teardown after a grace period: each
-// tree is destroyed, the head frame of every leaf it maps is unmapped,
-// and those frames, with frames (references the space held beside its
-// PTEs), go back in one PutList. No shootdown covers them: the caller
-// frees the space's ASID, and a freed slot is flushed on every core
-// before it is reissued.
+// tables, an unmap of everything. Its caller has closed the space's
+// gate, so no new access starts. What the space holds ends now, as an
+// unmap's does: every status word's hold is given back and the head
+// frame of every leaf unmapped, so a parent the space was forked from
+// is again its pages' only mapper. What a walker reads — the PT pages and
+// the frames — an access that passed the gate may still be using inside
+// Access, so the monitor frees those after a grace period: the trees,
+// and the leaves' frames with frames (references the space held beside
+// its PTEs) in one PutList. No shootdown covers them: the caller frees
+// the space's ASID, and a freed slot is flushed on every core before it
+// is reissued.
 func (m *Machine) DeferTeardown(core int, frames []arch.PFN, trees ...*pt.Tree) {
+	for _, t := range trees {
+		t.Drop(func(pte uint64, level int) {
+			head := m.Phys.HeadOf(t.ISA.PFNOf(pte))
+			m.Phys.Desc(head).Unmap()
+			frames = append(frames, head)
+		})
+	}
 	m.Defer(core, func() {
 		for _, t := range trees {
-			t.Destroy(core, func(pte uint64, level int) {
-				head := m.Phys.HeadOf(t.ISA.PFNOf(pte))
-				m.Phys.Desc(head).Unmap()
-				frames = append(frames, head)
-			})
+			t.Destroy(core, nil)
 		}
 		m.Phys.PutList(core, frames)
 	})

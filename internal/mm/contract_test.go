@@ -154,10 +154,13 @@ func TestGateContract(t *testing.T) {
 	}
 }
 
-// TestTeardownThroughMonitor: every system tears a dead space down at the
-// same time, from the RCU monitor — an access that passed the gate may
-// still be walking the tree inside Machine.Access. Right after Destroy
-// the monitor holds more work and every data and page-table frame of the
+// TestTeardownThroughMonitor: every system tears a dead space down the
+// same way. Its mappings end at Destroy, as an unmap's do — a space
+// forked from it is again its pages' only mapper, so its next write
+// reuses the page in place (Fig 8) — while the PT pages and frames, which
+// an access that passed the gate may still be reading inside
+// Machine.Access, are freed from the RCU monitor. Right after Destroy the
+// monitor holds more work and every data and page-table frame of the
 // space is still allocated; after Quiesce nothing of it is left.
 func TestTeardownThroughMonitor(t *testing.T) {
 	const pages = 8
@@ -175,6 +178,20 @@ func TestTeardownThroughMonitor(t *testing.T) {
 			for i := 0; i < pages; i++ {
 				if err := s.Store(0, va+arch.Vaddr(i)*arch.PageSize, byte(i)); err != nil {
 					t.Fatal(err)
+				}
+			}
+			if fk, ok := s.(mm.Forker); ok {
+				child, err := fk.Fork(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				child.Destroy(0)
+				frames := m.Phys.KindFrames(mem.KindAnon)
+				if err := s.Store(0, va, 0x77); err != nil {
+					t.Fatal(err)
+				}
+				if got := m.Phys.KindFrames(mem.KindAnon); got != frames {
+					t.Errorf("a write after the fork child's Destroy copied its page (%d anonymous frames, %d before): the child's mapping outlived Destroy", got, frames)
 				}
 			}
 			m.Quiesce()

@@ -474,30 +474,40 @@ func (t *Tree) forkPage(core int, child *Tree, src, dst arch.PFN, level int) err
 	return err
 }
 
+// Drop gives back what the tree holds without freeing it: the holds of
+// its metadata entries, and through release (may be nil) each mapped
+// leaf. Its pages, entries and frames stay for a walker that may still
+// be inside it, until Destroy frees them. Exclusive access required
+// (address-space teardown).
+func (t *Tree) Drop(release func(pte uint64, level int)) {
+	t.eachPage(t.Root, arch.Levels, release, t.DropMeta)
+}
+
 // Destroy frees the entire tree, dropping references of mapped data
 // frames through release (may be nil) and the holds of surviving
 // metadata entries. Exclusive access required (address-space teardown).
 func (t *Tree) Destroy(core int, release func(pte uint64, level int)) {
-	t.destroyPage(core, t.Root, arch.Levels, release)
+	t.eachPage(t.Root, arch.Levels, release, func(pfn arch.PFN) {
+		t.DropMeta(pfn)
+		t.ReleasePTPage(core, pfn)
+	})
 }
 
-func (t *Tree) destroyPage(core int, pfn arch.PFN, level int, release func(uint64, int)) {
+// eachPage calls leaf (may be nil) on every present leaf under the PT
+// page pfn, and page on every PT page once its children are done.
+func (t *Tree) eachPage(pfn arch.PFN, level int, leaf func(uint64, int), page func(arch.PFN)) {
 	words := t.Words(pfn)
-	t.DropMeta(pfn)
 	for i := 0; i < arch.PTEntries; i++ {
 		pte := atomic.LoadUint64(&words[i])
-		if !t.ISA.IsPresent(pte) {
-			continue
+		switch {
+		case !t.ISA.IsPresent(pte):
+		case !t.ISA.IsLeaf(pte, level):
+			t.eachPage(t.ISA.PFNOf(pte), level-1, leaf, page)
+		case leaf != nil:
+			leaf(pte, level)
 		}
-		if t.ISA.IsLeaf(pte, level) {
-			if release != nil {
-				release(pte, level)
-			}
-			continue
-		}
-		t.destroyPage(core, t.ISA.PFNOf(pte), level-1, release)
 	}
-	t.ReleasePTPage(core, pfn)
+	page(pfn)
 }
 
 // String describes the tree briefly.
