@@ -425,11 +425,11 @@ func (t *Tree) Empty(pfn arch.PFN) bool {
 // words — marks and the origins beside PTEs — are copied once the PTEs
 // are, each taking its own hold before t's holder lets go, so no unmap in
 // t can retire a file id or a swap block the child names. The child is
-// ordinary memory until it is
-// published, so its pages are filled as FillUnlinked fills one: plain
-// stores, and each page's Present count set once. On an allocation
-// failure the copy stops where it is, every child page already counting
-// what it holds, and the caller destroys child.
+// ordinary memory until it is published, so its pages are filled as
+// FillUnlinked fills one: plain stores, and each page's Present count
+// set once. On an allocation failure the copy stops where it is, every
+// child page already counting what it holds, and the caller destroys
+// child.
 func (t *Tree) ForkInto(core int, child *Tree) error {
 	return t.forkPage(core, child, t.Root, child.Root, arch.Levels)
 }
