@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"cortenmm/internal/arch"
@@ -10,6 +11,7 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/tlb"
 )
 
 // TestBulkRangeEventCounts: what populating, write-protecting and
@@ -233,4 +235,77 @@ func TestFaultedChunkFreesAsOneRun(t *testing.T) {
 	}
 	c.Close()
 	checkQuiet(t, a)
+}
+
+// bulkCycle is the unit the benchmark's bulk_range workload repeats:
+// mmap 8 MiB populated, read 8 of its pages, write-protect it, unmap it.
+func bulkCycle(tb testing.TB, a *AddrSpace) {
+	const pages = 2048
+	const size = pages * arch.PageSize
+	va, err := a.Mmap(0, size, arch.PermRW, mm.FlagPopulate)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := arch.Vaddr(0); i < 8; i++ {
+		if b, err := a.Load(0, va+(i*pages/8+i)*arch.PageSize); err != nil || b != 0 {
+			tb.Fatalf("load of a fresh page read %#x, %v", b, err)
+		}
+	}
+	if err := a.Mprotect(0, va, size, arch.PermRead); err != nil {
+		tb.Fatal(err)
+	}
+	if err := a.Munmap(0, va, size); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// bulkCycleSpace builds the benchmark's machine shape and warms the
+// cycle: upper page-table levels built, buffers on the recycle lists.
+func bulkCycleSpace(tb testing.TB) (*AddrSpace, *cpusim.Machine) {
+	m := cpusim.New(cpusim.Config{Cores: 2, NUMANodes: 2, Frames: 1 << 16, TLBMode: tlb.ModeLATR})
+	a, err := New(Options{Machine: m, Protocol: ProtocolAdv, PerCoreVA: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		bulkCycle(tb, a)
+	}
+	return a, m
+}
+
+// TestBulkCycleAllocatesNoPages: once warm, the bulk cycle makes no
+// page-sized Go allocation — neither the payloads its loads touch nor
+// the word arrays of its page-table pages: both come back from the
+// machine's recycle lists. What remains is per-table bookkeeping (a
+// PageState and a release closure per leaf table), well under 1 KiB a
+// cycle; a single 4-KiB buffer per cycle would exceed it fourfold.
+func TestBulkCycleAllocatesNoPages(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	a, m := bulkCycleSpace(t)
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		bulkCycle(t, a)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+		t.Errorf("warmed 8-MiB populate/load/mprotect/munmap cycle allocates %d B per run (%d objects), want < 1 KiB",
+			per, (after.Mallocs-before.Mallocs)/runs)
+	}
+	a.Destroy(0)
+	checkClean(t, m)
+}
+
+// BenchmarkBulkCycle times the same cycle (-benchmem reports its bytes).
+func BenchmarkBulkCycle(b *testing.B) {
+	a, _ := bulkCycleSpace(b)
+	defer a.Destroy(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bulkCycle(b, a)
+	}
 }

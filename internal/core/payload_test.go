@@ -13,8 +13,8 @@ import (
 // TestRemapReadsZero: map, dirty every byte, unmap, quiesce, map again —
 // every byte of every page reads 0, whether the frames came one fault at
 // a time, from the populate batch or as a 2-MiB block. Frames and their
-// buffers are recycled through the pcp cache in between, so this is the
-// clear_page guarantee as a user sees it.
+// buffers are recycled in between, so this is the clear_page guarantee
+// as a user sees it.
 func TestRemapReadsZero(t *testing.T) {
 	const pages = 6
 	for _, p := range protocols {
@@ -106,7 +106,7 @@ func anonCycleSpace(tb testing.TB) (*AddrSpace, *cpusim.Machine) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < 512; i++ { // warm: buffers grown, payloads in the cache
+	for i := 0; i < 512; i++ { // warm: buffers grown, payloads on the recycle list
 		anonCycle(tb, a)
 	}
 	return a, m
@@ -114,9 +114,9 @@ func anonCycleSpace(tb testing.TB) (*AddrSpace, *cpusim.Machine) {
 
 // TestAnonCycleAllocatesNothing guards the tentpole: once warm, the
 // anonymous page cycle performs no Go heap allocation at all: frame
-// payloads come back from the pcp cache, the deferred free is a record
-// in recycled storage, and the cursor, the TLB buffers and the RCU
-// scratch lists are all reused.
+// payloads come back from the machine's recycle list, the deferred free
+// is a record in recycled storage, and the cursor, the TLB buffers and
+// the RCU scratch lists are all reused.
 func TestAnonCycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -27,9 +27,6 @@ type AuditReport struct {
 	// NodeFree is each zone's own free count (zone buddy + the pcp
 	// caches of the zone's cores).
 	NodeFree []uint64
-	// KeptPayloads is the number of free frames holding a page buffer
-	// for their next owner; all of them sit in pcp caches.
-	KeptPayloads uint64
 }
 
 // Ok reports whether the audit found no violations.
@@ -62,10 +59,10 @@ func (r *AuditReport) addf(format string, args ...any) {
 // counts — per zone and in total (a mismatch is a leaked, double-freed
 // or zone-hopping frame) — every frame on a zone's free list has a free
 // descriptor inside that zone, and every pcp cache holds only its
-// core's home-node frames. Payloads: a free frame publishes none; one
-// in a buddy free list keeps none either; a kept payload (pcp-cached
-// frames only) is exactly one page, to be cleared by whoever claims it;
-// a page-table frame has neither.
+// core's home-node frames. Buffers: a free frame holds none — no
+// payload, no PT word array; a page-table frame has no payload; every
+// payload on the machine's recycle list is exactly one page, to be
+// cleared by whoever takes it, and no live frame publishes it.
 //
 // Audit takes no global lock: callers must quiesce the system first
 // (no concurrent allocation/free, RCU drained) or the counts will be
@@ -74,6 +71,15 @@ func (m *PhysMem) Audit() AuditReport {
 	var r AuditReport
 	r.NodeFreeByDesc = make([]uint64, len(m.zones))
 	r.NodeFree = make([]uint64, len(m.zones))
+	recycled := make(map[*[]byte]bool)
+	m.pages.mu.Lock()
+	for _, p := range m.pages.bufs {
+		if len(*p) != arch.PageSize {
+			r.addf("recycled payload is %d bytes, not one page", len(*p))
+		}
+		recycled[p] = true
+	}
+	m.pages.mu.Unlock()
 	// Pass 1: the frame table. Frame 0 is the reserved NULL frame and
 	// lives outside both the table invariants and the free lists.
 	for pfn := 1; pfn < len(m.frames); pfn++ {
@@ -109,14 +115,8 @@ func (m *PhysMem) Audit() AuditReport {
 			if mc != 0 {
 				r.addf("frame %#x: free with MapCount %d", pfn, mc)
 			}
-			if d.data.Load() != nil {
-				r.addf("frame %#x: free but still publishes a payload", pfn)
-			}
-			if p := d.spare.Load(); p != nil {
-				r.KeptPayloads++
-				if len(*p) != arch.PageSize {
-					r.addf("frame %#x: kept payload is %d bytes, not one page", pfn, len(*p))
-				}
+			if d.data.Load() != nil || d.words != nil {
+				r.addf("frame %#x: free but still holds a buffer", pfn)
 			}
 			r.FreeByDesc++
 			r.NodeFreeByDesc[m.zoneOf(arch.PFN(pfn))]++
@@ -126,8 +126,11 @@ func (m *PhysMem) Audit() AuditReport {
 				continue
 			}
 			r.ByKind[d.Kind] += 1 << d.order.Load()
-			if d.Kind == KindPT && (d.data.Load() != nil || d.spare.Load() != nil) {
+			if d.Kind == KindPT && d.data.Load() != nil {
 				r.addf("frame %#x: page-table frame carries a data payload", pfn)
+			}
+			if p := d.data.Load(); p != nil && recycled[p] {
+				r.addf("frame %#x: publishes a payload on the recycle list", pfn)
 			}
 			if (d.Kind == KindAnon || d.Kind == KindFile) && mc > ref {
 				r.addf("frame %#x (%s): MapCount %d exceeds Ref %d — refcount skew",
@@ -161,11 +164,6 @@ func (m *PhysMem) Audit() AuditReport {
 				d := &m.frames[pfn+i]
 				if d.Ref.Load() != 0 || d.Kind != KindFree || d.tail.Load() != 0 {
 					r.addf("zone %d free list holds live frame %#x (block %#x order %d)",
-						zi, pfn+i, pfn, order)
-					return
-				}
-				if d.spare.Load() != nil {
-					r.addf("zone %d free list frame %#x (block %#x order %d) keeps a payload",
 						zi, pfn+i, pfn, order)
 					return
 				}

@@ -15,7 +15,7 @@ import (
 // TestFrameDescSize pins the per-page overhead: a descriptor is two
 // cache lines, the first holding what the anonymous page lifecycle
 // touches at alloc, map, unmap and free — Ref, the mapping word, the
-// hint's owner and the payload pointers.
+// hint's owner and the payload pointer.
 func TestFrameDescSize(t *testing.T) {
 	var d FrameDesc
 	if got := unsafe.Sizeof(d); got != 128 {
@@ -25,7 +25,7 @@ func TestFrameDescSize(t *testing.T) {
 		"Ref":       unsafe.Offsetof(d.Ref) + unsafe.Sizeof(d.Ref),
 		"mapping":   unsafe.Offsetof(d.mapping) + unsafe.Sizeof(d.mapping),
 		"anonOwner": unsafe.Offsetof(d.anonOwner) + unsafe.Sizeof(d.anonOwner),
-		"spare":     unsafe.Offsetof(d.spare) + unsafe.Sizeof(d.spare),
+		"data":      unsafe.Offsetof(d.data) + unsafe.Sizeof(d.data),
 	} {
 		if end > 64 {
 			t.Errorf("%s ends at byte %d, outside the first cache line", name, end)
@@ -179,8 +179,9 @@ func (s physState) equal(o physState) bool {
 // through one PutList, leaves a machine in the state N single Puts do —
 // same audit, kind counters, free count, free blocks per order, same
 // surviving frames — over random mixes of everything a run can cross.
-// Afterwards a frame the cache kept is recycled: its next first touch
-// reads zeroes out of the buffer its last life dirtied.
+// Afterwards a payload the releases left on the machine's recycle list
+// is reused: the next first touch reads zeroes out of the buffer a
+// dead life dirtied.
 func TestPutRunMatchesPuts(t *testing.T) {
 	recycled := 0
 	for seed := int64(1); seed <= 24; seed++ {
@@ -236,24 +237,26 @@ func TestPutRunMatchesPuts(t *testing.T) {
 			if m.FreeFrames() != boot {
 				t.Fatalf("seed %d mode %d: %d frames free, booted with %d", seed, mode, m.FreeFrames(), boot)
 			}
-			if cached := m.pcp[core].snapshot(); len(cached) > 0 {
-				pfn := cached[len(cached)-1]
-				if kept := m.Desc(pfn).spare.Load(); kept != nil {
-					if got, err := m.AllocFrame(core, KindAnon); err != nil || got != pfn {
-						t.Fatalf("AllocFrame = %#x, %v; want the cache's newest frame %#x", got, err, pfn)
-					}
-					buf := m.Data(pfn)
-					if &buf[0] != &(*kept)[0] || buf[7] != 0 {
-						t.Fatalf("frame %#x: first touch did not clear and reuse the kept payload", pfn)
-					}
-					m.Put(core, pfn)
-					recycled++
+			if n := len(m.pages.bufs); n > 0 {
+				kept := m.pages.bufs[n-1]
+				if (*kept)[7] != 0xA5 {
+					t.Fatalf("seed %d mode %d: the recycled payload is not one a dead life dirtied", seed, mode)
 				}
+				pfn, err := m.AllocFrame(core, KindAnon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := m.Data(pfn)
+				if &buf[0] != &(*kept)[0] || buf[7] != 0 || len(m.pages.bufs) != n-1 {
+					t.Fatalf("frame %#x: first touch did not clear and reuse the recycled payload", pfn)
+				}
+				m.Put(core, pfn)
+				recycled++
 			}
 		}
 	}
 	if recycled == 0 {
-		t.Error("no release left a payload in the cache to recycle")
+		t.Error("no release left a payload on the recycle list")
 	}
 }
 

@@ -425,3 +425,39 @@ func (c *pcpCache) snapshot() []arch.PFN {
 	defer c.mu.Unlock()
 	return append([]arch.PFN(nil), c.frames...)
 }
+
+// recycler is a bounded LIFO of page-sized buffers that outlived the
+// frame they served, contents stale. A machine has one per buffer kind
+// (PhysMem.pages, PhysMem.tables), bounded at cores × pcpHigh — what the
+// per-core caches could keep when each cached frame carried its buffer —
+// so its retention is fixed by the machine's shape. No free frame holds a
+// buffer. Not a pool the collector may empty: that would drop buffers
+// under the very churn the list is there to absorb.
+type recycler[T any] struct {
+	mu   sync.Mutex
+	bufs []*T // cap(bufs) is the bound
+}
+
+func (r *recycler[T]) init(bound int) { r.bufs = make([]*T, 0, bound) }
+
+// get pops the buffer put last, or returns nil when the list is empty.
+func (r *recycler[T]) get() *T {
+	r.mu.Lock()
+	var p *T
+	if n := len(r.bufs); n > 0 {
+		p = r.bufs[n-1]
+		r.bufs = r.bufs[:n-1]
+	}
+	r.mu.Unlock()
+	return p
+}
+
+// put keeps p for a later get, or leaves it to the collector when the
+// list is at its bound.
+func (r *recycler[T]) put(p *T) {
+	r.mu.Lock()
+	if len(r.bufs) < cap(r.bufs) {
+		r.bufs = append(r.bufs, p)
+	}
+	r.mu.Unlock()
+}

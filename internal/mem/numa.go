@@ -62,6 +62,8 @@ func NewPhysMemNUMA(nframes int, coreNode []int) *PhysMem {
 		allocStats: make([]nodeAllocCounters, nodes),
 		swap:       newBlockDev(),
 	}
+	m.pages.init(len(coreNode) * pcpHigh)
+	m.tables.init(len(coreNode) * pcpHigh)
 	for n := range m.zones {
 		z := &m.zones[n]
 		z.node = n

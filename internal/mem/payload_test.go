@@ -2,9 +2,11 @@ package mem
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/rcu"
 )
 
 // dirty touches every frame's payload and fills it with 0xA5.
@@ -70,10 +72,17 @@ func expectZeroEverywhere(t *testing.T, m *PhysMem, core int) {
 
 // TestPayloadZeroAfterReuse is the clear_page property: a frame's bytes
 // never survive into its next life, on any route a freed frame can take
-// back to an owner.
+// back to an owner, and whichever frame's first touch takes the buffer
+// a dead life left on the machine's recycle list.
 func TestPayloadZeroAfterReuse(t *testing.T) {
 	const nframes = 2048
 	twoNode := func() *PhysMem { return NewPhysMemNUMA(nframes, clusterNodes(2, 2)) }
+	recycled := func(t *testing.T, m *PhysMem, want int, when string) {
+		t.Helper()
+		if rep := m.Audit(); !rep.Ok() || len(m.pages.bufs) != want {
+			t.Fatalf("%s: %d payloads recycled, want %d; %s", when, len(m.pages.bufs), want, rep.String())
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		mk   func() *PhysMem
@@ -96,6 +105,15 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 				m.Put(0, pfn)
 			}
 		}},
+		{"long-free", twoNode, func(t *testing.T, m *PhysMem) {
+			f := make([]arch.PFN, 3*pcpBatch)
+			if n := m.AllocFrameBatch(0, KindAnon, f); n != len(f) {
+				t.Fatalf("batch gave %d", n)
+			}
+			dirty(m, f)
+			m.PutList(0, f) // past the cache, straight to the buddy
+			recycled(t, m, len(f), "after a long PutList")
+		}},
 		{"pcp-spill", twoNode, func(t *testing.T, m *PhysMem) {
 			f := allocN(t, m, 0, 3*pcpHigh)
 			dirty(m, f)
@@ -112,9 +130,7 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 			if m.DrainPCP() == 0 {
 				t.Fatal("nothing to drain")
 			}
-			if rep := m.Audit(); !rep.Ok() || rep.KeptPayloads != 0 {
-				t.Fatalf("after DrainPCP: %d kept payloads, %s", rep.KeptPayloads, rep.String())
-			}
+			recycled(t, m, pcpBatch, "after DrainPCP")
 		}},
 		{"cross-node-free", twoNode, func(t *testing.T, m *PhysMem) {
 			f := allocN(t, m, 0, 8)
@@ -122,13 +138,11 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 			for _, pfn := range f {
 				m.Put(1, pfn) // core 1 lives on the other node
 			}
-			if rep := m.Audit(); !rep.Ok() || rep.KeptPayloads != 0 {
-				t.Fatalf("after off-node free: %d kept payloads, %s", rep.KeptPayloads, rep.String())
-			}
+			recycled(t, m, 8, "after off-node free")
 		}},
 		{"cross-node-free-untouched", twoNode, func(t *testing.T, m *PhysMem) {
-			// The buffer arrives with the frame from the cache and must
-			// not follow it into the other node's buddy.
+			// The buffers stay on the machine's list; an untouched life
+			// on the cached frames neither takes nor returns one.
 			f := allocN(t, m, 0, 8)
 			dirty(m, f)
 			for _, pfn := range f {
@@ -137,9 +151,7 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 			for _, pfn := range allocN(t, m, 0, 8) {
 				m.Put(1, pfn)
 			}
-			if rep := m.Audit(); !rep.Ok() || rep.KeptPayloads != 0 {
-				t.Fatalf("after off-node free: %d kept payloads, %s", rep.KeptPayloads, rep.String())
-			}
+			recycled(t, m, 8, "after off-node free")
 		}},
 		{"shattered-block", func() *PhysMem { return NewPhysMem(nframes, 1) }, func(t *testing.T, m *PhysMem) {
 			const n = 1 << hugeOrder
@@ -166,10 +178,8 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 				m.Put(0, head+i)
 			}
 			// Neither the head's 2-MiB buffer nor a child's window into
-			// it may ride into the cache.
-			if rep := m.Audit(); !rep.Ok() || rep.KeptPayloads != 0 {
-				t.Fatalf("after freeing a shattered block: %d kept payloads, %s", rep.KeptPayloads, rep.String())
-			}
+			// it may be recycled.
+			recycled(t, m, 0, "after freeing a shattered block")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,10 +195,10 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 	}
 }
 
-// TestPayloadRetentionBound: however many touched frames are freed, the
-// buffers kept for reuse are those of pcp-cached frames only — at most
-// cores × pcpHigh pages — and a frame in a buddy free list keeps none
-// (Audit checks the latter frame by frame).
+// TestPayloadRetentionBound: however many touched frames and page-table
+// frames are freed, the machine keeps at most cores × pcpHigh buffers of
+// each kind for reuse, and no free frame holds one (Audit checks the
+// latter frame by frame) — wherever the frame went, cache or buddy.
 func TestPayloadRetentionBound(t *testing.T) {
 	const cores = 2
 	m := NewPhysMem(1<<14, cores)
@@ -198,42 +208,51 @@ func TestPayloadRetentionBound(t *testing.T) {
 		for _, pfn := range f {
 			m.Put(core, pfn)
 		}
+		var pts []arch.PFN
+		for i := 0; i < 2*pcpHigh; i++ {
+			pfn, err := m.AllocFrame(core, KindPT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts = append(pts, pfn)
+		}
+		m.PutList(core, pts)
 	}
-	rep := m.Audit()
-	if !rep.Ok() {
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"payloads", len(m.pages.bufs)}, {"word arrays", len(m.tables.bufs)}} {
+		if tc.n != cores*pcpHigh {
+			t.Errorf("%d %s recycled, want the bound %d", tc.n, tc.name, cores*pcpHigh)
+		}
+	}
+	if rep := m.Audit(); !rep.Ok() {
 		t.Fatal(rep.String())
 	}
-	if rep.KeptPayloads == 0 || rep.KeptPayloads > cores*pcpHigh || rep.KeptPayloads > rep.PCPFree {
-		t.Errorf("%d payloads kept, want 1..%d and at most the %d pcp-cached frames",
-			rep.KeptPayloads, cores*pcpHigh, rep.PCPFree)
-	}
 	m.DrainPCP()
-	if rep := m.Audit(); !rep.Ok() || rep.KeptPayloads != 0 {
-		t.Errorf("after DrainPCP: %d kept payloads, %s", rep.KeptPayloads, rep.String())
+	if rep := m.Audit(); !rep.Ok() || len(m.pages.bufs) != cores*pcpHigh {
+		t.Errorf("after DrainPCP: %d payloads recycled, %s", len(m.pages.bufs), rep.String())
 	}
 }
 
 // TestPayloadUntouchedLifeKeepsBuffer: a life that never calls Data
-// neither clears nor loses the buffer — it is still there, untouched,
-// for the next life that does.
+// neither clears nor takes the recycled buffer — it is still on the
+// list, untouched, for the next life that does.
 func TestPayloadUntouchedLifeKeepsBuffer(t *testing.T) {
 	m := NewPhysMem(256, 1)
 	pfn, _ := m.AllocFrame(0, KindAnon)
 	buf := m.DataPage(pfn)
 	buf[0] = 0xA5
 	m.Put(0, pfn)
-	again, _ := m.AllocFrame(0, KindAnon) // LIFO: the same frame
-	if again != pfn {
-		t.Fatalf("pcp gave %#x, want %#x back", again, pfn)
-	}
+	again, _ := m.AllocFrame(0, KindAnon)
 	m.Put(0, again)
-	if buf[0] != 0xA5 {
-		t.Error("an untouched life cleared the kept buffer")
+	if buf[0] != 0xA5 || len(m.pages.bufs) != 1 {
+		t.Errorf("an untouched life cleared or took the recycled buffer (%d on the list)", len(m.pages.bufs))
 	}
 	third, _ := m.AllocFrame(0, KindAnon)
 	got := m.DataPage(third)
-	if &got[0] != &buf[0] {
-		t.Error("the kept buffer was not reused")
+	if &got[0] != &buf[0] || len(m.pages.bufs) != 0 {
+		t.Error("the recycled buffer was not reused")
 	}
 	if got[0] != 0 {
 		t.Error("reused buffer not cleared on first touch")
@@ -242,8 +261,9 @@ func TestPayloadUntouchedLifeKeepsBuffer(t *testing.T) {
 }
 
 // TestPTFrameFromPCPKeepsNoPayload: when the unmovable path is
-// exhausted a page-table frame comes out of the pcp cache; a buffer
-// cached with it is dropped, not carried under the page table.
+// exhausted a page-table frame comes out of the pcp cache; it starts
+// with a word array and no payload, and the payloads its frame's last
+// life left stay on the recycle list for data frames.
 func TestPTFrameFromPCPKeepsNoPayload(t *testing.T) {
 	m := NewPhysMem(64, 1)
 	f := allocN(t, m, 0, 2)
@@ -268,26 +288,27 @@ func TestPTFrameFromPCPKeepsNoPayload(t *testing.T) {
 	for _, pfn := range held {
 		m.zones[0].buddy.free(pfn, 0)
 	}
-	if rep := m.Audit(); !rep.Ok() {
-		t.Fatal(rep.String())
+	if rep := m.Audit(); !rep.Ok() || len(m.pages.bufs) != 2 || m.Desc(pt).data.Load() != nil {
+		t.Fatalf("%d payloads recycled, want 2; %s", len(m.pages.bufs), rep.String())
 	}
 	m.Put(0, pt)
 }
 
-// TestAuditCatchesPayloadInBuddy: the new invariant is checked, not
-// assumed — a buffer smuggled onto a buddy-listed frame, a payload still
-// published by a free frame and a wrong-sized kept buffer are each
-// reported.
+// TestAuditCatchesPayloadInBuddy: the buffer invariants are checked, not
+// assumed — a buffer smuggled onto a free frame (a payload it still
+// publishes, one on a buddy-listed frame, a PT word array), an oversized
+// buffer on the recycle list and a live frame publishing a listed
+// buffer are each reported.
 func TestAuditCatchesPayloadInBuddy(t *testing.T) {
 	m := NewPhysMem(256, 1)
 	pfn, _ := m.AllocFrame(0, KindAnon)
 	m.DataPage(pfn)
-	m.Put(0, pfn) // cached, buffer kept
+	m.Put(0, pfn) // cached, its buffer recycled
 	d := m.Desc(pfn)
-	kept := d.spare.Load()
-	if kept == nil {
-		t.Fatal("no buffer kept on a pcp-cached frame")
+	if len(m.pages.bufs) != 1 {
+		t.Fatal("no buffer recycled")
 	}
+	kept := m.pages.bufs[0]
 	expect := func(want string) {
 		t.Helper()
 		rep := m.Audit()
@@ -297,18 +318,86 @@ func TestAuditCatchesPayloadInBuddy(t *testing.T) {
 	}
 
 	big := make([]byte, 2*arch.PageSize)
-	d.spare.Store(&big)
+	m.pages.bufs[0] = &big
 	expect("not one page")
-	d.spare.Store(kept)
+	m.pages.bufs[0] = kept
 
 	d.data.Store(kept)
-	expect("still publishes a payload")
-	d.data.Store(nil)
-
+	expect("free but still holds a buffer")
 	// Move the cache to the buddy behind the allocator's back.
 	m.zones[0].buddy.freeBatch(m.pcp[0].drain())
-	expect("keeps a payload")
-	d.spare.Store(nil)
+	expect("free but still holds a buffer")
+	d.data.Store(nil)
+
+	d.words = new([arch.PTEntries]uint64)
+	expect("free but still holds a buffer")
+	d.words = nil
+
+	live, _ := m.AllocFrame(0, KindAnon)
+	m.Desc(live).data.Store(kept)
+	expect("publishes a payload on the recycle list")
+	m.Desc(live).data.Store(nil)
+	m.Put(0, live)
+	if rep := m.Audit(); !rep.Ok() {
+		t.Fatal(rep.String())
+	}
+}
+
+// TestPTWordsZeroOnReuse: a page-table frame's word array is recycled
+// into the next PT page, so its free waits for the monitor. A filled
+// table freed through the monitor stays intact for a walker inside its
+// read section; once the grace period ends, the next PT page takes the
+// same array and reads all zero.
+func TestPTWordsZeroOnReuse(t *testing.T) {
+	m := NewPhysMem(256, 2)
+	d := rcu.NewDomain(2)
+	table, err := m.AllocFrame(0, KindPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := m.Words(table)
+	for i := range words {
+		atomic.StoreUint64(&words[i], uint64(i)<<12|1)
+	}
+	entered, leave, left := make(chan struct{}), make(chan struct{}), make(chan bool)
+	go func() { // a walker that found the table before it was unlinked
+		d.ReadLock(1)
+		close(entered)
+		<-leave
+		intact := true
+		for i := range words {
+			intact = intact && atomic.LoadUint64(&words[i]) == uint64(i)<<12|1
+		}
+		d.ReadUnlock(1)
+		left <- intact
+	}()
+	<-entered
+	d.Defer(func() { m.Put(0, table) })
+	d.Poll()
+	if len(m.tables.bufs) != 0 {
+		t.Fatal("the table was freed under a reader")
+	}
+	close(leave)
+	if !<-left {
+		t.Fatal("the walker saw the table change inside its read section")
+	}
+	d.Poll()
+	if len(m.tables.bufs) != 1 {
+		t.Fatalf("%d word arrays recycled after the grace period, want 1", len(m.tables.bufs))
+	}
+	next, err := m.AllocFrame(0, KindPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Words(next) != words {
+		t.Fatal("the new PT page did not reuse the freed word array")
+	}
+	for i, w := range m.Words(next) {
+		if w != 0 {
+			t.Fatalf("entry %d of a new PT page reads %#x", i, w)
+		}
+	}
+	m.Put(0, next)
 	if rep := m.Audit(); !rep.Ok() {
 		t.Fatal(rep.String())
 	}

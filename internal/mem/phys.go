@@ -52,7 +52,9 @@ func (k Kind) String() string {
 // FrameDesc is the page descriptor of one physical frame, the analog of
 // Linux's struct page and of CortenMM's PT-page descriptor (§3.3). The
 // descriptor of a PT page additionally carries protocol state installed by
-// the page-table layer through the PT field.
+// the page-table layer through the PT field. A live frame may hold a
+// page-sized buffer — its data payload or its PT word array — taken from
+// the machine's recycle lists; a free frame never does.
 type FrameDesc struct {
 	// Ref counts owners of the frame (page-cache entries, PTE mappings,
 	// transient pins). The frame returns to the allocator when it hits 0.
@@ -82,7 +84,7 @@ type FrameDesc struct {
 	// owning zone.
 	Node int32
 	// aliased marks a payload that is a sub-slice of another frame's
-	// buffer (ShatterBlock children); such a payload is never kept.
+	// buffer (ShatterBlock children); such a payload is never recycled.
 	aliased bool
 	// tail is head-PFN+1 when this frame is a non-head member of a
 	// multi-frame (huge) block, 0 otherwise. Atomic because ShatterBlock
@@ -91,13 +93,9 @@ type FrameDesc struct {
 	// data is the data payload of the frame's current life, installed on
 	// first touch. Published by CAS: two cores may race the first touch
 	// of a shared frame, so the winner installs the buffer and losers
-	// adopt it.
+	// adopt it. A free frame has none: put hands a self-owned 4-KiB
+	// payload to the machine's recycle list (PhysMem.pages).
 	data atomic.Pointer[[]byte]
-	// spare is the 4-KiB payload of an earlier life, contents stale, kept
-	// for the next first touch to claim, clear and publish. Only a frame
-	// that sits in a pcp cache, or was popped from one and not touched
-	// since, has one.
-	spare atomic.Pointer[[]byte]
 
 	// anonOwner is the owning address space for mapping's hint, stored
 	// before the hint publishes. Never cleared — a stale owner is harmless
@@ -107,7 +105,11 @@ type FrameDesc struct {
 	// (node+1)<<32 | streak. Lossy — concurrent updates may drop counts.
 	access atomic.Uint64
 
-	// words is the PT-page payload: 512 PTEs accessed atomically.
+	// words is the PT-page payload: 512 PTEs accessed atomically. Taken
+	// from the machine's recycle list (PhysMem.tables) when the life
+	// starts and handed back to it when the life ends, so the frame must
+	// reach put only after the monitor's grace period — a walker may be
+	// reading the array — or from a tree that was never published.
 	words *[arch.PTEntries]uint64
 	// PT points to page-table-layer state (lock, level, stale flag,
 	// per-PTE metadata array) when Kind == KindPT. Declared as any to
@@ -120,7 +122,7 @@ type FrameDesc struct {
 
 	// Two cache lines exactly (TestFrameDescSize): the words the anonymous
 	// page lifecycle touches first, and no line shared with a neighbour.
-	_ [16]byte
+	_ [24]byte
 }
 
 // AnonOwner is the identity an address space records anonymous
@@ -279,6 +281,12 @@ type PhysMem struct {
 	policy     atomic.Pointer[AllocPolicy]
 	pcp        []pcpCache
 	kinds      [numKinds]atomic.Int64 // frames allocated per kind
+	// pages and tables recycle the buffers of ended lives: self-owned
+	// 4-KiB data payloads and PT word arrays. A first touch or a new PT
+	// page takes one, clears it while it is still private and publishes
+	// it; only an empty list makes a new one.
+	pages  recycler[[]byte]
+	tables recycler[[arch.PTEntries]uint64]
 
 	// minWater is the global min watermark in frames (0 = disabled);
 	// each zone carries its proportional share of it and of the low
@@ -375,21 +383,11 @@ func (m *PhysMem) DrainPCP() int {
 	total := 0
 	for i := range m.pcp {
 		if fs := m.pcp[i].drain(); len(fs) > 0 {
-			m.toBuddy(m.coreNode(i), fs)
+			m.zones[m.coreNode(i)].buddy.freeBatch(fs)
 			total += len(fs)
 		}
 	}
 	return total
-}
-
-// toBuddy returns order-0 frames that just left a pcp cache to zone z's
-// buddy. The caller took them off the cache's list and so owns them; a
-// payload kept for reuse goes no further than the cache.
-func (m *PhysMem) toBuddy(z int, pfns []arch.PFN) {
-	for _, pfn := range pfns {
-		m.frames[pfn].dropSpare()
-	}
-	m.zones[z].buddy.freeBatch(pfns)
 }
 
 // allocSlow is the allocation slow path, entered on buddy exhaustion.
@@ -604,6 +602,7 @@ func (m *PhysMem) AllocFrames(core int, order int, kind Kind) (arch.PFN, error) 
 // RMap and words nil, mapped nowhere (the mapping word's stale hint dies
 // with the first Map), no payload published — so a word is stored only
 // when it has to change; the guards read a frame nobody else holds yet.
+// A page-table frame gets a word array, recycled and cleared here.
 // With mapped set, frame i starts mapped once: its owner (only if it
 // changed) and then its mapping word are stored here, in the same pass,
 // instead of by a Map or MapExclusive CAS after it. Ref is an
@@ -626,8 +625,11 @@ func (m *PhysMem) initFrames(kind Kind, order uint32, mapped *firstMap, pfns ...
 			d.access.Store(0)
 		}
 		if kind == KindPT {
-			d.words = new([arch.PTEntries]uint64)
-			d.dropSpare() // a PT page reached through the pcp fallback
+			if d.words = m.tables.get(); d.words != nil {
+				clear(d.words[:])
+			} else {
+				d.words = new([arch.PTEntries]uint64)
+			}
 		}
 		for i := arch.PFN(1); i < 1<<order; i++ {
 			m.frames[pfn+i].tail.Store(int64(pfn) + 1)
@@ -645,14 +647,6 @@ func (m *PhysMem) initFrames(kind Kind, order uint32, mapped *firstMap, pfns ...
 		d.Ref.Store(1)
 	}
 	m.kinds[kind].Add(int64(len(pfns)) << order)
-}
-
-// dropSpare releases a kept payload to the Go collector. Load-guarded
-// so frames without one stay store-free.
-func (d *FrameDesc) dropSpare() {
-	if d.spare.Load() != nil {
-		d.spare.Store(nil)
-	}
 }
 
 // HeadOf resolves a frame inside a huge block to the block's head frame,
@@ -699,12 +693,16 @@ func (m *PhysMem) GetN(pfn arch.PFN, n int64) {
 func (m *PhysMem) Put(core int, pfn arch.PFN) { m.PutRun(core, pfn, 1) }
 
 // PutRun drops one reference on each of the n frames head, head+1, …,
-// head+n-1 — what n Puts do, but the kind counters move once per run,
-// the core's cache is locked once per pcpBatch freed frames and what
-// overflows it reaches the zone as runs. Every frame still gets its own
-// reference drop, so a shared frame inside the run survives.
+// head+n-1 — what n Puts do, but the kind counters move once per run and
+// freed frames travel pcpBatch at a time. Every frame still gets its own
+// reference drop, so a shared frame inside the run survives. A short run
+// stages its home-zone order-0 frames through the core's cache, locked
+// once per batch; a run of pcpBatch frames or more gives them to the
+// zone's buddy directly, as runs under one lock per batch, as Linux's
+// pcp lists stop caching during a long run of frees: staging them would
+// only push as many of the cache's older frames out to the buddy.
 func (m *PhysMem) PutRun(core int, head arch.PFN, n int) {
-	b := putBatch{m: m, core: core, home: m.coreNode(core)}
+	b := putBatch{m: m, core: core, home: m.coreNode(core), long: n >= pcpBatch}
 	for i := range arch.PFN(n) {
 		b.put(head + i)
 	}
@@ -713,7 +711,7 @@ func (m *PhysMem) PutRun(core int, head arch.PFN, n int) {
 
 // PutList is PutRun over the frames of pfns, in order.
 func (m *PhysMem) PutList(core int, pfns []arch.PFN) {
-	b := putBatch{m: m, core: core, home: m.coreNode(core)}
+	b := putBatch{m: m, core: core, home: m.coreNode(core), long: len(pfns) >= pcpBatch}
 	for _, pfn := range pfns {
 		b.put(pfn)
 	}
@@ -725,16 +723,19 @@ type putBatch struct {
 	m     *PhysMem
 	core  int
 	home  int             // core's node, whose frames its cache takes
+	long  bool            // the call frees pcpBatch frames or more: skip the cache
 	kinds [numKinds]int64 // frames freed per kind, settled by flush
 	n     int
-	buf   [pcpBatch]arch.PFN // buf[:n]: freed frames bound for core's cache
+	buf   [pcpBatch]arch.PFN // buf[:n]: freed home-zone order-0 frames
 }
 
 // put drops one reference on pfn and, when it was the last, ends the
 // frame's life. Only the descriptor words that life dirtied are stored
 // to: the guards read a frame whose count just hit zero, which nobody
 // else may write, and a skipped store would have written the value
-// lock-free readers see anyway.
+// lock-free readers see anyway. The frame's buffers go to the machine's
+// recycle lists: the grace period the free waited for has put every
+// reader of them behind us.
 func (b *putBatch) put(pfn arch.PFN) {
 	m := b.m
 	d := &m.frames[pfn]
@@ -755,52 +756,53 @@ func (b *putBatch) put(pfn arch.PFN) {
 		d.RMap = RMapRef{}
 	}
 	if d.words != nil {
+		m.tables.put(d.words)
 		d.words = nil
 	}
 	for i := arch.PFN(1); i < 1<<order; i++ {
 		m.frames[pfn+i].tail.Store(0)
 	}
-	z := m.zoneOf(pfn)
-	// Only home-node frames enter the core's cache; off-node frames go
-	// straight back to their owning zone so every pcp cache (and the
-	// batches it spills) stays node-pure.
-	cached := order == 0 && z == b.home
 	if p := d.data.Load(); p != nil { // only touched data frames pay
 		d.data.Store(nil)
-		// A self-owned 4-KiB buffer rides along into the cache for the
-		// next first touch to clear; the RCU-deferred free has put every
-		// reader of the old bytes behind us. Anything else — a huge
-		// block's buffer, a shattered block's 2-MiB head buffer or a
-		// child's window into it — would pin far more than a page.
-		if cached && !d.aliased && len(*p) == arch.PageSize {
-			d.spare.Store(p)
+		// Only a self-owned 4-KiB buffer is recycled. Anything else — a
+		// huge block's buffer, a shattered block's 2-MiB head buffer or
+		// a child's window into it — would pin far more than a page.
+		if !d.aliased && len(*p) == arch.PageSize {
+			m.pages.put(p)
 		}
 		d.aliased = false
 	}
-	if !cached {
-		d.dropSpare()
+	// Only home-node frames enter the core's cache; off-node frames go
+	// straight back to their owning zone so every pcp cache (and the
+	// batches it spills) stays node-pure.
+	if z := int(d.Node); order != 0 || z != b.home {
 		m.zones[z].buddy.free(pfn, order)
 		return
 	}
 	if b.n == len(b.buf) {
-		b.cache()
+		b.spill()
 	}
 	b.buf[b.n] = pfn
 	b.n++
 }
 
-// cache hands buf[:n] to the core's cache and returns the batch the
-// cache gives up in exchange, if any, to the home zone.
-func (b *putBatch) cache() {
-	if over := b.m.pcp[b.core].pushN(&b.buf, b.n); over > 0 {
-		b.m.toBuddy(b.home, b.buf[:over])
+// spill hands buf[:n] to the home zone's buddy when the call is long,
+// and otherwise to the core's cache, returning the batch the cache gives
+// up in exchange, if any, to the buddy.
+func (b *putBatch) spill() {
+	over := b.n
+	if !b.long {
+		over = b.m.pcp[b.core].pushN(&b.buf, b.n)
+	}
+	if over > 0 {
+		b.m.zones[b.home].buddy.freeBatch(b.buf[:over])
 	}
 	b.n = 0
 }
 
 func (b *putBatch) flush() {
 	if b.n > 0 {
-		b.cache()
+		b.spill()
 	}
 	for k, n := range b.kinds {
 		if n != 0 {
@@ -821,25 +823,26 @@ func (m *PhysMem) Words(pfn arch.PFN) *[arch.PTEntries]uint64 {
 // Data returns the byte payload of a data frame, zero-filled on the
 // first touch of each life of the frame. The caller must hold a
 // reference and, for writes to the payload, mapping-level exclusion.
-// The first touch itself needs no exclusion: one racer claims the
-// buffer kept from an earlier life with an atomic swap and clears it
-// while it is still private (the simulator's clear_page), the others
-// make their own; all race to publish with a CAS and losers adopt the
-// winner's, so every caller sees the same payload and nobody ever
+// The first touch itself needs no exclusion: each racer takes a buffer
+// an ended life left on the machine's recycle list and clears it while
+// it is still private (the simulator's clear_page), or makes one when
+// the list is empty; all race to publish with a CAS and losers adopt
+// the winner's, so every caller sees the same payload and nobody ever
 // clears a buffer another core can see.
 func (m *PhysMem) Data(pfn arch.PFN) []byte {
 	d := &m.frames[pfn]
 	if p := d.data.Load(); p != nil {
 		return *p
 	}
+	order := d.order.Load()
 	var p *[]byte
-	if d.spare.Load() != nil { // frames fresh from the buddy skip the swap
-		p = d.spare.Swap(nil)
+	if order == 0 {
+		p = m.pages.get()
 	}
 	if p != nil {
 		clear(*p)
 	} else {
-		buf := make([]byte, arch.PageSize<<d.order.Load())
+		buf := make([]byte, arch.PageSize<<order)
 		p = &buf
 	}
 	if d.data.CompareAndSwap(nil, p) {
