@@ -128,6 +128,42 @@ func TestBulkRangeEventCounts(t *testing.T) {
 	}
 }
 
+// TestUnmapStagesNoFrameInCache: an 8-MiB unmap is one hand-off to the
+// monitor, and the monitor frees it in one call, so whether its frames
+// skip the core's frame cache is decided once for all of them — not per
+// run, where the short runs a populate's batches leave would each stage
+// their frames through the cache. After the grace period the caches hold
+// exactly the page-table pages the unmap unlinked, each freed on its own.
+func TestUnmapStagesNoFrameInCache(t *testing.T) {
+	const size = 8 << 20
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 1 << 13})
+			a, err := New(Options{Machine: m, Protocol: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			va, err := a.Mmap(0, size, arch.PermRW, mm.FlagPopulate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Quiesce()
+			m.Phys.DrainPCP()
+			ptPages := m.Phys.KindFrames(mem.KindPT)
+			if err := a.Munmap(0, va, size); err != nil {
+				t.Fatal(err)
+			}
+			m.Quiesce()
+			freedPT := int(ptPages - m.Phys.KindFrames(mem.KindPT))
+			if got := m.Phys.DrainPCP(); freedPT == 0 || got != freedPT {
+				t.Errorf("the caches hold %d frames after the unmap, want the %d page-table pages it freed", got, freedPT)
+			}
+			a.Destroy(0)
+			checkClean(t, m)
+		})
+	}
+}
+
 // TestBulkPopulatePartialFill: the populate batch of a 2-MiB span comes
 // back short — cut off by exhaustion, or refused outright by fault
 // injection. The pages that got frames are mapped, the rest are still

@@ -362,31 +362,7 @@ func (c *RCursor) releaseLeaf(pte uint64, level int, va arch.Vaddr) {
 	// frames to the RCU monitor mid-walk, and the shootdown it issues
 	// must already cover every translation to a queued frame.
 	c.noteFlush(va, level)
-	c.noteFreed(head)
-}
-
-// noteFreed queues a frame head for release after the shootdown,
-// extending the previous run when the heads are physically contiguous —
-// bulk-populated regions tear down into a handful of runs instead of
-// one slice element per page. A run grows at either end: populate
-// batches ascend with the VA, frames faulted in one by one descend (the
-// frame cache is a stack). Extending by stride 1 is always sound: a run
-// stands for exactly the heads Head … Head+N-1, one reference each, so
-// huge-block heads (which are never adjacent to their own tail frames)
-// still get their own Put.
-func (c *RCursor) noteFreed(head arch.PFN) {
-	if n := len(c.freed); n > 0 {
-		switch last := &c.freed[n-1]; head {
-		case last.Head + arch.PFN(last.N):
-			last.N++
-			return
-		case last.Head - 1:
-			last.Head--
-			last.N++
-			return
-		}
-	}
-	c.freed = append(c.freed, rcu.FrameRun{Head: head, N: 1})
+	c.freed = rcu.AppendRun(c.freed, head)
 }
 
 // clearLeafTable tears down a fully covered level-1 table in one sweep:
@@ -422,7 +398,7 @@ func (c *RCursor) clearLeafTable(child arch.PFN, base arch.Vaddr) {
 			head := phys.HeadOf(isa.PFNOf(w))
 			d := phys.Desc(head)
 			d.Unmap()
-			c.noteFreed(head)
+			c.freed = rcu.AppendRun(c.freed, head)
 		}
 		st.Present = 0
 	}

@@ -79,7 +79,7 @@ func (a *AddrSpace) forkOnce(core int) (*AddrSpace, error) {
 // end at once, as an unmap's do, and the tree and its data frames — a
 // Touch that passed the gate may still be reading them inside
 // Machine.Access — go to the RCU monitor, which frees the frames with one
-// PutList. Last, FreeASID takes the space out of the machine's table, so
+// PutRuns. Last, FreeASID takes the space out of the machine's table, so
 // no later sweep, scan or OOM victim search can reach the dead tree.
 //
 // Teardown issues no TLB shootdown at all: the dead translations are unreachable (no lookup

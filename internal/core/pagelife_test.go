@@ -12,6 +12,7 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/rcu"
 )
 
 // TestUnlinkedTableFillRace: a leaf table is written with plain stores
@@ -306,13 +307,13 @@ func TestHintStaleNeverTrusted(t *testing.T) {
 	}
 	m.Quiesce()
 	for _, kind := range []mem.Kind{mem.KindFile, mem.KindPT} {
-		var held []arch.PFN
+		var held []rcu.FrameRun
 		for {
 			got, err := m.Phys.AllocFrame(0, kind)
 			if err != nil {
 				break
 			}
-			held = append(held, got)
+			held = rcu.AppendRun(held, got)
 		}
 		d := m.Phys.Desc(other)
 		if d.Kind != kind {
@@ -330,7 +331,7 @@ func TestHintStaleNeverTrusted(t *testing.T) {
 			}
 		}
 		d.Unmap()
-		m.Phys.PutList(0, held)
+		m.Phys.PutRuns(0, held)
 	}
 	a.Destroy(0)
 	checkClean(t, m)

@@ -393,7 +393,8 @@ func (m *Machine) Quiesce() {
 // shootdown is acknowledged, so the frame cannot be recycled underneath
 // it. The read section is that window: every kernel issues the
 // shootdown covering a frame and only then hands the frame to the
-// monitor (DeferPut, Defer), so a frame whose mapping this core could
+// monitor (DeferPut, or DeferTeardown, whose dead ASID no access can
+// reach again), so a frame whose mapping this core could
 // have observed stays allocated until fn returns. fault runs outside
 // the section — it takes the kernel's locks and must not stall grace
 // periods.
@@ -477,16 +478,19 @@ func (m *Machine) checkHit(core int, va arch.Vaddr, tr pt.Translation) {
 const ReapBacklog = 32
 
 // DeferPut hands runs of unmapped frames to the RCU monitor on behalf
-// of core. The caller has already issued the shootdown that covers them.
+// of core: the one way a dead frame leaves an address space. The caller
+// has already issued the shootdown that covers them, and the monitor
+// frees all of them in one PhysMem.PutRuns, so whether they skip the
+// pcp cache is decided once for the whole hand-off.
 func (m *Machine) DeferPut(core int, runs []rcu.FrameRun) {
 	if m.RCU.DeferPut(m.Phys, core, runs) >= ReapBacklog {
 		m.Reap(core)
 	}
 }
 
-// Defer is DeferPut for any other release — an unlinked PT page, a
-// baseline's frame list. Safe with PT-page locks held: a sweep or a
-// callback never takes one.
+// Defer is DeferPut for any other release — an unlinked PT page, a dead
+// space's trees. Safe with PT-page locks held: a sweep or a callback
+// never takes one.
 func (m *Machine) Defer(core int, fn func()) {
 	if m.RCU.Defer(fn) >= ReapBacklog {
 		m.Reap(core)
@@ -501,23 +505,23 @@ func (m *Machine) Defer(core int, fn func()) {
 // is again its pages' only mapper. What a walker reads — the PT pages and
 // the frames — an access that passed the gate may still be using inside
 // Access, so the monitor frees those after a grace period: the trees,
-// and the leaves' frames with frames (references the space held beside
-// its PTEs) in one PutList. No shootdown covers them: the caller frees
+// and the leaves' frames with runs (references the space held beside
+// its PTEs) in one PutRuns. No shootdown covers them: the caller frees
 // the space's ASID, and a freed slot is flushed on every core before it
 // is reissued.
-func (m *Machine) DeferTeardown(core int, frames []arch.PFN, trees ...*pt.Tree) {
+func (m *Machine) DeferTeardown(core int, runs []rcu.FrameRun, trees ...*pt.Tree) {
 	for _, t := range trees {
 		t.Drop(func(pte uint64, level int) {
 			head := m.Phys.HeadOf(t.ISA.PFNOf(pte))
 			m.Phys.Desc(head).Unmap()
-			frames = append(frames, head)
+			runs = rcu.AppendRun(runs, head)
 		})
 	}
 	m.Defer(core, func() {
 		for _, t := range trees {
 			t.Destroy(core, nil)
 		}
-		m.Phys.PutList(core, frames)
+		m.Phys.PutRuns(core, runs)
 	})
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/fault"
+	"cortenmm/internal/rcu"
 )
 
 // TestFrameDescSize pins the per-page overhead: a descriptor is two
@@ -33,10 +34,14 @@ func TestFrameDescSize(t *testing.T) {
 	}
 }
 
-// frameRun is one PutRun's worth of frame heads.
-type frameRun struct {
-	head arch.PFN
-	n    int
+// putList frees pfns in one PutRuns call, coalesced into runs the way
+// every collector of dead frames coalesces them.
+func putList(m *PhysMem, core int, pfns []arch.PFN) {
+	var runs []rcu.FrameRun
+	for _, pfn := range pfns {
+		runs = rcu.AppendRun(runs, pfn)
+	}
+	m.PutRuns(core, runs)
 }
 
 // putScene allocates a mix of frames on m — the same mix on every
@@ -48,7 +53,7 @@ type frameRun struct {
 // page-table, kernel and named frames, a lone 2-MiB block, small
 // blocks, and a shattered 2-MiB block whose last children run into the
 // head of the 2-MiB block behind it. Half the data frames are touched.
-func putScene(t *testing.T, m *PhysMem, seed int64) (runs []frameRun, survivors []arch.PFN, core int) {
+func putScene(t *testing.T, m *PhysMem, seed int64) (runs []rcu.FrameRun, survivors []arch.PFN, core int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var heads []arch.PFN
@@ -115,7 +120,7 @@ func putScene(t *testing.T, m *PhysMem, seed int64) (runs []frameRun, survivors 
 		for j < len(heads) && heads[j] == heads[j-1]+1 && rng.Intn(300) != 0 {
 			j++
 		}
-		runs = append(runs, frameRun{heads[i], j - i})
+		runs = append(runs, rcu.FrameRun{Head: heads[i], N: uint32(j - i)})
 		i = j
 	}
 	rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
@@ -175,37 +180,42 @@ func (s physState) equal(o physState) bool {
 		slices.Equal(s.refs, o.refs) && slices.Equal(s.live, o.live) && slices.Equal(s.data, o.data)
 }
 
-// TestPutRunMatchesPuts: releasing runs through PutRun, or all of them
-// through one PutList, leaves a machine in the state N single Puts do —
-// same audit, kind counters, free count, free blocks per order, same
-// surviving frames — over random mixes of everything a run can cross.
-// Afterwards a payload the releases left on the machine's recycle list
-// is reused: the next first touch reads zeroes out of the buffer a
-// dead life dirtied.
-func TestPutRunMatchesPuts(t *testing.T) {
+// TestPutRunsMatchesPuts: releasing runs through one PutRuns each, all
+// of them through one PutRuns, or all of them chopped into short runs
+// that are long only in total through one PutRuns, leaves a machine in
+// the state N single Puts do — same audit, kind counters, free count,
+// free blocks per order, same surviving frames — over random mixes of
+// everything a run can cross. A call long in total stages no frame in
+// the core's cache, however short its runs. Afterwards a payload the
+// releases left on the machine's recycle list is reused: the next first
+// touch reads zeroes out of the buffer a dead life dirtied.
+func TestPutRunsMatchesPuts(t *testing.T) {
 	recycled := 0
 	for seed := int64(1); seed <= 24; seed++ {
-		release := []func(m *PhysMem, core int, runs []frameRun){
-			func(m *PhysMem, core int, runs []frameRun) {
+		release := []func(m *PhysMem, core int, runs []rcu.FrameRun){
+			func(m *PhysMem, core int, runs []rcu.FrameRun) {
 				for _, r := range runs {
-					for i := 0; i < r.n; i++ {
-						m.Put(core, r.head+arch.PFN(i))
+					for i := range arch.PFN(r.N) {
+						m.Put(core, r.Head+i)
 					}
 				}
 			},
-			func(m *PhysMem, core int, runs []frameRun) {
+			func(m *PhysMem, core int, runs []rcu.FrameRun) {
 				for _, r := range runs {
-					m.PutRun(core, r.head, r.n)
+					m.PutRuns(core, []rcu.FrameRun{r})
 				}
 			},
-			func(m *PhysMem, core int, runs []frameRun) {
-				var list []arch.PFN
+			func(m *PhysMem, core int, runs []rcu.FrameRun) {
+				m.PutRuns(core, runs)
+			},
+			func(m *PhysMem, core int, runs []rcu.FrameRun) {
+				var short []rcu.FrameRun
 				for _, r := range runs {
-					for i := 0; i < r.n; i++ {
-						list = append(list, r.head+arch.PFN(i))
+					for off := uint32(0); off < r.N; off += 5 {
+						short = append(short, rcu.FrameRun{Head: r.Head + arch.PFN(off), N: min(5, r.N-off)})
 					}
 				}
-				m.PutList(core, list)
+				m.PutRuns(core, short)
 			},
 		}
 		var want physState
@@ -213,7 +223,11 @@ func TestPutRunMatchesPuts(t *testing.T) {
 			m := NewPhysMemNUMA(1<<13, clusterNodes(2, 2))
 			boot := m.FreeFrames()
 			runs, survivors, core := putScene(t, m, seed)
+			cached := m.pcp[core].len()
 			rel(m, core, runs)
+			if mode >= 2 && m.pcp[core].len() != cached {
+				t.Fatalf("seed %d mode %d: one long PutRuns changed the core's cache from %d to %d frames", seed, mode, cached, m.pcp[core].len())
+			}
 			for _, pfn := range survivors {
 				if m.Desc(pfn).Ref.Load() != 1 {
 					t.Fatalf("seed %d mode %d: shared frame %#x did not survive its run", seed, mode, pfn)
@@ -226,9 +240,9 @@ func TestPutRunMatchesPuts(t *testing.T) {
 				t.Fatalf("seed %d: mode %d left kinds %v free %d blocks %v, single Puts left kinds %v free %d blocks %v",
 					seed, mode, got.kinds, got.free, got.byOrder, want.kinds, want.free, want.byOrder)
 			}
-			var last []frameRun
+			var last []rcu.FrameRun
 			for _, pfn := range survivors {
-				last = append(last, frameRun{pfn, 1})
+				last = append(last, rcu.FrameRun{Head: pfn, N: 1})
 			}
 			rel(m, core, last)
 			if rep := m.Audit(); !rep.Ok() {
@@ -260,10 +274,16 @@ func TestPutRunMatchesPuts(t *testing.T) {
 	}
 }
 
-// freeSet lists a buddy's free blocks in address order (n is the order).
-func freeSet(b *buddy) (out []frameRun) {
-	b.forEachFree(func(pfn arch.PFN, order int) { out = append(out, frameRun{pfn, order}) })
-	slices.SortFunc(out, func(x, y frameRun) int { return int(x.head) - int(y.head) })
+// freeBlock is one free buddy block.
+type freeBlock struct {
+	head  arch.PFN
+	order int
+}
+
+// freeSet lists a buddy's free blocks in address order.
+func freeSet(b *buddy) (out []freeBlock) {
+	b.forEachFree(func(pfn arch.PFN, order int) { out = append(out, freeBlock{pfn, order}) })
+	slices.SortFunc(out, func(x, y freeBlock) int { return int(x.head) - int(y.head) })
 	return out
 }
 
@@ -384,11 +404,11 @@ func TestBuddyRunsMatchFrames(t *testing.T) {
 	}
 }
 
-// TestPutRunRacesScannerAndDrain: while one core populates and releases
-// in runs, a second goroutine plays the lock-free compaction scanner —
+// TestPutRunsRacesScannerAndDrain: while one core populates and releases
+// in runs, one PutRuns per round, a second goroutine plays the lock-free compaction scanner —
 // TryGet, read the words the pin makes stable, Put — and a third keeps
 // draining the caches. Run under -race. Every frame is back afterwards.
-func TestPutRunRacesScannerAndDrain(t *testing.T) {
+func TestPutRunsRacesScannerAndDrain(t *testing.T) {
 	m := NewPhysMemNUMA(1<<12, clusterNodes(2, 2))
 	boot := m.FreeFrames()
 	var stop atomic.Bool
@@ -416,23 +436,21 @@ func TestPutRunRacesScannerAndDrain(t *testing.T) {
 		}
 	}()
 	frames := make([]arch.PFN, 700)
+	var runs []rcu.FrameRun
 	for round := 0; round < 300; round++ {
 		n := m.AllocFrameBatch(0, KindAnon, frames)
 		huge, err := m.AllocFrames(0, 3, KindAnon)
 		for i := 0; i < n; i += 16 {
 			m.Data(frames[i])[0] = 1
 		}
-		for i := 0; i < n; {
-			j := i + 1
-			for j < n && frames[j] == frames[j-1]+1 {
-				j++
-			}
-			m.PutRun(0, frames[i], j-i)
-			i = j
+		runs = runs[:0]
+		for _, pfn := range frames[:n] {
+			runs = rcu.AppendRun(runs, pfn)
 		}
 		if err == nil {
-			m.PutRun(0, huge, 1)
+			runs = append(runs, rcu.FrameRun{Head: huge, N: 1})
 		}
+		m.PutRuns(0, runs)
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -469,7 +487,7 @@ func TestAllocFrameBatchPartial(t *testing.T) {
 	if rep := m.Audit(); !rep.Ok() {
 		t.Fatal(rep.String())
 	}
-	m.PutList(0, out[:n])
+	putList(m, 0, out[:n])
 	if rep := m.Audit(); !rep.Ok() || m.FreeFrames() != boot {
 		t.Fatalf("after release: %d free of %d; %s", m.FreeFrames(), boot, rep.String())
 	}
@@ -520,7 +538,7 @@ func TestAnonBatchMatchesBatchThenMap(t *testing.T) {
 			for _, pfn := range held[cut:] {
 				m.Desc(pfn).Unmap()
 			}
-			m.PutList(core, held[cut:])
+			putList(m, core, held[cut:])
 			if rep := m.Audit(); !rep.Ok() {
 				t.Fatalf("round %d: %s", round, rep.String())
 			}
@@ -562,7 +580,7 @@ func TestBuddyPublishMatchesLocked(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					slices.Sort(frames[cut:])
 				}
-				m.PutList(core, frames[cut:])
+				putList(m, core, frames[cut:])
 				frames = frames[:cut]
 			case 4:
 				if len(blocks) > 0 {

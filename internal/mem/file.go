@@ -8,6 +8,7 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/fault"
+	"cortenmm/internal/rcu"
 )
 
 // File is a simulated named file: a sparse array of pages backed by the
@@ -174,19 +175,19 @@ func (f *File) Release(n uint64) {
 		panic(fmt.Sprintf("mem: %d references to file %q released, %d held", n, f.Name, f.refs))
 	}
 	f.refs -= n
-	var drop []arch.PFN
+	var drop []rcu.FrameRun
 	if f.refs == 0 {
 		f.mem.files[f.id.Swap(0)].Store(nil)
 		if f.anon {
 			for _, pfn := range f.pages {
-				drop = append(drop, pfn)
+				drop = rcu.AppendRun(drop, pfn)
 			}
 			clear(f.pages)
 		}
 	}
 	f.mu.Unlock()
 	if drop != nil {
-		f.mem.PutList(0, drop)
+		f.mem.PutRuns(0, drop)
 	}
 }
 

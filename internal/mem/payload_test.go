@@ -111,8 +111,14 @@ func TestPayloadZeroAfterReuse(t *testing.T) {
 				t.Fatalf("batch gave %d", n)
 			}
 			dirty(m, f)
-			m.PutList(0, f) // past the cache, straight to the buddy
-			recycled(t, m, len(f), "after a long PutList")
+			// One-frame runs, long only in total: past the cache, straight
+			// to the buddy.
+			runs := make([]rcu.FrameRun, len(f))
+			for i, pfn := range f {
+				runs[i] = rcu.FrameRun{Head: pfn, N: 1}
+			}
+			m.PutRuns(0, runs)
+			recycled(t, m, len(f), "after a long PutRuns")
 		}},
 		{"pcp-spill", twoNode, func(t *testing.T, m *PhysMem) {
 			f := allocN(t, m, 0, 3*pcpHigh)
@@ -216,7 +222,7 @@ func TestPayloadRetentionBound(t *testing.T) {
 			}
 			pts = append(pts, pfn)
 		}
-		m.PutList(core, pts)
+		putList(m, core, pts)
 	}
 	for _, tc := range []struct {
 		name string

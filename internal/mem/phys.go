@@ -12,6 +12,7 @@ import (
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/fault"
+	"cortenmm/internal/rcu"
 )
 
 // Kind classifies what a physical frame is used for. The accounting per
@@ -690,35 +691,33 @@ func (m *PhysMem) GetN(pfn arch.PFN, n int64) {
 }
 
 // Put drops a reference on pfn; the frame is freed when the count hits 0.
-func (m *PhysMem) Put(core int, pfn arch.PFN) { m.PutRun(core, pfn, 1) }
+func (m *PhysMem) Put(core int, pfn arch.PFN) { m.PutRuns(core, []rcu.FrameRun{{Head: pfn, N: 1}}) }
 
-// PutRun drops one reference on each of the n frames head, head+1, …,
-// head+n-1 — what n Puts do, but the kind counters move once per run and
-// freed frames travel pcpBatch at a time. Every frame still gets its own
-// reference drop, so a shared frame inside the run survives. A short run
+// PutRuns drops one reference on each frame of each run — what one Put
+// per frame does, but the kind counters move once per call and freed
+// frames travel pcpBatch at a time. Every frame still gets its own
+// reference drop, so a shared frame inside a run survives. A short call
 // stages its home-zone order-0 frames through the core's cache, locked
-// once per batch; a run of pcpBatch frames or more gives them to the
-// zone's buddy directly, as runs under one lock per batch, as Linux's
-// pcp lists stop caching during a long run of frees: staging them would
-// only push as many of the cache's older frames out to the buddy.
-func (m *PhysMem) PutRun(core int, head arch.PFN, n int) {
-	b := putBatch{m: m, core: core, home: m.coreNode(core), long: n >= pcpBatch}
-	for i := range arch.PFN(n) {
-		b.put(head + i)
+// once per batch; a call of pcpBatch frames or more in total, however
+// many runs carry them, gives them to the zone's buddy directly, as runs
+// under one lock per batch, as Linux's pcp lists stop caching during a
+// long run of frees: staging them would only push as many of the cache's
+// older frames out to the buddy.
+func (m *PhysMem) PutRuns(core int, runs []rcu.FrameRun) {
+	total := 0
+	for _, r := range runs {
+		total += int(r.N)
+	}
+	b := putBatch{m: m, core: core, home: m.coreNode(core), long: total >= pcpBatch}
+	for _, r := range runs {
+		for i := range arch.PFN(r.N) {
+			b.put(r.Head + i)
+		}
 	}
 	b.flush()
 }
 
-// PutList is PutRun over the frames of pfns, in order.
-func (m *PhysMem) PutList(core int, pfns []arch.PFN) {
-	b := putBatch{m: m, core: core, home: m.coreNode(core), long: len(pfns) >= pcpBatch}
-	for _, pfn := range pfns {
-		b.put(pfn)
-	}
-	b.flush()
-}
-
-// putBatch is the state of one PutRun or PutList call.
+// putBatch is the state of one PutRuns call.
 type putBatch struct {
 	m     *PhysMem
 	core  int

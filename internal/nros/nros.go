@@ -17,6 +17,7 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
 )
 
@@ -149,19 +150,19 @@ func (s *Space) apply(core int, r *replica, o *op) error {
 			r.tree.SetPTE(leaf, idx, s.isa.EncodeLeaf(o.frames[i], o.perm, 1))
 		}
 	case opUnmap:
-		var freed []arch.PFN
+		var freed []rcu.FrameRun
 		for page := o.lo; page < o.hi; page += arch.PageSize {
 			if leaf, idx, ok := r.tree.Slot(page, 1); ok {
 				if old := r.tree.SetPTE(leaf, idx, 0); s.isa.IsPresent(old) {
-					freed = append(freed, s.isa.PFNOf(old))
+					freed = rcu.AppendRun(freed, s.isa.PFNOf(old))
 				}
 			}
 		}
 		s.m.TLB.ShootdownRange(core, s.asid, o.lo, o.hi)
-		// Every replica computes an identical freed list (they all see
+		// Every replica computes identical freed runs (they all see
 		// the same mappings); the last applier releases its copy.
 		if o.pending.Add(-1) == 0 && len(freed) > 0 {
-			s.m.Defer(core, func() { s.m.Phys.PutList(core, freed) })
+			s.m.DeferPut(core, freed)
 		}
 	case opProtect:
 		for page := o.lo; page < o.hi; page += arch.PageSize {
@@ -223,7 +224,11 @@ func (s *Space) mapRange(core int, va arch.Vaddr, size uint64, perm arch.Perm) e
 	for off := uint64(0); off < size; off += arch.PageSize {
 		pfn, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
 		if err != nil {
-			s.m.Phys.PutList(core, frames)
+			var runs []rcu.FrameRun
+			for _, f := range frames {
+				runs = rcu.AppendRun(runs, f)
+			}
+			s.m.Phys.PutRuns(core, runs)
 			return err
 		}
 		frames = append(frames, pfn)
@@ -328,16 +333,13 @@ func (s *Space) Destroy(core int) {
 		_ = s.syncReplica(core, r) // a replica that cannot catch up is torn down as it stands
 	}
 	s.m.Defer(core, func() {
-		var frames []arch.PFN
-		for i, r := range s.replicas {
-			first := i == 0
-			r.tree.Destroy(core, func(pte uint64, level int) {
-				if first {
-					frames = append(frames, s.isa.PFNOf(pte))
-				}
-			})
+		var frames []rcu.FrameRun
+		leaf := func(pte uint64, level int) { frames = rcu.AppendRun(frames, s.isa.PFNOf(pte)) }
+		for _, r := range s.replicas {
+			r.tree.Destroy(core, leaf)
+			leaf = nil // the replicas share one reference per frame
 		}
-		s.m.Phys.PutList(core, frames)
+		s.m.Phys.PutRuns(core, frames)
 	})
 	s.m.FreeASID(s.asid)
 }

@@ -16,6 +16,7 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
 )
 
@@ -166,7 +167,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Munmaps.Add(1)
 	s.m.OpTick(core)
-	var freed []arch.PFN
+	var freed []rcu.FrameRun
 	var flush []tlb.Range
 	for off := uint64(0); off < size; off += arch.PageSize {
 		page := va + arch.Vaddr(off)
@@ -181,7 +182,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 		if !ok || mp.frame == arch.NoPFN {
 			continue
 		}
-		freed = append(freed, mp.frame)
+		freed = rcu.AppendRun(freed, mp.frame)
 		// Coalesce adjacent pages into one invalidation range.
 		if n := len(flush); n > 0 && flush[n-1].Hi == page {
 			flush[n-1].Hi = page + arch.PageSize
@@ -197,7 +198,7 @@ func (s *Space) Munmap(core int, va arch.Vaddr, size uint64) error {
 		s.m.TLB.Shootdown(core, s.asid, flush, false)
 		// An access that translated before the shootdown may still be
 		// reading one of them: the RCU monitor frees.
-		s.m.Defer(core, func() { s.m.Phys.PutList(core, freed) })
+		s.m.DeferPut(core, freed)
 	}
 	return nil
 }
@@ -337,13 +338,13 @@ func (s *Space) Destroy(core int) {
 	}
 	// Free mapped frames via the shards (each mapping holds the base
 	// reference; replica PTEs hold one more each).
-	var frames []arch.PFN
+	var frames []rcu.FrameRun
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, mp := range sh.pages {
 			if mp.frame != arch.NoPFN {
-				frames = append(frames, mp.frame)
+				frames = rcu.AppendRun(frames, mp.frame)
 			}
 		}
 		sh.pages = make(map[arch.Vaddr]*mapping)

@@ -37,16 +37,41 @@ func (s *slot) readerEpoch() (epoch uint64, ok bool) {
 }
 
 // FrameRun is a run of physically contiguous frame heads queued for
-// release: Head, Head+1, …, Head+N-1, one reference each.
+// release: Head, Head+1, …, Head+N-1, one reference each. It is the one
+// record of dead frames: every system collects what an unmap or a
+// teardown removes as runs, and the allocator frees them as runs.
 type FrameRun struct {
 	Head arch.PFN
 	N    uint32
 }
 
+// AppendRun adds one frame head to runs, extending the last run when
+// the heads are physically contiguous — bulk-populated regions tear down
+// into a handful of runs instead of one element per page. A run grows at
+// either end: populate batches ascend with the VA, frames faulted in one
+// by one descend (the frame cache is a stack). Extending by stride 1 is
+// always sound: a run stands for exactly the heads Head … Head+N-1, one
+// reference each, so huge-block heads (which are never adjacent to their
+// own tail frames) still get their own Put.
+func AppendRun(runs []FrameRun, head arch.PFN) []FrameRun {
+	if n := len(runs); n > 0 {
+		switch last := &runs[n-1]; head {
+		case last.Head + arch.PFN(last.N):
+			last.N++
+			return runs
+		case last.Head - 1:
+			last.Head--
+			last.N++
+			return runs
+		}
+	}
+	return append(runs, FrameRun{Head: head, N: 1})
+}
+
 // FramePutter is the frame allocator that deferred frame frees go back
 // to (*mem.PhysMem).
 type FramePutter interface {
-	PutRun(core int, head arch.PFN, n int)
+	PutRuns(core int, runs []FrameRun)
 }
 
 // callback is one deferred action with the epoch at which it was queued:
@@ -61,15 +86,14 @@ type callback struct {
 	runs   []FrameRun
 }
 
-// run performs the deferred action.
+// run performs the deferred action: the function, or one multi-frame
+// free of every run the hand-off carried.
 func (cb *callback) run() {
 	if cb.fn != nil {
 		cb.fn()
 		return
 	}
-	for _, r := range cb.runs {
-		cb.frames.PutRun(cb.core, r.Head, int(r.N))
-	}
+	cb.frames.PutRuns(cb.core, cb.runs)
 }
 
 // Bounds on the storage the domain recycles between deferred frees.
@@ -142,16 +166,17 @@ func (d *Domain) InReader(core int) bool {
 
 // Defer queues fn to run once every reader that might hold a reference
 // to the protected object has left its critical section. This is the RCU
-// monitor: CortenMM_adv pushes removed PT pages here (rcu_delay_free).
+// monitor: CortenMM_adv pushes removed PT pages here (rcu_delay_free),
+// and teardowns their trees. Dead frames go through DeferPut instead.
 // Like DeferPut it returns how many callbacks are now waiting.
 func (d *Domain) Defer(fn func()) int {
 	return d.enqueue(callback{fn: fn}, nil)
 }
 
-// DeferPut queues the frames of runs to be Put to frames on behalf of
-// core after a grace period — Defer for the unmap path, counted as one
-// callback like the closure it stands for. runs is copied; the caller
-// may reuse it at once. It returns how many callbacks are now waiting,
+// DeferPut queues the frames of runs to be freed by frames on behalf of
+// core after a grace period, in one PutRuns call — the one hand-off of
+// dead frames, counted as one callback like a closure. runs is copied;
+// the caller may reuse it at once. It returns how many callbacks are now waiting,
 // which saves the unmap path a second trip through the domain's lock to
 // learn whether it should run the deferred work itself.
 func (d *Domain) DeferPut(frames FramePutter, core int, runs []FrameRun) int {

@@ -294,18 +294,21 @@ type putLog struct {
 	calls int
 }
 
-func (p *putLog) PutRun(core int, head arch.PFN, n int) {
+func (p *putLog) PutRuns(core int, runs []FrameRun) {
 	p.calls++
-	for i := 0; i < n; i++ {
-		p.core = append(p.core, core)
-		p.pfn = append(p.pfn, head+arch.PFN(i))
+	for _, r := range runs {
+		for i := range arch.PFN(r.N) {
+			p.core = append(p.core, core)
+			p.pfn = append(p.pfn, r.Head+i)
+		}
 	}
 }
 
 // TestDeferPutIsOneCallback: a typed frame free waits for the same
 // grace period as a closure, puts every frame of every run once, on
-// behalf of the core that queued it, and counts as exactly one callback
-// in Stats wherever a closure would — however many runs it carries.
+// behalf of the core that queued it, in one PutRuns call that carries
+// every run, and counts as exactly one callback in Stats wherever a
+// closure would — however many runs it carries.
 func TestDeferPutIsOneCallback(t *testing.T) {
 	d := NewDomain(2)
 	var log putLog
@@ -323,8 +326,8 @@ func TestDeferPutIsOneCallback(t *testing.T) {
 	d.ReadUnlock(1)
 	d.Poll()
 	want := []arch.PFN{10, 11, 12, 40}
-	if len(log.pfn) != len(want) || log.calls != len(runs) {
-		t.Fatalf("put %v in %d calls, want %v in one call per run", log.pfn, log.calls, want)
+	if len(log.pfn) != len(want) || log.calls != 1 {
+		t.Fatalf("put %v in %d calls, want %v in one call", log.pfn, log.calls, want)
 	}
 	for i, pfn := range want {
 		if log.pfn[i] != pfn || log.core[i] != 0 {
@@ -379,7 +382,7 @@ func TestDeferPutSteadyStateAllocatesNothing(t *testing.T) {
 
 type nopPutter struct{}
 
-func (nopPutter) PutRun(int, arch.PFN, int) {}
+func (nopPutter) PutRuns(int, []FrameRun) {}
 
 // TestPollRacingDeferNoUseAfterFree: the poller is its own goroutine, so
 // a callback can be queued — and a reader can enter — between a Poll's

@@ -5,6 +5,7 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/rcu"
 	"cortenmm/internal/tlb"
 )
 
@@ -52,12 +53,19 @@ func (s *Space) Store(core int, va arch.Vaddr, b byte) error {
 // release returns unmapped data frames after the shootdown that covers
 // them: off the LRU and the cgroup, then to the RCU monitor — an access
 // that translated before the shootdown may still be reading one.
-func (s *Space) release(core int, freed []arch.PFN) {
+func (s *Space) release(core int, freed []rcu.FrameRun) {
 	if len(freed) == 0 {
 		return
 	}
-	s.unchargePages(freed)
-	s.m.Defer(core, func() { s.m.Phys.PutList(core, freed) })
+	s.lruMu.Lock()
+	for _, r := range freed {
+		s.memcg.Add(-int64(r.N))
+		for i := range arch.PFN(r.N) {
+			delete(s.lru, r.Head+i)
+		}
+	}
+	s.lruMu.Unlock()
+	s.m.DeferPut(core, freed)
 }
 
 // pageFault is Linux's fault path (left column of Figure 2): find the
@@ -171,7 +179,7 @@ func (s *Space) cowBreak(core int, v *VMA, leafPT arch.PFN, idx int, pte uint64,
 	s.m.Phys.Desc(s.m.Phys.HeadOf(cp)).Map()
 	d.Unmap()
 	s.m.TLB.Shootdown(core, s.asid, []tlb.Range{{Lo: page, Hi: page + arch.PageSize}}, true)
-	s.m.Defer(core, func() { s.m.Phys.Put(core, head) })
+	s.m.DeferPut(core, []rcu.FrameRun{{Head: head, N: 1}})
 	return nil
 }
 
@@ -216,10 +224,10 @@ func (s *Space) ensurePath(core int, va arch.Vaddr) (arch.PFN, error) {
 }
 
 // clearRange removes every present leaf PTE in [lo, hi), returning the
-// frames to free once the TLB flush lands. Leaf locks are taken because
+// runs of frames to free once the TLB flush lands. Leaf locks are taken because
 // faults on *other* VMAs sharing a leaf PT page may run concurrently.
-func (s *Space) clearRange(core int, lo, hi arch.Vaddr) []arch.PFN {
-	var freed []arch.PFN
+func (s *Space) clearRange(core int, lo, hi arch.Vaddr) []rcu.FrameRun {
+	var freed []rcu.FrameRun
 	for page := lo; page < hi; page += arch.PageSize {
 		pfn, idx, ok := s.tree.Slot(page, 1)
 		if !ok {
@@ -234,7 +242,7 @@ func (s *Space) clearRange(core int, lo, hi arch.Vaddr) []arch.PFN {
 		if s.isa.IsPresent(pte) {
 			head := s.m.Phys.HeadOf(s.isa.PFNOf(pte))
 			s.m.Phys.Desc(head).Unmap()
-			freed = append(freed, head)
+			freed = rcu.AppendRun(freed, head)
 			s.tree.SetPTE(pfn, idx, 0)
 		}
 		st.Mu.Unlock()

@@ -83,19 +83,6 @@ func (s *Space) chargePage(core int, frame arch.PFN) {
 	}
 }
 
-// unchargePages removes unmapped pages from the LRU and cgroup.
-func (s *Space) unchargePages(frames []arch.PFN) {
-	if len(frames) == 0 {
-		return
-	}
-	s.memcg.Add(-int64(len(frames)))
-	s.lruMu.Lock()
-	for _, pfn := range frames {
-		delete(s.lru, pfn)
-	}
-	s.lruMu.Unlock()
-}
-
 // New creates an empty Linux-style address space on machine m.
 func New(m *cpusim.Machine, isa arch.ISA) (*Space, error) {
 	if isa == nil {
