@@ -393,11 +393,11 @@ func (m *Machine) Quiesce() {
 // shootdown is acknowledged, so the frame cannot be recycled underneath
 // it. The read section is that window: every kernel issues the
 // shootdown covering a frame and only then hands the frame to the
-// monitor (DeferPut, or DeferTeardown, whose dead ASID no access can
-// reach again), so a frame whose mapping this core could
-// have observed stays allocated until fn returns. fault runs outside
-// the section — it takes the kernel's locks and must not stall grace
-// periods.
+// monitor (DeferPut; a teardown's DeferTeardown needs no shootdown, as
+// a freed ASID is flushed on every core before it is reissued), so a
+// frame whose mapping this core could have observed stays allocated
+// until fn returns. fault runs outside the section — it takes the
+// kernel's locks and must not stall grace periods.
 //
 // A 4-KiB fill that moves bytes caches the frame's page beside its
 // number, and a hit hands that page to fn without touching the frame's
