@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -541,37 +542,63 @@ func TestChecksRejectDoctoredRows(t *testing.T) {
 	}
 }
 
+// readPoint reads a recorded trajectory point, its meta row first.
+func readPoint(t *testing.T, point string) []Row {
+	t.Helper()
+	f, err := os.Open(point)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var rows []Row
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var r Row
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("%s: %v in %s", point, err, sc.Text())
+		}
+		rows = append(rows, r)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// points is every checked-in trajectory point, oldest first by its
+// number (BENCH_9 before BENCH_10).
+func points(t *testing.T) []string {
+	t.Helper()
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no recorded trajectory points: %v", err)
+	}
+	num := func(p string) int {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+		if err != nil {
+			t.Fatalf("%s: not BENCH_<number>.json", p)
+		}
+		return n
+	}
+	sort.Slice(paths, func(i, j int) bool { return num(paths[i]) < num(paths[j]) })
+	return paths
+}
+
 // TestRecordedTrajectoryParses reads every checked-in trajectory point
 // the way a later PR's diff will: every figure is present and every
 // contract holds on the recorded rows. A PR records a point by adding a
 // BENCH_<pr>.json, not by editing this test.
 func TestRecordedTrajectoryParses(t *testing.T) {
-	points, err := filepath.Glob("../../BENCH_*.json")
-	if err != nil || len(points) == 0 {
-		t.Fatalf("no recorded trajectory points: %v", err)
-	}
-	for _, point := range points {
+	for _, point := range points(t) {
 		t.Run(filepath.Base(point), func(t *testing.T) {
-			f, err := os.Open(point)
-			if err != nil {
-				t.Fatal(err)
+			rows := readPoint(t, point)
+			if r := rows[0]; r.Fig != "meta" || r.Labels["commit"] == "" || r.Labels["host"] == "" {
+				t.Errorf("first row %s is not a meta row with host and commit", r)
 			}
-			defer f.Close()
 			byFig := map[string][]Row{}
-			sc := bufio.NewScanner(f)
-			sc.Buffer(nil, 1<<20)
-			for first := true; sc.Scan(); first = false {
-				var r Row
-				if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-					t.Fatalf("%v in %s", err, sc.Text())
-				}
-				if first && (r.Fig != "meta" || r.Labels["commit"] == "" || r.Labels["host"] == "") {
-					t.Errorf("first row %s is not a meta row with host and commit", r)
-				}
+			for _, r := range rows {
 				byFig[r.Fig] = append(byFig[r.Fig], r)
-			}
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
 			}
 			for _, f := range Figures {
 				var rows []Row
@@ -586,5 +613,117 @@ func TestRecordedTrajectoryParses(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// banded names every metric that is not exact: run to run it moves on
+// the same commit, so it is read against the recorded band by eye and
+// never compared. Every other metric of every row is a count, compared
+// bit for bit with the newest point, so a new count is checked by
+// default. Metric names are filepath.Match patterns; labels, when
+// given, narrow an entry to the rows that carry them.
+var banded = []struct {
+	fig     string // "" = every family
+	labels  []any
+	metrics []string
+}{
+	// Timings and ratios of timings.
+	{"", nil, []string{"ops_per_s", "pages_per_s", "elapsed_ms", "kernel_frac", "time_ms", "us_per_op", "speedup", "*_over_linux", "tenants_per_s", "serve_mops_per_s"}},
+	// The TLB's replacement and ASID recycling race the serving threads.
+	{"fig-tenant", nil, []string{"evictions", "hit_rate", "staledrops", "peak_rss_pages"}},
+	// Two threads race the generation bumps and cluster fan-out; one
+	// thread is exact.
+	{"fig14-tlb", []any{"threads", 2}, []string{"applied", "cluster_ipis", "genbumps", "evictions"}},
+	// Eight cores on one machine race the zones and the LATR sweeps.
+	{"fig22-numa", nil, []string{"cluster_ipis", "genbumps", "local_fraction", "spill"}},
+	{"fig22-numa-node", nil, []string{"*"}},
+}
+
+// isBanded reports whether metric of r is banded rather than exact.
+func isBanded(r Row, metric string) bool {
+	for _, b := range banded {
+		if (b.fig != "" && b.fig != r.Fig) || len(pick([]Row{r}, r.Fig, b.labels...)) == 0 {
+			continue
+		}
+		for _, pat := range b.metrics {
+			if ok, _ := filepath.Match(pat, metric); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// countDiff compares the rows of a run with those of a recorded point,
+// matched by Row.String(): a row on one side only, a different N, a
+// metric on one side only, or an exact metric whose median, min or max
+// differs is a difference, named by its row. Meta rows are skipped.
+func countDiff(point, run []Row) []string {
+	index := func(rows []Row) map[string]Row {
+		m := map[string]Row{}
+		for _, r := range rows {
+			if r.Fig != "meta" {
+				m[r.String()] = r
+			}
+		}
+		return m
+	}
+	want, got := index(point), index(run)
+	var diffs []string
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok {
+			diffs = append(diffs, name+": recorded, not produced")
+			continue
+		}
+		if g.N != w.N {
+			diffs = append(diffs, fmt.Sprintf("%s: N %d, recorded %d", name, g.N, w.N))
+		}
+		for metric, ws := range w.Metrics {
+			gs, ok := g.Metrics[metric]
+			switch {
+			case !ok:
+				diffs = append(diffs, fmt.Sprintf("%s: %s recorded, not produced", name, metric))
+			case gs != ws && !isBanded(w, metric):
+				diffs = append(diffs, fmt.Sprintf("%s: %s %+v, recorded %+v", name, metric, gs, ws))
+			}
+		}
+		for metric := range g.Metrics {
+			if _, ok := w.Metrics[metric]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: %s produced, not recorded", name, metric))
+			}
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			diffs = append(diffs, name+": produced, not recorded")
+		}
+	}
+	sort.Strings(diffs)
+	return diffs
+}
+
+// TestCountsMatchNewestPoint runs every figure on the grid a point is
+// recorded with (scale 1, threads 1,2) and diffs its exact counts
+// against the highest-numbered BENCH_<n>.json. A change that moves a
+// count on purpose records a new point and says why; that is also the
+// only way to rename or delete a row.
+func TestCountsMatchNewestPoint(t *testing.T) {
+	all := points(t)
+	newest := all[len(all)-1]
+	point := readPoint(t, newest)
+	if scale := point[0].Labels["scale"]; point[0].Fig != "meta" || scale != "1" {
+		t.Fatalf("%s: meta row %s, want a scale=1 point", newest, point[0])
+	}
+	var run []Row
+	for _, f := range Figures {
+		rows, err := f.Run(Options{Scale: 1, Threads: []int{1, 2}})
+		if err != nil {
+			t.Fatalf("figure %s: %v", f.Name, err)
+		}
+		run = append(run, rows...)
+	}
+	for _, d := range countDiff(point, run) {
+		t.Errorf("against %s: %s", filepath.Base(newest), d)
 	}
 }
