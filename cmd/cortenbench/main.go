@@ -4,10 +4,12 @@
 // labels, repeats, median/min/max per metric), led by a "meta" row
 // naming the host and commit; titles go to stderr. Each figure's
 // contract is checked on the rows just produced, and a violation exits
-// 1 naming the row. BENCH_<pr>.json is this output checked in (the
-// highest-numbered one is the latest):
+// 1 naming the row. BENCH_<pr>.json is this output checked in, on a
+// fixed grid; internal/bench's TestCountsMatchNewestPoint reruns that
+// grid and requires every exact count to equal the highest-numbered
+// point's:
 //
-//	go run -buildvcs=true ./cmd/cortenbench > BENCH_<pr>.json
+//	go run -buildvcs=true ./cmd/cortenbench -threads 1,2 > BENCH_<pr>.json
 //
 // Absolute numbers depend on the host; the comparisons between systems
 // are the reproduction target. See EXPERIMENTS.md for the side-by-side

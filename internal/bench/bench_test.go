@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -41,7 +42,7 @@ var wantRows = map[string]map[string]int{
 	"22":       {"fig22": 4},
 	"pressure": {"pressure": 2 * 4},
 	"batch":    {"batch": 58},
-	"numa":     {"fig22-numa": 9, "fig22-numa-node": 3 * (1 + 2 + 4), "fig22-numa-balance": 1},
+	"numa":     {"fig22-numa": 9, "fig22-numa-balance": 1},
 	"tenant":   {"fig-tenant": 9},
 	"thp":      {"thp": 4},
 	"spec":     {"fig-spec": len(spec.EnvelopeCases()), "fig-spec-mut": len(spec.MutationCases())},
@@ -542,6 +543,82 @@ func TestChecksRejectDoctoredRows(t *testing.T) {
 	}
 }
 
+// TestCountsDiffNamesTheRow feeds countDiff doctored copies of the
+// newest point: each exact difference fails with its row named, and a
+// banded reading may move freely. It runs no figure.
+func TestCountsDiffNamesTheRow(t *testing.T) {
+	all := points(t)
+	point := readPoint(t, all[len(all)-1])
+	// clone deep-copies the point, so a case doctors only its own rows.
+	clone := func() []Row {
+		out := make([]Row, len(point))
+		for i, r := range point {
+			out[i] = r
+			out[i].Metrics = maps.Clone(r.Metrics)
+		}
+		return out
+	}
+	// first is the index of the first row of family fig carrying metric
+	// with a nonzero median.
+	first := func(fig, metric string) int {
+		for i, r := range point {
+			if r.Fig == fig && r.Metrics[metric].Median != 0 {
+				return i
+			}
+		}
+		t.Fatalf("no %s row with a nonzero %s", fig, metric)
+		return 0
+	}
+	if d := countDiff(point, clone()); len(d) != 0 {
+		t.Fatalf("the point differs from itself: %v", d)
+	}
+	bump := func(fig, metric string, edit func(*Stat)) func([]Row) (string, []Row) {
+		return func(rows []Row) (string, []Row) {
+			i := first(fig, metric)
+			s := rows[i].Metrics[metric]
+			edit(&s)
+			rows[i].Metrics[metric] = s
+			return rows[i].String(), rows
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		doctor func([]Row) (string, []Row) // the row to name, the doctored run
+		pass   bool
+	}{
+		{"swap_outs median", bump("pressure", "swap_outs", func(s *Stat) { s.Median++ }), false},
+		{"only a min", bump("fig-spec", "states", func(s *Stat) { s.Min-- }), false},
+		{"fig-spec-mut row deleted", func(rows []Row) (string, []Row) {
+			i := first("fig-spec-mut", "caught")
+			return rows[i].String(), append(rows[:i:i], rows[i+1:]...)
+		}, false},
+		{"extra row", func(rows []Row) (string, []Row) {
+			r := flat("fig13", labels("sys", "vms/370", "op", "mmap"), map[string]float64{"ops_per_s": 1})
+			return r.String(), append(rows, r)
+		}, false},
+		{"metric on one side", func(rows []Row) (string, []Row) {
+			i := first("thp", "promotions")
+			rows[i].Metrics["huge_runs"] = Stat{}
+			return rows[i].String(), rows
+		}, false},
+		{"banded ops_per_s", bump("fig13", "ops_per_s", func(s *Stat) { s.Median, s.Max = 2*s.Max, 2*s.Max }), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name, run := tc.doctor(clone())
+			diffs := countDiff(point, run)
+			if tc.pass {
+				if len(diffs) != 0 {
+					t.Errorf("a banded change failed: %v", diffs)
+				}
+				return
+			}
+			if len(diffs) != 1 || !strings.HasPrefix(diffs[0], name+":") {
+				t.Errorf("diff %q, want one difference naming %q", diffs, name)
+			}
+		})
+	}
+}
+
 // readPoint reads a recorded trajectory point, its meta row first.
 func readPoint(t *testing.T, point string) []Row {
 	t.Helper()
@@ -636,7 +713,6 @@ var banded = []struct {
 	{"fig14-tlb", []any{"threads", 2}, []string{"applied", "cluster_ipis", "genbumps", "evictions"}},
 	// Eight cores on one machine race the zones and the LATR sweeps.
 	{"fig22-numa", nil, []string{"cluster_ipis", "genbumps", "local_fraction", "spill"}},
-	{"fig22-numa-node", nil, []string{"*"}},
 }
 
 // isBanded reports whether metric of r is banded rather than exact.

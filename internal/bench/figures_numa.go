@@ -22,8 +22,7 @@ var numaPolicies = []string{"local", "interleave", "remote"}
 // FigNuma sweeps machines of 1, 2 and 4 NUMA nodes under each placement
 // policy: one fig22-numa row per cell (throughput, the fraction of
 // frames served from the requesting core's home zone, the cross-node
-// spill, shootdown fan-out) and one fig22-numa-node row per node behind
-// it. The local-first rows demonstrate node-local allocation (the pcp
+// spill, shootdown fan-out). The local-first rows demonstrate node-local allocation (the pcp
 // caches and zonelists keep locality near 1.0); the interleave and
 // remote rows quantify the spill the policy hook can force. A last
 // fig22-numa-balance row is the balancing-migration demonstration.
@@ -32,10 +31,7 @@ func FigNuma(o Options) ([]Row, error) {
 	var g grid
 	for _, nodes := range []int{1, 2, 4} {
 		for _, policy := range numaPolicies {
-			r := g.numaPoint(o, nodes, policy)
-			for n := 0; n < nodes; n++ {
-				g.rows = append(g.rows, r.split("fig22-numa-node", fmt.Sprintf("node%d.", n), "node", n))
-			}
+			g.numaPoint(o, nodes, policy)
 		}
 	}
 	const pages = 4096 // > the 2048-entry TLB: every round misses
@@ -127,14 +123,14 @@ func numaBalance(m *cpusim.Machine, a *core.AddrSpace, pages int) (map[string]fl
 
 // numaPoint runs one grid cell: 8 cores spread over the node count, an
 // mmap(populate) + touch + munmap loop per core.
-func (g *grid) numaPoint(o Options, nodes int, policy string) Row {
+func (g *grid) numaPoint(o Options, nodes int, policy string) {
 	const (
 		cores      = 8
 		chunkPages = 32
 		frames     = 1 << 15
 	)
 	iters := o.iters(60)
-	return g.cell("fig22-numa", labels("nodes", nodes, "policy", policy, "threads", cores), func() (map[string]float64, error) {
+	g.cell("fig22-numa", labels("nodes", nodes, "policy", policy, "threads", cores), func() (map[string]float64, error) {
 		// TickEvery 16: the loop issues few OpTicks per iteration, and
 		// the LATR sweeps (the node-batched fan-out under study) only
 		// run at ticks.
@@ -182,18 +178,10 @@ func (g *grid) numaPoint(o Options, nodes int, policy string) Row {
 		// queued are fanned out and counted.
 		out := map[string]float64{"pages_per_s": float64(cores*iters*chunkPages) / elapsed.Seconds()}
 		tlbMetrics(out, "", m.TLB.Stats())
-		shoot := m.TLB.NodeStats()
 		var local, remote uint64
 		for _, ns := range m.Phys.NodeStats() {
 			local += ns.Local
 			remote += ns.Remote
-			sh := shoot[ns.Node]
-			for k, v := range map[string]uint64{
-				"local": ns.Local, "remote": ns.Remote, "free": ns.Free,
-				"deliveries": sh.Deliveries, "filtered": sh.Filtered, "cluster_ipis": sh.ClusterIPIs,
-			} {
-				out[fmt.Sprintf("node%d.%s", ns.Node, k)] = float64(v)
-			}
 		}
 		out["spill"] = float64(remote)
 		if local+remote > 0 {

@@ -118,8 +118,8 @@ func NewSystem(sys System, m *cpusim.Machine, isa arch.ISA) (mm.MM, error) {
 
 // Options tunes a harness run.
 type Options struct {
-	// Threads is the core-count sweep (default 1,2,4,...,2×GOMAXPROCS
-	// capped at 16 — the simulator oversubscribes gracefully).
+	// Threads is the core-count sweep (default the powers of two up to
+	// GOMAXPROCS, capped at 16).
 	Threads []int
 	// Scale multiplies iteration counts (1.0 = quick, higher = more
 	// stable numbers).

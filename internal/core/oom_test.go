@@ -63,6 +63,38 @@ func TestOOMGraceful(t *testing.T) {
 	}
 }
 
+// TestOOMReapsMonitorFirst: dead frames waiting in the RCU monitor are
+// memory an allocating syscall may have. Each unmap below hands its
+// 4096 frames to the monitor as one callback, far under ReapBacklog, so
+// by the fourth populate three quarters of the machine waits there; with
+// no daemon to reclaim through, the populate must reap the monitor and
+// succeed rather than report out-of-memory.
+func TestOOMReapsMonitorFirst(t *testing.T) {
+	const pages = 4096
+	for _, p := range protocols {
+		t.Run(p.String(), func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 1, Frames: 4 * pages})
+			a, err := New(Options{Machine: m, Protocol: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 6; round++ {
+				va, err := a.Mmap(0, pages*arch.PageSize, arch.PermRW, mm.FlagPopulate)
+				if err != nil {
+					t.Fatalf("round %d: %v with %d callbacks waiting in the monitor", round, err, m.RCU.Stats().Pending)
+				}
+				if err := a.Munmap(0, va, pages*arch.PageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Destroy(0)
+			if err := m.CheckClean(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
 // TestOOMDuringPopulate: a MAP_POPULATE mmap that runs out of frames
 // partway must fail cleanly — the half-populated range is torn down, no
 // frames leak, and the freed VA range is safely reusable (a stale Marked

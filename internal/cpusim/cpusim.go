@@ -346,11 +346,12 @@ func (m *Machine) OpTick(core int) {
 // to it: an unmap queues its invalidations before its deferred free,
 // so a free old enough to run here had its invalidations in a buffer
 // this sweep (or one it waited for) has just applied. A free queued
-// while the sweep was running waits for the next tick.
-func (m *Machine) Reap(core int) {
+// while the sweep was running waits for the next tick. It reports
+// whether any callback ran.
+func (m *Machine) Reap(core int) bool {
 	e := m.RCU.Epoch()
 	m.TLB.Tick(core)
-	m.RCU.PollBefore(e)
+	return m.RCU.PollBefore(e) > 0
 }
 
 // Quiesce drains all deferred work (pending TLB invalidations, RCU

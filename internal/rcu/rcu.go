@@ -225,12 +225,13 @@ func (d *Domain) Epoch() uint64 { return d.epoch.Load() }
 // domain's epoch was epoch. The simulated timer tick takes the epoch,
 // sweeps the lazily applied TLB invalidations and then polls with it,
 // so no frame is freed whose unmap queued an invalidation the sweep
-// could have missed (cpusim.Machine.Reap).
-func (d *Domain) PollBefore(epoch uint64) {
+// could have missed (cpusim.Machine.Reap). It returns how many
+// callbacks it ran.
+func (d *Domain) PollBefore(epoch uint64) int {
 	d.mu.Lock()
 	if len(d.pending) == 0 {
 		d.mu.Unlock()
-		return
+		return 0
 	}
 	// The reader scan runs under mu so that every pending callback was
 	// queued before it. Scanned first, a callback queued in between could
@@ -254,7 +255,7 @@ func (d *Domain) PollBefore(epoch uint64) {
 	}
 	if len(ready) == 0 {
 		d.mu.Unlock()
-		return
+		return 0
 	}
 	clear(d.pending[len(keep):]) // the moved entries' closures and run lists
 	d.pending = keep
@@ -270,9 +271,11 @@ func (d *Domain) PollBefore(epoch uint64) {
 			d.spareRuns = append(d.spareRuns, r)
 		}
 	}
+	n := len(ready)
 	clear(ready)
 	d.ready = ready
 	d.mu.Unlock()
+	return n
 }
 
 // Synchronize blocks until a full grace period has elapsed: every reader

@@ -167,7 +167,7 @@ func cases() []ModelCase {
 		{Family: "tlb", Name: "sync-basic", Model: tlb(TLBSync, []int8{0, 1}, []TLBOp{fill0, lookup0, lookup0, fill1, lookup1})},
 		{Family: "tlb", Name: "sync-two-readers", Model: tlb(TLBSync, []int8{0, 1}, []TLBOp{fill0, lookup0}, []TLBOp{fill0, lookup0, lookup1})},
 		{Family: "tlb", Name: "sync-ring-wrap", Model: tlb(TLBSync, []int8{1, 1, 1}, []TLBOp{fill0, lookup0, lookup0})},
-		{Family: "tlb", Name: "sync-overflow-trim", Model: tlb(TLBSync, []int8{1, 1, 1, 1, 1, 1}, []TLBOp{fill0, lookup0})},
+		{Family: "tlb", Name: "sync-history-left-ring", Model: tlb(TLBSync, []int8{1, 1, 1, 1, 1, 1}, []TLBOp{fill0, lookup0})},
 		{Family: "tlb", Name: "earlyack", Model: tlb(TLBEarlyAck, []int8{0, 1}, []TLBOp{fill0, lookup0, lookup0}, []TLBOp{fill1, lookup1})},
 		{Family: "tlb", Name: "latr", Model: tlb(TLBLATR, []int8{0, 0, 1}, []TLBOp{fill0, lookup0, lookup0, lookup1})},
 		{Family: "tlb", Name: "latr-quiesce", Model: &TLBModel{Mode: TLBLATR, Unmaps: []int8{0, 1},
@@ -176,8 +176,8 @@ func cases() []ModelCase {
 			Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0, lookup0}}, SkipValidate: true}},
 		{Family: "tlb", Name: "sync-basic", Bug: "stamp-at-insert", Want: "stale hit", Model: &TLBModel{Mode: TLBSync,
 			Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0}}, StampAtInsert: true}},
-		{Family: "tlb", Name: "sync-ring-wrap", Bug: "drop-overflow", Want: "stale hit", Model: &TLBModel{Mode: TLBSync,
-			Unmaps: []int8{0, 1, 1}, Readers: [][]TLBOp{{fill0, lookup0}}, DropOverflow: true}},
+		{Family: "tlb", Name: "sync-ring-wrap", Bug: "trust-lost-history", Want: "stale hit", Model: &TLBModel{Mode: TLBSync,
+			Unmaps: []int8{0, 1, 1}, Readers: [][]TLBOp{{fill0, lookup0}}, TrustLostHistory: true}},
 		{Family: "tlb", Name: "earlyack", Bug: "skip-inbox-gate", Want: "stale hit", Model: &TLBModel{Mode: TLBEarlyAck,
 			Unmaps: []int8{0}, Readers: [][]TLBOp{{fill0, lookup0, lookup0}}, SkipInboxGate: true}},
 		{Family: "tlb", Name: "latr", Bug: "latr-early-complete", Want: "stale hit", Model: &TLBModel{Mode: TLBLATR,

@@ -17,7 +17,7 @@ import "fmt"
 // is always legal.
 //
 // Seeded bugs (each must be caught — see mutation_test.go):
-// SkipValidate serves hits without replaying the ring; DropOverflow
+// SkipValidate serves hits without replaying the ring; TrustLostHistory
 // replays only the records still in the ring when the entry's history
 // has left it, instead of missing; SkipInboxGate lets
 // early-ack lookups run without draining the pending-invalidation
@@ -44,7 +44,7 @@ type TLBModel struct {
 
 	// Seeded bugs.
 	SkipValidate       bool
-	DropOverflow       bool
+	TrustLostHistory   bool
 	SkipInboxGate      bool
 	LATREarlyComplete  bool
 	QuiesceMissesSweep bool
@@ -104,10 +104,10 @@ func (c *tlbCell) bump(page int8) {
 
 // validate replays the records in (g, Gen] and returns whether the
 // entry of page filled at generation g is still live. A record that has
-// left the ring kills the entry; the DropOverflow bug skips it instead.
-func (c *tlbCell) validate(page int8, g uint8, drop bool) bool {
+// left the ring kills the entry; the TrustLostHistory bug skips it instead.
+func (c *tlbCell) validate(page int8, g uint8, trust bool) bool {
 	if c.Gen-g > tlbRingLen {
-		if !drop {
+		if !trust {
 			return false
 		}
 		g = c.Gen - tlbRingLen
@@ -321,7 +321,7 @@ func (m *TLBModel) Next(st State) []Step {
 			// checked for staleness below.
 			label = fmt.Sprintf("r%d:hit(%d)", i, p)
 		default:
-			if cell.validate(p, e.Gen, m.DropOverflow) {
+			if cell.validate(p, e.Gen, m.TrustLostHistory) {
 				n.Rd[i].Cache[p].Gen = cell.Gen
 				label = fmt.Sprintf("r%d:hit(%d)", i, p)
 			} else {

@@ -30,7 +30,9 @@ func TestTLBSkipValidateCaught(t *testing.T) {
 
 // Ring wrap where validate skips the records that have left the ring,
 // instead of missing, serves an entry whose unmap record it skipped.
-func TestTLBDropOverflowCaught(t *testing.T) { runCase(t, "tlb", "sync-ring-wrap", "drop-overflow") }
+func TestTLBTrustLostHistoryCaught(t *testing.T) {
+	runCase(t, "tlb", "sync-ring-wrap", "trust-lost-history")
+}
 
 // Early-ack without the inbox drain serves a hit whose invalidation the
 // initiator already saw acknowledged.

@@ -167,11 +167,10 @@ func TestRangeShootdownPrecision(t *testing.T) {
 	}
 }
 
-// TestRingWrapSpillsToOverflow keeps its name from the overflow list
-// that once caught records evicted from the ring. That list is gone:
-// the ring is a cell's only history, so an entry survives as long as
-// its history fits in the ring and misses once it has left it.
-func TestRingWrapSpillsToOverflow(t *testing.T) {
+// TestRingWrapMissesOnce: the ring is a cell's only history, so an
+// entry survives as long as its history fits in the ring and misses,
+// once, when it has left it.
+func TestRingWrapMissesOnce(t *testing.T) {
 	m := NewMachine(2, ModeSync)
 	m.Insert(1, 1, 0x1000, tr(1))
 	shoot := func(n, base int) {
@@ -209,7 +208,7 @@ func TestRingWrapSpillsToOverflow(t *testing.T) {
 	}
 }
 
-func TestOverflowTrimConservativeMiss(t *testing.T) {
+func TestLostHistoryMissesConservatively(t *testing.T) {
 	m := NewMachine(2, ModeSync)
 	m.Insert(1, 1, 0x1000, tr(1))
 	// Push twice as many disjoint records as the ring holds; once the
