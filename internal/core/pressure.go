@@ -496,7 +496,8 @@ func (a *AddrSpace) checkAlive(core int) error {
 func (a *AddrSpace) holdsTx(core int) bool { return a.m.HoldsTx(core, uint64(a.asid)) }
 
 // Syscall-level retry tuning: a failed allocating syscall retries up to
-// oomRetries times, each preceded by a reap of the RCU monitor and, on a
+// oomRetries times, each preceded by a reap of the RCU monitor
+// (Machine.ReapAfterGrace) and, on a
 // machine with a daemon, a direct-reclaim round asking for
 // oomRetryTarget pages.
 const (
@@ -505,18 +506,18 @@ const (
 )
 
 // retryOOM runs try; when it fails with an out-of-memory-class error it
-// reaps the RCU monitor — an unmap's dead frames wait there as one
-// callback, so a backlog under ReapBacklog can hold most of the
-// machine — then, when the machine has a daemon, runs direct reclaim
-// (from syscall context, with no locks held, so this time the sweep may
-// target this very space) and retries, bounded, while either freed
-// something. This is the hardened unwind path: try must be a complete
-// transaction (lock, work, close, undo on failure) so re-running it from
-// scratch is sound.
+// reaps the RCU monitor after a grace period — an unmap's dead frames
+// wait there as one callback, so a backlog under ReapBacklog can hold
+// most of the machine — then, when the machine has a daemon, runs
+// direct reclaim (from syscall context, with no locks held, so this time
+// the sweep may target this very space) and retries, bounded, while
+// either freed something. This is the hardened unwind path: try must be
+// a complete transaction (lock, work, close, undo on failure) so
+// re-running it from scratch is sound.
 func (a *AddrSpace) retryOOM(core int, try func() error) error {
 	err := try()
 	for attempt := 0; attempt < oomRetries && errors.Is(err, mem.ErrOutOfMemory); attempt++ {
-		reaped := a.m.Reap(core)
+		reaped := a.m.ReapAfterGrace(core)
 		d, ok := a.m.Phys.Pressure().(*Daemon)
 		if !(ok && d.DirectReclaim(core, oomRetryTarget) > 0) && !reaped {
 			return err

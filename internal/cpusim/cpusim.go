@@ -7,6 +7,7 @@
 package cpusim
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -354,6 +355,18 @@ func (m *Machine) Reap(core int) bool {
 	return m.RCU.PollBefore(e) > 0
 }
 
+// ReapAfterGrace is the out-of-memory fallback of an allocation on
+// core, made outside any read section with no lock held: wait out a
+// grace period, then reap. A reader descheduled inside its section holds
+// back every callback queued since it entered, however many frames they
+// carry, and no tick frees them before it leaves; the wait is what lets
+// an allocation find them. It reports whether any callback ran, that is
+// whether retrying the allocation can help.
+func (m *Machine) ReapAfterGrace(core int) bool {
+	m.RCU.Synchronize()
+	return m.Reap(core)
+}
+
 // Quiesce drains all deferred work (pending TLB invalidations, RCU
 // callbacks) — used between benchmark phases and in tests before
 // checking invariants. After Quiesce returns, every invalidation queued
@@ -449,7 +462,7 @@ func (m *Machine) Access(core int, asid tlb.ASID, t *pt.Tree, va arch.Vaddr, acc
 			return nil
 		}
 		m.RCU.ReadUnlock(core)
-		if err := fault(core, va, acc); err != nil {
+		if err := fault(core, va, acc); err != nil && (!errors.Is(err, mem.ErrOutOfMemory) || !m.ReapAfterGrace(core)) {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cortenmm/internal/arch"
 	"cortenmm/internal/core"
@@ -435,5 +436,53 @@ func TestNoForeignBytesThroughStaleTranslations(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestOOMWaitsOutStalledReader: a reader descheduled inside its read
+// section holds back every frame freed since it entered, and no tick
+// frees them before it leaves. Core 1 stands in for that reader while
+// core 0 maps, writes and unmaps until the held-back frames are all the
+// machine has left; on all five systems the next allocation waits out
+// the section, reaps the monitor and succeeds.
+func TestOOMWaitsOutStalledReader(t *testing.T) {
+	const pages, rounds = 512, 8
+	for _, sys := range systems {
+		t.Run(sys.name, func(t *testing.T) {
+			m := cpusim.New(cpusim.Config{Cores: 2, Frames: 4 * pages})
+			s, err := sys.new(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.RCU.ReadLock(1)
+			released := make(chan struct{})
+			go func() {
+				defer close(released)
+				for m.Phys.FreeFrames() >= pages {
+					time.Sleep(time.Millisecond)
+				}
+				// Core 0 is about to run out; let it.
+				time.Sleep(20 * time.Millisecond)
+				m.RCU.ReadUnlock(1)
+			}()
+			for round := 0; round < rounds; round++ {
+				va, err := s.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
+				for i := 0; err == nil && i < pages; i++ {
+					err = s.Store(0, va+arch.Vaddr(i)*arch.PageSize, byte(round))
+				}
+				if err != nil {
+					t.Errorf("round %d: %v", round, err)
+					break
+				}
+				if err := s.Munmap(0, va, pages*arch.PageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			<-released
+			s.Destroy(0)
+			if err := m.CheckClean(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -221,12 +221,12 @@ func (s *Space) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, 
 
 // mapRange backs [va, va+size) with fresh frames and logs the map op.
 // Out of frames, it reaps the RCU monitor, where unmapped frames wait,
-// and tries again while that frees something.
+// after a grace period, and tries again while that frees something.
 func (s *Space) mapRange(core int, va arch.Vaddr, size uint64, perm arch.Perm) error {
 	frames := make([]arch.PFN, 0, size/arch.PageSize)
 	for off := uint64(0); off < size; off += arch.PageSize {
 		pfn, err := s.m.Phys.AllocFrame(core, mem.KindAnon)
-		for errors.Is(err, mem.ErrOutOfMemory) && s.m.Reap(core) {
+		for errors.Is(err, mem.ErrOutOfMemory) && s.m.ReapAfterGrace(core) {
 			pfn, err = s.m.Phys.AllocFrame(core, mem.KindAnon)
 		}
 		if err != nil {
