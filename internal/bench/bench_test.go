@@ -49,6 +49,43 @@ var wantRows = map[string]map[string]int{
 	"ablate":   {"ablate": 7},
 }
 
+// banded names every metric that is not exact: run to run it moves on
+// the same commit, so it is read against the recorded band by eye and
+// never compared. Every other metric of every row is a count, compared
+// bit for bit with the newest point, so a new count is checked by
+// default. Metric names are filepath.Match patterns; labels, when
+// given, narrow an entry to the rows that carry them.
+var banded = []struct {
+	fig     string // "" = every family
+	labels  []any
+	metrics []string
+}{
+	// Timings and ratios of timings.
+	{"", nil, []string{"ops_per_s", "pages_per_s", "elapsed_ms", "kernel_frac", "time_ms", "us_per_op", "speedup", "*_over_linux", "tenants_per_s", "serve_mops_per_s"}},
+	// The TLB's replacement and ASID recycling race the serving threads.
+	{"fig-tenant", nil, []string{"evictions", "hit_rate", "staledrops", "peak_rss_pages"}},
+	// Two threads race the generation bumps and cluster fan-out; one
+	// thread is exact.
+	{"fig14-tlb", []any{"threads", 2}, []string{"applied", "cluster_ipis", "genbumps", "evictions"}},
+	// Eight cores on one machine race the zones and the LATR sweeps.
+	{"fig22-numa", nil, []string{"cluster_ipis", "genbumps", "local_fraction", "spill"}},
+}
+
+// isBanded reports whether metric of r is banded rather than exact.
+func isBanded(r Row, metric string) bool {
+	for _, b := range banded {
+		if (b.fig != "" && b.fig != r.Fig) || len(pick([]Row{r}, r.Fig, b.labels...)) == 0 {
+			continue
+		}
+		for _, pat := range b.metrics {
+			if ok, _ := filepath.Match(pat, metric); ok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // fullScaleContract are the figures whose contract reads a timing ratio
 // (batch) or needs the full grid's geometry (thp): cortenbench gates
 // them in CI and TestRecordedTrajectoryParses on the recorded rows; at
@@ -640,6 +677,9 @@ func readPoint(t *testing.T, point string) []Row {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) == 0 {
+		t.Fatalf("%s: no rows", point)
+	}
 	return rows
 }
 
@@ -691,43 +731,6 @@ func TestRecordedTrajectoryParses(t *testing.T) {
 			}
 		})
 	}
-}
-
-// banded names every metric that is not exact: run to run it moves on
-// the same commit, so it is read against the recorded band by eye and
-// never compared. Every other metric of every row is a count, compared
-// bit for bit with the newest point, so a new count is checked by
-// default. Metric names are filepath.Match patterns; labels, when
-// given, narrow an entry to the rows that carry them.
-var banded = []struct {
-	fig     string // "" = every family
-	labels  []any
-	metrics []string
-}{
-	// Timings and ratios of timings.
-	{"", nil, []string{"ops_per_s", "pages_per_s", "elapsed_ms", "kernel_frac", "time_ms", "us_per_op", "speedup", "*_over_linux", "tenants_per_s", "serve_mops_per_s"}},
-	// The TLB's replacement and ASID recycling race the serving threads.
-	{"fig-tenant", nil, []string{"evictions", "hit_rate", "staledrops", "peak_rss_pages"}},
-	// Two threads race the generation bumps and cluster fan-out; one
-	// thread is exact.
-	{"fig14-tlb", []any{"threads", 2}, []string{"applied", "cluster_ipis", "genbumps", "evictions"}},
-	// Eight cores on one machine race the zones and the LATR sweeps.
-	{"fig22-numa", nil, []string{"cluster_ipis", "genbumps", "local_fraction", "spill"}},
-}
-
-// isBanded reports whether metric of r is banded rather than exact.
-func isBanded(r Row, metric string) bool {
-	for _, b := range banded {
-		if (b.fig != "" && b.fig != r.Fig) || len(pick([]Row{r}, r.Fig, b.labels...)) == 0 {
-			continue
-		}
-		for _, pat := range b.metrics {
-			if ok, _ := filepath.Match(pat, metric); ok {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // countDiff compares the rows of a run with those of a recorded point,

@@ -22,10 +22,11 @@ var numaPolicies = []string{"local", "interleave", "remote"}
 // FigNuma sweeps machines of 1, 2 and 4 NUMA nodes under each placement
 // policy: one fig22-numa row per cell (throughput, the fraction of
 // frames served from the requesting core's home zone, the cross-node
-// spill, shootdown fan-out). The local-first rows demonstrate node-local allocation (the pcp
-// caches and zonelists keep locality near 1.0); the interleave and
-// remote rows quantify the spill the policy hook can force. A last
-// fig22-numa-balance row is the balancing-migration demonstration.
+// spill, shootdown fan-out). The local-first rows demonstrate
+// node-local allocation (the pcp caches and zonelists keep locality
+// near 1.0); the interleave and remote rows quantify the spill the
+// policy hook can force. A last fig22-numa-balance row is the
+// balancing-migration demonstration.
 func FigNuma(o Options) ([]Row, error) {
 	o = o.norm()
 	var g grid

@@ -496,8 +496,7 @@ func (a *AddrSpace) checkAlive(core int) error {
 func (a *AddrSpace) holdsTx(core int) bool { return a.m.HoldsTx(core, uint64(a.asid)) }
 
 // Syscall-level retry tuning: a failed allocating syscall retries up to
-// oomRetries times, each preceded by a reap of the RCU monitor
-// (Machine.ReapAfterGrace) and, on a
+// oomRetries times, each preceded by a reap of the RCU monitor and, on a
 // machine with a daemon, a direct-reclaim round asking for
 // oomRetryTarget pages.
 const (

@@ -149,29 +149,3 @@ func TestConcurrentMutators(t *testing.T) {
 		t.Errorf("leaked %d frames", got)
 	}
 }
-
-// TestMmapReapsMonitorFirst: an unmap's frames wait in the RCU monitor
-// as one callback, far under ReapBacklog, so by the fourth 4096-page
-// map three quarters of the machine waits there; the map must reap the
-// monitor and succeed rather than report out-of-memory.
-func TestMmapReapsMonitorFirst(t *testing.T) {
-	const pages = 4096
-	m := cpusim.New(cpusim.Config{Cores: 1, Frames: 4 * pages})
-	s, err := New(m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 6; round++ {
-		va, err := s.Mmap(0, pages*arch.PageSize, arch.PermRW, 0)
-		if err != nil {
-			t.Fatalf("round %d: %v with %d callbacks waiting in the monitor", round, err, m.RCU.Stats().Pending)
-		}
-		if err := s.Munmap(0, va, pages*arch.PageSize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Destroy(0)
-	if err := m.CheckClean(); err != nil {
-		t.Error(err)
-	}
-}

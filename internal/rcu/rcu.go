@@ -271,11 +271,10 @@ func (d *Domain) PollBefore(epoch uint64) int {
 			d.spareRuns = append(d.spareRuns, r)
 		}
 	}
-	n := len(ready)
 	clear(ready)
 	d.ready = ready
 	d.mu.Unlock()
-	return n
+	return len(ready)
 }
 
 // Synchronize blocks until a full grace period has elapsed: every reader
