@@ -1,6 +1,9 @@
 // Command mmreplay replays a memory-management syscall trace against
-// any of the implemented systems and reports operation statistics —
-// useful for comparing systems on recorded application behaviour.
+// any of the implemented systems, judges every answer against the flat
+// model (spec.Flat), and reports operation statistics — useful for
+// comparing systems on recorded application behaviour. It exits 1 at
+// the first disagreement with the model, a teardown that leaves
+// anything behind, or a fault of the trace.
 //
 // Usage:
 //
@@ -20,16 +23,21 @@
 //	mremap <name> <newbytes>
 //	thread <n>                     # run following ops on core n
 //
-// Region names bind the address returned by their mmap.
+// Region names bind the address returned by their mmap or mremap. After
+// a munmap the name stays bound to its old range, a hole, until the next
+// mmap.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,6 +46,7 @@ import (
 	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/spec"
 )
 
 const demoTrace = `# demo: allocator-style churn plus a protected region
@@ -65,13 +74,50 @@ munmap heap
 munmap code
 `
 
+// frames is the replay machine's memory, 128 MiB: building and auditing
+// it is most of a short replay's cost, which bounds how fast FuzzTrace
+// runs. maxLive is the most pages a replay may hold live: the end of a
+// replay reads every live page, and each read may fault a frame in.
+const (
+	frames  = 1 << 15
+	maxLive = frames / 4
+)
+
+// errTrace marks a fault of the trace itself: a parse error, an unknown
+// region, an offset out of range, or more than maxLive live pages. It
+// stops the replay and says nothing about the system.
+var errTrace = errors.New("bad trace")
+
+func badTrace(format string, a ...any) error {
+	return fmt.Errorf("%w: %s", errTrace, fmt.Sprintf(format, a...))
+}
+
+// A region is what a name binds: the range its last mmap or mremap
+// returned. After a munmap the name stays bound to the range as a hole
+// until the next mmap, so an op on it addresses a hole on every system.
+type region struct {
+	va   arch.Vaddr
+	size uint64
+	hole bool
+}
+
+// An observation is the class of the system's answer to one op (nil for
+// success). An op outside the system's method set is skipped and
+// observed as mm.ErrNotSupported.
+type observation struct {
+	line  int
+	class error
+}
+
+// A replayer runs a trace on one system and on the flat model beside
+// it, and judges every answer against the model's.
 type replayer struct {
 	sys     mm.MM
-	regions map[string]struct {
-		va   arch.Vaddr
-		size uint64
-	}
+	model   *spec.Flat
+	regions map[string]region
 	core    int
+	lineNo  int
+	log     []observation
 	verbose bool
 	w       io.Writer
 }
@@ -87,7 +133,44 @@ func parsePerm(s string) (arch.Perm, error) {
 	case "rwx":
 		return arch.PermRWX, nil
 	}
-	return 0, fmt.Errorf("bad perm %q", s)
+	return 0, badTrace("bad perm %q", s)
+}
+
+// judge logs the system's answer to one op and compares it with the
+// model's: the same class, and for a load the same byte.
+func (r *replayer) judge(got, want error, b, wantB byte) error {
+	class, ok := spec.Class(got)
+	r.log = append(r.log, observation{r.lineNo, class})
+	if r.verbose && got != nil {
+		fmt.Fprintf(r.w, "    -> %v\n", got)
+	}
+	wantClass, wantOK := spec.Class(want)
+	switch {
+	case !ok || !wantOK || class != wantClass:
+		return fmt.Errorf("system answers %v, model %v", got, want)
+	case got == nil && b != wantB:
+		return fmt.Errorf("system reads %d, model %d", b, wantB)
+	}
+	return nil
+}
+
+// skip observes an op the system does not carry; the model skips it too.
+func (r *replayer) skip() error {
+	r.log = append(r.log, observation{r.lineNo, mm.ErrNotSupported})
+	if r.verbose {
+		fmt.Fprintf(r.w, "    -> skipped: %v\n", mm.ErrNotSupported)
+	}
+	return nil
+}
+
+// fits refuses, as a trace error, an op that would leave more than
+// maxLive pages live by growing a region of old bytes to size bytes.
+func (r *replayer) fits(size, old uint64) error {
+	if n, err := cpusim.PageLength(size, arch.PageSize); err == nil && n > old &&
+		uint64(r.model.Len())+(n-old)/arch.PageSize > maxLive {
+		return badTrace("%d bytes would leave more than %d pages live", size, maxLive)
+	}
+	return nil
 }
 
 // step executes one trace line; blank lines and comments return nil.
@@ -104,13 +187,19 @@ func (r *replayer) step(line string) error {
 		}
 		return ""
 	}
-	num := func(i int) (uint64, error) { return strconv.ParseUint(arg(i), 10, 64) }
-	region := func(i int) (arch.Vaddr, uint64, error) {
-		reg, ok := r.regions[arg(i)]
-		if !ok {
-			return 0, 0, fmt.Errorf("unknown region %q", arg(i))
+	num := func(i int) (uint64, error) {
+		n, err := strconv.ParseUint(arg(i), 10, 64)
+		if err != nil {
+			return 0, badTrace("%v", err)
 		}
-		return reg.va, reg.size, nil
+		return n, nil
+	}
+	var reg region
+	if slices.Contains([]string{"munmap", "touch", "store", "load", "protect", "madvise", "swapout", "mremap"}, op) {
+		var ok bool
+		if reg, ok = r.regions[arg(1)]; !ok {
+			return badTrace("unknown region %q", arg(1))
+		}
 	}
 	if r.verbose {
 		fmt.Fprintf(r.w, "  [core %d] %s\n", r.core, line)
@@ -140,47 +229,51 @@ func (r *replayer) step(line string) error {
 		case "populate":
 			fl = mm.FlagPopulate
 		default:
-			return fmt.Errorf("bad mmap flag %q", arg(4))
+			return badTrace("bad mmap flag %q", arg(4))
+		}
+		if err := r.fits(size, 0); err != nil {
+			return err
 		}
 		va, err := r.sys.Mmap(r.core, size, perm, fl)
-		if err != nil {
+		if err := r.judge(err, r.model.Mmap(r.core, va, size, perm), 0, 0); err != nil {
 			return err
 		}
-		r.regions[arg(1)] = struct {
-			va   arch.Vaddr
-			size uint64
-		}{va, (size + arch.PageSize - 1) &^ (arch.PageSize - 1)}
+		maps.DeleteFunc(r.regions, func(_ string, reg region) bool { return reg.hole })
+		if err == nil {
+			size, _ = cpusim.PageLength(size, arch.PageSize)
+			r.regions[arg(1)] = region{va: va, size: size}
+		}
 		return nil
 	case "munmap":
-		va, size, err := region(1)
-		if err != nil {
+		err := r.sys.Munmap(r.core, reg.va, reg.size)
+		if err := r.judge(err, r.model.Munmap(r.core, reg.va, reg.size), 0, 0); err != nil {
 			return err
 		}
-		delete(r.regions, arg(1))
-		return r.sys.Munmap(r.core, va, size)
+		if err == nil {
+			reg.hole = true
+			r.regions[arg(1)] = reg
+		}
+		return nil
 	case "touch", "store", "load":
-		va, size, err := region(1)
-		if err != nil {
-			return err
-		}
 		off, err := num(2)
 		if err != nil {
 			return err
 		}
-		if off*arch.PageSize >= size {
-			return fmt.Errorf("page offset %d beyond region", off)
+		if off >= reg.size/arch.PageSize {
+			return badTrace("page offset %d beyond region", off)
 		}
-		addr := va + arch.Vaddr(off*arch.PageSize)
+		addr := reg.va + arch.Vaddr(off*arch.PageSize)
 		switch op {
 		case "store":
 			b, err := num(3)
 			if err != nil {
 				return err
 			}
-			return r.sys.Store(r.core, addr, byte(b))
+			return r.judge(r.sys.Store(r.core, addr, byte(b)), r.model.Store(r.core, addr, byte(b)), 0, 0)
 		case "load":
-			_, err := r.sys.Load(r.core, addr)
-			return err
+			b, err := r.sys.Load(r.core, addr)
+			wantB, want := r.model.Load(r.core, addr)
+			return r.judge(err, want, b, wantB)
 		default:
 			acc := pt.AccessRead
 			switch arg(3) {
@@ -189,96 +282,111 @@ func (r *replayer) step(line string) error {
 			case "x":
 				acc = pt.AccessExec
 			}
-			return r.sys.Touch(r.core, addr, acc)
+			return r.judge(r.sys.Touch(r.core, addr, acc), r.model.Touch(r.core, addr, acc), 0, 0)
 		}
 	case "protect":
-		va, size, err := region(1)
-		if err != nil {
-			return err
-		}
 		perm, err := parsePerm(arg(2))
 		if err != nil {
 			return err
 		}
-		return r.sys.Mprotect(r.core, va, size, perm)
+		return r.judge(r.sys.Mprotect(r.core, reg.va, reg.size, perm), r.model.Mprotect(r.core, reg.va, reg.size, perm), 0, 0)
 	case "madvise":
-		va, size, err := region(1)
-		if err != nil {
-			return err
-		}
 		adv, ok := r.sys.(mm.Madviser)
 		if !ok {
-			return fmt.Errorf("madvise: %w", mm.ErrNotSupported)
+			return r.skip()
 		}
-		return adv.MadviseDontNeed(r.core, va, size)
+		return r.judge(adv.MadviseDontNeed(r.core, reg.va, reg.size), r.model.Madvise(r.core, reg.va, reg.size), 0, 0)
 	case "swapout":
-		va, size, err := region(1)
-		if err != nil {
-			return err
-		}
 		sw, ok := r.sys.(mm.Swapper)
 		if !ok {
-			return fmt.Errorf("swapout: %w", mm.ErrNotSupported)
+			return r.skip()
 		}
-		_, err = sw.SwapOut(r.core, va, size)
-		return err
+		_, err := sw.SwapOut(r.core, reg.va, reg.size)
+		return r.judge(err, r.model.SwapOut(r.core, reg.va, reg.size), 0, 0)
 	case "mremap":
-		va, size, err := region(1)
-		if err != nil {
-			return err
-		}
 		newSize, err := num(2)
 		if err != nil {
 			return err
 		}
 		rm, ok := r.sys.(mm.Remapper)
 		if !ok {
-			return fmt.Errorf("mremap: %w", mm.ErrNotSupported)
+			return r.skip()
 		}
-		nva, err := rm.Mremap(r.core, va, size, newSize)
-		if err != nil {
+		if err := r.fits(newSize, reg.size); err != nil {
 			return err
 		}
-		r.regions[arg(1)] = struct {
-			va   arch.Vaddr
-			size uint64
-		}{nva, (newSize + arch.PageSize - 1) &^ (arch.PageSize - 1)}
+		nva, err := rm.Mremap(r.core, reg.va, reg.size, newSize)
+		if err := r.judge(err, r.model.Mremap(r.core, reg.va, reg.size, newSize, nva), 0, 0); err != nil {
+			return err
+		}
+		if err == nil {
+			newSize, _ = cpusim.PageLength(newSize, arch.PageSize)
+			r.regions[arg(1)] = region{va: nva, size: newSize}
+		}
 		return nil
 	}
-	return fmt.Errorf("unknown op %q", op)
+	return badTrace("unknown op %q", op)
 }
 
-func run(sysName string, cores int, trace io.Reader, verbose bool, w io.Writer) (err error) {
-	env, err := bench.NewEnv(bench.System(sysName), nil, cpusim.Config{Cores: cores, Frames: 1 << 17, NUMANodes: 2})
+// run replays trace on a fresh space of sysName and on the flat model,
+// quiescing the machine after every op so that a stale translation LATR
+// may still hold is gone before the next. After the last line it judges
+// every live page and every page of a name's range: its byte, or that it
+// faults, and whether it is writable. It returns the observation log and
+// the first disagreement with the model, a trace error, or what the
+// teardown check finds.
+func run(sysName string, cores int, trace io.Reader, verbose bool, w io.Writer) (log []observation, err error) {
+	env, err := bench.NewEnv(bench.System(sysName), nil, cpusim.Config{Cores: cores, Frames: frames, NUMANodes: 2})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// A replay that leaves frames behind after teardown is a finding.
-	defer func() { err = errors.Join(err, env.Close()) }()
+	// A replay that leaves frames behind after teardown is a finding,
+	// whatever stopped it.
+	defer func() {
+		if cerr := env.Close(); cerr != nil && err != nil {
+			err = fmt.Errorf("%v; at teardown: %w", err, cerr)
+		} else if cerr != nil {
+			err = fmt.Errorf("at teardown: %w", cerr)
+		}
+	}()
 	// The summary line reports kernel time, so time the whole replay.
 	defer env.Sys.Stats().TimeKernel()()
 
-	r := &replayer{sys: env.Sys, verbose: verbose, w: w,
-		regions: map[string]struct {
-			va   arch.Vaddr
-			size uint64
-		}{}}
+	r := &replayer{sys: env.Sys, model: spec.NewFlat(env.Machine.Cores), regions: map[string]region{}, verbose: verbose, w: w}
 	sc := bufio.NewScanner(trace)
-	lineNo := 0
 	for sc.Scan() {
-		lineNo++
+		r.lineNo++
 		if err := r.step(sc.Text()); err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
+			return r.log, fmt.Errorf("line %d (%s): %w", r.lineNo, strings.TrimSpace(sc.Text()), err)
 		}
+		env.Machine.Quiesce()
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return r.log, err
 	}
+	// The summary counts the trace's own ops, not the judge's reads.
 	st := env.Sys.Stats().Snapshot()
+	pages := r.model.Live()
+	for _, reg := range r.regions {
+		for va := reg.va; va < reg.va+arch.Vaddr(reg.size); va += arch.PageSize {
+			if _, live := r.model.Page(va); !live {
+				pages = append(pages, va)
+			}
+		}
+	}
+	slices.Sort(pages)
+	for _, va := range slices.Compact(pages) {
+		b, err := env.Sys.Load(0, va)
+		wantB, want := r.model.Load(0, va)
+		if err := cmp.Or(r.judge(err, want, b, wantB),
+			r.judge(env.Sys.Touch(0, va, pt.AccessWrite), r.model.Touch(0, va, pt.AccessWrite), 0, 0)); err != nil {
+			return r.log, fmt.Errorf("after the last line, page %#x: %w", va, err)
+		}
+	}
 	fmt.Fprintf(w, "%s: mmap=%d munmap=%d mprotect=%d faults=%d (soft=%d cow=%d) swap(in=%d out=%d) kernel=%.2fms\n",
 		sysName, st.Mmaps, st.Munmaps, st.Mprotects, st.PageFaults, st.SoftFaults,
 		st.COWBreaks, st.SwapIns, st.SwapOuts, float64(st.KernelNanos)/1e6)
-	return nil
+	return r.log, nil
 }
 
 func main() {
@@ -304,7 +412,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mmreplay [-sys name] trace.mmt | mmreplay -demo")
 		os.Exit(2)
 	}
-	if err := run(*sysName, *cores, trace, *verbose, os.Stdout); err != nil {
+	if _, err := run(*sysName, *cores, trace, *verbose, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mmreplay:", err)
 		os.Exit(1)
 	}

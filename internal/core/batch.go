@@ -108,7 +108,7 @@ func (b *Batch) Mmap(size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, erro
 // MmapFixed enqueues an anonymous mmap at an exact address, failing on
 // collision at Submit.
 func (b *Batch) MmapFixed(va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	size = alignSize(size, fl)
+	size, _ = pageLength(size, fl)
 	if err := b.a.checkRange(b.core, va, size); err != nil {
 		return err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -10,78 +9,24 @@ import (
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
+	"cortenmm/internal/spec"
 )
 
-// refModel is the flat reference the functional-correctness property
-// (P2, §5.2) is checked against: a map from virtual page to its logical
-// state — permission, key, and what backs it: private bytes, or a page
-// of a file shared with every other mapping of it. If CortenMM's
-// query/map/mark/unmap agree with this under long random op sequences,
-// the radix-tree compression, splitting, upper-level status storage and
-// the status word's payload arithmetic are semantics-preserving.
-type refModel struct {
-	pages map[arch.Vaddr]refPage
+// agree reports whether an op's answer has the class the flat model
+// (spec.Flat) gives.
+func agree(got, want error) bool {
+	c, ok := spec.Class(got)
+	w, _ := spec.Class(want)
+	return ok && c == w
 }
 
-// refFile is a file as the model sees it: the byte at the start of each
-// of its pages.
-type refFile struct {
-	f     *mem.File
-	bytes map[uint64]byte
-}
-
-type refPage struct {
-	perm arch.Perm // logical
-	key  arch.ProtKey
-	// file and idx name the backing file page; nil for anonymous memory.
-	file *refFile
-	idx  uint64
-	// shared mappings write through to the file; private ones copy on
-	// their first write, after which own holds and b is the content
-	// (anonymous pages only ever have b).
-	shared, own bool
-	b           byte
-}
-
-func newRefModel() *refModel { return &refModel{pages: map[arch.Vaddr]refPage{}} }
-
-// load is what a read of va must return.
-func (r *refModel) load(va arch.Vaddr) byte {
-	if p := r.pages[va]; p.file != nil && !p.own {
-		return p.file.bytes[p.idx]
-	}
-	return r.pages[va].b
-}
-
-// store records a legal write of b to va.
-func (r *refModel) store(va arch.Vaddr, b byte) {
-	p := r.pages[va]
-	if p.file != nil && p.shared {
-		p.file.bytes[p.idx] = b
-		return
-	}
-	p.own, p.b = true, b
-	r.pages[va] = p
-}
-
-func (r *refModel) allocated(va arch.Vaddr) bool { _, ok := r.pages[va]; return ok }
-
-// clone is the model of a fork: private state copied, files shared.
-func (r *refModel) clone() *refModel {
-	c := newRefModel()
-	for va, p := range r.pages {
-		c.pages[va] = p
-	}
-	return c
-}
-
-// checkSpace compares everything observable of a against the model over
-// the model's pages and the window [lo, hi): per page the status Query
-// reports — allocation, logical permission, key, and the (file, index) a
-// not-resident or page-cache-backed page names — then the bytes a load
-// returns (which faults, and swaps, everything in), then Iterate against
-// Query and the tree's well-formedness.
-func checkSpace(t *testing.T, a *AddrSpace, core int, ref *refModel, lo, hi arch.Vaddr) {
+// checkSpace compares everything observable of a against the flat model
+// over the model's pages and the window [lo, hi): per page the status
+// Query reports — allocation, logical permission, key, and the (file,
+// index) a not-resident or page-cache-backed page names — then the bytes
+// a load returns (which faults, and swaps, everything in), then Iterate
+// against Query and the tree's well-formedness.
+func checkSpace(t *testing.T, a *AddrSpace, core int, ref *spec.Flat, lo, hi arch.Vaddr) {
 	t.Helper()
 	phys := a.m.Phys
 	check := func(c *RCursor, va arch.Vaddr) {
@@ -89,30 +34,29 @@ func checkSpace(t *testing.T, a *AddrSpace, core int, ref *refModel, lo, hi arch
 		if err != nil {
 			t.Fatalf("query %#x: %v", va, err)
 		}
-		p, ok := ref.pages[va]
+		p, ok := ref.Page(va)
 		if ok != st.Allocated() {
 			t.Fatalf("page %#x allocated=%v, model=%v", va, st.Allocated(), ok)
 		}
 		if !ok {
 			return
 		}
-		if got := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared); got != p.perm || st.Key() != p.key {
-			t.Fatalf("page %#x perm=%v key=%d, model %v key %d (%+v)", va, got, st.Key(), p.perm, p.key, st)
+		if got := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared); got != p.Perm || st.Key() != p.Key {
+			t.Fatalf("page %#x perm=%v key=%d, model %v key %d (%+v)", va, got, st.Key(), p.Perm, p.Key, st)
 		}
-		fileBacked := p.file != nil && !p.own
 		switch st.Kind {
 		case pt.StatusPrivateFile, pt.StatusSharedFile, pt.StatusSharedAnon:
-			if !fileBacked || st.File(phys) != p.file.f || st.Off() != p.idx || (st.Kind != pt.StatusPrivateFile) != p.shared {
+			if !p.FileBacked() || st.File(phys) != p.File.File || st.Off() != p.Idx || (st.Kind != pt.StatusPrivateFile) != p.Shared {
 				t.Fatalf("page %#x is %+v (file %p), model %+v", va, st, st.File(phys), p)
 			}
 		case pt.StatusMapped:
 			d := phys.Desc(phys.HeadOf(st.Page()))
-			if fileBacked != (d.RMap.File != nil) || fileBacked && (d.RMap.File != p.file.f || d.RMap.Index != p.idx) {
+			if p.FileBacked() != (d.RMap.File != nil) || p.FileBacked() && (d.RMap.File != p.File.File || d.RMap.Index != p.Idx) {
 				t.Fatalf("page %#x maps frame %#x of (%p, %d), model %+v", va, st.Page(), d.RMap.File, d.RMap.Index, p)
 			}
 		default: // PrivateAnon, Swapped: private bytes
-			if fileBacked {
-				t.Fatalf("page %#x is %+v, model has it backed by file page %d", va, st, p.idx)
+			if p.FileBacked() {
+				t.Fatalf("page %#x is %+v, model has it backed by file page %d", va, st, p.Idx)
 			}
 		}
 	}
@@ -125,7 +69,7 @@ func checkSpace(t *testing.T, a *AddrSpace, core int, ref *refModel, lo, hi arch
 	}
 	checkIterateMatchesQuery(t, c, lo, hi)
 	c.Close()
-	for va := range ref.pages {
+	for _, va := range ref.Live() {
 		if va < lo || va >= hi {
 			c, err := a.Lock(core, va, va+arch.PageSize)
 			if err != nil {
@@ -134,11 +78,12 @@ func checkSpace(t *testing.T, a *AddrSpace, core int, ref *refModel, lo, hi arch
 			check(c, va)
 			c.Close()
 		}
-		if got, err := a.Load(core, va); err != nil || got != ref.load(va) {
-			t.Fatalf("load %#x = %d, %v; model has %d (%+v)", va, got, err, ref.load(va), ref.pages[va])
+		got, err := a.Load(core, va)
+		if want, werr := ref.Load(core, va); !agree(err, werr) || got != want {
+			t.Fatalf("load %#x = %d, %v; model has %d, %v", va, got, err, want, werr)
 		}
 	}
-	checkChunksMatchModel(t, a, ref.allocated, len(ref.pages))
+	checkChunksMatchModel(t, a, ref)
 	checkQuiet(t, a)
 }
 
@@ -180,11 +125,11 @@ func checkIterateMatchesQuery(t *testing.T, c *RCursor, lo, hi arch.Vaddr) {
 }
 
 // checkChunksMatchModel verifies the enumeration every sweep reads
-// against the flat oracle: chunks arrive in address order without
-// overlap, each counts exactly the oracle's allocated pages inside its
-// span, and together they account for every allocated page — so no
-// allocated page lies outside a chunk.
-func checkChunksMatchModel(t *testing.T, a *AddrSpace, allocated func(arch.Vaddr) bool, total int) {
+// against the flat model: chunks arrive in address order without
+// overlap, each counts exactly the model's live pages inside its span,
+// and together they account for every live page — so no allocated page
+// lies outside a chunk.
+func checkChunksMatchModel(t *testing.T, a *AddrSpace, ref *spec.Flat) {
 	t.Helper()
 	var end arch.Vaddr
 	sum := 0
@@ -195,7 +140,7 @@ func checkChunksMatchModel(t *testing.T, a *AddrSpace, allocated func(arch.Vaddr
 		end = ch.base + arch.Vaddr(ch.span)
 		n := 0
 		for va := ch.base; va < end; va += arch.PageSize {
-			if allocated(va) {
+			if _, ok := ref.Page(va); ok {
 				n++
 			}
 		}
@@ -204,8 +149,8 @@ func checkChunksMatchModel(t *testing.T, a *AddrSpace, allocated func(arch.Vaddr
 		}
 		sum += n
 	}
-	if sum != total {
-		t.Fatalf("chunks cover %d allocated pages, model has %d", sum, total)
+	if sum != ref.Len() {
+		t.Fatalf("chunks cover %d allocated pages, model has %d", sum, ref.Len())
 	}
 }
 
@@ -227,7 +172,7 @@ func TestReferenceModelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefModel()
+			ref := spec.NewFlat(m.Cores)
 
 			const (
 				base      = arch.Vaddr(0x2000_0000)
@@ -239,12 +184,12 @@ func TestReferenceModelEquivalence(t *testing.T) {
 			// Two files, each kept registered by a one-page anchor mapping
 			// for the whole run: a named one, and the kernel-internal file
 			// of a shared-anonymous region.
-			named := &refFile{f: mem.NewFile(m.Phys, "data", filePages*arch.PageSize), bytes: map[uint64]byte{}}
-			anchor, err := a.MmapFile(0, named.f, 0, arch.PageSize, arch.PermRead, true)
+			named := spec.NewFlatFile(mem.NewFile(m.Phys, "data", filePages*arch.PageSize), filePages)
+			anchor, err := a.MmapFile(0, named.File, 0, arch.PageSize, arch.PermRead, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.pages[anchor] = refPage{perm: arch.PermRead, file: named, shared: true}
+			ref.MapFile(anchor, arch.PageSize, arch.PermRead, named, 0, true)
 			shmVA, err := a.MmapSharedAnon(0, filePages*arch.PageSize, arch.PermRW)
 			if err != nil {
 				t.Fatal(err)
@@ -255,14 +200,14 @@ func TestReferenceModelEquivalence(t *testing.T) {
 			}
 			st, _ := c.Query(shmVA)
 			c.Close()
-			shm := &refFile{f: st.File(m.Phys), bytes: map[uint64]byte{}}
+			shm := spec.NewFlatFile(st.File(m.Phys), filePages)
 			if err := a.Munmap(0, shmVA+arch.PageSize, (filePages-1)*arch.PageSize); err != nil {
 				t.Fatal(err)
 			}
-			ref.pages[shmVA] = refPage{perm: arch.PermRW, file: shm, shared: true}
+			ref.MapFile(shmVA, arch.PageSize, arch.PermRW, shm, 0, true)
 
 			var child *AddrSpace
-			var childRef *refModel
+			var childRef *spec.Flat
 			retireChild := func() {
 				if child != nil {
 					checkSpace(t, child, 1, childRef, base, pageAt(npages))
@@ -279,61 +224,36 @@ func TestReferenceModelEquivalence(t *testing.T) {
 				va, size := pageAt(lo), uint64(n)*arch.PageSize
 				switch rng.Intn(10) {
 				case 0: // mmap fixed (only over fully free ranges)
-					free := true
-					for i := lo; i < lo+n; i++ {
-						free = free && !ref.allocated(pageAt(i))
-					}
 					err := a.MmapFixed(0, va, size, arch.PermRW, 0)
-					if free != (err == nil) {
-						t.Fatalf("step %d: mmapfixed free=%v err=%v", step, free, err)
-					}
-					if err == nil {
-						for i := lo; i < lo+n; i++ {
-							ref.pages[pageAt(i)] = refPage{perm: arch.PermRW}
-						}
+					if want := ref.MmapFixed(0, va, size, arch.PermRW); !agree(err, want) {
+						t.Fatalf("step %d: mmapfixed = %v, model %v", step, err, want)
 					}
 				case 1: // munmap
-					if err := a.Munmap(0, va, size); err != nil {
-						t.Fatalf("step %d: munmap: %v", step, err)
-					}
-					for i := lo; i < lo+n; i++ {
-						delete(ref.pages, pageAt(i))
+					err := a.Munmap(0, va, size)
+					if want := ref.Munmap(0, va, size); !agree(err, want) {
+						t.Fatalf("step %d: munmap = %v, model %v", step, err, want)
 					}
 				case 2: // mprotect
-					want := arch.PermRead
+					perm := arch.PermRead
 					if rng.Intn(2) == 0 {
-						want = arch.PermRW
+						perm = arch.PermRW
 					}
-					if err := a.Mprotect(0, va, size, want); err != nil {
-						t.Fatalf("step %d: mprotect: %v", step, err)
-					}
-					for i := lo; i < lo+n; i++ {
-						if p, ok := ref.pages[pageAt(i)]; ok {
-							p.perm = want
-							ref.pages[pageAt(i)] = p
-						}
+					err := a.Mprotect(0, va, size, perm)
+					if want := ref.Mprotect(0, va, size, perm); !agree(err, want) {
+						t.Fatalf("step %d: mprotect = %v, model %v", step, err, want)
 					}
 				case 3: // store
 					b := byte(rng.Intn(256))
+					p, _ := ref.Page(va)
 					err := a.Store(0, va, b)
-					p, ok := ref.pages[va]
-					legal := ok && p.perm.Contains(arch.PermWrite)
-					if legal != (err == nil) {
-						t.Fatalf("step %d: store legal=%v err=%v (page %d %+v)", step, legal, err, lo, p)
-					}
-					if err == nil {
-						ref.store(va, b)
+					if want := ref.Store(0, va, b); !agree(err, want) {
+						t.Fatalf("step %d: store = %v, model %v (page %d %+v)", step, err, want, lo, p)
 					}
 				case 4: // load
 					got, err := a.Load(0, va)
-					if ok := ref.allocated(va); ok != (err == nil) {
-						t.Fatalf("step %d: load mapped=%v err=%v", step, ok, err)
-					}
-					if err == nil && got != ref.load(va) {
-						t.Fatalf("step %d: load page %d = %d, want %d (%+v)", step, lo, got, ref.load(va), ref.pages[va])
-					}
-					if err != nil && !errors.Is(err, mm.ErrSegv) {
-						t.Fatalf("step %d: unexpected error kind: %v", step, err)
+					if want, werr := ref.Load(0, va); !agree(err, werr) || got != want {
+						p, _ := ref.Page(va)
+						t.Fatalf("step %d: load page %d = %d, %v; model %d, %v (%+v)", step, lo, got, err, want, werr, p)
 					}
 				case 5: // a file or shared-anonymous span marked over whatever was there
 					file, kind, shared := named, pt.StatusPrivateFile, false
@@ -348,16 +268,15 @@ func TestReferenceModelEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: lock: %v", step, err)
 					}
-					if err := c.Mark(va, va+arch.Vaddr(size), pt.FileStatus(kind, arch.PermRW, file.f, off)); err != nil {
+					if err := c.Mark(va, va+arch.Vaddr(size), pt.FileStatus(kind, arch.PermRW, file.File, off)); err != nil {
 						t.Fatalf("step %d: mark %v at file page %d: %v", step, kind, off, err)
 					}
 					c.Close()
-					for i := 0; i < n; i++ {
-						ref.pages[pageAt(lo+i)] = refPage{perm: arch.PermRW, file: file, idx: off + uint64(i), shared: shared}
-					}
+					ref.MapFile(va, size, arch.PermRW, file, off, shared)
 				case 6: // swap out what is private, anonymous and resident
-					if _, err := a.SwapOut(0, va, size); err != nil {
-						t.Fatalf("step %d: swapout: %v", step, err)
+					_, err := a.SwapOut(0, va, size)
+					if want := ref.SwapOut(0, va, size); !agree(err, want) {
+						t.Fatalf("step %d: swapout = %v, model %v", step, err, want)
 					}
 				case 7: // protection key
 					key := arch.ProtKey(rng.Intn(int(arch.MaxProtKey) + 1))
@@ -369,49 +288,29 @@ func TestReferenceModelEquivalence(t *testing.T) {
 						t.Fatalf("step %d: setprotkey: %v", step, err)
 					}
 					c.Close()
-					for i := lo; i < lo+n; i++ {
-						if p, ok := ref.pages[pageAt(i)]; ok {
-							p.key = key
-							ref.pages[pageAt(i)] = p
-						}
-					}
+					ref.SetProtKey(va, size, key)
 				case 8: // grow: everything in the range moves out of the window
 					grown := size + uint64(1+rng.Intn(4))*arch.PageSize
-					whole := true
-					for i := lo; i < lo+n; i++ {
-						whole = whole && ref.allocated(pageAt(i))
-					}
+					// A range with a page nothing allocated is refused and
+					// stays as it was (Linux: EFAULT).
 					nva, err := a.Mremap(0, va, size, grown)
-					if !whole {
-						// A range with a page nothing allocated is refused
-						// and stays as it was (Linux: EFAULT).
-						if !errors.Is(err, mm.ErrSegv) {
-							t.Fatalf("step %d: mremap of a range not wholly mapped = %#x, %v; want mm.ErrSegv", step, nva, err)
-						}
-						break
+					if want := ref.Mremap(0, va, size, grown, nva); !agree(err, want) {
+						t.Fatalf("step %d: mremap = %#x, %v; model %v", step, nva, err, want)
 					}
 					if err != nil {
-						t.Fatalf("step %d: mremap: %v", step, err)
-					}
-					tail := refPage{perm: ref.pages[va].perm} // the grown tail takes the first page's permission
-					moved := newRefModel()
-					for off := uint64(0); off < grown; off += arch.PageSize {
-						if p, ok := ref.pages[va+arch.Vaddr(off)]; ok && off < size {
-							moved.pages[nva+arch.Vaddr(off)] = p
-							delete(ref.pages, va+arch.Vaddr(off))
-						} else if off >= size {
-							moved.pages[nva+arch.Vaddr(off)] = tail
-						}
+						break
 					}
 					// Compared where it landed, then unmapped: the stream
 					// stays in its window.
-					for mva := range moved.pages {
-						if got, err := a.Load(0, mva); err != nil || got != moved.load(mva) {
-							t.Fatalf("step %d: moved page %#x = %d, %v; want %d (%+v)", step, mva, got, err, moved.load(mva), moved.pages[mva])
+					for mva := nva; mva < nva+arch.Vaddr(grown); mva += arch.PageSize {
+						got, err := a.Load(0, mva)
+						if want, werr := ref.Load(0, mva); !agree(err, werr) || got != want {
+							t.Fatalf("step %d: moved page %#x = %d, %v; model %d, %v", step, mva, got, err, want, werr)
 						}
 					}
-					if err := a.Munmap(0, nva, grown); err != nil {
-						t.Fatalf("step %d: munmap of the moved range: %v", step, err)
+					err = a.Munmap(0, nva, grown)
+					if want := ref.Munmap(0, nva, grown); !agree(err, want) {
+						t.Fatalf("step %d: munmap of the moved range = %v, model %v", step, err, want)
 					}
 				case 9: // query through a transaction
 					c, err := a.Lock(0, va, va+arch.Vaddr(size))
@@ -423,18 +322,18 @@ func TestReferenceModelEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("step %d: query: %v", step, err)
 						}
-						p, ok := ref.pages[pageAt(i)]
+						p, ok := ref.Page(pageAt(i))
 						if ok != st.Allocated() {
 							t.Fatalf("step %d: query page %d allocated=%v, ref=%v", step, i, st.Allocated(), ok)
 						}
-						if got := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared); ok && (got != p.perm || st.Key() != p.key) {
-							t.Fatalf("step %d: query page %d perm=%v key=%d, ref=%v key %d", step, i, got, st.Key(), p.perm, p.key)
+						if got := logicalPerm(st.Perm) &^ (arch.PermCOW | arch.PermShared); ok && (got != p.Perm || st.Key() != p.Key) {
+							t.Fatalf("step %d: query page %d perm=%v key=%d, ref=%v key %d", step, i, got, st.Key(), p.Perm, p.Key)
 						}
 					}
 					checkIterateMatchesQuery(t, c, va, va+arch.Vaddr(size))
 					c.Close()
 				}
-				checkChunksMatchModel(t, a, ref.allocated, len(ref.pages))
+				checkChunksMatchModel(t, a, ref)
 				if step%300 == 299 {
 					// Whatever is not resident stays so — a swapped page
 					// shares its block — and the child inherits it as
@@ -445,7 +344,7 @@ func TestReferenceModelEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: fork: %v", step, err)
 					}
-					child, childRef = forked.(*AddrSpace), ref.clone()
+					child, childRef = forked.(*AddrSpace), ref.Clone()
 					checkSpace(t, a, 0, ref, base, pageAt(npages))
 				}
 			}
@@ -476,9 +375,9 @@ func TestModelEquivalenceWithHugeRegions(t *testing.T) {
 	if err := a.MmapFixed(0, base, npages*arch.PageSize, arch.PermRW, mm.FlagHuge2M); err != nil {
 		t.Fatal(err)
 	}
-	alive, written := map[int]bool{}, map[int]byte{}
-	for i := 0; i < npages; i++ {
-		alive[i] = true
+	ref := spec.NewFlat(m.Cores)
+	if err := ref.MmapFixed(0, base, npages*arch.PageSize, arch.PermRW); err != nil {
+		t.Fatal(err)
 	}
 	for step := 0; step < 400; step++ {
 		i := rng.Intn(npages)
@@ -486,22 +385,18 @@ func TestModelEquivalenceWithHugeRegions(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			err := a.Store(0, va, byte(i))
-			if alive[i] != (err == nil) {
-				t.Fatalf("step %d: store alive=%v err=%v", step, alive[i], err)
-			}
-			if err == nil {
-				written[i] = byte(i)
+			if want := ref.Store(0, va, byte(i)); !agree(err, want) {
+				t.Fatalf("step %d: store = %v, model %v", step, err, want)
 			}
 		case 1:
-			if err := a.Munmap(0, va, arch.PageSize); err != nil {
-				t.Fatal(err)
+			err := a.Munmap(0, va, arch.PageSize)
+			if want := ref.Munmap(0, va, arch.PageSize); !agree(err, want) {
+				t.Fatalf("step %d: munmap = %v, model %v", step, err, want)
 			}
-			delete(alive, i)
-			delete(written, i)
 		case 2:
 			got, err := a.Load(0, va)
-			if alive[i] != (err == nil) || got != written[i] {
-				t.Fatalf("step %d: load alive=%v err=%v, read %d want %d", step, alive[i], err, got, written[i])
+			if want, werr := ref.Load(0, va); !agree(err, werr) || got != want {
+				t.Fatalf("step %d: load = %d, %v; model %d, %v", step, got, err, want, werr)
 			}
 		}
 		if step%100 == 99 {
@@ -511,9 +406,7 @@ func TestModelEquivalenceWithHugeRegions(t *testing.T) {
 			}
 			checkIterateMatchesQuery(t, c, base, base+npages*arch.PageSize)
 			c.Close()
-			checkChunksMatchModel(t, a, func(va arch.Vaddr) bool {
-				return va >= base && alive[int((va-base)/arch.PageSize)]
-			}, len(alive))
+			checkChunksMatchModel(t, a, ref)
 		}
 	}
 	checkWF(t, a)

@@ -23,9 +23,9 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 	if err := a.checkRange(core, oldVA, oldSize); err != nil {
 		return 0, err
 	}
-	newSize = (newSize + arch.PageSize - 1) &^ (arch.PageSize - 1)
-	if newSize == 0 {
-		return 0, fmt.Errorf("%w: zero new size", mm.ErrBadRange)
+	newSize, err := pageLength(newSize, 0)
+	if err != nil {
+		return 0, err
 	}
 	if newSize > oldSize && a.oomKilled.Load() {
 		return 0, ErrOOMKilled
@@ -45,7 +45,7 @@ func (a *AddrSpace) Mremap(core int, oldVA arch.Vaddr, oldSize, newSize uint64) 
 		return oldVA, nil
 	}
 	var newVA arch.Vaddr
-	err := a.retryOOM(core, func() (err error) {
+	err = a.retryOOM(core, func() (err error) {
 		newVA, err = a.grow(core, oldVA, oldSize, newSize)
 		return err
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/cpusim"
 	"cortenmm/internal/mem"
 	"cortenmm/internal/mm"
 	"cortenmm/internal/pt"
@@ -137,7 +138,8 @@ func (a *AddrSpace) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (ar
 // MmapFixed implements mm.MM: map at an exact address, failing on
 // collision.
 func (a *AddrSpace) MmapFixed(core int, va arch.Vaddr, size uint64, perm arch.Perm, fl mm.Flags) error {
-	return a.call(core, op{kind: BatchMmap, va: va, size: alignSize(size, fl), perm: perm, fl: fl, checkExists: true})
+	size, _ = pageLength(size, fl)
+	return a.call(core, op{kind: BatchMmap, va: va, size: size, perm: perm, fl: fl, checkExists: true})
 }
 
 // MmapFile implements mm.FileMapper: map size bytes of f from page offset pgoff,
@@ -176,18 +178,17 @@ func (a *AddrSpace) allocVA(core int, o *op) (err error) {
 	if err = a.checkAlive(core); err != nil {
 		return err
 	}
-	if o.size = alignSize(o.size, o.fl); o.size == 0 {
-		return errZeroSize
+	if o.size, err = pageLength(o.size, o.fl); err != nil {
+		return err
 	}
 	o.va, err = a.valloc.Alloc(core, o.size)
 	return err
 }
 
-// errZeroSize rejects an allocator-served mmap whose size aligns to
-// nothing, before a VA is spent on it.
-var errZeroSize = fmt.Errorf("%w: zero size", mm.ErrBadRange)
-
-func alignSize(size uint64, fl mm.Flags) uint64 {
+// pageLength is cpusim.PageLength at the alignment fl asks for. A fixed
+// mapping takes a refused length as 0, which its range check refuses as
+// mm.ErrBadRange after the gate: its caller chose the range.
+func pageLength(size uint64, fl mm.Flags) (uint64, error) {
 	align := uint64(arch.PageSize)
 	if fl&mm.FlagHuge2M != 0 {
 		align = arch.SpanBytes(2)
@@ -195,7 +196,7 @@ func alignSize(size uint64, fl mm.Flags) uint64 {
 	if fl&mm.FlagHuge1G != 0 {
 		align = arch.SpanBytes(3)
 	}
-	return (size + align - 1) &^ (align - 1)
+	return cpusim.PageLength(size, align)
 }
 
 // mmapBody marks o's range with its anonymous or file status and, for an
@@ -247,9 +248,7 @@ func (a *AddrSpace) mmapBody(c *RCursor, o *op) error {
 // kernel-internal file (§4.5), so fork'd children share writes. The
 // memory is freed with the last word naming the file.
 func (a *AddrSpace) MmapSharedAnon(core int, size uint64, perm arch.Perm) (arch.Vaddr, error) {
-	size = alignSize(size, 0)
-	f := mem.NewAnonFile(a.m.Phys, size)
-	return a.MmapFile(core, f, 0, size, perm, true)
+	return a.MmapFile(core, mem.NewAnonFile(a.m.Phys, size), 0, size, perm, true)
 }
 
 // Munmap implements mm.MM (Figure 8 do_syscall_munmap).

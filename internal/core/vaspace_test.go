@@ -240,8 +240,9 @@ func TestFixedOverRecycledVANotFreedTwice(t *testing.T) {
 	}
 }
 
-// TestMmapZeroSize: a size that aligns to zero is rejected with
-// ErrBadRange before a VA, a file reference or a ring slot is spent.
+// TestMmapZeroSize: a zero size is rejected with ErrBadRange, and a size
+// whose page rounding wraps with cpusim.ErrVAExhausted (cpusim.PageLength),
+// before a VA, a file reference or a ring slot is spent.
 func TestMmapZeroSize(t *testing.T) {
 	calls := map[string]func(a *AddrSpace, f *mem.File) error{
 		"Mmap": func(a *AddrSpace, _ *mem.File) error {
@@ -275,8 +276,12 @@ func TestMmapZeroSize(t *testing.T) {
 				a, m := newSpace(t, p)
 				defer a.Destroy(0)
 				f := mem.NewFile(m.Phys, "f", 4*arch.PageSize)
-				if err := call(a, f); !errors.Is(err, mm.ErrBadRange) {
-					t.Fatalf("err = %v, want ErrBadRange", err)
+				want := mm.ErrBadRange
+				if name == "Mmap(overflow)" {
+					want = cpusim.ErrVAExhausted
+				}
+				if err := call(a, f); !errors.Is(err, want) {
+					t.Fatalf("err = %v, want %v", err, want)
 				}
 				if f.Refs() != 0 || f.ID() != 0 {
 					t.Errorf("failed call left %d file reference(s), file id %d", f.Refs(), f.ID())

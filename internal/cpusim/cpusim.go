@@ -312,8 +312,7 @@ func (m *Machine) Run(n int, fn func(core int)) {
 		panic(fmt.Sprintf("cpusim: Run(%d) exceeds %d cores", n, m.Cores))
 	}
 	var wg sync.WaitGroup
-	for c := 0; c < n; c++ {
-		c := c
+	for c := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

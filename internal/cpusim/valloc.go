@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cortenmm/internal/arch"
+	"cortenmm/internal/mm"
 )
 
 // User virtual-address range carved up by the allocator. The low 4 GiB
@@ -18,6 +19,21 @@ const (
 
 // ErrVAExhausted is returned when an allocator's arena is full.
 var ErrVAExhausted = fmt.Errorf("cpusim: virtual address arena exhausted")
+
+// PageLength is the one rule for the length of a fresh range, an mmap's
+// or a grown mremap's: size rounded up to align (a power of two, a page
+// or more). A zero size is mm.ErrBadRange (Linux: EINVAL). A size whose
+// rounding wraps, or that no user range could hold, is ErrVAExhausted
+// (Linux: ENOMEM). Every system applies it before it spends a VA.
+func PageLength(size, align uint64) (uint64, error) {
+	if size == 0 {
+		return 0, fmt.Errorf("%w: zero length", mm.ErrBadRange)
+	}
+	if n := (size + align - 1) &^ (align - 1); n >= size && n <= uint64(UserHi-UserLo) {
+		return n, nil
+	}
+	return 0, ErrVAExhausted
+}
 
 // arena is a bump allocator with size-segregated free lists. It has
 // handed out exactly [base, next); base and limit never change. The

@@ -9,6 +9,7 @@
 package nros
 
 import (
+	"cmp"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -181,13 +182,13 @@ func (s *Space) apply(core int, r *replica, o *op) error {
 // Mmap implements mm.MM: eager backing — allocate frames, log the map
 // op, replay locally (NrOS's MapRange).
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+	size, lenErr := cpusim.PageLength(size, arch.PageSize)
+	if err := cmp.Or(mm.Gate(&s.dead, core, s.m.Cores), lenErr); err != nil {
 		return 0, err
 	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
-	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
 	va := arch.Vaddr(s.brk.Add(size) - size)
 	if va+arch.Vaddr(size) > cpusim.UserHi {
 		return 0, cpusim.ErrVAExhausted

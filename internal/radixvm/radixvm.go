@@ -8,6 +8,7 @@
 package radixvm
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
@@ -103,13 +104,13 @@ func (s *Space) Features() mm.Features {
 // Mmap implements mm.MM: insert per-page entries into the radix shards.
 // The VA bump is a single atomic add, so allocation itself scales.
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+	size, lenErr := cpusim.PageLength(size, arch.PageSize)
+	if err := cmp.Or(mm.Gate(&s.dead, core, s.m.Cores), lenErr); err != nil {
 		return 0, err
 	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
-	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
 	va := arch.Vaddr(s.brk.Add(size) - size)
 	if va+arch.Vaddr(size) > cpusim.UserHi {
 		return 0, cpusim.ErrVAExhausted

@@ -1,4 +1,4 @@
-package tlb
+package tlb_test
 
 import (
 	"fmt"
@@ -12,6 +12,7 @@ import (
 	"cortenmm/internal/arch"
 	"cortenmm/internal/pt"
 	"cortenmm/internal/spec"
+	"cortenmm/internal/tlb"
 )
 
 // TestReplayTLBStaleRead replays every tlb seeded-bug counterexample of
@@ -70,15 +71,15 @@ func (w *tlbWatermark) snapshot(a *[2]uint64) [2]uint64 {
 }
 
 func replayTLB(t *testing.T, model *spec.TLBModel, trace []string) {
-	mode := map[spec.TLBMode]Mode{spec.TLBSync: ModeSync, spec.TLBEarlyAck: ModeEarlyAck, spec.TLBLATR: ModeLATR}[model.Mode]
+	mode := map[spec.TLBMode]tlb.Mode{spec.TLBSync: tlb.ModeSync, spec.TLBEarlyAck: tlb.ModeEarlyAck, spec.TLBLATR: tlb.ModeLATR}[model.Mode]
 	readers := len(model.Readers)
-	const asid, initiator = ASID(7), 0
+	const asid, initiator = tlb.ASID(7), 0
 	sweeper := readers + 1 // reader i runs on core i+1
-	m := NewMachine(readers+2, mode)
+	m := tlb.NewMachine(readers+2, mode)
 	vaOf := func(p int) arch.Vaddr { return arch.Vaddr(0x40000000) + arch.Vaddr(p)*arch.PageSize }
 	pfnOf := func(p int, ver uint64) arch.PFN { return arch.PFN(uint64(p+1)*1_000_000 + ver) }
 	shoot := func(p int, sync bool) {
-		m.Shootdown(initiator, asid, []Range{{Lo: vaOf(p), Hi: vaOf(p) + arch.PageSize}}, sync)
+		m.Shootdown(initiator, asid, []tlb.Range{{Lo: vaOf(p), Hi: vaOf(p) + arch.PageSize}}, sync)
 	}
 	pageArg := func(label string) int {
 		arg := spec.LabelArg(label)
@@ -93,13 +94,13 @@ func replayTLB(t *testing.T, model *spec.TLBModel, trace []string) {
 		return n
 	}
 	var w tlbWatermark
-	var parked []*epochCell // reader cells held odd under a taken sweep
+	var parked []func()     // releases of reader cells held odd under a taken sweep
 	var sweepTook [2]uint64 // what was queued when the sweeper took it
 	swept, quiesced := make(chan struct{}), make(chan struct{})
 	sweeping, quiescing := false, false
 	release := func() {
-		for _, cell := range parked {
-			cell.seq.Add(1)
+		for _, unpark := range parked {
+			unpark()
 		}
 		parked = nil
 	}
@@ -159,9 +160,7 @@ func replayTLB(t *testing.T, model *spec.TLBModel, trace []string) {
 	// TestLATRTickWaitsForInflightSweep).
 	r.Bind("sw:take", "main", func(string) error {
 		for i := 0; i < readers; i++ {
-			cell := m.cores[i+1].cell(asid)
-			cell.seq.Add(1)
-			parked = append(parked, cell)
+			parked = append(parked, m.ParkCell(i+1, asid))
 		}
 		sweepTook = w.snapshot(&w.queued)
 		sweeping = true
@@ -169,11 +168,8 @@ func replayTLB(t *testing.T, model *spec.TLBModel, trace []string) {
 			defer close(swept)
 			m.Tick(sweeper)
 		}()
-		for taken := false; !taken; runtime.Gosched() {
-			src := &m.cores[initiator]
-			src.latr.mu.Lock()
-			taken = len(src.latr.buf) == 0
-			src.latr.mu.Unlock()
+		for !m.LATRTaken(initiator) {
+			runtime.Gosched()
 		}
 		return nil
 	})
@@ -191,7 +187,7 @@ func replayTLB(t *testing.T, model *spec.TLBModel, trace []string) {
 		quiescing = true
 		go func() {
 			defer close(quiesced)
-			for c := range m.cores {
+			for c := range m.NCores() {
 				m.Tick(c)
 			}
 			w.complete(upTo)
@@ -240,7 +236,7 @@ func replayTLB(t *testing.T, model *spec.TLBModel, trace []string) {
 	if quiescing {
 		<-quiesced
 	}
-	for c := range m.cores {
+	for c := range m.NCores() {
 		m.Tick(c)
 	}
 	w.complete(w.snapshot(&w.queued))

@@ -12,6 +12,7 @@
 package vma
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 
@@ -123,21 +124,21 @@ func (s *Space) Features() mm.Features {
 // Mmap implements mm.MM: take the mmap_lock writer, carve a range, and
 // insert a VMA. No page-table work happens (on-demand paging).
 func (s *Space) Mmap(core int, size uint64, perm arch.Perm, fl mm.Flags) (arch.Vaddr, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+	size, lenErr := cpusim.PageLength(size, arch.PageSize)
+	if err := cmp.Or(mm.Gate(&s.dead, core, s.m.Cores), lenErr); err != nil {
 		return 0, err
 	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
-	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
 
 	s.mmapLock.Lock()
 	va := s.brk
-	s.brk += arch.Vaddr(size)
-	if s.brk > cpusim.UserHi {
+	if va+arch.Vaddr(size) > cpusim.UserHi {
 		s.mmapLock.Unlock()
 		return 0, cpusim.ErrVAExhausted
 	}
+	s.brk += arch.Vaddr(size)
 	s.insertMerged(&VMA{Start: va, End: va + arch.Vaddr(size), Perm: perm})
 	s.mmapLock.Unlock()
 
@@ -195,20 +196,20 @@ func (s *Space) insertMerged(v *VMA) {
 
 // MmapFile implements mm.FileMapper.
 func (s *Space) MmapFile(core int, f *mem.File, pgoff, size uint64, perm arch.Perm, shared bool) (arch.Vaddr, error) {
-	if err := mm.Gate(&s.dead, core, s.m.Cores); err != nil {
+	size, lenErr := cpusim.PageLength(size, arch.PageSize)
+	if err := cmp.Or(mm.Gate(&s.dead, core, s.m.Cores), lenErr); err != nil {
 		return 0, err
 	}
 	defer s.stats.KernelExit(s.stats.KernelEnter())
 	s.stats.Mmaps.Add(1)
 	s.m.OpTick(core)
-	size = (size + arch.PageSize - 1) &^ (arch.PageSize - 1)
 	s.mmapLock.Lock()
 	defer s.mmapLock.Unlock()
 	va := s.brk
-	s.brk += arch.Vaddr(size)
-	if s.brk > cpusim.UserHi {
+	if va+arch.Vaddr(size) > cpusim.UserHi {
 		return 0, cpusim.ErrVAExhausted
 	}
+	s.brk += arch.Vaddr(size)
 	s.vmas.insert(&VMA{Start: va, End: va + arch.Vaddr(size), Perm: perm, File: f, Pgoff: pgoff, Shared: shared})
 	return va, nil
 }

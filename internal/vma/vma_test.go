@@ -108,6 +108,30 @@ func TestMmapTouchMunmap(t *testing.T) {
 	}
 }
 
+// TestRefusedMmapSpendsNoVA: an Mmap the user range cannot hold is
+// refused before the bump pointer moves, so a smaller one still fits.
+func TestRefusedMmapSpendsNoVA(t *testing.T) {
+	s, m := newSpace(t)
+	half := uint64(cpusim.UserHi-cpusim.UserLo) / 2
+	if _, err := s.Mmap(0, half, arch.PermRW, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Mmap(0, half+arch.PageSize, arch.PermRW, 0); !errors.Is(err, cpusim.ErrVAExhausted) {
+		t.Fatalf("Mmap past the user range = %v, want ErrVAExhausted", err)
+	}
+	f := mem.NewFile(m.Phys, "f", arch.PageSize)
+	if _, err := s.MmapFile(0, f, 0, half+arch.PageSize, arch.PermRW, true); !errors.Is(err, cpusim.ErrVAExhausted) {
+		t.Fatalf("MmapFile past the user range = %v, want ErrVAExhausted", err)
+	}
+	if _, err := s.Mmap(0, arch.PageSize, arch.PermRW, 0); err != nil {
+		t.Errorf("Mmap after a refused one = %v", err)
+	}
+	s.Destroy(0)
+	if err := m.CheckClean(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPartialMunmapSplitsVMA(t *testing.T) {
 	s, _ := newSpace(t)
 	defer s.Destroy(0)
