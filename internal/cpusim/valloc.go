@@ -27,13 +27,17 @@ var ErrVAExhausted = fmt.Errorf("cpusim: virtual address arena exhausted")
 // (Linux: ENOMEM). Every system applies it before it spends a VA.
 func PageLength(size, align uint64) (uint64, error) {
 	if size == 0 {
-		return 0, fmt.Errorf("%w: zero length", mm.ErrBadRange)
+		return 0, errZeroLength
 	}
 	if n := (size + align - 1) &^ (align - 1); n >= size && n <= uint64(UserHi-UserLo) {
 		return n, nil
 	}
 	return 0, ErrVAExhausted
 }
+
+// errZeroLength is built once, so PageLength stays small enough to inline
+// into every mmap.
+var errZeroLength = fmt.Errorf("%w: zero length", mm.ErrBadRange)
 
 // arena is a bump allocator with size-segregated free lists. It has
 // handed out exactly [base, next); base and limit never change. The
